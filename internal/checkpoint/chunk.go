@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"servdisc/internal/core"
-	"servdisc/internal/federate"
 )
 
 // meter tees writes through a CRC and a byte counter.
@@ -42,7 +41,7 @@ func writeChunkFile(path string, ed *core.EngineDelta) (size int64, sum uint32, 
 		}
 	}()
 	m := &meter{w: f, crc: crc32.NewIEEE()}
-	fw := federate.NewFrameWriter(m)
+	fw := newFrameWriter(m)
 	hdr := chunkHeader{
 		Magic: chunkMagic, Version: FormatVersion,
 		Full: ed.Full, Packets: ed.Packets,
@@ -100,7 +99,7 @@ func writeChunkFile(path string, ed *core.EngineDelta) (size int64, sum uint32, 
 // must fail loudly on anything but a byte-perfect chunk. Exported for
 // the fuzz harness; hostile inputs must error, never panic.
 func DecodeChunk(data []byte) (*core.EngineDelta, error) {
-	fr := federate.NewFrameReader(bytes.NewReader(data))
+	fr := newFrameReader(bytes.NewReader(data))
 	var f chunkFrame
 	if err := fr.ReadJSON(&f); err != nil {
 		return nil, fmt.Errorf("checkpoint: chunk header: %w", err)

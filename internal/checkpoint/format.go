@@ -13,8 +13,8 @@
 //	manifest.json            atomic (tmp+rename) index: engine config
 //	                         fingerprint, generation cursor, chunk chain,
 //	                         optional federation publisher cursor
-//	chunk-<run>-<n>.ckpt     length-prefixed JSONL frames (the federate
-//	                         wire framing): hdr, entity frames, end
+//	chunk-<run>-<n>.ckpt     length-prefixed JSONL frames (framing.go):
+//	                         hdr, entity frames, end
 //
 // Chunk files are named uniquely per Writer incarnation, so a crashed
 // writer can never overwrite a file the last durable manifest still

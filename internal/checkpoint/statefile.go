@@ -10,8 +10,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-
-	"servdisc/internal/federate"
 )
 
 // stateMagic guards single-value state files (the federated daemon's
@@ -37,7 +35,7 @@ func WriteStateFile(path string, v any) error {
 		return fmt.Errorf("checkpoint: encode state: %w", err)
 	}
 	var buf bytes.Buffer
-	fw := federate.NewFrameWriter(&buf)
+	fw := newFrameWriter(&buf)
 	if err := fw.WriteJSON(stateHeader{Magic: stateMagic, Version: FormatVersion}); err != nil {
 		return err
 	}
@@ -75,7 +73,7 @@ func ReadStateFile(path string, v any) (bool, error) {
 // by the fuzz harness): hostile inputs must error, never panic, and must
 // not touch v.
 func decodeStateFile(data []byte, v any) error {
-	fr := federate.NewFrameReader(bytes.NewReader(data))
+	fr := newFrameReader(bytes.NewReader(data))
 	var hdr stateHeader
 	if err := fr.ReadJSON(&hdr); err != nil {
 		return fmt.Errorf("checkpoint: state header: %w", err)

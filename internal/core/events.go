@@ -63,11 +63,15 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
+// Valid reports whether k is one of the defined kinds — the range check
+// behind MarshalText and the federation wire's one-byte enum.
+func (k EventKind) Valid() bool { return int(k) < len(eventKindNames) }
+
 // MarshalText serializes the kind as its stable string name, making
 // EventKind safe to embed in JSON feeds. Unknown kinds are an error rather
 // than a silently unparseable placeholder.
 func (k EventKind) MarshalText() ([]byte, error) {
-	if int(k) < len(eventKindNames) {
+	if k.Valid() {
 		return []byte(eventKindNames[k]), nil
 	}
 	return nil, fmt.Errorf("core: cannot marshal unknown event kind %d", uint8(k))

@@ -49,9 +49,12 @@ func (p Provenance) String() string {
 	return fmt.Sprintf("provenance(%d)", uint8(p))
 }
 
+// Valid reports whether p is one of the defined classes.
+func (p Provenance) Valid() bool { return int(p) < len(provenanceNames) }
+
 // MarshalText serializes the class as its stable string name.
 func (p Provenance) MarshalText() ([]byte, error) {
-	if int(p) < len(provenanceNames) {
+	if p.Valid() {
 		return []byte(provenanceNames[p]), nil
 	}
 	return nil, fmt.Errorf("core: cannot marshal unknown provenance %d", uint8(p))

@@ -11,11 +11,12 @@
 // and duplicates the same stream positions, which is what makes chaos
 // schedules replayable.
 //
-// Corruption overwrites a byte with 0x00. NUL is invalid everywhere in
-// the federation wire format (length prefix, separator, JSON body,
-// newline terminator), so a corrupted frame is always a *detectable*
-// decode error — never a silently altered payload — and the reader's
-// error-and-reconnect path is what gets exercised.
+// Corruption inverts a byte (b ^ 0xFF), so a scheduled corruption always
+// changes the stream — overwriting with a constant would be a no-op
+// wherever the stream already holds it, and a binary wire is full of zero
+// bytes. The federation wire's per-frame CRC turns any changed byte into
+// a *detectable* decode error — never a silently altered payload — and
+// the reader's error-and-reconnect path is what gets exercised.
 package faultnet
 
 import (
@@ -38,8 +39,8 @@ type Faults struct {
 	// CutAt resets the connection once this many bytes have passed —
 	// possibly mid-frame, which is how truncation happens. 0 = never.
 	CutAt int64
-	// CorruptAt overwrites the byte at each of these stream offsets
-	// with 0x00 (see the package comment for why NUL).
+	// CorruptAt inverts the byte at each of these stream offsets (see
+	// the package comment for why not a constant).
 	CorruptAt []int64
 	// DupAt/DupLen re-send the byte span [DupAt, DupAt+DupLen) a second
 	// time, immediately after it first passes. Duplicated bytes do not
@@ -90,6 +91,9 @@ func Random(rng *stats.RNG, meanCut int64) Faults {
 type Conn struct {
 	net.Conn
 	f Faults
+	// onCut, when set, runs as the plan's cut fires, before the
+	// underlying connection closes (the proxy's tally of fired cuts).
+	onCut func()
 
 	mu      sync.Mutex
 	off     int64
@@ -145,7 +149,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 				out = append([]byte(nil), out...)
 				owned = true
 			}
-			out[at-c.off] = 0
+			out[at-c.off] ^= 0xFF
 		}
 	}
 	var dup []byte
@@ -183,6 +187,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	if cut {
 		c.cut = true
+		if c.onCut != nil {
+			c.onCut()
+		}
 		c.Conn.Close()
 		return n, ErrCut
 	}

@@ -45,20 +45,21 @@ func TestCutTruncatesMidChunk(t *testing.T) {
 	}
 }
 
-// TestCorruptionZeroesExactOffsets pins the corruption fault: the byte
-// at each CorruptAt stream offset becomes NUL regardless of how the
-// writer chunks, and every other byte is untouched.
-func TestCorruptionZeroesExactOffsets(t *testing.T) {
+// TestCorruptionFlipsExactOffsets pins the corruption fault: the byte at
+// each CorruptAt stream offset is inverted regardless of how the writer
+// chunks — so it always differs from what was sent, a zero byte included
+// — and every other byte is untouched.
+func TestCorruptionFlipsExactOffsets(t *testing.T) {
 	client, server := Pipe(Faults{}, Faults{CorruptAt: []int64{3, 17}})
 	go func() {
 		// Two writes with the second corruption offset inside the second
 		// chunk: offsets must be stream positions, not chunk positions.
-		server.Write([]byte("0123456789"))
+		server.Write([]byte("012\x00456789"))
 		server.Write([]byte("abcdefghij"))
 		server.Close()
 	}()
 	got := readAll(t, client)
-	want := []byte("012\x00456789abcdefg\x00ij")
+	want := []byte("012\xff456789abcdefg\x97ij")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("corrupted stream = %q, want %q", got, want)
 	}
@@ -149,5 +150,70 @@ func TestProxyCutsRealTCP(t *testing.T) {
 	}
 	if got := dial(); !bytes.Equal(got, payload) {
 		t.Fatalf("second (clean) connection delivered %d bytes, want the full %d", len(got), len(payload))
+	}
+	if got := proxy.Cuts(); got != 1 {
+		t.Fatalf("proxy counted %d fired cuts after one cut and one clean connection, want 1", got)
+	}
+}
+
+// TestProxyNumbersRelayedConnections pins what "the first N connections"
+// means to a plan: a connection the target refused is not one of them. A
+// feed client that redials faster than its publisher binds must not use up
+// the drill's kills on dials that never carried a byte.
+func TestProxyNumbersRelayedConnections(t *testing.T) {
+	hold, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := hold.Addr().String()
+	hold.Close() // nobody listening yet
+
+	proxy, err := Listen("127.0.0.1:0", target, func(conn int) (Faults, Faults) {
+		if conn == 0 {
+			return Faults{}, Faults{CutAt: 10}
+		}
+		return Faults{}, Faults{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go proxy.Run(ctx)
+	dial := func() []byte {
+		c, err := net.Dial("tcp", proxy.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return readAll(t, c)
+	}
+	if got := dial(); len(got) != 0 {
+		t.Fatalf("connection to a refusing target delivered %d bytes", len(got))
+	}
+
+	src, err := net.Listen("tcp", target)
+	if err != nil {
+		t.Skipf("could not rebind %s: %v", target, err)
+	}
+	defer src.Close()
+	go func() {
+		for {
+			c, err := src.Accept()
+			if err != nil {
+				return
+			}
+			c.Write(bytes.Repeat([]byte("x"), 100))
+			c.Close()
+		}
+	}()
+	if got := dial(); len(got) != 10 {
+		t.Fatalf("first relayed connection delivered %d bytes, want it cut at 10", len(got))
+	}
+	if got := dial(); len(got) != 100 {
+		t.Fatalf("second relayed connection delivered %d bytes, want all 100", len(got))
+	}
+	if got := proxy.Cuts(); got != 1 {
+		t.Fatalf("proxy counted %d fired cuts, want 1", got)
 	}
 }

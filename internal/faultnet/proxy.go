@@ -4,13 +4,17 @@ import (
 	"context"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// PlanFunc supplies the impairment plans for the i-th proxied connection
+// PlanFunc supplies the impairment plans for the i-th relayed connection
 // (0-based): clientSend shapes the client-to-target direction, serverSend
 // the target-to-client direction. Returning two zero plans passes the
-// connection through clean.
+// connection through clean. Connections are numbered as their dial to
+// the target succeeds — one the target refused carries no stream to
+// impair and takes no number — and calls are serialized.
 type PlanFunc func(conn int) (clientSend, serverSend Faults)
 
 // Proxy is a TCP fault-injection proxy: it accepts connections, dials
@@ -21,6 +25,10 @@ type Proxy struct {
 	ln     net.Listener
 	target string
 	plan   PlanFunc
+	cuts   atomic.Int64
+
+	mu      sync.Mutex // serializes plan and guards relayed
+	relayed int
 }
 
 // Listen opens the proxy's listener. Run starts relaying.
@@ -34,6 +42,11 @@ func Listen(addr, target string, plan PlanFunc) (*Proxy, error) {
 
 // Addr is the proxy's listening address (for :0 listeners).
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+
+// Cuts reports how many proxied connections a plan's CutAt has reset so
+// far — the evidence that a drill's kills fired rather than landing past
+// the end of a stream shorter than their offsets.
+func (p *Proxy) Cuts() int64 { return p.cuts.Load() }
 
 // Run accepts and relays until the listener closes or the context is
 // cancelled (which closes the listener).
@@ -51,7 +64,7 @@ func (p *Proxy) Run(ctx context.Context) error {
 			}()
 		}
 	}
-	for i := 0; ; i++ {
+	for {
 		down, err := p.ln.Accept()
 		if err != nil {
 			if ctx != nil && ctx.Err() != nil {
@@ -59,23 +72,28 @@ func (p *Proxy) Run(ctx context.Context) error {
 			}
 			return err
 		}
-		clientSend, serverSend := p.plan(i)
-		go p.relay(down, clientSend, serverSend)
+		go p.relay(down)
 	}
 }
 
 // relay pumps one proxied connection: two copy loops, each writing
 // through its direction's impairment. A cut (or any error) on either
 // direction tears down both — a connection reset, not a half-close.
-func (p *Proxy) relay(down net.Conn, clientSend, serverSend Faults) {
+func (p *Proxy) relay(down net.Conn) {
 	defer down.Close()
 	up, err := net.DialTimeout("tcp", p.target, 10*time.Second)
 	if err != nil {
 		return
 	}
 	defer up.Close()
+	p.mu.Lock()
+	clientSend, serverSend := p.plan(p.relayed)
+	p.relayed++
+	p.mu.Unlock()
 	wUp := WrapConn(up, clientSend)
 	wDown := WrapConn(down, serverSend)
+	wUp.onCut = func() { p.cuts.Add(1) }
+	wDown.onCut = wUp.onCut
 	done := make(chan struct{}, 2)
 	go func() {
 		_, _ = io.Copy(wUp, down)

@@ -129,7 +129,11 @@ func newTestSite(idx, flows int) *testSite {
 
 // produce feeds the site's entire input to its engine, interleaving scan
 // reports between packet batches.
-func (s *testSite) produce() {
+func (s *testSite) produce() { s.producePaced(func() {}) }
+
+// producePaced is produce with a pause after every batch, for scenarios
+// that need the feed to keep up with production.
+func (s *testSite) producePaced(pause func()) {
 	for i, b := range s.batches {
 		s.eng.HandleBatch(b)
 		for r := range s.reports {
@@ -137,6 +141,7 @@ func (s *testSite) produce() {
 				s.eng.AddReport(s.reports[r])
 			}
 		}
+		pause()
 	}
 }
 

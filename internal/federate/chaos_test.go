@@ -16,26 +16,31 @@ import (
 	"servdisc/internal/stats"
 )
 
+// chaosMeanFault is the mean stream offset of each drawn fault (cut,
+// corruption, duplication, stall) in the fleet chaos runs. A test site's
+// whole feed — snapshot plus every live event — is under 10 KB on the
+// wire, so a 4 KiB mean lands most faults inside it while a fair share of
+// connections still deliver real progress before dying; a mean sized for
+// a bigger stream puts the faults past EOF and the run is a clean link.
+const chaosMeanFault = 4 << 10
+
 // chaosDialer builds a FeedClient Dial func that connects to pub through
 // a freshly-faulted in-memory link: while *chaos holds, each dial draws a
 // new random fault schedule (cuts, corruption, duplication, latency,
-// stalls) for both directions and occasionally refuses outright (a
-// partition); once chaos is lifted every new link is clean. Each dial
-// serves the publisher end on its own goroutine, exactly like an accept
-// loop would. The rng is owned by the client's Run goroutine, so no
-// locking is needed around it.
-func chaosDialer(ctx context.Context, pub *Publisher, rng *stats.RNG, chaos *atomic.Bool) func(context.Context) (net.Conn, error) {
+// stalls, at mean offset meanFault) for both directions and occasionally
+// refuses outright (a partition); once chaos is lifted every new link is
+// clean. Each dial serves the publisher end on its own goroutine, exactly
+// like an accept loop would. The rng is owned by the client's Run
+// goroutine, so no locking is needed around it.
+func chaosDialer(ctx context.Context, pub *Publisher, rng *stats.RNG, chaos *atomic.Bool, meanFault int64) func(context.Context) (net.Conn, error) {
 	return func(dialCtx context.Context) (net.Conn, error) {
 		var toServer, toClient faultnet.Faults
 		if chaos.Load() {
 			if rng.Bool(0.2) {
 				return nil, fmt.Errorf("faultnet: link partitioned")
 			}
-			// Mean cut well above the typical frame so a fair share of
-			// connections deliver real progress before dying; the
-			// memoryless draw still kills plenty mid-snapshot.
-			toServer = faultnet.Random(rng, 32<<10)
-			toClient = faultnet.Random(rng, 32<<10)
+			toServer = faultnet.Random(rng, meanFault)
+			toClient = faultnet.Random(rng, meanFault)
 		}
 		client, server := faultnet.Pipe(toServer, toClient)
 		go func() {
@@ -69,13 +74,19 @@ func TestChaosConvergence(t *testing.T) {
 				if string(got) != string(want) {
 					t.Errorf("chaos dump diverges from fault-free run:\n%s", firstDiff(got, want))
 				}
-				var disconnects, applied uint64
+				var disconnects, resumes, applied uint64
 				for _, st := range stats {
 					disconnects += st.Disconnects
+					resumes += st.ResumeHits
 					applied += st.FramesApplied
 				}
-				if disconnects == 0 {
-					t.Error("chaos schedule produced no disconnects — faults never fired")
+				// Every feed ends with one disconnect of its own at
+				// shutdown; the faults must account for more than that.
+				if disconnects <= uint64(nSites) {
+					t.Errorf("%d disconnects across %d feeds — the fault schedule never fired", disconnects, nSites)
+				}
+				if resumes == 0 {
+					t.Error("no reconnect resumed by cursor — the faults never interrupted a bootstrapped feed")
 				}
 				if applied == 0 {
 					t.Error("no frames applied through the chaotic links")
@@ -105,7 +116,7 @@ func runChaosFleet(t *testing.T, nSites, flows int, seed uint64) ([]byte, []Feed
 	for i, s := range sites {
 		rng := stats.NewRNG(seed).Derive(fmt.Sprintf("chaos-site-%d", i))
 		fc := NewFeedClient(agg, string(s.id), FeedOptions{
-			Dial: chaosDialer(ctx, s.pub, rng, &chaos),
+			Dial: chaosDialer(ctx, s.pub, rng, &chaos, chaosMeanFault),
 			Backoff: BackoffConfig{
 				Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond,
 				Seed: seed<<8 + uint64(i),
@@ -119,13 +130,21 @@ func runChaosFleet(t *testing.T, nSites, flows int, seed uint64) ([]byte, []Feed
 		}()
 	}
 
-	// Produce at all sites concurrently while the links misbehave.
+	// Produce at all sites concurrently while the links misbehave. Each
+	// site lets the aggregator catch up across its chaotic link between
+	// batches, so the whole live stream crosses the link under fault —
+	// production outrunning the first dial would leave the faults nothing
+	// to hit but one bootstrap snapshot.
 	var produce sync.WaitGroup
 	for _, s := range sites {
 		produce.Add(1)
 		go func(s *testSite) {
 			defer produce.Done()
-			s.produce()
+			s.producePaced(func() {
+				if want := s.pub.State().Seq; !awaitCursor(agg, s.id, want) {
+					t.Errorf("%s: feed never caught up to seq %d through the chaotic link", s.id, want)
+				}
+			})
 		}(s)
 	}
 	produce.Wait()
@@ -176,7 +195,9 @@ func TestChaosNoResurrection(t *testing.T) {
 	chaos.Store(true)
 	rng := stats.NewRNG(99).Derive("chaos-resurrection")
 	fc := NewFeedClient(agg, "chaos-ret", FeedOptions{
-		Dial:    chaosDialer(ctx, pub, rng, &chaos),
+		// This site's whole stream is ~120 bytes (hello, a two-service
+		// snapshot, one retract frame): the faults have to land inside it.
+		Dial:    chaosDialer(ctx, pub, rng, &chaos, 64),
 		Backoff: BackoffConfig{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond, Seed: 99},
 	})
 	done := make(chan struct{})
@@ -203,11 +224,11 @@ func TestChaosNoResurrection(t *testing.T) {
 	answer(svcB, 443, retBase.Add(3*time.Hour))
 	eng.Snapshot()
 
-	// Let the chaotic link churn through a few reconnects with the
-	// tombstone in play before quiescing.
+	// The chaotic link must churn through several faulted connections
+	// with the tombstone in play before quiescing.
 	for deadline := time.Now().Add(10 * time.Second); fc.Stats().Disconnects < 3; {
 		if time.Now().After(deadline) {
-			break // fault draw produced a long-lived link; fine
+			t.Fatalf("only %d disconnects in 10s — the fault schedule never fired", fc.Stats().Disconnects)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -18,8 +18,8 @@ import (
 
 // PublisherMetrics is the publisher's optional telemetry bundle.
 type PublisherMetrics struct {
-	// Encode observes the wire-encode (+ write) time of every frame
-	// served to any reader.
+	// Encode observes the wire-encode time of every frame served to any
+	// reader; the last frame of a burst also carries the burst's write.
 	Encode *obs.Histogram
 }
 
@@ -63,9 +63,9 @@ type PublisherOptions struct {
 	// Heartbeat is the keepalive interval on a quiet feed. Zero means
 	// 10s; negative disables heartbeats.
 	Heartbeat time.Duration
-	// WriteTimeout bounds each frame write on a deadline-capable
-	// connection; a peer that stops reading is evicted within this
-	// window. Zero means 1m.
+	// WriteTimeout bounds each write (one burst of frames) on a
+	// deadline-capable connection; a peer that stops reading is evicted
+	// within this window. Zero means 1m.
 	WriteTimeout time.Duration
 	// HelloTimeout bounds the wait for a connecting reader's resume
 	// hello. Zero means 10s.
@@ -379,9 +379,9 @@ func (p *Publisher) readHello(rw io.ReadWriter) (ResumeCursor, error) {
 // serving — unless an auth token is configured, which a write-only peer
 // cannot present.
 //
-// On a deadline-capable writer every frame write is bounded by
-// WriteTimeout, and context cancellation closes the connection, so a
-// stalled peer cannot pin the serving goroutine — a deadline-evicted or
+// On a deadline-capable writer every write is bounded by WriteTimeout,
+// and context cancellation closes the connection, so a stalled peer
+// cannot pin the serving goroutine — a deadline-evicted or
 // disconnected reader resynchronizes (by cursor or snapshot) on its next
 // connection. Safe for any number of concurrent connections.
 func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
@@ -432,25 +432,29 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 	}
 	wd, _ := w.(writeDeadliner)
 	enc := NewEncoder(w)
-	write := func(f *Frame) error {
-		if wd != nil {
-			_ = wd.SetWriteDeadline(time.Now().Add(p.opt.WriteTimeout))
+	// send encodes one frame and, when it is the last of its burst,
+	// flushes the burst in one write under one deadline.
+	send := func(f *Frame, last bool) error {
+		var t0 time.Time
+		if p.met != nil {
+			t0 = time.Now()
 		}
-		var err error
-		if m := p.met; m != nil {
-			t0 := time.Now()
-			err = enc.Encode(f)
-			m.Encode.Observe(time.Since(t0))
-		} else {
-			err = enc.Encode(f)
+		err := enc.append(f)
+		if err == nil && last {
+			if wd != nil {
+				_ = wd.SetWriteDeadline(time.Now().Add(p.opt.WriteTimeout))
+			}
+			if err = enc.flush(); errors.Is(err, os.ErrDeadlineExceeded) {
+				p.evictions.Add(1)
+			}
 		}
-		if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-			p.evictions.Add(1)
+		if p.met != nil {
+			p.met.Encode.Observe(time.Since(t0))
 		}
 		return err
 	}
 	for i := range bootstrap {
-		if err := write(&bootstrap[i]); err != nil {
+		if err := send(&bootstrap[i], i == len(bootstrap)-1); err != nil {
 			return err
 		}
 	}
@@ -460,21 +464,34 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 		defer t.Stop()
 		heartbeat = t.C
 	}
+	events := live.Events()
 	for {
 		select {
-		case f, ok := <-live.Events():
+		case f, ok := <-events:
 			if !ok {
 				if ctx != nil {
 					return ctx.Err()
 				}
 				return nil
 			}
-			if err := write(&f); err != nil {
-				return err
+			// A seal publishes its events back to back. Everything already
+			// queued behind f goes out in the same write: nothing waits
+			// for a frame that has not been published yet, so a frame
+			// reaches the socket no later than it would have flushed alone.
+			// This goroutine is the channel's only receiver, so the queued
+			// frames are there to take without blocking.
+			for queued := len(events); ; queued-- {
+				if err := send(&f, queued == 0); err != nil {
+					return err
+				}
+				if queued == 0 {
+					break
+				}
+				f = <-events
 			}
 		case <-heartbeat:
 			hb := Frame{V: WireVersion, Type: FrameHeartbeat, Site: p.site, Epoch: p.epoch}
-			if err := write(&hb); err != nil {
+			if err := send(&hb, true); err != nil {
 				return err
 			}
 			p.heartbeats.Add(1)

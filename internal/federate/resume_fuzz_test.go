@@ -51,7 +51,7 @@ func FuzzResumeFrame(f *testing.F) {
 		Frame{V: WireVersion, Type: FrameResume, Site: "seed-site", Epoch: 2, Seq: 9, Resume: &ResumeCursor{Epoch: 2, Seq: 9}},
 		Frame{V: WireVersion, Type: FrameSnapshot, Site: "seed-site", Epoch: 2, Seq: 10, Snapshot: &Snapshot{}},
 	))
-	f.Add([]byte("9 {\"v\":3}\n"))
+	f.Add([]byte(`41 {"v":3,"type":"resume","resume":{"epoch":7,"seq":2}}` + "\n")) // a v3 peer
 	f.Add([]byte("garbage hello"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,19 +65,28 @@ func quiesce(tb testing.TB, pub *Publisher) PublisherState {
 	return st
 }
 
-// waitCursor polls the aggregator's dedup cursor for one site.
-func waitCursor(tb testing.TB, agg *Aggregator, site SiteID, target uint64) {
-	tb.Helper()
+// awaitCursor polls the aggregator's dedup cursor for one site until it
+// reaches target, and reports whether it did within ten seconds.
+func awaitCursor(agg *Aggregator, site SiteID, target uint64) bool {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, seq, ok := agg.SiteCursor(site); ok && seq >= target {
-			return
+			return true
 		}
 		if time.Now().After(deadline) {
-			_, seq, _ := agg.SiteCursor(site)
-			tb.Fatalf("aggregator cursor for %s stuck at %d, want %d", site, seq, target)
+			return false
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitCursor is awaitCursor for the test's own goroutine: a stuck cursor
+// ends the test.
+func waitCursor(tb testing.TB, agg *Aggregator, site SiteID, target uint64) {
+	tb.Helper()
+	if !awaitCursor(agg, site, target) {
+		_, seq, _ := agg.SiteCursor(site)
+		tb.Fatalf("aggregator cursor for %s stuck at %d, want %d", site, seq, target)
 	}
 }
 
@@ -383,6 +394,169 @@ func TestHostileHellos(t *testing.T) {
 	}
 	if got := pub.Stats().HellosRejected; got != 3 {
 		t.Errorf("HellosRejected = %d, want 3", got)
+	}
+}
+
+// v3Resume and v3Hello are what a wire-v3 (JSONL) peer puts on the link
+// first, byte for byte.
+const (
+	v3Resume = `48 {"v":3,"type":"resume","resume":{"epoch":0,"seq":0}}` + "\n"
+	v3Hello  = `50 {"v":3,"type":"hello","site":"east","epoch":12345}` + "\n" +
+		`74 {"v":3,"type":"snapshot","site":"east","epoch":12345,"seq":1,"snapshot":{}}` + "\n"
+)
+
+// TestV3ClientRefused pins the publisher half of mixed-version refusal: a
+// wire-v3 aggregator's JSONL resume hello is answered with a closed
+// connection, not a byte of feed, an error naming both versions, and a
+// HellosRejected count.
+func TestV3ClientRefused(t *testing.T) {
+	site := newTestSite(3, 50)
+	defer site.pub.Close()
+	site.produce()
+
+	server, client := net.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- site.pub.ServeConn(context.Background(), server)
+		server.Close()
+	}()
+	go client.Write([]byte(v3Resume))
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	served, _ := io.ReadAll(client)
+	client.Close()
+
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "wire version 3, want 4") {
+		t.Errorf("ServeConn = %v, want an error naming wire version 3 against 4", err)
+	}
+	if len(served) != 0 {
+		t.Errorf("a v3 client was served %d bytes before the refusal", len(served))
+	}
+	if st := site.pub.Stats(); st.HellosRejected != 1 || st.SnapshotFallbacks != 0 || st.ResumeHits != 0 {
+		t.Errorf("publisher stats after a v3 hello = %+v, want one rejected hello and no catch-up", st)
+	}
+}
+
+// TestV3PublisherRefused pins the client half: a wire-v3 publisher's JSONL
+// hello ends the connection with an error naming both versions before any
+// frame reaches the aggregator, and the redials that follow climb the
+// ordinary backoff schedule — a refused feed never counts as a delivery
+// that resets it.
+func TestV3PublisherRefused(t *testing.T) {
+	agg := NewAggregator()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, 64)
+	fc := NewFeedClient(agg, "v3-site", FeedOptions{
+		Dial: func(context.Context) (net.Conn, error) {
+			server, client := net.Pipe()
+			go func() {
+				defer server.Close()
+				// A v3 publisher reads the hello (whatever it makes of
+				// it), then speaks JSONL.
+				if _, err := server.Read(make([]byte, 512)); err == nil {
+					server.Write([]byte(v3Hello))
+				}
+			}()
+			return client, nil
+		},
+		Backoff:      BackoffConfig{Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: 5},
+		OnDisconnect: func(err error) { errs <- err },
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = fc.Run(ctx)
+	}()
+	for i := 0; i < 6; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "wire version 3, want 4") {
+				t.Errorf("connection %d ended with %v, want an error naming wire version 3 against 4", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("feed client stopped redialing")
+		}
+	}
+	cancel()
+	<-done
+
+	st := fc.Stats()
+	if st.FramesApplied != 0 || agg.NumServices() != 0 || len(agg.Sites()) != 0 {
+		t.Errorf("a v3 feed reached the aggregator: %d frames applied, %d services, sites %v",
+			st.FramesApplied, agg.NumServices(), agg.Sites())
+	}
+	if st.Disconnects != st.Connects || st.Connects < 6 {
+		t.Errorf("feed stats = %+v, want every connection counted as a disconnect", st)
+	}
+	if got := fc.NextBackoff(); got != 8*time.Millisecond {
+		t.Errorf("backoff ceiling after %d refused connections = %v, want the 8ms cap", st.Connects, got)
+	}
+}
+
+// burstWriter is a write-only feed reader that records each Write and
+// holds the first one until released.
+type burstWriter struct {
+	entered, release chan struct{}
+	writes           [][]byte
+}
+
+func (w *burstWriter) Write(p []byte) (int, error) {
+	if len(w.writes) == 0 {
+		close(w.entered)
+		<-w.release
+	}
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestServeConnFlushesPerBurst pins the serving loop's batching: frames
+// already queued behind the one being served leave in the same write, so
+// a five-event burst is one segment, not five.
+func TestServeConnFlushesPerBurst(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	pub := NewPublisherOpts("burst", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	w := &burstWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan error, 1)
+	go func() { served <- pub.ServeConn(context.Background(), w) }()
+
+	// With the reader stuck in its bootstrap write, five discoveries queue
+	// on its live subscription; closing the engine and the publisher waits
+	// for the pump to have published all of them.
+	<-w.entered
+	bld := packet.NewBuilder(0)
+	for i := 0; i < 5; i++ {
+		eng.HandlePacket(bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(90+i), Port: 80},
+			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
+	}
+	eng.Close()
+	pub.Close()
+	close(w.release)
+	if err := <-served; err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+
+	if len(w.writes) != 2 {
+		t.Fatalf("feed took %d writes, want 2 (bootstrap, then one burst)", len(w.writes))
+	}
+	var stream []byte
+	for _, p := range w.writes {
+		stream = append(stream, p...)
+	}
+	dec := NewDecoder(bytes.NewReader(stream))
+	var types []FrameType
+	for {
+		f, err := dec.Decode()
+		if err != nil {
+			break
+		}
+		types = append(types, f.Type)
+		if dec.Offset() == int64(len(w.writes[0])) && len(types) != 2 {
+			t.Errorf("bootstrap write held %d frames, want hello + snapshot", len(types))
+		}
+	}
+	want := []FrameType{FrameHello, FrameSnapshot, FrameEvent, FrameEvent, FrameEvent, FrameEvent, FrameEvent}
+	if !reflect.DeepEqual(types, want) {
+		t.Errorf("feed carried %v, want %v", types, want)
 	}
 }
 

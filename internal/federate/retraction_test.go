@@ -59,19 +59,6 @@ func invSignature(tb testing.TB, a *Aggregator) []byte {
 	return b
 }
 
-// encodeFrames renders frames in wire form for fuzz seeds.
-func encodeFrames(tb testing.TB, frames ...Frame) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
-			tb.Fatalf("encode seed: %v", err)
-		}
-	}
-	return buf.Bytes()
-}
-
 // FuzzRetractionFrameDecode feeds arbitrary bytes through the wire
 // decoder into a seeded aggregator and asserts the never-half-apply
 // contract: any frame Apply rejects leaves the merged inventory
@@ -84,7 +71,8 @@ func FuzzRetractionFrameDecode(f *testing.F) {
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 6, Retract: &valid}))
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 6, Retract: &noDeadline}))
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 2, Seq: 1, Retract: &badProv}))
-	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 7}))
+	// A frame that is all header: a retract whose body is missing entirely.
+	f.Add(rawFrame(WireVersion<<4|headerEnvelope|codeRetract, 9, 's', 'e', 'e', 'd', '-', 's', 'i', 't', 'e', 1, 0, 0, 0, 0, 0, 0, 0))
 	// The half-apply honeypot: valid retractions ahead of an invalid one
 	// in a single snapshot — none may land.
 	f.Add(encodeFrames(f, Frame{
@@ -95,7 +83,7 @@ func FuzzRetractionFrameDecode(f *testing.F) {
 		Frame{V: WireVersion, Type: FrameHello, Site: "seed-site", Epoch: 3},
 		Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 3, Seq: 1, Retract: &valid},
 	))
-	f.Add([]byte("7 {\"v\":2}\ngarbage"))
+	f.Add(append(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 8, Retract: &valid}), "garbage"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -3,10 +3,10 @@
 //
 // Three pieces compose the subsystem:
 //
-//   - The wire codec (Encoder/Decoder): a versioned, length-prefixed JSONL
-//     framing for the typed discovery event stream (core.Event) plus a
-//     snapshot-bootstrap frame derived from the generation-tracked
-//     core.Inventory.
+//   - The wire codec (Encoder/Decoder): a versioned, length-prefixed,
+//     CRC-checked binary framing for the typed discovery event stream
+//     (core.Event) plus a snapshot-bootstrap frame derived from the
+//     generation-tracked core.Inventory.
 //   - Publisher: tags one engine's stream with a SiteID and serves
 //     snapshot-then-live-events to any number of readers. Catch-up is the
 //     latest frozen snapshot plus every event after its generation, so a
@@ -25,13 +25,18 @@ package federate
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"strconv"
+	"math"
+	"math/bits"
 	"time"
 
 	"servdisc/internal/core"
+	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
 )
 
 // WireVersion is the protocol version stamped into every frame. A decoder
@@ -41,13 +46,19 @@ import (
 // Version 3 added resilience: the client-side resume hello (delta resync
 // from a bounded replay ring instead of a full snapshot), wire-level
 // heartbeat frames, the shared-token auth field, and the publisher
-// hello's Resumed marker.
-const WireVersion = 3
+// hello's Resumed marker. Version 4 kept every frame and its meaning and
+// replaced the JSONL bytes with the binary layout below.
+const WireVersion = 4
 
-// maxFrameLen bounds a single frame's JSON body. Snapshot frames grow with
-// inventory size (~100 B per service), so the cap is generous; anything
-// beyond it indicates a corrupt or hostile stream, not a real inventory.
+// maxFrameLen bounds a single frame. Snapshot frames grow with inventory
+// size (~20 B per service), so the cap is generous; anything beyond it
+// indicates a corrupt or hostile stream, not a real inventory.
 const maxFrameLen = 1 << 28 // 256 MiB
+
+// maxRetainedBuf is the largest codec buffer a connection keeps between
+// frames: event bursts reuse it, a snapshot-sized one goes back to the
+// collector instead of staying pinned for the connection's lifetime.
+const maxRetainedBuf = 1 << 20
 
 // SiteID names one publishing vantage point (one campus, one engine).
 type SiteID string
@@ -85,6 +96,26 @@ const (
 	FrameHeartbeat FrameType = "heartbeat"
 )
 
+// The wire's type codes: the header byte's low three bits. Zero and seven
+// are invalid.
+const (
+	codeHello = iota + 1
+	codeSnapshot
+	codeEvent
+	codeRetract
+	codeResume
+	codeHeartbeat
+)
+
+var frameTypes = [...]FrameType{
+	codeHello:     FrameHello,
+	codeSnapshot:  FrameSnapshot,
+	codeEvent:     FrameEvent,
+	codeRetract:   FrameRetract,
+	codeResume:    FrameResume,
+	codeHeartbeat: FrameHeartbeat,
+}
+
 // ResumeCursor is the payload of a resume hello: the highest (epoch, seq)
 // position the reader has applied from this site's stream. Sequence
 // numbers are only comparable within an epoch, so a cursor from another
@@ -109,10 +140,52 @@ type Retraction struct {
 }
 
 // Frame is one unit of the federation wire: a site-tagged envelope around
-// either an event or a snapshot. On the wire each frame is a single line
-// of JSON prefixed with its decimal byte length ("123 {...}\n"): the
-// prefix lets a reader allocate and skip without parsing, the line
-// framing keeps a captured feed greppable and diffable.
+// either an event or a snapshot. The JSON tags are not the wire form (see
+// the layout below); they are how cmd/feedcat renders a captured feed.
+//
+// On the wire (all integers little-endian):
+//
+//	frame   = uvarint(len) header [envelope] body crc32c
+//	header  = version<<4 | envelope<<3 | type code (1..6)
+//	envelope= uvarint(len(site)) site  u64(epoch)
+//	crc32c  = u32, Castagnoli, over header..body; len counts header..crc
+//
+//	hello     body = u8 flags (bit0 resumed)
+//	resume    body = u64 cursor epoch, uvarint cursor seq, uvarint(len) token
+//	heartbeat body = (empty)
+//	event     body = uvarint seq, event
+//	retract   body = uvarint seq, retraction
+//	snapshot  body = uvarint seq, varint packets,
+//	                 uvarint n, n×service, uvarint n, n×scanner,
+//	                 uvarint n, n×scan,    uvarint n, n×retraction
+//
+//	event      = u8 kind, u8 flags (bit0 time, bit1 key+prov, bit2 scanner,
+//	             bit3 scan, bit4 truncated), then each present part in order
+//	service    = key, u8 prov, u8 flags (bit0 passive_at, bit1 active_at),
+//	             present times, varint flows, varint clients
+//	retraction = key, u8 prov, u8 flags (bit0 at), present time
+//	scanner    = u32 source, u8 flags (bit0 window), present time,
+//	             varint unique_dsts, varint rst_dsts
+//	scan       = varint id, u8 flags (bit0 started, bit1 finished), times
+//	key        = u32 addr, u8 proto, u16 port
+//	time       = i64 UnixNano, decoded to UTC
+//
+// The envelope is sticky: (Site, Epoch) are written only when they differ
+// from the previous frame on the same stream (both ends start at ("", 0)),
+// so a steady feed pays nothing for them while frames of several sites
+// interleaved through one Encoder/Decoder pair still round-trip exactly.
+// A zero time.Time is carried as an absent time — its UnixNano is
+// undefined — and a non-zero time outside the int64-nanosecond range
+// (years 1678–2262) is an encode error, never a wrapped value. Enum bytes
+// (type, kind, provenance) and flag bytes are range-checked on decode:
+// an unknown value is an error, not a silent zero. Seq rides only on the
+// sequenced types (snapshot, event, retract), Resumed only on hello,
+// Resume and Token only on resume.
+//
+// The version sits in the header's high nibble so it is checked before
+// the body is even read. A v3 peer's JSONL frame ("63 {...}\n") puts an
+// ASCII digit (0x3N) there, so a mixed-version pair fails on the first
+// frame with "wire version 3, want 4" on the v4 side.
 type Frame struct {
 	// V is the protocol version (WireVersion).
 	V int `json:"v"`
@@ -148,173 +221,644 @@ type Frame struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// FrameWriter writes arbitrary JSON values in the length-prefixed JSONL
-// framing ("123 {...}\n"). It is the raw layer under Encoder, exposed so
-// other durable formats (the checkpoint chunk codec) share one framing;
-// unlike Encoder it buffers — call Flush before trusting the underlying
-// writer has everything. Not safe for concurrent writers.
-type FrameWriter struct {
-	w   *bufio.Writer
-	buf []byte
-}
+const (
+	headerEnvelope = 1 << 3
+	headerTypeMask = headerEnvelope - 1
+	crcLen         = 4
+	// maxLenPrefix is the widest length prefix an encoder writes
+	// (maxFrameLen needs 29 bits).
+	maxLenPrefix = 5
+)
 
-// NewFrameWriter wraps a writer.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: bufio.NewWriter(w)}
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteJSON marshals v and writes it as one frame, buffered.
-func (fw *FrameWriter) WriteJSON(v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("federate: encode frame: %w", err)
-	}
-	fw.buf = strconv.AppendInt(fw.buf[:0], int64(len(body)), 10)
-	fw.buf = append(fw.buf, ' ')
-	if _, err := fw.w.Write(fw.buf); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(body); err != nil {
-		return err
-	}
-	return fw.w.WriteByte('\n')
-}
+// The int64-nanosecond window a wire time must fall in.
+var (
+	minWireTime = time.Unix(0, math.MinInt64)
+	maxWireTime = time.Unix(0, math.MaxInt64)
+)
 
-// Flush pushes buffered frames to the underlying writer.
-func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
-
-// Encoder writes frames in the length-prefixed JSONL wire form. Not safe
-// for concurrent writers; each feed connection owns one encoder.
+// Encoder writes frames in the binary wire form. Not safe for concurrent
+// writers; each feed connection owns one encoder.
 type Encoder struct {
-	fw *FrameWriter
+	w   io.Writer
+	buf []byte
+	// site and epoch are the sticky envelope: what the peer's decoder
+	// currently assumes for a frame that carries none.
+	site  SiteID
+	epoch uint64
 }
 
 // NewEncoder wraps a writer (typically a net.Conn or an HTTP response).
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{fw: NewFrameWriter(w)}
+	return &Encoder{w: w}
 }
 
 // Encode writes one frame and flushes it to the underlying writer, so a
 // live feed never sits in the buffer waiting for a frame that may be
 // minutes away.
 func (e *Encoder) Encode(f *Frame) error {
-	if err := e.fw.WriteJSON(f); err != nil {
+	if err := e.append(f); err != nil {
 		return err
 	}
-	return e.fw.Flush()
+	return e.flush()
 }
 
-// FrameReader reads frames written by FrameWriter, returning the raw
-// body bytes. It is the raw layer under Decoder, hardened the same way:
-// the body buffer grows only as bytes actually arrive, so a hostile
-// length prefix cannot force a quarter-gigabyte allocation for a stream
-// that ends two bytes later. Not safe for concurrent readers.
-type FrameReader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-// NewFrameReader wraps a reader.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: bufio.NewReader(r)}
-}
-
-// ReadBody returns the next frame's JSON body. The returned slice aliases
-// the reader's internal buffer and is valid only until the next call. It
-// returns io.EOF when the stream ends cleanly at a frame boundary and
-// io.ErrUnexpectedEOF when it ends inside a frame; any other malformation
-// (bad prefix, oversized frame, missing terminator) is a descriptive
-// error.
-func (fr *FrameReader) ReadBody() ([]byte, error) {
-	n, err := fr.readLen()
-	if err != nil {
-		return nil, err
+// append encodes one frame into the buffer without writing it; flush
+// sends everything appended since the last one in a single Write. A frame
+// that fails to encode leaves the buffer and the sticky envelope as they
+// were.
+func (e *Encoder) append(f *Frame) error {
+	start := len(e.buf)
+	w := wbuf{b: append(e.buf, make([]byte, maxLenPrefix)...)}
+	w.frame(f, f.Site != e.site || f.Epoch != e.epoch)
+	if w.err != nil {
+		return w.err
 	}
-	need := n + 1 // body plus the trailing newline
-	buf := fr.buf[:0]
-	for len(buf) < need {
-		chunk := need - len(buf)
-		if chunk > 1<<20 {
-			chunk = 1 << 20
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(fr.r, buf[start:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
+	// The length prefix is as wide as the length needs: close the gap
+	// between it and the frame it precedes.
+	n := len(w.b) - start - maxLenPrefix
+	if n > maxFrameLen {
+		return fmt.Errorf("federate: frame length %d exceeds limit %d", n, maxFrameLen)
 	}
-	fr.buf = buf
-	if buf[n] != '\n' {
-		return nil, fmt.Errorf("federate: frame missing newline terminator")
-	}
-	return buf[:n], nil
-}
-
-// ReadJSON reads the next frame and unmarshals it into v.
-func (fr *FrameReader) ReadJSON(v any) error {
-	body, err := fr.ReadBody()
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("federate: decode frame: %w", err)
-	}
+	k := binary.PutUvarint(w.b[start:], uint64(n))
+	e.buf = append(w.b[:start+k], w.b[start+maxLenPrefix:]...)
+	e.site, e.epoch = f.Site, f.Epoch
 	return nil
 }
 
-// readLen parses the decimal length prefix up to the separating space.
-// io.EOF before the first digit is a clean end of stream.
-func (fr *FrameReader) readLen() (int, error) {
-	n := 0
-	for i := 0; ; i++ {
-		c, err := fr.r.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		if c == ' ' {
-			if i == 0 {
-				return 0, fmt.Errorf("federate: empty frame length prefix")
-			}
-			return n, nil
-		}
-		if c < '0' || c > '9' || i >= 10 {
-			return 0, fmt.Errorf("federate: malformed frame length prefix")
-		}
-		n = n*10 + int(c-'0')
-		if n > maxFrameLen {
-			return 0, fmt.Errorf("federate: frame length %d exceeds limit %d", n, maxFrameLen)
-		}
+func (e *Encoder) flush() error {
+	_, err := e.w.Write(e.buf)
+	if cap(e.buf) > maxRetainedBuf {
+		e.buf = nil
+	} else {
+		e.buf = e.buf[:0]
+	}
+	return err
+}
+
+// wbuf appends wire primitives to a byte slice. The first failure sticks
+// in err and is reported once, by the frame's caller.
+type wbuf struct {
+	b   []byte
+	err error
+}
+
+func (w *wbuf) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("federate: encode frame: "+format, args...)
 	}
 }
 
-// Decoder reads frames written by Encoder. Not safe for concurrent
-// readers.
+func (w *wbuf) u8(v byte)        { w.b = append(w.b, v) }
+func (w *wbuf) u16(v uint16)     { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *wbuf) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *wbuf) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+func (w *wbuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *wbuf) varint(v int)     { w.b = binary.AppendVarint(w.b, int64(v)) }
+
+func (w *wbuf) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.b = append(w.b, s...)
+}
+
+// flags packs presence bits, bit i set when on[i] holds.
+func flags(on ...bool) (b byte) {
+	for i, v := range on {
+		if v {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+// times writes each non-zero time; the caller has already written the
+// presence bits that tell the decoder which ones follow.
+func (w *wbuf) times(ts ...time.Time) {
+	for _, t := range ts {
+		if t.IsZero() {
+			continue
+		}
+		if t.Before(minWireTime) || t.After(maxWireTime) {
+			w.fail("time %s outside the int64-nanosecond range", t.Format(time.RFC3339))
+		}
+		w.u64(uint64(t.UnixNano()))
+	}
+}
+
+func (w *wbuf) key(k core.ServiceKey) {
+	w.u32(uint32(k.Addr))
+	w.u8(uint8(k.Proto))
+	w.u16(k.Port)
+}
+
+func (w *wbuf) prov(p core.Provenance) {
+	if !p.Valid() {
+		w.fail("unknown provenance %d", uint8(p))
+	}
+	w.u8(uint8(p))
+}
+
+func (w *wbuf) frame(f *Frame, envelope bool) {
+	if f.V < 1 || f.V > 15 {
+		w.fail("version %d does not fit the header", f.V)
+		return
+	}
+	start := len(w.b)
+	w.u8(0) // the header, filled in once the switch below has named the type code
+	if envelope {
+		w.str(string(f.Site))
+		w.u64(f.Epoch)
+	}
+	var code byte
+	switch f.Type {
+	case FrameHello:
+		code = codeHello
+		w.u8(flags(f.Resumed))
+	case FrameResume:
+		code = codeResume
+		if f.Resume == nil {
+			w.fail("resume frame without cursor")
+			return
+		}
+		w.u64(f.Resume.Epoch)
+		w.uvarint(f.Resume.Seq)
+		w.str(f.Token)
+	case FrameHeartbeat:
+		code = codeHeartbeat
+	case FrameEvent:
+		code = codeEvent
+		if f.Event == nil {
+			w.fail("event frame without event")
+			return
+		}
+		w.uvarint(f.Seq)
+		w.event(f.Event)
+	case FrameRetract:
+		code = codeRetract
+		if f.Retract == nil {
+			w.fail("retract frame without retraction")
+			return
+		}
+		w.uvarint(f.Seq)
+		w.retraction(f.Retract)
+	case FrameSnapshot:
+		code = codeSnapshot
+		if f.Snapshot == nil {
+			w.fail("snapshot frame without snapshot")
+			return
+		}
+		w.uvarint(f.Seq)
+		w.snapshot(f.Snapshot)
+	default:
+		w.fail("unknown frame type %q", f.Type)
+		return
+	}
+	w.b[start] = byte(f.V<<4) | code
+	if envelope {
+		w.b[start] |= headerEnvelope
+	}
+	w.u32(crc32.Checksum(w.b[start:], castagnoli))
+}
+
+func (w *wbuf) event(ev *core.Event) {
+	if !ev.Kind.Valid() {
+		w.fail("unknown event kind %d", uint8(ev.Kind))
+	}
+	hasKey := ev.Key != core.ServiceKey{} || ev.Provenance != 0
+	hasScanner := ev.Scanner != core.ScannerInfo{}
+	hasScan := ev.Scan != core.ScanMeta{}
+	w.u8(uint8(ev.Kind))
+	w.u8(flags(!ev.Time.IsZero(), hasKey, hasScanner, hasScan, ev.Truncated))
+	w.times(ev.Time)
+	if hasKey {
+		w.key(ev.Key)
+		w.prov(ev.Provenance)
+	}
+	if hasScanner {
+		w.scanner(&ev.Scanner)
+	}
+	if hasScan {
+		w.scan(&ev.Scan)
+	}
+}
+
+func (w *wbuf) retraction(r *Retraction) {
+	w.key(r.Key)
+	w.prov(r.Prov)
+	w.u8(flags(!r.At.IsZero()))
+	w.times(r.At)
+}
+
+func (w *wbuf) scanner(s *core.ScannerInfo) {
+	w.u32(uint32(s.Source))
+	w.u8(flags(!s.Window.IsZero()))
+	w.times(s.Window)
+	w.varint(s.UniqueDsts)
+	w.varint(s.RstDsts)
+}
+
+func (w *wbuf) scan(s *core.ScanMeta) {
+	w.varint(s.ID)
+	w.u8(flags(!s.Started.IsZero(), !s.Finished.IsZero()))
+	w.times(s.Started, s.Finished)
+}
+
+func (w *wbuf) snapshot(s *Snapshot) {
+	w.varint(s.Packets)
+	w.uvarint(uint64(len(s.Services)))
+	for i := range s.Services {
+		svc := &s.Services[i]
+		w.key(svc.Key)
+		w.prov(svc.Provenance)
+		w.u8(flags(!svc.PassiveAt.IsZero(), !svc.ActiveAt.IsZero()))
+		w.times(svc.PassiveAt, svc.ActiveAt)
+		w.varint(svc.Flows)
+		w.varint(svc.Clients)
+	}
+	w.uvarint(uint64(len(s.Scanners)))
+	for i := range s.Scanners {
+		w.scanner(&s.Scanners[i])
+	}
+	w.uvarint(uint64(len(s.Scans)))
+	for i := range s.Scans {
+		w.scan(&s.Scans[i])
+	}
+	w.uvarint(uint64(len(s.Retractions)))
+	for i := range s.Retractions {
+		w.retraction(&s.Retractions[i])
+	}
+}
+
+// The smallest encodings of the snapshot's list entries, which bound how
+// many of them a body of a given size can hold (see rbuf.count).
+const (
+	minServiceLen    = 7 + 1 + 1 + 1 + 1
+	minScannerLen    = 4 + 1 + 1 + 1
+	minScanLen       = 1 + 1
+	minRetractionLen = 7 + 1 + 1
+)
+
+// Decoder reads frames written by Encoder. It is hardened against a
+// hostile peer: the body buffer grows only as bytes actually arrive, so a
+// length prefix claiming a quarter gigabyte costs a few KiB on a stream
+// that ends two bytes later, and every frame's CRC is checked
+// before a byte of it is believed. Not safe for concurrent readers.
 type Decoder struct {
-	fr *FrameReader
+	r   *bufio.Reader
+	buf []byte
+	// site and epoch are the sticky envelope (see Encoder).
+	site  SiteID
+	epoch uint64
+	off   int64
 }
 
 // NewDecoder wraps a reader.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{fr: NewFrameReader(r)}
+	return &Decoder{r: bufio.NewReader(r)}
 }
+
+// Offset is the stream position just past the last frame decoded — where
+// the frame Decode is about to read, or just failed on, begins.
+func (d *Decoder) Offset() int64 { return d.off }
 
 // Decode reads the next frame. It returns io.EOF when the stream ends
 // cleanly at a frame boundary and io.ErrUnexpectedEOF when it ends inside
-// a frame; any other malformation (bad prefix, oversized frame, invalid
-// JSON, version mismatch) is a descriptive error.
+// a frame; any other malformation (oversized frame, version mismatch, CRC
+// mismatch, unknown enum, short or overlong body) is a descriptive error,
+// after which the stream is not resynchronizable.
 func (d *Decoder) Decode() (*Frame, error) {
-	var f Frame
-	if err := d.fr.ReadJSON(&f); err != nil {
+	n, width, err := d.readLen()
+	if err != nil {
 		return nil, err
 	}
-	if f.V != WireVersion {
-		return nil, fmt.Errorf("federate: wire version %d, want %d", f.V, WireVersion)
+	if n > maxFrameLen {
+		return nil, fmt.Errorf("federate: frame length %d exceeds limit %d", n, maxFrameLen)
 	}
-	return &f, nil
+	if n < 1+crcLen {
+		return nil, fmt.Errorf("federate: frame length %d is shorter than an empty frame", n)
+	}
+	hdr, err := d.r.ReadByte()
+	if err != nil {
+		return nil, unexpectedEOF(err)
+	}
+	if v := int(hdr >> 4); v != WireVersion {
+		return nil, fmt.Errorf("federate: wire version %d, want %d", v, WireVersion)
+	}
+	// Read the claimed length in steps no larger than what has already
+	// arrived (4 KiB to start), so the buffer is never more than twice
+	// the bytes the peer actually sent.
+	buf := append(d.buf[:0], hdr)
+	for need := int(n); len(buf) < need; {
+		chunk := min(need-len(buf), max(len(buf), 4<<10))
+		start := len(buf)
+		buf = append(buf, make([]byte, chunk)...)
+		if _, err := io.ReadFull(d.r, buf[start:]); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	if cap(buf) <= maxRetainedBuf {
+		d.buf = buf
+	} else {
+		d.buf = nil
+	}
+	body, sum := buf[:len(buf)-crcLen], binary.LittleEndian.Uint32(buf[len(buf)-crcLen:])
+	if got := crc32.Checksum(body, castagnoli); got != sum {
+		return nil, fmt.Errorf("federate: frame checksum %08x, frame says %08x", got, sum)
+	}
+	f := &Frame{V: WireVersion, Site: d.site, Epoch: d.epoch}
+	r := rbuf{b: body[1:]}
+	r.frame(f, hdr)
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes in %s frame", len(r.b), f.Type)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	d.site, d.epoch = f.Site, f.Epoch
+	d.off += int64(width) + int64(n)
+	return f, nil
+}
+
+// readLen reads a frame's uvarint length prefix and how many bytes it
+// took. A padded prefix (0x85 0x00 for 5) is refused: the encoder never
+// writes one, and a stream is only ever one sequence of bytes.
+func (d *Decoder) readLen() (n uint64, width int, err error) {
+	for shift := uint(0); ; shift += 7 {
+		b, err := d.r.ReadByte()
+		if err != nil {
+			if width > 0 {
+				err = unexpectedEOF(err)
+			}
+			return 0, 0, err
+		}
+		width++
+		n |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+		if width == binary.MaxVarintLen32 {
+			return 0, 0, fmt.Errorf("federate: frame length prefix runs past %d bytes", width)
+		}
+	}
+	if width != uvarintLen(n) {
+		return 0, 0, fmt.Errorf("federate: frame length %d padded to a %d-byte prefix", n, width)
+	}
+	return n, width, nil
+}
+
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// uvarintLen is how many bytes v's uvarint encoding takes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+var errShortBody = errors.New("federate: decode frame: body ends inside a field")
+
+// rbuf consumes wire primitives from a CRC-verified frame body. The first
+// failure sticks in err; reads past it return zeros.
+type rbuf struct {
+	b   []byte
+	err error
+}
+
+func (r *rbuf) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("federate: decode frame: "+format, args...)
+	}
+}
+
+func (r *rbuf) short() {
+	if r.err == nil {
+		r.err = errShortBody
+	}
+}
+
+// take returns the next n bytes, or nil (and fails) when fewer remain.
+func (r *rbuf) take(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		r.short()
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *rbuf) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *rbuf) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *rbuf) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *rbuf) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *rbuf) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.short()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *rbuf) varint() int {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.short()
+		return 0
+	}
+	if int64(int(v)) != v {
+		r.fail("integer %d overflows int", v)
+		return 0
+	}
+	r.b = r.b[n:]
+	return int(v)
+}
+
+func (r *rbuf) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.short()
+		return ""
+	}
+	return string(r.take(int(n)))
+}
+
+// flags reads a flag byte of which only the low n bits may be set.
+func (r *rbuf) flags(n int) byte {
+	b := r.u8()
+	if b>>n != 0 {
+		r.fail("unknown flag bits %#02x", b)
+	}
+	return b
+}
+
+// time reads one timestamp if its presence bit is set.
+func (r *rbuf) time(present bool) time.Time {
+	if !present {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(r.u64())).UTC()
+}
+
+// count reads a list length and refuses one the rest of the body could
+// not hold, so a hostile count cannot size an allocation.
+func (r *rbuf) count(minEntry int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/minEntry) {
+		r.fail("list of %d entries in %d remaining bytes", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *rbuf) key() core.ServiceKey {
+	return core.ServiceKey{Addr: netaddr.V4(r.u32()), Proto: packet.IPProtocol(r.u8()), Port: r.u16()}
+}
+
+func (r *rbuf) prov() core.Provenance {
+	p := core.Provenance(r.u8())
+	if !p.Valid() {
+		r.fail("unknown provenance %d", uint8(p))
+	}
+	return p
+}
+
+func (r *rbuf) frame(f *Frame, hdr byte) {
+	code := int(hdr & headerTypeMask)
+	if code == 0 || code >= len(frameTypes) {
+		r.fail("unknown frame type code %d", code)
+		return
+	}
+	f.Type = frameTypes[code]
+	if hdr&headerEnvelope != 0 {
+		f.Site = SiteID(r.str())
+		f.Epoch = r.u64()
+	}
+	switch code {
+	case codeHello:
+		f.Resumed = r.flags(1) != 0
+	case codeResume:
+		f.Resume = &ResumeCursor{Epoch: r.u64(), Seq: r.uvarint()}
+		f.Token = r.str()
+	case codeEvent:
+		f.Seq = r.uvarint()
+		f.Event = new(core.Event)
+		r.event(f.Event)
+	case codeRetract:
+		f.Seq = r.uvarint()
+		f.Retract = new(Retraction)
+		r.retraction(f.Retract)
+	case codeSnapshot:
+		f.Seq = r.uvarint()
+		f.Snapshot = new(Snapshot)
+		r.snapshot(f.Snapshot)
+	}
+}
+
+func (r *rbuf) event(ev *core.Event) {
+	ev.Kind = core.EventKind(r.u8())
+	if !ev.Kind.Valid() {
+		r.fail("unknown event kind %d", uint8(ev.Kind))
+	}
+	fl := r.flags(5)
+	ev.Time = r.time(fl&1 != 0)
+	if fl&2 != 0 {
+		ev.Key = r.key()
+		ev.Provenance = r.prov()
+	}
+	if fl&4 != 0 {
+		r.scanner(&ev.Scanner)
+	}
+	if fl&8 != 0 {
+		r.scan(&ev.Scan)
+	}
+	ev.Truncated = fl&16 != 0
+}
+
+func (r *rbuf) retraction(rt *Retraction) {
+	rt.Key = r.key()
+	rt.Prov = r.prov()
+	rt.At = r.time(r.flags(1) != 0)
+}
+
+func (r *rbuf) scanner(s *core.ScannerInfo) {
+	s.Source = netaddr.V4(r.u32())
+	s.Window = r.time(r.flags(1) != 0)
+	s.UniqueDsts = r.varint()
+	s.RstDsts = r.varint()
+}
+
+func (r *rbuf) scan(s *core.ScanMeta) {
+	s.ID = r.varint()
+	fl := r.flags(2)
+	s.Started = r.time(fl&1 != 0)
+	s.Finished = r.time(fl&2 != 0)
+}
+
+func (r *rbuf) snapshot(s *Snapshot) {
+	s.Packets = r.varint()
+	if n := r.count(minServiceLen); n > 0 {
+		s.Services = make([]SnapshotService, n)
+		for i := range s.Services {
+			svc := &s.Services[i]
+			svc.Key = r.key()
+			svc.Provenance = r.prov()
+			fl := r.flags(2)
+			svc.PassiveAt = r.time(fl&1 != 0)
+			svc.ActiveAt = r.time(fl&2 != 0)
+			svc.Flows = r.varint()
+			svc.Clients = r.varint()
+		}
+	}
+	if n := r.count(minScannerLen); n > 0 {
+		s.Scanners = make([]core.ScannerInfo, n)
+		for i := range s.Scanners {
+			r.scanner(&s.Scanners[i])
+		}
+	}
+	if n := r.count(minScanLen); n > 0 {
+		s.Scans = make([]core.ScanMeta, n)
+		for i := range s.Scans {
+			r.scan(&s.Scans[i])
+		}
+	}
+	if n := r.count(minRetractionLen); n > 0 {
+		s.Retractions = make([]Retraction, n)
+		for i := range s.Retractions {
+			r.retraction(&s.Retractions[i])
+		}
+	}
 }

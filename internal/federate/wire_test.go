@@ -2,7 +2,12 @@ package federate
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +21,9 @@ func testKey(addr uint32, proto uint8, port uint16) core.ServiceKey {
 	return core.ServiceKey{Addr: netaddr.V4(addr), Proto: packet.IPProtocol(proto), Port: port}
 }
 
-// sampleFrames covers every frame type and event kind once.
+// sampleFrames covers every frame type, every event kind and every
+// snapshot list once, in the order a real conversation would carry them
+// (the resume hello travels the other way, but the codec does not care).
 func sampleFrames() []Frame {
 	base := time.Date(2006, 12, 16, 10, 0, 0, 123456789, time.UTC)
 	key := testKey(0x807D0107, 6, 443)
@@ -31,70 +38,187 @@ func sampleFrames() []Frame {
 			{Key: key, Provenance: core.PassiveFirst, PassiveAt: base, ActiveAt: base.Add(time.Minute), Flows: 42, Clients: 7},
 			{Key: testKey(0x807D0200, 17, 53), Provenance: core.PassiveOnly, PassiveAt: base.Add(time.Second), Flows: 3, Clients: 1},
 		},
-		Scanners: []core.ScannerInfo{{Source: netaddr.MustParseV4("211.1.1.1"), Window: base, UniqueDsts: 150, RstDsts: 120}},
-		Scans:    []core.ScanMeta{{ID: 7, Started: base, Finished: base.Add(3 * time.Hour)}},
-		Packets:  100000,
+		Scanners:    []core.ScannerInfo{{Source: netaddr.MustParseV4("211.1.1.1"), Window: base, UniqueDsts: 150, RstDsts: 120}},
+		Scans:       []core.ScanMeta{{ID: 7, Started: base, Finished: base.Add(3 * time.Hour)}},
+		Retractions: []Retraction{{Key: testKey(0x807D0300, 6, 22), At: base.Add(-time.Hour), Prov: core.ActiveOnly}},
+		Packets:     100000,
 	}
 	return []Frame{
-		{V: WireVersion, Type: FrameHello, Site: "east"},
-		{V: WireVersion, Type: FrameSnapshot, Site: "east", Seq: 12, Snapshot: snap},
-		{V: WireVersion, Type: FrameEvent, Site: "east", Seq: 13, Event: &ev1},
-		{V: WireVersion, Type: FrameEvent, Site: "east", Seq: 14, Event: &ev2},
-		{V: WireVersion, Type: FrameEvent, Site: "east", Seq: 15, Event: &ev3},
-		{V: WireVersion, Type: FrameEvent, Site: "east", Seq: 16, Event: &ev4},
+		{V: WireVersion, Type: FrameResume, Token: "s3cret", Resume: &ResumeCursor{Epoch: 1166263200e9, Seq: 11}},
+		{V: WireVersion, Type: FrameHello, Site: "east", Epoch: 1166263200e9, Resumed: true},
+		{V: WireVersion, Type: FrameSnapshot, Site: "east", Epoch: 1166263200e9, Seq: 12, Snapshot: snap},
+		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 13, Event: &ev1},
+		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 14, Event: &ev2},
+		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 15, Event: &ev3},
+		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 16, Event: &ev4},
+		{V: WireVersion, Type: FrameRetract, Site: "east", Epoch: 1166263200e9, Seq: 17,
+			Retract: &Retraction{Key: key, At: base.Add(4 * time.Hour), Prov: core.PassiveOnly}},
+		{V: WireVersion, Type: FrameHeartbeat, Site: "east", Epoch: 1166263200e9},
 	}
 }
 
-// TestWireRoundTrip encodes a stream of every frame shape and decodes it
-// back, comparing the canonical JSON of each frame.
-func TestWireRoundTrip(t *testing.T) {
-	frames := sampleFrames()
+// encodeFrames renders frames in wire form through one encoder, the way a
+// connection would carry them.
+func encodeFrames(tb testing.TB, frames ...Frame) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
 	for i := range frames {
 		if err := enc.Encode(&frames[i]); err != nil {
-			t.Fatalf("encode frame %d: %v", i, err)
+			tb.Fatalf("encode frame %d: %v", i, err)
 		}
 	}
-	dec := NewDecoder(&buf)
+	return buf.Bytes()
+}
+
+// rawFrame hand-assembles one wire frame — length prefix, header, body,
+// a correct CRC — for bodies no Encoder would produce.
+func rawFrame(hdr byte, body ...byte) []byte {
+	payload := append([]byte{hdr}, body...)
+	payload = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// TestWireRoundTrip encodes a stream of every frame shape and decodes it
+// back to deeply equal frames.
+func TestWireRoundTrip(t *testing.T) {
+	frames := sampleFrames()
+	wire := encodeFrames(t, frames...)
+	dec := NewDecoder(bytes.NewReader(wire))
 	for i := range frames {
 		got, err := dec.Decode()
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
-		if !framesEqual(t, &frames[i], got) {
-			t.Errorf("frame %d did not round-trip", i)
+		if !reflect.DeepEqual(&frames[i], got) {
+			t.Errorf("frame %d did not round-trip:\n in: %+v\nout: %+v", i, frames[i], *got)
 		}
 	}
 	if _, err := dec.Decode(); err != io.EOF {
 		t.Fatalf("expected clean EOF at stream end, got %v", err)
 	}
+	if dec.Offset() != int64(len(wire)) {
+		t.Errorf("decoder offset %d after a %d-byte stream", dec.Offset(), len(wire))
+	}
 }
 
-// framesEqual compares two frames via their canonical JSON rendering
-// (time.Time equality through serialization, not struct identity).
-func framesEqual(t *testing.T, a, b *Frame) bool {
-	t.Helper()
-	var ba, bb bytes.Buffer
-	if err := NewEncoder(&ba).Encode(a); err != nil {
-		t.Fatalf("re-encode a: %v", err)
+// TestWireFrameSizes pins what the format costs: a steady-feed discovery
+// event — the frame the federation link carries once per service — and a
+// snapshot's per-service share.
+func TestWireFrameSizes(t *testing.T) {
+	frames := sampleFrames()
+	if n := len(encodeFrames(t, frames[1], frames[3])) - len(encodeFrames(t, frames[1])); n > 27 {
+		t.Errorf("a steady-feed discovery event takes %d bytes, want <= 27", n)
 	}
-	if err := NewEncoder(&bb).Encode(b); err != nil {
-		t.Fatalf("re-encode b: %v", err)
+	snap := &Snapshot{Services: make([]SnapshotService, 1000)}
+	for i := range snap.Services {
+		snap.Services[i] = SnapshotService{Key: testKey(0x807D0000+uint32(i), 6, 80), PassiveAt: retBase, Flows: 300, Clients: 40}
 	}
-	return bytes.Equal(ba.Bytes(), bb.Bytes())
+	n := len(encodeFrames(t, Frame{V: WireVersion, Type: FrameSnapshot, Site: "east", Seq: 1, Snapshot: snap}))
+	if per := float64(n) / float64(len(snap.Services)); per > 21 {
+		t.Errorf("a passive-only snapshot service takes %.1f bytes, want <= 21", per)
+	}
+}
+
+// TestStickyEnvelope interleaves two sites' hello, snapshot and live
+// frames through ONE encoder/decoder pair: every frame must come back
+// with its own site, epoch and sequence, and the envelope must cost bytes
+// only where the site changes.
+func TestStickyEnvelope(t *testing.T) {
+	ev := core.Event{Kind: core.EventServiceDiscovered, Time: retBase, Key: keyA}
+	site := func(id SiteID, epoch uint64) []Frame {
+		return []Frame{
+			{V: WireVersion, Type: FrameHello, Site: id, Epoch: epoch},
+			{V: WireVersion, Type: FrameSnapshot, Site: id, Epoch: epoch, Seq: 5, Snapshot: &Snapshot{Packets: 9}},
+			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: 6, Event: &ev},
+			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: 7, Event: &ev},
+		}
+	}
+	east, west := site("site-east", 111), site("site-west", 222)
+	var frames []Frame
+	for i := range east {
+		frames = append(frames, east[i], west[i])
+	}
+	// A restarted publisher keeps its site and changes only the epoch.
+	frames = append(frames, Frame{V: WireVersion, Type: FrameHello, Site: "site-west", Epoch: 333})
+
+	dec := NewDecoder(bytes.NewReader(encodeFrames(t, frames...)))
+	for i := range frames {
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(&frames[i], got) {
+			t.Errorf("interleaved frame %d came back as %+v, want %+v", i, *got, frames[i])
+		}
+	}
+
+	alone := len(encodeFrames(t, east[0], east[2])) - len(encodeFrames(t, east[0]))
+	switched := len(encodeFrames(t, west[0], east[2])) - len(encodeFrames(t, west[0]))
+	if want := alone + 1 + len("site-east") + 8; switched != want {
+		t.Errorf("event after a site switch takes %d bytes, want %d (%d + envelope)", switched, want, alone)
+	}
+}
+
+// TestWireTimes pins the time contract: zero, pre-1970 and
+// nanosecond-precision times round-trip exactly (a zero time stays zero,
+// whatever its location); a non-zero time the int64-nanosecond window
+// cannot hold refuses to encode rather than wrapping.
+func TestWireTimes(t *testing.T) {
+	good := map[string]time.Time{
+		"zero":        {},
+		"zero-local":  time.Time{}.In(time.FixedZone("x", 3600)),
+		"pre-1970":    time.Date(1931, 3, 4, 5, 6, 7, 89, time.UTC),
+		"nanoseconds": time.Date(2006, 12, 16, 10, 0, 0, 999999999, time.UTC),
+		"epoch":       time.Unix(0, 0),
+		"earliest":    time.Unix(0, math.MinInt64),
+		"latest":      time.Unix(0, math.MaxInt64),
+		"zoned":       time.Date(2006, 12, 16, 10, 0, 0, 1, time.FixedZone("pst", -8*3600)),
+	}
+	for name, at := range good {
+		in := Frame{V: WireVersion, Type: FrameRetract, Site: "s", Seq: 1, Retract: &Retraction{Key: keyA, At: at}}
+		got, err := NewDecoder(bytes.NewReader(encodeFrames(t, in))).Decode()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		back := got.Retract.At
+		if !back.Equal(at) || back.IsZero() != at.IsZero() || back.Location() != time.UTC {
+			t.Errorf("%s: %v came back as %v", name, at, back)
+		}
+	}
+	bad := map[string]time.Time{
+		"year 1":         time.Time{}.Add(time.Nanosecond),
+		"before window":  time.Unix(0, math.MinInt64).Add(-time.Nanosecond),
+		"after window":   time.Unix(0, math.MaxInt64).Add(time.Nanosecond),
+		"far future":     time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC),
+		"negative years": time.Date(-400, 1, 1, 0, 0, 0, 0, time.UTC),
+	}
+	for name, at := range bad {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		ev := core.Event{Kind: core.EventServiceDiscovered, Time: at, Key: keyA}
+		err := enc.Encode(&Frame{V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &ev})
+		if err == nil || buf.Len() != 0 {
+			t.Errorf("%s: encoding %v gave %v and wrote %d bytes; want an error and nothing written", name, at, err, buf.Len())
+		}
+		// The refused frame must leave the encoder usable: the next frame
+		// still opens the stream with its envelope.
+		ev.Time = retBase
+		if err := enc.Encode(&Frame{V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &ev}); err != nil {
+			t.Fatalf("%s: encoder unusable after a refused frame: %v", name, err)
+		}
+		if got, err := NewDecoder(&buf).Decode(); err != nil || got.Site != "s" {
+			t.Errorf("%s: frame after a refused one decoded as %+v, %v", name, got, err)
+		}
+	}
 }
 
 // TestDecodeTruncated verifies a stream cut mid-frame reports
 // ErrUnexpectedEOF, not a clean end.
 func TestDecodeTruncated(t *testing.T) {
-	frames := sampleFrames()
-	var buf bytes.Buffer
-	if err := NewEncoder(&buf).Encode(&frames[2]); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	for _, cut := range []int{len(whole) / 2, len(whole) - 1, 3} {
+	whole := encodeFrames(t, sampleFrames()[3])
+	for _, cut := range []int{len(whole) / 2, len(whole) - 1, 3, 1} {
 		dec := NewDecoder(bytes.NewReader(whole[:cut]))
 		if _, err := dec.Decode(); err != io.ErrUnexpectedEOF {
 			t.Errorf("cut at %d: got %v, want ErrUnexpectedEOF", cut, err)
@@ -102,26 +226,137 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeRejects verifies malformed prefixes and version mismatches
-// error out instead of being silently accepted.
+// TestDecodeRejects verifies malformed prefixes, foreign versions, unknown
+// enum values and dishonest bodies error out instead of being silently
+// accepted — with a correct CRC, so it is the field check that refuses.
 func TestDecodeRejects(t *testing.T) {
-	cases := map[string]string{
-		"bad prefix":     "xx {}\n",
-		"missing prefix": " {}\n",
-		"huge frame":     "999999999999 {}\n",
-		"bad version":    `63 {"v":99,"type":"hello","site":"east","seq":0,"event":null}` + "\n",
-		"bad json":       "3 {{{\n",
-		"bad kind":       `96 {"v":1,"type":"event","site":"e","seq":1,"event":{"kind":"no-such-kind","time":"2006-01-02T15:04:05Z"}}` + "\n",
+	const hdrEvent = WireVersion<<4 | codeEvent
+	const hdrSnap = WireVersion<<4 | codeSnapshot
+	key := []byte{1, 2, 3, 4, 6, 80, 0}
+	hb := rawFrame(WireVersion<<4 | codeHeartbeat)
+	cases := map[string]struct {
+		in   []byte
+		want string
+	}{
+		"huge frame":      {binary.AppendUvarint(nil, maxFrameLen+1), "exceeds limit"},
+		"overlong prefix": {bytes.Repeat([]byte{0xff}, 11), "length prefix"},
+		"padded prefix":   {append([]byte{hb[0] | 0x80, 0}, hb[1:]...), "padded to a 2-byte prefix"},
+		"empty frame":     {[]byte{0}, "shorter than an empty frame"},
+		"crc only":        {[]byte{4, 0, 0, 0, 0}, "shorter than an empty frame"},
+		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 4"},
+		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 4"},
+		"bad crc":         {append(rawFrame(WireVersion<<4 | codeHeartbeat)[:2], 1, 2, 3, 4), "checksum"},
+		"type code 0":     {rawFrame(WireVersion << 4), "unknown frame type code 0"},
+		"type code 7":     {rawFrame(WireVersion<<4 | 7), "unknown frame type code 7"},
+		"bad kind":        {rawFrame(hdrEvent, 1, 99, 0), "unknown event kind 99"},
+		"bad provenance":  {rawFrame(hdrEvent, append([]byte{1, 0, 2}, append(key, 4)...)...), "unknown provenance 4"},
+		"bad event flags": {rawFrame(hdrEvent, 1, 0, 0x20), "unknown flag bits"},
+		"bad hello flags": {rawFrame(WireVersion<<4|codeHello, 2), "unknown flag bits"},
+		"short body":      {rawFrame(hdrEvent, 1, 0, 1, 9, 9), "body ends inside a field"},
+		"trailing bytes":  {rawFrame(WireVersion<<4|codeHeartbeat, 0), "trailing bytes"},
+		"hostile count":   {rawFrame(hdrSnap, 1, 0, 0xff, 0xff, 0xff, 0x7f), "entries in"},
+		"site past body":  {rawFrame(WireVersion<<4|headerEnvelope|codeHeartbeat, 200, 'x'), "body ends inside a field"},
 	}
-	for name, in := range cases {
-		if _, err := NewDecoder(strings.NewReader(in)).Decode(); err == nil || err == io.EOF {
-			t.Errorf("%s: expected a decode error, got %v", name, err)
+	for name, tc := range cases {
+		_, err := NewDecoder(bytes.NewReader(tc.in)).Decode()
+		if err == nil || err == io.EOF || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one mentioning %q", name, err, tc.want)
 		}
 	}
 }
 
-// TestEventKindTextStable pins the wire names of the event kinds: a feed
-// recorded today must parse forever, even if the constants are reordered.
+// TestEncodeRejects verifies the encoder refuses what the decoder would:
+// a frame it cannot represent never reaches the wire.
+func TestEncodeRejects(t *testing.T) {
+	ev := core.Event{Kind: core.EventKind(99), Time: retBase}
+	badProv := core.Event{Kind: core.EventServiceDiscovered, Time: retBase, Key: keyA, Provenance: core.Provenance(9)}
+	cases := map[string]Frame{
+		"unknown type":     {V: WireVersion, Type: "gossip", Site: "s"},
+		"version 0":        {Type: FrameHello, Site: "s"},
+		"version 16":       {V: 16, Type: FrameHello, Site: "s"},
+		"resume no cursor": {V: WireVersion, Type: FrameResume},
+		"event no payload": {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1},
+		"retract no body":  {V: WireVersion, Type: FrameRetract, Site: "s", Seq: 1},
+		"snapshot no body": {V: WireVersion, Type: FrameSnapshot, Site: "s", Seq: 1},
+		"unknown kind":     {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &ev},
+		"unknown prov":     {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &badProv},
+	}
+	for name, f := range cases {
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf).Encode(&f); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Encode = %v with %d bytes written; want an error and none", name, err, buf.Len())
+		}
+	}
+}
+
+// TestBitFlipsRejected is the CRC's contract: flip any single bit of an
+// encoded event, retract, snapshot or resume frame and the decoder refuses
+// the frame — it never becomes a different address or sequence number —
+// so an aggregator fed the damaged stream ends byte-identical to one that
+// was fed nothing past the frames before it.
+func TestBitFlipsRejected(t *testing.T) {
+	frames := sampleFrames()
+	prelude := encodeFrames(t, frames[1]) // the hello that names site and epoch
+	for _, fi := range []int{0, 2, 3, 7} {
+		// Each target frame is encoded behind the hello, as on a live
+		// stream, so it carries no envelope of its own.
+		target := encodeFrames(t, frames[1], frames[fi])[len(prelude):]
+		ref := seedAggregator(t)
+		if err := ref.Apply(&frames[1]); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Dump()
+		for bit := 0; bit < 8*len(target); bit++ {
+			damaged := append([]byte(nil), target...)
+			damaged[bit/8] ^= 1 << (bit % 8)
+			agg := seedAggregator(t)
+			dec := NewDecoder(io.MultiReader(bytes.NewReader(prelude), bytes.NewReader(damaged)))
+			if hello, err := dec.Decode(); err != nil || agg.Apply(hello) != nil {
+				t.Fatalf("prelude hello: %v", err)
+			}
+			if f, err := dec.Decode(); err == nil {
+				t.Fatalf("%s frame with bit %d flipped decoded as %+v", frames[fi].Type, bit, f)
+			}
+			if got := agg.Dump(); !bytes.Equal(got, want) {
+				t.Fatalf("%s frame with bit %d flipped changed the dump", frames[fi].Type, bit)
+			}
+		}
+	}
+}
+
+// TestHostilePrefixAllocatesLittle pins the decoder's defence against a
+// length prefix that lies: neither a prefix past the cap nor one claiming
+// the full 256 MiB in front of a two-byte stream may size an allocation
+// (the contract is < 2 MiB; the decoder's doubling reads keep it to KiB).
+func TestHostilePrefixAllocatesLittle(t *testing.T) {
+	cases := map[string][]byte{
+		"past the cap": binary.AppendUvarint(nil, maxFrameLen+1),
+		"256 MiB then two bytes": append(binary.AppendUvarint(nil, maxFrameLen),
+			WireVersion<<4|codeSnapshot, 0),
+	}
+	for name, in := range cases {
+		// TotalAlloc is process-wide; the least of a few tries is the
+		// decoder's own share.
+		grew := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := NewDecoder(bytes.NewReader(in)).Decode()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: decoded", name)
+			}
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew >= 64<<10 {
+			t.Errorf("%s: decoder allocated %d bytes for a %d-byte stream, want < 64 KiB", name, grew, len(in))
+		}
+	}
+}
+
+// TestEventKindTextStable pins the text names of the event kinds, which
+// /events, /query filters and feedcat output carry: a feed recorded today
+// must parse forever, even if the constants are reordered.
 func TestEventKindTextStable(t *testing.T) {
 	want := map[core.EventKind]string{
 		core.EventServiceDiscovered:  "service-discovered",
@@ -154,36 +389,33 @@ func TestEventKindTextStable(t *testing.T) {
 	}
 }
 
-// FuzzFrameRoundTrip builds event and snapshot frames from fuzzed
-// primitives and asserts encode→decode→encode is byte-stable.
+// FuzzFrameRoundTrip builds event, retract and snapshot frames from fuzzed
+// primitives and asserts decode returns a deeply equal frame and
+// encode→decode→encode is byte-stable.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), false)
-	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), false)
-	f.Add(uint8(2), int64(1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), true)
-	f.Add(uint8(3), int64(1166274000), uint32(0), uint8(255), uint16(65535), uint8(3), 0, 0, uint64(0), true)
-	f.Fuzz(func(t *testing.T, kind uint8, sec int64, addr uint32, proto uint8, port uint16,
-		prov uint8, n1, n2 int, seq uint64, snapshot bool) {
-		// Clamp times into the RFC 3339 representable range and enums into
-		// their valid domain — the codec's contract is for valid frames;
-		// FuzzDecoderNoPanic covers hostile bytes.
-		at := time.Unix(((sec%4e9)+4e9)%4e9, ((sec%1e9)+1e9)%1e9).UTC()
-		k := core.EventKind(kind % 4)
+	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0))
+	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0))
+	f.Add(uint8(2), int64(-1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), uint8(1))
+	f.Add(uint8(3), int64(math.MaxInt64), uint32(0), uint8(255), uint16(65535), uint8(3), -1, math.MinInt64, uint64(math.MaxUint64), uint8(1))
+	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2))
+	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0))
+	f.Fuzz(func(t *testing.T, kind uint8, ns int64, addr uint32, proto uint8, port uint16,
+		prov uint8, n1, n2 int, seq uint64, shape uint8) {
+		// Enums are clamped into their valid domain — the codec's contract
+		// is for valid frames; FuzzDecoderNoPanic covers hostile bytes.
+		// Every int64 is a legal wire time except that zero nanoseconds
+		// past the Unix epoch is not the zero time.Time.
+		at := time.Unix(0, ns).UTC()
+		k := core.EventKind(kind % 5)
 		p := core.Provenance(prov % 4)
 		key := testKey(addr, proto, port)
-		fr := Frame{V: WireVersion, Site: SiteID("fuzz"), Seq: seq}
-		if snapshot {
-			fr.Type = FrameSnapshot
-			fr.Snapshot = &Snapshot{
-				Services: []SnapshotService{{Key: key, Provenance: p, PassiveAt: at, Flows: n1, Clients: n2}},
-				Scanners: []core.ScannerInfo{{Source: netaddr.V4(addr), Window: at, UniqueDsts: n1, RstDsts: n2}},
-				Scans:    []core.ScanMeta{{ID: n1, Started: at, Finished: at}},
-				Packets:  n2,
-			}
-		} else {
+		fr := Frame{V: WireVersion, Site: SiteID("fuzz"), Epoch: seq ^ uint64(ns), Seq: seq}
+		switch shape % 3 {
+		case 0:
 			fr.Type = FrameEvent
 			ev := core.Event{Kind: k, Time: at}
 			switch k {
-			case core.EventServiceDiscovered, core.EventProvenanceUpgraded:
+			case core.EventServiceDiscovered, core.EventProvenanceUpgraded, core.EventServiceExpired:
 				ev.Key, ev.Provenance = key, p
 			case core.EventScannerDetected:
 				ev.Scanner = core.ScannerInfo{Source: netaddr.V4(addr), Window: at, UniqueDsts: n1, RstDsts: n2}
@@ -192,44 +424,55 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				ev.Truncated = n2%2 == 0
 			}
 			fr.Event = &ev
+		case 1:
+			fr.Type = FrameSnapshot
+			fr.Snapshot = &Snapshot{
+				Services: []SnapshotService{
+					{Key: key, Provenance: p, PassiveAt: at, Flows: n1, Clients: n2},
+					{Key: key, Provenance: p, ActiveAt: at},
+				},
+				Scanners:    []core.ScannerInfo{{Source: netaddr.V4(addr), Window: at, UniqueDsts: n1, RstDsts: n2}},
+				Scans:       []core.ScanMeta{{ID: n1, Started: at, Finished: at}},
+				Retractions: []Retraction{{Key: key, At: at, Prov: p}},
+				Packets:     n2,
+			}
+		case 2:
+			fr.Type = FrameRetract
+			fr.Retract = &Retraction{Key: key, At: at, Prov: p}
 		}
 
-		var buf bytes.Buffer
-		if err := NewEncoder(&buf).Encode(&fr); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		first := append([]byte(nil), buf.Bytes()...)
-		got, err := NewDecoder(&buf).Decode()
+		first := encodeFrames(t, fr)
+		got, err := NewDecoder(bytes.NewReader(first)).Decode()
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		var buf2 bytes.Buffer
-		if err := NewEncoder(&buf2).Encode(got); err != nil {
-			t.Fatalf("re-encode: %v", err)
+		if !reflect.DeepEqual(&fr, got) {
+			t.Fatalf("round trip changed the frame:\n in: %+v\nout: %+v", fr, *got)
 		}
-		if !bytes.Equal(first, buf2.Bytes()) {
-			t.Fatalf("round trip not byte-stable:\n in: %s\nout: %s", first, buf2.Bytes())
+		if again := encodeFrames(t, *got); !bytes.Equal(first, again) {
+			t.Fatalf("round trip not byte-stable:\n in: %x\nout: %x", first, again)
 		}
 	})
 }
 
 // FuzzDecoderNoPanic feeds arbitrary bytes to the decoder: it must reject
-// or accept them without panicking or over-allocating.
+// or accept them without panicking or over-allocating, and whatever it
+// accepts must re-encode (the decoder admits nothing the encoder refuses).
 func FuzzDecoderNoPanic(f *testing.F) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	frames := sampleFrames()
-	for i := range frames {
-		_ = enc.Encode(&frames[i])
-	}
-	f.Add(buf.Bytes())
+	f.Add(encodeFrames(f, sampleFrames()...))
 	f.Add([]byte("12 hello\n"))
-	f.Add([]byte("999999999999999999 {}\n"))
+	f.Add(binary.AppendUvarint(nil, 1<<60))
+	f.Add(rawFrame(WireVersion<<4|codeSnapshot, 1, 0, 0xff, 0xff, 0xff, 0x7f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
+		enc := NewEncoder(io.Discard)
 		for i := 0; i < 1000; i++ {
-			if _, err := dec.Decode(); err != nil {
+			fr, err := dec.Decode()
+			if err != nil {
 				return
+			}
+			if err := enc.Encode(fr); err != nil {
+				t.Fatalf("decoder accepted a frame the encoder refuses: %v\n%+v", err, fr)
 			}
 		}
 	})
