@@ -64,10 +64,11 @@ type PeerContact struct {
 
 // PassiveRecord accumulates everything passive monitoring learns about one
 // service. The record itself is a small flat value so that the snapshot
-// machinery's copy-on-write clones are cheap: the peer-identity set that
-// backs nClients lives in the owning discoverer's live-only side table
-// (PassiveDiscoverer.peers), never in the record, and firstPeers is
-// append-only so clones share its backing array instead of copying it.
+// machinery's copy-on-write clones are cheap: firstPeers is append-only,
+// so clones share its backing array instead of copying it, and it doubles
+// as the peer-identity set behind nClients while the service is small; a
+// larger one's set lives in the owning discoverer's live-only side table
+// (PassiveDiscoverer.peers), never in the record.
 type PassiveRecord struct {
 	// FirstSeen is when the first positive evidence arrived.
 	FirstSeen time.Time

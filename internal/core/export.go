@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -268,11 +269,21 @@ func (sh *passiveShard) exportState(req *shardExportReq) *shardExport {
 
 // exportService copies one service's record and peer set into wire form.
 // firstPeers and trails are append-only, so aliasing below the captured
-// length is safe while ingest continues; the peer map is copied out.
+// length is safe while ingest continues; the peer set is copied out — from
+// the side table, or from firstPeers for a service too small to have one.
 func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	rec := d.services[key]
-	peers := sortedV4Keys(d.peers[key])
 	fp := rec.firstPeers
+	var peers []netaddr.V4
+	if rec.nClients > peerInline {
+		peers = sortedV4Keys(d.peers[key])
+	} else if len(fp) > 0 {
+		peers = make([]netaddr.V4, len(fp))
+		for i := range fp {
+			peers[i] = fp[i].Peer
+		}
+		slices.Sort(peers)
+	}
 	return ServiceState{
 		Key:        key,
 		FirstSeen:  rec.FirstSeen,
@@ -302,11 +313,13 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		firstPeers: append([]PeerContact(nil), st.FirstPeers...),
 		seal:       d.seals,
 	}
-	ps := make(map[netaddr.V4]struct{}, len(st.Peers))
-	for _, p := range st.Peers {
-		ps[p] = struct{}{}
+	if st.Clients > peerInline {
+		ps := make(map[netaddr.V4]struct{}, len(st.Peers))
+		for _, p := range st.Peers {
+			ps[p] = struct{}{}
+		}
+		d.peers[st.Key] = ps
 	}
-	d.peers[st.Key] = ps
 	if d.ttl > 0 {
 		d.expPush(last.Add(d.ttl), st.Key)
 	}
@@ -317,11 +330,12 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 func (t *scanTracker) exportSource(src netaddr.V4) ScanSourceState {
 	s := t.sources[src]
 	st := ScanSourceState{Source: src, Windows: make([]ScanWindowState, 0, len(s.windows))}
-	for idx, w := range s.windows {
+	for i := range s.windows {
+		w := &s.windows[i]
 		st.Windows = append(st.Windows, ScanWindowState{
-			Index:   idx,
-			Dsts:    sortedV4Keys(w.dsts),
-			RstDsts: sortedV4Keys(w.rstDsts),
+			Index:   w.idx,
+			Dsts:    w.dsts.sorted(),
+			RstDsts: w.rstDsts.sorted(),
 		})
 	}
 	sort.Slice(st.Windows, func(i, j int) bool { return st.Windows[i].Index < st.Windows[j].Index })
@@ -334,39 +348,41 @@ func (t *scanTracker) exportSource(src netaddr.V4) ScanSourceState {
 // updateBest rule because counts within one window only grow, so the
 // restored tracker's detect() output is identical to the uninterrupted
 // run's, and a restored-then-resumed run flags each source at most once
-// across incarnations.
+// across incarnations. A window index listed twice — no exporter writes
+// that — keeps its last listing.
 func (t *scanTracker) importSource(ss *ScanSourceState) {
-	windows := append([]ScanWindowState(nil), ss.Windows...)
-	sort.Slice(windows, func(i, j int) bool { return windows[i].Index < windows[j].Index })
-	src := &scanSource{windows: make(map[int64]*scanWindow, len(windows))}
+	listed := append([]ScanWindowState(nil), ss.Windows...)
+	sort.Slice(listed, func(i, j int) bool { return listed[i].Index < listed[j].Index })
+	src := &scanSource{windows: make([]scanWindow, 0, len(listed))}
 	delete(t.best, ss.Source)
 	qualified := false
-	for _, ws := range windows {
-		w := &scanWindow{
-			dsts:    make(map[netaddr.V4]struct{}, len(ws.Dsts)),
-			rstDsts: make(map[netaddr.V4]struct{}, len(ws.RstDsts)),
-		}
+	for _, ws := range listed {
+		w := scanWindow{idx: ws.Index}
 		for _, a := range ws.Dsts {
-			w.dsts[a] = struct{}{}
+			w.dsts.add(a)
 		}
 		for _, a := range ws.RstDsts {
-			w.rstDsts[a] = struct{}{}
+			w.rstDsts.add(a)
 		}
-		src.windows[ws.Index] = w
-		if len(w.dsts) < ScanDetectMinDsts || len(w.rstDsts) < ScanDetectMinRsts {
+		if n := len(src.windows); n > 0 && src.windows[n-1].idx == w.idx {
+			src.windows[n-1] = w
+		} else {
+			src.windows = append(src.windows, w)
+		}
+		if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
 			continue
 		}
 		qualified = true
 		cur, ok := t.best[ss.Source]
-		if ok && (len(w.dsts) < cur.UniqueDsts ||
-			(len(w.dsts) == cur.UniqueDsts && len(w.rstDsts) <= cur.RstDsts)) {
+		if ok && (w.dsts.len() < cur.UniqueDsts ||
+			(w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() <= cur.RstDsts)) {
 			continue
 		}
 		t.best[ss.Source] = ScannerInfo{
 			Source:     ss.Source,
 			Window:     t.origin.Add(time.Duration(ws.Index) * ScanDetectWindow),
-			UniqueDsts: len(w.dsts),
-			RstDsts:    len(w.rstDsts),
+			UniqueDsts: w.dsts.len(),
+			RstDsts:    w.rstDsts.len(),
 		}
 	}
 	t.sources[ss.Source] = src

@@ -20,10 +20,13 @@ type PassiveDiscoverer struct {
 
 	services map[ServiceKey]*PassiveRecord
 
-	// peers holds each service's distinct-peer identity set — the dedup
-	// behind PassiveRecord.nClients. It lives here rather than in the
-	// record so sealed snapshot views never carry (or copy) it: it
-	// belongs to the live, ingesting side only.
+	// peers holds the distinct-peer identity set — the dedup behind
+	// PassiveRecord.nClients — of each service with more than peerInline
+	// clients. Smaller services (nearly all of them) have no entry: their
+	// firstPeers already lists every distinct peer and is scanned instead
+	// (see newPeer). The table lives here rather than in the record so
+	// sealed snapshot views never carry (or copy) it: it belongs to the
+	// live, ingesting side only.
 	peers map[ServiceKey]map[netaddr.V4]struct{}
 
 	// addrTimes records thinned per-address activity timestamps for the
@@ -305,7 +308,6 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	case rec == nil:
 		rec = &PassiveRecord{FirstSeen: t, seal: d.seals}
 		d.services[key] = rec
-		d.peers[key] = make(map[netaddr.V4]struct{})
 		if d.sealed != nil {
 			d.dirty[key] = struct{}{}
 			d.newKeys = append(d.newKeys, key)
@@ -323,12 +325,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		d.services[key] = rec
 		d.dirty[key] = struct{}{}
 	}
-	peers := d.peers[key]
-	_, seen := peers[peer]
-	if !seen {
-		peers[peer] = struct{}{}
-	}
-	rec.observe(t, peer, !seen)
+	rec.observe(t, peer, d.newPeer(key, rec, peer))
 	if d.ckDirty != nil {
 		d.ckDirty[key] = struct{}{}
 	}
@@ -345,6 +342,45 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 			d.ckDirtyAddrs[key.Addr] = struct{}{}
 		}
 	}
+}
+
+// peerInline is the client count up to which a service's peers are
+// deduplicated by scanning rec.firstPeers; past it the service gets a map
+// in d.peers (DESIGN.md §7 records the measurement that picked it). The
+// scan is only exhaustive while firstPeers still records every peer.
+const peerInline = 32
+
+const _ = uint(maxFirstPeers - peerInline) // peerInline <= maxFirstPeers
+
+// newPeer reports whether peer is contacting the service for the first
+// time, and records it in d.peers if the service has one (rec.observe
+// appends it to firstPeers). rec is writable here — observe has already
+// cloned a sealed record — and firstPeers is append-only, so the scan is
+// safe beside sealed views aliasing the same backing array.
+func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer netaddr.V4) bool {
+	if rec.nClients > peerInline {
+		peers := d.peers[key]
+		if _, seen := peers[peer]; seen {
+			return false
+		}
+		peers[peer] = struct{}{}
+		return true
+	}
+	for i := range rec.firstPeers {
+		if rec.firstPeers[i].Peer == peer {
+			return false
+		}
+	}
+	if rec.nClients == peerInline {
+		// One past the inline count: the service moves to a map.
+		peers := make(map[netaddr.V4]struct{}, 2*peerInline)
+		for i := range rec.firstPeers {
+			peers[rec.firstPeers[i].Peer] = struct{}{}
+		}
+		peers[peer] = struct{}{}
+		d.peers[key] = peers
+	}
+	return true
 }
 
 // Services returns the live inventory map (owned by the discoverer).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -65,13 +66,73 @@ type scanTracker struct {
 	ckDirty map[netaddr.V4]struct{}
 }
 
+// scanSource holds one external source's windows in first-touch order. A
+// source touches at most ⌈trace length / 12 h⌉ of them and nearly always
+// the newest, so a slice searched newest-first beats a map per source.
 type scanSource struct {
-	windows map[int64]*scanWindow
+	windows []scanWindow
 }
 
 type scanWindow struct {
-	dsts    map[netaddr.V4]struct{}
-	rstDsts map[netaddr.V4]struct{}
+	idx     int64
+	dsts    v4set
+	rstDsts v4set
+}
+
+// v4setInline is how many members a v4set holds before it promotes to a
+// map (DESIGN.md §7 records the measurement that picked it).
+const v4setInline = 3
+
+// v4set is an address set sized for the one or two members nearly every
+// (source, window) pair ever has: members live inline, and a Go map is
+// made only for a set that outgrows the inline array. The zero value is
+// an empty set.
+type v4set struct {
+	m      map[netaddr.V4]struct{}
+	n      uint32
+	inline [v4setInline]netaddr.V4
+}
+
+func (s *v4set) add(a netaddr.V4) {
+	if s.m != nil {
+		s.m[a] = struct{}{}
+		return
+	}
+	for _, x := range s.inline[:s.n] {
+		if x == a {
+			return
+		}
+	}
+	if s.n < v4setInline {
+		s.inline[s.n] = a
+		s.n++
+		return
+	}
+	s.m = make(map[netaddr.V4]struct{}, 2*v4setInline)
+	for _, x := range s.inline {
+		s.m[x] = struct{}{}
+	}
+	s.m[a] = struct{}{}
+}
+
+func (s *v4set) len() int {
+	if s.m != nil {
+		return len(s.m)
+	}
+	return int(s.n)
+}
+
+// sorted renders the members ascending (nil when empty).
+func (s *v4set) sorted() []netaddr.V4 {
+	if s.m != nil {
+		return sortedV4Keys(s.m)
+	}
+	if s.n == 0 {
+		return nil
+	}
+	out := slices.Clone(s.inline[:s.n])
+	slices.Sort(out)
+	return out
 }
 
 func newScanTracker() *scanTracker {
@@ -101,81 +162,82 @@ func (t *scanTracker) windowIndex(at time.Time) int64 {
 	return int64(at.Sub(t.origin) / ScanDetectWindow)
 }
 
-func (t *scanTracker) window(src netaddr.V4, at time.Time) (*scanWindow, int64) {
+// window returns src's window covering at, creating it if needed. The
+// pointer aims into the source's slice: use it before the next call, never
+// retain it.
+func (t *scanTracker) window(src netaddr.V4, at time.Time) *scanWindow {
 	s := t.sources[src]
 	if s == nil {
-		s = &scanSource{windows: make(map[int64]*scanWindow)}
+		s = &scanSource{}
 		t.sources[src] = s
 	}
 	idx := t.windowIndex(at)
-	w := s.windows[idx]
-	if w == nil {
-		w = &scanWindow{
-			dsts:    make(map[netaddr.V4]struct{}),
-			rstDsts: make(map[netaddr.V4]struct{}),
+	for i := len(s.windows) - 1; i >= 0; i-- {
+		if s.windows[i].idx == idx {
+			return &s.windows[i]
 		}
-		s.windows[idx] = w
 	}
-	return w, idx
+	s.windows = append(s.windows, scanWindow{idx: idx})
+	return &s.windows[len(s.windows)-1]
 }
 
 // recordSyn notes an inbound connection attempt src → dst.
 func (t *scanTracker) recordSyn(at time.Time, src, dst netaddr.V4) {
-	w, idx := t.window(src, at)
-	w.dsts[dst] = struct{}{}
+	w := t.window(src, at)
+	w.dsts.add(dst)
 	if t.ckDirty != nil {
 		t.ckDirty[src] = struct{}{}
 	}
-	t.maybeFlag(src, w, idx, at)
-	t.updateBest(src, w, idx)
+	t.maybeFlag(src, w, at)
+	t.updateBest(src, w)
 }
 
 // recordRst notes a campus RST returned to the external peer.
 func (t *scanTracker) recordRst(at time.Time, peer, from netaddr.V4) {
-	w, idx := t.window(peer, at)
-	w.rstDsts[from] = struct{}{}
+	w := t.window(peer, at)
+	w.rstDsts.add(from)
 	if t.ckDirty != nil {
 		t.ckDirty[peer] = struct{}{}
 	}
-	t.maybeFlag(peer, w, idx, at)
-	t.updateBest(peer, w, idx)
+	t.maybeFlag(peer, w, at)
+	t.updateBest(peer, w)
 }
 
 // updateBest folds the just-touched window into the per-source peak. Runs
 // on every tracker-relevant packet, so the comparison is a handful of
 // integer checks; it only allocates when a source first qualifies.
-func (t *scanTracker) updateBest(src netaddr.V4, w *scanWindow, idx int64) {
-	if len(w.dsts) < ScanDetectMinDsts || len(w.rstDsts) < ScanDetectMinRsts {
+func (t *scanTracker) updateBest(src netaddr.V4, w *scanWindow) {
+	if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
 		return
 	}
-	start := t.origin.Add(time.Duration(idx) * ScanDetectWindow)
+	start := t.origin.Add(time.Duration(w.idx) * ScanDetectWindow)
 	cur, ok := t.best[src]
 	if ok && !cur.Window.Equal(start) {
 		// A different window holds the peak: replace only on strictly
 		// better tallies (earlier window wins full ties).
-		if len(w.dsts) < cur.UniqueDsts ||
-			(len(w.dsts) == cur.UniqueDsts && len(w.rstDsts) <= cur.RstDsts) {
+		if w.dsts.len() < cur.UniqueDsts ||
+			(w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() <= cur.RstDsts) {
 			return
 		}
-	} else if ok && len(w.dsts) == cur.UniqueDsts && len(w.rstDsts) == cur.RstDsts {
+	} else if ok && w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() == cur.RstDsts {
 		return // same window, nothing grew on the tallied axis
 	}
 	t.best[src] = ScannerInfo{
 		Source:     src,
 		Window:     start,
-		UniqueDsts: len(w.dsts),
-		RstDsts:    len(w.rstDsts),
+		UniqueDsts: w.dsts.len(),
+		RstDsts:    w.rstDsts.len(),
 	}
 	t.detGen++
 }
 
 // maybeFlag fires onDetect the first time src's current window satisfies
 // both thresholds.
-func (t *scanTracker) maybeFlag(src netaddr.V4, w *scanWindow, idx int64, at time.Time) {
+func (t *scanTracker) maybeFlag(src netaddr.V4, w *scanWindow, at time.Time) {
 	if t.onDetect == nil || t.flagged[src] {
 		return
 	}
-	if len(w.dsts) < ScanDetectMinDsts || len(w.rstDsts) < ScanDetectMinRsts {
+	if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
 		return
 	}
 	if t.flagged == nil {
@@ -184,9 +246,9 @@ func (t *scanTracker) maybeFlag(src netaddr.V4, w *scanWindow, idx int64, at tim
 	t.flagged[src] = true
 	t.onDetect(ScannerInfo{
 		Source:     src,
-		Window:     t.origin.Add(time.Duration(idx) * ScanDetectWindow),
-		UniqueDsts: len(w.dsts),
-		RstDsts:    len(w.rstDsts),
+		Window:     t.origin.Add(time.Duration(w.idx) * ScanDetectWindow),
+		UniqueDsts: w.dsts.len(),
+		RstDsts:    w.rstDsts.len(),
 	}, at)
 }
 

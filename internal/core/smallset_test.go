@@ -1,0 +1,477 @@
+package core
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
+)
+
+// These tests hold the small-set representations (v4set, the per-source
+// window slice, the sparse peer table) to the map-per-set forms they
+// replaced. The references live here, in the test file, written the way
+// the engine used to be: nothing observable may tell the two apart.
+
+// TestV4SetModel drives v4set and a plain map through random add
+// sequences that cross the promotion boundary.
+func TestV4SetModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		var s v4set
+		ref := make(map[netaddr.V4]struct{})
+		space := 1 + rng.Intn(4*v4setInline) // small spaces force repeats
+		for n := rng.Intn(6 * v4setInline); n > 0; n-- {
+			a := netaddr.V4(rng.Intn(space))
+			s.add(a)
+			ref[a] = struct{}{}
+			if s.len() != len(ref) {
+				t.Fatalf("round %d: len %d after adding %v, reference %d", round, s.len(), a, len(ref))
+			}
+			s.add(a) // a member added again must not count twice
+			if s.len() != len(ref) {
+				t.Fatalf("round %d: re-adding %v moved len to %d, reference %d", round, a, s.len(), len(ref))
+			}
+		}
+		if got, want := s.sorted(), sortedV4Keys(ref); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("round %d: sorted %v, reference %v", round, got, want)
+		}
+		if promoted := s.m != nil; promoted != (len(ref) > v4setInline) {
+			t.Fatalf("round %d: %d members, map present = %v", round, len(ref), promoted)
+		}
+	}
+}
+
+// refTracker is the scan detector in its map form: a map of windows per
+// source, two Go maps per window, the same online peak rule.
+type refTracker struct {
+	origin  time.Time
+	started bool
+	sources map[netaddr.V4]map[int64]*refWindow
+	best    map[netaddr.V4]ScannerInfo
+	flagged map[netaddr.V4]bool
+	flags   []ScannerInfo
+}
+
+type refWindow struct{ dsts, rsts map[netaddr.V4]struct{} }
+
+func newRefTracker() *refTracker {
+	return &refTracker{
+		sources: make(map[netaddr.V4]map[int64]*refWindow),
+		best:    make(map[netaddr.V4]ScannerInfo),
+		flagged: make(map[netaddr.V4]bool),
+	}
+}
+
+func (r *refTracker) record(at time.Time, src, dst netaddr.V4, rst bool) {
+	if !r.started {
+		r.origin, r.started = at, true
+	}
+	idx := int64(at.Sub(r.origin) / ScanDetectWindow)
+	if r.sources[src] == nil {
+		r.sources[src] = make(map[int64]*refWindow)
+	}
+	w := r.sources[src][idx]
+	if w == nil {
+		w = &refWindow{dsts: map[netaddr.V4]struct{}{}, rsts: map[netaddr.V4]struct{}{}}
+		r.sources[src][idx] = w
+	}
+	if rst {
+		w.rsts[dst] = struct{}{}
+	} else {
+		w.dsts[dst] = struct{}{}
+	}
+	if len(w.dsts) < ScanDetectMinDsts || len(w.rsts) < ScanDetectMinRsts {
+		return
+	}
+	info := ScannerInfo{
+		Source: src, Window: r.origin.Add(time.Duration(idx) * ScanDetectWindow),
+		UniqueDsts: len(w.dsts), RstDsts: len(w.rsts),
+	}
+	if !r.flagged[src] {
+		r.flagged[src] = true
+		r.flags = append(r.flags, info)
+	}
+	if cur, ok := r.best[src]; ok && !cur.Window.Equal(info.Window) &&
+		(info.UniqueDsts < cur.UniqueDsts || (info.UniqueDsts == cur.UniqueDsts && info.RstDsts <= cur.RstDsts)) {
+		return
+	}
+	r.best[src] = info
+}
+
+func (r *refTracker) detect() []ScannerInfo {
+	out := make([]ScannerInfo, 0, len(r.best))
+	for _, info := range r.best {
+		out = append(out, info)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
+	return out
+}
+
+func (r *refTracker) exportSource(src netaddr.V4) ScanSourceState {
+	st := ScanSourceState{Source: src, Windows: make([]ScanWindowState, 0, len(r.sources[src]))}
+	for idx, w := range r.sources[src] {
+		st.Windows = append(st.Windows, ScanWindowState{Index: idx, Dsts: sortedV4Keys(w.dsts), RstDsts: sortedV4Keys(w.rsts)})
+	}
+	sort.Slice(st.Windows, func(i, j int) bool { return st.Windows[i].Index < st.Windows[j].Index })
+	return st
+}
+
+// importSource is the map form's import: windows visited in index order,
+// a repeated index overwriting the earlier listing, the peak and the
+// flagged bit recomputed from every listing visited.
+func (r *refTracker) importSource(ss *ScanSourceState) {
+	listed := append([]ScanWindowState(nil), ss.Windows...)
+	sort.Slice(listed, func(i, j int) bool { return listed[i].Index < listed[j].Index })
+	windows := make(map[int64]*refWindow, len(listed))
+	delete(r.best, ss.Source)
+	for _, ws := range listed {
+		w := &refWindow{dsts: map[netaddr.V4]struct{}{}, rsts: map[netaddr.V4]struct{}{}}
+		for _, a := range ws.Dsts {
+			w.dsts[a] = struct{}{}
+		}
+		for _, a := range ws.RstDsts {
+			w.rsts[a] = struct{}{}
+		}
+		windows[ws.Index] = w
+		if len(w.dsts) < ScanDetectMinDsts || len(w.rsts) < ScanDetectMinRsts {
+			continue
+		}
+		r.flagged[ss.Source] = true
+		if cur, ok := r.best[ss.Source]; ok && (len(w.dsts) < cur.UniqueDsts ||
+			(len(w.dsts) == cur.UniqueDsts && len(w.rsts) <= cur.RstDsts)) {
+			continue
+		}
+		r.best[ss.Source] = ScannerInfo{
+			Source: ss.Source, Window: r.origin.Add(time.Duration(ws.Index) * ScanDetectWindow),
+			UniqueDsts: len(w.dsts), RstDsts: len(w.rsts),
+		}
+	}
+	r.sources[ss.Source] = windows
+}
+
+// compareTrackers checks everything the tracker shows the rest of the
+// engine: detections, per-source checkpoint state, and who was flagged.
+func compareTrackers(t *testing.T, ctx string, got *scanTracker, want *refTracker) {
+	t.Helper()
+	if g, w := got.detect(), want.detect(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: detect() = %v, reference %v", ctx, g, w)
+	}
+	if len(got.sources) != len(want.sources) {
+		t.Fatalf("%s: %d sources, reference %d", ctx, len(got.sources), len(want.sources))
+	}
+	for src := range want.sources {
+		if g, w := got.exportSource(src), want.exportSource(src); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: source %v exports %+v, reference %+v", ctx, src, g, w)
+		}
+		if got.flagged[src] != want.flagged[src] {
+			t.Fatalf("%s: source %v flagged = %v, reference %v", ctx, src, got.flagged[src], want.flagged[src])
+		}
+	}
+}
+
+// TestImportSourceTable feeds importSource the window lists a checkpoint
+// written by this engine never holds — out of order, repeated, empty — and
+// expects what the map form did with them.
+func TestImportSourceTable(t *testing.T) {
+	addrs := func(from, n int) []netaddr.V4 {
+		out := make([]netaddr.V4, n)
+		for i := range out {
+			out[i] = netaddr.V4(from + n - 1 - i) // descending: unsorted on the wire
+		}
+		return out
+	}
+	src := netaddr.MustParseV4("211.9.9.9")
+	cases := []struct {
+		name    string
+		windows []ScanWindowState
+	}{
+		{"no windows", nil},
+		{"one empty window", []ScanWindowState{{Index: 4}}},
+		{"unsorted windows and members", []ScanWindowState{
+			{Index: 3, Dsts: addrs(10, 5)}, {Index: -1, RstDsts: addrs(1, 2)}, {Index: 0, Dsts: addrs(7, 3), RstDsts: addrs(7, 3)},
+		}},
+		{"repeated members", []ScanWindowState{{Index: 0, Dsts: []netaddr.V4{5, 5, 6, 5, 6}}}},
+		{"duplicate index, last listing wins", []ScanWindowState{
+			{Index: 2, Dsts: addrs(1, 2)}, {Index: 1, Dsts: addrs(50, 1)}, {Index: 2, Dsts: addrs(30, 4)},
+		}},
+		{"qualifying window listed first", []ScanWindowState{
+			{Index: 5, Dsts: addrs(0, 130), RstDsts: addrs(0, 110)}, {Index: 1, Dsts: addrs(0, 3)},
+		}},
+		{"two qualifying windows, later one better", []ScanWindowState{
+			{Index: 0, Dsts: addrs(0, 100), RstDsts: addrs(0, 100)}, {Index: 1, Dsts: addrs(0, 101), RstDsts: addrs(0, 100)},
+		}},
+		{"two qualifying windows, full tie", []ScanWindowState{
+			{Index: 1, Dsts: addrs(0, 100), RstDsts: addrs(0, 100)}, {Index: 0, Dsts: addrs(500, 100), RstDsts: addrs(500, 100)},
+		}},
+		{"duplicate index hiding a qualifying listing", []ScanWindowState{
+			{Index: 0, Dsts: addrs(0, 120), RstDsts: addrs(0, 120)}, {Index: 0, Dsts: addrs(0, 2)},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := newScanTracker(), newRefTracker()
+			got.onDetect = func(ScannerInfo, time.Time) {}
+			got.seed(t0)
+			want.origin, want.started = t0, true
+			ss := ScanSourceState{Source: src, Windows: tc.windows}
+			got.importSource(&ss)
+			want.importSource(&ss)
+			compareTrackers(t, "after import", got, want)
+
+			// The imported source keeps working: one more contact in its
+			// newest listed window and in a fresh one.
+			for _, idx := range []int64{2, 9} {
+				at := t0.Add(time.Duration(idx)*ScanDetectWindow + time.Minute)
+				got.recordSyn(at, src, 999)
+				want.record(at, src, 999, false)
+			}
+			compareTrackers(t, "after resumed ingest", got, want)
+		})
+	}
+}
+
+// scanOp is one decoded fuzz record.
+type scanOp struct {
+	src, dst netaddr.V4
+	rst      bool
+	dt       time.Duration
+}
+
+// decodeScanOps reads 3-byte records: source (3 bits), SYN or RST (1 bit),
+// a time step of −8..+7 half-windows (4 bits, so streams cross window
+// boundaries in both directions), and a 16-bit destination.
+func decodeScanOps(data []byte) []scanOp {
+	ops := make([]scanOp, 0, len(data)/3)
+	for ; len(data) >= 3; data = data[3:] {
+		ops = append(ops, scanOp{
+			src: netaddr.V4(data[0] & 7),
+			rst: data[0]&8 != 0,
+			dt:  time.Duration(int(data[0]>>4)-8) * ScanDetectWindow / 2,
+			dst: netaddr.V4(binary.BigEndian.Uint16(data[1:])),
+		})
+	}
+	return ops
+}
+
+func encodeScanOps(ops []scanOp) []byte {
+	out := make([]byte, 0, 3*len(ops))
+	for _, op := range ops {
+		b := byte(op.src&7) | byte(int(op.dt/(ScanDetectWindow/2))+8)<<4
+		if op.rst {
+			b |= 8
+		}
+		out = append(out, b, byte(op.dst>>8), byte(op.dst))
+	}
+	return out
+}
+
+// FuzzScanTrackerEquivalence feeds one arbitrary (source, destination,
+// SYN|RST, Δt) stream to the tracker and to the map-form reference and
+// requires the same detections, the same announcements in the same order,
+// the same checkpoint state per source, and the same again after that
+// state is imported into fresh trackers and the stream is replayed on top.
+func FuzzScanTrackerEquivalence(f *testing.F) {
+	var scan, twoWindows []scanOp
+	for i := 0; i < 130; i++ {
+		scan = append(scan, scanOp{src: 1, dst: netaddr.V4(i)}, scanOp{src: 1, dst: netaddr.V4(i), rst: true})
+		twoWindows = append(twoWindows, scanOp{src: 2, dst: netaddr.V4(i % 101)}, scanOp{src: 2, dst: netaddr.V4(i % 101), rst: true})
+	}
+	twoWindows[len(twoWindows)/2].dt = ScanDetectWindow
+	f.Add(encodeScanOps(scan))
+	f.Add(encodeScanOps(twoWindows))
+	f.Add(encodeScanOps([]scanOp{{src: 3, dst: 1}, {src: 3, dst: 2, dt: -3 * ScanDetectWindow}, {src: 3, dst: 1, rst: true, dt: ScanDetectWindow}}))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<14 {
+			return
+		}
+		ops := decodeScanOps(data)
+		play := func(got *scanTracker, want *refTracker) {
+			at := t0
+			for _, op := range ops {
+				at = at.Add(op.dt)
+				if op.rst {
+					got.recordRst(at, op.src, op.dst)
+				} else {
+					got.recordSyn(at, op.src, op.dst)
+				}
+				want.record(at, op.src, op.dst, op.rst)
+			}
+		}
+		var flags []ScannerInfo
+		got, want := newScanTracker(), newRefTracker()
+		got.onDetect = func(info ScannerInfo, _ time.Time) { flags = append(flags, info) }
+		play(got, want)
+		compareTrackers(t, "after the stream", got, want)
+		if !reflect.DeepEqual(flags, want.flags) {
+			t.Fatalf("announced %v, reference %v", flags, want.flags)
+		}
+
+		// Through the checkpoint form and on: a restored tracker must not
+		// announce again what its state already shows.
+		got2, want2 := newScanTracker(), newRefTracker()
+		flags = nil
+		got2.onDetect = got.onDetect
+		if got.started {
+			got2.seed(got.origin)
+			want2.origin, want2.started = want.origin, true
+		}
+		for src := range want.sources {
+			ss := got.exportSource(src)
+			got2.importSource(&ss)
+			want2.importSource(&ss)
+		}
+		compareTrackers(t, "after import", got2, want2)
+		play(got2, want2)
+		compareTrackers(t, "after replay on the imported state", got2, want2)
+		if !reflect.DeepEqual(flags, want2.flags) {
+			t.Fatalf("restored tracker announced %v, reference %v", flags, want2.flags)
+		}
+	})
+}
+
+// TestPeerDedupModel checks the distinct-peer dedup — firstPeers scanned
+// while a service is small, the side table past peerInline — against one
+// map per service, through everything that touches the state: repeats,
+// seals (so records are cloned before their next write), an observe-side
+// incarnation split, a snapshot-side TTL expiry, and the checkpoint form.
+func TestPeerDedupModel(t *testing.T) {
+	const ttl = time.Hour
+	type refSvc struct {
+		peers    map[netaddr.V4]struct{}
+		first    []netaddr.V4
+		lastSeen time.Time
+	}
+	// Client pools sized to end below, at, just past and far past both
+	// boundaries (peerInline, maxFirstPeers).
+	pools := []int{1, 3, peerInline - 1, peerInline, peerInline + 1, 2 * peerInline, maxFirstPeers, maxFirstPeers + 1, 300}
+	keyOf := func(i int) ServiceKey {
+		return ServiceKey{Addr: campusPfx.Base() + netaddr.V4(300+i), Proto: packet.ProtoTCP, Port: 80}
+	}
+
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewPassiveDiscoverer(campusPfx, nil)
+		d.setRetention(ttl)
+		ref := make(map[ServiceKey]*refSvc)
+		now := t0
+
+		observe := func(i int, peer netaddr.V4) {
+			key := keyOf(i)
+			d.observe(key, now, peer)
+			r := ref[key]
+			if r != nil && !now.Before(r.lastSeen.Add(ttl)) {
+				r = nil // the old incarnation's deadline passed: split
+			}
+			if r == nil {
+				r = &refSvc{peers: make(map[netaddr.V4]struct{})}
+				ref[key] = r
+			}
+			if _, seen := r.peers[peer]; !seen {
+				r.peers[peer] = struct{}{}
+				if len(r.first) < maxFirstPeers {
+					r.first = append(r.first, peer)
+				}
+			}
+			r.lastSeen = now
+		}
+		check := func(ctx string) {
+			t.Helper()
+			if len(d.services) != len(ref) {
+				t.Fatalf("seed %d, %s: %d live services, reference %d", seed, ctx, len(d.services), len(ref))
+			}
+			for key, r := range ref {
+				rec := d.services[key]
+				if rec == nil {
+					t.Fatalf("seed %d, %s: %v missing", seed, ctx, key)
+				}
+				if rec.Clients() != len(r.peers) {
+					t.Fatalf("seed %d, %s: %v has %d clients, reference %d", seed, ctx, key, rec.Clients(), len(r.peers))
+				}
+				first := make([]netaddr.V4, len(rec.FirstPeers()))
+				for i, pc := range rec.FirstPeers() {
+					first[i] = pc.Peer
+				}
+				if !slices.Equal(first, r.first) {
+					t.Fatalf("seed %d, %s: %v first peers %v, reference %v", seed, ctx, key, first, r.first)
+				}
+				if got, want := d.exportService(key).Peers, sortedV4Keys(r.peers); !slices.Equal(got, want) {
+					t.Fatalf("seed %d, %s: %v exports peers %v, reference %v", seed, ctx, key, got, want)
+				}
+				if _, table := d.peers[key]; table != (len(r.peers) > peerInline) {
+					t.Fatalf("seed %d, %s: %v with %d clients, side table present = %v", seed, ctx, key, len(r.peers), table)
+				}
+			}
+		}
+
+		type sealedRec struct {
+			rec     *PassiveRecord
+			clients int
+			first   []PeerContact
+		}
+		var sealed []sealedRec
+		for step := 0; step < 6000; step++ {
+			now = now.Add(time.Second)
+			i := rng.Intn(len(pools))
+			observe(i, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(rng.Intn(pools[i])))
+			switch {
+			case step%97 == 0:
+				// Seal, and remember what the sealed view holds: later
+				// writes must go to clones.
+				view, _ := d.sealView()
+				for _, rec := range view.services {
+					sealed = append(sealed, sealedRec{rec, rec.Clients(), slices.Clone(rec.FirstPeers())})
+				}
+				check("after a seal")
+			case step == 2000:
+				// A quiet spell longer than the TTL, ended by evidence for
+				// half the services: those split on observe, the rest are
+				// expired by the sweep that follows.
+				now = now.Add(2 * ttl)
+				for i := 0; i < len(pools); i += 2 {
+					observe(i, netaddr.MustParseV4("64.0.0.0"))
+				}
+				d.expireDue(now)
+				for key, r := range ref {
+					if !r.lastSeen.Add(ttl).After(now) {
+						delete(ref, key)
+					}
+				}
+				check("after the split and the expiry")
+			}
+		}
+		check("at the end")
+		for _, s := range sealed {
+			if s.rec.Clients() != s.clients || !slices.Equal(s.rec.FirstPeers(), s.first) {
+				t.Fatalf("seed %d: a sealed record changed after its seal", seed)
+			}
+		}
+
+		// Through the checkpoint form: the import picks the same
+		// representation per service and exports the same state.
+		fresh := NewPassiveDiscoverer(campusPfx, nil)
+		for key := range ref {
+			st := d.exportService(key)
+			fresh.importService(&st)
+			if got := fresh.exportService(key); !reflect.DeepEqual(got, st) {
+				t.Fatalf("seed %d: %v re-exports %+v, imported %+v", seed, key, got, st)
+			}
+		}
+		d = fresh
+		d.setRetention(ttl)
+		check("after import")
+		for step := 0; step < 2000; step++ {
+			now = now.Add(time.Second)
+			i := rng.Intn(len(pools))
+			observe(i, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(rng.Intn(pools[i])))
+		}
+		check("after resumed ingest")
+	}
+}

@@ -366,8 +366,10 @@ func (p *Publisher) readHello(rw io.ReadWriter) (ResumeCursor, error) {
 }
 
 // ServeConn streams the feed to one reader until the publisher closes, the
-// context is cancelled, or the write fails (a vanished reader simply
-// drops).
+// context is cancelled, a write fails, or — on a connection — the reader
+// hangs up: after the hello one read stays posted on the connection, and
+// its EOF or error ends the serving at once instead of at some later
+// failed write (see watchPeer).
 //
 // On an io.ReadWriter (any net.Conn) the protocol is client-speaks-first:
 // the reader opens with a FrameResume hello carrying its cursor and, if
@@ -413,6 +415,9 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 	}
 	bootstrap, live, _ := p.catchup(0, cur)
 	defer live.Cancel()
+	if rw, ok := w.(io.ReadWriter); ok {
+		defer watchPeer(rw, live)()
+	}
 	if ctx != nil {
 		if done := ctx.Done(); done != nil {
 			stop := make(chan struct{})
@@ -496,6 +501,49 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 			}
 			p.heartbeats.Add(1)
 		}
+	}
+}
+
+// watchPeer keeps one read posted on a connected reader for as long as
+// ServeConn serves it. The client has nothing to say after its hello, so
+// any bytes are discarded; the read is there for its error. EOF or a
+// reset means the aggregator hung up, and without a reader that is only
+// noticed when a later write fails — the first of which succeeds on TCP
+// and carries a whole burst to nobody, while the subscription and its
+// buffered frames live on until then. On a read error the subscription is
+// cancelled and the connection closed, which ends the serving loop. The
+// returned func releases the read by deadline and waits for it, so no
+// goroutine outlives ServeConn; a stream that takes no read deadline is
+// not watched, because nothing could release its reader.
+func watchPeer(rw io.ReadWriter, live *pipeline.Sub[Frame]) (release func()) {
+	rd, ok := rw.(readDeadliner)
+	if !ok {
+		return func() {}
+	}
+	releasing := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		var discard [512]byte
+		for {
+			if _, err := rw.Read(discard[:]); err != nil {
+				select {
+				case <-releasing:
+				default:
+					live.Cancel()
+					if c, ok := rw.(io.Closer); ok {
+						c.Close()
+					}
+				}
+				return
+			}
+		}
+	}()
+	return func() {
+		close(releasing)
+		_ = rd.SetReadDeadline(time.Now())
+		<-exited
+		_ = rd.SetReadDeadline(time.Time{})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -718,5 +719,124 @@ func TestNoResumeClaimBeforeAppliedState(t *testing.T) {
 	}
 	if epoch, seq, ok := agg2.SiteCursor("west"); !ok || epoch != 3 || seq != 1 {
 		t.Fatalf("after event: cursor (%d, %d, %v), want (3, 1, true)", epoch, seq, ok)
+	}
+}
+
+// dialFeed opens a loopback TCP connection served by pub.ServeConn, plays
+// the client's side of the handshake and reads the bootstrap. It returns
+// the client end, a decoder positioned after the snapshot, and the channel
+// ServeConn's result arrives on. TCP rather than net.Pipe: only a real
+// socket accepts a write to a peer that has already gone.
+func dialFeed(t *testing.T, ctx context.Context, pub *Publisher) (net.Conn, *Decoder, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		served <- pub.ServeConn(ctx, conn)
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if _, err := client.Write(encodeFrames(t, Frame{V: WireVersion, Type: FrameResume, Resume: &ResumeCursor{}})); err != nil {
+		t.Fatalf("client hello: %v", err)
+	}
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	dec := NewDecoder(client)
+	for _, want := range []FrameType{FrameHello, FrameSnapshot} {
+		f, err := dec.Decode()
+		if err != nil || f.Type != want {
+			t.Fatalf("bootstrap: got %v, %v; want a %s frame", f, err, want)
+		}
+	}
+	return client, dec, served
+}
+
+// liveReaders counts the publisher's frame subscriptions by publishing one
+// heartbeat into the hub and reading how many deliveries it made.
+func liveReaders(pub *Publisher) int {
+	c := pub.hub.Counters()
+	before := c.Out() + c.Dropped()
+	pub.hub.Publish(Frame{V: WireVersion, Type: FrameHeartbeat, Site: pub.site, Epoch: pub.epoch})
+	return c.Out() + c.Dropped() - before
+}
+
+// TestServeConnNoticesHangup: an aggregator that disconnects after its
+// bootstrap is noticed by the read ServeConn keeps posted, not by a later
+// write — nothing is published after the close, and the serving goroutine
+// and its hub subscription must still be gone within a second.
+func TestServeConnNoticesHangup(t *testing.T) {
+	site := newTestSite(6, 50)
+	site.pub.Close()
+	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer pub.Close()
+	site.produce()
+	quiesce(t, pub)
+
+	client, _, served := dialFeed(t, context.Background(), pub)
+	if n := liveReaders(pub); n != 1 {
+		t.Fatalf("%d live readers after the bootstrap, want 1", n)
+	}
+	client.Close()
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Fatal("ServeConn still serving 1 s after the reader hung up")
+	}
+	if n := liveReaders(pub); n != 0 {
+		t.Errorf("%d live readers after the hang-up, want 0", n)
+	}
+}
+
+// TestServeConnKeepsSilentReader is the other half: a reader that stays
+// connected and says nothing is the normal case and must keep its feed;
+// and when the serving ends for another reason, the posted read is
+// released with it.
+func TestServeConnKeepsSilentReader(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	pub := NewPublisherOpts("silent-reader", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer eng.Close()
+	goroutines := runtime.NumGoroutine()
+
+	_, dec, served := dialFeed(t, context.Background(), pub)
+	select {
+	case err := <-served:
+		t.Fatalf("ServeConn dropped a silent reader: %v", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	eng.HandlePacket(packet.NewBuilder(0).SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + 70, Port: 80},
+		packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
+	if f, err := dec.Decode(); err != nil || f.Type != FrameEvent {
+		t.Fatalf("silent reader's live feed: got %v, %v; want an event frame", f, err)
+	}
+
+	pub.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("ServeConn after publisher close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ServeConn did not return after the publisher closed")
+	}
+	// Everything the serving started — the pump included, now closed —
+	// must be gone: a reader still parked in Read would hold the count up.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after ServeConn returned, %d before it started", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
