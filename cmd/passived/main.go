@@ -477,7 +477,7 @@ func serviceRows(inv *servdisc.Inventory) []row {
 	for _, key := range inv.Keys() {
 		rec, _ := inv.Record(key)
 		rows = append(rows, row{
-			Key: key.String(), First: rec.FirstSeen,
+			Key: key.String(), First: rec.FirstSeen(),
 			Flows: rec.Flows, Clients: rec.Clients(),
 		})
 	}
@@ -518,7 +518,7 @@ func pagedRows(inv *servdisc.Inventory, limitStr, page string) ([]row, string, e
 		}
 		rec, _ := inv.Record(key)
 		rows = append(rows, row{
-			Key: key.String(), First: rec.FirstSeen,
+			Key: key.String(), First: rec.FirstSeen(),
 			Flows: rec.Flows, Clients: rec.Clients(),
 		})
 	}

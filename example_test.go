@@ -29,7 +29,7 @@ func ExampleDiscover() {
 	}
 	for _, key := range inv.Keys() {
 		rec, _ := inv.Record(key)
-		fmt.Printf("%v first seen %v (%d flows)\n", key, rec.FirstSeen, rec.Flows)
+		fmt.Printf("%v first seen %v (%d flows)\n", key, rec.FirstSeen(), rec.Flows)
 	}
 }
 

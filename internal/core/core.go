@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
@@ -62,6 +63,12 @@ type PeerContact struct {
 	Time time.Time  `json:"time"`
 }
 
+// peerContact is PeerContact as records hold it: 16 bytes, no pointers.
+type peerContact struct {
+	at   instant
+	peer netaddr.V4
+}
+
 // PassiveRecord accumulates everything passive monitoring learns about one
 // service. The record itself is a small flat value so that the snapshot
 // machinery's copy-on-write clones are cheap: firstPeers is append-only,
@@ -70,11 +77,10 @@ type PeerContact struct {
 // larger one's set lives in the owning discoverer's live-only side table
 // (PassiveDiscoverer.peers), never in the record.
 type PassiveRecord struct {
-	// FirstSeen is when the first positive evidence arrived.
-	FirstSeen time.Time
-	// LastSeen is when the most recent positive evidence arrived — the
-	// timestamp retention deadlines are computed from (LastSeen + TTL).
-	LastSeen time.Time
+	// first is when the first positive evidence arrived; last when the most
+	// recent did — the timestamp retention deadlines are computed from
+	// (last + TTL).
+	first, last instant
 	// Flows counts completed connection evidence (SYN-ACKs for TCP,
 	// server-sourced datagrams for UDP) — the flow weight of Figure 1.
 	Flows int
@@ -84,7 +90,7 @@ type PassiveRecord struct {
 	// maxFirstPeers distinct peers, enough to recompute first-discovery
 	// with any subset of peers (e.g. scanners) removed. Strictly
 	// append-only: sealed copies alias the backing array.
-	firstPeers []PeerContact
+	firstPeers []peerContact
 	// seal is the owning discoverer's seal count when the record was
 	// created or last copied for writing. A record whose seal is behind
 	// the discoverer's is shared with sealed snapshot views and must be
@@ -93,11 +99,24 @@ type PassiveRecord struct {
 	seal uint64
 }
 
+// A field that pushes either type into the next size class fails the
+// build here, not a memory benchmark later.
+const (
+	_ = uint(64 - unsafe.Sizeof(PassiveRecord{}))                                     // <= 64
+	_ = uint(16-unsafe.Sizeof(peerContact{})) + uint(unsafe.Sizeof(peerContact{})-16) // == 16
+)
+
 // maxFirstPeers bounds per-service peer history. The scan-removal analysis
 // only needs the first non-scanner peer; there are at most a few dozen
 // scanner sources in any dataset, so 128 distinct peers always include a
 // non-scanner if one ever contacted the service.
 const maxFirstPeers = 128
+
+// FirstSeen returns when the first positive evidence arrived.
+func (r *PassiveRecord) FirstSeen() time.Time { return r.first.time() }
+
+// LastSeen returns when the most recent positive evidence arrived.
+func (r *PassiveRecord) LastSeen() time.Time { return r.last.time() }
 
 // Clients returns the number of distinct peers observed.
 func (r *PassiveRecord) Clients() int { return r.nClients }
@@ -110,25 +129,29 @@ func (r *PassiveRecord) Clients() int { return r.nClients }
 // clone is stamped with the current seal so later writes in the same
 // seal epoch mutate it in place.
 func (r *PassiveRecord) cloneForWrite(seal uint64) *PassiveRecord {
-	return &PassiveRecord{
-		FirstSeen:  r.FirstSeen,
-		LastSeen:   r.LastSeen,
-		Flows:      r.Flows,
-		nClients:   r.nClients,
-		firstPeers: r.firstPeers,
-		seal:       seal,
-	}
+	c := *r
+	c.seal = seal
+	return &c
 }
 
-// FirstPeers exposes the bounded peer history (owned by the record).
-func (r *PassiveRecord) FirstPeers() []PeerContact { return r.firstPeers }
+// FirstPeers returns a copy of the bounded peer history, oldest first.
+func (r *PassiveRecord) FirstPeers() []PeerContact {
+	if len(r.firstPeers) == 0 {
+		return nil
+	}
+	out := make([]PeerContact, len(r.firstPeers))
+	for i, pc := range r.firstPeers {
+		out[i] = PeerContact{Peer: pc.peer, Time: pc.at.time()}
+	}
+	return out
+}
 
 // FirstSeenExcluding returns the earliest contact from a peer not in the
 // excluded set, and ok=false if every stored peer is excluded.
 func (r *PassiveRecord) FirstSeenExcluding(excluded map[netaddr.V4]bool) (time.Time, bool) {
 	for _, pc := range r.firstPeers {
-		if !excluded[pc.Peer] {
-			return pc.Time, true
+		if !excluded[pc.peer] {
+			return pc.at.time(), true
 		}
 	}
 	return time.Time{}, false
@@ -137,15 +160,15 @@ func (r *PassiveRecord) FirstSeenExcluding(excluded map[netaddr.V4]bool) (time.T
 // observe folds one piece of evidence into the record. newPeer reports
 // whether the discoverer's peer-identity side table saw this peer for the
 // first time (the dedup the record itself no longer carries).
-func (r *PassiveRecord) observe(t time.Time, peer netaddr.V4, newPeer bool) {
+func (r *PassiveRecord) observe(at instant, peer netaddr.V4, newPeer bool) {
 	r.Flows++
-	if t.After(r.LastSeen) {
-		r.LastSeen = t
+	if at > r.last {
+		r.last = at
 	}
 	if newPeer {
 		r.nClients++
 		if len(r.firstPeers) < maxFirstPeers {
-			r.firstPeers = append(r.firstPeers, PeerContact{Peer: peer, Time: t})
+			r.firstPeers = append(r.firstPeers, peerContact{at: at, peer: peer})
 		}
 	}
 }

@@ -35,8 +35,8 @@ func TestPassiveTCPDiscovery(t *testing.T) {
 	if !ok {
 		t.Fatal("service not discovered")
 	}
-	if !rec.FirstSeen.Equal(t0) {
-		t.Errorf("FirstSeen = %v", rec.FirstSeen)
+	if !rec.FirstSeen().Equal(t0) {
+		t.Errorf("FirstSeen = %v", rec.FirstSeen())
 	}
 	if rec.Flows != 3 {
 		t.Errorf("Flows = %d", rec.Flows)

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
@@ -225,4 +227,80 @@ func TestIngestShardedAllocs(t *testing.T) {
 	if perPacket > 0.5 {
 		t.Errorf("sharded ingest allocates %.2f objects per packet in steady state, want <= 0.5", perPacket)
 	}
+}
+
+// TestAccessorsReturnCopies pins the contract that nothing handed out by
+// FirstPeers or a checkpoint export aliases engine state: the peer history
+// and activity trails are append-only arrays that sealed snapshot views
+// and copy-on-write clones share, so one element write through a returned
+// slice would silently rewrite every snapshot that shares it. The test
+// scribbles over everything it can reach and checks that an earlier
+// snapshot, the live engine and a re-export all read as before.
+func TestAccessorsReturnCopies(t *testing.T) {
+	campus := netaddr.MustParsePrefix("128.125.0.0/16")
+	sp := NewShardedPassive(campus, []uint16{53, 123, 137}, 2)
+	sp.HandleBatch(genTrace(23, 20000))
+
+	// fingerprint renders everything an inventory exposes of the aliased
+	// arrays: the dump, each service's peer history, each address's trail.
+	fingerprint := func(inv *Inventory) string {
+		var b bytes.Buffer
+		b.Write(inv.Dump())
+		for _, k := range inv.Keys() {
+			rec, _ := inv.Record(k)
+			last, _ := inv.LastActivity(k.Addr)
+			fmt.Fprintln(&b, k, rec.FirstPeers(), last)
+		}
+		return b.String()
+	}
+	export := func() (*EngineDelta, string) {
+		ed, _ := sp.ExportDelta(nil)
+		raw, err := json.Marshal(ed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ed, string(raw)
+	}
+
+	old := sp.Snapshot()
+	wantInv := fingerprint(old)
+	ed, wantExport := export()
+
+	scribbled := 0
+	for _, k := range old.Keys() {
+		rec, _ := old.Record(k)
+		live, _ := sp.Snapshot().Record(k)
+		for _, peers := range [][]PeerContact{rec.FirstPeers(), live.FirstPeers()} {
+			for i := range peers {
+				peers[i] = PeerContact{}
+				scribbled++
+			}
+		}
+	}
+	for i := range ed.Services {
+		for j := range ed.Services[i].FirstPeers {
+			ed.Services[i].FirstPeers[j] = PeerContact{}
+			scribbled++
+		}
+	}
+	for i := range ed.Trails {
+		for j := range ed.Trails[i].Times {
+			ed.Trails[i].Times[j] = time.Time{}
+			scribbled++
+		}
+	}
+	if scribbled < 1000 {
+		t.Fatalf("only %d elements to scribble over; the test is vacuous", scribbled)
+	}
+
+	if got := fingerprint(old); got != wantInv {
+		t.Error("writing through FirstPeers() or an export changed an earlier snapshot")
+	}
+	if got := fingerprint(sp.Snapshot()); got != wantInv {
+		t.Error("writing through FirstPeers() or an export changed the live engine's next snapshot")
+	}
+	if _, got := export(); got != wantExport {
+		t.Error("writing through FirstPeers() or an export changed the re-export")
+	}
+	sp.Close()
 }

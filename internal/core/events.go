@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/pipeline"
 )
@@ -168,19 +169,29 @@ type eventStream struct {
 	hub *pipeline.Hub[Event]
 
 	mu   sync.Mutex
-	seen map[ServiceKey]*firstSeen
+	seen map[ServiceKey]firstSeen
 }
 
-// firstSeen records the first observation per technique for one service.
+// firstSeen records the first observation per technique for one service,
+// held by value in the join table. A zero instant means that technique has
+// not reported; the values are only ever compared, never rendered.
 type firstSeen struct {
-	passiveAt, activeAt   time.Time
-	hasPassive, hasActive bool
+	passiveAt, activeAt instant
+}
+
+const _ = uint(16-unsafe.Sizeof(firstSeen{})) + uint(unsafe.Sizeof(firstSeen{})-16) // == 16
+
+// reportedAt packs a report's timestamp for the join table. A report
+// stamped time.Time{} must still count as a report, so it is stored as the
+// smallest non-zero instant — it still orders before every real time.
+func reportedAt(t time.Time) instant {
+	return max(toInstant(t), minInstant)
 }
 
 func newEventStream() *eventStream {
 	return &eventStream{
 		hub:  pipeline.NewHub[Event](),
-		seen: make(map[ServiceKey]*firstSeen),
+		seen: make(map[ServiceKey]firstSeen),
 	}
 }
 
@@ -190,20 +201,20 @@ func newEventStream() *eventStream {
 func (es *eventStream) passiveDiscovered(key ServiceKey, t time.Time) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	st := es.seen[key]
-	if st == nil {
-		es.seen[key] = &firstSeen{passiveAt: t, hasPassive: true}
+	st, known := es.seen[key]
+	if st.passiveAt != 0 {
+		return
+	}
+	st.passiveAt = reportedAt(t)
+	es.seen[key] = st
+	if !known {
 		es.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: PassiveOnly})
 		return
 	}
-	if st.hasPassive {
-		return
-	}
-	st.hasPassive, st.passiveAt = true, t
 	// The probe answered strictly before passive evidence: active won the
 	// race (ties go passive, as in NewHybridInventory).
 	prov := PassiveFirst
-	if st.activeAt.Before(t) {
+	if st.activeAt < st.passiveAt {
 		prov = ActiveFirst
 	}
 	es.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
@@ -214,18 +225,18 @@ func (es *eventStream) passiveDiscovered(key ServiceKey, t time.Time) {
 func (es *eventStream) activeDiscovered(key ServiceKey, t time.Time) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	st := es.seen[key]
-	if st == nil {
-		es.seen[key] = &firstSeen{activeAt: t, hasActive: true}
+	st, known := es.seen[key]
+	if st.activeAt != 0 {
+		return
+	}
+	st.activeAt = reportedAt(t)
+	es.seen[key] = st
+	if !known {
 		es.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: ActiveOnly})
 		return
 	}
-	if st.hasActive {
-		return
-	}
-	st.hasActive, st.activeAt = true, t
 	prov := ActiveFirst
-	if !t.Before(st.passiveAt) {
+	if st.activeAt >= st.passiveAt {
 		prov = PassiveFirst
 	}
 	es.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
@@ -240,8 +251,10 @@ func (es *eventStream) activeDiscovered(key ServiceKey, t time.Time) {
 func (es *eventStream) activeOpenEarlier(key ServiceKey, t time.Time) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	if st := es.seen[key]; st != nil && st.hasActive && !st.hasPassive && t.Before(st.activeAt) {
-		st.activeAt = t
+	st := es.seen[key]
+	if at := reportedAt(t); st.activeAt != 0 && st.passiveAt == 0 && at < st.activeAt {
+		st.activeAt = at
+		es.seen[key] = st
 	}
 }
 
@@ -253,11 +266,8 @@ func (es *eventStream) seedPassive(key ServiceKey, t time.Time) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	st := es.seen[key]
-	if st == nil {
-		st = &firstSeen{}
-		es.seen[key] = st
-	}
-	st.hasPassive, st.passiveAt = true, t
+	st.passiveAt = reportedAt(t)
+	es.seen[key] = st
 }
 
 // seedActive is seedPassive's active-side counterpart.
@@ -265,11 +275,25 @@ func (es *eventStream) seedActive(key ServiceKey, t time.Time) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	st := es.seen[key]
-	if st == nil {
-		st = &firstSeen{}
+	st.activeAt = reportedAt(t)
+	es.seen[key] = st
+}
+
+// forget clears one technique's report for key (passive unless prov is
+// ActiveOnly), dropping the entry once neither technique has reported.
+// Callers hold es.mu.
+func (es *eventStream) forget(key ServiceKey, prov Provenance) {
+	st := es.seen[key]
+	if prov == ActiveOnly {
+		st.activeAt = 0
+	} else {
+		st.passiveAt = 0
+	}
+	if st == (firstSeen{}) {
+		delete(es.seen, key)
+	} else {
 		es.seen[key] = st
 	}
-	st.hasActive, st.activeAt = true, t
 }
 
 // serviceExpired publishes a retention expiry. clearSeen marks snapshot-
@@ -281,16 +305,7 @@ func (es *eventStream) serviceExpired(key ServiceKey, at time.Time, prov Provena
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	if clearSeen {
-		if st := es.seen[key]; st != nil {
-			if prov == ActiveOnly {
-				st.hasActive, st.activeAt = false, time.Time{}
-			} else {
-				st.hasPassive, st.passiveAt = false, time.Time{}
-			}
-			if !st.hasPassive && !st.hasActive {
-				delete(es.seen, key)
-			}
-		}
+		es.forget(key, prov)
 	}
 	es.hub.Publish(Event{Kind: EventServiceExpired, Time: at, Key: key, Provenance: prov})
 }
@@ -302,12 +317,7 @@ func (es *eventStream) serviceExpired(key ServiceKey, at time.Time, prov Provena
 func (es *eventStream) retirePassive(key ServiceKey) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	if st := es.seen[key]; st != nil {
-		st.hasPassive, st.passiveAt = false, time.Time{}
-		if !st.hasActive {
-			delete(es.seen, key)
-		}
-	}
+	es.forget(key, PassiveOnly)
 }
 
 // scannerDetected publishes a threshold crossing.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/stats"
@@ -216,5 +217,119 @@ func TestScannerDetectedEvents(t *testing.T) {
 		if n != 1 {
 			t.Errorf("scanner %v fired %d events", src, n)
 		}
+	}
+}
+
+// TestEventJoinTableCorners drives the cross-technique join table through
+// its corners and pins the exact event sequence of each — the table is
+// held by value with "zero = not reported", and these are the sequences
+// the pointer-and-flags form it replaced produced.
+func TestEventJoinTableCorners(t *testing.T) {
+	key := ServiceKey{Addr: netaddr.MustParseV4("128.125.1.9"), Proto: 6, Port: 80}
+	at := func(min int) time.Time { return t0.Add(time.Duration(min) * time.Minute) }
+	cases := []struct {
+		name string
+		run  func(es *eventStream)
+		want []string // kind provenance @minute (or "zero")
+	}{
+		{"passive then active", func(es *eventStream) {
+			es.passiveDiscovered(key, at(1))
+			es.activeDiscovered(key, at(2))
+			es.passiveDiscovered(key, at(3)) // re-reports are ignored
+			es.activeDiscovered(key, at(4))
+		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2"}},
+		{"active then passive", func(es *eventStream) {
+			es.activeDiscovered(key, at(1))
+			es.passiveDiscovered(key, at(2))
+		}, []string{"service-discovered active-only @1", "provenance-upgraded active-first @2"}},
+		{"active reported later but answered earlier", func(es *eventStream) {
+			es.passiveDiscovered(key, at(5))
+			es.activeDiscovered(key, at(2))
+		}, []string{"service-discovered passive-only @5", "provenance-upgraded active-first @2"}},
+		{"tie goes passive, active first", func(es *eventStream) {
+			es.activeDiscovered(key, at(1))
+			es.passiveDiscovered(key, at(1))
+		}, []string{"service-discovered active-only @1", "provenance-upgraded passive-first @1"}},
+		{"tie goes passive, passive first", func(es *eventStream) {
+			es.passiveDiscovered(key, at(1))
+			es.activeDiscovered(key, at(1))
+		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @1"}},
+		{"activeOpenEarlier before the upgrade moves the comparison", func(es *eventStream) {
+			es.activeDiscovered(key, at(5))
+			es.activeOpenEarlier(key, at(1))
+			es.activeOpenEarlier(key, at(9)) // later, not earlier: ignored
+			es.passiveDiscovered(key, at(3))
+		}, []string{"service-discovered active-only @5", "provenance-upgraded active-first @3"}},
+		{"activeOpenEarlier after the upgrade retracts nothing", func(es *eventStream) {
+			es.activeDiscovered(key, at(5))
+			es.passiveDiscovered(key, at(3))
+			es.activeOpenEarlier(key, at(1))
+			es.activeOpenEarlier(ServiceKey{Port: 1}, at(1)) // unknown key: no entry appears
+			es.passiveDiscovered(ServiceKey{Port: 1}, at(7))
+		}, []string{"service-discovered active-only @5", "provenance-upgraded passive-first @3",
+			"service-discovered passive-only @7"}},
+		{"expiry of one technique, then the other, then rediscovery", func(es *eventStream) {
+			es.passiveDiscovered(key, at(1))
+			es.activeDiscovered(key, at(2))
+			es.serviceExpired(key, at(10), PassiveOnly, true)
+			es.passiveDiscovered(key, at(11)) // active still stands: an upgrade, not a discovery
+			es.serviceExpired(key, at(20), ActiveOnly, true)
+			es.serviceExpired(key, at(21), PassiveOnly, true)
+			es.serviceExpired(key, at(22), PassiveOnly, false) // observe-side: publishes, clears nothing
+			es.activeDiscovered(key, at(30))
+		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2",
+			"service-expired passive-only @10", "provenance-upgraded active-first @11",
+			"service-expired active-only @20", "service-expired passive-only @21",
+			"service-expired passive-only @22", "service-discovered active-only @30"}},
+		{"retirePassive re-announces, and keeps the active report", func(es *eventStream) {
+			es.passiveDiscovered(key, at(1))
+			es.retirePassive(key)
+			es.passiveDiscovered(key, at(2))
+			es.activeDiscovered(key, at(3))
+			es.retirePassive(key)
+			es.passiveDiscovered(key, at(4))
+		}, []string{"service-discovered passive-only @1", "service-discovered passive-only @2",
+			"provenance-upgraded passive-first @3", "provenance-upgraded active-first @4"}},
+		{"a report stamped time.Time{} still counts, passive first", func(es *eventStream) {
+			es.passiveDiscovered(key, time.Time{})
+			es.passiveDiscovered(key, at(1))
+			es.activeDiscovered(key, at(2))
+		}, []string{"service-discovered passive-only @zero", "provenance-upgraded passive-first @2"}},
+		{"a report stamped time.Time{} still counts, active first", func(es *eventStream) {
+			es.activeDiscovered(key, time.Time{})
+			es.activeDiscovered(key, at(1))
+			es.passiveDiscovered(key, time.Time{}) // zero vs zero is a tie
+		}, []string{"service-discovered active-only @zero", "provenance-upgraded passive-first @zero"}},
+		{"seeds after restore publish nothing and suppress re-announcement", func(es *eventStream) {
+			es.seedPassive(key, at(1))
+			es.seedActive(key, at(2))
+			es.seedActive(ServiceKey{Port: 2}, time.Time{})
+			es.passiveDiscovered(key, at(3))
+			es.activeDiscovered(key, at(4))
+			es.activeDiscovered(ServiceKey{Port: 2}, at(5))
+			es.passiveDiscovered(ServiceKey{Port: 2}, at(6)) // the one new fact
+		}, []string{"provenance-upgraded active-first @6"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			es := newEventStream()
+			sub := es.hub.Subscribe(64)
+			c.run(es)
+			es.close()
+			var got []string
+			for _, ev := range drainEvents(sub) {
+				when := "zero"
+				if !ev.Time.IsZero() {
+					when = fmt.Sprint(int(ev.Time.Sub(t0) / time.Minute))
+				}
+				got = append(got, fmt.Sprintf("%s %s @%s", ev.Kind, ev.Provenance, when))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("events:\n got %q\nwant %q", got, c.want)
+			}
+			if n := len(es.seen); c.name == "expiry of one technique, then the other, then rediscovery" && n != 1 {
+				t.Errorf("join table holds %d entries after full expiry and one rediscovery, want 1", n)
+			}
+		})
 	}
 }

@@ -85,7 +85,8 @@ type TombState struct {
 	At  time.Time  `json:"at"`
 }
 
-// AddrTrail is one address's thinned activity-timestamp trail.
+// AddrTrail is one address's thinned activity-timestamp trail. An export
+// hands out a copy of the engine's trail, never the trail itself.
 type AddrTrail struct {
 	Addr  netaddr.V4  `json:"addr"`
 	Times []time.Time `json:"times"`
@@ -184,9 +185,9 @@ type shardExportReq struct {
 	out   chan<- *shardExport
 }
 
-// shardExport is one shard's copy-out. All slices are either freshly
-// copied or alias append-only storage below the captured length, so the
-// caller may serialize them while the shard keeps ingesting.
+// shardExport is one shard's copy-out. Every slice is freshly built (the
+// engine's own arrays are packed and never handed out), so the caller may
+// serialize — or rewrite — them while the shard keeps ingesting.
 type shardExport struct {
 	gen       uint64
 	packets   int
@@ -231,7 +232,7 @@ func (sh *passiveShard) exportState(req *shardExportReq) *shardExport {
 		}
 		ex.trails = make([]AddrTrail, 0, len(d.addrTimes))
 		for a, ts := range d.addrTimes {
-			ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: ts[:len(ts):len(ts)]})
+			ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: toTimes(ts)})
 		}
 		ex.tombs = make([]TombState, 0, len(d.tombs))
 		for k, at := range d.tombs {
@@ -250,8 +251,7 @@ func (sh *passiveShard) exportState(req *shardExportReq) *shardExport {
 	clear(d.ckDirty)
 	ex.trails = make([]AddrTrail, 0, len(d.ckDirtyAddrs))
 	for a := range d.ckDirtyAddrs {
-		ts := d.addrTimes[a]
-		ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: ts[:len(ts):len(ts)]})
+		ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: toTimes(d.addrTimes[a])})
 	}
 	clear(d.ckDirtyAddrs)
 	ex.tombs = make([]TombState, 0, len(d.ckTombs))
@@ -268,9 +268,9 @@ func (sh *passiveShard) exportState(req *shardExportReq) *shardExport {
 }
 
 // exportService copies one service's record and peer set into wire form.
-// firstPeers and trails are append-only, so aliasing below the captured
-// length is safe while ingest continues; the peer set is copied out — from
-// the side table, or from firstPeers for a service too small to have one.
+// Nothing in the result aliases engine state: the peer history is rendered
+// from its packed form, the peer set copied out — from the side table, or
+// from firstPeers for a service too small to have one.
 func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	rec := d.services[key]
 	fp := rec.firstPeers
@@ -280,17 +280,17 @@ func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	} else if len(fp) > 0 {
 		peers = make([]netaddr.V4, len(fp))
 		for i := range fp {
-			peers[i] = fp[i].Peer
+			peers[i] = fp[i].peer
 		}
 		slices.Sort(peers)
 	}
 	return ServiceState{
 		Key:        key,
-		FirstSeen:  rec.FirstSeen,
-		LastSeen:   rec.LastSeen,
+		FirstSeen:  rec.FirstSeen(),
+		LastSeen:   rec.LastSeen(),
 		Flows:      rec.Flows,
 		Clients:    rec.nClients,
-		FirstPeers: fp[:len(fp):len(fp)],
+		FirstPeers: rec.FirstPeers(),
 		Peers:      peers,
 	}
 }
@@ -305,12 +305,19 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		// observation is the only one on record.
 		last = st.FirstSeen
 	}
+	var fp []peerContact
+	if len(st.FirstPeers) > 0 {
+		fp = make([]peerContact, len(st.FirstPeers))
+		for i, pc := range st.FirstPeers {
+			fp[i] = peerContact{at: toInstant(pc.Time), peer: pc.Peer}
+		}
+	}
 	d.services[st.Key] = &PassiveRecord{
-		FirstSeen:  st.FirstSeen,
-		LastSeen:   last,
+		first:      toInstant(st.FirstSeen),
+		last:       toInstant(last),
 		Flows:      st.Flows,
 		nClients:   st.Clients,
-		firstPeers: append([]PeerContact(nil), st.FirstPeers...),
+		firstPeers: fp,
 		seal:       d.seals,
 	}
 	if st.Clients > peerInline {
@@ -546,7 +553,7 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	}
 	for i := range ed.Trails {
 		tr := &ed.Trails[i]
-		s.shards[s.shardOf(tr.Addr)].disc.addrTimes[tr.Addr] = append([]time.Time(nil), tr.Times...)
+		s.shards[s.shardOf(tr.Addr)].disc.addrTimes[tr.Addr] = toInstants(tr.Times)
 	}
 	for i := range ed.ScanSources {
 		ss := &ed.ScanSources[i]

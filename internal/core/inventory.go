@@ -153,7 +153,7 @@ func newFrozenHybridInventory(src invSource, a *ActiveDiscoverer, scanners []Sca
 // active side.
 func classify(rec *PassiveRecord, a *ActiveDiscoverer, key ServiceKey) Provenance {
 	if at, ok := a.firstOpen[key]; ok {
-		if at.Before(rec.FirstSeen) {
+		if at.Before(rec.FirstSeen()) {
 			return ActiveFirst
 		}
 		return PassiveFirst
@@ -283,12 +283,13 @@ func (v *Inventory) FirstDiscovered(key ServiceKey) (time.Time, bool) {
 	}
 	switch {
 	case pok && aok:
-		if at.Before(rec.FirstSeen) {
+		first := rec.FirstSeen()
+		if at.Before(first) {
 			return at, true
 		}
-		return rec.FirstSeen, true
+		return first, true
 	case pok:
-		return rec.FirstSeen, true
+		return rec.FirstSeen(), true
 	case aok:
 		return at, true
 	}
@@ -370,7 +371,7 @@ func (v *Inventory) Dump() []byte {
 		fmt.Fprintf(&b, "%s %s", key, p)
 		if rec, ok := v.d.Record(key); ok {
 			fmt.Fprintf(&b, " passive=%s flows=%d clients=%d",
-				rec.FirstSeen.UTC().Format(time.RFC3339Nano), rec.Flows, rec.Clients())
+				rec.FirstSeen().Format(time.RFC3339Nano), rec.Flows, rec.Clients())
 		}
 		if at, ok := v.ActiveFirstOpen(key); ok {
 			fmt.Fprintf(&b, " active=%s", at.UTC().Format(time.RFC3339Nano))

@@ -11,7 +11,6 @@ package core
 // while every previously returned Inventory stays valid forever.
 
 import (
-	"sort"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -54,14 +53,14 @@ type invSource interface {
 type mergedStore struct {
 	packets  int
 	services pmap[ServiceKey, *PassiveRecord]
-	trails   pmap[netaddr.V4, []time.Time]
+	trails   pmap[netaddr.V4, []instant]
 	tombs    pmap[ServiceKey, time.Time]
 }
 
 func newMergedStore() *mergedStore {
 	return &mergedStore{
 		services: newPmap[ServiceKey, *PassiveRecord](hashServiceKey),
-		trails:   newPmap[netaddr.V4, []time.Time](hashV4),
+		trails:   newPmap[netaddr.V4, []instant](hashV4),
 		tombs:    newPmap[ServiceKey, time.Time](hashServiceKey),
 	}
 }
@@ -88,8 +87,9 @@ func (m *mergedStore) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]t
 		if keep != nil && !keep(k) {
 			return true
 		}
-		if cur, ok := out[k.Addr]; !ok || rec.FirstSeen.Before(cur) {
-			out[k.Addr] = rec.FirstSeen
+		first := rec.FirstSeen()
+		if cur, ok := out[k.Addr]; !ok || first.Before(cur) {
+			out[k.Addr] = first
 		}
 		return true
 	})
@@ -126,17 +126,13 @@ func (m *mergedStore) AddrWeights() (flows, clients map[netaddr.V4]int) {
 }
 
 func (m *mergedStore) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
-	times, _ := m.trails.Get(addr)
-	i := sort.Search(len(times), func(i int) bool { return !times[i].Before(from) })
-	return i < len(times) && !times[i].After(to)
+	trail, _ := m.trails.Get(addr)
+	return activeDuring(trail, from, to)
 }
 
 func (m *mergedStore) LastActivity(addr netaddr.V4) (time.Time, bool) {
-	ts, _ := m.trails.Get(addr)
-	if len(ts) == 0 {
-		return time.Time{}, false
-	}
-	return ts[len(ts)-1], true
+	trail, _ := m.trails.Get(addr)
+	return lastActivity(trail)
 }
 
 var (

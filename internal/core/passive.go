@@ -32,7 +32,7 @@ type PassiveDiscoverer struct {
 	// addrTimes records thinned per-address activity timestamps for the
 	// firewall-confirmation heuristic ("activity observed during an
 	// active scan", Section 4.2.4 method 2).
-	addrTimes map[netaddr.V4][]time.Time
+	addrTimes map[netaddr.V4][]instant
 
 	// scan tracking state (scandetect.go).
 	track *scanTracker
@@ -98,7 +98,7 @@ func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDisc
 		udpPorts:  make(map[uint16]bool, len(udpPorts)),
 		services:  make(map[ServiceKey]*PassiveRecord),
 		peers:     make(map[ServiceKey]map[netaddr.V4]struct{}),
-		addrTimes: make(map[netaddr.V4][]time.Time),
+		addrTimes: make(map[netaddr.V4][]instant),
 		tombs:     make(map[ServiceKey]time.Time),
 		track:     newScanTracker(),
 	}
@@ -283,7 +283,8 @@ func (d *PassiveDiscoverer) handleUDP(p *packet.Packet) {
 
 func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4) {
 	rec := d.services[key]
-	if rec != nil && d.ttl > 0 && !t.Before(rec.LastSeen.Add(d.ttl)) {
+	at := toInstant(t)
+	if rec != nil && d.ttl > 0 && !t.Before(rec.LastSeen().Add(d.ttl)) {
 		// Incarnation split: the old record's deadline passed before this
 		// evidence arrived, so on the observation clock the service expired
 		// and is now being rediscovered. Retiring it here — rather than
@@ -294,7 +295,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		// expiry event is queued for the next snapshot; the seen-table
 		// entry is cleared synchronously (onRetire) so the rediscovery
 		// announcement below is not suppressed.
-		deadline := rec.LastSeen.Add(d.ttl)
+		deadline := rec.LastSeen().Add(d.ttl)
 		d.retire(key, deadline)
 		d.pendingExpired = append(d.pendingExpired, expiredSvc{
 			key: key, at: deadline, prov: PassiveOnly,
@@ -306,7 +307,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	}
 	switch {
 	case rec == nil:
-		rec = &PassiveRecord{FirstSeen: t, seal: d.seals}
+		rec = &PassiveRecord{first: at, seal: d.seals}
 		d.services[key] = rec
 		if d.sealed != nil {
 			d.dirty[key] = struct{}{}
@@ -325,7 +326,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		d.services[key] = rec
 		d.dirty[key] = struct{}{}
 	}
-	rec.observe(t, peer, d.newPeer(key, rec, peer))
+	rec.observe(at, peer, d.newPeer(key, rec, peer))
 	if d.ckDirty != nil {
 		d.ckDirty[key] = struct{}{}
 	}
@@ -333,8 +334,8 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	// Thinned per-address activity trail (>=1-minute spacing). Appends
 	// only — sealed views alias the backing array safely.
 	times := d.addrTimes[key.Addr]
-	if len(times) == 0 || t.Sub(times[len(times)-1]) >= time.Minute {
-		d.addrTimes[key.Addr] = append(times, t)
+	if n := len(times); n == 0 || (at >= times[n-1] && at-times[n-1] >= instant(time.Minute)) {
+		d.addrTimes[key.Addr] = append(times, at)
 		if d.sealed != nil {
 			d.dirtyAddrs[key.Addr] = struct{}{}
 		}
@@ -367,7 +368,7 @@ func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer net
 		return true
 	}
 	for i := range rec.firstPeers {
-		if rec.firstPeers[i].Peer == peer {
+		if rec.firstPeers[i].peer == peer {
 			return false
 		}
 	}
@@ -375,7 +376,7 @@ func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer net
 		// One past the inline count: the service moves to a map.
 		peers := make(map[netaddr.V4]struct{}, 2*peerInline)
 		for i := range rec.firstPeers {
-			peers[rec.firstPeers[i].Peer] = struct{}{}
+			peers[rec.firstPeers[i].peer] = struct{}{}
 		}
 		peers[peer] = struct{}{}
 		d.peers[key] = peers
@@ -434,8 +435,9 @@ func (d *PassiveDiscoverer) AddrFirstSeen(keep func(ServiceKey) bool) map[netadd
 		if keep != nil && !keep(k) {
 			continue
 		}
-		if cur, ok := out[k.Addr]; !ok || rec.FirstSeen.Before(cur) {
-			out[k.Addr] = rec.FirstSeen
+		first := rec.FirstSeen()
+		if cur, ok := out[k.Addr]; !ok || first.Before(cur) {
+			out[k.Addr] = first
 		}
 	}
 	return out
@@ -455,19 +457,28 @@ func (d *PassiveDiscoverer) AddrWeights() (flows, clients map[netaddr.V4]int) {
 // LastActivity returns the most recent recorded activity time for the
 // address, ok=false if it was never seen.
 func (d *PassiveDiscoverer) LastActivity(addr netaddr.V4) (time.Time, bool) {
-	ts := d.addrTimes[addr]
-	if len(ts) == 0 {
-		return time.Time{}, false
-	}
-	return ts[len(ts)-1], true
+	return lastActivity(d.addrTimes[addr])
 }
 
 // ActiveDuring reports whether the address showed any passive activity
 // within [from, to] — the paper's second firewall confirmation signal.
 func (d *PassiveDiscoverer) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
-	times := d.addrTimes[addr]
-	i := sort.Search(len(times), func(i int) bool { return !times[i].Before(from) })
-	return i < len(times) && !times[i].After(to)
+	return activeDuring(d.addrTimes[addr], from, to)
+}
+
+// lastActivity is LastActivity over one address's trail.
+func lastActivity(trail []instant) (time.Time, bool) {
+	if len(trail) == 0 {
+		return time.Time{}, false
+	}
+	return trail[len(trail)-1].time(), true
+}
+
+// activeDuring is ActiveDuring over one address's (ascending) trail.
+func activeDuring(trail []instant, from, to time.Time) bool {
+	lo, hi := toInstant(from), toInstant(to)
+	i := sort.Search(len(trail), func(i int) bool { return trail[i] >= lo })
+	return i < len(trail) && trail[i] <= hi
 }
 
 // DetectScanners runs the scan detector over everything observed so far

@@ -13,15 +13,17 @@ import (
 // what one ordinary external client and one ordinary service cost the
 // engine in live heap. A border monitor sees hundreds of one-off clients
 // for every service, so bytes per (source, window) pair decide whether the
-// passive technique is deployable at all. Budgets are ≈1.25× the figures
-// measured when the small-set representations landed (112 B and 316 B;
-// DESIGN.md §7); the map-per-set form they replaced read 416 B and 468 B,
-// and 7 allocations, and fails all three.
+// passive technique is deployable at all. Budgets are ≈1.25× the measured
+// figures (DESIGN.md §7): 112 B per source since the small-set
+// representations landed (the map-per-set form they replaced read 416 B
+// and 7 allocations), and 200 B per service since records, peer history
+// and the event join table hold one-word instants — the time.Time forms
+// read 316 B and fail the service budget.
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
 		n            = 100_000
 		sourceBudget = 140 // bytes per one-destination external source
-		svcBudget    = 395 // bytes per single-client service
+		svcBudget    = 250 // bytes per single-client service
 		allocBudget  = 2   // allocations for a first SYN from a new source
 	)
 	wide := netaddr.MustParsePrefix("10.0.0.0/8")

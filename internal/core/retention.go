@@ -136,7 +136,7 @@ func (d *PassiveDiscoverer) setRetention(ttl time.Duration) {
 		return
 	}
 	for k, rec := range d.services {
-		d.expPush(rec.LastSeen.Add(ttl), k)
+		d.expPush(rec.LastSeen().Add(ttl), k)
 	}
 }
 
@@ -170,7 +170,7 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 		if !live {
 			continue // already expired or retired under an earlier entry
 		}
-		deadline := rec.LastSeen.Add(d.ttl)
+		deadline := rec.LastSeen().Add(d.ttl)
 		if deadline.After(wm) {
 			d.expPush(deadline, e.key) // refreshed since the stale entry
 			continue

@@ -124,9 +124,9 @@ func assertEquivalent(t *testing.T, label string, want, got *PassiveDiscoverer) 
 		}
 		wr, _ := want.Record(wk[i])
 		gr, _ := got.Record(gk[i])
-		if !wr.FirstSeen.Equal(gr.FirstSeen) || wr.Flows != gr.Flows || wr.Clients() != gr.Clients() {
+		if !wr.FirstSeen().Equal(gr.FirstSeen()) || wr.Flows != gr.Flows || wr.Clients() != gr.Clients() {
 			t.Fatalf("%s: record %v = {%v %d %d}, want {%v %d %d}", label, wk[i],
-				gr.FirstSeen, gr.Flows, gr.Clients(), wr.FirstSeen, wr.Flows, wr.Clients())
+				gr.FirstSeen(), gr.Flows, gr.Clients(), wr.FirstSeen(), wr.Flows, wr.Clients())
 		}
 		wp, gp := wr.FirstPeers(), gr.FirstPeers()
 		if len(wp) != len(gp) {

@@ -60,7 +60,7 @@ func BuildSnapshot(inv *core.Inventory) *Snapshot {
 		prov, _ := inv.Provenance(key)
 		svc := SnapshotService{Key: key, Provenance: prov}
 		if rec, ok := inv.Record(key); ok {
-			svc.PassiveAt = rec.FirstSeen
+			svc.PassiveAt = rec.FirstSeen()
 			svc.Flows = rec.Flows
 			svc.Clients = rec.Clients()
 		}

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
@@ -26,12 +28,72 @@ type Doc struct {
 	Clients int       `json:"clients,omitempty"`
 }
 
-func (d Doc) skey() core.ServiceKey { return d.Key }
+// packedDoc is a Doc as the doc tree stores it: 40 pointer-free bytes
+// instead of 80 with two *Location for the collector to scan. Times are
+// Unix nanoseconds plus a presence flag (absent = time.Time{}, stored as
+// 0, so packed docs compare with ==), clamped to the int64-nanosecond
+// range. Flows stays 64-bit; clients saturates at 2^32-1, which distinct
+// IPv4 peers cannot exceed.
+type packedDoc struct {
+	first, last       int64
+	flows             int
+	key               core.ServiceKey
+	clients           uint32
+	prov              core.Provenance
+	hasFirst, hasLast bool
+}
 
-// equal compares docs without time.Time's monotonic-clock noise.
-func (d Doc) equal(o Doc) bool {
-	return d.Key == o.Key && d.Prov == o.Prov && d.Flows == o.Flows && d.Clients == o.Clients &&
-		d.First.Equal(o.First) && d.Last.Equal(o.Last)
+const _ = uint(40 - unsafe.Sizeof(packedDoc{})) // <= 40
+
+func (p packedDoc) skey() core.ServiceKey { return p.key }
+
+var minPackedTime, maxPackedTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// packTime renders t as Unix nanoseconds, clamped to 1678–2262 (UnixNano
+// is undefined beyond); ok is false, and ns 0, for the zero time.
+func packTime(t time.Time) (ns int64, ok bool) {
+	switch {
+	case t.IsZero():
+		return 0, false
+	case t.Before(minPackedTime):
+		return math.MinInt64, true
+	case t.After(maxPackedTime):
+		return math.MaxInt64, true
+	}
+	return t.UnixNano(), true
+}
+
+func unpackTime(ns int64, ok bool) time.Time {
+	if !ok {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
+}
+
+// pack stores d in tree form (Rebuild and Patch, on the way in).
+func pack(d Doc) packedDoc {
+	p := packedDoc{
+		flows:   d.Flows,
+		key:     d.Key,
+		clients: uint32(min(uint64(max(d.Clients, 0)), math.MaxUint32)),
+		prov:    d.Prov,
+	}
+	p.first, p.hasFirst = packTime(d.First)
+	p.last, p.hasLast = packTime(d.Last)
+	return p
+}
+
+// doc renders p as the API type (Epoch.Doc and Query, on the way out);
+// times come back in UTC.
+func (p packedDoc) doc() Doc {
+	return Doc{
+		Key:     p.key,
+		Prov:    p.prov,
+		First:   unpackTime(p.first, p.hasFirst),
+		Last:    unpackTime(p.last, p.hasLast),
+		Flows:   p.flows,
+		Clients: int(p.clients),
+	}
 }
 
 // DocFromInventory builds the query doc for one inventory key.
@@ -40,7 +102,7 @@ func DocFromInventory(inv *core.Inventory, k core.ServiceKey) Doc {
 	d.Prov, _ = inv.Provenance(k)
 	d.First, _ = inv.FirstDiscovered(k)
 	if rec, ok := inv.Record(k); ok {
-		d.Last = rec.LastSeen
+		d.Last = rec.LastSeen()
 		d.Flows = rec.Flows
 		d.Clients = rec.Clients()
 	} else if at, ok := inv.ActiveFirstOpen(k); ok {
@@ -142,13 +204,13 @@ const provClasses = 4
 type Epoch struct {
 	gen        uint64
 	freshWidth time.Duration
-	docs       stree[Doc]
+	docs       stree[packedDoc]
 	byPort     map[uint16]stree[keyEntry]
 	byPrefix   map[netaddr.V4]stree[keyEntry] // /24 bucket base → keys
 	pfxBases   []netaddr.V4                   // sorted bucket bases
 	byProv     [provClasses]stree[keyEntry]
 	byCat      map[Category]stree[keyEntry]
-	byFresh    map[int64]stree[keyEntry] // Last truncated to freshWidth → keys
+	byFresh    map[int64]stree[keyEntry] // freshBucket(Last) → keys
 	freshBases []int64                   // sorted bucket ids
 }
 
@@ -159,13 +221,21 @@ func (e *Epoch) Gen() uint64 { return e.gen }
 func (e *Epoch) Len() int { return e.docs.len() }
 
 // Doc returns the indexed doc for one key.
-func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) { return e.docs.get(k) }
+func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) {
+	p, ok := e.docs.get(k)
+	return p.doc(), ok
+}
 
-func (e *Epoch) freshBucket(t time.Time) int64 {
+// freshBucket is the freshness bucket of a packed time (see packTime): ns
+// floored to a multiple of freshWidth, and for "no last evidence" a bucket
+// of its own below every other.
+func (e *Epoch) freshBucket(ns int64, ok bool) int64 {
+	if !ok {
+		return math.MinInt64
+	}
 	w := int64(e.freshWidth)
-	n := t.UnixNano()
-	b := n / w
-	if n < 0 && n%w != 0 {
+	b := ns / w
+	if ns < 0 && ns%w != 0 {
 		b--
 	}
 	return b
@@ -276,7 +346,7 @@ func (d *dimDelta[B]) apply(prev map[B]stree[keyEntry]) (map[B]stree[keyEntry], 
 // the current epoch.
 func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 	prev := c.Epoch()
-	var docAdds []Doc
+	var docAdds []packedDoc
 	var docDels []core.ServiceKey
 	var port dimDelta[uint16]
 	var pfx dimDelta[netaddr.V4]
@@ -285,30 +355,31 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 	var provAdds [provClasses][]keyEntry
 	var provDels [provClasses][]core.ServiceKey
 
-	for _, d := range upserts {
-		old, had := prev.docs.get(d.Key)
-		if had && old.equal(d) {
+	for _, ud := range upserts {
+		d := pack(ud)
+		old, had := prev.docs.get(d.key)
+		if had && old == d {
 			continue
 		}
 		docAdds = append(docAdds, d)
 		if had {
 			// Key-derived dimensions (port, prefix, category) cannot move;
 			// provenance and freshness can.
-			if old.Prov != d.Prov {
-				provDels[old.Prov%provClasses] = append(provDels[old.Prov%provClasses], d.Key)
-				provAdds[d.Prov%provClasses] = append(provAdds[d.Prov%provClasses], keyEntry(d.Key))
+			if old.prov != d.prov {
+				provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], d.key)
+				provAdds[d.prov%provClasses] = append(provAdds[d.prov%provClasses], keyEntry(d.key))
 			}
-			if ob, nb := prev.freshBucket(old.Last), prev.freshBucket(d.Last); ob != nb {
-				fresh.del(ob, d.Key)
-				fresh.add(nb, d.Key)
+			if ob, nb := prev.freshBucket(old.last, old.hasLast), prev.freshBucket(d.last, d.hasLast); ob != nb {
+				fresh.del(ob, d.key)
+				fresh.add(nb, d.key)
 			}
 			continue
 		}
-		port.add(d.Key.Port, d.Key)
-		pfx.add(prefixBucket(d.Key.Addr), d.Key)
-		cat.add(CategoryOf(d.Key), d.Key)
-		provAdds[d.Prov%provClasses] = append(provAdds[d.Prov%provClasses], keyEntry(d.Key))
-		fresh.add(prev.freshBucket(d.Last), d.Key)
+		port.add(d.key.Port, d.key)
+		pfx.add(prefixBucket(d.key.Addr), d.key)
+		cat.add(CategoryOf(d.key), d.key)
+		provAdds[d.prov%provClasses] = append(provAdds[d.prov%provClasses], keyEntry(d.key))
+		fresh.add(prev.freshBucket(d.last, d.hasLast), d.key)
 	}
 	for _, k := range removes {
 		old, had := prev.docs.get(k)
@@ -319,8 +390,8 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 		port.del(k.Port, k)
 		pfx.del(prefixBucket(k.Addr), k)
 		cat.del(CategoryOf(k), k)
-		provDels[old.Prov%provClasses] = append(provDels[old.Prov%provClasses], k)
-		fresh.del(prev.freshBucket(old.Last), k)
+		provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], k)
+		fresh.del(prev.freshBucket(old.last, old.hasLast), k)
 	}
 	if len(docAdds) == 0 && len(docDels) == 0 {
 		return
@@ -355,22 +426,32 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 // (sorted by key) — the full-resync path for lineage breaks, startup
 // warms, and aggregator bootstraps. O(n log n); Patch is the steady state.
 func (c *Catalog) Rebuild(docs []Doc) {
+	packed := make([]packedDoc, len(docs))
+	for i, d := range docs {
+		packed[i] = pack(d)
+	}
+	c.rebuild(packed)
+}
+
+// rebuild is Rebuild over already-packed docs; the new doc tree's leaves
+// subslice docs.
+func (c *Catalog) rebuild(docs []packedDoc) {
 	prevGen := c.Epoch().gen
 	next := c.emptyEpoch()
 	next.gen = prevGen + 1
-	next.docs = stree[Doc]{}.patch(docs, nil)
+	next.docs = stree[packedDoc]{}.patch(docs, nil)
 	perPort := map[uint16][]keyEntry{}
 	perPfx := map[netaddr.V4][]keyEntry{}
 	perCat := map[Category][]keyEntry{}
 	perFresh := map[int64][]keyEntry{}
 	var perProv [provClasses][]keyEntry
 	for _, d := range docs {
-		k := keyEntry(d.Key)
-		perPort[d.Key.Port] = append(perPort[d.Key.Port], k)
-		perPfx[prefixBucket(d.Key.Addr)] = append(perPfx[prefixBucket(d.Key.Addr)], k)
-		perCat[CategoryOf(d.Key)] = append(perCat[CategoryOf(d.Key)], k)
-		perProv[d.Prov%provClasses] = append(perProv[d.Prov%provClasses], k)
-		b := next.freshBucket(d.Last)
+		k := keyEntry(d.key)
+		perPort[d.key.Port] = append(perPort[d.key.Port], k)
+		perPfx[prefixBucket(d.key.Addr)] = append(perPfx[prefixBucket(d.key.Addr)], k)
+		perCat[CategoryOf(d.key)] = append(perCat[CategoryOf(d.key)], k)
+		perProv[d.prov%provClasses] = append(perProv[d.prov%provClasses], k)
+		b := next.freshBucket(d.last, d.hasLast)
 		perFresh[b] = append(perFresh[b], k)
 	}
 	for p, ks := range perPort {
@@ -396,11 +477,11 @@ func (c *Catalog) Rebuild(docs []Doc) {
 // RebuildFromInventory is Rebuild fed straight from a frozen inventory.
 func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
 	keys := inv.Keys()
-	docs := make([]Doc, len(keys))
+	docs := make([]packedDoc, len(keys))
 	for i, k := range keys {
-		docs[i] = DocFromInventory(inv, k)
+		docs[i] = pack(DocFromInventory(inv, k))
 	}
-	c.Rebuild(docs)
+	c.rebuild(docs)
 }
 
 // ApplyDelta folds one snapshot transition into the index: an O(churn)

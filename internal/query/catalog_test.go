@@ -57,7 +57,7 @@ func sameHits(t *testing.T, got, want []Doc, ctx string) {
 		t.Fatalf("%s: %d hits, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].equal(want[i]) {
+		if pack(got[i]) != pack(want[i]) {
 			t.Fatalf("%s: hit %d = %+v, want %+v", ctx, i, got[i], want[i])
 		}
 	}

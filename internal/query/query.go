@@ -170,7 +170,8 @@ func (e *Epoch) Query(q Query) (Result, error) {
 	limit := q.limit()
 	res.Hits = make([]Doc, 0, min(limit, 64))
 
-	emit := func(d Doc) bool {
+	emit := func(p packedDoc) bool {
+		d := p.doc()
 		if !q.matches(d) {
 			return true
 		}
@@ -239,7 +240,7 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		// Qualifying freshness buckets, k-way merged back into key order.
 		// The bucket at the boundary may contain too-old entries; emit's
 		// residual filter drops them.
-		floor := e.freshBucket(q.MinFreshness)
+		floor := e.freshBucket(packTime(q.MinFreshness))
 		lo := sort.Search(len(e.freshBases), func(i int) bool { return e.freshBases[i] >= floor })
 		var cursors []cursor[keyEntry]
 		for _, b := range e.freshBases[lo:] {

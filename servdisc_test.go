@@ -59,9 +59,9 @@ func assertInventoriesEqual(t *testing.T, want, got *Inventory) {
 		}
 		wr, _ := want.Record(wk[i])
 		gr, _ := got.Record(gk[i])
-		if !wr.FirstSeen.Equal(gr.FirstSeen) || wr.Flows != gr.Flows || wr.Clients() != gr.Clients() {
+		if !wr.FirstSeen().Equal(gr.FirstSeen()) || wr.Flows != gr.Flows || wr.Clients() != gr.Clients() {
 			t.Fatalf("record %v differs: {%v %d %d} vs {%v %d %d}", wk[i],
-				gr.FirstSeen, gr.Flows, gr.Clients(), wr.FirstSeen, wr.Flows, wr.Clients())
+				gr.FirstSeen(), gr.Flows, gr.Clients(), wr.FirstSeen(), wr.Flows, wr.Clients())
 		}
 		wp, gp := wr.FirstPeers(), gr.FirstPeers()
 		if len(wp) != len(gp) {
