@@ -67,10 +67,10 @@ type ActiveDiscoverer struct {
 	onDiscovered  func(key ServiceKey, t time.Time)
 	onOpenEarlier func(key ServiceKey, t time.Time)
 
-	// sealed marks a frozen view produced by clone: immutable, so the
+	// frozen marks a view produced by clone: immutable, so the
 	// accessors skip their defensive copies. AddReport must never run on
-	// a sealed view.
-	sealed bool
+	// a frozen view.
+	frozen bool
 	// cow flips on the live discoverer once a clone shares its outcome
 	// histories and UDP maps; ownedAddr/ownedUDP list the entries already
 	// copied back since, so each is copied at most once per clone.
@@ -255,7 +255,7 @@ func (d *ActiveDiscoverer) FirstOpen(key ServiceKey) (time.Time, bool) {
 // by Hybrid's snapshot machinery hands out its own immutable map instead
 // of copying — treat that one as read-only.
 func (d *ActiveDiscoverer) Services() map[ServiceKey]time.Time {
-	if d.sealed {
+	if d.frozen {
 		return d.firstOpen
 	}
 	return maps.Clone(d.firstOpen)
@@ -266,7 +266,7 @@ func (d *ActiveDiscoverer) Services() map[ServiceKey]time.Time {
 // returned set shares storage copy-on-write instead of being copied — a
 // caller's first mutation pays the copy, a read-only caller pays nothing.
 func (d *ActiveDiscoverer) RespondedEver() *netaddr.Set {
-	if d.sealed {
+	if d.frozen {
 		return d.respondedEver.CloneShared()
 	}
 	return d.respondedEver.Clone()
@@ -290,7 +290,7 @@ func (d *ActiveDiscoverer) clone() *ActiveDiscoverer {
 		perAddr:       maps.Clone(d.perAddr),
 		respondedEver: d.respondedEver.CloneShared(),
 		udp:           maps.Clone(d.udp),
-		sealed:        true,
+		frozen:        true,
 	}
 	d.cow = true
 	d.ownedAddr = nil

@@ -89,13 +89,12 @@ type PassiveRecord struct {
 	// firstPeers stores the first contact from each of the first
 	// maxFirstPeers distinct peers, enough to recompute first-discovery
 	// with any subset of peers (e.g. scanners) removed. Strictly
-	// append-only: sealed copies alias the backing array.
+	// append-only: snapshots alias the backing array.
 	firstPeers []peerContact
 	// seal is the owning discoverer's seal count when the record was
 	// created or last copied for writing. A record whose seal is behind
-	// the discoverer's is shared with sealed snapshot views and must be
-	// cloned before the next mutation (copy-on-write; see
-	// PassiveDiscoverer.sealView).
+	// the discoverer's is shared with snapshots and must be cloned before
+	// the next mutation (copy-on-write; see PassiveDiscoverer.seal).
 	seal uint64
 }
 
@@ -122,7 +121,7 @@ func (r *PassiveRecord) LastSeen() time.Time { return r.last.time() }
 func (r *PassiveRecord) Clients() int { return r.nClients }
 
 // cloneForWrite copies the record so the original can be retained by
-// sealed snapshot views while the copy keeps mutating — the first-write
+// snapshots while the copy keeps mutating — the first-write
 // half of the copy-on-write protocol. The copy is flat: firstPeers is
 // append-only, so the clone shares its backing array (the sealed
 // original's header never observes elements past its own length). The

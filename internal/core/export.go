@@ -3,7 +3,7 @@ package core
 // Checkpoint export/import: the engine side of internal/checkpoint.
 //
 // ExportDelta freezes a consistent cut of everything the engine has
-// learned — including the live-only state that sealed snapshot views
+// learned — including the live-only state that frozen inventories
 // deliberately do not carry (the peer-identity side tables behind client
 // counts, the scan tracker's window contents, the cumulative packet
 // count) — and copies only what changed since the given cursor. Capture
@@ -62,8 +62,8 @@ type CheckpointCursor struct {
 
 // ServiceState is one service's complete passive evidence in wire form:
 // the record fields plus the full distinct-peer identity set that backs
-// the client count (live-only state, absent from sealed views — without
-// it a restored engine would re-count returning clients).
+// the client count (live-only state, absent from snapshots — without it a
+// restored engine would re-count returning clients).
 type ServiceState struct {
 	Key        ServiceKey    `json:"key"`
 	FirstSeen  time.Time     `json:"first_seen"`
@@ -422,7 +422,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 	return ed, CheckpointCursor{Gens: gens}
 }
 
-// exportShards scatters export markers (mirroring snapshotViews) and
+// exportShards scatters export markers (mirroring freezeShards) and
 // assembles the shard copy-outs into one delta.
 func (s *ShardedPassive) exportShards(cur *CheckpointCursor) (*EngineDelta, []uint64) {
 	full := cur == nil || len(cur.Gens) != len(s.shards)
@@ -568,9 +568,9 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 		} else {
 			sh.disc.Packets = 0
 		}
-		sh.view = nil
-		sh.deltas = nil
 	}
+	// The import wrote the shard maps behind the dirty sets' back: the next
+	// snapshot must merge the shards whole, not patch what it had.
 	s.snap.invalidate()
 }
 
@@ -615,6 +615,9 @@ func (h *Hybrid) ImportDelta(ed *EngineDelta) error {
 	if ed.Active != nil {
 		h.importActiveState(ed.Active)
 	}
+	// As on the passive side: a passive-only chunk moves neither half of
+	// the hybrid fingerprint.
+	h.snap.invalidate()
 	return nil
 }
 

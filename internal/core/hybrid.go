@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"servdisc/internal/netaddr"
-	"servdisc/internal/obs"
 	"servdisc/internal/packet"
 	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
@@ -69,13 +68,14 @@ type Hybrid struct {
 	worker   sync.WaitGroup
 	inflight sync.WaitGroup
 
-	// snap caches the whole Inventory across both sides' generations
-	// (see ShardedPassive).
+	// snap holds the newest hybrid Inventory: provenance classified over
+	// one inventory of the passive chain (whose store it shares) and one
+	// active generation.
 	snap snapCache
 
 	// onSnap, when set, observes every newly built hybrid snapshot with
-	// its delta (see ShardedPassive.OnSnapshot). Guarded by the passive
-	// side's snapMu, which every hybrid snapshot holds.
+	// its delta (see OnSnapshot). Guarded by the passive side's snapMu,
+	// which every hybrid snapshot holds.
 	onSnap func(prev, inv *Inventory, delta SnapshotDelta)
 }
 
@@ -118,8 +118,11 @@ func (h *Hybrid) SubscribeFiltered(buf int, keep func(Event) bool) *EventSub {
 
 // OnSnapshot registers fn to observe every newly built hybrid snapshot
 // (see ShardedPassive.OnSnapshot for the contract). An observer set here
-// sees hybrid snapshots only; passive-only snapshots taken directly via
-// Passive().Snapshot() report to the passive side's own observer.
+// sees snapshots built through Hybrid.Snapshot only; passive-only snapshots
+// taken directly via Passive().Snapshot() report to the passive side's own
+// observer, and never to this one. A non-Full delta is always relative to
+// the inventory fn was handed last: when the passive entry point advanced
+// the shared chain in between, the next hybrid observation is Full.
 func (h *Hybrid) OnSnapshot(fn func(prev, inv *Inventory, delta SnapshotDelta)) {
 	h.passive.snapMu.Lock()
 	h.onSnap = fn
@@ -283,83 +286,59 @@ func (h *Hybrid) activeSnapshot() *activeView {
 
 // Snapshot freezes the reconciled hybrid inventory — the union of
 // passively-seen and probe-answering services, each with its first-seen
-// provenance — at a consistent point in time. Like
-// ShardedPassive.Snapshot it is non-terminal, concurrent-safe and cheap
-// to repeat: an entirely unchanged engine returns the previous Inventory
-// without touching the shards, and when only a few shards moved the new
-// inventory is patched forward from the previous one — provenance is
-// recomputed only for services that appeared since (a passive record's
-// first-seen time and an already-reconciled active side cannot change an
-// existing service's class). On a running engine the result is
-// byte-identical to pausing producers, flushing, and snapshotting at the
-// same ingest point.
+// provenance — at a consistent point in time. It is a layer over the
+// passive snapshot chain: ShardedPassive.advance freezes and merges the
+// shards (and publishes active expiries beside the passive ones), and this
+// adds provenance on top. Like ShardedPassive.Snapshot it is non-terminal,
+// concurrent-safe and cheap to repeat: an entirely unchanged engine returns
+// the previous Inventory without touching the shards, and when only the
+// passive side moved the new inventory is patched forward from the previous
+// one — provenance is recomputed only for services that appeared or left
+// since (a passive record's first-seen time and an already-reconciled
+// active side cannot change an existing service's class). A new report, a
+// restore, or a Passive().Snapshot() call that advanced the chain in
+// between leaves nothing to patch against, and every service is
+// reclassified over the already-merged passive store. On a running engine
+// the result is byte-identical to pausing producers, flushing, and
+// snapshotting at the same ingest point.
 func (h *Hybrid) Snapshot() *Inventory {
-	if inv := h.snap.fast(h.passive.dispatched.Load(), h.agen.Load()); inv != nil {
+	p := h.passive
+	if inv := h.snap.fast(p.dispatched.Load(), h.agen.Load()); inv != nil {
 		return inv
 	}
-	h.passive.snapMu.Lock()
-	defer h.passive.snapMu.Unlock()
-	var t0 time.Time
-	if h.passive.met != nil {
-		t0 = time.Now()
-	}
-	views, d0, wm := h.passive.snapshotViews()
-	// Active expiry runs before the active clone so the frozen view (and
-	// its generation) reflects the deletions; the combined notice list is
-	// re-sorted into one deterministic (time, key) order across both sides.
-	exp := collectExpired(views)
-	exp = append(exp, h.expireActive(wm)...)
-	if len(exp) > 0 {
-		sortExpired(exp)
-		for _, e := range exp {
-			h.passive.events.serviceExpired(e.key, e.at, e.prov, e.clear)
-		}
-		if m := h.passive.met; m != nil {
-			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
-		}
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	t0 := p.snapshotStart()
+	// Active expiry runs inside advance, before the active clone below, so
+	// the frozen view (and its generation) reflects the deletions.
+	pprev, pinv, pdelta, d0 := p.advance(h.expireActive)
+	if pinv != pprev {
+		p.foreign = true
 	}
 	av := h.activeSnapshot()
-	// The active generation rides along as one more entry of the vector.
-	gens := append(viewGens(views), av.gen)
-	if inv := h.snap.get(gens); inv != nil {
-		return inv
-	}
-	prevGens, prevInv := h.snap.peek()
+	prev, _, agen := h.snap.peek()
 	var inv *Inventory
 	delta := SnapshotDelta{Full: true}
-	// The passive merge is independent of the active side, so it is
-	// delta-patched whenever the shard chains allow. The key/provenance
-	// tables patch forward only when the active side is the same frozen
-	// view the previous inventory classified against — a new report can
-	// move first-open times and so re-classify existing services, which
-	// forces a reclassification pass (but not a passive re-merge).
-	if prevInv != nil && len(prevGens) == len(views)+1 {
-		if m, scanners, newKeys, updKeys, delKeys, ok := h.passive.mergeViewsDelta(views, prevInv, prevGens[:len(prevGens)-1]); ok {
-			if prevGens[len(prevGens)-1] == av.gen {
-				var removed, downgraded []ServiceKey
-				inv, removed, downgraded = patchHybridInventory(prevInv, m, av.disc, scanners, newKeys, delKeys)
-				// A downgraded key (passive evidence withdrawn, probe
-				// answer standing) stays in the inventory with a new
-				// classification — an update, not a removal.
-				delta = SnapshotDelta{Added: newKeys, Updated: mergeSortedKeys(updKeys, downgraded), Removed: removed}
-			} else {
-				inv = newFrozenHybridInventory(m, av.disc, scanners)
-			}
-		}
+	switch {
+	case prev != nil && agen == av.gen && prev.d == pinv.d:
+		return prev // another snapshotter got here first
+	case prev != nil && agen == av.gen && prev.d == pprev.d && !pdelta.Full:
+		// prev classified the chain's previous inventory against this same
+		// active view: patch its key and provenance tables.
+		var removed, downgraded []ServiceKey
+		inv, removed, downgraded = patchHybridInventory(prev, pinv.d, av.disc, pinv.scanners, pdelta.Added, pdelta.Removed)
+		// A downgraded key (passive evidence withdrawn, probe answer
+		// standing) stays in the inventory with a new classification — an
+		// update, not a removal.
+		delta = SnapshotDelta{Added: pdelta.Added, Updated: mergeSortedKeys(pdelta.Updated, downgraded), Removed: removed}
+	default:
+		inv = newFrozenHybridInventory(pinv.d, av.disc, pinv.scanners)
 	}
-	if inv == nil {
-		merged, scanners := h.passive.mergeViewsFull(views)
-		inv = newFrozenHybridInventory(merged, av.disc, scanners)
-	}
-	h.snap.put(gens, inv, d0, av.gen)
+	h.snap.put(inv, d0, av.gen)
 	if h.onSnap != nil {
-		h.onSnap(prevInv, inv, delta)
+		h.onSnap(prev, inv, delta)
 	}
-	if m := h.passive.met; m != nil {
-		el := time.Since(t0)
-		m.Snapshot.Observe(el)
-		m.Flight.Record(obs.TraceSnapshotSealed, "", int64(inv.Len()), el.Microseconds())
-	}
+	p.snapshotBuilt(t0, inv)
 	return inv
 }
 

@@ -325,3 +325,21 @@ func TestHybridLifecycle(t *testing.T) {
 		t.Fatalf("post-Close report ingested: %d sweeps", got)
 	}
 }
+
+// TestHybridImportInvalidatesSnapshot: a restore writes the shards without
+// moving either half of the hybrid fingerprint, so an inventory frozen
+// before it must not be served after it.
+func TestHybridImportInvalidatesSnapshot(t *testing.T) {
+	src := NewShardedPassive(campusPfx, nil, 1)
+	src.HandleBatch(genTrace(6, 2000))
+	chunk, _ := src.ExportDelta(nil)
+
+	h := NewHybrid(campusPfx, nil, 2, nil)
+	h.Snapshot()
+	if err := h.ImportDelta(chunk); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Snapshot().Len(), src.Snapshot().Len(); got != want || want == 0 {
+		t.Fatalf("snapshot after import holds %d services, want %d", got, want)
+	}
+}

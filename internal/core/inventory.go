@@ -331,18 +331,18 @@ func (v *Inventory) ScannerSet() map[netaddr.V4]bool {
 // positive evidence per address, optionally restricted to services passing
 // keep.
 func (v *Inventory) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return v.d.AddrFirstSeen(keep)
+	return addrFirstSeen(v.d, keep)
 }
 
 // AddrFirstSeenExcluding recomputes per-address first discovery with the
 // given peers' traffic removed (Figure 4).
 func (v *Inventory) AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return v.d.AddrFirstSeenExcluding(excluded, keep)
+	return addrFirstSeenExcluding(v.d, excluded, keep)
 }
 
 // AddrWeights sums flow and client weights per address across services.
 func (v *Inventory) AddrWeights() (flows, clients map[netaddr.V4]int) {
-	return v.d.AddrWeights()
+	return addrWeights(v.d)
 }
 
 // ActiveDuring reports whether the address showed any passive activity

@@ -31,14 +31,6 @@ type invSource interface {
 	// eachTombstone visits every expiry tombstone (key, deadline) until f
 	// returns false.
 	eachTombstone(f func(ServiceKey, time.Time) bool)
-	// AddrFirstSeen rolls the inventory up to addresses (see
-	// PassiveDiscoverer.AddrFirstSeen).
-	AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time
-	// AddrFirstSeenExcluding recomputes per-address first discovery with
-	// the given peers removed.
-	AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time
-	// AddrWeights sums flow and client weights per address.
-	AddrWeights() (flows, clients map[netaddr.V4]int)
 	// ActiveDuring reports whether the address showed passive activity
 	// within [from, to].
 	ActiveDuring(addr netaddr.V4, from, to time.Time) bool
@@ -46,10 +38,11 @@ type invSource interface {
 	LastActivity(addr netaddr.V4) (time.Time, bool)
 }
 
-// mergedStore is the union of all frozen shard views, held in persistent
-// maps. A delta merge starts builders from the previous snapshot's store
-// and patches only the touched entries; the result shares all untouched
-// structure with its predecessor.
+// mergedStore is the union of every shard's sealed state, held in
+// persistent maps — the only sealed copy there is. A merge starts builders
+// from the previous snapshot's store and patches in what the shards' seal
+// deltas name (mergeViews); the result shares all untouched structure with
+// its predecessor.
 type mergedStore struct {
 	packets  int
 	services pmap[ServiceKey, *PassiveRecord]
@@ -81,50 +74,6 @@ func (m *mergedStore) eachTombstone(f func(ServiceKey, time.Time) bool) {
 	m.tombs.each(f)
 }
 
-func (m *mergedStore) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	out := make(map[netaddr.V4]time.Time)
-	m.services.each(func(k ServiceKey, rec *PassiveRecord) bool {
-		if keep != nil && !keep(k) {
-			return true
-		}
-		first := rec.FirstSeen()
-		if cur, ok := out[k.Addr]; !ok || first.Before(cur) {
-			out[k.Addr] = first
-		}
-		return true
-	})
-	return out
-}
-
-func (m *mergedStore) AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	out := make(map[netaddr.V4]time.Time)
-	m.services.each(func(k ServiceKey, rec *PassiveRecord) bool {
-		if keep != nil && !keep(k) {
-			return true
-		}
-		t, ok := rec.FirstSeenExcluding(excluded)
-		if !ok {
-			return true
-		}
-		if cur, seen := out[k.Addr]; !seen || t.Before(cur) {
-			out[k.Addr] = t
-		}
-		return true
-	})
-	return out
-}
-
-func (m *mergedStore) AddrWeights() (flows, clients map[netaddr.V4]int) {
-	flows = make(map[netaddr.V4]int)
-	clients = make(map[netaddr.V4]int)
-	m.services.each(func(k ServiceKey, rec *PassiveRecord) bool {
-		flows[k.Addr] += rec.Flows
-		clients[k.Addr] += rec.Clients()
-		return true
-	})
-	return flows, clients
-}
-
 func (m *mergedStore) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
 	trail, _ := m.trails.Get(addr)
 	return activeDuring(trail, from, to)
@@ -133,6 +82,54 @@ func (m *mergedStore) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
 func (m *mergedStore) LastActivity(addr netaddr.V4) (time.Time, bool) {
 	trail, _ := m.trails.Get(addr)
 	return lastActivity(trail)
+}
+
+// The address roll-ups, written once over eachService for both sources.
+
+// addrFirstSeen is the earliest positive evidence per address, optionally
+// restricted to services passing keep.
+func addrFirstSeen(src invSource, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
+	out := make(map[netaddr.V4]time.Time)
+	src.eachService(func(k ServiceKey, rec *PassiveRecord) bool {
+		if keep == nil || keep(k) {
+			first := rec.FirstSeen()
+			if cur, ok := out[k.Addr]; !ok || first.Before(cur) {
+				out[k.Addr] = first
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// addrFirstSeenExcluding is addrFirstSeen with the given peers' contacts
+// removed; an address whose every stored contact is excluded drops out.
+func addrFirstSeenExcluding(src invSource, excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
+	out := make(map[netaddr.V4]time.Time)
+	src.eachService(func(k ServiceKey, rec *PassiveRecord) bool {
+		if keep != nil && !keep(k) {
+			return true
+		}
+		if t, ok := rec.FirstSeenExcluding(excluded); ok {
+			if cur, seen := out[k.Addr]; !seen || t.Before(cur) {
+				out[k.Addr] = t
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// addrWeights sums flow and client weights per address across services.
+func addrWeights(src invSource) (flows, clients map[netaddr.V4]int) {
+	flows = make(map[netaddr.V4]int)
+	clients = make(map[netaddr.V4]int)
+	src.eachService(func(k ServiceKey, rec *PassiveRecord) bool {
+		flows[k.Addr] += rec.Flows
+		clients[k.Addr] += rec.Clients()
+		return true
+	})
+	return flows, clients
 }
 
 var (

@@ -9,9 +9,11 @@ import (
 )
 
 // PassiveDiscoverer builds a service inventory from observed border
-// traffic. It implements the capture.Sink contract and is driven entirely
-// by HandlePacket; all accessors may be used at any point during or after
-// collection.
+// traffic: the single-writer state one goroutine feeds through HandleBatch
+// (HandlePacket is the one-packet form). Used alone, its accessors may be
+// called between batches at any point during or after collection; as one
+// shard of a ShardedPassive it is owned by that shard's worker, and readers
+// go through snapshots instead (see seal).
 type PassiveDiscoverer struct {
 	campus netaddr.Prefix
 	// udpPorts are the well-known UDP service ports considered evidence
@@ -25,8 +27,8 @@ type PassiveDiscoverer struct {
 	// clients. Smaller services (nearly all of them) have no entry: their
 	// firstPeers already lists every distinct peer and is scanned instead
 	// (see newPeer). The table lives here rather than in the record so
-	// sealed snapshot views never carry (or copy) it: it belongs to the
-	// live, ingesting side only.
+	// snapshots never carry (or copy) it: it belongs to the live, ingesting
+	// side only.
 	peers map[ServiceKey]map[netaddr.V4]struct{}
 
 	// addrTimes records thinned per-address activity timestamps for the
@@ -54,7 +56,7 @@ type PassiveDiscoverer struct {
 	// the tombstone — it only helps late federation consumers). expq is
 	// the lazy deadline min-heap; pendingExpired accumulates expiries
 	// until the next snapshot publishes them; deadKeys and tombDirty name
-	// what the next seal must delete from / sync into the sealed view;
+	// the expired records and moved tombstones the next seal reports;
 	// ckTombs are tombstones not yet exported to a checkpoint.
 	ttl            time.Duration
 	tombs          map[ServiceKey]time.Time
@@ -64,18 +66,17 @@ type PassiveDiscoverer struct {
 	tombDirty      []ServiceKey
 	ckTombs        map[ServiceKey]time.Time
 
-	// Copy-on-write snapshot machinery (sealView). sealed is the immutable
-	// view shared with snapshot consumers: its records and activity trails
-	// alias the live maps, and each seal patches in only what the dirty
-	// sets name since the previous seal — O(churn), not O(inventory).
-	// seals counts seals; a record whose seal field is behind it is shared
-	// with the sealed layer and observe clones it before mutating. All
+	// Copy-on-write snapshot machinery (seal). The discoverer keeps no
+	// sealed copy of its own: each seal hands the records and trails the
+	// dirty sets name to the merged snapshot, which is the only sealed
+	// store. seals counts seals; a record whose seal field is behind it is
+	// shared with snapshots and observe clones it before mutating. dirty
+	// maps each record touched since the previous seal to whether it was
+	// born (created, or re-created after an expiry) in that interval. All
 	// dirty tracking is off (nil maps, zero cost) until the first seal.
-	sealed     *PassiveDiscoverer
 	seals      uint64
-	dirty      map[ServiceKey]struct{}
+	dirty      map[ServiceKey]bool
 	dirtyAddrs map[netaddr.V4]struct{}
-	newKeys    []ServiceKey
 
 	// Checkpoint dirty tracking (export.go): which services and trails
 	// changed since the last checkpoint export. Independent of the seal
@@ -132,117 +133,99 @@ func (d *PassiveDiscoverer) HandleBatch(batch []packet.Packet) {
 // run (see ShardedPassive). A no-op once the tracker has started.
 func (d *PassiveDiscoverer) seedScanOrigin(t time.Time) { d.track.seed(t) }
 
-// sealDelta names what one seal changed: the record keys replaced or
-// created and the activity trails that moved since the previous seal.
-// ShardedPassive keeps a short history of these so a merged snapshot can
-// be patched from the previous one instead of rebuilt (see mergeViewsDelta).
-type sealDelta struct {
-	// gen and prevGen are the shard generations of this seal and the one
-	// before it, forming a chain a merger can walk backwards.
-	gen, prevGen uint64
-	keys         []ServiceKey
-	newKeys      []ServiceKey
-	// delKeys are the records expired since the previous seal: a merger
-	// must remove them from the previous merged snapshot.
-	delKeys []ServiceKey
-	addrs   []netaddr.V4
-	// full marks a seal whose delta was not tracked (the first seal, or a
-	// churn burst too large to be worth patching): merge must rebuild.
-	full bool
+// shardDelta is what one seal hands the merge, by value: everything the
+// merged snapshot needs to move from the previous seal point to this one,
+// with no reference back into the discoverer's maps. Records and trails are
+// shared, not copied — records go copy-on-write at the seal and trails are
+// append-only, so the slice headers captured here never see a later write.
+type shardDelta struct {
+	// packets is the discoverer's cumulative packet count at the seal.
+	packets int
+	recs    []sealedRec
+	// dead are the records expired since the previous seal and not reborn
+	// (empty in a whole-shard delta, which lists only what is live).
+	dead   []ServiceKey
+	trails []sealedTrail
+	tombs  []TombState
+	// scanners and expired are filled in by the shard freeze: detections as
+	// of the seal, and the expiry notices the snapshot publishes.
+	scanners []ScannerInfo
+	expired  []expiredSvc
 }
 
-// sealView freezes the discoverer's inventory-facing state — service
-// records, activity trails, and the packet count — into a view that later
-// ingestion into the original cannot disturb, and reports what changed
-// since the previous seal. Unlike a deep clone, the view shares every
-// untouched record and trail with the live maps: records go copy-on-write
-// (observe clones a shared record before its first post-seal mutation) and
-// trails are append-only, so aliasing their backing arrays is safe — the
-// sealed slice header never sees elements past its length. Seal cost is
-// therefore O(records touched since the last seal), not O(inventory).
+// sealedRec is one record as of a seal. born marks a record created since
+// the previous seal, which is how a service that expired and came back
+// within one interval still reads as new downstream.
+type sealedRec struct {
+	key  ServiceKey
+	rec  *PassiveRecord
+	born bool
+}
+
+// sealedTrail is one address's activity trail as of a seal.
+type sealedTrail struct {
+	addr  netaddr.V4
+	trail []instant
+}
+
+// seal freezes the discoverer's inventory-facing state — service records,
+// activity trails, tombstones and the packet count — as of now and returns
+// what changed since the previous seal. With whole set it lists the entire
+// shard instead — every record, trail and tombstone, born unset — for a
+// merge that has no previous snapshot to patch (the first one, or the first
+// after a checkpoint restore), and (re)starts the dirty sets. Sealing
+// copies no record: every record existing now becomes shared with whoever
+// holds the delta (observe clones a shared record before its first
+// post-seal mutation) and trails are append-only, so a captured slice
+// header never sees elements past its length. Cost is O(records touched
+// since the last seal), or O(shard) when whole.
 //
-// The same *PassiveDiscoverer is returned (patched in place) on every
-// call; callers that hand it to concurrent readers must make sure those
-// reads complete before the next seal (ShardedPassive serializes seals
-// and merges under its snapshot lock). The scan tracker is NOT part of
-// the view (detection results are captured separately at freeze time).
-func (d *PassiveDiscoverer) sealView() (*PassiveDiscoverer, sealDelta) {
-	defer func() {
-		d.seals++ // every pre-seal record is now shared: next write clones
-	}()
-	if d.sealed == nil {
-		// First seal: build the view whole and switch dirty tracking on.
-		s := NewPassiveDiscoverer(d.campus, nil)
-		s.udpPorts = d.udpPorts
-		s.Packets = d.Packets
+// Each delta is relative to the previous seal and is handed out once, so
+// every seal must reach the one merge that patches the snapshot chain:
+// only a shard freeze on behalf of ShardedPassive.advance seals. The scan
+// tracker is not part of a seal (the freeze captures detections beside it).
+func (d *PassiveDiscoverer) seal(whole bool) shardDelta {
+	delta := shardDelta{packets: d.Packets}
+	if whole {
+		delta.recs = make([]sealedRec, 0, len(d.services))
 		for k, rec := range d.services {
-			s.services[k] = rec
+			delta.recs = append(delta.recs, sealedRec{key: k, rec: rec})
 		}
+		delta.trails = make([]sealedTrail, 0, len(d.addrTimes))
 		for a, ts := range d.addrTimes {
-			s.addrTimes[a] = ts
+			delta.trails = append(delta.trails, sealedTrail{addr: a, trail: ts})
 		}
+		delta.tombs = make([]TombState, 0, len(d.tombs))
 		for k, at := range d.tombs {
-			s.tombs[k] = at
+			delta.tombs = append(delta.tombs, TombState{Key: k, At: at})
 		}
-		d.sealed = s
-		d.dirty = make(map[ServiceKey]struct{})
+		// Everything is in the delta: switch dirty tracking on (first seal)
+		// or start it over (restore).
+		d.dirty = make(map[ServiceKey]bool)
 		d.dirtyAddrs = make(map[netaddr.V4]struct{})
 		d.deadKeys, d.tombDirty = nil, nil
-		return s, sealDelta{full: true}
-	}
-	delta := sealDelta{
-		keys:  make([]ServiceKey, 0, len(d.dirty)),
-		addrs: make([]netaddr.V4, 0, len(d.dirtyAddrs)),
-	}
-	// A churn burst touching most of the inventory is cheaper to re-merge
-	// than to patch downstream; the seal itself still applies the delta.
-	if len(d.dirty) > len(d.services)/2 {
-		delta = sealDelta{full: true}
-	}
-	// Sync expiries first: tombstones move into the sealed view, expired
-	// records leave it (and the delta tells the merger to drop them too).
-	for _, k := range d.tombDirty {
-		d.sealed.tombs[k] = d.tombs[k]
-	}
-	d.tombDirty = nil
-	hadDead := len(d.deadKeys) > 0
-	for _, k := range d.deadKeys {
-		delete(d.sealed.services, k)
-		if !delta.full {
-			delta.delKeys = append(delta.delKeys, k)
-		}
-	}
-	d.deadKeys = nil
-	for k := range d.dirty {
-		d.sealed.services[k] = d.services[k]
-		if !delta.full {
-			delta.keys = append(delta.keys, k)
-		}
-		delete(d.dirty, k)
-	}
-	for a := range d.dirtyAddrs {
-		d.sealed.addrTimes[a] = d.addrTimes[a]
-		if !delta.full {
-			delta.addrs = append(delta.addrs, a)
-		}
-		delete(d.dirtyAddrs, a)
-	}
-	if !delta.full {
-		delta.newKeys = d.newKeys
-		if hadDead {
-			// A key created and expired within one seal interval must not
-			// leak into the merger's new-key list.
-			delta.newKeys = nil
-			for _, k := range d.newKeys {
-				if _, live := d.services[k]; live {
-					delta.newKeys = append(delta.newKeys, k)
-				}
+	} else {
+		if len(d.dirty) > 0 {
+			delta.recs = make([]sealedRec, 0, len(d.dirty))
+			for k, born := range d.dirty {
+				delta.recs = append(delta.recs, sealedRec{key: k, rec: d.services[k], born: born})
 			}
+			clear(d.dirty)
 		}
+		if len(d.dirtyAddrs) > 0 {
+			delta.trails = make([]sealedTrail, 0, len(d.dirtyAddrs))
+			for a := range d.dirtyAddrs {
+				delta.trails = append(delta.trails, sealedTrail{addr: a, trail: d.addrTimes[a]})
+			}
+			clear(d.dirtyAddrs)
+		}
+		for _, k := range d.tombDirty {
+			delta.tombs = append(delta.tombs, TombState{Key: k, At: d.tombs[k]})
+		}
+		delta.dead, d.deadKeys, d.tombDirty = d.deadKeys, nil, nil
 	}
-	d.sealed.Packets = d.Packets
-	d.newKeys = nil
-	return d.sealed, delta
+	d.seals++ // every record is now shared: the next write clones
+	return delta
 }
 
 func (d *PassiveDiscoverer) handleTCP(p *packet.Packet) {
@@ -309,9 +292,8 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	case rec == nil:
 		rec = &PassiveRecord{first: at, seal: d.seals}
 		d.services[key] = rec
-		if d.sealed != nil {
-			d.dirty[key] = struct{}{}
-			d.newKeys = append(d.newKeys, key)
+		if d.dirty != nil {
+			d.dirty[key] = true
 		}
 		if d.ttl > 0 {
 			d.expPush(t.Add(d.ttl), key)
@@ -320,11 +302,12 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 			d.onService(key, t)
 		}
 	case rec.seal != d.seals:
-		// The record is shared with the sealed snapshot layer: copy on
-		// write, exactly once per seal epoch.
+		// The record is shared with snapshots: copy on write, exactly once
+		// per seal epoch. (A record born this epoch carries the current
+		// seal, so this never overwrites a born mark.)
 		rec = rec.cloneForWrite(d.seals)
 		d.services[key] = rec
-		d.dirty[key] = struct{}{}
+		d.dirty[key] = false
 	}
 	rec.observe(at, peer, d.newPeer(key, rec, peer))
 	if d.ckDirty != nil {
@@ -332,11 +315,11 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	}
 
 	// Thinned per-address activity trail (>=1-minute spacing). Appends
-	// only — sealed views alias the backing array safely.
+	// only — snapshots alias the backing array safely.
 	times := d.addrTimes[key.Addr]
 	if n := len(times); n == 0 || (at >= times[n-1] && at-times[n-1] >= instant(time.Minute)) {
 		d.addrTimes[key.Addr] = append(times, at)
-		if d.sealed != nil {
+		if d.dirtyAddrs != nil {
 			d.dirtyAddrs[key.Addr] = struct{}{}
 		}
 		if d.ckDirtyAddrs != nil {
@@ -357,7 +340,7 @@ const _ = uint(maxFirstPeers - peerInline) // peerInline <= maxFirstPeers
 // time, and records it in d.peers if the service has one (rec.observe
 // appends it to firstPeers). rec is writable here — observe has already
 // cloned a sealed record — and firstPeers is append-only, so the scan is
-// safe beside sealed views aliasing the same backing array.
+// safe beside snapshots aliasing the same backing array.
 func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer netaddr.V4) bool {
 	if rec.nClients > peerInline {
 		peers := d.peers[key]
@@ -430,28 +413,12 @@ func (d *PassiveDiscoverer) Keys() []ServiceKey {
 // AddrFirstSeen rolls the inventory up to addresses: the earliest positive
 // evidence per address, optionally restricted to services passing keep.
 func (d *PassiveDiscoverer) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	out := make(map[netaddr.V4]time.Time)
-	for k, rec := range d.services {
-		if keep != nil && !keep(k) {
-			continue
-		}
-		first := rec.FirstSeen()
-		if cur, ok := out[k.Addr]; !ok || first.Before(cur) {
-			out[k.Addr] = first
-		}
-	}
-	return out
+	return addrFirstSeen(d, keep)
 }
 
 // AddrWeights sums flow and client weights per address across services.
 func (d *PassiveDiscoverer) AddrWeights() (flows, clients map[netaddr.V4]int) {
-	flows = make(map[netaddr.V4]int)
-	clients = make(map[netaddr.V4]int)
-	for k, rec := range d.services {
-		flows[k.Addr] += rec.Flows
-		clients[k.Addr] += rec.Clients()
-	}
-	return flows, clients
+	return addrWeights(d)
 }
 
 // LastActivity returns the most recent recorded activity time for the
@@ -499,18 +466,5 @@ func (d *PassiveDiscoverer) ScannerSet() map[netaddr.V4]bool {
 // given peers' traffic removed (Figure 4). Addresses whose every stored
 // contact came from excluded peers drop out entirely.
 func (d *PassiveDiscoverer) AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	out := make(map[netaddr.V4]time.Time)
-	for k, rec := range d.services {
-		if keep != nil && !keep(k) {
-			continue
-		}
-		t, ok := rec.FirstSeenExcluding(excluded)
-		if !ok {
-			continue
-		}
-		if cur, seen := out[k.Addr]; !seen || t.Before(cur) {
-			out[k.Addr] = t
-		}
-	}
-	return out
+	return addrFirstSeenExcluding(d, excluded, keep)
 }

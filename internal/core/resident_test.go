@@ -26,29 +26,17 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 		svcBudget    = 250 // bytes per single-client service
 		allocBudget  = 2   // allocations for a first SYN from a new source
 	)
-	wide := netaddr.MustParsePrefix("10.0.0.0/8")
+	wide := residentCampus
 	ext := netaddr.MustParseV4("64.0.0.0")
 	pb := packet.NewBuilder(0)
 
 	// grow reports live-heap growth per item across filling a fresh
-	// 1-shard engine with n packets, each made from tmpl by edit. Packets
-	// go through one reused batch so the trace itself is not on the heap.
+	// 1-shard engine with n packets, each made from tmpl by edit.
 	grow := func(tmpl *packet.Packet, edit func(p *packet.Packet, i int)) float64 {
-		batch := make([]packet.Packet, 0, 256)
 		var m0, m1 runtime.MemStats
 		liveHeap(&m0)
 		eng := NewShardedPassive(wide, nil, 1)
-		for i := 0; i < n; i++ {
-			p := *tmpl
-			p.Timestamp = t0.Add(time.Duration(i) * time.Millisecond)
-			edit(&p, i)
-			if batch = append(batch, p); len(batch) == cap(batch) {
-				eng.HandleBatch(batch)
-				batch = batch[:0]
-			}
-		}
-		eng.HandleBatch(batch)
-		eng.Flush()
+		fillEngine(eng, n, tmpl, edit)
 		liveHeap(&m1)
 		runtime.KeepAlive(eng)
 		return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
@@ -78,6 +66,61 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 	if allocs > allocBudget {
 		t.Errorf("first SYN from a new source costs %.0f allocations, budget %d", allocs, allocBudget)
 	}
+}
+
+// TestResidentBytesFirstSnapshot is the reading the gate above does not
+// take (it measures before any snapshot): what making the inventory
+// queryable costs on top of holding it. Live-heap growth across the first
+// Snapshot of 100 k single-client services, one per address, with the
+// inventory kept alive: the merged store's two tries, the sorted key list,
+// and nothing else — a shard keeps no sealed copy of its maps (DESIGN.md
+// §5). Budget ≈1.25× the measured 113 B; the per-shard sealed twins of the
+// services and trail maps read 189 B.
+func TestResidentBytesFirstSnapshot(t *testing.T) {
+	const (
+		n      = 100_000
+		budget = 140 // bytes per service the first snapshot adds
+	)
+	accept := synAck(t0, residentCampus.Base(), 80, netaddr.MustParseV4("64.0.0.0"))
+	for _, shards := range []int{1, 2} {
+		eng := NewShardedPassive(residentCampus, nil, shards)
+		fillEngine(eng, n, accept, func(p *packet.Packet, i int) { p.IPv4.Src = residentCampus.Base() + netaddr.V4(i) })
+		var m0, m1 runtime.MemStats
+		liveHeap(&m0)
+		inv := eng.Snapshot()
+		liveHeap(&m1)
+		runtime.KeepAlive(inv)
+		runtime.KeepAlive(eng)
+		if inv.Len() != n {
+			t.Fatalf("shards=%d: snapshot holds %d services, want %d", shards, inv.Len(), n)
+		}
+		per := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
+		t.Logf("shards=%d: first snapshot adds %.0f B per service (budget %d)", shards, per, budget)
+		if per > budget {
+			t.Errorf("shards=%d: first snapshot adds %.0f B of live heap per service, budget %d", shards, per, budget)
+		}
+	}
+}
+
+// residentCampus is wide enough for 100 k one-service addresses.
+var residentCampus = netaddr.MustParsePrefix("10.0.0.0/8")
+
+// fillEngine feeds n packets, each made from tmpl by edit and stamped a
+// millisecond apart, and flushes. Packets go through one reused batch so
+// the trace itself is not on the heap.
+func fillEngine(eng *ShardedPassive, n int, tmpl *packet.Packet, edit func(p *packet.Packet, i int)) {
+	batch := make([]packet.Packet, 0, 256)
+	for i := 0; i < n; i++ {
+		p := *tmpl
+		p.Timestamp = t0.Add(time.Duration(i) * time.Millisecond)
+		edit(&p, i)
+		if batch = append(batch, p); len(batch) == cap(batch) {
+			eng.HandleBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	eng.HandleBatch(batch)
+	eng.Flush()
 }
 
 // liveHeap reads the heap after two collections — the second reclaims what

@@ -23,7 +23,7 @@ package core
 // Both append to a pending list that the next Snapshot drains, sorts by
 // (deadline, key) and publishes as EventServiceExpired — exactly once per
 // expiry, deterministically ordered across shard counts. Every expiry also
-// leaves a tombstone (key → deadline) that sealed views, merged snapshots,
+// leaves a tombstone (key → deadline) that seal deltas, merged snapshots,
 // checkpoints and federation snapshot frames carry, so late or restarted
 // consumers can withdraw state they learned before the expiry.
 
@@ -156,9 +156,9 @@ func (d *PassiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
 // expireDue drains every deadline at or before the watermark, expiring
 // records whose evidence really has gone stale and lazily re-pushing
 // entries whose record was refreshed since the entry was pushed. Returns
-// whether anything expired (the caller bumps the shard generation so the
-// change propagates through the snapshot machinery). Runs on the shard's
-// owner goroutine at freeze time.
+// whether anything expired (the caller bumps the shard generation, which
+// checkpoint cursors compare). Runs on the shard's owner goroutine at
+// freeze time, right before the seal that reports the expiries.
 func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 	if d.ttl <= 0 || wm.IsZero() {
 		return false
@@ -176,7 +176,7 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 			continue
 		}
 		d.retire(e.key, deadline)
-		if d.sealed != nil {
+		if d.dirty != nil {
 			delete(d.dirty, e.key)
 			d.deadKeys = append(d.deadKeys, e.key)
 		}

@@ -84,17 +84,20 @@ type ShardedPassive struct {
 	// is entirely before or entirely after the snapshot point.
 	dispatchMu sync.Mutex
 
-	// snapMu serializes whole snapshots (freeze + merge) against each
-	// other. Sealed shard views are patched in place at each freeze, so a
-	// merge must finish reading them before the next freeze runs; holding
-	// snapMu across the critical section guarantees it, because freezes
-	// only ever happen on behalf of a snapshot. Hybrid.Snapshot shares
-	// this lock for the same reason.
+	// snapMu serializes whole snapshots (freeze + merge + cache) against
+	// each other. A shard's seal delta is relative to its previous seal and
+	// is handed out once, so every freeze must be consumed by exactly one
+	// merge, onto the snapshot the previous merge built: snapMu spans freeze
+	// and merge, and Hybrid.Snapshot takes it too, because both entry points
+	// advance the same chain (see advance).
 	snapMu sync.Mutex
 
-	// onSnap, when set, observes every newly built snapshot with its
-	// delta (see OnSnapshot). Guarded by snapMu.
-	onSnap func(prev, inv *Inventory, delta SnapshotDelta)
+	// onSnap, when set, observes every snapshot built through Snapshot with
+	// its delta (see OnSnapshot). foreign is set while the chain's newest
+	// inventory was built by Hybrid.Snapshot instead — onSnap never saw it,
+	// so the next passive observation cannot be a delta. Guarded by snapMu.
+	onSnap  func(prev, inv *Inventory, delta SnapshotDelta)
+	foreign bool
 
 	// dispatched counts batch dispatches that reached any shard. The
 	// cached Inventory remembers the count it froze at; while it is
@@ -121,8 +124,9 @@ type ShardedPassive struct {
 	// batchPool recycles the worker-queue copies of dispatched sub-batches.
 	batchPool sync.Pool
 
-	// snap caches the whole Inventory while no shard changes between
-	// snapshots.
+	// snap holds the newest Inventory of the passive snapshot chain: the
+	// answer while nothing is dispatched, and the base the next merge
+	// patches.
 	snap snapCache
 
 	// counters: In = packets offered, Out = packets dispatched to shards.
@@ -132,16 +136,14 @@ type ShardedPassive struct {
 	met *EngineMetrics
 }
 
-// snapCache reuses a frozen Inventory for as long as its generation
-// vector is unchanged, and doubles as the base the next snapshot patches
-// its deltas onto. Safe for concurrent snapshotters.
+// snapCache holds the newest Inventory of a snapshot chain together with
+// the engine fingerprint it was frozen at. Safe for concurrent snapshotters.
 type snapCache struct {
-	mu   sync.Mutex
-	gens []uint64
-	inv  *Inventory
-	// dispatched and agen fingerprint the engine state the cache froze at
-	// for the lock-free fast path: while no batch has been dispatched and
-	// no report applied since, the cache is trivially current.
+	mu  sync.Mutex
+	inv *Inventory
+	// dispatched and agen fingerprint the engine state the inventory froze
+	// at: while no batch has been dispatched and no report applied since,
+	// it is trivially current.
 	dispatched uint64
 	agen       uint64
 }
@@ -157,78 +159,38 @@ func (c *snapCache) fast(dispatched, agen uint64) *Inventory {
 	return nil
 }
 
-// get returns the cached Inventory for exactly this generation vector,
-// nil otherwise.
-func (c *snapCache) get(gens []uint64) *Inventory {
+// peek returns the cached Inventory (nil when there is none) and its
+// fingerprint.
+func (c *snapCache) peek() (inv *Inventory, dispatched, agen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inv == nil || len(c.gens) != len(gens) {
-		return nil
-	}
-	for i := range gens {
-		if c.gens[i] != gens[i] {
-			return nil
-		}
-	}
-	return c.inv
+	return c.inv, c.dispatched, c.agen
 }
 
-// peek returns the previous snapshot and its generation vector — the base
-// for delta patching.
-func (c *snapCache) peek() ([]uint64, *Inventory) {
+func (c *snapCache) put(inv *Inventory, dispatched, agen uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens, c.inv
-}
-
-func (c *snapCache) put(gens []uint64, inv *Inventory, dispatched, agen uint64) {
-	c.mu.Lock()
-	c.gens, c.inv, c.dispatched, c.agen = gens, inv, dispatched, agen
+	c.inv, c.dispatched, c.agen = inv, dispatched, agen
 	c.mu.Unlock()
 }
 
 // invalidate drops the cached Inventory — checkpoint restore mutates
 // shard state without moving the dispatch fingerprint, so any inventory
-// frozen before the import must not be served after it.
+// frozen before the import must not be served after it, nor patched.
 func (c *snapCache) invalidate() {
 	c.mu.Lock()
-	c.gens, c.inv = nil, nil
+	c.inv = nil
 	c.mu.Unlock()
 }
 
-// maxSealDeltas bounds the per-shard seal-delta history. Snapshot cadences
-// that outrun it (more distinct freeze points between two merges than the
-// ring holds) fall back to a full re-merge, never to a wrong one.
-const maxSealDeltas = 32
-
-// passiveShard is one worker-owned shard: the discoverer, its mutation
-// generation, the cached frozen view, and the recent seal-delta history.
-// All are touched only by the shard's owner — the worker goroutine while
-// running, the dispatcher (under dispatchMu) inline and after shutdown.
+// passiveShard is one worker-owned shard: the discoverer and its mutation
+// generation. Both are touched only by the shard's owner — the worker
+// goroutine while running, the dispatcher (under dispatchMu) inline and
+// after shutdown. A shard keeps nothing of its past freezes.
 type passiveShard struct {
 	disc *PassiveDiscoverer
-	// gen counts batches applied; a snapshot taken at the same gen can
-	// reuse the previously frozen view untouched.
-	gen  uint64
-	view *shardView
-	// deltas chain the recent seals (youngest last) so mergeViewsDelta can
-	// patch a previous merged snapshot forward instead of rebuilding.
-	deltas []sealDelta
-}
-
-// shardView is one shard's frozen point-in-time state: the sealed
-// copy-on-write view of the inventory-facing maps plus the shard's scanner
-// detections as of the freeze. Shard state is disjoint by owner address,
-// so per-shard detection results concatenate into exactly the merged
-// tracker's output.
-type shardView struct {
-	gen      uint64
-	disc     *PassiveDiscoverer
-	scanners []ScannerInfo
-	// expired holds the shard's pending expiries drained at this freeze;
-	// the snapshot that merges the views publishes and clears them (views
-	// are cached and reused — clearing prevents double emission).
-	expired []expiredSvc
+	// gen counts batches applied (and expiry sweeps that retired
+	// something); a checkpoint export at the cursor's gen is skipped.
+	gen uint64
 }
 
 // apply ingests one sub-batch and advances the generation.
@@ -237,60 +199,21 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 	sh.gen++
 }
 
-// freeze returns the shard's frozen view, sealing (O(records touched
-// since the last seal)) only if the shard changed since the last freeze.
-// wm is the engine watermark at the snapshot point: deadlines at or before
-// it expire first (generation-bumping, so the seal below picks them up).
-func (sh *passiveShard) freeze(wm time.Time) *shardView {
+// freeze seals the shard at a snapshot point and returns the delta since
+// its previous freeze (the whole shard when the merge has nothing to
+// patch), plus the scanner detections and pending expiry notices as of the
+// freeze. wm is the engine watermark at the snapshot point: deadlines at or
+// before it expire first, so the seal reports them. Shard state is disjoint
+// by owner address, so per-shard detection results concatenate into exactly
+// the merged tracker's output.
+func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 	if sh.disc.expireDue(wm) {
 		sh.gen++
 	}
-	if sh.view == nil || sh.view.gen != sh.gen {
-		var prevGen uint64
-		if sh.view != nil {
-			prevGen = sh.view.gen
-		}
-		sealed, delta := sh.disc.sealView()
-		delta.gen, delta.prevGen = sh.gen, prevGen
-		sh.deltas = append(sh.deltas, delta)
-		if len(sh.deltas) > maxSealDeltas {
-			sh.deltas = append(sh.deltas[:0], sh.deltas[len(sh.deltas)-maxSealDeltas:]...)
-		}
-		sh.view = &shardView{
-			gen:      sh.gen,
-			disc:     sealed,
-			scanners: sh.disc.DetectScanners(),
-		}
-	}
-	// Pending expiries imply a generation change (expiry bumps it, observe-
-	// side splits ride a batch), so the view holding them is always fresh.
-	if exp := sh.disc.takePendingExpired(); len(exp) > 0 {
-		sh.view.expired = append(sh.view.expired, exp...)
-	}
-	return sh.view
-}
-
-// deltasBetween collects the seal deltas spanning (fromGen, toGen],
-// youngest first, by walking the prevGen chain. ok is false when the
-// chain cannot be reconstructed — history evicted, or a full (untracked)
-// seal in the span — in which case the caller must re-merge from scratch.
-func (sh *passiveShard) deltasBetween(fromGen, toGen uint64) (out []sealDelta, ok bool) {
-	want := toGen
-	for i := len(sh.deltas) - 1; i >= 0; i-- {
-		if want == fromGen {
-			return out, true
-		}
-		d := sh.deltas[i]
-		if d.gen != want {
-			continue
-		}
-		if d.full {
-			return nil, false
-		}
-		out = append(out, d)
-		want = d.prevGen
-	}
-	return out, want == fromGen
+	delta := sh.disc.seal(whole)
+	delta.scanners = sh.disc.DetectScanners()
+	delta.expired = sh.disc.takePendingExpired()
+	return delta
 }
 
 // shardMsg is one entry of a shard queue: a sub-batch to apply (batch
@@ -301,11 +224,13 @@ func (sh *passiveShard) deltasBetween(fromGen, toGen uint64) (out []sealDelta, o
 // stream.
 type shardMsg struct {
 	batch *[]packet.Packet
-	snap  chan<- *shardView
+	snap  chan<- shardDelta
 	ckpt  *shardExportReq
-	// wm carries the engine watermark captured at the snapshot point
-	// (snap markers only).
-	wm time.Time
+	// wm carries the engine watermark captured at the snapshot point and
+	// whole asks for the entire shard rather than a delta (snap markers
+	// only).
+	wm    time.Time
+	whole bool
 }
 
 // NewShardedPassive builds a discoverer sharded n ways (n < 1 is treated
@@ -539,9 +464,9 @@ func (s *ShardedPassive) Run(ctx context.Context) {
 			for msg := range q {
 				if msg.snap != nil {
 					// Snapshot marker: everything enqueued before it has
-					// been applied, so the frozen view is exactly the
-					// shard's state at the marker's dispatch point.
-					msg.snap <- sh.freeze(msg.wm)
+					// been applied, so the seal is exactly the shard's
+					// state at the marker's dispatch point.
+					msg.snap <- sh.freeze(msg.wm, msg.whole)
 					continue
 				}
 				if msg.ckpt != nil {
@@ -623,172 +548,108 @@ func (s *ShardedPassive) Merge() *PassiveDiscoverer {
 	return m
 }
 
-// snapshotViews captures every shard's frozen view at one consistent
-// point, plus the dispatch count at that point (the cache fingerprint).
-// While workers run, a snapshot marker is enqueued on every shard queue
-// under the dispatch lock — atomically with respect to batch scatter, so
-// the snapshot point falls exactly between two whole batches of the
-// producer's stream; each worker freezes after applying everything
-// enqueued before its marker. Inline (or after Close) the freeze happens
-// directly under the dispatch lock. Unchanged shards reuse their cached
-// frozen view; changed shards seal in O(churn). Callers must hold snapMu.
-func (s *ShardedPassive) snapshotViews() ([]*shardView, uint64, time.Time) {
+// freezeShards seals every shard at one consistent point and returns the
+// shard deltas, the dispatch count at that point (the cache fingerprint)
+// and the watermark. While workers run, a snapshot marker is enqueued on
+// every shard queue under the dispatch lock — atomically with respect to
+// batch scatter, so the snapshot point falls exactly between two whole
+// batches of the producer's stream; each worker freezes after applying
+// everything enqueued before its marker. Inline (or after Close) the
+// freeze happens directly under the dispatch lock. With whole unset and
+// nothing dispatched since the count given, no shard is touched and the
+// deltas are nil. Callers must hold snapMu.
+func (s *ShardedPassive) freezeShards(whole bool, since uint64) ([]shardDelta, uint64, time.Time) {
 	s.dispatchMu.Lock()
 	d0 := s.dispatched.Load()
 	wm := s.watermark
+	if !whole && d0 == since {
+		s.dispatchMu.Unlock()
+		return nil, d0, wm
+	}
+	deltas := make([]shardDelta, len(s.shards))
 	s.mu.RLock()
 	if s.running && !s.closed {
-		chans := make([]chan *shardView, len(s.shards))
+		chans := make([]chan shardDelta, len(s.shards))
 		for i := range s.shards {
-			ch := make(chan *shardView, 1)
+			ch := make(chan shardDelta, 1)
 			chans[i] = ch
-			s.queues[i] <- shardMsg{snap: ch, wm: wm}
+			s.queues[i] <- shardMsg{snap: ch, wm: wm, whole: whole}
 		}
 		s.mu.RUnlock()
 		s.dispatchMu.Unlock()
-		views := make([]*shardView, len(chans))
 		for i, ch := range chans {
-			views[i] = <-ch
+			deltas[i] = <-ch
 		}
-		return views, d0, wm
+		return deltas, d0, wm
 	}
 	s.mu.RUnlock()
 	// Inline, or shut down. If workers ever ran, wait for their exit so
 	// their final writes are visible here (Close already waits; this
 	// covers snapshots racing Close).
 	s.workers.Wait()
-	views := make([]*shardView, len(s.shards))
 	for i, sh := range s.shards {
-		views[i] = sh.freeze(wm)
+		deltas[i] = sh.freeze(wm, whole)
 	}
 	s.dispatchMu.Unlock()
-	return views, d0, wm
+	return deltas, d0, wm
 }
 
-// mergeViewsFull unions frozen shard views into one merged store plus the
-// combined scanner list (shard detections are disjoint by source, so
-// concatenation + sort reproduces the merged tracker's output) — the
-// from-scratch merge path, built through persistent-map transients.
-func (s *ShardedPassive) mergeViewsFull(views []*shardView) (*mergedStore, []ScannerInfo) {
-	m := newMergedStore()
-	sb := m.services.builder()
-	tb := m.trails.builder()
-	ob := m.tombs.builder()
+// mergeViews builds the merged store for one snapshot point from the shard
+// deltas alone: it patches base — the store the previous merge built — with
+// exactly the records, trails and tombstones the deltas carry, as
+// persistent-map path copies through transient builders, and combines the
+// scanner lists (shard detections are disjoint by source, so concatenation
+// + sort reproduces the merged tracker's output). With no base the deltas
+// are whole shards and the same loop builds the store from empty; the
+// returned delta is then Full and lists nothing, sparing a first snapshot
+// the sort of its entire key set. Otherwise Added names the services that
+// appeared or were reborn since base, Updated those whose record was
+// touched but persisted (re-observations — LastSeen, flows or client counts
+// moved) and Removed those that left, all three sorted and mutually
+// disjoint: a shard never lists one key both dirty and dead.
+func mergeViews(base *mergedStore, deltas []shardDelta) (*mergedStore, []ScannerInfo, SnapshotDelta) {
+	d := SnapshotDelta{Full: base == nil}
+	if base == nil {
+		base = newMergedStore()
+	}
+	m := &mergedStore{}
+	sb := base.services.builder()
+	tb := base.trails.builder()
+	ob := base.tombs.builder()
 	var scanners []ScannerInfo
-	for _, v := range views {
-		m.packets += v.disc.Packets
-		for k, rec := range v.disc.services {
-			sb.Set(k, rec)
-		}
-		for a, ts := range v.disc.addrTimes {
-			tb.Set(a, ts)
-		}
-		for k, at := range v.disc.tombs {
-			ob.Set(k, at)
-		}
-		scanners = append(scanners, v.scanners...)
-	}
-	m.services, m.trails, m.tombs = sb.freeze(), tb.freeze(), ob.freeze()
-	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
-	return m, scanners
-}
-
-// mergeViewsDelta derives the merged store for views by patching the
-// previous merged snapshot (prevInv, frozen at prevGens) with only the
-// records, trails and tombstones the changed shards touched in between:
-// persistent-map path copies for exactly the touched entries, zero
-// full-map clones, no re-sort of untouched state. Each touched key is
-// resolved against the shard's FINAL sealed state, so the patch is
-// insensitive to the order (and interleaving) of the deltas within a span
-// — a key that expired and was reborn lands on its final record, a key
-// that expired for good is deleted with its tombstone. newKeys returns
-// the services that appeared or were reborn since prev, updKeys those
-// whose record was touched but persisted (re-observations — LastSeen,
-// flows or client counts moved), and delKeys those that left (all three
-// sorted, mutually disjoint). ok is false when the previous snapshot is
-// not persistent-map backed or a shard's delta chain cannot be
-// reconstructed; callers then fall back to mergeViewsFull.
-func (s *ShardedPassive) mergeViewsDelta(views []*shardView, prevInv *Inventory, prevGens []uint64) (m *mergedStore, scanners []ScannerInfo, newKeys, updKeys, delKeys []ServiceKey, ok bool) {
-	if prevInv == nil || len(prevGens) != len(views) {
-		return nil, nil, nil, nil, nil, false
-	}
-	prev, isMerged := prevInv.d.(*mergedStore)
-	if !isMerged {
-		return nil, nil, nil, nil, nil, false
-	}
-	type span struct {
-		shard  int
-		deltas []sealDelta
-	}
-	var spans []span
-	for i, v := range views {
-		if v.gen == prevGens[i] {
-			continue
-		}
-		ds, ok := s.shards[i].deltasBetween(prevGens[i], v.gen)
-		if !ok {
-			return nil, nil, nil, nil, nil, false
-		}
-		spans = append(spans, span{shard: i, deltas: ds})
-	}
-
-	m = &mergedStore{}
-	sb := prev.services.builder()
-	tb := prev.trails.builder()
-	ob := prev.tombs.builder()
-	for _, v := range views {
-		m.packets += v.disc.Packets
-		scanners = append(scanners, v.scanners...)
-	}
-	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
-	for _, sp := range spans {
-		sealed := views[sp.shard].disc
-		touched := make(map[ServiceKey]bool)
-		reborn := make(map[ServiceKey]bool)
-		addrs := make(map[netaddr.V4]bool)
-		for _, d := range sp.deltas {
-			for _, k := range d.keys {
-				touched[k] = true
-			}
-			for _, k := range d.newKeys {
-				touched[k] = true
-				reborn[k] = true
-			}
-			for _, k := range d.delKeys {
-				touched[k] = true
-			}
-			for _, a := range d.addrs {
-				addrs[a] = true
-			}
-		}
-		for k := range touched {
-			_, was := prev.services.Get(k)
-			if rec, live := sealed.services[k]; live {
-				sb.Set(k, rec)
-				if !was || reborn[k] {
-					newKeys = append(newKeys, k)
+	for i := range deltas {
+		sd := &deltas[i]
+		m.packets += sd.packets
+		scanners = append(scanners, sd.scanners...)
+		for _, r := range sd.recs {
+			if !d.Full {
+				if _, was := base.services.Get(r.key); !was || r.born {
+					d.Added = append(d.Added, r.key)
 				} else {
-					updKeys = append(updKeys, k)
-				}
-			} else {
-				sb.Delete(k)
-				if was {
-					delKeys = append(delKeys, k)
+					d.Updated = append(d.Updated, r.key)
 				}
 			}
-			if at, tombed := sealed.tombs[k]; tombed {
-				ob.Set(k, at)
-			}
+			sb.Set(r.key, r.rec)
 		}
-		for a := range addrs {
-			tb.Set(a, sealed.addrTimes[a])
+		for _, k := range sd.dead {
+			if _, was := base.services.Get(k); was {
+				d.Removed = append(d.Removed, k)
+			}
+			sb.Delete(k)
+		}
+		for _, t := range sd.trails {
+			tb.Set(t.addr, t.trail)
+		}
+		for _, t := range sd.tombs {
+			ob.Set(t.Key, t.At)
 		}
 	}
 	m.services, m.trails, m.tombs = sb.freeze(), tb.freeze(), ob.freeze()
-	sort.Slice(newKeys, func(i, j int) bool { return newKeys[i].Before(newKeys[j]) })
-	sort.Slice(updKeys, func(i, j int) bool { return updKeys[i].Before(updKeys[j]) })
-	sort.Slice(delKeys, func(i, j int) bool { return delKeys[i].Before(delKeys[j]) })
-	return m, scanners, newKeys, updKeys, delKeys, true
+	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
+	for _, ks := range [][]ServiceKey{d.Added, d.Updated, d.Removed} {
+		sort.Slice(ks, func(i, j int) bool { return ks[i].Before(ks[j]) })
+	}
+	return m, scanners, d
 }
 
 // mergeSortedKeys unions a sorted key slice with sorted additions,
@@ -840,29 +701,6 @@ func removeSortedKeys(keys, del []ServiceKey) []ServiceKey {
 	return out
 }
 
-// collectExpired drains the pending expiry notices off a view set. The
-// views retain no reference afterwards, so a cached view reused by a later
-// snapshot cannot re-emit them.
-func collectExpired(views []*shardView) []expiredSvc {
-	var out []expiredSvc
-	for _, v := range views {
-		if len(v.expired) > 0 {
-			out = append(out, v.expired...)
-			v.expired = nil
-		}
-	}
-	return out
-}
-
-// viewGens extracts the generation vector of a view set.
-func viewGens(views []*shardView) []uint64 {
-	gens := make([]uint64, len(views))
-	for i, v := range views {
-		gens[i] = v.gen
-	}
-	return gens
-}
-
 // SnapshotDelta describes how one published snapshot differs from its
 // predecessor — the O(churn) changed-key sets a snapshot observer needs
 // to patch derived state (secondary indexes, caches) forward without
@@ -870,9 +708,10 @@ func viewGens(views []*shardView) []uint64 {
 // canonical key order and mutually disjoint; a reborn service (expired
 // and re-observed within one span) is Added, an expired key that
 // survives on active evidence is Updated (its provenance downgraded).
-// Full set means no delta could be derived (first snapshot, cache
-// lineage break, or an active-side change that reclassifies everything)
-// — consumers must rebuild from the new inventory.
+// Full set means no delta could be derived (first snapshot, restore, the
+// other entry point having advanced the chain in between, or an
+// active-side change that reclassifies everything) — consumers must
+// rebuild from the new inventory.
 type SnapshotDelta struct {
 	Added   []ServiceKey
 	Updated []ServiceKey
@@ -880,41 +719,45 @@ type SnapshotDelta struct {
 	Full    bool
 }
 
-// OnSnapshot registers fn to observe every newly built snapshot: it runs
-// under the snapshot lock, after the new inventory is cached, with the
-// previous inventory (nil on the first), the new one, and the delta
-// between them. Cache hits (snapshots of an unchanged engine) do not
-// invoke it. Because fn blocks the snapshot path, it must be fast —
-// O(delta) work, no waiting on queries. At most one observer; nil clears.
+// OnSnapshot registers fn to observe every snapshot newly built through
+// Snapshot: it runs under the snapshot lock, after the new inventory is
+// cached, with the previous inventory of the chain (nil on the first), the
+// new one, and the delta between them. Cache hits (snapshots of an
+// unchanged engine) do not invoke it. Snapshots built through
+// Hybrid.Snapshot are not reported here — they advance the same passive
+// chain but go to Hybrid.OnSnapshot's observer only — so a non-Full delta
+// is always relative to the inventory fn was handed last; when the hybrid
+// entry point advanced the chain in between, the next observation is Full.
+// Because fn blocks the snapshot path, it must be fast — O(delta) work, no
+// waiting on queries. At most one observer; nil clears.
 func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta SnapshotDelta)) {
 	s.snapMu.Lock()
 	s.onSnap = fn
 	s.snapMu.Unlock()
 }
 
-// Snapshot freezes a consistent point-in-time Inventory. It is
-// non-terminal and cheap to repeat: with nothing dispatched since the
-// previous snapshot the cached Inventory is returned outright (no shard
-// traffic, no allocation); otherwise unchanged shards reuse their
-// previously frozen views, changed shards seal only the records touched
-// since their last freeze, and the merged inventory is patched forward
-// from the previous snapshot rather than rebuilt. On a running engine the
-// snapshot point is a batch boundary of the producer's stream (everything
-// dispatched before the call is included), and the result is
-// byte-identical to pausing the producer, flushing, and snapshotting at
-// that point. Safe to call from any goroutine at any lifecycle stage.
-func (s *ShardedPassive) Snapshot() *Inventory {
-	if inv := s.snap.fast(s.dispatched.Load(), 0); inv != nil {
-		return inv
+// advance moves the passive snapshot chain to a new consistent point: it is
+// the one place shards are frozen and merged, behind both
+// ShardedPassive.Snapshot and Hybrid.Snapshot. It freezes every shard,
+// publishes the expiries the freeze surfaced — together with activeExpiry's
+// (Hybrid's active side, run at the same watermark; nil for a passive
+// engine) in one deterministic (time, key) order — patches the cached
+// inventory forward with the shard deltas and caches the result. prev is the
+// chain's inventory before the call (nil on the first snapshot and after a
+// restore, when the shards are merged whole), delta how inv differs from
+// it, d0 the dispatch count inv froze at. With nothing dispatched since
+// prev it returns inv == prev and an empty delta. Callers must hold snapMu.
+func (s *ShardedPassive) advance(activeExpiry func(wm time.Time) []expiredSvc) (prev, inv *Inventory, delta SnapshotDelta, d0 uint64) {
+	prev, since, _ := s.snap.peek()
+	deltas, d0, wm := s.freezeShards(prev == nil, since)
+	var exp []expiredSvc
+	for i := range deltas {
+		exp = append(exp, deltas[i].expired...)
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
+	if activeExpiry != nil {
+		exp = append(exp, activeExpiry(wm)...)
 	}
-	views, d0, _ := s.snapshotViews()
-	if exp := collectExpired(views); len(exp) > 0 {
+	if len(exp) > 0 {
 		sortExpired(exp)
 		for _, e := range exp {
 			s.events.serviceExpired(e.key, e.at, e.prov, e.clear)
@@ -923,32 +766,68 @@ func (s *ShardedPassive) Snapshot() *Inventory {
 			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
 		}
 	}
-	gens := viewGens(views)
-	if inv := s.snap.get(gens); inv != nil {
-		return inv
+	if deltas == nil {
+		return prev, prev, SnapshotDelta{}, d0
 	}
-	prevGens, prevInv := s.snap.peek()
-	var inv *Inventory
-	delta := SnapshotDelta{Full: true}
-	if prevInv != nil {
-		if m, scanners, newKeys, updKeys, delKeys, ok := s.mergeViewsDelta(views, prevInv, prevGens); ok {
-			inv = &Inventory{d: m, keys: removeSortedKeys(mergeSortedKeys(prevInv.keys, newKeys), delKeys), scanners: scanners}
-			delta = SnapshotDelta{Added: newKeys, Updated: updKeys, Removed: delKeys}
-		}
+	var base *mergedStore
+	if prev != nil {
+		base = prev.d.(*mergedStore)
 	}
-	if inv == nil {
-		merged, scanners := s.mergeViewsFull(views)
-		inv = newFrozenInventory(merged, scanners)
+	m, scanners, delta := mergeViews(base, deltas)
+	if delta.Full {
+		inv = newFrozenInventory(m, scanners)
+	} else {
+		inv = &Inventory{d: m, keys: removeSortedKeys(mergeSortedKeys(prev.keys, delta.Added), delta.Removed), scanners: scanners}
 	}
-	s.snap.put(gens, inv, d0, 0)
-	if s.onSnap != nil {
-		s.onSnap(prevInv, inv, delta)
+	s.snap.put(inv, d0, 0)
+	return prev, inv, delta, d0
+}
+
+// snapshotStart reads the clock for snapshotBuilt, only when instrumented.
+func (s *ShardedPassive) snapshotStart() (t0 time.Time) {
+	if s.met != nil {
+		t0 = time.Now()
 	}
+	return t0
+}
+
+// snapshotBuilt reports one newly built snapshot to the telemetry bundle.
+func (s *ShardedPassive) snapshotBuilt(t0 time.Time, inv *Inventory) {
 	if m := s.met; m != nil {
 		el := time.Since(t0)
 		m.Snapshot.Observe(el)
 		m.Flight.Record(obs.TraceSnapshotSealed, "", int64(inv.Len()), el.Microseconds())
 	}
+}
+
+// Snapshot freezes a consistent point-in-time Inventory. It is
+// non-terminal and cheap to repeat: with nothing dispatched since the
+// previous snapshot the cached Inventory is returned outright (no shard
+// traffic, no allocation); otherwise every shard seals only the records
+// touched since its last freeze, and the merged inventory is patched
+// forward from the previous snapshot rather than rebuilt. On a running
+// engine the snapshot point is a batch boundary of the producer's stream
+// (everything dispatched before the call is included), and the result is
+// byte-identical to pausing the producer, flushing, and snapshotting at
+// that point. Safe to call from any goroutine at any lifecycle stage.
+func (s *ShardedPassive) Snapshot() *Inventory {
+	if inv := s.snap.fast(s.dispatched.Load(), 0); inv != nil {
+		return inv
+	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	t0 := s.snapshotStart()
+	prev, inv, delta, _ := s.advance(nil)
+	if inv == prev {
+		return inv // another snapshotter got here first
+	}
+	if s.foreign {
+		delta, s.foreign = SnapshotDelta{Full: true}, false
+	}
+	if s.onSnap != nil {
+		s.onSnap(prev, inv, delta)
+	}
+	s.snapshotBuilt(t0, inv)
 	return inv
 }
 

@@ -411,23 +411,23 @@ func TestPeerDedupModel(t *testing.T) {
 			}
 		}
 
-		type sealedRec struct {
+		type sealedAt struct {
 			rec     *PassiveRecord
 			clients int
 			first   []PeerContact
 		}
-		var sealed []sealedRec
+		var sealed []sealedAt
 		for step := 0; step < 6000; step++ {
 			now = now.Add(time.Second)
 			i := rng.Intn(len(pools))
 			observe(i, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(rng.Intn(pools[i])))
 			switch {
 			case step%97 == 0:
-				// Seal, and remember what the sealed view holds: later
-				// writes must go to clones.
-				view, _ := d.sealView()
-				for _, rec := range view.services {
-					sealed = append(sealed, sealedRec{rec, rec.Clients(), slices.Clone(rec.FirstPeers())})
+				// Seal, and remember the records the seal hands out — the
+				// whole shard the first time, what changed since afterwards:
+				// later writes must go to clones.
+				for _, r := range d.seal(step == 0).recs {
+					sealed = append(sealed, sealedAt{r.rec, r.rec.Clients(), slices.Clone(r.rec.FirstPeers())})
 				}
 				check("after a seal")
 			case step == 2000:

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 	"servdisc/internal/probe"
+	"servdisc/internal/stats"
 )
 
 // deltaRecorder captures every OnSnapshot invocation.
@@ -223,5 +227,191 @@ func TestSnapshotDeltaObserverHybridDowngrade(t *testing.T) {
 	}
 	if p, ok := inv2.Provenance(svc); !ok || p != ActiveOnly {
 		t.Fatalf("downgraded service provenance = %v/%v, want ActiveOnly", p, ok)
+	}
+}
+
+// TestSnapshotEntryPointsInterleaved drives Passive().Snapshot() and
+// Snapshot() in random order on one running hybrid engine — the facade
+// flips from the first to the second when the first report lands, and one
+// observer may be registered on both — with retention on, reports arriving
+// mid-stream and every snapshot racing the producer. Both entry points
+// advance the same snapshot chain, so: every inventory equals the
+// pause-flush-snapshot reference at the point it froze; an observer is only
+// called for snapshots built through its own entry point, and any delta it
+// gets is against the inventory it was handed last; and every expiry is
+// published once, whichever entry point's freeze surfaced it.
+func TestSnapshotEntryPointsInterleaved(t *testing.T) {
+	policy := RetentionPolicy{PassiveTTL: 3 * time.Hour, ActiveTTL: 5 * time.Hour}
+	trace := genRetentionTrace(42)
+	batches := splitBatches(trace, 16)
+
+	// Three sweeps arrive mid-stream, stamped with the stream's clock on
+	// arrival. Each probes addresses of its own (nothing is probed twice,
+	// so active expiry does not depend on snapshot cadence): ten of the
+	// trace's services, whose passive expiry then downgrades instead of
+	// removing, and five addresses passive monitoring never sees.
+	var reps []*probe.ScanReport
+	reportAfter := make(map[int]*probe.ScanReport) // keyed by batches fed before it
+	for i := 0; i < 3; i++ {
+		after := len(batches) * (i + 1) / 4
+		last := batches[after-1]
+		at := last[len(last)-1].Timestamp
+		rep := &probe.ScanReport{ID: i + 1, Started: at, Finished: at.Add(time.Minute)}
+		for j := 10 * i; j < 10*i+10; j++ {
+			rep.TCP = append(rep.TCP, probe.TCPResult{Time: at, State: probe.StateOpen,
+				Addr: campusPfx.Base() + netaddr.V4(700+j), Port: []uint16{22, 80, 443}[j%3]})
+		}
+		for j := 5 * i; j < 5*i+5; j++ {
+			rep.TCP = append(rep.TCP, probe.TCPResult{Time: at, State: probe.StateOpen,
+				Addr: campusPfx.Base() + netaddr.V4(9000+j), Port: 80})
+		}
+		reps = append(reps, rep)
+		reportAfter[after] = rep
+	}
+
+	// reference is the pause-flush-snapshot answer after n packets and r
+	// reports: a fresh inline engine asked once, through one entry point, so
+	// it merges its shard whole and never patches anything.
+	reference := func(n, r int) *Hybrid {
+		ref := NewHybrid(campusPfx, []uint16{53}, 1, nil)
+		ref.SetRetention(policy)
+		ref.HandleBatch(trace[:n])
+		for _, rep := range reps[:r] {
+			ref.AddReport(rep)
+		}
+		return ref
+	}
+	sortExpiries := func(exp []expiryRec) []expiryRec {
+		sort.Slice(exp, func(i, j int) bool { return exp[i].String() < exp[j].String() })
+		return exp
+	}
+	ref := reference(len(trace), len(reps))
+	refSub := ref.Subscribe(1 << 16)
+	ref.Snapshot()
+	ref.Close()
+	wantExp := sortExpiries(drainExpired(refSub))
+	byProv := map[Provenance]int{}
+	for _, e := range wantExp {
+		byProv[e.prov]++
+	}
+	if byProv[PassiveOnly] == 0 || byProv[ActiveOnly] == 0 {
+		t.Fatalf("reference run expired %v; want both passive and active expiries", byProv)
+	}
+
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			h := NewHybrid(campusPfx, []uint16{53}, shards, nil)
+			h.SetRetention(policy)
+			sub := h.Subscribe(1 << 16)
+			var passiveObs, hybridObs deltaRecorder
+			h.Passive().OnSnapshot(passiveObs.observe)
+			h.OnSnapshot(hybridObs.observe)
+			h.Run(context.Background())
+
+			// The producer feeds as many batches as it is told to and says so
+			// after the first, so the snapshot the test goroutine takes next
+			// has something new to freeze and races the rest.
+			feed := make(chan int)
+			started := make(chan struct{})
+			var producer sync.WaitGroup
+			producer.Add(1)
+			go func() {
+				defer producer.Done()
+				fed := 0
+				for k := range feed {
+					for i := 0; i < k && fed < len(batches); i++ {
+						h.HandleBatch(batches[fed])
+						fed++
+						if rep := reportAfter[fed]; rep != nil {
+							h.AddReport(rep)
+							h.inflight.Wait() // applied at a known point of the stream
+						}
+						if i == 0 {
+							started <- struct{}{}
+						}
+					}
+				}
+			}()
+
+			rng := stats.NewRNG(uint64(shards)).Derive("entry-points")
+			checked := make(map[*Inventory]bool)
+			snapshot := func(hybrid bool) {
+				t.Helper()
+				np, nh := len(passiveObs.invs), len(hybridObs.invs)
+				var inv *Inventory
+				if hybrid {
+					inv = h.Snapshot()
+				} else {
+					inv = h.Passive().Snapshot()
+				}
+				if inv.Hybrid() != hybrid {
+					t.Fatalf("entry point hybrid=%v returned an inventory with Hybrid()=%v", hybrid, inv.Hybrid())
+				}
+				if hybrid && len(passiveObs.invs) != np {
+					t.Fatal("a hybrid snapshot called the passive observer")
+				}
+				if !hybrid && len(hybridObs.invs) != nh {
+					t.Fatal("a passive snapshot called the hybrid observer")
+				}
+				if checked[inv] {
+					return
+				}
+				checked[inv] = true
+				want := reference(inv.Packets(), len(inv.Scans()))
+				wantDump := want.Passive().Snapshot().Dump()
+				if hybrid {
+					wantDump = want.Snapshot().Dump()
+				}
+				if !bytes.Equal(inv.Dump(), wantDump) {
+					t.Fatalf("hybrid=%v snapshot at %d packets, %d reports differs from the reference", hybrid, inv.Packets(), len(inv.Scans()))
+				}
+			}
+			// The entry point changes before one snapshot in three, so each
+			// gets runs long enough to patch and is cut in on by the other.
+			hybrid := false
+			next := func() bool {
+				if rng.Intn(3) == 0 {
+					hybrid = !hybrid
+				}
+				return hybrid
+			}
+			for sent := 0; sent < len(batches); {
+				k := 2 + rng.Intn(3)
+				feed <- k
+				<-started
+				sent += k
+				snapshot(next())
+				if rng.Intn(3) == 0 {
+					snapshot(next())
+				}
+			}
+			close(feed)
+			producer.Wait()
+			snapshot(false)
+			snapshot(true)
+			h.Close()
+
+			for name, rec := range map[string]*deltaRecorder{"passive": &passiveObs, "hybrid": &hybridObs} {
+				var last *Inventory
+				deltas := 0
+				for i, inv := range rec.invs {
+					if inv.Hybrid() != (name == "hybrid") {
+						t.Fatalf("%s observer, observation %d: handed an inventory with Hybrid()=%v", name, i, inv.Hybrid())
+					}
+					if !rec.deltas[i].Full {
+						deltas++
+						if rec.prevs[i] != last {
+							t.Fatalf("%s observer, observation %d: delta is not against the inventory it was handed last", name, i)
+						}
+					}
+					checkDelta(t, rec.prevs[i], inv, rec.deltas[i], fmt.Sprintf("%s obs %d", name, i))
+					last = inv
+				}
+				if deltas == 0 {
+					t.Errorf("%s observer saw no delta in %d observations", name, len(rec.invs))
+				}
+			}
+			assertSameExpiries(t, "expiries across both entry points", wantExp, sortExpiries(drainExpired(sub)))
+		})
 	}
 }

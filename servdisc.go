@@ -531,10 +531,11 @@ func (p *Pipeline) Close() {
 // Snapshot freezes a consistent point-in-time inventory: hybrid (with
 // provenance) when scan options were configured or any scan report was
 // ingested via AddReport, passive-only otherwise. It is non-terminal,
-// concurrent-safe and cheap to repeat — producers keep running, unchanged
-// shards reuse their frozen views, and an unchanged engine returns the
-// previous Inventory — so a live deployment can poll it at any frequency
-// (see core.Hybrid.Snapshot for the consistency contract).
+// concurrent-safe and cheap to repeat — producers keep running, shards
+// hand over only what changed since the previous snapshot, and an
+// unchanged engine returns the previous Inventory — so a live deployment
+// can poll it at any frequency (see core.Hybrid.Snapshot for the
+// consistency contract).
 func (p *Pipeline) Snapshot() *Inventory {
 	if p.scan == nil && !p.engine.SeenReports() {
 		return p.engine.Passive().Snapshot()
