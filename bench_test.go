@@ -202,10 +202,10 @@ func BenchmarkFigure12(b *testing.B) {
 	benchFigure(b, func() *report.Figure { return experiments.Figure12(ds) })
 }
 
-// Ingest benches: the same border stream pushed through the three ingest
-// paths — the legacy per-packet adapter, batched flow, and the sharded
-// discoverer with concurrent workers. Each reports packets/sec so the
-// batching and sharding wins are measured, not asserted.
+// Ingest benches: the same border stream pushed through the two ingest
+// paths — batched flow into one discoverer, and the sharded discoverer
+// with concurrent workers. Each reports packets/sec so the sharding win
+// is measured, not asserted.
 
 var (
 	ingestOnce   sync.Once
@@ -301,23 +301,8 @@ func ingestChain(b *testing.B, pfx netaddr.Prefix, sink pipeline.BatchSink) *cap
 	return capture.NewMonitor(capture.NewAssigner(pfx, nil), tap1, tap2)
 }
 
-// BenchmarkIngestPerPacket is the legacy arrival model: every border
-// packet enters the monitor chain as its own HandlePacket call.
-func BenchmarkIngestPerPacket(b *testing.B) {
-	pkts, pfx := ingestStream(b)
-	resetIngestTimer(b)
-	for i := 0; i < b.N; i++ {
-		disc := core.NewPassiveDiscoverer(pfx, campus.SelectedUDPPorts)
-		mon := ingestChain(b, pfx, disc)
-		for j := range pkts {
-			mon.HandlePacket(&pkts[j])
-		}
-	}
-	reportPacketsPerSec(b, len(pkts))
-}
-
-// BenchmarkIngestBatched pushes the same stream through the same chain in
-// DefaultBatchSize batches, still single-threaded.
+// BenchmarkIngestBatched pushes the stream through the monitor chain in
+// DefaultBatchSize batches, single-threaded.
 func BenchmarkIngestBatched(b *testing.B) {
 	pkts, pfx := ingestStream(b)
 	resetIngestTimer(b)

@@ -35,7 +35,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -49,7 +48,9 @@ import (
 	"time"
 
 	"servdisc/internal/checkpoint"
+	"servdisc/internal/core"
 	"servdisc/internal/federate"
+	"servdisc/internal/httpapi"
 	"servdisc/internal/obs"
 	"servdisc/internal/query"
 )
@@ -225,25 +226,10 @@ func run(o options) error {
 
 	registerDaemonSeries(reg, agg, &stateWrites, &stateWriteFails)
 	mirror := newSiteMirror(reg, agg, health)
-	srv := &http.Server{Addr: o.httpAddr, Handler: newMux(agg, health, reg, mirror)}
-	httpErr := make(chan error, 1)
-	go func() {
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			httpErr <- err
-		}
-	}()
+	srv := httpapi.Serve(o.httpAddr, newMux(agg, health, reg, mirror))
 	if o.debugAddr != "" {
-		// The debug surface keeps pprof and the flight dump off the public
-		// API address; its /metrics is the same mirrored scrape.
-		dbg := http.NewServeMux()
-		dbg.Handle("/metrics", mirror.handler())
-		dbg.Handle("/", reg.DebugHandler())
-		go func() {
-			if err := http.ListenAndServe(o.debugAddr, dbg); err != nil {
-				fmt.Fprintf(os.Stderr, "federated: debug server: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving debug surface on %s (/debug/pprof, /debug/flight, /metrics)\n", o.debugAddr)
+		// The debug /metrics is the same mirrored scrape as the API's.
+		httpapi.ServeDebug("federated", o.debugAddr, reg, mirror.handler())
 	}
 	fmt.Printf("aggregating %d feeds; serving global inventory on %s (/dump, /services, /query, /sites, /metrics, /healthz)\n",
 		len(o.feeds), o.httpAddr)
@@ -271,14 +257,12 @@ func run(o options) error {
 			}
 		case <-sigCtx.Done():
 			writeState()
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
+			srv.Drain()
 			if statePath != "" {
 				fmt.Printf("shutting down; aggregator state saved to %s\n", statePath)
 			}
 			return nil
-		case err := <-httpErr:
+		case err := <-srv.Err():
 			writeState()
 			return err
 		case <-stateTick:
@@ -287,56 +271,37 @@ func run(o options) error {
 	}
 }
 
-// dumpCache holds one encoded /services body per aggregator generation:
-// re-encoding happens only when a feed frame actually changed the service
-// table, so any number of full-dump pollers cost one marshal per change.
-type dumpCache struct {
-	mu   sync.Mutex
+// globalSource puts the aggregator's cross-site inventory (and its lazily
+// refreshed index) behind the shared HTTP surface.
+type globalSource struct{ agg *federate.Aggregator }
+
+func (s globalSource) View() httpapi.View {
+	return &globalView{agg: s.agg, gen: s.agg.Gen()}
+}
+
+func (s globalSource) Query(q query.Query) (query.Result, error) { return s.agg.Query(q) }
+
+// globalView is the service table at one mutation generation. The rows —
+// already in canonical key order, which is also the dump order — are
+// copied out of the aggregator only if the request gets past the ETag.
+type globalView struct {
+	agg  *federate.Aggregator
 	gen  uint64
-	has  bool
-	body []byte
-	etag string
+	svcs []federate.GlobalService
 }
 
-func (c *dumpCache) get(gen uint64, build func() []byte) ([]byte, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.has || gen != c.gen {
-		c.gen, c.has = gen, true
-		c.body = build()
-		c.etag = fmt.Sprintf("\"agg-%d\"", gen)
+func (v *globalView) services() []federate.GlobalService {
+	if v.svcs == nil {
+		v.svcs = v.agg.Services()
 	}
-	return c.body, c.etag
+	return v.svcs
 }
 
-// pagedServices serves /services?limit=&page=: global services in
-// canonical key order, the last emitted key as the next-page token.
-func pagedServices(agg *federate.Aggregator, limitStr, page string) ([]federate.GlobalService, string, error) {
-	limit := 1000
-	if limitStr != "" {
-		n, err := strconv.Atoi(limitStr)
-		if err != nil || n <= 0 {
-			return nil, "", fmt.Errorf("bad limit %q", limitStr)
-		}
-		limit = n
-	}
-	all := agg.Services()
-	if page != "" {
-		after, err := query.ParseKey(page)
-		if err != nil {
-			return nil, "", fmt.Errorf("bad page token %q", page)
-		}
-		for len(all) > 0 && !after.Before(all[0].Key) {
-			all = all[1:]
-		}
-	}
-	next := ""
-	if len(all) > limit {
-		all = all[:limit]
-		next = all[limit-1].Key.String()
-	}
-	return all, next, nil
-}
+func (v *globalView) ETag() string              { return fmt.Sprintf("\"agg-%d\"", v.gen) }
+func (v *globalView) Dump() any                 { return v.services() }
+func (v *globalView) Len() int                  { return len(v.services()) }
+func (v *globalView) Key(i int) core.ServiceKey { return v.services()[i].Key }
+func (v *globalView) Row(i int) any             { return v.services()[i] }
 
 // registerDaemonSeries adds the aggregator-global series: everything here
 // is a scrape-time callback over state the daemon maintains anyway, and
@@ -494,60 +459,16 @@ func (m *siteMirror) handler() http.Handler {
 	})
 }
 
+// newMux builds the HTTP surface: the shared endpoints (/services,
+// /query, /metrics, /debug/flight — see internal/httpapi) over the global
+// inventory, /metrics being the registry exposition behind the mirror's
+// refresh, plus the aggregator's own: /dump, /sites and the feed-aware
+// /healthz.
 func newMux(agg *federate.Aggregator, health []*feedHealth, reg *obs.Registry, mirror *siteMirror) *http.ServeMux {
-	mux := http.NewServeMux()
+	mux := httpapi.NewMux(globalSource{agg}, reg, mirror.handler())
 	mux.HandleFunc("/dump", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write(agg.Dump())
-	})
-	// /services serves the global dump from a body encoded once per
-	// aggregator generation (ETag/If-None-Match answers unchanged polls
-	// with a 304); ?limit=/&page= switches to canonical-key-order
-	// pagination.
-	dump := &dumpCache{}
-	mux.HandleFunc("/services", func(w http.ResponseWriter, r *http.Request) {
-		params := r.URL.Query()
-		if params.Get("limit") == "" && params.Get("page") == "" {
-			body, etag := dump.get(agg.Gen(), func() []byte {
-				b, _ := json.Marshal(agg.Services())
-				return b
-			})
-			w.Header().Set("ETag", etag)
-			w.Header().Set("Content-Type", "application/json")
-			if r.Header.Get("If-None-Match") == etag {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			_, _ = w.Write(body)
-			return
-		}
-		page, next, err := pagedServices(agg, params.Get("limit"), params.Get("page"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"services":        page,
-			"next_page_token": next,
-		})
-	})
-	// /query answers typed indexed queries over the global cross-site
-	// inventory; the index refreshes lazily from the keys feed frames
-	// touched since the last query.
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		q, err := query.ParseHTTP(r.URL.Query())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := agg.Query(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(res)
 	})
 	mux.HandleFunc("/sites", func(w http.ResponseWriter, r *http.Request) {
 		stats := agg.Stats()
@@ -616,11 +537,5 @@ func newMux(agg *federate.Aggregator, health []*feedHealth, reg *obs.Registry, m
 			"feeds":    feeds,
 		})
 	})
-	// /metrics: the registry-backed exposition — aggregator histograms,
-	// per-site counters and the discovery-staleness gauge mirrored in by
-	// the refresh, feed churn, state-write effort. /debug/flight dumps
-	// the always-on trace ring (the full pprof surface is -debug-addr).
-	mux.Handle("/metrics", mirror.handler())
-	mux.Handle("/debug/flight", reg.Flight().Handler())
 	return mux
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
 	"servdisc/internal/packet"
+	"servdisc/internal/query"
 )
 
 // newTestServer assembles the aggregator's HTTP surface exactly as run()
@@ -226,5 +230,47 @@ func TestFlightEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t)
 	if code, _ := get(t, srv.URL+"/debug/flight"); code != 200 {
 		t.Fatalf("GET /debug/flight: status %d", code)
+	}
+}
+
+// TestServicesAndQueryThroughMux drives the shared surface through the
+// daemon's own source adapter: the dump, a two-page walk and a /query
+// answer are the aggregator's, and an unchanged poll is a 304.
+func TestServicesAndQueryThroughMux(t *testing.T) {
+	srv, _, agg := newTestServer(t)
+	resp, err := http.Get(srv.URL + "/services")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want, _ := json.Marshal(agg.Services())
+	etag := fmt.Sprintf("\"agg-%d\"", agg.Gen())
+	if string(body) != string(want) || resp.Header.Get("ETag") != etag {
+		t.Errorf("/services = %s (ETag %s), want %s (ETag %s)", body, resp.Header.Get("ETag"), want, etag)
+	}
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/services", nil)
+	req.Header.Set("If-None-Match", etag)
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNotModified {
+		t.Errorf("conditional /services = %v, %v; want 304", resp, err)
+	}
+
+	svcs := agg.Services()
+	row0, _ := json.Marshal(svcs[0])
+	row1, _ := json.Marshal(svcs[1])
+	if _, got := get(t, srv.URL+"/services?limit=1"); got != fmt.Sprintf(`{"next_page_token":%q,"services":[%s]}`+"\n", svcs[0].Key, row0) {
+		t.Errorf("first page = %s", got)
+	}
+	if _, got := get(t, srv.URL+"/services?limit=1&page="+url.QueryEscape(svcs[0].Key.String())); got != fmt.Sprintf(`{"next_page_token":"","services":[%s]}`+"\n", row1) {
+		t.Errorf("second page = %s", got)
+	}
+
+	res, err := agg.Query(query.Query{Port: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ, _ := json.Marshal(res)
+	if _, got := get(t, srv.URL+"/query?port=80"); got != string(wantQ)+"\n" || len(res.Hits) != 2 {
+		t.Errorf("/query?port=80 = %s, want %s", got, wantQ)
 	}
 }

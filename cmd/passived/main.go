@@ -53,7 +53,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -61,6 +60,7 @@ import (
 
 	"servdisc"
 	"servdisc/internal/federate"
+	"servdisc/internal/httpapi"
 	"servdisc/internal/obs"
 	"servdisc/internal/query"
 )
@@ -281,36 +281,12 @@ func run(o options) error {
 	latest.Store(pl.Snapshot())
 	registerDaemonSeries(reg, &latest, pl)
 	if o.debugAddr != "" {
-		// The debug surface (pprof profiles, the flight-recorder dump and
-		// a second /metrics) lives on its own listener so it can stay
-		// unexposed while the main API is public.
-		go func() {
-			if err := http.ListenAndServe(o.debugAddr, reg.DebugHandler()); err != nil {
-				fmt.Fprintf(os.Stderr, "passived: debug server: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving debug surface on %s (/debug/pprof, /debug/flight, /metrics)\n", o.debugAddr)
+		httpapi.ServeDebug("passived", o.debugAddr, reg, reg.Handler())
 	}
-	httpErr := make(chan error, 1)
-	var srv *http.Server
+	var srv *httpapi.Server
 	if o.httpAddr != "" {
-		srv = &http.Server{Addr: o.httpAddr, Handler: newMux(&latest, pl, subs)}
-		go func() {
-			if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				httpErr <- err
-			}
-		}()
+		srv = httpapi.Serve(o.httpAddr, newMux(&latest, pl, subs))
 		fmt.Printf("serving live inventory on %s (/services, /query, /scanners, /stats, /events, /metrics, /healthz)\n", o.httpAddr)
-	}
-	// shutdownHTTP drains in-flight requests (including /events streams,
-	// which end when their clients notice the close) with a short grace.
-	shutdownHTTP := func() {
-		if srv == nil {
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
 	}
 
 	// -halt-after: watch the applied-packet count and stop the replay once
@@ -364,7 +340,7 @@ loop:
 		select {
 		case res = <-replayDone:
 			break loop
-		case err := <-httpErr:
+		case err := <-srv.Err():
 			return fmt.Errorf("http: %w", err)
 		case <-snapTick:
 			// Live snapshot: consistent, non-blocking for the replay.
@@ -383,7 +359,7 @@ loop:
 	}
 	interrupted := errors.Is(res.err, context.Canceled)
 	if res.err != nil && !interrupted {
-		shutdownHTTP()
+		srv.Drain()
 		return fmt.Errorf("replay: %w", res.err)
 	}
 
@@ -408,7 +384,7 @@ loop:
 	inv := pl.Snapshot()
 	latest.Store(inv)
 	if interrupted {
-		shutdownHTTP()
+		srv.Drain()
 		fmt.Printf("interrupted at %d packets (%d services, %d scanners); state checkpointed to %s\n",
 			inv.Packets(), inv.Len(), len(inv.Scanners()), o.ckptDir)
 		return nil
@@ -420,7 +396,7 @@ loop:
 
 	if o.dumpPath != "" {
 		if err := os.WriteFile(o.dumpPath, inv.Dump(), 0o644); err != nil {
-			shutdownHTTP()
+			srv.Drain()
 			return fmt.Errorf("dump: %w", err)
 		}
 		fmt.Printf("wrote inventory dump to %s\n", o.dumpPath)
@@ -439,9 +415,9 @@ loop:
 	fmt.Println("\nreplay finished; still serving the final inventory (^C to quit)")
 	select {
 	case <-sigCtx.Done():
-		shutdownHTTP()
+		srv.Drain()
 		return nil
-	case err := <-httpErr:
+	case err := <-srv.Err():
 		return fmt.Errorf("http: %w", err)
 	}
 }
@@ -471,109 +447,80 @@ type row struct {
 	Clients int       `json:"clients"`
 }
 
+func rowOf(inv *servdisc.Inventory, key servdisc.ServiceKey) row {
+	rec, _ := inv.Record(key)
+	return row{Key: key.String(), First: rec.FirstSeen(), Flows: rec.Flows, Clients: rec.Clients()}
+}
+
 // serviceRows flattens an inventory into JSON-ready rows, busiest first.
 func serviceRows(inv *servdisc.Inventory) []row {
 	var rows []row
 	for _, key := range inv.Keys() {
-		rec, _ := inv.Record(key)
-		rows = append(rows, row{
-			Key: key.String(), First: rec.FirstSeen(),
-			Flows: rec.Flows, Clients: rec.Clients(),
-		})
+		rows = append(rows, rowOf(inv, key))
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Flows > rows[j].Flows })
 	return rows
 }
 
-// pagedRows serves /services?limit=&page=: canonical key order (the only
-// order a cursor can resume deterministically across snapshots), with the
-// last emitted key as the next-page token.
-func pagedRows(inv *servdisc.Inventory, limitStr, page string) ([]row, string, error) {
-	limit := 1000
-	if limitStr != "" {
-		n, err := strconv.Atoi(limitStr)
-		if err != nil || n <= 0 {
-			return nil, "", fmt.Errorf("bad limit %q", limitStr)
-		}
-		limit = n
-	}
-	var after servdisc.ServiceKey
-	haveAfter := false
-	if page != "" {
-		k, err := query.ParseKey(page)
-		if err != nil {
-			return nil, "", fmt.Errorf("bad page token %q", page)
-		}
-		after, haveAfter = k, true
-	}
-	rows := make([]row, 0, limit)
-	next := ""
-	for _, key := range inv.Keys() {
-		if haveAfter && !after.Before(key) {
-			continue
-		}
-		if len(rows) == limit {
-			next = rows[len(rows)-1].Key
-			break
-		}
-		rec, _ := inv.Record(key)
-		rows = append(rows, row{
-			Key: key.String(), First: rec.FirstSeen(),
-			Flows: rec.Flows, Clients: rec.Clients(),
-		})
-	}
-	return rows, next, nil
-}
+// inventorySource puts the latest published snapshot (and the pipeline's
+// query index) behind the shared HTTP surface.
+type inventorySource struct {
+	latest *atomic.Pointer[servdisc.Inventory]
+	pl     *servdisc.Pipeline
 
-// dumpCache holds one encoded /services body per snapshot generation:
-// re-encoding happens only when the published inventory pointer moves, so
-// any number of full-dump pollers cost one marshal per snapshot.
-type dumpCache struct {
+	// gen numbers the distinct snapshots the full dump has been asked
+	// for; seen is the last of them.
 	mu   sync.Mutex
-	inv  *servdisc.Inventory
+	seen *servdisc.Inventory
 	gen  uint64
-	body []byte
-	etag string
 }
 
-func newDumpCache() *dumpCache { return &dumpCache{} }
+func (s *inventorySource) View() httpapi.View {
+	return inventoryView{src: s, inv: s.latest.Load()}
+}
 
-func (c *dumpCache) get(inv *servdisc.Inventory, build func() []byte) ([]byte, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if inv != c.inv {
-		c.gen++
-		c.inv = inv
-		c.body = build()
-		c.etag = fmt.Sprintf("\"inv-%d\"", c.gen)
+func (s *inventorySource) Query(q servdisc.Query) (servdisc.QueryResult, error) {
+	return s.pl.Query(q)
+}
+
+// inventoryView is one snapshot: dumped busiest-first, paged in the
+// inventory's own canonical key order.
+type inventoryView struct {
+	src *inventorySource
+	inv *servdisc.Inventory
+}
+
+func (v inventoryView) ETag() string {
+	s := v.src
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v.inv != s.seen {
+		s.seen = v.inv
+		s.gen++
 	}
-	return c.body, c.etag
+	return fmt.Sprintf("\"inv-%d\"", s.gen)
 }
 
-// serveCached writes a cached JSON body with its ETag, answering 304 to a
-// matching If-None-Match.
-func serveCached(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/json")
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	_, _ = w.Write(body)
-}
+func (v inventoryView) Dump() any                     { return serviceRows(v.inv) }
+func (v inventoryView) Len() int                      { return v.inv.Len() }
+func (v inventoryView) Key(i int) servdisc.ServiceKey { return v.inv.Keys()[i] }
+func (v inventoryView) Row(i int) any                 { return rowOf(v.inv, v.inv.Keys()[i]) }
 
-// subRegistry tracks every named event-hub subscriber so /metrics can
-// report per-subscriber drop counts — the signal that a consumer's buffer
-// is undersized. Each subscriber owns one series of
-// servdisc_subscriber_dropped_total, refreshed at scrape time; an ended
-// subscriber folds its tally into the cumulative "departed" series (its
-// own series keeps its final value — registry series never unregister).
+// subRegistry tracks the event-hub subscribers so /metrics can report
+// drop counts — the signal that a consumer's buffer is undersized — as
+// series of servdisc_subscriber_dropped_total, refreshed at scrape time.
+// A named subscriber (the log, the publisher pump) lives as long as the
+// process and owns a series. /events connections come and go while
+// registry series never unregister, so the live ones share the single
+// "events" series (the sum of their drop counts) and an ended one folds
+// its tally into the cumulative "departed" series.
 type subRegistry struct {
-	vec       *obs.CounterVec
-	departedC *obs.Counter
+	vec                *obs.CounterVec
+	eventsC, departedC *obs.Counter
 
 	mu       sync.Mutex
-	live     map[string]*subEntry
+	named    []subEntry
+	events   map[*servdisc.EventSub]struct{}
 	departed int64
 }
 
@@ -586,31 +533,36 @@ func newSubRegistry(reg *servdisc.Telemetry) *subRegistry {
 	r := &subRegistry{
 		vec: reg.CounterVec("servdisc_subscriber_dropped_total",
 			"Events missed by one named subscriber.", "subscriber"),
-		live: make(map[string]*subEntry),
+		events: make(map[*servdisc.EventSub]struct{}),
 	}
-	r.departedC = r.vec.With("departed")
+	r.eventsC, r.departedC = r.vec.With("events"), r.vec.With("departed")
 	// The hook runs under the registry lock, so it may only Set
 	// pre-resolved counters — calling With there would deadlock.
 	reg.OnScrape(r.scrape)
 	return r
 }
 
+// add registers a process-lifetime subscriber under its own series.
 func (r *subRegistry) add(name string, dropped func() int) {
 	c := r.vec.With(name) // before r.mu: lock order is registry, then r.mu
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.live[name] = &subEntry{dropped: dropped, c: c}
+	r.named = append(r.named, subEntry{dropped: dropped, c: c})
 }
 
-func (r *subRegistry) remove(name string) {
+// addEvents registers one /events connection's subscription.
+func (r *subRegistry) addEvents(sub *servdisc.EventSub) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.live[name]; ok {
-		n := e.dropped()
-		r.departed += int64(n)
-		e.c.Set(uint64(n))
-		delete(r.live, name)
-	}
+	r.events[sub] = struct{}{}
+}
+
+// removeEvents ends it, moving its final drop count to "departed".
+func (r *subRegistry) removeEvents(sub *servdisc.EventSub) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.departed += int64(sub.Dropped())
+	delete(r.events, sub)
 }
 
 // scrape mirrors the live drop counts into the registry series; it runs
@@ -618,9 +570,14 @@ func (r *subRegistry) remove(name string) {
 func (r *subRegistry) scrape() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.live {
+	for _, e := range r.named {
 		e.c.Set(uint64(e.dropped()))
 	}
+	live := 0
+	for sub := range r.events {
+		live += sub.Dropped()
+	}
+	r.eventsC.Set(uint64(live))
 	r.departedC.Set(uint64(r.departed))
 }
 
@@ -689,62 +646,20 @@ func registerDaemonSeries(reg *servdisc.Telemetry, latest *atomic.Pointer[servdi
 	}
 }
 
-// newMux builds the HTTP surface: the latest snapshot as JSON, the live
-// event feed, Prometheus metrics, and a liveness probe. Every request
-// reads the freshest inventory the snapshot loop has published.
+// newMux builds the HTTP surface: the shared endpoints (/services,
+// /query, /metrics, /debug/flight — see internal/httpapi) over the latest
+// snapshot, plus passived's own: the scanner list, the stats roll-up, the
+// live event feed and a liveness probe. Every request reads the freshest
+// inventory the snapshot loop has published.
 func newMux(latest *atomic.Pointer[servdisc.Inventory], pl *servdisc.Pipeline, subs *subRegistry) *http.ServeMux {
-	var eventsSeq atomic.Int64
-	mux := http.NewServeMux()
+	reg := pl.Metrics()
+	mux := httpapi.NewMux(&inventorySource{latest: latest, pl: pl}, reg, reg.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]any{
 			"status":  "ok",
 			"packets": latest.Load().Packets(),
 		})
-	})
-	// /services serves the full dump (busiest-first) from a body encoded
-	// once per snapshot generation, with ETag/If-None-Match so unchanged
-	// polls cost a 304 and no marshal; ?limit=/&page= switches to
-	// deterministic canonical-key-order pagination.
-	dump := newDumpCache()
-	mux.HandleFunc("/services", func(w http.ResponseWriter, r *http.Request) {
-		inv := latest.Load()
-		params := r.URL.Query()
-		if params.Get("limit") == "" && params.Get("page") == "" {
-			body, etag := dump.get(inv, func() []byte {
-				b, _ := json.Marshal(serviceRows(inv))
-				return b
-			})
-			serveCached(w, r, etag, body)
-			return
-		}
-		rows, next, err := pagedRows(inv, params.Get("limit"), params.Get("page"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"services":        rows,
-			"next_page_token": next,
-		})
-	})
-	// /query answers typed indexed queries (port, prefix, category,
-	// provenance, freshness; paginated) from the latest index epoch —
-	// lock-free reads sized for arbitrary client fan-out.
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		q, err := query.ParseHTTP(r.URL.Query())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := pl.Query(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(res)
 	})
 	mux.HandleFunc("/scanners", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -773,10 +688,9 @@ func newMux(latest *atomic.Pointer[servdisc.Inventory], pl *servdisc.Pipeline, s
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		name := fmt.Sprintf("events-%d", eventsSeq.Add(1))
 		sub := pl.SubscribeFiltered(4096, f)
-		subs.add(name, sub.Dropped)
-		defer subs.remove(name)
+		subs.addEvents(sub)
+		defer subs.removeEvents(sub)
 		defer sub.Cancel()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("Cache-Control", "no-store")
@@ -801,12 +715,5 @@ func newMux(latest *atomic.Pointer[servdisc.Inventory], pl *servdisc.Pipeline, s
 			}
 		}
 	})
-	// /metrics serves the whole telemetry registry in Prometheus text
-	// exposition format: the daemon-level series registered above, the
-	// pipeline's latency histograms, and the per-subscriber hub drops.
-	// /debug/flight dumps the always-on flight recorder (the full debug
-	// surface, pprof included, lives on -debug-addr).
-	mux.Handle("/metrics", pl.Metrics().Handler())
-	mux.Handle("/debug/flight", pl.Metrics().Flight().Handler())
 	return mux
 }

@@ -27,22 +27,6 @@ import (
 // TCP connection-control packets and all UDP.
 const PaperFilter = "syn or synack or rst or udp"
 
-// Sink is the legacy per-packet consumer contract, kept for single-packet
-// consumers; batch flow uses pipeline.BatchSink. Bridge one into batch
-// flow with pipeline.Adapt.
-type Sink interface {
-	HandlePacket(p *packet.Packet)
-}
-
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(p *packet.Packet)
-
-// HandlePacket implements Sink.
-func (f SinkFunc) HandlePacket(p *packet.Packet) { f(p) }
-
-// BatchSink is the batched consumer contract (alias of the pipeline's).
-type BatchSink = pipeline.BatchSink
-
 // LinkID identifies a peering link.
 type LinkID uint8
 
@@ -127,10 +111,8 @@ type Tap struct {
 	counters pipeline.StageCounters
 	matched  atomic.Int64
 
-	// scratch holds the kept sub-batch between filter and delivery;
-	// single is the reusable one-packet buffer of the legacy path.
+	// scratch holds the kept sub-batch between filter and delivery.
 	scratch []packet.Packet
-	single  []packet.Packet
 }
 
 // NewTap builds a tap. filterExpr may be empty (capture everything);
@@ -208,13 +190,6 @@ func (t *Tap) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket runs a single packet through the tap — the legacy
-// per-packet path, equivalent to a one-packet batch.
-func (t *Tap) HandlePacket(p *packet.Packet) {
-	t.single = append(t.single[:0], *p)
-	t.HandleBatch(t.single)
-}
-
 // Monitor composes the assigner with per-link taps. Unmonitored links drop
 // their traffic — exactly how the paper's study misses Internet2 flows in
 // the semester datasets.
@@ -228,10 +203,8 @@ type Monitor struct {
 	counters pipeline.StageCounters
 
 	// monitored collects the packets that had a tap, in arrival order,
-	// for the mirrors (only populated when mirrors are registered);
-	// single is the reusable one-packet buffer of the legacy path.
+	// for the mirrors (only populated when mirrors are registered).
 	monitored []packet.Packet
-	single    []packet.Packet
 }
 
 // AddMirror registers a sink that receives every packet arriving on any
@@ -269,7 +242,7 @@ func (m *Monitor) Counters() *pipeline.StageCounters { return &m.counters }
 // Delivering runs in arrival order — rather than one fully-partitioned
 // sub-batch per link — keeps the global packet order intact for sinks
 // shared by several taps (the experiments' merged discoverer), so batched
-// ingest observes exactly what per-packet ingest would.
+// ingest observes the same sequence at any batch size.
 func (m *Monitor) HandleBatch(batch []packet.Packet) {
 	m.counters.AddIn(len(batch))
 	mirror := len(m.mirrors) > 0
@@ -311,15 +284,7 @@ func (m *Monitor) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (m *Monitor) HandlePacket(p *packet.Packet) {
-	m.single = append(m.single[:0], *p)
-	m.HandleBatch(m.single)
-}
-
 var (
 	_ pipeline.BatchSink = (*Tap)(nil)
 	_ pipeline.BatchSink = (*Monitor)(nil)
-	_ Sink               = (*Tap)(nil)
-	_ Sink               = (*Monitor)(nil)
 )

@@ -25,6 +25,9 @@ func synAckTo(dst netaddr.V4, at time.Time) *packet.Packet {
 	return bld.SynAck(at, packet.Endpoint{Addr: server, Port: 80}, packet.Endpoint{Addr: dst, Port: 40000}, 1, 2)
 }
 
+// one wraps a packet as a one-packet batch.
+func one(p *packet.Packet) []packet.Packet { return []packet.Packet{*p} }
+
 // collectSink gathers delivered packets for assertions.
 type collectSink struct {
 	pkts []packet.Packet
@@ -70,10 +73,10 @@ func TestTapFilterAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SYN-ACK passes; a bare ACK does not.
-	tap.HandlePacket(synAckTo(client, tRef))
+	tap.HandleBatch(one(synAckTo(client, tRef)))
 	ack := bld.TCPPacket(tRef, packet.Endpoint{Addr: server, Port: 80},
 		packet.Endpoint{Addr: client, Port: 40000}, packet.FlagACK, 1, 2, nil)
-	tap.HandlePacket(ack)
+	tap.HandleBatch(one(ack))
 	if len(sink.pkts) != 1 {
 		t.Fatalf("delivered %d packets", len(sink.pkts))
 	}
@@ -113,7 +116,7 @@ func TestTapHandleBatchMatchesPerPacket(t *testing.T) {
 	}
 	batch := mkBatch()
 	for i := range batch {
-		pktTap.HandlePacket(&batch[i])
+		pktTap.HandleBatch(batch[i : i+1])
 	}
 
 	if len(batchSink.pkts) != len(pktSink.pkts) {
@@ -140,7 +143,7 @@ func TestMonitorDropsUnmonitoredLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMonitor(a, tapC1)
-	m.HandlePacket(synAckTo(academic, tRef)) // I2: unmonitored
+	m.HandleBatch(one(synAckTo(academic, tRef))) // I2: unmonitored
 	if m.Dropped() != 1 || delivered != 0 {
 		t.Errorf("dropped=%d delivered=%d", m.Dropped(), delivered)
 	}
@@ -148,7 +151,7 @@ func TestMonitorDropsUnmonitoredLink(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := client + netaddr.V4(i)
 		if a.Route(synAckTo(c, tRef)) == LinkCommercial1 {
-			m.HandlePacket(synAckTo(c, tRef))
+			m.HandleBatch(one(synAckTo(c, tRef)))
 			break
 		}
 	}
@@ -251,7 +254,7 @@ func TestReplayBatchedCancel(t *testing.T) {
 	w := trace.NewWriter(&buf, trace.LinkTypeRaw, 128)
 	rec := NewRecorder(w)
 	for i := 0; i < 10; i++ {
-		rec.HandlePacket(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second)))
+		rec.HandleBatch(one(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second))))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -375,12 +378,14 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayLegacySink replays at batch size 1: a consumer that wants
+// packets one at a time gets each as its own batch, in trace order.
 func TestReplayLegacySink(t *testing.T) {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf, trace.LinkTypeRaw, 128)
 	rec := NewRecorder(w)
 	for i := 0; i < 5; i++ {
-		rec.HandlePacket(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second)))
+		rec.HandleBatch(one(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second))))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -389,13 +394,23 @@ func TestReplayLegacySink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var replayed []*packet.Packet
-	n, err := Replay(r, SinkFunc(func(p *packet.Packet) { replayed = append(replayed, p) }))
+	var replayed []packet.Packet
+	n, err := ReplayBatched(context.Background(), r, pipeline.BatchFunc(func(batch []packet.Packet) {
+		if len(batch) != 1 {
+			t.Errorf("batch of %d at batch size 1", len(batch))
+		}
+		replayed = append(replayed, batch...)
+	}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 || len(replayed) != 5 {
 		t.Fatalf("replayed %d packets", n)
+	}
+	for i := range replayed {
+		if replayed[i].IPv4.Dst != client+netaddr.V4(i) {
+			t.Errorf("packet %d out of trace order", i)
+		}
 	}
 }
 
@@ -415,19 +430,6 @@ func TestTee(t *testing.T) {
 func TestNewTapBadFilter(t *testing.T) {
 	if _, err := NewTap(LinkCommercial1, "bogus expr ((", nil, nil); err == nil {
 		t.Error("bad filter accepted")
-	}
-}
-
-func BenchmarkMonitorHandlePacket(b *testing.B) {
-	a := NewAssigner(campusPfx, nil)
-	sink := pipeline.BatchFunc(func([]packet.Packet) {})
-	tap1, _ := NewTap(LinkCommercial1, PaperFilter, nil, sink)
-	tap2, _ := NewTap(LinkCommercial2, PaperFilter, nil, sink)
-	m := NewMonitor(a, tap1, tap2)
-	p := synAckTo(client, tRef)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.HandlePacket(p)
 	}
 }
 

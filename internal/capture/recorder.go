@@ -41,12 +41,6 @@ func (r *Recorder) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (r *Recorder) HandlePacket(p *packet.Packet) {
-	one := [1]packet.Packet{*p}
-	r.HandleBatch(one[:])
-}
-
 // Err reports the first write failure, if any.
 func (r *Recorder) Err() error { return r.err }
 
@@ -106,13 +100,4 @@ func ReplayBatched(ctx context.Context, r *trace.Reader, sink pipeline.BatchSink
 	}
 }
 
-// Replay streams a pcap reader into a legacy per-packet sink. New code
-// should use ReplayBatched.
-func Replay(r *trace.Reader, sink Sink) (int, error) {
-	return ReplayBatched(context.Background(), r, pipeline.Adapt(sink), 0)
-}
-
-var (
-	_ pipeline.BatchSink = (*Recorder)(nil)
-	_ Sink               = (*Recorder)(nil)
-)
+var _ pipeline.BatchSink = (*Recorder)(nil)

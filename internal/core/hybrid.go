@@ -135,9 +135,6 @@ func (h *Hybrid) EventCounters() *pipeline.StageCounters { return h.passive.Even
 // HandleBatch implements pipeline.BatchSink by feeding the passive side.
 func (h *Hybrid) HandleBatch(batch []packet.Packet) { h.passive.HandleBatch(batch) }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (h *Hybrid) HandlePacket(p *packet.Packet) { h.passive.HandlePacket(p) }
-
 // applyReport reconciles one report into the active side and emits the
 // sweep-completion event. Called inline (pre-Run) or from the reconciler
 // worker.

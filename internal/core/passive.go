@@ -109,7 +109,9 @@ func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDisc
 	return d
 }
 
-// HandlePacket implements the legacy per-packet capture.Sink contract.
+// HandlePacket applies one packet — the plain method HandleBatch loops
+// over (and sequential reference implementations call); no interface
+// names it.
 func (d *PassiveDiscoverer) HandlePacket(p *packet.Packet) {
 	d.Packets++
 	switch {

@@ -281,8 +281,8 @@ func TestHybridActiveExpiry(t *testing.T) {
 		TCP: []probe.TCPResult{{Time: t0, Addr: probed, Port: 443, State: probe.StateOpen}},
 	})
 	// Passive chatter advances the watermark past the active deadline.
-	h.HandlePacket(synAck(t0.Add(time.Hour), srv, 80, cli))
-	h.HandlePacket(synAck(t0.Add(3*time.Hour), srv, 80, cli2))
+	h.HandleBatch([]packet.Packet{*synAck(t0.Add(time.Hour), srv, 80, cli)})
+	h.HandleBatch([]packet.Packet{*synAck(t0.Add(3*time.Hour), srv, 80, cli2)})
 
 	inv := h.Snapshot()
 	probedKey := ServiceKey{Addr: probed, Proto: packet.ProtoTCP, Port: 443}

@@ -432,12 +432,6 @@ func (s *ShardedPassive) getBatchBuf(n int) *[]packet.Packet {
 	return &buf
 }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (s *ShardedPassive) HandlePacket(p *packet.Packet) {
-	one := [1]packet.Packet{*p}
-	s.HandleBatch(one[:])
-}
-
 // Run starts one worker goroutine per shard. The context is an abort
 // lever, not a graceful stop: after cancellation, queued sub-batches are
 // drained without being applied (so Flush and Close never deadlock), and

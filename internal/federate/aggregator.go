@@ -2,9 +2,7 @@ package federate
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -18,9 +16,13 @@ import (
 
 // AggregatorMetrics is the aggregator's optional telemetry bundle.
 type AggregatorMetrics struct {
-	// Decode observes per-frame wire decode time on ReadFeed.
+	// Decode observes per-frame wire decode time on a FeedClient
+	// connection. It includes blocking on the socket for the next frame
+	// of a quiet feed — still the honest number for "time from bytes
+	// available to frame in hand".
 	Decode *obs.Histogram
-	// Apply observes per-frame merge time (ReadFeed path).
+	// Apply observes per-frame merge time on the same path: pure merge
+	// cost.
 	Apply *obs.Histogram
 }
 
@@ -246,7 +248,7 @@ type SiteStats struct {
 // campuses is one record listing both sites.
 //
 // Feeds attach in-process (Attach, a pipeline.Hub subscription on the
-// publisher) or over the wire (ReadFeed on a decoded stream); both paths
+// publisher) or over the wire (FeedClient on a decoded stream); both paths
 // funnel into Apply, which is safe for any number of concurrent feeds.
 //
 // Convergence: every merge Apply performs is an idempotent, commutative,
@@ -649,45 +651,6 @@ func (a *Aggregator) Attach(p *Publisher) <-chan struct{} {
 		}
 	}()
 	return done
-}
-
-// ReadFeed decodes one wire feed until EOF (clean end: nil), a decode
-// error, or context cancellation, applying every frame. The caller owns
-// the connection and the reconnect policy; the aggregator's sequence
-// cursor makes reconnects safe.
-func (a *Aggregator) ReadFeed(ctx context.Context, r io.Reader) error {
-	dec := NewDecoder(r)
-	for {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var t0 time.Time
-		if a.met != nil {
-			t0 = time.Now()
-		}
-		f, err := dec.Decode()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if m := a.met; m != nil {
-			now := time.Now()
-			// The decode measurement includes blocking on the socket for
-			// the next frame on a quiet feed; that is still the honest
-			// number for "time from bytes available to frame in hand",
-			// and the apply half below is pure merge cost.
-			m.Decode.Observe(now.Sub(t0))
-			err = a.Apply(f)
-			m.Apply.Observe(time.Since(now))
-		} else {
-			err = a.Apply(f)
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // SiteCursor reports the dedup cursor held for one site — the (epoch,

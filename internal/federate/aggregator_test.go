@@ -533,7 +533,7 @@ func TestWireFeedEndToEnd(t *testing.T) {
 	site.produce()
 	site.eng.Close()
 	if err := <-readDone; err != nil {
-		t.Fatalf("ReadFeed: %v", err)
+		t.Fatalf("RunConn: %v", err)
 	}
 	<-serveDone
 

@@ -213,8 +213,8 @@ func TestChaosNoResurrection(t *testing.T) {
 	keyOfB := core.ServiceKey{Addr: svcB, Proto: packet.ProtoTCP, Port: 443}
 	ext := netaddr.MustParseV4("64.20.0.1")
 	answer := func(srv netaddr.V4, port uint16, at time.Time) {
-		eng.HandlePacket(bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
-			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
+		eng.HandleBatch([]packet.Packet{*bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
+			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8)})
 	}
 
 	answer(svcA, 80, retBase)

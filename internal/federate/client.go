@@ -175,37 +175,25 @@ func (c *FeedClient) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// countingReader counts the bytes pulled off the connection, feeding the
-// byte-rate bucket.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
 // RunConn consumes one established connection: send the resume hello
 // (the aggregator's cursor for this site, if any), then decode and apply
 // frames until the stream ends, the idle deadline fires, or the context
 // is cancelled. A clean EOF returns nil. Exported so in-process wiring
 // (net.Pipe to a local publisher) runs the same protocol path as TCP.
 func (c *FeedClient) RunConn(ctx context.Context, conn net.Conn) error {
-	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					conn.Close()
-				case <-stop:
-				}
-			}()
-		}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if done := ctx.Done(); done != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-done:
+				conn.Close()
+			case <-stop:
+			}
+		}()
 	}
 	hello := Frame{V: WireVersion, Type: FrameResume, Token: c.opt.AuthToken, Resume: &ResumeCursor{}}
 	if site := c.Site(); site != "" {
@@ -223,11 +211,9 @@ func (c *FeedClient) RunConn(ctx context.Context, conn net.Conn) error {
 	if c.opt.MaxFramesPerSec > 0 || c.opt.MaxBytesPerSec > 0 {
 		throttle = newFeedThrottle(c.opt.MaxFramesPerSec, c.opt.MaxBytesPerSec)
 	}
-	cr := &countingReader{r: conn}
-	dec := NewDecoder(cr)
-	lastBytes := int64(0)
+	dec := NewDecoder(conn)
 	for {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if c.opt.IdleTimeout > 0 {
@@ -238,6 +224,7 @@ func (c *FeedClient) RunConn(ctx context.Context, conn net.Conn) error {
 		if met != nil {
 			t0 = time.Now()
 		}
+		start := dec.Offset()
 		f, err := dec.Decode()
 		if err != nil {
 			if err == io.EOF {
@@ -249,9 +236,9 @@ func (c *FeedClient) RunConn(ctx context.Context, conn net.Conn) error {
 			met.Decode.Observe(time.Since(t0))
 		}
 		if throttle != nil {
-			wire := cr.n - lastBytes
-			lastBytes = cr.n
-			stalled, err := throttle.admit(ctx, int(wire))
+			// The decoder's offsets are exact frame boundaries; bytes its
+			// buffer read ahead belong to the frames still inside it.
+			stalled, err := throttle.admit(ctx, dec.Offset()-start)
 			if stalled {
 				c.throttleStalls.Add(1)
 			}

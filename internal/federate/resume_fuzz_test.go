@@ -37,8 +37,8 @@ func FuzzResumeFrame(f *testing.F) {
 	bld := packet.NewBuilder(0)
 	ext := netaddr.MustParseV4("64.20.0.1")
 	for i := 0; i < 4; i++ {
-		eng.HandlePacket(bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(60+i), Port: 80},
-			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
+		eng.HandleBatch([]packet.Packet{*bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(60+i), Port: 80},
+			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8)})
 	}
 	waitSeq(f, pub, 4)
 	eng.Close()

@@ -526,8 +526,8 @@ func TestServeConnFlushesPerBurst(t *testing.T) {
 	<-w.entered
 	bld := packet.NewBuilder(0)
 	for i := 0; i < 5; i++ {
-		eng.HandlePacket(bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(90+i), Port: 80},
-			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
+		eng.HandleBatch([]packet.Packet{*bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(90+i), Port: 80},
+			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)})
 	}
 	eng.Close()
 	pub.Close()
@@ -815,8 +815,8 @@ func TestServeConnKeepsSilentReader(t *testing.T) {
 		t.Fatalf("ServeConn dropped a silent reader: %v", err)
 	case <-time.After(300 * time.Millisecond):
 	}
-	eng.HandlePacket(packet.NewBuilder(0).SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + 70, Port: 80},
-		packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
+	eng.HandleBatch([]packet.Packet{*packet.NewBuilder(0).SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + 70, Port: 80},
+		packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)})
 	if f, err := dec.Decode(); err != nil || f.Type != FrameEvent {
 		t.Fatalf("silent reader's live feed: got %v, %v; want an event frame", f, err)
 	}

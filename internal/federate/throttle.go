@@ -2,90 +2,37 @@ package federate
 
 import (
 	"context"
-	"time"
+
+	"servdisc/internal/ratelimit"
 )
 
-// tokenBucket is a minimal rate limiter for the feed read path: capacity
-// `burst` tokens refilled at `rate` per second, with take() allowed to
-// overdraw — the caller owes the deficit as wait time. Overdraw keeps a
-// single oversized frame (a snapshot bigger than the burst) admissible:
-// it passes immediately but stalls the feed afterwards until the bucket
-// refills, which is exactly the average-rate contract. Not safe for
-// concurrent use; each feed connection owns its buckets.
-type tokenBucket struct {
-	rate   float64 // tokens per second; <= 0 disables the bucket
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate, burst float64) tokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return tokenBucket{rate: rate, burst: burst, tokens: burst}
-}
-
-// take charges n tokens at the given instant and returns how long the
-// caller must wait before proceeding (zero when inside the budget).
-func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
-	if b.rate <= 0 {
-		return 0
-	}
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	b.tokens -= n
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / b.rate * float64(time.Second))
-}
-
 // feedThrottle caps one feed connection at frames/s and bytes/s. Each
-// decoded frame charges one frame token plus its wire size in byte
-// tokens; a deficit in either bucket stalls the reader (which, through
-// TCP backpressure, stalls the publisher's bounded per-reader queue —
-// the aggregator-side flow control the hub's drop counters complete).
+// decoded frame charges weight 1 to the frame limiter and its wire length
+// to the byte limiter; owing either stalls the reader (which, through TCP
+// backpressure, stalls the publisher's bounded per-reader queue — the
+// aggregator-side flow control the hub's drop counters complete). A frame
+// bigger than the whole byte burst (a bootstrap snapshot) is admitted and
+// its excess owed afterwards, which is exactly the average-rate contract.
 type feedThrottle struct {
-	frames, bytes tokenBucket
+	frames, bytes *ratelimit.Limiter
 }
 
-// newFeedThrottle builds the two buckets; a zero rate disables that cap.
-// Bursts default to one second's budget.
+// newFeedThrottle builds the two limiters; a zero rate disables that cap.
+// Bursts are one second's budget.
 func newFeedThrottle(framesPerSec, bytesPerSec float64) *feedThrottle {
 	return &feedThrottle{
-		frames: newTokenBucket(framesPerSec, framesPerSec),
-		bytes:  newTokenBucket(bytesPerSec, bytesPerSec),
+		frames: ratelimit.New(framesPerSec, framesPerSec),
+		bytes:  ratelimit.New(bytesPerSec, bytesPerSec),
 	}
 }
 
-// admit charges one frame of the given wire size and sleeps off any
-// deficit, honoring context cancellation. stalled reports whether the
+// admit charges one frame of the given wire size against both caps at the
+// same instant and sleeps off the larger debt. stalled reports whether the
 // frame had to wait at all; err is the context error on cancellation.
-func (t *feedThrottle) admit(ctx context.Context, wireBytes int) (stalled bool, err error) {
-	now := time.Now()
-	wait := t.frames.take(1, now)
-	if w := t.bytes.take(float64(wireBytes), now); w > wait {
-		wait = w
-	}
+func (t *feedThrottle) admit(ctx context.Context, wireBytes int64) (stalled bool, err error) {
+	wait := max(t.frames.Reserve(1), t.bytes.Reserve(float64(wireBytes)))
 	if wait <= 0 {
 		return false, nil
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-timer.C:
-		return true, nil
-	case <-done:
-		return true, ctx.Err()
-	}
+	return true, ratelimit.Sleep(ctx, wait)
 }

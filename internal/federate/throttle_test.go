@@ -1,50 +1,14 @@
 package federate
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
 	"time"
 )
 
-// TestTokenBucketVirtualClock drives one bucket on a synthetic clock:
-// inside the burst nothing waits, beyond it the wait equals the deficit
-// over the refill rate, and elapsed time refills up to the burst.
-func TestTokenBucketVirtualClock(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newTokenBucket(10, 10) // 10 tokens/s, burst 10
-
-	if w := b.take(10, now); w != 0 {
-		t.Fatalf("burst take waited %s", w)
-	}
-	// Bucket empty: 5 more tokens owe 500ms at 10/s.
-	if w := b.take(5, now); w != 500*time.Millisecond {
-		t.Fatalf("deficit take waited %s, want 500ms", w)
-	}
-	// Two seconds later the bucket refilled (capped at burst 10): a
-	// 10-token take passes free again.
-	now = now.Add(2 * time.Second)
-	if w := b.take(10, now); w != 0 {
-		t.Fatalf("post-refill take waited %s", w)
-	}
-	// Refill never exceeds the burst: after a long idle gap one burst is
-	// free, the next charge owes immediately.
-	now = now.Add(time.Hour)
-	b.take(10, now)
-	if w := b.take(10, now); w != time.Second {
-		t.Fatalf("burst-capped take waited %s, want 1s", w)
-	}
-}
-
-// TestTokenBucketDisabled pins the zero-rate bypass.
-func TestTokenBucketDisabled(t *testing.T) {
-	b := newTokenBucket(0, 0)
-	if w := b.take(1e9, time.Now()); w != 0 {
-		t.Fatalf("disabled bucket waited %s", w)
-	}
-}
-
-// TestFeedThrottleStallsAndCancels pins the two-bucket admit: frames
+// TestFeedThrottleStallsAndCancels pins the two-limiter admit: frames
 // inside both budgets pass without stalling, a byte-budget deficit
 // stalls, and context cancellation interrupts the stall.
 func TestFeedThrottleStallsAndCancels(t *testing.T) {
@@ -127,5 +91,77 @@ func TestFeedClientThrottleCounts(t *testing.T) {
 	<-ref.Attach(site.pub)
 	if got, want := agg.Dump(), ref.Dump(); string(got) != string(want) {
 		t.Errorf("throttled feed diverges:\n%s", firstDiff(got, want))
+	}
+}
+
+// TestFeedThrottleChargesFramesNotReadAhead delivers a burst of small
+// frames in one write against a byte cap whose burst covers half of them.
+// Each frame must be charged its own wire length: the first half passes
+// unstalled and immediately, and each frame past the burst stalls. (The
+// byte counter used to sit under the decoder's read buffer, so the first
+// frame was charged the whole write — one long stall up front, then
+// every frame behind it free.)
+func TestFeedThrottleChargesFramesNotReadAhead(t *testing.T) {
+	const frames = 20
+	var wire bytes.Buffer
+	enc := NewEncoder(&wire)
+	var ends [frames]int
+	for i := range ends {
+		f := Frame{V: WireVersion, Type: FrameHeartbeat, Site: "burst", Epoch: 7}
+		if i == 0 {
+			f.Type = FrameHello
+		}
+		if err := enc.Encode(&f); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = wire.Len()
+	}
+	// One second of byte budget — the burst — ends mid-way through frame
+	// frames/2+1, so exactly the first half fits.
+	budget := float64(ends[frames/2-1]+ends[frames/2]) / 2
+
+	agg := NewAggregator()
+	fc := NewFeedClient(agg, "burst", FeedOptions{MaxBytesPerSec: budget})
+	server, client := net.Pipe()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- fc.RunConn(ctx, client) }()
+	if _, err := NewDecoder(server).Decode(); err != nil { // the client's resume hello
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := server.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	server.Close()
+
+	for fc.Stats().FramesApplied < frames/2 {
+		if ctx.Err() != nil {
+			t.Fatalf("feed stuck at %d frames", fc.Stats().FramesApplied)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	halfAt := time.Since(start)
+	if err := <-done; err != nil {
+		t.Fatalf("throttled feed: %v", err)
+	}
+	total := time.Since(start)
+
+	st := fc.Stats()
+	if st.FramesApplied != frames {
+		t.Fatalf("applied %d frames, want %d", st.FramesApplied, frames)
+	}
+	// Every frame past the burst finds the allowance spent; a scheduling
+	// hiccup refills a frame or two's worth, never half of them.
+	if st.ThrottleStalls < frames/4 || st.ThrottleStalls > frames/2 {
+		t.Errorf("%d stalls over %d frames with a %d-frame burst; want one per frame past the burst",
+			st.ThrottleStalls, frames, frames/2)
+	}
+	// The half inside the burst is applied at once, the rest is paced
+	// over ~1s: charging the first frame for the whole write would hold
+	// everything back until the end.
+	if halfAt > total/2 {
+		t.Errorf("first %d frames took %v of %v: the burst was not admitted up front", frames/2, halfAt, total)
 	}
 }

@@ -13,7 +13,7 @@
 //     reconnecting aggregator resumes without replaying history it already
 //     has.
 //   - Aggregator: subscribes to N site feeds (in-process via pipeline.Hub
-//     subscriptions, or over the wire via ReadFeed) and reconciles them
+//     subscriptions, or over the wire via FeedClient) and reconciles them
 //     into a global inventory with per-site provenance and cross-site
 //     dedup. Every state merge is idempotent, commutative and monotone, so
 //     the aggregated Dump is byte-identical regardless of feed arrival

@@ -8,28 +8,16 @@
 // HandleBatch call: producers reuse their buffers, so a sink that needs to
 // keep packets must copy them.
 //
-// Three composition pieces cover the common shapes:
-//
-//   - Stage applies a filtering/transforming function to each batch and
-//     keeps concurrency-safe counters (In/Out/Dropped).
-//   - Fanout duplicates a batch across several sinks.
-//   - Pipeline chains stages in front of a terminal sink, either
-//     synchronously (deterministic, for simulation) or with one goroutine
-//     per stage connected by channels (Run/Flush/Close lifecycle, for
-//     replay and live capture).
-//
-// Legacy per-packet consumers bridge in through SinkAdapter (per-packet
-// sink fed by batches) and Batcher (per-packet producer accumulating
-// batches).
+// Two pieces compose batch flow: Fanout duplicates a batch across several
+// sinks, and StageCounters is the concurrency-safe In/Out/Dropped tally a
+// filtering step (capture.Tap, capture.Monitor, the sharded discoverer)
+// keeps. A single packet is a one-element batch; nothing here runs a
+// goroutine — concurrency belongs to the sinks (core.ShardedPassive).
 package pipeline
 
 import (
-	"context"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"servdisc/internal/obs"
 	"servdisc/internal/packet"
 )
 
@@ -51,65 +39,6 @@ type BatchFunc func(batch []packet.Packet)
 
 // HandleBatch implements BatchSink.
 func (f BatchFunc) HandleBatch(batch []packet.Packet) { f(batch) }
-
-// PacketSink is the legacy per-packet contract (capture.Sink and friends
-// satisfy it structurally).
-type PacketSink interface {
-	HandlePacket(p *packet.Packet)
-}
-
-// SinkAdapter feeds a legacy per-packet sink from batch flow.
-type SinkAdapter struct {
-	Sink PacketSink
-}
-
-// Adapt wraps a per-packet sink as a BatchSink.
-func Adapt(s PacketSink) SinkAdapter { return SinkAdapter{Sink: s} }
-
-// HandleBatch implements BatchSink by unrolling the batch.
-func (a SinkAdapter) HandleBatch(batch []packet.Packet) {
-	for i := range batch {
-		a.Sink.HandlePacket(&batch[i])
-	}
-}
-
-// Batcher accumulates per-packet submissions into batches for a BatchSink,
-// bridging per-packet producers into batch flow. Not safe for concurrent
-// producers; the typical producer is a single capture or replay loop.
-type Batcher struct {
-	sink BatchSink
-	size int
-	buf  []packet.Packet
-}
-
-// NewBatcher builds a batcher delivering batches of the given size
-// (DefaultBatchSize if size <= 0).
-func NewBatcher(sink BatchSink, size int) *Batcher {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &Batcher{sink: sink, size: size, buf: make([]packet.Packet, 0, size)}
-}
-
-// HandlePacket implements the legacy per-packet contract.
-func (b *Batcher) HandlePacket(p *packet.Packet) { b.Add(*p) }
-
-// Add appends one packet, flushing when the batch is full.
-func (b *Batcher) Add(p packet.Packet) {
-	b.buf = append(b.buf, p)
-	if len(b.buf) >= b.size {
-		b.Flush()
-	}
-}
-
-// Flush delivers any buffered packets downstream.
-func (b *Batcher) Flush() {
-	if len(b.buf) == 0 {
-		return
-	}
-	b.sink.HandleBatch(b.buf)
-	b.buf = b.buf[:0]
-}
 
 // StageCounters tallies batch flow through one stage. All methods are safe
 // under concurrent writers and readers, so live monitoring (an HTTP stats
@@ -136,67 +65,6 @@ func (c *StageCounters) Out() int { return int(c.out.Load()) }
 // Dropped returns the packets the stage discarded.
 func (c *StageCounters) Dropped() int { return int(c.dropped.Load()) }
 
-// Proc transforms one batch. It may filter in place and return a sub-slice
-// of in, or return a different slice; returning nil drops the batch.
-type Proc func(in []packet.Packet) []packet.Packet
-
-// Stage is one named step of a pipeline: a batch transformation plus
-// counters. The counters are concurrency-safe; Process itself is invoked
-// by a single goroutine at a time (the pipeline runner guarantees this).
-type Stage struct {
-	name     string
-	proc     Proc
-	counters StageCounters
-	lat      *obs.Histogram
-}
-
-// NewStage builds a stage around a batch transformation.
-func NewStage(name string, proc Proc) *Stage {
-	return &Stage{name: name, proc: proc}
-}
-
-// Name returns the stage's display name.
-func (s *Stage) Name() string { return s.name }
-
-// Counters exposes the stage's flow counters.
-func (s *Stage) Counters() *StageCounters { return &s.counters }
-
-// SetLatency attaches a per-batch latency histogram to the stage. Must
-// be set before batches flow; a nil histogram (the default) skips the
-// clock reads entirely.
-func (s *Stage) SetLatency(h *obs.Histogram) { s.lat = h }
-
-// Process runs one batch through the stage, updating counters (and the
-// latency histogram, when one is attached).
-func (s *Stage) Process(batch []packet.Packet) []packet.Packet {
-	s.counters.AddIn(len(batch))
-	var start time.Time
-	if s.lat != nil {
-		start = time.Now()
-	}
-	out := s.proc(batch)
-	if s.lat != nil {
-		s.lat.Observe(time.Since(start))
-	}
-	s.counters.AddOut(len(out))
-	s.counters.AddDropped(len(batch) - len(out))
-	return out
-}
-
-// FilterStage builds a stage keeping only packets for which keep returns
-// true, compacting in place.
-func FilterStage(name string, keep func(p *packet.Packet) bool) *Stage {
-	return NewStage(name, func(in []packet.Packet) []packet.Packet {
-		out := in[:0]
-		for i := range in {
-			if keep(&in[i]) {
-				out = append(out, in[i])
-			}
-		}
-		return out
-	})
-}
-
 // Fanout duplicates each batch to several sinks, in order. Nil entries are
 // skipped. Sinks must treat the batch as read-only: they all observe the
 // same slice.
@@ -211,161 +79,7 @@ func (f Fanout) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// Pipeline chains stages in front of a terminal sink.
-//
-// Until Run is called, HandleBatch processes synchronously on the caller's
-// goroutine — fully deterministic, the mode the simulator uses. After Run,
-// each stage executes on its own goroutine connected by buffered channels;
-// HandleBatch then copies the batch and enqueues it. Flush blocks until
-// everything enqueued so far has left the terminal sink; Close shuts the
-// workers down (idempotent) and implies a final Flush.
-type Pipeline struct {
-	stages []*Stage
-	sink   BatchSink
-
-	// mu is held shared by producers for the duration of an enqueue and
-	// exclusively by Run/Close, so Close can never shut the input channel
-	// while a send is in flight.
-	mu       sync.RWMutex
-	running  bool
-	closed   bool
-	in       chan []packet.Packet
-	ctx      context.Context
-	workers  sync.WaitGroup
-	inflight sync.WaitGroup
-}
-
-// NewPipeline builds a pipeline delivering to sink through the given
-// stages, applied in order.
-func NewPipeline(sink BatchSink, stages ...*Stage) *Pipeline {
-	return &Pipeline{stages: stages, sink: sink}
-}
-
-// Stages returns the pipeline's stages (for counter inspection).
-func (p *Pipeline) Stages() []*Stage { return p.stages }
-
-// Instrument attaches a latency histogram to every stage, obtained from
-// hist keyed by stage name. Call before batches flow.
-func (p *Pipeline) Instrument(hist func(stage string) *obs.Histogram) {
-	for _, s := range p.stages {
-		s.SetLatency(hist(s.name))
-	}
-}
-
-// HandleBatch implements BatchSink. Synchronous before Run; after Run the
-// batch is copied and handed to the stage workers. Calling HandleBatch
-// after Close is a no-op.
-func (p *Pipeline) HandleBatch(batch []packet.Packet) {
-	if len(batch) == 0 {
-		return
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return
-	}
-	if !p.running {
-		p.process(batch)
-		return
-	}
-	cp := make([]packet.Packet, len(batch))
-	copy(cp, batch)
-	p.inflight.Add(1)
-	p.in <- cp
-}
-
-// process runs one batch through every stage and the sink, synchronously.
-func (p *Pipeline) process(batch []packet.Packet) {
-	for _, s := range p.stages {
-		batch = s.Process(batch)
-		if len(batch) == 0 {
-			return
-		}
-	}
-	p.sink.HandleBatch(batch)
-}
-
-// Run starts one worker goroutine per stage (plus a delivery worker for
-// the terminal sink). The context stops processing: batches still queued
-// after cancellation are drained and counted as dropped rather than
-// processed, so Flush and Close never deadlock. Run is a no-op if the
-// pipeline is already running or closed.
-func (p *Pipeline) Run(ctx context.Context) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.running || p.closed {
-		return
-	}
-	p.running = true
-	p.ctx = ctx
-	p.in = make(chan []packet.Packet, 64)
-
-	ch := p.in
-	for _, s := range p.stages {
-		out := make(chan []packet.Packet, 64)
-		p.workers.Add(1)
-		go p.stageWorker(s, ch, out)
-		ch = out
-	}
-	p.workers.Add(1)
-	go p.deliveryWorker(ch)
-}
-
-func (p *Pipeline) stageWorker(s *Stage, in <-chan []packet.Packet, out chan<- []packet.Packet) {
-	defer p.workers.Done()
-	defer close(out)
-	for batch := range in {
-		if p.ctx.Err() != nil {
-			s.Counters().AddIn(len(batch))
-			s.Counters().AddDropped(len(batch))
-			batch = nil
-		} else {
-			batch = s.Process(batch)
-		}
-		// Forward even empty batches: the in-flight token must reach the
-		// delivery worker for Flush accounting.
-		out <- batch
-	}
-}
-
-func (p *Pipeline) deliveryWorker(in <-chan []packet.Packet) {
-	defer p.workers.Done()
-	for batch := range in {
-		if len(batch) > 0 && p.ctx.Err() == nil {
-			p.sink.HandleBatch(batch)
-		}
-		p.inflight.Done()
-	}
-}
-
-// Flush blocks until every batch enqueued before the call has been
-// delivered (or dropped due to cancellation). In synchronous mode it is a
-// no-op. Flush must not race with concurrent HandleBatch producers.
-func (p *Pipeline) Flush() {
-	p.inflight.Wait()
-}
-
-// Close flushes and stops the workers. Idempotent; HandleBatch afterwards
-// is a no-op. In synchronous mode it only marks the pipeline closed.
-func (p *Pipeline) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	running, in := p.running, p.in
-	p.mu.Unlock()
-	if running {
-		close(in)
-		p.workers.Wait()
-	}
-}
-
 var (
-	_ BatchSink  = BatchFunc(nil)
-	_ BatchSink  = SinkAdapter{}
-	_ BatchSink  = Fanout(nil)
-	_ BatchSink  = (*Pipeline)(nil)
-	_ PacketSink = (*Batcher)(nil)
+	_ BatchSink = BatchFunc(nil)
+	_ BatchSink = Fanout(nil)
 )

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -35,69 +34,6 @@ func corpus(n int) []packet.Packet {
 	return out
 }
 
-func synAckOnly() *Stage {
-	return FilterStage("synack", func(p *packet.Packet) bool {
-		return p.TCP.Flags.Has(packet.FlagSYN | packet.FlagACK)
-	})
-}
-
-func TestSinkAdapterUnrollsBatch(t *testing.T) {
-	var got []netaddr.V4
-	ad := Adapt(packetFunc(func(p *packet.Packet) { got = append(got, p.IPv4.Dst) }))
-	ad.HandleBatch(corpus(5))
-	if len(got) != 5 {
-		t.Fatalf("adapter delivered %d packets", len(got))
-	}
-	for i, dst := range got {
-		if dst != testClient+netaddr.V4(i) {
-			t.Errorf("packet %d out of order", i)
-		}
-	}
-}
-
-type packetFunc func(p *packet.Packet)
-
-func (f packetFunc) HandlePacket(p *packet.Packet) { f(p) }
-
-func TestBatcherAccumulatesAndFlushes(t *testing.T) {
-	var batches [][]packet.Packet
-	b := NewBatcher(BatchFunc(func(batch []packet.Packet) {
-		cp := make([]packet.Packet, len(batch))
-		copy(cp, batch)
-		batches = append(batches, cp)
-	}), 4)
-	pkts := corpus(10)
-	for i := range pkts {
-		b.Add(pkts[i])
-	}
-	if len(batches) != 2 {
-		t.Fatalf("got %d full batches before flush", len(batches))
-	}
-	b.Flush()
-	if len(batches) != 3 || len(batches[2]) != 2 {
-		t.Fatalf("flush delivered wrong remainder: %d batches", len(batches))
-	}
-	b.Flush() // empty flush is a no-op
-	if len(batches) != 3 {
-		t.Error("empty flush delivered a batch")
-	}
-}
-
-func TestStageCountsAndFilters(t *testing.T) {
-	s := synAckOnly()
-	out := s.Process(corpus(10))
-	if len(out) != 5 {
-		t.Fatalf("stage kept %d of 10", len(out))
-	}
-	c := s.Counters()
-	if c.In() != 10 || c.Out() != 5 || c.Dropped() != 5 {
-		t.Errorf("counters = %d/%d/%d", c.In(), c.Out(), c.Dropped())
-	}
-	if s.Name() != "synack" {
-		t.Errorf("name = %q", s.Name())
-	}
-}
-
 func TestFanoutDuplicates(t *testing.T) {
 	a, b := 0, 0
 	f := Fanout{
@@ -109,83 +45,6 @@ func TestFanoutDuplicates(t *testing.T) {
 	if a != 7 || b != 7 {
 		t.Errorf("fanout delivered %d/%d", a, b)
 	}
-}
-
-func TestPipelineSynchronous(t *testing.T) {
-	total := 0
-	pl := NewPipeline(BatchFunc(func(batch []packet.Packet) { total += len(batch) }), synAckOnly())
-	pl.HandleBatch(corpus(20))
-	pl.HandleBatch(nil) // empty batch ignored
-	if total != 10 {
-		t.Fatalf("sync pipeline delivered %d", total)
-	}
-	pl.Flush() // no-op in sync mode
-	pl.Close()
-	pl.HandleBatch(corpus(2))
-	if total != 10 {
-		t.Error("pipeline accepted batches after Close")
-	}
-}
-
-func TestPipelineAsyncFlushClose(t *testing.T) {
-	var mu sync.Mutex
-	total := 0
-	pl := NewPipeline(BatchFunc(func(batch []packet.Packet) {
-		mu.Lock()
-		total += len(batch)
-		mu.Unlock()
-	}), synAckOnly())
-	pl.Run(context.Background())
-
-	pkts := corpus(1000)
-	for off := 0; off < len(pkts); off += 100 {
-		pl.HandleBatch(pkts[off : off+100])
-	}
-	pl.Flush()
-	mu.Lock()
-	got := total
-	mu.Unlock()
-	if got != 500 {
-		t.Fatalf("after flush delivered %d, want 500", got)
-	}
-	if c := pl.Stages()[0].Counters(); c.In() != 1000 || c.Out() != 500 {
-		t.Errorf("stage counters = %d/%d", c.In(), c.Out())
-	}
-	pl.Close()
-	pl.Close() // idempotent
-}
-
-func TestPipelineAsyncCopiesBatch(t *testing.T) {
-	done := make(chan struct{})
-	var got packet.Packet
-	pl := NewPipeline(BatchFunc(func(batch []packet.Packet) {
-		got = batch[0]
-		close(done)
-	}))
-	pl.Run(context.Background())
-	buf := corpus(1)
-	want := buf[0].IPv4.Dst
-	pl.HandleBatch(buf)
-	buf[0].IPv4.Dst = 0 // producer reuses its buffer immediately
-	<-done
-	pl.Close()
-	if got.IPv4.Dst != want {
-		t.Error("async pipeline aliased the producer's buffer")
-	}
-}
-
-func TestPipelineCancelDrains(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	delivered := 0
-	pl := NewPipeline(BatchFunc(func(batch []packet.Packet) { delivered += len(batch) }), synAckOnly())
-	pl.Run(ctx)
-	cancel()
-	// Batches after cancellation are dropped, but Flush/Close still return.
-	for i := 0; i < 10; i++ {
-		pl.HandleBatch(corpus(10))
-	}
-	pl.Flush()
-	pl.Close()
 }
 
 func TestCountersConcurrentReaders(t *testing.T) {

@@ -30,20 +30,6 @@ type ScanConfig struct {
 	Shards int
 }
 
-// sweepDuration estimates how long the sweep takes at the configured rate.
-func (c *ScanConfig) sweepDuration() time.Duration {
-	probes := len(c.Targets) * (len(c.TCPPorts) + len(c.UDPPorts))
-	rate := c.Rate
-	if rate <= 0 {
-		rate = 15
-	}
-	shards := c.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	return time.Duration(float64(probes) / float64(shards) / rate * float64(time.Second))
-}
-
 // AddrSummary aggregates one address's TCP outcomes within one sweep.
 type AddrSummary struct {
 	Addr netaddr.V4

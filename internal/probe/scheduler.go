@@ -9,6 +9,7 @@ import (
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
+	"servdisc/internal/ratelimit"
 )
 
 // Metrics is the scheduler's optional telemetry bundle. All fields are
@@ -45,7 +46,7 @@ type SchedulerConfig struct {
 	// UDPPorts are probed with generic UDP probes.
 	UDPPorts []uint16
 	// Rate is the aggregate probes-per-second budget across all workers,
-	// enforced by a shared token bucket. <= 0 disables rate limiting.
+	// enforced by one shared ratelimit.Limiter. <= 0 disables rate limiting.
 	Rate float64
 	// Burst is the token-bucket depth (default 1): how many probes may be
 	// emitted back-to-back after an idle stretch before pacing kicks in.
@@ -84,7 +85,7 @@ func (c *SchedulerConfig) workers() int {
 // Backend — the simulated campus and the real-network dialer behave
 // identically. Where SimScanner paces virtual time inside the discrete-
 // event engine, Scheduler runs on the wall clock with a worker pool and a
-// shared token bucket, which is the shape a production deployment runs.
+// shared rate limiter, which is the shape a production deployment runs.
 //
 // Reports are deterministic in everything but timestamps: results are
 // assembled in target order regardless of how the workers interleave, so
@@ -93,7 +94,7 @@ func (c *SchedulerConfig) workers() int {
 type Scheduler struct {
 	backend Backend
 	cfg     SchedulerConfig
-	limiter *Limiter
+	limiter *ratelimit.Limiter
 
 	// clock is injectable for deterministic tests (defaults to time.Now).
 	clock func() time.Time
@@ -115,7 +116,7 @@ func NewScheduler(backend Backend, cfg SchedulerConfig) *Scheduler {
 	return &Scheduler{
 		backend: backend,
 		cfg:     cfg,
-		limiter: NewLimiter(cfg.Rate, cfg.Burst),
+		limiter: ratelimit.New(cfg.Rate, float64(cfg.Burst)),
 		clock:   time.Now,
 	}
 }
@@ -218,7 +219,7 @@ func (s *Scheduler) sweepWorker(ctx context.Context, w, stride int) []addrOutcom
 		}
 		done := false
 		for _, port := range s.cfg.TCPPorts {
-			if s.limiter.Wait(ctx) != nil {
+			if s.limiter.Wait(ctx, 1) != nil {
 				done = true
 				break
 			}
@@ -250,7 +251,7 @@ func (s *Scheduler) sweepWorker(ctx context.Context, w, stride int) []addrOutcom
 		}
 		if !done {
 			for _, port := range s.cfg.UDPPorts {
-				if s.limiter.Wait(ctx) != nil {
+				if s.limiter.Wait(ctx, 1) != nil {
 					done = true
 					break
 				}
@@ -302,7 +303,7 @@ func (s *Scheduler) Run(ctx context.Context, interval time.Duration, count int, 
 		}
 		if interval > 0 {
 			if d := interval - s.clock().Sub(start); d > 0 {
-				if err := sleepCtx(ctx, d); err != nil {
+				if err := ratelimit.Sleep(ctx, d); err != nil {
 					return err
 				}
 			}

@@ -94,49 +94,6 @@ func addrs(n int) []netaddr.V4 {
 	return out
 }
 
-// TestLimiterVirtualAdherence pins the token bucket's exact pacing on a
-// virtual clock: n admissions at rate r advance time by (n-burst)/r.
-func TestLimiterVirtualAdherence(t *testing.T) {
-	for _, tc := range []struct {
-		rate  float64
-		burst int
-		n     int
-	}{{10, 1, 21}, {100, 1, 101}, {50, 5, 55}} {
-		clk := &fakeClock{now: time.Date(2026, 7, 30, 0, 0, 0, 0, time.UTC)}
-		l := NewLimiter(tc.rate, tc.burst)
-		l.now, l.sleep = clk.Now, clk.Sleep
-		start := clk.Now()
-		for i := 0; i < tc.n; i++ {
-			if err := l.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := clk.Now().Sub(start)
-		want := time.Duration(float64(tc.n-tc.burst) / tc.rate * float64(time.Second))
-		if diff := got - want; diff < -time.Millisecond || diff > time.Millisecond {
-			t.Errorf("rate=%v burst=%d: %d waits advanced %v, want %v",
-				tc.rate, tc.burst, tc.n, got, want)
-		}
-	}
-}
-
-func TestLimiterCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := NewLimiter(0, 0).Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("unlimited Wait on cancelled ctx = %v", err)
-	}
-	l := NewLimiter(1, 1) // 1/s: the second Wait must block, then abort
-	if err := l.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel2()
-	if err := l.Wait(ctx2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("blocked Wait = %v, want deadline exceeded", err)
-	}
-}
-
 // TestSchedulerRateAdherenceVirtual runs a single-worker sweep on the
 // virtual clock and checks the sweep occupies exactly the budgeted time.
 func TestSchedulerRateAdherenceVirtual(t *testing.T) {
@@ -150,7 +107,7 @@ func TestSchedulerRateAdherenceVirtual(t *testing.T) {
 	})
 	clk := &fakeClock{now: time.Date(2026, 7, 30, 0, 0, 0, 0, time.UTC)}
 	s.clock = clk.Now
-	s.limiter.now, s.limiter.sleep = clk.Now, clk.Sleep
+	s.limiter.SetClock(clk.Now, clk.Sleep)
 
 	rep, err := s.Sweep(context.Background())
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"servdisc/internal/checkpoint"
 	"servdisc/internal/core"
 	"servdisc/internal/federate"
-	"servdisc/internal/filter"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
 	"servdisc/internal/packet"
@@ -820,11 +819,12 @@ func Discover(ctx context.Context, r io.Reader, cfg Config) (*Inventory, error) 
 
 	var sink pipeline.BatchSink = sharded
 	if cfg.Filter != "" {
-		f, err := filter.Compile(cfg.Filter)
+		// A recorded trace has no links; the tap is just the filter.
+		tap, err := capture.NewTap(capture.LinkCommercial1, cfg.Filter, nil, sharded)
 		if err != nil {
 			return nil, err
 		}
-		sink = pipeline.NewPipeline(sharded, pipeline.FilterStage("filter", f.Match))
+		sink = tap
 	}
 	if _, err := capture.ReplayBatched(ctx, tr, sink, cfg.BatchSize); err != nil {
 		return nil, err
