@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
-	"unsafe"
 
 	"servdisc/internal/pipeline"
 )
@@ -157,167 +155,106 @@ func (e Event) String() string {
 // drop count, Cancel unsubscribes).
 type EventSub = pipeline.Sub[Event]
 
-// eventStream reconciles raw per-source discovery signals into the typed
-// event stream. The passive shards and the active ingester each report a
-// key at most once (their own state makes re-reports impossible); the
-// stream's job is the cross-technique join — first report of a key becomes
-// ServiceDiscovered, the other technique's later report becomes
-// ProvenanceUpgraded — plus pass-through publication of scanner detections
-// and sweep completions. All methods are safe for concurrent callers (the
-// shard workers and the report reconciler all emit into one stream).
+// eventStream is the engine's typed event stream: the hub every shard, the
+// report reconciler and the snapshot path publish into. It holds no
+// per-service state. The cross-technique join — first evidence for a key
+// becomes ServiceDiscovered, the other technique's later evidence becomes
+// ProvenanceUpgraded — is decided and published under the lock of the shard
+// that owns the key (see passiveShard.passiveDiscovered), so it costs
+// nothing here; scanner detections, sweep completions and expiries pass
+// straight through. Publish never blocks, so publishing under a shard lock
+// is safe.
 type eventStream struct {
 	hub *pipeline.Hub[Event]
-
-	mu   sync.Mutex
-	seen map[ServiceKey]firstSeen
-}
-
-// firstSeen records the first observation per technique for one service,
-// held by value in the join table. A zero instant means that technique has
-// not reported; the values are only ever compared, never rendered.
-type firstSeen struct {
-	passiveAt, activeAt instant
-}
-
-const _ = uint(16-unsafe.Sizeof(firstSeen{})) + uint(unsafe.Sizeof(firstSeen{})-16) // == 16
-
-// reportedAt packs a report's timestamp for the join table. A report
-// stamped time.Time{} must still count as a report, so it is stored as the
-// smallest non-zero instant — it still orders before every real time.
-func reportedAt(t time.Time) instant {
-	return max(toInstant(t), minInstant)
 }
 
 func newEventStream() *eventStream {
-	return &eventStream{
-		hub:  pipeline.NewHub[Event](),
-		seen: make(map[ServiceKey]firstSeen),
-	}
+	return &eventStream{hub: pipeline.NewHub[Event]()}
 }
 
-// passiveDiscovered reports the first passive evidence for key. The
-// publish happens under es.mu (Publish never blocks), so a subscriber can
-// never see a key's ProvenanceUpgraded before its ServiceDiscovered.
-func (es *eventStream) passiveDiscovered(key ServiceKey, t time.Time) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	st, known := es.seen[key]
-	if st.passiveAt != 0 {
-		return
-	}
-	st.passiveAt = reportedAt(t)
-	es.seen[key] = st
-	if !known {
-		es.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: PassiveOnly})
+// The cross-technique join. Each half of a key's state lives where it is
+// already kept: the passive half is the owning shard's record (present in
+// disc.services ⇒ passive has reported, rec.first is when), the active half
+// is the shard's activeFirst entry (present ⇒ a probe answer is live). Both
+// halves are written, and both kinds of event published, under sh.mu, so per
+// key no subscriber sees a ProvenanceUpgraded before its ServiceDiscovered,
+// and an expired half is gone the moment it is retired — a later
+// rediscovery is always announced.
+
+// passiveDiscovered announces the record observe just created for key
+// (PassiveDiscoverer.onService). The caller — apply — holds sh.mu.
+func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
+	activeAt, probed := sh.activeFirst[key]
+	if !probed {
+		sh.events.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: PassiveOnly})
 		return
 	}
 	// The probe answered strictly before passive evidence: active won the
 	// race (ties go passive, as in NewHybridInventory).
 	prov := PassiveFirst
-	if st.activeAt < st.passiveAt {
+	if activeAt < toInstant(t) {
 		prov = ActiveFirst
 	}
-	es.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
+	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
 }
 
-// activeDiscovered reports the first probe answer for key (see
-// passiveDiscovered for the ordering guarantee).
-func (es *eventStream) activeDiscovered(key ServiceKey, t time.Time) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	st, known := es.seen[key]
-	if st.activeAt != 0 {
-		return
-	}
-	st.activeAt = reportedAt(t)
-	es.seen[key] = st
-	if !known {
-		es.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: ActiveOnly})
+// activeDiscovered announces the first live probe answer for key
+// (ActiveDiscoverer.onDiscovered, from the goroutine applying the report).
+func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	at := toInstant(t)
+	sh.activeFirst[key] = at
+	rec, passive := sh.disc.services[key]
+	if !passive {
+		sh.events.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: ActiveOnly})
 		return
 	}
 	prov := ActiveFirst
-	if st.activeAt >= st.passiveAt {
+	if at >= rec.first {
 		prov = PassiveFirst
 	}
-	es.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
+	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
 }
 
-// activeOpenEarlier corrects the join table when a later-applied report
-// carries an earlier open time for an already-known service (sweeps may
-// reconcile out of launch order). If the upgrade has not fired yet, the
-// eventual ProvenanceUpgraded then compares the true earliest times, as
-// the frozen Inventory does; an already-published upgrade is not
-// retracted.
-func (es *eventStream) activeOpenEarlier(key ServiceKey, t time.Time) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	st := es.seen[key]
-	if at := reportedAt(t); st.activeAt != 0 && st.passiveAt == 0 && at < st.activeAt {
-		st.activeAt = at
-		es.seen[key] = st
+// activeOpenEarlier moves a live probe answer's time earlier when a
+// later-applied report carries an earlier open time (sweeps may reconcile
+// out of launch order). It applies only while no passive record is live: the
+// eventual ProvenanceUpgraded then compares the true earliest times, as the
+// frozen Inventory does; an already-published upgrade is not retracted.
+func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	at := toInstant(t)
+	cur, probed := sh.activeFirst[key]
+	if _, passive := sh.disc.services[key]; probed && !passive && at < cur {
+		sh.activeFirst[key] = at
 	}
 }
 
-// seedPassive records checkpoint-restored passive evidence in the join
-// table WITHOUT publishing: the event already fired in the incarnation
-// that wrote the checkpoint, and re-announcing it would break the
-// exactly-once contract across restarts.
-func (es *eventStream) seedPassive(key ServiceKey, t time.Time) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	st := es.seen[key]
-	st.passiveAt = reportedAt(t)
-	es.seen[key] = st
+// seedActive records a checkpoint-restored probe answer WITHOUT publishing:
+// the event already fired in the incarnation that wrote the checkpoint, and
+// re-announcing it would break the exactly-once contract across restarts.
+// (The passive side needs no counterpart: an imported record is its own
+// seed.)
+func (sh *passiveShard) seedActive(key ServiceKey, t time.Time) {
+	sh.mu.Lock()
+	sh.activeFirst[key] = toInstant(t)
+	sh.mu.Unlock()
 }
 
-// seedActive is seedPassive's active-side counterpart.
-func (es *eventStream) seedActive(key ServiceKey, t time.Time) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	st := es.seen[key]
-	st.activeAt = reportedAt(t)
-	es.seen[key] = st
+// activeWithdrawn drops key's probe answer — it expired, or a checkpoint
+// import is replacing the active side — so a later answer is announced
+// afresh.
+func (sh *passiveShard) activeWithdrawn(key ServiceKey) {
+	sh.mu.Lock()
+	delete(sh.activeFirst, key)
+	sh.mu.Unlock()
 }
 
-// forget clears one technique's report for key (passive unless prov is
-// ActiveOnly), dropping the entry once neither technique has reported.
-// Callers hold es.mu.
-func (es *eventStream) forget(key ServiceKey, prov Provenance) {
-	st := es.seen[key]
-	if prov == ActiveOnly {
-		st.activeAt = 0
-	} else {
-		st.passiveAt = 0
-	}
-	if st == (firstSeen{}) {
-		delete(es.seen, key)
-	} else {
-		es.seen[key] = st
-	}
-}
-
-// serviceExpired publishes a retention expiry. clearSeen marks snapshot-
-// side expiries: their seen-table entry must be dropped here so a later
-// rediscovery re-announces. Observe-side retirements cleared their entry
-// synchronously via retirePassive (the new incarnation has already re-set
-// it by publication time, and must not be clobbered).
-func (es *eventStream) serviceExpired(key ServiceKey, at time.Time, prov Provenance, clearSeen bool) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if clearSeen {
-		es.forget(key, prov)
-	}
+// serviceExpired publishes a retention expiry.
+func (es *eventStream) serviceExpired(key ServiceKey, at time.Time, prov Provenance) {
 	es.hub.Publish(Event{Kind: EventServiceExpired, Time: at, Key: key, Provenance: prov})
-}
-
-// retirePassive drops a key's passive seen-table entry without publishing:
-// the synchronous half of an observe-side incarnation split, so the split's
-// rediscovery is announced as a fresh ServiceDiscovered (the expiry event
-// itself follows at the next snapshot).
-func (es *eventStream) retirePassive(key ServiceKey) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.forget(key, PassiveOnly)
 }
 
 // scannerDetected publishes a threshold crossing.

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 	"servdisc/internal/stats"
 )
 
@@ -220,102 +222,180 @@ func TestScannerDetectedEvents(t *testing.T) {
 	}
 }
 
-// TestEventJoinTableCorners drives the cross-technique join table through
-// its corners and pins the exact event sequence of each — the table is
-// held by value with "zero = not reported", and these are the sequences
-// the pointer-and-flags form it replaced produced.
+// joinRig drives a 1-shard inline Hybrid one observation at a time: the
+// engine-level form of the calls the event join used to take directly.
+type joinRig struct {
+	t      *testing.T
+	h      *Hybrid
+	policy RetentionPolicy
+	sweeps int
+}
+
+func newJoinRig(t *testing.T, policy RetentionPolicy) *joinRig {
+	r := &joinRig{t: t, h: NewHybrid(campusPfx, nil, 1, []uint16{80}), policy: policy}
+	r.h.SetRetention(policy)
+	return r
+}
+
+// passive applies one accept response from key's server at t.
+func (r *joinRig) passive(key ServiceKey, t time.Time) {
+	r.h.HandleBatch([]packet.Packet{*synAck(t, key.Addr, key.Port, cli)})
+}
+
+// active applies a one-answer sweep report: key open at t.
+func (r *joinRig) active(key ServiceKey, t time.Time) {
+	r.sweeps++
+	r.h.AddReport(&probe.ScanReport{ID: r.sweeps, Started: t, Finished: t,
+		TCP: []probe.TCPResult{{Time: t, Addr: key.Addr, Port: key.Port, State: probe.StateOpen}}})
+}
+
+// snapshotAt moves the observation clock to t with a packet that is
+// evidence of nothing (a bare ACK) and snapshots, surfacing every expiry
+// due by then.
+func (r *joinRig) snapshotAt(t time.Time) {
+	r.h.HandleBatch([]packet.Packet{*bld.TCPPacket(t, packet.Endpoint{Addr: cli, Port: 40000},
+		packet.Endpoint{Addr: cli2, Port: 40000}, packet.FlagACK, 1, 2, nil)})
+	r.h.Snapshot()
+}
+
+// restoreFrom makes the rig's engine the restored successor of a donor that
+// ran prior: export the donor's checkpoint, import it here.
+func (r *joinRig) restoreFrom(prior func(donor *joinRig)) {
+	donor := newJoinRig(r.t, r.policy)
+	prior(donor)
+	chunk, _ := donor.h.ExportDelta(nil)
+	donor.h.Close()
+	if err := r.h.ImportDelta(chunk); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// joinEntries counts the engine's event-join entries: one per key with a
+// live probe answer, none for passive evidence.
+func joinEntries(s *ShardedPassive) int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += len(sh.activeFirst)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestEventJoinTableCorners drives the cross-technique join through its
+// corners and pins the exact service-event sequence of each. The expected
+// lists are the ones the engine-wide join table produced when these were
+// calls on it; each sequence now runs through a 1-shard Hybrid — packets,
+// sweep reports, TTL expiry, checkpoint restore — because the join is the
+// owning shard's records plus its live-probe-answer table, and has no form
+// apart from an engine.
 func TestEventJoinTableCorners(t *testing.T) {
-	key := ServiceKey{Addr: netaddr.MustParseV4("128.125.1.9"), Proto: 6, Port: 80}
+	key := ServiceKey{Addr: netaddr.MustParseV4("128.125.1.9"), Proto: packet.ProtoTCP, Port: 80}
+	other := ServiceKey{Addr: netaddr.MustParseV4("128.125.1.10"), Proto: packet.ProtoTCP, Port: 80}
 	at := func(min int) time.Time { return t0.Add(time.Duration(min) * time.Minute) }
 	cases := []struct {
-		name string
-		run  func(es *eventStream)
-		want []string // kind provenance @minute (or "zero")
+		name   string
+		policy RetentionPolicy
+		run    func(r *joinRig)
+		want   []string // kind provenance @minute (or "zero")
 	}{
-		{"passive then active", func(es *eventStream) {
-			es.passiveDiscovered(key, at(1))
-			es.activeDiscovered(key, at(2))
-			es.passiveDiscovered(key, at(3)) // re-reports are ignored
-			es.activeDiscovered(key, at(4))
+		{"passive then active", RetentionPolicy{}, func(r *joinRig) {
+			r.passive(key, at(1))
+			r.active(key, at(2))
+			r.passive(key, at(3)) // further evidence of a known half announces nothing
+			r.active(key, at(4))
 		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2"}},
-		{"active then passive", func(es *eventStream) {
-			es.activeDiscovered(key, at(1))
-			es.passiveDiscovered(key, at(2))
+		{"active then passive", RetentionPolicy{}, func(r *joinRig) {
+			r.active(key, at(1))
+			r.passive(key, at(2))
 		}, []string{"service-discovered active-only @1", "provenance-upgraded active-first @2"}},
-		{"active reported later but answered earlier", func(es *eventStream) {
-			es.passiveDiscovered(key, at(5))
-			es.activeDiscovered(key, at(2))
+		{"active reported later but answered earlier", RetentionPolicy{}, func(r *joinRig) {
+			r.passive(key, at(5))
+			r.active(key, at(2))
 		}, []string{"service-discovered passive-only @5", "provenance-upgraded active-first @2"}},
-		{"tie goes passive, active first", func(es *eventStream) {
-			es.activeDiscovered(key, at(1))
-			es.passiveDiscovered(key, at(1))
+		{"tie goes passive, active first", RetentionPolicy{}, func(r *joinRig) {
+			r.active(key, at(1))
+			r.passive(key, at(1))
 		}, []string{"service-discovered active-only @1", "provenance-upgraded passive-first @1"}},
-		{"tie goes passive, passive first", func(es *eventStream) {
-			es.passiveDiscovered(key, at(1))
-			es.activeDiscovered(key, at(1))
+		{"tie goes passive, passive first", RetentionPolicy{}, func(r *joinRig) {
+			r.passive(key, at(1))
+			r.active(key, at(1))
 		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @1"}},
-		{"activeOpenEarlier before the upgrade moves the comparison", func(es *eventStream) {
-			es.activeDiscovered(key, at(5))
-			es.activeOpenEarlier(key, at(1))
-			es.activeOpenEarlier(key, at(9)) // later, not earlier: ignored
-			es.passiveDiscovered(key, at(3))
+		{"activeOpenEarlier before the upgrade moves the comparison", RetentionPolicy{}, func(r *joinRig) {
+			r.active(key, at(5))
+			r.active(key, at(1)) // a later-applied sweep that answered earlier
+			r.active(key, at(9)) // later, not earlier: ignored
+			r.passive(key, at(3))
 		}, []string{"service-discovered active-only @5", "provenance-upgraded active-first @3"}},
-		{"activeOpenEarlier after the upgrade retracts nothing", func(es *eventStream) {
-			es.activeDiscovered(key, at(5))
-			es.passiveDiscovered(key, at(3))
-			es.activeOpenEarlier(key, at(1))
-			es.activeOpenEarlier(ServiceKey{Port: 1}, at(1)) // unknown key: no entry appears
-			es.passiveDiscovered(ServiceKey{Port: 1}, at(7))
+		{"activeOpenEarlier after the upgrade retracts nothing", RetentionPolicy{}, func(r *joinRig) {
+			r.active(key, at(5))
+			r.passive(key, at(3))
+			r.active(key, at(1))
+			// The table-level row also moved an unknown key's time and checked
+			// no entry appeared; the active discoverer reports an earlier open
+			// only for a key it already holds, so that call cannot happen.
+			r.passive(other, at(7))
 		}, []string{"service-discovered active-only @5", "provenance-upgraded passive-first @3",
 			"service-discovered passive-only @7"}},
-		{"expiry of one technique, then the other, then rediscovery", func(es *eventStream) {
-			es.passiveDiscovered(key, at(1))
-			es.activeDiscovered(key, at(2))
-			es.serviceExpired(key, at(10), PassiveOnly, true)
-			es.passiveDiscovered(key, at(11)) // active still stands: an upgrade, not a discovery
-			es.serviceExpired(key, at(20), ActiveOnly, true)
-			es.serviceExpired(key, at(21), PassiveOnly, true)
-			es.serviceExpired(key, at(22), PassiveOnly, false) // observe-side: publishes, clears nothing
-			es.activeDiscovered(key, at(30))
-		}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2",
-			"service-expired passive-only @10", "provenance-upgraded active-first @11",
-			"service-expired active-only @20", "service-expired passive-only @21",
-			"service-expired passive-only @22", "service-discovered active-only @30"}},
-		{"retirePassive re-announces, and keeps the active report", func(es *eventStream) {
-			es.passiveDiscovered(key, at(1))
-			es.retirePassive(key)
-			es.passiveDiscovered(key, at(2))
-			es.activeDiscovered(key, at(3))
-			es.retirePassive(key)
-			es.passiveDiscovered(key, at(4))
-		}, []string{"service-discovered passive-only @1", "service-discovered passive-only @2",
-			"provenance-upgraded passive-first @3", "provenance-upgraded active-first @4"}},
-		{"a report stamped time.Time{} still counts, passive first", func(es *eventStream) {
-			es.passiveDiscovered(key, time.Time{})
-			es.passiveDiscovered(key, at(1))
-			es.activeDiscovered(key, at(2))
+		{"expiry of one technique, then the other, then rediscovery",
+			RetentionPolicy{PassiveTTL: 9 * time.Minute, ActiveTTL: 18 * time.Minute}, func(r *joinRig) {
+				// The table-level row published one expiry notice (@22) that
+				// touched no entry. On one key the engine cannot: every passive
+				// expiry follows an arrival that was announced. It is a second
+				// service here, restored from a checkpoint — so its discovery
+				// belongs to the previous incarnation's stream — and last seen
+				// at minute 13; its expiry must leave key's join alone.
+				r.restoreFrom(func(donor *joinRig) { donor.passive(other, at(13)) })
+				r.passive(key, at(1))
+				r.active(key, at(2))
+				r.snapshotAt(at(13))   // passive evidence of minute 1 is 9 minutes stale
+				r.passive(key, at(11)) // active still stands: an upgrade, not a discovery
+				r.passive(key, at(12))
+				r.snapshotAt(at(22)) // the probe answer (2+18), key (12+9) and other (13+9) all lapse
+				r.active(key, at(30))
+			}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2",
+				"service-expired passive-only @10", "provenance-upgraded active-first @11",
+				"service-expired active-only @20", "service-expired passive-only @21",
+				"service-expired passive-only @22", "service-discovered active-only @30"}},
+		{"retirePassive re-announces, and keeps the active report",
+			RetentionPolicy{PassiveTTL: time.Minute}, func(r *joinRig) {
+				// Each passive packet arrives at its predecessor's deadline, so
+				// observe retires the old record on the spot. The expiry
+				// notices wait for a snapshot, which this row never takes.
+				r.passive(key, at(1))
+				r.passive(key, at(2))
+				r.active(key, at(3))
+				r.passive(key, at(4))
+			}, []string{"service-discovered passive-only @1", "service-discovered passive-only @2",
+				"provenance-upgraded passive-first @3", "provenance-upgraded active-first @4"}},
+		{"a report stamped time.Time{} still counts, passive first", RetentionPolicy{}, func(r *joinRig) {
+			r.passive(key, time.Time{})
+			r.passive(key, at(1))
+			r.active(key, at(2))
 		}, []string{"service-discovered passive-only @zero", "provenance-upgraded passive-first @2"}},
-		{"a report stamped time.Time{} still counts, active first", func(es *eventStream) {
-			es.activeDiscovered(key, time.Time{})
-			es.activeDiscovered(key, at(1))
-			es.passiveDiscovered(key, time.Time{}) // zero vs zero is a tie
+		{"a report stamped time.Time{} still counts, active first", RetentionPolicy{}, func(r *joinRig) {
+			r.active(key, time.Time{})
+			r.active(key, at(1))
+			r.passive(key, time.Time{}) // zero vs zero is a tie
 		}, []string{"service-discovered active-only @zero", "provenance-upgraded passive-first @zero"}},
-		{"seeds after restore publish nothing and suppress re-announcement", func(es *eventStream) {
-			es.seedPassive(key, at(1))
-			es.seedActive(key, at(2))
-			es.seedActive(ServiceKey{Port: 2}, time.Time{})
-			es.passiveDiscovered(key, at(3))
-			es.activeDiscovered(key, at(4))
-			es.activeDiscovered(ServiceKey{Port: 2}, at(5))
-			es.passiveDiscovered(ServiceKey{Port: 2}, at(6)) // the one new fact
+		{"seeds after restore publish nothing and suppress re-announcement", RetentionPolicy{}, func(r *joinRig) {
+			r.restoreFrom(func(donor *joinRig) {
+				donor.passive(key, at(1))
+				donor.active(key, at(2))
+				donor.active(other, time.Time{})
+			})
+			r.passive(key, at(3))
+			r.active(key, at(4))
+			r.active(other, at(5))
+			r.passive(other, at(6)) // the one new fact
 		}, []string{"provenance-upgraded active-first @6"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			es := newEventStream()
-			sub := es.hub.Subscribe(64)
-			c.run(es)
-			es.close()
+			r := newJoinRig(t, c.policy)
+			sub := r.h.SubscribeFiltered(64, func(ev Event) bool { return ev.Kind != EventScanCompleted })
+			c.run(r)
+			r.h.Close()
 			var got []string
 			for _, ev := range drainEvents(sub) {
 				when := "zero"
@@ -327,8 +407,8 @@ func TestEventJoinTableCorners(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(c.want) {
 				t.Fatalf("events:\n got %q\nwant %q", got, c.want)
 			}
-			if n := len(es.seen); c.name == "expiry of one technique, then the other, then rediscovery" && n != 1 {
-				t.Errorf("join table holds %d entries after full expiry and one rediscovery, want 1", n)
+			if n := joinEntries(r.h.passive); c.name == "expiry of one technique, then the other, then rediscovery" && n != 1 {
+				t.Errorf("join holds %d entries after full expiry and one rediscovery, want 1", n)
 			}
 		})
 	}

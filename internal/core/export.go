@@ -23,9 +23,11 @@ package core
 //
 // ImportDelta is the inverse: it redistributes exported state by owner
 // address into a FRESH engine — the shard count may differ from the
-// exporting engine's — and re-seeds the event stream's join table and the
-// tracker's flagged set so a restored engine never re-announces what the
-// checkpointed incarnation already published. Deltas carry complete
+// exporting engine's — and re-seeds the tracker's flagged set and the
+// shards' live-probe-answer tables (an imported passive record is its own
+// seed: the event join reads presence from the shard's records) so a
+// restored engine never re-announces what the checkpointed incarnation
+// already published. Deltas carry complete
 // per-entity state (a whole service record, a whole trail, a whole
 // source's windows), so applying a baseline plus its delta chain in order
 // is a plain upsert sequence; nothing in the data model is ever deleted.
@@ -525,6 +527,12 @@ func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 }
 
 func (s *ShardedPassive) importPassive(ed *EngineDelta) {
+	// Import writes every shard's services: hold the shard locks, as every
+	// such write does (see passiveShard.mu).
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
 	if ed.OriginSet && !s.originSeeded {
 		s.seedOrigins(ed.Origin)
 	}
@@ -533,12 +541,9 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	// the tomb retires the earlier incarnation, the upsert re-creates it.
 	for i := range ed.Tombs {
 		tb := &ed.Tombs[i]
-		d := s.shards[s.shardOf(tb.Key.Addr)].disc
-		if _, live := d.services[tb.Key]; live {
-			delete(d.services, tb.Key)
-			delete(d.peers, tb.Key)
-			s.events.retirePassive(tb.Key)
-		}
+		d := s.owner(tb.Key).disc
+		delete(d.services, tb.Key)
+		delete(d.peers, tb.Key)
 		if cur, ok := d.tombs[tb.Key]; !ok || tb.At.After(cur) {
 			d.tombs[tb.Key] = tb.At
 		}
@@ -548,8 +553,7 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	}
 	for i := range ed.Services {
 		st := &ed.Services[i]
-		s.shards[s.shardOf(st.Key.Addr)].disc.importService(st)
-		s.events.seedPassive(st.Key, st.FirstSeen)
+		s.owner(st.Key).disc.importService(st)
 	}
 	for i := range ed.Trails {
 		tr := &ed.Trails[i]
@@ -660,16 +664,21 @@ func exportActiveState(d *ActiveDiscoverer) *ActiveState {
 }
 
 // importActiveState replaces the active side wholesale (each export
-// carries the complete state) and re-seeds the event join table.
+// carries the complete state), the shards' live-probe-answer tables with it.
 func (h *Hybrid) importActiveState(as *ActiveState) {
 	h.amu.Lock()
+	defer h.amu.Unlock()
 	a := h.active
+	for k := range a.firstOpen {
+		h.passive.owner(k).activeWithdrawn(k)
+	}
 	a.ports = append([]uint16(nil), as.Ports...)
 	a.scans = append([]ScanMeta(nil), as.Scans...)
 	a.firstOpen = make(map[ServiceKey]time.Time, len(as.Services))
 	a.lastOpen = make(map[ServiceKey]time.Time, len(as.Services))
 	for _, svc := range as.Services {
 		a.firstOpen[svc.Key] = svc.At
+		h.passive.owner(svc.Key).seedActive(svc.Key, svc.At)
 		last := svc.Last
 		if last.IsZero() {
 			last = svc.At
@@ -697,10 +706,6 @@ func (h *Hybrid) importActiveState(as *ActiveState) {
 	h.aview = nil
 	h.agen.Add(1)
 	h.seenReports.Store(true)
-	h.amu.Unlock()
-	for _, svc := range as.Services {
-		h.passive.events.seedActive(svc.Key, svc.At)
-	}
 }
 
 // sortedV4Keys renders a V4 key set as a sorted slice. The generic

@@ -34,9 +34,11 @@ import (
 //
 // Snapshot is non-terminal and concurrent-safe, and the engine publishes
 // a typed event stream (Subscribe / the servdisc facade's Watch): the
-// passive shards emit ServiceDiscovered and ScannerDetected, the active
-// ingester emits ServiceDiscovered, ProvenanceUpgraded and ScanCompleted,
-// with cross-technique dedup so every service is discovered exactly once.
+// passive shards emit ServiceDiscovered, ProvenanceUpgraded and
+// ScannerDetected, the active ingester ServiceDiscovered, ProvenanceUpgraded
+// and ScanCompleted; whichever technique's evidence is applied second finds
+// the other's under the owning shard's lock (events.go), so every service is
+// discovered exactly once.
 type Hybrid struct {
 	passive *ShardedPassive
 
@@ -94,8 +96,9 @@ func NewHybrid(campus netaddr.Prefix, udpPorts []uint16, shards int, tcpPorts []
 		passive: NewShardedPassive(campus, udpPorts, shards),
 		active:  NewActiveDiscoverer(tcpPorts),
 	}
-	h.active.onDiscovered = h.passive.events.activeDiscovered
-	h.active.onOpenEarlier = h.passive.events.activeOpenEarlier
+	// The join's active half lives on the shard that owns the key.
+	h.active.onDiscovered = func(key ServiceKey, t time.Time) { h.passive.owner(key).activeDiscovered(key, t) }
+	h.active.onOpenEarlier = func(key ServiceKey, t time.Time) { h.passive.owner(key).activeOpenEarlier(key, t) }
 	return h
 }
 
@@ -261,8 +264,9 @@ func (h *Hybrid) expireActive(wm time.Time) []expiredSvc {
 		}
 		delete(h.active.firstOpen, k)
 		delete(h.active.lastOpen, k)
+		h.passive.owner(k).activeWithdrawn(k)
 		h.active.tombs[k] = deadline
-		out = append(out, expiredSvc{key: k, at: deadline, prov: ActiveOnly, clear: true})
+		out = append(out, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
 	}
 	if len(out) > 0 {
 		h.agen.Add(1)
@@ -290,12 +294,12 @@ func (h *Hybrid) activeSnapshot() *activeView {
 // concurrent-safe and cheap to repeat: an entirely unchanged engine returns
 // the previous Inventory without touching the shards, and when only the
 // passive side moved the new inventory is patched forward from the previous
-// one — provenance is recomputed only for services that appeared or left
-// since (a passive record's first-seen time and an already-reconciled
-// active side cannot change an existing service's class). A new report, a
-// restore, or a Passive().Snapshot() call that advanced the chain in
-// between leaves nothing to patch against, and every service is
-// reclassified over the already-merged passive store. On a running engine
+// one — only the key list moves, by the services that appeared or left
+// since (provenance is not stored: Inventory.Service derives it from the
+// record and the active view). A new report, a restore, or a
+// Passive().Snapshot() call that advanced the chain in between leaves
+// nothing to patch against, and the key list is rebuilt over the
+// already-merged passive store. On a running engine
 // the result is byte-identical to pausing producers, flushing, and
 // snapshotting at the same ingest point.
 func (h *Hybrid) Snapshot() *Inventory {
@@ -320,8 +324,8 @@ func (h *Hybrid) Snapshot() *Inventory {
 	case prev != nil && agen == av.gen && prev.d == pinv.d:
 		return prev // another snapshotter got here first
 	case prev != nil && agen == av.gen && prev.d == pprev.d && !pdelta.Full:
-		// prev classified the chain's previous inventory against this same
-		// active view: patch its key and provenance tables.
+		// prev was built over the chain's previous inventory and this same
+		// active view: patch its key list.
 		var removed, downgraded []ServiceKey
 		inv, removed, downgraded = patchHybridInventory(prev, pinv.d, av.disc, pinv.scanners, pdelta.Added, pdelta.Removed)
 		// A downgraded key (passive evidence withdrawn, probe answer

@@ -204,6 +204,19 @@ func TestHybridProvenance(t *testing.T) {
 	if _, ok := inv.Provenance(key(4)); ok {
 		t.Error("closed-only address entered the inventory")
 	}
+	// Service answers in one lookup what the single-fact accessors answer
+	// in one each.
+	for i := 0; i <= 4; i++ {
+		rec, prov, first, activeAt, ok := inv.Service(key(i))
+		wantRec, _ := inv.Record(key(i))
+		wantProv, wantOK := inv.Provenance(key(i))
+		wantFirst, _ := inv.FirstDiscovered(key(i))
+		wantActive, _ := inv.ActiveFirstOpen(key(i))
+		if rec != wantRec || prov != wantProv || ok != wantOK || !first.Equal(wantFirst) || !activeAt.Equal(wantActive) {
+			t.Errorf("Service(srv%d) = %v %v %v %v %v, accessors say %v %v %v %v %v", i,
+				rec, prov, first, activeAt, ok, wantRec, wantProv, wantFirst, wantActive, wantOK)
+		}
+	}
 	if inv.Len() != 4 {
 		t.Fatalf("inventory has %d services, want 4", inv.Len())
 	}

@@ -8,8 +8,9 @@ import (
 // instant is a point on the observation clock in one word: Unix
 // nanoseconds with the sign bit flipped, so unsigned < on instants is
 // Before on times and the zero value, below every other, is time.Time{}.
-// Resident state (records, peer history, activity trails, the event join
-// table) stores it in place of the 24-byte, pointer-carrying time.Time;
+// Resident state (records, peer history, activity trails, the shards'
+// live-probe-answer tables) stores it in place of the 24-byte,
+// pointer-carrying time.Time;
 // toInstant and time convert where a value crosses an API, a wire form or
 // a checkpoint. A non-zero time outside the representable range clamps to
 // the nearest end instead of wrapping — so a time before year 1, which no

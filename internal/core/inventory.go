@@ -83,13 +83,9 @@ func (p *Provenance) UnmarshalText(text []byte) error {
 // folds in active sweep results: Keys becomes the union of both sides and
 // each key carries a Provenance.
 type Inventory struct {
-	d      invSource
-	active *ActiveDiscoverer // nil for passive-only inventories
-	keys   []ServiceKey
-	// prov classifies each key (hybrid inventories only; the zero pmap for
-	// passive-only ones). A persistent map, so a patched-forward inventory
-	// shares all unchanged classifications with its predecessor.
-	prov     pmap[ServiceKey, Provenance]
+	d        invSource
+	active   *ActiveDiscoverer // nil for passive-only inventories
+	keys     []ServiceKey
 	scanners []ScannerInfo
 }
 
@@ -128,37 +124,22 @@ func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
 }
 
 // newFrozenHybridInventory is NewHybridInventory with the scanner list
-// precomputed (the live-snapshot path).
+// precomputed (the live-snapshot path). Provenance is not stored: it is a
+// function of the two first-observation times, which Service reads.
 func newFrozenHybridInventory(src invSource, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
 	v := &Inventory{d: src, active: a, scanners: scanners}
-	pb := newPmap[ServiceKey, Provenance](hashServiceKey).builder()
 	v.keys = make([]ServiceKey, 0, src.numServices()+len(a.firstOpen))
-	src.eachService(func(key ServiceKey, rec *PassiveRecord) bool {
-		pb.Set(key, classify(rec, a, key))
+	src.eachService(func(key ServiceKey, _ *PassiveRecord) bool {
 		v.keys = append(v.keys, key)
 		return true
 	})
 	for key := range a.firstOpen {
-		if _, seen := pb.Get(key); !seen {
-			pb.Set(key, ActiveOnly)
+		if _, passive := src.Record(key); !passive {
 			v.keys = append(v.keys, key)
 		}
 	}
-	v.prov = pb.freeze()
 	sort.Slice(v.keys, func(i, j int) bool { return v.keys[i].Before(v.keys[j]) })
 	return v
-}
-
-// classify computes one passively-seen service's provenance against the
-// active side.
-func classify(rec *PassiveRecord, a *ActiveDiscoverer, key ServiceKey) Provenance {
-	if at, ok := a.firstOpen[key]; ok {
-		if at.Before(rec.FirstSeen()) {
-			return ActiveFirst
-		}
-		return PassiveFirst
-	}
-	return PassiveOnly
 }
 
 // patchHybridInventory derives a hybrid inventory from prev when only the
@@ -166,42 +147,25 @@ func classify(rec *PassiveRecord, a *ActiveDiscoverer, key ServiceKey) Provenanc
 // unchanged frozen active view prev was classified against, newKeys the
 // passive services that appeared (or were reborn with a new FirstSeen)
 // since prev, and delKeys the passive services that expired since prev
-// (both sorted). Untouched services keep their provenance — their record's
-// FirstSeen is unchanged and the active side is the same view — so only
-// the named keys are reclassified, as persistent-map patches over prev's
-// table; with no changes at all the key and provenance tables are shared
-// outright. An expired key with surviving active evidence downgrades to
-// ActiveOnly rather than leaving the inventory.
+// (both sorted). Only the key list needs patching; with no changes at all it
+// is shared outright. An expired key with surviving active evidence
+// downgrades to ActiveOnly rather than leaving the inventory.
 //
 // The extra returns feed snapshot observers: removed is the subset of
 // delKeys that actually left the inventory, downgraded the subset that
 // stayed as ActiveOnly (both sorted).
 func patchHybridInventory(prev *Inventory, src invSource, a *ActiveDiscoverer, scanners []ScannerInfo, newKeys, delKeys []ServiceKey) (v *Inventory, removed, downgraded []ServiceKey) {
 	v = &Inventory{d: src, active: a, scanners: scanners}
-	if len(newKeys) == 0 && len(delKeys) == 0 {
-		v.prov, v.keys = prev.prov, prev.keys
-		return v, nil, nil
-	}
-	pb := prev.prov.builder()
-	var add []ServiceKey
-	for _, k := range newKeys {
-		if _, seen := prev.prov.Get(k); !seen {
-			add = append(add, k)
-		}
-		rec, _ := src.Record(k)
-		pb.Set(k, classify(rec, a, k))
-	}
 	for _, k := range delKeys {
 		if _, probed := a.firstOpen[k]; probed {
-			pb.Set(k, ActiveOnly) // passive evidence withdrawn, probe answer stands
-			downgraded = append(downgraded, k)
+			downgraded = append(downgraded, k) // passive evidence withdrawn, probe answer stands
 		} else {
-			pb.Delete(k)
 			removed = append(removed, k)
 		}
 	}
-	v.prov = pb.freeze()
-	v.keys = removeSortedKeys(mergeSortedKeys(prev.keys, add), removed)
+	// mergeSortedKeys drops the new keys already listed (reborn services, and
+	// probe-only ones passive monitoring has now seen too).
+	v.keys = removeSortedKeys(mergeSortedKeys(prev.keys, newKeys), removed)
 	return v, removed, downgraded
 }
 
@@ -223,6 +187,53 @@ func (v *Inventory) Hybrid() bool { return v.active != nil }
 // port) order. The slice is owned by the inventory: do not modify.
 func (v *Inventory) Keys() []ServiceKey { return v.keys }
 
+// lookup is the one descent of the record store behind every per-key
+// accessor: the passive record and the first probe answer, each if present.
+func (v *Inventory) lookup(key ServiceKey) (rec *PassiveRecord, activeAt time.Time, passive, probed bool) {
+	rec, passive = v.d.Record(key)
+	if v.active != nil {
+		activeAt, probed = v.active.firstOpen[key]
+	}
+	return rec, activeAt, passive, probed
+}
+
+// provenanceOf classifies what lookup found (something, by assumption). It
+// reads the record only when both techniques saw the service: ties go
+// passive, the probe must answer strictly earlier to win.
+func provenanceOf(rec *PassiveRecord, activeAt time.Time, passive, probed bool) Provenance {
+	switch {
+	case passive && probed:
+		if activeAt.Before(rec.FirstSeen()) {
+			return ActiveFirst
+		}
+		return PassiveFirst
+	case probed:
+		return ActiveOnly
+	}
+	return PassiveOnly
+}
+
+// Service returns everything the inventory holds about one service from a
+// single descent of the record store: the passive record (nil if passive
+// monitoring never saw it), the provenance class, the earliest discovery by
+// either technique, and when it first answered a probe (meaningful unless
+// prov is PassiveOnly). ok is false if the key is not in the inventory. On a
+// passive-only inventory every present key is PassiveOnly. Record,
+// Provenance, FirstDiscovered and ActiveFirstOpen each return one of these;
+// a caller that wants several should call Service once.
+func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance, first, activeAt time.Time, ok bool) {
+	rec, activeAt, passive, probed := v.lookup(key)
+	if !passive && !probed {
+		return nil, 0, time.Time{}, time.Time{}, false
+	}
+	prov = provenanceOf(rec, activeAt, passive, probed)
+	first = activeAt
+	if prov == PassiveOnly || prov == PassiveFirst {
+		first = rec.FirstSeen()
+	}
+	return rec, prov, first, activeAt, true
+}
+
 // Record returns the passive record for one service, if passive monitoring
 // saw it (ok is false for active-only services). Treat the record as
 // read-only.
@@ -231,11 +242,8 @@ func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) { return v.d.R
 // Provenance classifies one service. ok is false if the key is not in the
 // inventory. On a passive-only inventory every present key is PassiveOnly.
 func (v *Inventory) Provenance(key ServiceKey) (Provenance, bool) {
-	if v.active == nil {
-		_, ok := v.d.Record(key)
-		return PassiveOnly, ok
-	}
-	return v.prov.Get(key)
+	rec, activeAt, passive, probed := v.lookup(key)
+	return provenanceOf(rec, activeAt, passive, probed), passive || probed
 }
 
 // EachTombstone visits every retention tombstone — services withdrawn by
@@ -275,25 +283,8 @@ func (v *Inventory) ProvenanceCounts() [4]int {
 // FirstDiscovered returns the earliest discovery time for the service by
 // either technique, ok=false if the key is not in the inventory.
 func (v *Inventory) FirstDiscovered(key ServiceKey) (time.Time, bool) {
-	rec, pok := v.d.Record(key)
-	var at time.Time
-	var aok bool
-	if v.active != nil {
-		at, aok = v.active.FirstOpen(key)
-	}
-	switch {
-	case pok && aok:
-		first := rec.FirstSeen()
-		if at.Before(first) {
-			return at, true
-		}
-		return first, true
-	case pok:
-		return rec.FirstSeen(), true
-	case aok:
-		return at, true
-	}
-	return time.Time{}, false
+	_, _, first, _, ok := v.Service(key)
+	return first, ok
 }
 
 // ActiveFirstOpen returns when the service first answered a probe, ok=false
@@ -367,14 +358,14 @@ func (v *Inventory) Dump() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "services=%d packets=%d\n", len(v.keys), v.d.NumPackets())
 	for _, key := range v.keys {
-		p, _ := v.Provenance(key)
+		rec, p, _, activeAt, _ := v.Service(key)
 		fmt.Fprintf(&b, "%s %s", key, p)
-		if rec, ok := v.d.Record(key); ok {
+		if rec != nil {
 			fmt.Fprintf(&b, " passive=%s flows=%d clients=%d",
 				rec.FirstSeen().Format(time.RFC3339Nano), rec.Flows, rec.Clients())
 		}
-		if at, ok := v.ActiveFirstOpen(key); ok {
-			fmt.Fprintf(&b, " active=%s", at.UTC().Format(time.RFC3339Nano))
+		if p != PassiveOnly {
+			fmt.Fprintf(&b, " active=%s", activeAt.UTC().Format(time.RFC3339Nano))
 		}
 		b.WriteByte('\n')
 	}

@@ -39,16 +39,11 @@ type PassiveDiscoverer struct {
 	// scan tracking state (scandetect.go).
 	track *scanTracker
 
-	// onService, when set, is invoked for the first positive evidence of
-	// each service, from the goroutine applying the packet. ShardedPassive
-	// wires it (and the tracker's onDetect) into the engine's event stream.
+	// onService, when set, is invoked for each record observe creates — the
+	// first positive evidence of a service, or of a new incarnation after an
+	// expiry — from the goroutine applying the packet. ShardedPassive wires
+	// it (and the tracker's onDetect) into the engine's event stream.
 	onService func(key ServiceKey, t time.Time)
-
-	// onRetire, when set, is invoked when an observe-side incarnation
-	// split retires a record (see observe): the event stream clears its
-	// seen entry synchronously so the new incarnation's discovery
-	// announcement is not suppressed.
-	onRetire func(key ServiceKey)
 
 	// Retention state (retention.go). ttl=0 disables expiry entirely; the
 	// maps and slices below then stay empty and cost nothing. tombs maps
@@ -277,17 +272,12 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		// state independent of snapshot cadence (for monotone observation
 		// clocks): the fresh record below gets a new FirstSeen and reset
 		// weights no matter how often anyone snapshotted in between. The
-		// expiry event is queued for the next snapshot; the seen-table
-		// entry is cleared synchronously (onRetire) so the rediscovery
-		// announcement below is not suppressed.
+		// expiry event is queued for the next snapshot; the record is gone
+		// from services now, which is all the rediscovery announcement
+		// below looks at.
 		deadline := rec.LastSeen().Add(d.ttl)
 		d.retire(key, deadline)
-		d.pendingExpired = append(d.pendingExpired, expiredSvc{
-			key: key, at: deadline, prov: PassiveOnly,
-		})
-		if d.onRetire != nil {
-			d.onRetire(key)
-		}
+		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: key, at: deadline, prov: PassiveOnly})
 		rec = nil
 	}
 	switch {

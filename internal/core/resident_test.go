@@ -7,6 +7,7 @@ import (
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 )
 
 // TestResidentBytesPerFlowState is the memory gate beside the alloc gates:
@@ -16,26 +17,31 @@ import (
 // passive technique is deployable at all. Budgets are ≈1.25× the measured
 // figures (DESIGN.md §7): 112 B per source since the small-set
 // representations landed (the map-per-set form they replaced read 416 B
-// and 7 allocations), and 200 B per service since records, peer history
-// and the event join table hold one-word instants — the time.Time forms
-// read 316 B and fail the service budget.
+// and 7 allocations), and 165 B per service since the event join reads
+// passive presence from the shard's own record — the engine-wide join table
+// it replaced held a 16-byte entry behind every service and read 200 B,
+// which fails the service budget. The saving must not be a passive-engine
+// special case: the same services in a Hybrid that has reconciled a sweep
+// over other keys cost the same, and the join holds an entry per
+// probe-answered key and none per passive service.
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
 		n            = 100_000
 		sourceBudget = 140 // bytes per one-destination external source
-		svcBudget    = 250 // bytes per single-client service
+		svcBudget    = 185 // bytes per single-client service
+		hybridSlack  = 2   // bytes a Hybrid may add per passive-only service
 		allocBudget  = 2   // allocations for a first SYN from a new source
+		probed       = 1000
 	)
 	wide := residentCampus
 	ext := netaddr.MustParseV4("64.0.0.0")
 	pb := packet.NewBuilder(0)
 
-	// grow reports live-heap growth per item across filling a fresh
-	// 1-shard engine with n packets, each made from tmpl by edit.
-	grow := func(tmpl *packet.Packet, edit func(p *packet.Packet, i int)) float64 {
+	// grow reports live-heap growth per item across filling a 1-shard
+	// engine with n packets, each made from tmpl by edit.
+	grow := func(eng *ShardedPassive, tmpl *packet.Packet, edit func(p *packet.Packet, i int)) float64 {
 		var m0, m1 runtime.MemStats
 		liveHeap(&m0)
-		eng := NewShardedPassive(wide, nil, 1)
 		fillEngine(eng, n, tmpl, edit)
 		liveHeap(&m1)
 		runtime.KeepAlive(eng)
@@ -43,17 +49,38 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 	}
 
 	syn := pb.Syn(t0, packet.Endpoint{Addr: ext, Port: 40000}, packet.Endpoint{Addr: wide.Base() + 9, Port: 80}, 1)
-	perSource := grow(syn, func(p *packet.Packet, i int) { p.IPv4.Src = ext + netaddr.V4(i) })
+	perSource := grow(NewShardedPassive(wide, nil, 1), syn, func(p *packet.Packet, i int) { p.IPv4.Src = ext + netaddr.V4(i) })
 	t.Logf("one-destination external source: %.0f B (budget %d)", perSource, sourceBudget)
 	if perSource > sourceBudget {
 		t.Errorf("one-destination external source holds %.0f B of live heap, budget %d", perSource, sourceBudget)
 	}
 
 	accept := synAck(t0, wide.Base(), 80, ext)
-	perSvc := grow(accept, func(p *packet.Packet, i int) { p.IPv4.Src = wide.Base() + netaddr.V4(i) })
+	oneEach := func(p *packet.Packet, i int) { p.IPv4.Src = wide.Base() + netaddr.V4(i) }
+	plain := NewShardedPassive(wide, nil, 1)
+	perSvc := grow(plain, accept, oneEach)
 	t.Logf("single-client service: %.0f B (budget %d)", perSvc, svcBudget)
 	if perSvc > svcBudget {
 		t.Errorf("single-client service holds %.0f B of live heap, budget %d", perSvc, svcBudget)
+	}
+
+	hyb := NewHybrid(wide, nil, 1, []uint16{80})
+	sweep := &probe.ScanReport{ID: 1, Started: t0, Finished: t0}
+	for i := 0; i < probed; i++ {
+		sweep.TCP = append(sweep.TCP, probe.TCPResult{Time: t0, Addr: wide.Base() + netaddr.V4(n+i), Port: 80, State: probe.StateOpen})
+	}
+	hyb.AddReport(sweep)
+	perHybSvc := grow(hyb.Passive(), accept, oneEach)
+	runtime.KeepAlive(hyb)
+	t.Logf("single-client service in a hybrid engine: %.0f B (plain %.0f, slack %d)", perHybSvc, perSvc, hybridSlack)
+	if perHybSvc > perSvc+hybridSlack {
+		t.Errorf("single-client service holds %.0f B in a hybrid engine, %.0f B in a passive one", perHybSvc, perSvc)
+	}
+	if got := joinEntries(plain); got != 0 {
+		t.Errorf("passive engine holds %d join entries for %d passive-only services, want 0", got, n)
+	}
+	if got := joinEntries(hyb.Passive()); got != probed {
+		t.Errorf("hybrid engine holds %d join entries, want one per probe-answered key (%d)", got, probed)
 	}
 
 	d := NewPassiveDiscoverer(wide, nil)

@@ -59,16 +59,13 @@ type expEntry struct {
 }
 
 // expiredSvc is one pending expiry awaiting publication at the next
-// snapshot. clear marks snapshot-side expiries, whose emission must also
-// clear the event stream's seen table so a later rediscovery re-announces;
-// observe-side retirements already cleared it synchronously (the new
-// incarnation's discovery event depends on it) and must not clear the new
-// incarnation's entry.
+// snapshot. Publication is all that is pending: the evidence itself left the
+// owning shard's state when it was retired, so a rediscovery in between is
+// announced as a fresh ServiceDiscovered (possibly ahead of this notice).
 type expiredSvc struct {
-	key   ServiceKey
-	at    time.Time
-	prov  Provenance
-	clear bool
+	key  ServiceKey
+	at   time.Time
+	prov Provenance
 }
 
 // sortExpired orders pending expiries canonically: by deadline, then key,
@@ -158,7 +155,8 @@ func (d *PassiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
 // entries whose record was refreshed since the entry was pushed. Returns
 // whether anything expired (the caller bumps the shard generation, which
 // checkpoint cursors compare). Runs on the shard's owner goroutine at
-// freeze time, right before the seal that reports the expiries.
+// freeze time, under the shard lock, right before the seal that reports the
+// expiries.
 func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 	if d.ttl <= 0 || wm.IsZero() {
 		return false
@@ -180,9 +178,7 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 			delete(d.dirty, e.key)
 			d.deadKeys = append(d.deadKeys, e.key)
 		}
-		d.pendingExpired = append(d.pendingExpired, expiredSvc{
-			key: e.key, at: deadline, prov: PassiveOnly, clear: true,
-		})
+		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: e.key, at: deadline, prov: PassiveOnly})
 		any = true
 	}
 	return any

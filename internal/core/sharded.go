@@ -182,20 +182,33 @@ func (c *snapCache) invalidate() {
 	c.mu.Unlock()
 }
 
-// passiveShard is one worker-owned shard: the discoverer and its mutation
-// generation. Both are touched only by the shard's owner — the worker
-// goroutine while running, the dispatcher (under dispatchMu) inline and
-// after shutdown. A shard keeps nothing of its past freezes.
+// passiveShard is one worker-owned shard: the discoverer, its mutation
+// generation and the active half of the event join for the keys it owns
+// (events.go). The discoverer and gen are touched only by the shard's owner —
+// the worker goroutine while running, the dispatcher (under dispatchMu)
+// inline and after shutdown. A shard keeps nothing of its past freezes.
 type passiveShard struct {
+	// mu is held across every write to disc.services and activeFirst — apply,
+	// the expiry sweep of a freeze, checkpoint import and the report
+	// reconciler's join calls — and across the ServiceDiscovered or
+	// ProvenanceUpgraded each of them publishes. The owner reads services
+	// without it (nobody else writes); the reconciler reads under it.
+	mu   sync.Mutex
 	disc *PassiveDiscoverer
 	// gen counts batches applied (and expiry sweeps that retired
 	// something); a checkpoint export at the cursor's gen is skipped.
 	gen uint64
+	// activeFirst holds the first-open time of every key of this shard with
+	// a live probe answer, and nothing else: empty in a passive-only engine.
+	activeFirst map[ServiceKey]instant
+	events      *eventStream
 }
 
 // apply ingests one sub-batch and advances the generation.
 func (sh *passiveShard) apply(batch []packet.Packet) {
+	sh.mu.Lock()
 	sh.disc.HandleBatch(batch)
+	sh.mu.Unlock()
 	sh.gen++
 }
 
@@ -207,7 +220,10 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 // by owner address, so per-shard detection results concatenate into exactly
 // the merged tracker's output.
 func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
-	if sh.disc.expireDue(wm) {
+	sh.mu.Lock()
+	expired := sh.disc.expireDue(wm)
+	sh.mu.Unlock()
+	if expired {
 		sh.gen++
 	}
 	delta := sh.disc.seal(whole)
@@ -247,10 +263,10 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 	}
 	for i := range s.shards {
 		d := NewPassiveDiscoverer(campus, udpPorts)
-		d.onService = s.events.passiveDiscovered
-		d.onRetire = s.events.retirePassive
+		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]instant), events: s.events}
+		d.onService = sh.passiveDiscovered
 		d.track.onDetect = s.events.scannerDetected
-		s.shards[i] = &passiveShard{disc: d}
+		s.shards[i] = sh
 	}
 	return s
 }
@@ -332,6 +348,11 @@ func (s *ShardedPassive) scanRelevant(p *packet.Packet) bool {
 		return srcIn && !dstIn
 	}
 	return false
+}
+
+// owner returns the shard that holds key's record and join state.
+func (s *ShardedPassive) owner(key ServiceKey) *passiveShard {
+	return s.shards[s.shardOf(key.Addr)]
 }
 
 // shardOf hashes the owner address to a shard.
@@ -754,7 +775,7 @@ func (s *ShardedPassive) advance(activeExpiry func(wm time.Time) []expiredSvc) (
 	if len(exp) > 0 {
 		sortExpired(exp)
 		for _, e := range exp {
-			s.events.serviceExpired(e.key, e.at, e.prov, e.clear)
+			s.events.serviceExpired(e.key, e.at, e.prov)
 		}
 		if m := s.met; m != nil {
 			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)

@@ -256,3 +256,36 @@ func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
 		t.Fatal("post-deadline rediscovery failed to re-establish the service")
 	}
 }
+
+// TestRediscoveryRacesRetraction: an engine may publish a service's
+// rediscovery ahead of the expiry notice of the incarnation before it (a
+// packet re-creates the record between the freeze that expired it and the
+// publication of the notice). The retraction semilattice makes the order
+// immaterial: evidence newer than the deadline survives the retraction,
+// whichever the aggregator applies first.
+func TestRediscoveryRacesRetraction(t *testing.T) {
+	discovered := func(at time.Time) *core.Event {
+		return &core.Event{Kind: core.EventServiceDiscovered, Time: at, Key: keyA, Provenance: core.PassiveOnly}
+	}
+	reborn := Frame{V: WireVersion, Type: FrameEvent, Site: "s", Epoch: 1, Event: discovered(retBase.Add(3 * time.Hour))}
+	expired := Frame{V: WireVersion, Type: FrameRetract, Site: "s", Epoch: 1,
+		Retract: &Retraction{Key: keyA, At: retBase.Add(time.Hour), Prov: core.PassiveOnly}}
+	var sigs [][]byte
+	for _, order := range [][]Frame{{reborn, expired}, {expired, reborn}} {
+		agg := NewAggregator()
+		frames := append([]Frame{{V: WireVersion, Type: FrameEvent, Site: "s", Epoch: 1, Event: discovered(retBase)}}, order...)
+		for i := range frames {
+			frames[i].Seq = uint64(i + 1)
+			if err := agg.Apply(&frames[i]); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		if !hasLive(agg, keyA) {
+			t.Fatalf("service lost when %s is applied first", order[0].Type)
+		}
+		sigs = append(sigs, invSignature(t, agg))
+	}
+	if !bytes.Equal(sigs[0], sigs[1]) {
+		t.Errorf("aggregator state depends on the order:\n rediscovery first: %s\n     expiry first: %s", sigs[0], sigs[1])
+	}
+}

@@ -57,15 +57,12 @@ func BuildSnapshot(inv *core.Inventory) *Snapshot {
 		Packets:  inv.Packets(),
 	}
 	for _, key := range keys {
-		prov, _ := inv.Provenance(key)
-		svc := SnapshotService{Key: key, Provenance: prov}
-		if rec, ok := inv.Record(key); ok {
+		rec, prov, _, activeAt, _ := inv.Service(key)
+		svc := SnapshotService{Key: key, Provenance: prov, ActiveAt: activeAt}
+		if rec != nil {
 			svc.PassiveAt = rec.FirstSeen()
 			svc.Flows = rec.Flows
 			svc.Clients = rec.Clients()
-		}
-		if at, ok := inv.ActiveFirstOpen(key); ok {
-			svc.ActiveAt = at
 		}
 		s.Services = append(s.Services, svc)
 	}

@@ -98,15 +98,14 @@ func (p packedDoc) doc() Doc {
 
 // DocFromInventory builds the query doc for one inventory key.
 func DocFromInventory(inv *core.Inventory, k core.ServiceKey) Doc {
-	d := Doc{Key: k}
-	d.Prov, _ = inv.Provenance(k)
-	d.First, _ = inv.FirstDiscovered(k)
-	if rec, ok := inv.Record(k); ok {
+	rec, prov, first, activeAt, _ := inv.Service(k)
+	d := Doc{Key: k, Prov: prov, First: first}
+	if rec != nil {
 		d.Last = rec.LastSeen()
 		d.Flows = rec.Flows
 		d.Clients = rec.Clients()
-	} else if at, ok := inv.ActiveFirstOpen(k); ok {
-		d.Last = at
+	} else {
+		d.Last = activeAt // a probe-only service was last heard from when it answered
 	}
 	return d
 }
