@@ -106,7 +106,7 @@ func main() {
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "durable checkpoint directory (restore on start, checkpoint periodically and on shutdown)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 30*time.Second, "checkpoint interval while the replay runs (requires -checkpoint-dir)")
 	flag.StringVar(&o.dumpPath, "dump", "", "write the final inventory dump to this file when the replay completes")
-	flag.IntVar(&o.haltAfter, "halt-after", 0, "stop the replay once at least N packets are applied, checkpoint, and exit — simulates a mid-trace kill for restart testing")
+	flag.IntVar(&o.haltAfter, "halt-after", 0, "stop the replay once at least N packets of this run are ingested, checkpoint, and exit — simulates a mid-trace kill for restart testing")
 	flag.DurationVar(&o.retTTL, "retention-ttl", 0, "expire a passively-discovered service this long after its last observed flow, on the trace clock (0 = keep forever)")
 	flag.DurationVar(&o.retActive, "retention-active-ttl", 0, "expire active (probe) evidence this long after the last successful probe (0 = same as -retention-ttl)")
 	flag.DurationVar(&o.retSweep, "retention-sweep", 0, "background expiry sweep interval; snapshots already expire lazily, this bounds staleness between them (0 = lazy only)")
@@ -147,7 +147,7 @@ func run(o options) error {
 		QueryIndex: true,
 	}
 	if o.ckptDir != "" {
-		cfg.Checkpoint = &servdisc.CheckpointOptions{Dir: o.ckptDir, Every: o.ckptEvery}
+		cfg.Checkpoint = &servdisc.CheckpointOptions{Dir: o.ckptDir}
 	}
 	if o.retTTL > 0 || o.retActive > 0 {
 		active := o.retActive
@@ -289,9 +289,11 @@ func run(o options) error {
 		fmt.Printf("serving live inventory on %s (/services, /query, /scanners, /stats, /events, /metrics, /healthz)\n", o.httpAddr)
 	}
 
-	// -halt-after: watch the applied-packet count and stop the replay once
-	// it passes the mark. The cut lands wherever the next batch boundary
-	// falls — restart equivalence holds from any cut, which is the point.
+	// -halt-after: watch this run's dispatched-packet counter (a read, where
+	// a snapshot would freeze and merge the engine 200 times a second) and
+	// stop the replay once it passes the mark. The cut lands wherever the
+	// next batch boundary falls — restart equivalence holds from any cut,
+	// which is the point.
 	if o.haltAfter > 0 {
 		go func() {
 			tick := time.NewTicker(5 * time.Millisecond)
@@ -301,7 +303,7 @@ func run(o options) error {
 				case <-replayCtx.Done():
 					return
 				case <-tick.C:
-					if pl.Snapshot().Packets() >= skip+o.haltAfter {
+					if pl.IngestCounters().Out() >= o.haltAfter {
 						cancelReplay()
 						return
 					}

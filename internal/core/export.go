@@ -7,11 +7,10 @@ package core
 // deliberately do not carry (the peer-identity side tables behind client
 // counts, the scan tracker's window contents, the cumulative packet
 // count) — and copies only what changed since the given cursor. Capture
-// consistency comes from the same mechanism snapshots use: an export
-// marker flows through every shard queue under the dispatch lock, so the
-// cut falls at a whole-batch boundary of the producer's stream and the
-// copy-out runs on the shard's owner goroutine, race-free by
-// construction.
+// consistency comes from the same mechanism snapshots use
+// (ShardedPassive.atBoundary): the cut falls at a whole-batch boundary of
+// the producer's stream and the copy-out runs on the shard's owner
+// goroutine, race-free by construction.
 //
 // Incrementality comes from dedicated checkpoint dirty sets (ckDirty /
 // ckDirtyAddrs on the discoverer, ckDirty on the scan tracker), switched
@@ -179,44 +178,32 @@ type EngineDelta struct {
 	ShardsSkipped int
 }
 
-// shardExportReq asks one shard to copy out its state since gen `since`
-// (everything, when full).
-type shardExportReq struct {
-	since uint64
-	full  bool
-	out   chan<- *shardExport
-}
-
 // shardExport is one shard's copy-out. Every slice is freshly built (the
 // engine's own arrays are packed and never handed out), so the caller may
 // serialize — or rewrite — them while the shard keeps ingesting.
 type shardExport struct {
-	gen       uint64
-	packets   int
-	origin    time.Time
-	originSet bool
-	skipped   bool
-	full      bool
-	services  []ServiceState
-	trails    []AddrTrail
-	tombs     []TombState
-	scanSrcs  []ScanSourceState
+	gen      uint64
+	packets  int
+	skipped  bool
+	full     bool
+	services []ServiceState
+	trails   []AddrTrail
+	tombs    []TombState
+	scanSrcs []ScanSourceState
 }
 
-// exportState runs on the shard's owner goroutine (worker marker, or the
-// dispatcher inline/after shutdown): it may read the live maps freely.
-// A full export switches the checkpoint dirty tracking on; every export
-// clears it, handing responsibility for write failures to the caller
-// (the Writer falls back to a full baseline after any failed checkpoint,
-// since the cleared dirty sets are unrecoverable).
-func (sh *passiveShard) exportState(req *shardExportReq) *shardExport {
+// exportState copies out the shard's state since gen `since` (everything,
+// when full). It runs on the shard's owner goroutine (atBoundary), so it may
+// read the live maps — peers and tracker included — freely. A full export
+// switches the checkpoint dirty tracking on; every export clears it, handing
+// responsibility for write failures to the caller (the Writer falls back to
+// a full baseline after any failed checkpoint, since the cleared dirty sets
+// are unrecoverable).
+func (sh *passiveShard) exportState(since uint64, full bool) *shardExport {
 	d := sh.disc
 	ex := &shardExport{gen: sh.gen, packets: d.Packets}
-	if d.track.started {
-		ex.origin, ex.originSet = d.track.origin, true
-	}
-	full := req.full || d.ckDirty == nil
-	if !full && sh.gen == req.since {
+	full = full || d.ckDirty == nil
+	if !full && sh.gen == since {
 		// Not one batch applied since the cursor: nothing to copy. The
 		// dirty sets are necessarily empty (every observe advances gen).
 		ex.skipped = true
@@ -411,68 +398,43 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 		ports = append(ports, p)
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	return EngineConfig{Campus: s.campus.String(), UDPPorts: ports, Shards: len(s.shards)}
+	return EngineConfig{Campus: s.campus.String(), UDPPorts: ports, Shards: len(s.shards), Hybrid: s.overlay != nil}
 }
 
-// ExportDelta captures the passive engine's state changed since cur (all
-// of it when cur is nil — a baseline). The capture point is a whole-batch
-// boundary of the producer's stream (marker-based, like Snapshot), safe
-// to call at any lifecycle stage and concurrent with ingest. The returned
-// cursor names the captured state; feed it to the next call.
+// ExportDelta captures the engine's state changed since cur (all of it when
+// cur is nil — a baseline). The capture point is a whole-batch boundary of
+// the producer's stream (atBoundary, like Snapshot), safe to call at any
+// lifecycle stage and concurrent with ingest. Under a Hybrid the active side
+// rides along at its current generation, whole whenever it moved since cur —
+// the same capture looseness Snapshot has, harmless because active ingestion
+// is order-independent. The returned cursor names the captured state; feed
+// it to the next call.
 func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	ed, gens := s.exportShards(cur)
-	return ed, CheckpointCursor{Gens: gens}
-}
-
-// exportShards scatters export markers (mirroring freezeShards) and
-// assembles the shard copy-outs into one delta.
-func (s *ShardedPassive) exportShards(cur *CheckpointCursor) (*EngineDelta, []uint64) {
-	full := cur == nil || len(cur.Gens) != len(s.shards)
-	exports := make([]*shardExport, len(s.shards))
-
-	s.dispatchMu.Lock()
-	wm := s.watermark
-	s.mu.RLock()
-	if s.running && !s.closed {
-		chans := make([]chan *shardExport, len(s.shards))
-		for i := range s.shards {
-			ch := make(chan *shardExport, 1)
-			chans[i] = ch
-			req := &shardExportReq{full: full, out: ch}
-			if !full {
-				req.since = cur.Gens[i]
-			}
-			s.queues[i] <- shardMsg{ckpt: req}
-		}
-		s.mu.RUnlock()
-		s.dispatchMu.Unlock()
-		for i, ch := range chans {
-			exports[i] = <-ch
-		}
-	} else {
-		s.mu.RUnlock()
-		// Inline, or shut down: wait out any former workers so their
-		// final writes are visible, then copy out directly.
-		s.workers.Wait()
-		for i, sh := range s.shards {
-			req := &shardExportReq{full: full}
-			if !full {
-				req.since = cur.Gens[i]
-			}
-			exports[i] = sh.exportState(req)
-		}
-		s.dispatchMu.Unlock()
+	var since CheckpointCursor
+	if cur != nil {
+		since = *cur
 	}
+	full := len(since.Gens) != len(s.shards) // no cursor, or another engine's
+	exports := make([]*shardExport, len(s.shards))
+	ed := &EngineDelta{}
+	s.atBoundary(func() bool {
+		// The dispatcher's copy of the origin: a shard's is written by the
+		// dispatcher too, and a worker reading it here could race the seed.
+		ed.Watermark, ed.Origin, ed.OriginSet = s.watermark, s.origin, s.originSeeded
+		return true
+	}, func(i int, sh *passiveShard) {
+		var gen uint64
+		if !full {
+			gen = since.Gens[i]
+		}
+		exports[i] = sh.exportState(gen, full)
+	})
 
-	ed := &EngineDelta{Watermark: wm}
 	gens := make([]uint64, len(exports))
 	allFull := len(exports) > 0
 	for i, ex := range exports {
 		gens[i] = ex.gen
 		ed.Packets += ex.packets
-		if ex.originSet && !ed.OriginSet {
-			ed.Origin, ed.OriginSet = ex.origin, true
-		}
 		if ex.skipped {
 			ed.ShardsSkipped++
 			allFull = false
@@ -492,7 +454,15 @@ func (s *ShardedPassive) exportShards(cur *CheckpointCursor) (*EngineDelta, []ui
 	sort.Slice(ed.Trails, func(i, j int) bool { return ed.Trails[i].Addr < ed.Trails[j].Addr })
 	sort.Slice(ed.Tombs, func(i, j int) bool { return ed.Tombs[i].Key.Before(ed.Tombs[j].Key) })
 	sort.Slice(ed.ScanSources, func(i, j int) bool { return ed.ScanSources[i].Source < ed.ScanSources[j].Source })
-	return ed, gens
+	next := CheckpointCursor{Gens: gens}
+	if s.overlay != nil {
+		av := s.overlay.activeSnapshot()
+		next.Agen = av.gen
+		if av.gen != since.Agen {
+			ed.Active = exportActiveState(av.disc)
+		}
+	}
+	return ed, next
 }
 
 // checkFresh rejects import into an engine that has run or ingested:
@@ -514,15 +484,19 @@ func (s *ShardedPassive) checkFresh() error {
 // ImportDelta applies one exported delta to a fresh engine, before Run
 // and before any ingest; apply a baseline and its deltas in chain order.
 // State is redistributed by owner address, so the shard count may differ
-// from the exporting engine's. Single-goroutine, like pre-Run ingest.
+// from the exporting engine's. Active-scan state needs a Hybrid to land in.
+// Single-goroutine, like pre-Run ingest.
 func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	if err := s.checkFresh(); err != nil {
 		return err
 	}
-	if ed.Active != nil {
+	if ed.Active != nil && s.overlay == nil {
 		return fmt.Errorf("core: delta carries active-scan state; import it into a Hybrid engine")
 	}
 	s.importPassive(ed)
+	if ed.Active != nil {
+		s.overlay.importActiveState(ed.Active)
+	}
 	return nil
 }
 
@@ -578,52 +552,15 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	s.snap.invalidate()
 }
 
-// CheckpointConfig reports the hybrid engine's shape.
-func (h *Hybrid) CheckpointConfig() EngineConfig {
-	c := h.passive.CheckpointConfig()
-	c.Hybrid = true
-	return c
-}
+// CheckpointConfig, ExportDelta and ImportDelta are the passive engine's:
+// it knows it carries an active side (see ShardedPassive.ExportDelta).
+func (h *Hybrid) CheckpointConfig() EngineConfig { return h.passive.CheckpointConfig() }
 
-// ExportDelta captures the hybrid engine's state changed since cur: the
-// passive side at a whole-batch boundary, the active side at its current
-// report generation (exported whole whenever any report was applied —
-// the same capture looseness Snapshot has, harmless because active
-// ingestion is order-independent).
 func (h *Hybrid) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	ed, gens := h.passive.exportShards(cur)
-	av := h.activeSnapshot()
-	var curAgen uint64
-	if cur != nil {
-		curAgen = cur.Agen
-	}
-	if av.gen != curAgen {
-		ed.Active = exportActiveState(av.disc)
-	}
-	return ed, CheckpointCursor{Gens: gens, Agen: av.gen}
+	return h.passive.ExportDelta(cur)
 }
 
-// ImportDelta applies one exported delta to a fresh hybrid engine (see
-// ShardedPassive.ImportDelta for the contract).
-func (h *Hybrid) ImportDelta(ed *EngineDelta) error {
-	h.mu.RLock()
-	running, closed := h.running, h.closed
-	h.mu.RUnlock()
-	if running || closed {
-		return fmt.Errorf("core: checkpoint import requires a fresh engine (already running or closed)")
-	}
-	if err := h.passive.checkFresh(); err != nil {
-		return err
-	}
-	h.passive.importPassive(ed)
-	if ed.Active != nil {
-		h.importActiveState(ed.Active)
-	}
-	// As on the passive side: a passive-only chunk moves neither half of
-	// the hybrid fingerprint.
-	h.snap.invalidate()
-	return nil
-}
+func (h *Hybrid) ImportDelta(ed *EngineDelta) error { return h.passive.ImportDelta(ed) }
 
 // exportActiveState copies a frozen active view into wire form, every
 // list sorted. Slices alias the sealed clone's storage where immutability
@@ -704,7 +641,7 @@ func (h *Hybrid) importActiveState(as *ActiveState) {
 	}
 	a.cow, a.ownedAddr, a.ownedUDP = false, nil, nil
 	h.aview = nil
-	h.agen.Add(1)
+	h.passive.agen.Add(1)
 	h.seenReports.Store(true)
 }
 

@@ -43,13 +43,13 @@ type Hybrid struct {
 	passive *ShardedPassive
 
 	// amu guards the active discoverer: the report worker (or inline
-	// AddReport callers) write under it, snapshots clone under it. agen
-	// counts applied reports (atomic so the snapshot fast path can read
-	// it without the lock); aview caches the frozen clone at that
-	// generation so snapshots of an unchanged active side are free.
+	// AddReport callers) write under it, snapshots clone under it. Every
+	// change bumps passive.agen — the active half of the snapshot
+	// fingerprint, atomic so the fast path can read it without the lock —
+	// and aview caches the frozen clone at that generation, so snapshots of
+	// an unchanged active side are free.
 	amu    sync.Mutex
 	active *ActiveDiscoverer
-	agen   atomic.Uint64
 	aview  *activeView
 
 	// activeTTL, when positive, expires active-side records whose last
@@ -69,16 +69,6 @@ type Hybrid struct {
 	reports  chan *probe.ScanReport
 	worker   sync.WaitGroup
 	inflight sync.WaitGroup
-
-	// snap holds the newest hybrid Inventory: provenance classified over
-	// one inventory of the passive chain (whose store it shares) and one
-	// active generation.
-	snap snapCache
-
-	// onSnap, when set, observes every newly built hybrid snapshot with
-	// its delta (see OnSnapshot). Guarded by the passive side's snapMu,
-	// which every hybrid snapshot holds.
-	onSnap func(prev, inv *Inventory, delta SnapshotDelta)
 }
 
 // activeView is the active side's frozen clone at one generation.
@@ -96,6 +86,7 @@ func NewHybrid(campus netaddr.Prefix, udpPorts []uint16, shards int, tcpPorts []
 		passive: NewShardedPassive(campus, udpPorts, shards),
 		active:  NewActiveDiscoverer(tcpPorts),
 	}
+	h.passive.overlay = h
 	// The join's active half lives on the shard that owns the key.
 	h.active.onDiscovered = func(key ServiceKey, t time.Time) { h.passive.owner(key).activeDiscovered(key, t) }
 	h.active.onOpenEarlier = func(key ServiceKey, t time.Time) { h.passive.owner(key).activeOpenEarlier(key, t) }
@@ -105,8 +96,7 @@ func NewHybrid(campus netaddr.Prefix, udpPorts []uint16, shards int, tcpPorts []
 // Passive exposes the sharded passive side (counters, shard inspection).
 func (h *Hybrid) Passive() *ShardedPassive { return h.passive }
 
-// SetMetrics attaches the telemetry bundle to the underlying passive
-// engine; hybrid snapshots report into the same Snapshot histogram.
+// SetMetrics attaches the telemetry bundle to the underlying passive engine.
 func (h *Hybrid) SetMetrics(m *EngineMetrics) { h.passive.SetMetrics(m) }
 
 // Subscribe attaches a bounded subscriber to the engine's discovery event
@@ -119,17 +109,9 @@ func (h *Hybrid) SubscribeFiltered(buf int, keep func(Event) bool) *EventSub {
 	return h.passive.SubscribeFiltered(buf, keep)
 }
 
-// OnSnapshot registers fn to observe every newly built hybrid snapshot
-// (see ShardedPassive.OnSnapshot for the contract). An observer set here
-// sees snapshots built through Hybrid.Snapshot only; passive-only snapshots
-// taken directly via Passive().Snapshot() report to the passive side's own
-// observer, and never to this one. A non-Full delta is always relative to
-// the inventory fn was handed last: when the passive entry point advanced
-// the shared chain in between, the next hybrid observation is Full.
+// OnSnapshot is Passive().OnSnapshot: one engine, one observer slot.
 func (h *Hybrid) OnSnapshot(fn func(prev, inv *Inventory, delta SnapshotDelta)) {
-	h.passive.snapMu.Lock()
-	h.onSnap = fn
-	h.passive.snapMu.Unlock()
+	h.passive.OnSnapshot(fn)
 }
 
 // EventCounters exposes the event stream's flow counters.
@@ -144,7 +126,7 @@ func (h *Hybrid) HandleBatch(batch []packet.Packet) { h.passive.HandleBatch(batc
 func (h *Hybrid) applyReport(rep *probe.ScanReport) {
 	h.amu.Lock()
 	h.active.AddReport(rep)
-	h.agen.Add(1)
+	h.passive.agen.Add(1)
 	h.amu.Unlock()
 	h.passive.events.scanCompleted(
 		ScanMeta{ID: rep.ID, Started: rep.Started, Finished: rep.Finished}, rep.Truncated)
@@ -269,7 +251,7 @@ func (h *Hybrid) expireActive(wm time.Time) []expiredSvc {
 		out = append(out, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
 	}
 	if len(out) > 0 {
-		h.agen.Add(1)
+		h.passive.agen.Add(1)
 	}
 	return out
 }
@@ -279,7 +261,7 @@ func (h *Hybrid) expireActive(wm time.Time) []expiredSvc {
 func (h *Hybrid) activeSnapshot() *activeView {
 	h.amu.Lock()
 	defer h.amu.Unlock()
-	if gen := h.agen.Load(); h.aview == nil || h.aview.gen != gen {
+	if gen := h.passive.agen.Load(); h.aview == nil || h.aview.gen != gen {
 		h.aview = &activeView{gen: gen, disc: h.active.clone()}
 	}
 	return h.aview
@@ -287,61 +269,15 @@ func (h *Hybrid) activeSnapshot() *activeView {
 
 // Snapshot freezes the reconciled hybrid inventory — the union of
 // passively-seen and probe-answering services, each with its first-seen
-// provenance — at a consistent point in time. It is a layer over the
-// passive snapshot chain: ShardedPassive.advance freezes and merges the
-// shards (and publishes active expiries beside the passive ones), and this
-// adds provenance on top. Like ShardedPassive.Snapshot it is non-terminal,
-// concurrent-safe and cheap to repeat: an entirely unchanged engine returns
-// the previous Inventory without touching the shards, and when only the
-// passive side moved the new inventory is patched forward from the previous
-// one — only the key list moves, by the services that appeared or left
-// since (provenance is not stored: Inventory.Service derives it from the
-// record and the active view). A new report, a restore, or a
-// Passive().Snapshot() call that advanced the chain in between leaves
-// nothing to patch against, and the key list is rebuilt over the
-// already-merged passive store. On a running engine
-// the result is byte-identical to pausing producers, flushing, and
-// snapshotting at the same ingest point.
-func (h *Hybrid) Snapshot() *Inventory {
-	p := h.passive
-	if inv := h.snap.fast(p.dispatched.Load(), h.agen.Load()); inv != nil {
-		return inv
-	}
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
-	t0 := p.snapshotStart()
-	// Active expiry runs inside advance, before the active clone below, so
-	// the frozen view (and its generation) reflects the deletions.
-	pprev, pinv, pdelta, d0 := p.advance(h.expireActive)
-	if pinv != pprev {
-		p.foreign = true
-	}
-	av := h.activeSnapshot()
-	prev, _, agen := h.snap.peek()
-	var inv *Inventory
-	delta := SnapshotDelta{Full: true}
-	switch {
-	case prev != nil && agen == av.gen && prev.d == pinv.d:
-		return prev // another snapshotter got here first
-	case prev != nil && agen == av.gen && prev.d == pprev.d && !pdelta.Full:
-		// prev was built over the chain's previous inventory and this same
-		// active view: patch its key list.
-		var removed, downgraded []ServiceKey
-		inv, removed, downgraded = patchHybridInventory(prev, pinv.d, av.disc, pinv.scanners, pdelta.Added, pdelta.Removed)
-		// A downgraded key (passive evidence withdrawn, probe answer
-		// standing) stays in the inventory with a new classification — an
-		// update, not a removal.
-		delta = SnapshotDelta{Added: pdelta.Added, Updated: mergeSortedKeys(pdelta.Updated, downgraded), Removed: removed}
-	default:
-		inv = newFrozenHybridInventory(pinv.d, av.disc, pinv.scanners)
-	}
-	h.snap.put(inv, d0, av.gen)
-	if h.onSnap != nil {
-		h.onSnap(prev, inv, delta)
-	}
-	p.snapshotBuilt(t0, inv)
-	return inv
-}
+// provenance — at a consistent point in time. It is Passive().Snapshot():
+// the engine has one snapshot chain, and under a Hybrid every link of it is
+// a hybrid inventory (see ShardedPassive.advance). An entirely unchanged
+// engine returns the previous Inventory without touching the shards; when
+// only the passive side moved the key list is patched by the services that
+// appeared or left since; a new report, an active expiry or a restore lists
+// the merged store again. On a running engine the result is byte-identical
+// to pausing producers, flushing, and snapshotting at the same ingest point.
+func (h *Hybrid) Snapshot() *Inventory { return h.passive.Snapshot() }
 
 var (
 	_ pipeline.BatchSink = (*Hybrid)(nil)

@@ -78,10 +78,11 @@ func (p *Provenance) UnmarshalText(text []byte) error {
 // after construction, so it is safe to share across goroutines — the form
 // live-query endpoints and the servdisc facade hand out.
 //
-// A passive-only inventory (NewInventory) covers what monitoring saw. A
-// hybrid inventory (NewHybridInventory, or Hybrid.Snapshot) additionally
-// folds in active sweep results: Keys becomes the union of both sides and
-// each key carries a Provenance.
+// A passive-only inventory (NewInventory, or a snapshot of a plain
+// ShardedPassive) covers what monitoring saw. A hybrid inventory
+// (NewHybridInventory, or any snapshot of a Hybrid) additionally folds in
+// active sweep results: Keys becomes the union of both sides and each key
+// carries a Provenance.
 type Inventory struct {
 	d        invSource
 	active   *ActiveDiscoverer // nil for passive-only inventories
@@ -91,82 +92,44 @@ type Inventory struct {
 
 // NewInventory freezes the discoverer's current state. The discoverer must
 // not ingest further traffic afterwards (ShardedPassive.Snapshot avoids
-// the restriction entirely by snapshotting frozen shard clones).
+// the restriction entirely by snapshotting frozen shard deltas).
 func NewInventory(d *PassiveDiscoverer) *Inventory {
-	return newFrozenInventory(d, d.DetectScanners())
-}
-
-// newFrozenInventory wraps an already-frozen passive source and a
-// precomputed scanner list — the constructor behind live snapshots, where
-// detection ran per shard at freeze time and the merged source carries no
-// tracker state.
-func newFrozenInventory(src invSource, scanners []ScannerInfo) *Inventory {
-	return &Inventory{d: src, keys: sortedServiceKeys(src), scanners: scanners}
-}
-
-// sortedServiceKeys lists a source's live services in canonical order.
-func sortedServiceKeys(src invSource) []ServiceKey {
-	keys := make([]ServiceKey, 0, src.numServices())
-	src.eachService(func(k ServiceKey, _ *PassiveRecord) bool {
-		keys = append(keys, k)
-		return true
-	})
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
-	return keys
+	return newFrozenInventory(d, nil, d.DetectScanners())
 }
 
 // NewHybridInventory freezes the union of a passive and an active run into
 // one inventory with per-service provenance. Neither discoverer may ingest
 // further input afterwards (Hybrid.Snapshot avoids the restriction by
-// handing in frozen clones; see also NewInventory).
+// handing in frozen views; see also NewInventory).
 func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
-	return newFrozenHybridInventory(d, a, d.DetectScanners())
+	return newFrozenInventory(d, a, d.DetectScanners())
 }
 
-// newFrozenHybridInventory is NewHybridInventory with the scanner list
-// precomputed (the live-snapshot path). Provenance is not stored: it is a
-// function of the two first-observation times, which Service reads.
-func newFrozenHybridInventory(src invSource, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
+// newFrozenInventory lists an already-frozen passive source whole, in
+// canonical order, together with the services only the frozen active view a
+// found (a is nil for a passive-only inventory), under a precomputed scanner
+// list — the constructor behind live snapshots, where detection ran per
+// shard at freeze time and the merged source carries no tracker state.
+// Provenance is not stored: it is a function of the two first-observation
+// times, which Service reads.
+func newFrozenInventory(src invSource, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
 	v := &Inventory{d: src, active: a, scanners: scanners}
-	v.keys = make([]ServiceKey, 0, src.numServices()+len(a.firstOpen))
+	var probed map[ServiceKey]time.Time
+	if a != nil {
+		probed = a.firstOpen
+	}
+	v.keys = make([]ServiceKey, 0, src.numServices()+len(probed))
 	src.eachService(func(key ServiceKey, _ *PassiveRecord) bool {
 		v.keys = append(v.keys, key)
 		return true
 	})
-	for key := range a.firstOpen {
+	for key := range probed {
 		if _, passive := src.Record(key); !passive {
 			v.keys = append(v.keys, key)
 		}
 	}
 	sort.Slice(v.keys, func(i, j int) bool { return v.keys[i].Before(v.keys[j]) })
 	return v
-}
-
-// patchHybridInventory derives a hybrid inventory from prev when only the
-// passive side moved: src is the delta-patched passive union, a the
-// unchanged frozen active view prev was classified against, newKeys the
-// passive services that appeared (or were reborn with a new FirstSeen)
-// since prev, and delKeys the passive services that expired since prev
-// (both sorted). Only the key list needs patching; with no changes at all it
-// is shared outright. An expired key with surviving active evidence
-// downgrades to ActiveOnly rather than leaving the inventory.
-//
-// The extra returns feed snapshot observers: removed is the subset of
-// delKeys that actually left the inventory, downgraded the subset that
-// stayed as ActiveOnly (both sorted).
-func patchHybridInventory(prev *Inventory, src invSource, a *ActiveDiscoverer, scanners []ScannerInfo, newKeys, delKeys []ServiceKey) (v *Inventory, removed, downgraded []ServiceKey) {
-	v = &Inventory{d: src, active: a, scanners: scanners}
-	for _, k := range delKeys {
-		if _, probed := a.firstOpen[k]; probed {
-			downgraded = append(downgraded, k) // passive evidence withdrawn, probe answer stands
-		} else {
-			removed = append(removed, k)
-		}
-	}
-	// mergeSortedKeys drops the new keys already listed (reborn services, and
-	// probe-only ones passive monitoring has now seen too).
-	v.keys = removeSortedKeys(mergeSortedKeys(prev.keys, newKeys), removed)
-	return v, removed, downgraded
 }
 
 // Snapshot freezes a plain discoverer into a read-only inventory, the

@@ -375,17 +375,30 @@ func firstDiff(want, got []string) string {
 	return "none"
 }
 
+// betweenFreezeAndPublication is an engine's active side with a hook run in
+// the one window advance leaves open: after the shards froze, before the
+// expiries the freeze surfaced are published.
+type betweenFreezeAndPublication struct {
+	activeSide
+	hook func()
+}
+
+func (b betweenFreezeAndPublication) expireActive(wm time.Time) []expiredSvc {
+	b.hook()
+	return b.activeSide.expireActive(wm)
+}
+
 // TestRediscoveryBetweenFreezeAndExpiryPublication: a record the freeze
 // expired is gone from its shard at once, but its expiry notice is
 // published later, by advance. A packet applied in that window re-creates
 // the record, and must be announced — with the join's passive half kept in
 // a table cleared only at publication, the rediscovery found the stale
 // entry and stayed silent, leaving a service that is in every later
-// inventory and in no event. advance calls its activeExpiry hook exactly in
-// the window, which is where this test re-observes the service.
+// inventory and in no event. advance runs its overlay's active expiry
+// exactly in the window, which is where this test re-observes the service.
 func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
-	s := NewShardedPassive(campusPfx, nil, 1)
+	s := NewHybrid(campusPfx, nil, 1, nil).passive
 	s.SetRetention(RetentionPolicy{PassiveTTL: time.Hour})
 	sub := s.SubscribeFiltered(16, func(ev Event) bool { return ev.Key == key })
 	s.Run(context.Background())
@@ -393,13 +406,13 @@ func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	s.HandleBatch([]packet.Packet{*synAck(t0, srv, 80, cli)})
 	s.Snapshot()
 	s.HandleBatch([]packet.Packet{*synAck(t0.Add(2*time.Hour), srv2, 80, cli)}) // watermark past key's deadline
-	s.snapMu.Lock()
-	s.advance(func(time.Time) []expiredSvc {
+	real := s.overlay
+	s.overlay = betweenFreezeAndPublication{real, func() {
 		s.HandleBatch([]packet.Packet{*synAck(t0.Add(3*time.Hour), srv, 80, cli2)})
 		s.Flush()
-		return nil
-	})
-	s.snapMu.Unlock()
+	}}
+	s.Snapshot()
+	s.overlay = real
 	inv := s.Snapshot()
 	s.Close()
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"servdisc/internal/netaddr"
@@ -123,6 +124,70 @@ func TestLiveSnapshotConcurrentWithIngest(t *testing.T) {
 	}
 	if got := sp.Snapshot().Dump(); !bytes.Equal(refPassiveDump(campus, udpPorts, pkts), got) {
 		t.Fatal("final snapshot differs from full reference")
+	}
+}
+
+// TestBoundaryConcurrentSnapshotAndExport: snapshots and checkpoint exports
+// reach the shards through one scatter (atBoundary). Issued concurrently from
+// two goroutines beside a producer that never pauses, each must land on a
+// whole-batch boundary — a torn cut shows as a packet count that is no prefix
+// of whole batches — and the export chain, restored at another shard count,
+// must equal the frozen reference at its last cut.
+func TestBoundaryConcurrentSnapshotAndExport(t *testing.T) {
+	udpPorts := []uint16{53, 123, 137}
+	pkts := genTrace(7, 20000)
+	const batchSize = 64
+	sp := NewShardedPassive(campusPfx, udpPorts, 4)
+	sp.Run(context.Background())
+
+	var fed atomic.Bool
+	var cutters sync.WaitGroup
+	cutters.Add(3)
+	go func() {
+		defer cutters.Done()
+		for _, b := range splitBatches(pkts, batchSize) {
+			sp.HandleBatch(b)
+		}
+		fed.Store(true)
+	}()
+	whole := func(cut string, n int) {
+		if n%batchSize != 0 && n != len(pkts) {
+			t.Errorf("%s caught a torn batch: %d packets", cut, n)
+		}
+	}
+	go func() {
+		defer cutters.Done()
+		for last := false; !last; {
+			last = fed.Load()
+			whole("snapshot", sp.Snapshot().Packets())
+		}
+	}()
+	var chain []*EngineDelta
+	go func() {
+		defer cutters.Done()
+		var cur *CheckpointCursor
+		for last := false; !last; {
+			last = fed.Load()
+			ed, next := sp.ExportDelta(cur)
+			whole("export", ed.Packets)
+			chain, cur = append(chain, ed), &next
+		}
+	}()
+	cutters.Wait()
+	sp.Close()
+
+	restored := NewShardedPassive(campusPfx, udpPorts, 3)
+	for _, ed := range chain {
+		if err := restored.ImportDelta(ed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := chain[len(chain)-1].Packets
+	if n != len(pkts) {
+		t.Fatalf("the export after the last batch covers %d of %d packets", n, len(pkts))
+	}
+	if got := restored.Snapshot().Dump(); !bytes.Equal(refPassiveDump(campusPfx, udpPorts, pkts), got) {
+		t.Fatalf("%d-export chain restored differs from the frozen reference", len(chain))
 	}
 }
 

@@ -71,8 +71,9 @@ type ShardedPassive struct {
 	scratch [][]packet.Packet
 
 	// originSeeded flips once the first scan-relevant packet fixes every
-	// shard's detection-window origin.
+	// shard's detection-window origin, origin. Guarded by dispatchMu.
 	originSeeded bool
+	origin       time.Time
 
 	// events is the engine's typed discovery event stream; every shard's
 	// discovery and detection hooks publish into it.
@@ -88,22 +89,26 @@ type ShardedPassive struct {
 	// each other. A shard's seal delta is relative to its previous seal and
 	// is handed out once, so every freeze must be consumed by exactly one
 	// merge, onto the snapshot the previous merge built: snapMu spans freeze
-	// and merge, and Hybrid.Snapshot takes it too, because both entry points
-	// advance the same chain (see advance).
+	// and merge (see advance).
 	snapMu sync.Mutex
 
-	// onSnap, when set, observes every snapshot built through Snapshot with
-	// its delta (see OnSnapshot). foreign is set while the chain's newest
-	// inventory was built by Hybrid.Snapshot instead — onSnap never saw it,
-	// so the next passive observation cannot be a delta. Guarded by snapMu.
-	onSnap  func(prev, inv *Inventory, delta SnapshotDelta)
-	foreign bool
+	// onSnap, when set, observes every snapshot built, with its delta (see
+	// OnSnapshot). Guarded by snapMu.
+	onSnap func(prev, inv *Inventory, delta SnapshotDelta)
 
-	// dispatched counts batch dispatches that reached any shard. The
-	// cached Inventory remembers the count it froze at; while it is
-	// unchanged, Snapshot returns the cache without touching the shards
-	// at all — the zero-churn fast path.
+	// overlay is the active side a Hybrid lays over the snapshot chain: set
+	// once by NewHybrid before anything runs, nil on a passive-only engine,
+	// whose inventories then carry no provenance beyond PassiveOnly.
+	overlay activeSide
+
+	// dispatched counts batch dispatches that reached any shard and agen the
+	// overlay's changes (reports applied, active expiries, a restore; its
+	// owner bumps it, and it stays 0 without one). The cached Inventory
+	// remembers the pair it froze at; while both are unchanged, Snapshot
+	// returns the cache without touching the shards at all — the zero-churn
+	// fast path.
 	dispatched atomic.Uint64
+	agen       atomic.Uint64
 
 	// Retention (retention.go). watermark is the maximum packet timestamp
 	// ever dispatched — the observation clock expiry deadlines are
@@ -124,9 +129,8 @@ type ShardedPassive struct {
 	// batchPool recycles the worker-queue copies of dispatched sub-batches.
 	batchPool sync.Pool
 
-	// snap holds the newest Inventory of the passive snapshot chain: the
-	// answer while nothing is dispatched, and the base the next merge
-	// patches.
+	// snap holds the newest Inventory of the snapshot chain: the answer while
+	// the engine is unchanged, and the base the next merge patches.
 	snap snapCache
 
 	// counters: In = packets offered, Out = packets dispatched to shards.
@@ -233,20 +237,23 @@ func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 }
 
 // shardMsg is one entry of a shard queue: a sub-batch to apply (batch
-// points into a pooled buffer the worker recycles), a snapshot marker to
-// answer, or a checkpoint-export request (exactly one field is set).
-// Markers flow through the same queue as batches, so both snapshot and
-// export points always fall at whole-batch boundaries of the producer's
-// stream.
+// points into a pooled buffer the worker recycles) or a boundary marker to
+// run (see atBoundary); exactly one field is set.
 type shardMsg struct {
 	batch *[]packet.Packet
-	snap  chan<- shardDelta
-	ckpt  *shardExportReq
-	// wm carries the engine watermark captured at the snapshot point and
-	// whole asks for the entire shard rather than a delta (snap markers
-	// only).
-	wm    time.Time
-	whole bool
+	at    func()
+}
+
+// activeSide is what a Hybrid lays over the snapshot chain, as the chain
+// calls it: advance asks for the active expiries due at a freeze's watermark
+// and then for the frozen active view, checkpoint export for the view,
+// import for its inverse. *Hybrid is the implementation; it is an interface
+// so that a test can stand between a freeze and the publication of its
+// expiries, which is where expireActive runs.
+type activeSide interface {
+	expireActive(wm time.Time) []expiredSvc
+	activeSnapshot() *activeView
+	importActiveState(as *ActiveState)
 }
 
 // NewShardedPassive builds a discoverer sharded n ways (n < 1 is treated
@@ -376,7 +383,7 @@ func (s *ShardedPassive) seedOrigins(t time.Time) {
 	for _, sh := range s.shards {
 		sh.disc.seedScanOrigin(t)
 	}
-	s.originSeeded = true
+	s.origin, s.originSeeded = t, true
 }
 
 // HandleBatch implements pipeline.BatchSink. Partitioning runs on the
@@ -477,18 +484,11 @@ func (s *ShardedPassive) Run(ctx context.Context) {
 		go func() {
 			defer s.workers.Done()
 			for msg := range q {
-				if msg.snap != nil {
-					// Snapshot marker: everything enqueued before it has
-					// been applied, so the seal is exactly the shard's
-					// state at the marker's dispatch point.
-					msg.snap <- sh.freeze(msg.wm, msg.whole)
-					continue
-				}
-				if msg.ckpt != nil {
-					// Checkpoint-export marker: same boundary guarantee as
-					// a snapshot marker; the copy-out runs on the worker,
-					// so live-only state (peers, tracker) is read race-free.
-					msg.ckpt.out <- sh.exportState(msg.ckpt)
+				if msg.at != nil {
+					// Boundary marker: everything enqueued before it has
+					// been applied, so it sees exactly the shard's state at
+					// the marker's dispatch point, and sees it race-free.
+					msg.at()
 					continue
 				}
 				if s.ctx.Err() == nil {
@@ -563,49 +563,59 @@ func (s *ShardedPassive) Merge() *PassiveDiscoverer {
 	return m
 }
 
-// freezeShards seals every shard at one consistent point and returns the
-// shard deltas, the dispatch count at that point (the cache fingerprint)
-// and the watermark. While workers run, a snapshot marker is enqueued on
-// every shard queue under the dispatch lock — atomically with respect to
-// batch scatter, so the snapshot point falls exactly between two whole
-// batches of the producer's stream; each worker freezes after applying
-// everything enqueued before its marker. Inline (or after Close) the
-// freeze happens directly under the dispatch lock. With whole unset and
-// nothing dispatched since the count given, no shard is touched and the
-// deltas are nil. Callers must hold snapMu.
-func (s *ShardedPassive) freezeShards(whole bool, since uint64) ([]shardDelta, uint64, time.Time) {
+// atBoundary runs f(i, shard i) for every shard on the shard's owner, all
+// at one whole-batch boundary of the producer's stream — the one way to reach
+// a consistent cut of the engine, behind snapshots and checkpoint exports
+// alike. While workers run, a marker is enqueued on every shard queue under
+// the dispatch lock — atomically with respect to batch scatter, so the
+// boundary falls exactly between two whole batches — and each worker runs f
+// after applying everything enqueued before its marker; atBoundary returns
+// when all have. Inline (or after Close) f runs directly under the dispatch
+// lock. prep runs first, under the dispatch lock: it reads whatever must be
+// exact at the boundary (the dispatch count, the watermark) and may return
+// false to leave the shards alone.
+func (s *ShardedPassive) atBoundary(prep func() bool, f func(i int, sh *passiveShard)) {
 	s.dispatchMu.Lock()
-	d0 := s.dispatched.Load()
-	wm := s.watermark
-	if !whole && d0 == since {
+	if !prep() {
 		s.dispatchMu.Unlock()
-		return nil, d0, wm
+		return
 	}
-	deltas := make([]shardDelta, len(s.shards))
 	s.mu.RLock()
 	if s.running && !s.closed {
-		chans := make([]chan shardDelta, len(s.shards))
-		for i := range s.shards {
-			ch := make(chan shardDelta, 1)
-			chans[i] = ch
-			s.queues[i] <- shardMsg{snap: ch, wm: wm, whole: whole}
+		var done sync.WaitGroup
+		done.Add(len(s.shards))
+		for i, sh := range s.shards {
+			s.queues[i] <- shardMsg{at: func() { f(i, sh); done.Done() }}
 		}
 		s.mu.RUnlock()
 		s.dispatchMu.Unlock()
-		for i, ch := range chans {
-			deltas[i] = <-ch
-		}
-		return deltas, d0, wm
+		done.Wait()
+		return
 	}
 	s.mu.RUnlock()
 	// Inline, or shut down. If workers ever ran, wait for their exit so
 	// their final writes are visible here (Close already waits; this
-	// covers snapshots racing Close).
+	// covers a boundary racing Close).
 	s.workers.Wait()
 	for i, sh := range s.shards {
-		deltas[i] = sh.freeze(wm, whole)
+		f(i, sh)
 	}
 	s.dispatchMu.Unlock()
+}
+
+// freezeShards seals every shard at one boundary and returns the shard
+// deltas, the dispatch count at that point (the cache fingerprint) and the
+// watermark. With whole unset and nothing dispatched since the count given,
+// no shard is touched and the deltas are nil. Callers must hold snapMu.
+func (s *ShardedPassive) freezeShards(whole bool, since uint64) (deltas []shardDelta, d0 uint64, wm time.Time) {
+	s.atBoundary(func() bool {
+		d0, wm = s.dispatched.Load(), s.watermark
+		if !whole && d0 == since {
+			return false
+		}
+		deltas = make([]shardDelta, len(s.shards))
+		return true
+	}, func(i int, sh *passiveShard) { deltas[i] = sh.freeze(wm, whole) })
 	return deltas, d0, wm
 }
 
@@ -723,10 +733,9 @@ func removeSortedKeys(keys, del []ServiceKey) []ServiceKey {
 // canonical key order and mutually disjoint; a reborn service (expired
 // and re-observed within one span) is Added, an expired key that
 // survives on active evidence is Updated (its provenance downgraded).
-// Full set means no delta could be derived (first snapshot, restore, the
-// other entry point having advanced the chain in between, or an
-// active-side change that reclassifies everything) — consumers must
-// rebuild from the new inventory.
+// Full set means no delta could be derived (first snapshot, restore, or an
+// active-side change — a report, an active expiry — that reclassifies
+// everything) — consumers must rebuild from the new inventory.
 type SnapshotDelta struct {
 	Added   []ServiceKey
 	Updated []ServiceKey
@@ -734,43 +743,49 @@ type SnapshotDelta struct {
 	Full    bool
 }
 
-// OnSnapshot registers fn to observe every snapshot newly built through
-// Snapshot: it runs under the snapshot lock, after the new inventory is
-// cached, with the previous inventory of the chain (nil on the first), the
-// new one, and the delta between them. Cache hits (snapshots of an
-// unchanged engine) do not invoke it. Snapshots built through
-// Hybrid.Snapshot are not reported here — they advance the same passive
-// chain but go to Hybrid.OnSnapshot's observer only — so a non-Full delta
-// is always relative to the inventory fn was handed last; when the hybrid
-// entry point advanced the chain in between, the next observation is Full.
-// Because fn blocks the snapshot path, it must be fast — O(delta) work, no
-// waiting on queries. At most one observer; nil clears.
+// OnSnapshot registers fn to observe every snapshot newly built: it runs
+// under the snapshot lock, after the new inventory is cached, with the
+// previous inventory of the chain (nil on the first and after a restore),
+// the new one, and the delta between them. Cache hits (snapshots of an
+// unchanged engine) do not invoke it. There is one chain per engine and fn
+// sees every link of it, so a non-Full delta is always relative to the
+// inventory fn was handed last. Because fn blocks the snapshot path, it must
+// be fast — O(delta) work, no waiting on queries. At most one observer; nil
+// clears.
 func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta SnapshotDelta)) {
 	s.snapMu.Lock()
 	s.onSnap = fn
 	s.snapMu.Unlock()
 }
 
-// advance moves the passive snapshot chain to a new consistent point: it is
-// the one place shards are frozen and merged, behind both
-// ShardedPassive.Snapshot and Hybrid.Snapshot. It freezes every shard,
-// publishes the expiries the freeze surfaced — together with activeExpiry's
-// (Hybrid's active side, run at the same watermark; nil for a passive
-// engine) in one deterministic (time, key) order — patches the cached
-// inventory forward with the shard deltas and caches the result. prev is the
-// chain's inventory before the call (nil on the first snapshot and after a
-// restore, when the shards are merged whole), delta how inv differs from
-// it, d0 the dispatch count inv froze at. With nothing dispatched since
-// prev it returns inv == prev and an empty delta. Callers must hold snapMu.
-func (s *ShardedPassive) advance(activeExpiry func(wm time.Time) []expiredSvc) (prev, inv *Inventory, delta SnapshotDelta, d0 uint64) {
-	prev, since, _ := s.snap.peek()
+// advance moves the snapshot chain to a new consistent point: it is the one
+// place shards are frozen and merged. It freezes every shard, runs the
+// overlay's active expiry at the same watermark, publishes both sides'
+// expiries in one deterministic (time, key) order, patches the previous
+// inventory's store forward with the shard deltas, freezes the overlay's
+// active view — after its expiry, so the view and its generation reflect the
+// deletions — and caches the new inventory under the fingerprint (dispatch
+// count, active generation) it froze at. prev is the chain's inventory
+// before the call (nil on the first snapshot and after a restore, when the
+// shards are merged whole) and delta how inv differs from it.
+//
+// With an overlay the inventory is hybrid: its key list is the union of both
+// sides. While the active generation stands, that list is patched like a
+// passive one, except that an expired key a probe still answers for stays in
+// it, reclassified ActiveOnly — an update, not a removal. When the
+// generation moved, every classification may have: the merged store is
+// listed whole and the delta is Full. With nothing dispatched and no
+// generation moved since prev, advance returns inv == prev and an empty
+// delta. Callers must hold snapMu.
+func (s *ShardedPassive) advance() (prev, inv *Inventory, delta SnapshotDelta) {
+	prev, since, agen := s.snap.peek()
 	deltas, d0, wm := s.freezeShards(prev == nil, since)
 	var exp []expiredSvc
 	for i := range deltas {
 		exp = append(exp, deltas[i].expired...)
 	}
-	if activeExpiry != nil {
-		exp = append(exp, activeExpiry(wm)...)
+	if s.overlay != nil {
+		exp = append(exp, s.overlay.expireActive(wm)...)
 	}
 	if len(exp) > 0 {
 		sortExpired(exp)
@@ -781,68 +796,82 @@ func (s *ShardedPassive) advance(activeExpiry func(wm time.Time) []expiredSvc) (
 			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
 		}
 	}
-	if deltas == nil {
-		return prev, prev, SnapshotDelta{}, d0
-	}
-	var base *mergedStore
+	var m *mergedStore
+	var scanners []ScannerInfo
 	if prev != nil {
-		base = prev.d.(*mergedStore)
+		m, scanners = prev.d.(*mergedStore), prev.scanners
 	}
-	m, scanners, delta := mergeViews(base, deltas)
+	if deltas != nil { // else at most the active side moved: same store, same scanners
+		m, scanners, delta = mergeViews(m, deltas)
+	}
+	var active *ActiveDiscoverer
+	moved := deltas != nil
+	if s.overlay != nil {
+		av := s.overlay.activeSnapshot()
+		active = av.disc
+		if av.gen != agen {
+			agen, delta, moved = av.gen, SnapshotDelta{Full: true}, true
+		}
+	}
+	if !moved {
+		return prev, prev, SnapshotDelta{}
+	}
 	if delta.Full {
-		inv = newFrozenInventory(m, scanners)
+		inv = newFrozenInventory(m, active, scanners)
 	} else {
-		inv = &Inventory{d: m, keys: removeSortedKeys(mergeSortedKeys(prev.keys, delta.Added), delta.Removed), scanners: scanners}
+		if active != nil {
+			var removed, downgraded []ServiceKey
+			for _, k := range delta.Removed {
+				if _, probed := active.firstOpen[k]; probed {
+					downgraded = append(downgraded, k)
+				} else {
+					removed = append(removed, k)
+				}
+			}
+			delta.Removed, delta.Updated = removed, mergeSortedKeys(delta.Updated, downgraded)
+		}
+		// mergeSortedKeys drops the added keys already listed: reborn services,
+		// and probe-only ones passive monitoring has now seen too.
+		inv = &Inventory{d: m, active: active, scanners: scanners,
+			keys: removeSortedKeys(mergeSortedKeys(prev.keys, delta.Added), delta.Removed)}
 	}
-	s.snap.put(inv, d0, 0)
-	return prev, inv, delta, d0
+	s.snap.put(inv, d0, agen)
+	return prev, inv, delta
 }
 
-// snapshotStart reads the clock for snapshotBuilt, only when instrumented.
-func (s *ShardedPassive) snapshotStart() (t0 time.Time) {
+// Snapshot freezes a consistent point-in-time Inventory. It is
+// non-terminal and cheap to repeat: with nothing dispatched (and, under a
+// Hybrid, no report applied) since the previous snapshot the cached
+// Inventory is returned outright (no shard traffic, no allocation);
+// otherwise every shard seals only the records touched since its last
+// freeze, and the merged inventory is patched forward from the previous
+// snapshot rather than rebuilt. On a running engine the snapshot point is a
+// batch boundary of the producer's stream (everything dispatched before the
+// call is included), and the result is byte-identical to pausing the
+// producer, flushing, and snapshotting at that point. Safe to call from any
+// goroutine at any lifecycle stage.
+func (s *ShardedPassive) Snapshot() *Inventory {
+	if inv := s.snap.fast(s.dispatched.Load(), s.agen.Load()); inv != nil {
+		return inv
+	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	var t0 time.Time
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	return t0
-}
-
-// snapshotBuilt reports one newly built snapshot to the telemetry bundle.
-func (s *ShardedPassive) snapshotBuilt(t0 time.Time, inv *Inventory) {
+	prev, inv, delta := s.advance()
+	if inv == prev {
+		return inv // another snapshotter got here first
+	}
+	if s.onSnap != nil {
+		s.onSnap(prev, inv, delta)
+	}
 	if m := s.met; m != nil {
 		el := time.Since(t0)
 		m.Snapshot.Observe(el)
 		m.Flight.Record(obs.TraceSnapshotSealed, "", int64(inv.Len()), el.Microseconds())
 	}
-}
-
-// Snapshot freezes a consistent point-in-time Inventory. It is
-// non-terminal and cheap to repeat: with nothing dispatched since the
-// previous snapshot the cached Inventory is returned outright (no shard
-// traffic, no allocation); otherwise every shard seals only the records
-// touched since its last freeze, and the merged inventory is patched
-// forward from the previous snapshot rather than rebuilt. On a running
-// engine the snapshot point is a batch boundary of the producer's stream
-// (everything dispatched before the call is included), and the result is
-// byte-identical to pausing the producer, flushing, and snapshotting at
-// that point. Safe to call from any goroutine at any lifecycle stage.
-func (s *ShardedPassive) Snapshot() *Inventory {
-	if inv := s.snap.fast(s.dispatched.Load(), 0); inv != nil {
-		return inv
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	t0 := s.snapshotStart()
-	prev, inv, delta, _ := s.advance(nil)
-	if inv == prev {
-		return inv // another snapshotter got here first
-	}
-	if s.foreign {
-		delta, s.foreign = SnapshotDelta{Full: true}, false
-	}
-	if s.onSnap != nil {
-		s.onSnap(prev, inv, delta)
-	}
-	s.snapshotBuilt(t0, inv)
 	return inv
 }
 

@@ -142,6 +142,9 @@ func TestSnapshotDeltaObserverPassive(t *testing.T) {
 				if rec.prevs[i] != prev && rec.deltas[i].Full == false {
 					t.Fatalf("observation %d: prev pointer does not chain", i)
 				}
+				if rec.invs[i].Hybrid() {
+					t.Fatalf("observation %d: an engine without an active side built a hybrid inventory", i)
+				}
 				checkDelta(t, rec.prevs[i], rec.invs[i], rec.deltas[i], fmt.Sprintf("obs %d", i))
 				if !rec.deltas[i].Full {
 					deltaCount++
@@ -231,15 +234,16 @@ func TestSnapshotDeltaObserverHybridDowngrade(t *testing.T) {
 }
 
 // TestSnapshotEntryPointsInterleaved drives Passive().Snapshot() and
-// Snapshot() in random order on one running hybrid engine — the facade
-// flips from the first to the second when the first report lands, and one
-// observer may be registered on both — with retention on, reports arriving
-// mid-stream and every snapshot racing the producer. Both entry points
-// advance the same snapshot chain, so: every inventory equals the
-// pause-flush-snapshot reference at the point it froze; an observer is only
-// called for snapshots built through its own entry point, and any delta it
-// gets is against the inventory it was handed last; and every expiry is
-// published once, whichever entry point's freeze surfaced it.
+// Snapshot() in random order on one running hybrid engine, with one observer
+// registered through both OnSnapshot names, retention on, reports arriving
+// mid-stream and every snapshot racing the producer. The two names are one
+// entry point onto one chain, so: every inventory equals the
+// pause-flush-snapshot reference at the point it froze; the observer is
+// called exactly once per snapshot built, whichever name built it, and any
+// delta it gets is against the inventory it was handed last; the only Full
+// observations are the first and those a new report or an active expiry
+// caused; every expiry is published once; and at a quiescent engine both
+// names return the same *Inventory.
 func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 	policy := RetentionPolicy{PassiveTTL: 3 * time.Hour, ActiveTTL: 5 * time.Hour}
 	trace := genRetentionTrace(42)
@@ -270,8 +274,8 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 	}
 
 	// reference is the pause-flush-snapshot answer after n packets and r
-	// reports: a fresh inline engine asked once, through one entry point, so
-	// it merges its shard whole and never patches anything.
+	// reports: a fresh inline engine asked once, so it merges its shard whole
+	// and never patches anything.
 	reference := func(n, r int) *Hybrid {
 		ref := NewHybrid(campusPfx, []uint16{53}, 1, nil)
 		ref.SetRetention(policy)
@@ -303,9 +307,9 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 			h := NewHybrid(campusPfx, []uint16{53}, shards, nil)
 			h.SetRetention(policy)
 			sub := h.Subscribe(1 << 16)
-			var passiveObs, hybridObs deltaRecorder
-			h.Passive().OnSnapshot(passiveObs.observe)
-			h.OnSnapshot(hybridObs.observe)
+			var rec deltaRecorder
+			h.Passive().OnSnapshot(rec.observe)
+			h.OnSnapshot(rec.observe)
 			h.Run(context.Background())
 
 			// The producer feeds as many batches as it is told to and says so
@@ -335,39 +339,33 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 
 			rng := stats.NewRNG(uint64(shards)).Derive("entry-points")
 			checked := make(map[*Inventory]bool)
-			snapshot := func(hybrid bool) {
+			snapshot := func(hybrid bool) *Inventory {
 				t.Helper()
-				np, nh := len(passiveObs.invs), len(hybridObs.invs)
+				seen := len(rec.invs)
 				var inv *Inventory
 				if hybrid {
 					inv = h.Snapshot()
 				} else {
 					inv = h.Passive().Snapshot()
 				}
-				if inv.Hybrid() != hybrid {
-					t.Fatalf("entry point hybrid=%v returned an inventory with Hybrid()=%v", hybrid, inv.Hybrid())
-				}
-				if hybrid && len(passiveObs.invs) != np {
-					t.Fatal("a hybrid snapshot called the passive observer")
-				}
-				if !hybrid && len(hybridObs.invs) != nh {
-					t.Fatal("a passive snapshot called the hybrid observer")
-				}
 				if checked[inv] {
-					return
+					if len(rec.invs) != seen {
+						t.Fatal("a cached snapshot called the observer")
+					}
+					return inv
 				}
 				checked[inv] = true
-				want := reference(inv.Packets(), len(inv.Scans()))
-				wantDump := want.Passive().Snapshot().Dump()
-				if hybrid {
-					wantDump = want.Snapshot().Dump()
+				if len(rec.invs) != seen+1 || rec.invs[seen] != inv {
+					t.Fatalf("a built snapshot called the observer %d times", len(rec.invs)-seen)
 				}
-				if !bytes.Equal(inv.Dump(), wantDump) {
+				want := reference(inv.Packets(), len(inv.Scans())).Snapshot()
+				if !bytes.Equal(inv.Dump(), want.Dump()) {
 					t.Fatalf("hybrid=%v snapshot at %d packets, %d reports differs from the reference", hybrid, inv.Packets(), len(inv.Scans()))
 				}
+				return inv
 			}
-			// The entry point changes before one snapshot in three, so each
-			// gets runs long enough to patch and is cut in on by the other.
+			// The name changes before one snapshot in three, so each gets runs
+			// long enough to patch and is cut in on by the other.
 			hybrid := false
 			next := func() bool {
 				if rng.Intn(3) == 0 {
@@ -387,31 +385,45 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 			}
 			close(feed)
 			producer.Wait()
-			snapshot(false)
-			snapshot(true)
+			if a, b := snapshot(false), snapshot(true); a != b {
+				t.Fatal("at a quiescent engine the two names returned different inventories")
+			}
 			h.Close()
 
-			for name, rec := range map[string]*deltaRecorder{"passive": &passiveObs, "hybrid": &hybridObs} {
-				var last *Inventory
-				deltas := 0
-				for i, inv := range rec.invs {
-					if inv.Hybrid() != (name == "hybrid") {
-						t.Fatalf("%s observer, observation %d: handed an inventory with Hybrid()=%v", name, i, inv.Hybrid())
+			// activeState changes exactly when a report landed or an active
+			// record expired between two inventories.
+			activeState := func(inv *Inventory) (st [2]int) {
+				inv.EachTombstone(func(_ ServiceKey, _ time.Time, prov Provenance) bool {
+					if prov == ActiveOnly {
+						st[0]++
 					}
-					if !rec.deltas[i].Full {
-						deltas++
-						if rec.prevs[i] != last {
-							t.Fatalf("%s observer, observation %d: delta is not against the inventory it was handed last", name, i)
-						}
-					}
-					checkDelta(t, rec.prevs[i], inv, rec.deltas[i], fmt.Sprintf("%s obs %d", name, i))
-					last = inv
-				}
-				if deltas == 0 {
-					t.Errorf("%s observer saw no delta in %d observations", name, len(rec.invs))
-				}
+					return true
+				})
+				st[1] = len(inv.Scans())
+				return st
 			}
-			assertSameExpiries(t, "expiries across both entry points", wantExp, sortExpiries(drainExpired(sub)))
+			var last *Inventory
+			deltas := 0
+			for i, inv := range rec.invs {
+				if !inv.Hybrid() {
+					t.Fatalf("observation %d: a Hybrid's snapshot is not a hybrid inventory", i)
+				}
+				if full := last == nil || activeState(inv) != activeState(last); rec.deltas[i].Full != full {
+					t.Fatalf("observation %d: Full=%v, want %v (the first, a new report or an active expiry, and nothing else)", i, rec.deltas[i].Full, full)
+				}
+				if !rec.deltas[i].Full {
+					deltas++
+					if rec.prevs[i] != last {
+						t.Fatalf("observation %d: delta is not against the inventory the observer was handed last", i)
+					}
+				}
+				checkDelta(t, rec.prevs[i], inv, rec.deltas[i], fmt.Sprintf("obs %d", i))
+				last = inv
+			}
+			if deltas == 0 {
+				t.Errorf("observer saw no delta in %d observations", len(rec.invs))
+			}
+			assertSameExpiries(t, "expiries across both names", wantExp, sortExpiries(drainExpired(sub)))
 		})
 	}
 }

@@ -77,8 +77,7 @@ type FeedClient struct {
 
 	// site is the identity learned from the first hello; until then no
 	// resume cursor can be presented (there is nothing to resume).
-	site      atomic.Value // SiteID
-	connected atomic.Bool
+	site atomic.Value // SiteID
 	// nextCeiling is the un-jittered ceiling of the next reconnect
 	// delay — the backoff-state gauge.
 	nextCeiling atomic.Int64
@@ -94,12 +93,6 @@ func NewFeedClient(agg *Aggregator, addr string, opt FeedOptions) *FeedClient {
 	c.nextCeiling.Store(int64(c.opt.Backoff.withDefaults().Base))
 	return c
 }
-
-// Addr returns the feed address the client dials.
-func (c *FeedClient) Addr() string { return c.addr }
-
-// Connected reports whether a connection is currently established.
-func (c *FeedClient) Connected() bool { return c.connected.Load() }
 
 // Site returns the feed's site identity, empty until the first hello.
 func (c *FeedClient) Site() SiteID {
@@ -149,7 +142,6 @@ func (c *FeedClient) Run(ctx context.Context) error {
 			c.dialErrors.Add(1)
 		} else {
 			c.connects.Add(1)
-			c.connected.Store(true)
 			if c.opt.OnConnect != nil {
 				c.opt.OnConnect()
 			}
@@ -157,7 +149,6 @@ func (c *FeedClient) Run(ctx context.Context) error {
 			before := c.framesApplied.Load()
 			err = c.RunConn(ctx, conn)
 			conn.Close()
-			c.connected.Store(false)
 			c.disconnects.Add(1)
 			if c.opt.OnDisconnect != nil {
 				c.opt.OnDisconnect(err)

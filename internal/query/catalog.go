@@ -2,13 +2,13 @@ package query
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"servdisc/internal/core"
-	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 )
 
@@ -183,12 +183,6 @@ func CategoryOf(k core.ServiceKey) Category {
 	return CatOther
 }
 
-// prefixBucket is the /24 an address belongs to — the granularity the
-// subnet dimension indexes at. Prefix queries wider than /24 walk a run
-// of buckets (address-ordered, so concatenation is canonical order);
-// narrower ones post-filter a single bucket.
-func prefixBucket(a netaddr.V4) netaddr.V4 { return a &^ 0xff }
-
 // DefaultFreshnessBucket is the width of the freshness-dimension buckets
 // when the catalog is built with no explicit width.
 const DefaultFreshnessBucket = time.Hour
@@ -199,14 +193,13 @@ const provClasses = 4
 // Epoch is one immutable index generation: the doc tree plus every
 // secondary dimension, all persistent structures sharing state with the
 // previous epoch. Readers navigate an epoch lock-free; it never changes
-// after publication.
+// after publication. There is no prefix dimension: keys sort address-major,
+// so any prefix is one contiguous run of the doc tree itself.
 type Epoch struct {
 	gen        uint64
 	freshWidth time.Duration
 	docs       stree[packedDoc]
 	byPort     map[uint16]stree[keyEntry]
-	byPrefix   map[netaddr.V4]stree[keyEntry] // /24 bucket base → keys
-	pfxBases   []netaddr.V4                   // sorted bucket bases
 	byProv     [provClasses]stree[keyEntry]
 	byCat      map[Category]stree[keyEntry]
 	byFresh    map[int64]stree[keyEntry] // freshBucket(Last) → keys
@@ -264,7 +257,6 @@ func (c *Catalog) emptyEpoch() *Epoch {
 	return &Epoch{
 		freshWidth: c.freshWidth,
 		byPort:     map[uint16]stree[keyEntry]{},
-		byPrefix:   map[netaddr.V4]stree[keyEntry]{},
 		byCat:      map[Category]stree[keyEntry]{},
 		byFresh:    map[int64]stree[keyEntry]{},
 	}
@@ -348,7 +340,6 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 	var docAdds []packedDoc
 	var docDels []core.ServiceKey
 	var port dimDelta[uint16]
-	var pfx dimDelta[netaddr.V4]
 	var cat dimDelta[Category]
 	var fresh dimDelta[int64]
 	var provAdds [provClasses][]keyEntry
@@ -362,7 +353,7 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 		}
 		docAdds = append(docAdds, d)
 		if had {
-			// Key-derived dimensions (port, prefix, category) cannot move;
+			// Key-derived dimensions (port, category) cannot move;
 			// provenance and freshness can.
 			if old.prov != d.prov {
 				provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], d.key)
@@ -375,7 +366,6 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 			continue
 		}
 		port.add(d.key.Port, d.key)
-		pfx.add(prefixBucket(d.key.Addr), d.key)
 		cat.add(CategoryOf(d.key), d.key)
 		provAdds[d.prov%provClasses] = append(provAdds[d.prov%provClasses], keyEntry(d.key))
 		fresh.add(prev.freshBucket(d.last, d.hasLast), d.key)
@@ -387,7 +377,6 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 		}
 		docDels = append(docDels, k)
 		port.del(k.Port, k)
-		pfx.del(prefixBucket(k.Addr), k)
 		cat.del(CategoryOf(k), k)
 		provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], k)
 		fresh.del(prev.freshBucket(old.last, old.hasLast), k)
@@ -401,22 +390,17 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 		freshWidth: prev.freshWidth,
 		docs:       prev.docs.patch(docAdds, docDels),
 		byProv:     prev.byProv,
-		pfxBases:   prev.pfxBases,
 		freshBases: prev.freshBases,
 	}
 	for p := 0; p < provClasses; p++ {
 		next.byProv[p] = next.byProv[p].patch(sortEntries(provAdds[p]), sortKeys(provDels[p]))
 	}
-	var pfxMoved, freshMoved bool
+	var freshMoved bool
 	next.byPort, _ = port.apply(prev.byPort)
 	next.byCat, _ = cat.apply(prev.byCat)
-	next.byPrefix, pfxMoved = pfx.apply(prev.byPrefix)
 	next.byFresh, freshMoved = fresh.apply(prev.byFresh)
-	if pfxMoved {
-		next.pfxBases = sortedBases(next.byPrefix, func(a, b netaddr.V4) bool { return a < b })
-	}
 	if freshMoved {
-		next.freshBases = sortedBases(next.byFresh, func(a, b int64) bool { return a < b })
+		next.freshBases = sortedBases(next.byFresh)
 	}
 	c.cur.Store(next)
 }
@@ -440,14 +424,12 @@ func (c *Catalog) rebuild(docs []packedDoc) {
 	next.gen = prevGen + 1
 	next.docs = stree[packedDoc]{}.patch(docs, nil)
 	perPort := map[uint16][]keyEntry{}
-	perPfx := map[netaddr.V4][]keyEntry{}
 	perCat := map[Category][]keyEntry{}
 	perFresh := map[int64][]keyEntry{}
 	var perProv [provClasses][]keyEntry
 	for _, d := range docs {
 		k := keyEntry(d.key)
 		perPort[d.key.Port] = append(perPort[d.key.Port], k)
-		perPfx[prefixBucket(d.key.Addr)] = append(perPfx[prefixBucket(d.key.Addr)], k)
 		perCat[CategoryOf(d.key)] = append(perCat[CategoryOf(d.key)], k)
 		perProv[d.prov%provClasses] = append(perProv[d.prov%provClasses], k)
 		b := next.freshBucket(d.last, d.hasLast)
@@ -455,9 +437,6 @@ func (c *Catalog) rebuild(docs []packedDoc) {
 	}
 	for p, ks := range perPort {
 		next.byPort[p] = stree[keyEntry]{}.patch(ks, nil)
-	}
-	for b, ks := range perPfx {
-		next.byPrefix[b] = stree[keyEntry]{}.patch(ks, nil)
 	}
 	for ct, ks := range perCat {
 		next.byCat[ct] = stree[keyEntry]{}.patch(ks, nil)
@@ -468,8 +447,7 @@ func (c *Catalog) rebuild(docs []packedDoc) {
 	for b, ks := range perFresh {
 		next.byFresh[b] = stree[keyEntry]{}.patch(ks, nil)
 	}
-	next.pfxBases = sortedBases(next.byPrefix, func(a, b netaddr.V4) bool { return a < b })
-	next.freshBases = sortedBases(next.byFresh, func(a, b int64) bool { return a < b })
+	next.freshBases = sortedBases(next.byFresh)
 	c.cur.Store(next)
 }
 
@@ -541,11 +519,12 @@ func sortKeys(ks []core.ServiceKey) []core.ServiceKey {
 	return ks
 }
 
-func sortedBases[B comparable](m map[B]stree[keyEntry], less func(a, b B) bool) []B {
-	out := make([]B, 0, len(m))
+// sortedBases lists the freshness dimension's bucket ids in order.
+func sortedBases(m map[int64]stree[keyEntry]) []int64 {
+	out := make([]int64, 0, len(m))
 	for b := range m {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.Sort(out)
 	return out
 }

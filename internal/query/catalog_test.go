@@ -79,6 +79,8 @@ func TestCatalogPatchQueryModel(t *testing.T) {
 			{Port: 1000 + uint16(rng.Intn(8))},
 			{Prefix: netaddr.MustParsePrefix("10.16.0.0/24")},
 			{Prefix: netaddr.MustParsePrefix("10.16.0.0/22")},
+			{Prefix: netaddr.MustParsePrefix("10.16.1.64/26")}, // a run from mid-tree
+			{Prefix: netaddr.MustParsePrefix("0.0.0.0/4")},     // no address below it
 			{Prefix: mustPrefix32(tkey(rng.Intn(universe)).Addr), Port: 1000 + uint16(rng.Intn(8))},
 			{Provenance: core.ActiveOnly, HasProvenance: true},
 			{Provenance: core.PassiveOnly, HasProvenance: true},

@@ -190,6 +190,24 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		return emit(d)
 	}
 
+	// prefixRun walks the query prefix's docs. Keys sort address-major, so a
+	// prefix of any length is one contiguous run of the doc tree: seek past
+	// the largest key an address below the prefix could have (or to the page
+	// cursor, if that is further), walk until the address leaves the prefix.
+	prefixRun := func() {
+		start := after
+		if base := q.Prefix.Base(); base > 0 && (after == nil || after.Addr < base) {
+			start = &core.ServiceKey{Addr: base - 1, Proto: ^packet.IPProtocol(0), Port: ^uint16(0)}
+		}
+		last := q.Prefix.Last()
+		for c := e.docs.seek(start); ; {
+			d, ok := c.next()
+			if !ok || d.key.Addr > last || !emit(d) {
+				return
+			}
+		}
+	}
+
 	// Pick the candidate source: the most selective dimension the query
 	// names. Every source yields candidates in canonical key order; emit
 	// post-filters with the full predicate set.
@@ -206,10 +224,8 @@ func (e *Epoch) Query(q Query) (Result, error) {
 			}
 		}
 	case q.Prefix.Bits() >= 24:
-		// The whole prefix lies inside one /24 bucket.
-		if t, ok := e.byPrefix[prefixBucket(q.Prefix.Base())]; ok {
-			iterate(t, after, emitKey)
-		}
+		// At most 256 addresses: narrower than any posting list worth having.
+		prefixRun()
 	case q.Port != 0:
 		if t, ok := e.byPort[q.Port]; ok {
 			iterate(t, after, emitKey)
@@ -219,21 +235,7 @@ func (e *Epoch) Query(q Query) (Result, error) {
 			iterate(t, after, emitKey)
 		}
 	case q.Prefix.Bits() != 0:
-		// A run of /24 buckets in address order: concatenation preserves
-		// canonical order because keys sort address-major.
-		base, last := q.Prefix.Base(), q.Prefix.Last()
-		lo := sort.Search(len(e.pfxBases), func(i int) bool { return e.pfxBases[i] >= prefixBucket(base) })
-		for _, b := range e.pfxBases[lo:] {
-			if b > last {
-				break
-			}
-			if after != nil && after.Addr > b|0xff {
-				continue // whole bucket precedes the cursor
-			}
-			if !iterate(e.byPrefix[b], after, emitKey) {
-				break
-			}
-		}
+		prefixRun()
 	case q.HasProvenance:
 		iterate(e.byProv[q.Provenance%provClasses], after, emitKey)
 	case !q.MinFreshness.IsZero():

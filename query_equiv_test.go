@@ -116,8 +116,8 @@ func equivShapes(t *testing.T, inv *Inventory) []query.Query {
 			return p
 		}
 		shapes = append(shapes,
-			query.Query{Prefix: narrow(24)}, // single /24 bucket
-			query.Query{Prefix: narrow(20)}, // bucket-run walk
+			query.Query{Prefix: narrow(24)}, // a /24 or narrower: chosen before port
+			query.Query{Prefix: narrow(20)}, // a wider run of the doc tree: after category
 			// Point lookup (the key= shape) and a compound query mixing an
 			// indexed dimension with residual filters.
 			query.Query{Prefix: narrow(32), Port: mid.Port, Proto: mid.Proto},

@@ -206,12 +206,13 @@ type Config struct {
 	Scan *ScanOptions
 	// Checkpoint, when set, gives the pipeline durable state: call
 	// RestoreFromCheckpoint before ingest to resume a previous run, and
-	// Checkpoint periodically (Every is the suggested cadence for the
-	// command-level ticker) to persist incremental deltas.
+	// Checkpoint periodically to persist incremental deltas (the library
+	// itself checkpoints only when told to).
 	Checkpoint *CheckpointOptions
-	// QueryIndex, when true, maintains secondary indexes (port, prefix,
-	// provenance, service category, freshness bucket) over the live
-	// inventory and enables Pipeline.Query. The indexes advance at each
+	// QueryIndex, when true, maintains secondary indexes (port,
+	// provenance, service category, freshness bucket; a prefix is a range
+	// of the key order itself) over the live inventory and enables
+	// Pipeline.Query. The indexes advance at each
 	// Snapshot from the same O(churn) deltas that patch the snapshot
 	// itself — never a full rescan — and each index epoch is an immutable
 	// value read lock-free by any number of concurrent queries.
@@ -240,9 +241,6 @@ type Config struct {
 type CheckpointOptions struct {
 	// Dir is the checkpoint directory (required; created if absent).
 	Dir string
-	// Every is the checkpoint cadence hint consumed by the commands'
-	// tickers (the library itself checkpoints only when told to).
-	Every time.Duration
 	// MaxDeltas caps the incremental chain before it is folded into a
 	// fresh baseline (checkpoint.DefaultMaxDeltas when zero).
 	MaxDeltas int
@@ -287,7 +285,6 @@ type Pipeline struct {
 
 	ckpt        *checkpoint.Writer // nil unless Config.Checkpoint was set
 	ckptDir     string
-	ckptEvery   time.Duration
 	restoredPub *PublisherState // from the last RestoreFromCheckpoint
 
 	// retention sweep ticker (started by Run when Retention.SweepEvery is
@@ -296,7 +293,7 @@ type Pipeline struct {
 	sweepMu   sync.Mutex
 	sweepStop chan struct{}
 
-	qix *queryIndex // nil unless Config.QueryIndex was set
+	qix *query.Catalog // nil unless Config.QueryIndex was set
 
 	// telemetry: the registry plus the facade-level instruments that are
 	// observed from Pipeline methods (layer-internal instruments are
@@ -314,27 +311,6 @@ type Pipeline struct {
 // series exists from the first scrape.
 var queryDimensions = []string{
 	"key", "prefix24", "port", "category", "prefix", "provenance", "freshness", "scan",
-}
-
-// queryIndex keeps the secondary indexes in lockstep with the snapshot
-// stream. Both the passive and the hybrid snapshot paths notify it (the
-// facade serves whichever fits the configuration), so it tracks inventory
-// lineage itself: a delta only applies when its prev is the inventory the
-// catalog last absorbed — any break (mode switch, full seal) rebuilds.
-// The observer runs under the engine's snapshot lock, which serializes
-// inv/catalog updates; Epoch() readers are lock-free.
-type queryIndex struct {
-	cat *query.Catalog
-	inv *core.Inventory
-}
-
-func (x *queryIndex) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
-	if d.Full || prev != x.inv {
-		x.cat.RebuildFromInventory(inv)
-	} else {
-		x.cat.ApplyDelta(inv, d)
-	}
-	x.inv = inv
 }
 
 // NewPipeline assembles a pipeline from the config. With cfg.Scan set, the
@@ -396,10 +372,13 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		Flight: reg.Flight(),
 	})
 	if cfg.QueryIndex {
-		qix := &queryIndex{cat: query.NewCatalog(0)}
-		p.qix = qix
-		engine.OnSnapshot(qix.observe)
-		engine.Passive().OnSnapshot(qix.observe)
+		// The indexes follow the engine's one snapshot chain: every snapshot
+		// built reaches the observer once, with a delta against the one
+		// before. It runs under the engine's snapshot lock, which serializes
+		// catalog updates; Epoch() readers are lock-free.
+		cat := query.NewCatalog(0)
+		p.qix = cat
+		engine.OnSnapshot(func(_, inv *core.Inventory, d core.SnapshotDelta) { cat.ApplyDelta(inv, d) })
 		qv := reg.HistogramVec("servdisc_query_seconds",
 			"Query execution latency by the index dimension that served it.", "dim")
 		p.queryLat = make(map[string]*obs.Histogram, len(queryDimensions))
@@ -418,7 +397,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		}
 		p.ckpt = w
 		p.ckptDir = cfg.Checkpoint.Dir
-		p.ckptEvery = cfg.Checkpoint.Every
 		w.SetMetrics(&checkpoint.Metrics{
 			Write: reg.Histogram("servdisc_checkpoint_write_seconds",
 				"Checkpoint cut latency per chunk written (skipped checkpoints untimed)."),
@@ -527,20 +505,15 @@ func (p *Pipeline) Close() {
 	p.engine.Close()
 }
 
-// Snapshot freezes a consistent point-in-time inventory: hybrid (with
-// provenance) when scan options were configured or any scan report was
-// ingested via AddReport, passive-only otherwise. It is non-terminal,
+// Snapshot freezes a consistent point-in-time inventory of both techniques'
+// evidence, each service with its provenance (every service is PassiveOnly
+// until a scan report has been ingested). It is non-terminal,
 // concurrent-safe and cheap to repeat — producers keep running, shards
 // hand over only what changed since the previous snapshot, and an
 // unchanged engine returns the previous Inventory — so a live deployment
 // can poll it at any frequency (see core.Hybrid.Snapshot for the
 // consistency contract).
-func (p *Pipeline) Snapshot() *Inventory {
-	if p.scan == nil && !p.engine.SeenReports() {
-		return p.engine.Passive().Snapshot()
-	}
-	return p.engine.Snapshot()
-}
+func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
 
 // watchBuffer is Watch's default subscriber buffer: deep enough to absorb
 // multi-second consumer lag at realistic discovery rates.
@@ -595,7 +568,7 @@ func (p *Pipeline) Query(q Query) (QueryResult, error) {
 		return QueryResult{}, fmt.Errorf("servdisc: Config.QueryIndex not enabled")
 	}
 	t0 := time.Now()
-	res, err := p.qix.cat.Epoch().Query(q)
+	res, err := p.qix.Epoch().Query(q)
 	p.queryLat[q.Dimension()].Observe(time.Since(t0))
 	return res, err
 }
@@ -607,7 +580,7 @@ func (p *Pipeline) QueryIndexLen() (int, bool) {
 	if p.qix == nil {
 		return 0, false
 	}
-	return p.qix.cat.Len(), true
+	return p.qix.Len(), true
 }
 
 // IngestCounters exposes the engine's packet-flow counters (In = packets
@@ -724,10 +697,6 @@ func (p *Pipeline) CheckpointStats() (st CheckpointStats, ok bool) {
 	}
 	return p.ckpt.Stats(), true
 }
-
-// CheckpointEvery returns the configured checkpoint cadence hint (zero
-// when unset or unconfigured).
-func (p *Pipeline) CheckpointEvery() time.Duration { return p.ckptEvery }
 
 // SetPublisherCursor installs the federation publisher's cursor sampler,
 // so every later checkpoint stores the stream position alongside the
