@@ -325,68 +325,88 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 // windows ascending, contact sets sorted.
 func (t *scanTracker) exportSource(src netaddr.V4) ScanSourceState {
 	s := t.sources[src]
-	st := ScanSourceState{Source: src, Windows: make([]ScanWindowState, 0, len(s.windows))}
-	for i := range s.windows {
-		w := &s.windows[i]
-		st.Windows = append(st.Windows, ScanWindowState{
-			Index:   w.idx,
-			Dsts:    w.dsts.sorted(),
-			RstDsts: w.rstDsts.sorted(),
-		})
+	st := ScanSourceState{Source: src, Windows: []ScanWindowState{}}
+	for off, n := 1, 0; off < len(s); off += n {
+		var ws ScanWindowState
+		if ws.Index, n = t.recAt(s, off); n == 1 {
+			w := &t.big[s[off]&^bigRef]
+			ws.Dsts, ws.RstDsts = sortedV4Keys(w.dsts), sortedV4Keys(w.rsts)
+		} else {
+			rsts := off + 2 + int(s[off]&0xff)
+			ws.Dsts, ws.RstDsts = sortedWords(s[off+2:rsts]), sortedWords(s[rsts:off+n])
+		}
+		st.Windows = append(st.Windows, ws)
 	}
 	sort.Slice(st.Windows, func(i, j int) bool { return st.Windows[i].Index < st.Windows[j].Index })
 	return st
 }
 
-// importSource installs one source wholesale and recomputes its peak
-// window and flagged bit offline. The offline rule — best (dsts, then
-// rstDsts), earliest window on full ties — agrees with the online
-// updateBest rule because counts within one window only grow, so the
-// restored tracker's detect() output is identical to the uninterrupted
-// run's, and a restored-then-resumed run flags each source at most once
-// across incarnations. A window index listed twice — no exporter writes
-// that — keeps its last listing.
+// sortedWords renders a packed contact set ascending (nil when empty).
+func sortedWords(ws []uint32) []netaddr.V4 {
+	var out []netaddr.V4
+	for _, a := range ws {
+		out = append(out, netaddr.V4(a))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// truncate drops src's records from word off on — all of them at 1, leaving
+// a source with no windows — and releases the bigWindows they referred to.
+func (t *scanTracker) truncate(src netaddr.V4, off int) {
+	s := t.sources[src]
+	for o, n := off, 0; o < len(s); o += n {
+		if _, n = t.recAt(s, o); n == 1 {
+			t.big[s[o]&^bigRef] = bigWindow{}
+		}
+	}
+	if len(s) > off {
+		s = s[:off]
+		s[0] = 1
+	}
+	t.sources[src] = s
+}
+
+// importSource installs one source wholesale, replaying each listed window
+// through the ingest path's add, and recomputes its peak window and flagged
+// bit offline. The offline rule — best (dsts, then rstDsts), earliest
+// window on full ties — agrees with the online rule in record because
+// counts within one window only grow, so the restored tracker's detect()
+// output is identical to the uninterrupted run's, and a restored-then-
+// resumed run flags each source at most once across incarnations. A window
+// index listed twice — no exporter writes that — keeps its last listing.
 func (t *scanTracker) importSource(ss *ScanSourceState) {
 	listed := append([]ScanWindowState(nil), ss.Windows...)
 	sort.Slice(listed, func(i, j int) bool { return listed[i].Index < listed[j].Index })
-	src := &scanSource{windows: make([]scanWindow, 0, len(listed))}
-	delete(t.best, ss.Source)
-	qualified := false
-	for _, ws := range listed {
-		w := scanWindow{idx: ws.Index}
+	src := ss.Source
+	t.truncate(src, 1)
+	delete(t.best, src)
+	for i, ws := range listed {
+		if i > 0 && listed[i-1].Index == ws.Index {
+			t.truncate(src, int(t.sources[src][0])) // the record just built
+		}
+		t.window(src, ws.Index)
+		var nd, nr int
 		for _, a := range ws.Dsts {
-			w.dsts.add(a)
+			nd, nr = t.add(src, ws.Index, a, false)
 		}
 		for _, a := range ws.RstDsts {
-			w.rstDsts.add(a)
+			nd, nr = t.add(src, ws.Index, a, true)
 		}
-		if n := len(src.windows); n > 0 && src.windows[n-1].idx == w.idx {
-			src.windows[n-1] = w
-		} else {
-			src.windows = append(src.windows, w)
-		}
-		if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
+		if nd < ScanDetectMinDsts || nr < ScanDetectMinRsts {
 			continue
 		}
-		qualified = true
-		cur, ok := t.best[ss.Source]
-		if ok && (w.dsts.len() < cur.UniqueDsts ||
-			(w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() <= cur.RstDsts)) {
+		t.flagged[src] = true
+		cur, ok := t.best[src]
+		if ok && (nd < cur.UniqueDsts || (nd == cur.UniqueDsts && nr <= cur.RstDsts)) {
 			continue
 		}
-		t.best[ss.Source] = ScannerInfo{
-			Source:     ss.Source,
+		t.best[src] = ScannerInfo{
+			Source:     src,
 			Window:     t.origin.Add(time.Duration(ws.Index) * ScanDetectWindow),
-			UniqueDsts: w.dsts.len(),
-			RstDsts:    w.rstDsts.len(),
+			UniqueDsts: nd,
+			RstDsts:    nr,
 		}
-	}
-	t.sources[ss.Source] = src
-	if qualified {
-		if t.flagged == nil {
-			t.flagged = make(map[netaddr.V4]bool)
-		}
-		t.flagged[ss.Source] = true
 	}
 	t.detGen++
 }

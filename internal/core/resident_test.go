@@ -15,9 +15,12 @@ import (
 // engine in live heap. A border monitor sees hundreds of one-off clients
 // for every service, so bytes per (source, window) pair decide whether the
 // passive technique is deployable at all. Budgets are ≈1.25× the measured
-// figures (DESIGN.md §7): 112 B per source since the small-set
-// representations landed (the map-per-set form they replaced read 416 B
-// and 7 allocations), and 165 B per service since the event join reads
+// figures (DESIGN.md §7): 69 B and one allocation per source, and 14.3 B
+// per further 12 h window of a client that keeps coming back (the shape an
+// 18-day campaign has), since a source's windows are packed into one word
+// slice — the slice of 56-byte windows it replaced read 112 B, 2 allocations
+// and 58.4 B, the map-per-set form before that 416 B and 7 — and 165 B per
+// service since the event join reads
 // passive presence from the shard's own record — the engine-wide join table
 // it replaced held a 16-byte entry behind every service and read 200 B,
 // which fails the service budget. The saving must not be a passive-engine
@@ -27,38 +30,51 @@ import (
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
 		n            = 100_000
-		sourceBudget = 140 // bytes per one-destination external source
+		sourceBudget = 86 // bytes per one-destination external source
+		repeats      = 20_000
+		windows      = 36  // 18 days
+		windowBudget = 18  // bytes per (source, window) of a repeat client
 		svcBudget    = 185 // bytes per single-client service
 		hybridSlack  = 2   // bytes a Hybrid may add per passive-only service
-		allocBudget  = 2   // allocations for a first SYN from a new source
+		allocBudget  = 1   // allocations for a first SYN from a new source
 		probed       = 1000
 	)
 	wide := residentCampus
 	ext := netaddr.MustParseV4("64.0.0.0")
 	pb := packet.NewBuilder(0)
 
-	// grow reports live-heap growth per item across filling a 1-shard
+	// grow reports live-heap growth per packet across filling a 1-shard
 	// engine with n packets, each made from tmpl by edit.
-	grow := func(eng *ShardedPassive, tmpl *packet.Packet, edit func(p *packet.Packet, i int)) float64 {
+	grow := func(eng *ShardedPassive, n int, tmpl *packet.Packet, edit func(p *packet.Packet, i int)) float64 {
 		var m0, m1 runtime.MemStats
 		liveHeap(&m0)
 		fillEngine(eng, n, tmpl, edit)
 		liveHeap(&m1)
 		runtime.KeepAlive(eng)
-		return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / n
+		return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / float64(n)
 	}
 
 	syn := pb.Syn(t0, packet.Endpoint{Addr: ext, Port: 40000}, packet.Endpoint{Addr: wide.Base() + 9, Port: 80}, 1)
-	perSource := grow(NewShardedPassive(wide, nil, 1), syn, func(p *packet.Packet, i int) { p.IPv4.Src = ext + netaddr.V4(i) })
+	perSource := grow(NewShardedPassive(wide, nil, 1), n, syn, func(p *packet.Packet, i int) { p.IPv4.Src = ext + netaddr.V4(i) })
 	t.Logf("one-destination external source: %.0f B (budget %d)", perSource, sourceBudget)
 	if perSource > sourceBudget {
 		t.Errorf("one-destination external source holds %.0f B of live heap, budget %d", perSource, sourceBudget)
 	}
 
+	// The repeat client: every source back in every window, in capture order.
+	perWindow := grow(NewShardedPassive(wide, nil, 1), repeats*windows, syn, func(p *packet.Packet, i int) {
+		p.IPv4.Src = ext + netaddr.V4(i%repeats)
+		p.Timestamp = t0.Add(time.Duration(i/repeats)*ScanDetectWindow + time.Duration(i%repeats)*time.Millisecond)
+	})
+	t.Logf("repeat client, per (source, 12 h window) over %d windows: %.1f B (budget %d)", windows, perWindow, windowBudget)
+	if perWindow > windowBudget {
+		t.Errorf("a repeat client holds %.1f B of live heap per (source, window), budget %d", perWindow, windowBudget)
+	}
+
 	accept := synAck(t0, wide.Base(), 80, ext)
 	oneEach := func(p *packet.Packet, i int) { p.IPv4.Src = wide.Base() + netaddr.V4(i) }
 	plain := NewShardedPassive(wide, nil, 1)
-	perSvc := grow(plain, accept, oneEach)
+	perSvc := grow(plain, n, accept, oneEach)
 	t.Logf("single-client service: %.0f B (budget %d)", perSvc, svcBudget)
 	if perSvc > svcBudget {
 		t.Errorf("single-client service holds %.0f B of live heap, budget %d", perSvc, svcBudget)
@@ -70,7 +86,7 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 		sweep.TCP = append(sweep.TCP, probe.TCPResult{Time: t0, Addr: wide.Base() + netaddr.V4(n+i), Port: 80, State: probe.StateOpen})
 	}
 	hyb.AddReport(sweep)
-	perHybSvc := grow(hyb.Passive(), accept, oneEach)
+	perHybSvc := grow(hyb.Passive(), n, accept, oneEach)
 	runtime.KeepAlive(hyb)
 	t.Logf("single-client service in a hybrid engine: %.0f B (plain %.0f, slack %d)", perHybSvc, perSvc, hybridSlack)
 	if perHybSvc > perSvc+hybridSlack {

@@ -36,7 +36,20 @@ type ScannerInfo struct {
 // the offline bucketing an operator would run over a trace; a scan split
 // across a boundary at worst doubles its detection latency, never escapes.
 type scanTracker struct {
-	sources map[netaddr.V4]*scanSource
+	// sources packs each source's windows into one word slice held by
+	// value: nearly every source is a one-off client with one window and one
+	// destination, and must cost one small allocation. Word 0 is the offset
+	// of the record touched last (a source nearly always touches its newest
+	// window again); records follow in first-touch order, each
+	//
+	//	nd | nr<<8, 32-bit window index, nd destinations, nr RST destinations
+	//
+	// or the single word bigRef | i naming big[i], once either set outgrows
+	// scanInline (or for an index outside 32 bits, which only a checkpoint
+	// can carry). Capacity grows in 16-byte steps — the allocator's own
+	// granularity at these sizes — so a source holds no slack to speak of.
+	sources map[netaddr.V4][]uint32
+	big     []bigWindow
 	origin  time.Time
 	started bool
 
@@ -66,79 +79,35 @@ type scanTracker struct {
 	ckDirty map[netaddr.V4]struct{}
 }
 
-// scanSource holds one external source's windows in first-touch order. A
-// source touches at most ⌈trace length / 12 h⌉ of them and nearly always
-// the newest, so a slice searched newest-first beats a map per source.
-type scanSource struct {
-	windows []scanWindow
+// scanInline is how many members either contact set of a window holds
+// packed in its source's words; one more moves the window to a bigWindow
+// (DESIGN.md §7 records the sweep that picked it).
+const scanInline = 8
+
+// bigRef marks a one-word record: the low bits index scanTracker.big.
+const bigRef = 1 << 31
+
+// bigWindow is a window as two Go maps, for the few (scanners, mostly) that
+// outgrow the packed form.
+type bigWindow struct {
+	idx        int64
+	dsts, rsts map[netaddr.V4]struct{}
 }
 
-type scanWindow struct {
-	idx     int64
-	dsts    v4set
-	rstDsts v4set
-}
-
-// v4setInline is how many members a v4set holds before it promotes to a
-// map (DESIGN.md §7 records the measurement that picked it).
-const v4setInline = 3
-
-// v4set is an address set sized for the one or two members nearly every
-// (source, window) pair ever has: members live inline, and a Go map is
-// made only for a set that outgrows the inline array. The zero value is
-// an empty set.
-type v4set struct {
-	m      map[netaddr.V4]struct{}
-	n      uint32
-	inline [v4setInline]netaddr.V4
-}
-
-func (s *v4set) add(a netaddr.V4) {
-	if s.m != nil {
-		s.m[a] = struct{}{}
-		return
+func (w *bigWindow) add(dst netaddr.V4, rst bool) (nd, nr int) {
+	if rst {
+		w.rsts[dst] = struct{}{}
+	} else {
+		w.dsts[dst] = struct{}{}
 	}
-	for _, x := range s.inline[:s.n] {
-		if x == a {
-			return
-		}
-	}
-	if s.n < v4setInline {
-		s.inline[s.n] = a
-		s.n++
-		return
-	}
-	s.m = make(map[netaddr.V4]struct{}, 2*v4setInline)
-	for _, x := range s.inline {
-		s.m[x] = struct{}{}
-	}
-	s.m[a] = struct{}{}
-}
-
-func (s *v4set) len() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return int(s.n)
-}
-
-// sorted renders the members ascending (nil when empty).
-func (s *v4set) sorted() []netaddr.V4 {
-	if s.m != nil {
-		return sortedV4Keys(s.m)
-	}
-	if s.n == 0 {
-		return nil
-	}
-	out := slices.Clone(s.inline[:s.n])
-	slices.Sort(out)
-	return out
+	return len(w.dsts), len(w.rsts)
 }
 
 func newScanTracker() *scanTracker {
 	return &scanTracker{
-		sources:  make(map[netaddr.V4]*scanSource),
+		sources:  make(map[netaddr.V4][]uint32),
 		best:     make(map[netaddr.V4]ScannerInfo),
+		flagged:  make(map[netaddr.V4]bool),
 		cacheGen: ^uint64(0),
 	}
 }
@@ -154,102 +123,154 @@ func (t *scanTracker) seed(at time.Time) {
 	}
 }
 
+// windowIndex floors: a packet stamped before the origin (a late one from
+// the slower link, ingest resumed from an older trace) belongs to window −1,
+// not to a window 0 made 24 hours wide.
 func (t *scanTracker) windowIndex(at time.Time) int64 {
-	if !t.started {
-		t.origin = at
-		t.started = true
+	t.seed(at)
+	d := at.Sub(t.origin)
+	idx := int64(d / ScanDetectWindow)
+	if d%ScanDetectWindow < 0 {
+		idx--
 	}
-	return int64(at.Sub(t.origin) / ScanDetectWindow)
+	return idx
 }
 
-// window returns src's window covering at, creating it if needed. The
-// pointer aims into the source's slice: use it before the next call, never
-// retain it.
-func (t *scanTracker) window(src netaddr.V4, at time.Time) *scanWindow {
-	s := t.sources[src]
-	if s == nil {
-		s = &scanSource{}
-		t.sources[src] = s
+// recAt decodes the record at s[off]: its window index and its length in
+// words, 1 for a bigWindow reference and for nothing else.
+func (t *scanTracker) recAt(s []uint32, off int) (idx int64, n int) {
+	h := s[off]
+	if h&bigRef != 0 {
+		return t.big[h&^bigRef].idx, 1
 	}
-	idx := t.windowIndex(at)
-	for i := len(s.windows) - 1; i >= 0; i-- {
-		if s.windows[i].idx == idx {
-			return &s.windows[i]
+	return int64(int32(s[off+1])), 2 + int(h&0xff) + int(h>>8)
+}
+
+// newBig makes an empty bigWindow and returns the word that refers to it.
+func (t *scanTracker) newBig(idx int64) uint32 {
+	t.big = append(t.big, bigWindow{idx, map[netaddr.V4]struct{}{}, map[netaddr.V4]struct{}{}})
+	return bigRef | uint32(len(t.big)-1)
+}
+
+// growWords extends s by k words (contents unspecified), reallocating to the
+// next 16-byte multiple when they do not fit.
+func growWords(s []uint32, k int) []uint32 {
+	n := len(s) + k
+	if n > cap(s) {
+		s = append(make([]uint32, 0, (n+3)&^3), s...)
+	}
+	return s[:n]
+}
+
+// window returns src's words and the offset of the record for window idx,
+// appending an empty record (and creating the source) if there is none.
+func (t *scanTracker) window(src netaddr.V4, idx int64) ([]uint32, int) {
+	s := t.sources[src]
+	if len(s) > 1 {
+		if at, _ := t.recAt(s, int(s[0])); at == idx {
+			return s, int(s[0])
+		}
+		for off, n := 1, 0; off < len(s); off += n {
+			var at int64
+			if at, n = t.recAt(s, off); at == idx {
+				s[0] = uint32(off)
+				return s, off
+			}
 		}
 	}
-	s.windows = append(s.windows, scanWindow{idx: idx})
-	return &s.windows[len(s.windows)-1]
+	off := max(len(s), 1)
+	if idx == int64(int32(idx)) {
+		s = growWords(s, off+2-len(s))
+		s[off], s[off+1] = 0, uint32(idx)
+	} else {
+		s = growWords(s, off+1-len(s))
+		s[off] = t.newBig(idx)
+	}
+	s[0] = uint32(off)
+	t.sources[src] = s
+	return s, off
+}
+
+// add puts dst into one contact set of src's window idx — the RST set when
+// rst — and returns the window's two tallies.
+func (t *scanTracker) add(src netaddr.V4, idx int64, dst netaddr.V4, rst bool) (nd, nr int) {
+	s, off := t.window(src, idx)
+	h := s[off]
+	if h&bigRef != 0 {
+		return t.big[h&^bigRef].add(dst, rst)
+	}
+	nd, nr = int(h&0xff), int(h>>8)
+	lo, hi, one := off+2, off+2+nd, uint32(1)
+	if rst {
+		lo, hi, one = hi, hi+nr, 1<<8
+	}
+	if slices.Contains(s[lo:hi], uint32(dst)) {
+		return nd, nr
+	}
+	if hi-lo == scanInline {
+		// The set is full: the window moves out, its record shrinks to the
+		// reference (the slack serves the source's next members).
+		end := off + 2 + nd + nr
+		ref := t.newBig(idx)
+		w := &t.big[ref&^bigRef]
+		for i, a := range s[off+2 : end] {
+			w.add(netaddr.V4(a), i >= nd)
+		}
+		s[off] = ref
+		t.sources[src] = append(s[:off+1], s[end:]...)
+		return w.add(dst, rst)
+	}
+	s = growWords(s, 1)
+	copy(s[hi+1:], s[hi:])
+	s[hi] = uint32(dst)
+	s[off] += one
+	t.sources[src] = s
+	return int(s[off] & 0xff), int(s[off] >> 8)
 }
 
 // recordSyn notes an inbound connection attempt src → dst.
 func (t *scanTracker) recordSyn(at time.Time, src, dst netaddr.V4) {
-	w := t.window(src, at)
-	w.dsts.add(dst)
-	if t.ckDirty != nil {
-		t.ckDirty[src] = struct{}{}
-	}
-	t.maybeFlag(src, w, at)
-	t.updateBest(src, w)
+	t.record(at, src, dst, false)
 }
 
 // recordRst notes a campus RST returned to the external peer.
 func (t *scanTracker) recordRst(at time.Time, peer, from netaddr.V4) {
-	w := t.window(peer, at)
-	w.rstDsts.add(from)
-	if t.ckDirty != nil {
-		t.ckDirty[peer] = struct{}{}
-	}
-	t.maybeFlag(peer, w, at)
-	t.updateBest(peer, w)
+	t.record(at, peer, from, true)
 }
 
-// updateBest folds the just-touched window into the per-source peak. Runs
-// on every tracker-relevant packet, so the comparison is a handful of
-// integer checks; it only allocates when a source first qualifies.
-func (t *scanTracker) updateBest(src netaddr.V4, w *scanWindow) {
-	if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
+// record runs on every tracker-relevant packet; past the set insert it is
+// a handful of integer checks until a source qualifies: then onDetect fires
+// once per source, and the window is folded into the per-source peak.
+func (t *scanTracker) record(at time.Time, src, dst netaddr.V4, rst bool) {
+	idx := t.windowIndex(at)
+	nd, nr := t.add(src, idx, dst, rst)
+	if t.ckDirty != nil {
+		t.ckDirty[src] = struct{}{}
+	}
+	if nd < ScanDetectMinDsts || nr < ScanDetectMinRsts {
 		return
 	}
-	start := t.origin.Add(time.Duration(w.idx) * ScanDetectWindow)
-	cur, ok := t.best[src]
-	if ok && !cur.Window.Equal(start) {
+	info := ScannerInfo{
+		Source:     src,
+		Window:     t.origin.Add(time.Duration(idx) * ScanDetectWindow),
+		UniqueDsts: nd,
+		RstDsts:    nr,
+	}
+	if t.onDetect != nil && !t.flagged[src] {
+		t.flagged[src] = true
+		t.onDetect(info, at)
+	}
+	if cur, ok := t.best[src]; ok && !cur.Window.Equal(info.Window) {
 		// A different window holds the peak: replace only on strictly
 		// better tallies (earlier window wins full ties).
-		if w.dsts.len() < cur.UniqueDsts ||
-			(w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() <= cur.RstDsts) {
+		if nd < cur.UniqueDsts || (nd == cur.UniqueDsts && nr <= cur.RstDsts) {
 			return
 		}
-	} else if ok && w.dsts.len() == cur.UniqueDsts && w.rstDsts.len() == cur.RstDsts {
+	} else if ok && nd == cur.UniqueDsts && nr == cur.RstDsts {
 		return // same window, nothing grew on the tallied axis
 	}
-	t.best[src] = ScannerInfo{
-		Source:     src,
-		Window:     start,
-		UniqueDsts: w.dsts.len(),
-		RstDsts:    w.rstDsts.len(),
-	}
+	t.best[src] = info
 	t.detGen++
-}
-
-// maybeFlag fires onDetect the first time src's current window satisfies
-// both thresholds.
-func (t *scanTracker) maybeFlag(src netaddr.V4, w *scanWindow, at time.Time) {
-	if t.onDetect == nil || t.flagged[src] {
-		return
-	}
-	if w.dsts.len() < ScanDetectMinDsts || w.rstDsts.len() < ScanDetectMinRsts {
-		return
-	}
-	if t.flagged == nil {
-		t.flagged = make(map[netaddr.V4]bool)
-	}
-	t.flagged[src] = true
-	t.onDetect(ScannerInfo{
-		Source:     src,
-		Window:     t.origin.Add(time.Duration(w.idx) * ScanDetectWindow),
-		UniqueDsts: w.dsts.len(),
-		RstDsts:    w.rstDsts.len(),
-	}, at)
 }
 
 // detect returns the detected scanners sorted by source — the peak
@@ -271,21 +292,30 @@ func (t *scanTracker) detect() []ScannerInfo {
 
 // mergeFrom unions another tracker's state into t. Correct only when the
 // two trackers saw disjoint source sets (the owner-sharding invariant);
-// ShardedPassive.Merge relies on it.
+// ShardedPassive.Merge relies on it. o's bigWindows land behind t's, so a
+// source that refers to one is copied with its references re-homed; every
+// other source is shared.
 func (t *scanTracker) mergeFrom(o *scanTracker) {
 	if o.started && !t.started {
 		t.seed(o.origin)
 	}
+	base := uint32(len(t.big))
+	t.big = append(t.big, o.big...)
 	for src, s := range o.sources {
+		for off, n, own := 1, 0, false; base > 0 && off < len(s); off += n {
+			if _, n = o.recAt(s, off); n == 1 {
+				if !own {
+					s, own = slices.Clone(s), true
+				}
+				s[off] += base
+			}
+		}
 		t.sources[src] = s
 	}
 	for src, info := range o.best {
 		t.best[src] = info
 	}
 	for src := range o.flagged {
-		if t.flagged == nil {
-			t.flagged = make(map[netaddr.V4]bool)
-		}
 		t.flagged[src] = true
 	}
 	t.detGen++

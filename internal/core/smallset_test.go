@@ -13,39 +13,10 @@ import (
 	"servdisc/internal/packet"
 )
 
-// These tests hold the small-set representations (v4set, the per-source
-// window slice, the sparse peer table) to the map-per-set forms they
+// These tests hold the small-set representations (the packed per-source
+// scan windows, the sparse peer table) to the map-per-set forms they
 // replaced. The references live here, in the test file, written the way
 // the engine used to be: nothing observable may tell the two apart.
-
-// TestV4SetModel drives v4set and a plain map through random add
-// sequences that cross the promotion boundary.
-func TestV4SetModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 2000; round++ {
-		var s v4set
-		ref := make(map[netaddr.V4]struct{})
-		space := 1 + rng.Intn(4*v4setInline) // small spaces force repeats
-		for n := rng.Intn(6 * v4setInline); n > 0; n-- {
-			a := netaddr.V4(rng.Intn(space))
-			s.add(a)
-			ref[a] = struct{}{}
-			if s.len() != len(ref) {
-				t.Fatalf("round %d: len %d after adding %v, reference %d", round, s.len(), a, len(ref))
-			}
-			s.add(a) // a member added again must not count twice
-			if s.len() != len(ref) {
-				t.Fatalf("round %d: re-adding %v moved len to %d, reference %d", round, a, s.len(), len(ref))
-			}
-		}
-		if got, want := s.sorted(), sortedV4Keys(ref); !slices.Equal(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("round %d: sorted %v, reference %v", round, got, want)
-		}
-		if promoted := s.m != nil; promoted != (len(ref) > v4setInline) {
-			t.Fatalf("round %d: %d members, map present = %v", round, len(ref), promoted)
-		}
-	}
-}
 
 // refTracker is the scan detector in its map form: a map of windows per
 // source, two Go maps per window, the same online peak rule.
@@ -68,11 +39,8 @@ func newRefTracker() *refTracker {
 	}
 }
 
-func (r *refTracker) record(at time.Time, src, dst netaddr.V4, rst bool) {
-	if !r.started {
-		r.origin, r.started = at, true
-	}
-	idx := int64(at.Sub(r.origin) / ScanDetectWindow)
+// add is the set insert alone: what record does before it looks at tallies.
+func (r *refTracker) add(src netaddr.V4, idx int64, dst netaddr.V4, rst bool) *refWindow {
 	if r.sources[src] == nil {
 		r.sources[src] = make(map[int64]*refWindow)
 	}
@@ -86,6 +54,19 @@ func (r *refTracker) record(at time.Time, src, dst netaddr.V4, rst bool) {
 	} else {
 		w.dsts[dst] = struct{}{}
 	}
+	return w
+}
+
+func (r *refTracker) record(at time.Time, src, dst netaddr.V4, rst bool) {
+	if !r.started {
+		r.origin, r.started = at, true
+	}
+	d := at.Sub(r.origin)
+	idx := int64(d / ScanDetectWindow)
+	if d%ScanDetectWindow < 0 {
+		idx-- // floor: a packet before the origin is in window −1
+	}
+	w := r.add(src, idx, dst, rst)
 	if len(w.dsts) < ScanDetectMinDsts || len(w.rsts) < ScanDetectMinRsts {
 		return
 	}
@@ -177,7 +158,10 @@ func compareTrackers(t *testing.T, ctx string, got *scanTracker, want *refTracke
 
 // TestImportSourceTable feeds importSource the window lists a checkpoint
 // written by this engine never holds — out of order, repeated, empty — and
-// expects what the map form did with them.
+// the ones that sit on the packed form's edges — a set exactly full, a
+// record in the middle that has to grow, an index that does not fit a
+// word — and expects what the map form did with them, on a source that
+// already held an earlier delta's state.
 func TestImportSourceTable(t *testing.T) {
 	addrs := func(from, n int) []netaddr.V4 {
 		out := make([]netaddr.V4, n)
@@ -187,6 +171,7 @@ func TestImportSourceTable(t *testing.T) {
 		return out
 	}
 	src := netaddr.MustParseV4("211.9.9.9")
+	const far = int64(1) << 40
 	cases := []struct {
 		name    string
 		windows []ScanWindowState
@@ -212,6 +197,20 @@ func TestImportSourceTable(t *testing.T) {
 		{"duplicate index hiding a qualifying listing", []ScanWindowState{
 			{Index: 0, Dsts: addrs(0, 120), RstDsts: addrs(0, 120)}, {Index: 0, Dsts: addrs(0, 2)},
 		}},
+		{"duplicate index hiding a promoted listing", []ScanWindowState{
+			{Index: 3, Dsts: addrs(0, 12)}, {Index: 3, RstDsts: addrs(0, 2)}, {Index: 4, Dsts: addrs(0, 1)},
+		}},
+		{"destinations cross 8 to 9 on import", []ScanWindowState{{Index: 0, Dsts: addrs(0, 9), RstDsts: addrs(0, 8)}}},
+		{"RSTs cross 8 to 9 on import", []ScanWindowState{{Index: 0, Dsts: addrs(0, 8), RstDsts: addrs(0, 9)}}},
+		{"both sets full, crossed by the resumed ingest", []ScanWindowState{
+			{Index: 2, Dsts: addrs(0, 8), RstDsts: addrs(20, 8)}, {Index: 3, Dsts: addrs(0, 1)},
+		}},
+		{"middle record grows after later ones exist", []ScanWindowState{
+			{Index: 1, Dsts: addrs(0, 2)}, {Index: 2, Dsts: addrs(0, 2), RstDsts: addrs(5, 2)}, {Index: 9, Dsts: addrs(0, 3)}, {Index: 11, RstDsts: addrs(0, 9)},
+		}},
+		{"window indexes outside int32", []ScanWindowState{
+			{Index: far, Dsts: addrs(0, 2)}, {Index: 7, Dsts: addrs(0, 1)}, {Index: -far, RstDsts: addrs(0, 12)},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,20 +218,108 @@ func TestImportSourceTable(t *testing.T) {
 			got.onDetect = func(ScannerInfo, time.Time) {}
 			got.seed(t0)
 			want.origin, want.started = t0, true
-			ss := ScanSourceState{Source: src, Windows: tc.windows}
-			got.importSource(&ss)
-			want.importSource(&ss)
-			compareTrackers(t, "after import", got, want)
+			// An earlier delta's listing, promoted windows included, is
+			// replaced wholesale.
+			for _, windows := range [][]ScanWindowState{{{Index: 2, Dsts: addrs(0, 20)}, {Index: far, Dsts: addrs(0, 1)}, {Index: 6, Dsts: addrs(0, 3)}}, tc.windows} {
+				ss := ScanSourceState{Source: src, Windows: windows}
+				got.importSource(&ss)
+				want.importSource(&ss)
+				compareTrackers(t, "after import", got, want)
+			}
 
-			// The imported source keeps working: one more contact in its
-			// newest listed window and in a fresh one.
+			// The imported source keeps working: a SYN and a RST in its
+			// newest listed window (a middle record of the longer lists)
+			// and in a fresh one, and — past what a timestamp can reach —
+			// one more member in each far window.
 			for _, idx := range []int64{2, 9} {
 				at := t0.Add(time.Duration(idx)*ScanDetectWindow + time.Minute)
 				got.recordSyn(at, src, 999)
 				want.record(at, src, 999, false)
+				got.recordRst(at, src, 998)
+				want.record(at, src, 998, true)
+			}
+			for _, idx := range []int64{far, -far} {
+				got.add(src, idx, 999, false)
+				want.add(src, idx, 999, false)
 			}
 			compareTrackers(t, "after resumed ingest", got, want)
 		})
+	}
+}
+
+// TestScanWindowBeforeOrigin: a packet stamped before the origin belongs to
+// window −1. Truncating division put it in window 0 with everything up to
+// 12 h after the origin, and announced two half-scans 22 h apart as one.
+func TestScanWindowBeforeOrigin(t *testing.T) {
+	src := netaddr.MustParseV4("211.9.9.9")
+	tr := newScanTracker()
+	tr.onDetect = func(info ScannerInfo, _ time.Time) { t.Errorf("announced %+v", info) }
+	tr.seed(t0)
+	for i := 0; i < 120; i++ {
+		at := t0.Add(-11 * time.Hour)
+		if i >= 60 {
+			at = t0.Add(11 * time.Hour)
+		}
+		tr.recordSyn(at, src, netaddr.V4(i))
+		tr.recordRst(at, src, netaddr.V4(i))
+	}
+	if got := tr.detect(); len(got) != 0 {
+		t.Errorf("detect() = %+v, want none: neither 12 h window saw 100 destinations", got)
+	}
+	st := tr.exportSource(src)
+	if len(st.Windows) != 2 || st.Windows[0].Index != -1 || st.Windows[1].Index != 0 ||
+		len(st.Windows[0].Dsts) != 60 || len(st.Windows[1].RstDsts) != 60 {
+		t.Errorf("%d windows, first %+v, want 60 contacts each in windows -1 and 0", len(st.Windows), st.Windows[0])
+	}
+}
+
+// TestMergeRehomesPromotedWindows: Merge over two shards that each hold
+// promoted windows — so the second shard's references must be re-homed
+// behind the first's — shows the detections and per-source state of a
+// one-shard run, and leaves the shards' own state as it was.
+func TestMergeRehomesPromotedWindows(t *testing.T) {
+	bld := packet.NewBuilder(0)
+	var pkts []packet.Packet
+	var srcs []netaddr.V4
+	for i := 0; i < 24; i++ {
+		src := netaddr.MustParseV4("211.0.0.0") + netaddr.V4(i)
+		srcs = append(srcs, src)
+		dsts := []int{1, 5, 8, 9, 30, 130}[i%6]
+		for w := 0; w < 3; w++ { // the middle window of three is the big one
+			at := t0.Add(time.Duration(w)*ScanDetectWindow + time.Duration(i)*time.Second)
+			n := dsts
+			if w != 1 {
+				n = dsts/4 + 1
+			}
+			for j := 0; j < n; j++ {
+				dst := packet.Endpoint{Addr: campusPfx.Base() + netaddr.V4(100+j), Port: 80}
+				pkts = append(pkts, *bld.Syn(at, packet.Endpoint{Addr: src, Port: 40000}, dst, 1),
+					*bld.Rst(at, dst, packet.Endpoint{Addr: src, Port: 40000}, 2))
+			}
+		}
+	}
+	one, two := NewShardedPassive(campusPfx, nil, 1), NewShardedPassive(campusPfx, nil, 2)
+	one.HandleBatch(pkts)
+	two.HandleBatch(pkts)
+	for i, sh := range two.shards {
+		if len(sh.disc.track.big) == 0 {
+			t.Fatalf("shard %d holds no promoted window: the re-homing path is not exercised", i)
+		}
+	}
+	want := one.Merge()
+	for round := 0; round < 2; round++ { // a second Merge sees the shards untouched by the first
+		got := two.Merge()
+		if g, w := got.DetectScanners(), want.DetectScanners(); !reflect.DeepEqual(g, w) || len(w) != 4 {
+			t.Fatalf("merge %d: DetectScanners() = %v, one-shard run %v (want 4)", round, g, w)
+		}
+		if len(got.track.sources) != len(srcs) {
+			t.Fatalf("merge %d: %d sources, want %d", round, len(got.track.sources), len(srcs))
+		}
+		for _, src := range srcs {
+			if g, w := got.track.exportSource(src), want.track.exportSource(src); !reflect.DeepEqual(g, w) {
+				t.Fatalf("merge %d: source %v exports %+v, one-shard run %+v", round, src, g, w)
+			}
+		}
 	}
 }
 
@@ -286,6 +373,22 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 	f.Add(encodeScanOps(scan))
 	f.Add(encodeScanOps(twoWindows))
 	f.Add(encodeScanOps([]scanOp{{src: 3, dst: 1}, {src: 3, dst: 2, dt: -3 * ScanDetectWindow}, {src: 3, dst: 1, rst: true, dt: ScanDetectWindow}}))
+	// Two half-scans either side of the origin: windows −1 and 0, not one.
+	straddle := []scanOp{{src: 4, dst: 1000}}
+	for i := 0; i < 120; i++ {
+		straddle = append(straddle, scanOp{src: 4, dst: netaddr.V4(i)}, scanOp{src: 4, dst: netaddr.V4(i), rst: true})
+	}
+	straddle[1].dt, straddle[121].dt = -ScanDetectWindow/2, ScanDetectWindow
+	f.Add(encodeScanOps(straddle))
+	// Sets filling to 8 and crossing to 9 on each side, in a window revisited
+	// after two later ones exist.
+	var cross []scanOp
+	for i := 0; i < 8; i++ {
+		cross = append(cross, scanOp{src: 5, dst: netaddr.V4(i)}, scanOp{src: 5, dst: netaddr.V4(i), rst: true})
+	}
+	cross = append(cross, scanOp{src: 5, dst: 50, dt: ScanDetectWindow}, scanOp{src: 5, dst: 51, dt: ScanDetectWindow},
+		scanOp{src: 5, dst: 8, rst: true, dt: -2 * ScanDetectWindow}, scanOp{src: 5, dst: 8}, scanOp{src: 5, dst: 52, dt: ScanDetectWindow})
+	f.Add(encodeScanOps(cross))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
