@@ -26,6 +26,7 @@ import (
 	"servdisc/internal/checkpoint"
 	"servdisc/internal/core"
 	"servdisc/internal/experiments"
+	"servdisc/internal/federate"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
 	"servdisc/internal/packet"
@@ -526,6 +527,33 @@ func BenchmarkSnapshotZeroChurn(b *testing.B) {
 	resetIngestTimer(b)
 	for i := 0; i < b.N; i++ {
 		_ = sp.Snapshot()
+	}
+}
+
+// BenchmarkColdStart measures what a restart pays before anything is
+// queryable or publishable: the first Snapshot of a populated engine — the
+// whole-shard merge, the key listing and, through the observer, the query
+// index rebuild (attachCatalog) — and then the bootstrap frame's flattening. Feeding the
+// engine is set-up, outside the timer. O(inventory) by nature; the number
+// to watch is ns/op per resident service.
+func BenchmarkColdStart(b *testing.B) {
+	for _, n := range []int{100_000, 500_000} {
+		b.Run(fmt.Sprintf("entries=%dk", n/1000), func(b *testing.B) {
+			pfx := synthPrefix(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sp := core.NewShardedPassive(pfx, campus.SelectedUDPPorts, 8)
+				cat := attachCatalog(sp)
+				feedSyntheticServices(sp, pfx, n, time.Unix(1_160_000_000, 0))
+				runtime.GC()
+				b.StartTimer()
+				snap := federate.BuildSnapshot(sp.Snapshot())
+				if cat.Len() != n || len(snap.Services) != n {
+					b.Fatalf("index holds %d, frame %d services, want %d", cat.Len(), len(snap.Services), n)
+				}
+			}
+		})
 	}
 }
 

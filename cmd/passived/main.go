@@ -451,15 +451,20 @@ type row struct {
 
 func rowOf(inv *servdisc.Inventory, key servdisc.ServiceKey) row {
 	rec, _ := inv.Record(key)
+	return newRow(key, rec)
+}
+
+func newRow(key servdisc.ServiceKey, rec *servdisc.PassiveRecord) row {
 	return row{Key: key.String(), First: rec.FirstSeen(), Flows: rec.Flows, Clients: rec.Clients()}
 }
 
 // serviceRows flattens an inventory into JSON-ready rows, busiest first.
 func serviceRows(inv *servdisc.Inventory) []row {
 	var rows []row
-	for _, key := range inv.Keys() {
-		rows = append(rows, rowOf(inv, key))
-	}
+	inv.EachService(func(key servdisc.ServiceKey, rec *servdisc.PassiveRecord, _ servdisc.Provenance, _, _ time.Time) bool {
+		rows = append(rows, newRow(key, rec))
+		return true
+	})
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Flows > rows[j].Flows })
 	return rows
 }

@@ -20,7 +20,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -43,18 +45,23 @@ func (k ServiceKey) String() string {
 	return fmt.Sprintf("%s:%d/%s", k.Addr, k.Port, k.Proto)
 }
 
-// Before reports whether k orders before other in the canonical (addr,
-// proto, port) ordering — the one ordering behind every deterministic key
-// listing and dump, from Inventory.Keys to the federation aggregator.
-func (k ServiceKey) Before(other ServiceKey) bool {
-	if k.Addr != other.Addr {
-		return k.Addr < other.Addr
-	}
-	if k.Proto != other.Proto {
-		return k.Proto < other.Proto
-	}
-	return k.Port < other.Port
+// packed is the key as one integer, addr<<24|proto<<16|port: injective, and
+// ordered exactly as the canonical (addr, proto, port) ordering — what the
+// store hashes (hashServiceKey) and every key sort compares.
+func (k ServiceKey) packed() uint64 {
+	return uint64(k.Addr)<<24 | uint64(k.Proto)<<16 | uint64(k.Port)
 }
+
+// Compare orders k against other in the canonical (addr, proto, port)
+// ordering — the one ordering behind every deterministic key listing and
+// dump, from Inventory.Keys to the federation aggregator: -1, 0 or +1.
+func (k ServiceKey) Compare(other ServiceKey) int { return cmp.Compare(k.packed(), other.packed()) }
+
+// Before reports whether k orders before other (Compare < 0).
+func (k ServiceKey) Before(other ServiceKey) bool { return k.packed() < other.packed() }
+
+// SortKeys sorts keys into the canonical ordering.
+func SortKeys(keys []ServiceKey) { slices.SortFunc(keys, ServiceKey.Compare) }
 
 // PeerContact is the first contact from one distinct peer to a service.
 // The JSON tags define the checkpoint wire form (see export.go).

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -114,22 +113,70 @@ func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
 // times, which Service reads.
 func newFrozenInventory(src invSource, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
 	v := &Inventory{d: src, active: a, scanners: scanners}
-	var probed map[ServiceKey]time.Time
-	if a != nil {
-		probed = a.firstOpen
+	pairs := v.gather()
+	v.keys = make([]ServiceKey, len(pairs))
+	for i := range pairs {
+		v.keys[i] = pairs[i].key
 	}
-	v.keys = make([]ServiceKey, 0, src.numServices()+len(probed))
-	src.eachService(func(key ServiceKey, _ *PassiveRecord) bool {
-		v.keys = append(v.keys, key)
+	return v
+}
+
+// svcPair is one service as gather lists it; rec is nil for a service only a
+// probe found.
+type svcPair struct {
+	key ServiceKey
+	rec *PassiveRecord
+}
+
+// gather is the one O(inventory) read of the record store: a single walk of
+// it, plus the keys only the active view holds, in Keys order. The list is
+// scratch: the caller drops it when done.
+func (v *Inventory) gather() []svcPair {
+	var probed map[ServiceKey]time.Time
+	if v.active != nil {
+		probed = v.active.firstOpen
+	}
+	pairs := make([]svcPair, 0, v.d.numServices()+len(probed))
+	v.d.eachService(func(key ServiceKey, rec *PassiveRecord) bool {
+		pairs = append(pairs, svcPair{key, rec})
 		return true
 	})
 	for key := range probed {
-		if _, passive := src.Record(key); !passive {
-			v.keys = append(v.keys, key)
+		if _, passive := v.d.Record(key); !passive {
+			pairs = append(pairs, svcPair{key, nil})
 		}
 	}
-	sort.Slice(v.keys, func(i, j int) bool { return v.keys[i].Before(v.keys[j]) })
-	return v
+	return sortPairs(pairs)
+}
+
+// sortPairs orders pairs by packed key with an LSD byte radix over its 56
+// bits that skips every byte all keys share (on one campus, most of the
+// address and the protocol), and returns whichever buffer holds the result.
+func sortPairs(a []svcPair) []svcPair {
+	and, or := ^uint64(0), uint64(0)
+	for i := range a {
+		and, or = and&a[i].key.packed(), or|a[i].key.packed()
+	}
+	b := make([]svcPair, len(a))
+	for shift := uint(0); shift < 56; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
+		}
+		var pos [257]int // pos[d+1] counts digit d, then pos[d] is where its run starts
+		for i := range a {
+			pos[a[i].key.packed()>>shift&0xff+1]++
+		}
+		for d := 1; d < 256; d++ {
+			pos[d] += pos[d-1]
+		}
+		for i := range a {
+			d := a[i].key.packed() >> shift & 0xff
+			b[pos[d]] = a[i]
+			pos[d]++
+		}
+		a, b = b, a
+	}
+	return a
 }
 
 // Snapshot freezes a plain discoverer into a read-only inventory, the
@@ -150,17 +197,7 @@ func (v *Inventory) Hybrid() bool { return v.active != nil }
 // port) order. The slice is owned by the inventory: do not modify.
 func (v *Inventory) Keys() []ServiceKey { return v.keys }
 
-// lookup is the one descent of the record store behind every per-key
-// accessor: the passive record and the first probe answer, each if present.
-func (v *Inventory) lookup(key ServiceKey) (rec *PassiveRecord, activeAt time.Time, passive, probed bool) {
-	rec, passive = v.d.Record(key)
-	if v.active != nil {
-		activeAt, probed = v.active.firstOpen[key]
-	}
-	return rec, activeAt, passive, probed
-}
-
-// provenanceOf classifies what lookup found (something, by assumption). It
+// provenanceOf classifies a service one technique or both found. It
 // reads the record only when both techniques saw the service: ties go
 // passive, the probe must answer strictly earlier to win.
 func provenanceOf(rec *PassiveRecord, activeAt time.Time, passive, probed bool) Provenance {
@@ -176,6 +213,15 @@ func provenanceOf(rec *PassiveRecord, activeAt time.Time, passive, probed bool) 
 	return PassiveOnly
 }
 
+// describe is provenanceOf plus the earliest discovery by either technique.
+func describe(rec *PassiveRecord, activeAt time.Time, passive, probed bool) (prov Provenance, first time.Time) {
+	prov = provenanceOf(rec, activeAt, passive, probed)
+	if prov == PassiveOnly || prov == PassiveFirst {
+		return prov, rec.FirstSeen()
+	}
+	return prov, activeAt
+}
+
 // Service returns everything the inventory holds about one service from a
 // single descent of the record store: the passive record (nil if passive
 // monitoring never saw it), the provenance class, the earliest discovery by
@@ -183,18 +229,30 @@ func provenanceOf(rec *PassiveRecord, activeAt time.Time, passive, probed bool) 
 // prov is PassiveOnly). ok is false if the key is not in the inventory. On a
 // passive-only inventory every present key is PassiveOnly. Record,
 // Provenance, FirstDiscovered and ActiveFirstOpen each return one of these;
-// a caller that wants several should call Service once.
+// a caller that wants several should call Service once, and one that wants
+// them for every key should call EachService, which descends for none.
 func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance, first, activeAt time.Time, ok bool) {
-	rec, activeAt, passive, probed := v.lookup(key)
+	rec, passive := v.d.Record(key)
+	activeAt, probed := v.ActiveFirstOpen(key)
 	if !passive && !probed {
 		return nil, 0, time.Time{}, time.Time{}, false
 	}
-	prov = provenanceOf(rec, activeAt, passive, probed)
-	first = activeAt
-	if prov == PassiveOnly || prov == PassiveFirst {
-		first = rec.FirstSeen()
-	}
+	prov, first = describe(rec, activeAt, passive, probed)
 	return rec, prov, first, activeAt, true
+}
+
+// EachService visits every service in Keys order with exactly what
+// Service(key) returns for it, until f returns false. It is the primitive
+// for whole-inventory readers — an index rebuild, a bootstrap frame, a dump:
+// one ordered walk of the record store in place of a descent per key.
+func (v *Inventory) EachService(f func(key ServiceKey, rec *PassiveRecord, prov Provenance, first, activeAt time.Time) bool) {
+	for _, p := range v.gather() {
+		activeAt, probed := v.ActiveFirstOpen(p.key)
+		prov, first := describe(p.rec, activeAt, p.rec != nil, probed)
+		if !f(p.key, p.rec, prov, first, activeAt) {
+			return
+		}
+	}
 }
 
 // Record returns the passive record for one service, if passive monitoring
@@ -205,8 +263,8 @@ func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) { return v.d.R
 // Provenance classifies one service. ok is false if the key is not in the
 // inventory. On a passive-only inventory every present key is PassiveOnly.
 func (v *Inventory) Provenance(key ServiceKey) (Provenance, bool) {
-	rec, activeAt, passive, probed := v.lookup(key)
-	return provenanceOf(rec, activeAt, passive, probed), passive || probed
+	_, prov, _, _, ok := v.Service(key)
+	return prov, ok
 }
 
 // EachTombstone visits every retention tombstone — services withdrawn by
@@ -233,13 +291,22 @@ func (v *Inventory) EachTombstone(f func(key ServiceKey, at time.Time, prov Prov
 }
 
 // ProvenanceCounts tallies services per provenance class, indexed by the
-// Provenance constants.
+// Provenance constants. It descends the record store for no key: a
+// passive-only inventory has one class, and a hybrid one classifies the
+// store in one walk — what the walk did not visit is ActiveOnly.
 func (v *Inventory) ProvenanceCounts() [4]int {
 	var out [4]int
-	for _, key := range v.keys {
-		p, _ := v.Provenance(key)
-		out[p]++
+	if v.active == nil {
+		out[PassiveOnly] = len(v.keys)
+		return out
 	}
+	out[ActiveOnly] = len(v.keys)
+	v.d.eachService(func(key ServiceKey, rec *PassiveRecord) bool {
+		activeAt, probed := v.active.firstOpen[key]
+		out[provenanceOf(rec, activeAt, true, probed)]++
+		out[ActiveOnly]--
+		return true
+	})
 	return out
 }
 
@@ -320,8 +387,7 @@ func (v *Inventory) LastActivity(addr netaddr.V4) (time.Time, bool) {
 func (v *Inventory) Dump() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "services=%d packets=%d\n", len(v.keys), v.d.NumPackets())
-	for _, key := range v.keys {
-		rec, p, _, activeAt, _ := v.Service(key)
+	v.EachService(func(key ServiceKey, rec *PassiveRecord, p Provenance, _, activeAt time.Time) bool {
 		fmt.Fprintf(&b, "%s %s", key, p)
 		if rec != nil {
 			fmt.Fprintf(&b, " passive=%s flows=%d clients=%d",
@@ -331,7 +397,8 @@ func (v *Inventory) Dump() []byte {
 			fmt.Fprintf(&b, " active=%s", activeAt.UTC().Format(time.RFC3339Nano))
 		}
 		b.WriteByte('\n')
-	}
+		return true
+	})
 	for _, s := range v.scanners {
 		fmt.Fprintf(&b, "scanner %s window=%s dsts=%d rsts=%d\n", s.Source,
 			s.Window.UTC().Format(time.RFC3339Nano), s.UniqueDsts, s.RstDsts)

@@ -50,14 +50,6 @@ type mergedStore struct {
 	tombs    pmap[ServiceKey, time.Time]
 }
 
-func newMergedStore() *mergedStore {
-	return &mergedStore{
-		services: newPmap[ServiceKey, *PassiveRecord](hashServiceKey),
-		trails:   newPmap[netaddr.V4, []instant](hashV4),
-		tombs:    newPmap[ServiceKey, time.Time](hashServiceKey),
-	}
-}
-
 func (m *mergedStore) NumPackets() int { return m.packets }
 
 func (m *mergedStore) numServices() int { return m.services.Len() }

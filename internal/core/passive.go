@@ -398,7 +398,7 @@ func (d *PassiveDiscoverer) Keys() []ServiceKey {
 	for k := range d.services {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
+	SortKeys(keys)
 	return keys
 }
 

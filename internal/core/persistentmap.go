@@ -10,9 +10,10 @@ package core
 // Keys are hashed through an injective 64-bit encoding followed by the
 // (bijective) splitmix64 finalizer, so two distinct keys can never share a
 // hash and the trie needs no collision buckets: any two keys diverge at
-// some level within the 64-bit hash. A transient builder amortizes bulk
-// construction (the full-merge path) by mutating nodes it alone owns,
-// identified by an edit token, and freezes into an ordinary pmap.
+// some level within the 64-bit hash. A transient builder amortizes a batch
+// of changes to an existing map by mutating nodes it alone owns, identified
+// by an edit token, and freezes into an ordinary pmap; a map with no
+// predecessor is built bottom-up instead (pmapBulk).
 
 import (
 	"math/bits"
@@ -39,9 +40,7 @@ func mix64(x uint64) uint64 {
 
 // hashServiceKey packs (addr, proto, port) into disjoint bit ranges —
 // injective by construction — and mixes.
-func hashServiceKey(k ServiceKey) uint64 {
-	return mix64(uint64(k.Addr)<<24 | uint64(k.Proto)<<16 | uint64(k.Port))
-}
+func hashServiceKey(k ServiceKey) uint64 { return mix64(k.packed()) }
 
 // hashV4 mixes the (already unique) 32-bit address.
 func hashV4(a netaddr.V4) uint64 { return mix64(uint64(a)) }
@@ -277,6 +276,69 @@ func pmapDel[K comparable, V any](n *pnode[K, V], shift uint, h uint64, k K, edi
 	default:
 		return n, false
 	}
+}
+
+// pent is one entry of a bulk build, with its hash.
+type pent[K comparable, V any] struct {
+	h uint64
+	k K
+	v V
+}
+
+// pmapBulk builds the map of the n distinct entries fill hands to add, bottom
+// up: every entry is hashed once and every node allocated once at its final
+// size, where as many transient Sets grow each node's arrays an append at a
+// time. The shape of a CHAMP trie is a function of its key set, so the result
+// is node for node the map those Sets would have built.
+func pmapBulk[K comparable, V any](hash func(K) uint64, n int, fill func(add func(K, V))) pmap[K, V] {
+	ents := make([]pent[K, V], 0, n)
+	fill(func(k K, v V) { ents = append(ents, pent[K, V]{hash(k), k, v}) })
+	m := pmap[K, V]{hash: hash, n: len(ents)}
+	if m.n > 0 {
+		m.root = pmapBuild(ents, make([]pent[K, V], m.n), 0)
+	}
+	return m
+}
+
+// pmapBuild builds the node holding ents, whose hashes agree on every level
+// above shift: a counting sort by this level's digit into tmp (scratch of the
+// same length), then a slot holding one entry stores it inline and a slot
+// holding several becomes a child, built with the two buffers' roles swapped.
+func pmapBuild[K comparable, V any](ents, tmp []pent[K, V], shift uint) *pnode[K, V] {
+	if shift >= 64 {
+		panic("pmap: hash collision (duplicate key in a bulk build)")
+	}
+	var end [pmapWidth]int // per digit: its count, then where its run in tmp starts, then ends
+	for i := range ents {
+		end[(ents[i].h>>shift)&pmapMask]++
+	}
+	n, pos := &pnode[K, V]{}, 0
+	for d, c := range end {
+		if c == 1 {
+			n.dataMap |= 1 << d
+		} else if c > 1 {
+			n.nodeMap |= 1 << d
+		}
+		end[d], pos = pos, pos+c
+	}
+	for i := range ents {
+		d := (ents[i].h >> shift) & pmapMask
+		tmp[end[d]] = ents[i]
+		end[d]++
+	}
+	data := bits.OnesCount64(n.dataMap)
+	n.keys, n.vals = make([]K, 0, data), make([]V, 0, data)
+	n.kids = make([]*pnode[K, V], 0, bits.OnesCount64(n.nodeMap))
+	pos = 0
+	for _, e := range end {
+		if e == pos+1 {
+			n.keys, n.vals = append(n.keys, tmp[pos].k), append(n.vals, tmp[pos].v)
+		} else if e > pos {
+			n.kids = append(n.kids, pmapBuild(tmp[pos:e], ents[pos:e], shift+pmapBits))
+		}
+		pos = e
+	}
+	return n
 }
 
 // pmapBuilder is a transient: a mutable accumulator over pmap structure.

@@ -2,7 +2,8 @@ package core
 
 // Model-based property test for the persistent map: a pmap driven through
 // randomized insert/update/delete/snapshot/builder-compact sequences must
-// agree with a plain map reference model at every step, and — the property
+// (and bottom-up bulk rebuilds of the current contents) must agree with a
+// plain map reference model at every step, and — the property
 // flat maps cannot offer — every snapshot taken along the way must still
 // agree with the model state it froze, re-verified after arbitrarily many
 // later mutations. Run under -race this doubles as an aliasing guard: a
@@ -13,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"servdisc/internal/netaddr"
@@ -35,19 +37,19 @@ func pmTestKey(r *rand.Rand, space int) ServiceKey {
 	}
 }
 
-func checkAgainst(t *testing.T, label string, m pmap[ServiceKey, int], ref map[ServiceKey]int) {
+func checkAgainst[K comparable](t *testing.T, label string, m pmap[K, int], ref map[K]int) {
 	t.Helper()
 	if m.Len() != len(ref) {
 		t.Fatalf("%s: Len=%d want %d", label, m.Len(), len(ref))
 	}
 	seen := 0
-	m.each(func(k ServiceKey, v int) bool {
+	m.each(func(k K, v int) bool {
 		want, ok := ref[k]
 		if !ok {
-			t.Fatalf("%s: each yielded absent key %s", label, k)
+			t.Fatalf("%s: each yielded absent key %v", label, k)
 		}
 		if v != want {
-			t.Fatalf("%s: each(%s)=%d want %d", label, k, v, want)
+			t.Fatalf("%s: each(%v)=%d want %d", label, k, v, want)
 		}
 		seen++
 		return true
@@ -58,7 +60,7 @@ func checkAgainst(t *testing.T, label string, m pmap[ServiceKey, int], ref map[S
 	for k, want := range ref {
 		got, ok := m.Get(k)
 		if !ok || got != want {
-			t.Fatalf("%s: Get(%s)=(%d,%v) want (%d,true)", label, k, got, ok, want)
+			t.Fatalf("%s: Get(%v)=(%d,%v) want (%d,true)", label, k, got, ok, want)
 		}
 	}
 }
@@ -90,6 +92,12 @@ func TestPersistentMapModel(t *testing.T) {
 						cp[k] = v
 					}
 					snaps = append(snaps, pmSnap{m: m, ref: cp, op: op})
+				case c < 93: // rebuild bottom-up: the same contents, reached the bulk way
+					m = pmapBulk(hashServiceKey, len(ref), func(add func(ServiceKey, int)) {
+						for k, v := range ref {
+							add(k, v)
+						}
+					})
 				default: // compact through a builder transient
 					b := m.builder()
 					for i := 0; i < 20; i++ {
@@ -199,4 +207,73 @@ func TestPersistentMapV4(t *testing.T) {
 	if n != len(ref) {
 		t.Fatalf("each visited %d, want %d", n, len(ref))
 	}
+}
+
+// samePnodes reports whether two tries are the same node for node: bitmaps,
+// inline entries in slot order, children in slot order.
+func samePnodes[K comparable](a, b *pnode[K, int]) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.dataMap != b.dataMap || a.nodeMap != b.nodeMap || !slices.Equal(a.keys, b.keys) ||
+		!slices.Equal(a.vals, b.vals) || len(a.kids) != len(b.kids) {
+		return false
+	}
+	for i := range a.kids {
+		if !samePnodes(a.kids[i], b.kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bulkMatchesInserted checks, at sizes on both sides of every node-shape
+// boundary, that pmapBulk builds node for node the trie the same entries'
+// Sets build — CHAMP shape is canonical for a key set, which is what lets the
+// first merge use it with every dump, checkpoint and frame unchanged — and
+// that the result is an ordinary frozen map: a builder round over it matches
+// the model and leaves it untouched.
+func bulkMatchesInserted[K comparable](t *testing.T, hash func(K) uint64, key func(i int) K) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 4097, 200_000} {
+		ref := make(map[K]int, n)
+		sb := newPmap[K, int](hash).builder()
+		for i := 0; i < n; i++ {
+			sb.Set(key(i), i)
+			ref[key(i)] = i
+		}
+		inserted := sb.freeze()
+		bulk := pmapBulk(hash, n, func(add func(K, int)) {
+			for i := n - 1; i >= 0; i-- { // any order
+				add(key(i), i)
+			}
+		})
+		if bulk.Len() != n || !samePnodes(bulk.root, inserted.root) {
+			t.Fatalf("n=%d: bulk-built trie differs from the inserted one", n)
+		}
+		after := make(map[K]int, n)
+		for k, v := range ref {
+			after[k] = v
+		}
+		b := bulk.builder()
+		for i := 0; i < min(n, 500); i++ {
+			b.Delete(key(i * 7 % n))
+			delete(after, key(i*7%n))
+			b.Set(key(n+i), -i)
+			after[key(n+i)] = -i
+		}
+		checkAgainst(t, fmt.Sprintf("n=%d: builder round over bulk", n), b.freeze(), after)
+		checkAgainst(t, fmt.Sprintf("n=%d: bulk after the round", n), bulk, ref)
+	}
+}
+
+func TestPmapBulkMatchesInserted(t *testing.T) {
+	t.Run("ServiceKey", func(t *testing.T) {
+		bulkMatchesInserted(t, hashServiceKey, func(i int) ServiceKey {
+			protos := [3]packet.IPProtocol{packet.ProtoTCP, packet.ProtoUDP, 1}
+			return ServiceKey{Addr: netaddr.V4(0x807d0000 + i/3), Proto: protos[i%3], Port: uint16(i * 7919)}
+		})
+	})
+	t.Run("V4", func(t *testing.T) {
+		bulkMatchesInserted(t, hashV4, func(i int) netaddr.V4 { return netaddr.V4(0x807d0000 + i) })
+	})
 }

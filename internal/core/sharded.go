@@ -625,34 +625,60 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64) (deltas []shardD
 // persistent-map path copies through transient builders, and combines the
 // scanner lists (shard detections are disjoint by source, so concatenation
 // + sort reproduces the merged tracker's output). With no base the deltas
-// are whole shards and the same loop builds the store from empty; the
-// returned delta is then Full and lists nothing, sparing a first snapshot
-// the sort of its entire key set. Otherwise Added names the services that
+// are whole shards — disjoint by owner address, nothing dead — and the three
+// maps are built bottom-up from them (pmapBulk) instead; the returned delta
+// is then Full and lists nothing, because the inventory constructor lists
+// the new store whole. Otherwise Added names the services that
 // appeared or were reborn since base, Updated those whose record was
 // touched but persisted (re-observations — LastSeen, flows or client counts
 // moved) and Removed those that left, all three sorted and mutually
 // disjoint: a shard never lists one key both dirty and dead.
 func mergeViews(base *mergedStore, deltas []shardDelta) (*mergedStore, []ScannerInfo, SnapshotDelta) {
 	d := SnapshotDelta{Full: base == nil}
-	if base == nil {
-		base = newMergedStore()
-	}
 	m := &mergedStore{}
-	sb := base.services.builder()
-	tb := base.trails.builder()
-	ob := base.tombs.builder()
 	var scanners []ScannerInfo
+	var nrecs, ntrails, ntombs int
 	for i := range deltas {
 		sd := &deltas[i]
 		m.packets += sd.packets
 		scanners = append(scanners, sd.scanners...)
-		for _, r := range sd.recs {
-			if !d.Full {
-				if _, was := base.services.Get(r.key); !was || r.born {
-					d.Added = append(d.Added, r.key)
-				} else {
-					d.Updated = append(d.Updated, r.key)
+		nrecs, ntrails, ntombs = nrecs+len(sd.recs), ntrails+len(sd.trails), ntombs+len(sd.tombs)
+	}
+	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
+	if d.Full {
+		m.services = pmapBulk(hashServiceKey, nrecs, func(add func(ServiceKey, *PassiveRecord)) {
+			for i := range deltas {
+				for _, r := range deltas[i].recs {
+					add(r.key, r.rec)
 				}
+			}
+		})
+		m.trails = pmapBulk(hashV4, ntrails, func(add func(netaddr.V4, []instant)) {
+			for i := range deltas {
+				for _, t := range deltas[i].trails {
+					add(t.addr, t.trail)
+				}
+			}
+		})
+		m.tombs = pmapBulk(hashServiceKey, ntombs, func(add func(ServiceKey, time.Time)) {
+			for i := range deltas {
+				for _, t := range deltas[i].tombs {
+					add(t.Key, t.At)
+				}
+			}
+		})
+		return m, scanners, d
+	}
+	sb := base.services.builder()
+	tb := base.trails.builder()
+	ob := base.tombs.builder()
+	for i := range deltas {
+		sd := &deltas[i]
+		for _, r := range sd.recs {
+			if _, was := base.services.Get(r.key); !was || r.born {
+				d.Added = append(d.Added, r.key)
+			} else {
+				d.Updated = append(d.Updated, r.key)
 			}
 			sb.Set(r.key, r.rec)
 		}
@@ -670,18 +696,17 @@ func mergeViews(base *mergedStore, deltas []shardDelta) (*mergedStore, []Scanner
 		}
 	}
 	m.services, m.trails, m.tombs = sb.freeze(), tb.freeze(), ob.freeze()
-	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
-	for _, ks := range [][]ServiceKey{d.Added, d.Updated, d.Removed} {
-		sort.Slice(ks, func(i, j int) bool { return ks[i].Before(ks[j]) })
-	}
+	SortKeys(d.Added)
+	SortKeys(d.Updated)
+	SortKeys(d.Removed)
 	return m, scanners, d
 }
 
-// mergeSortedKeys unions a sorted key slice with sorted additions,
+// MergeSortedKeys unions a sorted key slice with sorted additions,
 // deduplicating equal keys (a reborn service is "new" for provenance
 // purposes but already listed). With no additions the original is
 // returned as-is (it is immutable — shared between inventories).
-func mergeSortedKeys(keys, add []ServiceKey) []ServiceKey {
+func MergeSortedKeys(keys, add []ServiceKey) []ServiceKey {
 	if len(add) == 0 {
 		return keys
 	}
@@ -828,12 +853,12 @@ func (s *ShardedPassive) advance() (prev, inv *Inventory, delta SnapshotDelta) {
 					removed = append(removed, k)
 				}
 			}
-			delta.Removed, delta.Updated = removed, mergeSortedKeys(delta.Updated, downgraded)
+			delta.Removed, delta.Updated = removed, MergeSortedKeys(delta.Updated, downgraded)
 		}
-		// mergeSortedKeys drops the added keys already listed: reborn services,
+		// MergeSortedKeys drops the added keys already listed: reborn services,
 		// and probe-only ones passive monitoring has now seen too.
 		inv = &Inventory{d: m, active: active, scanners: scanners,
-			keys: removeSortedKeys(mergeSortedKeys(prev.keys, delta.Added), delta.Removed)}
+			keys: removeSortedKeys(MergeSortedKeys(prev.keys, delta.Added), delta.Removed)}
 	}
 	s.snap.put(inv, d0, agen)
 	return prev, inv, delta

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"servdisc/internal/campus"
 	"servdisc/internal/core"
@@ -23,15 +24,11 @@ func HybridTable(ds *Dataset) *report.Table {
 		perPort[port] = &row{}
 	}
 	var total row
-	for _, key := range inv.Keys() {
-		if key.Proto != packet.ProtoTCP {
-			continue
-		}
+	inv.EachService(func(key core.ServiceKey, _ *core.PassiveRecord, p core.Provenance, _, _ time.Time) bool {
 		r, ok := perPort[key.Port]
-		if !ok {
-			continue
+		if key.Proto != packet.ProtoTCP || !ok {
+			return true
 		}
-		p, _ := inv.Provenance(key)
 		for _, dst := range []*row{r, &total} {
 			dst.union++
 			switch p {
@@ -45,7 +42,8 @@ func HybridTable(ds *Dataset) *report.Table {
 				dst.aOnly++
 			}
 		}
-	}
+		return true
+	})
 
 	t := report.NewTable("Hybrid reconciliation: first-seen provenance per service port (DTCP1-18d)",
 		"port", "union", "passive-first", "active-first", "passive-only", "active-only")

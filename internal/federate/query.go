@@ -1,8 +1,6 @@
 package federate
 
 import (
-	"sort"
-
 	"servdisc/internal/core"
 	"servdisc/internal/query"
 )
@@ -84,7 +82,7 @@ func (a *Aggregator) refreshIndexLocked() *query.Epoch {
 		for k := range a.services {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
+		core.SortKeys(keys)
 		docs := make([]query.Doc, 0, len(keys))
 		for _, k := range keys {
 			if d, ok := a.globalDocLocked(k); ok {
@@ -100,7 +98,7 @@ func (a *Aggregator) refreshIndexLocked() *query.Epoch {
 		for k := range a.dirty {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
+		core.SortKeys(keys)
 		var upserts []query.Doc
 		var removes []core.ServiceKey
 		for _, k := range keys {

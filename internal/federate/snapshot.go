@@ -49,15 +49,13 @@ type Snapshot struct {
 // caller may serialize the snapshot at leisure while the engine keeps
 // ingesting.
 func BuildSnapshot(inv *core.Inventory) *Snapshot {
-	keys := inv.Keys()
 	s := &Snapshot{
-		Services: make([]SnapshotService, 0, len(keys)),
+		Services: make([]SnapshotService, 0, inv.Len()),
 		Scanners: append([]core.ScannerInfo(nil), inv.Scanners()...),
 		Scans:    append([]core.ScanMeta(nil), inv.Scans()...),
 		Packets:  inv.Packets(),
 	}
-	for _, key := range keys {
-		rec, prov, _, activeAt, _ := inv.Service(key)
+	inv.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
 		svc := SnapshotService{Key: key, Provenance: prov, ActiveAt: activeAt}
 		if rec != nil {
 			svc.PassiveAt = rec.FirstSeen()
@@ -65,7 +63,8 @@ func BuildSnapshot(inv *core.Inventory) *Snapshot {
 			svc.Clients = rec.Clients()
 		}
 		s.Services = append(s.Services, svc)
-	}
+		return true
+	})
 	inv.EachTombstone(func(key core.ServiceKey, at time.Time, prov core.Provenance) bool {
 		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
 		return true

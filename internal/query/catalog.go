@@ -3,7 +3,6 @@ package query
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -99,6 +98,12 @@ func (p packedDoc) doc() Doc {
 // DocFromInventory builds the query doc for one inventory key.
 func DocFromInventory(inv *core.Inventory, k core.ServiceKey) Doc {
 	rec, prov, first, activeAt, _ := inv.Service(k)
+	return docOf(k, rec, prov, first, activeAt)
+}
+
+// docOf builds the query doc from what Inventory.Service (or EachService)
+// reports about one key.
+func docOf(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) Doc {
 	d := Doc{Key: k, Prov: prov, First: first}
 	if rec != nil {
 		d.Last = rec.LastSeen()
@@ -407,7 +412,8 @@ func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
 
 // Rebuild replaces the whole index from an inventory-ordered doc list
 // (sorted by key) — the full-resync path for lineage breaks, startup
-// warms, and aggregator bootstraps. O(n log n); Patch is the steady state.
+// warms, and aggregator bootstraps. O(n): every tree is packed bottom-up
+// from an already-sorted list; Patch is the steady state.
 func (c *Catalog) Rebuild(docs []Doc) {
 	packed := make([]packedDoc, len(docs))
 	for i, d := range docs {
@@ -451,13 +457,15 @@ func (c *Catalog) rebuild(docs []packedDoc) {
 	c.cur.Store(next)
 }
 
-// RebuildFromInventory is Rebuild fed straight from a frozen inventory.
+// RebuildFromInventory is Rebuild fed straight from a frozen inventory: one
+// ordered walk of its record store (Inventory.EachService), packed as it
+// goes, with no descent per key.
 func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
-	keys := inv.Keys()
-	docs := make([]packedDoc, len(keys))
-	for i, k := range keys {
-		docs[i] = pack(DocFromInventory(inv, k))
-	}
+	docs := make([]packedDoc, 0, inv.Len())
+	inv.EachService(func(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) bool {
+		docs = append(docs, pack(docOf(k, rec, prov, first, activeAt)))
+		return true
+	})
 	c.rebuild(docs)
 }
 
@@ -475,47 +483,19 @@ func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) {
 		return
 	}
 	ups := make([]Doc, 0, n)
-	for _, k := range mergeSorted(delta.Added, delta.Updated) {
+	for _, k := range core.MergeSortedKeys(delta.Updated, delta.Added) {
 		ups = append(ups, DocFromInventory(inv, k))
 	}
 	c.Patch(ups, delta.Removed)
 }
 
-// mergeSorted unions two sorted key slices, deduplicating.
-func mergeSorted(a, b []core.ServiceKey) []core.ServiceKey {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]core.ServiceKey, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Before(b[j]):
-			out = append(out, a[i])
-			i++
-		case b[j].Before(a[i]):
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 func sortEntries(es []keyEntry) []keyEntry {
-	sort.Slice(es, func(i, j int) bool { return es[i].skey().Before(es[j].skey()) })
+	slices.SortFunc(es, func(a, b keyEntry) int { return cmpKeys(a.skey(), b.skey()) })
 	return es
 }
 
 func sortKeys(ks []core.ServiceKey) []core.ServiceKey {
-	sort.Slice(ks, func(i, j int) bool { return ks[i].Before(ks[j]) })
+	core.SortKeys(ks)
 	return ks
 }
 

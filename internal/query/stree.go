@@ -23,16 +23,7 @@ func (e keyEntry) skey() core.ServiceKey { return core.ServiceKey(e) }
 
 // cmpKeys orders ServiceKeys canonically (addr, proto, port) — the same
 // ordering as Inventory.Keys, so index iteration reproduces dump order.
-func cmpKeys(a, b core.ServiceKey) int {
-	switch {
-	case a == b:
-		return 0
-	case a.Before(b):
-		return -1
-	default:
-		return 1
-	}
-}
+func cmpKeys(a, b core.ServiceKey) int { return a.Compare(b) }
 
 // Node arities. Leaves hold up to leafMax elements, inner nodes up to
 // innerMax children. Small leaves keep the per-update path copy cheap
