@@ -51,22 +51,20 @@ func main() {
 	}
 	traffic.NewGenerator(net, eng, pl)
 
-	// Active side: one half-open sweep of the five selected ports.
-	active := core.NewActiveDiscoverer(campus.SelectedTCPPorts)
+	// Active side: one half-open sweep of the five selected ports, its
+	// report reconciled into the same engine.
 	scanner := probe.NewSimScanner(&probe.SimBackend{Net: net}, eng, probe.ScanConfig{
 		Targets:  net.Plan().ProbeTargets(),
 		TCPPorts: campus.SelectedTCPPorts,
 		Rate:     10,
 		Shards:   2,
 	})
-	scanner.Schedule(cfg.Start.Add(time.Hour), func(rep *probe.ScanReport) {
-		active.AddReport(rep)
-	})
+	scanner.Schedule(cfg.Start.Add(time.Hour), pl.AddReport)
 
 	// Run one simulated day.
 	eng.RunUntil(cfg.Start.Add(24 * time.Hour))
 
-	an := &core.Analysis{Passive: pl.Passive(), Active: active}
+	an := &core.Analysis{Inventory: pl.Snapshot()}
 	row := an.Completeness(cfg.Start.Add(24*time.Hour), 1)
 	fmt.Printf("union of both methods:  %4d server addresses\n", row.Union)
 	fmt.Printf("found by active sweep:  %4d (%d only by active)\n", row.Active, row.ActiveOnly)

@@ -67,12 +67,12 @@ func main() {
 
 	eng.RunUntil(cfg.Start.Add(5 * 24 * time.Hour))
 
-	base := len(pl.Passive().AddrFirstSeen(nil))
+	base := len(pl.Snapshot().AddrFirstSeen(nil))
 	fmt.Printf("continuous monitoring over 5 days found %d server addresses\n\n", base)
 	fmt.Printf("%-14s %10s %10s\n", "capture", "servers", "of full")
 	for _, w := range windows {
 		pd := discoverers[fmt.Sprintf("%v/hour", w)]
-		n := len(pd.AddrFirstSeen(nil))
+		n := len(core.NewInventory(pd).AddrFirstSeen(nil))
 		fmt.Printf("%-14s %10d %9.1f%%\n",
 			fmt.Sprintf("%dmin/hour", int(w.Minutes())), n, 100*float64(n)/float64(base))
 	}

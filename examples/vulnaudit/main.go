@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"servdisc"
@@ -55,7 +56,6 @@ func main() {
 
 	// Day 3, 09:00: an SSH vulnerability is disclosed. Sweep port 22 NOW.
 	disclosure := eng.Now()
-	active := core.NewActiveDiscoverer([]uint16{campus.PortSSH})
 	scanner := probe.NewSimScanner(&probe.SimBackend{Net: net}, eng, probe.ScanConfig{
 		Targets:  net.Plan().ProbeTargets(),
 		TCPPorts: []uint16{campus.PortSSH},
@@ -68,12 +68,12 @@ func main() {
 	if sweep == nil {
 		log.Fatal("sweep did not finish")
 	}
-	active.AddReport(sweep)
+	pl.AddReport(sweep)
 
 	keepSSH := func(k core.ServiceKey) bool {
 		return k.Proto == packet.ProtoTCP && k.Port == campus.PortSSH
 	}
-	an := &core.Analysis{Passive: pl.Passive(), Active: active, Keep: keepSSH}
+	an := &core.Analysis{Inventory: pl.Snapshot(), Keep: keepSSH}
 
 	probed := an.ActiveAddrs()
 	heard := an.PassiveAddrs()
@@ -83,13 +83,16 @@ func main() {
 
 	// The audit list = union; passive-only entries are the servers a
 	// probe-only audit would have missed entirely.
-	missed := 0
+	var missed []netaddr.V4
 	for addr := range heard {
 		if _, ok := probed[addr]; !ok {
-			missed++
-			fmt.Printf("  probe-invisible ssh server: %s (firewalled or offline at sweep time)\n", addr)
+			missed = append(missed, addr)
 		}
 	}
+	slices.Sort(missed)
+	for _, addr := range missed {
+		fmt.Printf("  probe-invisible ssh server: %s (firewalled or offline at sweep time)\n", addr)
+	}
 	fmt.Printf("audit list: %d hosts (%d contributed only by passive monitoring)\n",
-		len(probed)+missed, missed)
+		len(probed)+len(missed), len(missed))
 }

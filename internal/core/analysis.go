@@ -8,14 +8,16 @@ import (
 	"servdisc/internal/stats"
 )
 
-// Analysis joins a passive and an active inventory over one dataset and
-// produces the evaluation artifacts. All address-level computations treat
-// "server" as the paper does: an IP address with at least one discovered
-// service.
+// Analysis reads the evaluation artifacts off one frozen inventory — the
+// same Inventory the daemons serve — joining its passive store with its
+// active view. All address-level computations treat "server" as the paper
+// does: an IP address with at least one discovered service.
 type Analysis struct {
-	Passive *PassiveDiscoverer
-	Active  *ActiveDiscoverer
-	// Keep restricts both inventories to services of interest (nil keeps
+	// Inventory is the hybrid inventory analysed (NewHybridInventory, or a
+	// Snapshot of a Hybrid engine); a passive-only one (NewInventory) serves
+	// the passive reads alone.
+	Inventory *Inventory
+	// Keep restricts both sides to services of interest (nil keeps
 	// everything). Experiments use it to select the studied port set or a
 	// single protocol.
 	Keep func(ServiceKey) bool
@@ -23,12 +25,12 @@ type Analysis struct {
 
 // PassiveAddrs returns per-address first passive discovery times.
 func (a *Analysis) PassiveAddrs() map[netaddr.V4]time.Time {
-	return a.Passive.AddrFirstSeen(a.Keep)
+	return a.Inventory.AddrFirstSeen(a.Keep)
 }
 
 // ActiveAddrs returns per-address first active discovery times.
 func (a *Analysis) ActiveAddrs() map[netaddr.V4]time.Time {
-	return a.Active.AddrFirstOpen(a.Keep)
+	return a.Inventory.active.AddrFirstOpen(a.Keep)
 }
 
 // CompletenessRow is one column of Table 2: completeness of both methods
@@ -56,7 +58,7 @@ func (a *Analysis) Completeness(passiveCut time.Time, scanCut int) CompletenessR
 	row := CompletenessRow{PassiveCut: passiveCut, ScanCut: scanCut}
 
 	var scanEnd time.Time
-	scans := a.Active.Scans()
+	scans := a.Inventory.Scans()
 	if scanCut <= 0 || scanCut > len(scans) {
 		scanCut = len(scans)
 	}
@@ -122,8 +124,7 @@ func (a *Analysis) ActiveSeries(from, to time.Time, addrOK func(netaddr.V4) bool
 // PassiveSeriesExcludingScanners recomputes the passive curve with detected
 // scanners' traffic removed (Figure 4).
 func (a *Analysis) PassiveSeriesExcludingScanners(from, to time.Time, addrOK func(netaddr.V4) bool) *stats.Series {
-	excluded := a.Passive.ScannerSet()
-	first := a.Passive.AddrFirstSeenExcluding(excluded, a.Keep)
+	first := a.Inventory.AddrFirstSeenExcluding(a.Inventory.ScannerSet(), a.Keep)
 	return discoverySeries("passive-noscan", first, from, to, addrOK)
 }
 
@@ -157,7 +158,7 @@ func (w WeightKind) String() string {
 // in the paper ("we add the number of clients this IP address serves
 // throughout the study"); servers never seen passively carry zero weight.
 func (a *Analysis) WeightedSeries(first map[netaddr.V4]time.Time, kind WeightKind, from, to time.Time) *stats.Series {
-	flows, clients := a.Passive.AddrWeights()
+	flows, clients := a.Inventory.AddrWeights()
 	weight := func(addr netaddr.V4) float64 {
 		switch kind {
 		case WeightFlows:
@@ -229,9 +230,9 @@ func (a *Analysis) FirewallCandidates() []FirewallFinding {
 			continue
 		}
 		f := FirewallFinding{Addr: addr}
-		f.MixedResponse = a.Active.MixedResponse(addr)
-		for _, scan := range a.Active.Scans() {
-			if a.Passive.ActiveDuring(addr, scan.Started, scan.Finished) {
+		f.MixedResponse = a.Inventory.active.MixedResponse(addr)
+		for _, scan := range a.Inventory.Scans() {
+			if a.Inventory.ActiveDuring(addr, scan.Started, scan.Finished) {
 				f.ActiveDuringScan = true
 				break
 			}

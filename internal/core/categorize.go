@@ -51,7 +51,7 @@ func (a *Analysis) Categorize12h(cut time.Time, space []netaddr.V4) Table3 {
 		}
 	}
 	active := netaddr.NewSet()
-	scans := a.Active.Scans()
+	scans := a.Inventory.Scans()
 	if len(scans) > 0 {
 		end := scans[0].Finished
 		for addr, t := range a.ActiveAddrs() {
@@ -160,14 +160,14 @@ func (a *Analysis) CategorizeLongitudinal(cut time.Time, space []netaddr.V4, tra
 	aFirst := a.ActiveAddrs()
 
 	var firstScanEnd time.Time
-	if scans := a.Active.Scans(); len(scans) > 0 {
+	if scans := a.Inventory.Scans(); len(scans) > 0 {
 		firstScanEnd = scans[0].Finished
 	}
 
 	// Active rest: any open outcome in scans after the first.
 	aRest := netaddr.NewSet()
 	for _, addr := range activeAddrList(aFirst) {
-		for _, out := range a.Active.Outcomes(addr) {
+		for _, out := range a.Inventory.active.Outcomes(addr) {
 			if out.ScanID != 0 && len(out.Open) > 0 {
 				aRest.Add(addr)
 				break
@@ -189,7 +189,7 @@ func (a *Analysis) CategorizeLongitudinal(cut time.Time, space []netaddr.V4, tra
 		// activity in the remainder of the window.
 		if t, ok := pFirst[addr]; ok && t.After(cut) {
 			tr.PassiveRest = true
-		} else if last, ok := a.Passive.LastActivity(addr); ok && last.After(cut) {
+		} else if last, ok := a.Inventory.LastActivity(addr); ok && last.After(cut) {
 			tr.PassiveRest = true
 		}
 		tr.ActiveRest = aRest.Contains(addr)

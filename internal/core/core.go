@@ -14,9 +14,10 @@
 // confirmation heuristics of Section 4.2.4 and the time-of-day analyses of
 // Section 5.1.
 //
-// Analysis (analysis.go) joins the two into the tables and figures of the
-// evaluation: completeness matrices, weighted and unweighted discovery
-// curves, and the address categorizations of Tables 3 and 4.
+// Readers of either side get a frozen Inventory. Analysis (analysis.go)
+// reads both sides of one into the tables and figures of the evaluation:
+// completeness matrices, weighted and unweighted discovery curves, and the
+// address categorizations of Tables 3 and 4.
 package core
 
 import (

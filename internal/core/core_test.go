@@ -31,7 +31,7 @@ func TestPassiveTCPDiscovery(t *testing.T) {
 	d.HandlePacket(synAck(t0.Add(2*time.Minute), srv, 80, cli)) // repeat client
 
 	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
-	rec, ok := d.Record(key)
+	rec, ok := NewInventory(d).Record(key)
 	if !ok {
 		t.Fatal("service not discovered")
 	}
@@ -51,7 +51,7 @@ func TestPassiveIgnoresExternalSynAck(t *testing.T) {
 	// An external server accepting an outbound campus connection is not a
 	// campus service.
 	d.HandlePacket(synAck(t0, cli, 80, srv))
-	if len(d.Services()) != 0 {
+	if NewInventory(d).Len() != 0 {
 		t.Error("external SYN-ACK treated as campus service")
 	}
 }
@@ -65,10 +65,11 @@ func TestPassiveUDPDiscovery(t *testing.T) {
 	// Inbound query TO port 53: no evidence either (request, not service proof).
 	d.HandlePacket(bld.UDPPacket(t0, packet.Endpoint{Addr: cli, Port: 9999}, packet.Endpoint{Addr: srv2, Port: 53}, []byte("q")))
 
-	if len(d.Services()) != 1 {
-		t.Fatalf("services = %d", len(d.Services()))
+	inv := NewInventory(d)
+	if inv.Len() != 1 {
+		t.Fatalf("services = %d", inv.Len())
 	}
-	if _, ok := d.Record(ServiceKey{Addr: srv, Proto: packet.ProtoUDP, Port: 53}); !ok {
+	if _, ok := inv.Record(ServiceKey{Addr: srv, Proto: packet.ProtoUDP, Port: 53}); !ok {
 		t.Error("DNS service missing")
 	}
 }
@@ -88,7 +89,7 @@ func TestScanDetectorThresholds(t *testing.T) {
 		dst := srv + netaddr.V4(i)
 		d.HandlePacket(bld.Syn(t0.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: cli, Port: 40001}, packet.Endpoint{Addr: dst, Port: 80}, 1))
 	}
-	scanners := d.DetectScanners()
+	scanners := NewInventory(d).Scanners()
 	if len(scanners) != 1 {
 		t.Fatalf("detected %d scanners", len(scanners))
 	}
@@ -108,7 +109,7 @@ func TestScanDetectorBelowThreshold(t *testing.T) {
 		d.HandlePacket(bld.Syn(t0, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
 		d.HandlePacket(bld.Rst(t0, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
 	}
-	if len(d.DetectScanners()) != 0 {
+	if len(NewInventory(d).Scanners()) != 0 {
 		t.Error("sub-threshold source detected")
 	}
 }
@@ -128,7 +129,7 @@ func TestScanDetectorWindowing(t *testing.T) {
 		d.HandlePacket(bld.Syn(later, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
 		d.HandlePacket(bld.Rst(later, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
 	}
-	if len(d.DetectScanners()) != 0 {
+	if len(NewInventory(d).Scanners()) != 0 {
 		t.Error("slow scanner split across windows detected by 12h rule")
 	}
 }
@@ -139,8 +140,9 @@ func TestFirstSeenExcluding(t *testing.T) {
 	d.HandlePacket(synAck(t0.Add(time.Hour), srv, 80, cli))        // real client later
 	d.HandlePacket(synAck(t0.Add(2*time.Hour), srv2, 22, scanner)) // scanner-only server
 
+	inv := NewInventory(d)
 	excluded := map[netaddr.V4]bool{scanner: true}
-	first := d.AddrFirstSeenExcluding(excluded, nil)
+	first := inv.AddrFirstSeenExcluding(excluded, nil)
 	if got, ok := first[srv]; !ok || !got.Equal(t0.Add(time.Hour)) {
 		t.Errorf("srv first = %v, %v", got, ok)
 	}
@@ -148,7 +150,7 @@ func TestFirstSeenExcluding(t *testing.T) {
 		t.Error("scanner-only server should vanish when scans removed")
 	}
 	// Without exclusion both appear at their earliest times.
-	all := d.AddrFirstSeen(nil)
+	all := inv.AddrFirstSeen(nil)
 	if !all[srv].Equal(t0) || len(all) != 2 {
 		t.Errorf("unfiltered = %v", all)
 	}
@@ -228,7 +230,7 @@ func TestCompletenessRowAlgebra(t *testing.T) {
 			{Time: t0.Add(time.Minute), Addr: srv + 100, Port: 80, State: probe.StateOpen},
 		},
 	})
-	an := &Analysis{Passive: p, Active: a}
+	an := &Analysis{Inventory: NewHybridInventory(p, a)}
 	row := an.Completeness(t0.Add(12*time.Hour), 1)
 	if row.Union != 2 || row.Both != 1 || row.ActiveOnly != 1 || row.PassiveOnly != 0 {
 		t.Errorf("row = %+v", row)
@@ -251,7 +253,7 @@ func TestDiscoverySeriesMonotone(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.HandlePacket(synAck(t0.Add(time.Duration(i)*time.Hour), srv+netaddr.V4(i), 80, cli))
 	}
-	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
+	an := &Analysis{Inventory: NewHybridInventory(p, NewActiveDiscoverer([]uint16{80}))}
 	s := an.PassiveSeries(t0, t0.Add(100*time.Hour), nil)
 	pts := s.Points()
 	for i := 1; i < len(pts); i++ {
@@ -272,7 +274,7 @@ func TestWeightedSeries(t *testing.T) {
 	}
 	p.HandlePacket(synAck(t0.Add(10*time.Hour), srv2, 80, cli))
 
-	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
+	an := &Analysis{Inventory: NewHybridInventory(p, NewActiveDiscoverer([]uint16{80}))}
 	s := an.WeightedSeries(an.PassiveAddrs(), WeightFlows, t0, t0.Add(24*time.Hour))
 	// After the first discovery (srv at t0) the flow-weighted curve is
 	// already at 99%.
@@ -302,7 +304,7 @@ func TestCategorize12h(t *testing.T) {
 			{Time: t0.Add(time.Minute), Addr: srv + 100, Port: 80, State: probe.StateOpen}, // active only
 		},
 	})
-	an := &Analysis{Passive: p, Active: a}
+	an := &Analysis{Inventory: NewHybridInventory(p, a)}
 	space := []netaddr.V4{srv, srv2, srv + 100, srv + 200}
 	tab := an.Categorize12h(t0.Add(12*time.Hour), space)
 	if tab.ActiveServer != 1 || tab.IdleServer != 1 || tab.FirewallOrBirth != 1 || tab.NonServer != 1 {
@@ -353,7 +355,7 @@ func TestFirewallCandidates(t *testing.T) {
 			{Time: t0, Addr: srv, Port: 80, State: probe.StateFiltered},
 		},
 	})
-	an := &Analysis{Passive: p, Active: a}
+	an := &Analysis{Inventory: NewHybridInventory(p, a)}
 	fw := an.FirewallCandidates()
 	if len(fw) != 1 {
 		t.Fatalf("candidates = %d", len(fw))
@@ -382,7 +384,7 @@ func TestUDPSummary(t *testing.T) {
 			{Time: t0, Addr: srv + 100, Port: 137, State: probe.UDPNoResponse},
 		},
 	})
-	an := &Analysis{Passive: p, Active: a}
+	an := &Analysis{Inventory: NewHybridInventory(p, a)}
 	table := an.UDPSummary([]uint16{53, 137}, []netaddr.V4{srv, srv2, srv + 100})
 	if table.NoResponseAnyPort != 1 {
 		t.Errorf("NoResponseAnyPort = %d", table.NoResponseAnyPort)
@@ -409,7 +411,7 @@ func TestTimeTo(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.HandlePacket(synAck(t0.Add(time.Duration(i)*time.Minute), srv+netaddr.V4(i), 80, cli))
 	}
-	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
+	an := &Analysis{Inventory: NewHybridInventory(p, NewActiveDiscoverer([]uint16{80}))}
 	s := an.PassiveSeries(t0, t0.Add(3*time.Hour), nil)
 	d, ok := TimeTo(s, t0, 50)
 	if !ok {

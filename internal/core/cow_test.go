@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
+	"servdisc/internal/probe"
 	"servdisc/internal/stats"
 )
 
@@ -148,16 +150,9 @@ func TestHybridSnapshotAliasing(t *testing.T) {
 				}
 			}
 			h.Close()
-			// Final state must still match the legacy freeze-then-snapshot
-			// reference, proving the patched inventories converged right.
-			ref := NewHybrid(campusPfx, udpPorts, 1, tcpPorts)
-			for _, b := range batches {
-				ref.HandleBatch(b)
-			}
-			for _, rep := range reps {
-				ref.AddReport(rep)
-			}
-			want := NewHybridInventory(ref.passive.Merge(), ref.active).Dump()
+			// Final state must still match the sequential reference, proving
+			// the patched inventories converged right.
+			want := seqHybridDump(campusPfx, udpPorts, tcpPorts, batches, reps)
 			if got := h.Snapshot().Dump(); !bytes.Equal(got, want) {
 				t.Fatal("final hybrid snapshot differs from sequential reference")
 			}
@@ -167,6 +162,64 @@ func TestHybridSnapshotAliasing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// invReads is everything TestInventoryConstructorsFreeze reads off an
+// inventory, copied out.
+type invReads struct {
+	dump  []byte
+	n     int
+	keys  []ServiceKey
+	recs  []PassiveRecord
+	first map[netaddr.V4]time.Time
+	scans []ScanMeta
+}
+
+func readInventory(inv *Inventory) invReads {
+	r := invReads{
+		dump:  inv.Dump(),
+		n:     inv.Len(),
+		keys:  append([]ServiceKey(nil), inv.Keys()...),
+		first: inv.AddrFirstSeen(nil),
+		scans: append([]ScanMeta(nil), inv.Scans()...),
+	}
+	for _, k := range r.keys {
+		if rec, ok := inv.Record(k); ok {
+			r.recs = append(r.recs, *rec)
+		}
+	}
+	return r
+}
+
+// TestInventoryConstructorsFreeze: NewInventory and NewHybridInventory
+// return snapshots — more traffic into the passive discoverer, or a report
+// into the active one, leaves every read of an inventory built earlier as
+// it was.
+func TestInventoryConstructorsFreeze(t *testing.T) {
+	pkts := genTrace(3, 20000)
+	half := len(pkts) / 2
+	d := NewPassiveDiscoverer(campusPfx, []uint16{53, 123, 137})
+	a := NewActiveDiscoverer(nil)
+	d.HandleBatch(pkts[:half])
+	passive := NewInventory(d)
+	wantPassive := readInventory(passive)
+	d.HandleBatch(pkts[half:])
+	hybrid := NewHybridInventory(d, a)
+	wantHybrid := readInventory(hybrid)
+	key := hybrid.Keys()[0]
+	at := t0.Add(-time.Hour) // before any passive evidence: the key turns active-first
+	a.AddReport(&probe.ScanReport{ID: 1, Started: at, Finished: at.Add(time.Minute),
+		TCP: []probe.TCPResult{{Time: at, Addr: key.Addr, Port: key.Port, State: probe.StateOpen}}})
+
+	if bytes.Equal(NewInventory(d).Dump(), wantPassive.dump) || bytes.Equal(NewHybridInventory(d, a).Dump(), wantHybrid.dump) {
+		t.Fatal("the later input changed nothing: the test is vacuous")
+	}
+	if got := readInventory(passive); !reflect.DeepEqual(got, wantPassive) {
+		t.Errorf("NewInventory: inventory moved under later ingest (dump %d -> %d bytes)", len(wantPassive.dump), len(got.dump))
+	}
+	if got := readInventory(hybrid); !reflect.DeepEqual(got, wantHybrid) {
+		t.Errorf("NewHybridInventory: inventory moved under a later report (dump %d -> %d bytes)", len(wantHybrid.dump), len(got.dump))
 	}
 }
 

@@ -206,17 +206,6 @@ func (h *Hybrid) Close() {
 	h.passive.Close()
 }
 
-// Active exposes the live active discoverer for the analysis layer after
-// flushing pending reports. The returned discoverer is a live view —
-// treat it as read-only and do not retain it across further ingestion
-// (its accessor maps keep moving); for a stable, goroutine-safe result
-// use Snapshot, which can be taken at any time without stopping the
-// engine.
-func (h *Hybrid) Active() *ActiveDiscoverer {
-	h.Flush()
-	return h.active
-}
-
 // SetRetention configures TTL-based expiry on both sides of the engine
 // (see ShardedPassive.SetRetention). The active side expires against the
 // passive observation watermark, so active retention needs passive

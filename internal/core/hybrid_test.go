@@ -251,7 +251,7 @@ func TestPassiveOnlyInventoryProvenance(t *testing.T) {
 	p := bld.SynAck(base, packet.Endpoint{Addr: srv, Port: 443},
 		packet.Endpoint{Addr: netaddr.MustParseV4("64.1.1.1"), Port: 40000}, 1, 1)
 	d.HandlePacket(p)
-	inv := d.Snapshot()
+	inv := NewInventory(d)
 	if inv.Hybrid() {
 		t.Fatal("passive snapshot claims to be hybrid")
 	}
@@ -328,13 +328,13 @@ func TestHybridLifecycle(t *testing.T) {
 	h.Run(context.Background())
 	h.AddReport(reps[0])
 	h.Flush()
-	if got := len(h.Active().Scans()); got != 1 {
+	if got := len(h.Snapshot().Scans()); got != 1 {
 		t.Fatalf("after flush: %d sweeps, want 1", got)
 	}
 	h.Close()
 	h.Close() // idempotent
 	h.AddReport(reps[1])
-	if got := len(h.Active().Scans()); got != 1 {
+	if got := len(h.Snapshot().Scans()); got != 1 {
 		t.Fatalf("post-Close report ingested: %d sweeps", got)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -83,36 +84,39 @@ func (p *Provenance) UnmarshalText(text []byte) error {
 // active sweep results: Keys becomes the union of both sides and each key
 // carries a Provenance.
 type Inventory struct {
-	d        invSource
+	d        *mergedStore
 	active   *ActiveDiscoverer // nil for passive-only inventories
 	keys     []ServiceKey
 	scanners []ScannerInfo
 }
 
-// NewInventory freezes the discoverer's current state. The discoverer must
-// not ingest further traffic afterwards (ShardedPassive.Snapshot avoids
-// the restriction entirely by snapshotting frozen shard deltas).
-func NewInventory(d *PassiveDiscoverer) *Inventory {
-	return newFrozenInventory(d, nil, d.DetectScanners())
-}
+// NewInventory freezes the discoverer's current state: the snapshot a
+// one-shard engine would take at this point. The discoverer may keep
+// ingesting; the inventory does not move.
+func NewInventory(d *PassiveDiscoverer) *Inventory { return NewHybridInventory(d, nil) }
 
 // NewHybridInventory freezes the union of a passive and an active run into
-// one inventory with per-service provenance. Neither discoverer may ingest
-// further input afterwards (Hybrid.Snapshot avoids the restriction by
-// handing in frozen views; see also NewInventory).
+// one inventory with per-service provenance (a nil a gives a passive-only
+// one). It takes the bulk path of a live engine's first snapshot: the
+// discoverer is sealed whole — its records go copy-on-write — and merged into
+// a fresh store, and the active side is cloned, so both may keep ingesting
+// without disturbing the result.
 func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
-	return newFrozenInventory(d, a, d.DetectScanners())
+	m, _, _ := mergeViews(nil, []shardDelta{d.seal(true)})
+	if a != nil {
+		a = a.clone()
+	}
+	return newFrozenInventory(m, a, d.track.detect())
 }
 
-// newFrozenInventory lists an already-frozen passive source whole, in
-// canonical order, together with the services only the frozen active view a
-// found (a is nil for a passive-only inventory), under a precomputed scanner
-// list — the constructor behind live snapshots, where detection ran per
-// shard at freeze time and the merged source carries no tracker state.
+// newFrozenInventory lists a merged store whole, in canonical order,
+// together with the services only the frozen active view a found (a is nil
+// for a passive-only inventory), under a precomputed scanner list: detection
+// ran per shard at freeze time and the store carries no tracker state.
 // Provenance is not stored: it is a function of the two first-observation
 // times, which Service reads.
-func newFrozenInventory(src invSource, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
-	v := &Inventory{d: src, active: a, scanners: scanners}
+func newFrozenInventory(m *mergedStore, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
+	v := &Inventory{d: m, active: a, scanners: scanners}
 	pairs := v.gather()
 	v.keys = make([]ServiceKey, len(pairs))
 	for i := range pairs {
@@ -136,13 +140,13 @@ func (v *Inventory) gather() []svcPair {
 	if v.active != nil {
 		probed = v.active.firstOpen
 	}
-	pairs := make([]svcPair, 0, v.d.numServices()+len(probed))
-	v.d.eachService(func(key ServiceKey, rec *PassiveRecord) bool {
+	pairs := make([]svcPair, 0, v.d.services.Len()+len(probed))
+	v.d.services.each(func(key ServiceKey, rec *PassiveRecord) bool {
 		pairs = append(pairs, svcPair{key, rec})
 		return true
 	})
 	for key := range probed {
-		if _, passive := v.d.Record(key); !passive {
+		if _, passive := v.d.services.Get(key); !passive {
 			pairs = append(pairs, svcPair{key, nil})
 		}
 	}
@@ -179,16 +183,12 @@ func sortPairs(a []svcPair) []svcPair {
 	return a
 }
 
-// Snapshot freezes a plain discoverer into a read-only inventory, the
-// single-threaded counterpart of ShardedPassive.Snapshot.
-func (d *PassiveDiscoverer) Snapshot() *Inventory { return NewInventory(d) }
-
 // Len returns the number of discovered services (both sides in a hybrid
 // inventory).
 func (v *Inventory) Len() int { return len(v.keys) }
 
 // Packets returns how many packets the underlying passive run consumed.
-func (v *Inventory) Packets() int { return v.d.NumPackets() }
+func (v *Inventory) Packets() int { return v.d.packets }
 
 // Hybrid reports whether the inventory carries an active side.
 func (v *Inventory) Hybrid() bool { return v.active != nil }
@@ -232,7 +232,7 @@ func describe(rec *PassiveRecord, activeAt time.Time, passive, probed bool) (pro
 // a caller that wants several should call Service once, and one that wants
 // them for every key should call EachService, which descends for none.
 func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance, first, activeAt time.Time, ok bool) {
-	rec, passive := v.d.Record(key)
+	rec, passive := v.d.services.Get(key)
 	activeAt, probed := v.ActiveFirstOpen(key)
 	if !passive && !probed {
 		return nil, 0, time.Time{}, time.Time{}, false
@@ -258,7 +258,7 @@ func (v *Inventory) EachService(f func(key ServiceKey, rec *PassiveRecord, prov 
 // Record returns the passive record for one service, if passive monitoring
 // saw it (ok is false for active-only services). Treat the record as
 // read-only.
-func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) { return v.d.Record(key) }
+func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) { return v.d.services.Get(key) }
 
 // Provenance classifies one service. ok is false if the key is not in the
 // inventory. On a passive-only inventory every present key is PassiveOnly.
@@ -274,7 +274,7 @@ func (v *Inventory) Provenance(key ServiceKey) (Provenance, bool) {
 // too.
 func (v *Inventory) EachTombstone(f func(key ServiceKey, at time.Time, prov Provenance) bool) {
 	stopped := false
-	v.d.eachTombstone(func(k ServiceKey, at time.Time) bool {
+	v.d.tombs.each(func(k ServiceKey, at time.Time) bool {
 		if !f(k, at, PassiveOnly) {
 			stopped = true
 		}
@@ -301,7 +301,7 @@ func (v *Inventory) ProvenanceCounts() [4]int {
 		return out
 	}
 	out[ActiveOnly] = len(v.keys)
-	v.d.eachService(func(key ServiceKey, rec *PassiveRecord) bool {
+	v.d.services.each(func(key ServiceKey, rec *PassiveRecord) bool {
 		activeAt, probed := v.active.firstOpen[key]
 		out[provenanceOf(rec, activeAt, true, probed)]++
 		out[ActiveOnly]--
@@ -352,30 +352,37 @@ func (v *Inventory) ScannerSet() map[netaddr.V4]bool {
 // positive evidence per address, optionally restricted to services passing
 // keep.
 func (v *Inventory) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return addrFirstSeen(v.d, keep)
+	return v.d.addrFirstSeen(keep)
 }
 
 // AddrFirstSeenExcluding recomputes per-address first discovery with the
-// given peers' traffic removed (Figure 4).
+// given peers' traffic removed (Figure 4). Addresses whose every stored
+// contact came from excluded peers drop out entirely.
 func (v *Inventory) AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return addrFirstSeenExcluding(v.d, excluded, keep)
+	return v.d.addrFirstSeenExcluding(excluded, keep)
 }
 
 // AddrWeights sums flow and client weights per address across services.
 func (v *Inventory) AddrWeights() (flows, clients map[netaddr.V4]int) {
-	return addrWeights(v.d)
+	return v.d.addrWeights()
 }
 
 // ActiveDuring reports whether the address showed any passive activity
-// within [from, to].
+// within [from, to] — the paper's second firewall confirmation signal.
 func (v *Inventory) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
-	return v.d.ActiveDuring(addr, from, to)
+	trail, lo, hi := v.d.trail(addr), toInstant(from), toInstant(to)
+	i := sort.Search(len(trail), func(i int) bool { return trail[i] >= lo })
+	return i < len(trail) && trail[i] <= hi
 }
 
 // LastActivity returns the most recent recorded passive activity time for
 // the address, ok=false if it was never seen.
 func (v *Inventory) LastActivity(addr netaddr.V4) (time.Time, bool) {
-	return v.d.LastActivity(addr)
+	trail := v.d.trail(addr)
+	if len(trail) == 0 {
+		return time.Time{}, false
+	}
+	return trail[len(trail)-1].time(), true
 }
 
 // Dump renders the inventory into a canonical byte form: every service in
@@ -386,7 +393,7 @@ func (v *Inventory) LastActivity(addr netaddr.V4) (time.Time, bool) {
 // command-line tools.
 func (v *Inventory) Dump() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "services=%d packets=%d\n", len(v.keys), v.d.NumPackets())
+	fmt.Fprintf(&b, "services=%d packets=%d\n", len(v.keys), v.d.packets)
 	v.EachService(func(key ServiceKey, rec *PassiveRecord, p Provenance, _, activeAt time.Time) bool {
 		fmt.Fprintf(&b, "%s %s", key, p)
 		if rec != nil {

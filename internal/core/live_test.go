@@ -10,6 +10,7 @@ import (
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 	"servdisc/internal/stats"
 )
 
@@ -26,9 +27,8 @@ func splitBatches(pkts []packet.Packet, size int) [][]packet.Packet {
 	return out
 }
 
-// refPassiveDump is the legacy freeze-then-snapshot reference: a
-// single-threaded discoverer over a prefix of the stream, frozen with
-// NewInventory.
+// refPassiveDump is the sequential reference: a single-threaded
+// discoverer over a prefix of the stream, frozen with NewInventory.
 func refPassiveDump(campus netaddr.Prefix, udpPorts []uint16, pkts []packet.Packet) []byte {
 	ref := NewPassiveDiscoverer(campus, udpPorts)
 	ref.HandleBatch(pkts)
@@ -219,10 +219,24 @@ func TestSnapshotReusesFrozenViews(t *testing.T) {
 	}
 }
 
+// seqHybridDump is the sequential reference for a hybrid engine: a
+// PassiveDiscoverer and an ActiveDiscoverer fed the same batches and
+// reports, frozen by NewHybridInventory.
+func seqHybridDump(campus netaddr.Prefix, udpPorts, tcpPorts []uint16, batches [][]packet.Packet, reps []*probe.ScanReport) []byte {
+	p, a := NewPassiveDiscoverer(campus, udpPorts), NewActiveDiscoverer(tcpPorts)
+	for _, b := range batches {
+		p.HandleBatch(b)
+	}
+	for _, rep := range reps {
+		a.AddReport(rep)
+	}
+	return NewHybridInventory(p, a).Dump()
+}
+
 // TestHybridLiveSnapshotMatchesFrozen extends the acceptance property to
 // the hybrid engine: a mid-stream snapshot under running workers (both
-// passive batches and scan reports in flight) must equal the legacy
-// freeze-then-snapshot of the same prefix.
+// passive batches and scan reports in flight) must equal the sequential
+// discoverers' inventory of the same prefix.
 func TestHybridLiveSnapshotMatchesFrozen(t *testing.T) {
 	campusPfx := netaddr.MustParsePrefix("128.125.0.0/16")
 	udpPorts := []uint16{53, 123, 137}
@@ -231,18 +245,10 @@ func TestHybridLiveSnapshotMatchesFrozen(t *testing.T) {
 	reps := genReports(6)
 	batches := splitBatches(pkts, 256)
 
-	// refDump freezes a prefix via the legacy path: inline hybrid, then
-	// NewHybridInventory over the merged passive side and the live active
-	// side.
+	// refDump freezes a prefix of the input fed to the sequential
+	// discoverers — no engine, shards or snapshot chain involved.
 	refDump := func(nb, nr int) []byte {
-		ref := NewHybrid(campusPfx, udpPorts, 1, tcpPorts)
-		for _, b := range batches[:nb] {
-			ref.HandleBatch(b)
-		}
-		for _, rep := range reps[:nr] {
-			ref.AddReport(rep)
-		}
-		return NewHybridInventory(ref.passive.Merge(), ref.active).Dump()
+		return seqHybridDump(campusPfx, udpPorts, tcpPorts, batches[:nb], reps[:nr])
 	}
 
 	for _, shards := range []int{1, 2, 8} {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -10,10 +9,10 @@ import (
 
 // PassiveDiscoverer builds a service inventory from observed border
 // traffic: the single-writer state one goroutine feeds through HandleBatch
-// (HandlePacket is the one-packet form). Used alone, its accessors may be
-// called between batches at any point during or after collection; as one
-// shard of a ShardedPassive it is owned by that shard's worker, and readers
-// go through snapshots instead (see seal).
+// (HandlePacket is the one-packet form). It is write-side state only — one
+// shard of a ShardedPassive, or the sequential reference — and has no read
+// API: readers get a frozen Inventory (NewInventory, or a Snapshot of the
+// engine), which is sealed from it (see seal).
 type PassiveDiscoverer struct {
 	campus netaddr.Prefix
 	// udpPorts are the well-known UDP service ports considered evidence
@@ -178,9 +177,11 @@ type sealedTrail struct {
 // since the last seal), or O(shard) when whole.
 //
 // Each delta is relative to the previous seal and is handed out once, so
-// every seal must reach the one merge that patches the snapshot chain:
-// only a shard freeze on behalf of ShardedPassive.advance seals. The scan
-// tracker is not part of a seal (the freeze captures detections beside it).
+// every partial seal must reach the one merge that patches the snapshot
+// chain: only a shard freeze on behalf of ShardedPassive.advance seals
+// partially. A whole seal stands alone — NewHybridInventory takes one of a
+// discoverer no engine owns. The scan tracker is not part of a seal (the
+// freeze captures detections beside it).
 func (d *PassiveDiscoverer) seal(whole bool) shardDelta {
 	delta := shardDelta{packets: d.Packets}
 	if whole {
@@ -357,106 +358,4 @@ func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer net
 		d.peers[key] = peers
 	}
 	return true
-}
-
-// Services returns the live inventory map (owned by the discoverer).
-func (d *PassiveDiscoverer) Services() map[ServiceKey]*PassiveRecord { return d.services }
-
-// NumPackets returns the cumulative packet count (invSource).
-func (d *PassiveDiscoverer) NumPackets() int { return d.Packets }
-
-// numServices returns the live service count (invSource).
-func (d *PassiveDiscoverer) numServices() int { return len(d.services) }
-
-// eachService visits every live service (invSource; map order).
-func (d *PassiveDiscoverer) eachService(f func(ServiceKey, *PassiveRecord) bool) {
-	for k, rec := range d.services {
-		if !f(k, rec) {
-			return
-		}
-	}
-}
-
-// eachTombstone visits every expiry tombstone (invSource; map order).
-func (d *PassiveDiscoverer) eachTombstone(f func(ServiceKey, time.Time) bool) {
-	for k, at := range d.tombs {
-		if !f(k, at) {
-			return
-		}
-	}
-}
-
-// Record returns the record for one service, if present.
-func (d *PassiveDiscoverer) Record(key ServiceKey) (*PassiveRecord, bool) {
-	r, ok := d.services[key]
-	return r, ok
-}
-
-// Keys returns all discovered services, sorted for deterministic output.
-func (d *PassiveDiscoverer) Keys() []ServiceKey {
-	keys := make([]ServiceKey, 0, len(d.services))
-	for k := range d.services {
-		keys = append(keys, k)
-	}
-	SortKeys(keys)
-	return keys
-}
-
-// AddrFirstSeen rolls the inventory up to addresses: the earliest positive
-// evidence per address, optionally restricted to services passing keep.
-func (d *PassiveDiscoverer) AddrFirstSeen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return addrFirstSeen(d, keep)
-}
-
-// AddrWeights sums flow and client weights per address across services.
-func (d *PassiveDiscoverer) AddrWeights() (flows, clients map[netaddr.V4]int) {
-	return addrWeights(d)
-}
-
-// LastActivity returns the most recent recorded activity time for the
-// address, ok=false if it was never seen.
-func (d *PassiveDiscoverer) LastActivity(addr netaddr.V4) (time.Time, bool) {
-	return lastActivity(d.addrTimes[addr])
-}
-
-// ActiveDuring reports whether the address showed any passive activity
-// within [from, to] — the paper's second firewall confirmation signal.
-func (d *PassiveDiscoverer) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
-	return activeDuring(d.addrTimes[addr], from, to)
-}
-
-// lastActivity is LastActivity over one address's trail.
-func lastActivity(trail []instant) (time.Time, bool) {
-	if len(trail) == 0 {
-		return time.Time{}, false
-	}
-	return trail[len(trail)-1].time(), true
-}
-
-// activeDuring is ActiveDuring over one address's (ascending) trail.
-func activeDuring(trail []instant, from, to time.Time) bool {
-	lo, hi := toInstant(from), toInstant(to)
-	i := sort.Search(len(trail), func(i int) bool { return trail[i] >= lo })
-	return i < len(trail) && trail[i] <= hi
-}
-
-// DetectScanners runs the scan detector over everything observed so far
-// (see scandetect.go for the rule).
-func (d *PassiveDiscoverer) DetectScanners() []ScannerInfo { return d.track.detect() }
-
-// ScannerSet returns detected scanner sources as a membership map, the
-// form the scan-removal analysis consumes.
-func (d *PassiveDiscoverer) ScannerSet() map[netaddr.V4]bool {
-	out := make(map[netaddr.V4]bool)
-	for _, s := range d.track.detect() {
-		out[s.Source] = true
-	}
-	return out
-}
-
-// AddrFirstSeenExcluding recomputes per-address first discovery with the
-// given peers' traffic removed (Figure 4). Addresses whose every stored
-// contact came from excluded peers drop out entirely.
-func (d *PassiveDiscoverer) AddrFirstSeenExcluding(excluded map[netaddr.V4]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
-	return addrFirstSeenExcluding(d, excluded, keep)
 }

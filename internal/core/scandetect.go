@@ -289,34 +289,3 @@ func (t *scanTracker) detect() []ScannerInfo {
 	t.cache, t.cacheGen = out, t.detGen
 	return out
 }
-
-// mergeFrom unions another tracker's state into t. Correct only when the
-// two trackers saw disjoint source sets (the owner-sharding invariant);
-// ShardedPassive.Merge relies on it. o's bigWindows land behind t's, so a
-// source that refers to one is copied with its references re-homed; every
-// other source is shared.
-func (t *scanTracker) mergeFrom(o *scanTracker) {
-	if o.started && !t.started {
-		t.seed(o.origin)
-	}
-	base := uint32(len(t.big))
-	t.big = append(t.big, o.big...)
-	for src, s := range o.sources {
-		for off, n, own := 1, 0, false; base > 0 && off < len(s); off += n {
-			if _, n = o.recAt(s, off); n == 1 {
-				if !own {
-					s, own = slices.Clone(s), true
-				}
-				s[off] += base
-			}
-		}
-		t.sources[src] = s
-	}
-	for src, info := range o.best {
-		t.best[src] = info
-	}
-	for src := range o.flagged {
-		t.flagged[src] = true
-	}
-	t.detGen++
-}

@@ -46,7 +46,8 @@ type EngineMetrics struct {
 //
 // Routing each packet to hash(owner) therefore confines all mutable state
 // for any address to a single shard: shard maps are disjoint by
-// construction and Merge is a plain union, no conflict resolution needed.
+// construction and a snapshot's merge is a plain union of their seals, no
+// conflict resolution needed (see mergeViews).
 // The one piece of cross-shard state — the scan detector's tumbling-window
 // origin, which a lone discoverer picks lazily from the first scan-relevant
 // packet — is seeded identically into every shard by the dispatcher
@@ -231,7 +232,7 @@ func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 		sh.gen++
 	}
 	delta := sh.disc.seal(whole)
-	delta.scanners = sh.disc.DetectScanners()
+	delta.scanners = sh.disc.track.detect()
 	delta.expired = sh.disc.takePendingExpired()
 	return delta
 }
@@ -535,34 +536,6 @@ func (s *ShardedPassive) Close() {
 	s.events.close()
 }
 
-// Merge unions the shards into a single PassiveDiscoverer equivalent to
-// one that consumed the whole stream sequentially. Shard state is keyed by
-// owner address, so the union has no conflicts. The merged discoverer
-// shares record structures with the shards — treat it as a view and do not
-// feed more traffic into either side; for a stable result that tolerates
-// further ingest, use Snapshot. Merge flushes pending work first (callers
-// must stop producing before merging).
-func (s *ShardedPassive) Merge() *PassiveDiscoverer {
-	s.Flush()
-	m := NewPassiveDiscoverer(s.campus, nil)
-	m.udpPorts = s.shards[0].disc.udpPorts
-	for _, sh := range s.shards {
-		d := sh.disc
-		m.Packets += d.Packets
-		for k, rec := range d.services {
-			m.services[k] = rec
-		}
-		for a, ts := range d.addrTimes {
-			m.addrTimes[a] = ts
-		}
-		for k, at := range d.tombs {
-			m.tombs[k] = at
-		}
-		m.track.mergeFrom(d.track)
-	}
-	return m
-}
-
 // atBoundary runs f(i, shard i) for every shard on the shard's owner, all
 // at one whole-batch boundary of the producer's stream — the one way to reach
 // a consistent cut of the engine, behind snapshots and checkpoint exports
@@ -824,7 +797,7 @@ func (s *ShardedPassive) advance() (prev, inv *Inventory, delta SnapshotDelta) {
 	var m *mergedStore
 	var scanners []ScannerInfo
 	if prev != nil {
-		m, scanners = prev.d.(*mergedStore), prev.scanners
+		m, scanners = prev.d, prev.scanners
 	}
 	if deltas != nil { // else at most the active side moved: same store, same scanners
 		m, scanners, delta = mergeViews(m, deltas)

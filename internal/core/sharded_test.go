@@ -107,12 +107,12 @@ func feedBatches(sink interface{ HandleBatch([]packet.Packet) }, pkts []packet.P
 	}
 }
 
-// assertEquivalent checks that a merged sharded run is byte-for-byte
-// identical to the single-threaded reference.
-func assertEquivalent(t *testing.T, label string, want, got *PassiveDiscoverer) {
+// assertEquivalent checks that a sharded run's snapshot is byte-for-byte
+// identical to the single-threaded reference's inventory.
+func assertEquivalent(t *testing.T, label string, want, got *Inventory) {
 	t.Helper()
-	if want.Packets != got.Packets {
-		t.Fatalf("%s: Packets = %d, want %d", label, got.Packets, want.Packets)
+	if want.Packets() != got.Packets() {
+		t.Fatalf("%s: Packets = %d, want %d", label, got.Packets(), want.Packets())
 	}
 	wk, gk := want.Keys(), got.Keys()
 	if len(wk) != len(gk) {
@@ -138,7 +138,7 @@ func assertEquivalent(t *testing.T, label string, want, got *PassiveDiscoverer) 
 			}
 		}
 	}
-	ws, gs := want.DetectScanners(), got.DetectScanners()
+	ws, gs := want.Scanners(), got.Scanners()
 	if len(ws) != len(gs) {
 		t.Fatalf("%s: %d scanners, want %d", label, len(gs), len(ws))
 	}
@@ -183,19 +183,20 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 		ref := NewPassiveDiscoverer(campus, udpPorts)
 		feedBatches(ref, pkts, stats.NewRNG(seed).Derive("batching"))
+		want := NewInventory(ref)
 
 		for _, shards := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("seed=%d/sync-%d", seed, shards), func(t *testing.T) {
 				sp := NewShardedPassive(campus, udpPorts, shards)
 				feedBatches(sp, pkts, stats.NewRNG(seed).Derive("batching"))
-				assertEquivalent(t, "sync", ref, sp.Merge())
+				assertEquivalent(t, "sync", want, sp.Snapshot())
 			})
 			t.Run(fmt.Sprintf("seed=%d/async-%d", seed, shards), func(t *testing.T) {
 				sp := NewShardedPassive(campus, udpPorts, shards)
 				sp.Run(context.Background())
 				feedBatches(sp, pkts, stats.NewRNG(seed).Derive("batching"))
 				sp.Close()
-				assertEquivalent(t, "async", ref, sp.Merge())
+				assertEquivalent(t, "async", want, sp.Snapshot())
 			})
 		}
 	}
@@ -212,7 +213,7 @@ func TestShardedSnapshotReadOnlyView(t *testing.T) {
 	sp.HandleBatch(pkts)
 	sp.Close()
 
-	want, got := ref.Snapshot(), sp.Snapshot()
+	want, got := NewInventory(ref), sp.Snapshot()
 	if want.Len() != got.Len() || want.Packets() != got.Packets() {
 		t.Fatalf("snapshot len/packets = %d/%d, want %d/%d",
 			got.Len(), got.Packets(), want.Len(), want.Packets())
@@ -233,8 +234,8 @@ func TestShardedSnapshotReadOnlyView(t *testing.T) {
 	}
 	// Ingest after Close is dropped: the snapshot stays frozen.
 	sp.HandleBatch(pkts)
-	if after := sp.Merge(); after.Packets != ref.Packets {
-		t.Errorf("post-Close ingest mutated the sharded state: %d packets", after.Packets)
+	if after := sp.Snapshot(); after.Packets() != want.Packets() {
+		t.Errorf("post-Close ingest mutated the sharded state: %d packets", after.Packets())
 	}
 }
 
@@ -242,7 +243,7 @@ func TestShardedHandlesPacketlessEdges(t *testing.T) {
 	campus := netaddr.MustParsePrefix("128.125.0.0/16")
 	sp := NewShardedPassive(campus, nil, 3)
 	sp.HandleBatch(nil) // empty batch is a no-op
-	if m := sp.Merge(); m.Packets != 0 || len(m.Keys()) != 0 {
+	if inv := sp.Snapshot(); inv.Packets() != 0 || inv.Len() != 0 {
 		t.Fatal("empty ingest produced state")
 	}
 	if sp.NumShards() != 3 {

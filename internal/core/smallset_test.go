@@ -273,11 +273,12 @@ func TestScanWindowBeforeOrigin(t *testing.T) {
 	}
 }
 
-// TestMergeRehomesPromotedWindows: Merge over two shards that each hold
-// promoted windows — so the second shard's references must be re-homed
-// behind the first's — shows the detections and per-source state of a
-// one-shard run, and leaves the shards' own state as it was.
-func TestMergeRehomesPromotedWindows(t *testing.T) {
+// TestPromotedWindowsAcrossShardCounts: traffic that leaves promoted
+// windows on every shard of a 2-shard engine shows the one-shard run's
+// per-source tracker state and detections, through a checkpoint export and
+// through the snapshot merge — and so does a 1-shard engine restored from
+// the 2-shard export, where both shards' big windows land in one tracker.
+func TestPromotedWindowsAcrossShardCounts(t *testing.T) {
 	bld := packet.NewBuilder(0)
 	var pkts []packet.Packet
 	var srcs []netaddr.V4
@@ -303,24 +304,31 @@ func TestMergeRehomesPromotedWindows(t *testing.T) {
 	two.HandleBatch(pkts)
 	for i, sh := range two.shards {
 		if len(sh.disc.track.big) == 0 {
-			t.Fatalf("shard %d holds no promoted window: the re-homing path is not exercised", i)
+			t.Fatalf("shard %d holds no promoted window: the cross-shard path is not exercised", i)
 		}
 	}
-	want := one.Merge()
-	for round := 0; round < 2; round++ { // a second Merge sees the shards untouched by the first
-		got := two.Merge()
-		if g, w := got.DetectScanners(), want.DetectScanners(); !reflect.DeepEqual(g, w) || len(w) != 4 {
-			t.Fatalf("merge %d: DetectScanners() = %v, one-shard run %v (want 4)", round, g, w)
+	want, _ := one.ExportDelta(nil)
+	wantScanners := one.Snapshot().Scanners()
+	if len(want.ScanSources) != len(srcs) || len(wantScanners) != 4 {
+		t.Fatalf("one-shard run: %d sources, %d scanners; want %d and 4", len(want.ScanSources), len(wantScanners), len(srcs))
+	}
+	check := func(label string, eng *ShardedPassive) {
+		t.Helper()
+		got, _ := eng.ExportDelta(nil)
+		if !reflect.DeepEqual(got.ScanSources, want.ScanSources) {
+			t.Fatalf("%s: exported scan sources differ from the one-shard run's", label)
 		}
-		if len(got.track.sources) != len(srcs) {
-			t.Fatalf("merge %d: %d sources, want %d", round, len(got.track.sources), len(srcs))
-		}
-		for _, src := range srcs {
-			if g, w := got.track.exportSource(src), want.track.exportSource(src); !reflect.DeepEqual(g, w) {
-				t.Fatalf("merge %d: source %v exports %+v, one-shard run %+v", round, src, g, w)
-			}
+		if g := eng.Snapshot().Scanners(); !reflect.DeepEqual(g, wantScanners) {
+			t.Fatalf("%s: Scanners() = %v, one-shard run %v", label, g, wantScanners)
 		}
 	}
+	check("two shards", two)
+	ed, _ := two.ExportDelta(nil)
+	restored := NewShardedPassive(campusPfx, nil, 1)
+	if err := restored.ImportDelta(ed); err != nil {
+		t.Fatal(err)
+	}
+	check("two shards restored into one", restored)
 }
 
 // scanOp is one decoded fuzz record.

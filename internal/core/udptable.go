@@ -53,7 +53,7 @@ func (a *Analysis) UDPSummary(ports []uint16, probed []netaddr.V4) UDPTable {
 		passiveByPort[p] = netaddr.NewSet()
 	}
 	passiveAll := netaddr.NewSet()
-	for k := range a.Passive.Services() {
+	for _, k := range a.Inventory.Keys() { // probes never list a UDP key
 		if k.Proto != packet.ProtoUDP {
 			continue
 		}
@@ -73,7 +73,7 @@ func (a *Analysis) UDPSummary(ports []uint16, probed []netaddr.V4) UDPTable {
 	for _, addr := range probed {
 		responded := false
 		for _, p := range ports {
-			if st, ok := a.Active.UDPOutcome(addr, p); ok && st != probe.UDPNoResponse {
+			if st, ok := a.Inventory.active.UDPOutcome(addr, p); ok && st != probe.UDPNoResponse {
 				responded = true
 				break
 			}
@@ -83,7 +83,7 @@ func (a *Analysis) UDPSummary(ports []uint16, probed []netaddr.V4) UDPTable {
 			continue
 		}
 		for _, p := range ports {
-			st, ok := a.Active.UDPOutcome(addr, p)
+			st, ok := a.Inventory.active.UDPOutcome(addr, p)
 			if !ok {
 				continue
 			}

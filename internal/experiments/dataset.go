@@ -30,10 +30,14 @@ type Dataset struct {
 
 	Monitor *capture.Monitor
 	Merged  *core.PassiveDiscoverer
-	PerLink map[capture.LinkID]*core.PassiveDiscoverer
-	Sampled map[time.Duration]*core.PassiveDiscoverer
+	Active  *core.ActiveDiscoverer
 
-	Active *core.ActiveDiscoverer
+	// Inventory freezes Merged and Active once the run completes: the hybrid
+	// inventory every analysis reads. PerLink and Sampled are the per-link
+	// and sampled monitors' passive inventories, frozen at the same point.
+	Inventory *core.Inventory
+	PerLink   map[capture.LinkID]*core.Inventory
+	Sampled   map[time.Duration]*core.Inventory
 
 	// WebContent maps discovered web servers to the category of the root
 	// page fetched within a day of discovery (Table 5).
@@ -89,8 +93,8 @@ func buildOn(net *campus.Network, o BuildOptions) (*Dataset, error) {
 		Cfg:        o.Cfg,
 		Net:        net,
 		Eng:        eng,
-		PerLink:    make(map[capture.LinkID]*core.PassiveDiscoverer),
-		Sampled:    make(map[time.Duration]*core.PassiveDiscoverer),
+		PerLink:    make(map[capture.LinkID]*core.Inventory),
+		Sampled:    make(map[time.Duration]*core.Inventory),
 		WebContent: make(map[netaddr.V4]webcat.Category),
 		Start:      o.Cfg.Start,
 		End:        o.Cfg.Start.Add(time.Duration(o.Days * 24 * float64(time.Hour))),
@@ -107,10 +111,11 @@ func buildOn(net *campus.Network, o BuildOptions) (*Dataset, error) {
 		links = []capture.LinkID{capture.LinkCommercial1, capture.LinkCommercial2}
 	}
 	d.Merged = core.NewPassiveDiscoverer(campusPfx, campus.SelectedUDPPorts)
+	perLink := make(map[capture.LinkID]*core.PassiveDiscoverer, len(links))
 	taps := make([]*capture.Tap, 0, len(links))
 	for _, link := range links {
 		pl := core.NewPassiveDiscoverer(campusPfx, campus.SelectedUDPPorts)
-		d.PerLink[link] = pl
+		perLink[link] = pl
 		tap, err := capture.NewTap(link, capture.PaperFilter, nil, capture.Tee{d.Merged, pl})
 		if err != nil {
 			return nil, err
@@ -121,9 +126,10 @@ func buildOn(net *campus.Network, o BuildOptions) (*Dataset, error) {
 
 	// Sampled pipelines mirror the monitored links through their own
 	// filter+sampler chains.
+	sampled := make(map[time.Duration]*core.PassiveDiscoverer, len(o.SampleWindows))
 	for _, w := range o.SampleWindows {
 		pd := core.NewPassiveDiscoverer(campusPfx, campus.SelectedUDPPorts)
-		d.Sampled[w] = pd
+		sampled[w] = pd
 		tap, err := capture.NewTap(capture.LinkCommercial1, capture.PaperFilter,
 			capture.NewFixedWindowSampler(o.Cfg.Start, w), pd)
 		if err != nil {
@@ -165,6 +171,13 @@ func buildOn(net *campus.Network, o BuildOptions) (*Dataset, error) {
 	}
 
 	eng.RunUntil(d.End)
+	d.Inventory = core.NewHybridInventory(d.Merged, d.Active)
+	for link, pd := range perLink {
+		d.PerLink[link] = core.NewInventory(pd)
+	}
+	for w, pd := range sampled {
+		d.Sampled[w] = core.NewInventory(pd)
+	}
 	return d, nil
 }
 
@@ -197,7 +210,7 @@ func (d *Dataset) scheduleWebFetches() {
 				fetch(key.Addr)
 			}
 		}
-		for key := range d.Merged.Services() {
+		for _, key := range core.NewInventory(d.Merged).Keys() {
 			consider(key)
 		}
 		for key := range d.Active.Services() {
@@ -209,7 +222,7 @@ func (d *Dataset) scheduleWebFetches() {
 // AllPortsAnalysis returns the unfiltered analysis (every port and
 // protocol), the scope of the DTCPall and DUDP studies.
 func (d *Dataset) AllPortsAnalysis() *core.Analysis {
-	return &core.Analysis{Passive: d.Merged, Active: d.Active}
+	return &core.Analysis{Inventory: d.Inventory}
 }
 
 // Analysis returns the joined analysis restricted to the selected TCP
@@ -220,8 +233,7 @@ func (d *Dataset) Analysis() *core.Analysis {
 		selected[p] = true
 	}
 	return &core.Analysis{
-		Passive: d.Merged,
-		Active:  d.Active,
+		Inventory: d.Inventory,
 		Keep: func(k core.ServiceKey) bool {
 			return k.Proto == packet.ProtoTCP && selected[k.Port]
 		},
@@ -231,8 +243,7 @@ func (d *Dataset) Analysis() *core.Analysis {
 // AnalysisFor returns an analysis restricted to a single TCP port.
 func (d *Dataset) AnalysisFor(port uint16) *core.Analysis {
 	return &core.Analysis{
-		Passive: d.Merged,
-		Active:  d.Active,
+		Inventory: d.Inventory,
 		Keep: func(k core.ServiceKey) bool {
 			return k.Proto == packet.ProtoTCP && k.Port == port
 		},

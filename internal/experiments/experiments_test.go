@@ -261,10 +261,10 @@ func TestSamplingOrdering(t *testing.T) {
 	d2 := ds.Sampled[2*time.Minute]
 	d30 := ds.Sampled[30*time.Minute]
 	if d2 == nil || d30 == nil {
-		t.Fatal("sampled discoverers missing")
+		t.Fatal("sampled inventories missing")
 	}
-	an2 := &core.Analysis{Passive: d2, Active: ds.Active, Keep: an.Keep}
-	an30 := &core.Analysis{Passive: d30, Active: ds.Active, Keep: an.Keep}
+	an2 := &core.Analysis{Inventory: d2, Keep: an.Keep}
+	an30 := &core.Analysis{Inventory: d30, Keep: an.Keep}
 	n2 := len(an2.PassiveAddrs())
 	n30 := len(an30.PassiveAddrs())
 	if !(n2 <= n30 && n30 <= full) {

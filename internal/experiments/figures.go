@@ -227,8 +227,7 @@ func Figure8(ds *Dataset) *report.Figure {
 		}
 	}
 	for _, w := range windows {
-		pd := ds.Sampled[w]
-		san := &core.Analysis{Passive: pd, Active: ds.Active, Keep: an.Keep}
+		san := &core.Analysis{Inventory: ds.Sampled[w], Keep: an.Keep}
 		s := san.PassiveSeries(ds.Start, ds.End, nil).Scale(100 / float64(total))
 		s.Name = fmt.Sprintf("%d min", int(w.Minutes()))
 		series = append(series, s)

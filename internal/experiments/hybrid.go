@@ -11,20 +11,19 @@ import (
 	"servdisc/internal/stats"
 )
 
-// HybridTable reconciles the campaign's passive and active sides through
-// the hybrid inventory (core.NewHybridInventory) and breaks the union down
+// HybridTable reads the campaign's hybrid inventory (core.NewHybridInventory
+// of its passive and active sides, Dataset.Inventory) and breaks the union down
 // by first-seen provenance per selected TCP service port — the engine-level
 // restatement of the paper's passive-vs-active comparison tables: passive
 // wins the race for popular services, probing contributes the idle ones.
 func HybridTable(ds *Dataset) *report.Table {
-	inv := core.NewHybridInventory(ds.Merged, ds.Active)
 	type row struct{ union, pFirst, aFirst, pOnly, aOnly int }
 	perPort := make(map[uint16]*row, len(campus.SelectedTCPPorts))
 	for _, port := range campus.SelectedTCPPorts {
 		perPort[port] = &row{}
 	}
 	var total row
-	inv.EachService(func(key core.ServiceKey, _ *core.PassiveRecord, p core.Provenance, _, _ time.Time) bool {
+	ds.Inventory.EachService(func(key core.ServiceKey, _ *core.PassiveRecord, p core.Provenance, _, _ time.Time) bool {
 		r, ok := perPort[key.Port]
 		if key.Proto != packet.ProtoTCP || !ok {
 			return true

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"servdisc/internal/campus"
+	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 	"servdisc/internal/stats"
@@ -203,14 +204,15 @@ func Fig11Matrix(d *Dataset) HostPortMatrix {
 		}
 		return hp
 	}
-	for key := range d.Active.Services() {
-		get(key.Addr).Active = append(get(key.Addr).Active, key.Port)
-	}
-	for key := range d.Merged.Services() {
-		if key.Proto == packet.ProtoTCP {
+	d.Inventory.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, p core.Provenance, _, _ time.Time) bool {
+		if p != core.PassiveOnly {
+			get(key.Addr).Active = append(get(key.Addr).Active, key.Port)
+		}
+		if rec != nil && key.Proto == packet.ProtoTCP {
 			get(key.Addr).Passive = append(get(key.Addr).Passive, key.Port)
 		}
-	}
+		return true
+	})
 	var m HostPortMatrix
 	for _, a := range sortedAddrs(byAddr) {
 		hp := byAddr[a]

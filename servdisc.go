@@ -512,7 +512,7 @@ func (p *Pipeline) Close() {
 // hand over only what changed since the previous snapshot, and an
 // unchanged engine returns the previous Inventory — so a live deployment
 // can poll it at any frequency (see core.Hybrid.Snapshot for the
-// consistency contract).
+// consistency contract). It is also what core.Analysis reads.
 func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
 
 // watchBuffer is Watch's default subscriber buffer: deep enough to absorb
@@ -713,17 +713,6 @@ func (p *Pipeline) SetPublisherCursor(fn func() PublisherState) {
 // federate.NewPublisherResumed so the restored site keeps its epoch and
 // sequence instead of reshipping history.
 func (p *Pipeline) RestoredPublisherCursor() *PublisherState { return p.restoredPub }
-
-// Passive merges the shards into a single PassiveDiscoverer for the
-// analysis layer (core.Analysis). The merge is a live view sharing shard
-// state: stop feeding the pipeline first (Snapshot has no such
-// restriction).
-func (p *Pipeline) Passive() *core.PassiveDiscoverer { return p.engine.Passive().Merge() }
-
-// Active exposes the active-side discoverer for the analysis layer as a
-// live read-only view; stop feeding the pipeline first (Snapshot has no
-// such restriction).
-func (p *Pipeline) Active() *core.ActiveDiscoverer { return p.engine.Active() }
 
 // Scheduler returns the attached scan scheduler, nil without Config.Scan.
 func (p *Pipeline) Scheduler() *probe.Scheduler { return p.sched }

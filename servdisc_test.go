@@ -126,7 +126,7 @@ func TestSharded18dMatchesSequential(t *testing.T) {
 	eng.RunUntil(cfg.Start.Add(time.Duration(days * 24 * float64(time.Hour))))
 	sharded.Close()
 
-	want, got := plain.Snapshot(), sharded.Snapshot()
+	want, got := core.NewInventory(plain), sharded.Snapshot()
 	if want.Len() == 0 || len(want.Scanners()) == 0 {
 		t.Fatalf("degenerate campaign: %d services, %d scanners", want.Len(), len(want.Scanners()))
 	}
@@ -354,7 +354,7 @@ func TestPipelineFacadeMatchesHandWiring(t *testing.T) {
 	pl.Flush()
 	defer pl.Close()
 
-	assertInventoriesEqual(t, plain.Snapshot(), pl.Snapshot())
+	assertInventoriesEqual(t, core.NewInventory(plain), pl.Snapshot())
 
 	// The monitor's taps expose concurrency-safe counters.
 	tap, ok := pl.Monitor().Tap(capture.LinkCommercial1)
@@ -418,7 +418,7 @@ func TestFacadeLiveSnapshotAndWatch(t *testing.T) {
 	if final.Len() < mids[len(mids)-1].Len() {
 		t.Fatal("final snapshot smaller than a mid-campaign one")
 	}
-	assertInventoriesEqual(t, plain.Snapshot(), final)
+	assertInventoriesEqual(t, core.NewInventory(plain), final)
 
 	// Event stream: exactly one discovery per final-inventory service.
 	if sub.Dropped() != 0 {
