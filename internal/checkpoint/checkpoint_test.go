@@ -545,7 +545,12 @@ func TestManifestCarriesPublisherCursor(t *testing.T) {
 }
 
 // TestStateFileRoundTrip covers the aggregator-state single-file format:
-// exact round trip, cold start on absence, loud failure on damage.
+// exact round trip, cold start on absence, loud failure on damage. A file
+// written before upgrade events carried both first times (testdata/upgprov,
+// with its writer's dump) loads too: its "upgraded"/"upg_prov" keys are
+// ignored, and the one cell whose class only they held — an upgrade with
+// no per-technique time yet — reads passive-first until the site's next
+// snapshot supplies the times.
 func TestStateFileRoundTrip(t *testing.T) {
 	agg := federate.NewAggregator()
 	// Give the aggregator real state via a publisher feed.
@@ -568,24 +573,32 @@ func TestStateFileRoundTrip(t *testing.T) {
 	if err := WriteStateFile(path, agg.ExportState()); err != nil {
 		t.Fatalf("WriteStateFile: %v", err)
 	}
-	var st federate.AggregatorState
-	ok, err := ReadStateFile(path, &st)
-	if err != nil || !ok {
-		t.Fatalf("ReadStateFile = (%v, %v)", ok, err)
-	}
-	restored := federate.NewAggregator()
-	if err := restored.ImportState(&st); err != nil {
-		t.Fatalf("ImportState: %v", err)
-	}
-	if !bytes.Equal(agg.Dump(), restored.Dump()) {
-		t.Fatal("aggregator dump differs after state-file round trip")
-	}
-	if err := restored.ImportState(&st); err == nil {
-		t.Fatal("double import should fail (not fresh)")
+	older := filepath.Join("testdata", "upgprov")
+	olderDump := bytes.Replace(mustRead(t, filepath.Join(older, "parent.dump")),
+		[]byte("  site-b active-first\n"), []byte("  site-b passive-first\n"), 1)
+	for _, in := range []struct {
+		path string
+		want []byte
+	}{{path, agg.Dump()}, {filepath.Join(older, "aggregator.state"), olderDump}} {
+		var st federate.AggregatorState
+		ok, err := ReadStateFile(in.path, &st)
+		if err != nil || !ok {
+			t.Fatalf("ReadStateFile(%s) = (%v, %v)", in.path, ok, err)
+		}
+		restored := federate.NewAggregator()
+		if err := restored.ImportState(&st); err != nil {
+			t.Fatalf("ImportState(%s): %v", in.path, err)
+		}
+		if got := restored.Dump(); !bytes.Equal(in.want, got) {
+			t.Fatalf("%s: aggregator dump after a state-file round trip:\n%s\nwant:\n%s", in.path, got, in.want)
+		}
+		if err := restored.ImportState(&st); err == nil {
+			t.Fatal("double import should fail (not fresh)")
+		}
 	}
 
 	var miss federate.AggregatorState
-	ok, err = ReadStateFile(filepath.Join(t.TempDir(), "absent"), &miss)
+	ok, err := ReadStateFile(filepath.Join(t.TempDir(), "absent"), &miss)
 	if err != nil || ok {
 		t.Fatalf("absent state file = (%v, %v), want (false, nil)", ok, err)
 	}
@@ -596,10 +609,10 @@ func TestStateFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadStateFile(bad, &st); err == nil {
+	if _, err := ReadStateFile(bad, &miss); err == nil {
 		t.Fatal("corrupt state file read succeeded")
 	}
-	if _, err := ReadStateFile(bad, &st); err == nil {
+	if _, err := ReadStateFile(bad, &miss); err == nil {
 		t.Fatal("corrupt state file read succeeded twice")
 	}
 }

@@ -20,7 +20,8 @@ const (
 	// EventProvenanceUpgraded: a service already discovered by one
 	// technique has now been confirmed by the other. Provenance carries
 	// the upgraded class (PassiveFirst or ActiveFirst, by comparing the
-	// two first-observation timestamps). At most once per service.
+	// two first-observation timestamps), PassiveAt and ActiveAt the two
+	// timestamps it compared. At most once per service.
 	EventProvenanceUpgraded
 	// EventScannerDetected: an external source crossed the paper's
 	// 100-destinations/100-RSTs threshold. Emitted once per source, at the
@@ -119,6 +120,11 @@ type Event struct {
 	// Omitted when zero, so non-service events don't carry a spurious
 	// "passive-only" (the absent field unmarshals back to the same zero).
 	Provenance Provenance `json:"prov,omitzero"`
+	// PassiveAt and ActiveAt are each technique's first observation
+	// (EventProvenanceUpgraded only): a reader learns whose Time is whose
+	// without having seen the discovery that preceded the upgrade.
+	PassiveAt time.Time `json:"passive_at,omitzero"`
+	ActiveAt  time.Time `json:"active_at,omitzero"`
 	// Scanner describes the detected scanner (EventScannerDetected only).
 	Scanner ScannerInfo `json:"scanner,omitzero"`
 	// Scan is the completed sweep's metadata (EventScanCompleted only).
@@ -195,7 +201,8 @@ func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
 	if activeAt < toInstant(t) {
 		prov = ActiveFirst
 	}
-	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
+	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
+		PassiveAt: t, ActiveAt: activeAt.time()})
 }
 
 // activeDiscovered announces the first live probe answer for key
@@ -214,7 +221,8 @@ func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 	if at >= rec.first {
 		prov = PassiveFirst
 	}
-	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov})
+	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
+		PassiveAt: rec.first.time(), ActiveAt: t})
 }
 
 // activeOpenEarlier moves a live probe answer's time earlier when a

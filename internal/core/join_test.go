@@ -190,6 +190,15 @@ func TestJoinOneDiscoveryOneUpgrade(t *testing.T) {
 						t.Fatalf("%s: %v upgraded as %v, inventory says %v", c.name, key, got, prov)
 					}
 				}
+				// The upgrade names both first times it compared: the
+				// inventory's, bar an open time that overtook it.
+				rec, _ := inv.Record(key)
+				activeAt, _ := inv.ActiveFirstOpen(key)
+				if up := evs[1]; !up.PassiveAt.Equal(rec.FirstSeen()) || up.ActiveAt.Before(activeAt) ||
+					(!c.overtake && !up.ActiveAt.Equal(activeAt)) {
+					t.Fatalf("%s: %v upgrade says passive %v active %v, inventory %v and %v",
+						c.name, key, up.PassiveAt, up.ActiveAt, rec.FirstSeen(), activeAt)
+				}
 			}
 			if upgrades == 0 {
 				t.Fatalf("%s: degenerate campaign, no service found by both techniques", c.name)

@@ -59,11 +59,6 @@ type svcState struct {
 	// newest evidence postdates the deadline must survive the retraction
 	// even though its min-merged first-at predates it.
 	passiveSeenAt, activeSeenAt time.Time
-	// upgProv remembers an upgrade event's classification, the fallback
-	// when per-technique times never materialize (e.g. the discovery event
-	// preceding the upgrade was lost and no snapshot has arrived yet).
-	upgProv  core.Provenance
-	upgraded bool
 	// flows and clients are the passive weights (max over snapshots).
 	flows, clients int
 	// firstAt is the earliest evidence from any technique.
@@ -94,24 +89,39 @@ func (s *svcState) acceptActive(t time.Time) bool {
 	return s.retractedActiveAt.IsZero() || (!t.IsZero() && !t.Before(s.retractedActiveAt))
 }
 
+// mergeSides folds one report of a service's per-technique first times — a
+// discovery or upgrade event, or a snapshot row — for the sides it names,
+// each through its own retraction gate, and reports which sides got in.
+func (s *svcState) mergeSides(passive, active bool, passiveAt, activeAt time.Time) (okP, okA bool) {
+	okP = passive && s.acceptPassive(passiveAt)
+	okA = active && s.acceptActive(activeAt)
+	if okP {
+		s.hasPassive = true
+		s.passiveAt = minTime(s.passiveAt, passiveAt)
+		s.passiveSeenAt = maxTime(s.passiveSeenAt, passiveAt)
+		s.firstAt = minTime(s.firstAt, passiveAt)
+	}
+	if okA {
+		s.hasActive = true
+		s.activeAt = minTime(s.activeAt, activeAt)
+		s.activeSeenAt = maxTime(s.activeSeenAt, activeAt)
+		s.firstAt = minTime(s.firstAt, activeAt)
+	}
+	return okP, okA
+}
+
 // clearPassive / clearActive drop one evidence kind's fields after a
-// retraction. The upgraded fallback asserts both kinds existed, so any
-// clear invalidates it; firstAt is recomputed from what remains.
+// retraction; firstAt is recomputed from what remains.
 func (s *svcState) clearPassive() {
 	s.hasPassive = false
 	s.passiveAt, s.passiveSeenAt = time.Time{}, time.Time{}
 	s.flows, s.clients = 0, 0
-	s.afterClear()
+	s.recomputeFirstAt()
 }
 
 func (s *svcState) clearActive() {
 	s.hasActive = false
 	s.activeAt, s.activeSeenAt = time.Time{}, time.Time{}
-	s.afterClear()
-}
-
-func (s *svcState) afterClear() {
-	s.upgraded, s.upgProv = false, 0
 	s.recomputeFirstAt()
 }
 
@@ -152,14 +162,8 @@ func maxTime(cur, t time.Time) time.Time {
 func (s *svcState) prov() core.Provenance {
 	switch {
 	case s.hasPassive && s.hasActive:
-		if !s.passiveAt.IsZero() && !s.activeAt.IsZero() {
-			if s.activeAt.Before(s.passiveAt) {
-				return core.ActiveFirst
-			}
-			return core.PassiveFirst
-		}
-		if s.upgraded {
-			return s.upgProv
+		if !s.passiveAt.IsZero() && !s.activeAt.IsZero() && s.activeAt.Before(s.passiveAt) {
+			return core.ActiveFirst
 		}
 		return core.PassiveFirst
 	case s.hasActive:
@@ -488,45 +492,20 @@ func (a *Aggregator) applyEvent(site SiteID, st *siteState, ev *core.Event) {
 	switch ev.Kind {
 	case core.EventServiceDiscovered:
 		s, newGlobal := a.svc(site, ev.Key)
-		switch ev.Provenance {
-		case core.ActiveOnly:
-			if !s.acceptActive(ev.Time) {
-				return
-			}
-			s.hasActive = true
-			s.activeAt = minTime(s.activeAt, ev.Time)
-			s.activeSeenAt = maxTime(s.activeSeenAt, ev.Time)
-		default: // PassiveOnly
-			if !s.acceptPassive(ev.Time) {
-				return
-			}
-			s.hasPassive = true
-			s.passiveAt = minTime(s.passiveAt, ev.Time)
-			s.passiveSeenAt = maxTime(s.passiveSeenAt, ev.Time)
+		active := ev.Provenance == core.ActiveOnly
+		if okP, okA := s.mergeSides(!active, active, ev.Time, ev.Time); !okP && !okA {
+			return
 		}
-		s.firstAt = minTime(s.firstAt, ev.Time)
 		if newGlobal {
 			a.hub.Publish(GlobalEvent{Site: site, Event: *ev})
 		}
 	case core.EventProvenanceUpgraded:
+		// The upgrade names each technique's first observation, so it
+		// merges like a snapshot row holding both sides, weights aside.
 		s, newGlobal := a.svc(site, ev.Key)
-		// The upgrade's timestamp is the later technique's first
-		// observation, but WHICH technique that is cannot be decided from
-		// aggregator state without depending on what happened to be
-		// applied first (which would break Dump convergence across
-		// interleavings) — so it only feeds the technique-agnostic
-		// firstAt; the per-technique times arrive with the next snapshot.
-		// Each side still passes the retraction gate on its own.
-		okP, okA := s.acceptPassive(ev.Time), s.acceptActive(ev.Time)
-		if !okP && !okA {
+		if okP, okA := s.mergeSides(true, true, ev.PassiveAt, ev.ActiveAt); !okP && !okA {
 			return
 		}
-		s.hasPassive = s.hasPassive || okP
-		s.hasActive = s.hasActive || okA
-		if okP && okA {
-			s.upgraded, s.upgProv = true, ev.Provenance
-		}
-		s.firstAt = minTime(s.firstAt, ev.Time)
 		if newGlobal {
 			// The preceding discovery frame was lost (bounded feed): the
 			// upgrade is still this key's first global appearance, so
@@ -563,37 +542,15 @@ func (a *Aggregator) applySnapshot(site SiteID, st *siteState, snap *Snapshot) {
 		// it tells us how fresh the site's view is either way.
 		st.watermark = maxTime(st.watermark, maxTime(svc.PassiveAt, svc.ActiveAt))
 		s, newGlobal := a.svc(site, svc.Key)
-		wantPassive := svc.Provenance != core.ActiveOnly
-		wantActive := svc.Provenance != core.PassiveOnly
-		okP := wantPassive && s.acceptPassive(svc.PassiveAt)
-		okA := wantActive && s.acceptActive(svc.ActiveAt)
+		okP, okA := s.mergeSides(svc.Provenance != core.ActiveOnly, svc.Provenance != core.PassiveOnly,
+			svc.PassiveAt, svc.ActiveAt)
 		if !okP && !okA {
 			continue
 		}
 		if okP {
-			s.hasPassive = true
-			s.passiveAt = minTime(s.passiveAt, svc.PassiveAt)
-			s.passiveSeenAt = maxTime(s.passiveSeenAt, svc.PassiveAt)
-			if svc.Flows > s.flows {
-				s.flows = svc.Flows
-			}
-			if svc.Clients > s.clients {
-				s.clients = svc.Clients
-			}
+			s.flows = max(s.flows, svc.Flows)
+			s.clients = max(s.clients, svc.Clients)
 		}
-		if okA {
-			s.hasActive = true
-			s.activeAt = minTime(s.activeAt, svc.ActiveAt)
-			s.activeSeenAt = maxTime(s.activeSeenAt, svc.ActiveAt)
-		}
-		var first time.Time
-		if okP {
-			first = minTime(first, svc.PassiveAt)
-		}
-		if okA {
-			first = minTime(first, svc.ActiveAt)
-		}
-		s.firstAt = minTime(s.firstAt, first)
 		if newGlobal {
 			a.hub.Publish(GlobalEvent{Site: site, Event: core.Event{
 				Kind: core.EventServiceDiscovered, Time: s.firstAt,

@@ -513,6 +513,47 @@ func TestUpgradeFirstAnnouncesGlobally(t *testing.T) {
 	}
 }
 
+// TestUpgradeCarriesBothFirstTimes pins what an upgrade says on the wire:
+// applied before any snapshot, after its discovery or with the discovery
+// lost, it lands both techniques' first times on the site's dump line —
+// the event's Time alone cannot say whose time it is (here the active one
+// for the first key, the passive one for the second).
+func TestUpgradeCarriesBothFirstTimes(t *testing.T) {
+	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
+	seen, lost := testKey(0x807D0101, 6, 80), testKey(0x807D0102, 6, 443)
+	events := []core.Event{
+		{Kind: core.EventServiceDiscovered, Time: base, Key: seen, Provenance: core.PassiveOnly},
+		{Kind: core.EventProvenanceUpgraded, Time: base.Add(time.Minute), Key: seen, Provenance: core.PassiveFirst,
+			PassiveAt: base, ActiveAt: base.Add(time.Minute)},
+		{Kind: core.EventProvenanceUpgraded, Time: base.Add(2 * time.Minute), Key: lost, Provenance: core.ActiveFirst,
+			PassiveAt: base.Add(2 * time.Minute), ActiveAt: base.Add(-time.Hour)},
+	}
+	frames := []Frame{{V: WireVersion, Type: FrameHello, Site: "east"}}
+	for i := range events {
+		frames = append(frames, Frame{V: WireVersion, Type: FrameEvent, Site: "east", Seq: uint64(2 * (i + 1)), Event: &events[i]})
+	}
+	agg := NewAggregator()
+	dec := NewDecoder(bytes.NewReader(encodeFrames(t, frames...)))
+	for range frames {
+		f, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump := string(agg.Dump())
+	for _, want := range []string{
+		"first=2006-12-16T10:00:00Z\n  east passive-first passive=2006-12-16T10:00:00Z flows=0 clients=0 active=2006-12-16T10:01:00Z\n",
+		"first=2006-12-16T09:00:00Z\n  east active-first passive=2006-12-16T10:02:00Z flows=0 clients=0 active=2006-12-16T09:00:00Z\n",
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("dump lacks %q:\n%s", want, dump)
+		}
+	}
+}
+
 // TestWireFeedEndToEnd runs the full wire path — Publisher.ServeConn over
 // an in-memory connection into FeedClient.RunConn (the client-speaks-
 // first resume protocol) — and checks it lands the same global state as

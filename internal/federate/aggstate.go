@@ -26,13 +26,11 @@ type AggSvcRecord struct {
 	ActiveAt   time.Time `json:"active_at,omitzero"`
 	// PassiveSeenAt / ActiveSeenAt are the newest accepted observations
 	// per side (the late-retraction survival cursor).
-	PassiveSeenAt time.Time       `json:"passive_seen_at,omitzero"`
-	ActiveSeenAt  time.Time       `json:"active_seen_at,omitzero"`
-	Upgraded      bool            `json:"upgraded,omitempty"`
-	UpgProv       core.Provenance `json:"upg_prov,omitzero"`
-	Flows         int             `json:"flows,omitempty"`
-	Clients       int             `json:"clients,omitempty"`
-	FirstAt       time.Time       `json:"first_at,omitzero"`
+	PassiveSeenAt time.Time `json:"passive_seen_at,omitzero"`
+	ActiveSeenAt  time.Time `json:"active_seen_at,omitzero"`
+	Flows         int       `json:"flows,omitempty"`
+	Clients       int       `json:"clients,omitempty"`
+	FirstAt       time.Time `json:"first_at,omitzero"`
 	// RetractedPassiveAt / RetractedActiveAt carry the cell's retraction
 	// deadlines; a cell with no live evidence persists as a tombstone.
 	RetractedPassiveAt time.Time `json:"retracted_passive_at,omitzero"`
@@ -111,7 +109,6 @@ func (a *Aggregator) ExportState() *AggregatorState {
 				Site: id, HasPassive: s.hasPassive, HasActive: s.hasActive,
 				PassiveAt: s.passiveAt, ActiveAt: s.activeAt,
 				PassiveSeenAt: s.passiveSeenAt, ActiveSeenAt: s.activeSeenAt,
-				Upgraded: s.upgraded, UpgProv: s.upgProv,
 				Flows: s.flows, Clients: s.clients, FirstAt: s.firstAt,
 				RetractedPassiveAt: s.retractedPassiveAt,
 				RetractedActiveAt:  s.retractedActiveAt,
@@ -165,7 +162,6 @@ func (a *Aggregator) ImportState(st *AggregatorState) error {
 				hasPassive: r.HasPassive, hasActive: r.HasActive,
 				passiveAt: r.PassiveAt, activeAt: r.ActiveAt,
 				passiveSeenAt: r.PassiveSeenAt, activeSeenAt: r.ActiveSeenAt,
-				upgraded: r.Upgraded, upgProv: r.UpgProv,
 				flows: r.Flows, clients: r.Clients, firstAt: r.FirstAt,
 				retractedPassiveAt: r.RetractedPassiveAt,
 				retractedActiveAt:  r.RetractedActiveAt,

@@ -3,6 +3,7 @@ package federate
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -406,91 +407,113 @@ const (
 		`74 {"v":3,"type":"snapshot","site":"east","epoch":12345,"seq":1,"snapshot":{}}` + "\n"
 )
 
-// TestV3ClientRefused pins the publisher half of mixed-version refusal: a
-// wire-v3 aggregator's JSONL resume hello is answered with a closed
-// connection, not a byte of feed, an error naming both versions, and a
-// HellosRejected count.
+// oldPeers are the earlier wire versions a peer may still speak: each
+// one's client hello (a zero-cursor resume) and publisher hello. A wire-v4
+// frame differs from this version's only past its header's version nibble.
+var oldPeers = []struct {
+	name          string
+	resume, hello []byte
+	want          string
+}{
+	{"v3", []byte(v3Resume), []byte(v3Hello), "wire version 3, want 5"},
+	{"v4", rawFrame(4<<4|codeResume, make([]byte, 10)...),
+		rawFrame(4<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
+		"wire version 4, want 5"},
+}
+
+// TestV3ClientRefused pins the publisher half of mixed-version refusal: an
+// older aggregator's resume hello (v3 JSONL or v4 binary) is answered with
+// a closed connection, not a byte of feed, an error naming both versions,
+// and a HellosRejected count.
 func TestV3ClientRefused(t *testing.T) {
-	site := newTestSite(3, 50)
-	defer site.pub.Close()
-	site.produce()
+	for _, peer := range oldPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			site := newTestSite(3, 50)
+			defer site.pub.Close()
+			site.produce()
 
-	server, client := net.Pipe()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- site.pub.ServeConn(context.Background(), server)
-		server.Close()
-	}()
-	go client.Write([]byte(v3Resume))
-	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	served, _ := io.ReadAll(client)
-	client.Close()
+			server, client := net.Pipe()
+			errc := make(chan error, 1)
+			go func() {
+				errc <- site.pub.ServeConn(context.Background(), server)
+				server.Close()
+			}()
+			go client.Write(peer.resume)
+			_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+			served, _ := io.ReadAll(client)
+			client.Close()
 
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "wire version 3, want 4") {
-		t.Errorf("ServeConn = %v, want an error naming wire version 3 against 4", err)
-	}
-	if len(served) != 0 {
-		t.Errorf("a v3 client was served %d bytes before the refusal", len(served))
-	}
-	if st := site.pub.Stats(); st.HellosRejected != 1 || st.SnapshotFallbacks != 0 || st.ResumeHits != 0 {
-		t.Errorf("publisher stats after a v3 hello = %+v, want one rejected hello and no catch-up", st)
+			if err := <-errc; err == nil || !strings.Contains(err.Error(), peer.want) {
+				t.Errorf("ServeConn = %v, want an error naming %q", err, peer.want)
+			}
+			if len(served) != 0 {
+				t.Errorf("a %s client was served %d bytes before the refusal", peer.name, len(served))
+			}
+			if st := site.pub.Stats(); st.HellosRejected != 1 || st.SnapshotFallbacks != 0 || st.ResumeHits != 0 {
+				t.Errorf("publisher stats after a %s hello = %+v, want one rejected hello and no catch-up", peer.name, st)
+			}
+		})
 	}
 }
 
-// TestV3PublisherRefused pins the client half: a wire-v3 publisher's JSONL
-// hello ends the connection with an error naming both versions before any
-// frame reaches the aggregator, and the redials that follow climb the
-// ordinary backoff schedule — a refused feed never counts as a delivery
-// that resets it.
+// TestV3PublisherRefused pins the client half: an older publisher's hello
+// (v3 JSONL or v4 binary) ends the connection with an error naming both
+// versions before any frame reaches the aggregator, and the redials that
+// follow climb the ordinary backoff schedule — a refused feed never counts
+// as a delivery that resets it.
 func TestV3PublisherRefused(t *testing.T) {
-	agg := NewAggregator()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errs := make(chan error, 64)
-	fc := NewFeedClient(agg, "v3-site", FeedOptions{
-		Dial: func(context.Context) (net.Conn, error) {
-			server, client := net.Pipe()
+	for _, peer := range oldPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			agg := NewAggregator()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errs := make(chan error, 64)
+			fc := NewFeedClient(agg, "old-site", FeedOptions{
+				Dial: func(context.Context) (net.Conn, error) {
+					server, client := net.Pipe()
+					go func() {
+						defer server.Close()
+						// An older publisher reads the hello (whatever it
+						// makes of it), then speaks its own version.
+						if _, err := server.Read(make([]byte, 512)); err == nil {
+							server.Write(peer.hello)
+						}
+					}()
+					return client, nil
+				},
+				Backoff:      BackoffConfig{Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: 5},
+				OnDisconnect: func(err error) { errs <- err },
+			})
+			done := make(chan struct{})
 			go func() {
-				defer server.Close()
-				// A v3 publisher reads the hello (whatever it makes of
-				// it), then speaks JSONL.
-				if _, err := server.Read(make([]byte, 512)); err == nil {
-					server.Write([]byte(v3Hello))
-				}
+				defer close(done)
+				_ = fc.Run(ctx)
 			}()
-			return client, nil
-		},
-		Backoff:      BackoffConfig{Base: time.Millisecond, Cap: 8 * time.Millisecond, Seed: 5},
-		OnDisconnect: func(err error) { errs <- err },
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = fc.Run(ctx)
-	}()
-	for i := 0; i < 6; i++ {
-		select {
-		case err := <-errs:
-			if err == nil || !strings.Contains(err.Error(), "wire version 3, want 4") {
-				t.Errorf("connection %d ended with %v, want an error naming wire version 3 against 4", i, err)
+			for i := 0; i < 6; i++ {
+				select {
+				case err := <-errs:
+					if err == nil || !strings.Contains(err.Error(), peer.want) {
+						t.Errorf("connection %d ended with %v, want an error naming %q", i, err, peer.want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("feed client stopped redialing")
+				}
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("feed client stopped redialing")
-		}
-	}
-	cancel()
-	<-done
+			cancel()
+			<-done
 
-	st := fc.Stats()
-	if st.FramesApplied != 0 || agg.NumServices() != 0 || len(agg.Sites()) != 0 {
-		t.Errorf("a v3 feed reached the aggregator: %d frames applied, %d services, sites %v",
-			st.FramesApplied, agg.NumServices(), agg.Sites())
-	}
-	if st.Disconnects != st.Connects || st.Connects < 6 {
-		t.Errorf("feed stats = %+v, want every connection counted as a disconnect", st)
-	}
-	if got := fc.NextBackoff(); got != 8*time.Millisecond {
-		t.Errorf("backoff ceiling after %d refused connections = %v, want the 8ms cap", st.Connects, got)
+			st := fc.Stats()
+			if st.FramesApplied != 0 || agg.NumServices() != 0 || len(agg.Sites()) != 0 {
+				t.Errorf("a %s feed reached the aggregator: %d frames applied, %d services, sites %v",
+					peer.name, st.FramesApplied, agg.NumServices(), agg.Sites())
+			}
+			if st.Disconnects != st.Connects || st.Connects < 6 {
+				t.Errorf("feed stats = %+v, want every connection counted as a disconnect", st)
+			}
+			if got := fc.NextBackoff(); got != 8*time.Millisecond {
+				t.Errorf("backoff ceiling after %d refused connections = %v, want the 8ms cap", st.Connects, got)
+			}
+		})
 	}
 }
 

@@ -47,8 +47,9 @@ import (
 // from a bounded replay ring instead of a full snapshot), wire-level
 // heartbeat frames, the shared-token auth field, and the publisher
 // hello's Resumed marker. Version 4 kept every frame and its meaning and
-// replaced the JSONL bytes with the binary layout below.
-const WireVersion = 4
+// replaced the JSONL bytes with the binary layout below. Version 5 sends
+// Seq and times as deltas and gives upgrades both per-technique times.
+const WireVersion = 5
 
 // maxFrameLen bounds a single frame. Snapshot frames grow with inventory
 // size (~20 B per service), so the cap is generous; anything beyond it
@@ -148,19 +149,21 @@ type Retraction struct {
 //	frame   = uvarint(len) header [envelope] body crc32c
 //	header  = version<<4 | envelope<<3 | type code (1..6)
 //	envelope= uvarint(len(site)) site  u64(epoch)
-//	crc32c  = u32, Castagnoli, over header..body; len counts header..crc
+//	crc32c  = u32, Castagnoli, over header..body, xor stream.crc's mix of
+//	          the Seq and time bases; len counts header..crc
 //
 //	hello     body = u8 flags (bit0 resumed)
 //	resume    body = u64 cursor epoch, uvarint cursor seq, uvarint(len) token
 //	heartbeat body = (empty)
-//	event     body = uvarint seq, event
-//	retract   body = uvarint seq, retraction
-//	snapshot  body = uvarint seq, varint packets,
+//	event     body = seq, event
+//	retract   body = seq, retraction
+//	snapshot  body = seq, varint packets,
 //	                 uvarint n, n×service, uvarint n, n×scanner,
 //	                 uvarint n, n×scan,    uvarint n, n×retraction
 //
 //	event      = u8 kind, u8 flags (bit0 time, bit1 key+prov, bit2 scanner,
-//	             bit3 scan, bit4 truncated), then each present part in order
+//	             bit3 scan, bit4 truncated, bit5 passive_at, bit6 active_at),
+//	             present times (time, passive_at, active_at), other parts
 //	service    = key, u8 prov, u8 flags (bit0 passive_at, bit1 active_at),
 //	             present times, varint flows, varint clients
 //	retraction = key, u8 prov, u8 flags (bit0 at), present time
@@ -168,16 +171,18 @@ type Retraction struct {
 //	             varint unique_dsts, varint rst_dsts
 //	scan       = varint id, u8 flags (bit0 started, bit1 finished), times
 //	key        = u32 addr, u8 proto, u16 port
-//	time       = i64 UnixNano, decoded to UTC
+//	seq        = varint(int64(seq − previous seq − 1))
+//	time       = varint(int64(UnixNano − previous UnixNano)), decoded to UTC
 //
-// The envelope is sticky: (Site, Epoch) are written only when they differ
-// from the previous frame on the same stream (both ends start at ("", 0)),
-// so a steady feed pays nothing for them while frames of several sites
+// The stream state is sticky: both ends start at zero and keep the last
+// (Site, Epoch), Seq and time, so the envelope is written only when it
+// changes and each Seq or time as a wrapping 64-bit difference from the
+// last — a byte per Seq on a live feed — while frames of several sites
 // interleaved through one Encoder/Decoder pair still round-trip exactly.
-// A zero time.Time is carried as an absent time — its UnixNano is
-// undefined — and a non-zero time outside the int64-nanosecond range
-// (years 1678–2262) is an encode error, never a wrapped value. Enum bytes
-// (type, kind, provenance) and flag bytes are range-checked on decode:
+// State moves only when a whole frame codes. A zero time.Time is an absent
+// time (its UnixNano is undefined); a non-zero time outside the int64-ns
+// range (years 1678–2262) is an encode error, never a wrapped value. Enum
+// bytes (type, kind, provenance) and flag bytes are range-checked on decode:
 // an unknown value is an error, not a silent zero. Seq rides only on the
 // sequenced types (snapshot, event, retract), Resumed only on hello,
 // Resume and Token only on resume.
@@ -185,7 +190,7 @@ type Retraction struct {
 // The version sits in the header's high nibble so it is checked before
 // the body is even read. A v3 peer's JSONL frame ("63 {...}\n") puts an
 // ASCII digit (0x3N) there, so a mixed-version pair fails on the first
-// frame with "wire version 3, want 4" on the v4 side.
+// frame with "wire version 3, want 5" on the v5 side (a v4 one: "4, want 5").
 type Frame struct {
 	// V is the protocol version (WireVersion).
 	V int `json:"v"`
@@ -238,15 +243,31 @@ var (
 	maxWireTime = time.Unix(0, math.MaxInt64)
 )
 
+// stream is the sticky stream state an Encoder and the Decoder reading it
+// share: the envelope the decoder assumes for a frame that carries none,
+// and the bases the next Seq and the next time are written against.
+type stream struct {
+	site       SiteID
+	epoch, seq uint64
+	ns         int64
+}
+
+// crc is a frame's checksum: its CRC-32C xor a mix of the Seq and time
+// bases it is coded against (zero at a stream's start). A frame decoded
+// against other bases — a span replayed or dropped on the way — fails it
+// instead of being read with a shifted Seq and shifted times.
+func (s *stream) crc(frame []byte) uint32 {
+	h := s.seq*0x9e3779b97f4a7c15 + uint64(s.ns)
+	h = (h ^ h>>32) * 0xd6e8feb86659fd93
+	return crc32.Checksum(frame, castagnoli) ^ uint32(h^h>>32)
+}
+
 // Encoder writes frames in the binary wire form. Not safe for concurrent
 // writers; each feed connection owns one encoder.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
-	// site and epoch are the sticky envelope: what the peer's decoder
-	// currently assumes for a frame that carries none.
-	site  SiteID
-	epoch uint64
+	st  stream
 }
 
 // NewEncoder wraps a writer (typically a net.Conn or an HTTP response).
@@ -266,12 +287,12 @@ func (e *Encoder) Encode(f *Frame) error {
 
 // append encodes one frame into the buffer without writing it; flush
 // sends everything appended since the last one in a single Write. A frame
-// that fails to encode leaves the buffer and the sticky envelope as they
+// that fails to encode leaves the buffer and the stream state as they
 // were.
 func (e *Encoder) append(f *Frame) error {
 	start := len(e.buf)
-	w := wbuf{b: append(e.buf, make([]byte, maxLenPrefix)...)}
-	w.frame(f, f.Site != e.site || f.Epoch != e.epoch)
+	w := wbuf{b: append(e.buf, make([]byte, maxLenPrefix)...), st: e.st}
+	w.frame(f)
 	if w.err != nil {
 		return w.err
 	}
@@ -283,7 +304,7 @@ func (e *Encoder) append(f *Frame) error {
 	}
 	k := binary.PutUvarint(w.b[start:], uint64(n))
 	e.buf = append(w.b[:start+k], w.b[start+maxLenPrefix:]...)
-	e.site, e.epoch = f.Site, f.Epoch
+	e.st = w.st
 	return nil
 }
 
@@ -297,11 +318,12 @@ func (e *Encoder) flush() error {
 	return err
 }
 
-// wbuf appends wire primitives to a byte slice. The first failure sticks
-// in err and is reported once, by the frame's caller.
+// wbuf appends wire primitives to a byte slice, advancing its copy of the
+// stream state. The first failure sticks in err for the frame's caller.
 type wbuf struct {
 	b   []byte
 	err error
+	st  stream
 }
 
 func (w *wbuf) fail(format string, args ...any) {
@@ -332,8 +354,8 @@ func flags(on ...bool) (b byte) {
 	return b
 }
 
-// times writes each non-zero time; the caller has already written the
-// presence bits that tell the decoder which ones follow.
+// times writes each non-zero time as a delta; the caller has already
+// written the presence bits that tell the decoder which ones follow.
 func (w *wbuf) times(ts ...time.Time) {
 	for _, t := range ts {
 		if t.IsZero() {
@@ -342,8 +364,15 @@ func (w *wbuf) times(ts ...time.Time) {
 		if t.Before(minWireTime) || t.After(maxWireTime) {
 			w.fail("time %s outside the int64-nanosecond range", t.Format(time.RFC3339))
 		}
-		w.u64(uint64(t.UnixNano()))
+		w.b = binary.AppendVarint(w.b, int64(uint64(t.UnixNano())-uint64(w.st.ns)))
+		w.st.ns = t.UnixNano()
 	}
+}
+
+// seq writes Seq as its distance past the stream's previous one, less one.
+func (w *wbuf) seq(s uint64) {
+	w.b = binary.AppendVarint(w.b, int64(s-w.st.seq-1))
+	w.st.seq = s
 }
 
 func (w *wbuf) key(k core.ServiceKey) {
@@ -359,16 +388,18 @@ func (w *wbuf) prov(p core.Provenance) {
 	w.u8(uint8(p))
 }
 
-func (w *wbuf) frame(f *Frame, envelope bool) {
+func (w *wbuf) frame(f *Frame) {
 	if f.V < 1 || f.V > 15 {
 		w.fail("version %d does not fit the header", f.V)
 		return
 	}
-	start := len(w.b)
+	start, base := len(w.b), w.st
 	w.u8(0) // the header, filled in once the switch below has named the type code
+	envelope := f.Site != w.st.site || f.Epoch != w.st.epoch
 	if envelope {
 		w.str(string(f.Site))
 		w.u64(f.Epoch)
+		w.st.site, w.st.epoch = f.Site, f.Epoch
 	}
 	var code byte
 	switch f.Type {
@@ -392,7 +423,7 @@ func (w *wbuf) frame(f *Frame, envelope bool) {
 			w.fail("event frame without event")
 			return
 		}
-		w.uvarint(f.Seq)
+		w.seq(f.Seq)
 		w.event(f.Event)
 	case FrameRetract:
 		code = codeRetract
@@ -400,7 +431,7 @@ func (w *wbuf) frame(f *Frame, envelope bool) {
 			w.fail("retract frame without retraction")
 			return
 		}
-		w.uvarint(f.Seq)
+		w.seq(f.Seq)
 		w.retraction(f.Retract)
 	case FrameSnapshot:
 		code = codeSnapshot
@@ -408,7 +439,7 @@ func (w *wbuf) frame(f *Frame, envelope bool) {
 			w.fail("snapshot frame without snapshot")
 			return
 		}
-		w.uvarint(f.Seq)
+		w.seq(f.Seq)
 		w.snapshot(f.Snapshot)
 	default:
 		w.fail("unknown frame type %q", f.Type)
@@ -418,7 +449,7 @@ func (w *wbuf) frame(f *Frame, envelope bool) {
 	if envelope {
 		w.b[start] |= headerEnvelope
 	}
-	w.u32(crc32.Checksum(w.b[start:], castagnoli))
+	w.u32(base.crc(w.b[start:]))
 }
 
 func (w *wbuf) event(ev *core.Event) {
@@ -429,8 +460,9 @@ func (w *wbuf) event(ev *core.Event) {
 	hasScanner := ev.Scanner != core.ScannerInfo{}
 	hasScan := ev.Scan != core.ScanMeta{}
 	w.u8(uint8(ev.Kind))
-	w.u8(flags(!ev.Time.IsZero(), hasKey, hasScanner, hasScan, ev.Truncated))
-	w.times(ev.Time)
+	w.u8(flags(!ev.Time.IsZero(), hasKey, hasScanner, hasScan, ev.Truncated,
+		!ev.PassiveAt.IsZero(), !ev.ActiveAt.IsZero()))
+	w.times(ev.Time, ev.PassiveAt, ev.ActiveAt)
 	if hasKey {
 		w.key(ev.Key)
 		w.prov(ev.Provenance)
@@ -507,10 +539,8 @@ const (
 type Decoder struct {
 	r   *bufio.Reader
 	buf []byte
-	// site and epoch are the sticky envelope (see Encoder).
-	site  SiteID
-	epoch uint64
-	off   int64
+	st  stream
+	off int64
 }
 
 // NewDecoder wraps a reader.
@@ -563,11 +593,11 @@ func (d *Decoder) Decode() (*Frame, error) {
 		d.buf = nil
 	}
 	body, sum := buf[:len(buf)-crcLen], binary.LittleEndian.Uint32(buf[len(buf)-crcLen:])
-	if got := crc32.Checksum(body, castagnoli); got != sum {
+	if got := d.st.crc(body); got != sum {
 		return nil, fmt.Errorf("federate: frame checksum %08x, frame says %08x", got, sum)
 	}
-	f := &Frame{V: WireVersion, Site: d.site, Epoch: d.epoch}
-	r := rbuf{b: body[1:]}
+	f := &Frame{V: WireVersion}
+	r := rbuf{b: body[1:], st: d.st}
 	r.frame(f, hdr)
 	if r.err == nil && len(r.b) != 0 {
 		r.fail("%d trailing bytes in %s frame", len(r.b), f.Type)
@@ -575,7 +605,7 @@ func (d *Decoder) Decode() (*Frame, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	d.site, d.epoch = f.Site, f.Epoch
+	d.st = r.st
 	d.off += int64(width) + int64(n)
 	return f, nil
 }
@@ -619,11 +649,12 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 var errShortBody = errors.New("federate: decode frame: body ends inside a field")
 
-// rbuf consumes wire primitives from a CRC-verified frame body. The first
-// failure sticks in err; reads past it return zeros.
+// rbuf consumes a CRC-verified frame body, advancing its copy of the stream
+// state. The first failure sticks in err; reads past it return zeros.
 type rbuf struct {
 	b   []byte
 	err error
+	st  stream
 }
 
 func (r *rbuf) fail(format string, args ...any) {
@@ -725,12 +756,32 @@ func (r *rbuf) flags(n int) byte {
 	return b
 }
 
+// delta reads one signed varint the stream state advances by, refusing
+// any spelling but the shortest (padded, or past 64 bits).
+func (r *rbuf) delta(what string) uint64 {
+	v, n := binary.Varint(r.b)
+	switch {
+	case n == 0:
+		n = len(r.b) + 1 // the body ends inside it: take reports it short
+	case n != uvarintLen(uint64(v<<1^v>>63)):
+		r.fail("overlong %s delta varint", what)
+	}
+	r.take(n)
+	return uint64(v)
+}
+
+func (r *rbuf) seq() uint64 {
+	r.st.seq += r.delta("seq") + 1
+	return r.st.seq
+}
+
 // time reads one timestamp if its presence bit is set.
 func (r *rbuf) time(present bool) time.Time {
 	if !present {
 		return time.Time{}
 	}
-	return time.Unix(0, int64(r.u64())).UTC()
+	r.st.ns += int64(r.delta("time"))
+	return time.Unix(0, r.st.ns).UTC()
 }
 
 // count reads a list length and refuses one the rest of the body could
@@ -764,9 +815,10 @@ func (r *rbuf) frame(f *Frame, hdr byte) {
 	}
 	f.Type = frameTypes[code]
 	if hdr&headerEnvelope != 0 {
-		f.Site = SiteID(r.str())
-		f.Epoch = r.u64()
+		r.st.site = SiteID(r.str())
+		r.st.epoch = r.u64()
 	}
+	f.Site, f.Epoch = r.st.site, r.st.epoch
 	switch code {
 	case codeHello:
 		f.Resumed = r.flags(1) != 0
@@ -774,15 +826,15 @@ func (r *rbuf) frame(f *Frame, hdr byte) {
 		f.Resume = &ResumeCursor{Epoch: r.u64(), Seq: r.uvarint()}
 		f.Token = r.str()
 	case codeEvent:
-		f.Seq = r.uvarint()
+		f.Seq = r.seq()
 		f.Event = new(core.Event)
 		r.event(f.Event)
 	case codeRetract:
-		f.Seq = r.uvarint()
+		f.Seq = r.seq()
 		f.Retract = new(Retraction)
 		r.retraction(f.Retract)
 	case codeSnapshot:
-		f.Seq = r.uvarint()
+		f.Seq = r.seq()
 		f.Snapshot = new(Snapshot)
 		r.snapshot(f.Snapshot)
 	}
@@ -793,8 +845,10 @@ func (r *rbuf) event(ev *core.Event) {
 	if !ev.Kind.Valid() {
 		r.fail("unknown event kind %d", uint8(ev.Kind))
 	}
-	fl := r.flags(5)
+	fl := r.flags(7)
 	ev.Time = r.time(fl&1 != 0)
+	ev.PassiveAt = r.time(fl&32 != 0)
+	ev.ActiveAt = r.time(fl&64 != 0)
 	if fl&2 != 0 {
 		ev.Key = r.key()
 		ev.Provenance = r.prov()

@@ -28,7 +28,8 @@ func sampleFrames() []Frame {
 	base := time.Date(2006, 12, 16, 10, 0, 0, 123456789, time.UTC)
 	key := testKey(0x807D0107, 6, 443)
 	ev1 := core.Event{Kind: core.EventServiceDiscovered, Time: base, Key: key, Provenance: core.PassiveOnly}
-	ev2 := core.Event{Kind: core.EventProvenanceUpgraded, Time: base.Add(time.Hour), Key: key, Provenance: core.PassiveFirst}
+	ev2 := core.Event{Kind: core.EventProvenanceUpgraded, Time: base.Add(time.Hour), Key: key, Provenance: core.PassiveFirst,
+		PassiveAt: base, ActiveAt: base.Add(time.Hour)}
 	ev3 := core.Event{Kind: core.EventScannerDetected, Time: base.Add(2 * time.Hour),
 		Scanner: core.ScannerInfo{Source: netaddr.MustParseV4("211.1.1.1"), Window: base, UniqueDsts: 150, RstDsts: 120}}
 	ev4 := core.Event{Kind: core.EventScanCompleted, Time: base.Add(3 * time.Hour),
@@ -103,60 +104,142 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireFrameSizes pins what the format costs: a steady-feed discovery
-// event — the frame the federation link carries once per service — and a
-// snapshot's per-service share.
+// event — the frame the federation link carries once per service, here the
+// next sequence number 2 µs after the previous event — and a snapshot's
+// per-service share.
 func TestWireFrameSizes(t *testing.T) {
 	frames := sampleFrames()
-	if n := len(encodeFrames(t, frames[1], frames[3])) - len(encodeFrames(t, frames[1])); n > 27 {
-		t.Errorf("a steady-feed discovery event takes %d bytes, want <= 27", n)
+	next := *frames[3].Event
+	next.Key.Port, next.Time = 8080, next.Time.Add(2*time.Microsecond)
+	steady := Frame{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: frames[3].Epoch, Seq: 14, Event: &next}
+	if n := len(encodeFrames(t, frames[1], frames[3], steady)) - len(encodeFrames(t, frames[1], frames[3])); n != 19 {
+		t.Errorf("a steady-feed discovery event takes %d bytes, want 19", n)
 	}
 	snap := &Snapshot{Services: make([]SnapshotService, 1000)}
 	for i := range snap.Services {
 		snap.Services[i] = SnapshotService{Key: testKey(0x807D0000+uint32(i), 6, 80), PassiveAt: retBase, Flows: 300, Clients: 40}
 	}
 	n := len(encodeFrames(t, Frame{V: WireVersion, Type: FrameSnapshot, Site: "east", Seq: 1, Snapshot: snap}))
-	if per := float64(n) / float64(len(snap.Services)); per > 21 {
-		t.Errorf("a passive-only snapshot service takes %.1f bytes, want <= 21", per)
+	if per := float64(n) / float64(len(snap.Services)); per > 14 {
+		t.Errorf("a passive-only snapshot service takes %.1f bytes, want <= 14", per)
 	}
 }
 
-// TestStickyEnvelope interleaves two sites' hello, snapshot and live
-// frames through ONE encoder/decoder pair: every frame must come back
-// with its own site, epoch and sequence, and the envelope must cost bytes
-// only where the site changes.
-func TestStickyEnvelope(t *testing.T) {
-	ev := core.Event{Kind: core.EventServiceDiscovered, Time: retBase, Key: keyA}
-	site := func(id SiteID, epoch uint64) []Frame {
-		return []Frame{
-			{V: WireVersion, Type: FrameHello, Site: id, Epoch: epoch},
-			{V: WireVersion, Type: FrameSnapshot, Site: id, Epoch: epoch, Seq: 5, Snapshot: &Snapshot{Packets: 9}},
-			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: 6, Event: &ev},
-			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: 7, Event: &ev},
-		}
-	}
-	east, west := site("site-east", 111), site("site-west", 222)
-	var frames []Frame
-	for i := range east {
-		frames = append(frames, east[i], west[i])
-	}
-	// A restarted publisher keeps its site and changes only the epoch.
-	frames = append(frames, Frame{V: WireVersion, Type: FrameHello, Site: "site-west", Epoch: 333})
-
-	dec := NewDecoder(bytes.NewReader(encodeFrames(t, frames...)))
+// decodeAll decodes every frame of a stream through one decoder and
+// checks each against the frames that were encoded.
+func decodeAll(t *testing.T, wire []byte, frames ...Frame) {
+	t.Helper()
+	dec := NewDecoder(bytes.NewReader(wire))
 	for i := range frames {
 		got, err := dec.Decode()
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(&frames[i], got) {
-			t.Errorf("interleaved frame %d came back as %+v, want %+v", i, *got, frames[i])
+			t.Errorf("frame %d came back as %+v, want %+v", i, *got, frames[i])
 		}
 	}
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Errorf("after %d frames: %v, want EOF", len(frames), err)
+	}
+}
+
+// TestStickyEnvelope interleaves two sites' hello, snapshot and live
+// frames through ONE encoder/decoder pair — the west site's sequence
+// numbers and times below the east's, so both go backwards at every
+// switch: every frame must come back with its own site, epoch, sequence
+// and times, and the envelope must cost bytes only where the site
+// changes. The time delta wraps, a refused frame moves no base, and a
+// delta spelled longer than the encoder would is refused by name.
+func TestStickyEnvelope(t *testing.T) {
+	site := func(id SiteID, epoch, seq uint64, at time.Time) []Frame {
+		ev := core.Event{Kind: core.EventServiceDiscovered, Time: at, Key: keyA}
+		later := core.Event{Kind: core.EventProvenanceUpgraded, Time: at.Add(time.Minute), Key: keyA,
+			Provenance: core.ActiveFirst, PassiveAt: at.Add(time.Minute), ActiveAt: at.Add(-time.Hour)}
+		return []Frame{
+			{V: WireVersion, Type: FrameHello, Site: id, Epoch: epoch},
+			{V: WireVersion, Type: FrameSnapshot, Site: id, Epoch: epoch, Seq: seq, Snapshot: &Snapshot{Packets: 9,
+				Services: []SnapshotService{{Key: keyA, PassiveAt: at.Add(-time.Hour)}}}},
+			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: seq + 1, Event: &ev},
+			{V: WireVersion, Type: FrameEvent, Site: id, Epoch: epoch, Seq: seq + 2, Event: &later},
+		}
+	}
+	east, west := site("site-east", 111, 5, retBase), site("site-west", 222, 2, retBase.Add(-24*time.Hour))
+	var frames []Frame
+	for i := range east {
+		frames = append(frames, east[i], west[i])
+	}
+	// A restarted publisher keeps its site and changes only the epoch.
+	frames = append(frames, Frame{V: WireVersion, Type: FrameHello, Site: "site-west", Epoch: 333})
+	decodeAll(t, encodeFrames(t, frames...), frames...)
 
 	alone := len(encodeFrames(t, east[0], east[2])) - len(encodeFrames(t, east[0]))
 	switched := len(encodeFrames(t, west[0], east[2])) - len(encodeFrames(t, west[0]))
 	if want := alone + 1 + len("site-east") + 8; switched != want {
 		t.Errorf("event after a site switch takes %d bytes, want %d (%d + envelope)", switched, want, alone)
+	}
+
+	// MaxInt64 → MinInt64 nanoseconds is a one-nanosecond step once the
+	// subtraction wraps.
+	retractAt := func(seq uint64, ns int64) Frame {
+		return Frame{V: WireVersion, Type: FrameRetract, Site: "s", Seq: seq,
+			Retract: &Retraction{Key: keyA, At: time.Unix(0, ns).UTC()}}
+	}
+	wrap := []Frame{retractAt(1, math.MaxInt64), retractAt(2, math.MinInt64)}
+	decodeAll(t, encodeFrames(t, wrap...), wrap...)
+	if n := len(encodeFrames(t, wrap...)) - len(encodeFrames(t, wrap[0])); n != 17 {
+		t.Errorf("the wrapped time's frame takes %d bytes, want 17 (a one-byte delta)", n)
+	}
+
+	// A frame refused after its seq and time were written leaves both bases
+	// where the previous frame put them.
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	bad := core.Event{Kind: core.EventServiceDiscovered, Time: retBase.Add(time.Hour), Key: keyA, Provenance: core.Provenance(9)}
+	good := []Frame{east[0], east[2], east[3]}
+	for i := range good {
+		if i == 2 {
+			if err := enc.Encode(&Frame{V: WireVersion, Type: FrameEvent, Site: "site-east", Epoch: 111, Seq: 99, Event: &bad}); err == nil {
+				t.Fatal("an unknown provenance encoded")
+			}
+		}
+		if err := enc.Encode(&good[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := encodeFrames(t, good...); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("a refused frame moved the stream state:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	decodeAll(t, buf.Bytes(), good...)
+
+	// A frame replayed on the wire is refused, not read as the next one
+	// against bases it was not coded for.
+	twice := encodeFrames(t, good[:2]...)
+	twice = append(twice, twice[len(encodeFrames(t, good[0])):]...)
+	dec := NewDecoder(bytes.NewReader(twice))
+	for i := 0; i < 2; i++ {
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, err := dec.Decode(); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("a replayed event frame decoded as %+v, %v; want a checksum error", f, err)
+	}
+
+	const hdr = WireVersion<<4 | codeEvent
+	for name, tc := range map[string]struct {
+		in   []byte
+		want string
+	}{
+		"padded seq":     {rawFrame(hdr, 0x80, 0, 0, 0), "overlong seq delta varint"},
+		"seq past 64":    {rawFrame(hdr, append(bytes.Repeat([]byte{0xff}, 9), 0x7f, 0, 0)...), "overlong seq delta varint"},
+		"padded time":    {rawFrame(hdr, 0, 0, 1, 0x82, 0x80, 0), "overlong time delta varint"},
+		"time past 64":   {rawFrame(hdr, append([]byte{0, 0, 1}, append(bytes.Repeat([]byte{0x80}, 10), 1)...)...), "overlong time delta varint"},
+		"time cut short": {rawFrame(hdr, 0, 0, 1, 0x80), "body ends inside a field"},
+	} {
+		if _, err := NewDecoder(bytes.NewReader(tc.in)).Decode(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one mentioning %q", name, err, tc.want)
+		}
 	}
 }
 
@@ -243,16 +326,16 @@ func TestDecodeRejects(t *testing.T) {
 		"padded prefix":   {append([]byte{hb[0] | 0x80, 0}, hb[1:]...), "padded to a 2-byte prefix"},
 		"empty frame":     {[]byte{0}, "shorter than an empty frame"},
 		"crc only":        {[]byte{4, 0, 0, 0, 0}, "shorter than an empty frame"},
-		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 4"},
-		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 4"},
+		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 5"},
+		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 5"},
 		"bad crc":         {append(rawFrame(WireVersion<<4 | codeHeartbeat)[:2], 1, 2, 3, 4), "checksum"},
 		"type code 0":     {rawFrame(WireVersion << 4), "unknown frame type code 0"},
 		"type code 7":     {rawFrame(WireVersion<<4 | 7), "unknown frame type code 7"},
 		"bad kind":        {rawFrame(hdrEvent, 1, 99, 0), "unknown event kind 99"},
 		"bad provenance":  {rawFrame(hdrEvent, append([]byte{1, 0, 2}, append(key, 4)...)...), "unknown provenance 4"},
-		"bad event flags": {rawFrame(hdrEvent, 1, 0, 0x20), "unknown flag bits"},
+		"bad event flags": {rawFrame(hdrEvent, 1, 0, 0x80), "unknown flag bits"},
 		"bad hello flags": {rawFrame(WireVersion<<4|codeHello, 2), "unknown flag bits"},
-		"short body":      {rawFrame(hdrEvent, 1, 0, 1, 9, 9), "body ends inside a field"},
+		"short body":      {rawFrame(hdrEvent, 0, 0, 1, 0x80, 0x80), "body ends inside a field"},
 		"trailing bytes":  {rawFrame(WireVersion<<4|codeHeartbeat, 0), "trailing bytes"},
 		"hostile count":   {rawFrame(hdrSnap, 1, 0, 0xff, 0xff, 0xff, 0x7f), "entries in"},
 		"site past body":  {rawFrame(WireVersion<<4|headerEnvelope|codeHeartbeat, 200, 'x'), "body ends inside a field"},
@@ -391,21 +474,24 @@ func TestEventKindTextStable(t *testing.T) {
 
 // FuzzFrameRoundTrip builds event, retract and snapshot frames from fuzzed
 // primitives and asserts decode returns a deeply equal frame and
-// encode→decode→encode is byte-stable.
+// encode→decode→encode is byte-stable. Each frame rides behind a fuzzed
+// predecessor through the same encoder and decoder, so its sequence and
+// time deltas start from a non-zero base.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0))
-	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0))
-	f.Add(uint8(2), int64(-1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), uint8(1))
-	f.Add(uint8(3), int64(math.MaxInt64), uint32(0), uint8(255), uint16(65535), uint8(3), -1, math.MinInt64, uint64(math.MaxUint64), uint8(1))
-	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2))
-	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0))
+	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0), int64(1166263100), uint64(12))
+	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0), int64(1166266800), uint64(13))
+	f.Add(uint8(2), int64(-1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), uint8(1), int64(1166270400), uint64(90))
+	f.Add(uint8(3), int64(math.MaxInt64), uint32(0), uint8(255), uint16(65535), uint8(3), -1, math.MinInt64, uint64(math.MaxUint64), uint8(1), int64(math.MinInt64), uint64(0))
+	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2), int64(-1), uint64(math.MaxUint64))
+	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0), int64(math.MaxInt64), uint64(1<<63+1))
+	f.Add(uint8(1), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(80), uint8(3), 0, 0, uint64(20), uint8(0), int64(1166263199), uint64(19))
 	f.Fuzz(func(t *testing.T, kind uint8, ns int64, addr uint32, proto uint8, port uint16,
-		prov uint8, n1, n2 int, seq uint64, shape uint8) {
+		prov uint8, n1, n2 int, seq uint64, shape uint8, prevNs int64, prevSeq uint64) {
 		// Enums are clamped into their valid domain — the codec's contract
 		// is for valid frames; FuzzDecoderNoPanic covers hostile bytes.
 		// Every int64 is a legal wire time except that zero nanoseconds
 		// past the Unix epoch is not the zero time.Time.
-		at := time.Unix(0, ns).UTC()
+		at, prevAt := time.Unix(0, ns).UTC(), time.Unix(0, prevNs).UTC()
 		k := core.EventKind(kind % 5)
 		p := core.Provenance(prov % 4)
 		key := testKey(addr, proto, port)
@@ -417,6 +503,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			switch k {
 			case core.EventServiceDiscovered, core.EventProvenanceUpgraded, core.EventServiceExpired:
 				ev.Key, ev.Provenance = key, p
+				if k == core.EventProvenanceUpgraded {
+					ev.PassiveAt, ev.ActiveAt = at, prevAt
+				}
 			case core.EventScannerDetected:
 				ev.Scanner = core.ScannerInfo{Source: netaddr.V4(addr), Window: at, UniqueDsts: n1, RstDsts: n2}
 			case core.EventScanCompleted:
@@ -440,16 +529,22 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			fr.Type = FrameRetract
 			fr.Retract = &Retraction{Key: key, At: at, Prov: p}
 		}
+		prev := Frame{V: WireVersion, Type: FrameRetract, Site: fr.Site, Epoch: prevSeq, Seq: prevSeq,
+			Retract: &Retraction{Key: key, At: prevAt, Prov: p}}
 
-		first := encodeFrames(t, fr)
-		got, err := NewDecoder(bytes.NewReader(first)).Decode()
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+		first := encodeFrames(t, prev, fr)
+		dec := NewDecoder(bytes.NewReader(first))
+		var got [2]*Frame
+		for i, want := range []*Frame{&prev, &fr} {
+			var err error
+			if got[i], err = dec.Decode(); err != nil {
+				t.Fatalf("decode frame %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(want, got[i]) {
+				t.Fatalf("round trip changed frame %d:\n in: %+v\nout: %+v", i, *want, *got[i])
+			}
 		}
-		if !reflect.DeepEqual(&fr, got) {
-			t.Fatalf("round trip changed the frame:\n in: %+v\nout: %+v", fr, *got)
-		}
-		if again := encodeFrames(t, *got); !bytes.Equal(first, again) {
+		if again := encodeFrames(t, *got[0], *got[1]); !bytes.Equal(first, again) {
 			t.Fatalf("round trip not byte-stable:\n in: %x\nout: %x", first, again)
 		}
 	})
