@@ -265,7 +265,7 @@ func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	fp := rec.firstPeers
 	var peers []netaddr.V4
 	if rec.nClients > peerInline {
-		peers = sortedV4Keys(d.peers[key])
+		peers = d.peers[key].sorted()
 	} else if len(fp) > 0 {
 		peers = make([]netaddr.V4, len(fp))
 		for i := range fp {
@@ -282,6 +282,17 @@ func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 		FirstPeers: rec.FirstPeers(),
 		Peers:      peers,
 	}
+}
+
+// checkPeers holds st to what every exporter writes: Peers is exactly
+// Clients distinct addresses. A restore that took fewer would count
+// returning clients again, and its clients= would drift from the
+// uninterrupted run's.
+func (st *ServiceState) checkPeers() error {
+	if n := len(slices.Compact(slices.Sorted(slices.Values(st.Peers)))); n != st.Clients || n != len(st.Peers) {
+		return fmt.Errorf("core: checkpoint service %v lists %d peers, %d distinct, for %d clients", st.Key, len(st.Peers), n, st.Clients)
+	}
+	return nil
 }
 
 // importService installs one service wholesale (later deltas replace
@@ -310,9 +321,9 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		seal:       d.seals,
 	}
 	if st.Clients > peerInline {
-		ps := make(map[netaddr.V4]struct{}, len(st.Peers))
+		ps := new(addrSet)
 		for _, p := range st.Peers {
-			ps[p] = struct{}{}
+			ps.add(p)
 		}
 		d.peers[st.Key] = ps
 	}
@@ -330,7 +341,7 @@ func (t *scanTracker) exportSource(src netaddr.V4) ScanSourceState {
 		var ws ScanWindowState
 		if ws.Index, n = t.recAt(s, off); n == 1 {
 			w := &t.big[s[off]&^bigRef]
-			ws.Dsts, ws.RstDsts = sortedV4Keys(w.dsts), sortedV4Keys(w.rsts)
+			ws.Dsts, ws.RstDsts = w.dsts.sorted(), w.rsts.sorted()
 		} else {
 			rsts := off + 2 + int(s[off]&0xff)
 			ws.Dsts, ws.RstDsts = sortedWords(s[off+2:rsts]), sortedWords(s[rsts:off+n])
@@ -505,13 +516,19 @@ func (s *ShardedPassive) checkFresh() error {
 // and before any ingest; apply a baseline and its deltas in chain order.
 // State is redistributed by owner address, so the shard count may differ
 // from the exporting engine's. Active-scan state needs a Hybrid to land in.
-// Single-goroutine, like pre-Run ingest.
+// A delta listing any service's peers as other than Clients distinct
+// addresses is refused whole. Single-goroutine, like pre-Run ingest.
 func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	if err := s.checkFresh(); err != nil {
 		return err
 	}
 	if ed.Active != nil && s.overlay == nil {
 		return fmt.Errorf("core: delta carries active-scan state; import it into a Hybrid engine")
+	}
+	for i := range ed.Services {
+		if err := ed.Services[i].checkPeers(); err != nil {
+			return err
+		}
 	}
 	s.importPassive(ed)
 	if ed.Active != nil {
@@ -663,18 +680,4 @@ func (h *Hybrid) importActiveState(as *ActiveState) {
 	h.aview = nil
 	h.passive.agen.Add(1)
 	h.seenReports.Store(true)
-}
-
-// sortedV4Keys renders a V4 key set as a sorted slice. The generic
-// signature covers both struct{}-valued set shapes used in the engine.
-func sortedV4Keys[V any](m map[netaddr.V4]V) []netaddr.V4 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]netaddr.V4, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -28,7 +28,7 @@ type PassiveDiscoverer struct {
 	// (see newPeer). The table lives here rather than in the record so
 	// snapshots never carry (or copy) it: it belongs to the live, ingesting
 	// side only.
-	peers map[ServiceKey]map[netaddr.V4]struct{}
+	peers map[ServiceKey]*addrSet
 
 	// addrTimes records thinned per-address activity timestamps for the
 	// firewall-confirmation heuristic ("activity observed during an
@@ -92,7 +92,7 @@ func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDisc
 		campus:    campus,
 		udpPorts:  make(map[uint16]bool, len(udpPorts)),
 		services:  make(map[ServiceKey]*PassiveRecord),
-		peers:     make(map[ServiceKey]map[netaddr.V4]struct{}),
+		peers:     make(map[ServiceKey]*addrSet),
 		addrTimes: make(map[netaddr.V4][]instant),
 		tombs:     make(map[ServiceKey]time.Time),
 		track:     newScanTracker(),
@@ -322,8 +322,8 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 }
 
 // peerInline is the client count up to which a service's peers are
-// deduplicated by scanning rec.firstPeers; past it the service gets a map
-// in d.peers (DESIGN.md §7 records the measurement that picked it). The
+// deduplicated by scanning rec.firstPeers; past it the service gets an
+// addrSet in d.peers (DESIGN.md §7 records the measurement that picked it). The
 // scan is only exhaustive while firstPeers still records every peer.
 const peerInline = 32
 
@@ -336,12 +336,7 @@ const _ = uint(maxFirstPeers - peerInline) // peerInline <= maxFirstPeers
 // safe beside snapshots aliasing the same backing array.
 func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer netaddr.V4) bool {
 	if rec.nClients > peerInline {
-		peers := d.peers[key]
-		if _, seen := peers[peer]; seen {
-			return false
-		}
-		peers[peer] = struct{}{}
-		return true
+		return d.peers[key].add(peer)
 	}
 	for i := range rec.firstPeers {
 		if rec.firstPeers[i].peer == peer {
@@ -349,12 +344,12 @@ func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer net
 		}
 	}
 	if rec.nClients == peerInline {
-		// One past the inline count: the service moves to a map.
-		peers := make(map[netaddr.V4]struct{}, 2*peerInline)
+		// One past the inline count: the service moves to a set.
+		peers := new(addrSet)
 		for i := range rec.firstPeers {
-			peers[rec.firstPeers[i].peer] = struct{}{}
+			peers.add(rec.firstPeers[i].peer)
 		}
-		peers[peer] = struct{}{}
+		peers.add(peer)
 		d.peers[key] = peers
 	}
 	return true

@@ -26,18 +26,28 @@ import (
 // which fails the service budget. The saving must not be a passive-engine
 // special case: the same services in a Hybrid that has reconciled a sweep
 // over other keys cost the same, and the join holds an entry per
-// probe-answered key and none per passive service.
+// probe-answered key and none per passive service. Two more readings price
+// the addrSet behind the engine's resident address sets: 8.3 B per further
+// distinct client of a 2 000-client service, and 17.0 B per destination of
+// a scanner's promoted window (one member in each of its two sets); the Go
+// maps it replaced read 19.2 B and 38.6 B.
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
-		n            = 100_000
-		sourceBudget = 86 // bytes per one-destination external source
-		repeats      = 20_000
-		windows      = 36  // 18 days
-		windowBudget = 18  // bytes per (source, window) of a repeat client
-		svcBudget    = 185 // bytes per single-client service
-		hybridSlack  = 2   // bytes a Hybrid may add per passive-only service
-		allocBudget  = 1   // allocations for a first SYN from a new source
-		probed       = 1000
+		n             = 100_000
+		sourceBudget  = 86 // bytes per one-destination external source
+		repeats       = 20_000
+		windows       = 36  // 18 days
+		windowBudget  = 18  // bytes per (source, window) of a repeat client
+		svcBudget     = 185 // bytes per single-client service
+		hybridSlack   = 2   // bytes a Hybrid may add per passive-only service
+		allocBudget   = 1   // allocations for a first SYN from a new source
+		probed        = 1000
+		busySvcs      = 1000
+		busyClients   = 2000
+		clientBudget  = 10 // bytes per further distinct client of a busy service
+		scanSrcs      = 64
+		scanDsts      = 2000
+		scanDstBudget = 21 // bytes per SYN+RST destination of a scanner's window
 	)
 	wide := residentCampus
 	ext := netaddr.MustParseV4("64.0.0.0")
@@ -97,6 +107,36 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 	}
 	if got := joinEntries(hyb.Passive()); got != probed {
 		t.Errorf("hybrid engine holds %d join entries, want one per probe-answered key (%d)", got, probed)
+	}
+
+	// A busy service: once its peer history is full, a further distinct
+	// client lands in its distinct-peer set and nowhere else.
+	busyClient := func(base int) func(p *packet.Packet, i int) {
+		return func(p *packet.Packet, i int) {
+			p.IPv4.Src = wide.Base() + netaddr.V4(i%busySvcs)
+			p.IPv4.Dst = ext + netaddr.V4(base+i/busySvcs)
+		}
+	}
+	busy := NewShardedPassive(wide, nil, 1)
+	fillEngine(busy, busySvcs*maxFirstPeers, accept, busyClient(0))
+	perClient := grow(busy, busySvcs*(busyClients-maxFirstPeers), accept, busyClient(maxFirstPeers))
+	t.Logf("further distinct client of a %d-client service: %.1f B (budget %d)", busyClients, perClient, clientBudget)
+	if perClient > clientBudget {
+		t.Errorf("a further distinct client of a busy service holds %.1f B of live heap, budget %d", perClient, clientBudget)
+	}
+
+	// Scanners: every source sweeps the same destinations, each answered by
+	// a RST, so each window holds both sets promoted far past scanInline.
+	perDst := 2 * grow(NewShardedPassive(wide, nil, 1), 2*scanSrcs*scanDsts, syn, func(p *packet.Packet, i int) {
+		src, dst := ext+netaddr.V4(i/2%scanSrcs), wide.Base()+netaddr.V4(i/2/scanSrcs)
+		p.IPv4.Src, p.IPv4.Dst = src, dst
+		if i%2 == 1 {
+			p.IPv4.Src, p.IPv4.Dst, p.TCP.Flags = dst, src, packet.FlagRST|packet.FlagACK
+		}
+	})
+	t.Logf("scanner, per SYN+RST destination of a promoted window: %.1f B (budget %d)", perDst, scanDstBudget)
+	if perDst > scanDstBudget {
+		t.Errorf("a scanner holds %.1f B of live heap per SYN+RST destination, budget %d", perDst, scanDstBudget)
 	}
 
 	d := NewPassiveDiscoverer(wide, nil)

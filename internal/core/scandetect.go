@@ -87,20 +87,20 @@ const scanInline = 8
 // bigRef marks a one-word record: the low bits index scanTracker.big.
 const bigRef = 1 << 31
 
-// bigWindow is a window as two Go maps, for the few (scanners, mostly) that
-// outgrow the packed form.
+// bigWindow is a window as two addrSets, for the few (scanners, mostly) that
+// outgrow the packed form; big holds it by value.
 type bigWindow struct {
 	idx        int64
-	dsts, rsts map[netaddr.V4]struct{}
+	dsts, rsts addrSet
 }
 
 func (w *bigWindow) add(dst netaddr.V4, rst bool) (nd, nr int) {
 	if rst {
-		w.rsts[dst] = struct{}{}
+		w.rsts.add(dst)
 	} else {
-		w.dsts[dst] = struct{}{}
+		w.dsts.add(dst)
 	}
-	return len(w.dsts), len(w.rsts)
+	return w.dsts.len(), w.rsts.len()
 }
 
 func newScanTracker() *scanTracker {
@@ -148,7 +148,7 @@ func (t *scanTracker) recAt(s []uint32, off int) (idx int64, n int) {
 
 // newBig makes an empty bigWindow and returns the word that refers to it.
 func (t *scanTracker) newBig(idx int64) uint32 {
-	t.big = append(t.big, bigWindow{idx, map[netaddr.V4]struct{}{}, map[netaddr.V4]struct{}{}})
+	t.big = append(t.big, bigWindow{idx: idx})
 	return bigRef | uint32(len(t.big)-1)
 }
 

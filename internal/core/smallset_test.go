@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,20 @@ func (r *refTracker) importSource(ss *ScanSourceState) {
 		}
 	}
 	r.sources[ss.Source] = windows
+}
+
+// sortedV4Keys renders a map-form address set ascending, nil when empty, as
+// the engine's exports did before addrSet.
+func sortedV4Keys(m map[netaddr.V4]struct{}) []netaddr.V4 {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]netaddr.V4, 0, len(m))
+	for a := range m {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // compareTrackers checks everything the tracker shows the rest of the
@@ -397,6 +412,14 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 	cross = append(cross, scanOp{src: 5, dst: 50, dt: ScanDetectWindow}, scanOp{src: 5, dst: 51, dt: ScanDetectWindow},
 		scanOp{src: 5, dst: 8, rst: true, dt: -2 * ScanDetectWindow}, scanOp{src: 5, dst: 8}, scanOp{src: 5, dst: 52, dt: ScanDetectWindow})
 	f.Add(encodeScanOps(cross))
+	// A window promoted past scanInline on both sides, then 0.0.0.0 — the
+	// addrSet's empty-slot value — added to both sets and repeated.
+	var zero []scanOp
+	for i := 1; i <= scanInline+2; i++ {
+		zero = append(zero, scanOp{src: 6, dst: netaddr.V4(i)}, scanOp{src: 6, dst: netaddr.V4(i), rst: true})
+	}
+	zero = append(zero, scanOp{src: 6, dst: 0}, scanOp{src: 6, dst: 0, rst: true}, scanOp{src: 6, dst: 0}, scanOp{src: 6, dst: 0, rst: true})
+	f.Add(encodeScanOps(zero))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -453,6 +476,8 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 // map per service, through everything that touches the state: repeats,
 // seals (so records are cloned before their next write), an observe-side
 // incarnation split, a snapshot-side TTL expiry, and the checkpoint form.
+// 0.0.0.0 is a peer of every pool (the addrSet holds it beside its slots),
+// and the largest pool is swept whole, so its set crosses every growth step.
 func TestPeerDedupModel(t *testing.T) {
 	const ttl = time.Hour
 	type refSvc struct {
@@ -462,9 +487,16 @@ func TestPeerDedupModel(t *testing.T) {
 	}
 	// Client pools sized to end below, at, just past and far past both
 	// boundaries (peerInline, maxFirstPeers).
-	pools := []int{1, 3, peerInline - 1, peerInline, peerInline + 1, 2 * peerInline, maxFirstPeers, maxFirstPeers + 1, 300}
+	pools := []int{1, 3, peerInline - 1, peerInline, peerInline + 1, 2 * peerInline, maxFirstPeers, maxFirstPeers + 1, 300, 5000}
+	big := len(pools) - 1
 	keyOf := func(i int) ServiceKey {
 		return ServiceKey{Addr: campusPfx.Base() + netaddr.V4(300+i), Proto: packet.ProtoTCP, Port: 80}
+	}
+	peerOf := func(r int) netaddr.V4 {
+		if r == 0 {
+			return 0
+		}
+		return netaddr.MustParseV4("64.0.0.0") + netaddr.V4(r)
 	}
 
 	for _, seed := range []int64{1, 2, 3} {
@@ -528,11 +560,18 @@ func TestPeerDedupModel(t *testing.T) {
 			first   []PeerContact
 		}
 		var sealed []sealedAt
+		sweep := func() {
+			for _, r := range rng.Perm(pools[big]) {
+				observe(big, peerOf(r))
+			}
+		}
 		for step := 0; step < 6000; step++ {
 			now = now.Add(time.Second)
 			i := rng.Intn(len(pools))
-			observe(i, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(rng.Intn(pools[i])))
+			observe(i, peerOf(rng.Intn(pools[i])))
 			switch {
+			case step == 1000 || step == 5000:
+				sweep()
 			case step%97 == 0:
 				// Seal, and remember the records the seal hands out — the
 				// whole shard the first time, what changed since afterwards:
@@ -547,7 +586,7 @@ func TestPeerDedupModel(t *testing.T) {
 				// expired by the sweep that follows.
 				now = now.Add(2 * ttl)
 				for i := 0; i < len(pools); i += 2 {
-					observe(i, netaddr.MustParseV4("64.0.0.0"))
+					observe(i, peerOf(0))
 				}
 				d.expireDue(now)
 				for key, r := range ref {
@@ -581,8 +620,55 @@ func TestPeerDedupModel(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			now = now.Add(time.Second)
 			i := rng.Intn(len(pools))
-			observe(i, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(rng.Intn(pools[i])))
+			observe(i, peerOf(rng.Intn(pools[i])))
+			if step == 1000 {
+				sweep()
+			}
 		}
 		check("after resumed ingest")
+	}
+}
+
+// TestImportRefusesInconsistentPeers: every exporter writes a service's
+// Peers as exactly Clients distinct addresses. A delta that breaks that —
+// too few peers, too many, one listed twice — is refused with the key named
+// and nothing written, since the restored clients= would drift from the
+// uninterrupted run's; the untouched delta then imports as usual.
+func TestImportRefusesInconsistentPeers(t *testing.T) {
+	pkts := []packet.Packet{*synAck(t0, campusPfx.Base()+1, 22, netaddr.MustParseV4("64.0.0.1"))}
+	for i := 0; i < 40; i++ {
+		pkts = append(pkts, *synAck(t0.Add(time.Duration(i)*time.Second), campusPfx.Base()+2, 80, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(i)))
+	}
+	src := NewShardedPassive(campusPfx, nil, 1)
+	src.HandleBatch(pkts)
+	want, _ := src.ExportDelta(nil)
+	if len(want.Services) != 2 || want.Services[1].Clients != 40 {
+		t.Fatalf("exported %+v, want a 1-client service before a 40-client one", want.Services)
+	}
+	bad := want.Services[1].Key
+	tamper := map[string]func(st *ServiceState){
+		"10 peers for 40 clients": func(st *ServiceState) { st.Peers = st.Peers[:10] },
+		"41 peers for 40 clients": func(st *ServiceState) { st.Peers = append(st.Peers, 1) },
+		"a peer listed twice":     func(st *ServiceState) { st.Peers[7] = st.Peers[3] },
+	}
+	for name, edit := range tamper {
+		ed := *want
+		ed.Services = slices.Clone(want.Services)
+		ed.Services[1].Peers = slices.Clone(want.Services[1].Peers)
+		edit(&ed.Services[1])
+		dst := NewShardedPassive(campusPfx, nil, 1)
+		err := dst.ImportDelta(&ed)
+		if err == nil || !strings.Contains(err.Error(), bad.String()) {
+			t.Fatalf("%s: ImportDelta = %v, want an error naming %v", name, err, bad)
+		}
+		if n := len(dst.shards[0].disc.services); n != 0 {
+			t.Fatalf("%s: the refused delta wrote %d services", name, n)
+		}
+		if err := dst.ImportDelta(want); err != nil {
+			t.Fatalf("%s: the untouched delta after a refusal: %v", name, err)
+		}
+		if got, _ := dst.ExportDelta(nil); !reflect.DeepEqual(got.Services, want.Services) {
+			t.Fatalf("%s: re-export %+v, want %+v", name, got.Services, want.Services)
+		}
 	}
 }
