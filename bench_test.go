@@ -588,9 +588,9 @@ func BenchmarkSnapshotChurn1pct(b *testing.B) {
 // chunk every op — the O(inventory) floor. "delta" ingests ~1% of the
 // corpus between checkpoints, so each op persists only the churn: its
 // bytes/op and ns/op should sit far below baseline's and track churn
-// size, not inventory size — the incremental claim the dirty-set
-// machinery exists to back. "unchanged" checkpoints a quiet engine,
-// the skip path a tight checkpoint cadence rides between bursts.
+// size, not inventory size — the incremental claim the inventory diff
+// backs (CI gates the bytes ratio). "unchanged" checkpoints a quiet
+// engine, the skip path a tight checkpoint cadence rides between bursts.
 func BenchmarkCheckpointUnderLoad(b *testing.B) {
 	pkts, pfx := ingestStream(b)
 	// MaxDeltas is effectively unbounded in the delta case so compaction

@@ -11,8 +11,8 @@
 // On-disk layout, one directory per engine:
 //
 //	manifest.json            atomic (tmp+rename) index: engine config
-//	                         fingerprint, generation cursor, chunk chain,
-//	                         optional federation publisher cursor
+//	                         fingerprint, chunk chain, optional
+//	                         federation publisher cursor
 //	chunk-<run>-<n>.ckpt     length-prefixed JSONL frames (framing.go):
 //	                         hdr, entity frames, end
 //
@@ -20,9 +20,8 @@
 // writer can never overwrite a file the last durable manifest still
 // references; files no longer referenced are pruned only after the new
 // manifest is safely on disk. A failed checkpoint poisons the writer's
-// cursor, forcing the next checkpoint to be a full baseline (the
-// engine's dirty sets were consumed by the failed export and cannot be
-// recovered).
+// cursor, forcing the next checkpoint to be a full baseline (the export
+// consumed the scan tracker's dirty set, which cannot be recovered).
 package checkpoint
 
 import (
@@ -73,17 +72,14 @@ type ChunkInfo struct {
 }
 
 // Manifest is the checkpoint directory's index: which chunks make up the
-// current chain and which engine state they reproduce. It is replaced
+// current chain and which engine shape they reproduce. It is replaced
 // atomically on every checkpoint; the manifest on disk always describes
-// a complete, verifiable chain.
+// a complete, verifiable chain. Decoding ignores unknown fields on
+// purpose: manifests written before a field was dropped (the "cursor" of
+// older writers) still restore.
 type Manifest struct {
 	Version int               `json:"version"`
 	Engine  core.EngineConfig `json:"engine"`
-	// Cursor is the engine cut the chain reproduces; the Writer resumes
-	// incremental exports from it after a restore-then-checkpoint cycle
-	// only via a fresh baseline (dirty tracking does not survive a
-	// process, only the data does).
-	Cursor core.CheckpointCursor `json:"cursor"`
 	// Written is the wall-clock time of the last checkpoint, for
 	// operators; nothing is derived from it.
 	Written time.Time   `json:"written,omitzero"`

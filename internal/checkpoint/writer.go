@@ -74,9 +74,8 @@ type Stats struct {
 	BytesWritten uint64
 	LastBytes    uint64
 	LastDuration time.Duration
-	// ChunksSkipped counts shard exports skipped outright because the
-	// shard had not applied a batch since the cursor — the incremental
-	// machinery's payoff counter.
+	// ChunksSkipped counts shard exports that carried nothing since the
+	// cursor: the incremental machinery's payoff counter.
 	ChunksSkipped uint64
 }
 
@@ -100,9 +99,9 @@ type Writer struct {
 // NewWriter prepares a writer on dir, creating it if needed. The first
 // Checkpoint writes a full baseline; to continue an existing directory's
 // chain the process must first Restore into the engine, and even then
-// the next checkpoint is a baseline (dirty tracking does not survive a
-// process, only the data does) — which also replaces the old chain, so
-// a restored process never appends to chunks written by its predecessor.
+// the next checkpoint is a baseline (a cursor lives only in the process that
+// made it) — which also replaces the old chain, so a restored process never
+// appends to chunks written by its predecessor.
 func NewWriter(eng Engine, dir string, opts Options) (*Writer, error) {
 	if opts.MaxDeltas <= 0 {
 		opts.MaxDeltas = DefaultMaxDeltas
@@ -169,21 +168,16 @@ func (w *Writer) checkpoint(ctx context.Context, forceFull bool) (Result, error)
 			return Result{}, err
 		}
 	}
-	full := forceFull || w.cur == nil
-	compacted := false
-	if !full && len(w.man.Chunks) > w.opts.MaxDeltas {
-		full, compacted = true, true
+	compacted := !forceFull && w.cur != nil && len(w.man.Chunks) > w.opts.MaxDeltas
+	if forceFull || compacted {
+		w.cur = nil
 	}
-	cur := w.cur
-	if full {
-		cur = nil
-	}
-	ed, newCur := w.eng.ExportDelta(cur)
-	if !full && len(ed.Services) == 0 && len(ed.Trails) == 0 && len(ed.Tombs) == 0 &&
-		len(ed.ScanSources) == 0 && ed.Active == nil {
-		// Not a single entity changed (and Packets only moves with
-		// batches, which dirty a shard): the chain on disk is already
-		// current.
+	full := w.cur == nil
+	ed, newCur := w.eng.ExportDelta(w.cur)
+	if !full && ed.ShardsChanged == 0 && ed.Active == nil {
+		// Not a single entity changed: the chain on disk is already
+		// current. Packets that changed nothing are left to the replay
+		// after a restore, which they change no more than they did here.
 		w.cur = &newCur
 		res := Result{Skipped: true, ShardsSkipped: ed.ShardsSkipped, Duration: time.Since(start)}
 		w.note(res)
@@ -198,7 +192,6 @@ func (w *Writer) checkpoint(ctx context.Context, forceFull bool) (Result, error)
 	man := &Manifest{
 		Version: FormatVersion,
 		Engine:  w.eng.CheckpointConfig(),
-		Cursor:  newCur,
 		Written: time.Now().UTC(),
 	}
 	seq := 0
@@ -240,8 +233,8 @@ func (w *Writer) checkpoint(ctx context.Context, forceFull bool) (Result, error)
 	return res, nil
 }
 
-// fail poisons the cursor: the export consumed the engine's dirty sets,
-// so the only sound continuation after a failed write is a full
+// fail poisons the cursor: the export consumed the scan tracker's dirty
+// set, so the only sound continuation after a failed write is a full
 // baseline. Caller holds w.mu.
 func (w *Writer) fail(err error) error {
 	w.cur = nil

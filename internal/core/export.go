@@ -2,23 +2,13 @@ package core
 
 // Checkpoint export/import: the engine side of internal/checkpoint.
 //
-// ExportDelta freezes a consistent cut of everything the engine has
-// learned — including the live-only state that frozen inventories
-// deliberately do not carry (the peer-identity side tables behind client
-// counts, the scan tracker's window contents, the cumulative packet
-// count) — and copies only what changed since the given cursor. Capture
-// consistency comes from the same mechanism snapshots use
-// (ShardedPassive.atBoundary): the cut falls at a whole-batch boundary of
-// the producer's stream and the copy-out runs on the shard's owner
-// goroutine, race-free by construction.
-//
-// Incrementality comes from dedicated checkpoint dirty sets (ckDirty /
-// ckDirtyAddrs on the discoverer, ckDirty on the scan tracker), switched
-// on by the first full export and cleared at each export: unlike the seal
-// dirty sets they survive snapshot freezes, so a checkpoint cadence much
-// slower than the snapshot cadence still pays O(churn), not O(inventory).
-// The generation vector in the cursor detects untouched shards (their
-// export is skipped outright) and guards against stale cursors.
+// ExportDelta copies out what changed since a cursor, including the
+// live-only state frozen inventories do not carry (the peer sets behind
+// client counts, the scan tracker's windows). The cut is a snapshot point,
+// and what changed is the structural diff of the cursor's inventory and the
+// new one, O(churn) because the two share every untouched trie node. The
+// scan tracker is the exception: its sources are not in the store, so it
+// keeps a dirty set of its own (scanTracker.ckDirty).
 //
 // ImportDelta is the inverse: it redistributes exported state by owner
 // address into a FRESH engine — the shard count may differ from the
@@ -26,13 +16,15 @@ package core
 // shards' live-probe-answer tables (an imported passive record is its own
 // seed: the event join reads presence from the shard's records) so a
 // restored engine never re-announces what the checkpointed incarnation
-// already published. Deltas carry complete
-// per-entity state (a whole service record, a whole trail, a whole
-// source's windows), so applying a baseline plus its delta chain in order
-// is a plain upsert sequence; nothing in the data model is ever deleted.
+// already published. Deltas carry complete per-entity state (a whole
+// service record, a whole trail, a whole source's windows), so applying a
+// baseline plus its delta chain in order is an upsert sequence plus
+// deletions: a delta's tombstones retire the services they name, and import
+// applies them before its upserts.
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -53,12 +45,12 @@ type EngineConfig struct {
 	Hybrid   bool     `json:"hybrid,omitempty"`
 }
 
-// CheckpointCursor names the engine state an export covered: one
-// generation per passive shard plus the active-side report generation.
-// Feed it back to the next ExportDelta to receive only what changed.
+// CheckpointCursor names the snapshot point an export was cut at; feed it to
+// the next ExportDelta to receive only what changed since. It is opaque and
+// meaningful only to the engine that made it: any other exports everything.
 type CheckpointCursor struct {
-	Gens []uint64 `json:"gens"`
-	Agen uint64   `json:"agen,omitempty"`
+	s   *ShardedPassive
+	inv *Inventory
 }
 
 // ServiceState is one service's complete passive evidence in wire form:
@@ -171,89 +163,39 @@ type EngineDelta struct {
 	// the uninterrupted run would have.
 	Watermark time.Time
 
-	// ShardsChanged and ShardsSkipped report export effort: skipped
-	// shards had not applied a single batch since the cursor and were not
-	// even walked — the number behind the "chunks skipped" metric.
+	// ShardsChanged and ShardsSkipped report export effort (a skipped shard
+	// owns nothing the delta carries), behind the "chunks skipped" metric.
 	ShardsChanged int
 	ShardsSkipped int
 }
 
-// shardExport is one shard's copy-out. Every slice is freshly built (the
-// engine's own arrays are packed and never handed out), so the caller may
-// serialize — or rewrite — them while the shard keeps ingesting.
-type shardExport struct {
-	gen      uint64
-	packets  int
-	skipped  bool
-	full     bool
-	services []ServiceState
-	trails   []AddrTrail
-	tombs    []TombState
-	scanSrcs []ScanSourceState
-}
-
-// exportState copies out the shard's state since gen `since` (everything,
-// when full). It runs on the shard's owner goroutine (atBoundary), so it may
-// read the live maps — peers and tracker included — freely. A full export
-// switches the checkpoint dirty tracking on; every export clears it, handing
-// responsibility for write failures to the caller (the Writer falls back to
-// a full baseline after any failed checkpoint, since the cleared dirty sets
-// are unrecoverable).
-func (sh *passiveShard) exportState(since uint64, full bool) *shardExport {
-	d := sh.disc
-	ex := &shardExport{gen: sh.gen, packets: d.Packets}
-	full = full || d.ckDirty == nil
-	if !full && sh.gen == since {
-		// Not one batch applied since the cursor: nothing to copy. The
-		// dirty sets are necessarily empty (every observe advances gen).
-		ex.skipped = true
-		return ex
-	}
-	ex.full = full
+// exportState copies out, on the shard's owner right after its seal, what a
+// frozen inventory does not hold: every live service of the shard that moved
+// (every shard's list) or sd names — all when full — and every scan source
+// touched since the previous export, sharing nothing with the engine. A full
+// export switches the tracker's dirty set on and every export clears it, so
+// after a failed write only a baseline is sound.
+func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta) (svcs []ServiceState, srcs []ScanSourceState) {
+	d, t := sh.disc, sh.disc.track
+	dirty := maps.Keys(t.ckDirty)
 	if full {
-		d.ckDirty = make(map[ServiceKey]struct{})
-		d.ckDirtyAddrs = make(map[netaddr.V4]struct{})
-		d.ckTombs = make(map[ServiceKey]time.Time)
-		d.track.ckDirty = make(map[netaddr.V4]struct{})
-		ex.services = make([]ServiceState, 0, len(d.services))
-		for k := range d.services {
-			ex.services = append(ex.services, d.exportService(k))
+		t.ckDirty = make(map[netaddr.V4]struct{})
+		dirty, moved, sd.recs = maps.Keys(t.sources), slices.Collect(maps.Keys(d.services)), nil
+	}
+	moved = slices.Clip(moved) // every shard's list: the appends must copy it
+	for _, r := range sd.recs {
+		moved = append(moved, r.key)
+	}
+	for _, k := range moved {
+		if _, live := d.services[k]; live {
+			svcs = append(svcs, d.exportService(k))
 		}
-		ex.trails = make([]AddrTrail, 0, len(d.addrTimes))
-		for a, ts := range d.addrTimes {
-			ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: toTimes(ts)})
-		}
-		ex.tombs = make([]TombState, 0, len(d.tombs))
-		for k, at := range d.tombs {
-			ex.tombs = append(ex.tombs, TombState{Key: k, At: at})
-		}
-		ex.scanSrcs = make([]ScanSourceState, 0, len(d.track.sources))
-		for src := range d.track.sources {
-			ex.scanSrcs = append(ex.scanSrcs, d.track.exportSource(src))
-		}
-		return ex
 	}
-	ex.services = make([]ServiceState, 0, len(d.ckDirty))
-	for k := range d.ckDirty {
-		ex.services = append(ex.services, d.exportService(k))
+	for src := range dirty {
+		srcs = append(srcs, t.exportSource(src))
 	}
-	clear(d.ckDirty)
-	ex.trails = make([]AddrTrail, 0, len(d.ckDirtyAddrs))
-	for a := range d.ckDirtyAddrs {
-		ex.trails = append(ex.trails, AddrTrail{Addr: a, Times: toTimes(d.addrTimes[a])})
-	}
-	clear(d.ckDirtyAddrs)
-	ex.tombs = make([]TombState, 0, len(d.ckTombs))
-	for k, at := range d.ckTombs {
-		ex.tombs = append(ex.tombs, TombState{Key: k, At: at})
-	}
-	clear(d.ckTombs)
-	ex.scanSrcs = make([]ScanSourceState, 0, len(d.track.ckDirty))
-	for src := range d.track.ckDirty {
-		ex.scanSrcs = append(ex.scanSrcs, d.track.exportSource(src))
-	}
-	clear(d.track.ckDirty)
-	return ex
+	clear(t.ckDirty)
+	return svcs, srcs
 }
 
 // exportService copies one service's record and peer set into wire form.
@@ -433,67 +375,72 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 }
 
 // ExportDelta captures the engine's state changed since cur (all of it when
-// cur is nil — a baseline). The capture point is a whole-batch boundary of
-// the producer's stream (atBoundary, like Snapshot), safe to call at any
-// lifecycle stage and concurrent with ingest. Under a Hybrid the active side
-// rides along at its current generation, whole whenever it moved since cur —
-// the same capture looseness Snapshot has, harmless because active ingestion
-// is order-independent. The returned cursor names the captured state; feed
-// it to the next call.
+// cur is nil — a baseline). It is a snapshot: it advances the chain exactly as
+// Snapshot does and copies each shard's live state out at that freeze's
+// boundary, so it is safe at any lifecycle stage and concurrent with ingest.
+// With nothing dispatched and no report applied since cur it touches no
+// shard. Under a Hybrid the active side rides along whole whenever the new
+// inventory's active view is not the cursor's. Feed the returned cursor to
+// the next call.
 func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	var since CheckpointCursor
-	if cur != nil {
-		since = *cur
+	full := cur == nil || cur.s != s
+	if !full && s.snap.fast(s.dispatched.Load(), s.agen.Load()) == cur.inv {
+		return &EngineDelta{Packets: cur.inv.Packets(), ShardsSkipped: len(s.shards)}, *cur
 	}
-	full := len(since.Gens) != len(s.shards) // no cursor, or another engine's
-	exports := make([]*shardExport, len(s.shards))
-	ed := &EngineDelta{}
-	s.atBoundary(func() bool {
-		// The dispatcher's copy of the origin: a shard's is written by the
-		// dispatcher too, and a worker reading it here could race the seed.
-		ed.Watermark, ed.Origin, ed.OriginSet = s.watermark, s.origin, s.originSeeded
-		return true
-	}, func(i int, sh *passiveShard) {
-		var gen uint64
-		if !full {
-			gen = since.Gens[i]
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	old := &mergedStore{} // a baseline diffs against nothing
+	var moved []ServiceKey
+	if !full {
+		old = cur.inv.d
+		// Services moved up to the chain's newest inventory (a write after a
+		// seal clones the record); each shard's seal names the rest.
+		if prev, _, _ := s.snap.peek(); prev != nil {
+			prev.d.services.diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
+				func(k ServiceKey) { moved = append(moved, k) })
 		}
-		exports[i] = sh.exportState(gen, full)
+	}
+	ed := &EngineDelta{Full: full}
+	svcs, srcs := make([][]ServiceState, len(s.shards)), make([][]ScanSourceState, len(s.shards))
+	inv := s.snapshot(&freezeHook{
+		// The dispatcher's copy of the origin: a shard's is written by the
+		// dispatcher too, and a worker reading it could race the seed.
+		pin:   func() { ed.Watermark, ed.Origin, ed.OriginSet = s.watermark, s.origin, s.originSeeded },
+		shard: func(i int, sh *passiveShard, sd shardDelta) { svcs[i], srcs[i] = sh.exportState(full, moved, sd) },
 	})
-
-	gens := make([]uint64, len(exports))
-	allFull := len(exports) > 0
-	for i, ex := range exports {
-		gens[i] = ex.gen
-		ed.Packets += ex.packets
-		if ex.skipped {
+	// Trails and tombstones are frozen whole in inv, so they come off the
+	// diff directly. Trails only append: a moved one is a longer one.
+	touched := make([]bool, len(s.shards))
+	inv.d.trails.diff(old.trails, func(a, b []instant) bool { return len(a) == len(b) }, func(a netaddr.V4) {
+		ed.Trails = append(ed.Trails, AddrTrail{Addr: a, Times: toTimes(inv.d.trail(a))})
+		touched[s.shardOf(a)] = true
+	})
+	inv.d.tombs.diff(old.tombs, time.Time.Equal, func(k ServiceKey) {
+		at, _ := inv.d.tombs.Get(k)
+		ed.Tombs = append(ed.Tombs, TombState{Key: k, At: at})
+		touched[s.shardOf(k.Addr)] = true
+	})
+	for i := range s.shards {
+		if len(svcs[i])+len(srcs[i]) == 0 && !touched[i] {
 			ed.ShardsSkipped++
-			allFull = false
 			continue
 		}
 		ed.ShardsChanged++
-		if !ex.full {
-			allFull = false
-		}
-		ed.Services = append(ed.Services, ex.services...)
-		ed.Trails = append(ed.Trails, ex.trails...)
-		ed.Tombs = append(ed.Tombs, ex.tombs...)
-		ed.ScanSources = append(ed.ScanSources, ex.scanSrcs...)
+		ed.Services = append(ed.Services, svcs[i]...)
+		ed.ScanSources = append(ed.ScanSources, srcs[i]...)
 	}
-	ed.Full = allFull
-	sort.Slice(ed.Services, func(i, j int) bool { return ed.Services[i].Key.Before(ed.Services[j].Key) })
+	ed.Packets = inv.Packets()
+	// A service moved on both sides of the chain's newest inventory is named twice.
+	slices.SortFunc(ed.Services, func(a, b ServiceState) int { return a.Key.Compare(b.Key) })
+	ed.Services = slices.CompactFunc(ed.Services, func(a, b ServiceState) bool { return a.Key == b.Key })
 	sort.Slice(ed.Trails, func(i, j int) bool { return ed.Trails[i].Addr < ed.Trails[j].Addr })
 	sort.Slice(ed.Tombs, func(i, j int) bool { return ed.Tombs[i].Key.Before(ed.Tombs[j].Key) })
 	sort.Slice(ed.ScanSources, func(i, j int) bool { return ed.ScanSources[i].Source < ed.ScanSources[j].Source })
-	next := CheckpointCursor{Gens: gens}
-	if s.overlay != nil {
-		av := s.overlay.activeSnapshot()
-		next.Agen = av.gen
-		if av.gen != since.Agen {
-			ed.Active = exportActiveState(av.disc)
-		}
+	// A Hybrid that never took a report (active generation 0) has none to export.
+	if _, _, agen := s.snap.peek(); (full || inv.active != cur.inv.active) && agen != 0 {
+		ed.Active = exportActiveState(inv.active)
 	}
-	return ed, next
+	return ed, CheckpointCursor{s: s, inv: inv}
 }
 
 // checkFresh rejects import into an engine that has run or ingested:

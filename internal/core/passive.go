@@ -50,15 +50,13 @@ type PassiveDiscoverer struct {
 	// the tombstone — it only helps late federation consumers). expq is
 	// the lazy deadline min-heap; pendingExpired accumulates expiries
 	// until the next snapshot publishes them; deadKeys and tombDirty name
-	// the expired records and moved tombstones the next seal reports;
-	// ckTombs are tombstones not yet exported to a checkpoint.
+	// the expired records and moved tombstones the next seal reports.
 	ttl            time.Duration
 	tombs          map[ServiceKey]time.Time
 	expq           []expEntry
 	pendingExpired []expiredSvc
 	deadKeys       []ServiceKey
 	tombDirty      []ServiceKey
-	ckTombs        map[ServiceKey]time.Time
 
 	// Copy-on-write snapshot machinery (seal). The discoverer keeps no
 	// sealed copy of its own: each seal hands the records and trails the
@@ -71,14 +69,6 @@ type PassiveDiscoverer struct {
 	seals      uint64
 	dirty      map[ServiceKey]bool
 	dirtyAddrs map[netaddr.V4]struct{}
-
-	// Checkpoint dirty tracking (export.go): which services and trails
-	// changed since the last checkpoint export. Independent of the seal
-	// dirty sets above — seals clear at every snapshot freeze, checkpoints
-	// run on their own (usually much slower) cadence. Off (nil, zero cost)
-	// until the first full export enables it.
-	ckDirty      map[ServiceKey]struct{}
-	ckDirtyAddrs map[netaddr.V4]struct{}
 
 	// Packets counts everything handled.
 	Packets int
@@ -303,9 +293,6 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		d.dirty[key] = false
 	}
 	rec.observe(at, peer, d.newPeer(key, rec, peer))
-	if d.ckDirty != nil {
-		d.ckDirty[key] = struct{}{}
-	}
 
 	// Thinned per-address activity trail (>=1-minute spacing). Appends
 	// only — snapshots alias the backing array safely.
@@ -314,9 +301,6 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		d.addrTimes[key.Addr] = append(times, at)
 		if d.dirtyAddrs != nil {
 			d.dirtyAddrs[key.Addr] = struct{}{}
-		}
-		if d.ckDirtyAddrs != nil {
-			d.ckDirtyAddrs[key.Addr] = struct{}{}
 		}
 	}
 }

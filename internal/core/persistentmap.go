@@ -16,6 +16,7 @@ package core
 // predecessor is built bottom-up instead (pmapBulk).
 
 import (
+	"cmp"
 	"math/bits"
 
 	"servdisc/internal/netaddr"
@@ -144,6 +145,51 @@ func (n *pnode[K, V]) each(yield func(K, V) bool) bool {
 		}
 	}
 	return true
+}
+
+// diff visits every key whose binding differs between old (which may be a
+// zero pmap) and m: bound on one side only, or to values eq calls unequal.
+// Shared subtrees are skipped whole: O(changed paths · log64 n), never O(n).
+func (m pmap[K, V]) diff(old pmap[K, V], eq func(a, b V) bool, yield func(K)) {
+	pnodeDiff(old.root, m.root, 0, m.hash, eq, yield)
+}
+
+func pnodeDiff[K comparable, V any](a, b *pnode[K, V], shift uint, hash func(K) uint64, eq func(a, b V) bool, yield func(K)) {
+	if a == b {
+		return
+	}
+	if a == nil || b == nil {
+		cmp.Or(a, b).each(func(k K, _ V) bool { yield(k); return true })
+		return
+	}
+	for slots := a.dataMap | a.nodeMap | b.dataMap | b.nodeMap; slots != 0; slots &= slots - 1 {
+		bit := slots & -slots
+		if a.dataMap&bit != 0 && b.dataMap&bit != 0 {
+			i, j := bits.OnesCount64(a.dataMap&(bit-1)), bits.OnesCount64(b.dataMap&(bit-1))
+			if a.keys[i] != b.keys[j] {
+				yield(a.keys[i])
+				yield(b.keys[j])
+			} else if !eq(a.vals[i], b.vals[j]) {
+				yield(a.keys[i])
+			}
+			continue
+		}
+		pnodeDiff(a.slot(bit, shift, hash), b.slot(bit, shift, hash), shift+pmapBits, hash, eq, yield)
+	}
+}
+
+// slot returns what n holds at bit as a node of the next level: nil when
+// the slot is empty, the child itself, or an inline entry wrapped alone.
+func (n *pnode[K, V]) slot(bit uint64, shift uint, hash func(K) uint64) *pnode[K, V] {
+	if n.nodeMap&bit != 0 {
+		return n.kids[bits.OnesCount64(n.nodeMap&(bit-1))]
+	}
+	if n.dataMap&bit == 0 {
+		return nil
+	}
+	i := bits.OnesCount64(n.dataMap & (bit - 1))
+	return &pnode[K, V]{dataMap: 1 << ((hash(n.keys[i]) >> (shift + pmapBits)) & pmapMask),
+		keys: n.keys[i : i+1], vals: n.vals[i : i+1]}
 }
 
 // owned returns n itself when the edit token proves exclusive ownership,

@@ -144,24 +144,17 @@ func (d *PassiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
 	delete(d.peers, key)
 	d.tombs[key] = deadline
 	d.tombDirty = append(d.tombDirty, key)
-	if d.ckDirty != nil {
-		delete(d.ckDirty, key)
-		d.ckTombs[key] = deadline
-	}
 }
 
 // expireDue drains every deadline at or before the watermark, expiring
 // records whose evidence really has gone stale and lazily re-pushing
-// entries whose record was refreshed since the entry was pushed. Returns
-// whether anything expired (the caller bumps the shard generation, which
-// checkpoint cursors compare). Runs on the shard's owner goroutine at
-// freeze time, under the shard lock, right before the seal that reports the
-// expiries.
-func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
+// entries whose record was refreshed since the entry was pushed. Runs on
+// the shard's owner goroutine at freeze time, under the shard lock, right
+// before the seal that reports the expiries.
+func (d *PassiveDiscoverer) expireDue(wm time.Time) {
 	if d.ttl <= 0 || wm.IsZero() {
-		return false
+		return
 	}
-	any := false
 	for len(d.expq) > 0 && !d.expq[0].at.After(wm) {
 		e := d.expPop()
 		rec, live := d.services[e.key]
@@ -179,9 +172,7 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) bool {
 			d.deadKeys = append(d.deadKeys, e.key)
 		}
 		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: e.key, at: deadline, prov: PassiveOnly})
-		any = true
 	}
-	return any
 }
 
 // takePendingExpired hands the accumulated pending expiries to the freeze

@@ -74,8 +74,9 @@ type scanTracker struct {
 	cache    []ScannerInfo
 	cacheGen uint64
 
-	// ckDirty names the sources touched since the last checkpoint export
-	// (see export.go). Off (nil, zero cost) until the first full export.
+	// ckDirty names the sources touched since the last checkpoint export,
+	// the engine's one checkpoint dirty set: sources are not in the store
+	// the export diffs (export.go). Off (nil) until the first full export.
 	ckDirty map[netaddr.V4]struct{}
 }
 

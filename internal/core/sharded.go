@@ -187,11 +187,11 @@ func (c *snapCache) invalidate() {
 	c.mu.Unlock()
 }
 
-// passiveShard is one worker-owned shard: the discoverer, its mutation
-// generation and the active half of the event join for the keys it owns
-// (events.go). The discoverer and gen are touched only by the shard's owner —
-// the worker goroutine while running, the dispatcher (under dispatchMu)
-// inline and after shutdown. A shard keeps nothing of its past freezes.
+// passiveShard is one worker-owned shard: the discoverer and the active half
+// of the event join for the keys it owns (events.go). The discoverer is
+// touched only by the shard's owner — the worker goroutine while running,
+// the dispatcher (under dispatchMu) inline and after shutdown. A shard keeps
+// nothing of its past freezes.
 type passiveShard struct {
 	// mu is held across every write to disc.services and activeFirst — apply,
 	// the expiry sweep of a freeze, checkpoint import and the report
@@ -200,21 +200,17 @@ type passiveShard struct {
 	// without it (nobody else writes); the reconciler reads under it.
 	mu   sync.Mutex
 	disc *PassiveDiscoverer
-	// gen counts batches applied (and expiry sweeps that retired
-	// something); a checkpoint export at the cursor's gen is skipped.
-	gen uint64
 	// activeFirst holds the first-open time of every key of this shard with
 	// a live probe answer, and nothing else: empty in a passive-only engine.
 	activeFirst map[ServiceKey]instant
 	events      *eventStream
 }
 
-// apply ingests one sub-batch and advances the generation.
+// apply ingests one sub-batch.
 func (sh *passiveShard) apply(batch []packet.Packet) {
 	sh.mu.Lock()
 	sh.disc.HandleBatch(batch)
 	sh.mu.Unlock()
-	sh.gen++
 }
 
 // freeze seals the shard at a snapshot point and returns the delta since
@@ -226,11 +222,8 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 // the merged tracker's output.
 func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 	sh.mu.Lock()
-	expired := sh.disc.expireDue(wm)
+	sh.disc.expireDue(wm)
 	sh.mu.Unlock()
-	if expired {
-		sh.gen++
-	}
 	delta := sh.disc.seal(whole)
 	delta.scanners = sh.disc.track.detect()
 	delta.expired = sh.disc.takePendingExpired()
@@ -576,19 +569,40 @@ func (s *ShardedPassive) atBoundary(prep func() bool, f func(i int, sh *passiveS
 	s.dispatchMu.Unlock()
 }
 
+// freezeHook is what a checkpoint export hangs on a freeze: pin runs under
+// the dispatch lock at the boundary, shard on shard i's owner right after its
+// seal (with its delta, empty when no shard was sealed), when the shard's live
+// state is exactly what the new inventory holds of it.
+type freezeHook struct {
+	pin   func()
+	shard func(i int, sh *passiveShard, sd shardDelta)
+}
+
 // freezeShards seals every shard at one boundary and returns the shard
 // deltas, the dispatch count at that point (the cache fingerprint) and the
 // watermark. With whole unset and nothing dispatched since the count given,
-// no shard is touched and the deltas are nil. Callers must hold snapMu.
-func (s *ShardedPassive) freezeShards(whole bool, since uint64) (deltas []shardDelta, d0 uint64, wm time.Time) {
+// no shard is sealed and the deltas are nil; the boundary is then crossed
+// only for hook. Callers must hold snapMu.
+func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook) (deltas []shardDelta, d0 uint64, wm time.Time) {
 	s.atBoundary(func() bool {
 		d0, wm = s.dispatched.Load(), s.watermark
-		if !whole && d0 == since {
-			return false
+		if whole || d0 != since {
+			deltas = make([]shardDelta, len(s.shards))
 		}
-		deltas = make([]shardDelta, len(s.shards))
-		return true
-	}, func(i int, sh *passiveShard) { deltas[i] = sh.freeze(wm, whole) })
+		if hook != nil {
+			hook.pin()
+		}
+		return deltas != nil || hook != nil
+	}, func(i int, sh *passiveShard) {
+		var sd shardDelta
+		if deltas != nil {
+			deltas[i] = sh.freeze(wm, whole)
+			sd = deltas[i]
+		}
+		if hook != nil {
+			hook.shard(i, sh, sd)
+		}
+	})
 	return deltas, d0, wm
 }
 
@@ -774,10 +788,10 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 // generation moved, every classification may have: the merged store is
 // listed whole and the delta is Full. With nothing dispatched and no
 // generation moved since prev, advance returns inv == prev and an empty
-// delta. Callers must hold snapMu.
-func (s *ShardedPassive) advance() (prev, inv *Inventory, delta SnapshotDelta) {
+// delta. hook, if any, rides the freeze (freezeShards). Callers hold snapMu.
+func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta SnapshotDelta) {
 	prev, since, agen := s.snap.peek()
-	deltas, d0, wm := s.freezeShards(prev == nil, since)
+	deltas, d0, wm := s.freezeShards(prev == nil, since, hook)
 	var exp []expiredSvc
 	for i := range deltas {
 		exp = append(exp, deltas[i].expired...)
@@ -854,13 +868,19 @@ func (s *ShardedPassive) Snapshot() *Inventory {
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	return s.snapshot(nil)
+}
+
+// snapshot is Snapshot past its fast path, shared with ExportDelta, which
+// hangs hook on the freeze. Callers hold snapMu.
+func (s *ShardedPassive) snapshot(hook *freezeHook) *Inventory {
 	var t0 time.Time
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	prev, inv, delta := s.advance()
+	prev, inv, delta := s.advance(hook)
 	if inv == prev {
-		return inv // another snapshotter got here first
+		return inv // nothing moved: another snapshotter got here first
 	}
 	if s.onSnap != nil {
 		s.onSnap(prev, inv, delta)

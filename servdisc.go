@@ -658,7 +658,7 @@ func (p *Pipeline) RestoreFromCheckpoint() (*CheckpointManifest, error) {
 		return nil, fmt.Errorf("servdisc: no Config.Checkpoint configured")
 	}
 	t0 := time.Now()
-	man, err := checkpoint.Restore(p.checkpointDir(), p.engine)
+	man, err := checkpoint.Restore(p.ckptDir, p.engine)
 	if err != nil || man == nil {
 		return man, err
 	}
@@ -673,10 +673,6 @@ func (p *Pipeline) RestoreFromCheckpoint() (*CheckpointManifest, error) {
 	p.restoredPub = man.Publisher
 	return man, nil
 }
-
-// checkpointDir recovers the writer's directory for Restore. The writer
-// itself keeps it; stored here to avoid widening the checkpoint API.
-func (p *Pipeline) checkpointDir() string { return p.ckptDir }
 
 // Checkpoint persists the engine's changes since the last checkpoint
 // (a full baseline the first time, incremental afterwards). Safe to call
