@@ -1,7 +1,9 @@
 package core
 
 import (
+	"iter"
 	"slices"
+	"unsafe"
 
 	"servdisc/internal/netaddr"
 )
@@ -28,9 +30,7 @@ func (s *addrSet) add(a netaddr.V4) bool {
 	if s.slots == nil {
 		s.slots = make([]netaddr.V4, 8)
 	}
-	// The hash's top bits pick the home slot (Fibonacci hashing), so a run
-	// of consecutive addresses spreads out.
-	i := int(uint64(uint32(a)*0x9e3779b9) * uint64(len(s.slots)) >> 32)
+	i := home(a, len(s.slots))
 	for ; s.slots[i] != 0; i = (i + 1) & (len(s.slots) - 1) {
 		if s.slots[i] == a {
 			return false
@@ -49,6 +49,10 @@ func (s *addrSet) add(a netaddr.V4) bool {
 	return true
 }
 
+// home is a's home slot in a power-of-two table of n: the hash's top bits
+// pick it (Fibonacci hashing), so a run of consecutive addresses spreads out.
+func home(a netaddr.V4, n int) int { return int(uint64(uint32(a)*0x9e3779b9) * uint64(n) >> 32) }
+
 func (s *addrSet) len() int { return int(s.used + s.zero) }
 
 // sorted returns the members ascending in a fresh slice, nil when empty.
@@ -64,4 +68,70 @@ func (s *addrSet) sorted() []netaddr.V4 {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// sourceTable holds the scan tracker's sources in 16-byte slots, where a Go
+// map of []uint32 spent ≈ 63 B a source: probed and grown as addrSet is, a
+// slot empty while its w is nil. Nothing is ever deleted.
+type sourceTable struct {
+	slots []srcSlot
+	used  int
+}
+
+// srcSlot is one source and its words, as a length and a pointer to the
+// first. The capacity is derived, (n+3)&^3: exactly what growWords
+// allocates, and a run shrunk in place keeps its larger allocation, so it
+// never exceeds the real one — which makes words sound. Only a run from
+// words or growWords may be set.
+type srcSlot struct {
+	src netaddr.V4
+	n   uint32
+	w   *uint32
+}
+
+const _ = uint(16-unsafe.Sizeof(srcSlot{})) + uint(unsafe.Sizeof(srcSlot{})-16) // == 16
+
+func (sl *srcSlot) words() []uint32 { return unsafe.Slice(sl.w, (sl.n+3)&^3)[:sl.n] }
+
+func (sl *srcSlot) set(s []uint32) { sl.n, sl.w = uint32(len(s)), unsafe.SliceData(s) }
+
+// find returns src's slot, or the empty one where it would go.
+func (t *sourceTable) find(src netaddr.V4) *srcSlot {
+	i := home(src, len(t.slots))
+	for t.slots[i].w != nil && t.slots[i].src != src {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return &t.slots[i]
+}
+
+// slot returns src's slot, listing src if need be: the caller must set a
+// new slot's words before the next call.
+func (t *sourceTable) slot(src netaddr.V4) *srcSlot {
+	sl := t.find(src)
+	if sl.w != nil {
+		return sl
+	}
+	if t.used++; 4*t.used > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]srcSlot, 2*len(old))
+		for _, o := range old {
+			if o.w != nil {
+				*t.find(o.src) = o
+			}
+		}
+		sl = t.find(src)
+	}
+	sl.src = src
+	return sl
+}
+
+// all yields every listed source.
+func (t *sourceTable) all() iter.Seq[netaddr.V4] {
+	return func(yield func(netaddr.V4) bool) {
+		for _, sl := range t.slots {
+			if sl.w != nil && !yield(sl.src) {
+				return
+			}
+		}
+	}
 }

@@ -180,7 +180,7 @@ func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta
 	dirty := maps.Keys(t.ckDirty)
 	if full {
 		t.ckDirty = make(map[netaddr.V4]struct{})
-		dirty, moved, sd.recs = maps.Keys(t.sources), slices.Collect(maps.Keys(d.services)), nil
+		dirty, moved, sd.recs = t.sources.all(), slices.Collect(maps.Keys(d.services)), nil
 	}
 	moved = slices.Clip(moved) // every shard's list: the appends must copy it
 	for _, r := range sd.recs {
@@ -277,16 +277,15 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 // exportSource copies one source's window contents into wire form,
 // windows ascending, contact sets sorted.
 func (t *scanTracker) exportSource(src netaddr.V4) ScanSourceState {
-	s := t.sources[src]
+	s := t.sources.find(src).words()
 	st := ScanSourceState{Source: src, Windows: []ScanWindowState{}}
 	for off, n := 1, 0; off < len(s); off += n {
 		var ws ScanWindowState
-		if ws.Index, n = t.recAt(s, off); n == 1 {
-			w := &t.big[s[off]&^bigRef]
+		ws.Index, n = t.recAt(s, off)
+		if w, dsts, rsts := t.members(s, off); w != nil {
 			ws.Dsts, ws.RstDsts = w.dsts.sorted(), w.rsts.sorted()
 		} else {
-			rsts := off + 2 + int(s[off]&0xff)
-			ws.Dsts, ws.RstDsts = sortedWords(s[off+2:rsts]), sortedWords(s[rsts:off+n])
+			ws.Dsts, ws.RstDsts = sortedWords(dsts), sortedWords(rsts)
 		}
 		st.Windows = append(st.Windows, ws)
 	}
@@ -305,19 +304,19 @@ func sortedWords(ws []uint32) []netaddr.V4 {
 }
 
 // truncate drops src's records from word off on — all of them at 1, leaving
-// a source with no windows — and releases the bigWindows they referred to.
+// it listed with no windows — and releases the bigWindows they referred to.
 func (t *scanTracker) truncate(src netaddr.V4, off int) {
-	s := t.sources[src]
+	sl := t.sources.slot(src)
+	s := sl.words()
 	for o, n := off, 0; o < len(s); o += n {
-		if _, n = t.recAt(s, o); n == 1 {
-			t.big[s[o]&^bigRef] = bigWindow{}
+		_, n = t.recAt(s, o)
+		if w, _, _ := t.members(s, o); w != nil {
+			*w = bigWindow{}
 		}
 	}
-	if len(s) > off {
-		s = s[:off]
-		s[0] = 1
-	}
-	t.sources[src] = s
+	s = growWords(s[:min(off, len(s))], max(1-len(s), 0)) // a new source gets word 0
+	s[0] = 1
+	sl.set(s)
 }
 
 // importSource installs one source wholesale, replaying each listed window
@@ -334,11 +333,12 @@ func (t *scanTracker) importSource(ss *ScanSourceState) {
 	src := ss.Source
 	t.truncate(src, 1)
 	delete(t.best, src)
+	last := 0 // the offset of the record just built
 	for i, ws := range listed {
 		if i > 0 && listed[i-1].Index == ws.Index {
-			t.truncate(src, int(t.sources[src][0])) // the record just built
+			t.truncate(src, last)
 		}
-		t.window(src, ws.Index)
+		_, last = t.window(src, ws.Index)
 		var nd, nr int
 		for _, a := range ws.Dsts {
 			nd, nr = t.add(src, ws.Index, a, false)

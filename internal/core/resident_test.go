@@ -15,11 +15,13 @@ import (
 // engine in live heap. A border monitor sees hundreds of one-off clients
 // for every service, so bytes per (source, window) pair decide whether the
 // passive technique is deployable at all. Budgets are ≈1.25× the measured
-// figures (DESIGN.md §7): 69 B and one allocation per source, and 14.3 B
+// figures (DESIGN.md §7): 58 B and one allocation per source, and 9.7 B
 // per further 12 h window of a client that keeps coming back (the shape an
-// 18-day campaign has), since a source's windows are packed into one word
-// slice — the slice of 56-byte windows it replaced read 112 B, 2 allocations
-// and 58.4 B, the map-per-set form before that 416 B and 7 — and 165 B per
+// 18-day campaign has), since a source's windows are packed into one run of
+// words behind a 16-byte table slot, each window under a one-word header —
+// a Go map of word slices with a header and an index word per window read
+// 69 B and 14.3 B, the slice of 56-byte windows before it 112 B, 2
+// allocations and 58.4 B, the map-per-set form 416 B and 7 — and 165 B per
 // service since the event join reads
 // passive presence from the shard's own record — the engine-wide join table
 // it replaced held a 16-byte entry behind every service and read 200 B,
@@ -34,10 +36,10 @@ import (
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
 		n             = 100_000
-		sourceBudget  = 86 // bytes per one-destination external source
+		sourceBudget  = 66 // bytes per one-destination external source
 		repeats       = 20_000
 		windows       = 36  // 18 days
-		windowBudget  = 18  // bytes per (source, window) of a repeat client
+		windowBudget  = 12  // bytes per (source, window) of a repeat client
 		svcBudget     = 185 // bytes per single-client service
 		hybridSlack   = 2   // bytes a Hybrid may add per passive-only service
 		allocBudget   = 1   // allocations for a first SYN from a new source

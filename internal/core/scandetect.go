@@ -36,19 +36,18 @@ type ScannerInfo struct {
 // the offline bucketing an operator would run over a trace; a scan split
 // across a boundary at worst doubles its detection latency, never escapes.
 type scanTracker struct {
-	// sources packs each source's windows into one word slice held by
-	// value: nearly every source is a one-off client with one window and one
-	// destination, and must cost one small allocation. Word 0 is the offset
-	// of the record touched last (a source nearly always touches its newest
-	// window again); records follow in first-touch order, each
+	// sources packs each source's windows into one run of words behind a
+	// 16-byte slot: nearly every source is a one-off client with one window
+	// and one destination, and must cost one small allocation. Word 0 is the
+	// offset of the record touched last (a source nearly always touches its
+	// newest window again); records follow in first-touch order, each
 	//
-	//	nd | nr<<8, 32-bit window index, nd destinations, nr RST destinations
+	//	nd | nr<<4 | idx<<8 (the window index, signed, 23 bits), nd destinations, nr RST destinations
 	//
 	// or the single word bigRef | i naming big[i], once either set outgrows
-	// scanInline (or for an index outside 32 bits, which only a checkpoint
-	// can carry). Capacity grows in 16-byte steps — the allocator's own
-	// granularity at these sizes — so a source holds no slack to speak of.
-	sources map[netaddr.V4][]uint32
+	// scanInline or the index 23 bits (±4.19 M windows, ≈ 5 700 years: only
+	// a checkpoint can carry one).
+	sources sourceTable
 	big     []bigWindow
 	origin  time.Time
 	started bool
@@ -85,8 +84,10 @@ type scanTracker struct {
 // (DESIGN.md §7 records the sweep that picked it).
 const scanInline = 8
 
-// bigRef marks a one-word record: the low bits index scanTracker.big.
+// bigRef marks a reference record: the low bits index scanTracker.big.
 const bigRef = 1 << 31
+
+const _ = uint(15 - scanInline) // a header holds each count in 4 bits
 
 // bigWindow is a window as two addrSets, for the few (scanners, mostly) that
 // outgrow the packed form; big holds it by value.
@@ -106,7 +107,7 @@ func (w *bigWindow) add(dst netaddr.V4, rst bool) (nd, nr int) {
 
 func newScanTracker() *scanTracker {
 	return &scanTracker{
-		sources:  make(map[netaddr.V4][]uint32),
+		sources:  sourceTable{slots: make([]srcSlot, 8)},
 		best:     make(map[netaddr.V4]ScannerInfo),
 		flagged:  make(map[netaddr.V4]bool),
 		cacheGen: ^uint64(0),
@@ -137,14 +138,24 @@ func (t *scanTracker) windowIndex(at time.Time) int64 {
 	return idx
 }
 
-// recAt decodes the record at s[off]: its window index and its length in
-// words, 1 for a bigWindow reference and for nothing else.
+// recAt decodes the record at s[off]: its window index and length in words.
 func (t *scanTracker) recAt(s []uint32, off int) (idx int64, n int) {
 	h := s[off]
 	if h&bigRef != 0 {
 		return t.big[h&^bigRef].idx, 1
 	}
-	return int64(int32(s[off+1])), 2 + int(h&0xff) + int(h>>8)
+	return int64(int32(h<<1) >> 9), 1 + int(h&15) + int(h>>4&15)
+}
+
+// members returns the contact sets of the record at s[off]: the bigWindow
+// a reference names, or else an inline record's two member runs.
+func (t *scanTracker) members(s []uint32, off int) (w *bigWindow, dsts, rsts []uint32) {
+	h := s[off]
+	if h&bigRef != 0 {
+		return &t.big[h&^bigRef], nil, nil
+	}
+	mid := off + 1 + int(h&15)
+	return nil, s[off+1 : mid], s[mid : mid+int(h>>4&15)]
 }
 
 // newBig makes an empty bigWindow and returns the word that refers to it.
@@ -154,7 +165,7 @@ func (t *scanTracker) newBig(idx int64) uint32 {
 }
 
 // growWords extends s by k words (contents unspecified), reallocating to the
-// next 16-byte multiple when they do not fit.
+// next 16-byte multiple when they do not fit: the capacity srcSlot derives.
 func growWords(s []uint32, k int) []uint32 {
 	n := len(s) + k
 	if n > cap(s) {
@@ -163,70 +174,69 @@ func growWords(s []uint32, k int) []uint32 {
 	return s[:n]
 }
 
-// window returns src's words and the offset of the record for window idx,
-// appending an empty record (and creating the source) if there is none.
-func (t *scanTracker) window(src netaddr.V4, idx int64) ([]uint32, int) {
-	s := t.sources[src]
+// window returns src's slot and the offset in its words of window idx's
+// record, appending an empty one (and listing the source) if there is none.
+func (t *scanTracker) window(src netaddr.V4, idx int64) (*srcSlot, int) {
+	sl := t.sources.slot(src)
+	s := sl.words()
 	if len(s) > 1 {
 		if at, _ := t.recAt(s, int(s[0])); at == idx {
-			return s, int(s[0])
+			return sl, int(s[0])
 		}
 		for off, n := 1, 0; off < len(s); off += n {
 			var at int64
 			if at, n = t.recAt(s, off); at == idx {
 				s[0] = uint32(off)
-				return s, off
+				return sl, off
 			}
 		}
 	}
 	off := max(len(s), 1)
-	if idx == int64(int32(idx)) {
-		s = growWords(s, off+2-len(s))
-		s[off], s[off+1] = 0, uint32(idx)
-	} else {
-		s = growWords(s, off+1-len(s))
+	s = growWords(s, off+1-len(s))
+	s[off] = uint32(idx) << 8 &^ bigRef
+	if idx < -1<<22 || idx >= 1<<22 { // outside the header's 23 bits
 		s[off] = t.newBig(idx)
 	}
 	s[0] = uint32(off)
-	t.sources[src] = s
-	return s, off
+	sl.set(s)
+	return sl, off
 }
 
 // add puts dst into one contact set of src's window idx — the RST set when
 // rst — and returns the window's two tallies.
 func (t *scanTracker) add(src netaddr.V4, idx int64, dst netaddr.V4, rst bool) (nd, nr int) {
-	s, off := t.window(src, idx)
-	h := s[off]
-	if h&bigRef != 0 {
-		return t.big[h&^bigRef].add(dst, rst)
+	sl, off := t.window(src, idx)
+	s := sl.words()
+	w, dsts, rsts := t.members(s, off)
+	if w != nil {
+		return w.add(dst, rst)
 	}
-	nd, nr = int(h&0xff), int(h>>8)
-	lo, hi, one := off+2, off+2+nd, uint32(1)
+	nd, nr = len(dsts), len(rsts)
+	set, at, one := dsts, off+1+nd, uint32(1)
 	if rst {
-		lo, hi, one = hi, hi+nr, 1<<8
+		set, at, one = rsts, at+nr, 1<<4
 	}
-	if slices.Contains(s[lo:hi], uint32(dst)) {
+	if slices.Contains(set, uint32(dst)) {
 		return nd, nr
 	}
-	if hi-lo == scanInline {
+	if len(set) == scanInline {
 		// The set is full: the window moves out, its record shrinks to the
 		// reference (the slack serves the source's next members).
-		end := off + 2 + nd + nr
 		ref := t.newBig(idx)
-		w := &t.big[ref&^bigRef]
-		for i, a := range s[off+2 : end] {
+		w = &t.big[ref&^bigRef]
+		for i, a := range s[off+1 : off+1+nd+nr] {
 			w.add(netaddr.V4(a), i >= nd)
 		}
 		s[off] = ref
-		t.sources[src] = append(s[:off+1], s[end:]...)
+		sl.set(append(s[:off+1], s[off+1+nd+nr:]...))
 		return w.add(dst, rst)
 	}
 	s = growWords(s, 1)
-	copy(s[hi+1:], s[hi:])
-	s[hi] = uint32(dst)
+	copy(s[at+1:], s[at:])
+	s[at] = uint32(dst)
 	s[off] += one
-	t.sources[src] = s
-	return int(s[off] & 0xff), int(s[off] >> 8)
+	sl.set(s)
+	return int(s[off] & 15), int(s[off] >> 4 & 15)
 }
 
 // recordSyn notes an inbound connection attempt src → dst.

@@ -158,8 +158,8 @@ func compareTrackers(t *testing.T, ctx string, got *scanTracker, want *refTracke
 	if g, w := got.detect(), want.detect(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: detect() = %v, reference %v", ctx, g, w)
 	}
-	if len(got.sources) != len(want.sources) {
-		t.Fatalf("%s: %d sources, reference %d", ctx, len(got.sources), len(want.sources))
+	if got.sources.used != len(want.sources) {
+		t.Fatalf("%s: %d sources, reference %d", ctx, got.sources.used, len(want.sources))
 	}
 	for src := range want.sources {
 		if g, w := got.exportSource(src), want.exportSource(src); !reflect.DeepEqual(g, w) {
@@ -171,12 +171,17 @@ func compareTrackers(t *testing.T, ctx string, got *scanTracker, want *refTracke
 	}
 }
 
+// edgeIn is the largest window index a record header holds; −edgeIn−1 is
+// the smallest.
+const edgeIn = 1<<22 - 1
+
 // TestImportSourceTable feeds importSource the window lists a checkpoint
 // written by this engine never holds — out of order, repeated, empty — and
 // the ones that sit on the packed form's edges — a set exactly full, a
-// record in the middle that has to grow, an index that does not fit a
-// word — and expects what the map form did with them, on a source that
-// already held an earlier delta's state.
+// record in the middle that has to grow, indexes either side of the
+// header's 23 bits, an empty record (one word, as long as a reference)
+// behind a promoted one — and expects what the map form did with them, on
+// a source that already held an earlier delta's state.
 func TestImportSourceTable(t *testing.T) {
 	addrs := func(from, n int) []netaddr.V4 {
 		out := make([]netaddr.V4, n)
@@ -226,6 +231,10 @@ func TestImportSourceTable(t *testing.T) {
 		{"window indexes outside int32", []ScanWindowState{
 			{Index: far, Dsts: addrs(0, 2)}, {Index: 7, Dsts: addrs(0, 1)}, {Index: -far, RstDsts: addrs(0, 12)},
 		}},
+		{"window indexes on the header's edges", []ScanWindowState{
+			{Index: edgeIn, Dsts: addrs(0, 2)}, {Index: edgeIn + 1, RstDsts: addrs(0, 3)}, {Index: -edgeIn - 2, Dsts: addrs(0, 1)}, {Index: -edgeIn - 1},
+		}},
+		{"empty window after a promoted one", []ScanWindowState{{Index: 1, Dsts: addrs(0, 12)}, {Index: 2}, {Index: 3, Dsts: addrs(0, 1)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,7 +262,7 @@ func TestImportSourceTable(t *testing.T) {
 				got.recordRst(at, src, 998)
 				want.record(at, src, 998, true)
 			}
-			for _, idx := range []int64{far, -far} {
+			for _, idx := range []int64{far, -far, edgeIn, edgeIn + 1, -edgeIn - 1, -edgeIn - 2} {
 				got.add(src, idx, 999, false)
 				want.add(src, idx, 999, false)
 			}
@@ -385,7 +394,9 @@ func encodeScanOps(ops []scanOp) []byte {
 // SYN|RST, Δt) stream to the tracker and to the map-form reference and
 // requires the same detections, the same announcements in the same order,
 // the same checkpoint state per source, and the same again after that
-// state is imported into fresh trackers and the stream is replayed on top.
+// state is imported into fresh trackers — every window index moved by
+// shift, which reaches indexes no timestamp can — and the stream is
+// replayed on top.
 func FuzzScanTrackerEquivalence(f *testing.F) {
 	var scan, twoWindows []scanOp
 	for i := 0; i < 130; i++ {
@@ -393,25 +404,29 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 		twoWindows = append(twoWindows, scanOp{src: 2, dst: netaddr.V4(i % 101)}, scanOp{src: 2, dst: netaddr.V4(i % 101), rst: true})
 	}
 	twoWindows[len(twoWindows)/2].dt = ScanDetectWindow
-	f.Add(encodeScanOps(scan))
-	f.Add(encodeScanOps(twoWindows))
-	f.Add(encodeScanOps([]scanOp{{src: 3, dst: 1}, {src: 3, dst: 2, dt: -3 * ScanDetectWindow}, {src: 3, dst: 1, rst: true, dt: ScanDetectWindow}}))
+	f.Add(encodeScanOps(scan), int64(0))
+	f.Add(encodeScanOps(twoWindows), int64(0))
+	f.Add(encodeScanOps([]scanOp{{src: 3, dst: 1}, {src: 3, dst: 2, dt: -3 * ScanDetectWindow}, {src: 3, dst: 1, rst: true, dt: ScanDetectWindow}}), int64(0))
 	// Two half-scans either side of the origin: windows −1 and 0, not one.
 	straddle := []scanOp{{src: 4, dst: 1000}}
 	for i := 0; i < 120; i++ {
 		straddle = append(straddle, scanOp{src: 4, dst: netaddr.V4(i)}, scanOp{src: 4, dst: netaddr.V4(i), rst: true})
 	}
 	straddle[1].dt, straddle[121].dt = -ScanDetectWindow/2, ScanDetectWindow
-	f.Add(encodeScanOps(straddle))
+	f.Add(encodeScanOps(straddle), int64(0))
 	// Sets filling to 8 and crossing to 9 on each side, in a window revisited
-	// after two later ones exist.
+	// after two later ones exist — and, imported, windows 0–2 moved to either
+	// edge of the header's index field: edgeIn and edgeIn+1, −edgeIn−2 and
+	// −edgeIn−1.
 	var cross []scanOp
 	for i := 0; i < 8; i++ {
 		cross = append(cross, scanOp{src: 5, dst: netaddr.V4(i)}, scanOp{src: 5, dst: netaddr.V4(i), rst: true})
 	}
 	cross = append(cross, scanOp{src: 5, dst: 50, dt: ScanDetectWindow}, scanOp{src: 5, dst: 51, dt: ScanDetectWindow},
 		scanOp{src: 5, dst: 8, rst: true, dt: -2 * ScanDetectWindow}, scanOp{src: 5, dst: 8}, scanOp{src: 5, dst: 52, dt: ScanDetectWindow})
-	f.Add(encodeScanOps(cross))
+	for _, shift := range []int64{0, edgeIn, -edgeIn - 2} {
+		f.Add(encodeScanOps(cross), shift)
+	}
 	// A window promoted past scanInline on both sides, then 0.0.0.0 — the
 	// addrSet's empty-slot value — added to both sets and repeated.
 	var zero []scanOp
@@ -419,10 +434,10 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 		zero = append(zero, scanOp{src: 6, dst: netaddr.V4(i)}, scanOp{src: 6, dst: netaddr.V4(i), rst: true})
 	}
 	zero = append(zero, scanOp{src: 6, dst: 0}, scanOp{src: 6, dst: 0, rst: true}, scanOp{src: 6, dst: 0}, scanOp{src: 6, dst: 0, rst: true})
-	f.Add(encodeScanOps(zero))
-	f.Add([]byte{})
+	f.Add(encodeScanOps(zero), int64(0))
+	f.Add([]byte{}, int64(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, shift int64) {
 		if len(data) > 1<<14 {
 			return
 		}
@@ -459,6 +474,9 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 		}
 		for src := range want.sources {
 			ss := got.exportSource(src)
+			for i := range ss.Windows {
+				ss.Windows[i].Index += shift
+			}
 			got2.importSource(&ss)
 			want2.importSource(&ss)
 		}
@@ -469,6 +487,86 @@ func FuzzScanTrackerEquivalence(f *testing.F) {
 			t.Fatalf("restored tracker announced %v, reference %v", flags, want2.flags)
 		}
 	})
+}
+
+// TestSourceTableModel holds the scan tracker's source table to the Go map
+// it replaced, map[netaddr.V4][]uint32, through random finds, inserts,
+// appends and in-place updates: every growth step from 8 slots to 8 192,
+// 0.0.0.0 as a source, runs shrunk in place (as a promotion shrinks a
+// record) and grown again, and sources listed with no windows (as an
+// import of an empty listing leaves them). A hit allocates nothing. Under
+// -race, checkptr holds every words() slice to its allocation.
+func TestSourceTableModel(t *testing.T) {
+	const pool = 6000 // sources 0.0.0.0 … 0.0.23.111; past 3 072 listed, the table has 8 192 slots
+	rng := rand.New(rand.NewSource(1))
+	tr := newScanTracker()
+	tab := &tr.sources
+	ref := make(map[netaddr.V4][]uint32)
+	check := func(src netaddr.V4) {
+		t.Helper()
+		sl := tab.find(src)
+		want, listed := ref[src]
+		if (sl.w != nil) != listed || !slices.Equal(sl.words(), want) {
+			t.Fatalf("%d slots: source %v holds %v (listed %v), reference %v (listed %v)", len(tab.slots), src, sl.words(), sl.w != nil, want, listed)
+		}
+	}
+	checkAll := func() {
+		t.Helper()
+		n := 0
+		for src := range tab.all() {
+			if _, listed := ref[src]; !listed {
+				t.Fatalf("%d slots: all() yields %v, which the reference does not list", len(tab.slots), src)
+			}
+			n++
+		}
+		if n != len(ref) || tab.used != len(ref) {
+			t.Fatalf("%d slots: all() yields %d sources, used %d, reference %d", len(tab.slots), n, tab.used, len(ref))
+		}
+		for i := 0; i < pool+100; i++ {
+			check(netaddr.V4(i))
+		}
+	}
+	for step, slots := 0, len(tab.slots); step < 60_000; step++ {
+		src := netaddr.V4(rng.Intn(pool))
+		w, listed := ref[src]
+		switch r := rng.Intn(10); {
+		case r < 5: // find or insert, then append
+			sl := tab.slot(src)
+			k := 1 + rng.Intn(6)
+			s := growWords(sl.words(), k)
+			for i := len(s) - k; i < len(s); i++ {
+				s[i] = rng.Uint32()
+			}
+			sl.set(s)
+			ref[src] = append(w, s[len(s)-k:]...)
+		case r < 7 && listed: // update a word in place
+			i, v := rng.Intn(len(w)), rng.Uint32()
+			tab.slot(src).words()[i], w[i] = v, v
+		case r < 9 && len(w) > 1: // shrink in place
+			m := 1 + rng.Intn(len(w)-1)
+			sl := tab.slot(src)
+			sl.set(sl.words()[:m])
+			ref[src] = w[:m]
+		case r == 9 && !listed:
+			tr.truncate(src, 1)
+			ref[src] = []uint32{1}
+		}
+		check(src)
+		if len(tab.slots) != slots {
+			checkAll()
+			slots = len(tab.slots)
+		}
+	}
+	checkAll()
+	if len(tab.slots) != 8192 {
+		t.Fatalf("the table ended at %d slots, want 8 192: not every growth step was crossed", len(tab.slots))
+	}
+	if _, listed := ref[0]; !listed {
+		t.Fatal("0.0.0.0 was never listed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tab.slot(0).words() }); allocs != 0 {
+		t.Fatalf("a hit lookup allocates %.0f times, want 0", allocs)
+	}
 }
 
 // TestPeerDedupModel checks the distinct-peer dedup — firstPeers scanned
