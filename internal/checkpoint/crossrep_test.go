@@ -27,7 +27,7 @@ const crossRepDir = "testdata/crossrep"
 
 // crossRepPeers are the distinct-peer counts of the trace's services at
 // checkpoint time: both sides of the inline/side-table boundary
-// (core's peerInline is 32) and of the firstPeers cap (128).
+// (core's peerInline is 32) and of the peer-history cap (128).
 var crossRepPeers = []int{1, 31, 32, 33, 128, 129, 300}
 
 // crossRepTrace builds the three phases of the trace: head (covered by the

@@ -78,12 +78,22 @@ type peerContact struct {
 }
 
 // PassiveRecord accumulates everything passive monitoring learns about one
-// service. The record itself is a small flat value so that the snapshot
-// machinery's copy-on-write clones are cheap: firstPeers is append-only,
-// so clones share its backing array instead of copying it, and it doubles
-// as the peer-identity set behind nClients while the service is small; a
-// larger one's set lives in the owning discoverer's live-only side table
-// (PassiveDiscoverer.peers), never in the record.
+// service, in 48 bytes, so that the snapshot machinery's copy-on-write
+// clones are cheap. Its peer history — the first contact from each of the
+// first maxFirstPeers distinct peers, enough to recompute first-discovery
+// with any subset of peers (e.g. scanners) removed — is nFirst() long and
+// sits in two places: the first peer inline (peer0, contacted at first: the
+// engine makes every record on its first peer's evidence), the rest behind
+// one pointer. The history doubles as the peer-identity set behind nClients
+// while the service is small; a larger one's set lives in the owning
+// discoverer's live-only side table (PassiveDiscoverer.peers), never in the
+// record.
+//
+// The rest array is append-only and carries no length of its own: each
+// record derives it from its own nClients. A clone shares the array with the
+// record it was copied from, and the live record appends past the clone's
+// length — in place while the array has room — so a sealed clone never sees
+// an element its client count does not cover, and never sees one change.
 type PassiveRecord struct {
 	// first is when the first positive evidence arrived; last when the most
 	// recent did — the timestamp retention deadlines are computed from
@@ -93,12 +103,12 @@ type PassiveRecord struct {
 	// server-sourced datagrams for UDP) — the flow weight of Figure 1.
 	Flows int
 	// nClients counts distinct peer addresses — the client weight.
-	nClients int
-	// firstPeers stores the first contact from each of the first
-	// maxFirstPeers distinct peers, enough to recompute first-discovery
-	// with any subset of peers (e.g. scanners) removed. Strictly
-	// append-only: snapshots alias the backing array.
-	firstPeers []peerContact
+	nClients uint32
+	// peer0 is the first peer when nClients > 0.
+	peer0 netaddr.V4
+	// rest holds peers 2 … nFirst() in an array whose capacity is the
+	// power of two at or above that length (appendRest).
+	rest *peerContact
 	// seal is the owning discoverer's seal count when the record was
 	// created or last copied for writing. A record whose seal is behind
 	// the discoverer's is shared with snapshots and must be cloned before
@@ -109,8 +119,8 @@ type PassiveRecord struct {
 // A field that pushes either type into the next size class fails the
 // build here, not a memory benchmark later.
 const (
-	_ = uint(64 - unsafe.Sizeof(PassiveRecord{}))                                     // <= 64
-	_ = uint(16-unsafe.Sizeof(peerContact{})) + uint(unsafe.Sizeof(peerContact{})-16) // == 16
+	_ = uint(48-unsafe.Sizeof(PassiveRecord{})) + uint(unsafe.Sizeof(PassiveRecord{})-48) // == 48
+	_ = uint(16-unsafe.Sizeof(peerContact{})) + uint(unsafe.Sizeof(peerContact{})-16)     // == 16
 )
 
 // maxFirstPeers bounds per-service peer history. The scan-removal analysis
@@ -126,15 +136,35 @@ func (r *PassiveRecord) FirstSeen() time.Time { return r.first.time() }
 func (r *PassiveRecord) LastSeen() time.Time { return r.last.time() }
 
 // Clients returns the number of distinct peers observed.
-func (r *PassiveRecord) Clients() int { return r.nClients }
+func (r *PassiveRecord) Clients() int { return int(r.nClients) }
+
+// nFirst is the peer history's length: one entry per client, up to
+// maxFirstPeers.
+func (r *PassiveRecord) nFirst() int { return int(min(r.nClients, maxFirstPeers)) }
+
+// restPeers is the peer history past peer0.
+func (r *PassiveRecord) restPeers() []peerContact {
+	return unsafe.Slice(r.rest, max(r.nFirst()-1, 0))
+}
+
+// appendRest stores pc past the n entries the rest array holds. The array is
+// full when n is zero or a power of two; a full one is copied into a new one
+// twice as long (one entry long at first).
+func (r *PassiveRecord) appendRest(n int, pc peerContact) {
+	if n&(n-1) == 0 {
+		grown := make([]peerContact, max(2*n, 1))
+		copy(grown, unsafe.Slice(r.rest, n))
+		r.rest = &grown[0]
+	}
+	unsafe.Slice(r.rest, n+1)[n] = pc
+}
 
 // cloneForWrite copies the record so the original can be retained by
 // snapshots while the copy keeps mutating — the first-write
-// half of the copy-on-write protocol. The copy is flat: firstPeers is
-// append-only, so the clone shares its backing array (the sealed
-// original's header never observes elements past its own length). The
-// clone is stamped with the current seal so later writes in the same
-// seal epoch mutate it in place.
+// half of the copy-on-write protocol. The copy is flat: the rest array is
+// append-only, so the clone shares it (the sealed original derives a length
+// that never covers a later append). The clone is stamped with the current
+// seal so later writes in the same seal epoch mutate it in place.
 func (r *PassiveRecord) cloneForWrite(seal uint64) *PassiveRecord {
 	c := *r
 	c.seal = seal
@@ -143,12 +173,13 @@ func (r *PassiveRecord) cloneForWrite(seal uint64) *PassiveRecord {
 
 // FirstPeers returns a copy of the bounded peer history, oldest first.
 func (r *PassiveRecord) FirstPeers() []PeerContact {
-	if len(r.firstPeers) == 0 {
+	if r.nClients == 0 {
 		return nil
 	}
-	out := make([]PeerContact, len(r.firstPeers))
-	for i, pc := range r.firstPeers {
-		out[i] = PeerContact{Peer: pc.peer, Time: pc.at.time()}
+	out := make([]PeerContact, 1, r.nFirst())
+	out[0] = PeerContact{Peer: r.peer0, Time: r.first.time()}
+	for _, pc := range r.restPeers() {
+		out = append(out, PeerContact{Peer: pc.peer, Time: pc.at.time()})
 	}
 	return out
 }
@@ -156,7 +187,10 @@ func (r *PassiveRecord) FirstPeers() []PeerContact {
 // FirstSeenExcluding returns the earliest contact from a peer not in the
 // excluded set, and ok=false if every stored peer is excluded.
 func (r *PassiveRecord) FirstSeenExcluding(excluded map[netaddr.V4]bool) (time.Time, bool) {
-	for _, pc := range r.firstPeers {
+	if r.nClients > 0 && !excluded[r.peer0] {
+		return r.first.time(), true
+	}
+	for _, pc := range r.restPeers() {
 		if !excluded[pc.peer] {
 			return pc.at.time(), true
 		}
@@ -173,9 +207,13 @@ func (r *PassiveRecord) observe(at instant, peer netaddr.V4, newPeer bool) {
 		r.last = at
 	}
 	if newPeer {
-		r.nClients++
-		if len(r.firstPeers) < maxFirstPeers {
-			r.firstPeers = append(r.firstPeers, peerContact{at: at, peer: peer})
+		// The history's length comes from nClients: read it before the count moves.
+		switch n := r.nFirst(); {
+		case n == 0:
+			r.peer0 = peer // contacted at r.first, the evidence the record was made on
+		case n < maxFirstPeers:
+			r.appendRest(n-1, peerContact{at: at, peer: peer})
 		}
+		r.nClients++
 	}
 }

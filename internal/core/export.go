@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -201,17 +202,17 @@ func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta
 // exportService copies one service's record and peer set into wire form.
 // Nothing in the result aliases engine state: the peer history is rendered
 // from its packed form, the peer set copied out — from the side table, or
-// from firstPeers for a service too small to have one.
+// from the peer history for a service too small to have one.
 func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	rec := d.services[key]
-	fp := rec.firstPeers
+	fp := rec.FirstPeers()
 	var peers []netaddr.V4
 	if rec.nClients > peerInline {
 		peers = d.peers[key].sorted()
 	} else if len(fp) > 0 {
 		peers = make([]netaddr.V4, len(fp))
 		for i := range fp {
-			peers[i] = fp[i].peer
+			peers[i] = fp[i].Peer
 		}
 		slices.Sort(peers)
 	}
@@ -220,17 +221,29 @@ func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 		FirstSeen:  rec.FirstSeen(),
 		LastSeen:   rec.LastSeen(),
 		Flows:      rec.Flows,
-		Clients:    rec.nClients,
-		FirstPeers: rec.FirstPeers(),
+		Clients:    rec.Clients(),
+		FirstPeers: fp,
 		Peers:      peers,
 	}
 }
 
 // checkPeers holds st to what every exporter writes: Peers is exactly
-// Clients distinct addresses. A restore that took fewer would count
-// returning clients again, and its clients= would drift from the
-// uninterrupted run's.
+// Clients distinct addresses, and the peer history is what a record holds —
+// one contact per client up to maxFirstPeers, the first of them at FirstSeen
+// (the record keeps the two as one instant), Clients in a uint32. A restore
+// that took fewer peers would count returning clients again, and its
+// clients= would drift from the uninterrupted run's; one that took any other
+// history would hold a client count and a history that disagree.
 func (st *ServiceState) checkPeers() error {
+	if st.Clients < 0 || st.Clients > math.MaxUint32 {
+		return fmt.Errorf("core: checkpoint service %v has %d clients", st.Key, st.Clients)
+	}
+	if len(st.FirstPeers) != min(st.Clients, maxFirstPeers) {
+		return fmt.Errorf("core: checkpoint service %v lists %d first peers for %d clients", st.Key, len(st.FirstPeers), st.Clients)
+	}
+	if len(st.FirstPeers) > 0 && toInstant(st.FirstPeers[0].Time) != toInstant(st.FirstSeen) {
+		return fmt.Errorf("core: checkpoint service %v: first peer contacted at %v, first seen %v", st.Key, st.FirstPeers[0].Time, st.FirstSeen)
+	}
 	if n := len(slices.Compact(slices.Sorted(slices.Values(st.Peers)))); n != st.Clients || n != len(st.Peers) {
 		return fmt.Errorf("core: checkpoint service %v lists %d peers, %d distinct, for %d clients", st.Key, len(st.Peers), n, st.Clients)
 	}
@@ -247,21 +260,21 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		// observation is the only one on record.
 		last = st.FirstSeen
 	}
-	var fp []peerContact
-	if len(st.FirstPeers) > 0 {
-		fp = make([]peerContact, len(st.FirstPeers))
-		for i, pc := range st.FirstPeers {
-			fp[i] = peerContact{at: toInstant(pc.Time), peer: pc.Peer}
+	rec := &PassiveRecord{
+		first:    toInstant(st.FirstSeen),
+		last:     toInstant(last),
+		Flows:    st.Flows,
+		nClients: uint32(st.Clients), // checkPeers: it fits, and FirstPeers is as long as it says
+		seal:     d.seals,
+	}
+	for i, pc := range st.FirstPeers {
+		if i == 0 {
+			rec.peer0 = pc.Peer
+		} else {
+			rec.appendRest(i-1, peerContact{at: toInstant(pc.Time), peer: pc.Peer})
 		}
 	}
-	d.services[st.Key] = &PassiveRecord{
-		first:      toInstant(st.FirstSeen),
-		last:       toInstant(last),
-		Flows:      st.Flows,
-		nClients:   st.Clients,
-		firstPeers: fp,
-		seal:       d.seals,
-	}
+	d.services[st.Key] = rec
 	if st.Clients > peerInline {
 		ps := new(addrSet)
 		for _, p := range st.Peers {
@@ -464,7 +477,8 @@ func (s *ShardedPassive) checkFresh() error {
 // State is redistributed by owner address, so the shard count may differ
 // from the exporting engine's. Active-scan state needs a Hybrid to land in.
 // A delta listing any service's peers as other than Clients distinct
-// addresses is refused whole. Single-goroutine, like pre-Run ingest.
+// addresses, or a peer history a record cannot hold (see checkPeers), is
+// refused whole. Single-goroutine, like pre-Run ingest.
 func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	if err := s.checkFresh(); err != nil {
 		return err

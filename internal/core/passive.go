@@ -24,7 +24,7 @@ type PassiveDiscoverer struct {
 	// peers holds the distinct-peer identity set — the dedup behind
 	// PassiveRecord.nClients — of each service with more than peerInline
 	// clients. Smaller services (nearly all of them) have no entry: their
-	// firstPeers already lists every distinct peer and is scanned instead
+	// peer history already lists every distinct peer and is scanned instead
 	// (see newPeer). The table lives here rather than in the record so
 	// snapshots never carry (or copy) it: it belongs to the live, ingesting
 	// side only.
@@ -306,32 +306,38 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 }
 
 // peerInline is the client count up to which a service's peers are
-// deduplicated by scanning rec.firstPeers; past it the service gets an
-// addrSet in d.peers (DESIGN.md §7 records the measurement that picked it). The
-// scan is only exhaustive while firstPeers still records every peer.
+// deduplicated by scanning the record's peer history; past it the service
+// gets an addrSet in d.peers (DESIGN.md §7 records the measurement that
+// picked it). The scan is only exhaustive while the history still records
+// every peer.
 const peerInline = 32
 
 const _ = uint(maxFirstPeers - peerInline) // peerInline <= maxFirstPeers
 
 // newPeer reports whether peer is contacting the service for the first
 // time, and records it in d.peers if the service has one (rec.observe
-// appends it to firstPeers). rec is writable here — observe has already
-// cloned a sealed record — and firstPeers is append-only, so the scan is
-// safe beside snapshots aliasing the same backing array.
+// appends it to the peer history). rec is writable here — observe has
+// already cloned a sealed record — and the history is append-only, so the
+// scan is safe beside snapshots aliasing the same rest array.
 func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer netaddr.V4) bool {
 	if rec.nClients > peerInline {
 		return d.peers[key].add(peer)
 	}
-	for i := range rec.firstPeers {
-		if rec.firstPeers[i].peer == peer {
+	if rec.nClients > 0 && rec.peer0 == peer {
+		return false
+	}
+	rest := rec.restPeers()
+	for i := range rest {
+		if rest[i].peer == peer {
 			return false
 		}
 	}
 	if rec.nClients == peerInline {
 		// One past the inline count: the service moves to a set.
 		peers := new(addrSet)
-		for i := range rec.firstPeers {
-			peers.add(rec.firstPeers[i].peer)
+		peers.add(rec.peer0)
+		for i := range rest {
+			peers.add(rest[i].peer)
 		}
 		peers.add(peer)
 		d.peers[key] = peers

@@ -1,23 +1,26 @@
 package core
 
 // Persistent hash-array-mapped trie (CHAMP variant) — the storage behind
-// merged snapshot inventories. A pmap value is immutable: Set and Delete
-// return a new map sharing all untouched structure with the old one, so a
-// snapshot patched forward from its predecessor costs O(records changed ·
-// log64 n) node copies instead of an O(n) map clone, and every previously
-// returned snapshot stays valid forever.
+// merged snapshot inventories. A pmap value is immutable: a builder opened
+// on it collects changes by path copying, and what it freezes shares all
+// untouched structure with the old map, so a snapshot patched forward from
+// its predecessor costs O(records changed · log64 n) node copies instead of
+// an O(n) map clone, and every previously returned snapshot stays valid
+// forever.
 //
 // Keys are hashed through an injective 64-bit encoding followed by the
 // (bijective) splitmix64 finalizer, so two distinct keys can never share a
 // hash and the trie needs no collision buckets: any two keys diverge at
 // some level within the 64-bit hash. A transient builder amortizes a batch
-// of changes to an existing map by mutating nodes it alone owns, identified
-// by an edit token, and freezes into an ordinary pmap; a map with no
-// predecessor is built bottom-up instead (pmapBulk).
+// of changes to an existing map by mutating the nodes it made itself, and
+// freezes into an ordinary pmap; a map with no predecessor is built
+// bottom-up instead (pmapBulk).
 
 import (
 	"cmp"
 	"math/bits"
+	"slices"
+	"unsafe"
 
 	"servdisc/internal/netaddr"
 )
@@ -46,32 +49,47 @@ func hashServiceKey(k ServiceKey) uint64 { return mix64(k.packed()) }
 // hashV4 mixes the (already unique) 32-bit address.
 func hashV4(a netaddr.V4) uint64 { return mix64(uint64(a)) }
 
-// pmapEdit is a transient builder's ownership token: nodes stamped with a
-// live token may be mutated in place by that builder alone.
-type pmapEdit struct{ _ byte }
+// pkv is one inline entry of a node.
+type pkv[K comparable, V any] struct {
+	k K
+	v V
+}
 
-// pnode is one trie node. dataMap marks slots holding an inline key/value
-// pair, nodeMap slots holding a child node; keys/vals and kids are packed
-// dense in slot order.
+// pnode is one trie node, 32 bytes. dataMap marks slots holding an inline
+// entry, nodeMap slots holding a child node; ents and kids point at arrays
+// packed dense in slot order whose lengths are the bitmaps' popcounts
+// (entries, children). Each array is allocated at exactly that length, so
+// adding or removing a slot builds a new one: the length a bitmap derives
+// never exceeds the allocation it indexes, which is what makes the
+// unsafe.Slice views sound.
 type pnode[K comparable, V any] struct {
 	dataMap uint64
 	nodeMap uint64
-	keys    []K
-	vals    []V
-	kids    []*pnode[K, V]
-	edit    *pmapEdit
+	ents    *pkv[K, V]
+	kids    **pnode[K, V]
 }
 
-// pmap is an immutable hash map value. The zero value is unusable: build
-// with newPmap to bind the hash function.
+// A field that pushes the services trie's node past 32 bytes fails the
+// build here, not a memory benchmark later.
+const _ = uint(32-unsafe.Sizeof(pnode[ServiceKey, *PassiveRecord]{})) + uint(unsafe.Sizeof(pnode[ServiceKey, *PassiveRecord]{})-32) // == 32
+
+func (n *pnode[K, V]) entries() []pkv[K, V] {
+	return unsafe.Slice(n.ents, bits.OnesCount64(n.dataMap))
+}
+
+func (n *pnode[K, V]) children() []*pnode[K, V] {
+	return unsafe.Slice(n.kids, bits.OnesCount64(n.nodeMap))
+}
+
+// rank is bit's position among the set bits of m.
+func rank(m, bit uint64) int { return bits.OnesCount64(m & (bit - 1)) }
+
+// pmap is an immutable hash map value. The zero value is unusable: the hash
+// function is bound when the map is built (pmapBulk).
 type pmap[K comparable, V any] struct {
 	hash func(K) uint64
 	root *pnode[K, V]
 	n    int
-}
-
-func newPmap[K comparable, V any](hash func(K) uint64) pmap[K, V] {
-	return pmap[K, V]{hash: hash}
 }
 
 func (m pmap[K, V]) Len() int { return m.n }
@@ -89,40 +107,16 @@ func (m pmap[K, V]) Get(k K) (V, bool) {
 		}
 		bit := uint64(1) << ((h >> shift) & pmapMask)
 		if n.dataMap&bit != 0 {
-			i := bits.OnesCount64(n.dataMap & (bit - 1))
-			if n.keys[i] == k {
-				return n.vals[i], true
+			if e := &n.entries()[rank(n.dataMap, bit)]; e.k == k {
+				return e.v, true
 			}
 			return zero, false
 		}
 		if n.nodeMap&bit == 0 {
 			return zero, false
 		}
-		n = n.kids[bits.OnesCount64(n.nodeMap&(bit-1))]
+		n = n.children()[rank(n.nodeMap, bit)]
 	}
-}
-
-// Set returns a map with k bound to v; m is untouched.
-func (m pmap[K, V]) Set(k K, v V) pmap[K, V] {
-	root, added := pmapSet(m.root, 0, m.hash(k), k, v, m.hash, nil)
-	n := m.n
-	if added {
-		n++
-	}
-	return pmap[K, V]{hash: m.hash, root: root, n: n}
-}
-
-// Delete returns a map without k; m is untouched. Absent keys are a no-op
-// (the same map value comes back).
-func (m pmap[K, V]) Delete(k K) pmap[K, V] {
-	if m.root == nil {
-		return m
-	}
-	root, removed := pmapDel(m.root, 0, m.hash(k), k, nil)
-	if !removed {
-		return m
-	}
-	return pmap[K, V]{hash: m.hash, root: root, n: m.n - 1}
 }
 
 // each visits every entry in an unspecified (but deterministic for a given
@@ -134,12 +128,12 @@ func (m pmap[K, V]) each(yield func(K, V) bool) {
 }
 
 func (n *pnode[K, V]) each(yield func(K, V) bool) bool {
-	for i := range n.keys {
-		if !yield(n.keys[i], n.vals[i]) {
+	for _, e := range n.entries() {
+		if !yield(e.k, e.v) {
 			return false
 		}
 	}
-	for _, kid := range n.kids {
+	for _, kid := range n.children() {
 		if !kid.each(yield) {
 			return false
 		}
@@ -165,12 +159,12 @@ func pnodeDiff[K comparable, V any](a, b *pnode[K, V], shift uint, hash func(K) 
 	for slots := a.dataMap | a.nodeMap | b.dataMap | b.nodeMap; slots != 0; slots &= slots - 1 {
 		bit := slots & -slots
 		if a.dataMap&bit != 0 && b.dataMap&bit != 0 {
-			i, j := bits.OnesCount64(a.dataMap&(bit-1)), bits.OnesCount64(b.dataMap&(bit-1))
-			if a.keys[i] != b.keys[j] {
-				yield(a.keys[i])
-				yield(b.keys[j])
-			} else if !eq(a.vals[i], b.vals[j]) {
-				yield(a.keys[i])
+			ea, eb := &a.entries()[rank(a.dataMap, bit)], &b.entries()[rank(b.dataMap, bit)]
+			if ea.k != eb.k {
+				yield(ea.k)
+				yield(eb.k)
+			} else if !eq(ea.v, eb.v) {
+				yield(ea.k)
 			}
 			continue
 		}
@@ -182,146 +176,13 @@ func pnodeDiff[K comparable, V any](a, b *pnode[K, V], shift uint, hash func(K) 
 // the slot is empty, the child itself, or an inline entry wrapped alone.
 func (n *pnode[K, V]) slot(bit uint64, shift uint, hash func(K) uint64) *pnode[K, V] {
 	if n.nodeMap&bit != 0 {
-		return n.kids[bits.OnesCount64(n.nodeMap&(bit-1))]
+		return n.children()[rank(n.nodeMap, bit)]
 	}
 	if n.dataMap&bit == 0 {
 		return nil
 	}
-	i := bits.OnesCount64(n.dataMap & (bit - 1))
-	return &pnode[K, V]{dataMap: 1 << ((hash(n.keys[i]) >> (shift + pmapBits)) & pmapMask),
-		keys: n.keys[i : i+1], vals: n.vals[i : i+1]}
-}
-
-// owned returns n itself when the edit token proves exclusive ownership,
-// or a copy stamped with the token otherwise.
-func (n *pnode[K, V]) owned(edit *pmapEdit) *pnode[K, V] {
-	if edit != nil && n.edit == edit {
-		return n
-	}
-	return &pnode[K, V]{
-		dataMap: n.dataMap,
-		nodeMap: n.nodeMap,
-		keys:    append([]K(nil), n.keys...),
-		vals:    append([]V(nil), n.vals...),
-		kids:    append([]*pnode[K, V](nil), n.kids...),
-		edit:    edit,
-	}
-}
-
-func pmapSet[K comparable, V any](n *pnode[K, V], shift uint, h uint64, k K, v V, hash func(K) uint64, edit *pmapEdit) (*pnode[K, V], bool) {
-	if shift >= 64 {
-		panic("pmap: hash bits exhausted")
-	}
-	bit := uint64(1) << ((h >> shift) & pmapMask)
-	if n == nil {
-		return &pnode[K, V]{dataMap: bit, keys: []K{k}, vals: []V{v}, edit: edit}, true
-	}
-	switch {
-	case n.dataMap&bit != 0:
-		i := bits.OnesCount64(n.dataMap & (bit - 1))
-		if n.keys[i] == k {
-			c := n.owned(edit)
-			c.vals[i] = v
-			return c, false
-		}
-		// Slot collision at this level: push both entries one level down.
-		child := pmapMerge(shift+pmapBits, hash(n.keys[i]), n.keys[i], n.vals[i], h, k, v, edit)
-		c := n.owned(edit)
-		c.dataMap &^= bit
-		c.keys = append(c.keys[:i], c.keys[i+1:]...)
-		c.vals = append(c.vals[:i], c.vals[i+1:]...)
-		j := bits.OnesCount64(c.nodeMap & (bit - 1))
-		c.nodeMap |= bit
-		c.kids = append(c.kids, nil)
-		copy(c.kids[j+1:], c.kids[j:])
-		c.kids[j] = child
-		return c, true
-	case n.nodeMap&bit != 0:
-		j := bits.OnesCount64(n.nodeMap & (bit - 1))
-		child, added := pmapSet(n.kids[j], shift+pmapBits, h, k, v, hash, edit)
-		c := n.owned(edit)
-		c.kids[j] = child
-		return c, added
-	default:
-		i := bits.OnesCount64(n.dataMap & (bit - 1))
-		c := n.owned(edit)
-		c.dataMap |= bit
-		c.keys = append(c.keys, k)
-		copy(c.keys[i+1:], c.keys[i:])
-		c.keys[i] = k
-		c.vals = append(c.vals, v)
-		copy(c.vals[i+1:], c.vals[i:])
-		c.vals[i] = v
-		return c, true
-	}
-}
-
-// pmapMerge builds the subtree holding two entries whose hashes agree on
-// every level above shift. Injective hashing guarantees divergence before
-// the bits run out.
-func pmapMerge[K comparable, V any](shift uint, h1 uint64, k1 K, v1 V, h2 uint64, k2 K, v2 V, edit *pmapEdit) *pnode[K, V] {
-	if shift >= 64 {
-		panic("pmap: hash collision (non-injective key encoding)")
-	}
-	i1 := (h1 >> shift) & pmapMask
-	i2 := (h2 >> shift) & pmapMask
-	if i1 == i2 {
-		child := pmapMerge(shift+pmapBits, h1, k1, v1, h2, k2, v2, edit)
-		return &pnode[K, V]{nodeMap: 1 << i1, kids: []*pnode[K, V]{child}, edit: edit}
-	}
-	if i1 > i2 {
-		k1, k2 = k2, k1
-		v1, v2 = v2, v1
-		i1, i2 = i2, i1
-	}
-	return &pnode[K, V]{
-		dataMap: 1<<i1 | 1<<i2,
-		keys:    []K{k1, k2},
-		vals:    []V{v1, v2},
-		edit:    edit,
-	}
-}
-
-func pmapDel[K comparable, V any](n *pnode[K, V], shift uint, h uint64, k K, edit *pmapEdit) (*pnode[K, V], bool) {
-	if shift >= 64 {
-		panic("pmap: hash bits exhausted")
-	}
-	bit := uint64(1) << ((h >> shift) & pmapMask)
-	switch {
-	case n.dataMap&bit != 0:
-		i := bits.OnesCount64(n.dataMap & (bit - 1))
-		if n.keys[i] != k {
-			return n, false
-		}
-		if n.dataMap == bit && n.nodeMap == 0 {
-			return nil, true
-		}
-		c := n.owned(edit)
-		c.dataMap &^= bit
-		c.keys = append(c.keys[:i], c.keys[i+1:]...)
-		c.vals = append(c.vals[:i], c.vals[i+1:]...)
-		return c, true
-	case n.nodeMap&bit != 0:
-		j := bits.OnesCount64(n.nodeMap & (bit - 1))
-		child, removed := pmapDel(n.kids[j], shift+pmapBits, h, k, edit)
-		if !removed {
-			return n, false
-		}
-		if child == nil {
-			if n.nodeMap == bit && n.dataMap == 0 {
-				return nil, true
-			}
-			c := n.owned(edit)
-			c.nodeMap &^= bit
-			c.kids = append(c.kids[:j], c.kids[j+1:]...)
-			return c, true
-		}
-		c := n.owned(edit)
-		c.kids[j] = child
-		return c, true
-	default:
-		return n, false
-	}
+	e := &n.entries()[rank(n.dataMap, bit)]
+	return &pnode[K, V]{dataMap: 1 << ((hash(e.k) >> (shift + pmapBits)) & pmapMask), ents: e}
 }
 
 // pent is one entry of a bulk build, with its hash.
@@ -333,7 +194,7 @@ type pent[K comparable, V any] struct {
 
 // pmapBulk builds the map of the n distinct entries fill hands to add, bottom
 // up: every entry is hashed once and every node allocated once at its final
-// size, where as many transient Sets grow each node's arrays an append at a
+// size, where as many transient Sets rebuild each node's arrays a slot at a
 // time. The shape of a CHAMP trie is a function of its key set, so the result
 // is node for node the map those Sets would have built.
 func pmapBulk[K comparable, V any](hash func(K) uint64, n int, fill func(add func(K, V))) pmap[K, V] {
@@ -372,37 +233,37 @@ func pmapBuild[K comparable, V any](ents, tmp []pent[K, V], shift uint) *pnode[K
 		tmp[end[d]] = ents[i]
 		end[d]++
 	}
-	data := bits.OnesCount64(n.dataMap)
-	n.keys, n.vals = make([]K, 0, data), make([]V, 0, data)
-	n.kids = make([]*pnode[K, V], 0, bits.OnesCount64(n.nodeMap))
+	data := make([]pkv[K, V], 0, bits.OnesCount64(n.dataMap))
+	kids := make([]*pnode[K, V], 0, bits.OnesCount64(n.nodeMap))
 	pos = 0
 	for _, e := range end {
 		if e == pos+1 {
-			n.keys, n.vals = append(n.keys, tmp[pos].k), append(n.vals, tmp[pos].v)
+			data = append(data, pkv[K, V]{tmp[pos].k, tmp[pos].v})
 		} else if e > pos {
-			n.kids = append(n.kids, pmapBuild(tmp[pos:e], ents[pos:e], shift+pmapBits))
+			kids = append(kids, pmapBuild(tmp[pos:e], ents[pos:e], shift+pmapBits))
 		}
 		pos = e
 	}
+	n.ents, n.kids = unsafe.SliceData(data), unsafe.SliceData(kids)
 	return n
 }
 
 // pmapBuilder is a transient: a mutable accumulator over pmap structure.
-// Mutations touch only nodes stamped with the builder's edit token, so the
-// base map (and anything frozen out of the builder) is never disturbed.
-// Single-goroutine; freeze() before sharing the result.
+// It changes in place only the nodes it made — its owned set, every node it
+// created or copied — and then only to replace a value or a child pointer,
+// so the base map (and anything frozen out of the builder) is never
+// disturbed. An owned node's arrays are its own as well: copying a node
+// copies both. Single-goroutine; freeze() before sharing the result.
 type pmapBuilder[K comparable, V any] struct {
-	m    pmap[K, V]
-	edit *pmapEdit
+	m     pmap[K, V]
+	owned map[*pnode[K, V]]struct{}
 }
 
 // builder opens a transient over the map's current contents.
-func (m pmap[K, V]) builder() *pmapBuilder[K, V] {
-	return &pmapBuilder[K, V]{m: m, edit: &pmapEdit{}}
-}
+func (m pmap[K, V]) builder() *pmapBuilder[K, V] { return &pmapBuilder[K, V]{m: m} }
 
 func (b *pmapBuilder[K, V]) Set(k K, v V) {
-	root, added := pmapSet(b.m.root, 0, b.m.hash(k), k, v, b.m.hash, b.edit)
+	root, added := b.set(b.m.root, 0, b.m.hash(k), k, v)
 	b.m.root = root
 	if added {
 		b.m.n++
@@ -413,20 +274,137 @@ func (b *pmapBuilder[K, V]) Delete(k K) {
 	if b.m.root == nil {
 		return
 	}
-	root, removed := pmapDel(b.m.root, 0, b.m.hash(k), k, b.edit)
+	root, removed := b.del(b.m.root, 0, b.m.hash(k), k)
 	if removed {
 		b.m.root = root
 		b.m.n--
 	}
 }
 
-func (b *pmapBuilder[K, V]) Get(k K) (V, bool) { return b.m.Get(k) }
-
-func (b *pmapBuilder[K, V]) Len() int { return b.m.n }
-
-// freeze returns the accumulated map and retires the edit token: later
+// freeze returns the accumulated map and drops the owned set: later
 // builder mutations copy rather than touching anything frozen here.
 func (b *pmapBuilder[K, V]) freeze() pmap[K, V] {
-	b.edit = &pmapEdit{}
+	b.owned = nil
 	return b.m
+}
+
+// node makes an owned node over ents and kids, which must be arrays no other
+// node holds.
+func (b *pmapBuilder[K, V]) node(dataMap, nodeMap uint64, ents []pkv[K, V], kids []*pnode[K, V]) *pnode[K, V] {
+	n := &pnode[K, V]{dataMap, nodeMap, unsafe.SliceData(ents), unsafe.SliceData(kids)}
+	if b.owned == nil {
+		b.owned = make(map[*pnode[K, V]]struct{})
+	}
+	b.owned[n] = struct{}{}
+	return n
+}
+
+// reshape gives n new bitmaps and arrays — in place when the builder owns n,
+// else in an owned copy, for which it copies whichever of n's arrays ents or
+// kids still is.
+func (b *pmapBuilder[K, V]) reshape(n *pnode[K, V], dataMap, nodeMap uint64, ents []pkv[K, V], kids []*pnode[K, V]) *pnode[K, V] {
+	if _, mine := b.owned[n]; mine {
+		n.dataMap, n.nodeMap, n.ents, n.kids = dataMap, nodeMap, unsafe.SliceData(ents), unsafe.SliceData(kids)
+		return n
+	}
+	if unsafe.SliceData(ents) == n.ents {
+		ents = slices.Clone(ents)
+	}
+	if unsafe.SliceData(kids) == n.kids {
+		kids = slices.Clone(kids)
+	}
+	return b.node(dataMap, nodeMap, ents, kids)
+}
+
+// own returns n when the builder owns it, or an owned copy.
+func (b *pmapBuilder[K, V]) own(n *pnode[K, V]) *pnode[K, V] {
+	return b.reshape(n, n.dataMap, n.nodeMap, n.entries(), n.children())
+}
+
+func (b *pmapBuilder[K, V]) set(n *pnode[K, V], shift uint, h uint64, k K, v V) (*pnode[K, V], bool) {
+	if shift >= 64 {
+		panic("pmap: hash bits exhausted")
+	}
+	bit := uint64(1) << ((h >> shift) & pmapMask)
+	if n == nil {
+		return b.node(bit, 0, []pkv[K, V]{{k, v}}, nil), true
+	}
+	ents, kids := n.entries(), n.children()
+	switch {
+	case n.dataMap&bit != 0:
+		i := rank(n.dataMap, bit)
+		if ents[i].k == k {
+			c := b.own(n)
+			c.entries()[i].v = v
+			return c, false
+		}
+		// Slot collision at this level: push both entries one level down.
+		child := b.merge(shift+pmapBits, b.m.hash(ents[i].k), ents[i], h, pkv[K, V]{k, v})
+		j := rank(n.nodeMap, bit)
+		return b.reshape(n, n.dataMap&^bit, n.nodeMap|bit,
+			slices.Concat(ents[:i], ents[i+1:]), slices.Concat(kids[:j], []*pnode[K, V]{child}, kids[j:])), true
+	case n.nodeMap&bit != 0:
+		j := rank(n.nodeMap, bit)
+		child, added := b.set(kids[j], shift+pmapBits, h, k, v)
+		c := b.own(n)
+		c.children()[j] = child
+		return c, added
+	default:
+		i := rank(n.dataMap, bit)
+		return b.reshape(n, n.dataMap|bit, n.nodeMap, slices.Concat(ents[:i], []pkv[K, V]{{k, v}}, ents[i:]), kids), true
+	}
+}
+
+// merge builds the subtree holding two entries whose hashes agree on every
+// level above shift. Injective hashing guarantees divergence before the bits
+// run out.
+func (b *pmapBuilder[K, V]) merge(shift uint, h1 uint64, e1 pkv[K, V], h2 uint64, e2 pkv[K, V]) *pnode[K, V] {
+	if shift >= 64 {
+		panic("pmap: hash collision (non-injective key encoding)")
+	}
+	i1 := (h1 >> shift) & pmapMask
+	i2 := (h2 >> shift) & pmapMask
+	if i1 == i2 {
+		return b.node(0, 1<<i1, nil, []*pnode[K, V]{b.merge(shift+pmapBits, h1, e1, h2, e2)})
+	}
+	if i1 > i2 {
+		e1, e2 = e2, e1
+	}
+	return b.node(1<<i1|1<<i2, 0, []pkv[K, V]{e1, e2}, nil)
+}
+
+func (b *pmapBuilder[K, V]) del(n *pnode[K, V], shift uint, h uint64, k K) (*pnode[K, V], bool) {
+	if shift >= 64 {
+		panic("pmap: hash bits exhausted")
+	}
+	bit := uint64(1) << ((h >> shift) & pmapMask)
+	ents, kids := n.entries(), n.children()
+	switch {
+	case n.dataMap&bit != 0:
+		i := rank(n.dataMap, bit)
+		if ents[i].k != k {
+			return n, false
+		}
+		if n.dataMap == bit && n.nodeMap == 0 {
+			return nil, true
+		}
+		return b.reshape(n, n.dataMap&^bit, n.nodeMap, slices.Concat(ents[:i], ents[i+1:]), kids), true
+	case n.nodeMap&bit != 0:
+		j := rank(n.nodeMap, bit)
+		child, removed := b.del(kids[j], shift+pmapBits, h, k)
+		if !removed {
+			return n, false
+		}
+		if child == nil {
+			if n.nodeMap == bit && n.dataMap == 0 {
+				return nil, true
+			}
+			return b.reshape(n, n.dataMap, n.nodeMap&^bit, ents, slices.Concat(kids[:j], kids[j+1:])), true
+		}
+		c := b.own(n)
+		c.children()[j] = child
+		return c, true
+	default:
+		return n, false
+	}
 }

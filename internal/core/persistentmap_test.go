@@ -1,18 +1,20 @@
 package core
 
 // Model-based property test for the persistent map: a pmap driven through
-// randomized insert/update/delete/snapshot/builder-compact sequences must
-// (and bottom-up bulk rebuilds of the current contents) must agree with a
-// plain map reference model at every step, and — the property
-// flat maps cannot offer — every snapshot taken along the way must still
-// agree with the model state it froze, re-verified after arbitrarily many
-// later mutations. Run under -race this doubles as an aliasing guard: a
-// mutation that touched a snapshot's shared structure in place would trip
-// the verifier (and, for builder transients misusing their edit token, the
-// race detector).
+// randomized insert/update/delete/snapshot/builder-compact sequences (and
+// bottom-up bulk rebuilds of the current contents) must agree with a plain
+// map reference model at every step, and — the property flat maps cannot
+// offer — every snapshot taken along the way must still agree with the
+// model state it froze, re-verified after arbitrarily many later
+// mutations. Run under -race this doubles as an aliasing guard: a mutation
+// that touched a snapshot's shared structure in place would trip the
+// verifier (and, for a builder changing a node outside its owned set, the
+// race detector), and checkptr holds every entries() and children() view
+// to its allocation.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,6 +22,27 @@ import (
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 )
+
+// newPmap, Set and Delete are the one-change forms of the builder, for
+// tests: the engine only ever changes a map through a builder it freezes.
+func newPmap[K comparable, V any](hash func(K) uint64) pmap[K, V] {
+	return pmap[K, V]{hash: hash}
+}
+
+// Set returns a map with k bound to v; m is untouched.
+func (m pmap[K, V]) Set(k K, v V) pmap[K, V] {
+	b := m.builder()
+	b.Set(k, v)
+	return b.freeze()
+}
+
+// Delete returns a map without k; m is untouched. Absent keys are a no-op
+// (the same map value comes back).
+func (m pmap[K, V]) Delete(k K) pmap[K, V] {
+	b := m.builder()
+	b.Delete(k)
+	return b.freeze()
+}
 
 // pmSnap pairs a frozen pmap with a copy of the reference model at freeze
 // time.
@@ -168,6 +191,26 @@ func TestPersistentMapBuilderSharing(t *testing.T) {
 	out := b.freeze()
 	checkAgainst(t, "builder result", out, ref)
 	checkAgainst(t, "base after builder", base, baseRef)
+
+	// Two builders open on one base at once, their sets and deletes
+	// interleaved: each owns only the nodes it made, so neither writes into
+	// the other's copies or the base they share.
+	bs := [2]*pmapBuilder[ServiceKey, int]{base.builder(), base.builder()}
+	refs := [2]map[ServiceKey]int{maps.Clone(baseRef), maps.Clone(baseRef)}
+	for i := 0; i < 4000; i++ {
+		w, k := i%2, pmTestKey(r, 1024)
+		if r.Intn(3) == 0 {
+			bs[w].Delete(k)
+			delete(refs[w], k)
+		} else {
+			bs[w].Set(k, i*10+w)
+			refs[w][k] = i*10 + w
+		}
+	}
+	for w, b := range bs {
+		checkAgainst(t, fmt.Sprintf("builder %d of two", w), b.freeze(), refs[w])
+	}
+	checkAgainst(t, "base after two builders", base, baseRef)
 }
 
 // TestPersistentMapV4 exercises the second key type (address trails use
@@ -215,16 +258,10 @@ func samePnodes[K comparable](a, b *pnode[K, int]) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.dataMap != b.dataMap || a.nodeMap != b.nodeMap || !slices.Equal(a.keys, b.keys) ||
-		!slices.Equal(a.vals, b.vals) || len(a.kids) != len(b.kids) {
+	if a.dataMap != b.dataMap || a.nodeMap != b.nodeMap || !slices.Equal(a.entries(), b.entries()) {
 		return false
 	}
-	for i := range a.kids {
-		if !samePnodes(a.kids[i], b.kids[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.children(), b.children(), samePnodes[K])
 }
 
 // bulkMatchesInserted checks, at sizes on both sides of every node-shape

@@ -14,21 +14,22 @@ import (
 // what one ordinary external client and one ordinary service cost the
 // engine in live heap. A border monitor sees hundreds of one-off clients
 // for every service, so bytes per (source, window) pair decide whether the
-// passive technique is deployable at all. Budgets are ≈1.25× the measured
-// figures (DESIGN.md §7): 58 B and one allocation per source, and 9.7 B
+// passive technique is deployable at all. Budgets are ≈1.15–1.25× the
+// measured figures (DESIGN.md §7): 58 B and one allocation per source, and 9.7 B
 // per further 12 h window of a client that keeps coming back (the shape an
 // 18-day campaign has), since a source's windows are packed into one run of
 // words behind a 16-byte table slot, each window under a one-word header —
 // a Go map of word slices with a header and an index word per window read
 // 69 B and 14.3 B, the slice of 56-byte windows before it 112 B, 2
-// allocations and 58.4 B, the map-per-set form 416 B and 7 — and 165 B per
-// service since the event join reads
-// passive presence from the shard's own record — the engine-wide join table
-// it replaced held a 16-byte entry behind every service and read 200 B,
-// which fails the service budget. The saving must not be a passive-engine
-// special case: the same services in a Hybrid that has reconciled a sweep
-// over other keys cost the same, and the join holds an entry per
-// probe-answered key and none per passive service. Two more readings price
+// allocations and 58.4 B, the map-per-set form 416 B and 7 — and 133 B per
+// service since its record holds the first peer inline in 48 bytes (a
+// 64-byte record with a 16-byte peer array beside it read 165 B, which fails
+// the service budget). The event join reads passive presence from the
+// shard's own record: the engine-wide join table it replaced held a 16-byte
+// entry behind every service and read 200 B. The saving must not be a
+// passive-engine special case: the same services in a Hybrid that has
+// reconciled a sweep over other keys cost the same, and the join holds an
+// entry per probe-answered key and none per passive service. Two more readings price
 // the addrSet behind the engine's resident address sets: 8.3 B per further
 // distinct client of a 2 000-client service, and 17.0 B per destination of
 // a scanner's promoted window (one member in each of its two sets); the Go
@@ -40,7 +41,7 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 		repeats       = 20_000
 		windows       = 36  // 18 days
 		windowBudget  = 12  // bytes per (source, window) of a repeat client
-		svcBudget     = 185 // bytes per single-client service
+		svcBudget     = 150 // bytes per single-client service
 		hybridSlack   = 2   // bytes a Hybrid may add per passive-only service
 		allocBudget   = 1   // allocations for a first SYN from a new source
 		probed        = 1000
@@ -159,12 +160,14 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 // Snapshot of 100 k single-client services, one per address, with the
 // inventory kept alive: the merged store's two tries, the sorted key list,
 // and nothing else — a shard keeps no sealed copy of its maps (DESIGN.md
-// §5). Budget ≈1.25× the measured 113 B; the per-shard sealed twins of the
-// services and trail maps read 189 B.
+// §5). Budget ≈1.15× the measured 73 B, on 32-byte trie nodes whose entry
+// arrays hold key and value side by side; the 96-byte nodes with separate
+// key, value and child slices before them read 94 B, and the per-shard
+// sealed twins of the services and trail maps 189 B.
 func TestResidentBytesFirstSnapshot(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 140 // bytes per service the first snapshot adds
+		budget = 85 // bytes per service the first snapshot adds
 	)
 	accept := synAck(t0, residentCampus.Base(), 80, netaddr.MustParseV4("64.0.0.0"))
 	for _, shards := range []int{1, 2} {

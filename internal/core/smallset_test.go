@@ -569,7 +569,7 @@ func TestSourceTableModel(t *testing.T) {
 	}
 }
 
-// TestPeerDedupModel checks the distinct-peer dedup — firstPeers scanned
+// TestPeerDedupModel checks the distinct-peer dedup — the peer history scanned
 // while a service is small, the side table past peerInline — against one
 // map per service, through everything that touches the state: repeats,
 // seals (so records are cloned before their next write), an observe-side
@@ -733,6 +733,42 @@ func TestPeerDedupModel(t *testing.T) {
 // and nothing written, since the restored clients= would drift from the
 // uninterrupted run's; the untouched delta then imports as usual.
 func TestImportRefusesInconsistentPeers(t *testing.T) {
+	checkImportRefuses(t, map[string]func(st *ServiceState){
+		"10 peers for 40 clients": func(st *ServiceState) { st.Peers = st.Peers[:10] },
+		"41 peers for 40 clients": func(st *ServiceState) { st.Peers = append(st.Peers, 1) },
+		"a peer listed twice":     func(st *ServiceState) { st.Peers[7] = st.Peers[3] },
+	})
+}
+
+// TestImportRefusesInconsistentPeerHistory: a record holds one first contact
+// per client up to maxFirstPeers, the first of them at FirstSeen, and its
+// client count in 32 bits, so a delta whose peer history says otherwise
+// cannot be installed without the two disagreeing. It is refused like an
+// inconsistent peer set.
+func TestImportRefusesInconsistentPeerHistory(t *testing.T) {
+	checkImportRefuses(t, map[string]func(st *ServiceState){
+		"39 first peers for 40 clients": func(st *ServiceState) { st.FirstPeers = st.FirstPeers[:39] },
+		"41 first peers for 40 clients": func(st *ServiceState) {
+			st.FirstPeers = append(st.FirstPeers, PeerContact{Peer: 1, Time: st.LastSeen})
+		},
+		"no first peers for 40 clients": func(st *ServiceState) { st.FirstPeers = nil },
+		"first peer after FirstSeen": func(st *ServiceState) {
+			st.FirstPeers[0].Time = st.FirstPeers[0].Time.Add(time.Nanosecond)
+		},
+		"FirstSeen before the first peer": func(st *ServiceState) { st.FirstSeen = st.FirstSeen.Add(-time.Second) },
+		"negative clients": func(st *ServiceState) {
+			st.Clients, st.FirstPeers, st.Peers = -1, nil, nil
+		},
+		"clients past 32 bits": func(st *ServiceState) { st.Clients = 1<<32 + 40 },
+	})
+}
+
+// checkImportRefuses imports a two-service delta — a 1-client service, then
+// a 40-client one — with each edit applied to a copy of the second service,
+// and requires each to be refused with that service's key named and nothing
+// written, and the untouched delta to import and re-export as usual after.
+func checkImportRefuses(t *testing.T, tamper map[string]func(st *ServiceState)) {
+	t.Helper()
 	pkts := []packet.Packet{*synAck(t0, campusPfx.Base()+1, 22, netaddr.MustParseV4("64.0.0.1"))}
 	for i := 0; i < 40; i++ {
 		pkts = append(pkts, *synAck(t0.Add(time.Duration(i)*time.Second), campusPfx.Base()+2, 80, netaddr.MustParseV4("64.0.0.0")+netaddr.V4(i)))
@@ -744,15 +780,11 @@ func TestImportRefusesInconsistentPeers(t *testing.T) {
 		t.Fatalf("exported %+v, want a 1-client service before a 40-client one", want.Services)
 	}
 	bad := want.Services[1].Key
-	tamper := map[string]func(st *ServiceState){
-		"10 peers for 40 clients": func(st *ServiceState) { st.Peers = st.Peers[:10] },
-		"41 peers for 40 clients": func(st *ServiceState) { st.Peers = append(st.Peers, 1) },
-		"a peer listed twice":     func(st *ServiceState) { st.Peers[7] = st.Peers[3] },
-	}
 	for name, edit := range tamper {
 		ed := *want
 		ed.Services = slices.Clone(want.Services)
 		ed.Services[1].Peers = slices.Clone(want.Services[1].Peers)
+		ed.Services[1].FirstPeers = slices.Clone(want.Services[1].FirstPeers)
 		edit(&ed.Services[1])
 		dst := NewShardedPassive(campusPfx, nil, 1)
 		err := dst.ImportDelta(&ed)
@@ -767,6 +799,96 @@ func TestImportRefusesInconsistentPeers(t *testing.T) {
 		}
 		if got, _ := dst.ExportDelta(nil); !reflect.DeepEqual(got.Services, want.Services) {
 			t.Fatalf("%s: re-export %+v, want %+v", name, got.Services, want.Services)
+		}
+	}
+}
+
+// TestPeerHistoryModel holds a record's peer history — the first peer
+// inline, the rest in an array grown by powers of two — to a plain
+// []PeerContact through random observe streams: every capacity step to
+// maxFirstPeers peers and past it, 0.0.0.0 among the peers (the first one,
+// for odd seeds), a clone sealed at
+// every length (which must keep its FirstPeers after the live record appends
+// past it, in place or into a grown array), and export/import round trips on
+// either side of the capacity steps, with ingest resumed on the imported
+// record. A repeat peer allocates nothing. Under -race, checkptr holds every
+// restPeers view to its allocation.
+func TestPeerHistoryModel(t *testing.T) {
+	const pool = 300
+	key := ServiceKey{Addr: campusPfx.Base() + 7, Proto: packet.ProtoTCP, Port: 443}
+	peerOf := func(i int) netaddr.V4 {
+		if i == 0 {
+			return 0
+		}
+		return netaddr.MustParseV4("64.0.0.0") + netaddr.V4(i)
+	}
+	roundTrip := map[int]bool{1: true, 2: true, 3: true, 5: true, 64: true, 65: true, 127: true, 128: true, 129: true, 200: true}
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewPassiveDiscoverer(campusPfx, nil)
+		d.seal(true)
+		var ref []PeerContact
+		seen := make(map[netaddr.V4]bool)
+		type sealedAt struct {
+			rec   *PassiveRecord
+			first []PeerContact
+		}
+		var sealed []sealedAt
+		check := func(ctx string) {
+			t.Helper()
+			rec := d.services[key]
+			if rec.Clients() != len(seen) || !slices.Equal(rec.FirstPeers(), ref) {
+				t.Fatalf("seed %d, %s, %d peers seen: %d clients, first peers %v, reference %v",
+					seed, ctx, len(seen), rec.Clients(), rec.FirstPeers(), ref)
+			}
+		}
+		now := t0
+		for len(seen) < pool {
+			now = now.Add(time.Duration(rng.Intn(3)) * time.Second)
+			peer := peerOf(rng.Intn(min(pool, len(seen)+4)))
+			if len(seen) == 0 && seed%2 == 1 {
+				peer = 0 // the inline first peer is 0.0.0.0
+			}
+			d.observe(key, now, peer)
+			if seen[peer] {
+				check("after a repeat")
+				continue
+			}
+			seen[peer] = true
+			if len(ref) < maxFirstPeers {
+				ref = append(ref, PeerContact{Peer: peer, Time: now})
+			}
+			check("after a new peer")
+			if allocs := testing.AllocsPerRun(5, func() { d.observe(key, now, peer) }); allocs != 0 {
+				t.Fatalf("seed %d, %d clients: a repeat peer allocates %.0f times, want 0", seed, len(seen), allocs)
+			}
+			// Seal at every length: the next write goes to a clone that
+			// appends past what this one covers.
+			d.seal(false)
+			rec := d.services[key]
+			sealed = append(sealed, sealedAt{rec, rec.FirstPeers()})
+			if roundTrip[len(seen)] {
+				st := d.exportService(key)
+				if err := st.checkPeers(); err != nil {
+					t.Fatalf("seed %d: export at %d clients fails its own import check: %v", seed, len(seen), err)
+				}
+				fresh := NewPassiveDiscoverer(campusPfx, nil)
+				fresh.importService(&st)
+				if got := fresh.exportService(key); !reflect.DeepEqual(got, st) {
+					t.Fatalf("seed %d: at %d clients, re-export %+v, imported %+v", seed, len(seen), got, st)
+				}
+				fresh.seal(true)
+				d = fresh
+				check("after an import")
+			}
+		}
+		for _, s := range sealed {
+			if got := s.rec.FirstPeers(); !slices.Equal(got, s.first) {
+				t.Fatalf("seed %d: a record sealed at %d peers now lists %d: %v", seed, len(s.first), len(got), got)
+			}
+		}
+		if !seen[0] {
+			t.Fatalf("seed %d: 0.0.0.0 never contacted the service", seed)
 		}
 	}
 }
