@@ -41,8 +41,8 @@ func TestFeedcat(t *testing.T) {
 
 	var out bytes.Buffer
 	err := run(nil, &feed, &out)
-	want := `{"v":5,"type":"hello","site":"east","epoch":7}
-{"v":5,"type":"event","site":"east","epoch":7,"seq":1,"event":{"kind":"scanner-detected","time":"2006-12-16T10:00:00Z","scanner":{"source":"211.1.1.1","window":"0001-01-01T00:00:00Z","unique_dsts":150,"rst_dsts":120}}}
+	want := `{"v":6,"type":"hello","site":"east","epoch":7}
+{"v":6,"type":"event","site":"east","epoch":7,"seq":1,"event":{"kind":"scanner-detected","time":"2006-12-16T10:00:00Z","scanner":{"source":"211.1.1.1","window":"0001-01-01T00:00:00Z","unique_dsts":150,"rst_dsts":120}}}
 `
 	if out.String() != want {
 		t.Errorf("feedcat printed:\n%s\nwant:\n%s", out.String(), want)

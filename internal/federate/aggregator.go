@@ -232,7 +232,7 @@ type siteState struct {
 type SiteStats struct {
 	Site SiteID `json:"site"`
 	// LastSeq is the dedup high-water mark; Events and DupEvents count
-	// applied and generation-skipped event frames.
+	// applied and generation-skipped event, retract and seal frames.
 	LastSeq   uint64 `json:"last_seq"`
 	Events    uint64 `json:"events"`
 	DupEvents uint64 `json:"dup_events"`
@@ -370,9 +370,16 @@ func (a *Aggregator) Apply(f *Frame) error {
 		// Hellos carry identity, heartbeats carry liveness; neither
 		// mutates merged state (beyond the epoch bookkeeping above).
 		return nil
-	case FrameEvent:
-		if f.Event == nil {
-			return fmt.Errorf("federate: event frame without event")
+	case FrameEvent, FrameRetract, FrameSeal:
+		switch {
+		case f.Type == FrameEvent && f.Event == nil,
+			f.Type == FrameRetract && f.Retract == nil,
+			f.Type == FrameSeal && f.Snapshot == nil:
+			return fmt.Errorf("federate: %s frame without payload", f.Type)
+		case f.Type == FrameRetract:
+			if err := validRetraction(f.Retract); err != nil {
+				return err
+			}
 		}
 		if f.Seq <= st.lastSeq {
 			st.dups++
@@ -380,24 +387,18 @@ func (a *Aggregator) Apply(f *Frame) error {
 		}
 		st.lastSeq = f.Seq
 		st.events++
-		st.watermark = maxTime(st.watermark, f.Event.Time)
-		a.applyEvent(f.Site, st, f.Event)
-		return nil
-	case FrameRetract:
-		if f.Retract == nil {
-			return fmt.Errorf("federate: retract frame without retraction")
+		switch f.Type {
+		case FrameEvent:
+			st.watermark = maxTime(st.watermark, f.Event.Time)
+			a.applyEvent(f.Site, st, f.Event)
+		case FrameRetract:
+			st.watermark = maxTime(st.watermark, f.Retract.At)
+			a.applyRetract(f.Site, f.Retract)
+		default:
+			// A seal merges a snapshot's rows (any retraction list is not
+			// read) but is one stream position, not a generation.
+			a.mergeRows(f.Site, st, f.Snapshot)
 		}
-		if err := validRetraction(f.Retract); err != nil {
-			return err
-		}
-		if f.Seq <= st.lastSeq {
-			st.dups++
-			return nil
-		}
-		st.lastSeq = f.Seq
-		st.events++
-		st.watermark = maxTime(st.watermark, f.Retract.At)
-		a.applyRetract(f.Site, f.Retract)
 		return nil
 	case FrameSnapshot:
 		if f.Snapshot == nil {
@@ -526,15 +527,21 @@ func (a *Aggregator) applyEvent(site SiteID, st *siteState, ev *core.Event) {
 
 // applySnapshot merges a bootstrap snapshot. Caller holds a.mu.
 func (a *Aggregator) applySnapshot(site SiteID, st *siteState, snap *Snapshot) {
-	if snap.Packets > st.packets {
-		st.packets = snap.Packets
-	}
 	// Retractions first: the snapshot's service list already excludes what
 	// they withdrew, and replaying them before merging keeps a reconnect
 	// from resurrecting state a lost retract frame had cleared.
 	for i := range snap.Retractions {
 		st.watermark = maxTime(st.watermark, snap.Retractions[i].At)
 		a.applyRetract(site, &snap.Retractions[i])
+	}
+	a.mergeRows(site, st, snap)
+}
+
+// mergeRows folds a snapshot's or seal frame's rows — services, scanners,
+// sweeps and the packet count — into the site's state. Caller holds a.mu.
+func (a *Aggregator) mergeRows(site SiteID, st *siteState, snap *Snapshot) {
+	if snap.Packets > st.packets {
+		st.packets = snap.Packets
 	}
 	for i := range snap.Services {
 		svc := &snap.Services[i]

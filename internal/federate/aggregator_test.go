@@ -590,9 +590,121 @@ func TestWireFeedEndToEnd(t *testing.T) {
 	}
 }
 
-// weightFields are the dump's tallies that ride only in snapshot frames: a
-// service's and a site's weights, and a scanner's peak window counts (its
-// event carries the counts at the crossing).
+// TestWeightsReachMidStreamReader is the whole-record gate: a wire reader
+// that bootstraps halfway through a site's input, with a snapshot and a
+// sweep report landing after its bootstrap, ends — once the engine closes —
+// byte-identical to a reader that attached after the close, the weights
+// (flows=, clients=, packets=, dsts=, rsts=) included. Past the bootstrap
+// only seal frames carry those.
+func TestWeightsReachMidStreamReader(t *testing.T) {
+	site := newTestSite(3, 800)
+	half := len(site.batches) / 2
+	for _, b := range site.batches[:half] {
+		site.eng.HandleBatch(b)
+	}
+	server, client := net.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		err := site.pub.ServeConn(context.Background(), server)
+		server.Close()
+		served <- err
+	}()
+	agg := NewAggregator()
+	fc := NewFeedClient(agg, "pipe", FeedOptions{})
+	read := make(chan error, 1)
+	go func() { read <- fc.RunConn(context.Background(), client) }()
+	for deadline := time.Now().Add(5 * time.Second); fc.Stats().FramesApplied < 2; { // hello, snapshot
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never bootstrapped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	rest := site.batches[half:]
+	for i, b := range rest {
+		site.eng.HandleBatch(b)
+		if i == len(rest)/2 {
+			site.eng.Snapshot()
+			site.eng.AddReport(site.reports[0])
+		}
+	}
+	site.eng.AddReport(site.reports[1])
+	site.eng.Close()
+	if err := <-read; err != nil {
+		t.Fatalf("RunConn: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+
+	ref := NewAggregator()
+	<-ref.Attach(site.pub)
+	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+		t.Errorf("mid-stream reader diverges from a post-close attach:\n%s", divergence(got, want))
+	}
+}
+
+// TestSealFrameShipsChangedRows pins what a seal frame carries and how it
+// dedups: one re-observed service makes the next seal frame hold exactly
+// that service's row, with its new weight, beside the packet count; and a
+// seal frame at or below the reader's cursor is counted as a duplicate.
+func TestSealFrameShipsChangedRows(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	pub := NewPublisherOpts("seal-site", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer pub.Close()
+	bld := packet.NewBuilder(0)
+	synAck := func(i int, at time.Time) []packet.Packet {
+		return []packet.Packet{*bld.SynAck(at, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(80+i), Port: 80},
+			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)}
+	}
+	for i := 0; i < 3; i++ {
+		eng.HandleBatch(synAck(i, retBase))
+	}
+	bootstrap, live := pub.Catchup(0)
+	defer live.Cancel()
+	agg := NewAggregator()
+	for i := range bootstrap {
+		if err := agg.Apply(&bootstrap[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng.HandleBatch(synAck(1, retBase.Add(time.Minute)))
+	eng.Snapshot()
+	var seal Frame
+	for seal.Type != FrameSeal {
+		select {
+		case seal = <-live.Events():
+			if err := agg.Apply(&seal); err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no seal frame after the snapshot")
+		}
+	}
+	s := seal.Snapshot
+	reobserved := core.ServiceKey{Addr: testCampus.Base() + 81, Proto: packet.ProtoTCP, Port: 80}
+	if len(s.Services) != 1 || s.Services[0].Key != reobserved || s.Services[0].Flows != 2 ||
+		len(s.Scanners)+len(s.Scans)+len(s.Retractions) != 0 || s.Packets != 4 {
+		t.Fatalf("seal frame carries %+v, want one row for the re-observed service with flows 2, and packets 4", *s)
+	}
+
+	dups := agg.Stats()[0].DupEvents
+	again, older := seal, seal
+	older.Seq--
+	for _, f := range []*Frame{&again, &older} {
+		if err := agg.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := agg.Stats()[0].DupEvents - dups; got != 2 {
+		t.Errorf("a replayed seal frame and an older one counted %d duplicates, want 2", got)
+	}
+}
+
+// weightFields are the dump's tallies that ride only in snapshot and seal
+// frames: a service's and a site's weights, and a scanner's peak window
+// counts (its event carries the counts at the crossing).
 var weightFields = regexp.MustCompile(` (flows|clients|packets|dsts|rsts)=\d+`)
 
 // divergence names, line by line, how a wire-fed dump parts from the

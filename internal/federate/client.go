@@ -26,7 +26,9 @@ type FeedOptions struct {
 	Backoff BackoffConfig
 	// MaxFramesPerSec and MaxBytesPerSec are this feed's ingest rate
 	// caps: a deficit stalls the reader, which backpressures the
-	// publisher's bounded per-reader queue. Zero disables a cap.
+	// publisher's bounded per-reader queue. Zero disables a cap. Frames
+	// are decoded frames, each event of a run one; a run's wire bytes are
+	// charged once, at its first frame.
 	MaxFramesPerSec float64
 	MaxBytesPerSec  float64
 	// Dial overrides the transport (tests and in-process wiring); nil

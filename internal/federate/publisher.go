@@ -24,12 +24,14 @@ type PublisherMetrics struct {
 }
 
 // Engine is the slice of a discovery engine the publisher needs: a
-// non-terminal frozen snapshot and a bounded subscription to the typed
-// event stream. core.ShardedPassive, core.Hybrid and the servdisc facade
+// non-terminal frozen snapshot, a bounded subscription to the typed event
+// stream, and the snapshot observer slot (the publisher takes it; see
+// observe). core.ShardedPassive, core.Hybrid and the servdisc facade
 // Pipeline all satisfy it.
 type Engine interface {
 	Snapshot() *core.Inventory
 	Subscribe(buf int) *core.EventSub
+	OnSnapshot(fn func(prev, inv *core.Inventory, delta core.SnapshotDelta))
 }
 
 // pumpBuffer sizes the publisher's own engine subscription. The pump does
@@ -142,6 +144,12 @@ type Publisher struct {
 	ring  *replayRing // nil when resume is disabled
 	opt   PublisherOptions
 
+	// seal is what the engine's seals changed since the last seal frame,
+	// under sealMu; sealed wakes the pump to ship it.
+	sealMu sync.Mutex
+	seal   pendingSeal
+	sealed chan struct{}
+
 	mu     sync.Mutex
 	closed bool
 
@@ -203,18 +211,20 @@ func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherO
 	}
 	opt = opt.withDefaults()
 	p := &Publisher{
-		site:  site,
-		epoch: epoch,
-		eng:   eng,
-		hub:   pipeline.NewHub[Frame](),
-		sub:   eng.Subscribe(pumpBuffer),
-		done:  make(chan struct{}),
-		opt:   opt,
+		site:   site,
+		epoch:  epoch,
+		eng:    eng,
+		hub:    pipeline.NewHub[Frame](),
+		sub:    eng.Subscribe(pumpBuffer),
+		done:   make(chan struct{}),
+		sealed: make(chan struct{}, 1),
+		opt:    opt,
 	}
 	if opt.ReplayRing > 0 {
 		p.ring = newReplayRing(opt.ReplayRing, st.Seq)
 	}
 	p.seq.Store(st.Seq)
+	eng.OnSnapshot(p.observe)
 	go p.pump()
 	return p
 }
@@ -229,16 +239,58 @@ func (p *Publisher) State() PublisherState {
 // Site returns the publisher's site identity.
 func (p *Publisher) Site() SiteID { return p.site }
 
-// pump sequences the engine's events into site-tagged frames. A single
-// goroutine assigns sequence numbers, so frame order on every reader's
-// subscription is the site's canonical stream order. Each frame enters
-// the replay ring before the hub, so the ring always covers anything a
-// live subscriber could have missed.
+// observe is the publisher's snapshot observer. Under the engine's
+// snapshot lock it only records the seal, O(delta) under sealMu, and wakes
+// the pump without waiting. Seals not shipped yet coalesce: the rows are
+// read at shipping time from the newest inventory, whose row dominates a
+// service's older ones (times only fall, weights only rise) except across
+// an expiry, whose retract frame ships first. A seal with no predecessor
+// (the chain's first, or the first after a restore) is skipped: readers
+// bootstrap from snapshots of this chain, so they hold what it would list.
+func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
+	if prev == nil {
+		return
+	}
+	select {
+	case <-p.done:
+		return // the pump is gone; nothing would ship it
+	default:
+	}
+	p.sealMu.Lock()
+	if p.seal.inv == nil {
+		p.seal.base = prev
+	}
+	p.seal.inv = inv
+	if p.seal.full = p.seal.full || d.Full; !p.seal.full {
+		p.seal.keys = append(append(p.seal.keys, d.Added...), d.Updated...)
+	}
+	p.sealMu.Unlock()
+	select {
+	case p.sealed <- struct{}{}:
+	default:
+	}
+}
+
+// pump sequences the engine's events, and a seal frame per pending seal
+// between them, so a reader that bootstrapped mid-stream gets the weights
+// too. A single goroutine assigns sequence numbers, so frame order on every
+// reader's subscription is the site's canonical stream order. Each frame
+// enters the replay ring before the hub, so the ring always covers anything
+// a live subscriber could have missed. When the event stream ends, one last
+// engine snapshot seals what the events left out, and its seal frame goes
+// out before the hub closes.
 func (p *Publisher) pump() {
 	defer close(p.done)
+	events := p.sub.Events()
 	dropped := p.sub.Dropped()
-	for ev := range p.sub.Events() {
-		ev := ev
+	emit := func(f Frame) {
+		f.V, f.Site, f.Epoch, f.Seq = WireVersion, p.site, p.epoch, p.seq.Add(1)
+		if p.ring != nil {
+			p.ring.append(f)
+		}
+		p.hub.Publish(f)
+	}
+	event := func(ev core.Event) {
 		if p.ring != nil {
 			if d := p.sub.Dropped(); d != dropped {
 				// Events vanished before ever being sequenced: their
@@ -248,21 +300,46 @@ func (p *Publisher) pump() {
 				dropped = d
 			}
 		}
-		n := p.seq.Add(1)
-		f := Frame{V: WireVersion, Type: FrameEvent, Site: p.site, Epoch: p.epoch, Seq: n, Event: &ev}
 		if ev.Kind == core.EventServiceExpired {
 			// Expiry leaves the site's inventory as a withdrawal, not a
 			// discovery: ship it as a retract frame so the aggregator
 			// clears the evidence instead of merging it.
-			f.Type, f.Event = FrameRetract, nil
-			f.Retract = &Retraction{Key: ev.Key, At: ev.Time, Prov: ev.Provenance}
+			emit(Frame{Type: FrameRetract, Retract: &Retraction{Key: ev.Key, At: ev.Time, Prov: ev.Provenance}})
+			return
 		}
-		if p.ring != nil {
-			p.ring.append(f)
-		}
-		p.hub.Publish(f)
+		emit(Frame{Type: FrameEvent, Event: &ev})
 	}
-	p.hub.Close()
+	seal := func() {
+		p.sealMu.Lock()
+		s := p.seal
+		p.seal = pendingSeal{}
+		p.sealMu.Unlock()
+		if s.inv == nil {
+			return
+		}
+		// The events published before the newest seal, its expiries
+		// among them, are queued by now: they go first.
+		for n := len(events); n > 0; n-- {
+			event(<-events)
+		}
+		if snap := buildSeal(s); snap != nil {
+			emit(Frame{Type: FrameSeal, Snapshot: snap})
+		}
+	}
+	for {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				p.eng.Snapshot()
+				seal()
+				p.hub.Close()
+				return
+			}
+			event(ev)
+		case <-p.sealed:
+			seal()
+		}
+	}
 }
 
 // Dropped returns how many engine events the publisher itself missed (its
@@ -274,9 +351,9 @@ func (p *Publisher) Dropped() int { return p.sub.Dropped() }
 // published, Out per-reader deliveries, Dropped per-reader drops.
 func (p *Publisher) FrameCounters() *pipeline.StageCounters { return p.hub.Counters() }
 
-// Close stops the pump and ends every reader's feed (after the hello and
-// snapshot already queued drain). The engine itself is not touched.
-// Idempotent; closing the engine has the same effect.
+// Close stops the pump and ends every reader's feed, after the frames
+// already queued and the last seal frame drain. The engine itself is
+// only snapshotted. Idempotent; closing the engine has the same effect.
 func (p *Publisher) Close() {
 	p.mu.Lock()
 	if p.closed {

@@ -180,6 +180,11 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 		t.Errorf("resume shipped %d bytes against a %d-byte snapshot — not O(churn)",
 			resumeBytes, snapshotBytes)
 	}
+	// The replayed churn leaves in runs: about 12 bytes per discovery, plus
+	// the hello and one run's framing.
+	if limit := int64(14*churn + 64); resumeBytes > limit {
+		t.Errorf("resume shipped %d bytes for %d discoveries, want <= %d", resumeBytes, churn, limit)
+	}
 	ps := pub.Stats()
 	if ps.ResumeHits != 1 || ps.SnapshotFallbacks != 1 {
 		t.Errorf("publisher counters: resume=%d fallback=%d, want 1/1", ps.ResumeHits, ps.SnapshotFallbacks)
@@ -409,16 +414,20 @@ const (
 
 // oldPeers are the earlier wire versions a peer may still speak: each
 // one's client hello (a zero-cursor resume) and publisher hello. A wire-v4
-// frame differs from this version's only past its header's version nibble.
+// or v5 hello differs from this version's only in its header's version
+// nibble.
 var oldPeers = []struct {
 	name          string
 	resume, hello []byte
 	want          string
 }{
-	{"v3", []byte(v3Resume), []byte(v3Hello), "wire version 3, want 5"},
+	{"v3", []byte(v3Resume), []byte(v3Hello), "wire version 3, want 6"},
 	{"v4", rawFrame(4<<4|codeResume, make([]byte, 10)...),
 		rawFrame(4<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
-		"wire version 4, want 5"},
+		"wire version 4, want 6"},
+	{"v5", rawFrame(5<<4|codeResume, make([]byte, 10)...),
+		rawFrame(5<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
+		"wire version 5, want 6"},
 }
 
 // TestV3ClientRefused pins the publisher half of mixed-version refusal: an
@@ -535,7 +544,8 @@ func (w *burstWriter) Write(p []byte) (int, error) {
 
 // TestServeConnFlushesPerBurst pins the serving loop's batching: frames
 // already queued behind the one being served leave in the same write, so
-// a five-event burst is one segment, not five.
+// a five-event burst — here with the publisher's closing seal frame behind
+// it — is one segment, not six, and the five events one run.
 func TestServeConnFlushesPerBurst(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
 	pub := NewPublisherOpts("burst", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
@@ -566,6 +576,9 @@ func TestServeConnFlushesPerBurst(t *testing.T) {
 	for _, p := range w.writes {
 		stream = append(stream, p...)
 	}
+	if n := len(wireFrameEnds(t, stream)); n != 4 {
+		t.Errorf("feed took %d wire frames, want 4 (hello, snapshot, one run of five events, seal)", n)
+	}
 	dec := NewDecoder(bytes.NewReader(stream))
 	var types []FrameType
 	for {
@@ -578,7 +591,7 @@ func TestServeConnFlushesPerBurst(t *testing.T) {
 			t.Errorf("bootstrap write held %d frames, want hello + snapshot", len(types))
 		}
 	}
-	want := []FrameType{FrameHello, FrameSnapshot, FrameEvent, FrameEvent, FrameEvent, FrameEvent, FrameEvent}
+	want := []FrameType{FrameHello, FrameSnapshot, FrameEvent, FrameEvent, FrameEvent, FrameEvent, FrameEvent, FrameSeal}
 	if !reflect.DeepEqual(types, want) {
 		t.Errorf("feed carried %v, want %v", types, want)
 	}

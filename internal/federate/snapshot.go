@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -50,21 +51,11 @@ type Snapshot struct {
 // ingesting.
 func BuildSnapshot(inv *core.Inventory) *Snapshot {
 	s := &Snapshot{
-		Services: make([]SnapshotService, 0, inv.Len()),
+		Services: appendServices(make([]SnapshotService, 0, inv.Len()), inv),
 		Scanners: append([]core.ScannerInfo(nil), inv.Scanners()...),
 		Scans:    append([]core.ScanMeta(nil), inv.Scans()...),
 		Packets:  inv.Packets(),
 	}
-	inv.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
-		svc := SnapshotService{Key: key, Provenance: prov, ActiveAt: activeAt}
-		if rec != nil {
-			svc.PassiveAt = rec.FirstSeen()
-			svc.Flows = rec.Flows
-			svc.Clients = rec.Clients()
-		}
-		s.Services = append(s.Services, svc)
-		return true
-	})
 	inv.EachTombstone(func(key core.ServiceKey, at time.Time, prov core.Provenance) bool {
 		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
 		return true
@@ -76,5 +67,73 @@ func BuildSnapshot(inv *core.Inventory) *Snapshot {
 		}
 		return a.Prov < b.Prov
 	})
+	return s
+}
+
+// serviceRow is one service's snapshot row, from what Inventory.Service
+// returns for it.
+func serviceRow(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, activeAt time.Time) SnapshotService {
+	svc := SnapshotService{Key: key, Provenance: prov, ActiveAt: activeAt}
+	if rec != nil {
+		svc.PassiveAt = rec.FirstSeen()
+		svc.Flows = rec.Flows
+		svc.Clients = rec.Clients()
+	}
+	return svc
+}
+
+// appendServices appends a row for every service of inv, in key order.
+func appendServices(rows []SnapshotService, inv *core.Inventory) []SnapshotService {
+	inv.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
+		rows = append(rows, serviceRow(key, rec, prov, activeAt))
+		return true
+	})
+	return rows
+}
+
+// pendingSeal is what the engine's seals changed since the last seal frame:
+// the inventory that frame was built from (base), the newest one (inv),
+// and the keys the seals between them added or updated — every key, once
+// any of their deltas was Full.
+type pendingSeal struct {
+	base, inv *core.Inventory
+	keys      []core.ServiceKey
+	full      bool
+}
+
+// buildSeal renders a pending seal as a seal frame's rows, read from the
+// newest inventory: each added or updated service that is still there
+// (one a later seal removed ships as its retract frame), each scanner
+// whose tallies or window moved since base, each sweep new since base,
+// and the packet count. It returns nil when none of that changed.
+func buildSeal(p pendingSeal) *Snapshot {
+	s := &Snapshot{Packets: p.inv.Packets()}
+	if p.full {
+		s.Services = appendServices(nil, p.inv)
+	} else {
+		core.SortKeys(p.keys)
+		for _, key := range slices.Compact(p.keys) {
+			if rec, prov, _, activeAt, ok := p.inv.Service(key); ok {
+				s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
+			}
+		}
+	}
+	was := p.base.Scanners()
+	for _, sc := range p.inv.Scanners() {
+		for len(was) > 0 && was[0].Source < sc.Source {
+			was = was[1:]
+		}
+		if len(was) == 0 || was[0] != sc {
+			s.Scanners = append(s.Scanners, sc)
+		}
+	}
+	for _, sc := range p.inv.Scans() {
+		if !slices.ContainsFunc(p.base.Scans(), func(b core.ScanMeta) bool { return b.ID == sc.ID }) {
+			s.Scans = append(s.Scans, sc)
+		}
+	}
+	if len(s.Services) == 0 && len(s.Scanners) == 0 && len(s.Scans) == 0 && s.Packets == p.base.Packets() {
+		return nil
+	}
 	return s
 }

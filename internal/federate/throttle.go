@@ -7,10 +7,10 @@ import (
 )
 
 // feedThrottle caps one feed connection at frames/s and bytes/s. Each
-// decoded frame charges weight 1 to the frame limiter and its wire length
-// to the byte limiter; owing either stalls the reader (which, through TCP
-// backpressure, stalls the publisher's bounded per-reader queue — the
-// aggregator-side flow control the hub's drop counters complete). A frame
+// decoded frame charges 1 to the frame limiter and what it moved
+// Decoder.Offset by (a run's whole wire frame at its first frame) to the
+// byte limiter; owing either stalls the reader, which through TCP
+// backpressure stalls the publisher's bounded per-reader queue. A frame
 // bigger than the whole byte burst (a bootstrap snapshot) is admitted and
 // its excess owed afterwards, which is exactly the average-rate contract.
 type feedThrottle struct {

@@ -94,6 +94,43 @@ func TestFeedClientThrottleCounts(t *testing.T) {
 	}
 }
 
+// TestFeedThrottleChargesRunOnce feeds a hello and one 120-event run. The
+// byte cap charges the run's wire bytes once, at its first decoded frame,
+// so a budget of exactly the stream's length admits it all unstalled. The
+// frame cap counts decoded frames, not wire frames, so 100 frames/s stalls
+// the 21 frames past its burst.
+func TestFeedThrottleChargesRunOnce(t *testing.T) {
+	wire := encodeBursts(t, []Frame{{V: WireVersion, Type: FrameHello, Site: "run", Epoch: 7}},
+		steadyEvents("run", 7, 1, 120))
+	feed := func(opt FeedOptions) FeedStats {
+		fc := NewFeedClient(NewAggregator(), "run", opt)
+		server, client := net.Pipe()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- fc.RunConn(ctx, client) }()
+		if _, err := NewDecoder(server).Decode(); err != nil { // the client's resume hello
+			t.Fatal(err)
+		}
+		if _, err := server.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		server.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("throttled feed: %v", err)
+		}
+		return fc.Stats()
+	}
+	if st := feed(FeedOptions{MaxBytesPerSec: float64(len(wire))}); st.FramesApplied != 121 || st.ThrottleStalls != 0 {
+		t.Errorf("a byte budget of the whole stream: %d frames applied with %d stalls, want 121 and none",
+			st.FramesApplied, st.ThrottleStalls)
+	}
+	if st := feed(FeedOptions{MaxFramesPerSec: 100}); st.FramesApplied != 121 || st.ThrottleStalls < 10 {
+		t.Errorf("100 frames/s: %d frames applied with %d stalls, want 121 and about 21",
+			st.FramesApplied, st.ThrottleStalls)
+	}
+}
+
 // TestFeedThrottleChargesFramesNotReadAhead delivers a burst of small
 // frames in one write against a byte cap whose burst covers half of them.
 // Each frame must be charged its own wire length: the first half passes

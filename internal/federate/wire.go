@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"servdisc/internal/core"
@@ -49,7 +50,13 @@ import (
 // hello's Resumed marker. Version 4 kept every frame and its meaning and
 // replaced the JSONL bytes with the binary layout below. Version 5 sends
 // Seq and times as deltas and gives upgrades both per-technique times.
-const WireVersion = 5
+// Version 6 makes a run of consecutive event (or retract) frames one wire
+// frame and adds the seal frame.
+const WireVersion = 6
+
+// maxRun bounds the entries of one run (see Frame), so a hostile frame can
+// leave at most maxRun-1 decoded frames queued behind the one returned.
+const maxRun = 256
 
 // maxFrameLen bounds a single frame. Snapshot frames grow with inventory
 // size (~20 B per service), so the cap is generous; anything beyond it
@@ -95,10 +102,15 @@ const (
 	// payload, no sequence number, never mutates aggregator state. Its
 	// only job is to keep arriving before the reader's idle deadline.
 	FrameHeartbeat FrameType = "heartbeat"
+	// FrameSeal carries what the engine's seals since the previous seal
+	// frame changed, as snapshot rows (Frame.Snapshot, no retractions):
+	// the weights, scanner peaks, sweeps and packet count no event
+	// carries. Sequenced like an event frame.
+	FrameSeal FrameType = "seal"
 )
 
-// The wire's type codes: the header byte's low three bits. Zero and seven
-// are invalid.
+// The wire's type codes: the header byte's low three bits. Zero is
+// invalid; seven, the last free code, is the seal.
 const (
 	codeHello = iota + 1
 	codeSnapshot
@@ -106,6 +118,7 @@ const (
 	codeRetract
 	codeResume
 	codeHeartbeat
+	codeSeal
 )
 
 var frameTypes = [...]FrameType{
@@ -115,6 +128,7 @@ var frameTypes = [...]FrameType{
 	codeRetract:   FrameRetract,
 	codeResume:    FrameResume,
 	codeHeartbeat: FrameHeartbeat,
+	codeSeal:      FrameSeal,
 }
 
 // ResumeCursor is the payload of a resume hello: the highest (epoch, seq)
@@ -147,7 +161,7 @@ type Retraction struct {
 // On the wire (all integers little-endian):
 //
 //	frame   = uvarint(len) header [envelope] body crc32c
-//	header  = version<<4 | envelope<<3 | type code (1..6)
+//	header  = version<<4 | envelope<<3 | type code (1..7)
 //	envelope= uvarint(len(site)) site  u64(epoch)
 //	crc32c  = u32, Castagnoli, over header..body, xor stream.crc's mix of
 //	          the Seq and time bases; len counts header..crc
@@ -155,11 +169,12 @@ type Retraction struct {
 //	hello     body = u8 flags (bit0 resumed)
 //	resume    body = u64 cursor epoch, uvarint cursor seq, uvarint(len) token
 //	heartbeat body = (empty)
-//	event     body = seq, event
-//	retract   body = seq, retraction
+//	event     body = seq, event, event*
+//	retract   body = seq, retraction, retraction*
 //	snapshot  body = seq, varint packets,
 //	                 uvarint n, n×service, uvarint n, n×scanner,
 //	                 uvarint n, n×scan,    uvarint n, n×retraction
+//	seal      body = (as snapshot)
 //
 //	event      = u8 kind, u8 flags (bit0 time, bit1 key+prov, bit2 scanner,
 //	             bit3 scan, bit4 truncated, bit5 passive_at, bit6 active_at),
@@ -184,13 +199,18 @@ type Retraction struct {
 // range (years 1678–2262) is an encode error, never a wrapped value. Enum
 // bytes (type, kind, provenance) and flag bytes are range-checked on decode:
 // an unknown value is an error, not a silent zero. Seq rides only on the
-// sequenced types (snapshot, event, retract), Resumed only on hello,
+// sequenced types (snapshot, event, retract, seal), Resumed only on hello,
 // Resume and Token only on resume.
+//
+// An event or retract body is a run: each entry after the first is the
+// frame of the same type and (Site, Epoch) with the next Seq, implied, not
+// written, so it costs only its payload (12 bytes for a discovery event).
+// A run holds at most maxRun entries; Decode returns them one per call.
 //
 // The version sits in the header's high nibble so it is checked before
 // the body is even read. A v3 peer's JSONL frame ("63 {...}\n") puts an
 // ASCII digit (0x3N) there, so a mixed-version pair fails on the first
-// frame with "wire version 3, want 5" on the v5 side (a v4 one: "4, want 5").
+// frame with "wire version 3, want 6" on the v6 side (a v5 one: "5, want 6").
 type Frame struct {
 	// V is the protocol version (WireVersion).
 	V int `json:"v"`
@@ -209,7 +229,7 @@ type Frame struct {
 	Seq uint64 `json:"seq,omitempty"`
 	// Event is the payload of an event frame.
 	Event *core.Event `json:"event,omitempty"`
-	// Snapshot is the payload of a snapshot frame.
+	// Snapshot is the payload of a snapshot or seal frame.
 	Snapshot *Snapshot `json:"snapshot,omitempty"`
 	// Retract is the payload of a retract frame.
 	Retract *Retraction `json:"retract,omitempty"`
@@ -262,12 +282,19 @@ func (s *stream) crc(frame []byte) uint32 {
 	return crc32.Checksum(frame, castagnoli) ^ uint32(h^h>>32)
 }
 
-// Encoder writes frames in the binary wire form. Not safe for concurrent
-// writers; each feed connection owns one encoder.
+// Encoder writes frames in the binary wire form, joining the event or
+// retract frames appended between two flushes into runs (see joins). Not
+// safe for concurrent writers; each feed connection owns one encoder.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
 	st  stream
+	// The open frame, whose CRC and length prefix are not written yet:
+	// where its length-prefix gap starts in buf, the stream state its CRC
+	// is taken against, and its entries (0 when no frame is open).
+	open int
+	base stream
+	n    int
 }
 
 // NewEncoder wraps a writer (typically a net.Conn or an HTTP response).
@@ -287,28 +314,64 @@ func (e *Encoder) Encode(f *Frame) error {
 
 // append encodes one frame into the buffer without writing it; flush
 // sends everything appended since the last one in a single Write. A frame
-// that fails to encode leaves the buffer and the stream state as they
-// were.
+// that fails to encode leaves the stream state as it was and the frames
+// appended before it intact.
 func (e *Encoder) append(f *Frame) error {
+	if e.joins(f) {
+		w := wbuf{b: e.buf, st: e.st}
+		w.st.seq = f.Seq
+		w.payload(f)
+		if w.err != nil {
+			return w.err
+		}
+		e.buf, e.st = w.b, w.st
+		e.n++
+		return nil
+	}
+	e.close()
 	start := len(e.buf)
 	w := wbuf{b: append(e.buf, make([]byte, maxLenPrefix)...), st: e.st}
 	w.frame(f)
 	if w.err != nil {
 		return w.err
 	}
-	// The length prefix is as wide as the length needs: close the gap
-	// between it and the frame it precedes.
-	n := len(w.b) - start - maxLenPrefix
-	if n > maxFrameLen {
+	if n := len(w.b) - start - maxLenPrefix + crcLen; n > maxFrameLen {
 		return fmt.Errorf("federate: frame length %d exceeds limit %d", n, maxFrameLen)
 	}
-	k := binary.PutUvarint(w.b[start:], uint64(n))
-	e.buf = append(w.b[:start+k], w.b[start+maxLenPrefix:]...)
-	e.st = w.st
+	e.buf, e.open, e.base, e.st, e.n = w.b, start, e.st, w.st, 1
+	if f.Type != FrameEvent && f.Type != FrameRetract {
+		e.close()
+	}
 	return nil
 }
 
+// joins reports whether f extends the open run: its version, type and
+// (Site, Epoch), the next Seq, and room for one more entry. Anything else
+// closes the run first, and so does a flush.
+func (e *Encoder) joins(f *Frame) bool {
+	if e.n == 0 || e.n == maxRun || f.Site != e.st.site || f.Epoch != e.st.epoch || f.Seq != e.st.seq+1 {
+		return false
+	}
+	hdr := e.buf[e.open+maxLenPrefix]
+	return int(hdr>>4) == f.V && int(hdr&headerTypeMask) == slices.Index(frameTypes[:], f.Type)
+}
+
+// close ends the open frame: its CRC, taken against the stream state it
+// opened on, then the length prefix as wide as the length needs, closing
+// the gap in front of the frame.
+func (e *Encoder) close() {
+	if e.n == 0 {
+		return
+	}
+	body := e.open + maxLenPrefix
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.base.crc(e.buf[body:]))
+	k := binary.PutUvarint(e.buf[e.open:], uint64(len(e.buf)-body))
+	e.buf = append(e.buf[:e.open+k], e.buf[body:]...)
+	e.n = 0
+}
+
 func (e *Encoder) flush() error {
+	e.close()
 	_, err := e.w.Write(e.buf)
 	if cap(e.buf) > maxRetainedBuf {
 		e.buf = nil
@@ -388,12 +451,14 @@ func (w *wbuf) prov(p core.Provenance) {
 	w.u8(uint8(p))
 }
 
+// frame writes f's header, envelope and body; the CRC waits for the
+// encoder to close the frame.
 func (w *wbuf) frame(f *Frame) {
 	if f.V < 1 || f.V > 15 {
 		w.fail("version %d does not fit the header", f.V)
 		return
 	}
-	start, base := len(w.b), w.st
+	start := len(w.b)
 	w.u8(0) // the header, filled in once the switch below has named the type code
 	envelope := f.Site != w.st.site || f.Epoch != w.st.epoch
 	if envelope {
@@ -401,13 +466,11 @@ func (w *wbuf) frame(f *Frame) {
 		w.u64(f.Epoch)
 		w.st.site, w.st.epoch = f.Site, f.Epoch
 	}
-	var code byte
-	switch f.Type {
-	case FrameHello:
-		code = codeHello
+	code := slices.Index(frameTypes[:], f.Type) // 0 or -1 when unknown
+	switch code {
+	case codeHello:
 		w.u8(flags(f.Resumed))
-	case FrameResume:
-		code = codeResume
+	case codeResume:
 		if f.Resume == nil {
 			w.fail("resume frame without cursor")
 			return
@@ -415,41 +478,43 @@ func (w *wbuf) frame(f *Frame) {
 		w.u64(f.Resume.Epoch)
 		w.uvarint(f.Resume.Seq)
 		w.str(f.Token)
-	case FrameHeartbeat:
-		code = codeHeartbeat
-	case FrameEvent:
-		code = codeEvent
-		if f.Event == nil {
-			w.fail("event frame without event")
-			return
-		}
+	case codeHeartbeat:
+	case codeEvent, codeRetract, codeSnapshot, codeSeal:
 		w.seq(f.Seq)
-		w.event(f.Event)
-	case FrameRetract:
-		code = codeRetract
-		if f.Retract == nil {
-			w.fail("retract frame without retraction")
-			return
-		}
-		w.seq(f.Seq)
-		w.retraction(f.Retract)
-	case FrameSnapshot:
-		code = codeSnapshot
-		if f.Snapshot == nil {
-			w.fail("snapshot frame without snapshot")
-			return
-		}
-		w.seq(f.Seq)
-		w.snapshot(f.Snapshot)
+		w.payload(f)
 	default:
 		w.fail("unknown frame type %q", f.Type)
 		return
 	}
-	w.b[start] = byte(f.V<<4) | code
+	w.b[start] = byte(f.V<<4 | code)
 	if envelope {
 		w.b[start] |= headerEnvelope
 	}
-	w.u32(base.crc(w.b[start:]))
+}
+
+// payload writes a sequenced frame's body past its seq: all a later entry
+// of a run consists of.
+func (w *wbuf) payload(f *Frame) {
+	switch f.Type {
+	case FrameEvent:
+		if f.Event == nil {
+			w.fail("event frame without event")
+			return
+		}
+		w.event(f.Event)
+	case FrameRetract:
+		if f.Retract == nil {
+			w.fail("retract frame without retraction")
+			return
+		}
+		w.retraction(f.Retract)
+	default:
+		if f.Snapshot == nil {
+			w.fail("%s frame without snapshot", f.Type)
+			return
+		}
+		w.snapshot(f.Snapshot)
+	}
 }
 
 func (w *wbuf) event(ev *core.Event) {
@@ -541,6 +606,8 @@ type Decoder struct {
 	buf []byte
 	st  stream
 	off int64
+	// queue holds the frames of the last run not yet returned.
+	queue []*Frame
 }
 
 // NewDecoder wraps a reader.
@@ -548,16 +615,26 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: bufio.NewReader(r)}
 }
 
-// Offset is the stream position just past the last frame decoded — where
-// the frame Decode is about to read, or just failed on, begins.
+// Offset is the stream position just past the last wire frame read —
+// where the wire frame Decode reads next, or just failed on, begins. A
+// run's wire frame is counted whole when Decode returns its first frame;
+// the frames queued behind it move Offset by nothing.
 func (d *Decoder) Offset() int64 { return d.off }
 
-// Decode reads the next frame. It returns io.EOF when the stream ends
-// cleanly at a frame boundary and io.ErrUnexpectedEOF when it ends inside
-// a frame; any other malformation (oversized frame, version mismatch, CRC
-// mismatch, unknown enum, short or overlong body) is a descriptive error,
-// after which the stream is not resynchronizable.
+// Decode returns the next frame queued from the last run, or else the
+// first of the next wire frame, which is checked and decoded whole first:
+// a run damaged anywhere yields none of its frames. It returns io.EOF when
+// the stream ends cleanly at a frame boundary and io.ErrUnexpectedEOF when
+// it ends inside a frame; any other malformation (oversized frame, version
+// mismatch, CRC mismatch, unknown enum, short or overlong body, a run past
+// maxRun) is a descriptive error, after which the stream is not
+// resynchronizable.
 func (d *Decoder) Decode() (*Frame, error) {
+	if len(d.queue) > 0 {
+		f := d.queue[0]
+		d.queue = d.queue[1:]
+		return f, nil
+	}
 	n, width, err := d.readLen()
 	if err != nil {
 		return nil, err
@@ -596,18 +673,15 @@ func (d *Decoder) Decode() (*Frame, error) {
 	if got := d.st.crc(body); got != sum {
 		return nil, fmt.Errorf("federate: frame checksum %08x, frame says %08x", got, sum)
 	}
-	f := &Frame{V: WireVersion}
 	r := rbuf{b: body[1:], st: d.st}
-	r.frame(f, hdr)
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d trailing bytes in %s frame", len(r.b), f.Type)
-	}
+	run := r.frame(hdr, d.queue[:0])
 	if r.err != nil {
 		return nil, r.err
 	}
 	d.st = r.st
 	d.off += int64(width) + int64(n)
-	return f, nil
+	d.queue = run[1:]
+	return run[0], nil
 }
 
 // readLen reads a frame's uvarint length prefix and how many bytes it
@@ -807,34 +881,56 @@ func (r *rbuf) prov() core.Provenance {
 	return p
 }
 
-func (r *rbuf) frame(f *Frame, hdr byte) {
-	code := int(hdr & headerTypeMask)
-	if code == 0 || code >= len(frameTypes) {
+// frame decodes a CRC-verified wire frame's header and body, appending its
+// frames to out: one, or every entry of a run.
+func (r *rbuf) frame(hdr byte, out []*Frame) []*Frame {
+	code := hdr & headerTypeMask
+	if frameTypes[code] == "" {
 		r.fail("unknown frame type code %d", code)
-		return
+		return out
 	}
-	f.Type = frameTypes[code]
 	if hdr&headerEnvelope != 0 {
 		r.st.site = SiteID(r.str())
 		r.st.epoch = r.u64()
 	}
-	f.Site, f.Epoch = r.st.site, r.st.epoch
+	f := &Frame{V: WireVersion, Type: frameTypes[code], Site: r.st.site, Epoch: r.st.epoch}
 	switch code {
 	case codeHello:
 		f.Resumed = r.flags(1) != 0
 	case codeResume:
 		f.Resume = &ResumeCursor{Epoch: r.u64(), Seq: r.uvarint()}
 		f.Token = r.str()
-	case codeEvent:
+	case codeHeartbeat:
+	default:
 		f.Seq = r.seq()
+		r.payload(f)
+		for (code == codeEvent || code == codeRetract) && len(r.b) > 0 && r.err == nil {
+			if len(out) == maxRun-1 {
+				r.fail("run of more than %d frames", maxRun)
+				break
+			}
+			out = append(out, f)
+			f = &Frame{V: WireVersion, Type: f.Type, Site: f.Site, Epoch: f.Epoch, Seq: f.Seq + 1}
+			r.st.seq = f.Seq
+			r.payload(f)
+		}
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes in %s frame", len(r.b), f.Type)
+	}
+	return append(out, f)
+}
+
+// payload reads a sequenced frame's body past its seq.
+func (r *rbuf) payload(f *Frame) {
+	switch f.Type {
+	case FrameEvent:
 		f.Event = new(core.Event)
 		r.event(f.Event)
-	case codeRetract:
-		f.Seq = r.seq()
+	case FrameRetract:
 		f.Retract = new(Retraction)
 		r.retraction(f.Retract)
-	case codeSnapshot:
-		f.Seq = r.seq()
+	default:
 		f.Snapshot = new(Snapshot)
 		r.snapshot(f.Snapshot)
 	}

@@ -44,6 +44,12 @@ func sampleFrames() []Frame {
 		Retractions: []Retraction{{Key: testKey(0x807D0300, 6, 22), At: base.Add(-time.Hour), Prov: core.ActiveOnly}},
 		Packets:     100000,
 	}
+	seal := &Snapshot{
+		Services: snap.Services[:1],
+		Scanners: snap.Scanners,
+		Scans:    snap.Scans,
+		Packets:  100500,
+	}
 	return []Frame{
 		{V: WireVersion, Type: FrameResume, Token: "s3cret", Resume: &ResumeCursor{Epoch: 1166263200e9, Seq: 11}},
 		{V: WireVersion, Type: FrameHello, Site: "east", Epoch: 1166263200e9, Resumed: true},
@@ -55,11 +61,12 @@ func sampleFrames() []Frame {
 		{V: WireVersion, Type: FrameRetract, Site: "east", Epoch: 1166263200e9, Seq: 17,
 			Retract: &Retraction{Key: key, At: base.Add(4 * time.Hour), Prov: core.PassiveOnly}},
 		{V: WireVersion, Type: FrameHeartbeat, Site: "east", Epoch: 1166263200e9},
+		{V: WireVersion, Type: FrameSeal, Site: "east", Epoch: 1166263200e9, Seq: 18, Snapshot: seal},
 	}
 }
 
 // encodeFrames renders frames in wire form through one encoder, the way a
-// connection would carry them.
+// connection would carry them, each frame flushed on its own.
 func encodeFrames(tb testing.TB, frames ...Frame) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -70,6 +77,38 @@ func encodeFrames(tb testing.TB, frames ...Frame) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// encodeBursts renders bursts through one encoder, each burst's frames
+// appended and then flushed once — the way Publisher.ServeConn writes the
+// frames queued on a reader.
+func encodeBursts(tb testing.TB, bursts ...[]Frame) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, frames := range bursts {
+		for i := range frames {
+			if err := enc.append(&frames[i]); err != nil {
+				tb.Fatalf("append frame %d: %v", i, err)
+			}
+		}
+		if err := enc.flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// steadyEvents returns n discovery event frames of one site, consecutive
+// from seq and 2 µs apart: a burst a seal publishes on a live feed.
+func steadyEvents(site SiteID, epoch, seq uint64, n int) []Frame {
+	frames := make([]Frame, n)
+	for i := range frames {
+		ev := core.Event{Kind: core.EventServiceDiscovered, Time: retBase.Add(time.Duration(i) * 2 * time.Microsecond),
+			Key: testKey(0x807D0000+uint32(i), 6, 80), Provenance: core.PassiveOnly}
+		frames[i] = Frame{V: WireVersion, Type: FrameEvent, Site: site, Epoch: epoch, Seq: seq + uint64(i), Event: &ev}
+	}
+	return frames
 }
 
 // rawFrame hand-assembles one wire frame — length prefix, header, body,
@@ -105,7 +144,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 // TestWireFrameSizes pins what the format costs: a steady-feed discovery
 // event — the frame the federation link carries once per service, here the
-// next sequence number 2 µs after the previous event — and a snapshot's
+// next sequence number 2 µs after the previous event — flushed alone, and
+// joining a run; a five-event burst's per-event share; and a snapshot's
 // per-service share.
 func TestWireFrameSizes(t *testing.T) {
 	frames := sampleFrames()
@@ -113,7 +153,16 @@ func TestWireFrameSizes(t *testing.T) {
 	next.Key.Port, next.Time = 8080, next.Time.Add(2*time.Microsecond)
 	steady := Frame{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: frames[3].Epoch, Seq: 14, Event: &next}
 	if n := len(encodeFrames(t, frames[1], frames[3], steady)) - len(encodeFrames(t, frames[1], frames[3])); n != 19 {
-		t.Errorf("a steady-feed discovery event takes %d bytes, want 19", n)
+		t.Errorf("a steady-feed discovery event flushed alone takes %d bytes, want 19", n)
+	}
+	if n := len(encodeBursts(t, []Frame{frames[1], frames[3], steady})) - len(encodeBursts(t, []Frame{frames[1], frames[3]})); n != 12 {
+		t.Errorf("a steady-feed discovery event joining a run takes %d bytes, want 12", n)
+	}
+	// A seal's burst on a live feed, behind the event before it.
+	evs := steadyEvents(frames[1].Site, frames[1].Epoch, 1, 6)
+	lead := encodeFrames(t, frames[1], evs[0])
+	if per := float64(len(encodeBursts(t, []Frame{frames[1], evs[0]}, evs[1:]))-len(lead)) / 5; per > 13.5 {
+		t.Errorf("a five-event burst takes %.2f bytes per event, want <= 13.5", per)
 	}
 	snap := &Snapshot{Services: make([]SnapshotService, 1000)}
 	for i := range snap.Services {
@@ -141,6 +190,92 @@ func decodeAll(t *testing.T, wire []byte, frames ...Frame) {
 	}
 	if _, err := dec.Decode(); err != io.EOF {
 		t.Errorf("after %d frames: %v, want EOF", len(frames), err)
+	}
+}
+
+// wireFrameEnds walks a stream's length prefixes and returns the offset
+// each wire frame ends at.
+func wireFrameEnds(t *testing.T, wire []byte) []int64 {
+	t.Helper()
+	var ends []int64
+	for off := 0; off < len(wire); {
+		n, k := binary.Uvarint(wire[off:])
+		if k <= 0 {
+			t.Fatalf("no length prefix at offset %d", off)
+		}
+		off += k + int(n)
+		ends = append(ends, int64(off))
+	}
+	return ends
+}
+
+// TestWireRuns appends bursts and flushes each once, pinning where a run
+// forms and where it breaks: every frame decodes back exactly, Offset
+// moves only onto wire-frame boundaries — by a whole run at its first
+// frame, by nothing for the frames queued behind it — and the stream holds
+// the expected number of wire frames.
+func TestWireRuns(t *testing.T) {
+	hello := Frame{V: WireVersion, Type: FrameHello, Site: "east", Epoch: 7}
+	events := func(site SiteID, seq uint64, n int) []Frame { return steadyEvents(site, 7, seq, n) }
+	retracts := func(seq uint64, n int) []Frame {
+		out := make([]Frame, n)
+		for i := range out {
+			out[i] = Frame{V: WireVersion, Type: FrameRetract, Site: "east", Epoch: 7, Seq: seq + uint64(i),
+				Retract: &Retraction{Key: keyA, At: retBase.Add(time.Duration(i) * time.Second), Prov: core.PassiveOnly}}
+		}
+		return out
+	}
+	cat := func(parts ...[]Frame) (out []Frame) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		burst []Frame
+		wire  int
+	}{
+		{"hello then a run", cat([]Frame{hello}, events("east", 1, 5)), 2},
+		{"envelope switch", cat(events("east", 1, 3), events("west", 4, 3)), 2},
+		{"seq gap", cat(events("east", 1, 3), events("east", 5, 3)), 2},
+		{"event retract event", cat(events("east", 1, 2), retracts(3, 2), events("east", 5, 2)), 3},
+		{"hello inside a burst", cat(events("east", 1, 2), []Frame{hello}, events("east", 3, 2)), 3},
+		{"255 events", events("east", 1, 255), 1},
+		{"256 events", events("east", 1, 256), 1},
+		{"257 events", events("east", 1, 257), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := encodeBursts(t, tc.burst)
+			ends := wireFrameEnds(t, wire)
+			if len(ends) != tc.wire {
+				t.Errorf("%d frames went out as %d wire frames, want %d", len(tc.burst), len(ends), tc.wire)
+			}
+			dec := NewDecoder(bytes.NewReader(wire))
+			next := 0
+			for i := range tc.burst {
+				before := dec.Offset()
+				got, err := dec.Decode()
+				if err != nil {
+					t.Fatalf("decode frame %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(&tc.burst[i], got) {
+					t.Errorf("frame %d came back as %+v, want %+v", i, *got, tc.burst[i])
+				}
+				if off := dec.Offset(); off != before {
+					if next == len(ends) || off != ends[next] {
+						t.Fatalf("frame %d moved Offset %d → %d, off the wire-frame boundaries %v", i, before, off, ends)
+					}
+					next++
+				}
+			}
+			if next != len(ends) {
+				t.Errorf("Offset stopped at boundary %d of %d", next, len(ends))
+			}
+			if _, err := dec.Decode(); err != io.EOF {
+				t.Errorf("after the burst: %v, want EOF", err)
+			}
+		})
 	}
 }
 
@@ -317,6 +452,9 @@ func TestDecodeRejects(t *testing.T) {
 	const hdrSnap = WireVersion<<4 | codeSnapshot
 	key := []byte{1, 2, 3, 4, 6, 80, 0}
 	hb := rawFrame(WireVersion<<4 | codeHeartbeat)
+	// A run one entry past maxRun: seq, then minimal discovery events
+	// (kind 0, no flags).
+	overRun := append([]byte{0}, make([]byte, 2*(maxRun+1))...)
 	cases := map[string]struct {
 		in   []byte
 		want string
@@ -326,11 +464,13 @@ func TestDecodeRejects(t *testing.T) {
 		"padded prefix":   {append([]byte{hb[0] | 0x80, 0}, hb[1:]...), "padded to a 2-byte prefix"},
 		"empty frame":     {[]byte{0}, "shorter than an empty frame"},
 		"crc only":        {[]byte{4, 0, 0, 0, 0}, "shorter than an empty frame"},
-		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 5"},
-		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 5"},
+		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 6"},
+		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 6"},
+		"v5 hello":        {rawFrame(5<<4|codeHello, 0), "wire version 5, want 6"},
 		"bad crc":         {append(rawFrame(WireVersion<<4 | codeHeartbeat)[:2], 1, 2, 3, 4), "checksum"},
 		"type code 0":     {rawFrame(WireVersion << 4), "unknown frame type code 0"},
-		"type code 7":     {rawFrame(WireVersion<<4 | 7), "unknown frame type code 7"},
+		"empty seal":      {rawFrame(WireVersion<<4 | codeSeal), "body ends inside a field"},
+		"run past maxRun": {rawFrame(hdrEvent, overRun...), "run of more than 256 frames"},
 		"bad kind":        {rawFrame(hdrEvent, 1, 99, 0), "unknown event kind 99"},
 		"bad provenance":  {rawFrame(hdrEvent, append([]byte{1, 0, 2}, append(key, 4)...)...), "unknown provenance 4"},
 		"bad event flags": {rawFrame(hdrEvent, 1, 0, 0x80), "unknown flag bits"},
@@ -373,17 +513,20 @@ func TestEncodeRejects(t *testing.T) {
 }
 
 // TestBitFlipsRejected is the CRC's contract: flip any single bit of an
-// encoded event, retract, snapshot or resume frame and the decoder refuses
-// the frame — it never becomes a different address or sequence number —
-// so an aggregator fed the damaged stream ends byte-identical to one that
-// was fed nothing past the frames before it.
+// encoded event, retract, snapshot, seal or resume frame, or of a
+// five-event run, and the decoder refuses the frame — it never becomes a
+// different address or sequence number, and no frame of a damaged run is
+// returned — so an aggregator fed the damaged stream ends byte-identical
+// to one that was fed nothing past the frames before it.
 func TestBitFlipsRejected(t *testing.T) {
 	frames := sampleFrames()
 	prelude := encodeFrames(t, frames[1]) // the hello that names site and epoch
-	for _, fi := range []int{0, 2, 3, 7} {
-		// Each target frame is encoded behind the hello, as on a live
-		// stream, so it carries no envelope of its own.
-		target := encodeFrames(t, frames[1], frames[fi])[len(prelude):]
+	targets := [][]Frame{frames[0:1], frames[2:3], frames[3:4], frames[7:8], frames[9:10],
+		steadyEvents(frames[1].Site, frames[1].Epoch, 20, 5)}
+	for _, burst := range targets {
+		// Each target is encoded behind the hello, as on a live stream, so
+		// it carries no envelope of its own.
+		target := encodeBursts(t, frames[1:2], burst)[len(prelude):]
 		ref := seedAggregator(t)
 		if err := ref.Apply(&frames[1]); err != nil {
 			t.Fatal(err)
@@ -398,10 +541,10 @@ func TestBitFlipsRejected(t *testing.T) {
 				t.Fatalf("prelude hello: %v", err)
 			}
 			if f, err := dec.Decode(); err == nil {
-				t.Fatalf("%s frame with bit %d flipped decoded as %+v", frames[fi].Type, bit, f)
+				t.Fatalf("%d-frame %s burst with bit %d flipped decoded as %+v", len(burst), burst[0].Type, bit, f)
 			}
 			if got := agg.Dump(); !bytes.Equal(got, want) {
-				t.Fatalf("%s frame with bit %d flipped changed the dump", frames[fi].Type, bit)
+				t.Fatalf("%d-frame %s burst with bit %d flipped changed the dump", len(burst), burst[0].Type, bit)
 			}
 		}
 	}
@@ -472,21 +615,26 @@ func TestEventKindTextStable(t *testing.T) {
 	}
 }
 
-// FuzzFrameRoundTrip builds event, retract and snapshot frames from fuzzed
-// primitives and asserts decode returns a deeply equal frame and
+// FuzzFrameRoundTrip builds event, retract, snapshot and seal frames from
+// fuzzed primitives and asserts decode returns a deeply equal frame and
 // encode→decode→encode is byte-stable. Each frame rides behind a fuzzed
 // predecessor through the same encoder and decoder, so its sequence and
-// time deltas start from a non-zero base.
+// time deltas start from a non-zero base; with burst set the two go
+// through one append/flush, where they form a run when the frame is the
+// predecessor's retract successor.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0), int64(1166263100), uint64(12))
-	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0), int64(1166266800), uint64(13))
-	f.Add(uint8(2), int64(-1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), uint8(1), int64(1166270400), uint64(90))
-	f.Add(uint8(3), int64(math.MaxInt64), uint32(0), uint8(255), uint16(65535), uint8(3), -1, math.MinInt64, uint64(math.MaxUint64), uint8(1), int64(math.MinInt64), uint64(0))
-	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2), int64(-1), uint64(math.MaxUint64))
-	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0), int64(math.MaxInt64), uint64(1<<63+1))
-	f.Add(uint8(1), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(80), uint8(3), 0, 0, uint64(20), uint8(0), int64(1166263199), uint64(19))
+	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0), int64(1166263100), uint64(12), false)
+	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0), int64(1166266800), uint64(13), false)
+	f.Add(uint8(2), int64(-1166270400), uint32(0xD3010101), uint8(47), uint16(0), uint8(1), 150, 120, uint64(15), uint8(1), int64(1166270400), uint64(90), false)
+	f.Add(uint8(3), int64(math.MaxInt64), uint32(0), uint8(255), uint16(65535), uint8(3), -1, math.MinInt64, uint64(math.MaxUint64), uint8(1), int64(math.MinInt64), uint64(0), true)
+	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2), int64(-1), uint64(math.MaxUint64), false)
+	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0), int64(math.MaxInt64), uint64(1<<63+1), true)
+	f.Add(uint8(1), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(80), uint8(3), 0, 0, uint64(20), uint8(0), int64(1166263199), uint64(19), false)
+	// A run: a retract whose Seq follows its predecessor's, in the same epoch
+	// (the frame's epoch is seq^ns, the predecessor's prevSeq).
+	f.Add(uint8(0), int64(1), uint32(0x807D0107), uint8(6), uint16(22), uint8(1), 0, 0, uint64(13), uint8(2), int64(1166263199), uint64(12), true)
 	f.Fuzz(func(t *testing.T, kind uint8, ns int64, addr uint32, proto uint8, port uint16,
-		prov uint8, n1, n2 int, seq uint64, shape uint8, prevNs int64, prevSeq uint64) {
+		prov uint8, n1, n2 int, seq uint64, shape uint8, prevNs int64, prevSeq uint64, burst bool) {
 		// Enums are clamped into their valid domain — the codec's contract
 		// is for valid frames; FuzzDecoderNoPanic covers hostile bytes.
 		// Every int64 is a legal wire time except that zero nanoseconds
@@ -496,7 +644,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		p := core.Provenance(prov % 4)
 		key := testKey(addr, proto, port)
 		fr := Frame{V: WireVersion, Site: SiteID("fuzz"), Epoch: seq ^ uint64(ns), Seq: seq}
-		switch shape % 3 {
+		switch shape % 4 {
 		case 0:
 			fr.Type = FrameEvent
 			ev := core.Event{Kind: k, Time: at}
@@ -513,7 +661,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				ev.Truncated = n2%2 == 0
 			}
 			fr.Event = &ev
-		case 1:
+		case 1, 3:
 			fr.Type = FrameSnapshot
 			fr.Snapshot = &Snapshot{
 				Services: []SnapshotService{
@@ -525,6 +673,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				Retractions: []Retraction{{Key: key, At: at, Prov: p}},
 				Packets:     n2,
 			}
+			if shape%4 == 3 {
+				fr.Type, fr.Snapshot.Retractions = FrameSeal, nil
+			}
 		case 2:
 			fr.Type = FrameRetract
 			fr.Retract = &Retraction{Key: key, At: at, Prov: p}
@@ -532,7 +683,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		prev := Frame{V: WireVersion, Type: FrameRetract, Site: fr.Site, Epoch: prevSeq, Seq: prevSeq,
 			Retract: &Retraction{Key: key, At: prevAt, Prov: p}}
 
-		first := encodeFrames(t, prev, fr)
+		encode := encodeFrames
+		if burst {
+			encode = func(tb testing.TB, frames ...Frame) []byte { return encodeBursts(tb, frames) }
+		}
+		first := encode(t, prev, fr)
 		dec := NewDecoder(bytes.NewReader(first))
 		var got [2]*Frame
 		for i, want := range []*Frame{&prev, &fr} {
@@ -544,7 +699,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("round trip changed frame %d:\n in: %+v\nout: %+v", i, *want, *got[i])
 			}
 		}
-		if again := encodeFrames(t, *got[0], *got[1]); !bytes.Equal(first, again) {
+		if again := encode(t, *got[0], *got[1]); !bytes.Equal(first, again) {
 			t.Fatalf("round trip not byte-stable:\n in: %x\nout: %x", first, again)
 		}
 	})
@@ -558,6 +713,7 @@ func FuzzDecoderNoPanic(f *testing.F) {
 	f.Add([]byte("12 hello\n"))
 	f.Add(binary.AppendUvarint(nil, 1<<60))
 	f.Add(rawFrame(WireVersion<<4|codeSnapshot, 1, 0, 0xff, 0xff, 0xff, 0x7f))
+	f.Add(encodeBursts(f, steadyEvents("east", 7, 1, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
 		enc := NewEncoder(io.Discard)

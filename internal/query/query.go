@@ -66,7 +66,7 @@ type Result struct {
 func pageToken(k core.ServiceKey) string { return k.String() }
 
 // ParseKey parses the "addr:port/proto" form ServiceKey.String renders —
-// page tokens, exact-key query params, cache keys.
+// page tokens and exact-key query params.
 func ParseKey(s string) (core.ServiceKey, error) {
 	var k core.ServiceKey
 	slash := strings.LastIndexByte(s, '/')
@@ -373,31 +373,4 @@ func ParseHTTP(values url.Values) (Query, error) {
 	}
 	q.PageToken = values.Get("page")
 	return q, nil
-}
-
-// CacheKey renders the query (excluding pagination) canonically — the
-// client cache's map key. Two queries with equal predicates share one
-// entry regardless of field order at the call site.
-func (q Query) CacheKey() string {
-	var b strings.Builder
-	if q.Port != 0 {
-		fmt.Fprintf(&b, "port=%d;", q.Port)
-	}
-	if q.Proto != 0 {
-		fmt.Fprintf(&b, "proto=%s;", q.Proto)
-	}
-	if q.Category != CatAny {
-		fmt.Fprintf(&b, "cat=%s;", q.Category)
-	}
-	if q.Prefix.Bits() != 0 {
-		fmt.Fprintf(&b, "pfx=%s;", q.Prefix)
-	}
-	if q.HasProvenance {
-		fmt.Fprintf(&b, "prov=%s;", q.Provenance)
-	}
-	if !q.MinFreshness.IsZero() {
-		fmt.Fprintf(&b, "since=%d;", q.MinFreshness.UnixNano())
-	}
-	fmt.Fprintf(&b, "limit=%d", q.limit())
-	return b.String()
 }

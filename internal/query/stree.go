@@ -1,6 +1,6 @@
 // Package query is the read path: secondary indexes over the live
-// inventory, a typed paginated query API, event-stream filters, and a
-// client-side cache. An index epoch is an immutable value — thousands of
+// inventory, a typed paginated query API and event-stream filters. An
+// index epoch is an immutable value — thousands of
 // in-flight queries read it lock-free while the next epoch is patched
 // forward from snapshot deltas in O(churn · log n), never by rescanning
 // the inventory.

@@ -86,9 +86,6 @@ type (
 	// SubscribeFiltered: a filtered subscriber neither receives nor pays
 	// drop budget for events outside its slice.
 	EventFilter = query.Filter
-	// QueryCache is the client-side query cache (passive fill from
-	// subscription events, preemptive Warm, expiry-driven purge).
-	QueryCache = query.Cache
 	// Telemetry is the typed metrics registry every pipeline carries
 	// (internal/obs): counters, gauges, latency histograms and the
 	// flight recorder, all scraped through WritePrometheus or served by
@@ -376,9 +373,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		// built reaches the observer once, with a delta against the one
 		// before. It runs under the engine's snapshot lock, which serializes
 		// catalog updates; Epoch() readers are lock-free.
-		cat := query.NewCatalog(0)
-		p.qix = cat
-		engine.OnSnapshot(func(_, inv *core.Inventory, d core.SnapshotDelta) { cat.ApplyDelta(inv, d) })
+		p.qix = query.NewCatalog(0)
+		p.OnSnapshot(nil)
 		qv := reg.HistogramVec("servdisc_query_seconds",
 			"Query execution latency by the index dimension that served it.", "dim")
 		p.queryLat = make(map[string]*obs.Histogram, len(queryDimensions))
@@ -514,6 +510,24 @@ func (p *Pipeline) Close() {
 // can poll it at any frequency (see core.Hybrid.Snapshot for the
 // consistency contract). It is also what core.Analysis reads.
 func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
+
+// OnSnapshot registers fn to observe every snapshot the engine builds (see
+// core.ShardedPassive.OnSnapshot): the engine's one observer slot calls
+// the query catalog first (Config.QueryIndex), then fn. At most one fn;
+// nil clears it. A federation publisher over the pipeline registers here.
+func (p *Pipeline) OnSnapshot(fn func(prev, inv *Inventory, delta core.SnapshotDelta)) {
+	cat := p.qix
+	if cat == nil {
+		p.engine.OnSnapshot(fn)
+		return
+	}
+	p.engine.OnSnapshot(func(prev, inv *Inventory, d core.SnapshotDelta) {
+		cat.ApplyDelta(inv, d)
+		if fn != nil {
+			fn(prev, inv, d)
+		}
+	})
+}
 
 // watchBuffer is Watch's default subscriber buffer: deep enough to absorb
 // multi-second consumer lag at realistic discovery rates.
