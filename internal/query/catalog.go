@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -13,8 +14,7 @@ import (
 
 // Doc is one service as the query layer sees it: the key, its provenance
 // class, discovery and freshness times, and the passive weights. Docs are
-// plain values — an epoch holds millions of them in a persistent tree and
-// hands them out by value, so queries never touch (or pin) engine state.
+// plain values handed out by value, so callers never touch engine state.
 type Doc struct {
 	Key   core.ServiceKey `json:"key"`
 	Prov  core.Provenance `json:"prov"`
@@ -27,12 +27,12 @@ type Doc struct {
 	Clients int       `json:"clients,omitempty"`
 }
 
-// packedDoc is a Doc as the doc tree stores it: 40 pointer-free bytes
-// instead of 80 with two *Location for the collector to scan. Times are
-// Unix nanoseconds plus a presence flag (absent = time.Time{}, stored as
-// 0, so packed docs compare with ==), clamped to the int64-nanosecond
-// range. Flows stays 64-bit; clients saturates at 2^32-1, which distinct
-// IPv4 peers cannot exceed.
+// packedDoc is a Doc as the aggregator's doc tree stores it: 40
+// pointer-free bytes instead of 80 with two *Location for the collector to
+// scan. Times are Unix nanoseconds plus a presence flag (absent =
+// time.Time{}, stored as 0, so packed docs compare with ==), clamped to the
+// int64-nanosecond range. Flows stays 64-bit; clients saturates at 2^32-1,
+// which distinct IPv4 peers cannot exceed.
 type packedDoc struct {
 	first, last       int64
 	flows             int
@@ -82,8 +82,8 @@ func pack(d Doc) packedDoc {
 	return p
 }
 
-// doc renders p as the API type (Epoch.Doc and Query, on the way out);
-// times come back in UTC.
+// doc renders p as the API type (Epoch.Doc, on the way out); times come
+// back in UTC.
 func (p packedDoc) doc() Doc {
 	return Doc{
 		Key:     p.key,
@@ -95,22 +95,26 @@ func (p packedDoc) doc() Doc {
 	}
 }
 
-// DocFromInventory builds the query doc for one inventory key.
-func DocFromInventory(inv *core.Inventory, k core.ServiceKey) Doc {
-	rec, prov, first, activeAt, _ := inv.Service(k)
-	return docOf(k, rec, prov, first, activeAt)
+// DocFromInventory builds the query doc for one inventory key from one
+// descent of its record store; ok is false if the key is not there.
+func DocFromInventory(inv *core.Inventory, k core.ServiceKey) (Doc, bool) {
+	rec, prov, first, activeAt, ok := inv.Service(k)
+	if !ok {
+		return Doc{}, false
+	}
+	return docOf(k, rec, prov, first, activeAt), true
 }
 
 // docOf builds the query doc from what Inventory.Service (or EachService)
-// reports about one key.
+// reports about one key, with times in UTC.
 func docOf(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) Doc {
-	d := Doc{Key: k, Prov: prov, First: first}
+	d := Doc{Key: k, Prov: prov, First: first.UTC()}
 	if rec != nil {
 		d.Last = rec.LastSeen()
 		d.Flows = rec.Flows
 		d.Clients = rec.Clients()
 	} else {
-		d.Last = activeAt // a probe-only service was last heard from when it answered
+		d.Last = activeAt.UTC() // a probe-only service was last heard from when it answered
 	}
 	return d
 }
@@ -192,20 +196,25 @@ func CategoryOf(k core.ServiceKey) Category {
 // when the catalog is built with no explicit width.
 const DefaultFreshnessBucket = time.Hour
 
-// provClasses is the size of the provenance dimension.
-const provClasses = 4
-
-// Epoch is one immutable index generation: the doc tree plus every
-// secondary dimension, all persistent structures sharing state with the
-// previous epoch. Readers navigate an epoch lock-free; it never changes
-// after publication. There is no prefix dimension: keys sort address-major,
-// so any prefix is one contiguous run of the doc tree itself.
+// Epoch is one immutable index generation: where its docs live plus the
+// four secondary dimensions, each a bucket map of persistent key trees
+// sharing state with the previous epoch. Readers navigate an epoch
+// lock-free; it never changes after publication.
+//
+// An engine epoch (RebuildFromInventory, ApplyDelta) holds no doc of its
+// own: it pins the frozen inventory it indexes and resolves every key
+// through it, so a service's weights and times live once, in the record
+// store. An aggregator epoch (Rebuild, Patch) has no inventory to read and
+// keeps its docs in a packed doc tree. There is no prefix dimension: keys
+// sort address-major, so any prefix is one contiguous run of either key
+// order.
 type Epoch struct {
 	gen        uint64
 	freshWidth time.Duration
-	docs       stree[packedDoc]
+	inv        *core.Inventory  // engine epochs; nil in doc-tree epochs
+	docs       stree[packedDoc] // doc-tree epochs; empty in engine epochs
 	byPort     map[uint16]stree[keyEntry]
-	byProv     [provClasses]stree[keyEntry]
+	byProv     map[core.Provenance]stree[keyEntry]
 	byCat      map[Category]stree[keyEntry]
 	byFresh    map[int64]stree[keyEntry] // freshBucket(Last) → keys
 	freshBases []int64                   // sorted bucket ids
@@ -215,12 +224,44 @@ type Epoch struct {
 func (e *Epoch) Gen() uint64 { return e.gen }
 
 // Len returns the number of indexed services.
-func (e *Epoch) Len() int { return e.docs.len() }
+func (e *Epoch) Len() int {
+	if e.inv != nil {
+		return e.inv.Len()
+	}
+	return e.docs.len()
+}
 
 // Doc returns the indexed doc for one key.
 func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) {
+	if e.inv != nil {
+		return DocFromInventory(e.inv, k)
+	}
 	p, ok := e.docs.get(k)
 	return p.doc(), ok
+}
+
+// keysAfter visits the indexed keys above after (every key when after is
+// nil) in canonical order until f returns false.
+func (e *Epoch) keysAfter(after *core.ServiceKey, f func(core.ServiceKey) bool) {
+	if e.inv != nil {
+		keys := e.inv.Keys()
+		i := 0
+		if after != nil {
+			i = sort.Search(len(keys), func(i int) bool { return after.Before(keys[i]) })
+		}
+		for _, k := range keys[i:] {
+			if !f(k) {
+				return
+			}
+		}
+		return
+	}
+	for c := e.docs.seek(after); ; {
+		p, ok := c.next()
+		if !ok || !f(p.key) {
+			return
+		}
+	}
 }
 
 // freshBucket is the freshness bucket of a packed time (see packTime): ns
@@ -238,10 +279,11 @@ func (e *Epoch) freshBucket(ns int64, ok bool) int64 {
 	return b
 }
 
-// Catalog owns the epoch chain: Patch and Rebuild install new epochs
+// Catalog owns the epoch chain: each update installs a new epoch
 // (caller-serialized — in the engine they run under the snapshot lock),
 // while any number of concurrent readers load the current epoch through
-// one atomic pointer.
+// one atomic pointer. A catalog is fed either an engine's inventories
+// (RebuildFromInventory, ApplyDelta) or docs (Rebuild, Patch), not both.
 type Catalog struct {
 	cur        atomic.Pointer[Epoch]
 	freshWidth time.Duration
@@ -254,17 +296,12 @@ func NewCatalog(freshWidth time.Duration) *Catalog {
 		freshWidth = DefaultFreshnessBucket
 	}
 	c := &Catalog{freshWidth: freshWidth}
-	c.cur.Store(c.emptyEpoch())
+	c.cur.Store(c.emptyEpoch(0))
 	return c
 }
 
-func (c *Catalog) emptyEpoch() *Epoch {
-	return &Epoch{
-		freshWidth: c.freshWidth,
-		byPort:     map[uint16]stree[keyEntry]{},
-		byCat:      map[Category]stree[keyEntry]{},
-		byFresh:    map[int64]stree[keyEntry]{},
-	}
+func (c *Catalog) emptyEpoch(gen uint64) *Epoch {
+	return &Epoch{gen: gen, freshWidth: c.freshWidth}
 }
 
 // Epoch returns the current index epoch — an immutable value, safe to
@@ -318,7 +355,13 @@ func (d *dimDelta[B]) apply(prev map[B]stree[keyEntry]) (map[B]stree[keyEntry], 
 	}
 	for b := range touched {
 		before, existed := next[b]
-		after := before.patch(sortEntries(d.adds[b]), sortKeys(d.dels[b]))
+		adds, dels := d.adds[b], d.dels[b]
+		slices.SortFunc(adds, func(a, b keyEntry) int { return cmpKeys(a.skey(), b.skey()) })
+		core.SortKeys(dels)
+		if !existed {
+			adds = slices.Clone(adds) // a new bucket's leaves subslice it: drop the append slack
+		}
+		after := before.patch(adds, dels)
 		if after.len() == 0 {
 			if existed {
 				delete(next, b)
@@ -334,169 +377,154 @@ func (d *dimDelta[B]) apply(prev map[B]stree[keyEntry]) (map[B]stree[keyEntry], 
 	return next, basesChanged
 }
 
-// Patch advances the catalog one epoch: upserts (sorted by key,
-// duplicate-free) replace or insert docs, removes (sorted, disjoint from
-// upserts) delete them. Cost is O(changes · log n) — the persistent trees
-// path-copy only what moved, and the dimension maps are cloned at bucket
-// granularity. No-op patches (every upsert equal to the stored doc) keep
-// the current epoch.
-func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
-	prev := c.Epoch()
-	var docAdds []packedDoc
-	var docDels []core.ServiceKey
-	var port dimDelta[uint16]
-	var cat dimDelta[Category]
-	var fresh dimDelta[int64]
-	var provAdds [provClasses][]keyEntry
-	var provDels [provClasses][]core.ServiceKey
+// postings accumulates one epoch transition's moves in every secondary
+// dimension.
+type postings struct {
+	port  dimDelta[uint16]
+	prov  dimDelta[core.Provenance]
+	cat   dimDelta[Category]
+	fresh dimDelta[int64]
+}
 
-	for _, ud := range upserts {
-		d := pack(ud)
-		old, had := prev.docs.get(d.key)
-		if had && old == d {
-			continue
-		}
-		docAdds = append(docAdds, d)
-		if had {
-			// Key-derived dimensions (port, category) cannot move;
-			// provenance and freshness can.
-			if old.prov != d.prov {
-				provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], d.key)
-				provAdds[d.prov%provClasses] = append(provAdds[d.prov%provClasses], keyEntry(d.key))
-			}
-			if ob, nb := prev.freshBucket(old.last, old.hasLast), prev.freshBucket(d.last, d.hasLast); ob != nb {
-				fresh.del(ob, d.key)
-				fresh.add(nb, d.key)
-			}
-			continue
-		}
-		port.add(d.key.Port, d.key)
-		cat.add(CategoryOf(d.key), d.key)
-		provAdds[d.prov%provClasses] = append(provAdds[d.prov%provClasses], keyEntry(d.key))
-		fresh.add(prev.freshBucket(d.last, d.hasLast), d.key)
-	}
-	for _, k := range removes {
-		old, had := prev.docs.get(k)
-		if !had {
-			continue
-		}
-		docDels = append(docDels, k)
-		port.del(k.Port, k)
-		cat.del(CategoryOf(k), k)
-		provDels[old.prov%provClasses] = append(provDels[old.prov%provClasses], k)
-		fresh.del(prev.freshBucket(old.last, old.hasLast), k)
-	}
-	if len(docAdds) == 0 && len(docDels) == 0 {
+// upsert files the moves that take a key from old (absent unless had) to
+// d, with freshness buckets as e draws them.
+func (ps *postings) upsert(e *Epoch, old Doc, had bool, d Doc) {
+	k, nb := d.Key, e.freshBucket(packTime(d.Last))
+	if !had {
+		ps.port.add(k.Port, k)
+		ps.cat.add(CategoryOf(k), k)
+		ps.prov.add(d.Prov, k)
+		ps.fresh.add(nb, k)
 		return
 	}
+	// Key-derived dimensions (port, category) cannot move; provenance and
+	// freshness can.
+	if old.Prov != d.Prov {
+		ps.prov.del(old.Prov, k)
+		ps.prov.add(d.Prov, k)
+	}
+	if ob := e.freshBucket(packTime(old.Last)); ob != nb {
+		ps.fresh.del(ob, k)
+		ps.fresh.add(nb, k)
+	}
+}
 
+// remove files the moves that drop old's key from every dimension.
+func (ps *postings) remove(e *Epoch, old Doc) {
+	k := old.Key
+	ps.port.del(k.Port, k)
+	ps.cat.del(CategoryOf(k), k)
+	ps.prov.del(old.Prov, k)
+	ps.fresh.del(e.freshBucket(packTime(old.Last)), k)
+}
+
+// advance installs the successor of prev: its postings patched by ps, its
+// docs resolved through inv or, when inv is nil, held in docs.
+func (c *Catalog) advance(prev *Epoch, ps *postings, inv *core.Inventory, docs stree[packedDoc]) {
 	next := &Epoch{
 		gen:        prev.gen + 1,
 		freshWidth: prev.freshWidth,
-		docs:       prev.docs.patch(docAdds, docDels),
-		byProv:     prev.byProv,
+		inv:        inv,
+		docs:       docs,
 		freshBases: prev.freshBases,
 	}
-	for p := 0; p < provClasses; p++ {
-		next.byProv[p] = next.byProv[p].patch(sortEntries(provAdds[p]), sortKeys(provDels[p]))
-	}
 	var freshMoved bool
-	next.byPort, _ = port.apply(prev.byPort)
-	next.byCat, _ = cat.apply(prev.byCat)
-	next.byFresh, freshMoved = fresh.apply(prev.byFresh)
+	next.byPort, _ = ps.port.apply(prev.byPort)
+	next.byProv, _ = ps.prov.apply(prev.byProv)
+	next.byCat, _ = ps.cat.apply(prev.byCat)
+	next.byFresh, freshMoved = ps.fresh.apply(prev.byFresh)
 	if freshMoved {
 		next.freshBases = sortedBases(next.byFresh)
 	}
 	c.cur.Store(next)
 }
 
-// Rebuild replaces the whole index from an inventory-ordered doc list
-// (sorted by key) — the full-resync path for lineage breaks, startup
-// warms, and aggregator bootstraps. O(n): every tree is packed bottom-up
-// from an already-sorted list; Patch is the steady state.
+// Patch advances a doc-fed catalog one epoch: upserts (sorted by key,
+// duplicate-free) replace or insert docs, removes (sorted, disjoint from
+// upserts) delete them. Cost is O(changes · log n) — the persistent trees
+// path-copy only what moved, and the dimension maps are cloned at bucket
+// granularity. No-op patches (every upsert equal to the stored doc) keep
+// the current epoch.
+func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
+	c.patch(c.Epoch(), upserts, removes)
+}
+
+// Rebuild replaces the whole index from a doc list sorted by key — the
+// aggregator's full resync: a patch of an empty epoch, whose trees are
+// packed bottom-up from the sorted lists in O(n).
 func (c *Catalog) Rebuild(docs []Doc) {
-	packed := make([]packedDoc, len(docs))
-	for i, d := range docs {
-		packed[i] = pack(d)
-	}
-	c.rebuild(packed)
+	c.patch(c.emptyEpoch(c.Epoch().gen), docs, nil)
 }
 
-// rebuild is Rebuild over already-packed docs; the new doc tree's leaves
-// subslice docs.
-func (c *Catalog) rebuild(docs []packedDoc) {
-	prevGen := c.Epoch().gen
-	next := c.emptyEpoch()
-	next.gen = prevGen + 1
-	next.docs = stree[packedDoc]{}.patch(docs, nil)
-	perPort := map[uint16][]keyEntry{}
-	perCat := map[Category][]keyEntry{}
-	perFresh := map[int64][]keyEntry{}
-	var perProv [provClasses][]keyEntry
-	for _, d := range docs {
-		k := keyEntry(d.key)
-		perPort[d.key.Port] = append(perPort[d.key.Port], k)
-		perCat[CategoryOf(d.key)] = append(perCat[CategoryOf(d.key)], k)
-		perProv[d.prov%provClasses] = append(perProv[d.prov%provClasses], k)
-		b := next.freshBucket(d.last, d.hasLast)
-		perFresh[b] = append(perFresh[b], k)
+// patch installs prev's successor with the docs changed; it keeps the
+// current epoch only when that is prev and nothing changed.
+func (c *Catalog) patch(prev *Epoch, upserts []Doc, removes []core.ServiceKey) {
+	var ps postings
+	adds := make([]packedDoc, 0, len(upserts)) // a rebuild's leaves subslice it
+	var dels []core.ServiceKey
+	for _, d := range upserts {
+		p := pack(d)
+		old, had := prev.docs.get(d.Key)
+		if had && old == p {
+			continue
+		}
+		adds = append(adds, p)
+		ps.upsert(prev, old.doc(), had, d)
 	}
-	for p, ks := range perPort {
-		next.byPort[p] = stree[keyEntry]{}.patch(ks, nil)
+	for _, k := range removes {
+		if old, had := prev.docs.get(k); had {
+			dels = append(dels, k)
+			ps.remove(prev, old.doc())
+		}
 	}
-	for ct, ks := range perCat {
-		next.byCat[ct] = stree[keyEntry]{}.patch(ks, nil)
+	if len(adds) == 0 && len(dels) == 0 && prev == c.Epoch() {
+		return
 	}
-	for i, ks := range perProv {
-		next.byProv[i] = stree[keyEntry]{}.patch(ks, nil)
-	}
-	for b, ks := range perFresh {
-		next.byFresh[b] = stree[keyEntry]{}.patch(ks, nil)
-	}
-	next.freshBases = sortedBases(next.byFresh)
-	c.cur.Store(next)
+	c.advance(prev, &ps, nil, prev.docs.patch(adds, dels))
 }
 
-// RebuildFromInventory is Rebuild fed straight from a frozen inventory: one
-// ordered walk of its record store (Inventory.EachService), packed as it
-// goes, with no descent per key.
+// RebuildFromInventory replaces the whole index with one over a frozen
+// inventory: one ordered walk of its record store (Inventory.EachService)
+// files every key's postings, and the epoch pins inv for the docs.
 func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
-	docs := make([]packedDoc, 0, inv.Len())
+	empty := c.emptyEpoch(c.Epoch().gen)
+	var ps postings
 	inv.EachService(func(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) bool {
-		docs = append(docs, pack(docOf(k, rec, prov, first, activeAt)))
+		ps.upsert(empty, Doc{}, false, docOf(k, rec, prov, first, activeAt))
 		return true
 	})
-	c.rebuild(docs)
+	c.advance(empty, &ps, inv, stree[packedDoc]{})
 }
 
 // ApplyDelta folds one snapshot transition into the index: an O(churn)
-// patch when the engine produced a delta, a full rebuild when it could
-// not (delta.Full). This is the OnSnapshot observer body; prev/inv are
-// the transition's inventories as the engine reported them.
+// patch of the postings when the engine produced a delta against the
+// inventory the current epoch pins, a full rebuild when it could not
+// (delta.Full, or a catalog not yet fed an inventory). This is the
+// OnSnapshot observer body; inv is the transition's new inventory.
 func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) {
-	if delta.Full {
+	prev := c.Epoch()
+	if delta.Full || prev.inv == nil {
 		c.RebuildFromInventory(inv)
 		return
 	}
-	n := len(delta.Added) + len(delta.Updated)
-	if n == 0 && len(delta.Removed) == 0 {
+	if len(delta.Added)+len(delta.Updated)+len(delta.Removed) == 0 {
 		return
 	}
-	ups := make([]Doc, 0, n)
-	for _, k := range core.MergeSortedKeys(delta.Updated, delta.Added) {
-		ups = append(ups, DocFromInventory(inv, k))
+	var ps postings
+	for _, ks := range [][]core.ServiceKey{delta.Added, delta.Updated} {
+		for _, k := range ks {
+			if d, ok := DocFromInventory(inv, k); ok {
+				old, had := prev.Doc(k)
+				ps.upsert(prev, old, had, d)
+			}
+		}
 	}
-	c.Patch(ups, delta.Removed)
-}
-
-func sortEntries(es []keyEntry) []keyEntry {
-	slices.SortFunc(es, func(a, b keyEntry) int { return cmpKeys(a.skey(), b.skey()) })
-	return es
-}
-
-func sortKeys(ks []core.ServiceKey) []core.ServiceKey {
-	core.SortKeys(ks)
-	return ks
+	for _, k := range delta.Removed {
+		if old, had := prev.Doc(k); had {
+			ps.remove(prev, old)
+		}
+	}
+	c.advance(prev, &ps, inv, stree[packedDoc]{})
 }
 
 // sortedBases lists the freshness dimension's bucket ids in order.

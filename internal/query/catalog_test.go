@@ -40,7 +40,7 @@ func bruteQuery(docs map[core.ServiceKey]Doc, q Query) []Doc {
 			continue
 		}
 		d := docs[k]
-		if !q.matches(d) {
+		if !q.matchesKey(d.Key) || !q.matchesDoc(d) {
 			continue
 		}
 		out = append(out, d)
@@ -216,7 +216,7 @@ func TestCatalogEpochImmutability(t *testing.T) {
 func engineDocs(inv *core.Inventory) map[core.ServiceKey]Doc {
 	out := make(map[core.ServiceKey]Doc, inv.Len())
 	for _, k := range inv.Keys() {
-		out[k] = DocFromInventory(inv, k)
+		out[k], _ = DocFromInventory(inv, k)
 	}
 	return out
 }
@@ -253,6 +253,8 @@ func TestCatalogFollowsEngineDeltas(t *testing.T) {
 			}
 
 			now := t0
+			var kept *Epoch // the previous round's epoch, retained across a patch
+			var keptHits []Doc
 			for round := 0; round < 30; round++ {
 				var batch []packet.Packet
 				for i, n := 0, 50+rng.Intn(100); i < n; i++ {
@@ -277,6 +279,27 @@ func TestCatalogFollowsEngineDeltas(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameHits(t, res.Hits, bruteQuery(want, Query{Limit: MaxLimit}), fmt.Sprintf("round %d", round))
+				for _, q := range []Query{
+					{Port: 2001, Limit: MaxLimit},
+					{Prefix: netaddr.MustParsePrefix("10.20.0.0/26"), Limit: MaxLimit},
+					{Prefix: netaddr.MustParsePrefix("10.20.0.32/27"), Port: 2002, Limit: 5},
+					{MinFreshness: now.Add(-20 * time.Minute), Limit: MaxLimit},
+					{Provenance: core.PassiveOnly, HasProvenance: true, Limit: 9, PageToken: "10.20.0.51:2000/tcp"},
+				} {
+					got, err := ep.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameHits(t, got.Hits, bruteQuery(want, q), fmt.Sprintf("round %d %+v", round, q))
+				}
+
+				// An epoch reads the inventory it pinned, so one retained across
+				// a patch answers as it did.
+				if kept != nil {
+					again, _ := kept.Query(Query{Limit: MaxLimit})
+					sameHits(t, again.Hits, keptHits, fmt.Sprintf("round %d, retained epoch", round))
+				}
+				kept, keptHits = ep, res.Hits
 			}
 			if deltas == 0 {
 				t.Error("no delta-path snapshots observed — the O(churn) path never ran")

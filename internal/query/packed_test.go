@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"servdisc/internal/core"
+	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
 )
 
 // TestPackedDocRoundTrip: a doc survives the tree form exactly — every
@@ -27,7 +29,7 @@ func TestPackedDocRoundTrip(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		d := Doc{
 			Key:     tkey(rng.Intn(1 << 20)),
-			Prov:    core.Provenance(i % provClasses),
+			Prov:    core.Provenance(i % 4),
 			First:   stamp(),
 			Last:    stamp(),
 			Flows:   int(rng.Int63n(1<<62 + 1)),
@@ -104,32 +106,34 @@ func TestFreshBucketRange(t *testing.T) {
 	}
 }
 
-// TestResidentBytesPerDoc is the index's memory gate, beside the engine's
-// TestResidentBytesPerFlowState: live-heap growth per doc across a
-// Rebuild, measured as the repo benchmark measures heap_bytes_per_service.
-// The budget is ≈1.1× the 86 B measured with 40-byte packed docs and four
-// posting trees of 8-byte keys (plus tree spines); the fifth posting tree,
-// a /24 prefix dimension the doc tree's own order made redundant, read 97 B
-// and fails, as does the 80-byte time.Time-carrying Doc before it (137 B).
+// liveHeap reads the heap after two collections, as the repo benchmark
+// measures heap_bytes_per_service.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestResidentBytesPerDoc is the doc-fed (aggregator) index's memory gate:
+// live-heap growth per doc across a Rebuild. The budget is ≈1.1× the 80 B
+// measured with 40-byte packed docs and four posting trees of 8-byte keys
+// (plus tree spines), each bucket trimmed to its length. Untrimmed buckets
+// read 86 B and fail; so do a fifth, /24 posting tree (97 B) and the
+// 80-byte time.Time-carrying Doc (137 B).
 func TestResidentBytesPerDoc(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 95
+		budget = 88
 	)
 	base := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
-	liveHeap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	cat := NewCatalog(time.Hour)
 	before := liveHeap()
 	func() {
 		docs := make([]Doc, n)
 		for i := range docs {
-			docs[i] = qdoc(i, core.Provenance(i%provClasses), base.Add(time.Duration(i)*time.Second))
+			docs[i] = qdoc(i, core.Provenance(i%4), base.Add(time.Duration(i)*time.Second))
 		}
 		cat.Rebuild(docs)
 	}()
@@ -141,5 +145,47 @@ func TestResidentBytesPerDoc(t *testing.T) {
 	}
 	if cat.Len() != n {
 		t.Fatalf("indexed %d docs, want %d", cat.Len(), n)
+	}
+}
+
+// TestResidentBytesPerIndexedService is the engine index's memory gate,
+// measured as the repo benchmark measures heap_bytes_per_service: live-heap
+// growth per service when a catalog indexes a frozen inventory that is
+// already resident. An engine epoch resolves docs through the inventory,
+// so all it adds is four posting trees of 8-byte keys and their spines:
+// 38 B measured, budget ≈1.1× that. A packed doc tree beside the postings
+// read 84 B and fails.
+func TestResidentBytesPerIndexedService(t *testing.T) {
+	const (
+		n      = 100_000
+		budget = 42
+	)
+	pfx := netaddr.MustParsePrefix("10.16.0.0/12")
+	d := core.NewPassiveDiscoverer(pfx, nil)
+	bld := packet.NewBuilder(0)
+	client := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 33000}
+	t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		srv := packet.Endpoint{Addr: pfx.Base() + netaddr.V4(1+i/4), Port: uint16(2000 + i%4)}
+		d.HandlePacket(bld.SynAck(t0.Add(time.Duration(i)*time.Second), srv, client, 1, 1))
+	}
+	inv := core.NewInventory(d)
+	if inv.Len() != n {
+		t.Fatalf("inventory holds %d services, want %d", inv.Len(), n)
+	}
+
+	cat := NewCatalog(time.Hour)
+	before := liveHeap()
+	cat.RebuildFromInventory(inv)
+	perService := (float64(liveHeap()) - float64(before)) / n
+	runtime.KeepAlive(cat)
+	runtime.KeepAlive(inv)
+	runtime.KeepAlive(d)
+	t.Logf("indexed service: %.1f B (budget %d)", perService, budget)
+	if perService > budget {
+		t.Errorf("indexing a service holds %.1f B of live heap, budget %d", perService, budget)
+	}
+	if cat.Len() != n {
+		t.Fatalf("indexed %d services, want %d", cat.Len(), n)
 	}
 }

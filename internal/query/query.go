@@ -93,28 +93,21 @@ func ParseKey(s string) (core.ServiceKey, error) {
 	return k, nil
 }
 
-// matches applies every predicate to a doc — the residual filter applied
-// to candidates regardless of which dimension produced them.
-func (q *Query) matches(d Doc) bool {
-	if q.Port != 0 && d.Key.Port != q.Port {
-		return false
-	}
-	if q.Proto != 0 && d.Key.Proto != q.Proto {
-		return false
-	}
-	if q.Category != CatAny && CategoryOf(d.Key) != q.Category {
-		return false
-	}
-	if q.Prefix.Bits() != 0 && !q.Prefix.Contains(d.Key.Addr) {
-		return false
-	}
-	if q.HasProvenance && d.Prov != q.Provenance {
-		return false
-	}
-	if !q.MinFreshness.IsZero() && d.Last.Before(q.MinFreshness) {
-		return false
-	}
-	return true
+// matchesKey and matchesDoc are the residual filter applied to candidates
+// regardless of which dimension produced them. matchesKey applies the
+// predicates the key alone decides, so a candidate that fails them costs
+// no doc lookup.
+func (q *Query) matchesKey(k core.ServiceKey) bool {
+	return (q.Port == 0 || k.Port == q.Port) &&
+		(q.Proto == 0 || k.Proto == q.Proto) &&
+		(q.Category == CatAny || CategoryOf(k) == q.Category) &&
+		(q.Prefix.Bits() == 0 || q.Prefix.Contains(k.Addr))
+}
+
+// matchesDoc applies the predicates that need the doc.
+func (q *Query) matchesDoc(d Doc) bool {
+	return (!q.HasProvenance || d.Prov == q.Provenance) &&
+		(q.MinFreshness.IsZero() || !d.Last.Before(q.MinFreshness))
 }
 
 // Dimension names the index dimension that would drive this query's
@@ -166,13 +159,16 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		}
 		after = &k
 	}
-	res := Result{Epoch: e.gen, Total: e.docs.len()}
+	res := Result{Epoch: e.gen, Total: e.Len()}
 	limit := q.limit()
 	res.Hits = make([]Doc, 0, min(limit, 64))
 
-	emit := func(p packedDoc) bool {
-		d := p.doc()
-		if !q.matches(d) {
+	emit := func(k core.ServiceKey) bool {
+		if !q.matchesKey(k) {
+			return true
+		}
+		d, ok := e.Doc(k)
+		if !ok || !q.matchesDoc(d) {
 			return true
 		}
 		if len(res.Hits) == limit {
@@ -182,16 +178,9 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		res.Hits = append(res.Hits, d)
 		return true
 	}
-	emitKey := func(ke keyEntry) bool {
-		d, ok := e.docs.get(ke.skey())
-		if !ok {
-			return true
-		}
-		return emit(d)
-	}
 
-	// prefixRun walks the query prefix's docs. Keys sort address-major, so a
-	// prefix of any length is one contiguous run of the doc tree: seek past
+	// prefixRun walks the query prefix's keys. Keys sort address-major, so a
+	// prefix of any length is one contiguous run of the key order: seek past
 	// the largest key an address below the prefix could have (or to the page
 	// cursor, if that is further), walk until the address leaves the prefix.
 	prefixRun := func() {
@@ -200,12 +189,7 @@ func (e *Epoch) Query(q Query) (Result, error) {
 			start = &core.ServiceKey{Addr: base - 1, Proto: ^packet.IPProtocol(0), Port: ^uint16(0)}
 		}
 		last := q.Prefix.Last()
-		for c := e.docs.seek(start); ; {
-			d, ok := c.next()
-			if !ok || d.key.Addr > last || !emit(d) {
-				return
-			}
-		}
+		e.keysAfter(start, func(k core.ServiceKey) bool { return k.Addr <= last && emit(k) })
 	}
 
 	// Pick the candidate source: the most selective dimension the query
@@ -214,30 +198,24 @@ func (e *Epoch) Query(q Query) (Result, error) {
 	switch {
 	case q.Prefix.Bits() == 32 && q.Port != 0 && q.Proto != 0:
 		// Point lookup: the predicates pin one exact key (the key= form),
-		// so probe the doc tree directly — O(log n), no posting-bucket
-		// scan. emit still applies the full predicate set, so freshness
-		// and provenance filters compose with the probe.
+		// so resolve it directly — O(log n), no posting-bucket scan. emit
+		// still applies the full predicate set, so freshness and provenance
+		// filters compose with the probe.
 		k := core.ServiceKey{Addr: q.Prefix.Base(), Proto: q.Proto, Port: q.Port}
 		if after == nil || after.Before(k) {
-			if d, ok := e.docs.get(k); ok {
-				emit(d)
-			}
+			emit(k)
 		}
 	case q.Prefix.Bits() >= 24:
 		// At most 256 addresses: narrower than any posting list worth having.
 		prefixRun()
 	case q.Port != 0:
-		if t, ok := e.byPort[q.Port]; ok {
-			iterate(t, after, emitKey)
-		}
+		iterate(e.byPort[q.Port], after, emit)
 	case q.Category != CatAny:
-		if t, ok := e.byCat[q.Category]; ok {
-			iterate(t, after, emitKey)
-		}
+		iterate(e.byCat[q.Category], after, emit)
 	case q.Prefix.Bits() != 0:
 		prefixRun()
 	case q.HasProvenance:
-		iterate(e.byProv[q.Provenance%provClasses], after, emitKey)
+		iterate(e.byProv[q.Provenance], after, emit)
 	case !q.MinFreshness.IsZero():
 		// Qualifying freshness buckets, k-way merged back into key order.
 		// The bucket at the boundary may contain too-old entries; emit's
@@ -248,30 +226,20 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		for _, b := range e.freshBases[lo:] {
 			cursors = append(cursors, e.byFresh[b].seek(after))
 		}
-		mergeIterate(cursors, emitKey)
+		mergeIterate(cursors, emit)
 	default:
-		c := e.docs.seek(after)
-		for {
-			d, ok := c.next()
-			if !ok || !emit(d) {
-				break
-			}
-		}
+		e.keysAfter(after, emit)
 	}
 	return res, nil
 }
 
-// iterate walks one posting tree from the cursor position, returning
-// false when the consumer stopped.
-func iterate(t stree[keyEntry], after *core.ServiceKey, f func(keyEntry) bool) bool {
-	c := t.seek(after)
-	for {
+// iterate walks one posting tree from the cursor position until f returns
+// false.
+func iterate(t stree[keyEntry], after *core.ServiceKey, f func(core.ServiceKey) bool) {
+	for c := t.seek(after); ; {
 		e, ok := c.next()
-		if !ok {
-			return true
-		}
-		if !f(e) {
-			return false
+		if !ok || !f(e.skey()) {
+			return
 		}
 	}
 }
@@ -279,7 +247,7 @@ func iterate(t stree[keyEntry], after *core.ServiceKey, f func(keyEntry) bool) b
 // mergeIterate merges already-positioned cursors into one key-ordered
 // stream. Posting lists are disjoint (a key lives in exactly one bucket
 // per dimension), so no dedup is needed.
-func mergeIterate(cs []cursor[keyEntry], f func(keyEntry) bool) {
+func mergeIterate(cs []cursor[keyEntry], f func(core.ServiceKey) bool) {
 	// Small-k loser-free heap: linear scan for the minimum head. The
 	// freshness dimension yields one cursor per bucket in the window —
 	// typically a handful.
@@ -298,8 +266,8 @@ func mergeIterate(cs []cursor[keyEntry], f func(keyEntry) bool) {
 		if best < 0 {
 			return
 		}
-		e, _ := cs[best].next()
-		if !f(e) {
+		cs[best].next()
+		if !f(bestKey) {
 			return
 		}
 	}

@@ -372,14 +372,3 @@ func (c *cursor[E]) advance() {
 		}
 	}
 }
-
-// each visits every element in key order until f returns false.
-func (t stree[E]) each(f func(E) bool) {
-	c := t.seek(nil)
-	for {
-		e, ok := c.next()
-		if !ok || !f(e) {
-			return
-		}
-	}
-}

@@ -233,3 +233,14 @@ func TestStreeDrainAndRefill(t *testing.T) {
 		t.Fatalf("refill len = %d", tr3.len())
 	}
 }
+
+// each visits every element in key order until f returns false.
+func (t stree[E]) each(f func(E) bool) {
+	c := t.seek(nil)
+	for {
+		e, ok := c.next()
+		if !ok || !f(e) {
+			return
+		}
+	}
+}

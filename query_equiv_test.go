@@ -50,7 +50,7 @@ func bruteMatch(q query.Query, d query.Doc) bool {
 func bruteDocs(inv *Inventory, q query.Query) []query.Doc {
 	var out []query.Doc
 	for _, k := range inv.Keys() {
-		d := query.DocFromInventory(inv, k)
+		d, _ := query.DocFromInventory(inv, k)
 		if bruteMatch(q, d) {
 			out = append(out, d)
 		}
@@ -123,7 +123,7 @@ func equivShapes(t *testing.T, inv *Inventory) []query.Query {
 			query.Query{Prefix: narrow(32), Port: mid.Port, Proto: mid.Proto},
 			query.Query{Port: mid.Port, Prefix: narrow(20), Provenance: core.PassiveOnly, HasProvenance: true},
 		)
-		if d := query.DocFromInventory(inv, mid); !d.Last.IsZero() {
+		if d, _ := query.DocFromInventory(inv, mid); !d.Last.IsZero() {
 			shapes = append(shapes, query.Query{MinFreshness: d.Last}) // freshness dimension
 		}
 	}
