@@ -475,7 +475,7 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 	}
 
 	// entries=2M is the inventory-scale rung: two million resident
-	// services, ten thousand re-observed per op. With the persistent-map
+	// services, ten thousand re-observed per op. With the persistent-tree
 	// merge, ms/snap and allocs/op here should sit in the same band as
 	// the two-day-corpus rungs — the snapshot pays for the 10k records
 	// that moved, not the 2M it holds. Any O(inventory) step (a map clone,
@@ -533,7 +533,7 @@ func BenchmarkSnapshotZeroChurn(b *testing.B) {
 
 // BenchmarkColdStart measures what a restart pays before anything is
 // queryable or publishable: the first Snapshot of a populated engine — the
-// whole-shard merge, the key listing and, through the observer, the query
+// whole-shard merge into bulk-built trees and, through the observer, the query
 // index rebuild (attachCatalog) — and then the bootstrap frame's flattening. Feeding the
 // engine is set-up, outside the timer. O(inventory) by nature; the number
 // to watch is ns/op per resident service.

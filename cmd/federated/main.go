@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -297,11 +298,21 @@ func (v *globalView) services() []federate.GlobalService {
 	return v.svcs
 }
 
-func (v *globalView) ETag() string              { return fmt.Sprintf("\"agg-%d\"", v.gen) }
-func (v *globalView) Dump() any                 { return v.services() }
-func (v *globalView) Len() int                  { return len(v.services()) }
-func (v *globalView) Key(i int) core.ServiceKey { return v.services()[i].Key }
-func (v *globalView) Row(i int) any             { return v.services()[i] }
+func (v *globalView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.gen) }
+func (v *globalView) Dump() any    { return v.services() }
+
+func (v *globalView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
+	svcs := v.services()
+	i := 0
+	if after != nil {
+		i = sort.Search(len(svcs), func(i int) bool { return after.Before(svcs[i].Key) })
+	}
+	for _, s := range svcs[i:] {
+		if !f(s.Key, s) {
+			return
+		}
+	}
+}
 
 // registerDaemonSeries adds the aggregator-global series: everything here
 // is a scrape-time callback over state the daemon maintains anyway, and

@@ -449,11 +449,6 @@ type row struct {
 	Clients int       `json:"clients"`
 }
 
-func rowOf(inv *servdisc.Inventory, key servdisc.ServiceKey) row {
-	rec, _ := inv.Record(key)
-	return newRow(key, rec)
-}
-
 func newRow(key servdisc.ServiceKey, rec *servdisc.PassiveRecord) row {
 	return row{Key: key.String(), First: rec.FirstSeen(), Flows: rec.Flows, Clients: rec.Clients()}
 }
@@ -508,10 +503,13 @@ func (v inventoryView) ETag() string {
 	return fmt.Sprintf("\"inv-%d\"", s.gen)
 }
 
-func (v inventoryView) Dump() any                     { return serviceRows(v.inv) }
-func (v inventoryView) Len() int                      { return v.inv.Len() }
-func (v inventoryView) Key(i int) servdisc.ServiceKey { return v.inv.Keys()[i] }
-func (v inventoryView) Row(i int) any                 { return rowOf(v.inv, v.inv.Keys()[i]) }
+func (v inventoryView) Dump() any { return serviceRows(v.inv) }
+
+func (v inventoryView) Walk(after *servdisc.ServiceKey, f func(servdisc.ServiceKey, any) bool) {
+	v.inv.EachServiceAfter(after, func(key servdisc.ServiceKey, rec *servdisc.PassiveRecord, _ servdisc.Provenance, _, _ time.Time) bool {
+		return f(key, newRow(key, rec))
+	})
+}
 
 // subRegistry tracks the event-hub subscribers so /metrics can report
 // drop counts — the signal that a consumer's buffer is undersized — as

@@ -308,7 +308,11 @@ func TestServicesAndQueryThroughMux(t *testing.T) {
 	}
 
 	keys := inv.Keys()
-	row := func(i int) string { b, _ := json.Marshal(rowOf(inv, keys[i])); return string(b) }
+	row := func(i int) string {
+		rec, _ := inv.Record(keys[i])
+		b, _ := json.Marshal(newRow(keys[i], rec))
+		return string(b)
+	}
 	if _, got := get(t, srv.URL+"/services?limit=2"); got != fmt.Sprintf(`{"next_page_token":%q,"services":[%s,%s]}`+"\n", keys[1], row(0), row(1)) {
 		t.Errorf("first page = %s", got)
 	}

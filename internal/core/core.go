@@ -46,20 +46,20 @@ func (k ServiceKey) String() string {
 	return fmt.Sprintf("%s:%d/%s", k.Addr, k.Port, k.Proto)
 }
 
-// packed is the key as one integer, addr<<24|proto<<16|port: injective, and
-// ordered exactly as the canonical (addr, proto, port) ordering — what the
-// store hashes (hashServiceKey) and every key sort compares.
-func (k ServiceKey) packed() uint64 {
+// Ord is the key as one integer, addr<<24|proto<<16|port: injective, and
+// ordered exactly as the canonical (addr, proto, port) ordering — what every
+// key sort and tree search compares.
+func (k ServiceKey) Ord() uint64 {
 	return uint64(k.Addr)<<24 | uint64(k.Proto)<<16 | uint64(k.Port)
 }
 
 // Compare orders k against other in the canonical (addr, proto, port)
 // ordering — the one ordering behind every deterministic key listing and
 // dump, from Inventory.Keys to the federation aggregator: -1, 0 or +1.
-func (k ServiceKey) Compare(other ServiceKey) int { return cmp.Compare(k.packed(), other.packed()) }
+func (k ServiceKey) Compare(other ServiceKey) int { return cmp.Compare(k.Ord(), other.Ord()) }
 
 // Before reports whether k orders before other (Compare < 0).
-func (k ServiceKey) Before(other ServiceKey) bool { return k.packed() < other.packed() }
+func (k ServiceKey) Before(other ServiceKey) bool { return k.Ord() < other.Ord() }
 
 // SortKeys sorts keys into the canonical ordering.
 func SortKeys(keys []ServiceKey) { slices.SortFunc(keys, ServiceKey.Compare) }

@@ -153,7 +153,7 @@ func TestEachServiceMatchesService(t *testing.T) {
 // TestKeyOrderIsFieldOrder pins the packed form every key sort compares to
 // the (addr, proto, port) field order it stands for, over keys that differ in
 // every byte — a campus trace only ever varies the low ones — for Compare,
-// SortKeys and the radix sort behind Keys.
+// SortKeys and the radix sort behind a tree's bulk build.
 func TestKeyOrderIsFieldOrder(t *testing.T) {
 	rng := stats.NewRNG(5).Derive("key-order")
 	fieldLess := func(a, b ServiceKey) bool {
@@ -167,21 +167,21 @@ func TestKeyOrderIsFieldOrder(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 2, 300, 5000} {
 		keys := make([]ServiceKey, n)
-		pairs := make([]svcPair, n)
+		ents := make([]svcEntry, n)
 		for i := range keys {
 			keys[i] = ServiceKey{Addr: netaddr.V4(rng.Intn(1 << 32)), Proto: packet.IPProtocol(rng.Intn(256)), Port: uint16(rng.Intn(1 << 16))}
 			if i%3 == 0 && i > 0 { // near-duplicates: same address, often same protocol
 				keys[i].Addr, keys[i].Proto = keys[i-1].Addr, keys[i-1].Proto+packet.IPProtocol(i%2)
 			}
-			pairs[i].key = keys[i]
+			ents[i].Key = keys[i]
 		}
 		want := slices.Clone(keys)
 		sort.SliceStable(want, func(i, j int) bool { return fieldLess(want[i], want[j]) })
 		SortKeys(keys)
-		pairs = sortPairs(pairs)
+		ents = sortEntries(ents)
 		for i := range want {
-			if keys[i] != want[i] || pairs[i].key != want[i] {
-				t.Fatalf("n=%d: position %d: SortKeys %s, sortPairs %s, field order %s", n, i, keys[i], pairs[i].key, want[i])
+			if keys[i] != want[i] || ents[i].Key != want[i] {
+				t.Fatalf("n=%d: position %d: SortKeys %s, sortEntries %s, field order %s", n, i, keys[i], ents[i].Key, want[i])
 			}
 			if i > 0 && want[i-1].Compare(want[i]) > 0 || want[i].Compare(want[i]) != 0 {
 				t.Fatalf("n=%d: Compare disagrees with field order at %d", n, i)

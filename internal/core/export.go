@@ -6,7 +6,7 @@ package core
 // live-only state frozen inventories do not carry (the peer sets behind
 // client counts, the scan tracker's windows). The cut is a snapshot point,
 // and what changed is the structural diff of the cursor's inventory and the
-// new one, O(churn) because the two share every untouched trie node. The
+// new one, O(churn) because the two share every untouched tree node. The
 // scan tracker is the exception: its sources are not in the store, so it
 // keeps a dirty set of its own (scanTracker.ckDirty).
 //
@@ -409,7 +409,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		// Services moved up to the chain's newest inventory (a write after a
 		// seal clones the record); each shard's seal names the rest.
 		if prev, _, _ := s.snap.peek(); prev != nil {
-			prev.d.services.diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
+			prev.d.services.Diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
 				func(k ServiceKey) { moved = append(moved, k) })
 		}
 	}
@@ -422,13 +422,14 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		shard: func(i int, sh *passiveShard, sd shardDelta) { svcs[i], srcs[i] = sh.exportState(full, moved, sd) },
 	})
 	// Trails and tombstones are frozen whole in inv, so they come off the
-	// diff directly. Trails only append: a moved one is a longer one.
+	// diff directly, in key order. Trails only append: a moved one is a
+	// longer one.
 	touched := make([]bool, len(s.shards))
-	inv.d.trails.diff(old.trails, func(a, b []instant) bool { return len(a) == len(b) }, func(a netaddr.V4) {
+	inv.d.trails.Diff(old.trails, func(a, b []instant) bool { return len(a) == len(b) }, func(a netaddr.V4) {
 		ed.Trails = append(ed.Trails, AddrTrail{Addr: a, Times: toTimes(inv.d.trail(a))})
 		touched[s.shardOf(a)] = true
 	})
-	inv.d.tombs.diff(old.tombs, time.Time.Equal, func(k ServiceKey) {
+	inv.d.tombs.Diff(old.tombs, time.Time.Equal, func(k ServiceKey) {
 		at, _ := inv.d.tombs.Get(k)
 		ed.Tombs = append(ed.Tombs, TombState{Key: k, At: at})
 		touched[s.shardOf(k.Addr)] = true
@@ -446,8 +447,6 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 	// A service moved on both sides of the chain's newest inventory is named twice.
 	slices.SortFunc(ed.Services, func(a, b ServiceState) int { return a.Key.Compare(b.Key) })
 	ed.Services = slices.CompactFunc(ed.Services, func(a, b ServiceState) bool { return a.Key == b.Key })
-	sort.Slice(ed.Trails, func(i, j int) bool { return ed.Trails[i].Addr < ed.Trails[j].Addr })
-	sort.Slice(ed.Tombs, func(i, j int) bool { return ed.Tombs[i].Key.Before(ed.Tombs[j].Key) })
 	sort.Slice(ed.ScanSources, func(i, j int) bool { return ed.ScanSources[i].Source < ed.ScanSources[j].Source })
 	// A Hybrid that never took a report (active generation 0) has none to export.
 	if _, _, agen := s.snap.peek(); (full || inv.active != cur.inv.active) && agen != 0 {

@@ -262,9 +262,9 @@ func (h *Hybrid) activeSnapshot() *activeView {
 // the engine has one snapshot chain, and under a Hybrid every link of it is
 // a hybrid inventory (see ShardedPassive.advance). An entirely unchanged
 // engine returns the previous Inventory without touching the shards; when
-// only the passive side moved the key list is patched by the services that
-// appeared or left since; a new report, an active expiry or a restore lists
-// the merged store again. On a running engine the result is byte-identical
+// only the passive side moved the services tree is patched by the services
+// that appeared, changed or left since; a new report, an active expiry or a
+// restore redraws its probe-only entries over the whole store. On a running engine the result is byte-identical
 // to pausing producers, flushing, and snapshotting at the same ingest point.
 func (h *Hybrid) Snapshot() *Inventory { return h.passive.Snapshot() }
 

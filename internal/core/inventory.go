@@ -73,20 +73,19 @@ func (p *Provenance) UnmarshalText(text []byte) error {
 }
 
 // Inventory is a frozen, read-only view of a discovery run: the service
-// records, detected scanners, and roll-up queries, with keys and scanner
-// lists precomputed in deterministic order. An Inventory never mutates
-// after construction, so it is safe to share across goroutines — the form
-// live-query endpoints and the servdisc facade hand out.
+// records, detected scanners, and roll-up queries, with services in
+// deterministic key order and scanner lists precomputed. An Inventory never
+// mutates after construction, so it is safe to share across goroutines — the
+// form live-query endpoints and the servdisc facade hand out.
 //
 // A passive-only inventory (NewInventory, or a snapshot of a plain
 // ShardedPassive) covers what monitoring saw. A hybrid inventory
 // (NewHybridInventory, or any snapshot of a Hybrid) additionally folds in
-// active sweep results: Keys becomes the union of both sides and each key
+// active sweep results: its services are the union of both sides and each
 // carries a Provenance.
 type Inventory struct {
 	d        *mergedStore
 	active   *ActiveDiscoverer // nil for passive-only inventories
-	keys     []ServiceKey
 	scanners []ScannerInfo
 }
 
@@ -100,92 +99,19 @@ func NewInventory(d *PassiveDiscoverer) *Inventory { return NewHybridInventory(d
 // one). It takes the bulk path of a live engine's first snapshot: the
 // discoverer is sealed whole — its records go copy-on-write — and merged into
 // a fresh store, and the active side is cloned, so both may keep ingesting
-// without disturbing the result.
+// without disturbing the result. Provenance is not stored: it is a function
+// of the two first-observation times, which Service reads.
 func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
-	m, _, _ := mergeViews(nil, []shardDelta{d.seal(true)})
 	if a != nil {
 		a = a.clone()
 	}
-	return newFrozenInventory(m, a, d.track.detect())
-}
-
-// newFrozenInventory lists a merged store whole, in canonical order,
-// together with the services only the frozen active view a found (a is nil
-// for a passive-only inventory), under a precomputed scanner list: detection
-// ran per shard at freeze time and the store carries no tracker state.
-// Provenance is not stored: it is a function of the two first-observation
-// times, which Service reads.
-func newFrozenInventory(m *mergedStore, a *ActiveDiscoverer, scanners []ScannerInfo) *Inventory {
-	v := &Inventory{d: m, active: a, scanners: scanners}
-	pairs := v.gather()
-	v.keys = make([]ServiceKey, len(pairs))
-	for i := range pairs {
-		v.keys[i] = pairs[i].key
-	}
-	return v
-}
-
-// svcPair is one service as gather lists it; rec is nil for a service only a
-// probe found.
-type svcPair struct {
-	key ServiceKey
-	rec *PassiveRecord
-}
-
-// gather is the one O(inventory) read of the record store: a single walk of
-// it, plus the keys only the active view holds, in Keys order. The list is
-// scratch: the caller drops it when done.
-func (v *Inventory) gather() []svcPair {
-	var probed map[ServiceKey]time.Time
-	if v.active != nil {
-		probed = v.active.firstOpen
-	}
-	pairs := make([]svcPair, 0, v.d.services.Len()+len(probed))
-	v.d.services.each(func(key ServiceKey, rec *PassiveRecord) bool {
-		pairs = append(pairs, svcPair{key, rec})
-		return true
-	})
-	for key := range probed {
-		if _, passive := v.d.services.Get(key); !passive {
-			pairs = append(pairs, svcPair{key, nil})
-		}
-	}
-	return sortPairs(pairs)
-}
-
-// sortPairs orders pairs by packed key with an LSD byte radix over its 56
-// bits that skips every byte all keys share (on one campus, most of the
-// address and the protocol), and returns whichever buffer holds the result.
-func sortPairs(a []svcPair) []svcPair {
-	and, or := ^uint64(0), uint64(0)
-	for i := range a {
-		and, or = and&a[i].key.packed(), or|a[i].key.packed()
-	}
-	b := make([]svcPair, len(a))
-	for shift := uint(0); shift < 56; shift += 8 {
-		if (and^or)>>shift&0xff == 0 {
-			continue
-		}
-		var pos [257]int // pos[d+1] counts digit d, then pos[d] is where its run starts
-		for i := range a {
-			pos[a[i].key.packed()>>shift&0xff+1]++
-		}
-		for d := 1; d < 256; d++ {
-			pos[d] += pos[d-1]
-		}
-		for i := range a {
-			d := a[i].key.packed() >> shift & 0xff
-			b[pos[d]] = a[i]
-			pos[d]++
-		}
-		a, b = b, a
-	}
-	return a
+	m, _, _ := mergeViews(nil, []shardDelta{d.seal(true)}, a)
+	return &Inventory{d: m, active: a, scanners: d.track.detect()}
 }
 
 // Len returns the number of discovered services (both sides in a hybrid
 // inventory).
-func (v *Inventory) Len() int { return len(v.keys) }
+func (v *Inventory) Len() int { return v.d.services.Len() }
 
 // Packets returns how many packets the underlying passive run consumed.
 func (v *Inventory) Packets() int { return v.d.packets }
@@ -194,8 +120,16 @@ func (v *Inventory) Packets() int { return v.d.packets }
 func (v *Inventory) Hybrid() bool { return v.active != nil }
 
 // Keys returns all discovered services in deterministic (addr, proto,
-// port) order. The slice is owned by the inventory: do not modify.
-func (v *Inventory) Keys() []ServiceKey { return v.keys }
+// port) order, in a fresh slice: an O(inventory) copy. Walk the services
+// with EachServiceAfter instead where a walk will do.
+func (v *Inventory) Keys() []ServiceKey {
+	keys := make([]ServiceKey, 0, v.Len())
+	v.d.services.Walk(nil, func(k ServiceKey, _ *PassiveRecord) bool {
+		keys = append(keys, k)
+		return true
+	})
+	return keys
+}
 
 // provenanceOf classifies a service one technique or both found. It
 // reads the record only when both techniques saw the service: ties go
@@ -232,33 +166,41 @@ func describe(rec *PassiveRecord, activeAt time.Time, passive, probed bool) (pro
 // a caller that wants several should call Service once, and one that wants
 // them for every key should call EachService, which descends for none.
 func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance, first, activeAt time.Time, ok bool) {
-	rec, passive := v.d.services.Get(key)
-	activeAt, probed := v.ActiveFirstOpen(key)
-	if !passive && !probed {
+	rec, listed := v.d.services.Get(key)
+	if !listed {
 		return nil, 0, time.Time{}, time.Time{}, false
 	}
-	prov, first = describe(rec, activeAt, passive, probed)
+	activeAt, probed := v.ActiveFirstOpen(key)
+	prov, first = describe(rec, activeAt, rec != nil, probed)
 	return rec, prov, first, activeAt, true
 }
 
-// EachService visits every service in Keys order with exactly what
+// EachService visits every service in key order with exactly what
 // Service(key) returns for it, until f returns false. It is the primitive
 // for whole-inventory readers — an index rebuild, a bootstrap frame, a dump:
 // one ordered walk of the record store in place of a descent per key.
 func (v *Inventory) EachService(f func(key ServiceKey, rec *PassiveRecord, prov Provenance, first, activeAt time.Time) bool) {
-	for _, p := range v.gather() {
-		activeAt, probed := v.ActiveFirstOpen(p.key)
-		prov, first := describe(p.rec, activeAt, p.rec != nil, probed)
-		if !f(p.key, p.rec, prov, first, activeAt) {
-			return
-		}
-	}
+	v.EachServiceAfter(nil, f)
+}
+
+// EachServiceAfter is EachService resumed after a key: it visits the
+// services ordered after *after (every service when after is nil), whether
+// or not after itself is in the inventory — a page cursor's walk.
+func (v *Inventory) EachServiceAfter(after *ServiceKey, f func(key ServiceKey, rec *PassiveRecord, prov Provenance, first, activeAt time.Time) bool) {
+	v.d.services.Walk(after, func(key ServiceKey, rec *PassiveRecord) bool {
+		activeAt, probed := v.ActiveFirstOpen(key)
+		prov, first := describe(rec, activeAt, rec != nil, probed)
+		return f(key, rec, prov, first, activeAt)
+	})
 }
 
 // Record returns the passive record for one service, if passive monitoring
 // saw it (ok is false for active-only services). Treat the record as
 // read-only.
-func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) { return v.d.services.Get(key) }
+func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) {
+	rec, _ := v.d.services.Get(key)
+	return rec, rec != nil
+}
 
 // Provenance classifies one service. ok is false if the key is not in the
 // inventory. On a passive-only inventory every present key is PassiveOnly.
@@ -274,10 +216,8 @@ func (v *Inventory) Provenance(key ServiceKey) (Provenance, bool) {
 // too.
 func (v *Inventory) EachTombstone(f func(key ServiceKey, at time.Time, prov Provenance) bool) {
 	stopped := false
-	v.d.tombs.each(func(k ServiceKey, at time.Time) bool {
-		if !f(k, at, PassiveOnly) {
-			stopped = true
-		}
+	v.d.tombs.Walk(nil, func(k ServiceKey, at time.Time) bool {
+		stopped = !f(k, at, PassiveOnly)
 		return !stopped
 	})
 	if stopped || v.active == nil {
@@ -293,18 +233,16 @@ func (v *Inventory) EachTombstone(f func(key ServiceKey, at time.Time, prov Prov
 // ProvenanceCounts tallies services per provenance class, indexed by the
 // Provenance constants. It descends the record store for no key: a
 // passive-only inventory has one class, and a hybrid one classifies the
-// store in one walk — what the walk did not visit is ActiveOnly.
+// store in one walk.
 func (v *Inventory) ProvenanceCounts() [4]int {
 	var out [4]int
 	if v.active == nil {
-		out[PassiveOnly] = len(v.keys)
+		out[PassiveOnly] = v.Len()
 		return out
 	}
-	out[ActiveOnly] = len(v.keys)
-	v.d.services.each(func(key ServiceKey, rec *PassiveRecord) bool {
+	v.d.services.Walk(nil, func(key ServiceKey, rec *PassiveRecord) bool {
 		activeAt, probed := v.active.firstOpen[key]
-		out[provenanceOf(rec, activeAt, true, probed)]++
-		out[ActiveOnly]--
+		out[provenanceOf(rec, activeAt, rec != nil, probed)]++
 		return true
 	})
 	return out
@@ -393,7 +331,7 @@ func (v *Inventory) LastActivity(addr netaddr.V4) (time.Time, bool) {
 // command-line tools.
 func (v *Inventory) Dump() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "services=%d packets=%d\n", len(v.keys), v.d.packets)
+	fmt.Fprintf(&b, "services=%d packets=%d\n", v.Len(), v.d.packets)
 	v.EachService(func(key ServiceKey, rec *PassiveRecord, p Provenance, _, activeAt time.Time) bool {
 		fmt.Fprintf(&b, "%s %s", key, p)
 		if rec != nil {

@@ -158,16 +158,17 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 // take (it measures before any snapshot): what making the inventory
 // queryable costs on top of holding it. Live-heap growth across the first
 // Snapshot of 100 k single-client services, one per address, with the
-// inventory kept alive: the merged store's two tries, the sorted key list,
-// and nothing else — a shard keeps no sealed copy of its maps (DESIGN.md
-// §5). Budget ≈1.15× the measured 73 B, on 32-byte trie nodes whose entry
-// arrays hold key and value side by side; the 96-byte nodes with separate
-// key, value and child slices before them read 94 B, and the per-shard
-// sealed twins of the services and trail maps 189 B.
+// inventory kept alive: the merged store's two B+-trees, bulk-built with
+// their leaves holding (record, key) and (trail, address) side by side, and
+// nothing else — a shard keeps no sealed copy of its maps (DESIGN.md §5).
+// Budget ≈1.15× the measured 50 B; the hash tries with a flat sorted key
+// list beside them read 73 B, the 96-byte trie nodes with separate key,
+// value and child slices 94 B, and the per-shard sealed twins of the
+// services and trail maps 189 B.
 func TestResidentBytesFirstSnapshot(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 85 // bytes per service the first snapshot adds
+		budget = 58 // bytes per service the first snapshot adds
 	)
 	accept := synAck(t0, residentCampus.Base(), 80, netaddr.MustParseV4("64.0.0.0"))
 	for _, shards := range []int{1, 2} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -608,19 +609,21 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 
 // mergeViews builds the merged store for one snapshot point from the shard
 // deltas alone: it patches base — the store the previous merge built — with
-// exactly the records, trails and tombstones the deltas carry, as
-// persistent-map path copies through transient builders, and combines the
-// scanner lists (shard detections are disjoint by source, so concatenation
-// + sort reproduces the merged tracker's output). With no base the deltas
-// are whole shards — disjoint by owner address, nothing dead — and the three
-// maps are built bottom-up from them (pmapBulk) instead; the returned delta
-// is then Full and lists nothing, because the inventory constructor lists
-// the new store whole. Otherwise Added names the services that
-// appeared or were reborn since base, Updated those whose record was
-// touched but persisted (re-observations — LastSeen, flows or client counts
-// moved) and Removed those that left, all three sorted and mutually
-// disjoint: a shard never lists one key both dirty and dead.
-func mergeViews(base *mergedStore, deltas []shardDelta) (*mergedStore, []ScannerInfo, SnapshotDelta) {
+// exactly the records, trails and tombstones the deltas carry, as one
+// path-copying Patch per tree, and combines the scanner lists (shard
+// detections are disjoint by source, so concatenation + sort reproduces the
+// merged tracker's output). A dead record whose key a probe of active (nil
+// for a passive-only engine) still answers for stays, as a probe-only entry.
+// With no base the deltas are whole shards — disjoint by owner address,
+// nothing dead — and the trees are built bottom-up from them, with active's
+// probe-only entries; the returned delta is then Full and lists nothing.
+// Otherwise Added names the services that appeared or were reborn since base
+// (a probe-only one passive monitoring now sees included), Updated those
+// whose record was touched but persisted (re-observations — LastSeen, flows
+// or client counts moved — and records expired under a probe answer) and
+// Removed those that left, all three in key order and mutually disjoint: a
+// shard never lists one key both dirty and dead.
+func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer) (*mergedStore, []ScannerInfo, SnapshotDelta) {
 	d := SnapshotDelta{Full: base == nil}
 	m := &mergedStore{}
 	var scanners []ScannerInfo
@@ -629,113 +632,75 @@ func mergeViews(base *mergedStore, deltas []shardDelta) (*mergedStore, []Scanner
 		sd := &deltas[i]
 		m.packets += sd.packets
 		scanners = append(scanners, sd.scanners...)
-		nrecs, ntrails, ntombs = nrecs+len(sd.recs), ntrails+len(sd.trails), ntombs+len(sd.tombs)
+		nrecs, ntrails, ntombs = nrecs+len(sd.recs)+len(sd.dead), ntrails+len(sd.trails), ntombs+len(sd.tombs)
 	}
 	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
-	if d.Full {
-		m.services = pmapBulk(hashServiceKey, nrecs, func(add func(ServiceKey, *PassiveRecord)) {
-			for i := range deltas {
-				for _, r := range deltas[i].recs {
-					add(r.key, r.rec)
-				}
-			}
-		})
-		m.trails = pmapBulk(hashV4, ntrails, func(add func(netaddr.V4, []instant)) {
-			for i := range deltas {
-				for _, t := range deltas[i].trails {
-					add(t.addr, t.trail)
-				}
-			}
-		})
-		m.tombs = pmapBulk(hashServiceKey, ntombs, func(add func(ServiceKey, time.Time)) {
-			for i := range deltas {
-				for _, t := range deltas[i].tombs {
-					add(t.Key, t.At)
-				}
-			}
-		})
-		return m, scanners, d
-	}
-	sb := base.services.builder()
-	tb := base.trails.builder()
-	ob := base.tombs.builder()
+	recs := make([]sealedRec, 0, nrecs)
+	trails := make([]TreeEntry[netaddr.V4, []instant], 0, ntrails)
+	tombs := make([]TreeEntry[ServiceKey, time.Time], 0, ntombs)
 	for i := range deltas {
 		sd := &deltas[i]
-		for _, r := range sd.recs {
-			if _, was := base.services.Get(r.key); !was || r.born {
-				d.Added = append(d.Added, r.key)
-			} else {
-				d.Updated = append(d.Updated, r.key)
-			}
-			sb.Set(r.key, r.rec)
-		}
+		recs = append(recs, sd.recs...)
 		for _, k := range sd.dead {
-			if _, was := base.services.Get(k); was {
-				d.Removed = append(d.Removed, k)
-			}
-			sb.Delete(k)
+			recs = append(recs, sealedRec{key: k})
 		}
 		for _, t := range sd.trails {
-			tb.Set(t.addr, t.trail)
+			trails = append(trails, TreeEntry[netaddr.V4, []instant]{Val: t.trail, Key: t.addr})
 		}
 		for _, t := range sd.tombs {
-			ob.Set(t.Key, t.At)
+			tombs = append(tombs, TreeEntry[ServiceKey, time.Time]{Val: t.At, Key: t.Key})
 		}
 	}
-	m.services, m.trails, m.tombs = sb.freeze(), tb.freeze(), ob.freeze()
-	SortKeys(d.Added)
-	SortKeys(d.Updated)
-	SortKeys(d.Removed)
+	trails = sortEntries(trails)
+	// A key retired twice since the last seal is listed twice, at its one
+	// current deadline.
+	tombs = slices.CompactFunc(sortEntries(tombs), func(a, b TreeEntry[ServiceKey, time.Time]) bool { return a.Key == b.Key })
+	if d.Full {
+		ents := make([]svcEntry, len(recs))
+		for i, r := range recs {
+			ents[i] = svcEntry{Val: r.rec, Key: r.key}
+		}
+		m.services = BuildTree(withProbed(sortEntries(ents), active))
+		m.trails, m.tombs = BuildTree(trails), BuildTree(tombs)
+		return m, scanners, d
+	}
+	slices.SortFunc(recs, func(a, b sealedRec) int { return a.key.Compare(b.key) })
+	edits := make([]TreeEdit[ServiceKey, *PassiveRecord], len(recs))
+	for i, r := range recs {
+		probed := false
+		if r.rec == nil && active != nil {
+			_, probed = active.firstOpen[r.key]
+		}
+		edits[i] = TreeEdit[ServiceKey, *PassiveRecord]{Key: r.key, Val: r.rec, Del: r.rec == nil && !probed}
+	}
+	m.services = base.services.Patch(edits, func(i int, old *PassiveRecord, had bool) {
+		switch r := recs[i]; {
+		case edits[i].Del:
+			if had {
+				d.Removed = append(d.Removed, r.key)
+			}
+		case r.rec == nil: // expired, but a probe still answers: downgraded, not removed
+			if old != nil {
+				d.Updated = append(d.Updated, r.key)
+			}
+		case old == nil || r.born:
+			d.Added = append(d.Added, r.key)
+		default:
+			d.Updated = append(d.Updated, r.key)
+		}
+	})
+	m.trails = base.trails.Patch(upserts(trails), nil)
+	m.tombs = base.tombs.Patch(upserts(tombs), nil)
 	return m, scanners, d
 }
 
-// MergeSortedKeys unions a sorted key slice with sorted additions,
-// deduplicating equal keys (a reborn service is "new" for provenance
-// purposes but already listed). With no additions the original is
-// returned as-is (it is immutable — shared between inventories).
-func MergeSortedKeys(keys, add []ServiceKey) []ServiceKey {
-	if len(add) == 0 {
-		return keys
+// upserts lists sorted entries as the edits that store them.
+func upserts[K TreeKey, V any](ents []TreeEntry[K, V]) []TreeEdit[K, V] {
+	edits := make([]TreeEdit[K, V], len(ents))
+	for i, e := range ents {
+		edits[i] = TreeEdit[K, V]{Key: e.Key, Val: e.Val}
 	}
-	out := make([]ServiceKey, 0, len(keys)+len(add))
-	i, j := 0, 0
-	for i < len(keys) && j < len(add) {
-		switch {
-		case keys[i].Before(add[j]):
-			out = append(out, keys[i])
-			i++
-		case add[j].Before(keys[i]):
-			out = append(out, add[j])
-			j++
-		default:
-			out = append(out, keys[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, keys[i:]...)
-	out = append(out, add[j:]...)
-	return out
-}
-
-// removeSortedKeys filters sorted deletions out of a sorted key slice.
-// With no deletions the original is returned as-is.
-func removeSortedKeys(keys, del []ServiceKey) []ServiceKey {
-	if len(del) == 0 {
-		return keys
-	}
-	out := make([]ServiceKey, 0, len(keys))
-	j := 0
-	for _, k := range keys {
-		for j < len(del) && del[j].Before(k) {
-			j++
-		}
-		if j < len(del) && del[j] == k {
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
+	return edits
 }
 
 // SnapshotDelta describes how one published snapshot differs from its
@@ -773,22 +738,23 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 // advance moves the snapshot chain to a new consistent point: it is the one
 // place shards are frozen and merged. It freezes every shard, runs the
 // overlay's active expiry at the same watermark, publishes both sides'
-// expiries in one deterministic (time, key) order, patches the previous
-// inventory's store forward with the shard deltas, freezes the overlay's
+// expiries in one deterministic (time, key) order, freezes the overlay's
 // active view — after its expiry, so the view and its generation reflect the
-// deletions — and caches the new inventory under the fingerprint (dispatch
+// deletions — patches the previous inventory's store forward with the shard
+// deltas, and caches the new inventory under the fingerprint (dispatch
 // count, active generation) it froze at. prev is the chain's inventory
 // before the call (nil on the first snapshot and after a restore, when the
 // shards are merged whole) and delta how inv differs from it.
 //
-// With an overlay the inventory is hybrid: its key list is the union of both
-// sides. While the active generation stands, that list is patched like a
-// passive one, except that an expired key a probe still answers for stays in
-// it, reclassified ActiveOnly — an update, not a removal. When the
-// generation moved, every classification may have: the merged store is
-// listed whole and the delta is Full. With nothing dispatched and no
-// generation moved since prev, advance returns inv == prev and an empty
-// delta. hook, if any, rides the freeze (freezeShards). Callers hold snapMu.
+// With an overlay the inventory is hybrid: its services tree is the union of
+// both sides. While the active generation stands, that tree is patched like
+// a passive one, except that an expired key a probe still answers for stays
+// in it as a probe-only entry — an update, not a removal. When the
+// generation moved, every classification may have: the probe-only entries
+// are redrawn over the whole store and the delta is Full. With nothing
+// dispatched and no generation moved since prev, advance returns inv == prev
+// and an empty delta. hook, if any, rides the freeze (freezeShards). Callers
+// hold snapMu.
 func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta SnapshotDelta) {
 	prev, since, agen := s.snap.peek()
 	deltas, d0, wm := s.freezeShards(prev == nil, since, hook)
@@ -813,40 +779,25 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 	if prev != nil {
 		m, scanners = prev.d, prev.scanners
 	}
-	if deltas != nil { // else at most the active side moved: same store, same scanners
-		m, scanners, delta = mergeViews(m, deltas)
-	}
 	var active *ActiveDiscoverer
-	moved := deltas != nil
+	reprobe := false
 	if s.overlay != nil {
 		av := s.overlay.activeSnapshot()
 		active = av.disc
 		if av.gen != agen {
-			agen, delta, moved = av.gen, SnapshotDelta{Full: true}, true
+			agen, reprobe = av.gen, true
 		}
 	}
-	if !moved {
+	if deltas == nil && !reprobe {
 		return prev, prev, SnapshotDelta{}
 	}
-	if delta.Full {
-		inv = newFrozenInventory(m, active, scanners)
-	} else {
-		if active != nil {
-			var removed, downgraded []ServiceKey
-			for _, k := range delta.Removed {
-				if _, probed := active.firstOpen[k]; probed {
-					downgraded = append(downgraded, k)
-				} else {
-					removed = append(removed, k)
-				}
-			}
-			delta.Removed, delta.Updated = removed, MergeSortedKeys(delta.Updated, downgraded)
-		}
-		// MergeSortedKeys drops the added keys already listed: reborn services,
-		// and probe-only ones passive monitoring has now seen too.
-		inv = &Inventory{d: m, active: active, scanners: scanners,
-			keys: removeSortedKeys(MergeSortedKeys(prev.keys, delta.Added), delta.Removed)}
+	if deltas != nil { // else only the active side moved: same passive state, same scanners
+		m, scanners, delta = mergeViews(m, deltas, active)
 	}
+	if reprobe && !delta.Full {
+		m, delta = m.reprobed(active), SnapshotDelta{Full: true}
+	}
+	inv = &Inventory{d: m, active: active, scanners: scanners}
 	s.snap.put(inv, d0, agen)
 	return prev, inv, delta
 }

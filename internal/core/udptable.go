@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 	"servdisc/internal/probe"
@@ -53,15 +55,13 @@ func (a *Analysis) UDPSummary(ports []uint16, probed []netaddr.V4) UDPTable {
 		passiveByPort[p] = netaddr.NewSet()
 	}
 	passiveAll := netaddr.NewSet()
-	for _, k := range a.Inventory.Keys() { // probes never list a UDP key
-		if k.Proto != packet.ProtoUDP {
-			continue
-		}
-		if s, ok := passiveByPort[k.Port]; ok {
+	a.Inventory.EachService(func(k ServiceKey, _ *PassiveRecord, _ Provenance, _, _ time.Time) bool {
+		if s, ok := passiveByPort[k.Port]; ok && k.Proto == packet.ProtoUDP { // probes never list a UDP key
 			s.Add(k.Addr)
 			passiveAll.Add(k.Addr)
 		}
-	}
+		return true
+	})
 	table.PassiveTotal = passiveAll.Len()
 
 	openAny := netaddr.NewSet()

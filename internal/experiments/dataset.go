@@ -210,9 +210,10 @@ func (d *Dataset) scheduleWebFetches() {
 				fetch(key.Addr)
 			}
 		}
-		for _, key := range core.NewInventory(d.Merged).Keys() {
+		core.NewInventory(d.Merged).EachService(func(key core.ServiceKey, _ *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
 			consider(key)
-		}
+			return true
+		})
 		for key := range d.Active.Services() {
 			consider(key)
 		}

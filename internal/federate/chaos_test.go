@@ -152,10 +152,14 @@ func runChaosFleet(t *testing.T, nSites, flows int, seed uint64) ([]byte, []Feed
 	// Quiesce: lift the faults, end the live streams, and wait for every
 	// feed to catch up to its site's final sequence over clean links —
 	// the liveness half of the property (reconnect-and-resume actually
-	// recovers, not just "the final snapshot papers over it").
+	// recovers, not just "the final snapshot papers over it"). The final
+	// sequence is read once the publisher's pump has sequenced its
+	// terminal seal frame. There is no final catch-up attach: what the
+	// feeds applied must already be the whole record, weights included.
 	chaos.Store(false)
 	for _, s := range sites {
 		s.eng.Close()
+		s.pub.Close()
 	}
 	for _, s := range sites {
 		waitCursor(t, agg, s.id, s.pub.State().Seq)
@@ -163,13 +167,6 @@ func runChaosFleet(t *testing.T, nSites, flows int, seed uint64) ([]byte, []Feed
 
 	cancel()
 	wg.Wait()
-
-	// Seal with the standard final catch-up attach per site (live events
-	// alone don't carry snapshot-only flow/client weights), mirroring
-	// every other convergence scenario's ending.
-	for _, s := range sites {
-		<-agg.Attach(s.pub)
-	}
 	out := make([]FeedStats, nSites)
 	for i, fc := range clients {
 		out[i] = fc.Stats()

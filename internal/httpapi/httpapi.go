@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -33,9 +32,7 @@ type Source interface {
 	Query(q query.Query) (query.Result, error)
 }
 
-// View is one inventory state. Len, Key and Row walk its services in
-// canonical key order (core.ServiceKey.Before) — the only order a page
-// cursor can resume deterministically across states.
+// View is one inventory state.
 type View interface {
 	// ETag is a strong validator: views with equal ETags encode the same
 	// Dump.
@@ -43,10 +40,11 @@ type View interface {
 	// Dump returns the rows of the unpaged /services body, in the
 	// daemon's own order.
 	Dump() any
-	Len() int
-	Key(i int) core.ServiceKey
-	// Row returns service i as its JSON-ready row.
-	Row(i int) any
+	// Walk visits the services ordered after *after (every service when
+	// after is nil), each with its JSON-ready row, in canonical key order
+	// (core.ServiceKey.Before) — the only order a page cursor can resume
+	// deterministically across states — until f returns false.
+	Walk(after *core.ServiceKey, f func(key core.ServiceKey, row any) bool)
 }
 
 // defaultPageLimit is the /services page size when only page= is given.
@@ -130,23 +128,24 @@ func page(v View, limitStr, token string) (rows []any, next string, err error) {
 			return nil, "", fmt.Errorf("bad limit %q", limitStr)
 		}
 	}
-	start, n := 0, v.Len()
+	var after *core.ServiceKey
 	if token != "" {
-		after, err := query.ParseKey(token)
+		k, err := query.ParseKey(token)
 		if err != nil {
 			return nil, "", fmt.Errorf("bad page token %q", token)
 		}
-		start = sort.Search(n, func(i int) bool { return after.Before(v.Key(i)) })
+		after = &k
 	}
-	end := n
-	if limit < n-start {
-		end = start + limit
-		next = v.Key(end - 1).String()
-	}
-	rows = make([]any, 0, end-start)
-	for i := start; i < end; i++ {
-		rows = append(rows, v.Row(i))
-	}
+	rows = []any{}
+	var last core.ServiceKey
+	v.Walk(after, func(k core.ServiceKey, row any) bool {
+		if len(rows) == limit { // a row beyond the page: the walk goes on
+			next = last.String()
+			return false
+		}
+		rows, last = append(rows, row), k
+		return true
+	})
 	return rows, next, nil
 }
 

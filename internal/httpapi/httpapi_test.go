@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,20 +66,16 @@ func (s *passivedShaped) View() httpapi.View { return passivedView{s, s.inv, s.g
 func (s *passivedShaped) Query(q query.Query) (query.Result, error) {
 	return s.pl.Query(q)
 }
-func (v passivedView) ETag() string              { return fmt.Sprintf("\"inv-%d\"", v.gen) }
-func (v passivedView) Len() int                  { return v.inv.Len() }
-func (v passivedView) Key(i int) core.ServiceKey { return v.inv.Keys()[i] }
-func (v passivedView) Row(i int) any {
-	k := v.inv.Keys()[i]
-	rec, _ := v.inv.Record(k)
-	return map[string]any{"service": k.String(), "flows": rec.Flows}
+func (v passivedView) ETag() string { return fmt.Sprintf("\"inv-%d\"", v.gen) }
+func (v passivedView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
+	v.inv.EachServiceAfter(after, func(k core.ServiceKey, rec *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
+		return f(k, map[string]any{"service": k.String(), "flows": rec.Flows})
+	})
 }
 func (v passivedView) Dump() any {
 	v.s.dumps++
-	rows := make([]any, 0, v.Len())
-	for i := v.Len() - 1; i >= 0; i-- { // any order but the canonical one
-		rows = append(rows, v.Row(i))
-	}
+	_, rows := walkAll(v)
+	slices.Reverse(rows) // any order but the canonical one
 	return rows
 }
 
@@ -122,10 +119,14 @@ func (s *aggregatorShaped) View() httpapi.View {
 func (s *aggregatorShaped) Query(q query.Query) (query.Result, error) {
 	return s.agg.Query(q)
 }
-func (v aggregatorView) ETag() string              { return fmt.Sprintf("\"agg-%d\"", v.gen) }
-func (v aggregatorView) Len() int                  { return len(v.svcs) }
-func (v aggregatorView) Key(i int) core.ServiceKey { return v.svcs[i].Key }
-func (v aggregatorView) Row(i int) any             { return v.svcs[i] }
+func (v aggregatorView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.gen) }
+func (v aggregatorView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
+	for _, s := range v.svcs {
+		if (after == nil || after.Before(s.Key)) && !f(s.Key, s) {
+			return
+		}
+	}
+}
 func (v aggregatorView) Dump() any {
 	v.s.dumps++
 	return v.svcs
@@ -147,6 +148,31 @@ func newAggregatorShaped(t *testing.T, n int) fixture {
 		add(i)
 	}
 	return fixture{src: s, dumps: &s.dumps, add: add, query: s.agg.Query}
+}
+
+// walkAll lists a view's services whole, in its Walk order.
+func walkAll(v httpapi.View) (keys []core.ServiceKey, rows []any) {
+	v.Walk(nil, func(k core.ServiceKey, row any) bool {
+		keys, rows = append(keys, k), append(rows, row)
+		return true
+	})
+	return keys, rows
+}
+
+// pageBody is one decoded paginated /services response.
+type pageBody struct {
+	Services []json.RawMessage `json:"services"`
+	Next     string            `json:"next_page_token"`
+}
+
+func getPage(t *testing.T, url string) pageBody {
+	t.Helper()
+	_, body := get(t, url)
+	var p pageBody
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		t.Fatalf("GET %s: %v in %s", url, err, body)
+	}
+	return p
 }
 
 func get(t *testing.T, url string, hdr ...string) (*http.Response, string) {
@@ -217,10 +243,10 @@ func TestSharedSurface(t *testing.T) {
 			})
 
 			t.Run("pages walk every key once in canonical order", func(t *testing.T) {
-				v := fx.src.View()
-				n := v.Len()
+				keys, rows := walkAll(fx.src.View())
+				n := len(keys)
 				for i := 1; i < n; i++ {
-					if !v.Key(i - 1).Before(v.Key(i)) {
+					if !keys[i-1].Before(keys[i]) {
 						t.Fatalf("fixture keys not canonical at %d", i)
 					}
 				}
@@ -255,7 +281,7 @@ func TestSharedSurface(t *testing.T) {
 						// Row i of the walk is service i of the view: nothing
 						// skipped, nothing repeated, canonical order.
 						for _, raw := range page.Services {
-							if want, _ := json.Marshal(v.Row(served)); string(raw) != string(want) {
+							if want, _ := json.Marshal(rows[served]); string(raw) != string(want) {
 								t.Fatalf("limit=%d: row %d is %s, want %s", limit, served, raw, want)
 							}
 							served++
@@ -264,7 +290,7 @@ func TestSharedSurface(t *testing.T) {
 						if page.Next == "" {
 							break
 						}
-						if len(page.Services) != limit || page.Next != v.Key(served-1).String() {
+						if len(page.Services) != limit || page.Next != keys[served-1].String() {
 							t.Fatalf("limit=%d: %d rows then token %q; want a full page and its last key",
 								limit, len(page.Services), page.Next)
 						}
@@ -278,13 +304,23 @@ func TestSharedSurface(t *testing.T) {
 					}
 				}
 				// A token need not be a key that is still there.
-				_, body := get(t, srv.URL+"/services?page="+url.QueryEscape("0.0.0.1:1/tcp"))
-				var all struct {
-					Services []json.RawMessage `json:"services"`
-					Next     string            `json:"next_page_token"`
+				all := getPage(t, srv.URL+"/services?page="+url.QueryEscape("0.0.0.1:1/tcp"))
+				if len(all.Services) != n || all.Next != "" {
+					t.Errorf("page-only request from before the first key: %d rows, next %q", len(all.Services), all.Next)
 				}
-				if err := json.Unmarshal([]byte(body), &all); err != nil || len(all.Services) != n || all.Next != "" {
-					t.Errorf("page-only request from before the first key: %d rows, next %q, err %v", len(all.Services), all.Next, err)
+
+				// Following the token one row at a time, over HTTP alone,
+				// reproduces that unpaged walk row for row.
+				var chain []json.RawMessage
+				for p := getPage(t, srv.URL+"/services?limit=1"); ; {
+					chain = append(chain, p.Services...)
+					if p.Next == "" {
+						break
+					}
+					p = getPage(t, srv.URL+"/services?limit=1&page="+url.QueryEscape(p.Next))
+				}
+				if !slices.EqualFunc(chain, all.Services, func(a, b json.RawMessage) bool { return string(a) == string(b) }) {
+					t.Errorf("limit=1 token chain served\n%s\nwant the unpaged walk\n%s", chain, all.Services)
 				}
 			})
 

@@ -80,6 +80,9 @@ func (a V4) AppendTo(dst []byte) []byte {
 	return append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
+// Ord is the address as an integer, ordered as addresses are.
+func (a V4) Ord() uint64 { return uint64(a) }
+
 // Netip converts to a net/netip address for interoperation with the
 // standard library (e.g. when probing real networks).
 func (a V4) Netip() netip.Addr {

@@ -1,9 +1,9 @@
 package query
 
 import (
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -27,24 +27,25 @@ type Doc struct {
 	Clients int       `json:"clients,omitempty"`
 }
 
-// packedDoc is a Doc as the aggregator's doc tree stores it: 40
-// pointer-free bytes instead of 80 with two *Location for the collector to
-// scan. Times are Unix nanoseconds plus a presence flag (absent =
+// packedDoc is a Doc as the aggregator's doc tree stores it, beside its key:
+// 32 pointer-free bytes instead of 80 with two *Location for the collector
+// to scan. Times are Unix nanoseconds plus a presence flag (absent =
 // time.Time{}, stored as 0, so packed docs compare with ==), clamped to the
 // int64-nanosecond range. Flows stays 64-bit; clients saturates at 2^32-1,
 // which distinct IPv4 peers cannot exceed.
 type packedDoc struct {
 	first, last       int64
 	flows             int
-	key               core.ServiceKey
 	clients           uint32
 	prov              core.Provenance
 	hasFirst, hasLast bool
 }
 
-const _ = uint(40 - unsafe.Sizeof(packedDoc{})) // <= 40
+const _ = uint(32 - unsafe.Sizeof(packedDoc{})) // <= 32
 
-func (p packedDoc) skey() core.ServiceKey { return p.key }
+// keyTree is a posting list: the keys filed under one bucket of a
+// dimension.
+type keyTree = core.Tree[core.ServiceKey, struct{}]
 
 var minPackedTime, maxPackedTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
 
@@ -69,11 +70,11 @@ func unpackTime(ns int64, ok bool) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
-// pack stores d in tree form (Rebuild and Patch, on the way in).
+// pack stores d's fields but its key in tree form (Rebuild and Patch, on
+// the way in).
 func pack(d Doc) packedDoc {
 	p := packedDoc{
 		flows:   d.Flows,
-		key:     d.Key,
 		clients: uint32(min(uint64(max(d.Clients, 0)), math.MaxUint32)),
 		prov:    d.Prov,
 	}
@@ -82,11 +83,11 @@ func pack(d Doc) packedDoc {
 	return p
 }
 
-// doc renders p as the API type (Epoch.Doc, on the way out); times come
-// back in UTC.
-func (p packedDoc) doc() Doc {
+// doc renders p, stored under k, as the API type (Epoch.Doc, on the way
+// out); times come back in UTC.
+func (p packedDoc) doc(k core.ServiceKey) Doc {
 	return Doc{
-		Key:     p.key,
+		Key:     k,
 		Prov:    p.prov,
 		First:   unpackTime(p.first, p.hasFirst),
 		Last:    unpackTime(p.last, p.hasLast),
@@ -211,13 +212,13 @@ const DefaultFreshnessBucket = time.Hour
 type Epoch struct {
 	gen        uint64
 	freshWidth time.Duration
-	inv        *core.Inventory  // engine epochs; nil in doc-tree epochs
-	docs       stree[packedDoc] // doc-tree epochs; empty in engine epochs
-	byPort     map[uint16]stree[keyEntry]
-	byProv     map[core.Provenance]stree[keyEntry]
-	byCat      map[Category]stree[keyEntry]
-	byFresh    map[int64]stree[keyEntry] // freshBucket(Last) → keys
-	freshBases []int64                   // sorted bucket ids
+	inv        *core.Inventory                       // engine epochs; nil in doc-tree epochs
+	docs       core.Tree[core.ServiceKey, packedDoc] // doc-tree epochs; empty in engine epochs
+	byPort     map[uint16]keyTree
+	byProv     map[core.Provenance]keyTree
+	byCat      map[Category]keyTree
+	byFresh    map[int64]keyTree // freshBucket(Last) → keys
+	freshBases []int64           // sorted bucket ids
 }
 
 // Gen returns the epoch's generation counter (0 = empty initial epoch).
@@ -228,7 +229,7 @@ func (e *Epoch) Len() int {
 	if e.inv != nil {
 		return e.inv.Len()
 	}
-	return e.docs.len()
+	return e.docs.Len()
 }
 
 // Doc returns the indexed doc for one key.
@@ -236,32 +237,20 @@ func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) {
 	if e.inv != nil {
 		return DocFromInventory(e.inv, k)
 	}
-	p, ok := e.docs.get(k)
-	return p.doc(), ok
+	p, ok := e.docs.Get(k)
+	return p.doc(k), ok
 }
 
 // keysAfter visits the indexed keys above after (every key when after is
 // nil) in canonical order until f returns false.
 func (e *Epoch) keysAfter(after *core.ServiceKey, f func(core.ServiceKey) bool) {
 	if e.inv != nil {
-		keys := e.inv.Keys()
-		i := 0
-		if after != nil {
-			i = sort.Search(len(keys), func(i int) bool { return after.Before(keys[i]) })
-		}
-		for _, k := range keys[i:] {
-			if !f(k) {
-				return
-			}
-		}
+		e.inv.EachServiceAfter(after, func(k core.ServiceKey, _ *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
+			return f(k)
+		})
 		return
 	}
-	for c := e.docs.seek(after); ; {
-		p, ok := c.next()
-		if !ok || !f(p.key) {
-			return
-		}
-	}
+	e.docs.Walk(after, func(k core.ServiceKey, _ packedDoc) bool { return f(k) })
 }
 
 // freshBucket is the freshness bucket of a packed time (see packTime): ns
@@ -311,67 +300,47 @@ func (c *Catalog) Epoch() *Epoch { return c.cur.Load() }
 // Len returns the current epoch's service count.
 func (c *Catalog) Len() int { return c.Epoch().Len() }
 
-// dimDelta accumulates one dimension's bucket-level add/del key lists.
-// Lists are re-sorted at apply time: a bucket's deletions interleave keys
-// from the upsert loop (bucket migrations) and the remove loop, so append
-// order is not globally sorted.
+// dimDelta accumulates one dimension's bucket-level key edits. They are
+// sorted at apply time: a bucket's deletions interleave keys from the upsert
+// loop (bucket migrations) and the remove loop, so append order is not
+// globally sorted.
 type dimDelta[B comparable] struct {
-	adds map[B][]keyEntry
-	dels map[B][]core.ServiceKey
+	edits map[B][]core.TreeEdit[core.ServiceKey, struct{}]
 }
 
-func (d *dimDelta[B]) add(b B, k core.ServiceKey) {
-	if d.adds == nil {
-		d.adds = map[B][]keyEntry{}
-	}
-	d.adds[b] = append(d.adds[b], keyEntry(k))
-}
+func (d *dimDelta[B]) add(b B, k core.ServiceKey) { d.edit(b, k, false) }
 
-func (d *dimDelta[B]) del(b B, k core.ServiceKey) {
-	if d.dels == nil {
-		d.dels = map[B][]core.ServiceKey{}
+func (d *dimDelta[B]) del(b B, k core.ServiceKey) { d.edit(b, k, true) }
+
+func (d *dimDelta[B]) edit(b B, k core.ServiceKey, del bool) {
+	if d.edits == nil {
+		d.edits = map[B][]core.TreeEdit[core.ServiceKey, struct{}]{}
 	}
-	d.dels[b] = append(d.dels[b], k)
+	d.edits[b] = append(d.edits[b], core.TreeEdit[core.ServiceKey, struct{}]{Key: k, Del: del})
 }
 
 // apply patches one dimension's bucket map, cloning it only when at least
 // one bucket changed. Returns the (possibly shared) new map and whether
 // the set of buckets changed.
-func (d *dimDelta[B]) apply(prev map[B]stree[keyEntry]) (map[B]stree[keyEntry], bool) {
-	if d.adds == nil && d.dels == nil {
+func (d *dimDelta[B]) apply(prev map[B]keyTree) (map[B]keyTree, bool) {
+	if d.edits == nil {
 		return prev, false
 	}
-	next := make(map[B]stree[keyEntry], len(prev)+len(d.adds))
-	for b, t := range prev {
-		next[b] = t
-	}
+	next := make(map[B]keyTree, len(prev)+len(d.edits))
+	maps.Copy(next, prev)
 	basesChanged := false
-	touched := map[B]bool{}
-	for b := range d.adds {
-		touched[b] = true
-	}
-	for b := range d.dels {
-		touched[b] = true
-	}
-	for b := range touched {
+	for b, edits := range d.edits {
+		slices.SortFunc(edits, func(x, y core.TreeEdit[core.ServiceKey, struct{}]) int { return x.Key.Compare(y.Key) })
 		before, existed := next[b]
-		adds, dels := d.adds[b], d.dels[b]
-		slices.SortFunc(adds, func(a, b keyEntry) int { return cmpKeys(a.skey(), b.skey()) })
-		core.SortKeys(dels)
-		if !existed {
-			adds = slices.Clone(adds) // a new bucket's leaves subslice it: drop the append slack
-		}
-		after := before.patch(adds, dels)
-		if after.len() == 0 {
+		after := before.Patch(edits, nil)
+		if after.Len() == 0 {
 			if existed {
 				delete(next, b)
 				basesChanged = true
 			}
 			continue
 		}
-		if !existed {
-			basesChanged = true
-		}
+		basesChanged = basesChanged || !existed
 		next[b] = after
 	}
 	return next, basesChanged
@@ -420,7 +389,7 @@ func (ps *postings) remove(e *Epoch, old Doc) {
 
 // advance installs the successor of prev: its postings patched by ps, its
 // docs resolved through inv or, when inv is nil, held in docs.
-func (c *Catalog) advance(prev *Epoch, ps *postings, inv *core.Inventory, docs stree[packedDoc]) {
+func (c *Catalog) advance(prev *Epoch, ps *postings, inv *core.Inventory, docs core.Tree[core.ServiceKey, packedDoc]) {
 	next := &Epoch{
 		gen:        prev.gen + 1,
 		freshWidth: prev.freshWidth,
@@ -460,27 +429,27 @@ func (c *Catalog) Rebuild(docs []Doc) {
 // current epoch only when that is prev and nothing changed.
 func (c *Catalog) patch(prev *Epoch, upserts []Doc, removes []core.ServiceKey) {
 	var ps postings
-	adds := make([]packedDoc, 0, len(upserts)) // a rebuild's leaves subslice it
-	var dels []core.ServiceKey
+	edits := make([]core.TreeEdit[core.ServiceKey, packedDoc], 0, len(upserts)+len(removes))
 	for _, d := range upserts {
 		p := pack(d)
-		old, had := prev.docs.get(d.Key)
+		old, had := prev.docs.Get(d.Key)
 		if had && old == p {
 			continue
 		}
-		adds = append(adds, p)
-		ps.upsert(prev, old.doc(), had, d)
+		edits = append(edits, core.TreeEdit[core.ServiceKey, packedDoc]{Key: d.Key, Val: p})
+		ps.upsert(prev, old.doc(d.Key), had, d)
 	}
 	for _, k := range removes {
-		if old, had := prev.docs.get(k); had {
-			dels = append(dels, k)
-			ps.remove(prev, old.doc())
+		if old, had := prev.docs.Get(k); had {
+			edits = append(edits, core.TreeEdit[core.ServiceKey, packedDoc]{Key: k, Del: true})
+			ps.remove(prev, old.doc(k))
 		}
 	}
-	if len(adds) == 0 && len(dels) == 0 && prev == c.Epoch() {
+	if len(edits) == 0 && prev == c.Epoch() {
 		return
 	}
-	c.advance(prev, &ps, nil, prev.docs.patch(adds, dels))
+	slices.SortFunc(edits, func(a, b core.TreeEdit[core.ServiceKey, packedDoc]) int { return a.Key.Compare(b.Key) })
+	c.advance(prev, &ps, nil, prev.docs.Patch(edits, nil))
 }
 
 // RebuildFromInventory replaces the whole index with one over a frozen
@@ -493,7 +462,7 @@ func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
 		ps.upsert(empty, Doc{}, false, docOf(k, rec, prov, first, activeAt))
 		return true
 	})
-	c.advance(empty, &ps, inv, stree[packedDoc]{})
+	c.advance(empty, &ps, inv, core.Tree[core.ServiceKey, packedDoc]{})
 }
 
 // ApplyDelta folds one snapshot transition into the index: an O(churn)
@@ -524,11 +493,11 @@ func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) {
 			ps.remove(prev, old)
 		}
 	}
-	c.advance(prev, &ps, inv, stree[packedDoc]{})
+	c.advance(prev, &ps, inv, core.Tree[core.ServiceKey, packedDoc]{})
 }
 
 // sortedBases lists the freshness dimension's bucket ids in order.
-func sortedBases(m map[int64]stree[keyEntry]) []int64 {
+func sortedBases(m map[int64]keyTree) []int64 {
 	out := make([]int64, 0, len(m))
 	for b := range m {
 		out = append(out, b)

@@ -13,6 +13,14 @@ import (
 	"servdisc/internal/packet"
 )
 
+func tkey(i int) core.ServiceKey {
+	return core.ServiceKey{
+		Addr:  netaddr.V4(0x0a100000 + uint32(i/8)),
+		Proto: packet.ProtoTCP,
+		Port:  uint16(1000 + i%8),
+	}
+}
+
 func qdoc(i int, prov core.Provenance, last time.Time) Doc {
 	k := tkey(i)
 	return Doc{Key: k, Prov: prov, First: last.Add(-time.Hour), Last: last, Flows: i, Clients: 1}

@@ -35,17 +35,17 @@ func TestPackedDocRoundTrip(t *testing.T) {
 			Flows:   int(rng.Int63n(1<<62 + 1)),
 			Clients: int(rng.Int63n(math.MaxUint32 + 1)),
 		}
-		if got := pack(d).doc(); !reflect.DeepEqual(got, d) {
-			t.Fatalf("pack(%+v).doc() = %+v", d, got)
+		if got := pack(d).doc(d.Key); !reflect.DeepEqual(got, d) {
+			t.Fatalf("pack(%+v).doc(key) = %+v", d, got)
 		}
 	}
 
 	d := Doc{Key: tkey(1), Clients: math.MaxUint32 + 7}
-	if got := pack(d).doc().Clients; got != math.MaxUint32 {
+	if got := pack(d).doc(d.Key).Clients; got != math.MaxUint32 {
 		t.Errorf("clients %d packs to %d, want saturation at %d", d.Clients, got, uint32(math.MaxUint32))
 	}
 	there := base.In(time.FixedZone("UTC-8", -8*3600))
-	if got := pack(Doc{First: there}).doc().First; !got.Equal(base) || got.Location() != time.UTC {
+	if got := pack(Doc{First: there}).doc(core.ServiceKey{}).First; !got.Equal(base) || got.Location() != time.UTC {
 		t.Errorf("%v packs to %v, want the same instant in UTC", there, got)
 	}
 	if pack(Doc{Last: time.Unix(0, 0)}) == pack(Doc{}) {
@@ -118,10 +118,11 @@ func liveHeap() uint64 {
 
 // TestResidentBytesPerDoc is the doc-fed (aggregator) index's memory gate:
 // live-heap growth per doc across a Rebuild. The budget is ≈1.1× the 80 B
-// measured with 40-byte packed docs and four posting trees of 8-byte keys
-// (plus tree spines), each bucket trimmed to its length. Untrimmed buckets
-// read 86 B and fail; so do a fifth, /24 posting tree (97 B) and the
-// 80-byte time.Time-carrying Doc (137 B).
+// measured with 40-byte doc entries (a 32-byte packed doc beside its key)
+// and four posting trees of 8-byte keys (plus tree spines), each bucket
+// trimmed to its length. Untrimmed buckets read 86 B and fail; so do a
+// fifth, /24 posting tree (97 B) and the 80-byte time.Time-carrying Doc
+// (137 B).
 func TestResidentBytesPerDoc(t *testing.T) {
 	const (
 		n      = 100_000

@@ -222,9 +222,9 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		// residual filter drops them.
 		floor := e.freshBucket(packTime(q.MinFreshness))
 		lo := sort.Search(len(e.freshBases), func(i int) bool { return e.freshBases[i] >= floor })
-		var cursors []cursor[keyEntry]
+		var cursors []core.TreeCursor[core.ServiceKey, struct{}]
 		for _, b := range e.freshBases[lo:] {
-			cursors = append(cursors, e.byFresh[b].seek(after))
+			cursors = append(cursors, e.byFresh[b].Seek(after))
 		}
 		mergeIterate(cursors, emit)
 	default:
@@ -235,19 +235,14 @@ func (e *Epoch) Query(q Query) (Result, error) {
 
 // iterate walks one posting tree from the cursor position until f returns
 // false.
-func iterate(t stree[keyEntry], after *core.ServiceKey, f func(core.ServiceKey) bool) {
-	for c := t.seek(after); ; {
-		e, ok := c.next()
-		if !ok || !f(e.skey()) {
-			return
-		}
-	}
+func iterate(t keyTree, after *core.ServiceKey, f func(core.ServiceKey) bool) {
+	t.Walk(after, func(k core.ServiceKey, _ struct{}) bool { return f(k) })
 }
 
 // mergeIterate merges already-positioned cursors into one key-ordered
 // stream. Posting lists are disjoint (a key lives in exactly one bucket
 // per dimension), so no dedup is needed.
-func mergeIterate(cs []cursor[keyEntry], f func(core.ServiceKey) bool) {
+func mergeIterate(cs []core.TreeCursor[core.ServiceKey, struct{}], f func(core.ServiceKey) bool) {
 	// Small-k loser-free heap: linear scan for the minimum head. The
 	// freshness dimension yields one cursor per bucket in the window —
 	// typically a handful.
@@ -255,18 +250,18 @@ func mergeIterate(cs []cursor[keyEntry], f func(core.ServiceKey) bool) {
 		best := -1
 		var bestKey core.ServiceKey
 		for i := range cs {
-			e, ok := cs[i].peek()
+			e, ok := cs[i].Peek()
 			if !ok {
 				continue
 			}
-			if best < 0 || e.skey().Before(bestKey) {
-				best, bestKey = i, e.skey()
+			if best < 0 || e.Key.Before(bestKey) {
+				best, bestKey = i, e.Key
 			}
 		}
 		if best < 0 {
 			return
 		}
-		cs[best].next()
+		cs[best].Next()
 		if !f(bestKey) {
 			return
 		}
