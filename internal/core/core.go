@@ -109,17 +109,13 @@ type PassiveRecord struct {
 	// rest holds peers 2 … nFirst() in an array whose capacity is the
 	// power of two at or above that length (appendRest).
 	rest *peerContact
-	// seal is the owning discoverer's seal count when the record was
-	// created or last copied for writing. A record whose seal is behind
-	// the discoverer's is shared with snapshots and must be cloned before
-	// the next mutation (copy-on-write; see PassiveDiscoverer.seal).
-	seal uint64
 }
 
 // A field that pushes either type into the next size class fails the
-// build here, not a memory benchmark later.
+// build here, not a memory benchmark later. (A record is allocated in the
+// 48-byte class, with one word to spare.)
 const (
-	_ = uint(48-unsafe.Sizeof(PassiveRecord{})) + uint(unsafe.Sizeof(PassiveRecord{})-48) // == 48
+	_ = uint(40-unsafe.Sizeof(PassiveRecord{})) + uint(unsafe.Sizeof(PassiveRecord{})-40) // == 40
 	_ = uint(16-unsafe.Sizeof(peerContact{})) + uint(unsafe.Sizeof(peerContact{})-16)     // == 16
 )
 
@@ -157,18 +153,6 @@ func (r *PassiveRecord) appendRest(n int, pc peerContact) {
 		r.rest = &grown[0]
 	}
 	unsafe.Slice(r.rest, n+1)[n] = pc
-}
-
-// cloneForWrite copies the record so the original can be retained by
-// snapshots while the copy keeps mutating — the first-write
-// half of the copy-on-write protocol. The copy is flat: the rest array is
-// append-only, so the clone shares it (the sealed original derives a length
-// that never covers a later append). The clone is stamped with the current
-// seal so later writes in the same seal epoch mutate it in place.
-func (r *PassiveRecord) cloneForWrite(seal uint64) *PassiveRecord {
-	c := *r
-	c.seal = seal
-	return &c
 }
 
 // FirstPeers returns a copy of the bounded peer history, oldest first.

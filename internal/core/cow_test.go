@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -279,6 +280,41 @@ func TestIngestShardedAllocs(t *testing.T) {
 	perPacket := allocs / 256
 	if perPacket > 0.5 {
 		t.Errorf("sharded ingest allocates %.2f objects per packet in steady state, want <= 0.5", perPacket)
+	}
+}
+
+// TestIngestShardedAllocsFirstTouch is the gate above with a snapshot before
+// every measured batch, so each batch is the first touch of its keys since a
+// seal: every record it re-observes is cloned, and every key it touches is
+// looked up below the shard's write layer. Only the ingest is measured. The
+// budget is the reading of the engine whose shards kept a map of every
+// service and a dirty set beside it, reused across seals (0.2786 allocations
+// per packet): a write layer started afresh at each seal must not cost more.
+func TestIngestShardedAllocsFirstTouch(t *testing.T) {
+	const (
+		runs   = 40
+		budget = 0.2786
+	)
+	campus := netaddr.MustParsePrefix("128.125.0.0/16")
+	pkts := genTrace(25, 20000)
+	sp := NewShardedPassive(campus, []uint16{53, 123, 137}, 4)
+	sp.SetMetrics(testEngineMetrics())
+	sp.HandleBatch(pkts)
+
+	batches := splitBatches(pkts, 256)
+	var m0, m1 runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		sp.Snapshot()
+		runtime.ReadMemStats(&m0)
+		sp.HandleBatch(batches[i%len(batches)])
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+	}
+	perPacket := float64(mallocs) / (runs * 256)
+	t.Logf("first-touch ingest: %.4f allocations per packet (budget %.4f)", perPacket, budget)
+	if perPacket > budget {
+		t.Errorf("sharded ingest after a snapshot allocates %.4f objects per packet, budget %.4f", perPacket, budget)
 	}
 }
 

@@ -179,9 +179,9 @@ func newEventStream() *eventStream {
 }
 
 // The cross-technique join. Each half of a key's state lives where it is
-// already kept: the passive half is the owning shard's record (present in
-// disc.services ⇒ passive has reported, rec.first is when), the active half
-// is the shard's activeFirst entry (present ⇒ a probe answer is live). Both
+// already kept: the passive half is the owning shard's record (a live record
+// ⇒ passive has reported, rec.first is when), the active half is the shard's
+// activeFirst entry (present ⇒ a probe answer is live). Both
 // halves are written, and both kinds of event published, under sh.mu, so per
 // key no subscriber sees a ProvenanceUpgraded before its ServiceDiscovered,
 // and an expired half is gone the moment it is retired — a later
@@ -212,8 +212,8 @@ func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 	defer sh.mu.Unlock()
 	at := toInstant(t)
 	sh.activeFirst[key] = at
-	rec, passive := sh.disc.services[key]
-	if !passive {
+	rec := sh.disc.service(key)
+	if rec == nil {
 		sh.events.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: ActiveOnly})
 		return
 	}
@@ -235,7 +235,7 @@ func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
 	defer sh.mu.Unlock()
 	at := toInstant(t)
 	cur, probed := sh.activeFirst[key]
-	if _, passive := sh.disc.services[key]; probed && !passive && at < cur {
+	if probed && at < cur && sh.disc.service(key) == nil {
 		sh.activeFirst[key] = at
 	}
 }

@@ -181,14 +181,15 @@ func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta
 	dirty := maps.Keys(t.ckDirty)
 	if full {
 		t.ckDirty = make(map[netaddr.V4]struct{})
-		dirty, moved, sd.recs = t.sources.all(), slices.Collect(maps.Keys(d.services)), nil
+		dirty, moved, sd.recs = t.sources.all(), nil, nil
+		d.eachService(func(k ServiceKey, _ *PassiveRecord) { moved = append(moved, k) })
 	}
 	moved = slices.Clip(moved) // every shard's list: the appends must copy it
 	for _, r := range sd.recs {
-		moved = append(moved, r.key)
+		moved = append(moved, r.Key)
 	}
 	for _, k := range moved {
-		if _, live := d.services[k]; live {
+		if d.owns(k.Addr) && d.service(k) != nil {
 			svcs = append(svcs, d.exportService(k))
 		}
 	}
@@ -204,7 +205,7 @@ func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta
 // from its packed form, the peer set copied out — from the side table, or
 // from the peer history for a service too small to have one.
 func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
-	rec := d.services[key]
+	rec := d.service(key)
 	fp := rec.FirstPeers()
 	var peers []netaddr.V4
 	if rec.nClients > peerInline {
@@ -251,8 +252,7 @@ func (st *ServiceState) checkPeers() error {
 }
 
 // importService installs one service wholesale (later deltas replace
-// earlier state). Import happens before any ingest, so no dirty
-// bookkeeping applies.
+// earlier state), in the write layer.
 func (d *PassiveDiscoverer) importService(st *ServiceState) {
 	last := st.LastSeen
 	if last.IsZero() {
@@ -265,7 +265,6 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		last:     toInstant(last),
 		Flows:    st.Flows,
 		nClients: uint32(st.Clients), // checkPeers: it fits, and FirstPeers is as long as it says
-		seal:     d.seals,
 	}
 	for i, pc := range st.FirstPeers {
 		if i == 0 {
@@ -274,7 +273,7 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 			rec.appendRest(i-1, peerContact{at: toInstant(pc.Time), peer: pc.Peer})
 		}
 	}
-	d.services[st.Key] = rec
+	d.records.put(st.Key, rec)
 	if st.Clients > peerInline {
 		ps := new(addrSet)
 		for _, p := range st.Peers {
@@ -513,10 +512,10 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	for i := range ed.Tombs {
 		tb := &ed.Tombs[i]
 		d := s.owner(tb.Key).disc
-		delete(d.services, tb.Key)
+		d.records.put(tb.Key, nil)
 		delete(d.peers, tb.Key)
-		if cur, ok := d.tombs[tb.Key]; !ok || tb.At.After(cur) {
-			d.tombs[tb.Key] = tb.At
+		if cur, ok := d.tombstones.get(tb.Key); !ok || tb.At.After(cur) {
+			d.tombstones.put(tb.Key, tb.At)
 		}
 	}
 	if ed.Watermark.After(s.watermark) {
@@ -528,7 +527,7 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	}
 	for i := range ed.Trails {
 		tr := &ed.Trails[i]
-		s.shards[s.shardOf(tr.Addr)].disc.addrTimes[tr.Addr] = toInstants(tr.Times)
+		s.shards[s.shardOf(tr.Addr)].disc.trails.put(tr.Addr, toInstants(tr.Times))
 	}
 	for i := range ed.ScanSources {
 		ss := &ed.ScanSources[i]
@@ -544,8 +543,8 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 			sh.disc.Packets = 0
 		}
 	}
-	// The import wrote the shard maps behind the dirty sets' back: the next
-	// snapshot must merge the shards whole, not patch what it had.
+	// The import wrote the shards' write layers outside any seal interval:
+	// the next snapshot must merge the shards whole, not patch what it had.
 	s.snap.invalidate()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -19,7 +20,16 @@ type PassiveDiscoverer struct {
 	// when a campus host sources traffic from them.
 	udpPorts map[uint16]bool
 
-	services map[ServiceKey]*PassiveRecord
+	// The shard's three stores, each a write layer over the last frozen
+	// tree (see layers): service records — a nil record is a retire marker
+	// hiding an older incarnation below it — activity trails and tombstones.
+	// owns reports whether an address is this discoverer's (an engine's
+	// shard owns the addresses that route to it), which is what filters a
+	// base, the merged tree of every shard, when a store is listed whole.
+	records    layers[ServiceKey, *PassiveRecord]
+	trails     layers[netaddr.V4, []instant]
+	tombstones layers[ServiceKey, time.Time]
+	owns       func(netaddr.V4) bool
 
 	// peers holds the distinct-peer identity set — the dedup behind
 	// PassiveRecord.nClients — of each service with more than peerInline
@@ -29,11 +39,6 @@ type PassiveDiscoverer struct {
 	// snapshots never carry (or copy) it: it belongs to the live, ingesting
 	// side only.
 	peers map[ServiceKey]*addrSet
-
-	// addrTimes records thinned per-address activity timestamps for the
-	// firewall-confirmation heuristic ("activity observed during an
-	// active scan", Section 4.2.4 method 2).
-	addrTimes map[netaddr.V4][]instant
 
 	// scan tracking state (scandetect.go).
 	track *scanTracker
@@ -45,30 +50,14 @@ type PassiveDiscoverer struct {
 	onService func(key ServiceKey, t time.Time)
 
 	// Retention state (retention.go). ttl=0 disables expiry entirely; the
-	// maps and slices below then stay empty and cost nothing. tombs maps
-	// each expired key to its expiry deadline (a later re-creation keeps
-	// the tombstone — it only helps late federation consumers). expq is
-	// the lazy deadline min-heap; pendingExpired accumulates expiries
-	// until the next snapshot publishes them; deadKeys and tombDirty name
-	// the expired records and moved tombstones the next seal reports.
+	// heap and list below then stay empty and cost nothing. Each expiry
+	// leaves a tombstone at its deadline (a later re-creation keeps it — it
+	// only helps late federation consumers). expq is the lazy deadline
+	// min-heap; pendingExpired accumulates expiries until the next snapshot
+	// publishes them.
 	ttl            time.Duration
-	tombs          map[ServiceKey]time.Time
 	expq           []expEntry
 	pendingExpired []expiredSvc
-	deadKeys       []ServiceKey
-	tombDirty      []ServiceKey
-
-	// Copy-on-write snapshot machinery (seal). The discoverer keeps no
-	// sealed copy of its own: each seal hands the records and trails the
-	// dirty sets name to the merged snapshot, which is the only sealed
-	// store. seals counts seals; a record whose seal field is behind it is
-	// shared with snapshots and observe clones it before mutating. dirty
-	// maps each record touched since the previous seal to whether it was
-	// born (created, or re-created after an expiry) in that interval. All
-	// dirty tracking is off (nil maps, zero cost) until the first seal.
-	seals      uint64
-	dirty      map[ServiceKey]bool
-	dirtyAddrs map[netaddr.V4]struct{}
 
 	// Packets counts everything handled.
 	Packets int
@@ -79,13 +68,11 @@ type PassiveDiscoverer struct {
 // for TCP-only studies).
 func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDiscoverer {
 	d := &PassiveDiscoverer{
-		campus:    campus,
-		udpPorts:  make(map[uint16]bool, len(udpPorts)),
-		services:  make(map[ServiceKey]*PassiveRecord),
-		peers:     make(map[ServiceKey]*addrSet),
-		addrTimes: make(map[netaddr.V4][]instant),
-		tombs:     make(map[ServiceKey]time.Time),
-		track:     newScanTracker(),
+		campus:   campus,
+		udpPorts: make(map[uint16]bool, len(udpPorts)),
+		peers:    make(map[ServiceKey]*addrSet),
+		owns:     func(netaddr.V4) bool { return true },
+		track:    newScanTracker(),
 	}
 	for _, p := range udpPorts {
 		d.udpPorts[p] = true
@@ -119,101 +106,160 @@ func (d *PassiveDiscoverer) HandleBatch(batch []packet.Packet) {
 // run (see ShardedPassive). A no-op once the tracker has started.
 func (d *PassiveDiscoverer) seedScanOrigin(t time.Time) { d.track.seed(t) }
 
-// shardDelta is what one seal hands the merge, by value: everything the
-// merged snapshot needs to move from the previous seal point to this one,
-// with no reference back into the discoverer's maps. Records and trails are
-// shared, not copied — records go copy-on-write at the seal and trails are
+// shardDelta is what one seal hands the merge, by value: the entries that
+// move each tree of the merged store from the previous seal point to this
+// one, with no reference back into the discoverer's maps (a nil record is a
+// service that expired and was not reborn). Records and trails are shared,
+// not copied — records go copy-on-write at the seal and trails are
 // append-only, so the slice headers captured here never see a later write.
 type shardDelta struct {
 	// packets is the discoverer's cumulative packet count at the seal.
 	packets int
-	recs    []sealedRec
-	// dead are the records expired since the previous seal and not reborn
-	// (empty in a whole-shard delta, which lists only what is live).
-	dead   []ServiceKey
-	trails []sealedTrail
-	tombs  []TombState
+	recs    []svcEntry
+	trails  []TreeEntry[netaddr.V4, []instant]
+	tombs   []TreeEntry[ServiceKey, time.Time]
 	// scanners and expired are filled in by the shard freeze: detections as
 	// of the seal, and the expiry notices the snapshot publishes.
 	scanners []ScannerInfo
 	expired  []expiredSvc
 }
 
-// sealedRec is one record as of a seal. born marks a record created since
-// the previous seal, which is how a service that expired and came back
-// within one interval still reads as new downstream.
-type sealedRec struct {
-	key  ServiceKey
-	rec  *PassiveRecord
-	born bool
+// layers is one of a shard's stores in the shape of an LSM memtable. live
+// holds what the shard wrote since its last seal; sealed is the previous
+// interval's live map, kept until the merge that contains it is installed;
+// base is the tree of the last inventory installed into the shard — the
+// merged tree of every shard, of which only the keys the shard owns are
+// ever read. A lookup reads live, then sealed, then base; every write goes
+// to live. So once an install has happened a shard holds only what changed
+// since: a key's first touch in an interval pays one descent of base, its
+// repeats a small-map probe. A discoverer nobody installs into (the
+// sequential one) keeps everything in its two maps.
+type layers[K TreeKey, V any] struct {
+	live, sealed map[K]V
+	base         Tree[K, V]
 }
 
-// sealedTrail is one address's activity trail as of a seal.
-type sealedTrail struct {
-	addr  netaddr.V4
-	trail []instant
+// get returns k's newest value, and whether any layer holds k.
+func (l *layers[K, V]) get(k K) (V, bool) {
+	if v, ok := l.live[k]; ok {
+		return v, true
+	}
+	if v, ok := l.sealed[k]; ok {
+		return v, true
+	}
+	return l.base.Get(k)
+}
+
+// put writes v under k.
+func (l *layers[K, V]) put(k K, v V) {
+	if l.live == nil {
+		l.live = make(map[K]V)
+	}
+	l.live[k] = v
+}
+
+// each visits, once, every key a layer holds whose newest value keep passes.
+func (l *layers[K, V]) each(keep func(K, V) bool, f func(K, V)) {
+	for k, v := range l.live {
+		if keep(k, v) {
+			f(k, v)
+		}
+	}
+	for k, v := range l.sealed {
+		if _, over := l.live[k]; !over && keep(k, v) {
+			f(k, v)
+		}
+	}
+	l.base.Walk(nil, func(k K, v V) bool {
+		if keep(k, v) {
+			_, over := l.live[k]
+			if _, under := l.sealed[k]; !over && !under {
+				f(k, v)
+			}
+		}
+		return true
+	})
+}
+
+// seal returns the entries of the live map — of every layer, those keep
+// passes, when whole — and hands the live map to sealed as it is. The new
+// live map is sized for twice the interval just sealed, unless that was
+// whole (a whole interval may be the whole shard); the old one is never
+// cleared for reuse, since a Go map does not shrink. With no install since
+// the previous seal the interval folds into the sealed map, so nothing is
+// lost.
+func (l *layers[K, V]) seal(whole bool, keep func(K, V) bool) []TreeEntry[K, V] {
+	n := len(l.live)
+	out := make([]TreeEntry[K, V], 0, n+len(l.sealed))
+	add := func(k K, v V) { out = append(out, TreeEntry[K, V]{Val: v, Key: k}) }
+	if whole {
+		l.each(keep, add)
+	} else {
+		for k, v := range l.live {
+			add(k, v)
+		}
+	}
+	if l.sealed == nil {
+		l.sealed = l.live
+	} else {
+		maps.Copy(l.sealed, l.live)
+	}
+	l.live = nil
+	if n > 0 && !whole {
+		l.live = make(map[K]V, 2*n)
+	}
+	return out
+}
+
+// service returns key's live record, nil when there is none.
+func (d *PassiveDiscoverer) service(key ServiceKey) *PassiveRecord {
+	rec, _ := d.records.get(key)
+	return rec
+}
+
+// eachService visits every live record the discoverer owns, in no order.
+func (d *PassiveDiscoverer) eachService(f func(ServiceKey, *PassiveRecord)) {
+	d.records.each(d.ownsRecord, f)
+}
+
+func (d *PassiveDiscoverer) ownsRecord(k ServiceKey, rec *PassiveRecord) bool {
+	return rec != nil && d.owns(k.Addr)
 }
 
 // seal freezes the discoverer's inventory-facing state — service records,
 // activity trails, tombstones and the packet count — as of now and returns
-// what changed since the previous seal. With whole set it lists the entire
-// shard instead — every record, trail and tombstone, born unset — for a
-// merge that has no previous snapshot to patch (the first one, or the first
-// after a checkpoint restore), and (re)starts the dirty sets. Sealing
-// copies no record: every record existing now becomes shared with whoever
-// holds the delta (observe clones a shared record before its first
-// post-seal mutation) and trails are append-only, so a captured slice
-// header never sees elements past its length. Cost is O(records touched
-// since the last seal), or O(shard) when whole.
+// what changed since the previous seal: each store's live layer, which it
+// then hands over to sealed (see layers). With whole set it lists every
+// live record, trail and tombstone the discoverer owns instead, for a merge
+// that has no previous snapshot to patch (the first one, or the first after
+// a checkpoint restore). Sealing copies no record: every record existing
+// now becomes shared with whoever holds the delta (observe clones a shared
+// record before its first post-seal mutation) and trails are append-only, so
+// a captured slice header never sees elements past its length. Cost is
+// O(entries written since the last seal), or O(shard) when whole.
 //
 // Each delta is relative to the previous seal and is handed out once, so
 // every partial seal must reach the one merge that patches the snapshot
 // chain: only a shard freeze on behalf of ShardedPassive.advance seals
-// partially. A whole seal stands alone — NewHybridInventory takes one of a
+// partially, and advance installs the merged store into the shard before the
+// next. A whole seal stands alone — NewHybridInventory takes one of a
 // discoverer no engine owns. The scan tracker is not part of a seal (the
 // freeze captures detections beside it).
 func (d *PassiveDiscoverer) seal(whole bool) shardDelta {
-	delta := shardDelta{packets: d.Packets}
-	if whole {
-		delta.recs = make([]sealedRec, 0, len(d.services))
-		for k, rec := range d.services {
-			delta.recs = append(delta.recs, sealedRec{key: k, rec: rec})
-		}
-		delta.trails = make([]sealedTrail, 0, len(d.addrTimes))
-		for a, ts := range d.addrTimes {
-			delta.trails = append(delta.trails, sealedTrail{addr: a, trail: ts})
-		}
-		delta.tombs = make([]TombState, 0, len(d.tombs))
-		for k, at := range d.tombs {
-			delta.tombs = append(delta.tombs, TombState{Key: k, At: at})
-		}
-		// Everything is in the delta: switch dirty tracking on (first seal)
-		// or start it over (restore).
-		d.dirty = make(map[ServiceKey]bool)
-		d.dirtyAddrs = make(map[netaddr.V4]struct{})
-		d.deadKeys, d.tombDirty = nil, nil
-	} else {
-		if len(d.dirty) > 0 {
-			delta.recs = make([]sealedRec, 0, len(d.dirty))
-			for k, born := range d.dirty {
-				delta.recs = append(delta.recs, sealedRec{key: k, rec: d.services[k], born: born})
-			}
-			clear(d.dirty)
-		}
-		if len(d.dirtyAddrs) > 0 {
-			delta.trails = make([]sealedTrail, 0, len(d.dirtyAddrs))
-			for a := range d.dirtyAddrs {
-				delta.trails = append(delta.trails, sealedTrail{addr: a, trail: d.addrTimes[a]})
-			}
-			clear(d.dirtyAddrs)
-		}
-		for _, k := range d.tombDirty {
-			delta.tombs = append(delta.tombs, TombState{Key: k, At: d.tombs[k]})
-		}
-		delta.dead, d.deadKeys, d.tombDirty = d.deadKeys, nil, nil
+	return shardDelta{
+		packets: d.Packets,
+		recs:    d.records.seal(whole, d.ownsRecord),
+		trails:  d.trails.seal(whole, func(a netaddr.V4, _ []instant) bool { return d.owns(a) }),
+		tombs:   d.tombstones.seal(whole, func(k ServiceKey, _ time.Time) bool { return d.owns(k.Addr) }),
 	}
-	d.seals++ // every record is now shared: the next write clones
-	return delta
+}
+
+// install makes m's trees the base of the discoverer's stores and drops the
+// sealed layers: the merge that built m contains everything sealed so far.
+func (d *PassiveDiscoverer) install(m *mergedStore) {
+	d.records.base, d.records.sealed = m.services, nil
+	d.trails.base, d.trails.sealed = m.trails, nil
+	d.tombstones.base, d.tombstones.sealed = m.tombs, nil
 }
 
 func (d *PassiveDiscoverer) handleTCP(p *packet.Packet) {
@@ -253,7 +299,10 @@ func (d *PassiveDiscoverer) handleUDP(p *packet.Packet) {
 }
 
 func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4) {
-	rec := d.services[key]
+	rec, owned := d.records.live[key]
+	if !owned {
+		rec = d.service(key)
+	}
 	at := toInstant(t)
 	if rec != nil && d.ttl > 0 && !t.Before(rec.LastSeen().Add(d.ttl)) {
 		// Incarnation split: the old record's deadline passed before this
@@ -264,7 +313,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		// clocks): the fresh record below gets a new FirstSeen and reset
 		// weights no matter how often anyone snapshotted in between. The
 		// expiry event is queued for the next snapshot; the record is gone
-		// from services now, which is all the rediscovery announcement
+		// from the records now, which is all the rediscovery announcement
 		// below looks at.
 		deadline := rec.LastSeen().Add(d.ttl)
 		d.retire(key, deadline)
@@ -273,35 +322,31 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	}
 	switch {
 	case rec == nil:
-		rec = &PassiveRecord{first: at, seal: d.seals}
-		d.services[key] = rec
-		if d.dirty != nil {
-			d.dirty[key] = true
-		}
+		rec = &PassiveRecord{first: at}
+		d.records.put(key, rec)
 		if d.ttl > 0 {
 			d.expPush(t.Add(d.ttl), key)
 		}
 		if d.onService != nil {
 			d.onService(key, t)
 		}
-	case rec.seal != d.seals:
-		// The record is shared with snapshots: copy on write, exactly once
-		// per seal epoch. (A record born this epoch carries the current
-		// seal, so this never overwrites a born mark.)
-		rec = rec.cloneForWrite(d.seals)
-		d.services[key] = rec
-		d.dirty[key] = false
+	case !owned:
+		// A record below the write layer is shared with a snapshot: copy on
+		// write, once per seal interval. The copy is flat: the clone shares
+		// the append-only rest array (see PassiveRecord).
+		c := *rec
+		rec = &c
+		d.records.put(key, rec)
 	}
 	rec.observe(at, peer, d.newPeer(key, rec, peer))
 
-	// Thinned per-address activity trail (>=1-minute spacing). Appends
-	// only — snapshots alias the backing array safely.
-	times := d.addrTimes[key.Addr]
+	// Thinned per-address activity trail (>=1-minute spacing), which
+	// records the firewall-confirmation heuristic's "activity observed
+	// during an active scan" (Section 4.2.4 method 2). Appends only —
+	// snapshots alias the backing array safely.
+	times, _ := d.trails.get(key.Addr)
 	if n := len(times); n == 0 || (at >= times[n-1] && at-times[n-1] >= instant(time.Minute)) {
-		d.addrTimes[key.Addr] = append(times, at)
-		if d.dirtyAddrs != nil {
-			d.dirtyAddrs[key.Addr] = struct{}{}
-		}
+		d.trails.put(key.Addr, append(times, at))
 	}
 }
 

@@ -28,7 +28,8 @@ package core
 // consumers can withdraw state they learned before the expiry.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -72,15 +73,8 @@ type expiredSvc struct {
 // then provenance — the published EventServiceExpired order, identical at
 // any shard count.
 func sortExpired(exp []expiredSvc) {
-	sort.Slice(exp, func(i, j int) bool {
-		a, b := exp[i], exp[j]
-		if !a.at.Equal(b.at) {
-			return a.at.Before(b.at)
-		}
-		if a.key != b.key {
-			return a.key.Before(b.key)
-		}
-		return a.prov < b.prov
+	slices.SortFunc(exp, func(a, b expiredSvc) int {
+		return cmp.Or(a.at.Compare(b.at), a.key.Compare(b.key), cmp.Compare(a.prov, b.prov))
 	})
 }
 
@@ -132,18 +126,16 @@ func (d *PassiveDiscoverer) setRetention(ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	for k, rec := range d.services {
-		d.expPush(rec.LastSeen().Add(ttl), k)
-	}
+	d.eachService(func(k ServiceKey, rec *PassiveRecord) { d.expPush(rec.LastSeen().Add(ttl), k) })
 }
 
-// retire removes the record's live state and leaves a tombstone at the
-// given deadline: the shared half of observe-side and snapshot-side expiry.
+// retire removes the record's live state — a retire marker hides any older
+// incarnation below the write layer — and leaves a tombstone at the given
+// deadline: the shared half of observe-side and snapshot-side expiry.
 func (d *PassiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
-	delete(d.services, key)
+	d.records.put(key, nil)
 	delete(d.peers, key)
-	d.tombs[key] = deadline
-	d.tombDirty = append(d.tombDirty, key)
+	d.tombstones.put(key, deadline)
 }
 
 // expireDue drains every deadline at or before the watermark, expiring
@@ -157,8 +149,8 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) {
 	}
 	for len(d.expq) > 0 && !d.expq[0].at.After(wm) {
 		e := d.expPop()
-		rec, live := d.services[e.key]
-		if !live {
+		rec := d.service(e.key)
+		if rec == nil {
 			continue // already expired or retired under an earlier entry
 		}
 		deadline := rec.LastSeen().Add(d.ttl)
@@ -167,18 +159,6 @@ func (d *PassiveDiscoverer) expireDue(wm time.Time) {
 			continue
 		}
 		d.retire(e.key, deadline)
-		if d.dirty != nil {
-			delete(d.dirty, e.key)
-			d.deadKeys = append(d.deadKeys, e.key)
-		}
 		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: e.key, at: deadline, prov: PassiveOnly})
 	}
-}
-
-// takePendingExpired hands the accumulated pending expiries to the freeze
-// that will publish them, clearing the accumulator.
-func (d *PassiveDiscoverer) takePendingExpired() []expiredSvc {
-	p := d.pendingExpired
-	d.pendingExpired = nil
-	return p
 }

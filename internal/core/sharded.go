@@ -191,14 +191,14 @@ func (c *snapCache) invalidate() {
 // passiveShard is one worker-owned shard: the discoverer and the active half
 // of the event join for the keys it owns (events.go). The discoverer is
 // touched only by the shard's owner — the worker goroutine while running,
-// the dispatcher (under dispatchMu) inline and after shutdown. A shard keeps
-// nothing of its past freezes.
+// the dispatcher (under dispatchMu) inline and after shutdown — and by the
+// install after each merge (advance), which it shares the merged store with.
 type passiveShard struct {
-	// mu is held across every write to disc.services and activeFirst — apply,
-	// the expiry sweep of a freeze, checkpoint import and the report
-	// reconciler's join calls — and across the ServiceDiscovered or
-	// ProvenanceUpgraded each of them publishes. The owner reads services
-	// without it (nobody else writes); the reconciler reads under it.
+	// mu is held across every write to the discoverer's stores and to
+	// activeFirst — apply, a freeze, the install after a merge, checkpoint
+	// import and the report reconciler's join calls — and across the
+	// ServiceDiscovered or ProvenanceUpgraded each of them publishes. The
+	// owner reads the stores without it; the reconciler reads under it.
 	mu   sync.Mutex
 	disc *PassiveDiscoverer
 	// activeFirst holds the first-open time of every key of this shard with
@@ -224,10 +224,10 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 	sh.mu.Lock()
 	sh.disc.expireDue(wm)
-	sh.mu.Unlock()
 	delta := sh.disc.seal(whole)
+	sh.mu.Unlock()
 	delta.scanners = sh.disc.track.detect()
-	delta.expired = sh.disc.takePendingExpired()
+	delta.expired, sh.disc.pendingExpired = sh.disc.pendingExpired, nil
 	return delta
 }
 
@@ -265,6 +265,7 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 	}
 	for i := range s.shards {
 		d := NewPassiveDiscoverer(campus, udpPorts)
+		d.owns = func(a netaddr.V4) bool { return s.shardOf(a) == i }
 		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]instant), events: s.events}
 		d.onService = sh.passiveDiscovered
 		d.track.onDetect = s.events.scannerDetected
@@ -618,75 +619,59 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 // nothing dead — and the trees are built bottom-up from them, with active's
 // probe-only entries; the returned delta is then Full and lists nothing.
 // Otherwise Added names the services that appeared or were reborn since base
-// (a probe-only one passive monitoring now sees included), Updated those
-// whose record was touched but persisted (re-observations — LastSeen, flows
-// or client counts moved — and records expired under a probe answer) and
-// Removed those that left, all three in key order and mutually disjoint: a
-// shard never lists one key both dirty and dead.
+// (a probe-only one passive monitoring now sees included; a record beside a
+// tombstone of the same delta came back after expiring in the interval),
+// Updated those whose record was touched but persisted (re-observations —
+// LastSeen, flows or client counts moved — and records expired under a probe
+// answer) and Removed those that left, all three in key order and mutually
+// disjoint: a shard lists each key once.
 func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer) (*mergedStore, []ScannerInfo, SnapshotDelta) {
 	d := SnapshotDelta{Full: base == nil}
 	m := &mergedStore{}
 	var scanners []ScannerInfo
-	var nrecs, ntrails, ntombs int
+	var recs []svcEntry
+	var trails []TreeEntry[netaddr.V4, []instant]
+	var tombs []TreeEntry[ServiceKey, time.Time]
 	for i := range deltas {
 		sd := &deltas[i]
 		m.packets += sd.packets
 		scanners = append(scanners, sd.scanners...)
-		nrecs, ntrails, ntombs = nrecs+len(sd.recs)+len(sd.dead), ntrails+len(sd.trails), ntombs+len(sd.tombs)
+		recs, trails, tombs = append(recs, sd.recs...), append(trails, sd.trails...), append(tombs, sd.tombs...)
 	}
 	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
-	recs := make([]sealedRec, 0, nrecs)
-	trails := make([]TreeEntry[netaddr.V4, []instant], 0, ntrails)
-	tombs := make([]TreeEntry[ServiceKey, time.Time], 0, ntombs)
-	for i := range deltas {
-		sd := &deltas[i]
-		recs = append(recs, sd.recs...)
-		for _, k := range sd.dead {
-			recs = append(recs, sealedRec{key: k})
-		}
-		for _, t := range sd.trails {
-			trails = append(trails, TreeEntry[netaddr.V4, []instant]{Val: t.trail, Key: t.addr})
-		}
-		for _, t := range sd.tombs {
-			tombs = append(tombs, TreeEntry[ServiceKey, time.Time]{Val: t.At, Key: t.Key})
-		}
-	}
-	trails = sortEntries(trails)
-	// A key retired twice since the last seal is listed twice, at its one
-	// current deadline.
-	tombs = slices.CompactFunc(sortEntries(tombs), func(a, b TreeEntry[ServiceKey, time.Time]) bool { return a.Key == b.Key })
+	recs, trails, tombs = sortEntries(recs), sortEntries(trails), sortEntries(tombs)
 	if d.Full {
-		ents := make([]svcEntry, len(recs))
-		for i, r := range recs {
-			ents[i] = svcEntry{Val: r.rec, Key: r.key}
-		}
-		m.services = BuildTree(withProbed(sortEntries(ents), active))
+		m.services = BuildTree(withProbed(recs, active))
 		m.trails, m.tombs = BuildTree(trails), BuildTree(tombs)
 		return m, scanners, d
 	}
-	slices.SortFunc(recs, func(a, b sealedRec) int { return a.key.Compare(b.key) })
+	// A record beside its key's tombstone came back after expiring.
+	reborn := func(k ServiceKey) bool {
+		_, found := slices.BinarySearchFunc(tombs, k, func(e TreeEntry[ServiceKey, time.Time], k ServiceKey) int { return e.Key.Compare(k) })
+		return found
+	}
 	edits := make([]TreeEdit[ServiceKey, *PassiveRecord], len(recs))
 	for i, r := range recs {
 		probed := false
-		if r.rec == nil && active != nil {
-			_, probed = active.firstOpen[r.key]
+		if r.Val == nil && active != nil {
+			_, probed = active.firstOpen[r.Key]
 		}
-		edits[i] = TreeEdit[ServiceKey, *PassiveRecord]{Key: r.key, Val: r.rec, Del: r.rec == nil && !probed}
+		edits[i] = TreeEdit[ServiceKey, *PassiveRecord]{Key: r.Key, Val: r.Val, Del: r.Val == nil && !probed}
 	}
 	m.services = base.services.Patch(edits, func(i int, old *PassiveRecord, had bool) {
 		switch r := recs[i]; {
 		case edits[i].Del:
 			if had {
-				d.Removed = append(d.Removed, r.key)
+				d.Removed = append(d.Removed, r.Key)
 			}
-		case r.rec == nil: // expired, but a probe still answers: downgraded, not removed
+		case r.Val == nil: // expired, but a probe still answers: downgraded, not removed
 			if old != nil {
-				d.Updated = append(d.Updated, r.key)
+				d.Updated = append(d.Updated, r.Key)
 			}
-		case old == nil || r.born:
-			d.Added = append(d.Added, r.key)
+		case old == nil || reborn(r.Key):
+			d.Added = append(d.Added, r.Key)
 		default:
-			d.Updated = append(d.Updated, r.key)
+			d.Updated = append(d.Updated, r.Key)
 		}
 	})
 	m.trails = base.trails.Patch(upserts(trails), nil)
@@ -798,6 +783,13 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 		m, delta = m.reprobed(active), SnapshotDelta{Full: true}
 	}
 	inv = &Inventory{d: m, active: active, scanners: scanners}
+	if deltas != nil {
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			sh.disc.install(m)
+			sh.mu.Unlock()
+		}
+	}
 	s.snap.put(inv, d0, agen)
 	return prev, inv, delta
 }

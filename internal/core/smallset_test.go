@@ -625,11 +625,11 @@ func TestPeerDedupModel(t *testing.T) {
 		}
 		check := func(ctx string) {
 			t.Helper()
-			if len(d.services) != len(ref) {
-				t.Fatalf("seed %d, %s: %d live services, reference %d", seed, ctx, len(d.services), len(ref))
+			if n := liveServices(d); n != len(ref) {
+				t.Fatalf("seed %d, %s: %d live services, reference %d", seed, ctx, n, len(ref))
 			}
 			for key, r := range ref {
-				rec := d.services[key]
+				rec := d.service(key)
 				if rec == nil {
 					t.Fatalf("seed %d, %s: %v missing", seed, ctx, key)
 				}
@@ -673,9 +673,11 @@ func TestPeerDedupModel(t *testing.T) {
 			case step%97 == 0:
 				// Seal, and remember the records the seal hands out — the
 				// whole shard the first time, what changed since afterwards:
-				// later writes must go to clones.
+				// later writes must go to clones. (A nil record is a removal.)
 				for _, r := range d.seal(step == 0).recs {
-					sealed = append(sealed, sealedAt{r.rec, r.rec.Clients(), slices.Clone(r.rec.FirstPeers())})
+					if r.Val != nil {
+						sealed = append(sealed, sealedAt{r.Val, r.Val.Clients(), slices.Clone(r.Val.FirstPeers())})
+					}
 				}
 				check("after a seal")
 			case step == 2000:
@@ -791,7 +793,7 @@ func checkImportRefuses(t *testing.T, tamper map[string]func(st *ServiceState)) 
 		if err == nil || !strings.Contains(err.Error(), bad.String()) {
 			t.Fatalf("%s: ImportDelta = %v, want an error naming %v", name, err, bad)
 		}
-		if n := len(dst.shards[0].disc.services); n != 0 {
+		if n := liveServices(dst.shards[0].disc); n != 0 {
 			t.Fatalf("%s: the refused delta wrote %d services", name, n)
 		}
 		if err := dst.ImportDelta(want); err != nil {
@@ -836,7 +838,7 @@ func TestPeerHistoryModel(t *testing.T) {
 		var sealed []sealedAt
 		check := func(ctx string) {
 			t.Helper()
-			rec := d.services[key]
+			rec := d.service(key)
 			if rec.Clients() != len(seen) || !slices.Equal(rec.FirstPeers(), ref) {
 				t.Fatalf("seed %d, %s, %d peers seen: %d clients, first peers %v, reference %v",
 					seed, ctx, len(seen), rec.Clients(), rec.FirstPeers(), ref)
@@ -865,7 +867,7 @@ func TestPeerHistoryModel(t *testing.T) {
 			// Seal at every length: the next write goes to a clone that
 			// appends past what this one covers.
 			d.seal(false)
-			rec := d.services[key]
+			rec := d.service(key)
 			sealed = append(sealed, sealedAt{rec, rec.FirstPeers()})
 			if roundTrip[len(seen)] {
 				st := d.exportService(key)
