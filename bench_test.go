@@ -663,19 +663,11 @@ func BenchmarkCheckpointUnderLoad(b *testing.B) {
 }
 
 // attachCatalog wires a query catalog to an engine's snapshot stream the
-// way the facade does: O(churn) delta patches while the lineage holds, a
-// full rebuild when the engine reports a lineage break.
+// way the facade does: ApplyDelta patches O(churn) per delta and rebuilds
+// on a Full one.
 func attachCatalog(sp *core.ShardedPassive) *query.Catalog {
 	cat := query.NewCatalog(0)
-	var prevInv *core.Inventory
-	sp.OnSnapshot(func(prev, inv *core.Inventory, d core.SnapshotDelta) {
-		if d.Full || prev != prevInv {
-			cat.RebuildFromInventory(inv)
-		} else {
-			cat.ApplyDelta(inv, d)
-		}
-		prevInv = inv
-	})
+	sp.OnSnapshot(func(_, inv *core.Inventory, d core.SnapshotDelta) { cat.ApplyDelta(inv, d) })
 	return cat
 }
 

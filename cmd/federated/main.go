@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -272,46 +271,25 @@ func run(o options) error {
 	}
 }
 
-// globalSource puts the aggregator's cross-site inventory (and its lazily
-// refreshed index) behind the shared HTTP surface.
+// globalSource puts the aggregator's cross-site inventory (and its index)
+// behind the shared HTTP surface.
 type globalSource struct{ agg *federate.Aggregator }
 
-func (s globalSource) View() httpapi.View {
-	return &globalView{agg: s.agg, gen: s.agg.Gen()}
-}
+func (s globalSource) View() httpapi.View { return globalView{s.agg.View()} }
 
 func (s globalSource) Query(q query.Query) (query.Result, error) { return s.agg.Query(q) }
 
-// globalView is the service table at one mutation generation. The rows —
-// already in canonical key order, which is also the dump order — are
-// copied out of the aggregator only if the request gets past the ETag.
-type globalView struct {
-	agg  *federate.Aggregator
-	gen  uint64
-	svcs []federate.GlobalService
-}
+// globalView is the service table as of one flush. Pages walk the pinned
+// tree from the cursor; the full dump is copied out only when the request
+// gets past the ETag.
+type globalView struct{ v federate.GlobalView }
 
-func (v *globalView) services() []federate.GlobalService {
-	if v.svcs == nil {
-		v.svcs = v.agg.Services()
-	}
-	return v.svcs
-}
+func (v globalView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.v.Gen()) }
 
-func (v *globalView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.gen) }
-func (v *globalView) Dump() any    { return v.services() }
+func (v globalView) Dump() any { return v.v.Services() }
 
-func (v *globalView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
-	svcs := v.services()
-	i := 0
-	if after != nil {
-		i = sort.Search(len(svcs), func(i int) bool { return after.Before(svcs[i].Key) })
-	}
-	for _, s := range svcs[i:] {
-		if !f(s.Key, s) {
-			return
-		}
-	}
+func (v globalView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
+	v.v.Walk(after, func(g federate.GlobalService) bool { return f(g.Key, g) })
 }
 
 // registerDaemonSeries adds the aggregator-global series: everything here

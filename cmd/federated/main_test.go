@@ -245,7 +245,7 @@ func TestServicesAndQueryThroughMux(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	want, _ := json.Marshal(agg.Services())
-	etag := fmt.Sprintf("\"agg-%d\"", agg.Gen())
+	etag := fmt.Sprintf("\"agg-%d\"", agg.View().Gen())
 	if string(body) != string(want) || resp.Header.Get("ETag") != etag {
 		t.Errorf("/services = %s (ETag %s), want %s (ETag %s)", body, resp.Header.Get("ETag"), want, etag)
 	}
@@ -272,5 +272,57 @@ func TestServicesAndQueryThroughMux(t *testing.T) {
 	wantQ, _ := json.Marshal(res)
 	if _, got := get(t, srv.URL+"/query?port=80"); got != string(wantQ)+"\n" || len(res.Hits) != 2 {
 		t.Errorf("/query?port=80 = %s, want %s", got, wantQ)
+	}
+}
+
+// TestServicesETagFollowsCells: a frame that changes only one site's cell
+// of a key — a second site reporting it between the first site's earliest
+// and newest evidence, so the global query doc stays as it was — still
+// changes the /services ETag and body.
+func TestServicesETagFollowsCells(t *testing.T) {
+	srv, _, agg := newTestServer(t)
+	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
+	key := core.ServiceKey{Addr: netaddr.MustParseV4("128.125.1.1"), Proto: packet.ProtoTCP, Port: 80}
+	apply := func(site federate.SiteID, seq uint64, at time.Time) {
+		t.Helper()
+		ev := core.Event{Kind: core.EventServiceDiscovered, Time: at, Key: key, Provenance: core.PassiveOnly}
+		if err := agg.Apply(&federate.Frame{V: federate.WireVersion, Type: federate.FrameEvent,
+			Site: site, Epoch: 1, Seq: seq, Event: &ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	services := func() (etag, body string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/services")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.Header.Get("ETag"), string(b)
+	}
+	doc := func() string {
+		_, body := get(t, srv.URL+"/query?key="+url.QueryEscape(key.String()))
+		var res query.Result
+		if err := json.Unmarshal([]byte(body), &res); err != nil || len(res.Hits) != 1 {
+			t.Fatalf("/query for %s = %s (%v)", key, body, err)
+		}
+		hit, _ := json.Marshal(res.Hits[0])
+		return string(hit)
+	}
+
+	apply("east", 2, base.Add(10*time.Minute)) // east's newest evidence
+	tag0, body0 := services()
+	doc0 := doc()
+	apply("west", 2, base.Add(5*time.Minute)) // between east's first and newest
+	tag1, body1 := services()
+	if doc1 := doc(); doc1 != doc0 {
+		t.Fatalf("global doc moved: %s → %s; the frame should change one cell only", doc0, doc1)
+	}
+	if tag1 == tag0 || body1 == body0 {
+		t.Errorf("west's cell changed but /services did not: ETag %s → %s", tag0, tag1)
+	}
+	if !strings.Contains(body1, `"site":"west","prov":"passive-only","passive_at":"2006-12-16T10:05:00Z"`) {
+		t.Errorf("/services lacks west's cell: %s", body1)
 	}
 }

@@ -2,7 +2,9 @@ package federate
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -71,6 +73,13 @@ type svcState struct {
 	// cannot resurrect an expired service. A cell with no live evidence
 	// is kept as a tombstone until CollapseTombstones.
 	retractedPassiveAt, retractedActiveAt time.Time
+}
+
+// siteCell is one site's svcState for one service. A key's cells are kept
+// sorted by site.
+type siteCell struct {
+	site SiteID
+	svcState
 }
 
 // live reports whether the cell still holds unretracted evidence.
@@ -263,20 +272,17 @@ type SiteStats struct {
 // events. Property-tested in aggregator_test.go at 1, 2 and 4 sites
 // racing live producers.
 type Aggregator struct {
-	mu       sync.Mutex
-	sites    map[SiteID]*siteState
-	services map[core.ServiceKey]map[SiteID]*svcState
+	mu    sync.Mutex
+	sites map[SiteID]*siteState
+	// cells holds every key's site cells as of the last flush; live is the
+	// write layer over it: each key touched since, with a private copy of
+	// its cells (none once CollapseTombstones took the last). qcat indexes
+	// cells. See query.go for the flush.
+	cells    cellTree
+	live     map[core.ServiceKey][]siteCell
+	qcat     *query.Catalog
 	scanners map[netaddr.V4]map[SiteID]*scannerState
 	hub      *pipeline.Hub[GlobalEvent]
-
-	// Query-index maintenance (see query.go): gen counts service-table
-	// mutations, dirty the keys touched since the last index refresh, and
-	// qcat is the lazily-built secondary index over the global inventory.
-	// qfull forces the next refresh to rebuild instead of patch.
-	gen   uint64
-	dirty map[core.ServiceKey]struct{}
-	qcat  *query.Catalog
-	qfull bool
 
 	// met is the optional telemetry bundle (see SetMetrics).
 	met *AggregatorMetrics
@@ -289,7 +295,8 @@ func (a *Aggregator) SetMetrics(m *AggregatorMetrics) { a.met = m }
 func NewAggregator() *Aggregator {
 	return &Aggregator{
 		sites:    make(map[SiteID]*siteState),
-		services: make(map[core.ServiceKey]map[SiteID]*svcState),
+		live:     make(map[core.ServiceKey][]siteCell),
+		qcat:     query.NewCatalog(0),
 		scanners: make(map[netaddr.V4]map[SiteID]*scannerState),
 		hub:      pipeline.NewHub[GlobalEvent](),
 	}
@@ -318,23 +325,22 @@ func (a *Aggregator) site(id SiteID) *siteState {
 
 // svc returns the per-site state cell for one service, reporting whether
 // the key is new to the global inventory entirely. Every caller is a
-// mutation path, so the key is marked dirty for the query index here
-// (over-marking on a merge that turns out to be a no-op is harmless: the
-// index patch skips docs that did not change).
+// mutation path, so the cell is in the write layer: a key's first touch
+// since the flush copies its cells out of the tree, which readers may hold.
+// The pointer is good until the next svc call.
 func (a *Aggregator) svc(site SiteID, key core.ServiceKey) (s *svcState, newGlobal bool) {
-	a.markDirty(key)
-	perSite := a.services[key]
-	if perSite == nil {
-		perSite = make(map[SiteID]*svcState)
-		a.services[key] = perSite
-		newGlobal = true
+	cells, ok := a.live[key]
+	if !ok {
+		frozen, _ := a.cells.Get(key)
+		cells = slices.Clone(frozen)
 	}
-	s = perSite[site]
-	if s == nil {
-		s = &svcState{}
-		perSite[site] = s
+	newGlobal = len(cells) == 0
+	i, found := slices.BinarySearchFunc(cells, site, func(c siteCell, id SiteID) int { return cmp.Compare(c.site, id) })
+	if !found {
+		cells = slices.Insert(cells, i, siteCell{site: site})
 	}
-	return s, newGlobal
+	a.live[key] = cells
+	return &cells[i].svcState, newGlobal
 }
 
 // Apply folds one frame into the global state. It is the single merge
@@ -670,32 +676,18 @@ func (a *Aggregator) Sites() []SiteID {
 
 // perSiteServiceCounts tallies how many services each site contributes to
 // the global inventory — live evidence only, retraction tombstones do not
-// count. Caller holds a.mu.
+// count. Caller holds a.mu and has flushed.
 func (a *Aggregator) perSiteServiceCounts() map[SiteID]int {
 	perSite := make(map[SiteID]int, len(a.sites))
-	for _, sites := range a.services {
-		for id, s := range sites {
-			if s.live() {
-				perSite[id]++
+	a.cells.Walk(nil, func(_ core.ServiceKey, cells []siteCell) bool {
+		for i := range cells {
+			if cells[i].live() {
+				perSite[cells[i].site]++
 			}
 		}
-	}
+		return true
+	})
 	return perSite
-}
-
-// numLiveLocked counts services with live evidence from at least one site.
-// Caller holds a.mu.
-func (a *Aggregator) numLiveLocked() int {
-	n := 0
-	for _, sites := range a.services {
-		for _, s := range sites {
-			if s.live() {
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // CollapseTombstones drops retraction bookkeeping older than the given
@@ -708,22 +700,19 @@ func (a *Aggregator) numLiveLocked() int {
 func (a *Aggregator) CollapseTombstones(olderThan time.Time) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for key, sites := range a.services {
-		for id, s := range sites {
-			if s.live() {
-				continue
-			}
-			if s.retractedPassiveAt.Before(olderThan) && s.retractedActiveAt.Before(olderThan) {
-				delete(sites, id)
-				a.markDirty(key)
-				n++
-			}
-		}
-		if len(sites) == 0 {
-			delete(a.services, key)
-		}
+	a.flushLocked()
+	collapsed := func(c siteCell) bool {
+		return !c.live() && c.retractedPassiveAt.Before(olderThan) && c.retractedActiveAt.Before(olderThan)
 	}
+	n := 0
+	a.cells.Walk(nil, func(key core.ServiceKey, cells []siteCell) bool {
+		if slices.ContainsFunc(cells, collapsed) {
+			kept := slices.DeleteFunc(slices.Clone(cells), collapsed)
+			n += len(cells) - len(kept)
+			a.live[key] = kept
+		}
+		return true
+	})
 	return n
 }
 
@@ -731,6 +720,7 @@ func (a *Aggregator) CollapseTombstones(olderThan time.Time) int {
 func (a *Aggregator) Stats() []SiteStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.flushLocked()
 	perSite := a.perSiteServiceCounts()
 	out := make([]SiteStats, 0, len(a.sites))
 	for id, st := range a.sites {
@@ -749,7 +739,7 @@ func (a *Aggregator) Stats() []SiteStats {
 func (a *Aggregator) NumServices() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.numLiveLocked()
+	return a.flushLocked().Len()
 }
 
 // SiteRecord is one site's view of a global service.
@@ -773,35 +763,64 @@ type GlobalService struct {
 // Services returns the global inventory in deterministic order: keys
 // canonically sorted (core.ServiceKey.Before, the same ordering as
 // Inventory.Dump), each with its per-site records sorted by site.
-func (a *Aggregator) Services() []GlobalService {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.servicesLocked()
+func (a *Aggregator) Services() []GlobalService { return a.View().Services() }
+
+// GlobalView is the global inventory as of one flush: immutable, so it is
+// read lock-free for as long as the holder likes.
+type GlobalView struct {
+	gen   uint64
+	n     int
+	cells cellTree
 }
 
-func (a *Aggregator) servicesLocked() []GlobalService {
-	out := make([]GlobalService, 0, len(a.services))
-	for key, sites := range a.services {
-		g := GlobalService{Key: key, Sites: make([]SiteRecord, 0, len(sites))}
-		for id, s := range sites {
+// View flushes and pins the global inventory.
+func (a *Aggregator) View() GlobalView {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.viewLocked()
+}
+
+func (a *Aggregator) viewLocked() GlobalView {
+	ep := a.flushLocked()
+	return GlobalView{gen: ep.Gen(), n: ep.Len(), cells: a.cells}
+}
+
+// Gen identifies the flush the view pins: it changes whenever the
+// aggregator's state does, and views with equal generations hold equal
+// state.
+func (v GlobalView) Gen() uint64 { return v.gen }
+
+// Services copies the view's services out, in Walk's order.
+func (v GlobalView) Services() []GlobalService {
+	out := make([]GlobalService, 0, v.n)
+	v.Walk(nil, func(g GlobalService) bool {
+		out = append(out, g)
+		return true
+	})
+	return out
+}
+
+// Walk visits the services ordered after *after (every service when after
+// is nil), in canonical key order, each with its live per-site records
+// sorted by site, until f returns false. Keys whose cells are all
+// tombstones are not services.
+func (v GlobalView) Walk(after *core.ServiceKey, f func(GlobalService) bool) {
+	v.cells.Walk(after, func(key core.ServiceKey, cells []siteCell) bool {
+		g := GlobalService{Key: key, Sites: make([]SiteRecord, 0, len(cells))}
+		for i := range cells {
+			s := &cells[i]
 			if !s.live() {
 				continue
 			}
 			g.Sites = append(g.Sites, SiteRecord{
-				Site: id, Provenance: s.prov(),
+				Site: s.site, Provenance: s.prov(),
 				PassiveAt: s.passiveAt, ActiveAt: s.activeAt,
 				Flows: s.flows, Clients: s.clients,
 			})
 			g.FirstAt = minTime(g.FirstAt, s.firstAt)
 		}
-		if len(g.Sites) == 0 {
-			continue
-		}
-		sort.Slice(g.Sites, func(i, j int) bool { return g.Sites[i].Site < g.Sites[j].Site })
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Before(out[j].Key) })
-	return out
+		return len(g.Sites) == 0 || f(g)
+	})
 }
 
 // Dump renders the global inventory into a canonical byte form: the
@@ -813,11 +832,11 @@ func (a *Aggregator) servicesLocked() []GlobalService {
 func (a *Aggregator) Dump() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	services := a.servicesLocked()
+	v := a.viewLocked()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "sites=%d services=%d scanners=%d\n",
-		len(a.sites), len(services), len(a.scanners))
-	for _, g := range services {
+		len(a.sites), v.n, len(a.scanners))
+	v.Walk(nil, func(g GlobalService) bool {
 		fmt.Fprintf(&b, "%s sites=%d first=%s\n", g.Key, len(g.Sites),
 			g.FirstAt.UTC().Format(time.RFC3339Nano))
 		for _, sr := range g.Sites {
@@ -831,7 +850,8 @@ func (a *Aggregator) Dump() []byte {
 			}
 			b.WriteByte('\n')
 		}
-	}
+		return true
+	})
 	srcs := make([]netaddr.V4, 0, len(a.scanners))
 	for src := range a.scanners {
 		srcs = append(srcs, src)

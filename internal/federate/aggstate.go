@@ -7,7 +7,9 @@ package federate
 // state (the same property Dump has).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -85,6 +87,7 @@ type AggregatorState struct {
 func (a *Aggregator) ExportState() *AggregatorState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.flushLocked()
 	st := &AggregatorState{}
 	st.Sites = make([]AggSiteState, 0, len(a.sites))
 	for id, s := range a.sites {
@@ -101,12 +104,12 @@ func (a *Aggregator) ExportState() *AggregatorState {
 		st.Sites = append(st.Sites, as)
 	}
 	sort.Slice(st.Sites, func(i, j int) bool { return st.Sites[i].Site < st.Sites[j].Site })
-	st.Services = make([]AggService, 0, len(a.services))
-	for key, sites := range a.services {
-		gs := AggService{Key: key, Sites: make([]AggSvcRecord, 0, len(sites))}
-		for id, s := range sites {
+	st.Services = make([]AggService, 0, a.cells.Len())
+	a.cells.Walk(nil, func(key core.ServiceKey, cells []siteCell) bool {
+		gs := AggService{Key: key, Sites: make([]AggSvcRecord, 0, len(cells))}
+		for _, s := range cells {
 			gs.Sites = append(gs.Sites, AggSvcRecord{
-				Site: id, HasPassive: s.hasPassive, HasActive: s.hasActive,
+				Site: s.site, HasPassive: s.hasPassive, HasActive: s.hasActive,
 				PassiveAt: s.passiveAt, ActiveAt: s.activeAt,
 				PassiveSeenAt: s.passiveSeenAt, ActiveSeenAt: s.activeSeenAt,
 				Flows: s.flows, Clients: s.clients, FirstAt: s.firstAt,
@@ -114,10 +117,9 @@ func (a *Aggregator) ExportState() *AggregatorState {
 				RetractedActiveAt:  s.retractedActiveAt,
 			})
 		}
-		sort.Slice(gs.Sites, func(i, j int) bool { return gs.Sites[i].Site < gs.Sites[j].Site })
 		st.Services = append(st.Services, gs)
-	}
-	sort.Slice(st.Services, func(i, j int) bool { return st.Services[i].Key.Before(st.Services[j].Key) })
+		return true
+	})
 	st.Scanners = make([]AggScanner, 0, len(a.scanners))
 	for src, sites := range a.scanners {
 		gs := AggScanner{Source: src, Sites: make([]AggScannerRecord, 0, len(sites))}
@@ -140,7 +142,7 @@ func (a *Aggregator) ExportState() *AggregatorState {
 func (a *Aggregator) ImportState(st *AggregatorState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.sites) != 0 || len(a.services) != 0 || len(a.scanners) != 0 {
+	if len(a.sites) != 0 || a.cells.Len() != 0 || len(a.live) != 0 || len(a.scanners) != 0 {
 		return fmt.Errorf("federate: state import requires a fresh aggregator")
 	}
 	for _, as := range st.Sites {
@@ -156,18 +158,19 @@ func (a *Aggregator) ImportState(st *AggregatorState) error {
 		a.sites[as.Site] = s
 	}
 	for _, gs := range st.Services {
-		perSite := make(map[SiteID]*svcState, len(gs.Sites))
+		cells := make([]siteCell, 0, len(gs.Sites))
 		for _, r := range gs.Sites {
-			perSite[r.Site] = &svcState{
+			cells = append(cells, siteCell{site: r.Site, svcState: svcState{
 				hasPassive: r.HasPassive, hasActive: r.HasActive,
 				passiveAt: r.PassiveAt, activeAt: r.ActiveAt,
 				passiveSeenAt: r.PassiveSeenAt, activeSeenAt: r.ActiveSeenAt,
 				flows: r.Flows, clients: r.Clients, firstAt: r.FirstAt,
 				retractedPassiveAt: r.RetractedPassiveAt,
 				retractedActiveAt:  r.RetractedActiveAt,
-			}
+			}})
 		}
-		a.services[gs.Key] = perSite
+		slices.SortFunc(cells, func(x, y siteCell) int { return cmp.Compare(x.site, y.site) })
+		a.live[gs.Key] = cells
 	}
 	for _, gs := range st.Scanners {
 		perSite := make(map[SiteID]*scannerState, len(gs.Sites))
@@ -176,8 +179,5 @@ func (a *Aggregator) ImportState(st *AggregatorState) error {
 		}
 		a.scanners[gs.Source] = perSite
 	}
-	// The imported service table bypassed the dirty tracking; the next
-	// query rebuilds the index whole.
-	a.qfull, a.dirty = true, nil
 	return nil
 }

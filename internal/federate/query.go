@@ -1,47 +1,39 @@
 package federate
 
 import (
+	"slices"
+
 	"servdisc/internal/core"
 	"servdisc/internal/query"
 )
 
 // This file is the aggregator's query side: the same secondary indexes
 // the site engines maintain (internal/query), kept over the *global*
-// cross-site inventory. Feed frames mark touched keys dirty (see
-// Aggregator.svc); the index refreshes lazily at the next Query, patching
-// only the dirty keys — O(churn · log n), never a table rescan — and every
-// refresh installs an immutable epoch that any number of in-flight
-// queries read lock-free after the refresh releases the aggregator lock.
+// cross-site inventory. Feed frames write the touched keys' cells into the
+// write layer (see Aggregator.svc); every reader flushes it first, patching
+// the cell tree and advancing the index over exactly those keys —
+// O(churn · log n), never a table rescan. The epoch a flush installs reads
+// the flushed tree, so any number of in-flight queries run lock-free after
+// the flush releases the aggregator lock.
 
-// markDirty records a service-table mutation for the lazy index refresh
-// and advances the table generation. Caller holds a.mu.
-func (a *Aggregator) markDirty(key core.ServiceKey) {
-	if a.dirty == nil {
-		a.dirty = make(map[core.ServiceKey]struct{})
-	}
-	a.dirty[key] = struct{}{}
-	a.gen++
+// cellTree is the aggregator's store: every key's site cells in key order,
+// tombstone-only keys included. It is the query Source of its epochs.
+type cellTree struct {
+	core.Tree[core.ServiceKey, []siteCell]
 }
 
-// Gen returns the service-table mutation generation — unchanged means the
-// global inventory (and anything derived from it, like the /services
-// encoding) is unchanged.
-func (a *Aggregator) Gen() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gen
-}
-
-// globalDocLocked folds one key's live per-site cells into the indexed
-// doc: earliest evidence anywhere, newest evidence anywhere, summed
-// passive weights, and the cross-site provenance class derived by the
-// same rule a single site uses on its merged times. ok is false when no
-// site holds live evidence. Caller holds a.mu.
-func (a *Aggregator) globalDocLocked(key core.ServiceKey) (query.Doc, bool) {
+// Doc folds the key's live site cells into the indexed doc: earliest
+// evidence anywhere, newest evidence anywhere, summed passive weights, and
+// the cross-site provenance class derived by the same rule a single site
+// uses on its merged times, with times in UTC. ok is false when no site
+// holds live evidence.
+func (t cellTree) Doc(key core.ServiceKey) (query.Doc, bool) {
+	cells, _ := t.Get(key)
 	var merged svcState
 	d := query.Doc{Key: key}
 	live := false
-	for _, s := range a.services[key] {
+	for i := range cells {
+		s := &cells[i]
 		if !s.live() {
 			continue
 		}
@@ -65,72 +57,50 @@ func (a *Aggregator) globalDocLocked(key core.ServiceKey) (query.Doc, bool) {
 	if d.Last.IsZero() {
 		d.Last = d.First
 	}
+	d.First, d.Last = d.First.UTC(), d.Last.UTC()
 	d.Prov = merged.prov()
 	return d, true
 }
 
-// refreshIndexLocked brings the catalog up to date with the service table
-// and returns the current epoch. Caller holds a.mu; the returned epoch is
-// immutable and safe to query after the lock is released.
-func (a *Aggregator) refreshIndexLocked() *query.Epoch {
-	if a.qcat == nil {
-		a.qcat = query.NewCatalog(0)
-		a.qfull = true
-	}
-	if a.qfull {
-		keys := make([]core.ServiceKey, 0, len(a.services))
-		for k := range a.services {
-			keys = append(keys, k)
-		}
-		core.SortKeys(keys)
-		docs := make([]query.Doc, 0, len(keys))
-		for _, k := range keys {
-			if d, ok := a.globalDocLocked(k); ok {
-				docs = append(docs, d)
-			}
-		}
-		a.qcat.Rebuild(docs)
-		a.qfull, a.dirty = false, nil
+// Keys walks the tree's keys after *after in canonical order.
+func (t cellTree) Keys(after *core.ServiceKey, f func(core.ServiceKey) bool) {
+	t.Walk(after, func(k core.ServiceKey, _ []siteCell) bool { return f(k) })
+}
+
+// flushLocked patches the cell tree with the write layer, advances the
+// index over exactly the keys it held, and starts an empty one; it returns
+// the current epoch. Caller holds a.mu; the epoch is immutable and safe to
+// query after the lock is released.
+func (a *Aggregator) flushLocked() *query.Epoch {
+	if len(a.live) == 0 {
 		return a.qcat.Epoch()
 	}
-	if len(a.dirty) > 0 {
-		keys := make([]core.ServiceKey, 0, len(a.dirty))
-		for k := range a.dirty {
-			keys = append(keys, k)
-		}
-		core.SortKeys(keys)
-		var upserts []query.Doc
-		var removes []core.ServiceKey
-		for _, k := range keys {
-			if d, ok := a.globalDocLocked(k); ok {
-				upserts = append(upserts, d)
-			} else {
-				removes = append(removes, k)
-			}
-		}
-		a.qcat.Patch(upserts, removes)
-		a.dirty = nil
+	edits := make([]core.TreeEdit[core.ServiceKey, []siteCell], 0, len(a.live))
+	keys := make([]core.ServiceKey, 0, len(a.live))
+	for k, cells := range a.live {
+		edits = append(edits, core.TreeEdit[core.ServiceKey, []siteCell]{Key: k, Val: cells, Del: len(cells) == 0})
+		keys = append(keys, k)
 	}
+	slices.SortFunc(edits, func(x, y core.TreeEdit[core.ServiceKey, []siteCell]) int { return x.Key.Compare(y.Key) })
+	a.cells = cellTree{a.cells.Patch(edits, nil)}
+	a.live = make(map[core.ServiceKey][]siteCell)
+	a.qcat.Advance(a.cells, keys)
 	return a.qcat.Epoch()
 }
 
 // Query answers a typed query over the global inventory: hits in
 // canonical key order, paginated, deterministic for a quiescent
-// aggregator regardless of how the same feeds interleaved. The index
-// refresh (dirty keys only) happens under the aggregator lock; query
-// execution runs lock-free against the refreshed epoch.
+// aggregator regardless of how the same feeds interleaved. The flush
+// happens under the aggregator lock; query execution runs lock-free
+// against the epoch it installed.
 func (a *Aggregator) Query(q query.Query) (query.Result, error) {
-	a.mu.Lock()
-	ep := a.refreshIndexLocked()
-	a.mu.Unlock()
-	return ep.Query(q)
+	return a.QueryEpoch().Query(q)
 }
 
-// QueryEpoch refreshes and returns the current index epoch — the bulk
-// form of Query for callers running many queries against one consistent
-// view.
+// QueryEpoch flushes and returns the current index epoch — the bulk form
+// of Query for callers running many queries against one consistent view.
 func (a *Aggregator) QueryEpoch() *query.Epoch {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.refreshIndexLocked()
+	return a.flushLocked()
 }

@@ -3,6 +3,8 @@ package federate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,11 +31,32 @@ func queryAll(t *testing.T, agg *Aggregator) []query.Doc {
 	}
 }
 
-// The aggregator's lazily-patched index must track the service table
-// exactly under a random mix of snapshot, event and retraction frames
-// from several sites — checked every round against the canonical
-// Services() roll-up, so both the rebuild path (first query) and the
-// dirty-key patch path (every later query) are exercised.
+// pagesMatch pages through q on one held epoch and reports whether the
+// pages concatenate to the epoch's single-shot answer.
+func pagesMatch(ep *query.Epoch, q query.Query) (bool, error) {
+	one, err := ep.Query(query.Query{Port: q.Port, Limit: query.MaxLimit})
+	if err != nil {
+		return false, err
+	}
+	var paged []query.Doc
+	for {
+		res, err := ep.Query(q)
+		if err != nil {
+			return false, err
+		}
+		paged = append(paged, res.Hits...)
+		if res.NextPageToken == "" {
+			return slices.Equal(paged, one.Hits), nil
+		}
+		q.PageToken = res.NextPageToken
+	}
+}
+
+// The aggregator's flushed index must track the service table exactly
+// under a random mix of snapshot, event and retraction frames from several
+// sites — checked every round against the canonical Services() roll-up.
+// Meanwhile readers hold epochs and page through them while frames apply:
+// each paged walk must equal its epoch's single-shot answer.
 func TestAggregatorQueryFollowsFrames(t *testing.T) {
 	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
 	agg := NewAggregator()
@@ -43,6 +66,37 @@ func TestAggregatorQueryFollowsFrames(t *testing.T) {
 	key := func(i int) core.ServiceKey {
 		return testKey(0x807D0100+uint32(i/3), 6, uint16(80+i%3))
 	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			q := query.Query{Limit: 1 + r} // full scans and port scans, small pages
+			if r%2 == 1 {
+				q.Port = 80 + uint16(r/2)
+			}
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					if n > 0 {
+						return
+					}
+				default:
+				}
+				ep := agg.QueryEpoch()
+				if ok, err := pagesMatch(ep, q); err != nil || !ok {
+					t.Errorf("reader %d, epoch %d: paged walk differs from the single-shot answer (err %v)", r, ep.Gen(), err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
 
 	for round := 0; round < 25; round++ {
 		site := sites[rng.Intn(len(sites))]
@@ -103,7 +157,7 @@ func TestAggregatorQueryFollowsFrames(t *testing.T) {
 			}
 		}
 	}
-	if agg.Gen() == 0 {
+	if agg.View().Gen() == 0 {
 		t.Fatal("mutations never advanced the generation")
 	}
 }

@@ -101,35 +101,30 @@ func newPassivedShaped(t *testing.T, n int) fixture {
 }
 
 // aggregatorShaped serves a federate.Aggregator the way cmd/federated
-// does: dump in canonical order, ETag from the mutation generation.
+// does: dump in canonical order, ETag from the flush generation.
 type aggregatorShaped struct {
 	agg   *federate.Aggregator
 	dumps int
 }
 
 type aggregatorView struct {
-	s    *aggregatorShaped
-	gen  uint64
-	svcs []federate.GlobalService
+	s *aggregatorShaped
+	v federate.GlobalView
 }
 
 func (s *aggregatorShaped) View() httpapi.View {
-	return aggregatorView{s, s.agg.Gen(), s.agg.Services()}
+	return aggregatorView{s, s.agg.View()}
 }
 func (s *aggregatorShaped) Query(q query.Query) (query.Result, error) {
 	return s.agg.Query(q)
 }
-func (v aggregatorView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.gen) }
+func (v aggregatorView) ETag() string { return fmt.Sprintf("\"agg-%d\"", v.v.Gen()) }
 func (v aggregatorView) Walk(after *core.ServiceKey, f func(core.ServiceKey, any) bool) {
-	for _, s := range v.svcs {
-		if (after == nil || after.Before(s.Key)) && !f(s.Key, s) {
-			return
-		}
-	}
+	v.v.Walk(after, func(g federate.GlobalService) bool { return f(g.Key, g) })
 }
 func (v aggregatorView) Dump() any {
 	v.s.dumps++
-	return v.svcs
+	return v.v.Services()
 }
 
 func newAggregatorShaped(t *testing.T, n int) fixture {

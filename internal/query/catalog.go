@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"servdisc/internal/core"
 	"servdisc/internal/packet"
@@ -27,74 +26,38 @@ type Doc struct {
 	Clients int       `json:"clients,omitempty"`
 }
 
-// packedDoc is a Doc as the aggregator's doc tree stores it, beside its key:
-// 32 pointer-free bytes instead of 80 with two *Location for the collector
-// to scan. Times are Unix nanoseconds plus a presence flag (absent =
-// time.Time{}, stored as 0, so packed docs compare with ==), clamped to the
-// int64-nanosecond range. Flows stays 64-bit; clients saturates at 2^32-1,
-// which distinct IPv4 peers cannot exceed.
-type packedDoc struct {
-	first, last       int64
-	flows             int
-	clients           uint32
-	prov              core.Provenance
-	hasFirst, hasLast bool
-}
-
-const _ = uint(32 - unsafe.Sizeof(packedDoc{})) // <= 32
-
 // keyTree is a posting list: the keys filed under one bucket of a
 // dimension.
 type keyTree = core.Tree[core.ServiceKey, struct{}]
 
-var minPackedTime, maxPackedTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
-
-// packTime renders t as Unix nanoseconds, clamped to 1678–2262 (UnixNano
-// is undefined beyond); ok is false, and ns 0, for the zero time.
-func packTime(t time.Time) (ns int64, ok bool) {
-	switch {
-	case t.IsZero():
-		return 0, false
-	case t.Before(minPackedTime):
-		return math.MinInt64, true
-	case t.After(maxPackedTime):
-		return math.MaxInt64, true
-	}
-	return t.UnixNano(), true
+// Source is the frozen store an epoch resolves its docs through: the doc
+// under one key, and an ordered walk of the keys above after (every key
+// when after is nil) until f returns false. A source never changes once an
+// epoch holds it. The walk may visit keys with no doc; Doc decides.
+type Source interface {
+	Doc(k core.ServiceKey) (Doc, bool)
+	Keys(after *core.ServiceKey, f func(core.ServiceKey) bool)
 }
 
-func unpackTime(ns int64, ok bool) time.Time {
-	if !ok {
-		return time.Time{}
-	}
-	return time.Unix(0, ns).UTC()
+// invSource is an engine's frozen inventory as a Source; the conversion
+// from *core.Inventory allocates nothing.
+type invSource core.Inventory
+
+func (s *invSource) Doc(k core.ServiceKey) (Doc, bool) {
+	return DocFromInventory((*core.Inventory)(s), k)
 }
 
-// pack stores d's fields but its key in tree form (Rebuild and Patch, on
-// the way in).
-func pack(d Doc) packedDoc {
-	p := packedDoc{
-		flows:   d.Flows,
-		clients: uint32(min(uint64(max(d.Clients, 0)), math.MaxUint32)),
-		prov:    d.Prov,
-	}
-	p.first, p.hasFirst = packTime(d.First)
-	p.last, p.hasLast = packTime(d.Last)
-	return p
+func (s *invSource) Keys(after *core.ServiceKey, f func(core.ServiceKey) bool) {
+	(*core.Inventory)(s).EachServiceAfter(after, func(k core.ServiceKey, _ *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
+		return f(k)
+	})
 }
 
-// doc renders p, stored under k, as the API type (Epoch.Doc, on the way
-// out); times come back in UTC.
-func (p packedDoc) doc(k core.ServiceKey) Doc {
-	return Doc{
-		Key:     k,
-		Prov:    p.prov,
-		First:   unpackTime(p.first, p.hasFirst),
-		Last:    unpackTime(p.last, p.hasLast),
-		Flows:   p.flows,
-		Clients: int(p.clients),
-	}
-}
+// noDocs is the source of a catalog's initial, empty epoch.
+type noDocs struct{}
+
+func (noDocs) Doc(core.ServiceKey) (Doc, bool)                   { return Doc{}, false }
+func (noDocs) Keys(*core.ServiceKey, func(core.ServiceKey) bool) {}
 
 // DocFromInventory builds the query doc for one inventory key from one
 // descent of its record store; ok is false if the key is not there.
@@ -197,23 +160,20 @@ func CategoryOf(k core.ServiceKey) Category {
 // when the catalog is built with no explicit width.
 const DefaultFreshnessBucket = time.Hour
 
-// Epoch is one immutable index generation: where its docs live plus the
-// four secondary dimensions, each a bucket map of persistent key trees
-// sharing state with the previous epoch. Readers navigate an epoch
-// lock-free; it never changes after publication.
+// Epoch is one immutable index generation: the frozen source its docs
+// live in plus the four secondary dimensions, each a bucket map of
+// persistent key trees sharing state with the previous epoch. Readers
+// navigate an epoch lock-free; it never changes after publication.
 //
-// An engine epoch (RebuildFromInventory, ApplyDelta) holds no doc of its
-// own: it pins the frozen inventory it indexes and resolves every key
-// through it, so a service's weights and times live once, in the record
-// store. An aggregator epoch (Rebuild, Patch) has no inventory to read and
-// keeps its docs in a packed doc tree. There is no prefix dimension: keys
-// sort address-major, so any prefix is one contiguous run of either key
-// order.
+// An epoch holds no doc of its own: a service's weights and times live
+// once, in the source — an engine's inventory, or the aggregator's cell
+// tree. There is no prefix dimension: keys sort address-major, so any
+// prefix is one contiguous run of the source's key walk.
 type Epoch struct {
 	gen        uint64
+	n          int
 	freshWidth time.Duration
-	inv        *core.Inventory                       // engine epochs; nil in doc-tree epochs
-	docs       core.Tree[core.ServiceKey, packedDoc] // doc-tree epochs; empty in engine epochs
+	src        Source
 	byPort     map[uint16]keyTree
 	byProv     map[core.Provenance]keyTree
 	byCat      map[Category]keyTree
@@ -225,40 +185,28 @@ type Epoch struct {
 func (e *Epoch) Gen() uint64 { return e.gen }
 
 // Len returns the number of indexed services.
-func (e *Epoch) Len() int {
-	if e.inv != nil {
-		return e.inv.Len()
-	}
-	return e.docs.Len()
-}
+func (e *Epoch) Len() int { return e.n }
 
 // Doc returns the indexed doc for one key.
-func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) {
-	if e.inv != nil {
-		return DocFromInventory(e.inv, k)
-	}
-	p, ok := e.docs.Get(k)
-	return p.doc(k), ok
-}
+func (e *Epoch) Doc(k core.ServiceKey) (Doc, bool) { return e.src.Doc(k) }
 
-// keysAfter visits the indexed keys above after (every key when after is
-// nil) in canonical order until f returns false.
-func (e *Epoch) keysAfter(after *core.ServiceKey, f func(core.ServiceKey) bool) {
-	if e.inv != nil {
-		e.inv.EachServiceAfter(after, func(k core.ServiceKey, _ *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
-			return f(k)
-		})
-		return
-	}
-	e.docs.Walk(after, func(k core.ServiceKey, _ packedDoc) bool { return f(k) })
-}
+var minBucketTime, maxBucketTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
 
-// freshBucket is the freshness bucket of a packed time (see packTime): ns
-// floored to a multiple of freshWidth, and for "no last evidence" a bucket
-// of its own below every other.
-func (e *Epoch) freshBucket(ns int64, ok bool) int64 {
-	if !ok {
+// freshBucket is the freshness bucket of t: its Unix nanoseconds floored
+// to a multiple of freshWidth, with times beyond 1678–2262 (where UnixNano
+// is undefined) clamped to the range's ends, and for "no last evidence"
+// (the zero time) a bucket of its own below every other.
+func (e *Epoch) freshBucket(t time.Time) int64 {
+	var ns int64
+	switch {
+	case t.IsZero():
 		return math.MinInt64
+	case t.Before(minBucketTime):
+		ns = math.MinInt64
+	case t.After(maxBucketTime):
+		ns = math.MaxInt64
+	default:
+		ns = t.UnixNano()
 	}
 	w := int64(e.freshWidth)
 	b := ns / w
@@ -271,8 +219,10 @@ func (e *Epoch) freshBucket(ns int64, ok bool) int64 {
 // Catalog owns the epoch chain: each update installs a new epoch
 // (caller-serialized — in the engine they run under the snapshot lock),
 // while any number of concurrent readers load the current epoch through
-// one atomic pointer. A catalog is fed either an engine's inventories
-// (RebuildFromInventory, ApplyDelta) or docs (Rebuild, Patch), not both.
+// one atomic pointer. Every epoch reads a frozen Source: an engine feeds
+// its inventories (RebuildFromInventory, ApplyDelta, both ending in the
+// same install Advance does), the aggregator its flushed cell trees
+// (Advance).
 type Catalog struct {
 	cur        atomic.Pointer[Epoch]
 	freshWidth time.Duration
@@ -290,7 +240,7 @@ func NewCatalog(freshWidth time.Duration) *Catalog {
 }
 
 func (c *Catalog) emptyEpoch(gen uint64) *Epoch {
-	return &Epoch{gen: gen, freshWidth: c.freshWidth}
+	return &Epoch{gen: gen, freshWidth: c.freshWidth, src: noDocs{}}
 }
 
 // Epoch returns the current index epoch — an immutable value, safe to
@@ -358,7 +308,7 @@ type postings struct {
 // upsert files the moves that take a key from old (absent unless had) to
 // d, with freshness buckets as e draws them.
 func (ps *postings) upsert(e *Epoch, old Doc, had bool, d Doc) {
-	k, nb := d.Key, e.freshBucket(packTime(d.Last))
+	k, nb := d.Key, e.freshBucket(d.Last)
 	if !had {
 		ps.port.add(k.Port, k)
 		ps.cat.add(CategoryOf(k), k)
@@ -372,7 +322,7 @@ func (ps *postings) upsert(e *Epoch, old Doc, had bool, d Doc) {
 		ps.prov.del(old.Prov, k)
 		ps.prov.add(d.Prov, k)
 	}
-	if ob := e.freshBucket(packTime(old.Last)); ob != nb {
+	if ob := e.freshBucket(old.Last); ob != nb {
 		ps.fresh.del(ob, k)
 		ps.fresh.add(nb, k)
 	}
@@ -384,17 +334,16 @@ func (ps *postings) remove(e *Epoch, old Doc) {
 	ps.port.del(k.Port, k)
 	ps.cat.del(CategoryOf(k), k)
 	ps.prov.del(old.Prov, k)
-	ps.fresh.del(e.freshBucket(packTime(old.Last)), k)
+	ps.fresh.del(e.freshBucket(old.Last), k)
 }
 
-// advance installs the successor of prev: its postings patched by ps, its
-// docs resolved through inv or, when inv is nil, held in docs.
-func (c *Catalog) advance(prev *Epoch, ps *postings, inv *core.Inventory, docs core.Tree[core.ServiceKey, packedDoc]) {
+// advance installs the successor of prev over src: its postings patched
+// by ps.
+func (c *Catalog) advance(prev *Epoch, ps *postings, src Source) {
 	next := &Epoch{
 		gen:        prev.gen + 1,
 		freshWidth: prev.freshWidth,
-		inv:        inv,
-		docs:       docs,
+		src:        src,
 		freshBases: prev.freshBases,
 	}
 	var freshMoved bool
@@ -405,56 +354,37 @@ func (c *Catalog) advance(prev *Epoch, ps *postings, inv *core.Inventory, docs c
 	if freshMoved {
 		next.freshBases = sortedBases(next.byFresh)
 	}
+	for _, t := range next.byProv {
+		next.n += t.Len()
+	}
 	c.cur.Store(next)
 }
 
-// Patch advances a doc-fed catalog one epoch: upserts (sorted by key,
-// duplicate-free) replace or insert docs, removes (sorted, disjoint from
-// upserts) delete them. Cost is O(changes · log n) — the persistent trees
-// path-copy only what moved, and the dimension maps are cloned at bucket
-// granularity. No-op patches (every upsert equal to the stored doc) keep
-// the current epoch.
-func (c *Catalog) Patch(upserts []Doc, removes []core.ServiceKey) {
-	c.patch(c.Epoch(), upserts, removes)
-}
-
-// Rebuild replaces the whole index from a doc list sorted by key — the
-// aggregator's full resync: a patch of an empty epoch, whose trees are
-// packed bottom-up from the sorted lists in O(n).
-func (c *Catalog) Rebuild(docs []Doc) {
-	c.patch(c.emptyEpoch(c.Epoch().gen), docs, nil)
-}
-
-// patch installs prev's successor with the docs changed; it keeps the
-// current epoch only when that is prev and nothing changed.
-func (c *Catalog) patch(prev *Epoch, upserts []Doc, removes []core.ServiceKey) {
+// Advance installs the epoch over src, a frozen store whose docs differ
+// from the current epoch's source at most under the keys in changed
+// (duplicate-free, any order): each such key's postings move from its
+// current doc to its doc in src, or out of the index when src has none.
+// Cost is O(changes · log n) — the persistent trees path-copy only what
+// moved, and the dimension maps are cloned at bucket granularity. Every
+// call installs a new epoch, so the generation counts the sources the
+// catalog was handed.
+func (c *Catalog) Advance(src Source, changed []core.ServiceKey) {
+	prev := c.Epoch()
 	var ps postings
-	edits := make([]core.TreeEdit[core.ServiceKey, packedDoc], 0, len(upserts)+len(removes))
-	for _, d := range upserts {
-		p := pack(d)
-		old, had := prev.docs.Get(d.Key)
-		if had && old == p {
-			continue
-		}
-		edits = append(edits, core.TreeEdit[core.ServiceKey, packedDoc]{Key: d.Key, Val: p})
-		ps.upsert(prev, old.doc(d.Key), had, d)
-	}
-	for _, k := range removes {
-		if old, had := prev.docs.Get(k); had {
-			edits = append(edits, core.TreeEdit[core.ServiceKey, packedDoc]{Key: k, Del: true})
-			ps.remove(prev, old.doc(k))
+	for _, k := range changed {
+		old, had := prev.Doc(k)
+		if d, ok := src.Doc(k); ok {
+			ps.upsert(prev, old, had, d)
+		} else if had {
+			ps.remove(prev, old)
 		}
 	}
-	if len(edits) == 0 && prev == c.Epoch() {
-		return
-	}
-	slices.SortFunc(edits, func(a, b core.TreeEdit[core.ServiceKey, packedDoc]) int { return a.Key.Compare(b.Key) })
-	c.advance(prev, &ps, nil, prev.docs.Patch(edits, nil))
+	c.advance(prev, &ps, src)
 }
 
 // RebuildFromInventory replaces the whole index with one over a frozen
 // inventory: one ordered walk of its record store (Inventory.EachService)
-// files every key's postings, and the epoch pins inv for the docs.
+// files every key's postings, and the epoch reads inv for the docs.
 func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
 	empty := c.emptyEpoch(c.Epoch().gen)
 	var ps postings
@@ -462,38 +392,21 @@ func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
 		ps.upsert(empty, Doc{}, false, docOf(k, rec, prov, first, activeAt))
 		return true
 	})
-	c.advance(empty, &ps, inv, core.Tree[core.ServiceKey, packedDoc]{})
+	c.advance(empty, &ps, (*invSource)(inv))
 }
 
-// ApplyDelta folds one snapshot transition into the index: an O(churn)
-// patch of the postings when the engine produced a delta against the
-// inventory the current epoch pins, a full rebuild when it could not
-// (delta.Full, or a catalog not yet fed an inventory). This is the
-// OnSnapshot observer body; inv is the transition's new inventory.
+// ApplyDelta folds one snapshot transition into the index: an Advance
+// over the delta's keys when the engine produced a delta against the
+// inventory the current epoch reads, a full rebuild when it could not
+// (delta.Full, or a catalog not yet fed). This is the OnSnapshot observer
+// body; inv is the transition's new inventory.
 func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) {
-	prev := c.Epoch()
-	if delta.Full || prev.inv == nil {
+	switch {
+	case delta.Full || c.Epoch().gen == 0:
 		c.RebuildFromInventory(inv)
-		return
+	case len(delta.Added)+len(delta.Updated)+len(delta.Removed) > 0:
+		c.Advance((*invSource)(inv), slices.Concat(delta.Added, delta.Updated, delta.Removed))
 	}
-	if len(delta.Added)+len(delta.Updated)+len(delta.Removed) == 0 {
-		return
-	}
-	var ps postings
-	for _, ks := range [][]core.ServiceKey{delta.Added, delta.Updated} {
-		for _, k := range ks {
-			if d, ok := DocFromInventory(inv, k); ok {
-				old, had := prev.Doc(k)
-				ps.upsert(prev, old, had, d)
-			}
-		}
-	}
-	for _, k := range delta.Removed {
-		if old, had := prev.Doc(k); had {
-			ps.remove(prev, old)
-		}
-	}
-	c.advance(prev, &ps, inv, core.Tree[core.ServiceKey, packedDoc]{})
 }
 
 // sortedBases lists the freshness dimension's bucket ids in order.

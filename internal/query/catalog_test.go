@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -65,7 +66,7 @@ func sameHits(t *testing.T, got, want []Doc, ctx string) {
 		t.Fatalf("%s: %d hits, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if pack(got[i]) != pack(want[i]) {
+		if got[i] != want[i] {
 			t.Fatalf("%s: hit %d = %+v, want %+v", ctx, i, got[i], want[i])
 		}
 	}
@@ -78,6 +79,7 @@ func TestCatalogPatchQueryModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
 	cat := NewCatalog(time.Hour)
+	var src docTree
 	model := map[core.ServiceKey]Doc{}
 	const universe = 3000
 
@@ -120,10 +122,8 @@ func TestCatalogPatchQueryModel(t *testing.T) {
 		for _, d := range ups {
 			upserts = append(upserts, d)
 		}
-		sort.Slice(upserts, func(i, j int) bool { return upserts[i].Key.Before(upserts[j].Key) })
-		sort.Slice(removes, func(i, j int) bool { return removes[i].Before(removes[j]) })
 
-		cat.Patch(upserts, removes)
+		src = src.patch(cat, upserts, removes)
 		for _, d := range upserts {
 			model[d.Key] = d
 		}
@@ -163,8 +163,7 @@ func TestCatalogPagination(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		docs = append(docs, qdoc(i, core.PassiveOnly, t0))
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Key.Before(docs[j].Key) })
-	cat.Rebuild(docs)
+	docTree{}.patch(cat, docs, nil)
 	ep := cat.Epoch()
 
 	for _, q := range []Query{{}, {Port: 1003}, {Prefix: netaddr.MustParsePrefix("10.16.0.0/25")}} {
@@ -202,13 +201,12 @@ func TestCatalogEpochImmutability(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		docs = append(docs, qdoc(i, core.PassiveOnly, t0))
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Key.Before(docs[j].Key) })
-	cat.Rebuild(docs)
+	src := docTree{}.patch(cat, docs, nil)
 	old := cat.Epoch()
 	before, _ := old.Query(Query{Limit: MaxLimit})
 
-	cat.Patch(nil, []core.ServiceKey{docs[0].Key, docs[1].Key})
-	cat.Patch([]Doc{qdoc(2000, core.ActiveOnly, t0)}, nil)
+	src = src.patch(cat, nil, []core.ServiceKey{docs[0].Key, docs[1].Key})
+	src.patch(cat, []Doc{qdoc(2000, core.ActiveOnly, t0)}, nil)
 
 	after, _ := old.Query(Query{Limit: MaxLimit})
 	sameHits(t, after.Hits, before.Hits, "retained epoch")
@@ -217,6 +215,56 @@ func TestCatalogEpochImmutability(t *testing.T) {
 	}
 	if old.Gen() == cat.Epoch().Gen() {
 		t.Fatal("generation did not advance")
+	}
+}
+
+// TestFreshBucketRange: every time has a defined freshness bucket. "No
+// last evidence" gets one of its own below all others, the Unix epoch is
+// an ordinary bucket 0, and times beyond the int64-nanosecond range clamp
+// to its ends — buckets never step back as time moves forward.
+func TestFreshBucketRange(t *testing.T) {
+	e := NewCatalog(time.Hour).Epoch()
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	cases := []struct {
+		name string
+		in   time.Time
+		want int64
+	}{
+		{"zero", time.Time{}, math.MinInt64},
+		{"one ns before the range", lo.Add(-1), math.MinInt64/int64(time.Hour) - 1},
+		{"first UnixNano", lo, math.MinInt64/int64(time.Hour) - 1},
+		{"one ns before the epoch", time.Unix(0, -1), -1},
+		{"Unix epoch exactly", time.Unix(0, 0), 0},
+		{"an hour in, non-UTC", time.Unix(3600, 0).In(time.FixedZone("UTC-8", -8*3600)), 1},
+		{"last UnixNano", hi, math.MaxInt64 / int64(time.Hour)},
+		{"one ns past the range", hi.Add(1), math.MaxInt64 / int64(time.Hour)},
+		{"year 9999", time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC), math.MaxInt64 / int64(time.Hour)},
+	}
+	prev := int64(math.MinInt64)
+	for _, c := range cases {
+		got := e.freshBucket(c.in)
+		if got != c.want {
+			t.Errorf("%s: bucket %d, want %d", c.name, got, c.want)
+		}
+		if got < prev {
+			t.Errorf("%s: bucket %d steps back from %d", c.name, got, prev)
+		}
+		prev = got
+	}
+
+	// An index holding such docs answers freshness queries for them.
+	cat := NewCatalog(time.Hour)
+	docTree{}.patch(cat, []Doc{
+		{Key: tkey(0)},
+		{Key: tkey(1), Last: lo.Add(-time.Hour)},
+		{Key: tkey(2), Last: time.Unix(0, 0)},
+		{Key: tkey(3), Last: hi.Add(time.Hour)},
+	}, nil)
+	for since, want := range map[time.Time]int{lo.Add(-2 * time.Hour): 3, time.Unix(0, 0): 2, time.Unix(0, 1): 1} {
+		res, err := cat.Epoch().Query(Query{MinFreshness: since})
+		if err != nil || len(res.Hits) != want {
+			t.Errorf("since %v: %d hits (err %v), want %d", since, len(res.Hits), err, want)
+		}
 	}
 }
 

@@ -160,9 +160,28 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		after = &k
 	}
 	res := Result{Epoch: e.gen, Total: e.Len()}
-	limit := q.limit()
-	res.Hits = make([]Doc, 0, min(limit, 64))
+	if q.Prefix.Bits() == 32 && q.Port != 0 && q.Proto != 0 {
+		// Point lookup: the predicates pin one exact key (the key= form),
+		// so resolve it directly — O(log n), no posting-bucket scan. The
+		// full predicate set still applies, so freshness and provenance
+		// filters compose with the probe.
+		k := core.ServiceKey{Addr: q.Prefix.Base(), Proto: q.Proto, Port: q.Port}
+		res.Hits = make([]Doc, 0, 1)
+		if d, ok := e.Doc(k); ok && (after == nil || after.Before(k)) && q.matchesKey(k) && q.matchesDoc(d) {
+			res.Hits = append(res.Hits, d)
+		}
+		return res, nil
+	}
+	res.Hits, res.NextPageToken = e.scan(q, after)
+	return res, nil
+}
 
+// scan answers every query but a point lookup. It is apart from Query
+// because its emit closure reaches the source's key walk, an interface
+// call, and so lives on the heap; a point lookup allocates only its hit.
+func (e *Epoch) scan(q Query, after *core.ServiceKey) (hits []Doc, next string) {
+	limit := q.limit()
+	hits = make([]Doc, 0, min(limit, 64))
 	emit := func(k core.ServiceKey) bool {
 		if !q.matchesKey(k) {
 			return true
@@ -171,11 +190,11 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		if !ok || !q.matchesDoc(d) {
 			return true
 		}
-		if len(res.Hits) == limit {
-			res.NextPageToken = pageToken(res.Hits[limit-1].Key)
+		if len(hits) == limit {
+			next = pageToken(hits[limit-1].Key)
 			return false
 		}
-		res.Hits = append(res.Hits, d)
+		hits = append(hits, d)
 		return true
 	}
 
@@ -189,22 +208,13 @@ func (e *Epoch) Query(q Query) (Result, error) {
 			start = &core.ServiceKey{Addr: base - 1, Proto: ^packet.IPProtocol(0), Port: ^uint16(0)}
 		}
 		last := q.Prefix.Last()
-		e.keysAfter(start, func(k core.ServiceKey) bool { return k.Addr <= last && emit(k) })
+		e.src.Keys(start, func(k core.ServiceKey) bool { return k.Addr <= last && emit(k) })
 	}
 
 	// Pick the candidate source: the most selective dimension the query
 	// names. Every source yields candidates in canonical key order; emit
 	// post-filters with the full predicate set.
 	switch {
-	case q.Prefix.Bits() == 32 && q.Port != 0 && q.Proto != 0:
-		// Point lookup: the predicates pin one exact key (the key= form),
-		// so resolve it directly — O(log n), no posting-bucket scan. emit
-		// still applies the full predicate set, so freshness and provenance
-		// filters compose with the probe.
-		k := core.ServiceKey{Addr: q.Prefix.Base(), Proto: q.Proto, Port: q.Port}
-		if after == nil || after.Before(k) {
-			emit(k)
-		}
 	case q.Prefix.Bits() >= 24:
 		// At most 256 addresses: narrower than any posting list worth having.
 		prefixRun()
@@ -220,7 +230,7 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		// Qualifying freshness buckets, k-way merged back into key order.
 		// The bucket at the boundary may contain too-old entries; emit's
 		// residual filter drops them.
-		floor := e.freshBucket(packTime(q.MinFreshness))
+		floor := e.freshBucket(q.MinFreshness)
 		lo := sort.Search(len(e.freshBases), func(i int) bool { return e.freshBases[i] >= floor })
 		var cursors []core.TreeCursor[core.ServiceKey, struct{}]
 		for _, b := range e.freshBases[lo:] {
@@ -228,9 +238,9 @@ func (e *Epoch) Query(q Query) (Result, error) {
 		}
 		mergeIterate(cursors, emit)
 	default:
-		e.keysAfter(after, emit)
+		e.src.Keys(after, emit)
 	}
-	return res, nil
+	return hits, next
 }
 
 // iterate walks one posting tree from the cursor position until f returns
