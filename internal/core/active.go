@@ -1,8 +1,8 @@
 package core
 
 import (
-	"maps"
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"servdisc/internal/netaddr"
@@ -43,22 +43,26 @@ type AddrScanOutcome struct {
 type ActiveDiscoverer struct {
 	ports []uint16
 
-	firstOpen map[ServiceKey]time.Time
-	// lastOpen is each service's most recent probe answer — the timestamp
-	// active retention deadlines are computed from (lastOpen + ActiveTTL).
-	lastOpen map[ServiceKey]time.Time
-	// tombs records expired services: key → the deadline that retired it.
-	// Evidence at or after the deadline re-creates the service.
-	tombs   map[ServiceKey]time.Time
+	// The keyed stores, each a write layer over the tree the last flush
+	// froze (layers, whose sealed map stays empty): each service's probe
+	// answers, whose zero value retires the key; tombstones, expired
+	// services → the deadline that retired them (evidence at or after it
+	// re-creates the service); each address's outcome history; and its
+	// generic-UDP outcomes, sorted by port. A value in a tree may be shared
+	// with a view, so a key's first write since the flush copies it.
+	probes  layers[ServiceKey, probeTimes]
+	tombs   layers[ServiceKey, time.Time]
+	perAddr layers[netaddr.V4, []AddrScanOutcome]
+	udp     layers[netaddr.V4, []UDPPortState]
 	scans   []ScanMeta
-	perAddr map[netaddr.V4][]AddrScanOutcome
 
 	// respondedEver tracks addresses that ever answered anything (RST or
 	// SYN-ACK) — the live-host estimate of Section 3.3.
 	respondedEver *netaddr.Set
 
-	// udp keeps the generic-UDP sweep outcomes per address and port.
-	udp map[netaddr.V4]map[uint16]probe.UDPState
+	// view is what the last flush returned; every write drops it, so a
+	// flush with nothing written since hands the same view out again.
+	view *ActiveDiscoverer
 
 	// onDiscovered, when set, fires the first time a service answers a
 	// probe, from the goroutine applying the report. onOpenEarlier fires
@@ -66,38 +70,34 @@ type ActiveDiscoverer struct {
 	// earlier. Hybrid wires both into the engine's event stream.
 	onDiscovered  func(key ServiceKey, t time.Time)
 	onOpenEarlier func(key ServiceKey, t time.Time)
-
-	// frozen marks a view produced by clone: immutable, so the
-	// accessors skip their defensive copies. AddReport must never run on
-	// a frozen view.
-	frozen bool
-	// cow flips on the live discoverer once a clone shares its outcome
-	// histories and UDP maps; ownedAddr/ownedUDP list the entries already
-	// copied back since, so each is copied at most once per clone.
-	cow       bool
-	ownedAddr map[netaddr.V4]bool
-	ownedUDP  map[netaddr.V4]bool
 }
+
+// probeTimes is one service's probe answers: the first and the newest
+// (from which active retention deadlines run, last + ActiveTTL). ok tells
+// an answer stamped time.Time{} from the zero value, which retires the key.
+type probeTimes struct {
+	first, last instant
+	ok          bool
+}
+
+// answered keeps the keys a probe answers for in a probes walk.
+func answered(_ ServiceKey, p probeTimes) bool { return p.ok }
+
+// every keeps every entry of a layers walk.
+func every[K TreeKey, V any](K, V) bool { return true }
 
 // NewActiveDiscoverer builds a discoverer. ports documents the sweep's TCP
 // port set (informational; reports carry their own ports).
 func NewActiveDiscoverer(ports []uint16) *ActiveDiscoverer {
 	return &ActiveDiscoverer{
 		ports:         append([]uint16(nil), ports...),
-		firstOpen:     make(map[ServiceKey]time.Time),
-		lastOpen:      make(map[ServiceKey]time.Time),
-		tombs:         make(map[ServiceKey]time.Time),
-		perAddr:       make(map[netaddr.V4][]AddrScanOutcome),
 		respondedEver: netaddr.NewSet(),
-		udp:           make(map[netaddr.V4]map[uint16]probe.UDPState),
 	}
 }
 
-// Ports returns the configured TCP port list.
-func (d *ActiveDiscoverer) Ports() []uint16 { return d.ports }
-
 // AddReport ingests one sweep, in either full or compact form.
 func (d *ActiveDiscoverer) AddReport(rep *probe.ScanReport) {
+	d.view = nil
 	// Keep sweep metadata sorted by (Started, ID); as in insertOutcome,
 	// reports normally arrive in order, so this is an O(1) tail append.
 	d.scans = append(d.scans, ScanMeta{ID: rep.ID, Started: rep.Started, Finished: rep.Finished})
@@ -123,6 +123,9 @@ func (d *ActiveDiscoverer) AddReport(rep *probe.ScanReport) {
 			out.Filtered++
 		}
 	}
+	if d.perAddr.live == nil { // a sweep writes most of its addresses' histories
+		d.perAddr.live = make(map[netaddr.V4][]AddrScanOutcome, len(cur)+len(rep.Summaries))
+	}
 	for a, out := range cur {
 		d.insertOutcome(a, *out)
 	}
@@ -143,31 +146,35 @@ func (d *ActiveDiscoverer) AddReport(rep *probe.ScanReport) {
 	}
 
 	for _, res := range rep.UDP {
-		m := d.udp[res.Addr]
-		switch {
-		case m == nil:
-			m = make(map[uint16]probe.UDPState)
-			d.udp[res.Addr] = m
-		case d.cow && !d.ownedUDP[res.Addr]:
-			// The per-address outcome map is shared with a frozen view:
-			// copy before the first post-clone write.
-			m = maps.Clone(m)
-			d.udp[res.Addr] = m
-			if d.ownedUDP == nil {
-				d.ownedUDP = make(map[netaddr.V4]bool)
-			}
-			d.ownedUDP[res.Addr] = true
+		ports, mine := d.udp.live[res.Addr]
+		if !mine {
+			old, _ := d.udp.base.Get(res.Addr)
+			ports = slices.Clone(old)
 		}
-		// Keep the most definitive outcome across retries: open beats
-		// closed beats silence.
-		prev, seen := m[res.Port]
-		if !seen || betterUDP(res.State, prev) {
-			m[res.Port] = res.State
-		}
+		d.udp.put(res.Addr, mergeUDP(ports, res.Port, res.State))
 		if res.State != probe.UDPNoResponse {
 			d.respondedEver.Add(res.Addr)
 		}
 	}
+}
+
+// mergeUDP records st for port in ports (sorted by port, the caller's
+// own), keeping the most definitive outcome across retries: open beats
+// closed beats silence.
+func mergeUDP(ports []UDPPortState, port uint16, st probe.UDPState) []UDPPortState {
+	i, seen := udpAt(ports, port)
+	switch {
+	case !seen:
+		return slices.Insert(ports, i, UDPPortState{Port: port, State: st})
+	case betterUDP(st, ports[i].State):
+		ports[i].State = st
+	}
+	return ports
+}
+
+// udpAt finds port in ports, which are sorted by port.
+func udpAt(ports []UDPPortState, port uint16) (int, bool) {
+	return slices.BinarySearchFunc(ports, port, func(p UDPPortState, port uint16) int { return cmp.Compare(p.Port, port) })
 }
 
 func (d *ActiveDiscoverer) recordOpen(addr netaddr.V4, port uint16, t time.Time) {
@@ -175,70 +182,98 @@ func (d *ActiveDiscoverer) recordOpen(addr netaddr.V4, port uint16, t time.Time)
 	key := ServiceKey{Addr: addr, Proto: packet.ProtoTCP, Port: port}
 	// Keep the earliest observation, not the first-ingested one, so that
 	// reports arriving out of sweep order converge on the same state.
-	cur, seen := d.firstOpen[key]
-	if !seen || t.Before(cur) {
-		d.firstOpen[key] = t
+	at := toInstant(t)
+	cur, _ := d.probes.get(key)
+	next := probeTimes{first: min(cur.first, at), last: max(cur.last, at), ok: true}
+	if !cur.ok {
+		next.first = at
 	}
-	if last, ok := d.lastOpen[key]; !ok || t.After(last) {
-		d.lastOpen[key] = t
+	if next != cur {
+		d.probes.put(key, next)
 	}
 	switch {
-	case !seen && d.onDiscovered != nil:
+	case !cur.ok && d.onDiscovered != nil:
 		d.onDiscovered(key, t)
-	case seen && t.Before(cur) && d.onOpenEarlier != nil:
+	case cur.ok && at < cur.first && d.onOpenEarlier != nil:
 		d.onOpenEarlier(key, t)
 	}
 }
 
 // insertOutcome appends an outcome to the address's history, keeping it
 // sorted by (Time, ScanID). Reports normally arrive in sweep order, so the
-// insertion point is almost always the end. A history shared with a frozen
-// view is copied before the first post-clone insert (the in-place
-// insertion sort would otherwise disturb the view's aliased array).
+// insertion point is almost always the end. A history not yet written since
+// the flush may be shared with a view: it is clipped to its length, so the
+// append copies it before the in-place insertion sort runs.
 func (d *ActiveDiscoverer) insertOutcome(addr netaddr.V4, out AddrScanOutcome) {
-	outs := d.perAddr[addr]
-	if d.cow && !d.ownedAddr[addr] {
-		outs = append(make([]AddrScanOutcome, 0, len(outs)+1), outs...)
-		if d.ownedAddr == nil {
-			d.ownedAddr = make(map[netaddr.V4]bool)
-		}
-		d.ownedAddr[addr] = true
+	outs, mine := d.perAddr.live[addr]
+	if !mine {
+		outs, _ = d.perAddr.base.Get(addr)
+		outs = outs[:len(outs):len(outs)]
 	}
 	outs = append(outs, out)
 	for i := len(outs) - 1; i > 0 && outcomeBefore(outs[i], outs[i-1]); i-- {
 		outs[i], outs[i-1] = outs[i-1], outs[i]
 	}
-	d.perAddr[addr] = outs
+	d.perAddr.put(addr, outs)
+}
+
+// retire expires key's probe answers at deadline, leaving a tombstone.
+func (d *ActiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
+	d.view = nil
+	d.probes.put(key, probeTimes{})
+	d.tombs.put(key, deadline)
+}
+
+// flush freezes everything written since the last flush: it patches each
+// store's base tree with its write layer, which it empties, and returns the
+// view over the new trees — a discoverer with empty write layers, which no
+// later write reaches and any number of readers may share. probed lists,
+// in key order, every service whose first answer appeared, moved earlier
+// or was retired since the last flush, with its new times. With nothing
+// written since, it returns the previous view and lists nothing.
+func (d *ActiveDiscoverer) flush() (view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
+	if d.view != nil {
+		return d.view, nil
+	}
+	d.probes.flush(func(p probeTimes) bool { return !p.ok }, func(k ServiceKey, old, cur probeTimes) {
+		if old.ok != cur.ok || old.first != cur.first {
+			probed = append(probed, TreeEntry[ServiceKey, probeTimes]{Val: cur, Key: k})
+		}
+	})
+	d.tombs.flush(nil, nil)
+	d.perAddr.flush(nil, nil)
+	d.udp.flush(nil, nil)
+	// Every write layer is empty now: the view is d over the same trees,
+	// with a sweep list and a responded set of its own.
+	view = &ActiveDiscoverer{}
+	*view = *d
+	view.scans, view.respondedEver = slices.Clone(d.scans), d.respondedEver.CloneShared()
+	d.view = view
+	return view, probed
 }
 
 // outcomeBefore orders outcomes by time, then scan ID.
 func outcomeBefore(a, b AddrScanOutcome) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return a.ScanID < b.ScanID
+	return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.ScanID, b.ScanID)) < 0
 }
 
 // scanBefore orders sweep metadata by start time, then ID.
 func scanBefore(a, b ScanMeta) bool {
-	if !a.Started.Equal(b.Started) {
-		return a.Started.Before(b.Started)
-	}
-	return a.ID < b.ID
+	return cmp.Or(a.Started.Compare(b.Started), cmp.Compare(a.ID, b.ID)) < 0
 }
 
+// betterUDP reports whether outcome a is more definitive than b: open beats
+// closed beats silence (their declaration order), and an unknown state
+// counts as silence.
 func betterUDP(a, b probe.UDPState) bool {
-	rank := func(s probe.UDPState) int {
-		switch s {
-		case probe.UDPOpen:
-			return 2
-		case probe.UDPClosed:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return rank(a) > rank(b)
+	return min(a, probe.UDPNoResponse) < min(b, probe.UDPNoResponse)
+}
+
+// blank reports whether the view holds nothing at all: the active side
+// of a Hybrid that has taken no report and no restore.
+func (d *ActiveDiscoverer) blank() bool {
+	return len(d.scans) == 0 && d.respondedEver.Len() == 0 && d.probes.base.Len() == 0 &&
+		d.tombs.base.Len() == 0 && d.perAddr.base.Len() == 0 && d.udp.base.Len() == 0
 }
 
 // Scans returns sweep metadata in start order.
@@ -246,70 +281,36 @@ func (d *ActiveDiscoverer) Scans() []ScanMeta { return d.scans }
 
 // FirstOpen returns when a service first answered a probe.
 func (d *ActiveDiscoverer) FirstOpen(key ServiceKey) (time.Time, bool) {
-	t, ok := d.firstOpen[key]
-	return t, ok
+	p, _ := d.probes.get(key)
+	return p.first.time(), p.ok
 }
 
-// Services returns the first-open inventory. On a live discoverer it is a
-// fresh map the caller may keep and modify freely; a frozen view returned
-// by Hybrid's snapshot machinery hands out its own immutable map instead
-// of copying — treat that one as read-only.
+// Services returns the first-open inventory, in a fresh map the caller may
+// keep and modify freely.
 func (d *ActiveDiscoverer) Services() map[ServiceKey]time.Time {
-	if d.frozen {
-		return d.firstOpen
-	}
-	return maps.Clone(d.firstOpen)
+	out := make(map[ServiceKey]time.Time)
+	d.probes.each(answered, func(k ServiceKey, p probeTimes) { out[k] = p.first.time() })
+	return out
 }
 
 // RespondedEver returns the set of addresses that ever answered probes at
-// all; mutating it does not affect the discoverer. On a frozen view the
-// returned set shares storage copy-on-write instead of being copied — a
-// caller's first mutation pays the copy, a read-only caller pays nothing.
-func (d *ActiveDiscoverer) RespondedEver() *netaddr.Set {
-	if d.frozen {
-		return d.respondedEver.CloneShared()
-	}
-	return d.respondedEver.Clone()
-}
-
-// clone freezes the discoverer into a sealed view that later reports into
-// the original cannot disturb — the active side of Hybrid's live
-// snapshots. Instead of deep-copying, the view shares the per-address
-// outcome histories, the UDP outcome maps and the responded set with the
-// live discoverer, which marks them copy-on-write: AddReport copies an
-// entry back the first time it touches it after the clone. Only the
-// (small) top-level tables are copied eagerly. Emission hooks are not
-// carried over.
-func (d *ActiveDiscoverer) clone() *ActiveDiscoverer {
-	c := &ActiveDiscoverer{
-		ports:         d.ports,
-		firstOpen:     maps.Clone(d.firstOpen),
-		lastOpen:      maps.Clone(d.lastOpen),
-		tombs:         maps.Clone(d.tombs),
-		scans:         append([]ScanMeta(nil), d.scans...),
-		perAddr:       maps.Clone(d.perAddr),
-		respondedEver: d.respondedEver.CloneShared(),
-		udp:           maps.Clone(d.udp),
-		frozen:        true,
-	}
-	d.cow = true
-	d.ownedAddr = nil
-	d.ownedUDP = nil
-	return c
-}
+// all; mutating it does not affect the discoverer. The set shares storage
+// copy-on-write instead of being copied — a caller's first mutation pays
+// the copy, a read-only caller pays nothing.
+func (d *ActiveDiscoverer) RespondedEver() *netaddr.Set { return d.respondedEver.CloneShared() }
 
 // AddrFirstOpen rolls the inventory up to addresses, optionally restricted
 // to services passing keep.
 func (d *ActiveDiscoverer) AddrFirstOpen(keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
 	out := make(map[netaddr.V4]time.Time)
-	for k, t := range d.firstOpen {
+	d.probes.each(answered, func(k ServiceKey, p probeTimes) {
 		if keep != nil && !keep(k) {
-			continue
+			return
 		}
-		if cur, ok := out[k.Addr]; !ok || t.Before(cur) {
-			out[k.Addr] = t
+		if cur, ok := out[k.Addr]; !ok || p.first.time().Before(cur) {
+			out[k.Addr] = p.first.time()
 		}
-	}
+	})
 	return out
 }
 
@@ -318,7 +319,7 @@ func (d *ActiveDiscoverer) AddrFirstOpen(keep func(ServiceKey) bool) map[netaddr
 // (Section 5.1). keep filters services as elsewhere.
 func (d *ActiveDiscoverer) AddrFirstOpenForScans(scanIDs map[int]bool, keep func(ServiceKey) bool) map[netaddr.V4]time.Time {
 	out := make(map[netaddr.V4]time.Time)
-	for addr, outs := range d.perAddr {
+	d.perAddr.each(every, func(addr netaddr.V4, outs []AddrScanOutcome) {
 		for _, o := range outs {
 			if !scanIDs[o.ScanID] || len(o.Open) == 0 {
 				continue
@@ -339,33 +340,31 @@ func (d *ActiveDiscoverer) AddrFirstOpenForScans(scanIDs map[int]bool, keep func
 				out[addr] = o.Time
 			}
 		}
-	}
+	})
 	return out
 }
 
 // Outcomes returns the per-scan outcome history of an address.
 func (d *ActiveDiscoverer) Outcomes(addr netaddr.V4) []AddrScanOutcome {
-	return d.perAddr[addr]
+	outs, _ := d.perAddr.get(addr)
+	return outs
 }
 
 // UDPOutcome returns the recorded generic-UDP sweep state for (addr, port).
 func (d *ActiveDiscoverer) UDPOutcome(addr netaddr.V4, port uint16) (probe.UDPState, bool) {
-	m, ok := d.udp[addr]
-	if !ok {
-		return 0, false
+	ports, _ := d.udp.get(addr)
+	if i, ok := udpAt(ports, port); ok {
+		return ports[i].State, true
 	}
-	s, ok := m[port]
-	return s, ok
+	return 0, false
 }
 
 // UDPAddrs returns every address probed over UDP with at least one recorded
 // outcome, sorted.
 func (d *ActiveDiscoverer) UDPAddrs() []netaddr.V4 {
-	out := make([]netaddr.V4, 0, len(d.udp))
-	for a := range d.udp {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []netaddr.V4
+	d.udp.each(every, func(a netaddr.V4, _ []UDPPortState) { out = append(out, a) })
+	slices.Sort(out)
 	return out
 }
 
@@ -373,7 +372,7 @@ func (d *ActiveDiscoverer) UDPAddrs() []netaddr.V4 {
 // RST on at least one port while staying silent on another — the paper's
 // first firewall confirmation signal (Section 4.2.4).
 func (d *ActiveDiscoverer) MixedResponse(addr netaddr.V4) bool {
-	for _, out := range d.perAddr[addr] {
+	for _, out := range d.Outcomes(addr) {
 		if out.Closed > 0 && out.Filtered > 0 {
 			return true
 		}

@@ -31,8 +31,9 @@ func (a *eachServiceTally) add(b eachServiceTally) {
 	a.keptAlive += b.keptAlive
 }
 
-// checkEachService asserts the walk's contract on one inventory, that
-// ProvenanceCounts agrees with it, and that an early false stops the walk.
+// checkEachService asserts the walk's contract on one inventory, resumed
+// mid-inventory too, that ProvenanceCounts agrees with it, and that an early
+// false stops the walk.
 func checkEachService(t *testing.T, label string, inv *Inventory) (tally eachServiceTally) {
 	t.Helper()
 	expired := make(map[ServiceKey]bool)
@@ -78,13 +79,24 @@ func checkEachService(t *testing.T, label string, inv *Inventory) (tally eachSer
 		if visits != len(keys)/2+1 {
 			t.Fatalf("%s: a false on visit %d stopped the walk after %d", label, len(keys)/2+1, visits)
 		}
+		j := len(keys) / 2
+		inv.EachServiceAfter(&keys[j], func(key ServiceKey, _ *PassiveRecord, prov Provenance, _, activeAt time.Time) bool {
+			j++
+			if _, wProv, _, wActiveAt, _ := inv.Service(key); key != keys[j] || prov != wProv || activeAt != wActiveAt {
+				t.Fatalf("%s: resumed visit of Keys[%d] = %s is (%s, %s, %s), want Service's (%s, %s)", label, j, keys[j], key, prov, activeAt, wProv, wActiveAt)
+			}
+			return true
+		})
+		if j != len(keys)-1 {
+			t.Fatalf("%s: the walk resumed mid-inventory stopped at Keys[%d] of %d", label, j, len(keys))
+		}
 	}
 	return tally
 }
 
 // TestEachServiceMatchesService drives the walk over every inventory shape
-// the engine builds — the first (bulk-built) one, delta-patched ones, Full
-// rebuilds after a report, one restored from a checkpoint at another shard
+// the engine builds — the first (bulk-built) one, delta-patched ones, ones
+// patched by a report, one restored from a checkpoint at another shard
 // count — with retention on, so keys expire, come back, and outlive their
 // record on a probe answer.
 func TestEachServiceMatchesService(t *testing.T) {

@@ -396,7 +396,7 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 // the next call.
 func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
 	full := cur == nil || cur.s != s
-	if !full && s.snap.fast(s.dispatched.Load(), s.agen.Load()) == cur.inv {
+	if !full && s.snap.fast(s.dispatched.Load()) == cur.inv {
 		return &EngineDelta{Packets: cur.inv.Packets(), ShardsSkipped: len(s.shards)}, *cur
 	}
 	s.snapMu.Lock()
@@ -407,7 +407,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		old = cur.inv.d
 		// Services moved up to the chain's newest inventory (a write after a
 		// seal clones the record); each shard's seal names the rest.
-		if prev, _, _ := s.snap.peek(); prev != nil {
+		if prev, _ := s.snap.peek(); prev != nil {
 			prev.d.services.Diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
 				func(k ServiceKey) { moved = append(moved, k) })
 		}
@@ -447,9 +447,10 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 	slices.SortFunc(ed.Services, func(a, b ServiceState) int { return a.Key.Compare(b.Key) })
 	ed.Services = slices.CompactFunc(ed.Services, func(a, b ServiceState) bool { return a.Key == b.Key })
 	sort.Slice(ed.ScanSources, func(i, j int) bool { return ed.ScanSources[i].Source < ed.ScanSources[j].Source })
-	// A Hybrid that never took a report (active generation 0) has none to export.
-	if _, _, agen := s.snap.peek(); (full || inv.active != cur.inv.active) && agen != 0 {
-		ed.Active = exportActiveState(inv.active)
+	// A Hybrid whose active side never took a report or a restore has none
+	// to export.
+	if a := inv.active; a != nil && (full || a != cur.inv.active) && !a.blank() {
+		ed.Active = exportActiveState(a)
 	}
 	return ed, CheckpointCursor{s: s, inv: inv}
 }
@@ -465,7 +466,7 @@ func (s *ShardedPassive) checkFresh() error {
 		return fmt.Errorf("core: checkpoint import requires a fresh engine (already running or closed)")
 	}
 	if s.dispatched.Load() != 0 || s.counters.In() != 0 {
-		return fmt.Errorf("core: checkpoint import requires a fresh engine (packets already ingested)")
+		return fmt.Errorf("core: checkpoint import requires a fresh engine (packets or reports already ingested)")
 	}
 	return nil
 }
@@ -559,84 +560,68 @@ func (h *Hybrid) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCur
 func (h *Hybrid) ImportDelta(ed *EngineDelta) error { return h.passive.ImportDelta(ed) }
 
 // exportActiveState copies a frozen active view into wire form, every
-// list sorted. Slices alias the sealed clone's storage where immutability
-// allows (outcome histories are copy-on-write protected, Open lists are
-// write-once), so the copy is O(entries), not O(bytes).
+// list in key order as the view's trees hold it. Slices alias the view's
+// storage, which never changes (outcome histories are copied by their
+// next write, Open lists are write-once), so the copy is O(entries), not
+// O(bytes).
 func exportActiveState(d *ActiveDiscoverer) *ActiveState {
 	as := &ActiveState{
 		Ports:     append([]uint16(nil), d.ports...),
 		Scans:     append([]ScanMeta(nil), d.scans...),
 		Responded: d.respondedEver.Sorted(),
 	}
-	as.Services = make([]ActiveServiceState, 0, len(d.firstOpen))
-	for k, t := range d.firstOpen {
-		as.Services = append(as.Services, ActiveServiceState{Key: k, At: t, Last: d.lastOpen[k]})
-	}
-	sort.Slice(as.Services, func(i, j int) bool { return as.Services[i].Key.Before(as.Services[j].Key) })
-	as.Tombs = make([]TombState, 0, len(d.tombs))
-	for k, at := range d.tombs {
+	d.probes.base.Walk(nil, func(k ServiceKey, p probeTimes) bool {
+		as.Services = append(as.Services, ActiveServiceState{Key: k, At: p.first.time(), Last: p.last.time()})
+		return true
+	})
+	d.tombs.base.Walk(nil, func(k ServiceKey, at time.Time) bool {
 		as.Tombs = append(as.Tombs, TombState{Key: k, At: at})
-	}
-	sort.Slice(as.Tombs, func(i, j int) bool { return as.Tombs[i].Key.Before(as.Tombs[j].Key) })
-	as.Outcomes = make([]AddrOutcomes, 0, len(d.perAddr))
-	for a, outs := range d.perAddr {
+		return true
+	})
+	d.perAddr.base.Walk(nil, func(a netaddr.V4, outs []AddrScanOutcome) bool {
 		as.Outcomes = append(as.Outcomes, AddrOutcomes{Addr: a, Outcomes: outs[:len(outs):len(outs)]})
-	}
-	sort.Slice(as.Outcomes, func(i, j int) bool { return as.Outcomes[i].Addr < as.Outcomes[j].Addr })
-	as.UDP = make([]AddrUDPState, 0, len(d.udp))
-	for a, m := range d.udp {
-		ports := make([]UDPPortState, 0, len(m))
-		for p, st := range m {
-			ports = append(ports, UDPPortState{Port: p, State: st})
-		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i].Port < ports[j].Port })
-		as.UDP = append(as.UDP, AddrUDPState{Addr: a, Ports: ports})
-	}
-	sort.Slice(as.UDP, func(i, j int) bool { return as.UDP[i].Addr < as.UDP[j].Addr })
+		return true
+	})
+	d.udp.base.Walk(nil, func(a netaddr.V4, ports []UDPPortState) bool {
+		as.UDP = append(as.UDP, AddrUDPState{Addr: a, Ports: ports[:len(ports):len(ports)]})
+		return true
+	})
 	return as
 }
 
 // importActiveState replaces the active side wholesale (each export
 // carries the complete state), the shards' live-probe-answer tables with it.
+// The lists land in the write layers: a key listed twice keeps its last
+// listing, and a UDP port listed twice its most definitive outcome.
 func (h *Hybrid) importActiveState(as *ActiveState) {
 	h.amu.Lock()
 	defer h.amu.Unlock()
-	a := h.active
-	for k := range a.firstOpen {
-		h.passive.owner(k).activeWithdrawn(k)
-	}
-	a.ports = append([]uint16(nil), as.Ports...)
+	h.active.probes.each(answered, func(k ServiceKey, _ probeTimes) { h.passive.owner(k).activeWithdrawn(k) })
+	a := NewActiveDiscoverer(as.Ports)
+	a.onDiscovered, a.onOpenEarlier = h.active.onDiscovered, h.active.onOpenEarlier
 	a.scans = append([]ScanMeta(nil), as.Scans...)
-	a.firstOpen = make(map[ServiceKey]time.Time, len(as.Services))
-	a.lastOpen = make(map[ServiceKey]time.Time, len(as.Services))
 	for _, svc := range as.Services {
-		a.firstOpen[svc.Key] = svc.At
-		h.passive.owner(svc.Key).seedActive(svc.Key, svc.At)
 		last := svc.Last
 		if last.IsZero() {
 			last = svc.At
 		}
-		a.lastOpen[svc.Key] = last
+		a.probes.put(svc.Key, probeTimes{first: toInstant(svc.At), last: toInstant(last), ok: true})
+		h.passive.owner(svc.Key).seedActive(svc.Key, svc.At)
 	}
-	a.tombs = make(map[ServiceKey]time.Time, len(as.Tombs))
 	for _, tb := range as.Tombs {
-		a.tombs[tb.Key] = tb.At
+		a.tombs.put(tb.Key, tb.At)
 	}
-	a.perAddr = make(map[netaddr.V4][]AddrScanOutcome, len(as.Outcomes))
 	for _, ao := range as.Outcomes {
-		a.perAddr[ao.Addr] = append([]AddrScanOutcome(nil), ao.Outcomes...)
+		a.perAddr.put(ao.Addr, append([]AddrScanOutcome(nil), ao.Outcomes...))
 	}
 	a.respondedEver = netaddr.NewSet(as.Responded...)
-	a.udp = make(map[netaddr.V4]map[uint16]probe.UDPState, len(as.UDP))
 	for _, au := range as.UDP {
-		m := make(map[uint16]probe.UDPState, len(au.Ports))
+		var ports []UDPPortState
 		for _, ps := range au.Ports {
-			m[ps.Port] = ps.State
+			ports = mergeUDP(ports, ps.Port, ps.State)
 		}
-		a.udp[au.Addr] = m
+		a.udp.put(au.Addr, ports)
 	}
-	a.cow, a.ownedAddr, a.ownedUDP = false, nil, nil
-	h.aview = nil
-	h.passive.agen.Add(1)
+	h.active = a
 	h.seenReports.Store(true)
 }

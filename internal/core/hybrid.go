@@ -42,15 +42,11 @@ import (
 type Hybrid struct {
 	passive *ShardedPassive
 
-	// amu guards the active discoverer: the report worker (or inline
-	// AddReport callers) write under it, snapshots clone under it. Every
-	// change bumps passive.agen — the active half of the snapshot
-	// fingerprint, atomic so the fast path can read it without the lock —
-	// and aview caches the frozen clone at that generation, so snapshots of
-	// an unchanged active side are free.
+	// amu guards the active discoverer: reports write under it, snapshots
+	// expire and flush under it (freezeActive). A report advances the
+	// dispatch count, the snapshot fingerprint, so the next snapshot moves.
 	amu    sync.Mutex
 	active *ActiveDiscoverer
-	aview  *activeView
 
 	// activeTTL, when positive, expires active-side records whose last
 	// probe answer is older than the TTL at the passive observation
@@ -69,12 +65,6 @@ type Hybrid struct {
 	reports  chan *probe.ScanReport
 	worker   sync.WaitGroup
 	inflight sync.WaitGroup
-}
-
-// activeView is the active side's frozen clone at one generation.
-type activeView struct {
-	gen  uint64
-	disc *ActiveDiscoverer
 }
 
 // NewHybrid builds a hybrid engine over the campus space: a passive side
@@ -126,7 +116,7 @@ func (h *Hybrid) HandleBatch(batch []packet.Packet) { h.passive.HandleBatch(batc
 func (h *Hybrid) applyReport(rep *probe.ScanReport) {
 	h.amu.Lock()
 	h.active.AddReport(rep)
-	h.passive.agen.Add(1)
+	h.passive.dispatched.Add(1)
 	h.amu.Unlock()
 	h.passive.events.scanCompleted(
 		ScanMeta{ID: rep.ID, Started: rep.Started, Finished: rep.Finished}, rep.Truncated)
@@ -217,55 +207,39 @@ func (h *Hybrid) SetRetention(p RetentionPolicy) {
 	h.amu.Unlock()
 }
 
-// expireActive retires active-side records whose retention deadline
-// (lastOpen + ActiveTTL) has passed at the observation watermark,
-// recording tombstones and returning the expiry notices. Any expiry bumps
-// the active generation so the snapshot machinery reclassifies.
-func (h *Hybrid) expireActive(wm time.Time) []expiredSvc {
+// freezeActive retires the active-side records whose retention deadline
+// (last answer + ActiveTTL) has passed at the observation watermark,
+// recording tombstones, then flushes the active side (ActiveDiscoverer.flush)
+// in the same hold of amu: it returns the expiry notices, the view and the
+// probe keys that moved.
+func (h *Hybrid) freezeActive(wm time.Time) (exp []expiredSvc, view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
 	h.amu.Lock()
 	defer h.amu.Unlock()
-	if h.activeTTL <= 0 || wm.IsZero() {
-		return nil
+	if h.activeTTL > 0 && !wm.IsZero() {
+		h.active.probes.each(answered, func(k ServiceKey, p probeTimes) {
+			if deadline := p.last.time().Add(h.activeTTL); !deadline.After(wm) {
+				exp = append(exp, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
+			}
+		})
 	}
-	var out []expiredSvc
-	for k, last := range h.active.lastOpen {
-		deadline := last.Add(h.activeTTL)
-		if deadline.After(wm) {
-			continue
-		}
-		delete(h.active.firstOpen, k)
-		delete(h.active.lastOpen, k)
-		h.passive.owner(k).activeWithdrawn(k)
-		h.active.tombs[k] = deadline
-		out = append(out, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
+	for _, e := range exp {
+		h.active.retire(e.key, e.at)
+		h.passive.owner(e.key).activeWithdrawn(e.key)
 	}
-	if len(out) > 0 {
-		h.passive.agen.Add(1)
-	}
-	return out
-}
-
-// activeSnapshot returns the active side's frozen clone, reusing the
-// cached view when no report has been applied since.
-func (h *Hybrid) activeSnapshot() *activeView {
-	h.amu.Lock()
-	defer h.amu.Unlock()
-	if gen := h.passive.agen.Load(); h.aview == nil || h.aview.gen != gen {
-		h.aview = &activeView{gen: gen, disc: h.active.clone()}
-	}
-	return h.aview
+	view, probed = h.active.flush()
+	return exp, view, probed
 }
 
 // Snapshot freezes the reconciled hybrid inventory — the union of
 // passively-seen and probe-answering services, each with its first-seen
 // provenance — at a consistent point in time. It is Passive().Snapshot():
 // the engine has one snapshot chain, and under a Hybrid every link of it is
-// a hybrid inventory (see ShardedPassive.advance). An entirely unchanged
-// engine returns the previous Inventory without touching the shards; when
-// only the passive side moved the services tree is patched by the services
-// that appeared, changed or left since; a new report, an active expiry or a
-// restore redraws its probe-only entries over the whole store. On a running engine the result is byte-identical
-// to pausing producers, flushing, and snapshotting at the same ingest point.
+// a hybrid inventory (see ShardedPassive.advance). An unchanged engine
+// returns the previous Inventory; the first snapshot and the first after a
+// restore build it whole; any other patches the services tree with the
+// services that moved since on either side — a report costs its keys, not
+// the store. On a running engine the result is byte-identical to pausing
+// producers, flushing, and snapshotting at the same ingest point.
 func (h *Hybrid) Snapshot() *Inventory { return h.passive.Snapshot() }
 
 var (

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"servdisc/internal/netaddr"
+	"servdisc/internal/obs"
 	"servdisc/internal/packet"
 	"servdisc/internal/probe"
 	"servdisc/internal/stats"
@@ -325,11 +326,28 @@ func TestHybridLifecycle(t *testing.T) {
 	campusPfx := netaddr.MustParsePrefix("128.125.0.0/16")
 	reps := genReports(2)
 	h := NewHybrid(campusPfx, nil, 2, []uint16{80})
+	met := testEngineMetrics()
+	h.SetMetrics(met)
 	h.Run(context.Background())
 	h.AddReport(reps[0])
+	// Batch i carries i packets: the flight trace's sampled batch must be
+	// the BatchSample-th, whatever reports came between.
+	pkts := genTrace(1, obs.BatchSample*(obs.BatchSample+1)/2)
+	for i, off := 1, 0; i <= obs.BatchSample; off, i = off+i, i+1 {
+		h.HandleBatch(pkts[off : off+i])
+	}
 	h.Flush()
 	if got := len(h.Snapshot().Scans()); got != 1 {
 		t.Fatalf("after flush: %d sweeps, want 1", got)
+	}
+	var sampled []obs.Event
+	for _, e := range met.Flight.Events() {
+		if e.Kind == obs.TraceBatchDispatched {
+			sampled = append(sampled, e)
+		}
+	}
+	if len(sampled) != 1 || sampled[0].A != obs.BatchSample || sampled[0].B != obs.BatchSample {
+		t.Fatalf("flight trace sampled batches %+v, want one of %d packets numbered %d", sampled, obs.BatchSample, obs.BatchSample)
 	}
 	h.Close()
 	h.Close() // idempotent
@@ -340,8 +358,8 @@ func TestHybridLifecycle(t *testing.T) {
 }
 
 // TestHybridImportInvalidatesSnapshot: a restore writes the shards without
-// moving either half of the hybrid fingerprint, so an inventory frozen
-// before it must not be served after it.
+// moving the snapshot fingerprint (the dispatch count), so an inventory
+// frozen before it must not be served after it.
 func TestHybridImportInvalidatesSnapshot(t *testing.T) {
 	src := NewShardedPassive(campusPfx, nil, 1)
 	src.HandleBatch(genTrace(6, 2000))

@@ -85,7 +85,7 @@ func (p *Provenance) UnmarshalText(text []byte) error {
 // carries a Provenance.
 type Inventory struct {
 	d        *mergedStore
-	active   *ActiveDiscoverer // nil for passive-only inventories
+	active   *ActiveDiscoverer // a flushed view; nil for passive-only inventories
 	scanners []ScannerInfo
 }
 
@@ -98,14 +98,14 @@ func NewInventory(d *PassiveDiscoverer) *Inventory { return NewHybridInventory(d
 // one inventory with per-service provenance (a nil a gives a passive-only
 // one). It takes the bulk path of a live engine's first snapshot: the
 // discoverer is sealed whole — its records go copy-on-write — and merged into
-// a fresh store, and the active side is cloned, so both may keep ingesting
-// without disturbing the result. Provenance is not stored: it is a function
-// of the two first-observation times, which Service reads.
+// a fresh store with the active side's flushed view, so both may keep
+// ingesting without disturbing the result. Provenance is not stored: it is a
+// function of the two first-observation times, which Service reads.
 func NewHybridInventory(d *PassiveDiscoverer, a *ActiveDiscoverer) *Inventory {
 	if a != nil {
-		a = a.clone()
+		a, _ = a.flush()
 	}
-	m, _, _ := mergeViews(nil, []shardDelta{d.seal(true)}, a)
+	m, _, _ := mergeViews(nil, []shardDelta{d.seal(true)}, a, nil)
 	return &Inventory{d: m, active: a, scanners: d.track.detect()}
 }
 
@@ -157,10 +157,11 @@ func describe(rec *PassiveRecord, activeAt time.Time, passive, probed bool) (pro
 }
 
 // Service returns everything the inventory holds about one service from a
-// single descent of the record store: the passive record (nil if passive
-// monitoring never saw it), the provenance class, the earliest discovery by
-// either technique, and when it first answered a probe (meaningful unless
-// prov is PassiveOnly). ok is false if the key is not in the inventory. On a
+// single descent of the record store (and, on a hybrid inventory, one of the
+// active view's probe tree): the passive record (nil if passive monitoring
+// never saw it), the provenance class, the earliest discovery by either
+// technique, and when it first answered a probe (meaningful unless prov is
+// PassiveOnly). ok is false if the key is not in the inventory. On a
 // passive-only inventory every present key is PassiveOnly. Record,
 // Provenance, FirstDiscovered and ActiveFirstOpen each return one of these;
 // a caller that wants several should call Service once, and one that wants
@@ -178,7 +179,8 @@ func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance
 // EachService visits every service in key order with exactly what
 // Service(key) returns for it, until f returns false. It is the primitive
 // for whole-inventory readers — an index rebuild, a bootstrap frame, a dump:
-// one ordered walk of the record store in place of a descent per key.
+// one ordered walk of the record store and the probe tree in place of a
+// descent per key.
 func (v *Inventory) EachService(f func(key ServiceKey, rec *PassiveRecord, prov Provenance, first, activeAt time.Time) bool) {
 	v.EachServiceAfter(nil, f)
 }
@@ -187,8 +189,17 @@ func (v *Inventory) EachService(f func(key ServiceKey, rec *PassiveRecord, prov 
 // services ordered after *after (every service when after is nil), whether
 // or not after itself is in the inventory — a page cursor's walk.
 func (v *Inventory) EachServiceAfter(after *ServiceKey, f func(key ServiceKey, rec *PassiveRecord, prov Provenance, first, activeAt time.Time) bool) {
+	var probes TreeCursor[ServiceKey, probeTimes]
+	if v.active != nil {
+		probes = v.active.probes.base.Seek(after)
+	}
 	v.d.services.Walk(after, func(key ServiceKey, rec *PassiveRecord) bool {
-		activeAt, probed := v.ActiveFirstOpen(key)
+		var activeAt time.Time
+		p, probed := probes.Peek()
+		if probed = probed && p.Key == key; probed {
+			activeAt = p.Val.first.time()
+			probes.Next()
+		}
 		prov, first := describe(rec, activeAt, rec != nil, probed)
 		return f(key, rec, prov, first, activeAt)
 	})
@@ -211,20 +222,25 @@ func (v *Inventory) Provenance(key ServiceKey) (Provenance, bool) {
 
 // EachTombstone visits every retention tombstone — services withdrawn by
 // TTL expiry, with their expiry deadline and the evidence kind withdrawn
-// (PassiveOnly or ActiveOnly) — until f returns false. Federation snapshot
-// frames carry these so late-connecting aggregators withdraw expired state
-// too.
+// (PassiveOnly or ActiveOnly) — in (key, kind) order until f returns false.
+// Federation snapshot frames carry these so late-connecting aggregators
+// withdraw expired state too.
 func (v *Inventory) EachTombstone(f func(key ServiceKey, at time.Time, prov Provenance) bool) {
-	stopped := false
-	v.d.tombs.Walk(nil, func(k ServiceKey, at time.Time) bool {
-		stopped = !f(k, at, PassiveOnly)
-		return !stopped
-	})
-	if stopped || v.active == nil {
-		return
+	ps := v.d.tombs.Seek(nil)
+	var as TreeCursor[ServiceKey, time.Time]
+	if v.active != nil {
+		as = v.active.tombs.base.Seek(nil)
 	}
-	for k, at := range v.active.tombs {
-		if !f(k, at, ActiveOnly) {
+	for {
+		e, ok := ps.Peek()
+		prov := PassiveOnly
+		if a, aok := as.Peek(); aok && (!ok || a.Key.Before(e.Key)) {
+			e, ok, prov = a, true, ActiveOnly
+			as.Next()
+		} else if ok {
+			ps.Next()
+		}
+		if !ok || !f(e.Key, e.Val, prov) {
 			return
 		}
 	}
@@ -240,9 +256,8 @@ func (v *Inventory) ProvenanceCounts() [4]int {
 		out[PassiveOnly] = v.Len()
 		return out
 	}
-	v.d.services.Walk(nil, func(key ServiceKey, rec *PassiveRecord) bool {
-		activeAt, probed := v.active.firstOpen[key]
-		out[provenanceOf(rec, activeAt, rec != nil, probed)]++
+	v.EachService(func(_ ServiceKey, _ *PassiveRecord, prov Provenance, _, _ time.Time) bool {
+		out[prov]++
 		return true
 	})
 	return out

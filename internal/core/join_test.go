@@ -204,7 +204,7 @@ func TestJoinOneDiscoveryOneUpgrade(t *testing.T) {
 				t.Fatalf("%s: degenerate campaign, no service found by both techniques", c.name)
 			}
 			t.Logf("%s: %d services, %d upgrades, %d overtaken by a later report", c.name, inv.Len(), upgrades, late)
-			if got, want := joinEntries(h.passive), len(h.active.firstOpen); got != want {
+			if got, want := joinEntries(h.passive), len(h.active.Services()); got != want {
 				t.Errorf("%s: join holds %d entries, %d keys have a live probe answer", c.name, got, want)
 			}
 		}
@@ -292,7 +292,7 @@ func TestJoinUnderExpiryAnnouncesEveryArrival(t *testing.T) {
 				t.Fatalf("%v is in the inventory and in no event", key)
 			}
 		}
-		if got, want := joinEntries(h.passive), len(h.active.firstOpen); got != want {
+		if got, want := joinEntries(h.passive), len(h.active.Services()); got != want {
 			t.Errorf("join holds %d entries, %d keys have a live probe answer", got, want)
 		}
 	})
@@ -392,9 +392,9 @@ type betweenFreezeAndPublication struct {
 	hook func()
 }
 
-func (b betweenFreezeAndPublication) expireActive(wm time.Time) []expiredSvc {
+func (b betweenFreezeAndPublication) freezeActive(wm time.Time) ([]expiredSvc, *ActiveDiscoverer, []TreeEntry[ServiceKey, probeTimes]) {
 	b.hook()
-	return b.activeSide.expireActive(wm)
+	return b.activeSide.freezeActive(wm)
 }
 
 // TestRediscoveryBetweenFreezeAndExpiryPublication: a record the freeze
@@ -403,7 +403,7 @@ func (b betweenFreezeAndPublication) expireActive(wm time.Time) []expiredSvc {
 // the record, and must be announced — with the join's passive half kept in
 // a table cleared only at publication, the rediscovery found the stale
 // entry and stayed silent, leaving a service that is in every later
-// inventory and in no event. advance runs its overlay's active expiry
+// inventory and in no event. advance freezes its overlay's active side
 // exactly in the window, which is where this test re-observes the service.
 func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}

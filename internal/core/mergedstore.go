@@ -9,10 +9,10 @@ import (
 // mergedStore is the union of every shard's sealed state, held in
 // persistent trees — the only sealed copy there is, and the only store an
 // Inventory reads. A merge patches the previous snapshot's trees with what
-// the shards' seal deltas name (mergeViews); the result shares all untouched
-// structure with its predecessor, so a changed snapshot is a handful of path
-// copies — O(records changed), never an O(inventory) clone — while every
-// previously returned Inventory stays valid forever.
+// the seal deltas and the active flush name (mergeViews); the result shares
+// all untouched structure with its predecessor, so a changed snapshot is a
+// handful of path copies — O(records changed), never an O(inventory) clone
+// — while every previously returned Inventory stays valid forever.
 //
 // services is the inventory's key order itself: under a Hybrid it also holds
 // every service only a probe found, as an entry with a nil record.
@@ -83,41 +83,6 @@ func (m *mergedStore) addrWeights() (flows, clients map[netaddr.V4]int) {
 		clients[k.Addr] += rec.Clients()
 	})
 	return flows, clients
-}
-
-// reprobed is m with its probe-only entries redrawn for the active view a:
-// the O(inventory) relisting a report or an active expiry costs.
-func (m *mergedStore) reprobed(a *ActiveDiscoverer) *mergedStore {
-	ents := make([]svcEntry, 0, m.services.Len())
-	m.eachRecord(func(k ServiceKey, rec *PassiveRecord) { ents = append(ents, svcEntry{Val: rec, Key: k}) })
-	c := *m
-	c.services = BuildTree(withProbed(ents, a))
-	return &c
-}
-
-// withProbed merges into ents (sorted passive entries) a nil-record entry
-// for every service only a's probes found (a may be nil).
-func withProbed(ents []svcEntry, a *ActiveDiscoverer) []svcEntry {
-	if a == nil || len(a.firstOpen) == 0 {
-		return ents
-	}
-	probed := make([]svcEntry, 0, len(a.firstOpen))
-	for k := range a.firstOpen {
-		probed = append(probed, svcEntry{Key: k})
-	}
-	probed = sortEntries(probed)
-	out := make([]svcEntry, 0, len(ents)+len(probed))
-	i := 0
-	for _, p := range probed {
-		for i < len(ents) && ents[i].Key.Before(p.Key) {
-			out = append(out, ents[i])
-			i++
-		}
-		if i == len(ents) || ents[i].Key != p.Key {
-			out = append(out, p)
-		}
-	}
-	return append(out, ents[i:]...)
 }
 
 // sortEntries orders entries by key with an LSD byte radix over the keys'

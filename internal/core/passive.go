@@ -211,6 +211,11 @@ func (l *layers[K, V]) seal(whole bool, keep func(K, V) bool) []TreeEntry[K, V] 
 	return out
 }
 
+// flush seals and installs live at once (FlushLive): ActiveDiscoverer's way.
+func (l *layers[K, V]) flush(retired func(V) bool, moved func(k K, old, cur V)) {
+	l.base, l.live = FlushLive(l.base, l.live, retired, moved), nil
+}
+
 // service returns key's live record, nil when there is none.
 func (d *PassiveDiscoverer) service(key ServiceKey) *PassiveRecord {
 	rec, _ := d.records.get(key)

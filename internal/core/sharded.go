@@ -103,14 +103,14 @@ type ShardedPassive struct {
 	// whose inventories then carry no provenance beyond PassiveOnly.
 	overlay activeSide
 
-	// dispatched counts batch dispatches that reached any shard and agen the
-	// overlay's changes (reports applied, active expiries, a restore; its
-	// owner bumps it, and it stays 0 without one). The cached Inventory
-	// remembers the pair it froze at; while both are unchanged, Snapshot
-	// returns the cache without touching the shards at all — the zero-churn
-	// fast path.
+	// dispatched counts what moved the engine: batch dispatches that reached
+	// any shard, and reports the overlay applied (its owner bumps it). The
+	// cached Inventory remembers the count it froze at; while that is
+	// unchanged, Snapshot returns the cache without touching the shards at
+	// all — the zero-churn fast path. batches counts the dispatches alone,
+	// numbering them for the flight trace (under dispatchMu).
 	dispatched atomic.Uint64
-	agen       atomic.Uint64
+	batches    int64
 
 	// Retention (retention.go). watermark is the maximum packet timestamp
 	// ever dispatched — the observation clock expiry deadlines are
@@ -147,19 +147,18 @@ type ShardedPassive struct {
 type snapCache struct {
 	mu  sync.Mutex
 	inv *Inventory
-	// dispatched and agen fingerprint the engine state the inventory froze
-	// at: while no batch has been dispatched and no report applied since,
-	// it is trivially current.
+	// dispatched fingerprints the engine state the inventory froze at:
+	// while no batch has been dispatched and no report applied since, it is
+	// trivially current.
 	dispatched uint64
-	agen       uint64
 }
 
 // fast returns the cached Inventory when the engine fingerprint is
 // unchanged — the zero-churn path, no shard traffic, no allocation.
-func (c *snapCache) fast(dispatched, agen uint64) *Inventory {
+func (c *snapCache) fast(dispatched uint64) *Inventory {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inv != nil && c.dispatched == dispatched && c.agen == agen {
+	if c.inv != nil && c.dispatched == dispatched {
 		return c.inv
 	}
 	return nil
@@ -167,15 +166,15 @@ func (c *snapCache) fast(dispatched, agen uint64) *Inventory {
 
 // peek returns the cached Inventory (nil when there is none) and its
 // fingerprint.
-func (c *snapCache) peek() (inv *Inventory, dispatched, agen uint64) {
+func (c *snapCache) peek() (inv *Inventory, dispatched uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inv, c.dispatched, c.agen
+	return c.inv, c.dispatched
 }
 
-func (c *snapCache) put(inv *Inventory, dispatched, agen uint64) {
+func (c *snapCache) put(inv *Inventory, dispatched uint64) {
 	c.mu.Lock()
-	c.inv, c.dispatched, c.agen = inv, dispatched, agen
+	c.inv, c.dispatched = inv, dispatched
 	c.mu.Unlock()
 }
 
@@ -240,14 +239,13 @@ type shardMsg struct {
 }
 
 // activeSide is what a Hybrid lays over the snapshot chain, as the chain
-// calls it: advance asks for the active expiries due at a freeze's watermark
-// and then for the frozen active view, checkpoint export for the view,
-// import for its inverse. *Hybrid is the implementation; it is an interface
-// so that a test can stand between a freeze and the publication of its
-// expiries, which is where expireActive runs.
+// calls it: advance has it expire what is due at a freeze's watermark and
+// flush into its frozen view, and checkpoint import replaces it wholesale.
+// *Hybrid is the implementation; it is an interface so that a test can stand
+// between a freeze and the publication of its expiries, which is where
+// freezeActive runs.
 type activeSide interface {
-	expireActive(wm time.Time) []expiredSvc
-	activeSnapshot() *activeView
+	freezeActive(wm time.Time) ([]expiredSvc, *ActiveDiscoverer, []TreeEntry[ServiceKey, probeTimes])
 	importActiveState(as *ActiveState)
 }
 
@@ -419,7 +417,8 @@ func (s *ShardedPassive) HandleBatch(batch []packet.Packet) {
 		s.counters.AddDropped(len(batch))
 		return
 	}
-	d := s.dispatched.Add(1)
+	s.dispatched.Add(1)
+	s.batches++
 	for idx, sub := range s.scratch {
 		if len(sub) == 0 {
 			continue
@@ -436,8 +435,8 @@ func (s *ShardedPassive) HandleBatch(batch []packet.Packet) {
 	}
 	if m := s.met; m != nil {
 		m.Dispatch.Observe(time.Since(t0))
-		if d%obs.BatchSample == 0 {
-			m.Flight.Record(obs.TraceBatchDispatched, "", int64(len(batch)), int64(d))
+		if s.batches%obs.BatchSample == 0 {
+			m.Flight.Record(obs.TraceBatchDispatched, "", int64(len(batch)), s.batches)
 		}
 	}
 }
@@ -608,25 +607,22 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 	return deltas, d0, wm
 }
 
-// mergeViews builds the merged store for one snapshot point from the shard
-// deltas alone: it patches base — the store the previous merge built — with
-// exactly the records, trails and tombstones the deltas carry, as one
-// path-copying Patch per tree, and combines the scanner lists (shard
-// detections are disjoint by source, so concatenation + sort reproduces the
-// merged tracker's output). A dead record whose key a probe of active (nil
-// for a passive-only engine) still answers for stays, as a probe-only entry.
-// With no base the deltas are whole shards — disjoint by owner address,
-// nothing dead — and the trees are built bottom-up from them, with active's
-// probe-only entries; the returned delta is then Full and lists nothing.
-// Otherwise Added names the services that appeared or were reborn since base
-// (a probe-only one passive monitoring now sees included; a record beside a
-// tombstone of the same delta came back after expiring in the interval),
-// Updated those whose record was touched but persisted (re-observations —
-// LastSeen, flows or client counts moved — and records expired under a probe
-// answer) and Removed those that left, all three in key order and mutually
-// disjoint: a shard lists each key once.
-func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer) (*mergedStore, []ScannerInfo, SnapshotDelta) {
-	d := SnapshotDelta{Full: base == nil}
+// mergeViews builds the merged store for one snapshot point: it patches base
+// — the store the previous merge built — with exactly the records, trails and
+// tombstones the shard deltas carry and the probe keys the active flush moved
+// (probed), one path-copying Patch per tree, and concatenates and sorts the
+// shards' scanner lists (disjoint by source). A key active (the flushed view,
+// nil for a passive-only engine) probes stays in the services tree, with a
+// nil record once no passive one is left. With no base the deltas are whole
+// shards, the trees are built bottom up with every probe of active patched
+// in, and the delta is Full and lists nothing. Otherwise Added names the
+// services that appeared or were reborn since base (beside a tombstone of the
+// same delta), Removed those that left, and Updated the rest that a delta or
+// the flush names: re-observed, expired under a probe answer, or with a first
+// probe answer that appeared, moved or expired. All three are in key order
+// and disjoint.
+func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) (*mergedStore, []ScannerInfo, SnapshotDelta) {
+	full := base == nil
 	m := &mergedStore{}
 	var scanners []ScannerInfo
 	var recs []svcEntry
@@ -640,42 +636,63 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 	}
 	sort.Slice(scanners, func(i, j int) bool { return scanners[i].Source < scanners[j].Source })
 	recs, trails, tombs = sortEntries(recs), sortEntries(trails), sortEntries(tombs)
-	if d.Full {
-		m.services = BuildTree(withProbed(recs, active))
-		m.trails, m.tombs = BuildTree(trails), BuildTree(tombs)
-		return m, scanners, d
+	if full {
+		base = &mergedStore{services: BuildTree(recs), trails: BuildTree(trails), tombs: BuildTree(tombs)}
+		recs, trails, tombs, probed = nil, nil, nil, nil
+		if active != nil {
+			active.probes.base.Walk(nil, func(k ServiceKey, p probeTimes) bool {
+				probed = append(probed, TreeEntry[ServiceKey, probeTimes]{Val: p, Key: k})
+				return true
+			})
+		}
+	}
+	// One edit per key a shard or the flush names: the shard's record (nil:
+	// expired) or, for a key only the flush names, the one the tree holds. A
+	// nil record leaves the tree unless a probe still answers for the key.
+	edits := make([]TreeEdit[ServiceKey, *PassiveRecord], 0, len(recs)+len(probed))
+	for i, j := 0, 0; i < len(recs) || j < len(probed); {
+		var e TreeEdit[ServiceKey, *PassiveRecord]
+		live, flushed := false, j < len(probed) && (i == len(recs) || !recs[i].Key.Before(probed[j].Key))
+		if flushed {
+			e.Key, live = probed[j].Key, probed[j].Val.ok
+			j++
+		}
+		switch {
+		case i < len(recs) && (!flushed || recs[i].Key == e.Key):
+			e.Key, e.Val = recs[i].Key, recs[i].Val
+			i++
+			if !flushed && e.Val == nil && active != nil {
+				_, live = active.FirstOpen(e.Key)
+			}
+		default:
+			e.Val, _ = base.services.Get(e.Key)
+		}
+		e.Del = e.Val == nil && !live
+		edits = append(edits, e)
 	}
 	// A record beside its key's tombstone came back after expiring.
 	reborn := func(k ServiceKey) bool {
 		_, found := slices.BinarySearchFunc(tombs, k, func(e TreeEntry[ServiceKey, time.Time], k ServiceKey) int { return e.Key.Compare(k) })
 		return found
 	}
-	edits := make([]TreeEdit[ServiceKey, *PassiveRecord], len(recs))
-	for i, r := range recs {
-		probed := false
-		if r.Val == nil && active != nil {
-			_, probed = active.firstOpen[r.Key]
-		}
-		edits[i] = TreeEdit[ServiceKey, *PassiveRecord]{Key: r.Key, Val: r.Val, Del: r.Val == nil && !probed}
-	}
+	var d SnapshotDelta
 	m.services = base.services.Patch(edits, func(i int, old *PassiveRecord, had bool) {
-		switch r := recs[i]; {
-		case edits[i].Del:
+		switch e := &edits[i]; {
+		case e.Del:
 			if had {
-				d.Removed = append(d.Removed, r.Key)
+				d.Removed = append(d.Removed, e.Key)
 			}
-		case r.Val == nil: // expired, but a probe still answers: downgraded, not removed
-			if old != nil {
-				d.Updated = append(d.Updated, r.Key)
-			}
-		case old == nil || reborn(r.Key):
-			d.Added = append(d.Added, r.Key)
+		case !had || e.Val != nil && (old == nil || reborn(e.Key)):
+			d.Added = append(d.Added, e.Key)
 		default:
-			d.Updated = append(d.Updated, r.Key)
+			d.Updated = append(d.Updated, e.Key)
 		}
 	})
 	m.trails = base.trails.Patch(upserts(trails), nil)
 	m.tombs = base.tombs.Patch(upserts(tombs), nil)
+	if full {
+		d = SnapshotDelta{Full: true}
+	}
 	return m, scanners, d
 }
 
@@ -689,15 +706,14 @@ func upserts[K TreeKey, V any](ents []TreeEntry[K, V]) []TreeEdit[K, V] {
 }
 
 // SnapshotDelta describes how one published snapshot differs from its
-// predecessor — the O(churn) changed-key sets a snapshot observer needs
-// to patch derived state (secondary indexes, caches) forward without
-// rescanning the inventory. Added, Updated and Removed are sorted in
-// canonical key order and mutually disjoint; a reborn service (expired
-// and re-observed within one span) is Added, an expired key that
-// survives on active evidence is Updated (its provenance downgraded).
-// Full set means no delta could be derived (first snapshot, restore, or an
-// active-side change — a report, an active expiry — that reclassifies
-// everything) — consumers must rebuild from the new inventory.
+// predecessor — the O(churn) changed-key sets an observer needs to patch
+// derived state (indexes, caches) forward without rescanning the inventory.
+// Added, Updated and Removed are in canonical key order and disjoint; a
+// reborn service is Added, and a key that survives expiry on the other
+// technique's evidence, or whose first probe answer appeared or moved while
+// it was listed, is Updated. Full is set exactly when there is no
+// predecessor (the chain's first snapshot, or the first after a restore),
+// and then the sets are empty: consumers build from the new inventory.
 type SnapshotDelta struct {
 	Added   []ServiceKey
 	Updated []ServiceKey
@@ -708,12 +724,12 @@ type SnapshotDelta struct {
 // OnSnapshot registers fn to observe every snapshot newly built: it runs
 // under the snapshot lock, after the new inventory is cached, with the
 // previous inventory of the chain (nil on the first and after a restore),
-// the new one, and the delta between them. Cache hits (snapshots of an
-// unchanged engine) do not invoke it. There is one chain per engine and fn
-// sees every link of it, so a non-Full delta is always relative to the
-// inventory fn was handed last. Because fn blocks the snapshot path, it must
-// be fast — O(delta) work, no waiting on queries. At most one observer; nil
-// clears.
+// the new one, and the delta between them, which is Full exactly when prev
+// is nil. Cache hits (snapshots of an unchanged engine) do not invoke it.
+// There is one chain per engine and fn sees every link of it, so a
+// non-Full delta is always relative to the inventory fn was handed last.
+// Because fn blocks the snapshot path, it must be fast — O(delta) work, no
+// waiting on queries. At most one observer; nil clears.
 func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta SnapshotDelta)) {
 	s.snapMu.Lock()
 	s.onSnap = fn
@@ -721,34 +737,31 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 }
 
 // advance moves the snapshot chain to a new consistent point: it is the one
-// place shards are frozen and merged. It freezes every shard, runs the
-// overlay's active expiry at the same watermark, publishes both sides'
-// expiries in one deterministic (time, key) order, freezes the overlay's
-// active view — after its expiry, so the view and its generation reflect the
-// deletions — patches the previous inventory's store forward with the shard
-// deltas, and caches the new inventory under the fingerprint (dispatch
-// count, active generation) it froze at. prev is the chain's inventory
-// before the call (nil on the first snapshot and after a restore, when the
-// shards are merged whole) and delta how inv differs from it.
-//
-// With an overlay the inventory is hybrid: its services tree is the union of
-// both sides. While the active generation stands, that tree is patched like
-// a passive one, except that an expired key a probe still answers for stays
-// in it as a probe-only entry — an update, not a removal. When the
-// generation moved, every classification may have: the probe-only entries
-// are redrawn over the whole store and the delta is Full. With nothing
-// dispatched and no generation moved since prev, advance returns inv == prev
-// and an empty delta. hook, if any, rides the freeze (freezeShards). Callers
-// hold snapMu.
+// place shards are frozen and merged. It freezes every shard, then the
+// overlay's active side after expiring it at the same watermark, publishes
+// both sides' expiries in one deterministic (time, key) order, patches the
+// previous inventory's store forward (mergeViews), and caches the new
+// inventory under the dispatch count it froze at. prev is the chain's
+// inventory before the call (nil on the first snapshot and after a restore,
+// when everything is merged whole) and delta how inv differs from it. With
+// nothing dispatched and no report applied since prev, advance returns
+// inv == prev and an empty delta (a report applied after the count was read
+// may land in inv; the next advance then finds nothing more of it). hook, if
+// any, rides the freeze (freezeShards). Callers hold snapMu.
 func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta SnapshotDelta) {
-	prev, since, agen := s.snap.peek()
+	prev, since := s.snap.peek()
 	deltas, d0, wm := s.freezeShards(prev == nil, since, hook)
+	if deltas == nil {
+		return prev, prev, SnapshotDelta{}
+	}
 	var exp []expiredSvc
+	var active *ActiveDiscoverer
+	var probed []TreeEntry[ServiceKey, probeTimes]
+	if s.overlay != nil {
+		exp, active, probed = s.overlay.freezeActive(wm)
+	}
 	for i := range deltas {
 		exp = append(exp, deltas[i].expired...)
-	}
-	if s.overlay != nil {
-		exp = append(exp, s.overlay.expireActive(wm)...)
 	}
 	if len(exp) > 0 {
 		sortExpired(exp)
@@ -759,38 +772,18 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
 		}
 	}
-	var m *mergedStore
-	var scanners []ScannerInfo
+	var base *mergedStore
 	if prev != nil {
-		m, scanners = prev.d, prev.scanners
+		base = prev.d
 	}
-	var active *ActiveDiscoverer
-	reprobe := false
-	if s.overlay != nil {
-		av := s.overlay.activeSnapshot()
-		active = av.disc
-		if av.gen != agen {
-			agen, reprobe = av.gen, true
-		}
-	}
-	if deltas == nil && !reprobe {
-		return prev, prev, SnapshotDelta{}
-	}
-	if deltas != nil { // else only the active side moved: same passive state, same scanners
-		m, scanners, delta = mergeViews(m, deltas, active)
-	}
-	if reprobe && !delta.Full {
-		m, delta = m.reprobed(active), SnapshotDelta{Full: true}
-	}
+	m, scanners, delta := mergeViews(base, deltas, active, probed)
 	inv = &Inventory{d: m, active: active, scanners: scanners}
-	if deltas != nil {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.disc.install(m)
-			sh.mu.Unlock()
-		}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.disc.install(m)
+		sh.mu.Unlock()
 	}
-	s.snap.put(inv, d0, agen)
+	s.snap.put(inv, d0)
 	return prev, inv, delta
 }
 
@@ -806,7 +799,7 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 // producer, flushing, and snapshotting at that point. Safe to call from any
 // goroutine at any lifecycle stage.
 func (s *ShardedPassive) Snapshot() *Inventory {
-	if inv := s.snap.fast(s.dispatched.Load(), s.agen.Load()); inv != nil {
+	if inv := s.snap.fast(s.dispatched.Load()); inv != nil {
 		return inv
 	}
 	s.snapMu.Lock()

@@ -162,8 +162,8 @@ func TestSnapshotDeltaObserverPassive(t *testing.T) {
 }
 
 // Hybrid engine: a passive expiry of a probe-confirmed service must
-// surface as Updated (downgrade to ActiveOnly), not Removed; an active
-// report forces a Full rebuild.
+// surface as Updated (downgrade to ActiveOnly), not Removed; only the first
+// snapshot is Full.
 func TestSnapshotDeltaObserverHybridDowngrade(t *testing.T) {
 	pfx := netaddr.MustParsePrefix("10.40.0.0/16")
 	t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
@@ -192,8 +192,8 @@ func TestSnapshotDeltaObserverHybridDowngrade(t *testing.T) {
 	if inv.Len() != 2 {
 		t.Fatalf("inventory has %d services, want 2", inv.Len())
 	}
-	if len(rec.deltas) == 0 || !rec.deltas[len(rec.deltas)-1].Full {
-		t.Fatal("report application should have produced a Full observation")
+	if len(rec.deltas) != 1 || !rec.deltas[0].Full {
+		t.Fatal("the first snapshot should have produced one Full observation")
 	}
 
 	// Background population seen at t0+9m, so it outlives the expiry round
@@ -241,9 +241,9 @@ func TestSnapshotDeltaObserverHybridDowngrade(t *testing.T) {
 // pause-flush-snapshot reference at the point it froze; the observer is
 // called exactly once per snapshot built, whichever name built it, and any
 // delta it gets is against the inventory it was handed last; the only Full
-// observations are the first and those a new report or an active expiry
-// caused; every expiry is published once; and at a quiescent engine both
-// names return the same *Inventory.
+// observation is the first, reports and active expiries included; every
+// expiry is published once; and at a quiescent engine both names return the
+// same *Inventory.
 func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 	policy := RetentionPolicy{PassiveTTL: 3 * time.Hour, ActiveTTL: 5 * time.Hour}
 	trace := genRetentionTrace(42)
@@ -390,26 +390,33 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 			}
 			h.Close()
 
-			// activeState changes exactly when a report landed or an active
-			// record expired between two inventories.
-			activeState := func(inv *Inventory) (st [2]int) {
-				inv.EachTombstone(func(_ ServiceKey, _ time.Time, prov Provenance) bool {
-					if prov == ActiveOnly {
-						st[0]++
-					}
-					return true
-				})
-				st[1] = len(inv.Scans())
-				return st
+			// Tombstones of both kinds come out merged in (key, kind) order,
+			// a key's passive one before its active one.
+			var prevKey ServiceKey
+			var prevProv Provenance
+			n, both := 0, 0
+			h.Snapshot().EachTombstone(func(k ServiceKey, _ time.Time, prov Provenance) bool {
+				if prov != PassiveOnly && prov != ActiveOnly || n > 0 && (k.Before(prevKey) || k == prevKey && prov <= prevProv) {
+					t.Fatalf("tombstone (%s, %s) follows (%s, %s)", k, prov, prevKey, prevProv)
+				}
+				if n > 0 && k == prevKey {
+					both++
+				}
+				n, prevKey, prevProv = n+1, k, prov
+				return true
+			})
+			if both == 0 {
+				t.Error("no key holds tombstones of both kinds")
 			}
+
 			var last *Inventory
 			deltas := 0
 			for i, inv := range rec.invs {
 				if !inv.Hybrid() {
 					t.Fatalf("observation %d: a Hybrid's snapshot is not a hybrid inventory", i)
 				}
-				if full := last == nil || activeState(inv) != activeState(last); rec.deltas[i].Full != full {
-					t.Fatalf("observation %d: Full=%v, want %v (the first, a new report or an active expiry, and nothing else)", i, rec.deltas[i].Full, full)
+				if full := last == nil; rec.deltas[i].Full != full {
+					t.Fatalf("observation %d: Full=%v, want %v (the first and nothing else)", i, rec.deltas[i].Full, full)
 				}
 				if !rec.deltas[i].Full {
 					deltas++

@@ -210,6 +210,53 @@ func (t Tree[K, V]) Patch(edits []TreeEdit[K, V], report func(i int, old V, had 
 	return treeOf(p.node(t.root, 0, len(edits), nil), p.n)
 }
 
+// FlushLive returns base with live, a write layer over it, flushed in: each
+// entry upserted, or its key deleted where retired (nil: never) says the
+// value retires it; moved, if set, sees each key in key order with its value
+// in base (zero if none) and in live. A layer that rewrites at least half of
+// base is merged with it and built bottom up, not patched: the patch would
+// copy nearly every leaf one by one.
+func FlushLive[K TreeKey, V any](base Tree[K, V], live map[K]V, retired func(V) bool, moved func(k K, old, cur V)) Tree[K, V] {
+	ents := make([]TreeEntry[K, V], 0, len(live))
+	for k, v := range live {
+		ents = append(ents, TreeEntry[K, V]{Val: v, Key: k})
+	}
+	ents = sortEntries(ents)
+	del := func(i int) bool { return retired != nil && retired(ents[i].Val) }
+	report := func(i int, old V, _ bool) {
+		if moved != nil {
+			moved(ents[i].Key, old, ents[i].Val)
+		}
+	}
+	if 2*len(ents) < base.Len() {
+		edits := upserts(ents)
+		for i := range edits {
+			edits[i].Del = del(i)
+		}
+		return base.Patch(edits, report)
+	}
+	// Sized for the usual layer, within base or covering it: the tree keeps it.
+	out := make([]TreeEntry[K, V], 0, max(base.Len(), len(ents)))
+	c := base.Seek(nil)
+	for i, e := range ents {
+		var old V
+		for b, ok := c.Peek(); ok && b.Key.Ord() <= e.Key.Ord(); b, ok = c.Peek() {
+			if c.Next(); b.Key == e.Key {
+				old = b.Val
+				break
+			}
+			out = append(out, b)
+		}
+		if report(i, old, false); !del(i) {
+			out = append(out, e)
+		}
+	}
+	for b, ok := c.Next(); ok; b, ok = c.Next() {
+		out = append(out, b)
+	}
+	return BuildTree(out)
+}
+
 // patcher carries one Patch's edits, its report hook and the running size.
 type patcher[K TreeKey, V any] struct {
 	edits  []TreeEdit[K, V]

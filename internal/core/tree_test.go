@@ -226,6 +226,71 @@ func TestTreeBatchModel(t *testing.T) {
 	}
 }
 
+// TestFlushLiveModel flushes write layers of every size into a tree: small
+// ones patch it, ones rewriting half of it or more rebuild it bottom up.
+// Either way the tree must match the model, moved must see each key of the
+// layer once in key order with its old and new values, and every tree taken
+// along the way must still match the state it froze.
+func TestFlushLiveModel(t *testing.T) {
+	const universe = 3000
+	key := func(i int) netaddr.V4 { return netaddr.V4(0x0a100000 + i) }
+	r := rand.New(rand.NewSource(11))
+	var tr Tree[netaddr.V4, int]
+	ref := make(map[netaddr.V4]int)
+	var history []struct {
+		tr  Tree[netaddr.V4, int]
+		ref map[netaddr.V4]int
+	}
+	retired := func(v int) bool { return v < 0 }
+	rebuilt := 0
+	for step := 0; step < 80; step++ {
+		live := map[netaddr.V4]int{}
+		for i := r.Intn([]int{20, 400, 4000}[step%3]); i > 0; i-- {
+			v := r.Intn(1 << 20)
+			if r.Intn(4) == 0 {
+				v = -1
+			}
+			live[key(r.Intn(universe))] = v
+		}
+		if 2*len(live) >= tr.Len() {
+			rebuilt++
+		}
+		var prev *netaddr.V4
+		seen := 0
+		tr = FlushLive(tr, live, retired, func(k netaddr.V4, old, cur int) {
+			if prev != nil && k.Ord() <= prev.Ord() {
+				t.Fatalf("step %d: moved(%v) after %v", step, k, *prev)
+			}
+			prev = &k
+			seen++
+			if old != ref[k] || cur != live[k] {
+				t.Fatalf("step %d: moved(%v, %d, %d), model (%d, %d)", step, k, old, cur, ref[k], live[k])
+			}
+		})
+		if seen != len(live) {
+			t.Fatalf("step %d: moved saw %d keys of %d", step, seen, len(live))
+		}
+		for k, v := range live {
+			if retired(v) {
+				delete(ref, k)
+			} else {
+				ref[k] = v
+			}
+		}
+		checkAgainst(t, fmt.Sprintf("step %d", step), tr, ref)
+		history = append(history, struct {
+			tr  Tree[netaddr.V4, int]
+			ref map[netaddr.V4]int
+		}{tr, maps.Clone(ref)})
+	}
+	if rebuilt == 0 || rebuilt == 80 {
+		t.Fatalf("%d of 80 flushes rebuilt: both paths must run", rebuilt)
+	}
+	for i, g := range history {
+		checkAgainst(t, fmt.Sprintf("generation %d", i), g.tr, g.ref)
+	}
+}
+
 // TestTreePatchSharing patches two trees apart from one base, their edits
 // interleaved: neither writes into the other's nodes or the base they share.
 func TestTreePatchSharing(t *testing.T) {

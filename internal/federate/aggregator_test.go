@@ -700,6 +700,34 @@ func TestSealFrameShipsChangedRows(t *testing.T) {
 	if got := agg.Stats()[0].DupEvents - dups; got != 2 {
 		t.Errorf("a replayed seal frame and an older one counted %d duplicates, want 2", got)
 	}
+
+	// On a hybrid engine a one-key sweep report seals as its one probed
+	// row, not as the 1 000 passive services beside it.
+	h := core.NewHybrid(testCampus, nil, 2, nil)
+	hpub := NewPublisherOpts("seal-hybrid", h, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer hpub.Close()
+	var fill []packet.Packet
+	for i := 0; i < 1000; i++ {
+		fill = append(fill, synAck(i, retBase)...)
+	}
+	h.HandleBatch(fill)
+	_, hlive := hpub.Catchup(0)
+	defer hlive.Cancel()
+	probed := core.ServiceKey{Addr: testCampus.Base() + 2000, Proto: packet.ProtoTCP, Port: 22}
+	at := retBase.Add(time.Minute)
+	h.AddReport(&probe.ScanReport{ID: 1, Started: at, Finished: at,
+		TCP: []probe.TCPResult{{Time: at, Addr: probed.Addr, Port: probed.Port, State: probe.StateOpen}}})
+	h.Snapshot()
+	for seal.Type = ""; seal.Type != FrameSeal; {
+		select {
+		case seal = <-hlive.Events():
+		case <-time.After(5 * time.Second):
+			t.Fatal("no seal frame after the hybrid snapshot")
+		}
+	}
+	if s := seal.Snapshot; len(s.Services) != 1 || s.Services[0].Key != probed || s.Services[0].Provenance != core.ActiveOnly {
+		t.Fatalf("seal frame after a one-key report carries %d rows, want the active-only row of %v alone", len(s.Services), probed)
+	}
 }
 
 // weightFields are the dump's tallies that ride only in snapshot and seal

@@ -261,9 +261,7 @@ func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 		p.seal.base = prev
 	}
 	p.seal.inv = inv
-	if p.seal.full = p.seal.full || d.Full; !p.seal.full {
-		p.seal.keys = append(append(p.seal.keys, d.Added...), d.Updated...)
-	}
+	p.seal.keys = append(append(p.seal.keys, d.Added...), d.Updated...)
 	p.sealMu.Unlock()
 	select {
 	case p.sealed <- struct{}{}:

@@ -1,8 +1,6 @@
 package federate
 
 import (
-	"slices"
-
 	"servdisc/internal/core"
 	"servdisc/internal/query"
 )
@@ -75,14 +73,9 @@ func (a *Aggregator) flushLocked() *query.Epoch {
 	if len(a.live) == 0 {
 		return a.qcat.Epoch()
 	}
-	edits := make([]core.TreeEdit[core.ServiceKey, []siteCell], 0, len(a.live))
 	keys := make([]core.ServiceKey, 0, len(a.live))
-	for k, cells := range a.live {
-		edits = append(edits, core.TreeEdit[core.ServiceKey, []siteCell]{Key: k, Val: cells, Del: len(cells) == 0})
-		keys = append(keys, k)
-	}
-	slices.SortFunc(edits, func(x, y core.TreeEdit[core.ServiceKey, []siteCell]) int { return x.Key.Compare(y.Key) })
-	a.cells = cellTree{a.cells.Patch(edits, nil)}
+	a.cells = cellTree{core.FlushLive(a.cells.Tree, a.live, func(cells []siteCell) bool { return len(cells) == 0 },
+		func(k core.ServiceKey, _, _ []siteCell) { keys = append(keys, k) })}
 	a.live = make(map[core.ServiceKey][]siteCell)
 	a.qcat.Advance(a.cells, keys)
 	return a.qcat.Epoch()

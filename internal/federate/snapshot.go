@@ -2,7 +2,6 @@ package federate
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"servdisc/internal/core"
@@ -60,13 +59,6 @@ func BuildSnapshot(inv *core.Inventory) *Snapshot {
 		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
 		return true
 	})
-	sort.Slice(s.Retractions, func(i, j int) bool {
-		a, b := &s.Retractions[i], &s.Retractions[j]
-		if a.Key != b.Key {
-			return a.Key.Before(b.Key)
-		}
-		return a.Prov < b.Prov
-	})
 	return s
 }
 
@@ -93,12 +85,10 @@ func appendServices(rows []SnapshotService, inv *core.Inventory) []SnapshotServi
 
 // pendingSeal is what the engine's seals changed since the last seal frame:
 // the inventory that frame was built from (base), the newest one (inv),
-// and the keys the seals between them added or updated — every key, once
-// any of their deltas was Full.
+// and the keys the seals between them added or updated.
 type pendingSeal struct {
 	base, inv *core.Inventory
 	keys      []core.ServiceKey
-	full      bool
 }
 
 // buildSeal renders a pending seal as a seal frame's rows, read from the
@@ -108,14 +98,10 @@ type pendingSeal struct {
 // and the packet count. It returns nil when none of that changed.
 func buildSeal(p pendingSeal) *Snapshot {
 	s := &Snapshot{Packets: p.inv.Packets()}
-	if p.full {
-		s.Services = appendServices(nil, p.inv)
-	} else {
-		core.SortKeys(p.keys)
-		for _, key := range slices.Compact(p.keys) {
-			if rec, prov, _, activeAt, ok := p.inv.Service(key); ok {
-				s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
-			}
+	core.SortKeys(p.keys)
+	for _, key := range slices.Compact(p.keys) {
+		if rec, prov, _, activeAt, ok := p.inv.Service(key); ok {
+			s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
 		}
 	}
 	was := p.base.Scanners()

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 )
 
 func tkey(i int) core.ServiceKey {
@@ -277,92 +279,206 @@ func engineDocs(inv *core.Inventory) map[core.ServiceKey]Doc {
 	return out
 }
 
+// deltaEngine is what TestCatalogFollowsEngineDeltas drives: a
+// ShardedPassive or a Hybrid.
+type deltaEngine interface {
+	HandleBatch([]packet.Packet)
+	Flush()
+	Snapshot() *core.Inventory
+	OnSnapshot(func(prev, inv *core.Inventory, d core.SnapshotDelta))
+	SetRetention(core.RetentionPolicy)
+	ExportDelta(*core.CheckpointCursor) (*core.EngineDelta, core.CheckpointCursor)
+	ImportDelta(*core.EngineDelta) error
+	Run(context.Context)
+	Close()
+}
+
 // The index, maintained purely from OnSnapshot deltas, must track the
 // engine's inventory exactly through discovery, re-observation, expiry
-// and rebirth — at 1, 2 and 8 shards.
+// and rebirth — at 1, 2 and 8 shards, on a passive engine and on a hybrid
+// one that takes a sweep report every round. Half-way the engine is
+// exported, restored into a fresh one at another shard count, and the run
+// goes on there. Only the first snapshot and the first after the restore
+// may be Full, and every round's inventory is the 1-shard run's.
 func TestCatalogFollowsEngineDeltas(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pfx := netaddr.MustParsePrefix("10.20.0.0/16")
-			t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
-			sp := core.NewShardedPassive(pfx, nil, shards)
-			defer sp.Close()
-			sp.SetRetention(core.RetentionPolicy{PassiveTTL: 30 * time.Minute})
-			sp.Run(context.Background())
-
-			cat := NewCatalog(10 * time.Minute)
-			var deltas, fulls int
-			sp.OnSnapshot(func(prev, inv *core.Inventory, d core.SnapshotDelta) {
-				if d.Full {
-					fulls++
-				} else {
-					deltas++
-				}
-				cat.ApplyDelta(inv, d)
+	for _, hybrid := range []bool{false, true} {
+		var refDumps [][]byte // the 1-shard run's, round by round
+		for _, shards := range []int{1, 2, 8} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if hybrid {
+				name = "hybrid," + name
+			}
+			t.Run(name, func(t *testing.T) {
+				followEngineDeltas(t, hybrid, shards, &refDumps)
 			})
-
-			bld := packet.NewBuilder(0)
-			client := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 33000}
-			rng := rand.New(rand.NewSource(int64(shards)))
-			endpoint := func(i int) packet.Endpoint {
-				return packet.Endpoint{Addr: pfx.Base() + netaddr.V4(1+i/4), Port: uint16(2000 + i%4)}
-			}
-
-			now := t0
-			var kept *Epoch // the previous round's epoch, retained across a patch
-			var keptHits []Doc
-			for round := 0; round < 30; round++ {
-				var batch []packet.Packet
-				for i, n := 0, 50+rng.Intn(100); i < n; i++ {
-					// Mix of new services and re-observations; advancing
-					// time expires untouched records via the TTL.
-					idx := rng.Intn(400)
-					batch = append(batch, *bld.SynAck(now, endpoint(idx), client, 1, 1))
-					now = now.Add(time.Second)
-				}
-				now = now.Add(5 * time.Minute)
-				sp.HandleBatch(batch)
-				sp.Flush()
-				inv := sp.Snapshot()
-
-				want := engineDocs(inv)
-				ep := cat.Epoch()
-				if ep.Len() != len(want) {
-					t.Fatalf("round %d: index has %d docs, inventory %d", round, ep.Len(), len(want))
-				}
-				res, err := ep.Query(Query{Limit: MaxLimit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameHits(t, res.Hits, bruteQuery(want, Query{Limit: MaxLimit}), fmt.Sprintf("round %d", round))
-				for _, q := range []Query{
-					{Port: 2001, Limit: MaxLimit},
-					{Prefix: netaddr.MustParsePrefix("10.20.0.0/26"), Limit: MaxLimit},
-					{Prefix: netaddr.MustParsePrefix("10.20.0.32/27"), Port: 2002, Limit: 5},
-					{MinFreshness: now.Add(-20 * time.Minute), Limit: MaxLimit},
-					{Provenance: core.PassiveOnly, HasProvenance: true, Limit: 9, PageToken: "10.20.0.51:2000/tcp"},
-				} {
-					got, err := ep.Query(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameHits(t, got.Hits, bruteQuery(want, q), fmt.Sprintf("round %d %+v", round, q))
-				}
-
-				// An epoch reads the inventory it pinned, so one retained across
-				// a patch answers as it did.
-				if kept != nil {
-					again, _ := kept.Query(Query{Limit: MaxLimit})
-					sameHits(t, again.Hits, keptHits, fmt.Sprintf("round %d, retained epoch", round))
-				}
-				kept, keptHits = ep, res.Hits
-			}
-			if deltas == 0 {
-				t.Error("no delta-path snapshots observed — the O(churn) path never ran")
-			}
-			t.Logf("shards=%d: %d delta snapshots, %d full rebuilds", shards, deltas, fulls)
-		})
+		}
 	}
+}
+
+func followEngineDeltas(t *testing.T, hybrid bool, shards int, refDumps *[][]byte) {
+	pfx := netaddr.MustParsePrefix("10.20.0.0/16")
+	t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	policy := core.RetentionPolicy{PassiveTTL: 30 * time.Minute}
+	if hybrid {
+		policy.ActiveTTL = 40 * time.Minute
+	}
+	cat := NewCatalog(10 * time.Minute)
+	var deltas, fulls int
+	start := func(n int, from *core.EngineDelta) deltaEngine {
+		var eng deltaEngine = core.NewShardedPassive(pfx, nil, n)
+		if hybrid {
+			eng = core.NewHybrid(pfx, nil, n, nil)
+		}
+		eng.SetRetention(policy)
+		if from != nil {
+			if err := eng.ImportDelta(from); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.OnSnapshot(func(prev, inv *core.Inventory, d core.SnapshotDelta) {
+			if d.Full != (prev == nil) {
+				t.Errorf("delta Full=%v with a predecessor %v", d.Full, prev != nil)
+			}
+			if d.Full {
+				fulls++
+			} else {
+				deltas++
+			}
+			cat.ApplyDelta(inv, d)
+		})
+		eng.Run(context.Background())
+		return eng
+	}
+	eng := start(shards, nil)
+	defer func() { eng.Close() }()
+
+	bld := packet.NewBuilder(0)
+	client := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 33000}
+	rng := rand.New(rand.NewSource(7))
+	endpoint := func(i int) packet.Endpoint {
+		return packet.Endpoint{Addr: pfx.Base() + netaddr.V4(1+i/4), Port: uint16(2000 + i%4)}
+	}
+	// Sweeps probe endpoints 200-599: half of them passive traffic sees
+	// too, sooner or later, and half only a probe finds. Every third sweep
+	// is stamped before the one ahead of it and re-probes its endpoints, so
+	// their first answers move earlier.
+	// seen names the hybrid cases the run reached.
+	seen := map[string]bool{}
+	var lastProbed []int
+	var lastSweep time.Time
+	everProbed := map[int]bool{}
+	sweep := func(round int, now time.Time) *probe.ScanReport {
+		at, probed := now, make([]int, 0, 24)
+		if round%3 == 2 {
+			at, probed = lastSweep.Add(-10*time.Minute), append(probed, lastProbed...)
+		}
+		for len(probed) < cap(probed) {
+			probed = append(probed, 200+rng.Intn(400))
+		}
+		rep := &probe.ScanReport{ID: round + 1, Started: at, Finished: at}
+		for _, i := range probed {
+			seen["re-answer"] = seen["re-answer"] || everProbed[i]
+			everProbed[i] = true
+			ep := endpoint(i)
+			rep.TCP = append(rep.TCP, probe.TCPResult{Time: at, Addr: ep.Addr, Port: ep.Port, State: probe.StateOpen})
+		}
+		lastProbed, lastSweep = probed[:8], at
+		return rep
+	}
+	firstOpen := map[core.ServiceKey]time.Time{}
+
+	now := t0
+	var kept *Epoch // the previous round's epoch, retained across a patch
+	var keptHits []Doc
+	for round := 0; round < 30; round++ {
+		if round == 15 {
+			ed, _ := eng.ExportDelta(nil)
+			eng.Close()
+			eng = start(map[int]int{1: 8, 2: 1, 8: 2}[shards], ed)
+		}
+		var batch []packet.Packet
+		for i, n := 0, 50+rng.Intn(100); i < n; i++ {
+			// Mix of new services and re-observations; advancing
+			// time expires untouched records via the TTL.
+			idx := rng.Intn(400)
+			batch = append(batch, *bld.SynAck(now, endpoint(idx), client, 1, 1))
+			now = now.Add(time.Second)
+		}
+		now = now.Add(5 * time.Minute)
+		eng.HandleBatch(batch)
+		if h, ok := eng.(*core.Hybrid); ok {
+			h.AddReport(sweep(round, now))
+		}
+		eng.Flush()
+		inv := eng.Snapshot()
+		if dump := inv.Dump(); shards == 1 {
+			*refDumps = append(*refDumps, dump)
+		} else if !bytes.Equal(dump, (*refDumps)[round]) {
+			t.Fatalf("round %d: the inventory differs from the 1-shard run's", round)
+		}
+		if hybrid {
+			inv.EachTombstone(func(k core.ServiceKey, _ time.Time, prov core.Provenance) bool {
+				p, _ := inv.Provenance(k)
+				seen["probe expired"] = seen["probe expired"] || prov == core.ActiveOnly
+				seen["passive expired under a probe"] = seen["passive expired under a probe"] || prov == core.PassiveOnly && p == core.ActiveOnly
+				return true
+			})
+			inv.EachService(func(k core.ServiceKey, _ *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
+				seen["probe only"] = seen["probe only"] || prov == core.ActiveOnly && k.Addr > endpoint(399).Addr
+				seen["passive later"] = seen["passive later"] || prov == core.ActiveFirst
+				if was, ok := firstOpen[k]; ok && activeAt.Before(was) {
+					seen["earlier answer"] = true
+				}
+				if prov != core.PassiveOnly {
+					firstOpen[k] = activeAt
+				}
+				return true
+			})
+		}
+
+		want := engineDocs(inv)
+		ep := cat.Epoch()
+		if ep.Len() != len(want) {
+			t.Fatalf("round %d: index has %d docs, inventory %d", round, ep.Len(), len(want))
+		}
+		res, err := ep.Query(Query{Limit: MaxLimit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(t, res.Hits, bruteQuery(want, Query{Limit: MaxLimit}), fmt.Sprintf("round %d", round))
+		for _, q := range []Query{
+			{Port: 2001, Limit: MaxLimit},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.0/26"), Limit: MaxLimit},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.32/27"), Port: 2002, Limit: 5},
+			{MinFreshness: now.Add(-20 * time.Minute), Limit: MaxLimit},
+			{Provenance: core.PassiveOnly, HasProvenance: true, Limit: 9, PageToken: "10.20.0.51:2000/tcp"},
+			{Provenance: core.ActiveOnly, HasProvenance: true, Limit: MaxLimit},
+		} {
+			got, err := ep.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameHits(t, got.Hits, bruteQuery(want, q), fmt.Sprintf("round %d %+v", round, q))
+		}
+
+		// An epoch reads the inventory it pinned, so one retained across
+		// a patch answers as it did.
+		if kept != nil {
+			again, _ := kept.Query(Query{Limit: MaxLimit})
+			sameHits(t, again.Hits, keptHits, fmt.Sprintf("round %d, retained epoch", round))
+		}
+		kept, keptHits = ep, res.Hits
+	}
+	if deltas == 0 {
+		t.Error("no delta-path snapshots observed — the O(churn) path never ran")
+	}
+	if fulls != 2 {
+		t.Errorf("%d Full snapshots, want the first and the first after the restore", fulls)
+	}
+	if hybrid && len(seen) != 6 {
+		t.Errorf("the run reached only %v of the six hybrid cases", seen)
+	}
+	t.Logf("shards=%d: %d delta snapshots, %d full rebuilds", shards, deltas, fulls)
 }
 
 // ParseKey inverts ServiceKey.String for valid inputs and rejects junk.

@@ -19,6 +19,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 )
 
 const (
@@ -86,8 +87,8 @@ func synthFresh(pfx netaddr.Prefix, entries, round int) []packet.Packet {
 // small and the large inventory.
 func checkChurnScaling(t *testing.T, what string, small, large [2]float64) {
 	t.Helper()
-	t.Logf("per churn-%d %s: %d entries → %.0f allocs, %.2f MB; %d entries → %.0f allocs, %.2f MB",
-		scalingChurn, what, scalingSmallEntries, small[0], small[1]/1e6, scalingLargeEntries, large[0], large[1]/1e6)
+	t.Logf("per %s: %d entries → %.0f allocs, %.2f MB; %d entries → %.0f allocs, %.2f MB",
+		what, scalingSmallEntries, small[0], small[1]/1e6, scalingLargeEntries, large[0], large[1]/1e6)
 
 	// Absolute bound: a churned record costs a bounded handful of
 	// allocations (dirty-seal copy plus a path-copied tree spine), nowhere
@@ -162,4 +163,42 @@ func TestCheckpointDeltaCostScalesWithChurn(t *testing.T) {
 		return [2]float64{allocs, bytes}
 	}
 	checkChurnScaling(t, "delta export", measure(scalingSmallEntries), measure(scalingLargeEntries))
+}
+
+// TestHybridReportCostScalesWithChurn is the same gate on the active half of
+// a hybrid engine: a step is a one-key sweep report and a snapshot, which
+// must cost the key the report moved, not the passive inventory beside it.
+// Each report probes a key no passive record has, spread across the key
+// order, so every step adds a probe-only service.
+func TestHybridReportCostScalesWithChurn(t *testing.T) {
+	measure := func(entries int) [2]float64 {
+		pfx := synthPrefix(t)
+		h := core.NewHybrid(pfx, nil, 4, nil)
+		defer h.Close()
+		feedSyntheticServices(h.Passive(), pfx, entries, scalingT0)
+		if got := h.Snapshot().Len(); got != entries {
+			t.Fatalf("synthetic load produced %d services, want %d", got, entries)
+		}
+		const warm, runs = 4, 8
+		reps := make([]*probe.ScanReport, warm+runs)
+		for i := range reps {
+			at := scalingT0.Add(time.Duration(i+1) * time.Minute)
+			addr := pfx.Base() + netaddr.V4(1+i*entries/synthPortsPerAddr/len(reps))
+			reps[i] = &probe.ScanReport{ID: i + 1, Started: at, Finished: at,
+				TCP: []probe.TCPResult{{Time: at, Addr: addr, Port: 7, State: probe.StateOpen}}}
+		}
+		var m0, m1 runtime.MemStats
+		for i, rep := range reps {
+			if i == warm {
+				runtime.ReadMemStats(&m0)
+			}
+			h.AddReport(rep)
+			if got := h.Snapshot().Len(); got != entries+i+1 {
+				t.Fatalf("after report %d the inventory holds %d services, want %d", i+1, got, entries+i+1)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return [2]float64{float64(m1.Mallocs-m0.Mallocs) / runs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs}
+	}
+	checkChurnScaling(t, "one-key report", measure(scalingSmallEntries), measure(scalingLargeEntries))
 }
