@@ -20,13 +20,26 @@ type cellTree struct {
 	core.Tree[core.ServiceKey, []siteCell]
 }
 
-// Doc folds the key's live site cells into the indexed doc: earliest
-// evidence anywhere, newest evidence anywhere, summed passive weights, and
-// the cross-site provenance class derived by the same rule a single site
-// uses on its merged times, with times in UTC. ok is false when no site
-// holds live evidence.
+// Doc folds the key's live site cells into the indexed doc (docOf).
 func (t cellTree) Doc(key core.ServiceKey) (query.Doc, bool) {
 	cells, _ := t.Get(key)
+	return docOf(key, cells)
+}
+
+// Docs folds each key's cells as it walks, skipping tombstone-only keys.
+func (t cellTree) Docs(after *core.ServiceKey, f func(query.Doc) bool) {
+	t.Walk(after, func(k core.ServiceKey, cells []siteCell) bool {
+		d, ok := docOf(k, cells)
+		return !ok || f(d)
+	})
+}
+
+// docOf folds a key's site cells into the indexed doc: earliest evidence
+// anywhere, newest evidence anywhere, summed passive weights, and the
+// cross-site provenance class derived by the same rule a single site uses
+// on its merged times, with times in UTC. ok is false when no site holds
+// live evidence.
+func docOf(key core.ServiceKey, cells []siteCell) (query.Doc, bool) {
 	var merged svcState
 	d := query.Doc{Key: key}
 	live := false
@@ -58,11 +71,6 @@ func (t cellTree) Doc(key core.ServiceKey) (query.Doc, bool) {
 	d.First, d.Last = d.First.UTC(), d.Last.UTC()
 	d.Prov = merged.prov()
 	return d, true
-}
-
-// Keys walks the tree's keys after *after in canonical order.
-func (t cellTree) Keys(after *core.ServiceKey, f func(core.ServiceKey) bool) {
-	t.Walk(after, func(k core.ServiceKey, _ []siteCell) bool { return f(k) })
 }
 
 // flushLocked patches the cell tree with the write layer, advances the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"servdisc/internal/core"
+	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 	"servdisc/internal/query"
 )
@@ -160,6 +161,87 @@ func TestAggregatorQueryFollowsFrames(t *testing.T) {
 	if agg.View().Gen() == 0 {
 		t.Fatal("mutations never advanced the generation")
 	}
+
+	// A second aggregator bootstraps both sites into an empty index, so its
+	// first flush builds the epoch bottom up. Every query shape, paged,
+	// must answer as a brute filter over the docs of its roll-up does.
+	boot := NewAggregator()
+	for i, site := range sites {
+		var svcs []SnapshotService
+		for j := i; j < 30; j += 1 + rng.Intn(2) {
+			s := SnapshotService{Key: key(j), Flows: 1 + rng.Intn(50), Clients: 1 + rng.Intn(5)}
+			passive, active := base.Add(time.Duration(rng.Intn(90))*time.Minute), base.Add(time.Duration(rng.Intn(90))*time.Minute)
+			switch s.Provenance = core.Provenance(rng.Intn(4)); s.Provenance {
+			case core.PassiveOnly:
+				s.PassiveAt = passive
+			case core.ActiveOnly:
+				s.ActiveAt, s.Flows, s.Clients = active, 0, 0
+			default:
+				s.PassiveAt, s.ActiveAt = passive, active
+			}
+			svcs = append(svcs, s)
+		}
+		if err := boot.Apply(&Frame{V: WireVersion, Type: FrameSnapshot, Site: site,
+			Seq: 1, Snapshot: &Snapshot{Services: svcs}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if boot.qcat.Len() != 0 {
+		t.Fatal("the bootstrap flushed before both sites were in")
+	}
+	ep := boot.QueryEpoch()
+	var docs []query.Doc
+	for _, g := range boot.Services() {
+		if d, ok := ep.Doc(g.Key); ok {
+			docs = append(docs, d)
+		}
+	}
+	if len(docs) == 0 || ep.Len() != len(docs) {
+		t.Fatalf("bootstrap indexed %d services, its roll-up has %d", ep.Len(), len(docs))
+	}
+	for _, q := range []query.Query{
+		{},
+		{Port: 81},
+		{Category: query.CatWeb},
+		{Prefix: netaddr.MustParsePrefix("128.125.1.0/24")},
+		{Prefix: netaddr.MustParsePrefix("128.125.1.4/30"), Port: 82},
+		{Provenance: core.PassiveOnly, HasProvenance: true},
+		{Provenance: core.ActiveOnly, HasProvenance: true},
+		{Provenance: core.ActiveFirst, HasProvenance: true},
+		{MinFreshness: base.Add(45 * time.Minute)},
+	} {
+		var want, got []query.Doc
+		for _, d := range docs {
+			if bruteMatch(q, d) {
+				want = append(want, d)
+			}
+		}
+		for q.Limit = 4; ; {
+			res, err := ep.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res.Hits...)
+			if res.NextPageToken == "" {
+				break
+			}
+			q.PageToken = res.NextPageToken
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("bootstrap epoch, %+v: %d hits, the brute filter %d", q, len(got), len(want))
+		}
+	}
+}
+
+// bruteMatch is the query predicate set written out apart from the query
+// package's own.
+func bruteMatch(q query.Query, d query.Doc) bool {
+	k := d.Key
+	return (q.Port == 0 || k.Port == q.Port) && (q.Proto == 0 || k.Proto == q.Proto) &&
+		(q.Category == query.CatAny || query.CategoryOf(k) == q.Category) &&
+		(q.Prefix.Bits() == 0 || q.Prefix.Contains(k.Addr)) &&
+		(!q.HasProvenance || d.Prov == q.Provenance) &&
+		(q.MinFreshness.IsZero() || !d.Last.Before(q.MinFreshness))
 }
 
 // Filtered aggregator queries must answer from the same merged state as

@@ -31,10 +31,8 @@ func Checksum(data []byte) uint16 {
 // pseudoHeaderSum computes the partial sum of the IPv4 pseudo-header used
 // by the TCP and UDP checksums (RFC 793 §3.1, RFC 768).
 func pseudoHeaderSum(src, dst netaddr.V4, proto IPProtocol, length int) uint32 {
-	var acc uint32
-	acc = onesSum(acc, src.AppendTo(nil))
-	acc = onesSum(acc, dst.AppendTo(nil))
-	acc += uint32(proto)
-	acc += uint32(length)
-	return acc
+	return words32(uint32(src)) + words32(uint32(dst)) + uint32(proto) + uint32(length)
 }
+
+// words32 is the one's-complement sum of v's two big-endian 16-bit words.
+func words32(v uint32) uint32 { return v>>16 + v&0xFFFF }

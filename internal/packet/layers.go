@@ -141,11 +141,12 @@ func (ip *IPv4) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// setChecksum recomputes the header checksum in place.
+// setChecksum recomputes the header checksum in place: the sum of the
+// header's 16-bit words as AppendTo lays them out, checksum field zero.
 func (ip *IPv4) setChecksum() {
-	ip.Checksum = 0
-	hdr := ip.AppendTo(make([]byte, 0, ipv4HeaderLen))
-	ip.Checksum = Checksum(hdr)
+	ip.Checksum = fold((0x4500 | uint32(ip.TOS)) + uint32(ip.TotalLength) + uint32(ip.ID) +
+		uint32(uint16(ip.Flags)<<13|ip.FragOffset&0x1FFF) + (uint32(ip.TTL)<<8 | uint32(ip.Protocol)) +
+		words32(uint32(ip.Src)) + words32(uint32(ip.Dst)))
 }
 
 // DecodeFrom parses the header and returns the payload bytes (bounded by
@@ -265,13 +266,13 @@ func (t *TCP) AppendTo(dst []byte) []byte {
 	return dst
 }
 
+// setChecksum sums the header's words as AppendTo lays them out, checksum
+// field zero, with the pseudo-header and the payload.
 func (t *TCP) setChecksum(ip *IPv4, payload []byte) {
-	t.Checksum = 0
-	seg := t.AppendTo(make([]byte, 0, tcpHeaderLen))
-	acc := pseudoHeaderSum(ip.Src, ip.Dst, ProtoTCP, len(seg)+len(payload))
-	acc = onesSum(acc, seg)
-	acc = onesSum(acc, payload)
-	t.Checksum = fold(acc)
+	acc := pseudoHeaderSum(ip.Src, ip.Dst, ProtoTCP, tcpHeaderLen+len(payload)) +
+		uint32(t.SrcPort) + uint32(t.DstPort) + words32(t.Seq) + words32(t.Ack) +
+		(5<<12 | uint32(t.Flags)) + uint32(t.Window) + uint32(t.Urgent)
+	t.Checksum = fold(onesSum(acc, payload))
 }
 
 // DecodeFrom parses the header and returns the payload.
@@ -328,12 +329,9 @@ func (u *UDP) AppendTo(dst []byte) []byte {
 }
 
 func (u *UDP) setChecksum(ip *IPv4, payload []byte) {
-	u.Checksum = 0
-	hdr := u.AppendTo(make([]byte, 0, udpHeaderLen))
-	acc := pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, len(hdr)+len(payload))
-	acc = onesSum(acc, hdr)
-	acc = onesSum(acc, payload)
-	c := fold(acc)
+	acc := pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, udpHeaderLen+len(payload)) +
+		uint32(u.SrcPort) + uint32(u.DstPort) + uint32(u.Length)
+	c := fold(onesSum(acc, payload))
 	if c == 0 {
 		c = 0xFFFF // RFC 768: transmitted all-ones when computed zero
 	}
@@ -391,11 +389,8 @@ func (ic *ICMPv4) AppendTo(dst []byte) []byte {
 }
 
 func (ic *ICMPv4) setChecksum(payload []byte) {
-	ic.Checksum = 0
-	hdr := ic.AppendTo(make([]byte, 0, icmpHeaderLen))
-	acc := onesSum(0, hdr)
-	acc = onesSum(acc, payload)
-	ic.Checksum = fold(acc)
+	acc := (uint32(ic.Type)<<8 | uint32(ic.Code)) + onesSum(0, ic.Rest[:])
+	ic.Checksum = fold(onesSum(acc, payload))
 }
 
 // DecodeFrom parses the header and returns the remaining bytes.

@@ -158,40 +158,50 @@ func (p *Packet) decodeIP(data []byte) error {
 	return nil
 }
 
-// Marshal serializes the packet's present layers. Length and checksum
-// fields are recomputed so callers may mutate headers freely between
-// decode and re-encode.
+// Marshal serializes the packet's present layers into one buffer of
+// exactly the wire size. Length and checksum fields are recomputed so
+// callers may mutate headers freely between decode and re-encode.
 func (p *Packet) Marshal() []byte {
-	// Serialize transport + payload first so the IP total length is known.
-	var transport []byte
+	// Checksums first: the IP total length counts the transport header.
+	body := len(p.Payload)
 	switch {
 	case p.Has(LayerTypeTCP):
+		body += tcpHeaderLen
 		p.TCP.setChecksum(&p.IPv4, p.Payload)
-		transport = p.TCP.AppendTo(nil)
 	case p.Has(LayerTypeUDP):
-		p.UDP.Length = uint16(udpHeaderLen + len(p.Payload))
+		body += udpHeaderLen
+		p.UDP.Length = uint16(body)
 		p.UDP.setChecksum(&p.IPv4, p.Payload)
-		transport = p.UDP.AppendTo(nil)
 	case p.Has(LayerTypeICMPv4):
+		body += icmpHeaderLen
 		p.ICMPv4.setChecksum(p.Payload)
-		transport = p.ICMPv4.AppendTo(nil)
 	}
-	body := append(transport, p.Payload...)
-
-	var out []byte
+	size := body
 	if p.Has(LayerTypeIPv4) {
-		p.IPv4.TotalLength = uint16(ipv4HeaderLen + len(body))
+		size += ipv4HeaderLen
+		p.IPv4.TotalLength = uint16(size)
 		p.IPv4.setChecksum()
-		out = p.IPv4.AppendTo(nil)
-		out = append(out, body...)
-	} else {
-		out = body
 	}
 	if p.Has(LayerTypeEthernet) {
-		frame := p.Ethernet.AppendTo(nil)
-		out = append(frame, out...)
+		size += ethHeaderLen
 	}
-	return out
+
+	out := make([]byte, 0, size)
+	if p.Has(LayerTypeEthernet) {
+		out = p.Ethernet.AppendTo(out)
+	}
+	if p.Has(LayerTypeIPv4) {
+		out = p.IPv4.AppendTo(out)
+	}
+	switch {
+	case p.Has(LayerTypeTCP):
+		out = p.TCP.AppendTo(out)
+	case p.Has(LayerTypeUDP):
+		out = p.UDP.AppendTo(out)
+	case p.Has(LayerTypeICMPv4):
+		out = p.ICMPv4.AppendTo(out)
+	}
+	return append(out, p.Payload...)
 }
 
 // Flow returns the transport 4-tuple flow of the packet, and ok=false when

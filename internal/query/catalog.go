@@ -31,12 +31,12 @@ type Doc struct {
 type keyTree = core.Tree[core.ServiceKey, struct{}]
 
 // Source is the frozen store an epoch resolves its docs through: the doc
-// under one key, and an ordered walk of the keys above after (every key
-// when after is nil) until f returns false. A source never changes once an
-// epoch holds it. The walk may visit keys with no doc; Doc decides.
+// under one key, and an ordered walk of the docs of the keys above after
+// (every doc when after is nil) until f returns false. A source never
+// changes once an epoch holds it.
 type Source interface {
 	Doc(k core.ServiceKey) (Doc, bool)
-	Keys(after *core.ServiceKey, f func(core.ServiceKey) bool)
+	Docs(after *core.ServiceKey, f func(Doc) bool)
 }
 
 // invSource is an engine's frozen inventory as a Source; the conversion
@@ -47,17 +47,18 @@ func (s *invSource) Doc(k core.ServiceKey) (Doc, bool) {
 	return DocFromInventory((*core.Inventory)(s), k)
 }
 
-func (s *invSource) Keys(after *core.ServiceKey, f func(core.ServiceKey) bool) {
-	(*core.Inventory)(s).EachServiceAfter(after, func(k core.ServiceKey, _ *core.PassiveRecord, _ core.Provenance, _, _ time.Time) bool {
-		return f(k)
+// Docs builds each doc from what the inventory's walk already read.
+func (s *invSource) Docs(after *core.ServiceKey, f func(Doc) bool) {
+	(*core.Inventory)(s).EachServiceAfter(after, func(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) bool {
+		return f(docOf(k, rec, prov, first, activeAt))
 	})
 }
 
 // noDocs is the source of a catalog's initial, empty epoch.
 type noDocs struct{}
 
-func (noDocs) Doc(core.ServiceKey) (Doc, bool)                   { return Doc{}, false }
-func (noDocs) Keys(*core.ServiceKey, func(core.ServiceKey) bool) {}
+func (noDocs) Doc(core.ServiceKey) (Doc, bool)       { return Doc{}, false }
+func (noDocs) Docs(*core.ServiceKey, func(Doc) bool) {}
 
 // DocFromInventory builds the query doc for one inventory key from one
 // descent of its record store; ok is false if the key is not there.
@@ -235,12 +236,8 @@ func NewCatalog(freshWidth time.Duration) *Catalog {
 		freshWidth = DefaultFreshnessBucket
 	}
 	c := &Catalog{freshWidth: freshWidth}
-	c.cur.Store(c.emptyEpoch(0))
+	c.cur.Store(&Epoch{freshWidth: freshWidth, src: noDocs{}})
 	return c
-}
-
-func (c *Catalog) emptyEpoch(gen uint64) *Epoch {
-	return &Epoch{gen: gen, freshWidth: c.freshWidth, src: noDocs{}}
 }
 
 // Epoch returns the current index epoch — an immutable value, safe to
@@ -337,9 +334,106 @@ func (ps *postings) remove(e *Epoch, old Doc) {
 	ps.fresh.del(e.freshBucket(old.Last), k)
 }
 
-// advance installs the successor of prev over src: its postings patched
-// by ps.
-func (c *Catalog) advance(prev *Epoch, ps *postings, src Source) {
+// filed is one doc in a bottom-up build: its key, and its bucket in each
+// dimension (port, provenance, category, freshness) as an index into
+// that dimension's buckets.
+type filed struct {
+	key core.ServiceKey
+	at  [4]int32
+}
+
+// bulk is one dimension of a bottom-up build: its buckets in first-seen
+// order, and how many docs each holds.
+type bulk[B comparable] struct {
+	at    map[B]int32
+	ids   []B
+	sizes []int
+}
+
+// file counts one more doc under bucket b and returns b's index.
+func (d *bulk[B]) file(b B) int32 {
+	i, ok := d.at[b]
+	if !ok {
+		if d.at == nil {
+			d.at = map[B]int32{}
+		}
+		i = int32(len(d.ids))
+		d.at[b] = i
+		d.ids, d.sizes = append(d.ids, b), append(d.sizes, 0)
+	}
+	d.sizes[i]++
+	return i
+}
+
+// trees files docs, in key order, into entry arrays of their buckets'
+// exact sizes (docs[i].at[dim] naming the bucket) and builds each
+// bucket's posting tree over its array.
+func (d *bulk[B]) trees(docs []filed, dim int) map[B]keyTree {
+	ents := make([][]core.TreeEntry[core.ServiceKey, struct{}], len(d.ids))
+	for i, n := range d.sizes {
+		ents[i] = make([]core.TreeEntry[core.ServiceKey, struct{}], 0, n)
+	}
+	for i := range docs {
+		b := docs[i].at[dim]
+		ents[b] = append(ents[b], core.TreeEntry[core.ServiceKey, struct{}]{Key: docs[i].key})
+	}
+	out := make(map[B]keyTree, len(d.ids))
+	for i, b := range d.ids {
+		out[b] = core.BuildTree(ents[i])
+	}
+	return out
+}
+
+// build installs the successor of generation gen over src, every posting
+// tree built bottom up from one ordered walk of src's docs (about hint of
+// them). Keys arrive in order, so nothing is sorted, and no edit list or
+// patch is made.
+func (c *Catalog) build(gen uint64, src Source, hint int) {
+	next := &Epoch{gen: gen + 1, freshWidth: c.freshWidth, src: src}
+	docs := make([]filed, 0, hint)
+	var port bulk[uint16]
+	var prov bulk[core.Provenance]
+	var cat bulk[Category]
+	var fresh bulk[int64]
+	src.Docs(nil, func(d Doc) bool {
+		docs = append(docs, filed{d.Key, [4]int32{port.file(d.Key.Port), prov.file(d.Prov),
+			cat.file(CategoryOf(d.Key)), fresh.file(next.freshBucket(d.Last))}})
+		return true
+	})
+	next.n = len(docs)
+	next.byPort = port.trees(docs, 0)
+	next.byProv = prov.trees(docs, 1)
+	next.byCat = cat.trees(docs, 2)
+	next.byFresh = fresh.trees(docs, 3)
+	next.freshBases = sortedBases(next.byFresh)
+	c.cur.Store(next)
+}
+
+// Advance installs the epoch over src, a frozen store whose docs differ
+// from the current epoch's source at most under the keys in changed
+// (duplicate-free, any order): each such key's postings move from its
+// current doc to its doc in src, or out of the index when src has none.
+// Cost is O(changes · log n) — the persistent trees path-copy only what
+// moved, and the dimension maps are cloned at bucket granularity. Over an
+// empty epoch every doc of src is under changed, so the epoch is built
+// bottom up instead (build). Every call installs a new epoch, so the
+// generation counts the sources the catalog was handed. It reports
+// whether it built rather than patched.
+func (c *Catalog) Advance(src Source, changed []core.ServiceKey) (built bool) {
+	prev := c.Epoch()
+	if prev.n == 0 {
+		c.build(prev.gen, src, len(changed))
+		return true
+	}
+	var ps postings
+	for _, k := range changed {
+		old, had := prev.Doc(k)
+		if d, ok := src.Doc(k); ok {
+			ps.upsert(prev, old, had, d)
+		} else if had {
+			ps.remove(prev, old)
+		}
+	}
 	next := &Epoch{
 		gen:        prev.gen + 1,
 		freshWidth: prev.freshWidth,
@@ -358,55 +452,42 @@ func (c *Catalog) advance(prev *Epoch, ps *postings, src Source) {
 		next.n += t.Len()
 	}
 	c.cur.Store(next)
-}
-
-// Advance installs the epoch over src, a frozen store whose docs differ
-// from the current epoch's source at most under the keys in changed
-// (duplicate-free, any order): each such key's postings move from its
-// current doc to its doc in src, or out of the index when src has none.
-// Cost is O(changes · log n) — the persistent trees path-copy only what
-// moved, and the dimension maps are cloned at bucket granularity. Every
-// call installs a new epoch, so the generation counts the sources the
-// catalog was handed.
-func (c *Catalog) Advance(src Source, changed []core.ServiceKey) {
-	prev := c.Epoch()
-	var ps postings
-	for _, k := range changed {
-		old, had := prev.Doc(k)
-		if d, ok := src.Doc(k); ok {
-			ps.upsert(prev, old, had, d)
-		} else if had {
-			ps.remove(prev, old)
-		}
-	}
-	c.advance(prev, &ps, src)
+	return false
 }
 
 // RebuildFromInventory replaces the whole index with one over a frozen
-// inventory: one ordered walk of its record store (Inventory.EachService)
-// files every key's postings, and the epoch reads inv for the docs.
+// inventory, built bottom up from one ordered walk of its record store;
+// the epoch reads inv for the docs.
 func (c *Catalog) RebuildFromInventory(inv *core.Inventory) {
-	empty := c.emptyEpoch(c.Epoch().gen)
-	var ps postings
-	inv.EachService(func(k core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, first, activeAt time.Time) bool {
-		ps.upsert(empty, Doc{}, false, docOf(k, rec, prov, first, activeAt))
-		return true
-	})
-	c.advance(empty, &ps, (*invSource)(inv))
+	c.build(c.Epoch().gen, (*invSource)(inv), inv.Len())
 }
+
+// Epoch-install paths ApplyDelta reports: a bottom-up build, or a patch
+// of the current epoch.
+const (
+	PathBuild = "build"
+	PathPatch = "patch"
+)
 
 // ApplyDelta folds one snapshot transition into the index: an Advance
 // over the delta's keys when the engine produced a delta against the
 // inventory the current epoch reads, a full rebuild when it could not
 // (delta.Full, or a catalog not yet fed). This is the OnSnapshot observer
-// body; inv is the transition's new inventory.
-func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) {
+// body; inv is the transition's new inventory. It returns the path that
+// installed the new epoch, PathBuild or PathPatch, or "" when the delta
+// moved no key and no epoch was installed.
+func (c *Catalog) ApplyDelta(inv *core.Inventory, delta core.SnapshotDelta) string {
 	switch {
 	case delta.Full || c.Epoch().gen == 0:
 		c.RebuildFromInventory(inv)
+		return PathBuild
 	case len(delta.Added)+len(delta.Updated)+len(delta.Removed) > 0:
-		c.Advance((*invSource)(inv), slices.Concat(delta.Added, delta.Updated, delta.Removed))
+		if c.Advance((*invSource)(inv), slices.Concat(delta.Added, delta.Updated, delta.Removed)) {
+			return PathBuild
+		}
+		return PathPatch
 	}
+	return ""
 }
 
 // sortedBases lists the freshness dimension's bucket ids in order.

@@ -74,6 +74,33 @@ func sameHits(t *testing.T, got, want []Doc, ctx string) {
 	}
 }
 
+// samePages pages q through got and want and holds them to the same hits
+// and the same page tokens, page by page, to the end of the walk.
+func samePages(t *testing.T, got, want *Epoch, q Query, ctx string) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d docs indexed, want %d", ctx, got.Len(), want.Len())
+	}
+	for page := 0; ; page++ {
+		g, err := got.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := want.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(t, g.Hits, w.Hits, fmt.Sprintf("%s, page %d", ctx, page))
+		if g.NextPageToken != w.NextPageToken {
+			t.Fatalf("%s, page %d: next page token %q, want %q", ctx, page, g.NextPageToken, w.NextPageToken)
+		}
+		if g.NextPageToken == "" {
+			return
+		}
+		q.PageToken = g.NextPageToken
+	}
+}
+
 // Random patches against a map model, with every dimension queried and
 // checked after each epoch — including provenance flips and freshness
 // moves of existing docs, the bucket-migration paths.
@@ -459,6 +486,28 @@ func followEngineDeltas(t *testing.T, hybrid bool, shards int, refDumps *[][]byt
 				t.Fatal(err)
 			}
 			sameHits(t, got.Hits, bruteQuery(want, q), fmt.Sprintf("round %d %+v", round, q))
+		}
+
+		// A catalog built afresh over this round's inventory, bottom up,
+		// answers every shape page by page as the followed one does.
+		fresh := NewCatalog(10 * time.Minute)
+		fresh.RebuildFromInventory(inv)
+		for _, q := range []Query{
+			{},
+			{Port: 2001},
+			{Proto: packet.ProtoTCP},
+			{Category: CatOther},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.0/24")},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.0/26")},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.32/27"), Port: 2002},
+			{Prefix: netaddr.MustParsePrefix("10.20.0.7/32"), Port: 2003, Proto: packet.ProtoTCP},
+			{MinFreshness: now.Add(-20 * time.Minute)},
+			{Provenance: core.PassiveOnly, HasProvenance: true},
+			{Provenance: core.ActiveOnly, HasProvenance: true},
+			{Provenance: core.ActiveFirst, HasProvenance: true, MinFreshness: now.Add(-time.Hour)},
+		} {
+			q.Limit = 7
+			samePages(t, ep, fresh.Epoch(), q, fmt.Sprintf("round %d, fresh build, %+v", round, q))
 		}
 
 		// An epoch reads the inventory it pinned, so one retained across

@@ -177,17 +177,15 @@ func (e *Epoch) Query(q Query) (Result, error) {
 }
 
 // scan answers every query but a point lookup. It is apart from Query
-// because its emit closure reaches the source's key walk, an interface
-// call, and so lives on the heap; a point lookup allocates only its hit.
+// because its closures reach the source's doc walk, an interface call,
+// and so live on the heap; a point lookup allocates only its hit.
 func (e *Epoch) scan(q Query, after *core.ServiceKey) (hits []Doc, next string) {
 	limit := q.limit()
 	hits = make([]Doc, 0, min(limit, 64))
-	emit := func(k core.ServiceKey) bool {
-		if !q.matchesKey(k) {
-			return true
-		}
-		d, ok := e.Doc(k)
-		if !ok || !q.matchesDoc(d) {
+	// take keeps a candidate the doc predicates pass; one past the page
+	// ends the walk and names the page's last hit as the next cursor.
+	take := func(d Doc) bool {
+		if !q.matchesDoc(d) {
 			return true
 		}
 		if len(hits) == limit {
@@ -197,18 +195,29 @@ func (e *Epoch) scan(q Query, after *core.ServiceKey) (hits []Doc, next string) 
 		hits = append(hits, d)
 		return true
 	}
+	// emit resolves a posting walk's key to its doc, unless the key alone
+	// fails the query; emitDoc filters a doc walk's doc.
+	emit := func(k core.ServiceKey) bool {
+		if !q.matchesKey(k) {
+			return true
+		}
+		d, ok := e.Doc(k)
+		return !ok || take(d)
+	}
+	emitDoc := func(d Doc) bool { return !q.matchesKey(d.Key) || take(d) }
 
-	// prefixRun walks the query prefix's keys. Keys sort address-major, so a
-	// prefix of any length is one contiguous run of the key order: seek past
-	// the largest key an address below the prefix could have (or to the page
-	// cursor, if that is further), walk until the address leaves the prefix.
+	// prefixRun walks the query prefix's docs. Keys sort address-major, so
+	// a prefix of any length is one contiguous run of the doc walk: seek
+	// past the largest key an address below the prefix could have (or to
+	// the page cursor, if that is further), walk until the address leaves
+	// the prefix. Each doc comes from the walk itself, with no descent.
 	prefixRun := func() {
 		start := after
 		if base := q.Prefix.Base(); base > 0 && (after == nil || after.Addr < base) {
 			start = &core.ServiceKey{Addr: base - 1, Proto: ^packet.IPProtocol(0), Port: ^uint16(0)}
 		}
 		last := q.Prefix.Last()
-		e.src.Keys(start, func(k core.ServiceKey) bool { return k.Addr <= last && emit(k) })
+		e.src.Docs(start, func(d Doc) bool { return d.Key.Addr <= last && emitDoc(d) })
 	}
 
 	// Pick the candidate source: the most selective dimension the query
@@ -238,7 +247,7 @@ func (e *Epoch) scan(q Query, after *core.ServiceKey) (hits []Doc, next string) 
 		}
 		mergeIterate(cursors, emit)
 	default:
-		e.src.Keys(after, emit)
+		e.src.Docs(after, emitDoc)
 	}
 	return hits, next
 }

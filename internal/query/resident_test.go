@@ -32,6 +32,56 @@ func TestResidentBytesPerIndexedService(t *testing.T) {
 		n      = 100_000
 		budget = 42
 	)
+	inv := passiveInventory(t, n)
+	cat := NewCatalog(time.Hour)
+	before := liveHeap()
+	cat.RebuildFromInventory(inv)
+	perService := (float64(liveHeap()) - float64(before)) / n
+	runtime.KeepAlive(cat)
+	runtime.KeepAlive(inv)
+	t.Logf("indexed service: %.1f B (budget %d)", perService, budget)
+	if perService > budget {
+		t.Errorf("indexing a service holds %.1f B of live heap, budget %d", perService, budget)
+	}
+	if cat.Len() != n {
+		t.Fatalf("indexed %d services, want %d", cat.Len(), n)
+	}
+}
+
+// TestFirstEpochAllocatesWhatItKeeps gates the bottom-up build of a first
+// epoch: the bytes RebuildFromInventory allocates over a resident
+// inventory must stay within 2× the live heap it leaves. The build files
+// each doc in a 24-byte record and each posting array at its exact size:
+// 61.6 B allocated against 37.6 B kept (1.6×). Filing every key as four
+// tree edits, sorting each bucket and patching empty trees allocated
+// 303.0 B against 38.1 B (8.0×) and fails.
+func TestFirstEpochAllocatesWhatItKeeps(t *testing.T) {
+	const n = 400_000
+	inv := passiveInventory(t, n)
+	cat := NewCatalog(time.Hour)
+	var m runtime.MemStats
+	before := liveHeap()
+	runtime.ReadMemStats(&m)
+	allocated := m.TotalAlloc
+	cat.RebuildFromInventory(inv)
+	runtime.ReadMemStats(&m)
+	allocated = m.TotalAlloc - allocated
+	kept := float64(liveHeap()) - float64(before)
+	runtime.KeepAlive(cat)
+	runtime.KeepAlive(inv)
+	t.Logf("first epoch: %.1f B allocated, %.1f B kept per service", float64(allocated)/n, kept/n)
+	if float64(allocated) > 2*kept {
+		t.Errorf("building a first epoch allocated %.1f B per service to keep %.1f B, budget 2×", float64(allocated)/n, kept/n)
+	}
+	if cat.Len() != n {
+		t.Fatalf("indexed %d services, want %d", cat.Len(), n)
+	}
+}
+
+// passiveInventory freezes n passive services, four ports on each of n/4
+// addresses, each first seen a second after the one before.
+func passiveInventory(t *testing.T, n int) *core.Inventory {
+	t.Helper()
 	pfx := netaddr.MustParsePrefix("10.16.0.0/12")
 	d := core.NewPassiveDiscoverer(pfx, nil)
 	bld := packet.NewBuilder(0)
@@ -45,19 +95,5 @@ func TestResidentBytesPerIndexedService(t *testing.T) {
 	if inv.Len() != n {
 		t.Fatalf("inventory holds %d services, want %d", inv.Len(), n)
 	}
-
-	cat := NewCatalog(time.Hour)
-	before := liveHeap()
-	cat.RebuildFromInventory(inv)
-	perService := (float64(liveHeap()) - float64(before)) / n
-	runtime.KeepAlive(cat)
-	runtime.KeepAlive(inv)
-	runtime.KeepAlive(d)
-	t.Logf("indexed service: %.1f B (budget %d)", perService, budget)
-	if perService > budget {
-		t.Errorf("indexing a service holds %.1f B of live heap, budget %d", perService, budget)
-	}
-	if cat.Len() != n {
-		t.Fatalf("indexed %d services, want %d", cat.Len(), n)
-	}
+	return inv
 }

@@ -14,8 +14,8 @@ type docTree struct {
 
 func (t docTree) Doc(k core.ServiceKey) (Doc, bool) { return t.Get(k) }
 
-func (t docTree) Keys(after *core.ServiceKey, f func(core.ServiceKey) bool) {
-	t.Walk(after, func(k core.ServiceKey, _ Doc) bool { return f(k) })
+func (t docTree) Docs(after *core.ServiceKey, f func(Doc) bool) {
+	t.Walk(after, func(_ core.ServiceKey, d Doc) bool { return f(d) })
 }
 
 // patch returns t with upserts written and removes (disjoint from them)

@@ -14,6 +14,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"servdisc/internal/campus"
@@ -301,6 +302,14 @@ type Pipeline struct {
 	// queryLat maps query dimension → its latency histogram, pre-resolved
 	// at construction so the query path never touches the registry lock.
 	queryLat map[string]*obs.Histogram
+	// epochLat maps an epoch-install path (query.PathBuild, PathPatch) to
+	// its servdisc_query_epoch_seconds series.
+	epochLat map[string]*obs.Histogram
+	// coldStart is set once per cold start, when the first epoch is
+	// installed, to the seconds since coldFrom: when NewPipeline, or the
+	// last RestoreFromCheckpoint, began. coldFrom is nil once it is set.
+	coldStart *obs.Gauge
+	coldFrom  atomic.Pointer[time.Time]
 }
 
 // queryDimensions are the values Query.Dimension can return — the label
@@ -314,6 +323,7 @@ var queryDimensions = []string{
 // concurrent scan scheduler is attached (see Hybrid for the scan-side
 // methods); without it the pipeline is passive-only.
 func NewPipeline(cfg Config) (*Pipeline, error) {
+	start := time.Now()
 	pfx, err := cfg.campusPrefix()
 	if err != nil {
 		return nil, err
@@ -381,6 +391,12 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		for _, d := range queryDimensions {
 			p.queryLat[d] = qv.With(d)
 		}
+		ev := reg.HistogramVec("servdisc_query_epoch_seconds",
+			"Index epoch install latency per snapshot: a bottom-up build (first epoch or full rebuild) or a patch over the delta.", "path")
+		p.epochLat = map[string]*obs.Histogram{query.PathBuild: ev.With(query.PathBuild), query.PathPatch: ev.With(query.PathPatch)}
+		p.coldStart = reg.Gauge("servdisc_cold_start_seconds",
+			"Seconds from pipeline start, or from the start of the last checkpoint restore, to the first installed index epoch.")
+		p.coldFrom.Store(&start)
 	}
 	if cfg.Checkpoint != nil {
 		if cfg.Checkpoint.Dir == "" {
@@ -522,7 +538,13 @@ func (p *Pipeline) OnSnapshot(fn func(prev, inv *Inventory, delta core.SnapshotD
 		return
 	}
 	p.engine.OnSnapshot(func(prev, inv *Inventory, d core.SnapshotDelta) {
-		cat.ApplyDelta(inv, d)
+		t0 := time.Now()
+		if path := cat.ApplyDelta(inv, d); path != "" {
+			p.epochLat[path].Observe(time.Since(t0))
+			if from := p.coldFrom.Swap(nil); from != nil {
+				p.coldStart.Set(time.Since(*from).Seconds())
+			}
+		}
 		if fn != nil {
 			fn(prev, inv, d)
 		}
@@ -672,6 +694,7 @@ func (p *Pipeline) RestoreFromCheckpoint() (*CheckpointManifest, error) {
 		return nil, fmt.Errorf("servdisc: no Config.Checkpoint configured")
 	}
 	t0 := time.Now()
+	p.coldFrom.Store(&t0)
 	man, err := checkpoint.Restore(p.ckptDir, p.engine)
 	if err != nil || man == nil {
 		return man, err

@@ -10,7 +10,9 @@ import (
 	"servdisc/internal/capture"
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
 	"servdisc/internal/probe"
+	"servdisc/internal/query"
 	"servdisc/internal/sim"
 	"servdisc/internal/trace"
 	"servdisc/internal/traffic"
@@ -507,5 +509,66 @@ func TestPipelineReplayMatchesDiscover(t *testing.T) {
 			t.Fatal("replay did not finish")
 		default:
 		}
+	}
+}
+
+// TestColdStartSLI: a restored pipeline's first snapshot builds its first
+// index epoch bottom up, observed once under path="build", and sets the
+// cold-start gauge; the next snapshot patches that epoch, observed under
+// path="patch".
+func TestColdStartSLI(t *testing.T) {
+	cfg := Config{Campus: "10.20.0.0/16", Shards: 2, QueryIndex: true, Checkpoint: &CheckpointOptions{Dir: t.TempDir()}}
+	pfx := netaddr.MustParsePrefix(cfg.Campus)
+	bld := packet.NewBuilder(0)
+	client := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 33000}
+	t0 := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	synAcks := func(from, n int) []packet.Packet {
+		out := make([]packet.Packet, 0, n)
+		for i := from; i < from+n; i++ {
+			srv := packet.Endpoint{Addr: pfx.Base() + netaddr.V4(1+i/4), Port: uint16(2000 + i%4)}
+			out = append(out, *bld.SynAck(t0.Add(time.Duration(i)*time.Second), srv, client, 1, 1))
+		}
+		return out
+	}
+
+	first, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.engine.HandleBatch(synAcks(0, 100))
+	if _, err := first.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if man, err := p.RestoreFromCheckpoint(); err != nil || man == nil {
+		t.Fatalf("restore: manifest %v, err %v", man, err)
+	}
+	build, patch := p.epochLat[query.PathBuild], p.epochLat[query.PathPatch]
+	if n := p.Snapshot().Len(); n != 100 || p.qix.Len() != n {
+		t.Fatalf("restored inventory holds %d services, index %d, want 100", n, p.qix.Len())
+	}
+	if build.Count() != 1 || patch.Count() != 0 {
+		t.Errorf("first snapshot: %d build and %d patch observations, want 1 and 0", build.Count(), patch.Count())
+	}
+	cold := p.coldStart.Value()
+	if cold <= 0 {
+		t.Errorf("cold-start gauge reads %v after the first epoch, want > 0", cold)
+	}
+
+	p.engine.HandleBatch(synAcks(100, 10))
+	if n := p.Snapshot().Len(); n != 110 || p.qix.Len() != n {
+		t.Fatalf("inventory holds %d services, index %d, want 110", n, p.qix.Len())
+	}
+	if build.Count() != 1 || patch.Count() != 1 {
+		t.Errorf("next snapshot: %d build and %d patch observations, want 1 and 1", build.Count(), patch.Count())
+	}
+	if p.coldStart.Value() != cold {
+		t.Errorf("cold-start gauge moved from %v to %v after the first epoch", cold, p.coldStart.Value())
 	}
 }
