@@ -5,11 +5,11 @@
 // result over HTTP.
 //
 // Each feed connection opens with a resume hello carrying the
-// aggregator's cursor for that site: the publisher answers with just the
-// frames past the cursor when its replay ring still covers them (delta
-// resync — O(churn) bytes, not O(inventory)) and a full snapshot
-// bootstrap otherwise; either way the per-site sequence dedup guarantees
-// the overlap is never double-counted. Broken connections redial under
+// aggregator's cursor for that site: the publisher answers with a snapshot
+// of just the services changed past the cursor when the cursor is from its
+// stream (O(churn) bytes, not O(inventory)) and a full snapshot bootstrap
+// otherwise; either way the per-site sequence dedup guarantees the overlap
+// is never double-counted. Broken connections redial under
 // exponential backoff with full jitter (-retry is the base, -retry-cap
 // the ceiling), dials are bounded by -dial-timeout, silence beyond
 // -feed-idle (the publisher heartbeats inside it) drops the connection,
@@ -373,9 +373,9 @@ func newSiteMirror(reg *obs.Registry, agg *federate.Aggregator, health []*feedHe
 	dialErrs := reg.CounterVec("federated_feed_dial_errors_total",
 		"Failed dial attempts.", "feed")
 	resumes := reg.CounterVec("federated_feed_resume_hits_total",
-		"Connections the publisher answered with a delta replay (resume cursor still in its ring).", "feed")
+		"Connections the publisher resumed with a snapshot of the services changed past the cursor.", "feed")
 	fallbacks := reg.CounterVec("federated_feed_snapshot_fallbacks_total",
-		"Connections that re-bootstrapped from a full snapshot (cursor too old, epoch changed, or first contact).", "feed")
+		"Connections that re-bootstrapped from a full snapshot (epoch changed, cursor outside the stream, or first contact).", "feed")
 	stalls := reg.CounterVec("federated_feed_throttle_stalls_total",
 		"Frames the per-feed rate caps made wait.", "feed")
 	backoff := reg.GaugeVec("federated_feed_backoff_seconds",

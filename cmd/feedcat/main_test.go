@@ -33,16 +33,16 @@ func TestFeedcat(t *testing.T) {
 		}
 	}
 	good := feed.Len()
-	rt := federate.Retraction{Key: key, At: ev.Time, Prov: core.PassiveOnly}
-	if err := enc.Encode(&federate.Frame{V: federate.WireVersion, Type: federate.FrameRetract, Site: "east", Epoch: 7, Seq: 2, Retract: &rt}); err != nil {
+	seal := federate.Snapshot{Retractions: []federate.Retraction{{Key: key, At: ev.Time, Prov: core.PassiveOnly}}}
+	if err := enc.Encode(&federate.Frame{V: federate.WireVersion, Type: federate.FrameSeal, Site: "east", Epoch: 7, Seq: 2, Snapshot: &seal}); err != nil {
 		t.Fatal(err)
 	}
 	feed.Bytes()[good+3] ^= 0xFF
 
 	var out bytes.Buffer
 	err := run(nil, &feed, &out)
-	want := `{"v":6,"type":"hello","site":"east","epoch":7}
-{"v":6,"type":"event","site":"east","epoch":7,"seq":1,"event":{"kind":"scanner-detected","time":"2006-12-16T10:00:00Z","scanner":{"source":"211.1.1.1","window":"0001-01-01T00:00:00Z","unique_dsts":150,"rst_dsts":120}}}
+	want := `{"v":7,"type":"hello","site":"east","epoch":7}
+{"v":7,"type":"event","site":"east","epoch":7,"seq":1,"event":{"kind":"scanner-detected","time":"2006-12-16T10:00:00Z","scanner":{"source":"211.1.1.1","window":"0001-01-01T00:00:00Z","unique_dsts":150,"rst_dsts":120}}}
 `
 	if out.String() != want {
 		t.Errorf("feedcat printed:\n%s\nwant:\n%s", out.String(), want)

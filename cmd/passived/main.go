@@ -22,10 +22,10 @@
 // With -publish the engine becomes one site of a federation: its event
 // stream, tagged -site, is served on a TCP listener in the wire format
 // that cmd/federated aggregates (see internal/federate). Reconnecting
-// aggregators present a resume cursor and get just the frames they
-// missed when the -replay-ring still covers them (a full snapshot
-// otherwise), idle connections carry -feed-heartbeat keepalives, and
-// -feed-auth demands a shared token in every client hello.
+// aggregators present a resume cursor and get a snapshot of just the
+// services that changed past it (a full snapshot when the cursor is from
+// another incarnation), idle connections carry -feed-heartbeat keepalives,
+// and -feed-auth demands a shared token in every client hello.
 //
 // With -checkpoint-dir the engine state is durable: checkpoints are taken
 // every -checkpoint-every during the replay and once more on shutdown
@@ -75,7 +75,6 @@ type options struct {
 	publishAddr string
 	site        string
 	feedAuth    string
-	replayRing  int
 	heartbeat   time.Duration
 	top         int
 	shards      int
@@ -101,7 +100,6 @@ func main() {
 	flag.StringVar(&o.publishAddr, "publish", "", "serve the federation feed (snapshot + live events) on this TCP address")
 	flag.StringVar(&o.site, "site", "", "site identity for the federation feed (defaults to the trace name)")
 	flag.StringVar(&o.feedAuth, "feed-auth", "", "shared token feed clients must present in their hello (empty = no auth)")
-	flag.IntVar(&o.replayRing, "replay-ring", 0, "frames of recent history kept for delta resync of reconnecting aggregators (0 = default 16384, negative = disabled)")
 	flag.DurationVar(&o.heartbeat, "feed-heartbeat", 0, "wire heartbeat interval on idle feed connections (0 = default 10s, negative = disabled)")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "durable checkpoint directory (restore on start, checkpoint periodically and on shutdown)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 30*time.Second, "checkpoint interval while the replay runs (requires -checkpoint-dir)")
@@ -236,9 +234,8 @@ func run(o options) error {
 			cursor = *st
 		}
 		pub := federate.NewPublisherOpts(federate.SiteID(o.site), pl, cursor, federate.PublisherOptions{
-			AuthToken:  o.feedAuth,
-			ReplayRing: o.replayRing,
-			Heartbeat:  o.heartbeat,
+			AuthToken: o.feedAuth,
+			Heartbeat: o.heartbeat,
 		})
 		pub.SetMetrics(&federate.PublisherMetrics{
 			Encode: reg.Histogram("servdisc_federation_encode_seconds",
@@ -247,10 +244,10 @@ func run(o options) error {
 		pl.SetPublisherCursor(pub.State)
 		subs.add("publisher-pump", pub.Dropped)
 		// Resilience counters: how reconnecting aggregators re-enter the
-		// stream (delta replay vs snapshot), hello hygiene, and evictions
+		// stream (resumed vs full snapshot), hello hygiene, and evictions
 		// of stalled readers.
 		reg.CounterFunc("servdisc_federation_resume_hits_total",
-			"Feed connections resumed with a delta replay from the ring.",
+			"Feed connections resumed with a snapshot of the services changed past their cursor.",
 			func() float64 { return float64(pub.Stats().ResumeHits) })
 		reg.CounterFunc("servdisc_federation_snapshot_fallbacks_total",
 			"Feed connections bootstrapped with a full snapshot.",
@@ -262,7 +259,7 @@ func run(o options) error {
 			"Feed hellos rejected as malformed (bad frame, wrong type, timeout).",
 			func() float64 { return float64(pub.Stats().HellosRejected) })
 		reg.CounterFunc("servdisc_federation_evictions_total",
-			"Feed connections evicted for stalling past the write deadline.",
+			"Feed connections evicted for stalling past the write deadline or overflowing their frame queue.",
 			func() float64 { return float64(pub.Stats().Evictions) })
 		reg.CounterFunc("servdisc_federation_heartbeats_total",
 			"Wire heartbeat frames sent on idle feed connections.",

@@ -241,7 +241,7 @@ type siteState struct {
 type SiteStats struct {
 	Site SiteID `json:"site"`
 	// LastSeq is the dedup high-water mark; Events and DupEvents count
-	// applied and generation-skipped event, retract and seal frames.
+	// applied and generation-skipped event and seal frames.
 	LastSeq   uint64 `json:"last_seq"`
 	Events    uint64 `json:"events"`
 	DupEvents uint64 `json:"dup_events"`
@@ -376,52 +376,23 @@ func (a *Aggregator) Apply(f *Frame) error {
 		// Hellos carry identity, heartbeats carry liveness; neither
 		// mutates merged state (beyond the epoch bookkeeping above).
 		return nil
-	case FrameEvent, FrameRetract, FrameSeal:
-		switch {
-		case f.Type == FrameEvent && f.Event == nil,
-			f.Type == FrameRetract && f.Retract == nil,
-			f.Type == FrameSeal && f.Snapshot == nil:
-			return fmt.Errorf("federate: %s frame without payload", f.Type)
-		case f.Type == FrameRetract:
-			if err := validRetraction(f.Retract); err != nil {
-				return err
-			}
+	case FrameEvent:
+		if f.Event == nil {
+			return fmt.Errorf("federate: event frame without payload")
 		}
-		if f.Seq <= st.lastSeq {
-			st.dups++
-			return nil
+	case FrameSnapshot, FrameSeal:
+		if err := validBody(f); err != nil {
+			return err
 		}
-		st.lastSeq = f.Seq
-		st.events++
-		switch f.Type {
-		case FrameEvent:
-			st.watermark = maxTime(st.watermark, f.Event.Time)
-			a.applyEvent(f.Site, st, f.Event)
-		case FrameRetract:
-			st.watermark = maxTime(st.watermark, f.Retract.At)
-			a.applyRetract(f.Site, f.Retract)
-		default:
-			// A seal merges a snapshot's rows (any retraction list is not
-			// read) but is one stream position, not a generation.
-			a.mergeRows(f.Site, st, f.Snapshot)
-		}
-		return nil
-	case FrameSnapshot:
-		if f.Snapshot == nil {
-			return fmt.Errorf("federate: snapshot frame without snapshot")
-		}
-		// Validate the whole retraction list before the first merge:
-		// applySnapshot must never half-apply a hostile frame.
-		for i := range f.Snapshot.Retractions {
-			if err := validRetraction(&f.Snapshot.Retractions[i]); err != nil {
-				return err
-			}
-		}
+	default:
+		return fmt.Errorf("federate: unknown frame type %q", f.Type)
+	}
+	if f.Type == FrameSnapshot {
 		// An older snapshot is strictly dominated by what is already
 		// merged: every time it carries is >= the applied minimum, every
 		// weight <= the applied maximum. A snapshot at the SAME generation
 		// is re-merged (idempotent, so harmless): the generation only
-		// counts sequenced events, and state mutated after a pump drop
+		// counts sequenced frames, and state mutated after a pump drop
 		// appears in later snapshots without advancing it — skipping
 		// equal generations would lose exactly that recovery path.
 		if st.snapApplied && f.Seq < st.snapGen {
@@ -429,32 +400,51 @@ func (a *Aggregator) Apply(f *Frame) error {
 		}
 		st.snapApplied = true
 		st.snapGen = f.Seq
-		if f.Seq > st.lastSeq {
-			// Events at or below the snapshot's generation are reflected
-			// in it; advancing the cursor is the reconnect dedup.
-			st.lastSeq = f.Seq
-		}
+		// Frames at or below the snapshot's generation are reflected in
+		// it; advancing the cursor is the reconnect dedup.
+		st.lastSeq = max(st.lastSeq, f.Seq)
 		a.applySnapshot(f.Site, st, f.Snapshot)
 		return nil
-	default:
-		return fmt.Errorf("federate: unknown frame type %q", f.Type)
 	}
+	// An event or seal frame is one stream position, not a generation.
+	if f.Seq <= st.lastSeq {
+		st.dups++
+		return nil
+	}
+	st.lastSeq = f.Seq
+	st.events++
+	if f.Type == FrameEvent {
+		st.watermark = maxTime(st.watermark, f.Event.Time)
+		a.applyEvent(f.Site, st, f.Event)
+	} else {
+		a.applySnapshot(f.Site, st, f.Snapshot)
+	}
+	return nil
 }
 
-// validRetraction rejects structurally invalid retraction payloads before
-// any of them mutates state.
-func validRetraction(r *Retraction) error {
-	if r.At.IsZero() {
-		return fmt.Errorf("federate: retraction without deadline")
+// validBody rejects a snapshot or seal frame without a body, or with any
+// structurally invalid retraction, before any of it mutates state:
+// applySnapshot must never half-apply a hostile frame.
+func validBody(f *Frame) error {
+	if f.Snapshot == nil {
+		return fmt.Errorf("federate: %s frame without payload", f.Type)
 	}
-	if r.Prov != core.PassiveOnly && r.Prov != core.ActiveOnly {
-		return fmt.Errorf("federate: retraction with evidence kind %q", r.Prov)
+	for _, r := range f.Snapshot.Retractions {
+		if r.At.IsZero() {
+			return fmt.Errorf("federate: retraction without deadline")
+		}
+		if r.Prov != core.PassiveOnly && r.Prov != core.ActiveOnly {
+			return fmt.Errorf("federate: retraction with evidence kind %q", r.Prov)
+		}
 	}
 	return nil
 }
 
 // applyRetract folds one retraction: the deadline max-merges into the
-// cell, and evidence of that kind strictly older than it is cleared.
+// cell, and evidence of that kind strictly older than it is cleared. Where
+// newer evidence survives, what belonged to the retracted incarnation —
+// its first time, and for passive evidence its weights — goes: every frame
+// that carries a retraction carries the key's current row beside it.
 // Caller holds a.mu; the retraction is already validated.
 func (a *Aggregator) applyRetract(site SiteID, r *Retraction) {
 	s, _ := a.svc(site, r.Key)
@@ -488,6 +478,7 @@ func (a *Aggregator) applyRetract(site SiteID, r *Retraction) {
 				s.clearPassive()
 			case s.passiveAt.Before(s.retractedPassiveAt):
 				s.passiveAt = seen
+				s.flows, s.clients = 0, 0
 				s.recomputeFirstAt()
 			}
 		}
@@ -531,21 +522,16 @@ func (a *Aggregator) applyEvent(site SiteID, st *siteState, ev *core.Event) {
 	}
 }
 
-// applySnapshot merges a bootstrap snapshot. Caller holds a.mu.
+// applySnapshot folds a snapshot or seal body into the site's state: its
+// retractions first — the service list already excludes what they withdrew,
+// and applying them first keeps an older row from resurrecting it — then
+// the services, scanners, sweeps and packet count. Caller holds a.mu; the
+// body is validated.
 func (a *Aggregator) applySnapshot(site SiteID, st *siteState, snap *Snapshot) {
-	// Retractions first: the snapshot's service list already excludes what
-	// they withdrew, and replaying them before merging keeps a reconnect
-	// from resurrecting state a lost retract frame had cleared.
 	for i := range snap.Retractions {
 		st.watermark = maxTime(st.watermark, snap.Retractions[i].At)
 		a.applyRetract(site, &snap.Retractions[i])
 	}
-	a.mergeRows(site, st, snap)
-}
-
-// mergeRows folds a snapshot's or seal frame's rows — services, scanners,
-// sweeps and the packet count — into the site's state. Caller holds a.mu.
-func (a *Aggregator) mergeRows(site SiteID, st *siteState, snap *Snapshot) {
 	if snap.Packets > st.packets {
 		st.packets = snap.Packets
 	}
@@ -605,18 +591,24 @@ func (a *Aggregator) mergeScanner(site SiteID, info core.ScannerInfo, at time.Ti
 
 // Attach subscribes the aggregator to an in-process publisher: the
 // catch-up bootstrap plus the live feed, consumed on a dedicated
-// goroutine. The returned channel closes when the feed ends (publisher or
-// engine closed). Attach again after the feed ends to apply the site's
-// final snapshot — the in-process equivalent of an aggregator reconnect.
+// goroutine. The returned channel closes when the feed ends: the publisher
+// or engine closed, or the feed's queue overflowed, which ends it at the
+// first frame past the gap. Attach again after the feed ends to apply the
+// site's current snapshot — the in-process equivalent of an aggregator
+// reconnect.
 func (a *Aggregator) Attach(p *Publisher) <-chan struct{} {
 	bootstrap, live := p.Catchup(0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		defer live.Cancel()
 		for i := range bootstrap {
 			_ = a.Apply(&bootstrap[i])
 		}
 		for f := range live.Events() {
+			if live.Dropped() > 0 {
+				return
+			}
 			_ = a.Apply(&f)
 		}
 	}()

@@ -193,7 +193,7 @@ func TestChaosNoResurrection(t *testing.T) {
 	rng := stats.NewRNG(99).Derive("chaos-resurrection")
 	fc := NewFeedClient(agg, "chaos-ret", FeedOptions{
 		// This site's whole stream is ~120 bytes (hello, a two-service
-		// snapshot, one retract frame): the faults have to land inside it.
+		// snapshot, one seal frame): the faults have to land inside it.
 		Dial:    chaosDialer(ctx, pub, rng, &chaos, 64),
 		Backoff: BackoffConfig{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond, Seed: 99},
 	})
@@ -217,7 +217,7 @@ func TestChaosNoResurrection(t *testing.T) {
 	answer(svcA, 80, retBase)
 	answer(svcB, 443, retBase)
 	// svcB chatters past both deadlines; the snapshot expires svcA and
-	// emits its retract frame into the chaotic stream.
+	// sends its retraction into the chaotic stream in a seal frame.
 	answer(svcB, 443, retBase.Add(3*time.Hour))
 	eng.Snapshot()
 

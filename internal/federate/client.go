@@ -55,8 +55,9 @@ type FeedStats struct {
 	// Connects counts completed dials, DialErrors failed ones,
 	// Disconnects ended connections (each triggers a backoff + redial).
 	Connects, DialErrors, Disconnects uint64
-	// ResumeHits counts connections the publisher answered with a delta
-	// replay; SnapshotFallbacks counts full snapshot bootstraps.
+	// ResumeHits counts connections the publisher resumed with a snapshot
+	// of the keys changed past the cursor; SnapshotFallbacks counts full
+	// snapshot bootstraps.
 	ResumeHits, SnapshotFallbacks uint64
 	// ThrottleStalls counts frames the rate caps made wait.
 	ThrottleStalls uint64
@@ -67,7 +68,7 @@ type FeedStats struct {
 
 // FeedClient keeps one site feed alive against a hostile network: dial
 // with a timeout, present the aggregator's dedup cursor as a resume
-// hello (delta resync), apply frames under per-feed rate caps and an
+// hello (a snapshot of only what changed past it), apply frames under per-feed rate caps and an
 // idle deadline the publisher's heartbeats must keep beating, and on any
 // failure back off exponentially with full jitter before redialing.
 // It is the production reconnect path cmd/federated runs and the chaos
@@ -177,17 +178,7 @@ func (c *FeedClient) RunConn(ctx context.Context, conn net.Conn) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				conn.Close()
-			case <-stop:
-			}
-		}()
-	}
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	hello := Frame{V: WireVersion, Type: FrameResume, Token: c.opt.AuthToken, Resume: &ResumeCursor{}}
 	if site := c.Site(); site != "" {
 		if epoch, seq, ok := c.agg.SiteCursor(site); ok {

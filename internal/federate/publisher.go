@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,12 +38,13 @@ type Engine interface {
 
 // pumpBuffer sizes the publisher's own engine subscription. The pump does
 // nothing but stamp a sequence number and republish, so it lags only under
-// extreme bursts; a dropped event here is invisible to current readers but
-// heals on their next catch-up snapshot.
+// extreme bursts; a dropped event only delays what it said until the next
+// seal frame, which carries the state it announced.
 const pumpBuffer = 1 << 15
 
 // feedBuffer sizes each reader's frame subscription: deep enough to absorb
 // a slow network writer for several seconds at realistic discovery rates.
+// A reader that overflows it is served no further (see ServeConn).
 const feedBuffer = 1 << 13
 
 // writeDeadliner is the slice of net.Conn ServeConn uses to bound writes.
@@ -58,10 +61,6 @@ type readDeadliner interface {
 // PublisherOptions tunes the serving side of a publisher. The zero value
 // picks the defaults noted on each field.
 type PublisherOptions struct {
-	// ReplayRing is how many sequenced frames the delta-resync ring
-	// retains (per epoch). Zero means 16384; negative disables resume
-	// entirely (every reconnect bootstraps from a snapshot).
-	ReplayRing int
 	// Heartbeat is the keepalive interval on a quiet feed. Zero means
 	// 10s; negative disables heartbeats.
 	Heartbeat time.Duration
@@ -80,9 +79,6 @@ type PublisherOptions struct {
 }
 
 func (o PublisherOptions) withDefaults() PublisherOptions {
-	if o.ReplayRing == 0 {
-		o.ReplayRing = 1 << 14
-	}
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 10 * time.Second
 	}
@@ -98,17 +94,19 @@ func (o PublisherOptions) withDefaults() PublisherOptions {
 // PublisherStats counts the serving side's resilience events, for the
 // daemon metrics surface. All fields are totals since publisher start.
 type PublisherStats struct {
-	// ResumeHits counts connections served a delta from the replay ring;
-	// SnapshotFallbacks counts connections that needed the full snapshot
-	// bootstrap (first connect, stale cursor, epoch change, ring gap).
+	// ResumeHits counts connections whose cursor was honored with a
+	// snapshot of the keys changed past it; SnapshotFallbacks counts
+	// connections that needed the full snapshot bootstrap (first connect,
+	// epoch change, a cursor outside this publisher's stream).
 	ResumeHits        uint64
 	SnapshotFallbacks uint64
 	// AuthFailures counts connections closed over a wrong or missing
 	// token; HellosRejected counts malformed or timed-out client hellos.
 	AuthFailures   uint64
 	HellosRejected uint64
-	// Evictions counts connections dropped on a frame-write deadline —
-	// readers too slow to keep up with the feed.
+	// Evictions counts connections ended on a frame-write deadline or at
+	// the first frame their queue dropped — readers too slow to keep up
+	// with the feed.
 	Evictions uint64
 	// HeartbeatsSent counts keepalive frames written across all readers.
 	HeartbeatsSent uint64
@@ -116,21 +114,22 @@ type PublisherStats struct {
 
 // Publisher tags one engine's discovery stream with a SiteID and serves it
 // to any number of readers, each bootstrapped with a frozen snapshot — or,
-// when the reader presents a resume cursor the replay ring still covers,
-// with just the frames past that cursor (delta resync).
+// when the reader presents a resume cursor of this stream, with a snapshot
+// of just the keys that changed past that cursor.
 //
-// The catch-up contract: a reader always receives one FrameHello, then
-// either one FrameSnapshot whose Seq is the generation g it covers
-// followed by live event frames (every event with sequence <= g is
-// already reflected in the snapshot), or — when its resume cursor was
-// honored (hello.Resumed) — the replayed frames past its cursor followed
-// by live frames. Either way a reconnecting aggregator that remembers its
-// high-water sequence skips duplicates by generation and never
-// double-counts; replay/live overlap is absorbed the same way.
+// The catch-up contract: a reader always receives one FrameHello, then one
+// FrameSnapshot whose Seq is the generation g it covers (every frame with
+// sequence <= g is already reflected in it), then live frames. When the
+// reader's resume cursor was honored (hello.Resumed) the snapshot holds
+// the rows and retractions of the keys changed past the cursor; otherwise
+// it holds the whole inventory. Either way a reconnecting aggregator that
+// remembers its high-water sequence skips duplicates by generation and
+// never double-counts.
 //
-// Delivery to readers is bounded and lossy (pipeline.Hub semantics): a
-// reader that cannot keep up loses frames rather than stalling the others,
-// and recovers the lost state on its next connection.
+// Seal frames carry a site's state; event frames only deliver discoveries
+// sooner. Delivery to readers is bounded (pipeline.Hub semantics): a
+// reader that cannot keep up is disconnected at its first lost frame
+// rather than stalling the others, and resumes on its next connection.
 type Publisher struct {
 	site SiteID
 	// epoch identifies this publisher incarnation; sequence numbers are
@@ -141,17 +140,19 @@ type Publisher struct {
 	sub   *core.EventSub
 	seq   atomic.Uint64
 	done  chan struct{}
-	ring  *replayRing // nil when resume is disabled
 	opt   PublisherOptions
 
 	// seal is what the engine's seals changed since the last seal frame,
-	// under sealMu; sealed wakes the pump to ship it.
-	sealMu sync.Mutex
-	seal   pendingSeal
-	sealed chan struct{}
-
-	mu     sync.Mutex
-	closed bool
+	// under sealMu; sealed wakes the pump to ship it. sealedAt, under
+	// sealMu too, maps every key a seal changed to unsealed while the seal
+	// is pending, then to a Seq no lower than its seal frame's, so a key
+	// changed past a resume's cursor maps past it. start, under sealMu,
+	// is the first cursor a resume honors.
+	sealMu   sync.Mutex
+	seal     pendingSeal
+	sealedAt core.Tree[core.ServiceKey, uint64]
+	sealed   chan struct{}
+	start    uint64
 
 	resumeHits, snapshotFallbacks, authFailures,
 	hellosRejected, evictions, heartbeats atomic.Uint64
@@ -202,8 +203,9 @@ func NewPublisherResumed(site SiteID, eng Engine, st PublisherState) *Publisher 
 // restored engine's re-announcements — events the pre-checkpoint
 // incarnation published after the checkpoint was cut — as duplicates by
 // sequence where ingest order matches, and absorb any residue through
-// idempotent merges and the next snapshot. A zero state is a fresh start
-// (a new wall-clock epoch), which is what NewPublisher passes.
+// idempotent merges and the next snapshot; their cursors get that full
+// snapshot until the restored engine's first seal. A zero state is a
+// fresh start (a new wall-clock epoch), which is what NewPublisher passes.
 func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherOptions) *Publisher {
 	epoch := st.Epoch
 	if epoch == 0 {
@@ -215,16 +217,20 @@ func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherO
 		epoch:  epoch,
 		eng:    eng,
 		hub:    pipeline.NewHub[Frame](),
-		sub:    eng.Subscribe(pumpBuffer),
 		done:   make(chan struct{}),
 		sealed: make(chan struct{}, 1),
 		opt:    opt,
 	}
-	if opt.ReplayRing > 0 {
-		p.ring = newReplayRing(opt.ReplayRing, st.Seq)
-	}
 	p.seq.Store(st.Seq)
+	if st.Epoch != 0 {
+		// Readers of a stored stream hold its state as of their cursors,
+		// not this engine's, which no seal has listed yet.
+		p.start = unsealed
+	}
+	// Observing before subscribing: every event the pump sequences lands in
+	// a seal that observe sees.
 	eng.OnSnapshot(p.observe)
+	p.sub = eng.Subscribe(pumpBuffer)
 	go p.pump()
 	return p
 }
@@ -239,29 +245,42 @@ func (p *Publisher) State() PublisherState {
 // Site returns the publisher's site identity.
 func (p *Publisher) Site() SiteID { return p.site }
 
+// unsealed is sealedAt's value for a key its pending seal holds: changed
+// past every cursor.
+const unsealed = math.MaxUint64
+
 // observe is the publisher's snapshot observer. Under the engine's
-// snapshot lock it only records the seal, O(delta) under sealMu, and wakes
-// the pump without waiting. Seals not shipped yet coalesce: the rows are
-// read at shipping time from the newest inventory, whose row dominates a
-// service's older ones (times only fall, weights only rise) except across
-// an expiry, whose retract frame ships first. A seal with no predecessor
-// (the chain's first, or the first after a restore) is skipped: readers
-// bootstrap from snapshots of this chain, so they hold what it would list.
+// snapshot lock it only records the seal, O(delta): it files the keys the
+// link changed — listed, or with a tombstone new or moved — as unsealed
+// and wakes the pump without waiting. Seals not shipped yet coalesce: the
+// rows are read at shipping time from the newest inventory, whose row
+// dominates a service's older ones (times only fall, weights only rise)
+// except across an expiry, whose retraction the same seal frame carries
+// and the reader applies first. A link with no predecessor (the chain's
+// first, or the first after a restore) lists no keys: readers bootstrap
+// from snapshots of this chain, so they hold what it would list.
 func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
-	if prev == nil {
-		return
-	}
 	select {
 	case <-p.done:
 		return // the pump is gone; nothing would ship it
 	default:
 	}
-	p.sealMu.Lock()
-	if p.seal.inv == nil {
-		p.seal.base = prev
+	var keys []core.ServiceKey
+	if prev != nil {
+		keys = slices.Concat(d.Added, d.Updated, d.Removed)
+		inv.EachTombstoneSince(prev, func(k core.ServiceKey, _ time.Time, _ core.Provenance) { keys = append(keys, k) })
+		core.SortKeys(keys)
+		keys = slices.Compact(keys)
 	}
-	p.seal.inv = inv
-	p.seal.keys = append(append(p.seal.keys, d.Added...), d.Updated...)
+	p.sealMu.Lock()
+	if prev != nil {
+		if p.seal.inv == nil {
+			p.seal.base = prev
+		}
+		p.seal.inv = inv
+		p.seal.keys = append(p.seal.keys, keys...)
+		p.file(keys, unsealed)
+	}
 	p.sealMu.Unlock()
 	select {
 	case p.sealed <- struct{}{}:
@@ -269,59 +288,61 @@ func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 	}
 }
 
+// file maps each of keys, sorted and unique, to at in sealedAt. The caller
+// holds sealMu.
+func (p *Publisher) file(keys []core.ServiceKey, at uint64) {
+	edits := make([]core.TreeEdit[core.ServiceKey, uint64], len(keys))
+	for i, k := range keys {
+		edits[i] = core.TreeEdit[core.ServiceKey, uint64]{Key: k, Val: at}
+	}
+	p.sealedAt = p.sealedAt.Patch(edits, nil)
+}
+
 // pump sequences the engine's events, and a seal frame per pending seal
 // between them, so a reader that bootstrapped mid-stream gets the weights
-// too. A single goroutine assigns sequence numbers, so frame order on every
-// reader's subscription is the site's canonical stream order. Each frame
-// enters the replay ring before the hub, so the ring always covers anything
-// a live subscriber could have missed. When the event stream ends, one last
-// engine snapshot seals what the events left out, and its seal frame goes
-// out before the hub closes.
+// and retractions too (an expiry event is not shipped: its seal carries
+// it). A single goroutine assigns sequence numbers, so frame order on every
+// reader's subscription is the site's canonical stream order. When the
+// event stream ends, one last engine snapshot seals what the events left
+// out, and its seal frame goes out before the hub closes. A seal's keys are
+// refiled from unsealed to a bound on its frame's Seq as the pump takes it,
+// under the same lock, so a newer seal's marks survive.
 func (p *Publisher) pump() {
 	defer close(p.done)
 	events := p.sub.Events()
-	dropped := p.sub.Dropped()
 	emit := func(f Frame) {
 		f.V, f.Site, f.Epoch, f.Seq = WireVersion, p.site, p.epoch, p.seq.Add(1)
-		if p.ring != nil {
-			p.ring.append(f)
-		}
 		p.hub.Publish(f)
 	}
 	event := func(ev core.Event) {
-		if p.ring != nil {
-			if d := p.sub.Dropped(); d != dropped {
-				// Events vanished before ever being sequenced: their
-				// state mutations live only in future snapshots, so no
-				// resume cursor is trustworthy for the rest of the epoch.
-				p.ring.markGap()
-				dropped = d
-			}
+		if ev.Kind != core.EventServiceExpired {
+			emit(Frame{Type: FrameEvent, Event: &ev})
 		}
-		if ev.Kind == core.EventServiceExpired {
-			// Expiry leaves the site's inventory as a withdrawal, not a
-			// discovery: ship it as a retract frame so the aggregator
-			// clears the evidence instead of merging it.
-			emit(Frame{Type: FrameRetract, Retract: &Retraction{Key: ev.Key, At: ev.Time, Prov: ev.Provenance}})
-			return
-		}
-		emit(Frame{Type: FrameEvent, Event: &ev})
 	}
 	seal := func() {
 		p.sealMu.Lock()
 		s := p.seal
 		p.seal = pendingSeal{}
+		// The events published before the newest seal are queued by now:
+		// they go first, so the seal frame's Seq is at most at. With
+		// nothing to ship, at is a later frame's: harmless.
+		n := len(events)
+		at := p.seq.Load() + uint64(n) + 1
+		core.SortKeys(s.keys)
+		s.keys = slices.Compact(s.keys)
+		p.file(s.keys, at)
+		if p.start == unsealed {
+			p.start = at
+		}
 		p.sealMu.Unlock()
+		for ; n > 0; n-- {
+			event(<-events)
+		}
 		if s.inv == nil {
 			return
 		}
-		// The events published before the newest seal, its expiries
-		// among them, are queued by now: they go first.
-		for n := len(events); n > 0; n-- {
-			event(<-events)
-		}
-		if snap := buildSeal(s); snap != nil {
-			emit(Frame{Type: FrameSeal, Snapshot: snap})
+		if body := buildSeal(s); body != nil {
+			emit(Frame{Type: FrameSeal, Snapshot: body})
 		}
 	}
 	for {
@@ -341,8 +362,8 @@ func (p *Publisher) pump() {
 }
 
 // Dropped returns how many engine events the publisher itself missed (its
-// pump subscription overflowed). Lost events are absent from the live feed
-// but reappear in every later snapshot.
+// pump subscription overflowed). Lost events are absent from the live feed;
+// what they announced reaches every reader with the next seal frame.
 func (p *Publisher) Dropped() int { return p.sub.Dropped() }
 
 // FrameCounters exposes the fanout's flow counters: In counts frames
@@ -353,13 +374,6 @@ func (p *Publisher) FrameCounters() *pipeline.StageCounters { return p.hub.Count
 // already queued and the last seal frame drain. The engine itself is
 // only snapshotted. Idempotent; closing the engine has the same effect.
 func (p *Publisher) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
 	p.sub.Cancel()
 	<-p.done
 }
@@ -367,7 +381,7 @@ func (p *Publisher) Close() {
 // Catchup opens one reader's view of the feed: the hello and snapshot
 // frames to apply first, plus a live subscription to every frame after
 // the snapshot's generation. The subscription is attached before the
-// snapshot freeze, so no event falls between them. On a closed publisher
+// snapshot freeze, so no frame falls between them. On a closed publisher
 // the subscription is already ended — the caller still gets the final
 // snapshot, which is how late or reconnecting aggregators resynchronize
 // with a finished site.
@@ -376,37 +390,38 @@ func (p *Publisher) Catchup(buf int) (bootstrap []Frame, live *pipeline.Sub[Fram
 	return bootstrap, live
 }
 
-// catchup builds one reader's bootstrap, honoring a resume cursor when
-// the replay ring still covers it: the live subscription is attached
-// first, then either the ring's frames past the cursor (resumed == true)
-// or the hello + frozen snapshot. In the resume path any frame published
-// between the subscription attach and the ring copy appears in both —
-// the ring is appended before the hub publish, so nothing falls between
-// — and the reader's sequence dedup absorbs the overlap.
+// catchup builds one reader's bootstrap: the live subscription is attached,
+// the generation g read, then the engine snapshotted, so every frame up to
+// g is reflected in that inventory and every later one reaches the
+// subscription. A cursor of this stream (this epoch, from the publisher's
+// start to g) is resumed: its snapshot holds only the keys sealedAt maps
+// past it, the engine snapshot having just filed its own changes. Any other
+// cursor gets the whole inventory.
 func (p *Publisher) catchup(buf int, cur ResumeCursor) (bootstrap []Frame, live *pipeline.Sub[Frame], resumed bool) {
 	if buf <= 0 {
 		buf = feedBuffer
 	}
 	live = p.hub.Subscribe(buf)
-	if p.ring != nil && cur.Epoch == p.epoch {
-		if frames, ok := p.ring.replayFrom(cur.Seq); ok {
-			p.resumeHits.Add(1)
-			bootstrap = make([]Frame, 0, len(frames)+1)
-			bootstrap = append(bootstrap, Frame{
-				V: WireVersion, Type: FrameHello, Site: p.site, Epoch: p.epoch, Resumed: true,
-			})
-			bootstrap = append(bootstrap, frames...)
-			return bootstrap, live, true
-		}
-	}
-	p.snapshotFallbacks.Add(1)
 	gen := p.seq.Load()
-	snap := BuildSnapshot(p.eng.Snapshot())
-	bootstrap = []Frame{
-		{V: WireVersion, Type: FrameHello, Site: p.site, Epoch: p.epoch},
-		{V: WireVersion, Type: FrameSnapshot, Site: p.site, Epoch: p.epoch, Seq: gen, Snapshot: snap},
+	inv := p.eng.Snapshot()
+	p.sealMu.Lock()
+	start, sealedAt := p.start, p.sealedAt
+	p.sealMu.Unlock()
+	var keep func(core.ServiceKey) bool
+	if resumed = cur.Epoch == p.epoch && start <= cur.Seq && cur.Seq <= gen; resumed {
+		p.resumeHits.Add(1)
+		keep = func(k core.ServiceKey) bool {
+			at, ok := sealedAt.Get(k)
+			return ok && at > cur.Seq
+		}
+	} else {
+		p.snapshotFallbacks.Add(1)
 	}
-	return bootstrap, live, false
+	bootstrap = []Frame{
+		{V: WireVersion, Type: FrameHello, Site: p.site, Epoch: p.epoch, Resumed: resumed},
+		{V: WireVersion, Type: FrameSnapshot, Site: p.site, Epoch: p.epoch, Seq: gen, Snapshot: buildSnapshot(inv, keep)},
+	}
+	return bootstrap, live, resumed
 }
 
 // readHello waits for the client's resume hello on a connecting reader,
@@ -449,38 +464,35 @@ func (p *Publisher) readHello(rw io.ReadWriter) (ResumeCursor, error) {
 // On an io.ReadWriter (any net.Conn) the protocol is client-speaks-first:
 // the reader opens with a FrameResume hello carrying its cursor and, if
 // the publisher demands one, the auth token; the publisher answers with a
-// delta replay when the cursor is still covered by the replay ring and a
-// snapshot bootstrap otherwise, then streams live frames interleaved with
-// heartbeats. On a write-only stream (an archive file, an HTTP response)
-// the hello is skipped and the reader gets the legacy snapshot-then-live
-// serving — unless an auth token is configured, which a write-only peer
-// cannot present.
+// snapshot of the keys changed past a cursor of its stream and of the
+// whole inventory otherwise (see catchup), then streams live frames
+// interleaved with heartbeats. On a write-only stream (an archive file, an
+// HTTP response) the hello is skipped and the reader gets the legacy
+// snapshot-then-live serving — unless an auth token is configured, which a
+// write-only peer cannot present.
 //
 // On a deadline-capable writer every write is bounded by WriteTimeout,
 // and context cancellation closes the connection, so a stalled peer
-// cannot pin the serving goroutine — a deadline-evicted or
-// disconnected reader resynchronizes (by cursor or snapshot) on its next
-// connection. Safe for any number of concurrent connections.
+// cannot pin the serving goroutine. A reader whose frame queue overflowed
+// is evicted at the first frame past the gap, before that frame is sent,
+// so its cursor never passes a lost frame. An evicted or disconnected
+// reader resynchronizes (by cursor or snapshot) on its next connection.
+// Safe for any number of concurrent connections.
 func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
+	// hangUp closes the connection, failing any read or write stuck on it.
+	hangUp := func() {
+		if c, ok := w.(io.Closer); ok {
+			c.Close()
+		}
+	}
 	cur := ResumeCursor{}
 	if rw, ok := w.(io.ReadWriter); ok {
 		// Unblock a hello read stuck on a silent peer when the context
 		// ends before the serving loop's own watcher is installed.
-		stop := make(chan struct{})
-		if ctx != nil && ctx.Done() != nil {
-			go func() {
-				select {
-				case <-ctx.Done():
-					if c, ok := w.(io.Closer); ok {
-						c.Close()
-					}
-				case <-stop:
-				}
-			}()
-		}
+		stop := onDone(ctx, hangUp)
 		var err error
 		cur, err = p.readHello(rw)
-		close(stop)
+		stop()
 		if err != nil {
 			return err
 		}
@@ -493,23 +505,10 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 	if rw, ok := w.(io.ReadWriter); ok {
 		defer watchPeer(rw, live)()
 	}
-	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					live.Cancel()
-					if c, ok := w.(io.Closer); ok {
-						c.Close()
-					}
-				case <-live.Done():
-				case <-stop:
-				}
-			}()
-		}
-	}
+	defer onDone(ctx, func() {
+		live.Cancel()
+		hangUp()
+	})()
 	wd, _ := w.(writeDeadliner)
 	enc := NewEncoder(w)
 	// send encodes one frame and, when it is the last of its burst,
@@ -561,6 +560,10 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 			// This goroutine is the channel's only receiver, so the queued
 			// frames are there to take without blocking.
 			for queued := len(events); ; queued-- {
+				if live.Dropped() > 0 {
+					p.evictions.Add(1)
+					return errQueueOverflow
+				}
 				if err := send(&f, queued == 0); err != nil {
 					return err
 				}
@@ -578,6 +581,10 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 		}
 	}
 }
+
+// errQueueOverflow ends the serving of a reader whose frame queue dropped a
+// frame.
+var errQueueOverflow = errors.New("federate: reader's frame queue overflowed")
 
 // watchPeer keeps one read posted on a connected reader for as long as
 // ServeConn serves it. The client has nothing to say after its hello, so
@@ -626,19 +633,7 @@ func watchPeer(rw io.ReadWriter, live *pipeline.Sub[Frame]) (release func()) {
 // to each on its own goroutine, until the listener closes or the context
 // is cancelled. It closes the listener on context cancellation.
 func (p *Publisher) Serve(ctx context.Context, ln net.Listener) error {
-	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					ln.Close()
-				case <-stop:
-				}
-			}()
-		}
-	}
+	defer onDone(ctx, func() { ln.Close() })()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -652,4 +647,13 @@ func (p *Publisher) Serve(ctx context.Context, ln net.Listener) error {
 			_ = p.ServeConn(ctx, conn)
 		}()
 	}
+}
+
+// onDone calls f on its own goroutine once ctx is done, unless stop comes
+// first; a nil ctx is never done.
+func onDone(ctx context.Context, f func()) (stop func() bool) {
+	if ctx == nil {
+		return func() bool { return false }
+	}
+	return context.AfterFunc(ctx, f)
 }

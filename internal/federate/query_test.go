@@ -54,8 +54,8 @@ func pagesMatch(ep *query.Epoch, q query.Query) (bool, error) {
 }
 
 // The aggregator's flushed index must track the service table exactly
-// under a random mix of snapshot, event and retraction frames from several
-// sites — checked every round against the canonical Services() roll-up.
+// under a random mix of snapshot, event and seal frames (the seals
+// retracting) from several sites — checked every round against the canonical Services() roll-up.
 // Meanwhile readers hold epochs and page through them while frames apply:
 // each paged walk must equal its epoch's single-shot answer.
 func TestAggregatorQueryFollowsFrames(t *testing.T) {
@@ -127,11 +127,11 @@ func TestAggregatorQueryFollowsFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 		default: // retraction far in the future: clears that site's evidence
-			if err := agg.Apply(&Frame{V: WireVersion, Type: FrameRetract, Site: site,
-				Seq: seq[site], Retract: &Retraction{
+			if err := agg.Apply(&Frame{V: WireVersion, Type: FrameSeal, Site: site,
+				Seq: seq[site], Snapshot: &Snapshot{Retractions: []Retraction{{
 					Key: key(rng.Intn(30)), Prov: core.PassiveOnly,
 					At: base.Add(24 * time.Hour),
-				}}); err != nil {
+				}}}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,8 +4,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/core"
+	"servdisc/internal/netaddr"
+	"servdisc/internal/packet"
 	"servdisc/internal/query"
 )
 
@@ -58,5 +61,42 @@ func TestAggregatorResidentBytesPerService(t *testing.T) {
 	t.Logf("global service: %.1f B (budget %d)", perService, budget)
 	if perService > budget {
 		t.Errorf("a global service holds %.1f B of live heap, budget %d", perService, budget)
+	}
+}
+
+// TestPublisherHoldsNoSealHistory is the publisher's memory gate: a site
+// of 2 000 services, each re-observed between 1 000 snapshots, ships 1 000
+// seal frames of 2 000 rows, and the publisher must keep none of them. It
+// holds what a resume needs — each key's last seal position — beside its
+// pump subscription's fixed buffer, whose bytes are not counted here. A
+// frame ring that kept the seals read ≈ 160 MB.
+func TestPublisherHoldsNoSealHistory(t *testing.T) {
+	const services, snapshots = 2000, 1000
+	eng := core.NewShardedPassive(testCampus, nil, 1)
+	pub := NewPublisherOpts("history", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	bld := packet.NewBuilder(0)
+	batch := make([]packet.Packet, services)
+	for i := range batch {
+		batch[i] = *bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(i), Port: 80},
+			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)
+	}
+	for r := range snapshots {
+		eng.HandleBatch(batch)
+		eng.Snapshot()
+		// The discoveries, then a seal frame per snapshot but the first,
+		// each shipped before the next snapshot so none coalesce.
+		waitSeq(t, pub, uint64(services+r))
+	}
+	with := liveHeap()
+	eng.OnSnapshot(nil)
+	pub.Close()
+	pub = nil
+	without := liveHeap()
+	runtime.KeepAlive(eng)
+	pump := uint64(pumpBuffer * unsafe.Sizeof(core.Event{}))
+	held := int64(with) - int64(without) - int64(pump)
+	t.Logf("publisher holds %d B beyond its %d B pump buffer after %d seals", held, pump, snapshots-1)
+	if held > 1<<20 {
+		t.Errorf("the publisher holds %d B beyond its pump buffer after %d seal frames, want <= 1 MiB", held, snapshots-1)
 	}
 }

@@ -16,19 +16,19 @@ import (
 //
 // Publisher side: arbitrary bytes presented as the client hello must
 // never panic ServeConn, and whatever it serves must have a legal shape —
-// nothing at all (hello rejected), a Resumed hello followed by the
-// contiguous delta starting exactly at cursor+1, or a plain hello
-// followed by a full snapshot. There is no fourth shape: a hostile
-// cursor can be refused or downgraded, never half-honored.
+// nothing at all (hello rejected), a Resumed hello followed by exactly one
+// snapshot frame at the publisher's generation, or a plain hello followed
+// by the full snapshot. There is no fourth shape: a hostile cursor can be
+// refused or downgraded, never half-honored.
 //
 // Aggregator side: a FrameResume is a client-to-publisher frame; an
 // aggregator receiving one on an inbound feed must reject it leaving
 // BOTH the merged inventory and the per-site dedup cursor untouched —
 // unlike other rejected frames, a resume may not even open an epoch.
 func FuzzResumeFrame(f *testing.F) {
-	// A publisher with a pinned epoch and four sequenced events in its
-	// replay ring, quiesced so each ServeConn drains and returns. The
-	// fuzz loop is sequential, so sharing it across runs is safe.
+	// A publisher with a pinned epoch and four sequenced events, closed so
+	// each ServeConn drains and returns. The fuzz loop is sequential, so
+	// sharing it across runs is safe.
 	const fuzzEpoch = 7
 	eng := core.NewShardedPassive(testCampus, nil, 2)
 	pub := NewPublisherOpts("fuzz-site", eng, PublisherState{Epoch: fuzzEpoch},
@@ -42,6 +42,9 @@ func FuzzResumeFrame(f *testing.F) {
 	}
 	waitSeq(f, pub, 4)
 	eng.Close()
+	pub.Close()
+	gen := pub.State().Seq
+	full := len(BuildSnapshot(eng.Snapshot()).Services)
 
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameResume, Resume: &ResumeCursor{Epoch: fuzzEpoch, Seq: 2}}))
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameResume, Resume: &ResumeCursor{}}))
@@ -90,23 +93,15 @@ func FuzzResumeFrame(f *testing.F) {
 		case len(reply) == 0: // hello rejected — nothing served
 		case reply[0].Type != FrameHello:
 			t.Fatalf("reply starts with %q, want hello", reply[0].Type)
+		case len(reply) != 2 || reply[1].Type != FrameSnapshot || reply[1].Seq != gen:
+			t.Fatalf("reply is %d frames, want a hello and one snapshot at generation %d", len(reply), gen)
 		case reply[0].Resumed:
-			// Delta replay: contiguous sequence from cursor+1, no snapshot.
-			next := cursor.Seq + 1
-			for _, fr := range reply[1:] {
-				if fr.Type == FrameSnapshot {
-					t.Fatalf("snapshot inside a resumed delta")
-				}
-				if fr.Seq != next {
-					t.Fatalf("delta seq %d, want %d (cursor %d)", fr.Seq, next, cursor.Seq)
-				}
-				next++
+			// A cursor of this stream: the keys changed past it alone.
+			if cursor.Epoch != fuzzEpoch || cursor.Seq > gen {
+				t.Fatalf("cursor %+v resumed on a stream at generation %d", cursor, gen)
 			}
-		default:
-			// Snapshot fallback: hello then snapshot.
-			if len(reply) < 2 || reply[1].Type != FrameSnapshot {
-				t.Fatalf("non-resumed reply lacks a snapshot: %d frames", len(reply))
-			}
+		case len(reply[1].Snapshot.Services) != full:
+			t.Fatalf("fallback snapshot holds %d services, want all %d", len(reply[1].Snapshot.Services), full)
 		}
 
 		// --- Aggregator: resume frames in an inbound stream must be

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/probe"
 )
 
 // meteredConn counts the bytes a feed client pulls off the wire — the
@@ -116,14 +118,17 @@ func runFeedOnce(t *testing.T, agg *Aggregator, fc *FeedClient, pub *Publisher, 
 	return mc.n.Load()
 }
 
-// TestResumeShipsDeltaNotInventory is the delta-resync acceptance test:
-// at a 100k-entry site, a reconnect after a short partition ships
-// O(missed-churn) bytes off the replay ring, not an O(inventory)
-// snapshot — visible in the byte counts and in the resume-hit /
-// snapshot-fallback counters on both ends.
+// TestResumeShipsDeltaNotInventory is the resume acceptance test: at a
+// 100k-entry site, a reconnect after a short partition ships a snapshot of
+// the O(missed-churn) keys changed past the cursor, not an O(inventory)
+// one — visible in the byte counts and in the resume-hit /
+// snapshot-fallback counters on both ends. Two partitions: one whose churn
+// the site sealed while the reader was away, and one whose churn only the
+// reconnect's own engine snapshot seals, so the reader gets its rows twice,
+// in the resume snapshot and in the seal frame that snapshot set off.
 func TestResumeShipsDeltaNotInventory(t *testing.T) {
 	const resident = 100_000 // services in the inventory before the partition
-	const churn = 200        // services discovered while disconnected
+	const churn = 200        // services discovered during each partition
 
 	eng := core.NewShardedPassive(testCampus, nil, 4)
 	pub := NewPublisherOpts("big-site", eng, PublisherState{}, PublisherOptions{})
@@ -139,8 +144,7 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 	}
 
 	// Build the resident inventory in chunks, letting the pump drain
-	// between them so its bounded subscription never overflows (a pump
-	// gap would — correctly — force every resume to fall back).
+	// between them so its bounded subscription never overflows.
 	var batch []packet.Packet
 	fed := 0
 	for i := 0; i < resident; i++ {
@@ -163,36 +167,70 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 	// baseline.
 	snapshotBytes := runFeedOnce(t, agg, fc, pub, uint64(resident))
 
-	// The partition: churn services are discovered while disconnected.
-	for i := 0; i < churn; i++ {
-		batch = append(batch, *mkService(resident + i))
+	// A partition: churn services are discovered while disconnected, and
+	// sealed there when sealed is set. The reconnect presents the cursor;
+	// the bytes are counted through the last seal frame the churn sets off.
+	partition := func(round int, sealed bool) int64 {
+		from := resident + round*churn
+		for i := 0; i < churn; i++ {
+			batch = append(batch, *mkService(from + i))
+		}
+		target := pub.State().Seq + churn + 1 // the events, then the seal
+		eng.HandleBatch(batch)
+		batch = batch[:0]
+		if sealed {
+			eng.Snapshot()
+			waitSeq(t, pub, target)
+		} else {
+			waitSeq(t, pub, target-1)
+		}
+		return runFeedOnce(t, agg, fc, pub, target)
 	}
-	eng.HandleBatch(batch)
-	waitSeq(t, pub, uint64(resident+churn))
-
-	// Connection 2: the client presents its cursor; the replay ring
-	// still covers it, so only the churn is shipped.
-	resumeBytes := runFeedOnce(t, agg, fc, pub, uint64(resident+churn))
-
-	t.Logf("snapshot bootstrap: %d bytes; delta resume: %d bytes (%.1fx)",
-		snapshotBytes, resumeBytes, float64(snapshotBytes)/float64(resumeBytes))
-	if resumeBytes*20 >= snapshotBytes {
-		t.Errorf("resume shipped %d bytes against a %d-byte snapshot — not O(churn)",
-			resumeBytes, snapshotBytes)
-	}
-	// The replayed churn leaves in runs: about 12 bytes per discovery, plus
-	// the hello and one run's framing.
-	if limit := int64(14*churn + 64); resumeBytes > limit {
-		t.Errorf("resume shipped %d bytes for %d discoveries, want <= %d", resumeBytes, churn, limit)
+	// Each copy of the churn's rows costs about 14 bytes a row; the framing
+	// and the hello fit in 64 bytes.
+	for round, tc := range []struct {
+		name   string
+		sealed bool
+		copies int64
+	}{
+		// Twice: in the resume snapshot, then in the seal frame the
+		// reconnect's engine snapshot sets off.
+		{"sealed at the reconnect", false, 2},
+		// Once, in the resume snapshot.
+		{"sealed during the partition", true, 1},
+	} {
+		resumeBytes := partition(round, tc.sealed)
+		t.Logf("%s: snapshot bootstrap %d bytes; resume %d bytes (%.1fx)",
+			tc.name, snapshotBytes, resumeBytes, float64(snapshotBytes)/float64(resumeBytes))
+		if resumeBytes*20 >= snapshotBytes {
+			t.Errorf("%s: resume shipped %d bytes against a %d-byte snapshot — not O(churn)",
+				tc.name, resumeBytes, snapshotBytes)
+		}
+		if limit := tc.copies*14*churn + 64; resumeBytes > limit {
+			t.Errorf("%s: resume shipped %d bytes for %d discoveries, want <= %d", tc.name, resumeBytes, churn, limit)
+		}
 	}
 	ps := pub.Stats()
-	if ps.ResumeHits != 1 || ps.SnapshotFallbacks != 1 {
-		t.Errorf("publisher counters: resume=%d fallback=%d, want 1/1", ps.ResumeHits, ps.SnapshotFallbacks)
+	if ps.ResumeHits != 2 || ps.SnapshotFallbacks != 1 {
+		t.Errorf("publisher counters: resume=%d fallback=%d, want 2/1", ps.ResumeHits, ps.SnapshotFallbacks)
 	}
 	cs := fc.Stats()
-	if cs.ResumeHits != 1 || cs.SnapshotFallbacks != 1 {
-		t.Errorf("client counters: resume=%d fallback=%d, want 1/1", cs.ResumeHits, cs.SnapshotFallbacks)
+	if cs.ResumeHits != 2 || cs.SnapshotFallbacks != 1 {
+		t.Errorf("client counters: resume=%d fallback=%d, want 2/1", cs.ResumeHits, cs.SnapshotFallbacks)
 	}
+
+	// A resume ships O(churn) bytes but walks the whole inventory, one
+	// key-tree lookup per row and tombstone: its time, beside a full
+	// snapshot's, is logged rather than assumed.
+	epoch, seq, _ := agg.SiteCursor(pub.Site())
+	timed := func(cur ResumeCursor) time.Duration {
+		t0 := time.Now()
+		_, live, _ := pub.catchup(0, cur)
+		defer live.Cancel()
+		return time.Since(t0)
+	}
+	t.Logf("catchup at %d services: resume %v, full snapshot %v",
+		resident+2*churn, timed(ResumeCursor{Epoch: epoch, Seq: seq}), timed(ResumeCursor{}))
 
 	// Convergence: after the standard quiesce-and-final-attach seal
 	// (events alone don't carry the snapshot-only flow/client weights;
@@ -208,8 +246,8 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 }
 
 // TestResumeFallbacks pins every path that must refuse a resume: an
-// epoch from another incarnation, a cursor older than the ring, a
-// hostile cursor from the future, and a publisher with resume disabled.
+// epoch from another incarnation, a hostile cursor from the future, and a
+// cursor from before the publisher's start.
 func TestResumeFallbacks(t *testing.T) {
 	site := newTestSite(0, 400)
 	defer site.pub.Close()
@@ -247,37 +285,36 @@ func TestResumeFallbacks(t *testing.T) {
 		if !resumed {
 			t.Fatal("up-to-date cursor fell back to snapshot")
 		}
-		if len(bootstrap) != 1 || !bootstrap[0].Resumed {
-			t.Fatalf("resume bootstrap = %+v, want a single Resumed hello", bootstrap)
+		if len(bootstrap) != 2 || !bootstrap[0].Resumed || bootstrap[1].Type != FrameSnapshot || bootstrap[1].Seq < cur.Seq {
+			t.Fatalf("resume bootstrap = %+v, want a Resumed hello and a snapshot at or past the cursor", bootstrap)
 		}
 	})
 
-	t.Run("stale-cursor", func(t *testing.T) {
-		// A tiny ring: the cursor falls off after a handful of events.
-		tiny := newTestSite(7, 200)
-		tiny.pub.Close()
-		tiny.pub = NewPublisherOpts(tiny.id, tiny.eng, PublisherState{}, PublisherOptions{ReplayRing: 8})
-		defer tiny.pub.Close()
-		tiny.produce()
-		waitSeq(t, tiny.pub, 16)
-		st := quiesce(t, tiny.pub)
-		if _, _, resumed := tiny.pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: 1}); resumed {
-			t.Fatal("cursor far behind an 8-frame ring was resumed")
+	t.Run("cursor-before-start", func(t *testing.T) {
+		// A restored publisher continues at a stored cursor. Its readers
+		// hold the stored stream's state, which no seal of the restored
+		// engine has listed, so every cursor falls back until that first
+		// seal, and a cursor before it after it.
+		restored := newTestSite(7, 200)
+		restored.pub.Close()
+		st := PublisherState{Epoch: cur.Epoch + 7, Seq: 500}
+		restored.pub = NewPublisherOpts(restored.id, restored.eng, st, PublisherOptions{})
+		defer restored.pub.Close()
+		resumes := func(seq uint64) bool {
+			_, live, resumed := restored.pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: seq})
+			live.Cancel()
+			return resumed
 		}
-		if _, _, resumed := tiny.pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: st.Seq}); !resumed {
-			t.Fatal("fresh cursor on the tiny ring fell back")
+		if resumes(st.Seq-1) || resumes(st.Seq) {
+			t.Fatal("a cursor of the stored stream resumed before the restored engine's first seal")
 		}
-	})
-
-	t.Run("resume-disabled", func(t *testing.T) {
-		off := newTestSite(8, 200)
-		off.pub.Close()
-		off.pub = NewPublisherOpts(off.id, off.eng, PublisherState{}, PublisherOptions{ReplayRing: -1})
-		defer off.pub.Close()
-		off.produce()
-		st := off.pub.State()
-		if _, _, resumed := off.pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: st.Seq}); resumed {
-			t.Fatal("ReplayRing<0 still resumed")
+		restored.produce()
+		restored.eng.Snapshot()
+		if now := quiesce(t, restored.pub); !resumes(now.Seq) {
+			t.Fatal("a cursor past the restored engine's first seal fell back")
+		}
+		if resumes(st.Seq) {
+			t.Fatal("a cursor before the restored engine's first seal resumed")
 		}
 	})
 }
@@ -413,21 +450,24 @@ const (
 )
 
 // oldPeers are the earlier wire versions a peer may still speak: each
-// one's client hello (a zero-cursor resume) and publisher hello. A wire-v4
-// or v5 hello differs from this version's only in its header's version
+// one's client hello (a zero-cursor resume) and publisher hello. A wire-v4,
+// v5 or v6 hello differs from this version's only in its header's version
 // nibble.
 var oldPeers = []struct {
 	name          string
 	resume, hello []byte
 	want          string
 }{
-	{"v3", []byte(v3Resume), []byte(v3Hello), "wire version 3, want 6"},
+	{"v3", []byte(v3Resume), []byte(v3Hello), "wire version 3, want 7"},
 	{"v4", rawFrame(4<<4|codeResume, make([]byte, 10)...),
 		rawFrame(4<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
-		"wire version 4, want 6"},
+		"wire version 4, want 7"},
 	{"v5", rawFrame(5<<4|codeResume, make([]byte, 10)...),
 		rawFrame(5<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
-		"wire version 5, want 6"},
+		"wire version 5, want 7"},
+	{"v6", rawFrame(6<<4|codeResume, make([]byte, 10)...),
+		rawFrame(6<<4|headerEnvelope|codeHello, append(binary.LittleEndian.AppendUint64([]byte("\x04east"), 12345), 0)...),
+		"wire version 6, want 7"},
 }
 
 // TestV3ClientRefused pins the publisher half of mixed-version refusal: an
@@ -874,5 +914,350 @@ func TestServeConnKeepsSilentReader(t *testing.T) {
 			t.Fatalf("%d goroutines after ServeConn returned, %d before it started", runtime.NumGoroutine(), goroutines)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResumeFromEveryCursor is the resume oracle: a site's whole feed is
+// recorded — retention expiries of both evidence kinds, an expire-and-
+// rebirth, and sweep reports, so passive and active retractions and active
+// rows all ride seal frames — and then, for every cursor from the
+// bootstrap generation to the terminal seal, a fresh aggregator applies
+// the recorded frames up to the cursor, resumes there, and applies the
+// rest of the recording. Each must dump byte-identical to a reader that
+// attached after the site closed: whatever changed past a cursor, the
+// resume's snapshot carries it.
+func TestResumeFromEveryCursor(t *testing.T) {
+	h := core.NewHybrid(testCampus, nil, 2, []uint16{22, 80})
+	h.SetRetention(core.RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: time.Hour})
+	pub := NewPublisherOpts("every-cursor", h, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer pub.Close()
+	bootstrap, live := pub.Catchup(1 << 16)
+
+	bld := packet.NewBuilder(0)
+	ext := netaddr.MustParseV4("64.20.0.1")
+	srv := func(i int) netaddr.V4 { return testCampus.Base() + netaddr.V4(300+i) }
+	answer := func(at time.Duration, ids ...int) {
+		var batch []packet.Packet
+		for _, i := range ids {
+			batch = append(batch, *bld.SynAck(retBase.Add(at), packet.Endpoint{Addr: srv(i), Port: 80},
+				packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
+		}
+		h.HandleBatch(batch)
+		h.Snapshot()
+	}
+	sweep := func(id int, at time.Duration, ids ...int) {
+		rep := &probe.ScanReport{ID: id, Started: retBase.Add(at), Finished: retBase.Add(at + time.Minute)}
+		for _, i := range ids {
+			rep.TCP = append(rep.TCP, probe.TCPResult{Time: retBase.Add(at), Addr: srv(i), Port: 22, State: probe.StateOpen})
+		}
+		h.AddReport(rep)
+		h.Snapshot()
+	}
+	answer(0, 0, 1, 2, 3, 4, 5)
+	sweep(1, 10*time.Minute, 0, 1, 20) // 20 answers probes only
+	answer(30*time.Minute, 0, 1, 2)
+	answer(2*time.Hour, 0, 6)             // 1-5 expire, and the probe answers of 0, 1 and 20
+	answer(2*time.Hour+30*time.Minute, 4) // 4 is reborn
+	sweep(2, 2*time.Hour+40*time.Minute, 6, 21)
+	h.Close()
+	var frames []Frame
+	for f := range live.Events() {
+		frames = append(frames, f)
+	}
+
+	var passiveRet, activeRet, activeRow bool
+	for _, f := range frames {
+		if f.Type != FrameSeal {
+			continue
+		}
+		for _, r := range f.Snapshot.Retractions {
+			passiveRet = passiveRet || r.Prov == core.PassiveOnly
+			activeRet = activeRet || r.Prov == core.ActiveOnly
+		}
+		for _, s := range f.Snapshot.Services {
+			activeRow = activeRow || !s.ActiveAt.IsZero()
+		}
+	}
+	if !passiveRet || !activeRet || !activeRow {
+		t.Fatalf("seal frames carry passive retractions %v, active retractions %v, active rows %v; want all three",
+			passiveRet, activeRet, activeRow)
+	}
+
+	ref := NewAggregator()
+	<-ref.Attach(pub)
+	want := ref.Dump()
+	st := pub.State()
+	for cur := bootstrap[1].Seq; cur <= st.Seq; cur++ {
+		agg := NewAggregator()
+		for i := range bootstrap {
+			if err := agg.Apply(&bootstrap[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range frames {
+			if frames[i].Seq <= cur {
+				if err := agg.Apply(&frames[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		resume, rlive, resumed := pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: cur})
+		rlive.Cancel()
+		if !resumed {
+			t.Fatalf("cursor %d of [%d, %d] fell back to a full snapshot", cur, bootstrap[1].Seq, st.Seq)
+		}
+		for _, f := range append(resume, frames...) {
+			if err := agg.Apply(&f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := agg.Dump(); !bytes.Equal(got, want) {
+			t.Fatalf("resumed at cursor %d, the reader diverges from a post-close attach:\n%s", cur, firstDiff(got, want))
+		}
+	}
+}
+
+// TestResumeAfterRestore reconnects a reader across a site restart. The
+// site is exported with its publisher's cursor after a clean close and
+// restored into a fresh engine. That engine discovers, re-observes and
+// expires services — in a first seal with no predecessor, which lists no
+// keys — before the caught-up reader reconnects at the stored cursor. The
+// cursor falls back, and the reader dumps byte-identical to one that
+// attached after the restored site closed.
+func TestResumeAfterRestore(t *testing.T) {
+	retain := core.RetentionPolicy{PassiveTTL: time.Hour}
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	eng.SetRetention(retain)
+	pub := NewPublisherOpts("restarted", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	bld := packet.NewBuilder(0)
+	ext := netaddr.MustParseV4("64.20.0.1")
+	answer := func(e *core.ShardedPassive, at time.Duration, from, to int) {
+		var batch []packet.Packet
+		for i := from; i < to; i++ {
+			batch = append(batch, *bld.SynAck(retBase.Add(at), packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(500+i), Port: 80},
+				packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
+		}
+		e.HandleBatch(batch)
+	}
+	answer(eng, 0, 0, 20)
+	eng.Close()
+	pub.Close()
+	agg := NewAggregator()
+	<-agg.Attach(pub)
+	st := pub.State()
+	if epoch, seq, _ := agg.SiteCursor(pub.Site()); epoch != st.Epoch || seq != st.Seq {
+		t.Fatalf("reader cursor (%d, %d), want the stored (%d, %d)", epoch, seq, st.Epoch, st.Seq)
+	}
+
+	restored := core.NewShardedPassive(testCampus, nil, 2)
+	restored.SetRetention(retain)
+	ed, _ := eng.ExportDelta(nil)
+	if err := restored.ImportDelta(ed); err != nil {
+		t.Fatal(err)
+	}
+	rpub := NewPublisherOpts("restarted", restored, st, PublisherOptions{Heartbeat: -1})
+	defer rpub.Close()
+	answer(restored, 2*time.Hour, 10, 30) // 0-9 expire, 10-19 are re-observed, 20-29 are new
+	waitSeq(t, rpub, st.Seq+10)
+
+	bootstrap, live, resumed := rpub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: st.Seq})
+	if resumed {
+		t.Fatal("the stored cursor resumed before the restored engine's first seal")
+	}
+	restored.Close()
+	for _, f := range bootstrap {
+		if err := agg.Apply(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := range live.Events() {
+		if err := agg.Apply(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := NewAggregator()
+	<-ref.Attach(rpub)
+	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+		t.Errorf("resumed across the restore, the reader diverges from a post-close attach:\n%s", firstDiff(got, want))
+	}
+}
+
+// oneSlotEngine hands the publisher a one-event pump subscription, so a
+// stalled pump drops the engine's next events but one.
+type oneSlotEngine struct{ *core.ShardedPassive }
+
+func (e oneSlotEngine) Subscribe(int) *core.EventSub { return e.ShardedPassive.Subscribe(1) }
+
+// TestPumpDropHealsAtNextSeal is the overload answer at the publisher's
+// pump: two services expire while the pump is stalled inside a publish, so
+// the engine's second expiry overflows the pump's subscription. The next
+// seal frame still retracts both — a live reader ends holding exactly the
+// site's services — and a cursor taken before the drop still resumes.
+func TestPumpDropHealsAtNextSeal(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 1)
+	eng.SetRetention(core.RetentionPolicy{PassiveTTL: time.Hour})
+	pub := NewPublisherOpts("pump-drop", oneSlotEngine{eng}, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	defer pub.Close()
+	agg := NewAggregator()
+	attached := agg.Attach(pub)
+
+	bld := packet.NewBuilder(0)
+	ext := netaddr.MustParseV4("64.20.0.1")
+	svc := func(i int, at time.Time) packet.Packet {
+		return *bld.SynAck(at, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(40+i), Port: 80},
+			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8)
+	}
+	// Services 0 and 1 will expire, 2 keeps answering. Each discovery is
+	// sequenced before the next, so the one slot never overflows here.
+	for i := 0; i < 3; i++ {
+		eng.HandleBatch([]packet.Packet{svc(i, retBase)})
+		waitSeq(t, pub, uint64(i+1))
+	}
+	eng.Snapshot()
+	waitSeq(t, pub, 4) // their seal frame
+	early := NewAggregator()
+	boot, blive := pub.Catchup(0)
+	blive.Cancel()
+	for i := range boot {
+		if err := early.Apply(&boot[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch, cursor, _ := early.SiteCursor(pub.Site())
+
+	// Stall the pump inside hub.Publish with a subscriber whose filter
+	// blocks, on the discovery of service 3.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	stall := pub.hub.SubscribeFunc(1, func(Frame) bool {
+		once.Do(func() { close(entered) })
+		<-release
+		return false
+	})
+	eng.HandleBatch([]packet.Packet{svc(2, retBase.Add(3*time.Hour)), svc(3, retBase.Add(3*time.Hour))})
+	<-entered
+	eng.Snapshot() // expires 0 and 1: one expiry takes the slot, the other drops
+	close(release)
+	stall.Cancel()
+	if pub.Dropped() == 0 {
+		t.Fatal("the stalled pump dropped no event")
+	}
+	eng.Close()
+	<-attached
+
+	ref := NewAggregator()
+	<-ref.Attach(pub)
+	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+		t.Errorf("the live reader does not hold exactly the site's services:\n%s", firstDiff(got, want))
+	}
+	resume, rlive, resumed := pub.catchup(0, ResumeCursor{Epoch: epoch, Seq: cursor})
+	rlive.Cancel()
+	if !resumed {
+		t.Fatalf("cursor %d, taken before the pump dropped, fell back to a full snapshot", cursor)
+	}
+	for i := range resume {
+		if err := early.Apply(&resume[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := early.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+		t.Errorf("the reader resumed past the drop diverges:\n%s", firstDiff(got, want))
+	}
+}
+
+// gatedConn is a feed client's connection whose reads wait while the test
+// holds gate: a reader stalled on its socket.
+type gatedConn struct {
+	net.Conn
+	gate *sync.Mutex
+}
+
+func (c gatedConn) Read(p []byte) (int, error) {
+	c.gate.Lock()
+	c.gate.Unlock()
+	return c.Conn.Read(p)
+}
+
+// TestServeConnEvictsOverflowingReader is the overload answer at a
+// reader's frame queue: a wire reader stalls while more than feedBuffer
+// frames are published — a seal frame among the ones its queue drops — and
+// is disconnected at the first frame past the gap rather than served on,
+// so frames published once it reads again cannot carry its cursor past
+// the lost ones. Its client redials, resumes from the last frame it
+// applied, and ends byte-identical to a reader that attached after the
+// site closed.
+func TestServeConnEvictsOverflowingReader(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	pub := NewPublisherOpts("stalled", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	var gate sync.Mutex
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agg := NewAggregator()
+	fc := NewFeedClient(agg, "stalled", FeedOptions{
+		Dial: func(context.Context) (net.Conn, error) {
+			server, client := net.Pipe()
+			go func() {
+				_ = pub.ServeConn(ctx, server)
+				server.Close()
+			}()
+			return gatedConn{Conn: client, gate: &gate}, nil
+		},
+		Backoff: BackoffConfig{Base: time.Millisecond, Cap: 10 * time.Millisecond, Seed: 3},
+	})
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		_ = fc.Run(ctx)
+	}()
+	waitCursor(t, agg, "stalled", 0)
+
+	gate.Lock()
+	bld := packet.NewBuilder(0)
+	// Past the queue by more than the one burst the serving loop may have
+	// taken off it before its write stalled.
+	const n = feedBuffer + 3000
+	for i := 0; i < n; i += 1000 {
+		var batch []packet.Packet
+		for j := i; j < min(i+1000, n); j++ {
+			batch = append(batch, *bld.SynAck(retBase.Add(time.Duration(j)*time.Millisecond),
+				packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(j/2), Port: uint16(80 + j%2)},
+				packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
+		}
+		eng.HandleBatch(batch)
+		waitSeq(t, pub, uint64(min(i+1000, n)))
+	}
+	eng.Snapshot() // its seal frame lands past the stalled reader's full queue
+	waitSeq(t, pub, n+1)
+	if pub.FrameCounters().Dropped() == 0 {
+		t.Fatal("the stalled reader's queue dropped no frame")
+	}
+	gate.Unlock()
+	// Once the reader has caught up with what reached it, one more service
+	// and its seal.
+	for applied, stable := fc.Stats().FramesApplied, 0; stable < 20; stable++ {
+		time.Sleep(2 * time.Millisecond)
+		if now := fc.Stats().FramesApplied; now != applied {
+			applied, stable = now, 0
+		}
+	}
+	eng.HandleBatch([]packet.Packet{*bld.SynAck(retBase.Add(time.Hour), packet.Endpoint{Addr: testCampus.Base() + 60000, Port: 80},
+		packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)})
+	eng.Snapshot()
+
+	eng.Close()
+	pub.Close()
+	waitCursor(t, agg, "stalled", pub.State().Seq)
+	cancel()
+	<-ran
+	if ev := pub.Stats().Evictions; ev == 0 {
+		t.Error("the overflowed reader was not evicted")
+	}
+	if fc.Stats().ResumeHits == 0 {
+		t.Error("the evicted reader's redial did not resume")
+	}
+	ref := NewAggregator()
+	<-ref.Attach(pub)
+	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+		t.Errorf("the evicted reader diverges from a post-close attach:\n%s", divergence(got, want))
 	}
 }

@@ -68,22 +68,22 @@ func FuzzRetractionFrameDecode(f *testing.F) {
 	noDeadline := Retraction{Key: keyA, Prov: core.PassiveOnly}
 	// PassiveFirst is a legal wire value but not a legal retraction kind.
 	badProv := Retraction{Key: keyA, At: retBase.Add(2 * time.Hour), Prov: core.PassiveFirst}
-	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 6, Retract: &valid}))
-	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 6, Retract: &noDeadline}))
-	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 2, Seq: 1, Retract: &badProv}))
-	// A frame that is all header: a retract whose body is missing entirely.
-	f.Add(rawFrame(WireVersion<<4|headerEnvelope|codeRetract, 9, 's', 'e', 'e', 'd', '-', 's', 'i', 't', 'e', 1, 0, 0, 0, 0, 0, 0, 0))
+	seal := func(epoch, seq uint64, rs ...Retraction) Frame {
+		return Frame{V: WireVersion, Type: FrameSeal, Site: "seed-site", Epoch: epoch, Seq: seq, Snapshot: &Snapshot{Retractions: rs}}
+	}
+	f.Add(encodeFrames(f, seal(1, 6, valid)))
+	f.Add(encodeFrames(f, seal(1, 6, noDeadline)))
+	f.Add(encodeFrames(f, seal(2, 1, badProv)))
+	// A frame that is all header: a seal whose body is missing entirely.
+	f.Add(rawFrame(WireVersion<<4|headerEnvelope|codeSeal, 9, 's', 'e', 'e', 'd', '-', 's', 'i', 't', 'e', 1, 0, 0, 0, 0, 0, 0, 0))
 	// The half-apply honeypot: valid retractions ahead of an invalid one
 	// in a single snapshot — none may land.
 	f.Add(encodeFrames(f, Frame{
 		V: WireVersion, Type: FrameSnapshot, Site: "seed-site", Epoch: 1, Seq: 9,
 		Snapshot: &Snapshot{Retractions: []Retraction{valid, valid, noDeadline}},
 	}))
-	f.Add(encodeFrames(f,
-		Frame{V: WireVersion, Type: FrameHello, Site: "seed-site", Epoch: 3},
-		Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 3, Seq: 1, Retract: &valid},
-	))
-	f.Add(append(encodeFrames(f, Frame{V: WireVersion, Type: FrameRetract, Site: "seed-site", Epoch: 1, Seq: 8, Retract: &valid}), "garbage"...))
+	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameHello, Site: "seed-site", Epoch: 3}, seal(3, 1, valid)))
+	f.Add(append(encodeFrames(f, seal(1, 8, valid)), "garbage"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -144,7 +144,7 @@ func hasLive(a *Aggregator, key core.ServiceKey) bool {
 
 // TestReconnectAfterRetractionNoResurrection walks the full lifecycle:
 // a site discovers a service, the aggregator learns it, the service
-// expires (retract frame), and then every flavor of reconnect replay —
+// expires (a seal frame's retraction), and then every flavor of reconnect replay —
 // the site's fresh snapshot, a stale pre-expiry snapshot from a restarted
 // publisher epoch, and a stale discovery event — fails to bring it back.
 func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
@@ -182,7 +182,7 @@ func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
 	}
 
 	// svcB chatters again past BOTH deadlines; the snapshot expires svcA
-	// for good and splits svcB into a new incarnation (retract + fresh
+	// for good and splits svcB into a new incarnation (retraction + fresh
 	// discovery — the out-of-order case the deadline guard absorbs).
 	// Close the engine so the live feed drains deterministically.
 	answer(svcB, 443, retBase.Add(3*time.Hour))
@@ -190,15 +190,17 @@ func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
 	eng.Close()
 	retracted := map[core.ServiceKey]bool{}
 	for f := range live.Events() {
-		if f.Type == FrameRetract {
-			retracted[f.Retract.Key] = true
+		if f.Type == FrameSeal {
+			for _, r := range f.Snapshot.Retractions {
+				retracted[r.Key] = true
+			}
 		}
 		if err := agg.Apply(&f); err != nil {
 			t.Fatalf("live frame: %v", err)
 		}
 	}
 	if !retracted[keyOfA] {
-		t.Fatal("expiry never produced a retract frame for the idle service")
+		t.Fatal("expiry never produced a retraction for the idle service")
 	}
 	if hasLive(agg, keyOfA) {
 		t.Fatal("service still live after retraction")
@@ -258,18 +260,18 @@ func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
 }
 
 // TestRediscoveryRacesRetraction: an engine may publish a service's
-// rediscovery ahead of the expiry notice of the incarnation before it (a
-// packet re-creates the record between the freeze that expired it and the
-// publication of the notice). The retraction semilattice makes the order
-// immaterial: evidence newer than the deadline survives the retraction,
-// whichever the aggregator applies first.
+// rediscovery ahead of the seal frame that retracts the incarnation before
+// it (a packet re-creates the record between the freeze that expired it and
+// the seal frame). The retraction semilattice makes the order immaterial:
+// evidence newer than the deadline survives the retraction, whichever the
+// aggregator applies first.
 func TestRediscoveryRacesRetraction(t *testing.T) {
 	discovered := func(at time.Time) *core.Event {
 		return &core.Event{Kind: core.EventServiceDiscovered, Time: at, Key: keyA, Provenance: core.PassiveOnly}
 	}
 	reborn := Frame{V: WireVersion, Type: FrameEvent, Site: "s", Epoch: 1, Event: discovered(retBase.Add(3 * time.Hour))}
-	expired := Frame{V: WireVersion, Type: FrameRetract, Site: "s", Epoch: 1,
-		Retract: &Retraction{Key: keyA, At: retBase.Add(time.Hour), Prov: core.PassiveOnly}}
+	expired := Frame{V: WireVersion, Type: FrameSeal, Site: "s", Epoch: 1,
+		Snapshot: &Snapshot{Retractions: []Retraction{{Key: keyA, At: retBase.Add(time.Hour), Prov: core.PassiveOnly}}}}
 	var sigs [][]byte
 	for _, order := range [][]Frame{{reborn, expired}, {expired, reborn}} {
 		agg := NewAggregator()

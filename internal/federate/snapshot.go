@@ -24,9 +24,10 @@ type SnapshotService struct {
 	Clients int `json:"clients,omitempty"`
 }
 
-// Snapshot is the bootstrap payload of a snapshot frame: a flattened,
-// key-ordered rendering of one site's frozen core.Inventory. The carrying
-// frame's Seq records the event-stream generation the snapshot covers.
+// Snapshot is the payload of a snapshot or seal frame: a flattened,
+// key-ordered rendering of one site's frozen core.Inventory, or of what
+// changed in it. The carrying frame's Seq records the stream position it
+// covers.
 type Snapshot struct {
 	// Services lists every discovered service in canonical (addr, proto,
 	// port) order.
@@ -36,9 +37,9 @@ type Snapshot struct {
 	// Scans lists completed sweep metadata in start order.
 	Scans []core.ScanMeta `json:"scans,omitempty"`
 	// Retractions lists the site's retention tombstones — services whose
-	// evidence expired, sorted by (key, prov). A reconnecting aggregator
-	// replays them before the service list, so retract frames lost from
-	// the bounded live feed cannot resurrect an expired service.
+	// evidence expired. The aggregator applies them before the service
+	// list, so no row or replayed frame older than a retraction can
+	// resurrect the service it withdrew.
 	Retractions []Retraction `json:"retractions,omitempty"`
 	// Packets is how many packets the site's passive run has consumed.
 	Packets int `json:"packets"`
@@ -48,15 +49,30 @@ type Snapshot struct {
 // inventory is read-only and the result shares nothing with it, so the
 // caller may serialize the snapshot at leisure while the engine keeps
 // ingesting.
-func BuildSnapshot(inv *core.Inventory) *Snapshot {
+func BuildSnapshot(inv *core.Inventory) *Snapshot { return buildSnapshot(inv, nil) }
+
+// buildSnapshot is BuildSnapshot restricted to the rows and retractions of
+// the keys keep accepts (every key when keep is nil); the scanners, sweeps
+// and packet count ship whole.
+func buildSnapshot(inv *core.Inventory, keep func(core.ServiceKey) bool) *Snapshot {
 	s := &Snapshot{
-		Services: appendServices(make([]SnapshotService, 0, inv.Len()), inv),
 		Scanners: append([]core.ScannerInfo(nil), inv.Scanners()...),
 		Scans:    append([]core.ScanMeta(nil), inv.Scans()...),
 		Packets:  inv.Packets(),
 	}
+	if keep == nil {
+		s.Services = make([]SnapshotService, 0, inv.Len())
+	}
+	inv.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
+		if keep == nil || keep(key) {
+			s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
+		}
+		return true
+	})
 	inv.EachTombstone(func(key core.ServiceKey, at time.Time, prov core.Provenance) bool {
-		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
+		if keep == nil || keep(key) {
+			s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
+		}
 		return true
 	})
 	return s
@@ -74,32 +90,26 @@ func serviceRow(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenan
 	return svc
 }
 
-// appendServices appends a row for every service of inv, in key order.
-func appendServices(rows []SnapshotService, inv *core.Inventory) []SnapshotService {
-	inv.EachService(func(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenance, _, activeAt time.Time) bool {
-		rows = append(rows, serviceRow(key, rec, prov, activeAt))
-		return true
-	})
-	return rows
-}
-
 // pendingSeal is what the engine's seals changed since the last seal frame:
 // the inventory that frame was built from (base), the newest one (inv),
-// and the keys the seals between them added or updated.
+// and the keys the seals between them changed — listed, or with a
+// tombstone new or moved.
 type pendingSeal struct {
 	base, inv *core.Inventory
 	keys      []core.ServiceKey
 }
 
-// buildSeal renders a pending seal as a seal frame's rows, read from the
-// newest inventory: each added or updated service that is still there
-// (one a later seal removed ships as its retract frame), each scanner
-// whose tallies or window moved since base, each sweep new since base,
-// and the packet count. It returns nil when none of that changed.
+// buildSeal renders a pending seal, its keys sorted and unique, as a seal
+// frame's body, read from the newest inventory: each tombstone new or
+// moved since base, a row for each listed service still there, each
+// scanner whose tallies or window moved since base, each sweep new since
+// base, and the packet count. The body is nil when none of that changed.
 func buildSeal(p pendingSeal) *Snapshot {
 	s := &Snapshot{Packets: p.inv.Packets()}
-	core.SortKeys(p.keys)
-	for _, key := range slices.Compact(p.keys) {
+	p.inv.EachTombstoneSince(p.base, func(key core.ServiceKey, at time.Time, prov core.Provenance) {
+		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
+	})
+	for _, key := range p.keys {
 		if rec, prov, _, activeAt, ok := p.inv.Service(key); ok {
 			s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
 		}
@@ -118,7 +128,7 @@ func buildSeal(p pendingSeal) *Snapshot {
 			s.Scans = append(s.Scans, sc)
 		}
 	}
-	if len(s.Services) == 0 && len(s.Scanners) == 0 && len(s.Scans) == 0 && s.Packets == p.base.Packets() {
+	if len(s.Services)+len(s.Scanners)+len(s.Scans)+len(s.Retractions) == 0 && s.Packets == p.base.Packets() {
 		return nil
 	}
 	return s

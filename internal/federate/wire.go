@@ -51,8 +51,10 @@ import (
 // replaced the JSONL bytes with the binary layout below. Version 5 sends
 // Seq and times as deltas and gives upgrades both per-technique times.
 // Version 6 makes a run of consecutive event (or retract) frames one wire
-// frame and adds the seal frame.
-const WireVersion = 6
+// frame and adds the seal frame. Version 7 moves retraction into the seal
+// frame's body and drops the retract frame, whose type code 4 stays
+// unassigned, and leaves a snapshot body's empty lists out.
+const WireVersion = 7
 
 // maxRun bounds the entries of one run (see Frame), so a hostile frame can
 // leave at most maxRun-1 decoded frames queued behind the one returned.
@@ -86,15 +88,11 @@ const (
 	// FrameEvent carries one live core.Event, tagged with its position in
 	// the site's stream.
 	FrameEvent FrameType = "event"
-	// FrameRetract withdraws evidence: the site's retention expired a
-	// service, so evidence of the given kind older than the retraction
-	// time no longer supports it. Sequenced like an event frame.
-	FrameRetract FrameType = "retract"
 	// FrameResume is the client hello: the first (and only) frame a
 	// connecting reader sends. It carries the reader's dedup cursor
 	// (Frame.Resume) and, when the publisher demands one, the shared auth
-	// token (Frame.Token). A publisher whose replay ring still covers the
-	// cursor answers with only the frames past it; otherwise it falls
+	// token (Frame.Token). A publisher that can resume the cursor answers
+	// with a snapshot of only the keys changed past it; otherwise it falls
 	// back to the full snapshot bootstrap. A zero cursor requests the
 	// snapshot explicitly (a first connection).
 	FrameResume FrameType = "resume"
@@ -103,19 +101,21 @@ const (
 	// only job is to keep arriving before the reader's idle deadline.
 	FrameHeartbeat FrameType = "heartbeat"
 	// FrameSeal carries what the engine's seals since the previous seal
-	// frame changed, as snapshot rows (Frame.Snapshot, no retractions):
-	// the weights, scanner peaks, sweeps and packet count no event
-	// carries. Sequenced like an event frame.
+	// frame changed, in a snapshot body (Frame.Snapshot): the retractions,
+	// then the rows, weights, scanner peaks, sweeps and packet count no
+	// event carries. It is the one frame that carries a site's state past
+	// the bootstrap; events only deliver discoveries sooner. Sequenced
+	// like an event frame.
 	FrameSeal FrameType = "seal"
 )
 
 // The wire's type codes: the header byte's low three bits. Zero is
-// invalid; seven, the last free code, is the seal.
+// invalid; four, the retract frame's until wire v7, is unassigned.
 const (
 	codeHello = iota + 1
 	codeSnapshot
 	codeEvent
-	codeRetract
+	_
 	codeResume
 	codeHeartbeat
 	codeSeal
@@ -125,7 +125,6 @@ var frameTypes = [...]FrameType{
 	codeHello:     FrameHello,
 	codeSnapshot:  FrameSnapshot,
 	codeEvent:     FrameEvent,
-	codeRetract:   FrameRetract,
 	codeResume:    FrameResume,
 	codeHeartbeat: FrameHeartbeat,
 	codeSeal:      FrameSeal,
@@ -140,14 +139,14 @@ type ResumeCursor struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// Retraction is the payload of a retract frame (and one entry of a
-// snapshot's retraction list): the site no longer holds evidence of the
-// given kind for the service, as of At — the retention deadline that
-// expired it. Prov names the evidence kind withdrawn (PassiveOnly or
-// ActiveOnly). Evidence timestamped at or after At re-establishes the
-// service; older evidence is void. Snapshots carry the site's full
-// tombstone list, so a retract frame lost from the bounded live feed
-// heals on the next reconnect.
+// Retraction is one entry of a snapshot or seal frame's retraction list:
+// the site no longer holds evidence of the given kind for the service, as
+// of At — the retention deadline that expired it. Prov names the evidence
+// kind withdrawn (PassiveOnly or ActiveOnly). Evidence timestamped at or
+// after At re-establishes the service; older evidence is void. A seal
+// carries the tombstones new or moved since the previous seal frame, a
+// snapshot every tombstone of the keys it lists, so a reader that missed
+// frames gets them back with the next seal or its next connection.
 type Retraction struct {
 	Key  core.ServiceKey `json:"key"`
 	At   time.Time       `json:"at"`
@@ -155,8 +154,8 @@ type Retraction struct {
 }
 
 // Frame is one unit of the federation wire: a site-tagged envelope around
-// either an event or a snapshot. The JSON tags are not the wire form (see
-// the layout below); they are how cmd/feedcat renders a captured feed.
+// an event, or a snapshot or seal body. The JSON tags are not the wire form
+// (see the layout below); they are how cmd/feedcat renders a captured feed.
 //
 // On the wire (all integers little-endian):
 //
@@ -170,10 +169,9 @@ type Retraction struct {
 //	resume    body = u64 cursor epoch, uvarint cursor seq, uvarint(len) token
 //	heartbeat body = (empty)
 //	event     body = seq, event, event*
-//	retract   body = seq, retraction, retraction*
-//	snapshot  body = seq, varint packets,
-//	                 uvarint n, n×service, uvarint n, n×scanner,
-//	                 uvarint n, n×scan,    uvarint n, n×retraction
+//	snapshot  body = seq, varint packets, u8 lists (bit0 services,
+//	                 bit1 scanners, bit2 scans, bit3 retractions), then
+//	                 each listed one: uvarint n (n > 0), n×entry
 //	seal      body = (as snapshot)
 //
 //	event      = u8 kind, u8 flags (bit0 time, bit1 key+prov, bit2 scanner,
@@ -199,18 +197,18 @@ type Retraction struct {
 // range (years 1678–2262) is an encode error, never a wrapped value. Enum
 // bytes (type, kind, provenance) and flag bytes are range-checked on decode:
 // an unknown value is an error, not a silent zero. Seq rides only on the
-// sequenced types (snapshot, event, retract, seal), Resumed only on hello,
+// sequenced types (snapshot, event, seal), Resumed only on hello,
 // Resume and Token only on resume.
 //
-// An event or retract body is a run: each entry after the first is the
-// frame of the same type and (Site, Epoch) with the next Seq, implied, not
-// written, so it costs only its payload (12 bytes for a discovery event).
+// An event body is a run: each entry after the first is the event frame of
+// the same (Site, Epoch) with the next Seq, implied, not written, so it
+// costs only its payload (12 bytes for a discovery event).
 // A run holds at most maxRun entries; Decode returns them one per call.
 //
 // The version sits in the header's high nibble so it is checked before
 // the body is even read. A v3 peer's JSONL frame ("63 {...}\n") puts an
 // ASCII digit (0x3N) there, so a mixed-version pair fails on the first
-// frame with "wire version 3, want 6" on the v6 side (a v5 one: "5, want 6").
+// frame with "wire version 3, want 7" on the v7 side (a v6 one: "6, want 7").
 type Frame struct {
 	// V is the protocol version (WireVersion).
 	V int `json:"v"`
@@ -223,16 +221,14 @@ type Frame struct {
 	// epoch: an aggregator seeing a new epoch resets its dedup cursors
 	// instead of discarding the restarted site's feed as duplicates.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Seq is the event's position in the site's stream (event frames,
-	// counted from 1), or the stream position the snapshot covers
-	// (snapshot frames: every event with Seq <= this value is reflected).
+	// Seq is the frame's position in the site's stream (event and seal
+	// frames, counted from 1), or the stream position the snapshot covers
+	// (snapshot frames: every frame with Seq <= this value is reflected).
 	Seq uint64 `json:"seq,omitempty"`
 	// Event is the payload of an event frame.
 	Event *core.Event `json:"event,omitempty"`
 	// Snapshot is the payload of a snapshot or seal frame.
 	Snapshot *Snapshot `json:"snapshot,omitempty"`
-	// Retract is the payload of a retract frame.
-	Retract *Retraction `json:"retract,omitempty"`
 	// Resume is the payload of a resume hello (client to publisher only).
 	Resume *ResumeCursor `json:"resume,omitempty"`
 	// Token is the shared auth secret on a resume hello; publishers
@@ -240,9 +236,9 @@ type Frame struct {
 	// missing, before serving a single frame.
 	Token string `json:"token,omitempty"`
 	// Resumed marks the publisher's hello on a connection whose resume
-	// cursor was honored: the frames that follow are the delta past the
-	// cursor, not a snapshot bootstrap. Readers use it to count
-	// resume-hits against snapshot-fallbacks.
+	// cursor was honored: the snapshot frame that follows holds only the
+	// keys changed past the cursor. Readers use it to count resume-hits
+	// against snapshot-fallbacks.
 	Resumed bool `json:"resumed,omitempty"`
 }
 
@@ -282,8 +278,8 @@ func (s *stream) crc(frame []byte) uint32 {
 	return crc32.Checksum(frame, castagnoli) ^ uint32(h^h>>32)
 }
 
-// Encoder writes frames in the binary wire form, joining the event or
-// retract frames appended between two flushes into runs (see joins). Not
+// Encoder writes frames in the binary wire form, joining the event frames
+// appended between two flushes into runs (see joins). Not
 // safe for concurrent writers; each feed connection owns one encoder.
 type Encoder struct {
 	w   io.Writer
@@ -339,7 +335,7 @@ func (e *Encoder) append(f *Frame) error {
 		return fmt.Errorf("federate: frame length %d exceeds limit %d", n, maxFrameLen)
 	}
 	e.buf, e.open, e.base, e.st, e.n = w.b, start, e.st, w.st, 1
-	if f.Type != FrameEvent && f.Type != FrameRetract {
+	if f.Type != FrameEvent {
 		e.close()
 	}
 	return nil
@@ -479,7 +475,7 @@ func (w *wbuf) frame(f *Frame) {
 		w.uvarint(f.Resume.Seq)
 		w.str(f.Token)
 	case codeHeartbeat:
-	case codeEvent, codeRetract, codeSnapshot, codeSeal:
+	case codeEvent, codeSnapshot, codeSeal:
 		w.seq(f.Seq)
 		w.payload(f)
 	default:
@@ -495,25 +491,13 @@ func (w *wbuf) frame(f *Frame) {
 // payload writes a sequenced frame's body past its seq: all a later entry
 // of a run consists of.
 func (w *wbuf) payload(f *Frame) {
-	switch f.Type {
-	case FrameEvent:
-		if f.Event == nil {
-			w.fail("event frame without event")
-			return
-		}
+	switch {
+	case f.Type == FrameEvent && f.Event != nil:
 		w.event(f.Event)
-	case FrameRetract:
-		if f.Retract == nil {
-			w.fail("retract frame without retraction")
-			return
-		}
-		w.retraction(f.Retract)
-	default:
-		if f.Snapshot == nil {
-			w.fail("%s frame without snapshot", f.Type)
-			return
-		}
+	case f.Type != FrameEvent && f.Snapshot != nil:
 		w.snapshot(f.Snapshot)
+	default:
+		w.fail("%s frame without payload", f.Type)
 	}
 }
 
@@ -563,7 +547,8 @@ func (w *wbuf) scan(s *core.ScanMeta) {
 
 func (w *wbuf) snapshot(s *Snapshot) {
 	w.varint(s.Packets)
-	w.uvarint(uint64(len(s.Services)))
+	w.u8(flags(len(s.Services) > 0, len(s.Scanners) > 0, len(s.Scans) > 0, len(s.Retractions) > 0))
+	w.count(len(s.Services))
 	for i := range s.Services {
 		svc := &s.Services[i]
 		w.key(svc.Key)
@@ -573,17 +558,25 @@ func (w *wbuf) snapshot(s *Snapshot) {
 		w.varint(svc.Flows)
 		w.varint(svc.Clients)
 	}
-	w.uvarint(uint64(len(s.Scanners)))
+	w.count(len(s.Scanners))
 	for i := range s.Scanners {
 		w.scanner(&s.Scanners[i])
 	}
-	w.uvarint(uint64(len(s.Scans)))
+	w.count(len(s.Scans))
 	for i := range s.Scans {
 		w.scan(&s.Scans[i])
 	}
-	w.uvarint(uint64(len(s.Retractions)))
+	w.count(len(s.Retractions))
 	for i := range s.Retractions {
 		w.retraction(&s.Retractions[i])
+	}
+}
+
+// count writes a list's length; an empty list, left out of the lists
+// byte, has none.
+func (w *wbuf) count(n int) {
+	if n > 0 {
+		w.uvarint(uint64(n))
 	}
 }
 
@@ -858,11 +851,16 @@ func (r *rbuf) time(present bool) time.Time {
 	return time.Unix(0, r.st.ns).UTC()
 }
 
-// count reads a list length and refuses one the rest of the body could
-// not hold, so a hostile count cannot size an allocation.
-func (r *rbuf) count(minEntry int) int {
+// count reads the length of a list the lists byte marks present (none
+// when it does not), and refuses zero, the empty list's spelling, and one
+// the rest of the body could not hold, so a hostile count cannot size an
+// allocation.
+func (r *rbuf) count(present byte, minEntry int) int {
+	if present == 0 {
+		return 0
+	}
 	n := r.uvarint()
-	if n > uint64(len(r.b)/minEntry) {
+	if n == 0 || n > uint64(len(r.b)/minEntry) {
 		r.fail("list of %d entries in %d remaining bytes", n, len(r.b))
 		return 0
 	}
@@ -904,7 +902,7 @@ func (r *rbuf) frame(hdr byte, out []*Frame) []*Frame {
 	default:
 		f.Seq = r.seq()
 		r.payload(f)
-		for (code == codeEvent || code == codeRetract) && len(r.b) > 0 && r.err == nil {
+		for code == codeEvent && len(r.b) > 0 && r.err == nil {
 			if len(out) == maxRun-1 {
 				r.fail("run of more than %d frames", maxRun)
 				break
@@ -923,14 +921,10 @@ func (r *rbuf) frame(hdr byte, out []*Frame) []*Frame {
 
 // payload reads a sequenced frame's body past its seq.
 func (r *rbuf) payload(f *Frame) {
-	switch f.Type {
-	case FrameEvent:
+	if f.Type == FrameEvent {
 		f.Event = new(core.Event)
 		r.event(f.Event)
-	case FrameRetract:
-		f.Retract = new(Retraction)
-		r.retraction(f.Retract)
-	default:
+	} else {
 		f.Snapshot = new(Snapshot)
 		r.snapshot(f.Snapshot)
 	}
@@ -980,7 +974,8 @@ func (r *rbuf) scan(s *core.ScanMeta) {
 
 func (r *rbuf) snapshot(s *Snapshot) {
 	s.Packets = r.varint()
-	if n := r.count(minServiceLen); n > 0 {
+	lists := r.flags(4)
+	if n := r.count(lists&1, minServiceLen); n > 0 {
 		s.Services = make([]SnapshotService, n)
 		for i := range s.Services {
 			svc := &s.Services[i]
@@ -993,19 +988,19 @@ func (r *rbuf) snapshot(s *Snapshot) {
 			svc.Clients = r.varint()
 		}
 	}
-	if n := r.count(minScannerLen); n > 0 {
+	if n := r.count(lists&2, minScannerLen); n > 0 {
 		s.Scanners = make([]core.ScannerInfo, n)
 		for i := range s.Scanners {
 			r.scanner(&s.Scanners[i])
 		}
 	}
-	if n := r.count(minScanLen); n > 0 {
+	if n := r.count(lists&4, minScanLen); n > 0 {
 		s.Scans = make([]core.ScanMeta, n)
 		for i := range s.Scans {
 			r.scan(&s.Scans[i])
 		}
 	}
-	if n := r.count(minRetractionLen); n > 0 {
+	if n := r.count(lists&8, minRetractionLen); n > 0 {
 		s.Retractions = make([]Retraction, n)
 		for i := range s.Retractions {
 			r.retraction(&s.Retractions[i])

@@ -45,10 +45,11 @@ func sampleFrames() []Frame {
 		Packets:     100000,
 	}
 	seal := &Snapshot{
-		Services: snap.Services[:1],
-		Scanners: snap.Scanners,
-		Scans:    snap.Scans,
-		Packets:  100500,
+		Services:    snap.Services[:1],
+		Scanners:    snap.Scanners,
+		Scans:       snap.Scans,
+		Retractions: []Retraction{{Key: testKey(0x807D0200, 17, 53), At: base.Add(4 * time.Hour), Prov: core.PassiveOnly}},
+		Packets:     100500,
 	}
 	return []Frame{
 		{V: WireVersion, Type: FrameResume, Token: "s3cret", Resume: &ResumeCursor{Epoch: 1166263200e9, Seq: 11}},
@@ -58,10 +59,8 @@ func sampleFrames() []Frame {
 		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 14, Event: &ev2},
 		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 15, Event: &ev3},
 		{V: WireVersion, Type: FrameEvent, Site: "east", Epoch: 1166263200e9, Seq: 16, Event: &ev4},
-		{V: WireVersion, Type: FrameRetract, Site: "east", Epoch: 1166263200e9, Seq: 17,
-			Retract: &Retraction{Key: key, At: base.Add(4 * time.Hour), Prov: core.PassiveOnly}},
 		{V: WireVersion, Type: FrameHeartbeat, Site: "east", Epoch: 1166263200e9},
-		{V: WireVersion, Type: FrameSeal, Site: "east", Epoch: 1166263200e9, Seq: 18, Snapshot: seal},
+		{V: WireVersion, Type: FrameSeal, Site: "east", Epoch: 1166263200e9, Seq: 17, Snapshot: seal},
 	}
 }
 
@@ -217,14 +216,8 @@ func wireFrameEnds(t *testing.T, wire []byte) []int64 {
 func TestWireRuns(t *testing.T) {
 	hello := Frame{V: WireVersion, Type: FrameHello, Site: "east", Epoch: 7}
 	events := func(site SiteID, seq uint64, n int) []Frame { return steadyEvents(site, 7, seq, n) }
-	retracts := func(seq uint64, n int) []Frame {
-		out := make([]Frame, n)
-		for i := range out {
-			out[i] = Frame{V: WireVersion, Type: FrameRetract, Site: "east", Epoch: 7, Seq: seq + uint64(i),
-				Retract: &Retraction{Key: keyA, At: retBase.Add(time.Duration(i) * time.Second), Prov: core.PassiveOnly}}
-		}
-		return out
-	}
+	seal := Frame{V: WireVersion, Type: FrameSeal, Site: "east", Epoch: 7, Seq: 3,
+		Snapshot: &Snapshot{Retractions: []Retraction{{Key: keyA, At: retBase, Prov: core.PassiveOnly}}, Packets: 9}}
 	cat := func(parts ...[]Frame) (out []Frame) {
 		for _, p := range parts {
 			out = append(out, p...)
@@ -239,7 +232,7 @@ func TestWireRuns(t *testing.T) {
 		{"hello then a run", cat([]Frame{hello}, events("east", 1, 5)), 2},
 		{"envelope switch", cat(events("east", 1, 3), events("west", 4, 3)), 2},
 		{"seq gap", cat(events("east", 1, 3), events("east", 5, 3)), 2},
-		{"event retract event", cat(events("east", 1, 2), retracts(3, 2), events("east", 5, 2)), 3},
+		{"event seal event", cat(events("east", 1, 2), []Frame{seal}, events("east", 4, 2)), 3},
 		{"hello inside a burst", cat(events("east", 1, 2), []Frame{hello}, events("east", 3, 2)), 3},
 		{"255 events", events("east", 1, 255), 1},
 		{"256 events", events("east", 1, 256), 1},
@@ -316,14 +309,14 @@ func TestStickyEnvelope(t *testing.T) {
 
 	// MaxInt64 → MinInt64 nanoseconds is a one-nanosecond step once the
 	// subtraction wraps.
-	retractAt := func(seq uint64, ns int64) Frame {
-		return Frame{V: WireVersion, Type: FrameRetract, Site: "s", Seq: seq,
-			Retract: &Retraction{Key: keyA, At: time.Unix(0, ns).UTC()}}
+	eventAt := func(seq uint64, ns int64) Frame {
+		return Frame{V: WireVersion, Type: FrameEvent, Site: "s", Seq: seq,
+			Event: &core.Event{Kind: core.EventScanCompleted, Time: time.Unix(0, ns).UTC()}}
 	}
-	wrap := []Frame{retractAt(1, math.MaxInt64), retractAt(2, math.MinInt64)}
+	wrap := []Frame{eventAt(1, math.MaxInt64), eventAt(2, math.MinInt64)}
 	decodeAll(t, encodeFrames(t, wrap...), wrap...)
-	if n := len(encodeFrames(t, wrap...)) - len(encodeFrames(t, wrap[0])); n != 17 {
-		t.Errorf("the wrapped time's frame takes %d bytes, want 17 (a one-byte delta)", n)
+	if n := len(encodeFrames(t, wrap...)) - len(encodeFrames(t, wrap[0])); n != 10 {
+		t.Errorf("the wrapped time's frame takes %d bytes, want 10 (a one-byte delta)", n)
 	}
 
 	// A frame refused after its seq and time were written leaves both bases
@@ -394,13 +387,13 @@ func TestWireTimes(t *testing.T) {
 		"zoned":       time.Date(2006, 12, 16, 10, 0, 0, 1, time.FixedZone("pst", -8*3600)),
 	}
 	for name, at := range good {
-		in := Frame{V: WireVersion, Type: FrameRetract, Site: "s", Seq: 1, Retract: &Retraction{Key: keyA, At: at}}
+		in := Frame{V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &core.Event{Kind: core.EventScanCompleted, Time: at}}
 		got, err := NewDecoder(bytes.NewReader(encodeFrames(t, in))).Decode()
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		back := got.Retract.At
+		back := got.Event.Time
 		if !back.Equal(at) || back.IsZero() != at.IsZero() || back.Location() != time.UTC {
 			t.Errorf("%s: %v came back as %v", name, at, back)
 		}
@@ -464,9 +457,11 @@ func TestDecodeRejects(t *testing.T) {
 		"padded prefix":   {append([]byte{hb[0] | 0x80, 0}, hb[1:]...), "padded to a 2-byte prefix"},
 		"empty frame":     {[]byte{0}, "shorter than an empty frame"},
 		"crc only":        {[]byte{4, 0, 0, 0, 0}, "shorter than an empty frame"},
-		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 6"},
-		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 6"},
-		"v5 hello":        {rawFrame(5<<4|codeHello, 0), "wire version 5, want 6"},
+		"bad version":     {rawFrame(9<<4|codeHello, 0), "wire version 9, want 7"},
+		"v3 jsonl":        {[]byte(`63 {"v":3,"type":"hello","site":"east","seq":0,"event":null}` + "\n"), "wire version 3, want 7"},
+		"v5 hello":        {rawFrame(5<<4|codeHello, 0), "wire version 5, want 7"},
+		"v6 hello":        {rawFrame(6<<4|codeHello, 0), "wire version 6, want 7"},
+		"type code 4":     {rawFrame(WireVersion<<4|4, 0), "unknown frame type code 4"},
 		"bad crc":         {append(rawFrame(WireVersion<<4 | codeHeartbeat)[:2], 1, 2, 3, 4), "checksum"},
 		"type code 0":     {rawFrame(WireVersion << 4), "unknown frame type code 0"},
 		"empty seal":      {rawFrame(WireVersion<<4 | codeSeal), "body ends inside a field"},
@@ -477,7 +472,9 @@ func TestDecodeRejects(t *testing.T) {
 		"bad hello flags": {rawFrame(WireVersion<<4|codeHello, 2), "unknown flag bits"},
 		"short body":      {rawFrame(hdrEvent, 0, 0, 1, 0x80, 0x80), "body ends inside a field"},
 		"trailing bytes":  {rawFrame(WireVersion<<4|codeHeartbeat, 0), "trailing bytes"},
-		"hostile count":   {rawFrame(hdrSnap, 1, 0, 0xff, 0xff, 0xff, 0x7f), "entries in"},
+		"hostile count":   {rawFrame(hdrSnap, 1, 0, 1, 0xff, 0xff, 0xff, 0x7f), "entries in"},
+		"listed empty":    {rawFrame(hdrSnap, 1, 0, 1, 0), "list of 0 entries"},
+		"bad lists":       {rawFrame(hdrSnap, 1, 0, 0x10), "unknown flag bits"},
 		"site past body":  {rawFrame(WireVersion<<4|headerEnvelope|codeHeartbeat, 200, 'x'), "body ends inside a field"},
 	}
 	for name, tc := range cases {
@@ -499,7 +496,7 @@ func TestEncodeRejects(t *testing.T) {
 		"version 16":       {V: 16, Type: FrameHello, Site: "s"},
 		"resume no cursor": {V: WireVersion, Type: FrameResume},
 		"event no payload": {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1},
-		"retract no body":  {V: WireVersion, Type: FrameRetract, Site: "s", Seq: 1},
+		"seal no body":     {V: WireVersion, Type: FrameSeal, Site: "s", Seq: 1},
 		"snapshot no body": {V: WireVersion, Type: FrameSnapshot, Site: "s", Seq: 1},
 		"unknown kind":     {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &ev},
 		"unknown prov":     {V: WireVersion, Type: FrameEvent, Site: "s", Seq: 1, Event: &badProv},
@@ -513,7 +510,7 @@ func TestEncodeRejects(t *testing.T) {
 }
 
 // TestBitFlipsRejected is the CRC's contract: flip any single bit of an
-// encoded event, retract, snapshot, seal or resume frame, or of a
+// encoded event, snapshot, seal or resume frame, or of a
 // five-event run, and the decoder refuses the frame — it never becomes a
 // different address or sequence number, and no frame of a damaged run is
 // returned — so an aggregator fed the damaged stream ends byte-identical
@@ -521,7 +518,7 @@ func TestEncodeRejects(t *testing.T) {
 func TestBitFlipsRejected(t *testing.T) {
 	frames := sampleFrames()
 	prelude := encodeFrames(t, frames[1]) // the hello that names site and epoch
-	targets := [][]Frame{frames[0:1], frames[2:3], frames[3:4], frames[7:8], frames[9:10],
+	targets := [][]Frame{frames[0:1], frames[2:3], frames[3:4], frames[8:9],
 		steadyEvents(frames[1].Site, frames[1].Epoch, 20, 5)}
 	for _, burst := range targets {
 		// Each target is encoded behind the hello, as on a live stream, so
@@ -615,13 +612,13 @@ func TestEventKindTextStable(t *testing.T) {
 	}
 }
 
-// FuzzFrameRoundTrip builds event, retract, snapshot and seal frames from
-// fuzzed primitives and asserts decode returns a deeply equal frame and
+// FuzzFrameRoundTrip builds event, snapshot and seal frames from fuzzed
+// primitives and asserts decode returns a deeply equal frame and
 // encode→decode→encode is byte-stable. Each frame rides behind a fuzzed
-// predecessor through the same encoder and decoder, so its sequence and
-// time deltas start from a non-zero base; with burst set the two go
+// predecessor event through the same encoder and decoder, so its sequence
+// and time deltas start from a non-zero base; with burst set the two go
 // through one append/flush, where they form a run when the frame is the
-// predecessor's retract successor.
+// predecessor's event successor.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(443), uint8(0), 42, 7, uint64(13), uint8(0), int64(1166263100), uint64(12), false)
 	f.Add(uint8(1), int64(1166266800), uint32(0x807D0200), uint8(17), uint16(53), uint8(2), 3, 1, uint64(14), uint8(0), int64(1166266800), uint64(13), false)
@@ -630,9 +627,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(4), int64(0), uint32(1), uint8(6), uint16(22), uint8(1), 0, 0, uint64(1), uint8(2), int64(-1), uint64(math.MaxUint64), false)
 	f.Add(uint8(2), int64(math.MinInt64), uint32(9), uint8(1), uint16(0), uint8(0), 1<<40, -1<<40, uint64(1<<63), uint8(0), int64(math.MaxInt64), uint64(1<<63+1), true)
 	f.Add(uint8(1), int64(1166263200), uint32(0x807D0107), uint8(6), uint16(80), uint8(3), 0, 0, uint64(20), uint8(0), int64(1166263199), uint64(19), false)
-	// A run: a retract whose Seq follows its predecessor's, in the same epoch
+	// A run: an event whose Seq follows its predecessor's, in the same epoch
 	// (the frame's epoch is seq^ns, the predecessor's prevSeq).
-	f.Add(uint8(0), int64(1), uint32(0x807D0107), uint8(6), uint16(22), uint8(1), 0, 0, uint64(13), uint8(2), int64(1166263199), uint64(12), true)
+	f.Add(uint8(0), int64(1), uint32(0x807D0107), uint8(6), uint16(22), uint8(1), 0, 0, uint64(13), uint8(0), int64(1166263199), uint64(12), true)
 	f.Fuzz(func(t *testing.T, kind uint8, ns int64, addr uint32, proto uint8, port uint16,
 		prov uint8, n1, n2 int, seq uint64, shape uint8, prevNs int64, prevSeq uint64, burst bool) {
 		// Enums are clamped into their valid domain — the codec's contract
@@ -644,7 +641,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		p := core.Provenance(prov % 4)
 		key := testKey(addr, proto, port)
 		fr := Frame{V: WireVersion, Site: SiteID("fuzz"), Epoch: seq ^ uint64(ns), Seq: seq}
-		switch shape % 4 {
+		switch shape % 3 {
 		case 0:
 			fr.Type = FrameEvent
 			ev := core.Event{Kind: k, Time: at}
@@ -661,7 +658,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				ev.Truncated = n2%2 == 0
 			}
 			fr.Event = &ev
-		case 1, 3:
+		default:
 			fr.Type = FrameSnapshot
 			fr.Snapshot = &Snapshot{
 				Services: []SnapshotService{
@@ -673,15 +670,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				Retractions: []Retraction{{Key: key, At: at, Prov: p}},
 				Packets:     n2,
 			}
-			if shape%4 == 3 {
-				fr.Type, fr.Snapshot.Retractions = FrameSeal, nil
+			if shape%3 == 2 {
+				fr.Type = FrameSeal
 			}
-		case 2:
-			fr.Type = FrameRetract
-			fr.Retract = &Retraction{Key: key, At: at, Prov: p}
 		}
-		prev := Frame{V: WireVersion, Type: FrameRetract, Site: fr.Site, Epoch: prevSeq, Seq: prevSeq,
-			Retract: &Retraction{Key: key, At: prevAt, Prov: p}}
+		prev := Frame{V: WireVersion, Type: FrameEvent, Site: fr.Site, Epoch: prevSeq, Seq: prevSeq,
+			Event: &core.Event{Kind: core.EventServiceDiscovered, Time: prevAt, Key: key, Provenance: p}}
 
 		encode := encodeFrames
 		if burst {

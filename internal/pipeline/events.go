@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -152,7 +153,7 @@ func (s *Sub[T]) Cancel() {
 	}
 	for i, x := range h.subs {
 		if x == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
+			h.subs = slices.Delete(h.subs, i, i+1) // zeroes the vacated tail slot, which would pin the channel
 			close(s.ch)
 			close(s.done)
 			return
