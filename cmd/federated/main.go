@@ -99,7 +99,7 @@ func main() {
 	flag.BoolVar(&o.logEvents, "log", true, "log global discoveries and scanner detections")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "durable aggregator-state directory (restore on start, write periodically and on shutdown)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 30*time.Second, "aggregator-state write interval (requires -checkpoint-dir)")
-	flag.DurationVar(&o.tombGC, "tombstone-gc", 0, "drop retraction tombstones older than this (wall clock); 0 keeps them forever, which is always safe")
+	flag.DurationVar(&o.tombGC, "tombstone-gc", 0, "drop retraction tombstones older than this on the observation clock (behind the newest site watermark), checked at this wall-clock period; 0 keeps them forever, which is always safe")
 	flag.Parse()
 
 	if len(o.feeds) == 0 {
@@ -242,7 +242,10 @@ func run(o options) error {
 	}
 	// Tombstone GC: retractions must outlive any stale snapshot a site
 	// might replay (see Aggregator.CollapseTombstones), so the horizon is
-	// an operator call — typically hours to days.
+	// an operator call — typically hours to days. Retraction deadlines are
+	// on the observation clock, so the horizon is measured back from the
+	// newest site watermark, never from wall time: a replayed trace's
+	// deadlines may lie years in the past.
 	var gcTick <-chan time.Time
 	if o.tombGC > 0 {
 		t := time.NewTicker(o.tombGC)
@@ -252,7 +255,7 @@ func run(o options) error {
 	for {
 		select {
 		case <-gcTick:
-			if n := agg.CollapseTombstones(time.Now().Add(-o.tombGC)); n > 0 {
+			if n := agg.CollapseTombstones(o.tombGC); n > 0 {
 				fmt.Printf("tombstone gc: collapsed %d retracted cells older than %s\n", n, o.tombGC)
 			}
 		case <-sigCtx.Done():

@@ -85,7 +85,6 @@ type options struct {
 	haltAfter   int
 	retTTL      time.Duration
 	retActive   time.Duration
-	retSweep    time.Duration
 }
 
 func main() {
@@ -107,7 +106,6 @@ func main() {
 	flag.IntVar(&o.haltAfter, "halt-after", 0, "stop the replay once at least N packets of this run are ingested, checkpoint, and exit — simulates a mid-trace kill for restart testing")
 	flag.DurationVar(&o.retTTL, "retention-ttl", 0, "expire a passively-discovered service this long after its last observed flow, on the trace clock (0 = keep forever)")
 	flag.DurationVar(&o.retActive, "retention-active-ttl", 0, "expire active (probe) evidence this long after the last successful probe (0 = same as -retention-ttl)")
-	flag.DurationVar(&o.retSweep, "retention-sweep", 0, "background expiry sweep interval; snapshots already expire lazily, this bounds staleness between them (0 = lazy only)")
 	flag.Parse()
 
 	if o.tracePath == "" {
@@ -155,7 +153,6 @@ func run(o options) error {
 		cfg.Retention = servdisc.RetentionPolicy{
 			PassiveTTL: o.retTTL,
 			ActiveTTL:  active,
-			SweepEvery: o.retSweep,
 		}
 	}
 	pl, err := servdisc.NewPipeline(cfg)

@@ -9,10 +9,11 @@
 //
 //   - NewPipeline assembles the batched, sharded passive-monitoring
 //     pipeline (link assigner → per-link taps → sharded discoverer).
-//   - NewHybrid attaches the concurrent, rate-limited active-scan
-//     scheduler to the same engine; passive batches and scan reports
-//     reconcile into one inventory with per-service provenance
-//     (passive-first vs active-first — the paper's comparison axis).
+//   - NewHybrid is the same pipeline with the concurrent, rate-limited
+//     active-scan scheduler attached (Pipeline.Scan, RunScans); passive
+//     batches and scan reports reconcile into one engine's inventory with
+//     per-service provenance (passive-first vs active-first — the paper's
+//     comparison axis), each report applied on the goroutine delivering it.
 //   - Discover replays a pcap trace through the passive pipeline.
 //
 // The engine is continuously queryable while it ingests: Snapshot freezes
@@ -26,7 +27,7 @@
 // batch-ingest contract, internal/capture the taps and link monitor,
 // internal/probe the scan backends, the sequential sim-time sweeper and
 // the concurrent wall-clock Scheduler, and internal/core the discoverers
-// (passive, active, and the Hybrid reconciler) plus the analysis.
+// (passive and active, joined in one sharded engine) plus the analysis.
 // internal/federate layers multi-campus federation on top: N engines
 // publish their site-tagged event streams over a versioned wire format
 // (passived -publish), and an aggregating daemon (cmd/federated)

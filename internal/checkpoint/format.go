@@ -47,7 +47,7 @@ const ManifestName = "manifest.json"
 const chunkMagic = "servdisc-checkpoint-chunk"
 
 // Engine is the slice of a discovery engine the checkpoint subsystem
-// needs. core.ShardedPassive and core.Hybrid both satisfy it.
+// needs. core.ShardedPassive, hybrid (core.NewHybrid) or not, satisfies it.
 type Engine interface {
 	ExportDelta(cur *core.CheckpointCursor) (*core.EngineDelta, core.CheckpointCursor)
 	ImportDelta(ed *core.EngineDelta) error

@@ -37,9 +37,9 @@ type AddrScanOutcome struct {
 // Ingestion is order-independent: feeding the same set of reports in any
 // order yields identical state (first-open times keep the earliest
 // observation, sweep metadata and outcome histories are kept sorted).
-// That property is what lets Hybrid reconcile concurrently-arriving scan
-// reports deterministically. AddReport itself is single-writer; wrap with
-// Hybrid (or external locking) for concurrent producers.
+// That property is what lets the hybrid engine (NewHybrid) reconcile
+// concurrently-arriving scan reports deterministically. AddReport itself is
+// single-writer; the engine serializes its callers (or lock externally).
 type ActiveDiscoverer struct {
 	ports []uint16
 
@@ -67,7 +67,7 @@ type ActiveDiscoverer struct {
 	// onDiscovered, when set, fires the first time a service answers a
 	// probe, from the goroutine applying the report. onOpenEarlier fires
 	// when an out-of-order report moves a known service's first-open time
-	// earlier. Hybrid wires both into the engine's event stream.
+	// earlier. NewHybrid wires both into the engine's event stream.
 	onDiscovered  func(key ServiceKey, t time.Time)
 	onOpenEarlier func(key ServiceKey, t time.Time)
 }
@@ -270,7 +270,7 @@ func betterUDP(a, b probe.UDPState) bool {
 }
 
 // blank reports whether the view holds nothing at all: the active side
-// of a Hybrid that has taken no report and no restore.
+// of a hybrid engine that has taken no report and no restore.
 func (d *ActiveDiscoverer) blank() bool {
 	return len(d.scans) == 0 && d.respondedEver.Len() == 0 && d.probes.base.Len() == 0 &&
 		d.tombs.base.Len() == 0 && d.perAddr.base.Len() == 0 && d.udp.base.Len() == 0

@@ -161,8 +161,8 @@ func (e Event) String() string {
 // drop count, Cancel unsubscribes).
 type EventSub = pipeline.Sub[Event]
 
-// eventStream is the engine's typed event stream: the hub every shard, the
-// report reconciler and the snapshot path publish into. It holds no
+// eventStream is the engine's typed event stream: the hub every shard, each
+// report's caller and the snapshot path publish into. It holds no
 // per-service state. The cross-technique join — first evidence for a key
 // becomes ServiceDiscovered, the other technique's later evidence becomes
 // ProvenanceUpgraded — is decided and published under the lock of the shard

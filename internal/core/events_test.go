@@ -97,17 +97,19 @@ func TestEventsExactlyOncePerService(t *testing.T) {
 	h.Run(context.Background())
 
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() { // single passive producer
 		defer wg.Done()
 		feedBatches(h, pkts, stats.NewRNG(1).Derive("batching"))
 	}()
-	go func() { // concurrent report producer
-		defer wg.Done()
-		for _, rep := range reps {
-			h.AddReport(rep)
-		}
-	}()
+	for half := range 2 { // two concurrent report producers: each applies on its own goroutine
+		go func() {
+			defer wg.Done()
+			for _, rep := range reps[half*len(reps)/2 : (half+1)*len(reps)/2] {
+				h.AddReport(rep)
+			}
+		}()
+	}
 	wg.Wait()
 	h.Close()
 	if sub.Dropped() != 0 {
@@ -407,7 +409,7 @@ func TestEventJoinTableCorners(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(c.want) {
 				t.Fatalf("events:\n got %q\nwant %q", got, c.want)
 			}
-			if n := joinEntries(r.h.passive); c.name == "expiry of one technique, then the other, then rediscovery" && n != 1 {
+			if n := joinEntries(r.h); c.name == "expiry of one technique, then the other, then rediscovery" && n != 1 {
 				t.Errorf("join holds %d entries after full expiry and one rediscovery, want 1", n)
 			}
 		})

@@ -383,7 +383,7 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 		ports = append(ports, p)
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	return EngineConfig{Campus: s.campus.String(), UDPPorts: ports, Shards: len(s.shards), Hybrid: s.overlay != nil}
+	return EngineConfig{Campus: s.campus.String(), UDPPorts: ports, Shards: len(s.shards), Hybrid: s.active != nil}
 }
 
 // ExportDelta captures the engine's state changed since cur (all of it when
@@ -482,7 +482,7 @@ func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	if err := s.checkFresh(); err != nil {
 		return err
 	}
-	if ed.Active != nil && s.overlay == nil {
+	if ed.Active != nil && s.active == nil {
 		return fmt.Errorf("core: delta carries active-scan state; import it into a Hybrid engine")
 	}
 	for i := range ed.Services {
@@ -492,7 +492,7 @@ func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	}
 	s.importPassive(ed)
 	if ed.Active != nil {
-		s.overlay.importActiveState(ed.Active)
+		s.importActiveState(ed.Active)
 	}
 	return nil
 }
@@ -549,16 +549,6 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	s.snap.invalidate()
 }
 
-// CheckpointConfig, ExportDelta and ImportDelta are the passive engine's:
-// it knows it carries an active side (see ShardedPassive.ExportDelta).
-func (h *Hybrid) CheckpointConfig() EngineConfig { return h.passive.CheckpointConfig() }
-
-func (h *Hybrid) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	return h.passive.ExportDelta(cur)
-}
-
-func (h *Hybrid) ImportDelta(ed *EngineDelta) error { return h.passive.ImportDelta(ed) }
-
 // exportActiveState copies a frozen active view into wire form, every
 // list in key order as the view's trees hold it. Slices alias the view's
 // storage, which never changes (outcome histories are copied by their
@@ -593,12 +583,12 @@ func exportActiveState(d *ActiveDiscoverer) *ActiveState {
 // carries the complete state), the shards' live-probe-answer tables with it.
 // The lists land in the write layers: a key listed twice keeps its last
 // listing, and a UDP port listed twice its most definitive outcome.
-func (h *Hybrid) importActiveState(as *ActiveState) {
-	h.amu.Lock()
-	defer h.amu.Unlock()
-	h.active.probes.each(answered, func(k ServiceKey, _ probeTimes) { h.passive.owner(k).activeWithdrawn(k) })
+func (s *ShardedPassive) importActiveState(as *ActiveState) {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	s.active.probes.each(answered, func(k ServiceKey, _ probeTimes) { s.owner(k).activeWithdrawn(k) })
 	a := NewActiveDiscoverer(as.Ports)
-	a.onDiscovered, a.onOpenEarlier = h.active.onDiscovered, h.active.onOpenEarlier
+	a.onDiscovered, a.onOpenEarlier = s.active.onDiscovered, s.active.onOpenEarlier
 	a.scans = append([]ScanMeta(nil), as.Scans...)
 	for _, svc := range as.Services {
 		last := svc.Last
@@ -606,7 +596,7 @@ func (h *Hybrid) importActiveState(as *ActiveState) {
 			last = svc.At
 		}
 		a.probes.put(svc.Key, probeTimes{first: toInstant(svc.At), last: toInstant(last), ok: true})
-		h.passive.owner(svc.Key).seedActive(svc.Key, svc.At)
+		s.owner(svc.Key).seedActive(svc.Key, svc.At)
 	}
 	for _, tb := range as.Tombs {
 		a.tombs.put(tb.Key, tb.At)
@@ -622,6 +612,6 @@ func (h *Hybrid) importActiveState(as *ActiveState) {
 		}
 		a.udp.put(au.Addr, ports)
 	}
-	h.active = a
-	h.seenReports.Store(true)
+	s.active = a
+	s.seenReports.Store(true)
 }

@@ -272,8 +272,8 @@ func TestPassiveOnlyInventoryProvenance(t *testing.T) {
 }
 
 // TestActiveDiscovererOrderIndependent feeds the same reports forward and
-// reversed and requires identical state — the property Hybrid's report
-// reconciler rests on.
+// reversed and requires identical state — the property the hybrid engine's
+// concurrent report callers rest on.
 func TestActiveDiscovererOrderIndependent(t *testing.T) {
 	reps := genReports(5)
 	fwd := NewActiveDiscoverer([]uint16{80})
@@ -355,6 +355,49 @@ func TestHybridLifecycle(t *testing.T) {
 	if got := len(h.Snapshot().Scans()); got != 1 {
 		t.Fatalf("post-Close report ingested: %d sweeps", got)
 	}
+}
+
+// TestReportAppliedOnReturn: a report applies on its caller's goroutine, so
+// on a running engine the first Snapshot after AddReport returns lists the
+// report's services and ScanCompleted is already published, with no Flush
+// between them. A report after the Run context is cancelled, or after Close,
+// is dropped: it changes neither the inventory nor the event count.
+func TestReportAppliedOnReturn(t *testing.T) {
+	reps := genReports(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := NewHybrid(campusPfx, []uint16{53}, 2, []uint16{21, 22, 80, 443, 3306})
+	sweeps := h.SubscribeFiltered(len(reps), func(ev Event) bool { return ev.Kind == EventScanCompleted })
+	h.Run(ctx)
+	h.HandleBatch(genTrace(3, 2000))
+	h.AddReport(reps[0])
+	inv := h.Snapshot()
+	want := NewActiveDiscoverer(nil)
+	want.AddReport(reps[0])
+	for k, at := range want.Services() {
+		if got, ok := inv.ActiveFirstOpen(k); !ok || !got.Equal(at) {
+			t.Fatalf("snapshot after AddReport: %v first open %v/%v, want %v", k, got, ok, at)
+		}
+	}
+	if len(want.Services()) == 0 || len(inv.Scans()) != 1 {
+		t.Fatalf("snapshot after AddReport: %d sweeps, report opens %d services", len(inv.Scans()), len(want.Services()))
+	}
+	if len(sweeps.Events()) != 1 {
+		t.Fatalf("%d ScanCompleted published when AddReport returned, want 1", len(sweeps.Events()))
+	}
+
+	dump, events := inv.Dump(), h.EventCounters().In()
+	dropped := func(when string, rep *probe.ScanReport) {
+		t.Helper()
+		h.AddReport(rep)
+		if !bytes.Equal(h.Snapshot().Dump(), dump) || h.EventCounters().In() != events {
+			t.Fatalf("a report %s moved the engine", when)
+		}
+	}
+	cancel()
+	dropped("after the Run context was cancelled", reps[1])
+	h.Close()
+	dropped("after Close", reps[2])
 }
 
 // TestHybridImportInvalidatesSnapshot: a restore writes the shards without

@@ -2,7 +2,7 @@ package core
 
 // The cross-technique event join, tested against whole engines: the join is
 // the owning shard's records plus its live-probe-answer table (events.go),
-// written by shard workers and the report reconciler under one lock per
+// written by shard workers and each report's caller under one lock per
 // shard. These are the properties that lock exists for, at shards 1/2/8,
 // inline and running, with reports racing packets.
 
@@ -204,7 +204,7 @@ func TestJoinOneDiscoveryOneUpgrade(t *testing.T) {
 				t.Fatalf("%s: degenerate campaign, no service found by both techniques", c.name)
 			}
 			t.Logf("%s: %d services, %d upgrades, %d overtaken by a later report", c.name, inv.Len(), upgrades, late)
-			if got, want := joinEntries(h.passive), len(h.active.Services()); got != want {
+			if got, want := joinEntries(h), len(h.active.Services()); got != want {
 				t.Errorf("%s: join holds %d entries, %d keys have a live probe answer", c.name, got, want)
 			}
 		}
@@ -292,7 +292,7 @@ func TestJoinUnderExpiryAnnouncesEveryArrival(t *testing.T) {
 				t.Fatalf("%v is in the inventory and in no event", key)
 			}
 		}
-		if got, want := joinEntries(h.passive), len(h.active.Services()); got != want {
+		if got, want := joinEntries(h), len(h.active.Services()); got != want {
 			t.Errorf("join holds %d entries, %d keys have a live probe answer", got, want)
 		}
 	})
@@ -384,30 +384,18 @@ func firstDiff(want, got []string) string {
 	return "none"
 }
 
-// betweenFreezeAndPublication is an engine's active side with a hook run in
-// the one window advance leaves open: after the shards froze, before the
-// expiries the freeze surfaced are published.
-type betweenFreezeAndPublication struct {
-	activeSide
-	hook func()
-}
-
-func (b betweenFreezeAndPublication) freezeActive(wm time.Time) ([]expiredSvc, *ActiveDiscoverer, []TreeEntry[ServiceKey, probeTimes]) {
-	b.hook()
-	return b.activeSide.freezeActive(wm)
-}
-
 // TestRediscoveryBetweenFreezeAndExpiryPublication: a record the freeze
 // expired is gone from its shard at once, but its expiry notice is
 // published later, by advance. A packet applied in that window re-creates
 // the record, and must be announced — with the join's passive half kept in
 // a table cleared only at publication, the rediscovery found the stale
 // entry and stayed silent, leaving a service that is in every later
-// inventory and in no event. advance freezes its overlay's active side
-// exactly in the window, which is where this test re-observes the service.
+// inventory and in no event. advance freezes its active side exactly in the
+// window, and its beforeFreezeActive seam is where this test re-observes the
+// service.
 func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
-	s := NewHybrid(campusPfx, nil, 1, nil).passive
+	s := NewHybrid(campusPfx, nil, 1, nil)
 	s.SetRetention(RetentionPolicy{PassiveTTL: time.Hour})
 	sub := s.SubscribeFiltered(16, func(ev Event) bool { return ev.Key == key })
 	s.Run(context.Background())
@@ -415,13 +403,12 @@ func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	s.HandleBatch([]packet.Packet{*synAck(t0, srv, 80, cli)})
 	s.Snapshot()
 	s.HandleBatch([]packet.Packet{*synAck(t0.Add(2*time.Hour), srv2, 80, cli)}) // watermark past key's deadline
-	real := s.overlay
-	s.overlay = betweenFreezeAndPublication{real, func() {
+	s.beforeFreezeActive = func() {
 		s.HandleBatch([]packet.Packet{*synAck(t0.Add(3*time.Hour), srv, 80, cli2)})
 		s.Flush()
-	}}
+	}
 	s.Snapshot()
-	s.overlay = real
+	s.beforeFreezeActive = nil
 	inv := s.Snapshot()
 	s.Close()
 

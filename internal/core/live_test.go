@@ -266,10 +266,9 @@ func TestHybridLiveSnapshotMatchesFrozen(t *testing.T) {
 					nb++
 				}
 				if (nb+nr)%50 == 7 {
-					// Reports are applied by the reconciler goroutine:
-					// wait for it so the reference point is well-defined,
-					// but leave the batch queues un-flushed.
-					h.inflight.Wait()
+					// A report has applied when AddReport returns, so the
+					// reference point is well-defined with the batch queues
+					// un-flushed.
 					if got := h.Snapshot().Dump(); !bytes.Equal(refDump(nb, nr), got) {
 						t.Fatalf("live hybrid snapshot at (%d batches, %d reports) differs", nb, nr)
 					}

@@ -42,11 +42,6 @@ type RetentionPolicy struct {
 	// ActiveTTL expires a probe-discovered record once it has not answered
 	// a probe for this long (measured against the passive watermark).
 	ActiveTTL time.Duration
-	// SweepEvery, when set, makes the facade pipeline take a background
-	// snapshot at this wall-clock period so expiries surface (and publish
-	// their events) even when nobody is reading. Purely a trigger cadence:
-	// expiry *decisions* stay on the observation clock.
-	SweepEvery time.Duration
 }
 
 // Enabled reports whether any expiry mechanism is on.

@@ -58,7 +58,8 @@ type EngineMetrics struct {
 // sub-batches inline on the caller's goroutine (deterministic, zero
 // goroutines); after Run(ctx), sub-batches go to per-shard queues drained
 // by worker goroutines that own their shard exclusively. Flush waits for
-// the queues to drain; Close shuts the workers down.
+// the queues to drain; Close shuts the workers down. A scan report (under
+// NewHybrid, see hybrid.go) applies on its caller's goroutine either way.
 //
 // Snapshot is non-terminal and safe to call at any point, including while
 // workers are ingesting: it freezes a consistent point-in-time Inventory
@@ -98,13 +99,28 @@ type ShardedPassive struct {
 	// OnSnapshot). Guarded by snapMu.
 	onSnap func(prev, inv *Inventory, delta SnapshotDelta)
 
-	// overlay is the active side a Hybrid lays over the snapshot chain: set
-	// once by NewHybrid before anything runs, nil on a passive-only engine,
-	// whose inventories then carry no provenance beyond PassiveOnly.
-	overlay activeSide
+	// active is the engine's active side (hybrid.go): set once by NewHybrid
+	// before anything runs, nil on a passive-only engine, whose inventories
+	// then carry no provenance beyond PassiveOnly. amu guards it: reports
+	// write under it, snapshots expire and flush under it (freezeActive), a
+	// checkpoint import replaces it under it. amu is taken before any shard's
+	// mu. activeTTL, when positive, expires active-side records whose last
+	// probe answer is older than the TTL at the passive observation watermark
+	// (see RetentionPolicy); guarded by amu. seenReports flips once any report
+	// is accepted, so consumers can tell a hybrid run from a passive-only one
+	// without locking.
+	amu         sync.Mutex
+	active      *ActiveDiscoverer
+	activeTTL   time.Duration
+	seenReports atomic.Bool
+
+	// beforeFreezeActive, when set, runs in the window advance leaves open
+	// between the shard freeze and the publication of its expiries (a test
+	// seam).
+	beforeFreezeActive func()
 
 	// dispatched counts what moved the engine: batch dispatches that reached
-	// any shard, and reports the overlay applied (its owner bumps it). The
+	// any shard, and reports applied to the active side. The
 	// cached Inventory remembers the count it froze at; while that is
 	// unchanged, Snapshot returns the cache without touching the shards at
 	// all — the zero-churn fast path. batches counts the dispatches alone,
@@ -195,9 +211,9 @@ func (c *snapCache) invalidate() {
 type passiveShard struct {
 	// mu is held across every write to the discoverer's stores and to
 	// activeFirst — apply, a freeze, the install after a merge, checkpoint
-	// import and the report reconciler's join calls — and across the
-	// ServiceDiscovered or ProvenanceUpgraded each of them publishes. The
-	// owner reads the stores without it; the reconciler reads under it.
+	// import and a report's join calls — and across the ServiceDiscovered or
+	// ProvenanceUpgraded each of them publishes. The owner reads the stores
+	// without it; a report's caller reads under it.
 	mu   sync.Mutex
 	disc *PassiveDiscoverer
 	// activeFirst holds the first-open time of every key of this shard with
@@ -238,17 +254,6 @@ type shardMsg struct {
 	at    func()
 }
 
-// activeSide is what a Hybrid lays over the snapshot chain, as the chain
-// calls it: advance has it expire what is due at a freeze's watermark and
-// flush into its frozen view, and checkpoint import replaces it wholesale.
-// *Hybrid is the implementation; it is an interface so that a test can stand
-// between a freeze and the publication of its expiries, which is where
-// freezeActive runs.
-type activeSide interface {
-	freezeActive(wm time.Time) ([]expiredSvc, *ActiveDiscoverer, []TreeEntry[ServiceKey, probeTimes])
-	importActiveState(as *ActiveState)
-}
-
 // NewShardedPassive builds a discoverer sharded n ways (n < 1 is treated
 // as 1). campus and udpPorts are as in NewPassiveDiscoverer.
 func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *ShardedPassive {
@@ -274,7 +279,9 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 
 // SetRetention configures TTL expiry, seeding deadlines for anything the
 // shards already hold (so it composes with checkpoint restore in either
-// order). Call before Run and before ingest begins.
+// order). The active side expires against the passive observation
+// watermark, so active retention needs passive traffic to advance the
+// clock. Call before Run and before ingest begins.
 func (s *ShardedPassive) SetRetention(p RetentionPolicy) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
@@ -283,6 +290,9 @@ func (s *ShardedPassive) SetRetention(p RetentionPolicy) {
 	for _, sh := range s.shards {
 		sh.disc.setRetention(p.PassiveTTL)
 	}
+	s.amu.Lock()
+	s.activeTTL = p.ActiveTTL
+	s.amu.Unlock()
 }
 
 // NumShards returns the shard count.
@@ -738,7 +748,7 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 
 // advance moves the snapshot chain to a new consistent point: it is the one
 // place shards are frozen and merged. It freezes every shard, then the
-// overlay's active side after expiring it at the same watermark, publishes
+// active side, if any, after expiring it at the same watermark, publishes
 // both sides' expiries in one deterministic (time, key) order, patches the
 // previous inventory's store forward (mergeViews), and caches the new
 // inventory under the dispatch count it froze at. prev is the chain's
@@ -757,8 +767,11 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 	var exp []expiredSvc
 	var active *ActiveDiscoverer
 	var probed []TreeEntry[ServiceKey, probeTimes]
-	if s.overlay != nil {
-		exp, active, probed = s.overlay.freezeActive(wm)
+	if s.beforeFreezeActive != nil {
+		s.beforeFreezeActive()
+	}
+	if s.active != nil {
+		exp, active, probed = s.freezeActive(wm)
 	}
 	for i := range deltas {
 		exp = append(exp, deltas[i].expired...)
@@ -788,8 +801,8 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 }
 
 // Snapshot freezes a consistent point-in-time Inventory. It is
-// non-terminal and cheap to repeat: with nothing dispatched (and, under a
-// Hybrid, no report applied) since the previous snapshot the cached
+// non-terminal and cheap to repeat: with nothing dispatched and no report
+// applied since the previous snapshot the cached
 // Inventory is returned outright (no shard traffic, no allocation);
 // otherwise every shard seals only the records touched since its last
 // freeze, and the merged inventory is patched forward from the previous

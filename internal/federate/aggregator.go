@@ -636,14 +636,11 @@ func (a *Aggregator) SiteCursor(site SiteID) (epoch, seq uint64, ok bool) {
 // maximum watermark minus the site's own — how far that feed's view of
 // the world lags the freshest evidence in the federation (the paper's
 // latency-to-discovery axis, measured continuously). Sites that have not
-// yet reported a timestamped frame are skipped. Sorted by site.
+// yet reported a timestamped frame are skipped.
 func (a *Aggregator) Staleness() map[SiteID]time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var global time.Time
-	for _, st := range a.sites {
-		global = maxTime(global, st.watermark)
-	}
+	global := a.globalWatermarkLocked()
 	out := make(map[SiteID]time.Duration, len(a.sites))
 	for id, st := range a.sites {
 		if st.watermark.IsZero() {
@@ -682,16 +679,28 @@ func (a *Aggregator) perSiteServiceCounts() map[SiteID]int {
 	return perSite
 }
 
-// CollapseTombstones drops retraction bookkeeping older than the given
-// time: cells with no live evidence whose retraction deadlines all fall
-// before olderThan are deleted (and emptied services removed), returning
-// how many cells were collapsed. After a cell is collapsed, a replayed
-// pre-expiry frame would merge as a fresh discovery again — run this only
-// with an olderThan horizon no publisher still replays across (the
+// globalWatermarkLocked is the newest observation timestamp any site has
+// reported: the federation's observation clock. Caller holds a.mu.
+func (a *Aggregator) globalWatermarkLocked() time.Time {
+	var global time.Time
+	for _, st := range a.sites {
+		global = maxTime(global, st.watermark)
+	}
+	return global
+}
+
+// CollapseTombstones drops retraction bookkeeping older than horizon on the
+// observation clock — the global watermark, where retraction deadlines
+// live: cells with no live evidence whose retraction deadlines all fall
+// more than horizon before it are deleted (and emptied services removed),
+// returning how many cells were collapsed. After a cell is collapsed, a
+// replayed pre-expiry frame would merge as a fresh discovery again — run
+// this only with a horizon no publisher still replays across (the
 // federated daemon's -tombstone-gc flag; zero keeps tombstones forever).
-func (a *Aggregator) CollapseTombstones(olderThan time.Time) int {
+func (a *Aggregator) CollapseTombstones(horizon time.Duration) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	olderThan := a.globalWatermarkLocked().Add(-horizon)
 	a.flushLocked()
 	collapsed := func(c siteCell) bool {
 		return !c.live() && c.retractedPassiveAt.Before(olderThan) && c.retractedActiveAt.Before(olderThan)

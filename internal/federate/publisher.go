@@ -28,8 +28,8 @@ type PublisherMetrics struct {
 // Engine is the slice of a discovery engine the publisher needs: a
 // non-terminal frozen snapshot, a bounded subscription to the typed event
 // stream, and the snapshot observer slot (the publisher takes it; see
-// observe). core.ShardedPassive, core.Hybrid and the servdisc facade
-// Pipeline all satisfy it.
+// observe). core.ShardedPassive (hybrid or not) and the servdisc facade
+// Pipeline both satisfy it.
 type Engine interface {
 	Snapshot() *core.Inventory
 	Subscribe(buf int) *core.EventSub

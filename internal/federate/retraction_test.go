@@ -7,6 +7,7 @@ package federate
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -289,5 +290,46 @@ func TestRediscoveryRacesRetraction(t *testing.T) {
 	}
 	if !bytes.Equal(sigs[0], sigs[1]) {
 		t.Errorf("aggregator state depends on the order:\n rediscovery first: %s\n     expiry first: %s", sigs[0], sigs[1])
+	}
+}
+
+// TestCollapseTombstonesObservationClock: retraction deadlines are on the
+// observation clock, which on a replayed trace lies years behind wall time,
+// so the GC horizon is measured back from the newest site watermark. A
+// tombstone younger than the horizon survives, an older one collapses, and
+// the aggregator's state loses exactly the older one.
+func TestCollapseTombstonesObservationClock(t *testing.T) {
+	keyC := core.ServiceKey{Addr: netaddr.MustParseV4("128.125.3.3"), Proto: packet.ProtoTCP, Port: 22}
+	agg := NewAggregator()
+	frames := []Frame{
+		{V: WireVersion, Type: FrameSnapshot, Site: "s", Epoch: 1, Seq: 1, Snapshot: &Snapshot{Services: []SnapshotService{
+			{Key: keyA, Provenance: core.PassiveOnly, PassiveAt: retBase.Add(24 * time.Hour), Flows: 1, Clients: 1},
+			{Key: keyB, Provenance: core.PassiveOnly, PassiveAt: retBase, Flows: 1, Clients: 1},
+			{Key: keyC, Provenance: core.PassiveOnly, PassiveAt: retBase.Add(10 * time.Hour), Flows: 1, Clients: 1},
+		}}},
+		{V: WireVersion, Type: FrameSeal, Site: "s", Epoch: 1, Seq: 2, Snapshot: &Snapshot{Retractions: []Retraction{
+			{Key: keyB, At: retBase.Add(time.Hour), Prov: core.PassiveOnly},
+			{Key: keyC, At: retBase.Add(20 * time.Hour), Prov: core.PassiveOnly},
+		}}},
+	}
+	for i := range frames {
+		if err := agg.Apply(&frames[i]); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	before := agg.ExportState()
+	if len(before.Services) != 3 || !hasLive(agg, keyA) || hasLive(agg, keyB) || hasLive(agg, keyC) {
+		t.Fatalf("setup: want keyA live beside two tombstones, state %+v", before.Services)
+	}
+	// The watermark is +24h: a 6h horizon reaches back to +18h, past keyB's
+	// deadline (+1h) but not keyC's (+20h).
+	if n := agg.CollapseTombstones(6 * time.Hour); n != 1 {
+		t.Fatalf("collapsed %d cells, want 1", n)
+	}
+	before.Services = slices.DeleteFunc(before.Services, func(s AggService) bool { return s.Key == keyB })
+	want, _ := json.Marshal(before)
+	got, _ := json.Marshal(agg.ExportState())
+	if !bytes.Equal(got, want) {
+		t.Errorf("state after GC:\n got %s\nwant %s", got, want)
 	}
 }

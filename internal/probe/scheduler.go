@@ -24,9 +24,9 @@ type Metrics struct {
 }
 
 // ReportSink consumes completed sweep reports — the active-side analogue
-// of pipeline.BatchSink. core.ActiveDiscoverer and core.Hybrid implement
-// it, which is how scan results flow into the discovery pipeline as a
-// first-class source alongside passive capture.
+// of pipeline.BatchSink. core.ActiveDiscoverer and the engine core.NewHybrid
+// builds implement it, which is how scan results flow into the discovery
+// pipeline as a first-class source alongside passive capture.
 type ReportSink interface {
 	AddReport(rep *ScanReport)
 }

@@ -2,8 +2,8 @@ package servdisc
 
 // This file is the public facade over the internal wiring: NewPipeline
 // assembles the standard passive-monitoring pipeline (link assigner →
-// per-link taps → sharded discoverer), NewHybrid attaches the concurrent
-// active-scan scheduler to the same engine, and Discover replays a pcap
+// per-link taps → sharded discoverer), NewHybrid is the same pipeline with
+// the concurrent active-scan scheduler required, and Discover replays a pcap
 // trace through it. cmd/ and examples/ build on these instead of
 // assembling internal packages by hand. See doc.go for the package
 // overview and DESIGN.md for the architecture.
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +71,7 @@ type (
 	// checkpoint, so a restored site resumes publishing where it left off.
 	PublisherState = federate.PublisherState
 	// RetentionPolicy configures TTL-based expiry of idle services (see
-	// Config.Retention): per-evidence-kind TTLs on the observation clock,
-	// plus the background sweep cadence.
+	// Config.Retention): per-evidence-kind TTLs on the observation clock.
 	RetentionPolicy = core.RetentionPolicy
 	// Query is a typed inventory query served by the secondary indexes
 	// (see Pipeline.Query; requires Config.QueryIndex).
@@ -228,20 +226,17 @@ type Config struct {
 	// newest packet timestamp ingested). Expired services leave Snapshot
 	// inventories, emit EventServiceExpired on the event stream, and are
 	// retracted from federation aggregators. Expiry is evaluated lazily
-	// at each Snapshot; set SweepEvery to bound staleness between
-	// explicit snapshots (Run starts the background sweep ticker).
+	// at each Snapshot, so take snapshots on the cadence expiries should
+	// surface at.
 	Retention RetentionPolicy
 }
 
 // CheckpointOptions configure the pipeline's durable-state subsystem
-// (internal/checkpoint): where checkpoints live and how the delta chain
-// is bounded.
+// (internal/checkpoint): where checkpoints live. The delta chain folds into
+// a fresh baseline after checkpoint.DefaultMaxDeltas deltas.
 type CheckpointOptions struct {
 	// Dir is the checkpoint directory (required; created if absent).
 	Dir string
-	// MaxDeltas caps the incremental chain before it is folded into a
-	// fresh baseline (checkpoint.DefaultMaxDeltas when zero).
-	MaxDeltas int
 }
 
 func (c Config) campusPrefix() (netaddr.Prefix, error) {
@@ -276,7 +271,7 @@ func (c Config) shardCount() int {
 // Snapshot the inventory.
 type Pipeline struct {
 	monitor   *capture.Monitor
-	engine    *core.Hybrid
+	engine    *core.ShardedPassive
 	sched     *probe.Scheduler // nil unless Config.Scan was set
 	scan      *ScanOptions
 	batchSize int
@@ -284,12 +279,6 @@ type Pipeline struct {
 	ckpt        *checkpoint.Writer // nil unless Config.Checkpoint was set
 	ckptDir     string
 	restoredPub *PublisherState // from the last RestoreFromCheckpoint
-
-	// retention sweep ticker (started by Run when Retention.SweepEvery is
-	// set, stopped by Close).
-	retention RetentionPolicy
-	sweepMu   sync.Mutex
-	sweepStop chan struct{}
 
 	qix *query.Catalog // nil unless Config.QueryIndex was set
 
@@ -320,8 +309,8 @@ var queryDimensions = []string{
 }
 
 // NewPipeline assembles a pipeline from the config. With cfg.Scan set, the
-// concurrent scan scheduler is attached (see Hybrid for the scan-side
-// methods); without it the pipeline is passive-only.
+// concurrent scan scheduler is attached (see Scan and RunScans); without it
+// the pipeline is passive-only.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	start := time.Now()
 	pfx, err := cfg.campusPrefix()
@@ -360,7 +349,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		engine:    engine,
 		scan:      cfg.Scan,
 		batchSize: cfg.BatchSize,
-		retention: cfg.Retention,
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -402,8 +390,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		if cfg.Checkpoint.Dir == "" {
 			return nil, fmt.Errorf("servdisc: Config.Checkpoint.Dir is required")
 		}
-		w, err := checkpoint.NewWriter(engine, cfg.Checkpoint.Dir,
-			checkpoint.Options{MaxDeltas: cfg.Checkpoint.MaxDeltas})
+		w, err := checkpoint.NewWriter(engine, cfg.Checkpoint.Dir, checkpoint.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("servdisc: checkpoint dir: %w", err)
 		}
@@ -464,58 +451,17 @@ func (p *Pipeline) HandleBatch(batch []packet.Packet) {
 // engine alongside the passive stream.
 func (p *Pipeline) AddReport(rep *ScanReport) { p.engine.AddReport(rep) }
 
-// Run starts the engine's workers (passive shard workers plus the report
-// reconciler); without it ingest runs synchronously on the producer's
-// goroutine (the deterministic mode the simulator uses — results are
-// identical either way). With Config.Retention.SweepEvery set, Run also
-// starts the background retention sweeper, which snapshots on that
-// cadence so expiry (and its events and federation retractions) happens
-// even when nobody polls Snapshot.
-func (p *Pipeline) Run(ctx context.Context) {
-	p.engine.Run(ctx)
-	p.startSweeper()
-}
-
-// startSweeper launches the retention sweep ticker once; no-op without a
-// sweep cadence or with retention disabled.
-func (p *Pipeline) startSweeper() {
-	if !p.retention.Enabled() || p.retention.SweepEvery <= 0 {
-		return
-	}
-	p.sweepMu.Lock()
-	defer p.sweepMu.Unlock()
-	if p.sweepStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	p.sweepStop = stop
-	go func() {
-		t := time.NewTicker(p.retention.SweepEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				p.Snapshot()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
+// Run starts the engine's passive shard workers; without it ingest runs
+// synchronously on the producer's goroutine (the deterministic mode the
+// simulator uses — results are identical either way). Scan reports apply
+// on the goroutine that delivers them either way.
+func (p *Pipeline) Run(ctx context.Context) { p.engine.Run(ctx) }
 
 // Flush waits until everything ingested so far has reached engine state.
 func (p *Pipeline) Flush() { p.engine.Flush() }
 
-// Close stops the retention sweeper and the engine's workers (idempotent).
-func (p *Pipeline) Close() {
-	p.sweepMu.Lock()
-	if p.sweepStop != nil {
-		close(p.sweepStop)
-		p.sweepStop = nil
-	}
-	p.sweepMu.Unlock()
-	p.engine.Close()
-}
+// Close stops the engine's workers (idempotent).
+func (p *Pipeline) Close() { p.engine.Close() }
 
 // Snapshot freezes a consistent point-in-time inventory of both techniques'
 // evidence, each service with its provenance (every service is PassiveOnly
@@ -523,7 +469,7 @@ func (p *Pipeline) Close() {
 // concurrent-safe and cheap to repeat — producers keep running, shards
 // hand over only what changed since the previous snapshot, and an
 // unchanged engine returns the previous Inventory — so a live deployment
-// can poll it at any frequency (see core.Hybrid.Snapshot for the
+// can poll it at any frequency (see core.ShardedPassive.Snapshot for the
 // consistency contract). It is also what core.Analysis reads.
 func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
 
@@ -623,7 +569,7 @@ func (p *Pipeline) QueryIndexLen() (int, bool) {
 // offered, Out = packets dispatched to shards, Dropped = packets discarded
 // after Close), safe for concurrent readers — the numbers behind a
 // metrics endpoint.
-func (p *Pipeline) IngestCounters() *StageCounters { return p.engine.Passive().Counters() }
+func (p *Pipeline) IngestCounters() *StageCounters { return p.engine.Counters() }
 
 // EventCounters exposes the event stream's flow counters (In = events
 // published, Out = per-subscriber deliveries, Dropped = per-subscriber
@@ -750,34 +696,27 @@ func (p *Pipeline) RestoredPublisherCursor() *PublisherState { return p.restored
 // Scheduler returns the attached scan scheduler, nil without Config.Scan.
 func (p *Pipeline) Scheduler() *probe.Scheduler { return p.sched }
 
-// Hybrid is a Pipeline with the active-scan side attached: the same
-// passive assembly plus a concurrent, rate-limited scan scheduler whose
-// reports reconcile into the shared engine. Construct with NewHybrid.
-type Hybrid struct {
-	*Pipeline
-}
-
-// NewHybrid assembles a hybrid discovery engine: the passive pipeline of
-// NewPipeline plus the concurrent scan scheduler, reconciled into one
+// NewHybrid assembles a hybrid discovery pipeline: NewPipeline with the
+// concurrent scan scheduler attached, its reports reconciled into one
 // inventory with per-service provenance. cfg.Scan is required.
-func NewHybrid(cfg Config) (*Hybrid, error) {
+func NewHybrid(cfg Config) (*Pipeline, error) {
 	if cfg.Scan == nil {
 		return nil, fmt.Errorf("servdisc: NewHybrid requires Config.Scan")
 	}
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Hybrid{Pipeline: p}, nil
+	return NewPipeline(cfg)
 }
 
 // Scan runs one sweep and reconciles its report into the engine. It blocks
 // until the sweep completes (or is cut short by cancellation / the
 // per-sweep deadline, returning the cause alongside the partial report).
-func (h *Hybrid) Scan(ctx context.Context) (*ScanReport, error) {
-	rep, err := h.sched.Sweep(ctx)
+// Requires Config.Scan.
+func (p *Pipeline) Scan(ctx context.Context) (*ScanReport, error) {
+	if p.sched == nil {
+		return nil, fmt.Errorf("servdisc: no Config.Scan configured")
+	}
+	rep, err := p.sched.Sweep(ctx)
 	if rep != nil {
-		h.engine.AddReport(rep)
+		p.engine.AddReport(rep)
 	}
 	return rep, err
 }
@@ -785,9 +724,12 @@ func (h *Hybrid) Scan(ctx context.Context) (*ScanReport, error) {
 // RunScans executes the configured sweep schedule (Scan.Interval between
 // starts, Scan.Sweeps total), reconciling every report into the engine.
 // It blocks until the schedule completes or ctx is cancelled; run it from
-// its own goroutine alongside live capture.
-func (h *Hybrid) RunScans(ctx context.Context) error {
-	return h.sched.Run(ctx, h.scan.Interval, h.scan.Sweeps, h.engine)
+// its own goroutine alongside live capture. Requires Config.Scan.
+func (p *Pipeline) RunScans(ctx context.Context) error {
+	if p.sched == nil {
+		return fmt.Errorf("servdisc: no Config.Scan configured")
+	}
+	return p.sched.Run(ctx, p.scan.Interval, p.scan.Sweeps, p.engine)
 }
 
 // Discover replays a pcap trace through a sharded passive discoverer and
