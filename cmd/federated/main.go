@@ -99,7 +99,7 @@ func main() {
 	flag.BoolVar(&o.logEvents, "log", true, "log global discoveries and scanner detections")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "durable aggregator-state directory (restore on start, write periodically and on shutdown)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 30*time.Second, "aggregator-state write interval (requires -checkpoint-dir)")
-	flag.DurationVar(&o.tombGC, "tombstone-gc", 0, "drop retraction tombstones older than this on the observation clock (behind the newest site watermark), checked at this wall-clock period; 0 keeps them forever, which is always safe")
+	flag.DurationVar(&o.tombGC, "tombstone-gc", 0, "drop retraction tombstones older than this on the observation clock (behind the newest site watermark), checked once a wall-clock minute; 0 keeps them forever, which is always safe")
 	flag.Parse()
 
 	if len(o.feeds) == 0 {
@@ -240,15 +240,9 @@ func run(o options) error {
 		defer t.Stop()
 		stateTick = t.C
 	}
-	// Tombstone GC: retractions must outlive any stale snapshot a site
-	// might replay (see Aggregator.CollapseTombstones), so the horizon is
-	// an operator call — typically hours to days. Retraction deadlines are
-	// on the observation clock, so the horizon is measured back from the
-	// newest site watermark, never from wall time: a replayed trace's
-	// deadlines may lie years in the past.
 	var gcTick <-chan time.Time
 	if o.tombGC > 0 {
-		t := time.NewTicker(o.tombGC)
+		t := time.NewTicker(tombGCTick)
 		defer t.Stop()
 		gcTick = t.C
 	}
@@ -273,6 +267,16 @@ func run(o options) error {
 		}
 	}
 }
+
+// tombGCTick is the wall-clock period at which -tombstone-gc drops the
+// tombstones older than its horizon. Retractions must outlive any stale
+// snapshot a site might replay (see Aggregator.CollapseTombstones), so the
+// horizon is an operator call — typically hours to days — and is on the
+// observation clock, measured back from the newest site watermark, never
+// from wall time: a replayed trace's deadlines may lie years in the past.
+// The tick is fixed and short: one as long as the horizon meant an
+// aggregator restarted more often than that never collected at all.
+const tombGCTick = time.Minute
 
 // globalSource puts the aggregator's cross-site inventory (and its index)
 // behind the shared HTTP surface.

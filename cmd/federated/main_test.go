@@ -326,3 +326,39 @@ func TestServicesETagFollowsCells(t *testing.T) {
 		t.Errorf("/services lacks west's cell: %s", body1)
 	}
 }
+
+// TestTombstoneGCWithinOneTick: -tombstone-gc checks on a fixed wall tick
+// shorter than its horizon, not once per horizon. A tombstone 100 h behind
+// the newest watermark, past a 72 h horizon, goes at the first tick; an
+// aggregator restarted more often than every 72 h used to keep it forever.
+func TestTombstoneGCWithinOneTick(t *testing.T) {
+	const horizon = 72 * time.Hour
+	if tombGCTick >= horizon {
+		t.Fatalf("tombstone GC tick %s is not shorter than the %s horizon", tombGCTick, horizon)
+	}
+	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
+	live := core.ServiceKey{Addr: netaddr.MustParseV4("128.125.1.1"), Proto: packet.ProtoTCP, Port: 80}
+	gone := core.ServiceKey{Addr: netaddr.MustParseV4("128.125.1.2"), Proto: packet.ProtoTCP, Port: 80}
+	agg := federate.NewAggregator()
+	if err := agg.Apply(&federate.Frame{V: federate.WireVersion, Type: federate.FrameSnapshot, Site: "east", Seq: 1,
+		Snapshot: &federate.Snapshot{
+			Services:    []federate.SnapshotService{{Key: live, Provenance: core.PassiveOnly, PassiveAt: base.Add(100 * time.Hour)}},
+			Retractions: []federate.Retraction{{Key: gone, At: base, Prov: core.PassiveOnly}},
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	cells := func() int {
+		n := 0
+		for _, svc := range agg.ExportState().Services {
+			n += len(svc.Sites)
+		}
+		return n
+	}
+	if n := cells(); n != 2 {
+		t.Fatalf("%d cells before the tick, want the live one and the tombstone", n)
+	}
+	agg.CollapseTombstones(horizon) // what run does at each tick
+	if n := cells(); n != 1 {
+		t.Fatalf("%d cells after one tick, want the tombstone collected", n)
+	}
+}

@@ -76,7 +76,7 @@ type ActiveDiscoverer struct {
 // (from which active retention deadlines run, last + ActiveTTL). ok tells
 // an answer stamped time.Time{} from the zero value, which retires the key.
 type probeTimes struct {
-	first, last instant
+	first, last Instant
 	ok          bool
 }
 
@@ -182,7 +182,7 @@ func (d *ActiveDiscoverer) recordOpen(addr netaddr.V4, port uint16, t time.Time)
 	key := ServiceKey{Addr: addr, Proto: packet.ProtoTCP, Port: port}
 	// Keep the earliest observation, not the first-ingested one, so that
 	// reports arriving out of sweep order converge on the same state.
-	at := toInstant(t)
+	at := ToInstant(t)
 	cur, _ := d.probes.get(key)
 	next := probeTimes{first: min(cur.first, at), last: max(cur.last, at), ok: true}
 	if !cur.ok {
@@ -282,14 +282,14 @@ func (d *ActiveDiscoverer) Scans() []ScanMeta { return d.scans }
 // FirstOpen returns when a service first answered a probe.
 func (d *ActiveDiscoverer) FirstOpen(key ServiceKey) (time.Time, bool) {
 	p, _ := d.probes.get(key)
-	return p.first.time(), p.ok
+	return p.first.Time(), p.ok
 }
 
 // Services returns the first-open inventory, in a fresh map the caller may
 // keep and modify freely.
 func (d *ActiveDiscoverer) Services() map[ServiceKey]time.Time {
 	out := make(map[ServiceKey]time.Time)
-	d.probes.each(answered, func(k ServiceKey, p probeTimes) { out[k] = p.first.time() })
+	d.probes.each(answered, func(k ServiceKey, p probeTimes) { out[k] = p.first.Time() })
 	return out
 }
 
@@ -307,8 +307,8 @@ func (d *ActiveDiscoverer) AddrFirstOpen(keep func(ServiceKey) bool) map[netaddr
 		if keep != nil && !keep(k) {
 			return
 		}
-		if cur, ok := out[k.Addr]; !ok || p.first.time().Before(cur) {
-			out[k.Addr] = p.first.time()
+		if cur, ok := out[k.Addr]; !ok || p.first.Time().Before(cur) {
+			out[k.Addr] = p.first.Time()
 		}
 	})
 	return out

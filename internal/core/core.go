@@ -73,7 +73,7 @@ type PeerContact struct {
 
 // peerContact is PeerContact as records hold it: 16 bytes, no pointers.
 type peerContact struct {
-	at   instant
+	at   Instant
 	peer netaddr.V4
 }
 
@@ -98,7 +98,7 @@ type PassiveRecord struct {
 	// first is when the first positive evidence arrived; last when the most
 	// recent did — the timestamp retention deadlines are computed from
 	// (last + TTL).
-	first, last instant
+	first, last Instant
 	// Flows counts completed connection evidence (SYN-ACKs for TCP,
 	// server-sourced datagrams for UDP) — the flow weight of Figure 1.
 	Flows int
@@ -126,10 +126,10 @@ const (
 const maxFirstPeers = 128
 
 // FirstSeen returns when the first positive evidence arrived.
-func (r *PassiveRecord) FirstSeen() time.Time { return r.first.time() }
+func (r *PassiveRecord) FirstSeen() time.Time { return r.first.Time() }
 
 // LastSeen returns when the most recent positive evidence arrived.
-func (r *PassiveRecord) LastSeen() time.Time { return r.last.time() }
+func (r *PassiveRecord) LastSeen() time.Time { return r.last.Time() }
 
 // Clients returns the number of distinct peers observed.
 func (r *PassiveRecord) Clients() int { return int(r.nClients) }
@@ -161,9 +161,9 @@ func (r *PassiveRecord) FirstPeers() []PeerContact {
 		return nil
 	}
 	out := make([]PeerContact, 1, r.nFirst())
-	out[0] = PeerContact{Peer: r.peer0, Time: r.first.time()}
+	out[0] = PeerContact{Peer: r.peer0, Time: r.first.Time()}
 	for _, pc := range r.restPeers() {
-		out = append(out, PeerContact{Peer: pc.peer, Time: pc.at.time()})
+		out = append(out, PeerContact{Peer: pc.peer, Time: pc.at.Time()})
 	}
 	return out
 }
@@ -172,11 +172,11 @@ func (r *PassiveRecord) FirstPeers() []PeerContact {
 // excluded set, and ok=false if every stored peer is excluded.
 func (r *PassiveRecord) FirstSeenExcluding(excluded map[netaddr.V4]bool) (time.Time, bool) {
 	if r.nClients > 0 && !excluded[r.peer0] {
-		return r.first.time(), true
+		return r.first.Time(), true
 	}
 	for _, pc := range r.restPeers() {
 		if !excluded[pc.peer] {
-			return pc.at.time(), true
+			return pc.at.Time(), true
 		}
 	}
 	return time.Time{}, false
@@ -185,7 +185,7 @@ func (r *PassiveRecord) FirstSeenExcluding(excluded map[netaddr.V4]bool) (time.T
 // observe folds one piece of evidence into the record. newPeer reports
 // whether the discoverer's peer-identity side table saw this peer for the
 // first time (the dedup the record itself no longer carries).
-func (r *PassiveRecord) observe(at instant, peer netaddr.V4, newPeer bool) {
+func (r *PassiveRecord) observe(at Instant, peer netaddr.V4, newPeer bool) {
 	r.Flows++
 	if at > r.last {
 		r.last = at

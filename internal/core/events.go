@@ -198,11 +198,11 @@ func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
 	// The probe answered strictly before passive evidence: active won the
 	// race (ties go passive, as in NewHybridInventory).
 	prov := PassiveFirst
-	if activeAt < toInstant(t) {
+	if activeAt < ToInstant(t) {
 		prov = ActiveFirst
 	}
 	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
-		PassiveAt: t, ActiveAt: activeAt.time()})
+		PassiveAt: t, ActiveAt: activeAt.Time()})
 }
 
 // activeDiscovered announces the first live probe answer for key
@@ -210,7 +210,7 @@ func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
 func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	at := toInstant(t)
+	at := ToInstant(t)
 	sh.activeFirst[key] = at
 	rec := sh.disc.service(key)
 	if rec == nil {
@@ -222,7 +222,7 @@ func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 		prov = PassiveFirst
 	}
 	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
-		PassiveAt: rec.first.time(), ActiveAt: t})
+		PassiveAt: rec.first.Time(), ActiveAt: t})
 }
 
 // activeOpenEarlier moves a live probe answer's time earlier when a
@@ -233,7 +233,7 @@ func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	at := toInstant(t)
+	at := ToInstant(t)
 	cur, probed := sh.activeFirst[key]
 	if probed && at < cur && sh.disc.service(key) == nil {
 		sh.activeFirst[key] = at
@@ -247,7 +247,7 @@ func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
 // seed.)
 func (sh *passiveShard) seedActive(key ServiceKey, t time.Time) {
 	sh.mu.Lock()
-	sh.activeFirst[key] = toInstant(t)
+	sh.activeFirst[key] = ToInstant(t)
 	sh.mu.Unlock()
 }
 

@@ -242,7 +242,7 @@ func (st *ServiceState) checkPeers() error {
 	if len(st.FirstPeers) != min(st.Clients, maxFirstPeers) {
 		return fmt.Errorf("core: checkpoint service %v lists %d first peers for %d clients", st.Key, len(st.FirstPeers), st.Clients)
 	}
-	if len(st.FirstPeers) > 0 && toInstant(st.FirstPeers[0].Time) != toInstant(st.FirstSeen) {
+	if len(st.FirstPeers) > 0 && ToInstant(st.FirstPeers[0].Time) != ToInstant(st.FirstSeen) {
 		return fmt.Errorf("core: checkpoint service %v: first peer contacted at %v, first seen %v", st.Key, st.FirstPeers[0].Time, st.FirstSeen)
 	}
 	if n := len(slices.Compact(slices.Sorted(slices.Values(st.Peers)))); n != st.Clients || n != len(st.Peers) {
@@ -261,8 +261,8 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		last = st.FirstSeen
 	}
 	rec := &PassiveRecord{
-		first:    toInstant(st.FirstSeen),
-		last:     toInstant(last),
+		first:    ToInstant(st.FirstSeen),
+		last:     ToInstant(last),
 		Flows:    st.Flows,
 		nClients: uint32(st.Clients), // checkPeers: it fits, and FirstPeers is as long as it says
 	}
@@ -270,7 +270,7 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		if i == 0 {
 			rec.peer0 = pc.Peer
 		} else {
-			rec.appendRest(i-1, peerContact{at: toInstant(pc.Time), peer: pc.Peer})
+			rec.appendRest(i-1, peerContact{at: ToInstant(pc.Time), peer: pc.Peer})
 		}
 	}
 	d.records.put(st.Key, rec)
@@ -424,7 +424,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 	// diff directly, in key order. Trails only append: a moved one is a
 	// longer one.
 	touched := make([]bool, len(s.shards))
-	inv.d.trails.Diff(old.trails, func(a, b []instant) bool { return len(a) == len(b) }, func(a netaddr.V4) {
+	inv.d.trails.Diff(old.trails, func(a, b []Instant) bool { return len(a) == len(b) }, func(a netaddr.V4) {
 		ed.Trails = append(ed.Trails, AddrTrail{Addr: a, Times: toTimes(inv.d.trail(a))})
 		touched[s.shardOf(a)] = true
 	})
@@ -561,7 +561,7 @@ func exportActiveState(d *ActiveDiscoverer) *ActiveState {
 		Responded: d.respondedEver.Sorted(),
 	}
 	d.probes.base.Walk(nil, func(k ServiceKey, p probeTimes) bool {
-		as.Services = append(as.Services, ActiveServiceState{Key: k, At: p.first.time(), Last: p.last.time()})
+		as.Services = append(as.Services, ActiveServiceState{Key: k, At: p.first.Time(), Last: p.last.Time()})
 		return true
 	})
 	d.tombs.base.Walk(nil, func(k ServiceKey, at time.Time) bool {
@@ -595,7 +595,7 @@ func (s *ShardedPassive) importActiveState(as *ActiveState) {
 		if last.IsZero() {
 			last = svc.At
 		}
-		a.probes.put(svc.Key, probeTimes{first: toInstant(svc.At), last: toInstant(last), ok: true})
+		a.probes.put(svc.Key, probeTimes{first: ToInstant(svc.At), last: ToInstant(last), ok: true})
 		s.owner(svc.Key).seedActive(svc.Key, svc.At)
 	}
 	for _, tb := range as.Tombs {

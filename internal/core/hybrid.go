@@ -79,7 +79,7 @@ func (s *ShardedPassive) freezeActive(wm time.Time) (exp []expiredSvc, view *Act
 	defer s.amu.Unlock()
 	if s.activeTTL > 0 && !wm.IsZero() {
 		s.active.probes.each(answered, func(k ServiceKey, p probeTimes) {
-			if deadline := p.last.time().Add(s.activeTTL); !deadline.After(wm) {
+			if deadline := p.last.Time().Add(s.activeTTL); !deadline.After(wm) {
 				exp = append(exp, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
 			}
 		})

@@ -5,28 +5,28 @@ import (
 	"time"
 )
 
-// instant is a point on the observation clock in one word: Unix
+// Instant is a point on the observation clock in one word: Unix
 // nanoseconds with the sign bit flipped, so unsigned < on instants is
 // Before on times and the zero value, below every other, is time.Time{}.
 // Resident state (records, peer history, activity trails, the shards'
-// live-probe-answer tables) stores it in place of the 24-byte,
-// pointer-carrying time.Time;
-// toInstant and time convert where a value crosses an API, a wire form or
-// a checkpoint. A non-zero time outside the representable range clamps to
-// the nearest end instead of wrapping — so a time before year 1, which no
-// clock here produces, orders after time.Time{}.
-type instant uint64
+// live-probe-answer tables, the federation aggregator's site cells) stores
+// it in place of the 24-byte, pointer-carrying time.Time; ToInstant and
+// Time convert where a value crosses an API, a wire form or a checkpoint.
+// A non-zero time outside the representable range clamps to the nearest
+// end instead of wrapping — so a time before year 1, which no clock here
+// produces, orders after time.Time{}.
+type Instant uint64
 
 const (
-	instantBias = instant(1) << 63
-	minInstant  = instant(1)              // 1677-09-21T00:12:43.145224193Z; UnixNano's first slot is zero's
-	maxInstant  = instant(math.MaxUint64) // 2262-04-11T23:47:16.854775807Z
+	instantBias = Instant(1) << 63
+	minInstant  = Instant(1)              // 1677-09-21T00:12:43.145224193Z; UnixNano's first slot is zero's
+	maxInstant  = Instant(math.MaxUint64) // 2262-04-11T23:47:16.854775807Z
 )
 
-var minInstantTime, maxInstantTime = minInstant.time(), maxInstant.time()
+var minInstantTime, maxInstantTime = minInstant.Time(), maxInstant.Time()
 
-// toInstant packs t. The location and any monotonic reading are dropped.
-func toInstant(t time.Time) instant {
+// ToInstant packs t. The location and any monotonic reading are dropped.
+func ToInstant(t time.Time) Instant {
 	switch {
 	case t.IsZero():
 		return 0
@@ -35,12 +35,12 @@ func toInstant(t time.Time) instant {
 	case !t.Before(maxInstantTime):
 		return maxInstant
 	}
-	return instant(t.UnixNano()) ^ instantBias
+	return Instant(t.UnixNano()) ^ instantBias
 }
 
-// time unpacks i, always in UTC (what trace.Reader and the federation wire
+// Time unpacks i, always in UTC (what trace.Reader and the federation wire
 // produce).
-func (i instant) time() time.Time {
+func (i Instant) Time() time.Time {
 	if i == 0 {
 		return time.Time{}
 	}
@@ -48,22 +48,22 @@ func (i instant) time() time.Time {
 }
 
 // toInstants packs a time slice into a fresh instant slice.
-func toInstants(ts []time.Time) []instant {
-	out := make([]instant, len(ts))
+func toInstants(ts []time.Time) []Instant {
+	out := make([]Instant, len(ts))
 	for i, t := range ts {
-		out[i] = toInstant(t)
+		out[i] = ToInstant(t)
 	}
 	return out
 }
 
 // toTimes renders an instant slice as a fresh time slice (nil for empty).
-func toTimes(is []instant) []time.Time {
+func toTimes(is []Instant) []time.Time {
 	if len(is) == 0 {
 		return nil
 	}
 	out := make([]time.Time, len(is))
 	for i, at := range is {
-		out[i] = at.time()
+		out[i] = at.Time()
 	}
 	return out
 }

@@ -16,7 +16,7 @@ func TestInstantConversions(t *testing.T) {
 	cases := []struct {
 		name string
 		in   time.Time
-		want time.Time // what .time() must render
+		want time.Time // what .Time() must render
 	}{
 		{"zero", time.Time{}, time.Time{}},
 		{"year one, one ns in", time.Time{}.Add(1), lo.Add(1)},
@@ -32,26 +32,26 @@ func TestInstantConversions(t *testing.T) {
 		{"one ns past the range", hi.Add(1), hi},
 		{"year 9999", time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), hi},
 	}
-	prev := instant(0)
+	prev := Instant(0)
 	for i, c := range cases {
-		at := toInstant(c.in)
-		got := at.time()
+		at := ToInstant(c.in)
+		got := at.Time()
 		if !got.Equal(c.want) {
-			t.Errorf("%s: toInstant(%v).time() = %v, want %v", c.name, c.in, got, c.want)
+			t.Errorf("%s: ToInstant(%v).Time() = %v, want %v", c.name, c.in, got, c.want)
 		}
 		if got.Location() != time.UTC {
 			t.Errorf("%s: rendered in %v, want UTC", c.name, got.Location())
 		}
 		if (at == 0) != c.in.IsZero() {
-			t.Errorf("%s: instant %d, but IsZero = %v", c.name, at, c.in.IsZero())
+			t.Errorf("%s: Instant %d, but IsZero = %v", c.name, at, c.in.IsZero())
 		}
 		// The table is in time order, so instants must never step back.
 		if i > 0 && at < prev {
-			t.Errorf("%s: instant %d orders before its predecessor's %d", c.name, at, prev)
+			t.Errorf("%s: Instant %d orders before its predecessor's %d", c.name, at, prev)
 		}
 		prev = at
 	}
-	if toInstant(time.Unix(0, 0)) <= toInstant(time.Unix(0, -1)) {
+	if ToInstant(time.Unix(0, 0)) <= ToInstant(time.Unix(0, -1)) {
 		t.Error("the Unix epoch does not order after the nanosecond before it")
 	}
 }
@@ -67,7 +67,7 @@ func FuzzInstantOrder(f *testing.F) {
 	f.Add(int64(-9223372036), int64(0), int64(9223372036), int64(999_999_999), false, false)
 	f.Add(int64(-62135596800), int64(1), int64(1<<40), int64(0), false, true)
 	inRange := func(t time.Time) bool {
-		return t.IsZero() || (!t.Before(minInstant.time()) && !t.After(maxInstant.time()))
+		return t.IsZero() || (!t.Before(minInstant.Time()) && !t.After(maxInstant.Time()))
 	}
 	f.Fuzz(func(t *testing.T, asec, ansec, bsec, bnsec int64, azero, bzero bool) {
 		mk := func(sec, nsec int64, zero bool) time.Time {
@@ -81,7 +81,7 @@ func FuzzInstantOrder(f *testing.F) {
 		if a.Before(time.Time{}) || b.Before(time.Time{}) {
 			t.Skip("before year 1: clamps up past time.Time{}, by design")
 		}
-		ia, ib := toInstant(a), toInstant(b)
+		ia, ib := ToInstant(a), ToInstant(b)
 		if inRange(a) && inRange(b) {
 			if (ia < ib) != a.Before(b) || (ia == ib) != a.Equal(b) {
 				t.Fatalf("%v vs %v: instants %d, %d disagree with Before=%v Equal=%v",
@@ -91,8 +91,8 @@ func FuzzInstantOrder(f *testing.F) {
 			t.Fatalf("%v vs %v: clamped instants %d, %d reorder them", a, b, ia, ib)
 		}
 		for _, x := range []time.Time{a, b} {
-			if inRange(x) && !toInstant(x).time().Equal(x) {
-				t.Fatalf("%v round-trips to %v", x, toInstant(x).time())
+			if inRange(x) && !ToInstant(x).Time().Equal(x) {
+				t.Fatalf("%v round-trips to %v", x, ToInstant(x).Time())
 			}
 		}
 	})

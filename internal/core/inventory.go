@@ -197,7 +197,7 @@ func (v *Inventory) EachServiceAfter(after *ServiceKey, f func(key ServiceKey, r
 		var activeAt time.Time
 		p, probed := probes.Peek()
 		if probed = probed && p.Key == key; probed {
-			activeAt = p.Val.first.time()
+			activeAt = p.Val.first.Time()
 			probes.Next()
 		}
 		prov, first := describe(rec, activeAt, rec != nil, probed)
@@ -345,7 +345,7 @@ func (v *Inventory) AddrWeights() (flows, clients map[netaddr.V4]int) {
 // ActiveDuring reports whether the address showed any passive activity
 // within [from, to] — the paper's second firewall confirmation signal.
 func (v *Inventory) ActiveDuring(addr netaddr.V4, from, to time.Time) bool {
-	trail, lo, hi := v.d.trail(addr), toInstant(from), toInstant(to)
+	trail, lo, hi := v.d.trail(addr), ToInstant(from), ToInstant(to)
 	i := sort.Search(len(trail), func(i int) bool { return trail[i] >= lo })
 	return i < len(trail) && trail[i] <= hi
 }
@@ -357,7 +357,7 @@ func (v *Inventory) LastActivity(addr netaddr.V4) (time.Time, bool) {
 	if len(trail) == 0 {
 		return time.Time{}, false
 	}
-	return trail[len(trail)-1].time(), true
+	return trail[len(trail)-1].Time(), true
 }
 
 // Dump renders the inventory into a canonical byte form: every service in

@@ -55,7 +55,7 @@ func TestShardLayersModel(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed*10 + int64(shards)))
 				recs := make(map[ServiceKey]*refRec)
-				trails := make(map[netaddr.V4][]instant)
+				trails := make(map[netaddr.V4][]Instant)
 				tombs := make(map[ServiceKey]time.Time)
 				var wm time.Time
 				now := t0
@@ -95,8 +95,8 @@ func TestShardLayersModel(t *testing.T) {
 					touched[k] = true
 					r.flows++
 					r.last, r.peers[peer] = at, true
-					tr, a := trails[k.Addr], toInstant(at)
-					if n := len(tr); n == 0 || a-tr[n-1] >= instant(time.Minute) {
+					tr, a := trails[k.Addr], ToInstant(at)
+					if n := len(tr); n == 0 || a-tr[n-1] >= Instant(time.Minute) {
 						trails[k.Addr] = append(tr, a)
 					}
 					wm = at

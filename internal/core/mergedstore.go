@@ -19,7 +19,7 @@ import (
 type mergedStore struct {
 	packets  int
 	services Tree[ServiceKey, *PassiveRecord]
-	trails   Tree[netaddr.V4, []instant]
+	trails   Tree[netaddr.V4, []Instant]
 	tombs    Tree[ServiceKey, time.Time]
 }
 
@@ -27,7 +27,7 @@ type mergedStore struct {
 type svcEntry = TreeEntry[ServiceKey, *PassiveRecord]
 
 // trail returns one address's activity trail (nil if it was never seen).
-func (m *mergedStore) trail(addr netaddr.V4) []instant {
+func (m *mergedStore) trail(addr netaddr.V4) []Instant {
 	trail, _ := m.trails.Get(addr)
 	return trail
 }

@@ -27,7 +27,7 @@ type PassiveDiscoverer struct {
 	// shard owns the addresses that route to it), which is what filters a
 	// base, the merged tree of every shard, when a store is listed whole.
 	records    layers[ServiceKey, *PassiveRecord]
-	trails     layers[netaddr.V4, []instant]
+	trails     layers[netaddr.V4, []Instant]
 	tombstones layers[ServiceKey, time.Time]
 	owns       func(netaddr.V4) bool
 
@@ -116,7 +116,7 @@ type shardDelta struct {
 	// packets is the discoverer's cumulative packet count at the seal.
 	packets int
 	recs    []svcEntry
-	trails  []TreeEntry[netaddr.V4, []instant]
+	trails  []TreeEntry[netaddr.V4, []Instant]
 	tombs   []TreeEntry[ServiceKey, time.Time]
 	// scanners and expired are filled in by the shard freeze: detections as
 	// of the seal, and the expiry notices the snapshot publishes.
@@ -254,7 +254,7 @@ func (d *PassiveDiscoverer) seal(whole bool) shardDelta {
 	return shardDelta{
 		packets: d.Packets,
 		recs:    d.records.seal(whole, d.ownsRecord),
-		trails:  d.trails.seal(whole, func(a netaddr.V4, _ []instant) bool { return d.owns(a) }),
+		trails:  d.trails.seal(whole, func(a netaddr.V4, _ []Instant) bool { return d.owns(a) }),
 		tombs:   d.tombstones.seal(whole, func(k ServiceKey, _ time.Time) bool { return d.owns(k.Addr) }),
 	}
 }
@@ -308,7 +308,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	if !owned {
 		rec = d.service(key)
 	}
-	at := toInstant(t)
+	at := ToInstant(t)
 	if rec != nil && d.ttl > 0 && !t.Before(rec.LastSeen().Add(d.ttl)) {
 		// Incarnation split: the old record's deadline passed before this
 		// evidence arrived, so on the observation clock the service expired
@@ -350,7 +350,7 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 	// during an active scan" (Section 4.2.4 method 2). Appends only —
 	// snapshots alias the backing array safely.
 	times, _ := d.trails.get(key.Addr)
-	if n := len(times); n == 0 || (at >= times[n-1] && at-times[n-1] >= instant(time.Minute)) {
+	if n := len(times); n == 0 || (at >= times[n-1] && at-times[n-1] >= Instant(time.Minute)) {
 		d.trails.put(key.Addr, append(times, at))
 	}
 }

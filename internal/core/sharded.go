@@ -218,7 +218,7 @@ type passiveShard struct {
 	disc *PassiveDiscoverer
 	// activeFirst holds the first-open time of every key of this shard with
 	// a live probe answer, and nothing else: empty in a passive-only engine.
-	activeFirst map[ServiceKey]instant
+	activeFirst map[ServiceKey]Instant
 	events      *eventStream
 }
 
@@ -269,7 +269,7 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 	for i := range s.shards {
 		d := NewPassiveDiscoverer(campus, udpPorts)
 		d.owns = func(a netaddr.V4) bool { return s.shardOf(a) == i }
-		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]instant), events: s.events}
+		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]Instant), events: s.events}
 		d.onService = sh.passiveDiscovered
 		d.track.onDetect = s.events.scannerDetected
 		s.shards[i] = sh
@@ -636,7 +636,7 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 	m := &mergedStore{}
 	var scanners []ScannerInfo
 	var recs []svcEntry
-	var trails []TreeEntry[netaddr.V4, []instant]
+	var trails []TreeEntry[netaddr.V4, []Instant]
 	var tombs []TreeEntry[ServiceKey, time.Time]
 	for i := range deltas {
 		sd := &deltas[i]

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
@@ -44,36 +46,94 @@ type GlobalEvent struct {
 	Event core.Event `json:"event"`
 }
 
-// svcState is everything one site has established about one service,
-// folded from any mix of snapshot and event frames. Every field merges as
-// a semilattice join — times by minimum, weights by maximum, booleans by
-// or — so the state is identical for any arrival order of the same frames.
-type svcState struct {
-	hasPassive, hasActive bool
-	// passiveAt and activeAt are the earliest per-technique observations
-	// (zero when unknown, which the join treats as absent, not as minimal).
-	passiveAt, activeAt time.Time
-	// passiveSeenAt / activeSeenAt are the NEWEST accepted observations
-	// (max-merged). They decide whether a late retraction kills the side:
-	// the canonical stream order for an expire-and-rebirth is discovery of
-	// the new incarnation first, retraction of the old one second (expiry
-	// events publish at the snapshot after the rebirth), so a cell whose
-	// newest evidence postdates the deadline must survive the retraction
-	// even though its min-merged first-at predates it.
-	passiveSeenAt, activeSeenAt time.Time
-	// flows and clients are the passive weights (max over snapshots).
-	flows, clients int
-	// firstAt is the earliest evidence from any technique.
-	firstAt time.Time
-	// retractedPassiveAt / retractedActiveAt are the newest retraction
-	// deadlines applied per evidence kind (max-merged — the retraction
-	// side of the semilattice). Evidence of a kind timestamped before its
-	// retraction time is void: it is cleared when the retraction arrives
-	// and rejected when it arrives later, so replayed pre-expiry frames
-	// cannot resurrect an expired service. A cell with no live evidence
-	// is kept as a tombstone until CollapseTombstones.
-	retractedPassiveAt, retractedActiveAt time.Time
+// side is what one technique has established about one service at one
+// site, each field a semilattice join, so the state is identical for any
+// arrival order of the same frames. Zero is unknown, and ordered below
+// every known instant.
+type side struct {
+	// at is the earliest observation (min-merged, zero not counting).
+	at core.Instant
+	// seen is the newest observation (max-merged). It decides whether a
+	// late retraction kills the side: the canonical stream order for an
+	// expire-and-rebirth is discovery of the new incarnation first,
+	// retraction of the old one second (expiry events publish at the
+	// snapshot after the rebirth), so a side whose newest evidence
+	// postdates the deadline survives the retraction even though its first
+	// time predates it.
+	seen core.Instant
+	// retracted is the newest retraction deadline applied (max-merged).
+	// Evidence timestamped before it is void: cleared when the retraction
+	// arrives and refused when it arrives later, so replayed pre-expiry
+	// frames cannot resurrect an expired service.
+	retracted core.Instant
 }
+
+// accept gates evidence observed at t: void iff strictly older than the
+// deadline (a service reborn exactly at it counts). Zero evidence time is
+// older than any deadline — its age is unknown, and accepting it would
+// resurrect expired state.
+func (d *side) accept(t core.Instant) bool { return t >= d.retracted }
+
+// merge folds evidence observed at t into the side, setting its liveness
+// bit, if accept lets it in, and reports whether it did.
+func (d *side) merge(live *bool, t core.Instant) bool {
+	if !d.accept(t) {
+		return false
+	}
+	*live = true
+	d.at, d.seen = earliest(d.at, t), max(d.seen, t)
+	return true
+}
+
+// clear drops the side's evidence and keeps its deadline.
+func (d *side) clear(live *bool) { *live, d.at, d.seen = false, 0, 0 }
+
+// retract max-merges the deadline r into the side and voids the evidence
+// older than it: all of it when nothing seen since is accepted, else the
+// first time, which belonged to the retracted incarnation and advances to
+// the newest surviving evidence (the site's next snapshot min-merges the
+// reborn incarnation's exact first time back in). It reports whether the
+// side lost evidence.
+func (d *side) retract(live *bool, r core.Instant) bool {
+	d.retracted = max(d.retracted, r)
+	if !*live || d.at >= d.retracted {
+		return false
+	}
+	if seen := max(d.seen, d.at); d.accept(seen) {
+		d.at = seen
+	} else {
+		d.clear(live)
+	}
+	return true
+}
+
+// earliest is the earlier of two instants, where zero is unknown rather
+// than earliest.
+func earliest(a, b core.Instant) core.Instant {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
+}
+
+// svcState is everything one site has established about one service,
+// folded from any mix of snapshot and event frames: one side per
+// technique, the passive weights (max-merged, at the engine record's
+// widths), and the earliest evidence from either technique. Liveness is
+// kept apart from the times: a cell restored from a state file may hold a
+// live side with no time, and a first time no side supplies.
+type svcState struct {
+	passive, active side
+	firstAt         core.Instant
+	flows           int
+	clients         uint32
+	// hasPassive and hasActive report unretracted evidence per side. A
+	// cell with neither is kept as a tombstone until CollapseTombstones.
+	hasPassive, hasActive bool
+}
+
+// A field that pushes the cell past 72 bytes fails the build here.
+const _ = uint(72 - unsafe.Sizeof(svcState{}))
 
 // siteCell is one site's svcState for one service. A key's cells are kept
 // sorted by site.
@@ -85,85 +145,44 @@ type siteCell struct {
 // live reports whether the cell still holds unretracted evidence.
 func (s *svcState) live() bool { return s.hasPassive || s.hasActive }
 
-// acceptPassive / acceptActive gate incoming evidence against the
-// retraction times: evidence is void iff strictly older than the
-// retraction (a service reborn exactly at the deadline counts). A zero
-// evidence time is treated as older than any retraction — its age is
-// unknown, and accepting it would resurrect expired state.
-func (s *svcState) acceptPassive(t time.Time) bool {
-	return s.retractedPassiveAt.IsZero() || (!t.IsZero() && !t.Before(s.retractedPassiveAt))
-}
-
-func (s *svcState) acceptActive(t time.Time) bool {
-	return s.retractedActiveAt.IsZero() || (!t.IsZero() && !t.Before(s.retractedActiveAt))
-}
-
 // mergeSides folds one report of a service's per-technique first times — a
 // discovery or upgrade event, or a snapshot row — for the sides it names,
 // each through its own retraction gate, and reports which sides got in.
-func (s *svcState) mergeSides(passive, active bool, passiveAt, activeAt time.Time) (okP, okA bool) {
-	okP = passive && s.acceptPassive(passiveAt)
-	okA = active && s.acceptActive(activeAt)
+func (s *svcState) mergeSides(passive, active bool, passiveAt, activeAt core.Instant) (okP, okA bool) {
+	okP = passive && s.passive.merge(&s.hasPassive, passiveAt)
+	okA = active && s.active.merge(&s.hasActive, activeAt)
 	if okP {
-		s.hasPassive = true
-		s.passiveAt = minTime(s.passiveAt, passiveAt)
-		s.passiveSeenAt = maxTime(s.passiveSeenAt, passiveAt)
-		s.firstAt = minTime(s.firstAt, passiveAt)
+		s.firstAt = earliest(s.firstAt, passiveAt)
 	}
 	if okA {
-		s.hasActive = true
-		s.activeAt = minTime(s.activeAt, activeAt)
-		s.activeSeenAt = maxTime(s.activeSeenAt, activeAt)
-		s.firstAt = minTime(s.firstAt, activeAt)
+		s.firstAt = earliest(s.firstAt, activeAt)
 	}
 	return okP, okA
 }
 
-// clearPassive / clearActive drop one evidence kind's fields after a
-// retraction; firstAt is recomputed from what remains.
-func (s *svcState) clearPassive() {
-	s.hasPassive = false
-	s.passiveAt, s.passiveSeenAt = time.Time{}, time.Time{}
-	s.flows, s.clients = 0, 0
-	s.recomputeFirstAt()
-}
-
-func (s *svcState) clearActive() {
-	s.hasActive = false
-	s.activeAt, s.activeSeenAt = time.Time{}, time.Time{}
-	s.recomputeFirstAt()
-}
-
-// recomputeFirstAt rebuilds the technique-agnostic first-at from the
-// surviving per-side times, after a retraction invalidated evidence that
-// may have fed the old value.
-func (s *svcState) recomputeFirstAt() {
-	s.firstAt = time.Time{}
+// retract folds one validated retraction into the side it names. Where
+// that side lost evidence, what was derived from it goes: the first time
+// is rederived from the surviving sides, and a passive side's weights
+// belonged to the retracted incarnation — every frame that carries a
+// retraction carries the key's current row beside it.
+func (s *svcState) retract(r *Retraction) {
+	d, live := &s.passive, &s.hasPassive
+	if r.Prov == core.ActiveOnly {
+		d, live = &s.active, &s.hasActive
+	}
+	if !d.retract(live, core.ToInstant(r.At)) {
+		return
+	}
+	if d == &s.passive {
+		s.flows, s.clients = 0, 0
+	}
+	s.firstAt = 0
 	if s.hasPassive {
-		s.firstAt = minTime(s.firstAt, s.passiveAt)
+		s.firstAt = s.passive.at
 	}
 	if s.hasActive {
-		s.firstAt = minTime(s.firstAt, s.activeAt)
+		s.firstAt = earliest(s.firstAt, s.active.at)
 	}
-}
-
-// join folds another time observation into a min-merged field.
-func minTime(cur, t time.Time) time.Time {
-	if t.IsZero() {
-		return cur
-	}
-	if cur.IsZero() || t.Before(cur) {
-		return t
-	}
-	return cur
-}
-
-// maxTime folds another time observation into a max-merged field.
-func maxTime(cur, t time.Time) time.Time {
-	if t.After(cur) {
-		return t
-	}
-	return cur
 }
 
 // prov derives the site-local provenance class from the merged state,
@@ -171,7 +190,7 @@ func maxTime(cur, t time.Time) time.Time {
 func (s *svcState) prov() core.Provenance {
 	switch {
 	case s.hasPassive && s.hasActive:
-		if !s.passiveAt.IsZero() && !s.activeAt.IsZero() && s.activeAt.Before(s.passiveAt) {
+		if s.active.at != 0 && s.active.at < s.passive.at {
 			return core.ActiveFirst
 		}
 		return core.PassiveFirst
@@ -234,7 +253,7 @@ type siteState struct {
 	// latency-to-discovery axis. The aggregator-wide maximum minus a
 	// site's watermark is that site's *discovery staleness*: how far its
 	// feed lags the freshest evidence anywhere in the federation.
-	watermark time.Time
+	watermark core.Instant
 }
 
 // SiteStats summarizes one site's feed for monitoring endpoints.
@@ -380,6 +399,9 @@ func (a *Aggregator) Apply(f *Frame) error {
 		if f.Event == nil {
 			return fmt.Errorf("federate: event frame without payload")
 		}
+		if !representable(f.Event.Time, f.Event.PassiveAt, f.Event.ActiveAt) {
+			return fmt.Errorf("federate: event time outside the cell's range")
+		}
 	case FrameSnapshot, FrameSeal:
 		if err := validBody(f); err != nil {
 			return err
@@ -414,7 +436,7 @@ func (a *Aggregator) Apply(f *Frame) error {
 	st.lastSeq = f.Seq
 	st.events++
 	if f.Type == FrameEvent {
-		st.watermark = maxTime(st.watermark, f.Event.Time)
+		st.watermark = max(st.watermark, core.ToInstant(f.Event.Time))
 		a.applyEvent(f.Site, st, f.Event)
 	} else {
 		a.applySnapshot(f.Site, st, f.Snapshot)
@@ -423,96 +445,81 @@ func (a *Aggregator) Apply(f *Frame) error {
 }
 
 // validBody rejects a snapshot or seal frame without a body, or with any
-// structurally invalid retraction, before any of it mutates state:
-// applySnapshot must never half-apply a hostile frame.
+// structurally invalid retraction or row, before any of it mutates state:
+// applySnapshot must never half-apply a hostile frame. A row's weights
+// must fit the cell's, and every time must be one a cell can hold.
 func validBody(f *Frame) error {
 	if f.Snapshot == nil {
 		return fmt.Errorf("federate: %s frame without payload", f.Type)
 	}
 	for _, r := range f.Snapshot.Retractions {
-		if r.At.IsZero() {
-			return fmt.Errorf("federate: retraction without deadline")
+		if r.At.IsZero() || !representable(r.At) {
+			return fmt.Errorf("federate: retraction without a deadline a cell can hold")
 		}
 		if r.Prov != core.PassiveOnly && r.Prov != core.ActiveOnly {
 			return fmt.Errorf("federate: retraction with evidence kind %q", r.Prov)
 		}
 	}
+	for _, svc := range f.Snapshot.Services {
+		if !validWeights(svc.Flows, svc.Clients) || !representable(svc.PassiveAt, svc.ActiveAt) {
+			return fmt.Errorf("federate: row %s holds weights or a time no cell can", svc.Key)
+		}
+	}
 	return nil
 }
 
-// applyRetract folds one retraction: the deadline max-merges into the
-// cell, and evidence of that kind strictly older than it is cleared. Where
-// newer evidence survives, what belonged to the retracted incarnation —
-// its first time, and for passive evidence its weights — goes: every frame
-// that carries a retraction carries the key's current row beside it.
-// Caller holds a.mu; the retraction is already validated.
-func (a *Aggregator) applyRetract(site SiteID, r *Retraction) {
-	s, _ := a.svc(site, r.Key)
-	switch r.Prov {
-	case core.ActiveOnly:
-		if r.At.After(s.retractedActiveAt) {
-			s.retractedActiveAt = r.At
-		}
-		if s.hasActive {
-			seen := maxTime(s.activeSeenAt, s.activeAt)
-			switch {
-			case !s.acceptActive(seen):
-				s.clearActive()
-			case s.activeAt.Before(s.retractedActiveAt):
-				// The min-merged first-at belongs to the retracted
-				// incarnation; advance it to the newest surviving evidence
-				// (the site's next snapshot min-merges the reborn
-				// incarnation's exact first-at back in).
-				s.activeAt = seen
-				s.recomputeFirstAt()
-			}
-		}
-	default: // PassiveOnly
-		if r.At.After(s.retractedPassiveAt) {
-			s.retractedPassiveAt = r.At
-		}
-		if s.hasPassive {
-			seen := maxTime(s.passiveSeenAt, s.passiveAt)
-			switch {
-			case !s.acceptPassive(seen):
-				s.clearPassive()
-			case s.passiveAt.Before(s.retractedPassiveAt):
-				s.passiveAt = seen
-				s.flows, s.clients = 0, 0
-				s.recomputeFirstAt()
-			}
+// validWeights reports whether a cell can hold a row's passive weights.
+func validWeights(flows, clients int) bool {
+	return flows >= 0 && clients >= 0 && clients <= math.MaxUint32
+}
+
+// representable reports whether a cell holds each of ts exactly: the wire
+// and a state file can carry times outside core.Instant's range.
+func representable(ts ...time.Time) bool {
+	for _, t := range ts {
+		if !core.ToInstant(t).Time().Equal(t) {
+			return false
 		}
 	}
+	return true
+}
+
+// report folds one report about row.Key into site's cell: the row's first
+// times for the sides named, through mergeSides, and its passive weights
+// when the passive side gets in. When no site held the key before, the
+// report announces it on the global stream: as ev, or, for a snapshot or
+// seal row (nil ev), as a discovery timed at the cell's first evidence. A
+// new cell has no deadline, so its first report always gets in.
+// Caller holds a.mu; the row is validated.
+func (a *Aggregator) report(site SiteID, row *SnapshotService, passive, active bool, ev *core.Event) {
+	s, newGlobal := a.svc(site, row.Key)
+	okP, _ := s.mergeSides(passive, active, core.ToInstant(row.PassiveAt), core.ToInstant(row.ActiveAt))
+	if okP {
+		s.flows, s.clients = max(s.flows, row.Flows), max(s.clients, uint32(row.Clients))
+	}
+	if !newGlobal {
+		return
+	}
+	if ev == nil {
+		ev = &core.Event{Kind: core.EventServiceDiscovered, Time: s.firstAt.Time(), Key: row.Key, Provenance: row.Provenance}
+	}
+	a.hub.Publish(GlobalEvent{Site: site, Event: *ev})
 }
 
 // applyEvent merges one live event. Caller holds a.mu.
 func (a *Aggregator) applyEvent(site SiteID, st *siteState, ev *core.Event) {
 	switch ev.Kind {
 	case core.EventServiceDiscovered:
-		s, newGlobal := a.svc(site, ev.Key)
 		active := ev.Provenance == core.ActiveOnly
-		if okP, okA := s.mergeSides(!active, active, ev.Time, ev.Time); !okP && !okA {
-			return
-		}
-		if newGlobal {
-			a.hub.Publish(GlobalEvent{Site: site, Event: *ev})
-		}
+		a.report(site, &SnapshotService{Key: ev.Key, PassiveAt: ev.Time, ActiveAt: ev.Time}, !active, active, ev)
 	case core.EventProvenanceUpgraded:
 		// The upgrade names each technique's first observation, so it
-		// merges like a snapshot row holding both sides, weights aside.
-		s, newGlobal := a.svc(site, ev.Key)
-		if okP, okA := s.mergeSides(true, true, ev.PassiveAt, ev.ActiveAt); !okP && !okA {
-			return
-		}
-		if newGlobal {
-			// The preceding discovery frame was lost (bounded feed): the
-			// upgrade is still this key's first global appearance, so
-			// announce it — synthesized, with the best provenance known.
-			a.hub.Publish(GlobalEvent{Site: site, Event: core.Event{
-				Kind: core.EventServiceDiscovered, Time: ev.Time,
-				Key: ev.Key, Provenance: ev.Provenance,
-			}})
-		}
+		// merges like a snapshot row holding both sides, weights aside. If
+		// the preceding discovery frame was lost (bounded feed), the upgrade
+		// is this key's first global appearance: it is announced as a
+		// discovery with the best provenance known.
+		a.report(site, &SnapshotService{Key: ev.Key, PassiveAt: ev.PassiveAt, ActiveAt: ev.ActiveAt}, true, true,
+			&core.Event{Kind: core.EventServiceDiscovered, Time: ev.Time, Key: ev.Key, Provenance: ev.Provenance})
 	case core.EventScannerDetected:
 		a.mergeScanner(site, ev.Scanner, ev.Time)
 	case core.EventScanCompleted:
@@ -529,8 +536,10 @@ func (a *Aggregator) applyEvent(site SiteID, st *siteState, ev *core.Event) {
 // body is validated.
 func (a *Aggregator) applySnapshot(site SiteID, st *siteState, snap *Snapshot) {
 	for i := range snap.Retractions {
-		st.watermark = maxTime(st.watermark, snap.Retractions[i].At)
-		a.applyRetract(site, &snap.Retractions[i])
+		r := &snap.Retractions[i]
+		st.watermark = max(st.watermark, core.ToInstant(r.At))
+		s, _ := a.svc(site, r.Key)
+		s.retract(r)
 	}
 	if snap.Packets > st.packets {
 		st.packets = snap.Packets
@@ -539,23 +548,8 @@ func (a *Aggregator) applySnapshot(site SiteID, st *siteState, snap *Snapshot) {
 		svc := &snap.Services[i]
 		// Every reported time advances the watermark, accepted or not —
 		// it tells us how fresh the site's view is either way.
-		st.watermark = maxTime(st.watermark, maxTime(svc.PassiveAt, svc.ActiveAt))
-		s, newGlobal := a.svc(site, svc.Key)
-		okP, okA := s.mergeSides(svc.Provenance != core.ActiveOnly, svc.Provenance != core.PassiveOnly,
-			svc.PassiveAt, svc.ActiveAt)
-		if !okP && !okA {
-			continue
-		}
-		if okP {
-			s.flows = max(s.flows, svc.Flows)
-			s.clients = max(s.clients, svc.Clients)
-		}
-		if newGlobal {
-			a.hub.Publish(GlobalEvent{Site: site, Event: core.Event{
-				Kind: core.EventServiceDiscovered, Time: s.firstAt,
-				Key: svc.Key, Provenance: svc.Provenance,
-			}})
-		}
+		st.watermark = max(st.watermark, core.ToInstant(svc.PassiveAt), core.ToInstant(svc.ActiveAt))
+		a.report(site, svc, svc.Provenance != core.ActiveOnly, svc.Provenance != core.PassiveOnly, nil)
 	}
 	for _, info := range snap.Scanners {
 		a.mergeScanner(site, info, info.Window)
@@ -643,10 +637,10 @@ func (a *Aggregator) Staleness() map[SiteID]time.Duration {
 	global := a.globalWatermarkLocked()
 	out := make(map[SiteID]time.Duration, len(a.sites))
 	for id, st := range a.sites {
-		if st.watermark.IsZero() {
+		if st.watermark == 0 {
 			continue
 		}
-		out[id] = global.Sub(st.watermark)
+		out[id] = global.Time().Sub(st.watermark.Time())
 	}
 	return out
 }
@@ -655,12 +649,7 @@ func (a *Aggregator) Staleness() map[SiteID]time.Duration {
 func (a *Aggregator) Sites() []SiteID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]SiteID, 0, len(a.sites))
-	for id := range a.sites {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(a.sites))
 }
 
 // perSiteServiceCounts tallies how many services each site contributes to
@@ -681,10 +670,10 @@ func (a *Aggregator) perSiteServiceCounts() map[SiteID]int {
 
 // globalWatermarkLocked is the newest observation timestamp any site has
 // reported: the federation's observation clock. Caller holds a.mu.
-func (a *Aggregator) globalWatermarkLocked() time.Time {
-	var global time.Time
+func (a *Aggregator) globalWatermarkLocked() core.Instant {
+	var global core.Instant
 	for _, st := range a.sites {
-		global = maxTime(global, st.watermark)
+		global = max(global, st.watermark)
 	}
 	return global
 }
@@ -700,10 +689,10 @@ func (a *Aggregator) globalWatermarkLocked() time.Time {
 func (a *Aggregator) CollapseTombstones(horizon time.Duration) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	olderThan := a.globalWatermarkLocked().Add(-horizon)
+	olderThan := a.globalWatermarkLocked().Time().Add(-horizon)
 	a.flushLocked()
 	collapsed := func(c siteCell) bool {
-		return !c.live() && c.retractedPassiveAt.Before(olderThan) && c.retractedActiveAt.Before(olderThan)
+		return !c.live() && c.passive.retracted.Time().Before(olderThan) && c.active.retracted.Time().Before(olderThan)
 	}
 	n := 0
 	a.cells.Walk(nil, func(key core.ServiceKey, cells []siteCell) bool {
@@ -724,14 +713,14 @@ func (a *Aggregator) Stats() []SiteStats {
 	a.flushLocked()
 	perSite := a.perSiteServiceCounts()
 	out := make([]SiteStats, 0, len(a.sites))
-	for id, st := range a.sites {
+	for _, id := range slices.Sorted(maps.Keys(a.sites)) {
+		st := a.sites[id]
 		out = append(out, SiteStats{
 			Site: id, LastSeq: st.lastSeq, Events: st.events, DupEvents: st.dups,
 			Services: perSite[id], Scans: len(st.scans), Packets: st.packets,
-			Watermark: st.watermark,
+			Watermark: st.watermark.Time(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
 }
 
@@ -808,6 +797,7 @@ func (v GlobalView) Services() []GlobalService {
 func (v GlobalView) Walk(after *core.ServiceKey, f func(GlobalService) bool) {
 	v.cells.Walk(after, func(key core.ServiceKey, cells []siteCell) bool {
 		g := GlobalService{Key: key, Sites: make([]SiteRecord, 0, len(cells))}
+		var first core.Instant
 		for i := range cells {
 			s := &cells[i]
 			if !s.live() {
@@ -815,11 +805,12 @@ func (v GlobalView) Walk(after *core.ServiceKey, f func(GlobalService) bool) {
 			}
 			g.Sites = append(g.Sites, SiteRecord{
 				Site: s.site, Provenance: s.prov(),
-				PassiveAt: s.passiveAt, ActiveAt: s.activeAt,
-				Flows: s.flows, Clients: s.clients,
+				PassiveAt: s.passive.at.Time(), ActiveAt: s.active.at.Time(),
+				Flows: s.flows, Clients: int(s.clients),
 			})
-			g.FirstAt = minTime(g.FirstAt, s.firstAt)
+			first = earliest(first, s.firstAt)
 		}
+		g.FirstAt = first.Time()
 		return len(g.Sites) == 0 || f(g)
 	})
 }
@@ -853,32 +844,17 @@ func (a *Aggregator) Dump() []byte {
 		}
 		return true
 	})
-	srcs := make([]netaddr.V4, 0, len(a.scanners))
-	for src := range a.scanners {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
+	for _, src := range slices.Sorted(maps.Keys(a.scanners)) {
 		perSite := a.scanners[src]
-		ids := make([]SiteID, 0, len(perSite))
-		for id := range perSite {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		fmt.Fprintf(&b, "scanner %s sites=%d\n", src, len(ids))
-		for _, id := range ids {
+		fmt.Fprintf(&b, "scanner %s sites=%d\n", src, len(perSite))
+		for _, id := range slices.Sorted(maps.Keys(perSite)) {
 			s := perSite[id]
 			fmt.Fprintf(&b, "  %s window=%s dsts=%d rsts=%d\n", id,
 				s.window.UTC().Format(time.RFC3339Nano), s.dsts, s.rstDsts)
 		}
 	}
-	ids := make([]SiteID, 0, len(a.sites))
-	for id := range a.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	perSiteSvcs := a.perSiteServiceCounts()
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(a.sites)) {
 		st := a.sites[id]
 		fmt.Fprintf(&b, "site %s services=%d scans=%d packets=%d\n",
 			id, perSiteSvcs[id], len(st.scans), st.packets)

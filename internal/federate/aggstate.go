@@ -110,11 +110,11 @@ func (a *Aggregator) ExportState() *AggregatorState {
 		for _, s := range cells {
 			gs.Sites = append(gs.Sites, AggSvcRecord{
 				Site: s.site, HasPassive: s.hasPassive, HasActive: s.hasActive,
-				PassiveAt: s.passiveAt, ActiveAt: s.activeAt,
-				PassiveSeenAt: s.passiveSeenAt, ActiveSeenAt: s.activeSeenAt,
-				Flows: s.flows, Clients: s.clients, FirstAt: s.firstAt,
-				RetractedPassiveAt: s.retractedPassiveAt,
-				RetractedActiveAt:  s.retractedActiveAt,
+				PassiveAt: s.passive.at.Time(), ActiveAt: s.active.at.Time(),
+				PassiveSeenAt: s.passive.seen.Time(), ActiveSeenAt: s.active.seen.Time(),
+				Flows: s.flows, Clients: int(s.clients), FirstAt: s.firstAt.Time(),
+				RetractedPassiveAt: s.passive.retracted.Time(),
+				RetractedActiveAt:  s.active.retracted.Time(),
 			})
 		}
 		st.Services = append(st.Services, gs)
@@ -138,13 +138,36 @@ func (a *Aggregator) ExportState() *AggregatorState {
 // ImportState loads an exported state into a fresh aggregator, before
 // any feed attaches: restored services are already "known globally", so
 // reconnecting feeds re-reporting them do not re-announce on the global
-// event stream, and the restored dedup cursors skip re-sent frames.
+// event stream, and the restored dedup cursors skip re-sent frames. A
+// state file is input from outside the program: a cell with weights or
+// times a cell cannot hold is refused, and nothing is imported.
 func (a *Aggregator) ImportState(st *AggregatorState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.sites) != 0 || a.cells.Len() != 0 || len(a.live) != 0 || len(a.scanners) != 0 {
 		return fmt.Errorf("federate: state import requires a fresh aggregator")
 	}
+	live := make(map[core.ServiceKey][]siteCell, len(st.Services))
+	for _, gs := range st.Services {
+		cells := make([]siteCell, 0, len(gs.Sites))
+		for _, r := range gs.Sites {
+			if !validWeights(r.Flows, r.Clients) || !representable(r.PassiveAt, r.ActiveAt, r.PassiveSeenAt,
+				r.ActiveSeenAt, r.FirstAt, r.RetractedPassiveAt, r.RetractedActiveAt) {
+				return fmt.Errorf("federate: state cell %s at %s holds weights or times no cell can", gs.Key, r.Site)
+			}
+			cells = append(cells, siteCell{site: r.Site, svcState: svcState{
+				passive:    side{core.ToInstant(r.PassiveAt), core.ToInstant(r.PassiveSeenAt), core.ToInstant(r.RetractedPassiveAt)},
+				active:     side{core.ToInstant(r.ActiveAt), core.ToInstant(r.ActiveSeenAt), core.ToInstant(r.RetractedActiveAt)},
+				firstAt:    core.ToInstant(r.FirstAt),
+				flows:      r.Flows,
+				clients:    uint32(r.Clients),
+				hasPassive: r.HasPassive, hasActive: r.HasActive,
+			}})
+		}
+		slices.SortFunc(cells, func(x, y siteCell) int { return cmp.Compare(x.site, y.site) })
+		live[gs.Key] = cells
+	}
+	a.live = live
 	for _, as := range st.Sites {
 		s := &siteState{
 			epoch: as.Epoch, lastSeq: as.LastSeq,
@@ -156,21 +179,6 @@ func (a *Aggregator) ImportState(st *AggregatorState) error {
 			s.scans[meta.ID] = meta
 		}
 		a.sites[as.Site] = s
-	}
-	for _, gs := range st.Services {
-		cells := make([]siteCell, 0, len(gs.Sites))
-		for _, r := range gs.Sites {
-			cells = append(cells, siteCell{site: r.Site, svcState: svcState{
-				hasPassive: r.HasPassive, hasActive: r.HasActive,
-				passiveAt: r.PassiveAt, activeAt: r.ActiveAt,
-				passiveSeenAt: r.PassiveSeenAt, activeSeenAt: r.ActiveSeenAt,
-				flows: r.Flows, clients: r.Clients, firstAt: r.FirstAt,
-				retractedPassiveAt: r.RetractedPassiveAt,
-				retractedActiveAt:  r.RetractedActiveAt,
-			}})
-		}
-		slices.SortFunc(cells, func(x, y siteCell) int { return cmp.Compare(x.site, y.site) })
-		a.live[gs.Key] = cells
 	}
 	for _, gs := range st.Scanners {
 		perSite := make(map[SiteID]*scannerState, len(gs.Sites))

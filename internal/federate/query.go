@@ -36,40 +36,31 @@ func (t cellTree) Docs(after *core.ServiceKey, f func(query.Doc) bool) {
 
 // docOf folds a key's site cells into the indexed doc: earliest evidence
 // anywhere, newest evidence anywhere, summed passive weights, and the
-// cross-site provenance class derived by the same rule a single site uses
-// on its merged times, with times in UTC. ok is false when no site holds
-// live evidence.
+// cross-site provenance class, derived by the same rule a single site uses
+// from its sides' first times merged across sites. ok is false when no
+// site holds live evidence.
 func docOf(key core.ServiceKey, cells []siteCell) (query.Doc, bool) {
 	var merged svcState
+	var first, last core.Instant
 	d := query.Doc{Key: key}
-	live := false
 	for i := range cells {
 		s := &cells[i]
 		if !s.live() {
 			continue
 		}
-		live = true
-		if s.hasPassive {
-			merged.hasPassive = true
-			merged.passiveAt = minTime(merged.passiveAt, s.passiveAt)
-		}
-		if s.hasActive {
-			merged.hasActive = true
-			merged.activeAt = minTime(merged.activeAt, s.activeAt)
-		}
-		d.First = minTime(d.First, s.firstAt)
-		d.Last = maxTime(d.Last, maxTime(s.passiveSeenAt, s.activeSeenAt))
+		merged.mergeSides(s.hasPassive, s.hasActive, s.passive.at, s.active.at)
+		first = earliest(first, s.firstAt)
+		last = max(last, s.passive.seen, s.active.seen)
 		d.Flows += s.flows
-		d.Clients += s.clients
+		d.Clients += int(s.clients)
 	}
-	if !live {
+	if !merged.live() {
 		return query.Doc{}, false
 	}
-	if d.Last.IsZero() {
-		d.Last = d.First
+	if last == 0 {
+		last = first
 	}
-	d.First, d.Last = d.First.UTC(), d.Last.UTC()
-	d.Prov = merged.prov()
+	d.First, d.Last, d.Prov = first.Time(), last.Time(), merged.prov()
 	return d, true
 }
 

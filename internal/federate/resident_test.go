@@ -25,15 +25,16 @@ func liveHeap() uint64 {
 // TestAggregatorResidentBytesPerService is the aggregator's memory gate:
 // live-heap growth per global service across one snapshot frame of n
 // services from one site, then one Query (which flushes and indexes
-// them). The aggregator holds a service once: its site cells (208 B for
-// one site) under a 32-byte tree entry in the cell tree, which the query
-// epoch reads, plus the four posting trees — 280 B measured, budget ≈1.1×
-// that. A mutable per-site cell map beside a packed doc tree read 551 B
-// and fails.
+// them). The aggregator holds a service once: its site cells (one 88-byte
+// cell, in the 96-byte size class, for one site) under a 32-byte tree
+// entry in the cell tree, which the query epoch reads, plus the four
+// posting trees — 167 B measured, budget ≈1.1× that. A cell of seven
+// time.Times (208 B) read 279 B and fails; a mutable per-site cell map
+// beside a packed doc tree read 551 B.
 func TestAggregatorResidentBytesPerService(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 308
+		budget = 184
 	)
 	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
 	agg := NewAggregator()

@@ -7,6 +7,8 @@ package federate
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -85,6 +87,13 @@ func FuzzRetractionFrameDecode(f *testing.F) {
 	}))
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameHello, Site: "seed-site", Epoch: 3}, seal(3, 1, valid)))
 	f.Add(append(encodeFrames(f, seal(1, 8, valid)), "garbage"...))
+	// Rows whose weights or times no cell can hold, behind a valid
+	// retraction and a valid row: the whole frame is refused.
+	for _, bad := range refusedRows() {
+		fr := seal(1, 10, valid)
+		fr.Snapshot.Services = []SnapshotService{{Key: keyB, Provenance: core.ActiveOnly, ActiveAt: retBase}, bad}
+		f.Add(encodeFrames(f, fr))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -129,6 +138,81 @@ func TestSnapshotInvalidRetractionNotHalfApplied(t *testing.T) {
 	}
 	if n := agg.NumServices(); n != 2 {
 		t.Fatalf("NumServices = %d, want 2", n)
+	}
+}
+
+// refusedRows lists one snapshot row per shape a site cell cannot hold:
+// negative weights, a client count past uint32, and a time outside the
+// instant range (the int64-nanosecond floor, which the wire carries).
+func refusedRows() []SnapshotService {
+	row := SnapshotService{Key: keyA, Provenance: core.PassiveOnly, PassiveAt: retBase.Add(3 * time.Hour), Flows: 9, Clients: 4}
+	negFlows, negClients, wideClients, early := row, row, row, row
+	negFlows.Flows = -1
+	negClients.Clients = -1
+	wideClients.Clients = math.MaxUint32 + 1
+	early.PassiveAt = time.Unix(0, math.MinInt64).UTC()
+	return []SnapshotService{negFlows, negClients, wideClients, early}
+}
+
+// TestRefusedFrameLeavesDumpUnchanged: a frame carrying anything a site
+// cell cannot hold is refused whole, after valid content that would
+// otherwise land — the aggregator's Dump stays byte-identical.
+func TestRefusedFrameLeavesDumpUnchanged(t *testing.T) {
+	valid := Retraction{Key: keyA, At: retBase.Add(2 * time.Hour), Prov: core.PassiveOnly}
+	newRow := SnapshotService{Key: testKey(0x807D0909, 6, 25), Provenance: core.PassiveOnly, PassiveAt: retBase, Flows: 1, Clients: 1}
+	type frameCase struct {
+		name string
+		f    *Frame
+	}
+	var cases []frameCase
+	for i, bad := range refusedRows() {
+		cases = append(cases, frameCase{fmt.Sprintf("row %d", i), &Frame{
+			V: WireVersion, Type: FrameSeal, Site: "seed-site", Epoch: 1, Seq: 10,
+			Snapshot: &Snapshot{Retractions: []Retraction{valid}, Services: []SnapshotService{newRow, bad}},
+		}})
+	}
+	early := time.Unix(0, math.MinInt64).UTC()
+	cases = append(cases,
+		frameCase{"retraction deadline", &Frame{V: WireVersion, Type: FrameSnapshot, Site: "seed-site", Epoch: 1, Seq: 10,
+			Snapshot: &Snapshot{Services: []SnapshotService{newRow}, Retractions: []Retraction{valid, {Key: keyB, At: early, Prov: core.ActiveOnly}}}}},
+		frameCase{"event time", &Frame{V: WireVersion, Type: FrameEvent, Site: "seed-site", Epoch: 1, Seq: 10,
+			Event: &core.Event{Kind: core.EventServiceDiscovered, Time: early, Key: newRow.Key}}},
+	)
+	for _, tc := range cases {
+		agg := seedAggregator(t)
+		pre := agg.Dump()
+		if err := agg.Apply(tc.f); err == nil {
+			t.Errorf("%s: frame accepted", tc.name)
+		}
+		if post := agg.Dump(); !bytes.Equal(pre, post) {
+			t.Errorf("%s: refused frame changed the dump\n pre: %s\npost: %s", tc.name, pre, post)
+		}
+	}
+}
+
+// TestImportStateRefusesWhatACellCannotHold: a state file is input from
+// outside the program, held to the frame rules. A cell with weights or a
+// time no cell can hold fails the import, and nothing of the file lands.
+func TestImportStateRefusesWhatACellCannotHold(t *testing.T) {
+	for i, mutate := range []func(*AggSvcRecord){
+		func(r *AggSvcRecord) { r.Flows = -1 },
+		func(r *AggSvcRecord) { r.Clients = -1 },
+		func(r *AggSvcRecord) { r.Clients = math.MaxUint32 + 1 },
+		func(r *AggSvcRecord) { r.FirstAt = time.Unix(0, math.MinInt64).UTC() },
+		func(r *AggSvcRecord) { r.RetractedActiveAt = time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC) },
+	} {
+		st := seedAggregator(t).ExportState()
+		mutate(&st.Services[len(st.Services)-1].Sites[0])
+		agg := NewAggregator()
+		if err := agg.ImportState(st); err == nil {
+			t.Errorf("case %d: import accepted", i)
+		}
+		if len(agg.Sites()) != 0 || len(agg.ExportState().Services) != 0 {
+			t.Errorf("case %d: a refused import left state behind", i)
+		}
+	}
+	if err := NewAggregator().ImportState(seedAggregator(t).ExportState()); err != nil {
+		t.Fatalf("unmutated state: %v", err)
 	}
 }
 
