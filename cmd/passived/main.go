@@ -239,7 +239,6 @@ func run(o options) error {
 				"Federation frame encode+write latency per frame served."),
 		})
 		pl.SetPublisherCursor(pub.State)
-		subs.add("publisher-pump", pub.Dropped)
 		// Resilience counters: how reconnecting aggregators re-enter the
 		// stream (resumed vs full snapshot), hello hygiene, and evictions
 		// of stalled readers.
@@ -508,11 +507,11 @@ func (v inventoryView) Walk(after *servdisc.ServiceKey, f func(servdisc.ServiceK
 // subRegistry tracks the event-hub subscribers so /metrics can report
 // drop counts — the signal that a consumer's buffer is undersized — as
 // series of servdisc_subscriber_dropped_total, refreshed at scrape time.
-// A named subscriber (the log, the publisher pump) lives as long as the
-// process and owns a series. /events connections come and go while
-// registry series never unregister, so the live ones share the single
-// "events" series (the sum of their drop counts) and an ended one folds
-// its tally into the cumulative "departed" series.
+// A named subscriber (the event log) lives as long as the process and owns
+// a series. /events connections come and go while registry series never
+// unregister, so the live ones share the single "events" series (the sum
+// of their drop counts) and an ended one folds its tally into the
+// cumulative "departed" series.
 type subRegistry struct {
 	vec                *obs.CounterVec
 	eventsC, departedC *obs.Counter

@@ -137,9 +137,8 @@ func main() {
 	// recovers the head of the stream from its bootstrap snapshot); the
 	// feed drop counters are the health signal that matters.
 	for i, st := range agg.Stats() {
-		fmt.Printf("site %-13s services=%-4d scans=%d packets=%d feed-dropped=%d pump-dropped=%d\n",
-			st.Site, st.Services, st.Scans, st.Packets,
-			pubs[i].FrameCounters().Dropped(), pubs[i].Dropped())
+		fmt.Printf("site %-13s services=%-4d scans=%d packets=%d feed-dropped=%d\n",
+			st.Site, st.Services, st.Scans, st.Packets, pubs[i].FrameCounters().Dropped())
 	}
 
 	// The determinism contract: re-aggregating the final snapshots in the

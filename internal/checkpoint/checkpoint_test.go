@@ -493,8 +493,8 @@ func TestManifestCarriesPublisherCursor(t *testing.T) {
 	if _, err := w.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The pump drains asynchronously; its cursor was sampled at the
-	// checkpoint. Whatever it was, the manifest must carry it.
+	// The cursor was sampled at the checkpoint; whatever it was, the
+	// manifest must carry it.
 	pub.Close()
 	man, err := DecodeManifest(mustRead(t, filepath.Join(dir, ManifestName)))
 	if err != nil {
@@ -508,7 +508,7 @@ func TestManifestCarriesPublisherCursor(t *testing.T) {
 	if _, err := Restore(dir, restored); err != nil {
 		t.Fatal(err)
 	}
-	rpub := federate.NewPublisherResumed("site-a", restored, *man.Publisher)
+	rpub := federate.NewPublisherOpts("site-a", restored, *man.Publisher, federate.PublisherOptions{})
 	defer rpub.Close()
 	if st := rpub.State(); st != *man.Publisher {
 		t.Fatalf("resumed publisher state = %+v, want %+v", st, *man.Publisher)

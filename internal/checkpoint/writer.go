@@ -40,7 +40,7 @@ type Options struct {
 	MaxDeltas int
 	// Publisher, when set, is sampled at every checkpoint and stored in
 	// the manifest, so a restored process can resume its federation feed
-	// (see federate.NewPublisherResumed).
+	// (see federate.NewPublisherOpts).
 	Publisher func() federate.PublisherState
 }
 

@@ -59,8 +59,11 @@ func (s *ShardedPassive) AddReport(rep *probe.ScanReport) {
 	}
 	s.seenReports.Store(true)
 	s.amu.Lock()
-	s.active.AddReport(rep)
+	// Counted before it applies, as a batch is: a Snapshot that reads the
+	// count moved freezes the active side behind amu, so it reflects every
+	// discovery the report has announced by then.
 	s.dispatched.Add(1)
+	s.active.AddReport(rep)
 	s.amu.Unlock()
 	s.events.scanCompleted(ScanMeta{ID: rep.ID, Started: rep.Started, Finished: rep.Finished}, rep.Truncated)
 }

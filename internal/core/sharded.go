@@ -312,6 +312,15 @@ func (s *ShardedPassive) EventCounters() *pipeline.StageCounters { return s.even
 // subscription is cancelled.
 func (s *ShardedPassive) Subscribe(buf int) *EventSub { return s.events.hub.Subscribe(buf) }
 
+// SubscribeSync attaches a synchronous subscriber to the same stream: fn
+// runs on the publishing goroutine for every event, under whatever lock
+// the publisher holds (a shard's, the snapshot's, the active side's), so it
+// misses none and must never block or call back into the engine (see
+// pipeline.Hub.SubscribeSync).
+func (s *ShardedPassive) SubscribeSync(fn func(Event)) *EventSub {
+	return s.events.hub.SubscribeSync(fn)
+}
+
 // SubscribeFiltered is Subscribe with a predicate pushed down into the
 // hub's publish path: events keep rejects are never delivered and never
 // consume the subscriber's drop budget, so a consumer watching one port
@@ -732,7 +741,8 @@ type SnapshotDelta struct {
 }
 
 // OnSnapshot registers fn to observe every snapshot newly built: it runs
-// under the snapshot lock, after the new inventory is cached, with the
+// under the snapshot lock, before the new inventory is cached (so any
+// Snapshot call that returns the inventory finds fn done with it), with the
 // previous inventory of the chain (nil on the first and after a restore),
 // the new one, and the delta between them, which is Full exactly when prev
 // is nil. Cache hits (snapshots of an unchanged engine) do not invoke it.
@@ -750,19 +760,19 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 // place shards are frozen and merged. It freezes every shard, then the
 // active side, if any, after expiring it at the same watermark, publishes
 // both sides' expiries in one deterministic (time, key) order, patches the
-// previous inventory's store forward (mergeViews), and caches the new
-// inventory under the dispatch count it froze at. prev is the chain's
-// inventory before the call (nil on the first snapshot and after a restore,
-// when everything is merged whole) and delta how inv differs from it. With
+// previous inventory's store forward (mergeViews), hands the new inventory
+// and its delta to the observer, and then caches it under the dispatch count
+// it froze at. prev is the chain's inventory before the call (nil on the
+// first snapshot and after a restore, when everything is merged whole). With
 // nothing dispatched and no report applied since prev, advance returns
-// inv == prev and an empty delta (a report applied after the count was read
-// may land in inv; the next advance then finds nothing more of it). hook, if
-// any, rides the freeze (freezeShards). Callers hold snapMu.
-func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta SnapshotDelta) {
+// inv == prev (a report applied after the count was read may land in inv;
+// the next advance then finds nothing more of it). hook, if any, rides the
+// freeze (freezeShards). Callers hold snapMu.
+func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
 	prev, since := s.snap.peek()
 	deltas, d0, wm := s.freezeShards(prev == nil, since, hook)
 	if deltas == nil {
-		return prev, prev, SnapshotDelta{}
+		return prev, prev
 	}
 	var exp []expiredSvc
 	var active *ActiveDiscoverer
@@ -796,8 +806,11 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory, delta 
 		sh.disc.install(m)
 		sh.mu.Unlock()
 	}
+	if s.onSnap != nil {
+		s.onSnap(prev, inv, delta)
+	}
 	s.snap.put(inv, d0)
-	return prev, inv, delta
+	return prev, inv
 }
 
 // Snapshot freezes a consistent point-in-time Inventory. It is
@@ -827,12 +840,9 @@ func (s *ShardedPassive) snapshot(hook *freezeHook) *Inventory {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	prev, inv, delta := s.advance(hook)
+	prev, inv := s.advance(hook)
 	if inv == prev {
 		return inv // nothing moved: another snapshotter got here first
-	}
-	if s.onSnap != nil {
-		s.onSnap(prev, inv, delta)
 	}
 	if m := s.met; m != nil {
 		el := time.Since(t0)

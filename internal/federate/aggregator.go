@@ -414,9 +414,10 @@ func (a *Aggregator) Apply(f *Frame) error {
 		// merged: every time it carries is >= the applied minimum, every
 		// weight <= the applied maximum. A snapshot at the SAME generation
 		// is re-merged (idempotent, so harmless): the generation only
-		// counts sequenced frames, and state mutated after a pump drop
-		// appears in later snapshots without advancing it — skipping
-		// equal generations would lose exactly that recovery path.
+		// counts sequenced frames, and weights that move with no event,
+		// or an event sequenced between a catchup's generation read and
+		// its engine freeze, appear in later snapshots without advancing
+		// it — skipping equal generations would lose exactly that state.
 		if st.snapApplied && f.Seq < st.snapGen {
 			return nil
 		}

@@ -153,8 +153,8 @@ func runChaosFleet(t *testing.T, nSites, flows int, seed uint64) ([]byte, []Feed
 	// feed to catch up to its site's final sequence over clean links —
 	// the liveness half of the property (reconnect-and-resume actually
 	// recovers, not just "the final snapshot papers over it"). The final
-	// sequence is read once the publisher's pump has sequenced its
-	// terminal seal frame. There is no final catch-up attach: what the
+	// sequence is read once the publisher has closed, its terminal seal
+	// frame sequenced. There is no final catch-up attach: what the
 	// feeds applied must already be the whole record, weights included.
 	chaos.Store(false)
 	for _, s := range sites {

@@ -26,21 +26,15 @@ type PublisherMetrics struct {
 }
 
 // Engine is the slice of a discovery engine the publisher needs: a
-// non-terminal frozen snapshot, a bounded subscription to the typed event
-// stream, and the snapshot observer slot (the publisher takes it; see
-// observe). core.ShardedPassive (hybrid or not) and the servdisc facade
-// Pipeline both satisfy it.
+// non-terminal frozen snapshot, a synchronous subscription to the typed
+// event stream (see event), and the snapshot observer slot (the publisher
+// takes it; see observe). core.ShardedPassive (hybrid or not) and the
+// servdisc facade Pipeline both satisfy it.
 type Engine interface {
 	Snapshot() *core.Inventory
-	Subscribe(buf int) *core.EventSub
+	SubscribeSync(fn func(core.Event)) *core.EventSub
 	OnSnapshot(fn func(prev, inv *core.Inventory, delta core.SnapshotDelta))
 }
-
-// pumpBuffer sizes the publisher's own engine subscription. The pump does
-// nothing but stamp a sequence number and republish, so it lags only under
-// extreme bursts; a dropped event only delays what it said until the next
-// seal frame, which carries the state it announced.
-const pumpBuffer = 1 << 15
 
 // feedBuffer sizes each reader's frame subscription: deep enough to absorb
 // a slow network writer for several seconds at realistic discovery rates.
@@ -138,20 +132,25 @@ type Publisher struct {
 	eng   Engine
 	hub   *pipeline.Hub[Frame]
 	sub   *core.EventSub
-	seq   atomic.Uint64
 	done  chan struct{}
 	opt   PublisherOptions
 
-	// seal is what the engine's seals changed since the last seal frame,
-	// under sealMu; sealed wakes the pump to ship it. sealedAt, under
-	// sealMu too, maps every key a seal changed to unsealed while the seal
-	// is pending, then to a Seq no lower than its seal frame's, so a key
-	// changed past a resume's cursor maps past it. start, under sealMu,
+	// mu is the feed's one sequencing point: every frame is stamped and
+	// published under it, on the goroutine that publishes the engine event
+	// or builds the snapshot it stems from, so frame order on every
+	// reader's subscription is the site's canonical stream order. seq is
+	// written under mu and read without it. sealedAt, under mu, maps every
+	// key a seal changed to the Seq of the seal frame that carried it, so
+	// a key changed past a resume's cursor maps past it. start, under mu,
 	// is the first cursor a resume honors.
-	sealMu   sync.Mutex
-	seal     pendingSeal
+	//
+	// Lock order. The event path: shard lock → event-hub read lock → mu →
+	// frame-hub read lock. The snapshot path: engine snapshot lock → mu.
+	// Nothing under mu calls into the engine, so catchup takes no engine
+	// snapshot while it holds mu.
+	mu       sync.Mutex
+	seq      atomic.Uint64
 	sealedAt core.Tree[core.ServiceKey, uint64]
-	sealed   chan struct{}
 	start    uint64
 
 	resumeHits, snapshotFallbacks, authFailures,
@@ -177,10 +176,10 @@ func (p *Publisher) Stats() PublisherStats {
 }
 
 // NewPublisher starts publishing the engine's stream under the given site
-// identity. The publisher subscribes to the engine immediately; close the
-// engine (or Close the publisher) to end the feed.
+// identity, with default options. The publisher subscribes to the engine
+// immediately; close the engine (or Close the publisher) to end the feed.
 func NewPublisher(site SiteID, eng Engine) *Publisher {
-	return NewPublisherResumed(site, eng, PublisherState{})
+	return NewPublisherOpts(site, eng, PublisherState{}, PublisherOptions{})
 }
 
 // PublisherState is the publisher's stream cursor — which (epoch, seq)
@@ -188,12 +187,6 @@ func NewPublisher(site SiteID, eng Engine) *Publisher {
 type PublisherState struct {
 	Epoch uint64 `json:"epoch"`
 	Seq   uint64 `json:"seq"`
-}
-
-// NewPublisherResumed starts a publisher that continues a checkpointed
-// stream with default options; see NewPublisherOpts.
-func NewPublisherResumed(site SiteID, eng Engine, st PublisherState) *Publisher {
-	return NewPublisherOpts(site, eng, st, PublisherOptions{})
 }
 
 // NewPublisherOpts starts a publisher that continues a checkpointed
@@ -213,13 +206,12 @@ func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherO
 	}
 	opt = opt.withDefaults()
 	p := &Publisher{
-		site:   site,
-		epoch:  epoch,
-		eng:    eng,
-		hub:    pipeline.NewHub[Frame](),
-		done:   make(chan struct{}),
-		sealed: make(chan struct{}, 1),
-		opt:    opt,
+		site:  site,
+		epoch: epoch,
+		eng:   eng,
+		hub:   pipeline.NewHub[Frame](),
+		done:  make(chan struct{}),
+		opt:   opt,
 	}
 	p.seq.Store(st.Seq)
 	if st.Epoch != 0 {
@@ -227,11 +219,11 @@ func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherO
 		// not this engine's, which no seal has listed yet.
 		p.start = unsealed
 	}
-	// Observing before subscribing: every event the pump sequences lands in
-	// a seal that observe sees.
+	// Observing before subscribing: every event sequenced lands in a seal
+	// that observe sees.
 	eng.OnSnapshot(p.observe)
-	p.sub = eng.Subscribe(pumpBuffer)
-	go p.pump()
+	p.sub = eng.SubscribeSync(p.event)
+	go p.finish()
 	return p
 }
 
@@ -245,134 +237,101 @@ func (p *Publisher) State() PublisherState {
 // Site returns the publisher's site identity.
 func (p *Publisher) Site() SiteID { return p.site }
 
-// unsealed is sealedAt's value for a key its pending seal holds: changed
-// past every cursor.
+// unsealed is start's value on a restored publisher before its first seal:
+// its readers hold the stored stream's state as of their cursors, which no
+// seal of this engine has listed yet, so no cursor resumes.
 const unsealed = math.MaxUint64
 
-// observe is the publisher's snapshot observer. Under the engine's
-// snapshot lock it only records the seal, O(delta): it files the keys the
-// link changed — listed, or with a tombstone new or moved — as unsealed
-// and wakes the pump without waiting. Seals not shipped yet coalesce: the
-// rows are read at shipping time from the newest inventory, whose row
-// dominates a service's older ones (times only fall, weights only rise)
-// except across an expiry, whose retraction the same seal frame carries
-// and the reader applies first. A link with no predecessor (the chain's
-// first, or the first after a restore) lists no keys: readers bootstrap
-// from snapshots of this chain, so they hold what it would list.
-func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
-	select {
-	case <-p.done:
-		return // the pump is gone; nothing would ship it
-	default:
+// emit stamps f with the stream's next sequence number and publishes it to
+// every reader. The caller holds mu.
+func (p *Publisher) emit(f Frame) {
+	f.V, f.Site, f.Epoch, f.Seq = WireVersion, p.site, p.epoch, p.seq.Add(1)
+	p.hub.Publish(f)
+}
+
+// event is the publisher's synchronous engine subscriber: it sequences one
+// engine event on the goroutine that published it, under that goroutine's
+// engine lock (see mu's lock order), so the feed is exact the moment the
+// engine call returns. An expiry is not shipped: the seal frame of the
+// snapshot that retired the service carries its retraction.
+func (p *Publisher) event(ev core.Event) {
+	if ev.Kind == core.EventServiceExpired {
+		return
 	}
+	p.mu.Lock()
+	p.emit(Frame{Type: FrameEvent, Event: &ev})
+	p.mu.Unlock()
+}
+
+// observe is the publisher's snapshot observer: it runs under the engine's
+// snapshot lock once per link of the snapshot chain, in chain order. It
+// lists the keys the link changed — listed, or with a tombstone new or
+// moved — and builds their seal body outside mu, in O(delta). Under mu it
+// then ships the seal frame and files those keys in sealedAt at that
+// frame's Seq. The events the link froze were sequenced under their
+// publishers' engine locks before the freeze, so they precede the frame,
+// and an expiry's retraction rides the frame itself. A link with no
+// predecessor (the chain's first, or the first after a restore) lists no
+// keys: readers bootstrap from snapshots of this chain, so they hold what
+// it would list. The first call sets a restored publisher's start.
+func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 	var keys []core.ServiceKey
+	var body *Snapshot
 	if prev != nil {
 		keys = slices.Concat(d.Added, d.Updated, d.Removed)
 		inv.EachTombstoneSince(prev, func(k core.ServiceKey, _ time.Time, _ core.Provenance) { keys = append(keys, k) })
 		core.SortKeys(keys)
 		keys = slices.Compact(keys)
+		body = buildSeal(prev, inv, keys)
 	}
-	p.sealMu.Lock()
-	if prev != nil {
-		if p.seal.inv == nil {
-			p.seal.base = prev
-		}
-		p.seal.inv = inv
-		p.seal.keys = append(p.seal.keys, keys...)
-		p.file(keys, unsealed)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// With no frame to ship, at is a later frame's, past every cursor: a
+	// resume still carries the keys.
+	at := p.seq.Load() + 1
+	if p.start == unsealed {
+		p.start = at
 	}
-	p.sealMu.Unlock()
-	select {
-	case p.sealed <- struct{}{}:
-	default:
-	}
-}
-
-// file maps each of keys, sorted and unique, to at in sealedAt. The caller
-// holds sealMu.
-func (p *Publisher) file(keys []core.ServiceKey, at uint64) {
 	edits := make([]core.TreeEdit[core.ServiceKey, uint64], len(keys))
 	for i, k := range keys {
 		edits[i] = core.TreeEdit[core.ServiceKey, uint64]{Key: k, Val: at}
 	}
 	p.sealedAt = p.sealedAt.Patch(edits, nil)
-}
-
-// pump sequences the engine's events, and a seal frame per pending seal
-// between them, so a reader that bootstrapped mid-stream gets the weights
-// and retractions too (an expiry event is not shipped: its seal carries
-// it). A single goroutine assigns sequence numbers, so frame order on every
-// reader's subscription is the site's canonical stream order. When the
-// event stream ends, one last engine snapshot seals what the events left
-// out, and its seal frame goes out before the hub closes. A seal's keys are
-// refiled from unsealed to a bound on its frame's Seq as the pump takes it,
-// under the same lock, so a newer seal's marks survive.
-func (p *Publisher) pump() {
-	defer close(p.done)
-	events := p.sub.Events()
-	emit := func(f Frame) {
-		f.V, f.Site, f.Epoch, f.Seq = WireVersion, p.site, p.epoch, p.seq.Add(1)
-		p.hub.Publish(f)
-	}
-	event := func(ev core.Event) {
-		if ev.Kind != core.EventServiceExpired {
-			emit(Frame{Type: FrameEvent, Event: &ev})
-		}
-	}
-	seal := func() {
-		p.sealMu.Lock()
-		s := p.seal
-		p.seal = pendingSeal{}
-		// The events published before the newest seal are queued by now:
-		// they go first, so the seal frame's Seq is at most at. With
-		// nothing to ship, at is a later frame's: harmless.
-		n := len(events)
-		at := p.seq.Load() + uint64(n) + 1
-		core.SortKeys(s.keys)
-		s.keys = slices.Compact(s.keys)
-		p.file(s.keys, at)
-		if p.start == unsealed {
-			p.start = at
-		}
-		p.sealMu.Unlock()
-		for ; n > 0; n-- {
-			event(<-events)
-		}
-		if s.inv == nil {
-			return
-		}
-		if body := buildSeal(s); body != nil {
-			emit(Frame{Type: FrameSeal, Snapshot: body})
-		}
-	}
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				p.eng.Snapshot()
-				seal()
-				p.hub.Close()
-				return
-			}
-			event(ev)
-		case <-p.sealed:
-			seal()
+	select {
+	case <-p.done: // the feed has ended
+	default:
+		if body != nil {
+			p.emit(Frame{Type: FrameSeal, Snapshot: body})
 		}
 	}
 }
 
-// Dropped returns how many engine events the publisher itself missed (its
-// pump subscription overflowed). Lost events are absent from the live feed;
-// what they announced reaches every reader with the next seal frame.
+// finish waits for the event stream to end — the engine closed, or Close
+// cancelled the subscription — and then takes one last engine snapshot,
+// whose seal frame ships what the events left out, before it ends every
+// reader's feed.
+func (p *Publisher) finish() {
+	<-p.sub.Done()
+	p.eng.Snapshot()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.hub.Close()
+	close(p.done)
+}
+
+// Dropped returns how many engine events the publisher itself missed. It
+// reads 0: the publisher's engine subscription is synchronous, so no event
+// can be lost before it is sequenced.
 func (p *Publisher) Dropped() int { return p.sub.Dropped() }
 
 // FrameCounters exposes the fanout's flow counters: In counts frames
 // published, Out per-reader deliveries, Dropped per-reader drops.
 func (p *Publisher) FrameCounters() *pipeline.StageCounters { return p.hub.Counters() }
 
-// Close stops the pump and ends every reader's feed, after the frames
-// already queued and the last seal frame drain. The engine itself is
-// only snapshotted. Idempotent; closing the engine has the same effect.
+// Close stops sequencing the engine's events and ends every reader's feed,
+// after the frames already queued and the last seal frame drain. The
+// engine itself is only snapshotted. Idempotent; closing the engine has
+// the same effect.
 func (p *Publisher) Close() {
 	p.sub.Cancel()
 	<-p.done
@@ -404,9 +363,9 @@ func (p *Publisher) catchup(buf int, cur ResumeCursor) (bootstrap []Frame, live 
 	live = p.hub.Subscribe(buf)
 	gen := p.seq.Load()
 	inv := p.eng.Snapshot()
-	p.sealMu.Lock()
+	p.mu.Lock()
 	start, sealedAt := p.start, p.sealedAt
-	p.sealMu.Unlock()
+	p.mu.Unlock()
 	var keep func(core.ServiceKey) bool
 	if resumed = cur.Epoch == p.epoch && start <= cur.Seq && cur.Seq <= gen; resumed {
 		p.resumeHits.Add(1)
@@ -553,7 +512,7 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 				}
 				return nil
 			}
-			// A seal publishes its events back to back. Everything already
+			// A batch publishes its events back to back. Everything already
 			// queued behind f goes out in the same write: nothing waits
 			// for a frame that has not been published yet, so a frame
 			// reaches the socket no later than it would have flushed alone.

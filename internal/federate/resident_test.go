@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
@@ -68,9 +67,9 @@ func TestAggregatorResidentBytesPerService(t *testing.T) {
 // TestPublisherHoldsNoSealHistory is the publisher's memory gate: a site
 // of 2 000 services, each re-observed between 1 000 snapshots, ships 1 000
 // seal frames of 2 000 rows, and the publisher must keep none of them. It
-// holds what a resume needs — each key's last seal position — beside its
-// pump subscription's fixed buffer, whose bytes are not counted here. A
-// frame ring that kept the seals read ≈ 160 MB.
+// holds what a resume needs — each key's last seal position — and nothing
+// else of size: the whole publisher is counted. A frame ring that kept the
+// seals read ≈ 160 MB, and a 32 768-event subscription buffer ≈ 6.8 MB.
 func TestPublisherHoldsNoSealHistory(t *testing.T) {
 	const services, snapshots = 2000, 1000
 	eng := core.NewShardedPassive(testCampus, nil, 1)
@@ -84,9 +83,10 @@ func TestPublisherHoldsNoSealHistory(t *testing.T) {
 	for r := range snapshots {
 		eng.HandleBatch(batch)
 		eng.Snapshot()
-		// The discoveries, then a seal frame per snapshot but the first,
-		// each shipped before the next snapshot so none coalesce.
-		waitSeq(t, pub, uint64(services+r))
+		// The discoveries, then a seal frame per snapshot but the first.
+		if got := pub.State().Seq; got != uint64(services+r) {
+			t.Fatalf("after snapshot %d the stream is at %d, want %d", r, got, services+r)
+		}
 	}
 	with := liveHeap()
 	eng.OnSnapshot(nil)
@@ -94,10 +94,9 @@ func TestPublisherHoldsNoSealHistory(t *testing.T) {
 	pub = nil
 	without := liveHeap()
 	runtime.KeepAlive(eng)
-	pump := uint64(pumpBuffer * unsafe.Sizeof(core.Event{}))
-	held := int64(with) - int64(without) - int64(pump)
-	t.Logf("publisher holds %d B beyond its %d B pump buffer after %d seals", held, pump, snapshots-1)
-	if held > 1<<20 {
-		t.Errorf("the publisher holds %d B beyond its pump buffer after %d seal frames, want <= 1 MiB", held, snapshots-1)
+	held := int64(with) - int64(without)
+	t.Logf("publisher holds %d B after %d seals", held, snapshots-1)
+	if held > 256<<10 {
+		t.Errorf("the publisher holds %d B after %d seal frames, want <= 256 KiB", held, snapshots-1)
 	}
 }

@@ -34,41 +34,6 @@ func (m *meteredConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// waitSeq polls the publisher's cursor until it reaches target (the pump
-// is asynchronous) or the deadline passes.
-func waitSeq(tb testing.TB, pub *Publisher, target uint64) {
-	tb.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for pub.State().Seq < target {
-		if time.Now().After(deadline) {
-			tb.Fatalf("publisher seq stuck at %d, want %d", pub.State().Seq, target)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// quiesce waits for the publisher's async pump to drain — the sequence
-// number must hold still across several polls — then returns the settled
-// state. Capturing State() while the pump is mid-drain hands back a
-// cursor that is stale by the time it is presented.
-func quiesce(tb testing.TB, pub *Publisher) PublisherState {
-	tb.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	st := pub.State()
-	for stable := 0; stable < 20; {
-		if time.Now().After(deadline) {
-			tb.Fatal("publisher pump never quiesced")
-		}
-		time.Sleep(2 * time.Millisecond)
-		if now := pub.State(); now.Seq == st.Seq {
-			stable++
-		} else {
-			st, stable = now, 0
-		}
-	}
-	return st
-}
-
 // awaitCursor polls the aggregator's dedup cursor for one site until it
 // reaches target, and reports whether it did within ten seconds.
 func awaitCursor(agg *Aggregator, site SiteID, target uint64) bool {
@@ -143,21 +108,17 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 		return bld.SynAck(base.Add(time.Duration(i)*time.Millisecond), srv, cli, 9, 8)
 	}
 
-	// Build the resident inventory in chunks, letting the pump drain
-	// between them so its bounded subscription never overflows.
+	// Build the resident inventory in chunks.
 	var batch []packet.Packet
-	fed := 0
 	for i := 0; i < resident; i++ {
 		batch = append(batch, *mkService(i))
 		if len(batch) == 8192 || i == resident-1 {
 			eng.HandleBatch(batch)
-			fed += len(batch)
 			batch = batch[:0]
-			waitSeq(t, pub, uint64(fed))
 		}
 	}
-	if d := pub.Dropped(); d != 0 {
-		t.Fatalf("publisher pump dropped %d events during setup", d)
+	if seq := pub.State().Seq; seq != resident {
+		t.Fatalf("the stream is at %d after %d discoveries", seq, resident)
 	}
 
 	agg := NewAggregator()
@@ -178,11 +139,13 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 		target := pub.State().Seq + churn + 1 // the events, then the seal
 		eng.HandleBatch(batch)
 		batch = batch[:0]
+		want := target - 1 // the reconnect's own engine snapshot seals
 		if sealed {
 			eng.Snapshot()
-			waitSeq(t, pub, target)
-		} else {
-			waitSeq(t, pub, target-1)
+			want = target
+		}
+		if seq := pub.State().Seq; seq != want {
+			t.Fatalf("the stream is at %d after the partition's churn, want %d", seq, want)
 		}
 		return runFeedOnce(t, agg, fc, pub, target)
 	}
@@ -252,8 +215,8 @@ func TestResumeFallbacks(t *testing.T) {
 	site := newTestSite(0, 400)
 	defer site.pub.Close()
 	site.produce()
-	waitSeq(t, site.pub, 1) // at least some events sequenced
-	cur := quiesce(t, site.pub)
+	site.eng.Flush()
+	cur := site.pub.State()
 
 	cases := []struct {
 		name   string
@@ -310,7 +273,7 @@ func TestResumeFallbacks(t *testing.T) {
 		}
 		restored.produce()
 		restored.eng.Snapshot()
-		if now := quiesce(t, restored.pub); !resumes(now.Seq) {
+		if now := restored.pub.State(); !resumes(now.Seq) {
 			t.Fatal("a cursor past the restored engine's first seal fell back")
 		}
 		if resumes(st.Seq) {
@@ -594,8 +557,8 @@ func TestServeConnFlushesPerBurst(t *testing.T) {
 	go func() { served <- pub.ServeConn(context.Background(), w) }()
 
 	// With the reader stuck in its bootstrap write, five discoveries queue
-	// on its live subscription; closing the engine and the publisher waits
-	// for the pump to have published all of them.
+	// on its live subscription, each published before its HandleBatch
+	// returns, and the publisher's closing seal frame behind them.
 	<-w.entered
 	bld := packet.NewBuilder(0)
 	for i := 0; i < 5; i++ {
@@ -858,7 +821,7 @@ func TestServeConnNoticesHangup(t *testing.T) {
 	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	site.produce()
-	quiesce(t, pub)
+	site.eng.Flush()
 
 	client, _, served := dialFeed(t, context.Background(), pub)
 	if n := liveReaders(pub); n != 1 {
@@ -906,8 +869,9 @@ func TestServeConnKeepsSilentReader(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("ServeConn did not return after the publisher closed")
 	}
-	// Everything the serving started — the pump included, now closed —
-	// must be gone: a reader still parked in Read would hold the count up.
+	// Everything the serving started — and the publisher's own goroutine,
+	// now closed — must be gone: a reader still parked in Read would hold
+	// the count up.
 	deadline := time.Now().Add(time.Second)
 	for runtime.NumGoroutine() > goroutines {
 		if time.Now().After(deadline) {
@@ -1058,7 +1022,11 @@ func TestResumeAfterRestore(t *testing.T) {
 	rpub := NewPublisherOpts("restarted", restored, st, PublisherOptions{Heartbeat: -1})
 	defer rpub.Close()
 	answer(restored, 2*time.Hour, 10, 30) // 0-9 expire, 10-19 are re-observed, 20-29 are new
-	waitSeq(t, rpub, st.Seq+10)
+	// Twenty discoveries: 10-19 are past their TTL, so re-observing them
+	// announces them anew.
+	if seq := rpub.State().Seq; seq != st.Seq+20 {
+		t.Fatalf("the restored stream is at %d, want the stored %d and 20 discoveries", seq, st.Seq)
+	}
 
 	bootstrap, live, resumed := rpub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: st.Seq})
 	if resumed {
@@ -1082,86 +1050,93 @@ func TestResumeAfterRestore(t *testing.T) {
 	}
 }
 
-// oneSlotEngine hands the publisher a one-event pump subscription, so a
-// stalled pump drops the engine's next events but one.
-type oneSlotEngine struct{ *core.ShardedPassive }
-
-func (e oneSlotEngine) Subscribe(int) *core.EventSub { return e.ShardedPassive.Subscribe(1) }
-
-// TestPumpDropHealsAtNextSeal is the overload answer at the publisher's
-// pump: two services expire while the pump is stalled inside a publish, so
-// the engine's second expiry overflows the pump's subscription. The next
-// seal frame still retracts both — a live reader ends holding exactly the
-// site's services — and a cursor taken before the drop still resumes.
-func TestPumpDropHealsAtNextSeal(t *testing.T) {
-	eng := core.NewShardedPassive(testCampus, nil, 1)
-	eng.SetRetention(core.RetentionPolicy{PassiveTTL: time.Hour})
-	pub := NewPublisherOpts("pump-drop", oneSlotEngine{eng}, PublisherState{}, PublisherOptions{Heartbeat: -1})
+// TestStreamExactOnReturn: the publisher sequences each engine event on the
+// goroutine that publishes it, so when an inline engine's HandleBatch
+// returns, every discovery it made is already a frame of the feed — none
+// waits in a queue, none is dropped.
+func TestStreamExactOnReturn(t *testing.T) {
+	const services = 2000
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	pub := NewPublisherOpts("exact", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
+	bld := packet.NewBuilder(0)
+	batch := make([]packet.Packet, services)
+	for i := range batch {
+		batch[i] = *bld.SynAck(retBase, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(i), Port: 80},
+			packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8)
+	}
+	eng.HandleBatch(batch)
+	if seq, dropped := pub.State().Seq, pub.Dropped(); seq != services || dropped != 0 {
+		t.Fatalf("HandleBatch returned with the stream at %d and %d events dropped, want %d and 0", seq, dropped, services)
+	}
+}
+
+// gatedObserverEngine holds the publisher's snapshot observer at a gate on
+// its first link with a predecessor: a snapshot caught between its freeze
+// and its seal.
+type gatedObserverEngine struct {
+	*core.ShardedPassive
+	entered, release chan struct{}
+}
+
+func (e gatedObserverEngine) OnSnapshot(fn func(prev, inv *core.Inventory, d core.SnapshotDelta)) {
+	var once sync.Once
+	e.ShardedPassive.OnSnapshot(func(prev, inv *core.Inventory, d core.SnapshotDelta) {
+		if prev != nil {
+			once.Do(func() {
+				close(e.entered)
+				<-e.release
+			})
+		}
+		fn(prev, inv, d)
+	})
+}
+
+// TestClosingSealWaitsForConcurrentSnapshot: the engine closes while
+// another goroutine's snapshot sits between its freeze and its seal. The
+// publisher's closing snapshot must not run past that seal and end the
+// feed without it: a reader attached throughout ends holding exactly what
+// a reader attached after the close holds, weights included.
+func TestClosingSealWaitsForConcurrentSnapshot(t *testing.T) {
+	eng := core.NewShardedPassive(testCampus, nil, 2)
+	gated := gatedObserverEngine{eng, make(chan struct{}), make(chan struct{})}
+	pub := NewPublisherOpts("closing", gated, PublisherState{}, PublisherOptions{Heartbeat: -1})
 	agg := NewAggregator()
 	attached := agg.Attach(pub)
-
 	bld := packet.NewBuilder(0)
-	ext := netaddr.MustParseV4("64.20.0.1")
-	svc := func(i int, at time.Time) packet.Packet {
-		return *bld.SynAck(at, packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(40+i), Port: 80},
-			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8)
-	}
-	// Services 0 and 1 will expire, 2 keeps answering. Each discovery is
-	// sequenced before the next, so the one slot never overflows here.
-	for i := 0; i < 3; i++ {
-		eng.HandleBatch([]packet.Packet{svc(i, retBase)})
-		waitSeq(t, pub, uint64(i+1))
-	}
-	eng.Snapshot()
-	waitSeq(t, pub, 4) // their seal frame
-	early := NewAggregator()
-	boot, blive := pub.Catchup(0)
-	blive.Cancel()
-	for i := range boot {
-		if err := early.Apply(&boot[i]); err != nil {
-			t.Fatal(err)
+	batch := func(at time.Duration) []packet.Packet {
+		var b []packet.Packet
+		for i := range 4 {
+			b = append(b, *bld.SynAck(retBase.Add(at), packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(80+i), Port: 80},
+				packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
 		}
+		return b
 	}
-	epoch, cursor, _ := early.SiteCursor(pub.Site())
-
-	// Stall the pump inside hub.Publish with a subscriber whose filter
-	// blocks, on the discovery of service 3.
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	stall := pub.hub.SubscribeFunc(1, func(Frame) bool {
-		once.Do(func() { close(entered) })
-		<-release
-		return false
-	})
-	eng.HandleBatch([]packet.Packet{svc(2, retBase.Add(3*time.Hour)), svc(3, retBase.Add(3*time.Hour))})
-	<-entered
-	eng.Snapshot() // expires 0 and 1: one expiry takes the slot, the other drops
-	close(release)
-	stall.Cancel()
-	if pub.Dropped() == 0 {
-		t.Fatal("the stalled pump dropped no event")
-	}
+	// Attach took the chain's first link; these discoveries and the weights
+	// of their re-observation land in the second, the gated one. Only its
+	// seal ships the weights.
+	eng.HandleBatch(batch(0))
+	eng.HandleBatch(batch(time.Minute))
+	sealed := make(chan struct{})
+	go func() {
+		defer close(sealed)
+		eng.Snapshot()
+	}()
+	<-gated.entered
 	eng.Close()
+	// Let a closing snapshot that does not wait for the held seal end the
+	// feed first.
+	select {
+	case <-pub.done:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gated.release)
+	<-sealed
 	<-attached
-
 	ref := NewAggregator()
 	<-ref.Attach(pub)
 	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
-		t.Errorf("the live reader does not hold exactly the site's services:\n%s", firstDiff(got, want))
-	}
-	resume, rlive, resumed := pub.catchup(0, ResumeCursor{Epoch: epoch, Seq: cursor})
-	rlive.Cancel()
-	if !resumed {
-		t.Fatalf("cursor %d, taken before the pump dropped, fell back to a full snapshot", cursor)
-	}
-	for i := range resume {
-		if err := early.Apply(&resume[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := early.Dump(), ref.Dump(); !bytes.Equal(got, want) {
-		t.Errorf("the reader resumed past the drop diverges:\n%s", firstDiff(got, want))
+		t.Errorf("the feed ended without the seal of a snapshot taken as the engine closed:\n%s", firstDiff(got, want))
 	}
 }
 
@@ -1224,10 +1199,8 @@ func TestServeConnEvictsOverflowingReader(t *testing.T) {
 				packet.Endpoint{Addr: netaddr.MustParseV4("64.20.0.1"), Port: 33000}, 9, 8))
 		}
 		eng.HandleBatch(batch)
-		waitSeq(t, pub, uint64(min(i+1000, n)))
 	}
 	eng.Snapshot() // its seal frame lands past the stalled reader's full queue
-	waitSeq(t, pub, n+1)
 	if pub.FrameCounters().Dropped() == 0 {
 		t.Fatal("the stalled reader's queue dropped no frame")
 	}

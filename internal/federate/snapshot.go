@@ -90,32 +90,23 @@ func serviceRow(key core.ServiceKey, rec *core.PassiveRecord, prov core.Provenan
 	return svc
 }
 
-// pendingSeal is what the engine's seals changed since the last seal frame:
-// the inventory that frame was built from (base), the newest one (inv),
-// and the keys the seals between them changed — listed, or with a
-// tombstone new or moved.
-type pendingSeal struct {
-	base, inv *core.Inventory
-	keys      []core.ServiceKey
-}
-
-// buildSeal renders a pending seal, its keys sorted and unique, as a seal
-// frame's body, read from the newest inventory: each tombstone new or
-// moved since base, a row for each listed service still there, each
+// buildSeal renders what changed from base to inv as a seal frame's body,
+// given keys, sorted and unique, that the link changed: each tombstone new
+// or moved since base, a row for each of keys still listed in inv, each
 // scanner whose tallies or window moved since base, each sweep new since
 // base, and the packet count. The body is nil when none of that changed.
-func buildSeal(p pendingSeal) *Snapshot {
-	s := &Snapshot{Packets: p.inv.Packets()}
-	p.inv.EachTombstoneSince(p.base, func(key core.ServiceKey, at time.Time, prov core.Provenance) {
+func buildSeal(base, inv *core.Inventory, keys []core.ServiceKey) *Snapshot {
+	s := &Snapshot{Packets: inv.Packets()}
+	inv.EachTombstoneSince(base, func(key core.ServiceKey, at time.Time, prov core.Provenance) {
 		s.Retractions = append(s.Retractions, Retraction{Key: key, At: at, Prov: prov})
 	})
-	for _, key := range p.keys {
-		if rec, prov, _, activeAt, ok := p.inv.Service(key); ok {
+	for _, key := range keys {
+		if rec, prov, _, activeAt, ok := inv.Service(key); ok {
 			s.Services = append(s.Services, serviceRow(key, rec, prov, activeAt))
 		}
 	}
-	was := p.base.Scanners()
-	for _, sc := range p.inv.Scanners() {
+	was := base.Scanners()
+	for _, sc := range inv.Scanners() {
 		for len(was) > 0 && was[0].Source < sc.Source {
 			was = was[1:]
 		}
@@ -123,12 +114,12 @@ func buildSeal(p pendingSeal) *Snapshot {
 			s.Scanners = append(s.Scanners, sc)
 		}
 	}
-	for _, sc := range p.inv.Scans() {
-		if !slices.ContainsFunc(p.base.Scans(), func(b core.ScanMeta) bool { return b.ID == sc.ID }) {
+	for _, sc := range inv.Scans() {
+		if !slices.ContainsFunc(base.Scans(), func(b core.ScanMeta) bool { return b.ID == sc.ID }) {
 			s.Scans = append(s.Scans, sc)
 		}
 	}
-	if len(s.Services)+len(s.Scanners)+len(s.Scans)+len(s.Retractions) == 0 && s.Packets == p.base.Packets() {
+	if len(s.Services)+len(s.Scanners)+len(s.Scans)+len(s.Retractions) == 0 && s.Packets == base.Packets() {
 		return nil
 	}
 	return s

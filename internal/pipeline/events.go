@@ -18,7 +18,9 @@ import (
 // subscriber via Sub.Dropped, in aggregate via Counters). A slow consumer
 // therefore loses events rather than stalling ingest — the same posture as
 // a kernel packet ring. Consumers that must not miss anything size their
-// buffer for their worst-case lag, or fall back to polling snapshots.
+// buffer for their worst-case lag, fall back to polling snapshots, or, if
+// their work per event is short and never waits, subscribe synchronously
+// (SubscribeSync) and run it on the publishing goroutine.
 //
 // Publish may be called from any number of goroutines (the sharded
 // discoverer's workers all publish into one hub). Close closes every
@@ -53,10 +55,23 @@ func (h *Hub[T]) Subscribe(buf int) *Sub[T] { return h.SubscribeFunc(buf, nil) }
 // published event — it must be fast, non-blocking, and safe for concurrent
 // calls.
 func (h *Hub[T]) SubscribeFunc(buf int, keep func(T) bool) *Sub[T] {
-	if buf < 1 {
-		buf = 1
-	}
-	s := &Sub[T]{hub: h, ch: make(chan T, buf), done: make(chan struct{}), keep: keep}
+	return h.add(&Sub[T]{ch: make(chan T, max(buf, 1)), keep: keep})
+}
+
+// SubscribeSync registers a synchronous subscriber: Publish calls fn with
+// each event on the publishing goroutine, under the hub's read lock, so fn
+// never misses an event and sees each publisher's events in the order it
+// published them. fn must not block, and must not publish into, subscribe
+// to or cancel on this hub. The subscription's Events channel carries
+// nothing and closes when it ends; Done and Cancel work as for any Sub, and
+// once Cancel returns fn is not called again.
+func (h *Hub[T]) SubscribeSync(fn func(T)) *Sub[T] {
+	return h.add(&Sub[T]{ch: make(chan T), fn: fn})
+}
+
+// add attaches s, or ends it at once on a closed hub.
+func (h *Hub[T]) add(s *Sub[T]) *Sub[T] {
+	s.hub, s.done = h, make(chan struct{})
 	h.mu.Lock()
 	if h.closed {
 		close(s.ch)
@@ -69,10 +84,10 @@ func (h *Hub[T]) SubscribeFunc(buf int, keep func(T) bool) *Sub[T] {
 }
 
 // Publish offers ev to every subscriber whose filter passes it, never
-// blocking: subscribers with buffer room receive it, the rest drop it
-// (counted). Events rejected by a subscriber's filter are counted as
-// filtered for that subscriber, not dropped. Publishing to a closed hub is
-// a no-op.
+// blocking: synchronous subscribers are called with it, channel
+// subscribers with buffer room receive it, the rest drop it (counted).
+// Events rejected by a subscriber's filter are counted as filtered for
+// that subscriber, not dropped. Publishing to a closed hub is a no-op.
 func (h *Hub[T]) Publish(ev T) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -83,6 +98,11 @@ func (h *Hub[T]) Publish(ev T) {
 	for _, s := range h.subs {
 		if s.keep != nil && !s.keep(ev) {
 			s.filtered.Add(1)
+			continue
+		}
+		if s.fn != nil {
+			s.fn(ev)
+			h.counters.AddOut(1)
 			continue
 		}
 		select {
@@ -117,6 +137,7 @@ type Sub[T any] struct {
 	ch       chan T
 	done     chan struct{}
 	keep     func(T) bool
+	fn       func(T) // set on a synchronous subscription (SubscribeSync)
 	dropped  atomic.Int64
 	filtered atomic.Int64
 }

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,4 +257,88 @@ func TestHubFilteredDropAccounting(t *testing.T) {
 		t.Errorf("hub dropped %d, want 498", c.Dropped())
 	}
 	hub.Close()
+}
+
+// TestHubDeliveryModel drives concurrent publishers past every kind of
+// subscriber at once. A synchronous subscriber sees every event once, in
+// each publisher's order, and drops none; once its Cancel returns it is
+// called no more, though publishing goes on. A channel subscriber that is
+// never read drops and counts what overflows its buffer, and a filtered
+// one counts what its filter rejects as Filtered, not Dropped. A
+// synchronous subscription's Done closes when the hub closes.
+func TestHubDeliveryModel(t *testing.T) {
+	const publishers, each = 4, 2000
+	type ev struct{ pub, i int }
+	hub := NewHub[ev]()
+	var mu sync.Mutex
+	next := make([]int, publishers) // the next i each publisher's events must carry
+	var misordered int
+	direct := hub.SubscribeSync(func(e ev) {
+		mu.Lock()
+		if e.i != next[e.pub] {
+			misordered++
+		}
+		next[e.pub] = e.i + 1
+		mu.Unlock()
+	})
+	var cancelled, lateCalls atomic.Int64
+	late := hub.SubscribeSync(func(ev) {
+		if cancelled.Load() != 0 {
+			lateCalls.Add(1)
+		}
+	})
+	unread := hub.Subscribe(16)
+	filtered := hub.SubscribeFunc(publishers*each, func(e ev) bool { return e.pub == 0 })
+
+	var wg sync.WaitGroup
+	for p := range publishers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				hub.Publish(ev{p, i})
+			}
+		}()
+	}
+	// Cancel the late subscriber while the publishers run.
+	for hub.Counters().In() < each {
+		runtime.Gosched()
+	}
+	late.Cancel()
+	cancelled.Store(1)
+	select {
+	case <-late.Done():
+	default:
+		t.Error("a cancelled synchronous subscription's Done is open")
+	}
+	wg.Wait()
+
+	total := publishers * each
+	for p, n := range next {
+		if n != each {
+			t.Errorf("the synchronous subscriber saw publisher %d's events up to %d, want %d", p, n, each)
+		}
+	}
+	if misordered != 0 || direct.Dropped() != 0 {
+		t.Errorf("the synchronous subscriber saw %d events out of order and dropped %d, want 0 and 0", misordered, direct.Dropped())
+	}
+	if n := lateCalls.Load(); n != 0 {
+		t.Errorf("a synchronous subscriber was called %d times after its Cancel returned", n)
+	}
+	if d := unread.Dropped(); d != total-16 {
+		t.Errorf("an unread 16-slot subscriber dropped %d, want %d", d, total-16)
+	}
+	if f, d := filtered.Filtered(), filtered.Dropped(); f != total-each || d != 0 {
+		t.Errorf("a filtered subscriber counted %d filtered and %d dropped, want %d and 0", f, d, total-each)
+	}
+
+	hub.Close()
+	select {
+	case <-direct.Done():
+	case <-time.After(time.Second):
+		t.Fatal("a synchronous subscription's Done stayed open after the hub closed")
+	}
+	if _, ok := <-direct.Events(); ok {
+		t.Error("a synchronous subscription's Events carried an event")
+	}
 }

@@ -530,6 +530,13 @@ func (p *Pipeline) Watch(ctx context.Context) <-chan Event {
 // caller can inspect its drop count and cancel explicitly.
 func (p *Pipeline) Subscribe(buf int) *EventSub { return p.engine.Subscribe(buf) }
 
+// SubscribeSync attaches fn to the same event stream synchronously: it
+// runs on the engine's publishing goroutines and misses no event, so it
+// must return fast and never block or call back into the pipeline (see
+// core.ShardedPassive.SubscribeSync). A federation publisher subscribes
+// here.
+func (p *Pipeline) SubscribeSync(fn func(Event)) *EventSub { return p.engine.SubscribeSync(fn) }
+
 // SubscribeFiltered is Subscribe with the filter pushed down into the
 // event hub's publish path: events the filter rejects are never delivered
 // and never consume this subscriber's drop budget, so a consumer watching
@@ -689,7 +696,7 @@ func (p *Pipeline) SetPublisherCursor(fn func() PublisherState) {
 
 // RestoredPublisherCursor returns the federation cursor recovered by the
 // last RestoreFromCheckpoint, nil when none was stored — hand it to
-// federate.NewPublisherResumed so the restored site keeps its epoch and
+// federate.NewPublisherOpts so the restored site keeps its epoch and
 // sequence instead of reshipping history.
 func (p *Pipeline) RestoredPublisherCursor() *PublisherState { return p.restoredPub }
 
