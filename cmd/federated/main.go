@@ -225,11 +225,10 @@ func run(o options) error {
 	}
 
 	registerDaemonSeries(reg, agg, &stateWrites, &stateWriteFails)
-	mirror := newSiteMirror(reg, agg, health)
-	srv := httpapi.Serve(o.httpAddr, newMux(agg, health, reg, mirror))
+	mirrorSites(reg, agg, health)
+	srv := httpapi.Serve(o.httpAddr, newMux(agg, health, reg))
 	if o.debugAddr != "" {
-		// The debug /metrics is the same mirrored scrape as the API's.
-		httpapi.ServeDebug("federated", o.debugAddr, reg, mirror.handler())
+		httpapi.ServeDebug("federated", o.debugAddr, reg)
 	}
 	fmt.Printf("aggregating %d feeds; serving global inventory on %s (/dump, /services, /query, /sites, /metrics, /healthz)\n",
 		len(o.feeds), o.httpAddr)
@@ -334,11 +333,9 @@ type siteSeries struct {
 
 // siteMirror copies the aggregator's per-site statistics (dynamic label
 // set — sites appear as feeds deliver their hello frames) and the static
-// per-feed churn counters into registry series right before each scrape.
-// It runs outside the registry lock, so it can mint new series freely;
-// OnScrape hooks cannot (they run under the lock).
+// per-feed churn counters into registry series right before each scrape
+// (an OnScrape hook, so it may mint a series for a site seen first).
 type siteMirror struct {
-	reg *obs.Registry
 	agg *federate.Aggregator
 
 	siteEvents, sitePackets, siteDups    *obs.CounterVec
@@ -354,9 +351,10 @@ type siteMirror struct {
 	sites map[federate.SiteID]*siteSeries
 }
 
-func newSiteMirror(reg *obs.Registry, agg *federate.Aggregator, health []*feedHealth) *siteMirror {
+// mirrorSites registers the mirror's series and its scrape hook on reg.
+func mirrorSites(reg *obs.Registry, agg *federate.Aggregator, health []*feedHealth) {
 	m := &siteMirror{
-		reg: reg, agg: agg, health: health,
+		agg: agg, health: health,
 		sites: make(map[federate.SiteID]*siteSeries),
 		siteEvents: reg.CounterVec("federated_site_events_total",
 			"Event frames applied from one site.", "site"),
@@ -396,18 +394,17 @@ func newSiteMirror(reg *obs.Registry, agg *federate.Aggregator, health []*feedHe
 		m.feedStalls = append(m.feedStalls, stalls.With(h.addr))
 		m.feedBackoff = append(m.feedBackoff, backoff.With(h.addr))
 	}
-	return m
+	reg.OnScrape(m.refresh)
 }
 
 // refresh mirrors the current aggregator and feed state into the registry
-// series. Concurrent scrapes may interleave refreshes; each Set is atomic
-// and every value is monotone or a point-in-time gauge, so interleaving
-// is harmless.
+// series. Concurrent scrapes run it concurrently; m.mu spans the reads and
+// the Sets, so a mirrored counter never steps back to an older reading.
 func (m *siteMirror) refresh() {
-	stats := m.agg.Stats()
-	stale := m.agg.Staleness()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	stats := m.agg.Stats()
+	stale := m.agg.Staleness()
 	for _, st := range stats {
 		s := m.sites[st.Site]
 		if s == nil {
@@ -445,23 +442,12 @@ func (m *siteMirror) refresh() {
 	}
 }
 
-// handler is the /metrics endpoint: refresh the mirrored series, then
-// serve the whole registry in text exposition format.
-func (m *siteMirror) handler() http.Handler {
-	h := m.reg.Handler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.refresh()
-		h.ServeHTTP(w, r)
-	})
-}
-
 // newMux builds the HTTP surface: the shared endpoints (/services,
 // /query, /metrics, /debug/flight — see internal/httpapi) over the global
-// inventory, /metrics being the registry exposition behind the mirror's
-// refresh, plus the aggregator's own: /dump, /sites and the feed-aware
+// inventory, plus the aggregator's own: /dump, /sites and the feed-aware
 // /healthz.
-func newMux(agg *federate.Aggregator, health []*feedHealth, reg *obs.Registry, mirror *siteMirror) *http.ServeMux {
-	mux := httpapi.NewMux(globalSource{agg}, reg, mirror.handler())
+func newMux(agg *federate.Aggregator, health []*feedHealth, reg *obs.Registry) *http.ServeMux {
+	mux := httpapi.NewMux(globalSource{agg}, reg)
 	mux.HandleFunc("/dump", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write(agg.Dump())

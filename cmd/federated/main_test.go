@@ -62,8 +62,8 @@ func newTestServer(t *testing.T) (*httptest.Server, []*feedHealth, *federate.Agg
 	}
 	var stateWrites, stateWriteFails atomic.Int64
 	registerDaemonSeries(reg, agg, &stateWrites, &stateWriteFails)
-	mirror := newSiteMirror(reg, agg, health)
-	srv := httptest.NewServer(newMux(agg, health, reg, mirror))
+	mirrorSites(reg, agg, health)
+	srv := httptest.NewServer(newMux(agg, health, reg))
 	t.Cleanup(srv.Close)
 	return srv, health, agg
 }

@@ -274,7 +274,7 @@ func run(o options) error {
 	latest.Store(pl.Snapshot())
 	registerDaemonSeries(reg, &latest, pl)
 	if o.debugAddr != "" {
-		httpapi.ServeDebug("passived", o.debugAddr, reg, reg.Handler())
+		httpapi.ServeDebug("passived", o.debugAddr, reg)
 	}
 	var srv *httpapi.Server
 	if o.httpAddr != "" {
@@ -534,18 +534,15 @@ func newSubRegistry(reg *servdisc.Telemetry) *subRegistry {
 		events: make(map[*servdisc.EventSub]struct{}),
 	}
 	r.eventsC, r.departedC = r.vec.With("events"), r.vec.With("departed")
-	// The hook runs under the registry lock, so it may only Set
-	// pre-resolved counters — calling With there would deadlock.
 	reg.OnScrape(r.scrape)
 	return r
 }
 
 // add registers a process-lifetime subscriber under its own series.
 func (r *subRegistry) add(name string, dropped func() int) {
-	c := r.vec.With(name) // before r.mu: lock order is registry, then r.mu
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.named = append(r.named, subEntry{dropped: dropped, c: c})
+	r.named = append(r.named, subEntry{dropped: dropped, c: r.vec.With(name)})
 }
 
 // addEvents registers one /events connection's subscription.
@@ -563,8 +560,8 @@ func (r *subRegistry) removeEvents(sub *servdisc.EventSub) {
 	delete(r.events, sub)
 }
 
-// scrape mirrors the live drop counts into the registry series; it runs
-// under the registry lock at every exposition.
+// scrape mirrors the live drop counts into the registry series at every
+// exposition.
 func (r *subRegistry) scrape() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -651,7 +648,7 @@ func registerDaemonSeries(reg *servdisc.Telemetry, latest *atomic.Pointer[servdi
 // inventory the snapshot loop has published.
 func newMux(latest *atomic.Pointer[servdisc.Inventory], pl *servdisc.Pipeline, subs *subRegistry) *http.ServeMux {
 	reg := pl.Metrics()
-	mux := httpapi.NewMux(&inventorySource{latest: latest, pl: pl}, reg, reg.Handler())
+	mux := httpapi.NewMux(&inventorySource{latest: latest, pl: pl}, reg)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]any{

@@ -9,9 +9,9 @@
 //
 //   - NewPipeline assembles the batched, sharded passive-monitoring
 //     pipeline (link assigner → per-link taps → sharded discoverer).
-//   - NewHybrid is the same pipeline with the concurrent, rate-limited
-//     active-scan scheduler attached (Pipeline.Scan, RunScans); passive
-//     batches and scan reports reconcile into one engine's inventory with
+//     With Config.Scan it attaches the concurrent, rate-limited
+//     active-scan scheduler (Pipeline.Scan, RunScans); passive batches
+//     and scan reports reconcile into one engine's inventory with
 //     per-service provenance (passive-first vs active-first — the paper's
 //     comparison axis), each report applied on the goroutine delivering it.
 //   - Discover replays a pcap trace through the passive pipeline.

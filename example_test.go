@@ -52,12 +52,12 @@ func ExampleNewPipeline() {
 	fmt.Println(inv.Len(), "services,", len(inv.Scanners()), "scanners detected")
 }
 
-// ExampleNewHybrid runs both discovery techniques at once: live passive
-// monitoring plus a 15 probes/second scan sweep every 12 hours, reconciled
-// into one inventory with per-service provenance.
-func ExampleNewHybrid() {
+// ExamplePipeline_RunScans runs both discovery techniques at once: live
+// passive monitoring plus a 15 probes/second scan sweep every 12 hours,
+// reconciled into one inventory with per-service provenance.
+func ExamplePipeline_RunScans() {
 	targets := netaddr.MustParsePrefix("128.125.1.0/24").Addrs()
-	h, err := servdisc.NewHybrid(servdisc.Config{
+	h, err := servdisc.NewPipeline(servdisc.Config{
 		Campus: "128.125.0.0/16",
 		Scan: &servdisc.ScanOptions{
 			Targets:  targets,

@@ -93,16 +93,6 @@ func (n *Network) Hosts() []*Host { return n.hosts }
 // Clients returns the external client pool.
 func (n *Network) Clients() []netaddr.V4 { return n.clients }
 
-// IsAcademicClient reports whether the client routes via Internet2.
-func (n *Network) IsAcademicClient(a netaddr.V4) bool {
-	for i := 0; i < n.academic; i++ {
-		if n.clients[i] == a {
-			return true
-		}
-	}
-	return false
-}
-
 // AcademicClients returns the Internet2-routed prefix of the client pool.
 func (n *Network) AcademicClients() []netaddr.V4 { return n.clients[:n.academic] }
 

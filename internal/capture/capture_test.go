@@ -414,19 +414,6 @@ func TestReplayLegacySink(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	a, b := 0, 0
-	tee := Tee{
-		pipeline.BatchFunc(func(batch []packet.Packet) { a += len(batch) }),
-		pipeline.BatchFunc(func(batch []packet.Packet) { b += len(batch) }),
-	}
-	one := [1]packet.Packet{*synAckTo(client, tRef)}
-	tee.HandleBatch(one[:])
-	if a != 1 || b != 1 {
-		t.Errorf("tee delivered %d/%d", a, b)
-	}
-}
-
 func TestNewTapBadFilter(t *testing.T) {
 	if _, err := NewTap(LinkCommercial1, "bogus expr ((", nil, nil); err == nil {
 		t.Error("bad filter accepted")

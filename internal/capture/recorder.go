@@ -44,10 +44,6 @@ func (r *Recorder) HandleBatch(batch []packet.Packet) {
 // Err reports the first write failure, if any.
 func (r *Recorder) Err() error { return r.err }
 
-// Tee fans a batch out to several sinks (alias of pipeline.Fanout, kept
-// under the name capture code has always used).
-type Tee = pipeline.Fanout
-
 // ReplayBatched streams a pcap reader into a batch sink, decoding each
 // record with the appropriate link offset and delivering batches of up to
 // batchSize packets (pipeline.DefaultBatchSize if batchSize <= 0). It

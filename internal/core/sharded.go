@@ -403,6 +403,14 @@ func (s *ShardedPassive) seedOrigins(t time.Time) {
 // caller's goroutine; shard processing runs inline (before Run) or on the
 // shard's worker (after Run). A single producer at a time; Snapshot (and
 // only Snapshot) may run concurrently with the producer.
+//
+// After Run a shard whose worker falls behind pushes back: once its queue
+// holds shardQueueDepth sub-batches, HandleBatch blocks until the worker
+// takes one, holding the dispatch lock, so a snapshot waits too. Nothing
+// is dropped (Counters().Dropped() counts only packets offered after
+// Close). The queued copies bound what a stall can pin: 64 sub-batches
+// of max(B, 64) packets of 152 B (on 64-bit) per shard for producer
+// batches of B packets, 608 KiB at the default 64.
 func (s *ShardedPassive) HandleBatch(batch []packet.Packet) {
 	if len(batch) == 0 {
 		return
@@ -474,6 +482,10 @@ func (s *ShardedPassive) getBatchBuf(n int) *[]packet.Packet {
 	return &buf
 }
 
+// shardQueueDepth is how many sub-batches a shard's queue holds before
+// HandleBatch blocks on it.
+const shardQueueDepth = 64
+
 // Run starts one worker goroutine per shard. The context is an abort
 // lever, not a graceful stop: after cancellation, queued sub-batches are
 // drained without being applied (so Flush and Close never deadlock), and
@@ -491,7 +503,7 @@ func (s *ShardedPassive) Run(ctx context.Context) {
 	s.ctx = ctx
 	s.queues = make([]chan shardMsg, len(s.shards))
 	for i := range s.shards {
-		q := make(chan shardMsg, 64)
+		q := make(chan shardMsg, shardQueueDepth)
 		s.queues[i] = q
 		sh := s.shards[i]
 		s.workers.Add(1)

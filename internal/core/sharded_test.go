@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
@@ -199,6 +202,80 @@ func TestShardedMatchesSequential(t *testing.T) {
 				assertEquivalent(t, "async", want, sp.Snapshot())
 			})
 		}
+	}
+}
+
+// TestShardQueueBackpressures stalls one shard's worker (its mu held, so
+// apply cannot start) and dispatches more sub-batches to it than its queue
+// holds: HandleBatch must block rather than drop, and once the stall ends
+// the engine must hold exactly what an unstalled run holds.
+func TestShardQueueBackpressures(t *testing.T) {
+	if sz := unsafe.Sizeof(packet.Packet{}); sz != 152 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Errorf("packet.Packet is %d B; the ceiling on HandleBatch's doc assumes 152", sz)
+	}
+	b := packet.NewBuilder(0)
+	mk := func() *ShardedPassive { return NewShardedPassive(campusPfx, nil, 2) }
+	sp := mk()
+	var owned [2][]netaddr.V4
+	for a := campusPfx.Base() + 1; len(owned[0]) < 2*shardQueueDepth || len(owned[1]) < 2*shardQueueDepth; a++ {
+		i := sp.shardOf(a)
+		owned[i] = append(owned[i], a)
+	}
+	batches := make([][]packet.Packet, 2*shardQueueDepth)
+	for i := range batches {
+		at := t0.Add(time.Duration(i) * time.Second)
+		client := packet.Endpoint{Addr: cli, Port: 40000}
+		batches[i] = []packet.Packet{
+			*b.SynAck(at, packet.Endpoint{Addr: owned[0][i], Port: 80}, client, 1, 2),
+			*b.SynAck(at, packet.Endpoint{Addr: owned[1][i], Port: 22}, client, 1, 2),
+		}
+	}
+
+	sp.Run(context.Background())
+	defer sp.Close()
+	stalled := sp.shards[0]
+	stalled.mu.Lock()
+	var returned atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for _, batch := range batches {
+			sp.HandleBatch(batch)
+			returned.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(sp.queues[0]) < shardQueueDepth; {
+		if time.Now().After(deadline) {
+			stalled.mu.Unlock()
+			t.Fatalf("stalled shard's queue holds %d sub-batches after 10s, want %d", len(sp.queues[0]), shardQueueDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-finished:
+		t.Error("every HandleBatch returned while a shard queue was full")
+	case <-time.After(20 * time.Millisecond):
+	}
+	// The queue plus the one sub-batch the stalled worker may hold.
+	if n := returned.Load(); n > shardQueueDepth+1 {
+		t.Errorf("%d HandleBatch calls returned past a full %d-deep queue", n, shardQueueDepth)
+	}
+	if d := sp.Counters().Dropped(); d != 0 {
+		t.Errorf("Dropped = %d during the stall", d)
+	}
+	stalled.mu.Unlock()
+	<-finished
+	sp.Flush()
+	if d := sp.Counters().Dropped(); d != 0 {
+		t.Errorf("Dropped = %d after the stall", d)
+	}
+
+	ref := mk()
+	for _, batch := range batches {
+		ref.HandleBatch(batch)
+	}
+	if got, want := sp.Snapshot().Dump(), ref.Snapshot().Dump(); !bytes.Equal(got, want) {
+		t.Errorf("stalled run's dump (%d B) differs from the unstalled run's (%d B)", len(got), len(want))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 	"servdisc/internal/sim"
 	"servdisc/internal/traffic"
@@ -116,7 +117,7 @@ func buildOn(net *campus.Network, o BuildOptions) (*Dataset, error) {
 	for _, link := range links {
 		pl := core.NewPassiveDiscoverer(campusPfx, campus.SelectedUDPPorts)
 		perLink[link] = pl
-		tap, err := capture.NewTap(link, capture.PaperFilter, nil, capture.Tee{d.Merged, pl})
+		tap, err := capture.NewTap(link, capture.PaperFilter, nil, pipeline.Fanout{d.Merged, pl})
 		if err != nil {
 			return nil, err
 		}

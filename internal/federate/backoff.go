@@ -10,7 +10,7 @@ import (
 // from Base with full jitter (each delay is uniform in (0, ceiling],
 // the AWS "full jitter" policy — decorrelated fleets never thunder), a
 // hard Cap, and reset-on-success (a connection that stayed up at least
-// ResetAfter, or delivered at least one applied frame, starts the
+// resetAfter, or delivered at least one applied frame, starts the
 // schedule over).
 type BackoffConfig struct {
 	// Base is the first-retry ceiling. Zero means 2s (the historical
@@ -18,9 +18,6 @@ type BackoffConfig struct {
 	Base time.Duration
 	// Cap bounds the ceiling. Zero means 1m.
 	Cap time.Duration
-	// ResetAfter is the connection uptime that counts as success even if
-	// no frame arrived. Zero means 30s.
-	ResetAfter time.Duration
 	// Seed makes the jitter deterministic for tests; zero derives a seed
 	// from the wall clock.
 	Seed uint64
@@ -36,11 +33,12 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 	if c.Cap < c.Base {
 		c.Cap = c.Base
 	}
-	if c.ResetAfter <= 0 {
-		c.ResetAfter = 30 * time.Second
-	}
 	return c
 }
+
+// resetAfter is the connection uptime that counts as success even if no
+// frame arrived.
+const resetAfter = 30 * time.Second
 
 // backoff is one feed's reconnect-delay state. Not safe for concurrent
 // use; each feed loop owns one.
@@ -76,7 +74,7 @@ func (b *backoff) next() time.Duration {
 // observe feeds back one connection's outcome: long-enough uptime or any
 // applied frame resets the schedule to the base.
 func (b *backoff) observe(uptime time.Duration, delivered bool) {
-	if delivered || uptime >= b.cfg.ResetAfter {
+	if delivered || uptime >= resetAfter {
 		b.attempt = 0
 	}
 }

@@ -36,10 +36,10 @@ func TestBackoffFullJitter(t *testing.T) {
 }
 
 // TestBackoffResetOnSuccess pins reset semantics: delivering a frame or
-// staying up past ResetAfter returns the schedule to Base; a short dead
+// staying up past resetAfter returns the schedule to Base; a short dead
 // connection does not.
 func TestBackoffResetOnSuccess(t *testing.T) {
-	cfg := BackoffConfig{Base: 100 * time.Millisecond, Cap: 10 * time.Second, ResetAfter: time.Minute, Seed: 7}
+	cfg := BackoffConfig{Base: 100 * time.Millisecond, Cap: 10 * time.Second, Seed: 7}
 	b := newBackoff(cfg)
 	for i := 0; i < 5; i++ {
 		b.next()
@@ -58,7 +58,7 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.next()
 	}
-	b.observe(2*time.Minute, false) // long uptime counts as success too
+	b.observe(resetAfter, false) // long uptime counts as success too
 	if got := b.ceiling(); got != cfg.Base {
 		t.Fatalf("ceiling after long uptime = %s, want %s", got, cfg.Base)
 	}
@@ -69,7 +69,7 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 // to it.
 func TestBackoffDefaults(t *testing.T) {
 	d := BackoffConfig{}.withDefaults()
-	if d.Base != 2*time.Second || d.Cap != time.Minute || d.ResetAfter != 30*time.Second {
+	if d.Base != 2*time.Second || d.Cap != time.Minute {
 		t.Fatalf("defaults = %+v", d)
 	}
 	inv := BackoffConfig{Base: time.Minute, Cap: time.Second}.withDefaults()

@@ -136,7 +136,7 @@ func (c *FeedClient) dial(ctx context.Context) (net.Conn, error) {
 
 // Run keeps the feed alive until the context ends: dial, consume until
 // the connection breaks, back off, redial. A connection that applied at
-// least one frame (or stayed up ResetAfter) resets the backoff schedule.
+// least one frame (or stayed up resetAfter) resets the backoff schedule.
 func (c *FeedClient) Run(ctx context.Context) error {
 	bo := newBackoff(c.opt.Backoff)
 	for ctx.Err() == nil {

@@ -46,6 +46,11 @@ type writeDeadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
+// writeTimeout bounds each write (one burst of frames) on a
+// deadline-capable connection: a peer that stops reading is evicted within
+// it.
+const writeTimeout = time.Minute
+
 // readDeadliner is the slice of net.Conn ServeConn uses to bound the wait
 // for the client's resume hello.
 type readDeadliner interface {
@@ -58,10 +63,6 @@ type PublisherOptions struct {
 	// Heartbeat is the keepalive interval on a quiet feed. Zero means
 	// 10s; negative disables heartbeats.
 	Heartbeat time.Duration
-	// WriteTimeout bounds each write (one burst of frames) on a
-	// deadline-capable connection; a peer that stops reading is evicted
-	// within this window. Zero means 1m.
-	WriteTimeout time.Duration
 	// HelloTimeout bounds the wait for a connecting reader's resume
 	// hello. Zero means 10s.
 	HelloTimeout time.Duration
@@ -75,9 +76,6 @@ type PublisherOptions struct {
 func (o PublisherOptions) withDefaults() PublisherOptions {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 10 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = time.Minute
 	}
 	if o.HelloTimeout <= 0 {
 		o.HelloTimeout = 10 * time.Second
@@ -430,7 +428,7 @@ func (p *Publisher) readHello(rw io.ReadWriter) (ResumeCursor, error) {
 // snapshot-then-live serving — unless an auth token is configured, which a
 // write-only peer cannot present.
 //
-// On a deadline-capable writer every write is bounded by WriteTimeout,
+// On a deadline-capable writer every write is bounded by writeTimeout,
 // and context cancellation closes the connection, so a stalled peer
 // cannot pin the serving goroutine. A reader whose frame queue overflowed
 // is evicted at the first frame past the gap, before that frame is sent,
@@ -480,7 +478,7 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 		err := enc.append(f)
 		if err == nil && last {
 			if wd != nil {
-				_ = wd.SetWriteDeadline(time.Now().Add(p.opt.WriteTimeout))
+				_ = wd.SetWriteDeadline(time.Now().Add(writeTimeout))
 			}
 			if err = enc.flush(); errors.Is(err, os.ErrDeadlineExceeded) {
 				p.evictions.Add(1)

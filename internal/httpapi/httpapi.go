@@ -51,10 +51,9 @@ type View interface {
 const defaultPageLimit = 1000
 
 // NewMux mounts the shared endpoints: /services and /query over src,
-// metrics (the daemon's scrape handler — reg.Handler(), or a wrapper
-// refreshing mirrored series first) at /metrics, and reg's flight
-// recorder at /debug/flight (the full pprof surface is ServeDebug's).
-func NewMux(src Source, reg *obs.Registry, metrics http.Handler) *http.ServeMux {
+// reg's exposition at /metrics, and reg's flight recorder at
+// /debug/flight (the full pprof surface is ServeDebug's).
+func NewMux(src Source, reg *obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/services", servicesHandler(src))
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
@@ -71,7 +70,7 @@ func NewMux(src Source, reg *obs.Registry, metrics http.Handler) *http.ServeMux 
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(res)
 	})
-	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/flight", reg.Flight().Handler())
 	return mux
 }
@@ -190,9 +189,9 @@ func (s *Server) Drain() {
 // ServeDebug starts the debug surface — pprof profiles, the flight dump
 // and a second /metrics — on its own listener, so it can stay unexposed
 // while the API address is public. daemon prefixes the failure diagnostic.
-func ServeDebug(daemon, addr string, reg *obs.Registry, metrics http.Handler) {
+func ServeDebug(daemon, addr string, reg *obs.Registry) {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/", reg.DebugHandler())
 	go func() {
 		if err := http.ListenAndServe(addr, mux); err != nil {

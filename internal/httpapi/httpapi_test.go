@@ -201,7 +201,7 @@ func TestSharedSurface(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fx := build(t, services)
 			reg := obs.NewRegistry()
-			srv := httptest.NewServer(httpapi.NewMux(fx.src, reg, reg.Handler()))
+			srv := httptest.NewServer(httpapi.NewMux(fx.src, reg))
 			defer srv.Close()
 
 			t.Run("full dump is cached behind its ETag", func(t *testing.T) {

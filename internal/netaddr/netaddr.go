@@ -11,8 +11,6 @@ package netaddr
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"net/netip"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,23 +81,6 @@ func (a V4) AppendTo(dst []byte) []byte {
 // Ord is the address as an integer, ordered as addresses are.
 func (a V4) Ord() uint64 { return uint64(a) }
 
-// Netip converts to a net/netip address for interoperation with the
-// standard library (e.g. when probing real networks).
-func (a V4) Netip() netip.Addr {
-	return netip.AddrFrom4(a.Bytes())
-}
-
-// FromNetip converts a netip address, reporting ok=false for non-IPv4
-// (including IPv4-mapped IPv6, which is unmapped first).
-func FromNetip(ip netip.Addr) (V4, bool) {
-	ip = ip.Unmap()
-	if !ip.Is4() {
-		return 0, false
-	}
-	b := ip.As4()
-	return FromBytes(b[0], b[1], b[2], b[3]), true
-}
-
 // String renders the dotted-quad form.
 func (a V4) String() string {
 	b := a.Bytes()
@@ -127,18 +108,6 @@ func (a *V4) UnmarshalText(text []byte) error {
 	*a = v
 	return nil
 }
-
-// IsPrivate reports whether the address falls in RFC 1918 space.
-func (a V4) IsPrivate() bool {
-	return Prefix10.Contains(a) || Prefix172.Contains(a) || Prefix192.Contains(a)
-}
-
-// Well-known private prefixes.
-var (
-	Prefix10  = MustParsePrefix("10.0.0.0/8")
-	Prefix172 = MustParsePrefix("172.16.0.0/12")
-	Prefix192 = MustParsePrefix("192.168.0.0/16")
-)
 
 // Prefix is a CIDR block: the masked base address plus prefix length.
 type Prefix struct {
@@ -211,19 +180,6 @@ func (p Prefix) Contains(a V4) bool {
 	return a&V4(maskFor(int(p.bits))) == p.base
 }
 
-// Overlaps reports whether two blocks share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.base)
-	}
-	return q.Contains(p.base)
-}
-
-// Range converts the prefix to the equivalent half-open range.
-func (p Prefix) Range() Range {
-	return Range{Lo: p.base, Hi: V4(uint32(p.Last()) + 1)}
-}
-
 // String renders CIDR notation.
 func (p Prefix) String() string {
 	return p.base.String() + "/" + strconv.Itoa(int(p.bits))
@@ -250,15 +206,6 @@ type Range struct {
 	Lo, Hi V4
 }
 
-// NewRange builds the half-open range [lo, hi). It reports an error when
-// hi < lo (an inverted interval).
-func NewRange(lo, hi V4) (Range, error) {
-	if hi < lo && hi != 0 {
-		return Range{}, fmt.Errorf("netaddr: inverted range %s-%s", lo, hi)
-	}
-	return Range{Lo: lo, Hi: hi}, nil
-}
-
 // Size returns the number of addresses in the range.
 func (r Range) Size() int {
 	if r.Hi == 0 && r.Lo != 0 {
@@ -282,14 +229,6 @@ func (r Range) At(i int) V4 {
 		panic(fmt.Sprintf("netaddr: index %d out of range %s (size %d)", i, r, r.Size()))
 	}
 	return r.Lo + V4(i)
-}
-
-// Index returns the position of a within the range, or -1 if absent.
-func (r Range) Index(a V4) int {
-	if !r.Contains(a) {
-		return -1
-	}
-	return int(a - r.Lo)
 }
 
 // String renders "lo-hi" (inclusive upper bound for readability).
@@ -341,32 +280,6 @@ func (s *Set) Add(a V4) {
 	s.m[a] = struct{}{}
 }
 
-// AddPrefix inserts every address in p.
-func (s *Set) AddPrefix(p Prefix) {
-	for a := p.Base(); ; a++ {
-		s.Add(a)
-		if a == p.Last() {
-			break
-		}
-	}
-}
-
-// AddRange inserts every address in r.
-func (s *Set) AddRange(r Range) {
-	for i := 0; i < r.Size(); i++ {
-		s.Add(r.At(i))
-	}
-}
-
-// Remove deletes a if present.
-func (s *Set) Remove(a V4) {
-	if _, ok := s.m[a]; !ok {
-		return
-	}
-	s.own()
-	delete(s.m, a)
-}
-
 // Contains reports membership.
 func (s *Set) Contains(a V4) bool {
 	_, ok := s.m[a]
@@ -376,24 +289,12 @@ func (s *Set) Contains(a V4) bool {
 // Len returns the number of addresses in the set.
 func (s *Set) Len() int { return len(s.m) }
 
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	out := &Set{}
-	if len(s.m) > 0 {
-		out.m = make(map[V4]struct{}, len(s.m))
-		for a := range s.m {
-			out.m[a] = struct{}{}
-		}
-	}
-	return out
-}
-
 // CloneShared returns a copy that shares s's storage copy-on-write: the
 // O(1) clone for snapshot views. Either side's next mutation copies the
-// storage first, so the twins can never observe each other — semantically
-// identical to Clone, but reads stay free and an all-read lifetime never
-// pays for a copy at all. Not safe for concurrent use with mutations of
-// s, matching Set's general contract.
+// storage first, so the twins can never observe each other, while reads
+// stay free and an all-read lifetime never pays for a copy at all. Not
+// safe for concurrent use with mutations of s, matching Set's general
+// contract.
 func (s *Set) CloneShared() *Set {
 	if len(s.m) == 0 {
 		return &Set{}
@@ -449,19 +350,6 @@ func (s *Set) Diff(t *Set) *Set {
 	return out
 }
 
-// Equal reports whether both sets hold exactly the same addresses.
-func (s *Set) Equal(t *Set) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	for a := range s.m {
-		if !t.Contains(a) {
-			return false
-		}
-	}
-	return true
-}
-
 // Sorted returns the addresses in ascending order.
 func (s *Set) Sorted() []V4 {
 	out := make([]V4, 0, len(s.m))
@@ -469,41 +357,5 @@ func (s *Set) Sorted() []V4 {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SummarizePrefixes greedily covers the set with CIDR blocks, useful for
-// printing compact descriptions of discovered address populations.
-func (s *Set) SummarizePrefixes() []Prefix {
-	addrs := s.Sorted()
-	var out []Prefix
-	for i := 0; i < len(addrs); {
-		a := addrs[i]
-		// Find the longest run of consecutive addresses starting at a.
-		run := 1
-		for i+run < len(addrs) && addrs[i+run] == a+V4(run) {
-			run++
-		}
-		// Cover the run with maximal aligned power-of-two blocks.
-		for run > 0 {
-			// Alignment limits the block size to the lowest set bit of a
-			// (or the whole space when a == 0).
-			maxAligned := 32
-			if a != 0 {
-				maxAligned = bits.TrailingZeros32(uint32(a))
-			}
-			sz := 1
-			ln := 32
-			for sz*2 <= run && 32-(ln-1) <= maxAligned {
-				sz *= 2
-				ln--
-			}
-			p, _ := NewPrefix(a, ln)
-			out = append(out, p)
-			a += V4(sz)
-			run -= sz
-			i += sz
-		}
-	}
 	return out
 }

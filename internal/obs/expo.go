@@ -95,13 +95,17 @@ func writeLabels(w *bufio.Writer, names, vals []string, extraName, extraVal stri
 
 // WritePrometheus writes every registered family in text exposition
 // format 0.0.4: families in name order, HELP and TYPE once per family,
-// series in deterministic label order. Scrape hooks run first.
+// series in deterministic label order. Scrape hooks run first, outside
+// the lock.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, fn := range r.onScrape {
+	hooks := r.onScrape // append-only: the hooks under this header never change
+	r.mu.Unlock()
+	for _, fn := range hooks {
 		fn()
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)

@@ -56,12 +56,13 @@ func (k Kind) String() string {
 
 // Registry holds metric families and the flight recorder. One registry
 // per process is the normal shape; the facade creates one per Pipeline
-// unless the caller shares theirs via Config.Telemetry.
+// (servdisc.Pipeline.Metrics) and the daemons register their own series
+// on it.
 type Registry struct {
 	mu       sync.Mutex
 	fams     map[string]*family
 	order    []string // registration order; exposition sorts
-	onScrape []func() // hooks run (under mu) before each exposition
+	onScrape []func() // hooks run (outside mu) before each exposition
 	flight   *Recorder
 }
 
@@ -105,9 +106,10 @@ func (r *Registry) Flight() *Recorder {
 
 // OnScrape registers fn to run at the start of every exposition, before
 // any family is written — the hook point for mirroring externally
-// maintained tallies (stage counters, checkpoint stats) into registry
-// series. Hooks run under the registry lock; they must not call
-// registration methods.
+// maintained tallies (stage counters, per-site statistics) into registry
+// series. Hooks run outside the registry lock, so they may mint series
+// (a Vec's With) that then show in the same exposition; concurrent
+// scrapes run them concurrently, so they must be safe for that.
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

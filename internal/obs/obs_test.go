@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -201,6 +203,52 @@ func TestScrapeHooksAndFuncs(t *testing.T) {
 	}
 	if !strings.Contains(out, "hooked 7") {
 		t.Errorf("OnScrape hook not run:\n%s", out)
+	}
+}
+
+// TestScrapeHookMintsSeries: a scrape hook may mint a labelled series
+// (federated's site mirror does, for a site seen first), the series shows
+// in the same exposition, and concurrent scrapes running the hook at once
+// all finish. A hook run under the registry lock deadlocks on the mint,
+// hence the timeout.
+func TestScrapeHookMintsSeries(t *testing.T) {
+	r := NewRegistry()
+	sites := r.GaugeVec("site_services", "Services per site.", "site")
+	var minted atomic.Int64
+	r.OnScrape(func() {
+		n := minted.Add(1)
+		sites.With(fmt.Sprintf("s%d", n)).Set(float64(n))
+	})
+	scrapes := func(n int) []string {
+		done := make(chan string, n)
+		for range n {
+			go func() {
+				var sb strings.Builder
+				_ = r.WritePrometheus(&sb)
+				done <- sb.String()
+			}()
+		}
+		outs := make([]string, 0, n)
+		timeout := time.After(5 * time.Second)
+		for range n {
+			select {
+			case out := <-done:
+				outs = append(outs, out)
+			case <-timeout:
+				t.Fatalf("%d of %d scrapes finished within 5s", len(outs), n)
+			}
+		}
+		return outs
+	}
+	if out := scrapes(1)[0]; !strings.Contains(out, `site_services{site="s1"} 1`+"\n") {
+		t.Fatalf("series minted by the hook missing from its exposition:\n%s", out)
+	}
+	scrapes(2)
+	final := scrapes(1)[0]
+	for i := 1; i <= 4; i++ {
+		if want := fmt.Sprintf(`site_services{site="s%d"} %d`+"\n", i, i); !strings.Contains(final, want) {
+			t.Errorf("missing %q:\n%s", want, final)
+		}
 	}
 }
 

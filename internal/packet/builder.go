@@ -115,20 +115,3 @@ func (b *Builder) PortUnreachable(ts time.Time, src netaddr.V4, offending *Packe
 	}
 	return p
 }
-
-// QuotedFlow recovers the flow of the datagram embedded in an ICMP
-// destination-unreachable payload, so a prober can match responses to the
-// probes that caused them.
-func QuotedFlow(icmpPayload []byte) (Flow, bool) {
-	var ip IPv4
-	rest, err := ip.DecodeFrom(icmpPayload)
-	if err != nil || len(rest) < 4 {
-		return Flow{}, false
-	}
-	srcPort := be.Uint16(rest[0:2])
-	dstPort := be.Uint16(rest[2:4])
-	return Flow{
-		Src: Endpoint{Addr: ip.Src, Port: srcPort},
-		Dst: Endpoint{Addr: ip.Dst, Port: dstPort},
-	}, true
-}

@@ -26,10 +26,7 @@ type Ethernet struct {
 	EtherType uint16
 }
 
-// LayerType implements Layer.
-func (Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// AppendTo implements Layer.
+// AppendTo serializes the header onto dst and returns the extended slice.
 func (e *Ethernet) AppendTo(dst []byte) []byte {
 	dst = append(dst, e.Dst[:]...)
 	dst = append(dst, e.Src[:]...)
@@ -125,10 +122,7 @@ const (
 	IPv4MoreFragments = 0x1
 )
 
-// LayerType implements Layer.
-func (IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// AppendTo implements Layer.
+// AppendTo serializes the header onto dst and returns the extended slice.
 func (ip *IPv4) AppendTo(dst []byte) []byte {
 	dst = append(dst, 0x45, ip.TOS) // version 4, IHL 5
 	dst = be.AppendUint16(dst, ip.TotalLength)
@@ -250,10 +244,7 @@ type TCP struct {
 	Urgent           uint16
 }
 
-// LayerType implements Layer.
-func (TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// AppendTo implements Layer.
+// AppendTo serializes the header onto dst and returns the extended slice.
 func (t *TCP) AppendTo(dst []byte) []byte {
 	dst = be.AppendUint16(dst, t.SrcPort)
 	dst = be.AppendUint16(dst, t.DstPort)
@@ -316,10 +307,7 @@ type UDP struct {
 	Checksum         uint16
 }
 
-// LayerType implements Layer.
-func (UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// AppendTo implements Layer.
+// AppendTo serializes the header onto dst and returns the extended slice.
 func (u *UDP) AppendTo(dst []byte) []byte {
 	dst = be.AppendUint16(dst, u.SrcPort)
 	dst = be.AppendUint16(dst, u.DstPort)
@@ -378,10 +366,7 @@ type ICMPv4 struct {
 	Rest [4]byte
 }
 
-// LayerType implements Layer.
-func (ICMPv4) LayerType() LayerType { return LayerTypeICMPv4 }
-
-// AppendTo implements Layer.
+// AppendTo serializes the header onto dst and returns the extended slice.
 func (ic *ICMPv4) AppendTo(dst []byte) []byte {
 	dst = append(dst, ic.Type, ic.Code)
 	dst = be.AppendUint16(dst, ic.Checksum)
@@ -403,11 +388,4 @@ func (ic *ICMPv4) DecodeFrom(data []byte) ([]byte, error) {
 	ic.Checksum = be.Uint16(data[2:4])
 	copy(ic.Rest[:], data[4:8])
 	return data[icmpHeaderLen:], nil
-}
-
-// IsPortUnreachable reports whether this is a destination-unreachable /
-// port-unreachable message — the definitive "no UDP service here" signal
-// the paper's UDP methodology relies on (Section 4.5).
-func (ic *ICMPv4) IsPortUnreachable() bool {
-	return ic.Type == ICMPDestUnreachable && ic.Code == ICMPCodePortUnreach
 }

@@ -3,7 +3,7 @@
 // ICMPv4 encode/decode with real RFC header layouts and checksums.
 //
 // The API follows the layered-decoding idioms popularized by gopacket
-// (LayerType, Layer, Flow/Endpoint), scaled down to the protocols this
+// (LayerType, Endpoint), scaled down to the protocols this
 // system needs and implemented on the standard library alone. Decoding is
 // allocation-conscious: a Packet decodes all layers into pre-declared
 // structs in one pass, and DecodeLayers-style partial decoding is available
@@ -54,21 +54,11 @@ func (lt LayerType) String() string {
 	}
 }
 
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the layer.
-	LayerType() LayerType
-	// AppendTo serializes the layer's header (and for leaf layers, its
-	// payload) onto dst and returns the extended slice.
-	AppendTo(dst []byte) []byte
-}
-
 // Decode errors.
 var (
-	ErrTruncated   = errors.New("packet: truncated")
-	ErrBadVersion  = errors.New("packet: not IPv4")
-	ErrBadChecksum = errors.New("packet: bad checksum")
-	ErrBadHeader   = errors.New("packet: malformed header")
+	ErrTruncated  = errors.New("packet: truncated")
+	ErrBadVersion = errors.New("packet: not IPv4")
+	ErrBadHeader  = errors.New("packet: malformed header")
 )
 
 // Packet is a fully decoded packet plus capture metadata. The layer fields
@@ -204,24 +194,6 @@ func (p *Packet) Marshal() []byte {
 	return append(out, p.Payload...)
 }
 
-// Flow returns the transport 4-tuple flow of the packet, and ok=false when
-// the packet has no TCP/UDP layer.
-func (p *Packet) Flow() (Flow, bool) {
-	switch {
-	case p.Has(LayerTypeTCP):
-		return Flow{
-			Src: Endpoint{Addr: p.IPv4.Src, Port: p.TCP.SrcPort},
-			Dst: Endpoint{Addr: p.IPv4.Dst, Port: p.TCP.DstPort},
-		}, true
-	case p.Has(LayerTypeUDP):
-		return Flow{
-			Src: Endpoint{Addr: p.IPv4.Src, Port: p.UDP.SrcPort},
-			Dst: Endpoint{Addr: p.IPv4.Dst, Port: p.UDP.DstPort},
-		}, true
-	}
-	return Flow{}, false
-}
-
 // Endpoint is one side of a transport conversation.
 type Endpoint struct {
 	Addr netaddr.V4
@@ -231,24 +203,4 @@ type Endpoint struct {
 // String renders "addr:port".
 func (e Endpoint) String() string {
 	return fmt.Sprintf("%s:%d", e.Addr, e.Port)
-}
-
-// Flow is a directed transport-layer conversation.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// Reverse returns the flow with src and dst swapped.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// String renders "src->dst".
-func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
-
-// Canonical returns the flow ordered so that the numerically smaller
-// endpoint comes first, suitable for keying bidirectional state.
-func (f Flow) Canonical() Flow {
-	if f.Src.Addr > f.Dst.Addr || (f.Src.Addr == f.Dst.Addr && f.Src.Port > f.Dst.Port) {
-		return f.Reverse()
-	}
-	return f
 }

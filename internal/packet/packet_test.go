@@ -96,15 +96,17 @@ func TestICMPPortUnreachable(t *testing.T) {
 	if !got.Has(LayerTypeICMPv4) {
 		t.Fatalf("layers = %v", got.Layers)
 	}
-	if !got.ICMPv4.IsPortUnreachable() {
+	if got.ICMPv4.Type != ICMPDestUnreachable || got.ICMPv4.Code != ICMPCodePortUnreach {
 		t.Errorf("type/code = %d/%d", got.ICMPv4.Type, got.ICMPv4.Code)
 	}
-	flow, ok := QuotedFlow(got.Payload)
-	if !ok {
-		t.Fatal("QuotedFlow failed")
+	// The payload quotes the probe's IP header and first 8 bytes.
+	var quoted IPv4
+	rest, err := quoted.DecodeFrom(got.Payload)
+	if err != nil || len(rest) < 4 {
+		t.Fatalf("quoted header: %v (%d bytes after it)", err, len(rest))
 	}
-	if flow.Src.Addr != srcA || flow.Dst.Port != 137 {
-		t.Errorf("quoted flow = %v", flow)
+	if quoted.Src != srcA || be.Uint16(rest[2:4]) != 137 {
+		t.Errorf("quoted %v -> port %d", quoted.Src, be.Uint16(rest[2:4]))
 	}
 }
 
@@ -221,29 +223,6 @@ func TestUDPMarshalDecodeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFlow(t *testing.T) {
-	b := NewBuilder(0)
-	p := b.Syn(tRef, Endpoint{srcA, 40001}, Endpoint{dstA, 80}, 1)
-	fl, ok := p.Flow()
-	if !ok {
-		t.Fatal("Flow failed")
-	}
-	if fl.Src.Port != 40001 || fl.Dst.Port != 80 {
-		t.Errorf("flow = %v", fl)
-	}
-	rev := fl.Reverse()
-	if rev.Src != fl.Dst || rev.Dst != fl.Src {
-		t.Error("Reverse broken")
-	}
-	if fl.Canonical() != rev.Canonical() {
-		t.Error("Canonical not direction-invariant")
-	}
-	icmp := b.PortUnreachable(tRef, dstA, b.UDPPacket(tRef, Endpoint{srcA, 1}, Endpoint{dstA, 2}, nil))
-	if _, ok := icmp.Flow(); ok {
-		t.Error("ICMP packet should have no flow")
 	}
 }
 

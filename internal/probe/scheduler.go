@@ -121,9 +121,6 @@ func NewScheduler(backend Backend, cfg SchedulerConfig) *Scheduler {
 	}
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() SchedulerConfig { return s.cfg }
-
 // SetMetrics attaches the telemetry bundle; call before sweeps start.
 func (s *Scheduler) SetMetrics(m *Metrics) { s.met = m }
 

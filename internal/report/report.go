@@ -6,7 +6,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -185,18 +184,4 @@ func (f *Figure) Render() string {
 	}
 	fmt.Fprintf(&b, "%-*s  %s .. %s\n", width, "", lo.UTC().Format("01-02 15:04"), hi.UTC().Format("01-02 15:04"))
 	return b.String()
-}
-
-// CountTable renders a stats.Counter as a two-column table with percents of
-// the total, in the paper's percentage style.
-func CountTable(caption string, c *stats.Counter) *Table {
-	t := NewTable(caption, "category", "count", "percent")
-	total := c.Total()
-	keys := c.Keys()
-	sort.Slice(keys, func(i, j int) bool { return c.Get(keys[i]) > c.Get(keys[j]) })
-	for _, k := range keys {
-		t.AddRow(k, c.Get(k), stats.Percent(c.Get(k), total))
-	}
-	t.AddRow("total", total, "100%")
-	return t
 }

@@ -85,17 +85,3 @@ func TestFigureRender(t *testing.T) {
 		t.Errorf("empty render = %q", empty)
 	}
 }
-
-func TestCountTable(t *testing.T) {
-	c := stats.NewCounter()
-	c.Inc("web", 90)
-	c.Inc("ssh", 10)
-	out := CountTable("services", c).Render()
-	if !strings.Contains(out, "90%") || !strings.Contains(out, "total") {
-		t.Errorf("count table:\n%s", out)
-	}
-	// Largest first.
-	if strings.Index(out, "web") > strings.Index(out, "ssh") {
-		t.Error("rows not sorted by count")
-	}
-}

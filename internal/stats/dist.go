@@ -1,65 +1,11 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Zipf samples ranks 1..N with P(rank=k) ∝ 1/k^S. The paper's analysis
-// (Section 4.2.1) concludes that "server request rates are heavy tailed";
-// the simulator realizes server popularity with this sampler so that the
-// "99% of flows found in minutes" behaviour of Figure 1 emerges from the
-// tail rather than being hard-coded.
-type Zipf struct {
-	rng *RNG
-	// cdf[i] is the cumulative probability of ranks 1..i+1.
-	cdf []float64
-}
-
-// NewZipf builds a sampler over n ranks with exponent s > 0. It
-// precomputes the CDF; n is bounded by the simulator's server counts
-// (thousands), so the table stays small.
-func NewZipf(rng *RNG, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with non-positive n")
-	}
-	if s <= 0 {
-		panic("stats: Zipf with non-positive exponent")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), s)
-		cdf[k-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{rng: rng, cdf: cdf}
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Rank samples a rank in [1, N].
-func (z *Zipf) Rank() int {
-	u := z.rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u) + 1
-}
-
-// Weight returns the probability mass of the given rank (1-based).
-func (z *Zipf) Weight(rank int) float64 {
-	if rank < 1 || rank > len(z.cdf) {
-		return 0
-	}
-	if rank == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank-1] - z.cdf[rank-2]
-}
-
-// ZipfWeights returns normalized Zipf(s) weights for n ranks without
-// allocating a sampler, for callers that assign static popularity mass.
+// ZipfWeights returns normalized Zipf(s) weights for n ranks: rank k
+// gets mass ∝ 1/k^s. The campus model splits its popular servers' share
+// of flows by these weights, the busy head of the heavy-tailed request
+// rates the paper infers in Section 4.2.1.
 func ZipfWeights(s float64, n int) []float64 {
 	w := make([]float64, n)
 	sum := 0.0
@@ -71,31 +17,6 @@ func ZipfWeights(s float64, n int) []float64 {
 		w[i] /= sum
 	}
 	return w
-}
-
-// Pareto samples a bounded Pareto distribution on [lo, hi] with shape a.
-// Used for service lifetimes and session durations.
-type Pareto struct {
-	rng    *RNG
-	lo, hi float64
-	alpha  float64
-}
-
-// NewPareto builds a bounded Pareto sampler. Requires 0 < lo < hi, a > 0.
-func NewPareto(rng *RNG, a, lo, hi float64) *Pareto {
-	if lo <= 0 || hi <= lo || a <= 0 {
-		panic("stats: invalid Pareto parameters")
-	}
-	return &Pareto{rng: rng, lo: lo, hi: hi, alpha: a}
-}
-
-// Sample draws a value in [lo, hi].
-func (p *Pareto) Sample() float64 {
-	u := p.rng.Float64()
-	la := math.Pow(p.lo, p.alpha)
-	ha := math.Pow(p.hi, p.alpha)
-	// Inverse-CDF of the bounded Pareto.
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.alpha)
 }
 
 // DiurnalProfile modulates a rate over the day. Values are multipliers per
@@ -113,16 +34,6 @@ func DefaultDiurnal() DiurnalProfile {
 		1.30, 1.30, 1.25, 1.20, 1.15, 1.05,
 		0.95, 0.90, 0.85, 0.75, 0.65, 0.55,
 	}
-}
-
-// FlatDiurnal returns an always-1.0 profile (ablation: removes time-of-day
-// effects).
-func FlatDiurnal() DiurnalProfile {
-	var p DiurnalProfile
-	for i := range p {
-		p[i] = 1
-	}
-	return p
 }
 
 // At returns the multiplier for the given hour offset (in hours, may exceed

@@ -88,11 +88,6 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63 returns a non-negative 63-bit value, mirroring math/rand.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {

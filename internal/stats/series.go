@@ -96,54 +96,6 @@ func (s *Series) Scale(f float64) *Series {
 	return out
 }
 
-// Resample returns the series sampled at fixed steps across [from, to],
-// carrying values forward. Handy for aligning several discovery curves on
-// one time base before printing a figure.
-func (s *Series) Resample(from, to time.Time, step time.Duration) *Series {
-	if step <= 0 {
-		panic("stats: Resample with non-positive step")
-	}
-	out := NewSeries(s.Name)
-	for t := from; !t.After(to); t = t.Add(step) {
-		out.Add(t, s.At(t))
-	}
-	return out
-}
-
-// Counter accumulates integer counts keyed by string, with deterministic
-// ordered output. It backs the summary tables.
-type Counter struct {
-	m map[string]int
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int)} }
-
-// Inc adds delta to key.
-func (c *Counter) Inc(key string, delta int) { c.m[key] += delta }
-
-// Get returns the count for key (0 if absent).
-func (c *Counter) Get(key string) int { return c.m[key] }
-
-// Keys returns all keys in sorted order.
-func (c *Counter) Keys() []string {
-	ks := make([]string, 0, len(c.m))
-	for k := range c.m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// Total sums all counts.
-func (c *Counter) Total() int {
-	t := 0
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
 // Percent formats v as a percentage of total in the paper's style:
 // two significant digits ("19%", "2.3%", "0.39%").
 func Percent(v, total int) string {

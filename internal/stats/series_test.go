@@ -58,20 +58,13 @@ func TestSeriesFirstReaching(t *testing.T) {
 	}
 }
 
-func TestSeriesScaleAndResample(t *testing.T) {
+func TestSeriesScale(t *testing.T) {
 	s := NewSeries("x")
 	s.Add(t0, 4)
 	s.Add(t0.Add(time.Hour), 8)
 	sc := s.Scale(0.5)
 	if sc.Last() != 4 {
 		t.Errorf("Scale Last = %v", sc.Last())
-	}
-	re := s.Resample(t0, t0.Add(2*time.Hour), 30*time.Minute)
-	if re.Len() != 5 {
-		t.Fatalf("Resample Len = %d", re.Len())
-	}
-	if re.Points()[1].V != 4 || re.Points()[2].V != 8 {
-		t.Errorf("Resample values wrong: %+v", re.Points())
 	}
 }
 
@@ -82,23 +75,6 @@ func TestSeriesEmpty(t *testing.T) {
 	}
 	if _, ok := s.FirstReaching(1); ok {
 		t.Error("empty FirstReaching should fail")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("web", 2)
-	c.Inc("ssh", 1)
-	c.Inc("web", 3)
-	if c.Get("web") != 5 || c.Get("ssh") != 1 || c.Get("absent") != 0 {
-		t.Error("counter values wrong")
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "ssh" || keys[1] != "web" {
-		t.Errorf("Keys = %v", keys)
-	}
-	if c.Total() != 6 {
-		t.Errorf("Total = %d", c.Total())
 	}
 }
 

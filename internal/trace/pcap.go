@@ -169,9 +169,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the trace's link-layer type.
 func (r *Reader) LinkType() LinkType { return r.link }
 
-// SnapLen returns the trace's snap length.
-func (r *Reader) SnapLen() int { return r.snaplen }
-
 // Next returns the next record, or io.EOF at a clean end of stream. A
 // truncated final record returns ErrCorrupt (wrapped) rather than EOF, so
 // failure injection in capture infrastructure is visible to callers.

@@ -2,8 +2,8 @@ package servdisc
 
 // This file is the public facade over the internal wiring: NewPipeline
 // assembles the standard passive-monitoring pipeline (link assigner →
-// per-link taps → sharded discoverer), NewHybrid is the same pipeline with
-// the concurrent active-scan scheduler required, and Discover replays a pcap
+// per-link taps → sharded discoverer), with the concurrent active-scan
+// scheduler attached when Config.Scan is set, and Discover replays a pcap
 // trace through it. cmd/ and examples/ build on these instead of
 // assembling internal packages by hand. See doc.go for the package
 // overview and DESIGN.md for the architecture.
@@ -88,8 +88,8 @@ type (
 	// Telemetry is the typed metrics registry every pipeline carries
 	// (internal/obs): counters, gauges, latency histograms and the
 	// flight recorder, all scraped through WritePrometheus or served by
-	// Handler / DebugHandler. Share one registry across a pipeline and
-	// its daemon-level series by passing it in Config.Telemetry.
+	// Handler / DebugHandler. Pipeline.Metrics returns a pipeline's;
+	// daemon-level series register on it directly.
 	Telemetry = obs.Registry
 )
 
@@ -141,11 +141,9 @@ type ScanOptions struct {
 	// SweepTimeout is the per-sweep deadline; an overrunning sweep is
 	// truncated and reported partial. Zero means none.
 	SweepTimeout time.Duration
-	// ProbeTimeout bounds each real-network probe (NetBackend default 2s).
-	ProbeTimeout time.Duration
 	// Backend overrides the probe backend. Nil selects the real-network
-	// connect-scan backend; inject a probe.SimBackend to scan a simulated
-	// campus.
+	// connect-scan backend (2 s per probe); inject a probe.SimBackend to
+	// scan a simulated campus.
 	Backend probe.Backend
 	// Compact aggregates TCP results into per-address summaries — required
 	// for all-ports sweeps, where full per-probe records would not fit.
@@ -168,7 +166,7 @@ func (o *ScanOptions) backend() probe.Backend {
 	if o.Backend != nil {
 		return o.Backend
 	}
-	return &probe.NetBackend{Timeout: o.ProbeTimeout}
+	return &probe.NetBackend{}
 }
 
 // Config shapes a discovery pipeline.
@@ -187,18 +185,15 @@ type Config struct {
 	// hardware-sized default. Results are deterministic and identical for
 	// every shard count (shard-then-merge, see DESIGN.md).
 	Shards int
-	// BatchSize is the replay batch granularity for Discover
-	// (pipeline.DefaultBatchSize if <= 0).
-	BatchSize int
 	// Links lists the monitored peerings for NewPipeline. Defaults to the
 	// paper's two commercial links.
 	Links []capture.LinkID
 	// Academic lists external addresses routed via the Internet2 peering
 	// (relevant only when LinkInternet2 is monitored).
 	Academic []netaddr.V4
-	// Scan configures the active-scan side. NewHybrid requires it;
-	// NewPipeline accepts it too, attaching the scheduler so scan reports
-	// reconcile into the same engine as the passive stream.
+	// Scan configures the active-scan side: NewPipeline attaches the
+	// scheduler (Pipeline.Scan, RunScans) so scan reports reconcile into
+	// the same engine as the passive stream.
 	Scan *ScanOptions
 	// Checkpoint, when set, gives the pipeline durable state: call
 	// RestoreFromCheckpoint before ingest to resume a previous run, and
@@ -213,14 +208,6 @@ type Config struct {
 	// itself — never a full rescan — and each index epoch is an immutable
 	// value read lock-free by any number of concurrent queries.
 	QueryIndex bool
-	// Telemetry, when set, is the metrics registry the pipeline
-	// instruments itself into; nil makes NewPipeline create a private
-	// one (read it back with Pipeline.Metrics). Either way the pipeline
-	// registers its latency histograms (ingest dispatch/apply, snapshot
-	// merge, probe RTTs and sweeps, checkpoint write/restore, query
-	// execution) and records trace events into the registry's flight
-	// recorder. Instrumentation is zero-allocation on the hot paths.
-	Telemetry *Telemetry
 	// Retention, when enabled (any TTL > 0), expires services whose
 	// evidence ages past its TTL, measured on the observation clock (the
 	// newest packet timestamp ingested). Expired services leave Snapshot
@@ -270,11 +257,10 @@ func (c Config) shardCount() int {
 // replay loop), feed it scan reports (it implements probe.ReportSink), and
 // Snapshot the inventory.
 type Pipeline struct {
-	monitor   *capture.Monitor
-	engine    *core.ShardedPassive
-	sched     *probe.Scheduler // nil unless Config.Scan was set
-	scan      *ScanOptions
-	batchSize int
+	monitor *capture.Monitor
+	engine  *core.ShardedPassive
+	sched   *probe.Scheduler // nil unless Config.Scan was set
+	scan    *ScanOptions
 
 	ckpt        *checkpoint.Writer // nil unless Config.Checkpoint was set
 	ckptDir     string
@@ -344,17 +330,13 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		}
 		taps = append(taps, tap)
 	}
+	reg := obs.NewRegistry()
 	p := &Pipeline{
-		monitor:   capture.NewMonitor(capture.NewAssigner(pfx, cfg.Academic), taps...),
-		engine:    engine,
-		scan:      cfg.Scan,
-		batchSize: cfg.BatchSize,
+		monitor: capture.NewMonitor(capture.NewAssigner(pfx, cfg.Academic), taps...),
+		engine:  engine,
+		scan:    cfg.Scan,
+		reg:     reg,
 	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	p.reg = reg
 	p.ingestLat = reg.Histogram("servdisc_ingest_batch_seconds",
 		"Whole ingest-path latency per packet batch: link assignment, taps and engine dispatch.")
 	engine.SetMetrics(&core.EngineMetrics{
@@ -427,11 +409,13 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Metrics returns the pipeline's telemetry registry — the one passed in
-// Config.Telemetry, or the private one NewPipeline created. Serve it with
-// Telemetry.Handler (Prometheus text exposition) or DebugHandler (adds
-// /debug/pprof and the /debug/flight trace dump), and register
-// daemon-level series directly on it.
+// Metrics returns the telemetry registry the pipeline instruments itself
+// into: its latency histograms (ingest dispatch/apply, snapshot merge,
+// probe RTTs and sweeps, checkpoint write/restore, query execution) and
+// the flight recorder's trace events, zero-allocation on the hot paths.
+// Serve it with Telemetry.Handler (Prometheus text exposition) or
+// DebugHandler (adds /debug/pprof and the /debug/flight trace dump), and
+// register daemon-level series directly on it.
 func (p *Pipeline) Metrics() *Telemetry { return p.reg }
 
 // Monitor exposes the link monitor — the pipeline's ingest point, and the
@@ -594,7 +578,7 @@ func (p *Pipeline) Replay(ctx context.Context, r io.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return capture.ReplayBatched(ctx, tr, p.engine, p.batchSize)
+	return capture.ReplayBatched(ctx, tr, p.engine, pipeline.DefaultBatchSize)
 }
 
 // skipSink drops the first n packets of a replayed stream before feeding
@@ -632,7 +616,7 @@ func (p *Pipeline) ResumeReplay(ctx context.Context, r io.Reader, skip int) (int
 	if err != nil {
 		return 0, err
 	}
-	return capture.ReplayBatched(ctx, tr, &skipSink{sink: p.engine, left: skip}, p.batchSize)
+	return capture.ReplayBatched(ctx, tr, &skipSink{sink: p.engine, left: skip}, pipeline.DefaultBatchSize)
 }
 
 // RestoreFromCheckpoint rebuilds the engine from Config.Checkpoint.Dir.
@@ -703,16 +687,6 @@ func (p *Pipeline) RestoredPublisherCursor() *PublisherState { return p.restored
 // Scheduler returns the attached scan scheduler, nil without Config.Scan.
 func (p *Pipeline) Scheduler() *probe.Scheduler { return p.sched }
 
-// NewHybrid assembles a hybrid discovery pipeline: NewPipeline with the
-// concurrent scan scheduler attached, its reports reconciled into one
-// inventory with per-service provenance. cfg.Scan is required.
-func NewHybrid(cfg Config) (*Pipeline, error) {
-	if cfg.Scan == nil {
-		return nil, fmt.Errorf("servdisc: NewHybrid requires Config.Scan")
-	}
-	return NewPipeline(cfg)
-}
-
 // Scan runs one sweep and reconciles its report into the engine. It blocks
 // until the sweep completes (or is cut short by cancellation / the
 // per-sweep deadline, returning the cause alongside the partial report).
@@ -766,7 +740,7 @@ func Discover(ctx context.Context, r io.Reader, cfg Config) (*Inventory, error) 
 		}
 		sink = tap
 	}
-	if _, err := capture.ReplayBatched(ctx, tr, sink, cfg.BatchSize); err != nil {
+	if _, err := capture.ReplayBatched(ctx, tr, sink, pipeline.DefaultBatchSize); err != nil {
 		return nil, err
 	}
 	sharded.Close()

@@ -11,6 +11,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 	"servdisc/internal/query"
 	"servdisc/internal/sim"
@@ -113,7 +114,7 @@ func TestSharded18dMatchesSequential(t *testing.T) {
 	sharded := core.NewShardedPassive(pfx, campus.SelectedUDPPorts, 8)
 	sharded.Run(context.Background())
 
-	both := capture.Tee{plain, sharded}
+	both := pipeline.Fanout{plain, sharded}
 	tap1, err := capture.NewTap(capture.LinkCommercial1, capture.PaperFilter, nil, both)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +262,7 @@ func (b fixedTimeBackend) ProbeUDP(_ time.Time, addr netaddr.V4, port uint16) pr
 func TestHybridFacade(t *testing.T) {
 	cfg := smallConfig()
 	net, eng, pfx := buildCampus(t, cfg)
-	h, err := NewHybrid(Config{
+	h, err := NewPipeline(Config{
 		Campus:   pfx.String(),
 		Shards:   4,
 		Academic: net.AcademicClients(),
@@ -310,9 +311,13 @@ func TestHybridFacade(t *testing.T) {
 	if counts[core.PassiveOnly] == 0 || counts[core.ActiveOnly] == 0 {
 		t.Errorf("degenerate reconciliation: counts = %v", counts)
 	}
-	// NewHybrid without scan options must refuse.
-	if _, err := NewHybrid(Config{Campus: pfx.String()}); err == nil {
-		t.Error("NewHybrid accepted a config without Scan")
+	// A pipeline without scan options has no active side to sweep.
+	passive, err := NewPipeline(Config{Campus: pfx.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := passive.Scan(context.Background()); err == nil {
+		t.Error("Scan ran on a pipeline without Config.Scan")
 	}
 	if _, err := NewPipeline(Config{Campus: pfx.String(), Scan: &ScanOptions{}}); err == nil {
 		t.Error("NewPipeline accepted scan options without targets")
