@@ -515,8 +515,11 @@ func (p *Publisher) ServeConn(ctx context.Context, w io.Writer) error {
 			// for a frame that has not been published yet, so a frame
 			// reaches the socket no later than it would have flushed alone.
 			// This goroutine is the channel's only receiver, so the queued
-			// frames are there to take without blocking.
-			for queued := len(events); ; queued-- {
+			// frames are there to take without blocking. A burst stops at
+			// maxRun frames, one full wire run, so each write under
+			// writeTimeout is bounded and the rest of a full queue stays
+			// queued, where an overflow drops.
+			for queued := min(len(events), maxRun-1); ; queued-- {
 				if live.Dropped() > 0 {
 					p.evictions.Add(1)
 					return errQueueOverflow

@@ -1188,8 +1188,8 @@ func TestServeConnEvictsOverflowingReader(t *testing.T) {
 
 	gate.Lock()
 	bld := packet.NewBuilder(0)
-	// Past the queue by more than the one burst the serving loop may have
-	// taken off it before its write stalled.
+	// Past the queue by more than the one burst (at most maxRun frames) the
+	// serving loop may have taken off it before its write stalled.
 	const n = feedBuffer + 3000
 	for i := 0; i < n; i += 1000 {
 		var batch []packet.Packet
