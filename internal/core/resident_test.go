@@ -29,11 +29,15 @@ import (
 // entry behind every service and read 200 B. The saving must not be a
 // passive-engine special case: the same services in a Hybrid that has
 // reconciled a sweep over other keys cost the same, and the join holds an
-// entry per probe-answered key and none per passive service. Two more readings price
-// the addrSet behind the engine's resident address sets: 8.3 B per further
-// distinct client of a 2 000-client service, and 17.0 B per destination of
-// a scanner's promoted window (one member in each of its two sets); the Go
-// maps it replaced read 19.2 B and 38.6 B.
+// entry per probe-answered key and none per passive service. Four more
+// readings price the addrSet behind the engine's resident address sets, in
+// each of its forms: 8.3 B per further distinct client of a 2 000-client
+// service whose clients are scattered (a table), 0.25 B when they are
+// contiguous (a bitmap), and 16.9 B per destination of a scanner's
+// promoted window (one member in each of its two sets) when the
+// destinations are scattered, 0.81 B when it sweeps them in order. The Go
+// maps it replaced read 19.2 B and 38.6 B; the table alone read 8.3 B and
+// 16.9 B in either layout.
 func TestResidentBytesPerFlowState(t *testing.T) {
 	const (
 		n             = 100_000
@@ -51,6 +55,9 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 		scanSrcs      = 64
 		scanDsts      = 2000
 		scanDstBudget = 21 // bytes per SYN+RST destination of a scanner's window
+
+		denseClientBudget  = 0.31 // the same, contiguous clients
+		denseScanDstBudget = 1.0  // the same, destinations swept in order
 	)
 	wide := residentCampus
 	ext := netaddr.MustParseV4("64.0.0.0")
@@ -113,33 +120,55 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 	}
 
 	// A busy service: once its peer history is full, a further distinct
-	// client lands in its distinct-peer set and nowhere else.
-	busyClient := func(base int) func(p *packet.Packet, i int) {
-		return func(p *packet.Packet, i int) {
-			p.IPv4.Src = wide.Base() + netaddr.V4(i%busySvcs)
-			p.IPv4.Dst = ext + netaddr.V4(base+i/busySvcs)
+	// client lands in its distinct-peer set and nowhere else. Contiguous
+	// clients make the set a bitmap; one client to each of 128 external
+	// /8s in turn keeps it a table.
+	for _, layout := range []struct {
+		name   string
+		client func(k int) netaddr.V4
+		budget float64
+	}{
+		{"contiguous", func(k int) netaddr.V4 { return ext + netaddr.V4(k) }, denseClientBudget},
+		{"scattered", func(k int) netaddr.V4 { return netaddr.V4(64+k%128)<<24 | netaddr.V4(uint32(k)*0x9e3779b1)&0xffffff }, clientBudget},
+	} {
+		busyClient := func(base int) func(p *packet.Packet, i int) {
+			return func(p *packet.Packet, i int) {
+				p.IPv4.Src = wide.Base() + netaddr.V4(i%busySvcs)
+				p.IPv4.Dst = layout.client(base + i/busySvcs)
+			}
 		}
-	}
-	busy := NewShardedPassive(wide, nil, 1)
-	fillEngine(busy, busySvcs*maxFirstPeers, accept, busyClient(0))
-	perClient := grow(busy, busySvcs*(busyClients-maxFirstPeers), accept, busyClient(maxFirstPeers))
-	t.Logf("further distinct client of a %d-client service: %.1f B (budget %d)", busyClients, perClient, clientBudget)
-	if perClient > clientBudget {
-		t.Errorf("a further distinct client of a busy service holds %.1f B of live heap, budget %d", perClient, clientBudget)
+		busy := NewShardedPassive(wide, nil, 1)
+		fillEngine(busy, busySvcs*maxFirstPeers, accept, busyClient(0))
+		perClient := grow(busy, busySvcs*(busyClients-maxFirstPeers), accept, busyClient(maxFirstPeers))
+		t.Logf("further distinct %s client of a %d-client service: %.2f B (budget %g)", layout.name, busyClients, perClient, layout.budget)
+		if perClient > layout.budget {
+			t.Errorf("a further distinct %s client of a busy service holds %.2f B of live heap, budget %g", layout.name, perClient, layout.budget)
+		}
 	}
 
 	// Scanners: every source sweeps the same destinations, each answered by
 	// a RST, so each window holds both sets promoted far past scanInline.
-	perDst := 2 * grow(NewShardedPassive(wide, nil, 1), 2*scanSrcs*scanDsts, syn, func(p *packet.Packet, i int) {
-		src, dst := ext+netaddr.V4(i/2%scanSrcs), wide.Base()+netaddr.V4(i/2/scanSrcs)
-		p.IPv4.Src, p.IPv4.Dst = src, dst
-		if i%2 == 1 {
-			p.IPv4.Src, p.IPv4.Dst, p.TCP.Flags = dst, src, packet.FlagRST|packet.FlagACK
+	// A sweep in address order makes them bitmaps; destinations spread over
+	// the campus /8 keep them tables.
+	for _, layout := range []struct {
+		name   string
+		dst    func(j int) netaddr.V4
+		budget float64
+	}{
+		{"contiguous", func(j int) netaddr.V4 { return wide.Base() + netaddr.V4(j) }, denseScanDstBudget},
+		{"scattered", func(j int) netaddr.V4 { return wide.Base() + netaddr.V4(uint32(j)*0x9e3779b1)&0xffffff }, scanDstBudget},
+	} {
+		perDst := 2 * grow(NewShardedPassive(wide, nil, 1), 2*scanSrcs*scanDsts, syn, func(p *packet.Packet, i int) {
+			src, dst := ext+netaddr.V4(i/2%scanSrcs), layout.dst(i/2/scanSrcs)
+			p.IPv4.Src, p.IPv4.Dst = src, dst
+			if i%2 == 1 {
+				p.IPv4.Src, p.IPv4.Dst, p.TCP.Flags = dst, src, packet.FlagRST|packet.FlagACK
+			}
+		})
+		t.Logf("%s scanner, per SYN+RST destination of a promoted window: %.2f B (budget %g)", layout.name, perDst, layout.budget)
+		if perDst > layout.budget {
+			t.Errorf("a %s scanner holds %.2f B of live heap per SYN+RST destination, budget %g", layout.name, perDst, layout.budget)
 		}
-	})
-	t.Logf("scanner, per SYN+RST destination of a promoted window: %.1f B (budget %d)", perDst, scanDstBudget)
-	if perDst > scanDstBudget {
-		t.Errorf("a scanner holds %.1f B of live heap per SYN+RST destination, budget %d", perDst, scanDstBudget)
 	}
 
 	d := NewPassiveDiscoverer(wide, nil)

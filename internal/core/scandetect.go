@@ -89,8 +89,9 @@ const bigRef = 1 << 31
 
 const _ = uint(15 - scanInline) // a header holds each count in 4 bits
 
-// bigWindow is a window as two addrSets, for the few (scanners, mostly) that
-// outgrow the packed form; big holds it by value.
+// bigWindow is a window that outgrew the packed form, nearly always a
+// scanner's, as two addrSets: a sweep in address order makes them bitmaps
+// over the swept span. big holds it by value.
 type bigWindow struct {
 	idx        int64
 	dsts, rsts addrSet

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -892,5 +895,148 @@ func TestPeerHistoryModel(t *testing.T) {
 		if !seen[0] {
 			t.Fatalf("seed %d: 0.0.0.0 never contacted the service", seed)
 		}
+	}
+}
+
+// TestAddrSetFormsModel holds addrSet to a Go map through both of its
+// forms: after every add, len, the add's "was new" and sorted() agree with
+// the map, a bitmap never takes more slots than the table its members need,
+// and a set changes form at most 2·log₂ n times. The shapes cross every
+// switch: sweeps either way (bitmaps that extend up and down), a dense
+// cluster and then a far outlier (back to a table), the address space's two
+// ends, scattered members (a table throughout) and an adversary that adds a
+// far member whenever the set is a bitmap, flipping it as often as the
+// rule allows.
+func TestAddrSetFormsModel(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(1))
+	seq := func(f func(i int) netaddr.V4) func(int, *addrSet) netaddr.V4 {
+		return func(i int, _ *addrSet) netaddr.V4 { return f(i) }
+	}
+	cases := []struct {
+		name string
+		next func(i int, s *addrSet) netaddr.V4
+		ends string // the form the set ends in, if the shape decides it
+	}{
+		{"ascending sweep", seq(func(i int) netaddr.V4 { return 0x0a000000 + netaddr.V4(i) }), "bitmap"},
+		{"descending sweep", seq(func(i int) netaddr.V4 { return 0x0a0fffff - netaddr.V4(i) }), "bitmap"},
+		{"sweep with repeats", seq(func(i int) netaddr.V4 { return 0x0a000000 + netaddr.V4(i/3) }), "bitmap"},
+		{"dense cluster, then a far outlier", seq(func(i int) netaddr.V4 {
+			if i == n-2 {
+				return 0xc0000001
+			}
+			return 0x0a000100 + netaddr.V4(rng.Intn(3*n))
+		}), "table"},
+		{"0.0.0.0 and up", seq(func(i int) netaddr.V4 { return netaddr.V4(i % (n / 2)) }), "bitmap"},
+		{"down from 255.255.255.255", seq(func(i int) netaddr.V4 { return ^netaddr.V4(i) }), "bitmap"},
+		{"both ends of the address space", seq(func(i int) netaddr.V4 {
+			if i%2 == 0 {
+				return netaddr.V4(i / 2)
+			}
+			return ^netaddr.V4(i / 2)
+		}), "table"},
+		{"scattered", seq(func(int) netaddr.V4 { return netaddr.V4(rng.Uint32()) }), "table"},
+		// A far member one word past the span the table for one more
+		// member allows sends a bitmap back to a table; the table's next
+		// doubling makes it a bitmap again.
+		{"near/far alternation", func(i int, s *addrSet) netaddr.V4 {
+			if s.bits {
+				return 0x0a000000 + netaddr.V4(32*tableSlots(int(s.used)+1))
+			}
+			return 0x0a000000 + netaddr.V4(i)
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s addrSet
+			var ref []netaddr.V4 // ascending
+			flips := 0
+			for step := 0; step < n; step++ {
+				a, was := tc.next(step, &s), s.bits
+				i, found := slices.BinarySearch(ref, a)
+				if got := s.add(a); got == found {
+					t.Fatalf("step %d: add(%v) = %v, reference %v", step, a, got, !found)
+				}
+				if !found {
+					ref = slices.Insert(ref, i, a)
+				}
+				if s.bits != was {
+					flips++
+				}
+				if s.len() != len(ref) {
+					t.Fatalf("step %d: len() = %d, reference %d", step, s.len(), len(ref))
+				}
+				if got := s.sorted(); !slices.Equal(got, ref) {
+					t.Fatalf("step %d (bitmap %v): sorted() = %v, reference %v", step, s.bits, got, ref)
+				}
+				if s.bits && len(s.slots) > tableSlots(int(s.used)) {
+					t.Fatalf("step %d: a bitmap of %d slots holds %d members, whose table takes %d", step, len(s.slots), s.used, tableSlots(int(s.used)))
+				}
+			}
+			if ends := map[bool]string{true: "bitmap", false: "table"}[s.bits]; tc.ends != "" && ends != tc.ends {
+				t.Errorf("the set ends as a %s, want a %s", ends, tc.ends)
+			}
+			if bound := 2 * math.Log2(float64(len(ref))); float64(flips) > bound {
+				t.Errorf("%d changes of form for %d members, bound 2·log₂ n = %.1f", flips, len(ref), bound)
+			}
+			if tc.ends == "" && flips < 12 {
+				t.Errorf("only %d changes of form: the adversary no longer crosses the switch at each doubling", flips)
+			}
+			t.Logf("%d members, %d changes of form", len(ref), flips)
+		})
+	}
+}
+
+// TestScanWindowFormsRoundTrip: a scanner's promoted window is a bitmap,
+// and its export and detection survive a checkpoint round trip into a
+// fresh tracker exactly; a hostile imported window whose members span all
+// of IPv4 stays a table no larger than its members need.
+func TestScanWindowFormsRoundTrip(t *testing.T) {
+	src := netaddr.MustParseV4("211.9.9.9")
+	window := func(tr *scanTracker) *bigWindow {
+		t.Helper()
+		w, _, _ := tr.members(tr.sources.find(src).words(), 1)
+		if w == nil {
+			t.Fatal("the window was not promoted")
+		}
+		return w
+	}
+	tr := newScanTracker()
+	for i := 0; i < 2000; i++ {
+		at, dst := t0.Add(time.Duration(i)*time.Millisecond), netaddr.MustParseV4("128.125.0.0")+netaddr.V4(i)
+		tr.recordSyn(at, src, dst)
+		tr.recordRst(at, src, dst)
+	}
+	if w := window(tr); !w.dsts.bits || !w.rsts.bits {
+		t.Fatalf("a 2 000-address sweep's sets are bitmaps = %v, %v, want both", w.dsts.bits, w.rsts.bits)
+	}
+	ss := tr.exportSource(src)
+	re := newScanTracker()
+	re.seed(t0)
+	re.importSource(&ss)
+	for what, pair := range map[string][2]any{
+		"exportSource": {ss, re.exportSource(src)},
+		"detect()":     {tr.detect(), re.detect()},
+	} {
+		got, _ := json.Marshal(pair[1])
+		want, _ := json.Marshal(pair[0])
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s after the round trip:\n%s\nwant\n%s", what, got, want)
+		}
+	}
+
+	hostile := ScanSourceState{Source: src, Windows: []ScanWindowState{{Index: 0}}}
+	for i := 0; i < 2000; i++ {
+		hostile.Windows[0].Dsts = append(hostile.Windows[0].Dsts, netaddr.V4(uint32(i)*(1<<32/2000)))
+	}
+	hostile.Windows[0].Dsts = append(hostile.Windows[0].Dsts, ^netaddr.V4(0))
+	re.importSource(&hostile)
+	w := window(re)
+	if w.dsts.bits || cap(w.dsts.slots) > tableSlots(w.dsts.len()) {
+		t.Fatalf("a window spanning IPv4 holds %d members in %d slots (bitmap %v), want a table of at most %d",
+			w.dsts.len(), cap(w.dsts.slots), w.dsts.bits, tableSlots(w.dsts.len()))
+	}
+	if got := re.exportSource(src).Windows[0].Dsts; !slices.Equal(got, hostile.Windows[0].Dsts) {
+		t.Fatalf("the hostile window exports %d members, imported %d", len(got), len(hostile.Windows[0].Dsts))
 	}
 }
