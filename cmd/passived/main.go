@@ -222,15 +222,10 @@ func run(o options) error {
 
 	// Federation feed: publish this engine's stream, site-tagged, to any
 	// connecting aggregator (snapshot catch-up + live events per
-	// connection). A restored process resumes the stored cursor so its
-	// feed continues the old epoch and sequence instead of restarting
-	// them; every later checkpoint samples the cursor back.
+	// connection). A restored process opens a new epoch, so each reader
+	// takes one full snapshot across the restart.
 	if o.publishAddr != "" {
-		var cursor federate.PublisherState
-		if st := pl.RestoredPublisherCursor(); st != nil {
-			cursor = *st
-		}
-		pub := federate.NewPublisherOpts(federate.SiteID(o.site), pl, cursor, federate.PublisherOptions{
+		pub := federate.NewPublisherOpts(federate.SiteID(o.site), pl, federate.PublisherOptions{
 			AuthToken: o.feedAuth,
 			Heartbeat: o.heartbeat,
 		})
@@ -238,7 +233,6 @@ func run(o options) error {
 			Encode: reg.Histogram("servdisc_federation_encode_seconds",
 				"Federation frame encode+write latency per frame served."),
 		})
-		pl.SetPublisherCursor(pub.State)
 		// Resilience counters: how reconnecting aggregators re-enter the
 		// stream (resumed vs full snapshot), hello hygiene, and evictions
 		// of stalled readers.

@@ -476,71 +476,32 @@ func TestRestoreColdStart(t *testing.T) {
 	}
 }
 
-// TestManifestCarriesPublisherCursor: the writer samples the federation
-// publisher's cursor into the manifest, and a publisher resumed from it
-// keeps the epoch and continues the sequence — no new epoch, no
-// resequenced history for downstream aggregators to double-count.
-func TestManifestCarriesPublisherCursor(t *testing.T) {
-	trace := testTrace(6, 800)
+// TestManifestWithPublisherCursorRestores: writers from before every
+// publisher opened its own epoch stored the federation cursor in the
+// manifest. Such a manifest still restores, and the field is ignored.
+func TestManifestWithPublisherCursorRestores(t *testing.T) {
 	dir := t.TempDir()
 	eng := core.NewShardedPassive(testCampus, testUDP, 2)
-	pub := federate.NewPublisher("site-a", eng)
-	w, err := NewWriter(eng, dir, Options{Publisher: pub.State})
+	w, err := NewWriter(eng, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(eng, trace)
+	feed(eng, testTrace(6, 800))
 	if _, err := w.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The cursor was sampled at the checkpoint; whatever it was, the
-	// manifest must carry it.
-	pub.Close()
-	man, err := DecodeManifest(mustRead(t, filepath.Join(dir, ManifestName)))
-	if err != nil {
+	path := filepath.Join(dir, ManifestName)
+	old := bytes.Replace(mustRead(t, path), []byte(`"chunks"`), []byte(`"publisher": {"epoch": 7, "seq": 41},
+  "chunks"`), 1)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if man.Publisher == nil || man.Publisher.Epoch == 0 {
-		t.Fatalf("manifest publisher cursor missing: %+v", man.Publisher)
-	}
-
-	restored := core.NewShardedPassive(testCampus, testUDP, 2)
+	restored := core.NewShardedPassive(testCampus, testUDP, 1)
 	if _, err := Restore(dir, restored); err != nil {
 		t.Fatal(err)
 	}
-	rpub := federate.NewPublisherOpts("site-a", restored, *man.Publisher, federate.PublisherOptions{})
-	defer rpub.Close()
-	if st := rpub.State(); st != *man.Publisher {
-		t.Fatalf("resumed publisher state = %+v, want %+v", st, *man.Publisher)
-	}
-	boot, live := rpub.Catchup(64)
-	defer live.Cancel()
-	if boot[0].Epoch != man.Publisher.Epoch {
-		t.Fatalf("hello epoch = %d, want %d", boot[0].Epoch, man.Publisher.Epoch)
-	}
-	if boot[1].Seq != man.Publisher.Seq {
-		t.Fatalf("snapshot covers seq %d, want %d", boot[1].Seq, man.Publisher.Seq)
-	}
-
-	// A brand-new discovery after restore continues the stored sequence.
-	bld := packet.NewBuilder(0)
-	at := time.Date(2006, 9, 21, 0, 0, 0, 0, time.UTC)
-	srv := testCampus.Base() + 9999
-	cli := netaddr.MustParseV4("99.1.2.3")
-	restored.HandleBatch([]packet.Packet{
-		*bld.Syn(at, packet.Endpoint{Addr: cli, Port: 33000}, packet.Endpoint{Addr: srv, Port: 80}, 1),
-		*bld.SynAck(at.Add(time.Millisecond), packet.Endpoint{Addr: srv, Port: 80},
-			packet.Endpoint{Addr: cli, Port: 33000}, 2, 2),
-	})
-	restored.Flush()
-	select {
-	case f := <-live.Events():
-		if f.Epoch != man.Publisher.Epoch || f.Seq != man.Publisher.Seq+1 {
-			t.Fatalf("resumed event frame = epoch %d seq %d, want epoch %d seq %d",
-				f.Epoch, f.Seq, man.Publisher.Epoch, man.Publisher.Seq+1)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no event frame from resumed publisher")
+	if got, want := restored.Snapshot().Dump(), eng.Snapshot().Dump(); !bytes.Equal(got, want) {
+		t.Fatalf("restored from a manifest with a publisher cursor:\n%s", firstDiff(got, want))
 	}
 }
 

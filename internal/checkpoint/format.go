@@ -11,8 +11,7 @@
 // On-disk layout, one directory per engine:
 //
 //	manifest.json            atomic (tmp+rename) index: engine config
-//	                         fingerprint, chunk chain, optional
-//	                         federation publisher cursor
+//	                         fingerprint, chunk chain
 //	chunk-<run>-<n>.ckpt     length-prefixed JSONL frames (framing.go):
 //	                         hdr, entity frames, end
 //
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"servdisc/internal/core"
-	"servdisc/internal/federate"
 )
 
 // FormatVersion is the checkpoint format version, stamped into the
@@ -75,8 +73,8 @@ type ChunkInfo struct {
 // current chain and which engine shape they reproduce. It is replaced
 // atomically on every checkpoint; the manifest on disk always describes
 // a complete, verifiable chain. Decoding ignores unknown fields on
-// purpose: manifests written before a field was dropped (the "cursor" of
-// older writers) still restore.
+// purpose: manifests written before a field was dropped (the "cursor" and
+// the federation "publisher" cursor of older writers) still restore.
 type Manifest struct {
 	Version int               `json:"version"`
 	Engine  core.EngineConfig `json:"engine"`
@@ -84,10 +82,6 @@ type Manifest struct {
 	// operators; nothing is derived from it.
 	Written time.Time   `json:"written,omitzero"`
 	Chunks  []ChunkInfo `json:"chunks"`
-	// Publisher, when present, is the federation stream cursor captured
-	// with the checkpoint, so a restored site resumes publishing in its
-	// stored epoch instead of reshipping history under a new one.
-	Publisher *federate.PublisherState `json:"publisher,omitempty"`
 }
 
 // chunkHeader is a chunk file's first frame.

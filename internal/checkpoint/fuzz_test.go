@@ -90,6 +90,7 @@ func FuzzManifestDecode(f *testing.F) {
 	manifest, _ := seedCheckpointDir(f)
 	f.Add(manifest)
 	f.Add([]byte("{}"))
+	f.Add([]byte(`{"version":1,"publisher":{"epoch":7,"seq":41},"chunks":[]}`)) // an older writer's field
 	f.Add([]byte(`{"version":1,"chunks":[{"file":"../../etc/passwd","bytes":1,"seq":0,"baseline":true}]}`))
 	f.Add([]byte(`{"version":1,"chunks":[{"file":"x.ckpt","bytes":-5,"seq":0,"baseline":true}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

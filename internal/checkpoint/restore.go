@@ -19,7 +19,7 @@ import (
 // counts) BEFORE the first delta is imported, so a corrupt or truncated
 // checkpoint fails loudly with the engine untouched — it can never
 // half-load. On success the returned manifest carries the restored
-// chain and, when checkpointed, the federation publisher state.
+// chain.
 //
 // The target engine must match the checkpoint's campus, UDP port set
 // and hybrid-ness; its shard count may differ (import redistributes by

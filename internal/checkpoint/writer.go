@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"servdisc/internal/core"
-	"servdisc/internal/federate"
 	"servdisc/internal/obs"
 )
 
@@ -38,10 +37,6 @@ type Options struct {
 	// MaxDeltas caps the delta chain before compaction
 	// (DefaultMaxDeltas when zero or negative).
 	MaxDeltas int
-	// Publisher, when set, is sampled at every checkpoint and stored in
-	// the manifest, so a restored process can resume its federation feed
-	// (see federate.NewPublisherOpts).
-	Publisher func() federate.PublisherState
 }
 
 // Result reports one checkpoint's effort, for logs and metrics.
@@ -135,15 +130,6 @@ func (w *Writer) Baseline(ctx context.Context) (Result, error) {
 	return w.checkpoint(ctx, true)
 }
 
-// SetPublisher installs (or replaces) the federation cursor sampler
-// after construction — the publisher usually exists only once the engine
-// is wired up. Affects checkpoints taken after the call.
-func (w *Writer) SetPublisher(fn func() federate.PublisherState) {
-	w.mu.Lock()
-	w.opts.Publisher = fn
-	w.mu.Unlock()
-}
-
 // SetMetrics attaches the telemetry bundle; affects checkpoints taken
 // after the call.
 func (w *Writer) SetMetrics(m *Metrics) {
@@ -203,10 +189,6 @@ func (w *Writer) checkpoint(ctx context.Context, forceFull bool) (Result, error)
 		File: name, Bytes: size, CRC32: sum, Seq: seq,
 		Baseline: full, Services: len(ed.Services),
 	})
-	if w.opts.Publisher != nil {
-		st := w.opts.Publisher()
-		man.Publisher = &st
-	}
 	if err := writeManifest(w.dir, man); err != nil {
 		return Result{}, w.fail(fmt.Errorf("checkpoint: write manifest: %w", err))
 	}

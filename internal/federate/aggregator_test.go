@@ -648,7 +648,7 @@ func TestWeightsReachMidStreamReader(t *testing.T) {
 // seal frame at or below the reader's cursor is counted as a duplicate.
 func TestSealFrameShipsChangedRows(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("seal-site", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("seal-site", eng, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	bld := packet.NewBuilder(0)
 	synAck := func(i int, at time.Time) []packet.Packet {
@@ -702,7 +702,7 @@ func TestSealFrameShipsChangedRows(t *testing.T) {
 	// On a hybrid engine a one-key sweep report seals as its one probed
 	// row, not as the 1 000 passive services beside it.
 	h := core.NewHybrid(testCampus, nil, 2, nil)
-	hpub := NewPublisherOpts("seal-hybrid", h, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	hpub := NewPublisherOpts("seal-hybrid", h, PublisherOptions{Heartbeat: -1})
 	defer hpub.Close()
 	var fill []packet.Packet
 	for i := 0; i < 1000; i++ {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"slices"
@@ -139,8 +138,7 @@ type Publisher struct {
 	// reader's subscription is the site's canonical stream order. seq is
 	// written under mu and read without it. sealedAt, under mu, maps every
 	// key a seal changed to the Seq of the seal frame that carried it, so
-	// a key changed past a resume's cursor maps past it. start, under mu,
-	// is the first cursor a resume honors.
+	// a key changed past a resume's cursor maps past it.
 	//
 	// Lock order. The event path: shard lock → event-hub read lock → mu →
 	// frame-hub read lock. The snapshot path: engine snapshot lock → mu.
@@ -149,7 +147,6 @@ type Publisher struct {
 	mu       sync.Mutex
 	seq      atomic.Uint64
 	sealedAt core.Tree[core.ServiceKey, uint64]
-	start    uint64
 
 	resumeHits, snapshotFallbacks, authFailures,
 	hellosRejected, evictions, heartbeats atomic.Uint64
@@ -177,45 +174,30 @@ func (p *Publisher) Stats() PublisherStats {
 // identity, with default options. The publisher subscribes to the engine
 // immediately; close the engine (or Close the publisher) to end the feed.
 func NewPublisher(site SiteID, eng Engine) *Publisher {
-	return NewPublisherOpts(site, eng, PublisherState{}, PublisherOptions{})
+	return NewPublisherOpts(site, eng, PublisherOptions{})
 }
 
-// PublisherState is the publisher's stream cursor — which (epoch, seq)
-// position its feed has reached — in checkpointable form.
+// PublisherState is the publisher's stream cursor: which (epoch, seq)
+// position its feed has reached.
 type PublisherState struct {
 	Epoch uint64 `json:"epoch"`
 	Seq   uint64 `json:"seq"`
 }
 
-// NewPublisherOpts starts a publisher that continues a checkpointed
-// stream: it keeps the stored epoch and numbers new events after the
-// stored cursor, so a restored site resumes its feed instead of opening a
-// new epoch and reshipping history. Downstream aggregators treat the
-// restored engine's re-announcements — events the pre-checkpoint
-// incarnation published after the checkpoint was cut — as duplicates by
-// sequence where ingest order matches, and absorb any residue through
-// idempotent merges and the next snapshot; their cursors get that full
-// snapshot until the restored engine's first seal. A zero state is a
-// fresh start (a new wall-clock epoch), which is what NewPublisher passes.
-func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherOptions) *Publisher {
-	epoch := st.Epoch
-	if epoch == 0 {
-		epoch = uint64(time.Now().UnixNano())
-	}
-	opt = opt.withDefaults()
+// NewPublisherOpts starts a publisher with the given serving options.
+// Every publisher opens its own epoch, a restored site's too: a reader
+// may already hold sequence numbers the site's previous incarnation
+// issued past its last checkpoint, so numbering from a stored cursor would
+// reuse them. A reader across a restart takes one full snapshot instead
+// (the aggregator resets its cursor at the first frame of a new epoch).
+func NewPublisherOpts(site SiteID, eng Engine, opt PublisherOptions) *Publisher {
 	p := &Publisher{
 		site:  site,
-		epoch: epoch,
+		epoch: uint64(time.Now().UnixNano()),
 		eng:   eng,
 		hub:   pipeline.NewHub[Frame](),
 		done:  make(chan struct{}),
-		opt:   opt,
-	}
-	p.seq.Store(st.Seq)
-	if st.Epoch != 0 {
-		// Readers of a stored stream hold its state as of their cursors,
-		// not this engine's, which no seal has listed yet.
-		p.start = unsealed
+		opt:   opt.withDefaults(),
 	}
 	// Observing before subscribing: every event sequenced lands in a seal
 	// that observe sees.
@@ -225,20 +207,13 @@ func NewPublisherOpts(site SiteID, eng Engine, st PublisherState, opt PublisherO
 	return p
 }
 
-// State reports the stream cursor at this instant, for checkpointing.
-// Capture it at the same consistency point as the engine export (the
-// checkpoint Writer snapshots it right after the engine freeze).
+// State reports the stream cursor at this instant.
 func (p *Publisher) State() PublisherState {
 	return PublisherState{Epoch: p.epoch, Seq: p.seq.Load()}
 }
 
 // Site returns the publisher's site identity.
 func (p *Publisher) Site() SiteID { return p.site }
-
-// unsealed is start's value on a restored publisher before its first seal:
-// its readers hold the stored stream's state as of their cursors, which no
-// seal of this engine has listed yet, so no cursor resumes.
-const unsealed = math.MaxUint64
 
 // emit stamps f with the stream's next sequence number and publishes it to
 // every reader. The caller holds mu.
@@ -271,7 +246,7 @@ func (p *Publisher) event(ev core.Event) {
 // and an expiry's retraction rides the frame itself. A link with no
 // predecessor (the chain's first, or the first after a restore) lists no
 // keys: readers bootstrap from snapshots of this chain, so they hold what
-// it would list. The first call sets a restored publisher's start.
+// it would list.
 func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 	var keys []core.ServiceKey
 	var body *Snapshot
@@ -287,9 +262,6 @@ func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 	// With no frame to ship, at is a later frame's, past every cursor: a
 	// resume still carries the keys.
 	at := p.seq.Load() + 1
-	if p.start == unsealed {
-		p.start = at
-	}
 	edits := make([]core.TreeEdit[core.ServiceKey, uint64], len(keys))
 	for i, k := range keys {
 		edits[i] = core.TreeEdit[core.ServiceKey, uint64]{Key: k, Val: at}
@@ -350,8 +322,7 @@ func (p *Publisher) Catchup(buf int) (bootstrap []Frame, live *pipeline.Sub[Fram
 // catchup builds one reader's bootstrap: the live subscription is attached,
 // the generation g read, then the engine snapshotted, so every frame up to
 // g is reflected in that inventory and every later one reaches the
-// subscription. A cursor of this stream (this epoch, from the publisher's
-// start to g) is resumed: its snapshot holds only the keys sealedAt maps
+// subscription. A cursor of this stream (this epoch, at most g) is resumed: its snapshot holds only the keys sealedAt maps
 // past it, the engine snapshot having just filed its own changes. Any other
 // cursor gets the whole inventory.
 func (p *Publisher) catchup(buf int, cur ResumeCursor) (bootstrap []Frame, live *pipeline.Sub[Frame], resumed bool) {
@@ -362,10 +333,10 @@ func (p *Publisher) catchup(buf int, cur ResumeCursor) (bootstrap []Frame, live 
 	gen := p.seq.Load()
 	inv := p.eng.Snapshot()
 	p.mu.Lock()
-	start, sealedAt := p.start, p.sealedAt
+	sealedAt := p.sealedAt
 	p.mu.Unlock()
 	var keep func(core.ServiceKey) bool
-	if resumed = cur.Epoch == p.epoch && start <= cur.Seq && cur.Seq <= gen; resumed {
+	if resumed = cur.Epoch == p.epoch && cur.Seq <= gen; resumed {
 		p.resumeHits.Add(1)
 		keep = func(k core.ServiceKey) bool {
 			at, ok := sealedAt.Get(k)

@@ -73,7 +73,7 @@ func TestAggregatorResidentBytesPerService(t *testing.T) {
 func TestPublisherHoldsNoSealHistory(t *testing.T) {
 	const services, snapshots = 2000, 1000
 	eng := core.NewShardedPassive(testCampus, nil, 1)
-	pub := NewPublisherOpts("history", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("history", eng, PublisherOptions{Heartbeat: -1})
 	bld := packet.NewBuilder(0)
 	batch := make([]packet.Packet, services)
 	for i := range batch {

@@ -26,13 +26,11 @@ import (
 // BOTH the merged inventory and the per-site dedup cursor untouched —
 // unlike other rejected frames, a resume may not even open an epoch.
 func FuzzResumeFrame(f *testing.F) {
-	// A publisher with a pinned epoch and four sequenced events, closed so
-	// each ServeConn drains and returns. The fuzz loop is sequential, so
-	// sharing it across runs is safe.
-	const fuzzEpoch = 7
+	// A publisher with four sequenced events, closed so each ServeConn
+	// drains and returns. The fuzz loop is sequential, so sharing it
+	// across runs is safe.
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("fuzz-site", eng, PublisherState{Epoch: fuzzEpoch},
-		PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("fuzz-site", eng, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	bld := packet.NewBuilder(0)
 	ext := netaddr.MustParseV4("64.20.0.1")
@@ -42,7 +40,7 @@ func FuzzResumeFrame(f *testing.F) {
 	}
 	eng.Close()
 	pub.Close()
-	gen := pub.State().Seq
+	fuzzEpoch, gen := pub.State().Epoch, pub.State().Seq
 	full := len(BuildSnapshot(eng.Snapshot()).Services)
 
 	f.Add(encodeFrames(f, Frame{V: WireVersion, Type: FrameResume, Resume: &ResumeCursor{Epoch: fuzzEpoch, Seq: 2}}))

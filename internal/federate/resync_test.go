@@ -18,6 +18,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 )
 
@@ -96,7 +97,7 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 	const churn = 200        // services discovered during each partition
 
 	eng := core.NewShardedPassive(testCampus, nil, 4)
-	pub := NewPublisherOpts("big-site", eng, PublisherState{}, PublisherOptions{})
+	pub := NewPublisherOpts("big-site", eng, PublisherOptions{})
 	defer pub.Close()
 
 	bld := packet.NewBuilder(0)
@@ -209,8 +210,7 @@ func TestResumeShipsDeltaNotInventory(t *testing.T) {
 }
 
 // TestResumeFallbacks pins every path that must refuse a resume: an
-// epoch from another incarnation, a hostile cursor from the future, and a
-// cursor from before the publisher's start.
+// epoch from another incarnation and a hostile cursor from the future.
 func TestResumeFallbacks(t *testing.T) {
 	site := newTestSite(0, 400)
 	defer site.pub.Close()
@@ -252,34 +252,6 @@ func TestResumeFallbacks(t *testing.T) {
 			t.Fatalf("resume bootstrap = %+v, want a Resumed hello and a snapshot at or past the cursor", bootstrap)
 		}
 	})
-
-	t.Run("cursor-before-start", func(t *testing.T) {
-		// A restored publisher continues at a stored cursor. Its readers
-		// hold the stored stream's state, which no seal of the restored
-		// engine has listed, so every cursor falls back until that first
-		// seal, and a cursor before it after it.
-		restored := newTestSite(7, 200)
-		restored.pub.Close()
-		st := PublisherState{Epoch: cur.Epoch + 7, Seq: 500}
-		restored.pub = NewPublisherOpts(restored.id, restored.eng, st, PublisherOptions{})
-		defer restored.pub.Close()
-		resumes := func(seq uint64) bool {
-			_, live, resumed := restored.pub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: seq})
-			live.Cancel()
-			return resumed
-		}
-		if resumes(st.Seq-1) || resumes(st.Seq) {
-			t.Fatal("a cursor of the stored stream resumed before the restored engine's first seal")
-		}
-		restored.produce()
-		restored.eng.Snapshot()
-		if now := restored.pub.State(); !resumes(now.Seq) {
-			t.Fatal("a cursor past the restored engine's first seal fell back")
-		}
-		if resumes(st.Seq) {
-			t.Fatal("a cursor before the restored engine's first seal resumed")
-		}
-	})
 }
 
 // TestFeedAuth pins the shared-token option: the right token serves, a
@@ -288,7 +260,7 @@ func TestResumeFallbacks(t *testing.T) {
 func TestFeedAuth(t *testing.T) {
 	site := newTestSite(1, 200)
 	site.pub.Close()
-	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{AuthToken: "s3cret"})
+	pub := NewPublisherOpts(site.id, site.eng, PublisherOptions{AuthToken: "s3cret"})
 	defer pub.Close()
 	site.produce()
 
@@ -359,7 +331,7 @@ func TestFeedAuth(t *testing.T) {
 func TestHostileHellos(t *testing.T) {
 	site := newTestSite(2, 200)
 	site.pub.Close()
-	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{HelloTimeout: 100 * time.Millisecond})
+	pub := NewPublisherOpts(site.id, site.eng, PublisherOptions{HelloTimeout: 100 * time.Millisecond})
 	defer pub.Close()
 
 	serve := func(send func(c net.Conn)) (served []byte, err error) {
@@ -551,7 +523,7 @@ func (w *burstWriter) Write(p []byte) (int, error) {
 // it — is one segment, not six, and the five events one run.
 func TestServeConnFlushesPerBurst(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("burst", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("burst", eng, PublisherOptions{Heartbeat: -1})
 	w := &burstWriter{entered: make(chan struct{}), release: make(chan struct{})}
 	served := make(chan error, 1)
 	go func() { served <- pub.ServeConn(context.Background(), w) }()
@@ -606,7 +578,7 @@ func TestServeConnFlushesPerBurst(t *testing.T) {
 func TestHeartbeatKeepsIdleFeedAlive(t *testing.T) {
 	site := newTestSite(4, 100)
 	site.pub.Close()
-	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{Heartbeat: 20 * time.Millisecond})
+	pub := NewPublisherOpts(site.id, site.eng, PublisherOptions{Heartbeat: 20 * time.Millisecond})
 	site.produce()
 
 	agg := NewAggregator()
@@ -652,7 +624,7 @@ func TestHeartbeatKeepsIdleFeedAlive(t *testing.T) {
 func TestIdleTimeoutTripsWithoutHeartbeats(t *testing.T) {
 	site := newTestSite(5, 100)
 	site.pub.Close()
-	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts(site.id, site.eng, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 
 	agg := NewAggregator()
@@ -818,7 +790,7 @@ func liveReaders(pub *Publisher) int {
 func TestServeConnNoticesHangup(t *testing.T) {
 	site := newTestSite(6, 50)
 	site.pub.Close()
-	pub := NewPublisherOpts(site.id, site.eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts(site.id, site.eng, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	site.produce()
 	site.eng.Flush()
@@ -844,7 +816,7 @@ func TestServeConnNoticesHangup(t *testing.T) {
 // released with it.
 func TestServeConnKeepsSilentReader(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("silent-reader", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("silent-reader", eng, PublisherOptions{Heartbeat: -1})
 	defer eng.Close()
 	goroutines := runtime.NumGoroutine()
 
@@ -893,7 +865,7 @@ func TestServeConnKeepsSilentReader(t *testing.T) {
 func TestResumeFromEveryCursor(t *testing.T) {
 	h := core.NewHybrid(testCampus, nil, 2, []uint16{22, 80})
 	h.SetRetention(core.RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: time.Hour})
-	pub := NewPublisherOpts("every-cursor", h, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("every-cursor", h, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	bootstrap, live := pub.Catchup(1 << 16)
 
@@ -981,72 +953,90 @@ func TestResumeFromEveryCursor(t *testing.T) {
 	}
 }
 
-// TestResumeAfterRestore reconnects a reader across a site restart. The
-// site is exported with its publisher's cursor after a clean close and
-// restored into a fresh engine. That engine discovers, re-observes and
-// expires services — in a first seal with no predecessor, which lists no
-// keys — before the caught-up reader reconnects at the stored cursor. The
-// cursor falls back, and the reader dumps byte-identical to one that
-// attached after the restored site closed.
+// TestResumeAfterRestore reconnects a reader across a site restore. The
+// victim is checkpointed at 20 services, then seals four more batches,
+// which the reader applies, and is killed without a further checkpoint.
+// The restored engine replays the tail in one batch with two new services
+// and seals less often, so its stream reaches the reader's sequence
+// number with fewer frames. The reader reconnects before the restored
+// engine's first seal, or after it; either way it must end with all 60
+// services, byte-identical to a reader that attached after the restored
+// site closed. A publisher that continued the stored epoch lost the two
+// new services in both cases: their frames fell at or below the reader's
+// cursor, so they were dropped as duplicates or skipped by the resume.
 func TestResumeAfterRestore(t *testing.T) {
-	retain := core.RetentionPolicy{PassiveTTL: time.Hour}
-	eng := core.NewShardedPassive(testCampus, nil, 2)
-	eng.SetRetention(retain)
-	pub := NewPublisherOpts("restarted", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
 	bld := packet.NewBuilder(0)
 	ext := netaddr.MustParseV4("64.20.0.1")
-	answer := func(e *core.ShardedPassive, at time.Duration, from, to int) {
+	answer := func(e *core.ShardedPassive, from, to int) {
 		var batch []packet.Packet
 		for i := from; i < to; i++ {
-			batch = append(batch, *bld.SynAck(retBase.Add(at), packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(500+i), Port: 80},
+			batch = append(batch, *bld.SynAck(retBase.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: testCampus.Base() + netaddr.V4(500+i), Port: 80},
 				packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
 		}
 		e.HandleBatch(batch)
 	}
-	answer(eng, 0, 0, 20)
-	eng.Close()
-	pub.Close()
-	agg := NewAggregator()
-	<-agg.Attach(pub)
-	st := pub.State()
-	if epoch, seq, _ := agg.SiteCursor(pub.Site()); epoch != st.Epoch || seq != st.Seq {
-		t.Fatalf("reader cursor (%d, %d), want the stored (%d, %d)", epoch, seq, st.Epoch, st.Seq)
-	}
-
-	restored := core.NewShardedPassive(testCampus, nil, 2)
-	restored.SetRetention(retain)
-	ed, _ := eng.ExportDelta(nil)
-	if err := restored.ImportDelta(ed); err != nil {
-		t.Fatal(err)
-	}
-	rpub := NewPublisherOpts("restarted", restored, st, PublisherOptions{Heartbeat: -1})
-	defer rpub.Close()
-	answer(restored, 2*time.Hour, 10, 30) // 0-9 expire, 10-19 are re-observed, 20-29 are new
-	// Twenty discoveries: 10-19 are past their TTL, so re-observing them
-	// announces them anew.
-	if seq := rpub.State().Seq; seq != st.Seq+20 {
-		t.Fatalf("the restored stream is at %d, want the stored %d and 20 discoveries", seq, st.Seq)
-	}
-
-	bootstrap, live, resumed := rpub.catchup(0, ResumeCursor{Epoch: st.Epoch, Seq: st.Seq})
-	if resumed {
-		t.Fatal("the stored cursor resumed before the restored engine's first seal")
-	}
-	restored.Close()
-	for _, f := range bootstrap {
-		if err := agg.Apply(&f); err != nil {
-			t.Fatal(err)
+	// apply folds every frame queued on live into agg.
+	apply := func(agg *Aggregator, frames []Frame, live *pipeline.Sub[Frame]) {
+		for len(live.Events()) > 0 {
+			frames = append(frames, <-live.Events())
+		}
+		for i := range frames {
+			if err := agg.Apply(&frames[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for f := range live.Events() {
-		if err := agg.Apply(&f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref := NewAggregator()
-	<-ref.Attach(rpub)
-	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
-		t.Errorf("resumed across the restore, the reader diverges from a post-close attach:\n%s", firstDiff(got, want))
+	for _, early := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reconnect-before-first-seal=%v", early), func(t *testing.T) {
+			eng := core.NewShardedPassive(testCampus, nil, 2)
+			pub := NewPublisherOpts("restarted", eng, PublisherOptions{Heartbeat: -1})
+			agg := NewAggregator()
+			boot, live := pub.Catchup(0)
+			answer(eng, 0, 20)
+			eng.Snapshot()
+			ckpt, _ := eng.ExportDelta(nil)
+			for i := 20; i < 40; i += 5 {
+				answer(eng, i, i+5)
+				eng.Snapshot()
+			}
+			apply(agg, boot, live)
+			live.Cancel()
+			_, held, _ := agg.SiteCursor("restarted")
+			pub.Close()
+
+			restored := core.NewShardedPassive(testCampus, nil, 2)
+			if err := restored.ImportDelta(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			rpub := NewPublisherOpts("restarted", restored, PublisherOptions{Heartbeat: -1})
+			restored.Snapshot()
+			var rboot []Frame
+			var rlive *pipeline.Sub[Frame]
+			if early {
+				rboot, rlive, _ = rpub.catchup(0, ResumeCursor{Epoch: pub.State().Epoch, Seq: held})
+			}
+			answer(restored, 20, 42)
+			restored.Snapshot()
+			if !early {
+				answer(restored, 42, 44)
+				restored.Snapshot()
+				rboot, rlive, _ = rpub.catchup(0, ResumeCursor{Epoch: pub.State().Epoch, Seq: held})
+			} else {
+				answer(restored, 42, 44)
+			}
+			answer(restored, 44, 60)
+			restored.Close()
+			rpub.Close()
+			apply(agg, rboot, rlive)
+			ref := NewAggregator()
+			<-ref.Attach(rpub)
+			if n := agg.NumServices(); n != 60 {
+				t.Errorf("the reader holds %d of 60 services", n)
+			}
+			if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
+				t.Errorf("resumed across the restore, the reader diverges from a post-close attach:\n%s", firstDiff(got, want))
+			}
+		})
 	}
 }
 
@@ -1057,7 +1047,7 @@ func TestResumeAfterRestore(t *testing.T) {
 func TestStreamExactOnReturn(t *testing.T) {
 	const services = 2000
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("exact", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("exact", eng, PublisherOptions{Heartbeat: -1})
 	defer pub.Close()
 	bld := packet.NewBuilder(0)
 	batch := make([]packet.Packet, services)
@@ -1100,7 +1090,7 @@ func (e gatedObserverEngine) OnSnapshot(fn func(prev, inv *core.Inventory, d cor
 func TestClosingSealWaitsForConcurrentSnapshot(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
 	gated := gatedObserverEngine{eng, make(chan struct{}), make(chan struct{})}
-	pub := NewPublisherOpts("closing", gated, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("closing", gated, PublisherOptions{Heartbeat: -1})
 	agg := NewAggregator()
 	attached := agg.Attach(pub)
 	bld := packet.NewBuilder(0)
@@ -1163,7 +1153,7 @@ func (c gatedConn) Read(p []byte) (int, error) {
 // site closed.
 func TestServeConnEvictsOverflowingReader(t *testing.T) {
 	eng := core.NewShardedPassive(testCampus, nil, 2)
-	pub := NewPublisherOpts("stalled", eng, PublisherState{}, PublisherOptions{Heartbeat: -1})
+	pub := NewPublisherOpts("stalled", eng, PublisherOptions{Heartbeat: -1})
 	var gate sync.Mutex
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -20,7 +20,6 @@ import (
 	"servdisc/internal/capture"
 	"servdisc/internal/checkpoint"
 	"servdisc/internal/core"
-	"servdisc/internal/federate"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
 	"servdisc/internal/packet"
@@ -67,9 +66,6 @@ type (
 	// CheckpointManifest indexes a checkpoint directory (returned by
 	// Pipeline.RestoreFromCheckpoint).
 	CheckpointManifest = checkpoint.Manifest
-	// PublisherState is the federation stream cursor stored with a
-	// checkpoint, so a restored site resumes publishing where it left off.
-	PublisherState = federate.PublisherState
 	// RetentionPolicy configures TTL-based expiry of idle services (see
 	// Config.Retention): per-evidence-kind TTLs on the observation clock.
 	RetentionPolicy = core.RetentionPolicy
@@ -262,9 +258,8 @@ type Pipeline struct {
 	sched   *probe.Scheduler // nil unless Config.Scan was set
 	scan    *ScanOptions
 
-	ckpt        *checkpoint.Writer // nil unless Config.Checkpoint was set
-	ckptDir     string
-	restoredPub *PublisherState // from the last RestoreFromCheckpoint
+	ckpt    *checkpoint.Writer // nil unless Config.Checkpoint was set
+	ckptDir string
 
 	qix *query.Catalog // nil unless Config.QueryIndex was set
 
@@ -623,9 +618,8 @@ func (p *Pipeline) ResumeReplay(ctx context.Context, r io.Reader, skip int) (int
 // Call it on a fresh pipeline, before Run and before any ingest. It
 // returns (nil, nil) on a cold start (no checkpoint yet); on success the
 // engine holds the checkpointed state, Snapshot().Packets() is the trace
-// position to resume from (see ResumeReplay), and RestoredPublisherCursor
-// exposes the stored federation cursor, if any. A corrupt checkpoint
-// fails loudly with the engine untouched.
+// position to resume from (see ResumeReplay). A corrupt checkpoint fails
+// loudly with the engine untouched.
 func (p *Pipeline) RestoreFromCheckpoint() (*CheckpointManifest, error) {
 	if p.ckpt == nil {
 		return nil, fmt.Errorf("servdisc: no Config.Checkpoint configured")
@@ -644,7 +638,6 @@ func (p *Pipeline) RestoreFromCheckpoint() (*CheckpointManifest, error) {
 	}
 	p.reg.Flight().Record(obs.TraceCheckpointRestored, "",
 		int64(restored), el.Microseconds())
-	p.restoredPub = man.Publisher
 	return man, nil
 }
 
@@ -667,22 +660,6 @@ func (p *Pipeline) CheckpointStats() (st CheckpointStats, ok bool) {
 	}
 	return p.ckpt.Stats(), true
 }
-
-// SetPublisherCursor installs the federation publisher's cursor sampler,
-// so every later checkpoint stores the stream position alongside the
-// engine state (pass federate.Publisher.State). No-op without
-// Config.Checkpoint.
-func (p *Pipeline) SetPublisherCursor(fn func() PublisherState) {
-	if p.ckpt != nil {
-		p.ckpt.SetPublisher(fn)
-	}
-}
-
-// RestoredPublisherCursor returns the federation cursor recovered by the
-// last RestoreFromCheckpoint, nil when none was stored — hand it to
-// federate.NewPublisherOpts so the restored site keeps its epoch and
-// sequence instead of reshipping history.
-func (p *Pipeline) RestoredPublisherCursor() *PublisherState { return p.restoredPub }
 
 // Scheduler returns the attached scan scheduler, nil without Config.Scan.
 func (p *Pipeline) Scheduler() *probe.Scheduler { return p.sched }
