@@ -154,6 +154,10 @@ func newFeedHealth(o options, agg *federate.Aggregator, addr string, flight *obs
 	return h
 }
 
+// globalLogBuffer bounds the global event log's subscription: a stdout
+// that stops draining drops log lines, counted, and never stalls Apply.
+const globalLogBuffer = 8192
+
 func run(o options) error {
 	// A signal ends everything: the feed loops stop dialing, the HTTP
 	// server drains, and the final state write makes the inventory
@@ -210,7 +214,7 @@ func run(o options) error {
 
 	// The global event stream: every first-anywhere discovery, site-tagged.
 	if o.logEvents {
-		sub := agg.Subscribe(8192)
+		sub := agg.Subscribe(globalLogBuffer)
 		go func() {
 			for ge := range sub.Events() {
 				fmt.Printf("global: [%s] %s\n", ge.Site, ge.Event)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/core"
 	"servdisc/internal/federate"
@@ -361,4 +362,50 @@ func TestTombstoneGCWithinOneTick(t *testing.T) {
 	if n := cells(); n != 1 {
 		t.Fatalf("%d cells after one tick, want the tombstone collected", n)
 	}
+}
+
+// TestGlobalLogOverload: the global event log's answer to a reader that
+// stops reading is drop and count. With its subscription stalled, applying
+// 10 000 new services does not block, the 1 808 events past the buffer are
+// counted on the subscription and on the aggregator's stream, and the
+// buffer is the memory ceiling: cap × the event's size, gated at today's
+// 224-byte event.
+func TestGlobalLogOverload(t *testing.T) {
+	const services, ceiling = 10000, 8192 * 224
+	agg := federate.NewAggregator()
+	sub := agg.Subscribe(globalLogBuffer)
+	defer sub.Cancel()
+	base := time.Date(2006, 12, 16, 10, 0, 0, 0, time.UTC)
+	done := make(chan error, 1)
+	go func() {
+		for i := range services {
+			ev := core.Event{Kind: core.EventServiceDiscovered, Time: base, Provenance: core.PassiveOnly,
+				Key: core.ServiceKey{Addr: netaddr.MustParseV4("128.125.0.0") + netaddr.V4(i), Proto: packet.ProtoTCP, Port: 80}}
+			f := federate.Frame{V: federate.WireVersion, Type: federate.FrameEvent, Site: "east", Epoch: 1, Seq: uint64(i + 1), Event: &ev}
+			if err := agg.Apply(&f); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Apply blocked behind a stalled log subscriber")
+	}
+	if got, want := sub.Dropped(), services-globalLogBuffer; got != want {
+		t.Errorf("the subscription dropped %d events, want %d", got, want)
+	}
+	if got, want := agg.EventCounters().Dropped(), services-globalLogBuffer; got != want {
+		t.Errorf("the aggregator's stream counts %d drops, want %d", got, want)
+	}
+	held := cap(sub.Events()) * int(unsafe.Sizeof(federate.GlobalEvent{}))
+	if held > ceiling {
+		t.Errorf("the stalled log holds up to %d bytes, over the %d-byte ceiling", held, ceiling)
+	}
+	t.Logf("a stalled log holds up to %d bytes", held)
 }

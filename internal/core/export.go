@@ -387,16 +387,17 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 }
 
 // ExportDelta captures the engine's state changed since cur (all of it when
-// cur is nil — a baseline). It is a snapshot: it advances the chain exactly as
-// Snapshot does and copies each shard's live state out at that freeze's
-// boundary, so it is safe at any lifecycle stage and concurrent with ingest.
+// cur is nil — a baseline). It is a snapshot: it advances the chain exactly
+// as Snapshot does, deciding expiry on an open engine, and copies each
+// shard's live state out at that freeze's boundary, so it is safe at any
+// lifecycle stage and concurrent with ingest.
 // With nothing dispatched and no report applied since cur it touches no
 // shard. Under a Hybrid the active side rides along whole whenever the new
 // inventory's active view is not the cursor's. Feed the returned cursor to
 // the next call.
 func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	full := cur == nil || cur.s != s
-	if !full && s.snap.fast(s.dispatched.Load()) == cur.inv {
+	full, decide := cur == nil || cur.s != s, s.open()
+	if !full && s.snap.fast(s.dispatched.Load(), decide) == cur.inv {
 		return &EngineDelta{Packets: cur.inv.Packets(), ShardsSkipped: len(s.shards)}, *cur
 	}
 	s.snapMu.Lock()
@@ -407,7 +408,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		old = cur.inv.d
 		// Services moved up to the chain's newest inventory (a write after a
 		// seal clones the record); each shard's seal names the rest.
-		if prev, _ := s.snap.peek(); prev != nil {
+		if prev, _, _ := s.snap.peek(); prev != nil {
 			prev.d.services.Diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
 				func(k ServiceKey) { moved = append(moved, k) })
 		}
@@ -419,7 +420,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		// dispatcher too, and a worker reading it could race the seed.
 		pin:   func() { ed.Watermark, ed.Origin, ed.OriginSet = s.watermark, s.origin, s.originSeeded },
 		shard: func(i int, sh *passiveShard, sd shardDelta) { svcs[i], srcs[i] = sh.exportState(full, moved, sd) },
-	})
+	}, decide)
 	// Trails and tombstones are frozen whole in inv, so they come off the
 	// diff directly, in key order. Trails only append: a moved one is a
 	// longer one.

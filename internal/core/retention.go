@@ -20,9 +20,11 @@ package core
 //     watermark at every freeze, removing records whose deadline passed
 //     with no further evidence.
 //
-// Both append to a pending list that the next Snapshot drains, sorts by
-// (deadline, key) and publishes as EventServiceExpired — exactly once per
-// expiry, deterministically ordered across shard counts. Every expiry also
+// An observe-side retirement is announced at once, ahead of the
+// rediscovery; snapshot-side ones are drained at the freeze, sorted by
+// (deadline, key), and published as EventServiceExpired — exactly once per
+// expiry, and in the same order per key at any shard count or cadence. A
+// View, or any snapshot of a closed engine, decides no expiry. Every expiry also
 // leaves a tombstone (key → deadline) that seal deltas, merged snapshots,
 // checkpoints and federation snapshot frames carry, so late or restarted
 // consumers can withdraw state they learned before the expiry.

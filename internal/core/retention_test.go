@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -139,6 +140,16 @@ func tombList(inv *Inventory) []expiryRec {
 	return out
 }
 
+// byKey orders expiries by key, each key's in publication order: the
+// order a published sequence fixes. A retirement observe decides is
+// announced at the packet that decided it, ahead of the rebirth, so the
+// order across keys follows the apply order, which shard count and
+// snapshot cadence move.
+func byKey(exp []expiryRec) []expiryRec {
+	slices.SortStableFunc(exp, func(a, b expiryRec) int { return a.key.Compare(b.key) })
+	return exp
+}
+
 func assertSameExpiries(t *testing.T, label string, want, got []expiryRec) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -170,7 +181,7 @@ func runRetention(trace []packet.Packet, shards, cuts int, ttl time.Duration) (e
 	return drainExpired(sub), inv.Dump(), tombList(inv)
 }
 
-// TestRetentionExpiryDeterministicAcrossShards: the published expiry
+// TestRetentionExpiryDeterministicAcrossShards: each key's published expiry
 // sequence, the final dump, and the tombstone set are identical at shard
 // counts 1, 2 and 8 under a mid-trace snapshot cadence.
 func TestRetentionExpiryDeterministicAcrossShards(t *testing.T) {
@@ -183,7 +194,7 @@ func TestRetentionExpiryDeterministicAcrossShards(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		label := fmt.Sprintf("shards=%d", shards)
 		exp, dump, tombs := runRetention(trace, shards, 6, ttl)
-		assertSameExpiries(t, label+" events", wantExp, exp)
+		assertSameExpiries(t, label+" events", byKey(wantExp), byKey(exp))
 		if !bytes.Equal(wantDump, dump) {
 			t.Errorf("%s: final dump differs from shards=1", label)
 		}
@@ -193,9 +204,8 @@ func TestRetentionExpiryDeterministicAcrossShards(t *testing.T) {
 
 // TestRetentionLazyMatchesSweep: snapshot cadence is invisible. A run
 // that snapshots once at the end (every expiry decided lazily) publishes
-// the exact same expiry sequence and final state as one swept 12 times
-// (each sweep's sorted group concatenates into the same global order,
-// because later sweeps can only surface later deadlines).
+// the exact same expiry sequence per key, and the same final state, as one
+// swept 12 times.
 func TestRetentionLazyMatchesSweep(t *testing.T) {
 	trace := genRetentionTrace(42)
 	const ttl = 3 * time.Hour
@@ -204,7 +214,7 @@ func TestRetentionLazyMatchesSweep(t *testing.T) {
 	if len(lazyExp) == 0 {
 		t.Fatal("trace produced no expiries; test is vacuous")
 	}
-	assertSameExpiries(t, "events", lazyExp, sweptExp)
+	assertSameExpiries(t, "events", byKey(lazyExp), byKey(sweptExp))
 	if !bytes.Equal(lazyDump, sweptDump) {
 		t.Errorf("final dump differs between lazy and swept runs")
 	}
@@ -259,7 +269,7 @@ func TestRetentionSurvivesRestore(t *testing.T) {
 	b.Close()
 	postExp := drainExpired(subB)
 
-	assertSameExpiries(t, "events across restore", refExp, append(preExp, postExp...))
+	assertSameExpiries(t, "events across restore", byKey(refExp), byKey(append(preExp, postExp...)))
 	if !bytes.Equal(refDump, inv.Dump()) {
 		t.Errorf("restored dump differs from uninterrupted run")
 	}

@@ -165,32 +165,36 @@ type snapCache struct {
 	inv *Inventory
 	// dispatched fingerprints the engine state the inventory froze at:
 	// while no batch has been dispatched and no report applied since, it is
-	// trivially current.
+	// trivially current. undecided marks an inventory a View froze with
+	// retention on: it is current for a view, not for a Snapshot, which
+	// must still decide the expiries due at its watermark.
 	dispatched uint64
+	undecided  bool
 }
 
 // fast returns the cached Inventory when the engine fingerprint is
-// unchanged — the zero-churn path, no shard traffic, no allocation.
-func (c *snapCache) fast(dispatched uint64) *Inventory {
+// unchanged and, for a snapshot that decides expiry, the cached one did —
+// the zero-churn path, no shard traffic, no allocation.
+func (c *snapCache) fast(dispatched uint64, decide bool) *Inventory {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inv != nil && c.dispatched == dispatched {
+	if c.inv != nil && c.dispatched == dispatched && !(decide && c.undecided) {
 		return c.inv
 	}
 	return nil
 }
 
-// peek returns the cached Inventory (nil when there is none) and its
-// fingerprint.
-func (c *snapCache) peek() (inv *Inventory, dispatched uint64) {
+// peek returns the cached Inventory (nil when there is none), its
+// fingerprint and whether it left expiry undecided.
+func (c *snapCache) peek() (inv *Inventory, dispatched uint64, undecided bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inv, c.dispatched
+	return c.inv, c.dispatched, c.undecided
 }
 
-func (c *snapCache) put(inv *Inventory, dispatched uint64) {
+func (c *snapCache) put(inv *Inventory, dispatched uint64, undecided bool) {
 	c.mu.Lock()
-	c.inv, c.dispatched = inv, dispatched
+	c.inv, c.dispatched, c.undecided = inv, dispatched, undecided
 	c.mu.Unlock()
 }
 
@@ -232,13 +236,15 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 // freeze seals the shard at a snapshot point and returns the delta since
 // its previous freeze (the whole shard when the merge has nothing to
 // patch), plus the scanner detections and pending expiry notices as of the
-// freeze. wm is the engine watermark at the snapshot point: deadlines at or
-// before it expire first, so the seal reports them. Shard state is disjoint
-// by owner address, so per-shard detection results concatenate into exactly
-// the merged tracker's output.
-func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
+// freeze. wm is the engine watermark at the snapshot point: when decide is
+// set, deadlines at or before it expire first, so the seal reports them.
+// Shard state is disjoint by owner address, so per-shard detection results
+// concatenate into exactly the merged tracker's output.
+func (sh *passiveShard) freeze(wm time.Time, whole, decide bool) shardDelta {
 	sh.mu.Lock()
-	sh.disc.expireDue(wm)
+	if decide {
+		sh.disc.expireDue(wm)
+	}
 	delta := sh.disc.seal(whole)
 	sh.mu.Unlock()
 	delta.scanners = sh.disc.track.detect()
@@ -271,6 +277,7 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 		d.owns = func(a netaddr.V4) bool { return s.shardOf(a) == i }
 		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]Instant), events: s.events}
 		d.onService = sh.passiveDiscovered
+		d.onRetired = func(k ServiceKey, at time.Time) { s.events.serviceExpired(k, at, PassiveOnly) }
 		d.track.onDetect = s.events.scannerDetected
 		s.shards[i] = sh
 	}
@@ -612,13 +619,14 @@ type freezeHook struct {
 
 // freezeShards seals every shard at one boundary and returns the shard
 // deltas, the dispatch count at that point (the cache fingerprint) and the
-// watermark. With whole unset and nothing dispatched since the count given,
-// no shard is sealed and the deltas are nil; the boundary is then crossed
-// only for hook. Callers must hold snapMu.
-func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook) (deltas []shardDelta, d0 uint64, wm time.Time) {
+// watermark. With whole and force unset and nothing dispatched since the
+// count given, no shard is sealed and the deltas are nil; the boundary is
+// then crossed only for hook. decide expires what is due (see freeze).
+// Callers must hold snapMu.
+func (s *ShardedPassive) freezeShards(whole, force, decide bool, since uint64, hook *freezeHook) (deltas []shardDelta, d0 uint64, wm time.Time) {
 	s.atBoundary(func() bool {
 		d0, wm = s.dispatched.Load(), s.watermark
-		if whole || d0 != since {
+		if whole || force || d0 != since {
 			deltas = make([]shardDelta, len(s.shards))
 		}
 		if hook != nil {
@@ -628,7 +636,7 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 	}, func(i int, sh *passiveShard) {
 		var sd shardDelta
 		if deltas != nil {
-			deltas[i] = sh.freeze(wm, whole)
+			deltas[i] = sh.freeze(wm, whole, decide)
 			sd = deltas[i]
 		}
 		if hook != nil {
@@ -778,11 +786,13 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 // first snapshot and after a restore, when everything is merged whole). With
 // nothing dispatched and no report applied since prev, advance returns
 // inv == prev (a report applied after the count was read may land in inv;
-// the next advance then finds nothing more of it). hook, if any, rides the
-// freeze (freezeShards). Callers hold snapMu.
-func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
-	prev, since := s.snap.peek()
-	deltas, d0, wm := s.freezeShards(prev == nil, since, hook)
+// the next advance then finds nothing more of it). decide expires what is
+// due at the watermark; a deciding advance over an undecided inventory
+// freezes even with nothing dispatched. hook, if any, rides the freeze
+// (freezeShards). Callers hold snapMu.
+func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inventory) {
+	prev, since, undecided := s.snap.peek()
+	deltas, d0, wm := s.freezeShards(prev == nil, decide && undecided, decide, since, hook)
 	if deltas == nil {
 		return prev, prev
 	}
@@ -793,7 +803,7 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
 		s.beforeFreezeActive()
 	}
 	if s.active != nil {
-		exp, active, probed = s.freezeActive(wm)
+		exp, active, probed = s.freezeActive(wm, decide)
 	}
 	for i := range deltas {
 		exp = append(exp, deltas[i].expired...)
@@ -821,7 +831,7 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
 	if s.onSnap != nil {
 		s.onSnap(prev, inv, delta)
 	}
-	s.snap.put(inv, d0)
+	s.snap.put(inv, d0, !decide && s.retentionOn)
 	return prev, inv
 }
 
@@ -835,24 +845,46 @@ func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
 // batch boundary of the producer's stream (everything dispatched before the
 // call is included), and the result is byte-identical to pausing the
 // producer, flushing, and snapshotting at that point. Safe to call from any
-// goroutine at any lifecycle stage.
-func (s *ShardedPassive) Snapshot() *Inventory {
-	if inv := s.snap.fast(s.dispatched.Load()); inv != nil {
+// goroutine at any lifecycle stage. With retention on, a snapshot is where
+// expiry is decided: records whose deadline the watermark has passed are
+// retired and announced. After Close the engine is read-only and its event
+// stream has ended, so a snapshot decides nothing there: it is a View.
+func (s *ShardedPassive) Snapshot() *Inventory { return s.freezeAt(true) }
+
+// View is Snapshot without the expiry decision: records past their
+// deadline stay until the next Snapshot retires them. A reader that must
+// not move the engine's state takes views — the federation publisher
+// bootstrapping a reader does — so the inventory and the event stream do
+// not depend on when readers come and go: with an active TTL, an answer
+// retired at a reader's snapshot, rather than refreshed by the next sweep,
+// would change both.
+func (s *ShardedPassive) View() *Inventory { return s.freezeAt(false) }
+
+func (s *ShardedPassive) freezeAt(decide bool) *Inventory {
+	decide = decide && s.open()
+	if inv := s.snap.fast(s.dispatched.Load(), decide); inv != nil {
 		return inv
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return s.snapshot(nil)
+	return s.snapshot(nil, decide)
 }
 
-// snapshot is Snapshot past its fast path, shared with ExportDelta, which
-// hangs hook on the freeze. Callers hold snapMu.
-func (s *ShardedPassive) snapshot(hook *freezeHook) *Inventory {
+// open reports whether the engine has not been closed.
+func (s *ShardedPassive) open() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return !s.closed
+}
+
+// snapshot is Snapshot or View past its fast path, shared with ExportDelta,
+// which hangs hook on the freeze. Callers hold snapMu.
+func (s *ShardedPassive) snapshot(hook *freezeHook, decide bool) *Inventory {
 	var t0 time.Time
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	prev, inv := s.advance(hook)
+	prev, inv := s.advance(hook, decide)
 	if inv == prev {
 		return inv // nothing moved: another snapshotter got here first
 	}

@@ -276,9 +276,12 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 	// reference is the pause-flush-snapshot answer after n packets and r
 	// reports: a fresh inline engine asked once, so it merges its shard whole
 	// and never patches anything.
-	reference := func(n, r int) *Hybrid {
+	reference := func(n, r int, sub **EventSub) *Hybrid {
 		ref := NewHybrid(campusPfx, []uint16{53}, 1, nil)
 		ref.SetRetention(policy)
+		if sub != nil {
+			*sub = ref.Subscribe(1 << 16)
+		}
 		ref.HandleBatch(trace[:n])
 		for _, rep := range reps[:r] {
 			ref.AddReport(rep)
@@ -289,8 +292,8 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 		sort.Slice(exp, func(i, j int) bool { return exp[i].String() < exp[j].String() })
 		return exp
 	}
-	ref := reference(len(trace), len(reps))
-	refSub := ref.Subscribe(1 << 16)
+	var refSub *EventSub
+	ref := reference(len(trace), len(reps), &refSub)
 	ref.Snapshot()
 	ref.Close()
 	wantExp := sortExpiries(drainExpired(refSub))
@@ -358,7 +361,7 @@ func TestSnapshotEntryPointsInterleaved(t *testing.T) {
 				if len(rec.invs) != seen+1 || rec.invs[seen] != inv {
 					t.Fatalf("a built snapshot called the observer %d times", len(rec.invs)-seen)
 				}
-				want := reference(inv.Packets(), len(inv.Scans())).Snapshot()
+				want := reference(inv.Packets(), len(inv.Scans()), nil).Snapshot()
 				if !bytes.Equal(inv.Dump(), want.Dump()) {
 					t.Fatalf("hybrid=%v snapshot at %d packets, %d reports differs from the reference", hybrid, inv.Packets(), len(inv.Scans()))
 				}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"regexp"
 	"strings"
 	"sync"
@@ -552,93 +551,6 @@ func TestUpgradeCarriesBothFirstTimes(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump lacks %q:\n%s", want, dump)
 		}
-	}
-}
-
-// TestWireFeedEndToEnd runs the full wire path — Publisher.ServeConn over
-// an in-memory connection into FeedClient.RunConn (the client-speaks-
-// first resume protocol) — and checks it lands the same global state as
-// an in-process attach.
-func TestWireFeedEndToEnd(t *testing.T) {
-	wireAgg := NewAggregator()
-	site := newTestSite(3, 800)
-
-	c1, c2 := net.Pipe()
-	serveDone := make(chan error, 1)
-	go func() {
-		err := site.pub.ServeConn(context.Background(), c1)
-		c1.Close()
-		serveDone <- err
-	}()
-	fc := NewFeedClient(wireAgg, "pipe", FeedOptions{})
-	readDone := make(chan error, 1)
-	go func() { readDone <- fc.RunConn(context.Background(), c2) }()
-
-	site.produce()
-	site.eng.Close()
-	if err := <-readDone; err != nil {
-		t.Fatalf("RunConn: %v", err)
-	}
-	<-serveDone
-
-	refAgg := NewAggregator()
-	<-refAgg.Attach(site.pub) // post-close attach: final snapshot
-	if got, want := wireAgg.Dump(), refAgg.Dump(); !bytes.Equal(got, want) {
-		t.Errorf("wire feed diverges from in-process attach:\n%s", divergence(got, want))
-	}
-}
-
-// TestWeightsReachMidStreamReader is the whole-record gate: a wire reader
-// that bootstraps halfway through a site's input, with a snapshot and a
-// sweep report landing after its bootstrap, ends — once the engine closes —
-// byte-identical to a reader that attached after the close, the weights
-// (flows=, clients=, packets=, dsts=, rsts=) included. Past the bootstrap
-// only seal frames carry those.
-func TestWeightsReachMidStreamReader(t *testing.T) {
-	site := newTestSite(3, 800)
-	half := len(site.batches) / 2
-	for _, b := range site.batches[:half] {
-		site.eng.HandleBatch(b)
-	}
-	server, client := net.Pipe()
-	served := make(chan error, 1)
-	go func() {
-		err := site.pub.ServeConn(context.Background(), server)
-		server.Close()
-		served <- err
-	}()
-	agg := NewAggregator()
-	fc := NewFeedClient(agg, "pipe", FeedOptions{})
-	read := make(chan error, 1)
-	go func() { read <- fc.RunConn(context.Background(), client) }()
-	for deadline := time.Now().Add(5 * time.Second); fc.Stats().FramesApplied < 2; { // hello, snapshot
-		if time.Now().After(deadline) {
-			t.Fatal("the reader never bootstrapped")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	rest := site.batches[half:]
-	for i, b := range rest {
-		site.eng.HandleBatch(b)
-		if i == len(rest)/2 {
-			site.eng.Snapshot()
-			site.eng.AddReport(site.reports[0])
-		}
-	}
-	site.eng.AddReport(site.reports[1])
-	site.eng.Close()
-	if err := <-read; err != nil {
-		t.Fatalf("RunConn: %v", err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("ServeConn: %v", err)
-	}
-
-	ref := NewAggregator()
-	<-ref.Attach(site.pub)
-	if got, want := agg.Dump(), ref.Dump(); !bytes.Equal(got, want) {
-		t.Errorf("mid-stream reader diverges from a post-close attach:\n%s", divergence(got, want))
 	}
 }
 

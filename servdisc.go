@@ -452,6 +452,11 @@ func (p *Pipeline) Close() { p.engine.Close() }
 // consistency contract). It is also what core.Analysis reads.
 func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
 
+// View is Snapshot without the expiry decision (see
+// core.ShardedPassive.View): what a federation publisher bootstraps a
+// reader from.
+func (p *Pipeline) View() *Inventory { return p.engine.View() }
+
 // OnSnapshot registers fn to observe every snapshot the engine builds (see
 // core.ShardedPassive.OnSnapshot): the engine's one observer slot calls
 // the query catalog first (Config.QueryIndex), then fn. At most one fn;
