@@ -36,10 +36,13 @@ const (
 	// evidence, withdrawing the service (retention.go). Time is the expiry
 	// deadline (LastSeen + TTL, observation clock); Provenance names the
 	// evidence kind withdrawn — PassiveOnly for passive records, ActiveOnly
-	// for probe answers. Emitted exactly once per expiry, in deterministic
-	// (deadline, key) order, at the snapshot that surfaces the expiry. A
-	// service expired and later re-observed is re-announced with a fresh
-	// ServiceDiscovered.
+	// for probe answers. Emitted exactly once per expiry: a snapshot
+	// announces the expiries it decides together, in (deadline, key)
+	// order; evidence arriving past a record's deadline retires it on the
+	// spot and announces the expiry there, ahead of the fresh
+	// ServiceDiscovered that re-announces the service. Each key's events
+	// read the same at any shard count and snapshot cadence; the order
+	// across keys follows the apply order.
 	EventServiceExpired
 )
 

@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -85,5 +86,34 @@ func TestRediscoveryBetweenFreezeAndExpiryPublication(t *testing.T) {
 	}
 	if rec, ok := inv.Record(key); !ok || !rec.FirstSeen().Equal(t0.Add(3*time.Hour)) {
 		t.Errorf("inventory record = %v/%v, want the incarnation first seen at +3h", rec, ok)
+	}
+}
+
+// A snapshot that decides an expiry announces it even when Close lands
+// between its freeze and the announcement: the stream ends only after the
+// snapshot has published.
+func TestSnapshotRacingCloseAnnouncesItsExpiries(t *testing.T) {
+	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
+	s := NewHybrid(campusPfx, nil, 1, nil)
+	s.SetRetention(RetentionPolicy{PassiveTTL: time.Hour})
+	sub := s.SubscribeFiltered(16, func(ev Event) bool { return ev.Key == key })
+	s.HandleBatch([]packet.Packet{*synAck(t0, srv, 80, cli)})
+	s.HandleBatch([]packet.Packet{*synAck(t0.Add(2*time.Hour), srv2, 80, cli)}) // watermark past key's deadline
+	closed := make(chan struct{})
+	s.beforeFreezeActive = func() {
+		go func() { s.Close(); close(closed) }()
+		for s.open() {
+			runtime.Gosched()
+		}
+	}
+	s.Snapshot()
+	<-closed
+
+	var got []string
+	for _, ev := range drainEvents(sub) {
+		got = append(got, fmt.Sprintf("%s@%s", ev.Kind, ev.Time.Sub(t0)))
+	}
+	if want := []string{"service-discovered@0s", "service-expired@1h0m0s"}; !slices.Equal(got, want) {
+		t.Errorf("events for the service:\n got %q\nwant %q", got, want)
 	}
 }

@@ -50,16 +50,15 @@ type PassiveDiscoverer struct {
 	onService func(key ServiceKey, t time.Time)
 	// onRetired, when set, announces an incarnation observe retires (see
 	// there) on the spot, ahead of the rebirth's onService; ShardedPassive
-	// wires it into the event stream. Unset, the notice waits in
-	// pendingExpired like the snapshot-side ones.
+	// wires it into the event stream. A bare discoverer announces nothing.
 	onRetired func(key ServiceKey, deadline time.Time)
 
 	// Retention state (retention.go). ttl=0 disables expiry entirely; the
 	// heap and list below then stay empty and cost nothing. Each expiry
 	// leaves a tombstone at its deadline (a later re-creation keeps it — it
 	// only helps late federation consumers). expq is the lazy deadline
-	// min-heap; pendingExpired accumulates expiries until the next freeze
-	// publishes them.
+	// min-heap; pendingExpired accumulates the expiries expireDue decides
+	// until the next freeze publishes them.
 	ttl            time.Duration
 	expq           []expEntry
 	pendingExpired []expiredSvc
@@ -328,8 +327,6 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 		d.retire(key, deadline)
 		if d.onRetired != nil {
 			d.onRetired(key, deadline)
-		} else {
-			d.pendingExpired = append(d.pendingExpired, expiredSvc{key: key, at: deadline, prov: PassiveOnly})
 		}
 		rec = nil
 	}

@@ -7,9 +7,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,9 +113,7 @@ func (r expiryRec) String() string {
 }
 
 // drainExpired collects the expiry subsequence of a closed subscription's
-// event stream. Discovery events interleave differently across shard
-// counts (shard processing order is not part of the contract); expiry
-// events are published sorted from the snapshotting goroutine and ARE.
+// event stream.
 func drainExpired(sub *EventSub) []expiryRec {
 	var out []expiryRec
 	for ev := range sub.Events() {
@@ -162,38 +162,66 @@ func assertSameExpiries(t *testing.T, label string, want, got []expiryRec) {
 	}
 }
 
-// runRetention feeds the trace through a fresh sharded engine in `cuts`
+// runRetention feeds the trace through a fresh inline engine in `cuts`
 // segments, snapshotting after each (cuts==1 means one final snapshot:
-// pure lazy expiry). Returns the expiry event sequence, the final dump,
-// and the final tombstone list.
-func runRetention(trace []packet.Packet, shards, cuts int, ttl time.Duration) (exps []expiryRec, dump []byte, tombs []expiryRec) {
+// pure lazy expiry), and checks that each snapshot announces the expiries
+// it decides together, sorted by (deadline, key). Returns the expiry event
+// sequence, the final dump, the final tombstone list and the whole stream.
+func runRetention(t *testing.T, trace []packet.Packet, shards, cuts int, ttl time.Duration) (exps []expiryRec, dump []byte, tombs []expiryRec, stream []string) {
 	s := NewShardedPassive(campusPfx, []uint16{53}, shards)
 	s.SetRetention(RetentionPolicy{PassiveTTL: ttl})
 	sub := s.Subscribe(1 << 16)
 	rng := stats.NewRNG(11).Derive("retention-batches")
+	var inv *Inventory
+	var evs []Event
 	for c := 0; c < cuts; c++ {
 		lo, hi := len(trace)*c/cuts, len(trace)*(c+1)/cuts
 		feedBatches(s, trace[lo:hi], rng)
-		s.Snapshot()
+		evs = append(evs, pending(sub)...)
+		inv = s.Snapshot()
+		swept := pending(sub)
+		evs = append(evs, swept...)
+		swept = slices.DeleteFunc(swept, func(ev Event) bool { return ev.Kind != EventServiceExpired })
+		if !slices.IsSortedFunc(swept, func(a, b Event) int { return cmp.Or(a.Time.Compare(b.Time), a.Key.Compare(b.Key)) }) {
+			t.Errorf("shards=%d: snapshot %d announced its expiries out of (deadline, key) order:\n%s", shards, c, strings.Join(eventStrings(swept), "\n"))
+		}
 	}
-	inv := s.Snapshot()
 	s.Close()
-	return drainExpired(sub), inv.Dump(), tombList(inv)
+	for _, ev := range evs {
+		stream = append(stream, ev.String())
+		if ev.Kind == EventServiceExpired {
+			exps = append(exps, expiryRec{key: ev.Key, at: ev.Time, prov: ev.Provenance})
+		}
+	}
+	return exps, inv.Dump(), tombList(inv), stream
+}
+
+// pending takes the events already delivered to sub, without waiting.
+func pending(sub *EventSub) (out []Event) {
+	for len(sub.Events()) > 0 {
+		out = append(out, <-sub.Events())
+	}
+	return out
 }
 
 // TestRetentionExpiryDeterministicAcrossShards: each key's published expiry
 // sequence, the final dump, and the tombstone set are identical at shard
-// counts 1, 2 and 8 under a mid-trace snapshot cadence.
+// counts 1, 2 and 8 under a mid-trace snapshot cadence. Across keys the
+// order follows the apply order, so the whole stream is what a repeat run
+// of the one-shard engine reproduces.
 func TestRetentionExpiryDeterministicAcrossShards(t *testing.T) {
 	trace := genRetentionTrace(42)
 	const ttl = 3 * time.Hour
-	wantExp, wantDump, wantTombs := runRetention(trace, 1, 6, ttl)
+	wantExp, wantDump, wantTombs, stream := runRetention(t, trace, 1, 6, ttl)
 	if len(wantExp) == 0 {
 		t.Fatal("trace produced no expiries; test is vacuous")
 	}
+	if _, _, _, again := runRetention(t, trace, 1, 6, ttl); !slices.Equal(stream, again) {
+		t.Errorf("a repeat run published a different stream (%d events, then %d)", len(stream), len(again))
+	}
 	for _, shards := range []int{2, 8} {
 		label := fmt.Sprintf("shards=%d", shards)
-		exp, dump, tombs := runRetention(trace, shards, 6, ttl)
+		exp, dump, tombs, _ := runRetention(t, trace, shards, 6, ttl)
 		assertSameExpiries(t, label+" events", byKey(wantExp), byKey(exp))
 		if !bytes.Equal(wantDump, dump) {
 			t.Errorf("%s: final dump differs from shards=1", label)
@@ -209,8 +237,8 @@ func TestRetentionExpiryDeterministicAcrossShards(t *testing.T) {
 func TestRetentionLazyMatchesSweep(t *testing.T) {
 	trace := genRetentionTrace(42)
 	const ttl = 3 * time.Hour
-	lazyExp, lazyDump, lazyTombs := runRetention(trace, 4, 1, ttl)
-	sweptExp, sweptDump, sweptTombs := runRetention(trace, 4, 12, ttl)
+	lazyExp, lazyDump, lazyTombs, _ := runRetention(t, trace, 4, 1, ttl)
+	sweptExp, sweptDump, sweptTombs, _ := runRetention(t, trace, 4, 12, ttl)
 	if len(lazyExp) == 0 {
 		t.Fatal("trace produced no expiries; test is vacuous")
 	}
@@ -232,7 +260,7 @@ func TestRetentionSurvivesRestore(t *testing.T) {
 	const ttl, shards = 3 * time.Hour, 4
 	policy := RetentionPolicy{PassiveTTL: ttl}
 
-	refExp, refDump, refTombs := runRetention(trace, shards, 1, ttl)
+	refExp, refDump, refTombs, _ := runRetention(t, trace, shards, 1, ttl)
 	if len(refExp) == 0 {
 		t.Fatal("trace produced no expiries; test is vacuous")
 	}

@@ -143,6 +143,9 @@ type ShardedPassive struct {
 	queues   []chan shardMsg
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup
+	// deciding counts snapshots that decide expiry and have not announced
+	// it yet; Close waits for them before it ends the event stream.
+	deciding sync.WaitGroup
 
 	// batchPool recycles the worker-queue copies of dispatched sub-batches.
 	batchPool sync.Pool
@@ -565,6 +568,7 @@ func (s *ShardedPassive) Close() {
 		}
 		s.workers.Wait()
 	}
+	s.deciding.Wait()
 	s.events.close()
 }
 
@@ -787,13 +791,17 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 // nothing dispatched and no report applied since prev, advance returns
 // inv == prev (a report applied after the count was read may land in inv;
 // the next advance then finds nothing more of it). decide expires what is
-// due at the watermark; a deciding advance over an undecided inventory
-// freezes even with nothing dispatched. hook, if any, rides the freeze
-// (freezeShards). Callers hold snapMu.
+// due at the watermark, on an open engine only; a deciding advance over an
+// undecided inventory freezes even with nothing dispatched. hook, if any,
+// rides the freeze (freezeShards). Callers hold snapMu.
 func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inventory) {
+	decide = decide && s.holdStream()
 	prev, since, undecided := s.snap.peek()
 	deltas, d0, wm := s.freezeShards(prev == nil, decide && undecided, decide, since, hook)
 	if deltas == nil {
+		if decide {
+			s.deciding.Done()
+		}
 		return prev, prev
 	}
 	var exp []expiredSvc
@@ -816,6 +824,9 @@ func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inve
 		if m := s.met; m != nil {
 			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
 		}
+	}
+	if decide {
+		s.deciding.Done()
 	}
 	var base *mergedStore
 	if prev != nil {
@@ -874,6 +885,18 @@ func (s *ShardedPassive) freezeAt(decide bool) *Inventory {
 func (s *ShardedPassive) open() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return !s.closed
+}
+
+// holdStream reports whether the engine is open, and if so holds Close
+// from ending the event stream until deciding.Done: a closed engine decides
+// no expiry, and an open one announces every expiry it decides.
+func (s *ShardedPassive) holdStream() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !s.closed {
+		s.deciding.Add(1)
+	}
 	return !s.closed
 }
 

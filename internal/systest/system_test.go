@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -727,9 +728,9 @@ func (w *world) queries(ref *federate.Aggregator) []query.Query {
 
 // checkEvents compares the site's stream with the reference's. Every
 // incarnation's events up to the checkpoint the next one restored, then
-// the last incarnation's, make one stream; per key it must equal the
-// reference's in kind, time and provenance (an upgrade's two first times
-// included). A report raced against ingest leaves open which technique a
+// the last incarnation's, make one stream; for every key either side
+// announced it must equal the reference's in kind, time and provenance (an
+// upgrade's two first times included). A report raced against ingest leaves open which technique a
 // key first found in that window is credited to (core.Event), so a key's
 // stream may instead equal the one with the racing reports applied after
 // their segments; with retention off a key is found once, so one window
@@ -746,8 +747,12 @@ func (w *world) checkEvents(s *siteRun) {
 		alt, _ = perKey(s.altLog.events())
 	}
 	show := func(evs []string) string { return strings.Join(evs, "\n  ") }
-	for key, g := range got {
-		if !slices.Equal(g, want[key]) && !slices.Equal(g, alt[key]) {
+	keys := maps.Clone(got)
+	maps.Copy(keys, want)
+	maps.Copy(keys, alt)
+	for key := range keys {
+		g := got[key]
+		if a, ok := alt[key]; !slices.Equal(g, want[key]) && (!ok || !slices.Equal(g, a)) {
 			w.fatalf("%s announced\n  %s\nthe reference\n  %s", key, show(g), show(want[key]))
 		}
 	}
