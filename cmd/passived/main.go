@@ -123,6 +123,10 @@ func main() {
 	}
 }
 
+// logBuffer sizes the event log's subscription: a stalled log holds this
+// many events and drops (and counts) the rest.
+const logBuffer = 4096
+
 func run(o options) error {
 	f, err := os.Open(o.tracePath)
 	if err != nil {
@@ -200,7 +204,7 @@ func run(o options) error {
 	// Stream discovery events while the replay runs: scanner detections
 	// are worth a log line the moment they happen. The subscription is
 	// bounded — if we lag, we lose log lines, never ingest throughput.
-	sub := pl.Subscribe(4096)
+	sub := pl.Subscribe(logBuffer)
 	subs.add("log", sub.Dropped)
 	eventsDone := make(chan struct{})
 	var discovered, upgraded, expired atomic.Int64
@@ -363,11 +367,7 @@ loop:
 			logCheckpoint(cr)
 		}
 	}
-	// One last freeze while the event stream is still open: expiry
-	// decisions made since the previous snapshot publish their
-	// EventServiceExpired at a freeze, and Close ends the stream.
-	latest.Store(pl.Snapshot())
-	pl.Close() // ends the event stream; snapshots remain available
+	pl.Close() // settles what is due and ends the event stream; snapshots remain available
 	<-eventsDone
 
 	inv := pl.Snapshot()

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servdisc"
 	"servdisc/internal/netaddr"
@@ -334,4 +335,51 @@ func TestServicesAndQueryThroughMux(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != 200 || resp.Header.Get("ETag") != `"inv-2"` {
 		t.Errorf("after a new snapshot: %v, %v; want 200 with ETag \"inv-2\"", resp, err)
 	}
+}
+
+// TestLogSubscriptionOverload: the daemon's event log subscription, stalled,
+// holds its 4 096-event buffer and drops the rest, counted by the
+// subscription and by the engine; ingest runs on.
+func TestLogSubscriptionOverload(t *testing.T) {
+	const services, ceiling = 6000, 4096 * 208
+	pl, err := servdisc.NewPipeline(servdisc.Config{Campus: "128.125.0.0/16", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	sub := pl.Subscribe(logBuffer)
+	pl.Run(context.Background())
+	bld := packet.NewBuilder(0)
+	at := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	cli := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 40000}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var batch []packet.Packet
+		for i := range services {
+			srv := packet.Endpoint{Addr: netaddr.MustParseV4("128.125.0.0") + netaddr.V4(i), Port: 80}
+			batch = append(batch, *bld.SynAck(at, srv, cli, 1, 1))
+			if len(batch) == 256 || i == services-1 {
+				pl.HandleBatch(batch)
+				batch = batch[:0]
+			}
+		}
+		pl.Flush()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ingest blocked behind a stalled log")
+	}
+	if got, want := sub.Dropped(), services-logBuffer; got != want {
+		t.Errorf("the log subscription dropped %d events, want %d", got, want)
+	}
+	if got, want := pl.EventCounters().Dropped(), services-logBuffer; got != want {
+		t.Errorf("the engine counts %d drops, want %d", got, want)
+	}
+	held := cap(sub.Events()) * int(unsafe.Sizeof(servdisc.Event{}))
+	if held > ceiling {
+		t.Errorf("a stalled log holds up to %d bytes, over the %d-byte ceiling", held, ceiling)
+	}
+	t.Logf("a stalled log holds up to %d bytes", held)
 }

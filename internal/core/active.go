@@ -64,12 +64,13 @@ type ActiveDiscoverer struct {
 	// flush with nothing written since hands the same view out again.
 	view *ActiveDiscoverer
 
-	// onDiscovered, when set, fires the first time a service answers a
-	// probe, from the goroutine applying the report. onOpenEarlier fires
-	// when an out-of-order report moves a known service's first-open time
-	// earlier. NewHybrid wires both into the engine's event stream.
-	onDiscovered  func(key ServiceKey, t time.Time)
-	onOpenEarlier func(key ServiceKey, t time.Time)
+	// onAnswer, when set, joins every probe answer from the goroutine
+	// applying the report, and reports whether the join found no live answer
+	// for the key: any answer the store still holds has then lapsed. ttl is
+	// the active TTL such a lapsed answer's tombstone runs from. NewHybrid
+	// wires both.
+	onAnswer func(key ServiceKey, t time.Time) (fresh bool)
+	ttl      time.Duration
 }
 
 // probeTimes is one service's probe answers: the first and the newest
@@ -180,22 +181,23 @@ func udpAt(ports []UDPPortState, port uint16) (int, bool) {
 func (d *ActiveDiscoverer) recordOpen(addr netaddr.V4, port uint16, t time.Time) {
 	d.respondedEver.Add(addr)
 	key := ServiceKey{Addr: addr, Proto: packet.ProtoTCP, Port: port}
-	// Keep the earliest observation, not the first-ingested one, so that
-	// reports arriving out of sweep order converge on the same state.
 	at := ToInstant(t)
 	cur, _ := d.probes.get(key)
+	if d.onAnswer != nil && d.onAnswer(key, t) && cur.ok {
+		// The join holds no live answer, so the stored one lapsed: at this
+		// report's settle, or at a touch whose freeze has not reached the
+		// store yet.
+		d.lapse(key)
+		cur = probeTimes{}
+	}
+	// Keep the earliest observation, not the first-ingested one, so that
+	// reports arriving out of sweep order converge on the same state.
 	next := probeTimes{first: min(cur.first, at), last: max(cur.last, at), ok: true}
 	if !cur.ok {
 		next.first = at
 	}
 	if next != cur {
 		d.probes.put(key, next)
-	}
-	switch {
-	case !cur.ok && d.onDiscovered != nil:
-		d.onDiscovered(key, t)
-	case cur.ok && at < cur.first && d.onOpenEarlier != nil:
-		d.onOpenEarlier(key, t)
 	}
 }
 
@@ -217,11 +219,14 @@ func (d *ActiveDiscoverer) insertOutcome(addr netaddr.V4, out AddrScanOutcome) {
 	d.perAddr.put(addr, outs)
 }
 
-// retire expires key's probe answers at deadline, leaving a tombstone.
-func (d *ActiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
-	d.view = nil
-	d.probes.put(key, probeTimes{})
-	d.tombs.put(key, deadline)
+// lapse retires key's live answer, which the engine's join has expired, at
+// its deadline (newest answer + ttl), leaving a tombstone.
+func (d *ActiveDiscoverer) lapse(key ServiceKey) {
+	if p, _ := d.probes.get(key); p.ok {
+		d.view = nil
+		d.probes.put(key, probeTimes{})
+		d.tombs.put(key, p.last.Time().Add(d.ttl))
+	}
 }
 
 // flush freezes everything written since the last flush: it patches each

@@ -36,13 +36,13 @@ const (
 	// evidence, withdrawing the service (retention.go). Time is the expiry
 	// deadline (LastSeen + TTL, observation clock); Provenance names the
 	// evidence kind withdrawn — PassiveOnly for passive records, ActiveOnly
-	// for probe answers. Emitted exactly once per expiry: a snapshot
-	// announces the expiries it decides together, in (deadline, key)
-	// order; evidence arriving past a record's deadline retires it on the
-	// spot and announces the expiry there, ahead of the fresh
-	// ServiceDiscovered that re-announces the service. Each key's events
-	// read the same at any shard count and snapshot cadence; the order
-	// across keys follows the apply order.
+	// for probe answers. Emitted exactly once per expiry, by whatever touches
+	// the key first — a packet, a report's answer or a freeze — under the
+	// owning shard's lock, ahead of any fresh ServiceDiscovered that
+	// re-announces the service. Each key's events read the same at any shard
+	// count and snapshot cadence; within one freeze a shard announces in
+	// (deadline, key, provenance) order, and the order across keys otherwise
+	// follows the apply order.
 	EventServiceExpired
 )
 
@@ -164,8 +164,8 @@ func (e Event) String() string {
 // drop count, Cancel unsubscribes).
 type EventSub = pipeline.Sub[Event]
 
-// eventStream is the engine's typed event stream: the hub every shard, each
-// report's caller and the snapshot path publish into. It holds no
+// eventStream is the engine's typed event stream: the hub every shard and
+// each report's caller publish into. It holds no
 // per-service state. The cross-technique join — first evidence for a key
 // becomes ServiceDiscovered, the other technique's later evidence becomes
 // ProvenanceUpgraded — is decided and published under the lock of the shard
@@ -184,16 +184,16 @@ func newEventStream() *eventStream {
 // The cross-technique join. Each half of a key's state lives where it is
 // already kept: the passive half is the owning shard's record (a live record
 // ⇒ passive has reported, rec.first is when), the active half is the shard's
-// activeFirst entry (present ⇒ a probe answer is live). Both
-// halves are written, and both kinds of event published, under sh.mu, so per
-// key no subscriber sees a ProvenanceUpgraded before its ServiceDiscovered,
-// and an expired half is gone the moment it is retired — a later
-// rediscovery is always announced.
+// answers entry (present ⇒ a probe answer is live). Both halves are written,
+// and every kind of service event published, under sh.mu, so per key no
+// subscriber sees a ProvenanceUpgraded before its ServiceDiscovered, and an
+// expired half is gone the moment it is retired — a later rediscovery is
+// always announced.
 
 // passiveDiscovered announces the record observe just created for key
 // (PassiveDiscoverer.onService). The caller — apply — holds sh.mu.
 func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
-	activeAt, probed := sh.activeFirst[key]
+	a, probed := sh.disc.answers[key]
 	if !probed {
 		sh.events.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: PassiveOnly})
 		return
@@ -201,24 +201,39 @@ func (sh *passiveShard) passiveDiscovered(key ServiceKey, t time.Time) {
 	// The probe answered strictly before passive evidence: active won the
 	// race (ties go passive, as in NewHybridInventory).
 	prov := PassiveFirst
-	if activeAt < ToInstant(t) {
+	if a.first < ToInstant(t) {
 		prov = ActiveFirst
 	}
 	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
-		PassiveAt: t, ActiveAt: activeAt.Time()})
+		PassiveAt: t, ActiveAt: a.first.Time()})
 }
 
-// activeDiscovered announces the first live probe answer for key
-// (ActiveDiscoverer.onDiscovered, from the goroutine applying the report).
-func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
+// activeAnswered joins one probe answer for key (ActiveDiscoverer.onAnswer,
+// from the goroutine applying the report, under amu): it settles the key at
+// wm, the watermark the report read, then either refreshes the live answer
+// or announces a new one, and reports which. An earlier answer than the
+// live one's first moves it only while no passive record is live: the
+// eventual ProvenanceUpgraded then compares the true earliest times, as the
+// frozen Inventory does; an already-published upgrade is not retracted.
+func (sh *passiveShard) activeAnswered(key ServiceKey, t, wm time.Time) (fresh bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	d := sh.disc
+	d.settle(key, wm)
 	at := ToInstant(t)
-	sh.activeFirst[key] = at
-	rec := sh.disc.service(key)
+	if a, live := d.answers[key]; live {
+		if at < a.first && d.service(key) == nil {
+			a.first = at
+		}
+		a.last = max(a.last, at)
+		d.answers[key] = a
+		return false
+	}
+	d.addAnswer(key, answer{first: at, last: at})
+	rec := d.service(key)
 	if rec == nil {
 		sh.events.hub.Publish(Event{Kind: EventServiceDiscovered, Time: t, Key: key, Provenance: ActiveOnly})
-		return
+		return true
 	}
 	prov := ActiveFirst
 	if at >= rec.first {
@@ -226,21 +241,7 @@ func (sh *passiveShard) activeDiscovered(key ServiceKey, t time.Time) {
 	}
 	sh.events.hub.Publish(Event{Kind: EventProvenanceUpgraded, Time: t, Key: key, Provenance: prov,
 		PassiveAt: rec.first.Time(), ActiveAt: t})
-}
-
-// activeOpenEarlier moves a live probe answer's time earlier when a
-// later-applied report carries an earlier open time (sweeps may reconcile
-// out of launch order). It applies only while no passive record is live: the
-// eventual ProvenanceUpgraded then compares the true earliest times, as the
-// frozen Inventory does; an already-published upgrade is not retracted.
-func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	at := ToInstant(t)
-	cur, probed := sh.activeFirst[key]
-	if probed && at < cur && sh.disc.service(key) == nil {
-		sh.activeFirst[key] = at
-	}
+	return true
 }
 
 // seedActive records a checkpoint-restored probe answer WITHOUT publishing:
@@ -248,19 +249,26 @@ func (sh *passiveShard) activeOpenEarlier(key ServiceKey, t time.Time) {
 // re-announcing it would break the exactly-once contract across restarts.
 // (The passive side needs no counterpart: an imported record is its own
 // seed.)
-func (sh *passiveShard) seedActive(key ServiceKey, t time.Time) {
+func (sh *passiveShard) seedActive(key ServiceKey, first, last time.Time) {
 	sh.mu.Lock()
-	sh.activeFirst[key] = ToInstant(t)
+	sh.disc.addAnswer(key, answer{first: ToInstant(first), last: ToInstant(last)})
 	sh.mu.Unlock()
 }
 
-// activeWithdrawn drops key's probe answer — it expired, or a checkpoint
-// import is replacing the active side — so a later answer is announced
-// afresh.
+// activeWithdrawn drops key's probe answer — a checkpoint import is
+// replacing the active side — so a later answer is announced afresh.
 func (sh *passiveShard) activeWithdrawn(key ServiceKey) {
 	sh.mu.Lock()
-	delete(sh.activeFirst, key)
+	delete(sh.disc.answers, key)
 	sh.mu.Unlock()
+}
+
+// answerLive reports whether the join holds a live answer for key.
+func (sh *passiveShard) answerLive(key ServiceKey) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, live := sh.disc.answers[key]
+	return live
 }
 
 // serviceExpired publishes a retention expiry.

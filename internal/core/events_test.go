@@ -160,7 +160,7 @@ func joinEntries(s *ShardedPassive) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.activeFirst)
+		n += len(sh.disc.answers)
 		sh.mu.Unlock()
 	}
 	return n
@@ -229,16 +229,19 @@ func TestEventJoinTableCorners(t *testing.T) {
 				// service here, restored from a checkpoint — so its discovery
 				// belongs to the previous incarnation's stream — and last seen
 				// at minute 13; its expiry must leave key's join alone.
+				// The restore carries the donor's watermark, minute 13, so the
+				// report of minute 2 settles key there: the passive evidence of
+				// minute 1 expires first (at 10), and the answer is a discovery.
 				r.restoreFrom(func(donor *joinRig) { donor.passive(other, at(13)) })
 				r.passive(key, at(1))
 				r.active(key, at(2))
-				r.snapshotAt(at(13))   // passive evidence of minute 1 is 9 minutes stale
+				r.snapshotAt(at(13))
 				r.passive(key, at(11)) // active still stands: an upgrade, not a discovery
 				r.passive(key, at(12))
 				r.snapshotAt(at(22)) // the probe answer (2+18), key (12+9) and other (13+9) all lapse
 				r.active(key, at(30))
-			}, []string{"service-discovered passive-only @1", "provenance-upgraded passive-first @2",
-				"service-expired passive-only @10", "provenance-upgraded active-first @11",
+			}, []string{"service-discovered passive-only @1", "service-expired passive-only @10",
+				"service-discovered active-only @2", "provenance-upgraded active-first @11",
 				"service-expired active-only @20", "service-expired passive-only @21",
 				"service-expired passive-only @22", "service-discovered active-only @30"}},
 		{"retirePassive re-announces, and keeps the active report",

@@ -282,7 +282,7 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		d.peers[st.Key] = ps
 	}
 	if d.ttl > 0 {
-		d.expPush(last.Add(d.ttl), st.Key)
+		d.expPush(last.Add(d.ttl), st.Key, PassiveOnly)
 	}
 }
 
@@ -388,7 +388,7 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 
 // ExportDelta captures the engine's state changed since cur (all of it when
 // cur is nil — a baseline). It is a snapshot: it advances the chain exactly
-// as Snapshot does, deciding expiry on an open engine, and copies each
+// as Snapshot does, retiring what is due at its boundary, and copies each
 // shard's live state out at that freeze's boundary, so it is safe at any
 // lifecycle stage and concurrent with ingest.
 // With nothing dispatched and no report applied since cur it touches no
@@ -396,8 +396,8 @@ func (s *ShardedPassive) CheckpointConfig() EngineConfig {
 // inventory's active view is not the cursor's. Feed the returned cursor to
 // the next call.
 func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, CheckpointCursor) {
-	full, decide := cur == nil || cur.s != s, s.open()
-	if !full && s.snap.fast(s.dispatched.Load(), decide) == cur.inv {
+	full := cur == nil || cur.s != s
+	if !full && s.snap.fast(s.dispatched.Load()) == cur.inv {
 		return &EngineDelta{Packets: cur.inv.Packets(), ShardsSkipped: len(s.shards)}, *cur
 	}
 	s.snapMu.Lock()
@@ -408,7 +408,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		old = cur.inv.d
 		// Services moved up to the chain's newest inventory (a write after a
 		// seal clones the record); each shard's seal names the rest.
-		if prev, _, _ := s.snap.peek(); prev != nil {
+		if prev, _ := s.snap.peek(); prev != nil {
 			prev.d.services.Diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
 				func(k ServiceKey) { moved = append(moved, k) })
 		}
@@ -420,7 +420,7 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 		// dispatcher too, and a worker reading it could race the seed.
 		pin:   func() { ed.Watermark, ed.Origin, ed.OriginSet = s.watermark, s.origin, s.originSeeded },
 		shard: func(i int, sh *passiveShard, sd shardDelta) { svcs[i], srcs[i] = sh.exportState(full, moved, sd) },
-	}, decide)
+	})
 	// Trails and tombstones are frozen whole in inv, so they come off the
 	// diff directly, in key order. Trails only append: a moved one is a
 	// longer one.
@@ -522,6 +522,7 @@ func (s *ShardedPassive) importPassive(ed *EngineDelta) {
 	}
 	if ed.Watermark.After(s.watermark) {
 		s.watermark = ed.Watermark
+		s.clock.Store(uint64(ToInstant(s.watermark)))
 	}
 	for i := range ed.Services {
 		st := &ed.Services[i]
@@ -589,7 +590,7 @@ func (s *ShardedPassive) importActiveState(as *ActiveState) {
 	defer s.amu.Unlock()
 	s.active.probes.each(answered, func(k ServiceKey, _ probeTimes) { s.owner(k).activeWithdrawn(k) })
 	a := NewActiveDiscoverer(as.Ports)
-	a.onDiscovered, a.onOpenEarlier = s.active.onDiscovered, s.active.onOpenEarlier
+	a.onAnswer, a.ttl = s.active.onAnswer, s.active.ttl
 	a.scans = append([]ScanMeta(nil), as.Scans...)
 	for _, svc := range as.Services {
 		last := svc.Last
@@ -597,7 +598,7 @@ func (s *ShardedPassive) importActiveState(as *ActiveState) {
 			last = svc.At
 		}
 		a.probes.put(svc.Key, probeTimes{first: ToInstant(svc.At), last: ToInstant(last), ok: true})
-		s.owner(svc.Key).seedActive(svc.Key, svc.At)
+		s.owner(svc.Key).seedActive(svc.Key, svc.At, last)
 	}
 	for _, tb := range as.Tombs {
 		a.tombs.put(tb.Key, tb.At)

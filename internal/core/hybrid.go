@@ -38,8 +38,9 @@ func NewHybrid(campus netaddr.Prefix, udpPorts []uint16, shards int, tcpPorts []
 	s := NewShardedPassive(campus, udpPorts, shards)
 	s.active = NewActiveDiscoverer(tcpPorts)
 	// The join's active half lives on the shard that owns the key.
-	s.active.onDiscovered = func(key ServiceKey, t time.Time) { s.owner(key).activeDiscovered(key, t) }
-	s.active.onOpenEarlier = func(key ServiceKey, t time.Time) { s.owner(key).activeOpenEarlier(key, t) }
+	s.active.onAnswer = func(key ServiceKey, t time.Time) bool {
+		return s.owner(key).activeAnswered(key, t, Instant(s.clock.Load()).Time())
+	}
 	return s
 }
 
@@ -48,9 +49,12 @@ func (s *ShardedPassive) Passive() *ShardedPassive { return s }
 
 // AddReport implements probe.ReportSink: it reconciles the report into the
 // active side and publishes ScanCompleted before it returns, so the next
-// Snapshot lists its services. A report after Close, after the Run context
-// is cancelled, or to an engine without an active side is dropped, as a
-// batch is.
+// Snapshot lists its services. Each key the report answers is settled first
+// at the watermark the report reads (see retention.go). After Flush that is
+// every batch dispatched before the call; a report racing ingest settles at
+// whatever the dispatcher has reached, as racing reports already reorder
+// events. A report after Close, after the Run context is cancelled, or to
+// an engine without an active side is dropped, as a batch is.
 func (s *ShardedPassive) AddReport(rep *probe.ScanReport) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,27 +76,21 @@ func (s *ShardedPassive) AddReport(rep *probe.ScanReport) {
 // this run is genuinely hybrid or passive-only so far.
 func (s *ShardedPassive) SeenReports() bool { return s.seenReports.Load() }
 
-// freezeActive retires, when decide is set, the active-side records whose
-// retention deadline (last answer + ActiveTTL) has passed at the
-// observation watermark, recording tombstones, then flushes the active side
-// (ActiveDiscoverer.flush) in the same hold of amu: it returns the expiry
-// notices, the view and the probe keys that moved.
-func (s *ShardedPassive) freezeActive(wm time.Time, decide bool) (exp []expiredSvc, view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
+// freezeActive retires in the store the answers the shard freezes expired
+// (each delta's withdrawn list), skipping any a report has since answered
+// anew, then flushes the active side (ActiveDiscoverer.flush) in the same
+// hold of amu: it returns the view and the probe keys that moved.
+func (s *ShardedPassive) freezeActive(deltas []shardDelta) (view *ActiveDiscoverer, probed []TreeEntry[ServiceKey, probeTimes]) {
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if decide && s.activeTTL > 0 && !wm.IsZero() {
-		s.active.probes.each(answered, func(k ServiceKey, p probeTimes) {
-			if deadline := p.last.Time().Add(s.activeTTL); !deadline.After(wm) {
-				exp = append(exp, expiredSvc{key: k, at: deadline, prov: ActiveOnly})
+	for i := range deltas {
+		for _, key := range deltas[i].withdrawn {
+			if !s.owner(key).answerLive(key) {
+				s.active.lapse(key)
 			}
-		})
+		}
 	}
-	for _, e := range exp {
-		s.active.retire(e.key, e.at)
-		s.owner(e.key).activeWithdrawn(e.key)
-	}
-	view, probed = s.active.flush()
-	return exp, view, probed
+	return s.active.flush()
 }
 
 var _ probe.ReportSink = (*ShardedPassive)(nil)

@@ -45,23 +45,27 @@ type PassiveDiscoverer struct {
 
 	// onService, when set, is invoked for each record observe creates — the
 	// first positive evidence of a service, or of a new incarnation after an
-	// expiry — from the goroutine applying the packet. ShardedPassive wires
-	// it (and the tracker's onDetect) into the engine's event stream.
+	// expiry — from the goroutine applying the packet. onExpired, when set,
+	// announces each retirement retention decides (retention.go).
+	// ShardedPassive wires both (and the tracker's onDetect) into the
+	// engine's event stream.
 	onService func(key ServiceKey, t time.Time)
-	// onRetired, when set, announces an incarnation observe retires (see
-	// there) on the spot, ahead of the rebirth's onService; ShardedPassive
-	// wires it into the event stream. A bare discoverer announces nothing.
-	onRetired func(key ServiceKey, deadline time.Time)
+	onExpired func(key ServiceKey, deadline time.Time, prov Provenance)
 
-	// Retention state (retention.go). ttl=0 disables expiry entirely; the
-	// heap and list below then stay empty and cost nothing. Each expiry
-	// leaves a tombstone at its deadline (a later re-creation keeps it — it
-	// only helps late federation consumers). expq is the lazy deadline
-	// min-heap; pendingExpired accumulates the expiries expireDue decides
-	// until the next freeze publishes them.
-	ttl            time.Duration
+	// answers is the event join's active half for the keys this discoverer
+	// owns (events.go): present only while a probe answer is live, empty
+	// outside a hybrid engine. withdrawn lists the answers expired since the
+	// last freeze, which the freeze hands to the active side's store.
+	answers   map[ServiceKey]answer
+	withdrawn []ServiceKey
+
+	// Retention state (retention.go). Zero TTLs disable expiry; the heap
+	// then stays empty and costs nothing. Each passive expiry leaves a
+	// tombstone at its deadline (a later re-creation keeps it — it only
+	// helps late federation consumers). expq is the lazy deadline min-heap
+	// of both techniques.
+	ttl, activeTTL time.Duration
 	expq           []expEntry
-	pendingExpired []expiredSvc
 
 	// Packets counts everything handled.
 	Packets int
@@ -75,6 +79,7 @@ func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDisc
 		campus:   campus,
 		udpPorts: make(map[uint16]bool, len(udpPorts)),
 		peers:    make(map[ServiceKey]*addrSet),
+		answers:  make(map[ServiceKey]answer),
 		owns:     func(netaddr.V4) bool { return true },
 		track:    newScanTracker(),
 	}
@@ -122,10 +127,10 @@ type shardDelta struct {
 	recs    []svcEntry
 	trails  []TreeEntry[netaddr.V4, []Instant]
 	tombs   []TreeEntry[ServiceKey, time.Time]
-	// scanners and expired are filled in by the shard freeze: detections as
-	// of the seal, and the expiry notices the snapshot publishes.
-	scanners []ScannerInfo
-	expired  []expiredSvc
+	// scanners and withdrawn are filled in by the shard freeze: detections
+	// as of the seal, and the probe answers expired since the last freeze.
+	scanners  []ScannerInfo
+	withdrawn []ServiceKey
 }
 
 // layers is one of a shard's stores in the shape of an LSM memtable. live
@@ -308,34 +313,23 @@ func (d *PassiveDiscoverer) handleUDP(p *packet.Packet) {
 }
 
 func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4) {
+	if d.ttl > 0 || d.activeTTL > 0 {
+		// The packet's own time settles the key first: an incarnation whose
+		// deadline it reaches is retired and announced ahead of the fresh
+		// record below, whether or not a freeze got there first.
+		d.settle(key, t)
+	}
 	rec, owned := d.records.live[key]
 	if !owned {
 		rec = d.service(key)
 	}
 	at := ToInstant(t)
-	if rec != nil && d.ttl > 0 && !t.Before(rec.LastSeen().Add(d.ttl)) {
-		// Incarnation split: the old record's deadline passed before this
-		// evidence arrived, so on the observation clock the service expired
-		// and is now being rediscovered. Retiring it here — rather than
-		// waiting for a snapshot-side sweep to notice — makes the final
-		// state independent of snapshot cadence (for monotone observation
-		// clocks): the fresh record below gets a new FirstSeen and reset
-		// weights no matter how often anyone snapshotted in between. The
-		// expiry is announced before the rediscovery below, so the key's
-		// stream reads the same whether or not a snapshot retired it first.
-		deadline := rec.LastSeen().Add(d.ttl)
-		d.retire(key, deadline)
-		if d.onRetired != nil {
-			d.onRetired(key, deadline)
-		}
-		rec = nil
-	}
 	switch {
 	case rec == nil:
 		rec = &PassiveRecord{first: at}
 		d.records.put(key, rec)
 		if d.ttl > 0 {
-			d.expPush(t.Add(d.ttl), key)
+			d.expPush(t.Add(d.ttl), key, PassiveOnly)
 		}
 		if d.onService != nil {
 			d.onService(key, t)

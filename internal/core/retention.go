@@ -5,38 +5,38 @@ package core
 //
 // All deadlines run on the OBSERVATION clock — packet timestamps — never
 // wall time, so replays and live runs expire identically. A passive record
-// expires when the engine's watermark (the maximum packet timestamp ever
-// dispatched) passes LastSeen+TTL; an active record when the watermark
-// passes its last successful probe answer plus the active TTL.
+// is due once the clock passes LastSeen+TTL; a probe answer once it passes
+// its newest answer plus the active TTL.
 //
-// Expiry is decided at two points, chosen so the outcome is independent of
-// snapshot cadence for monotone observation clocks:
+// One rule decides expiry: whatever touches a key first retires that key's
+// dead incarnations, both techniques', in (deadline, provenance) order, and
+// announces each retirement as EventServiceExpired under the owner shard's
+// lock. The clock depends on what touches the key:
 //
-//   - observe-side: when new evidence for a key arrives at or after the old
-//     record's deadline, the old incarnation is retired on the spot and a
-//     fresh record (new FirstSeen, reset weights) is created — regardless
-//     of whether any snapshot happened to run in between;
-//   - snapshot-side: a per-shard deadline min-heap is drained against the
-//     watermark at every freeze, removing records whose deadline passed
-//     with no further evidence.
+//   - a packet uses its own timestamp (the fresh record it then creates gets
+//     a new FirstSeen and reset weights);
+//   - a report's answer uses the watermark read when the report applies;
+//   - a freeze uses its boundary's watermark, for every key due: each shard
+//     drains a lazy deadline heap ordered by (deadline, key, provenance).
 //
-// An observe-side retirement is announced at once, ahead of the
-// rediscovery; snapshot-side ones are drained at the freeze, sorted by
-// (deadline, key), and published as EventServiceExpired — exactly once per
-// expiry, and in the same order per key at any shard count or cadence. A
-// View, or any snapshot of a closed engine, decides no expiry. Every expiry also
-// leaves a tombstone (key → deadline) that seal deltas, merged snapshots,
-// checkpoints and federation snapshot frames carry, so late or restarted
-// consumers can withdraw state they learned before the expiry.
+// So every freeze decides identically — a Snapshot, a publisher's catchup,
+// a closing seal and a checkpoint export are the same read — and each key's
+// events and the final inventory are a function of the input order alone,
+// whatever the shard count or snapshot cadence. The cadence only sets when
+// an untouched key's expiry surfaces. Every expiry also leaves a tombstone
+// (key → deadline) that seal deltas, merged snapshots, checkpoints and
+// federation snapshot frames carry, so late or restarted consumers can
+// withdraw state they learned before the expiry.
 
 import (
 	"cmp"
-	"slices"
 	"time"
 )
 
 // RetentionPolicy configures TTL expiry. Zero durations disable the
 // corresponding mechanism; the zero policy disables retention entirely.
+// Expiry is decided wherever a key is next touched or the engine next
+// freezes, at the same deadlines either way (see retention.go).
 type RetentionPolicy struct {
 	// PassiveTTL expires a passively-discovered record once no positive
 	// evidence has arrived for this long (observation clock).
@@ -49,39 +49,31 @@ type RetentionPolicy struct {
 // Enabled reports whether any expiry mechanism is on.
 func (p RetentionPolicy) Enabled() bool { return p.PassiveTTL > 0 || p.ActiveTTL > 0 }
 
-// expEntry is one deadline-heap entry. Entries are lazy: a refreshed record
-// keeps its stale entries, which re-push with the true deadline when popped.
+// answer is the join's active half for one key: the live probe answer's
+// first time as the join announced it, and its newest, from which its
+// deadline runs.
+type answer struct{ first, last Instant }
+
+// expEntry is one deadline-heap entry. Entries are lazy: a refreshed
+// incarnation keeps its stale entries, which re-push with the true deadline
+// when popped.
 type expEntry struct {
-	at  time.Time
-	key ServiceKey
-}
-
-// expiredSvc is one pending expiry awaiting publication at the next
-// snapshot. Publication is all that is pending: the evidence itself left the
-// owning shard's state when it was retired, so a rediscovery in between is
-// announced as a fresh ServiceDiscovered (possibly ahead of this notice).
-type expiredSvc struct {
-	key  ServiceKey
 	at   time.Time
-	prov Provenance
+	key  ServiceKey
+	prov Provenance // PassiveOnly or ActiveOnly: which technique's deadline
 }
 
-// sortExpired orders pending expiries canonically: by deadline, then key,
-// then provenance — the published EventServiceExpired order, identical at
-// any shard count.
-func sortExpired(exp []expiredSvc) {
-	slices.SortFunc(exp, func(a, b expiredSvc) int {
-		return cmp.Or(a.at.Compare(b.at), a.key.Compare(b.key), cmp.Compare(a.prov, b.prov))
-	})
+func (e *expEntry) before(o *expEntry) bool {
+	return cmp.Or(e.at.Compare(o.at), e.key.Compare(o.key), cmp.Compare(e.prov, o.prov)) < 0
 }
 
-// expPush adds a deadline entry (sift-up on a binary min-heap by at).
-func (d *PassiveDiscoverer) expPush(at time.Time, key ServiceKey) {
-	d.expq = append(d.expq, expEntry{at: at, key: key})
+// expPush adds a deadline entry (sift-up on a binary min-heap).
+func (d *PassiveDiscoverer) expPush(at time.Time, key ServiceKey, prov Provenance) {
+	d.expq = append(d.expq, expEntry{at: at, key: key, prov: prov})
 	i := len(d.expq) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !d.expq[i].at.Before(d.expq[p].at) {
+		if !d.expq[i].before(&d.expq[p]) {
 			break
 		}
 		d.expq[i], d.expq[p] = d.expq[p], d.expq[i]
@@ -89,7 +81,7 @@ func (d *PassiveDiscoverer) expPush(at time.Time, key ServiceKey) {
 	}
 }
 
-// expPop removes and returns the earliest-deadline entry.
+// expPop removes and returns the first entry.
 func (d *PassiveDiscoverer) expPop() expEntry {
 	top := d.expq[0]
 	last := len(d.expq) - 1
@@ -99,10 +91,10 @@ func (d *PassiveDiscoverer) expPop() expEntry {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(d.expq) && d.expq[l].at.Before(d.expq[min].at) {
+		if l < len(d.expq) && d.expq[l].before(&d.expq[min]) {
 			min = l
 		}
-		if r < len(d.expq) && d.expq[r].at.Before(d.expq[min].at) {
+		if r < len(d.expq) && d.expq[r].before(&d.expq[min]) {
 			min = r
 		}
 		if min == i {
@@ -113,49 +105,99 @@ func (d *PassiveDiscoverer) expPop() expEntry {
 	}
 }
 
-// setRetention switches passive TTL expiry on (or off) and seeds the
-// deadline heap from whatever the discoverer already holds, so retention
-// configured after a checkpoint restore still covers restored records.
-// Call only from the shard's owner (pre-Run, or under the dispatch lock).
-func (d *PassiveDiscoverer) setRetention(ttl time.Duration) {
-	d.ttl = ttl
+// setRetention sets both TTLs and seeds the deadline heap from whatever the
+// discoverer already holds, so retention configured after a checkpoint
+// restore still covers restored records and answers. Call only from the
+// shard's owner (pre-Run, or under the dispatch lock).
+func (d *PassiveDiscoverer) setRetention(p RetentionPolicy) {
+	d.ttl, d.activeTTL = p.PassiveTTL, p.ActiveTTL
 	d.expq = d.expq[:0]
-	if ttl <= 0 {
-		return
+	if d.ttl > 0 {
+		d.eachService(func(k ServiceKey, rec *PassiveRecord) { d.expPush(rec.LastSeen().Add(d.ttl), k, PassiveOnly) })
 	}
-	d.eachService(func(k ServiceKey, rec *PassiveRecord) { d.expPush(rec.LastSeen().Add(ttl), k) })
+	if d.activeTTL > 0 {
+		for k, a := range d.answers {
+			d.expPush(a.last.Time().Add(d.activeTTL), k, ActiveOnly)
+		}
+	}
+}
+
+// addAnswer makes a key's live probe answer and queues its deadline.
+func (d *PassiveDiscoverer) addAnswer(key ServiceKey, a answer) {
+	d.answers[key] = a
+	if d.activeTTL > 0 {
+		d.expPush(a.last.Time().Add(d.activeTTL), key, ActiveOnly)
+	}
+}
+
+// deadline returns when key's live incarnation of prov's technique is due,
+// and false when there is none or its TTL is off.
+func (d *PassiveDiscoverer) deadline(key ServiceKey, prov Provenance) (time.Time, bool) {
+	if prov == ActiveOnly {
+		a, ok := d.answers[key]
+		return a.last.Time().Add(d.activeTTL), ok && d.activeTTL > 0
+	}
+	if rec := d.service(key); rec != nil && d.ttl > 0 {
+		return rec.LastSeen().Add(d.ttl), true
+	}
+	return time.Time{}, false
+}
+
+// settle retires key's incarnations due at or before wm, in (deadline,
+// provenance) order: the rule every touch of a key applies first.
+func (d *PassiveDiscoverer) settle(key ServiceKey, wm time.Time) {
+	pat, pdue := d.deadline(key, PassiveOnly)
+	aat, adue := d.deadline(key, ActiveOnly)
+	pdue, adue = pdue && !pat.After(wm), adue && !aat.After(wm)
+	if adue && pdue && aat.Before(pat) {
+		d.expire(key, aat, ActiveOnly)
+		adue = false
+	}
+	if pdue {
+		d.expire(key, pat, PassiveOnly)
+	}
+	if adue {
+		d.expire(key, aat, ActiveOnly)
+	}
+}
+
+// expire retires one incarnation at its deadline and announces it. A passive
+// record leaves the stores at once (retire); a probe answer leaves the join,
+// and the store at the next freeze or report that finds it (withdrawn).
+func (d *PassiveDiscoverer) expire(key ServiceKey, at time.Time, prov Provenance) {
+	if prov == ActiveOnly {
+		delete(d.answers, key)
+		d.withdrawn = append(d.withdrawn, key)
+	} else {
+		d.retire(key, at)
+	}
+	if d.onExpired != nil {
+		d.onExpired(key, at, prov)
+	}
 }
 
 // retire removes the record's live state — a retire marker hides any older
 // incarnation below the write layer — and leaves a tombstone at the given
-// deadline: the shared half of observe-side and snapshot-side expiry.
+// deadline.
 func (d *PassiveDiscoverer) retire(key ServiceKey, deadline time.Time) {
 	d.records.put(key, nil)
 	delete(d.peers, key)
 	d.tombstones.put(key, deadline)
 }
 
-// expireDue drains every deadline at or before the watermark, expiring
-// records whose evidence really has gone stale and lazily re-pushing
-// entries whose record was refreshed since the entry was pushed. Runs on
-// the shard's owner goroutine at freeze time, under the shard lock, right
-// before the seal that reports the expiries.
+// expireDue retires every incarnation due at or before wm, in the heap's
+// (deadline, key, provenance) order; an entry whose incarnation was
+// refreshed since it was pushed re-queues at the true deadline. Runs at a
+// freeze, under the shard lock, right before the seal that reports it.
 func (d *PassiveDiscoverer) expireDue(wm time.Time) {
-	if d.ttl <= 0 || wm.IsZero() {
-		return
-	}
 	for len(d.expq) > 0 && !d.expq[0].at.After(wm) {
 		e := d.expPop()
-		rec := d.service(e.key)
-		if rec == nil {
-			continue // already expired or retired under an earlier entry
+		switch at, ok := d.deadline(e.key, e.prov); {
+		case !ok: // retired under an earlier entry
+		case at.After(e.at):
+			d.expPush(at, e.key, e.prov)
+		default:
+			d.expire(e.key, at, e.prov)
 		}
-		deadline := rec.LastSeen().Add(d.ttl)
-		if deadline.After(wm) {
-			d.expPush(deadline, e.key) // refreshed since the stale entry
-			continue
-		}
-		d.retire(e.key, deadline)
-		d.pendingExpired = append(d.pendingExpired, expiredSvc{key: e.key, at: deadline, prov: PassiveOnly})
 	}
 }

@@ -1,17 +1,20 @@
 package core
 
 // Retention determinism suite: expiry must behave like a pure function of
-// the packet stream — same events, same final inventory — no matter how
-// the engine is sharded, how often anyone snapshots, or whether the
+// the input — same events per key, same final inventory — no matter how
+// the engine is sharded, who snapshots and how often, or whether the
 // process was killed and restored from a checkpoint in the middle.
 
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +23,34 @@ import (
 	"servdisc/internal/probe"
 	"servdisc/internal/stats"
 )
+
+// genRetentionReports sweeps genRetentionTrace's services every six hours:
+// each sweep finds alternate services open (so with an active TTL under
+// twelve hours probe answers lapse between a service's sweeps) plus a few
+// addresses the trace never shows.
+func genRetentionReports() []*probe.ScanReport {
+	base := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	ports := []uint16{22, 80, 443}
+	var out []*probe.ScanReport
+	for i := 0; i < 6; i++ {
+		start := base.Add(time.Duration(2+6*i) * time.Hour)
+		rep := &probe.ScanReport{ID: i, Started: start, Finished: start.Add(10 * time.Minute)}
+		for s := 0; s < 48+8; s++ {
+			state := probe.StateClosed
+			if (s+i)%2 == 0 {
+				state = probe.StateOpen
+			}
+			rep.TCP = append(rep.TCP, probe.TCPResult{Time: start.Add(time.Duration(s) * time.Second),
+				Addr: campusPfx.Base() + netaddr.V4(700+s), Port: ports[s%3], State: state})
+		}
+		out = append(out, rep)
+	}
+	return out
+}
+
+// joinRetention expires both techniques' evidence well inside the retention
+// trace, so answers lapse between a service's sweeps.
+var joinRetention = RetentionPolicy{PassiveTTL: 3 * time.Hour, ActiveTTL: 7 * time.Hour}
 
 // retSvcPlan scripts one service's lifetime: it answers clients every
 // period within [from, to] and then goes silent. Sparse periods (longer
@@ -141,10 +172,9 @@ func tombList(inv *Inventory) []expiryRec {
 }
 
 // byKey orders expiries by key, each key's in publication order: the
-// order a published sequence fixes. A retirement observe decides is
-// announced at the packet that decided it, ahead of the rebirth, so the
-// order across keys follows the apply order, which shard count and
-// snapshot cadence move.
+// order a published sequence fixes. A retirement is announced by whatever
+// touches the key first, so the order across keys follows the apply order,
+// which shard count and snapshot cadence move.
 func byKey(exp []expiryRec) []expiryRec {
 	slices.SortStableFunc(exp, func(a, b expiryRec) int { return a.key.Compare(b.key) })
 	return exp
@@ -164,9 +194,11 @@ func assertSameExpiries(t *testing.T, label string, want, got []expiryRec) {
 
 // runRetention feeds the trace through a fresh inline engine in `cuts`
 // segments, snapshotting after each (cuts==1 means one final snapshot:
-// pure lazy expiry), and checks that each snapshot announces the expiries
-// it decides together, sorted by (deadline, key). Returns the expiry event
-// sequence, the final dump, the final tombstone list and the whole stream.
+// pure lazy expiry), and checks that within each snapshot every shard
+// announces the expiries it decides in (deadline, key) order — each shard
+// announces under its own lock, so the order holds per owner shard. Returns
+// the expiry event sequence, the final dump, the final tombstone list and
+// the whole stream.
 func runRetention(t *testing.T, trace []packet.Packet, shards, cuts int, ttl time.Duration) (exps []expiryRec, dump []byte, tombs []expiryRec, stream []string) {
 	s := NewShardedPassive(campusPfx, []uint16{53}, shards)
 	s.SetRetention(RetentionPolicy{PassiveTTL: ttl})
@@ -181,9 +213,16 @@ func runRetention(t *testing.T, trace []packet.Packet, shards, cuts int, ttl tim
 		inv = s.Snapshot()
 		swept := pending(sub)
 		evs = append(evs, swept...)
-		swept = slices.DeleteFunc(swept, func(ev Event) bool { return ev.Kind != EventServiceExpired })
-		if !slices.IsSortedFunc(swept, func(a, b Event) int { return cmp.Or(a.Time.Compare(b.Time), a.Key.Compare(b.Key)) }) {
-			t.Errorf("shards=%d: snapshot %d announced its expiries out of (deadline, key) order:\n%s", shards, c, strings.Join(eventStrings(swept), "\n"))
+		byShard := make([][]Event, shards)
+		for _, ev := range swept {
+			if ev.Kind == EventServiceExpired {
+				byShard[s.shardOf(ev.Key.Addr)] = append(byShard[s.shardOf(ev.Key.Addr)], ev)
+			}
+		}
+		for i, exp := range byShard {
+			if !slices.IsSortedFunc(exp, func(a, b Event) int { return cmp.Or(a.Time.Compare(b.Time), a.Key.Compare(b.Key)) }) {
+				t.Errorf("shards=%d: snapshot %d: shard %d announced its expiries out of (deadline, key) order:\n%s", shards, c, i, strings.Join(eventStrings(exp), "\n"))
+			}
 		}
 	}
 	s.Close()
@@ -339,5 +378,231 @@ func TestHybridActiveExpiry(t *testing.T) {
 	exp := drainExpired(sub)
 	if len(exp) != 1 || exp[0].key != probedKey || exp[0].prov != ActiveOnly || !exp[0].at.Equal(wantAt) {
 		t.Errorf("expiry events = %v, want one ActiveOnly expiry of %s", exp, probedKey)
+	}
+}
+
+// cadenceStep is one step of a cadence run: a batch, or a report applied
+// after Flush.
+type cadenceStep struct {
+	pkts []packet.Packet
+	rep  *probe.ScanReport
+}
+
+// probeAnswer is a one-result sweep report: addr's port 80 open at at.
+func probeAnswer(id int, at time.Time, addr netaddr.V4) cadenceStep {
+	return cadenceStep{rep: &probe.ScanReport{ID: id, Started: at, Finished: at,
+		TCP: []probe.TCPResult{{Time: at, Addr: addr, Port: 80, State: probe.StateOpen}}}}
+}
+
+// cadence says who snapshots a cadence run, and when.
+type cadence uint8
+
+const (
+	everyStep cadence = iota // after every batch and every report
+	atTheEnd                 // only once the input is in
+	reader                   // a second goroutine, throughout
+)
+
+func (c cadence) String() string { return [...]string{"every step", "at the end", "reader"}[c] }
+
+// runCadence feeds steps through a fresh hybrid engine under policy and
+// returns each key's service events (times as offsets from t0), the final
+// dump and the tombstones.
+func runCadence(t *testing.T, steps []cadenceStep, shards int, running bool, policy RetentionPolicy, c cadence) (map[ServiceKey][]string, []byte, []expiryRec) {
+	s := NewHybrid(campusPfx, []uint16{53}, shards, []uint16{22, 80, 443})
+	s.SetRetention(policy)
+	var mu sync.Mutex
+	streams := make(map[ServiceKey][]string)
+	s.SubscribeSync(func(ev Event) {
+		var e string
+		switch ev.Kind {
+		case EventServiceDiscovered, EventServiceExpired:
+			e = fmt.Sprintf("%s %s@%s", ev.Kind, ev.Provenance, ev.Time.Sub(t0))
+		case EventProvenanceUpgraded:
+			e = fmt.Sprintf("%s %s passive@%s active@%s", ev.Kind, ev.Provenance, ev.PassiveAt.Sub(t0), ev.ActiveAt.Sub(t0))
+		default:
+			return
+		}
+		mu.Lock()
+		streams[ev.Key] = append(streams[ev.Key], e)
+		mu.Unlock()
+	})
+	if running {
+		s.Run(context.Background())
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for c == reader {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Snapshot()
+			}
+		}
+	}()
+	for _, st := range steps {
+		if st.rep != nil {
+			s.Flush()
+			s.AddReport(st.rep)
+		} else {
+			s.HandleBatch(st.pkts)
+		}
+		if c == everyStep {
+			s.Snapshot()
+		}
+	}
+	close(stop)
+	<-done
+	s.Flush()
+	inv := s.Snapshot()
+	s.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	return maps.Clone(streams), inv.Dump(), tombList(inv)
+}
+
+// TestRetentionCadenceInvisibleHybrid: whatever touches a key first retires
+// its dead incarnations, at the packet's time, the watermark a report reads,
+// or a freeze's watermark, so who snapshots and how often moves no key's
+// events, no dump and no tombstone. Three scenarios pin the streams a
+// snapshot after every step gives (srv:80; passive TTL 1h, active 2h): (A) a
+// probe answer's later passive return, (B) a passive record's later probe
+// answer, (C) a report answering behind a watermark past the old answer's
+// deadline. A rediscovery the freeze's watermark would have retired is
+// announced after its expiry on a running engine. The retention trace with
+// its sweeps runs at 1, 2 and 8 shards, inline and running.
+func TestRetentionCadenceInvisibleHybrid(t *testing.T) {
+	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	batch := func(p ...*packet.Packet) cadenceStep {
+		var st cadenceStep
+		for _, q := range p {
+			st.pkts = append(st.pkts, *q)
+		}
+		return st
+	}
+	both := RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: 2 * time.Hour}
+	rows := []struct {
+		name   string
+		steps  []cadenceStep
+		policy RetentionPolicy
+		want   []string // key's stream
+		dump   string   // a line the dump must hold
+	}{
+		{"A: a probe answer, then passive past its deadline", []cadenceStep{
+			probeAnswer(1, at(0), srv), batch(synAck(at(3*time.Hour), srv2, 80, cli)), batch(synAck(at(3*time.Hour+time.Minute), srv, 80, cli)),
+		}, both, []string{"service-discovered active-only@0s", "service-expired active-only@2h0m0s", "service-discovered passive-only@3h1m0s"}, ""},
+		{"B: passive, then a probe answer past its deadline", []cadenceStep{
+			batch(synAck(at(0), srv, 80, cli)), batch(synAck(at(90*time.Minute), srv2, 80, cli)), probeAnswer(1, at(90*time.Minute), srv),
+		}, both, []string{"service-discovered passive-only@0s", "service-expired passive-only@1h0m0s", "service-discovered active-only@1h30m0s"}, ""},
+		{"C: a report answering behind the watermark", []cadenceStep{
+			probeAnswer(1, at(0), srv), batch(synAck(at(150*time.Minute), srv2, 80, cli)), probeAnswer(2, at(90*time.Minute), srv),
+		}, both, []string{"service-discovered active-only@0s", "service-expired active-only@2h0m0s", "service-discovered active-only@1h30m0s"}, "active=2006-09-19T11:30:00Z"},
+		{"a rediscovery past the deadline follows the expiry", []cadenceStep{
+			batch(synAck(at(0), srv, 80, cli)), batch(synAck(at(2*time.Hour), srv2, 80, cli)), batch(synAck(at(3*time.Hour), srv, 80, cli2)),
+		}, RetentionPolicy{PassiveTTL: time.Hour}, []string{"service-discovered passive-only@0s", "service-expired passive-only@1h0m0s", "service-discovered passive-only@3h0m0s"}, ""},
+	}
+	for _, r := range rows {
+		for _, running := range []bool{false, true} {
+			label := fmt.Sprintf("%s, running %v", r.name, running)
+			for _, c := range []cadence{everyStep, atTheEnd, reader} {
+				streams, dump, _ := runCadence(t, r.steps, 1, running, r.policy, c)
+				if got := streams[key]; !slices.Equal(got, r.want) {
+					t.Errorf("%s, cadence %s: %s announced\n  %s\nwant\n  %s", label, c, key, strings.Join(got, "\n  "), strings.Join(r.want, "\n  "))
+				}
+				if !bytes.Contains(dump, []byte(r.dump)) {
+					t.Errorf("%s, cadence %s: the dump lacks %q:\n%s", label, c, r.dump, dump)
+				}
+			}
+		}
+	}
+
+	// The retention trace, cut at each sweep's finish.
+	trace, reps := genRetentionTrace(42), genRetentionReports()
+	var steps []cadenceStep
+	for _, rep := range append(reps, nil) {
+		n := len(trace)
+		if rep != nil {
+			n, _ = slices.BinarySearchFunc(trace, rep.Finished, func(p packet.Packet, t time.Time) int { return p.Timestamp.Compare(t) })
+		}
+		for len(trace[:n]) > 0 {
+			m := min(n, 97)
+			steps = append(steps, cadenceStep{pkts: trace[:m]})
+			trace, n = trace[m:], n-m
+		}
+		if rep != nil {
+			steps = append(steps, cadenceStep{rep: rep})
+		}
+	}
+	for _, shards := range []int{1, 2, 8} {
+		for _, running := range []bool{false, true} {
+			label := fmt.Sprintf("trace, shards %d, running %v", shards, running)
+			wantStreams, wantDump, wantTombs := runCadence(t, steps, shards, running, joinRetention, everyStep)
+			if len(wantTombs) == 0 {
+				t.Fatalf("%s: no expiry; the test is vacuous", label)
+			}
+			for _, c := range []cadence{atTheEnd, reader} {
+				streams, dump, tombs := runCadence(t, steps, shards, running, joinRetention, c)
+				for k := range wantStreams {
+					if !slices.Equal(streams[k], wantStreams[k]) {
+						t.Fatalf("%s, cadence %s: %s announced\n  %s\nsnapshotting every step\n  %s", label, c, k, strings.Join(streams[k], "\n  "), strings.Join(wantStreams[k], "\n  "))
+					}
+				}
+				if len(streams) != len(wantStreams) {
+					t.Errorf("%s, cadence %s: %d keys announced, %d snapshotting every step", label, c, len(streams), len(wantStreams))
+				}
+				if !bytes.Equal(dump, wantDump) {
+					t.Errorf("%s, cadence %s: the dump differs from snapshotting every step", label, c)
+				}
+				assertSameExpiries(t, label+" tombstones", wantTombs, tombs)
+			}
+		}
+	}
+}
+
+// Snapshots racing Close: every expiry due at the final watermark is
+// announced exactly once, before the stream ends, whichever freeze decides
+// it.
+func TestSnapshotRacingCloseAnnouncesItsExpiries(t *testing.T) {
+	const services = 8
+	for round := 0; round < 300; round++ {
+		s := NewHybrid(campusPfx, nil, 1+round%3, nil)
+		s.SetRetention(RetentionPolicy{PassiveTTL: time.Hour})
+		sub := s.Subscribe(64)
+		if round%2 == 1 {
+			s.Run(context.Background())
+		}
+		var pkts []packet.Packet
+		for i := range services {
+			pkts = append(pkts, *synAck(t0, srv+netaddr.V4(i), 80, cli))
+		}
+		s.HandleBatch(pkts)
+		s.HandleBatch([]packet.Packet{*synAck(t0.Add(2*time.Hour), srv2, 80, cli)}) // watermark past their deadlines
+		var racing sync.WaitGroup
+		for range 3 {
+			racing.Add(1)
+			go func() {
+				defer racing.Done()
+				s.Snapshot()
+			}()
+		}
+		s.Close()
+		racing.Wait()
+		expired := make(map[ServiceKey]int)
+		for _, ev := range drainEvents(sub) {
+			if ev.Kind == EventServiceExpired {
+				expired[ev.Key]++
+			}
+		}
+		if len(expired) != services || sub.Dropped() != 0 {
+			t.Fatalf("round %d: %d of %d services announced expired (%d events dropped)", round, len(expired), services, sub.Dropped())
+		}
+		for k, n := range expired {
+			if n != 1 {
+				t.Fatalf("round %d: %s announced expired %d times", round, k, n)
+			}
+		}
 	}
 }

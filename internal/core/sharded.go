@@ -28,8 +28,8 @@ type EngineMetrics struct {
 	// built (the zero-churn cache fast path is deliberately untimed — it
 	// must stay allocation- and work-free).
 	Snapshot *obs.Histogram
-	// Flight receives batch-dispatched (sampled 1/obs.BatchSample),
-	// snapshot-sealed and expiry-sweep trace events.
+	// Flight receives batch-dispatched (sampled 1/obs.BatchSample) and
+	// snapshot-sealed trace events.
 	Flight *obs.Recorder
 }
 
@@ -102,22 +102,14 @@ type ShardedPassive struct {
 	// active is the engine's active side (hybrid.go): set once by NewHybrid
 	// before anything runs, nil on a passive-only engine, whose inventories
 	// then carry no provenance beyond PassiveOnly. amu guards it: reports
-	// write under it, snapshots expire and flush under it (freezeActive), a
-	// checkpoint import replaces it under it. amu is taken before any shard's
-	// mu. activeTTL, when positive, expires active-side records whose last
-	// probe answer is older than the TTL at the passive observation watermark
-	// (see RetentionPolicy); guarded by amu. seenReports flips once any report
-	// is accepted, so consumers can tell a hybrid run from a passive-only one
-	// without locking.
+	// write under it, snapshots retire lapsed answers and flush under it
+	// (freezeActive), a checkpoint import replaces it under it. amu is taken
+	// before any shard's mu. seenReports flips once any report is accepted,
+	// so consumers can tell a hybrid run from a passive-only one without
+	// locking.
 	amu         sync.Mutex
 	active      *ActiveDiscoverer
-	activeTTL   time.Duration
 	seenReports atomic.Bool
-
-	// beforeFreezeActive, when set, runs in the window advance leaves open
-	// between the shard freeze and the publication of its expiries (a test
-	// seam).
-	beforeFreezeActive func()
 
 	// dispatched counts what moved the engine: batch dispatches that reached
 	// any shard, and reports applied to the active side. The
@@ -131,10 +123,12 @@ type ShardedPassive struct {
 	// Retention (retention.go). watermark is the maximum packet timestamp
 	// ever dispatched — the observation clock expiry deadlines are
 	// measured against. Maintained (under dispatchMu) only while retention
-	// is on, so the partition loop stays branch-cheap when it is off.
+	// is on, so the partition loop stays branch-cheap when it is off; clock
+	// is its copy (an Instant) for reports, which settle without that lock.
 	retention   RetentionPolicy
 	retentionOn bool
 	watermark   time.Time
+	clock       atomic.Uint64
 
 	mu       sync.RWMutex
 	running  bool
@@ -143,9 +137,6 @@ type ShardedPassive struct {
 	queues   []chan shardMsg
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup
-	// deciding counts snapshots that decide expiry and have not announced
-	// it yet; Close waits for them before it ends the event stream.
-	deciding sync.WaitGroup
 
 	// batchPool recycles the worker-queue copies of dispatched sub-batches.
 	batchPool sync.Pool
@@ -168,36 +159,32 @@ type snapCache struct {
 	inv *Inventory
 	// dispatched fingerprints the engine state the inventory froze at:
 	// while no batch has been dispatched and no report applied since, it is
-	// trivially current. undecided marks an inventory a View froze with
-	// retention on: it is current for a view, not for a Snapshot, which
-	// must still decide the expiries due at its watermark.
+	// trivially current.
 	dispatched uint64
-	undecided  bool
 }
 
 // fast returns the cached Inventory when the engine fingerprint is
-// unchanged and, for a snapshot that decides expiry, the cached one did —
-// the zero-churn path, no shard traffic, no allocation.
-func (c *snapCache) fast(dispatched uint64, decide bool) *Inventory {
+// unchanged — the zero-churn path, no shard traffic, no allocation.
+func (c *snapCache) fast(dispatched uint64) *Inventory {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inv != nil && c.dispatched == dispatched && !(decide && c.undecided) {
+	if c.inv != nil && c.dispatched == dispatched {
 		return c.inv
 	}
 	return nil
 }
 
-// peek returns the cached Inventory (nil when there is none), its
-// fingerprint and whether it left expiry undecided.
-func (c *snapCache) peek() (inv *Inventory, dispatched uint64, undecided bool) {
+// peek returns the cached Inventory (nil when there is none) and its
+// fingerprint.
+func (c *snapCache) peek() (inv *Inventory, dispatched uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inv, c.dispatched, c.undecided
+	return c.inv, c.dispatched
 }
 
-func (c *snapCache) put(inv *Inventory, dispatched uint64, undecided bool) {
+func (c *snapCache) put(inv *Inventory, dispatched uint64) {
 	c.mu.Lock()
-	c.inv, c.dispatched, c.undecided = inv, dispatched, undecided
+	c.inv, c.dispatched = inv, dispatched
 	c.mu.Unlock()
 }
 
@@ -210,23 +197,20 @@ func (c *snapCache) invalidate() {
 	c.mu.Unlock()
 }
 
-// passiveShard is one worker-owned shard: the discoverer and the active half
-// of the event join for the keys it owns (events.go). The discoverer is
+// passiveShard is one worker-owned shard: the discoverer, which also holds
+// the active half of the event join for the keys it owns (events.go). It is
 // touched only by the shard's owner — the worker goroutine while running,
 // the dispatcher (under dispatchMu) inline and after shutdown — and by the
 // install after each merge (advance), which it shares the merged store with.
 type passiveShard struct {
-	// mu is held across every write to the discoverer's stores and to
-	// activeFirst — apply, a freeze, the install after a merge, checkpoint
-	// import and a report's join calls — and across the ServiceDiscovered or
-	// ProvenanceUpgraded each of them publishes. The owner reads the stores
-	// without it; a report's caller reads under it.
-	mu   sync.Mutex
-	disc *PassiveDiscoverer
-	// activeFirst holds the first-open time of every key of this shard with
-	// a live probe answer, and nothing else: empty in a passive-only engine.
-	activeFirst map[ServiceKey]Instant
-	events      *eventStream
+	// mu is held across every write to the discoverer's stores and join
+	// entries — apply, a freeze, the install after a merge, checkpoint import
+	// and a report's join calls — and across the service events each of them
+	// publishes. The owner reads the stores without it; a report's caller
+	// reads under it.
+	mu     sync.Mutex
+	disc   *PassiveDiscoverer
+	events *eventStream
 }
 
 // apply ingests one sub-batch.
@@ -238,20 +222,19 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 
 // freeze seals the shard at a snapshot point and returns the delta since
 // its previous freeze (the whole shard when the merge has nothing to
-// patch), plus the scanner detections and pending expiry notices as of the
-// freeze. wm is the engine watermark at the snapshot point: when decide is
-// set, deadlines at or before it expire first, so the seal reports them.
-// Shard state is disjoint by owner address, so per-shard detection results
-// concatenate into exactly the merged tracker's output.
-func (sh *passiveShard) freeze(wm time.Time, whole, decide bool) shardDelta {
+// patch), plus the scanner detections as of the freeze and the probe
+// answers expired since the last. wm is the engine watermark at the
+// snapshot point: every incarnation due at it is retired and announced
+// first, under the shard lock, so the seal reports it. Shard state is
+// disjoint by owner address, so per-shard detection results concatenate
+// into exactly the merged tracker's output.
+func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
 	sh.mu.Lock()
-	if decide {
-		sh.disc.expireDue(wm)
-	}
+	sh.disc.expireDue(wm)
 	delta := sh.disc.seal(whole)
+	delta.withdrawn, sh.disc.withdrawn = sh.disc.withdrawn, nil
 	sh.mu.Unlock()
 	delta.scanners = sh.disc.track.detect()
-	delta.expired, sh.disc.pendingExpired = sh.disc.pendingExpired, nil
 	return delta
 }
 
@@ -278,9 +261,9 @@ func NewShardedPassive(campus netaddr.Prefix, udpPorts []uint16, n int) *Sharded
 	for i := range s.shards {
 		d := NewPassiveDiscoverer(campus, udpPorts)
 		d.owns = func(a netaddr.V4) bool { return s.shardOf(a) == i }
-		sh := &passiveShard{disc: d, activeFirst: make(map[ServiceKey]Instant), events: s.events}
+		sh := &passiveShard{disc: d, events: s.events}
 		d.onService = sh.passiveDiscovered
-		d.onRetired = func(k ServiceKey, at time.Time) { s.events.serviceExpired(k, at, PassiveOnly) }
+		d.onExpired = s.events.serviceExpired
 		d.track.onDetect = s.events.scannerDetected
 		s.shards[i] = sh
 	}
@@ -298,11 +281,13 @@ func (s *ShardedPassive) SetRetention(p RetentionPolicy) {
 	s.retention = p
 	s.retentionOn = p.Enabled()
 	for _, sh := range s.shards {
-		sh.disc.setRetention(p.PassiveTTL)
+		sh.disc.setRetention(p)
 	}
-	s.amu.Lock()
-	s.activeTTL = p.ActiveTTL
-	s.amu.Unlock()
+	if s.active != nil {
+		s.amu.Lock()
+		s.active.ttl = p.ActiveTTL
+		s.amu.Unlock()
+	}
 }
 
 // NumShards returns the shard count.
@@ -324,7 +309,7 @@ func (s *ShardedPassive) Subscribe(buf int) *EventSub { return s.events.hub.Subs
 
 // SubscribeSync attaches a synchronous subscriber to the same stream: fn
 // runs on the publishing goroutine for every event, under whatever lock
-// the publisher holds (a shard's, the snapshot's, the active side's), so it
+// the publisher holds (a shard's, the active side's), so it
 // misses none and must never block or call back into the engine (see
 // pipeline.Hub.SubscribeSync).
 func (s *ShardedPassive) SubscribeSync(fn func(Event)) *EventSub {
@@ -433,6 +418,14 @@ func (s *ShardedPassive) HandleBatch(batch []packet.Packet) {
 
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		// Dropped before it can move the watermark: after Close nothing
+		// falls due.
+		s.counters.AddDropped(len(batch))
+		return
+	}
 	for i := range s.scratch {
 		s.scratch[i] = s.scratch[i][:0]
 	}
@@ -447,12 +440,8 @@ func (s *ShardedPassive) HandleBatch(batch []packet.Packet) {
 		idx := s.shardOf(s.ownerAddr(p))
 		s.scratch[idx] = append(s.scratch[idx], *p)
 	}
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		s.counters.AddDropped(len(batch))
-		return
+	if s.retentionOn {
+		s.clock.Store(uint64(ToInstant(s.watermark)))
 	}
 	s.dispatched.Add(1)
 	s.batches++
@@ -549,10 +538,11 @@ func (s *ShardedPassive) Run(ctx context.Context) {
 // restriction).
 func (s *ShardedPassive) Flush() { s.inflight.Wait() }
 
-// Close flushes and stops the workers, then closes the event stream (so
-// subscriber channels end); idempotent. After Close the discoverer is
-// read-only: further HandleBatch calls are dropped, Snapshot keeps
-// working.
+// Close flushes and stops the workers, settles what is due with one last
+// freeze when retention is on, then closes the event stream (so subscriber
+// channels end); idempotent. After Close the discoverer is read-only:
+// further HandleBatch calls are dropped, so the watermark cannot move and
+// nothing more falls due, and Snapshot keeps working.
 func (s *ShardedPassive) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -568,7 +558,11 @@ func (s *ShardedPassive) Close() {
 		}
 		s.workers.Wait()
 	}
-	s.deciding.Wait()
+	if s.retentionOn {
+		s.snapMu.Lock()
+		s.snapshot(nil)
+		s.snapMu.Unlock()
+	}
 	s.events.close()
 }
 
@@ -621,16 +615,16 @@ type freezeHook struct {
 	shard func(i int, sh *passiveShard, sd shardDelta)
 }
 
-// freezeShards seals every shard at one boundary and returns the shard
-// deltas, the dispatch count at that point (the cache fingerprint) and the
-// watermark. With whole and force unset and nothing dispatched since the
-// count given, no shard is sealed and the deltas are nil; the boundary is
-// then crossed only for hook. decide expires what is due (see freeze).
-// Callers must hold snapMu.
-func (s *ShardedPassive) freezeShards(whole, force, decide bool, since uint64, hook *freezeHook) (deltas []shardDelta, d0 uint64, wm time.Time) {
+// freezeShards seals every shard at one boundary, retiring what is due at
+// its watermark (see freeze), and returns the shard deltas and the dispatch
+// count at that point (the cache fingerprint). With whole unset and nothing
+// dispatched since the count given, no shard is sealed and the deltas are
+// nil; the boundary is then crossed only for hook. Callers must hold snapMu.
+func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook) (deltas []shardDelta, d0 uint64) {
+	var wm time.Time
 	s.atBoundary(func() bool {
 		d0, wm = s.dispatched.Load(), s.watermark
-		if whole || force || d0 != since {
+		if whole || d0 != since {
 			deltas = make([]shardDelta, len(s.shards))
 		}
 		if hook != nil {
@@ -640,14 +634,14 @@ func (s *ShardedPassive) freezeShards(whole, force, decide bool, since uint64, h
 	}, func(i int, sh *passiveShard) {
 		var sd shardDelta
 		if deltas != nil {
-			deltas[i] = sh.freeze(wm, whole, decide)
+			deltas[i] = sh.freeze(wm, whole)
 			sd = deltas[i]
 		}
 		if hook != nil {
 			hook.shard(i, sh, sd)
 		}
 	})
-	return deltas, d0, wm
+	return deltas, d0
 }
 
 // mergeViews builds the merged store for one snapshot point: it patches base
@@ -781,52 +775,26 @@ func (s *ShardedPassive) OnSnapshot(fn func(prev, inv *Inventory, delta Snapshot
 }
 
 // advance moves the snapshot chain to a new consistent point: it is the one
-// place shards are frozen and merged. It freezes every shard, then the
-// active side, if any, after expiring it at the same watermark, publishes
-// both sides' expiries in one deterministic (time, key) order, patches the
+// place shards are frozen and merged. It freezes every shard, retiring what
+// is due at the boundary's watermark, then the active side, patches the
 // previous inventory's store forward (mergeViews), hands the new inventory
 // and its delta to the observer, and then caches it under the dispatch count
 // it froze at. prev is the chain's inventory before the call (nil on the
 // first snapshot and after a restore, when everything is merged whole). With
 // nothing dispatched and no report applied since prev, advance returns
-// inv == prev (a report applied after the count was read may land in inv;
-// the next advance then finds nothing more of it). decide expires what is
-// due at the watermark, on an open engine only; a deciding advance over an
-// undecided inventory freezes even with nothing dispatched. hook, if any,
-// rides the freeze (freezeShards). Callers hold snapMu.
-func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inventory) {
-	decide = decide && s.holdStream()
-	prev, since, undecided := s.snap.peek()
-	deltas, d0, wm := s.freezeShards(prev == nil, decide && undecided, decide, since, hook)
+// inv == prev: nothing can have fallen due (a report applied after the count
+// was read may land in inv; the next advance then finds nothing more of it).
+// hook, if any, rides the freeze (freezeShards). Callers hold snapMu.
+func (s *ShardedPassive) advance(hook *freezeHook) (prev, inv *Inventory) {
+	prev, since := s.snap.peek()
+	deltas, d0 := s.freezeShards(prev == nil, since, hook)
 	if deltas == nil {
-		if decide {
-			s.deciding.Done()
-		}
 		return prev, prev
 	}
-	var exp []expiredSvc
 	var active *ActiveDiscoverer
 	var probed []TreeEntry[ServiceKey, probeTimes]
-	if s.beforeFreezeActive != nil {
-		s.beforeFreezeActive()
-	}
 	if s.active != nil {
-		exp, active, probed = s.freezeActive(wm, decide)
-	}
-	for i := range deltas {
-		exp = append(exp, deltas[i].expired...)
-	}
-	if len(exp) > 0 {
-		sortExpired(exp)
-		for _, e := range exp {
-			s.events.serviceExpired(e.key, e.at, e.prov)
-		}
-		if m := s.met; m != nil {
-			m.Flight.Record(obs.TraceExpirySweep, "", int64(len(exp)), 0)
-		}
-	}
-	if decide {
-		s.deciding.Done()
+		active, probed = s.freezeActive(deltas)
 	}
 	var base *mergedStore
 	if prev != nil {
@@ -842,7 +810,7 @@ func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inve
 	if s.onSnap != nil {
 		s.onSnap(prev, inv, delta)
 	}
-	s.snap.put(inv, d0, !decide && s.retentionOn)
+	s.snap.put(inv, d0)
 	return prev, inv
 }
 
@@ -856,58 +824,27 @@ func (s *ShardedPassive) advance(hook *freezeHook, decide bool) (prev, inv *Inve
 // batch boundary of the producer's stream (everything dispatched before the
 // call is included), and the result is byte-identical to pausing the
 // producer, flushing, and snapshotting at that point. Safe to call from any
-// goroutine at any lifecycle stage. With retention on, a snapshot is where
-// expiry is decided: records whose deadline the watermark has passed are
-// retired and announced. After Close the engine is read-only and its event
-// stream has ended, so a snapshot decides nothing there: it is a View.
-func (s *ShardedPassive) Snapshot() *Inventory { return s.freezeAt(true) }
-
-// View is Snapshot without the expiry decision: records past their
-// deadline stay until the next Snapshot retires them. A reader that must
-// not move the engine's state takes views — the federation publisher
-// bootstrapping a reader does — so the inventory and the event stream do
-// not depend on when readers come and go: with an active TTL, an answer
-// retired at a reader's snapshot, rather than refreshed by the next sweep,
-// would change both.
-func (s *ShardedPassive) View() *Inventory { return s.freezeAt(false) }
-
-func (s *ShardedPassive) freezeAt(decide bool) *Inventory {
-	decide = decide && s.open()
-	if inv := s.snap.fast(s.dispatched.Load(), decide); inv != nil {
+// goroutine at any lifecycle stage. With retention on, the freeze retires
+// and announces whatever is due at the boundary's watermark — what the
+// key's next touch would retire anyway (retention.go) — so who snapshots,
+// and how often, moves no key's events and no inventory.
+func (s *ShardedPassive) Snapshot() *Inventory {
+	if inv := s.snap.fast(s.dispatched.Load()); inv != nil {
 		return inv
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return s.snapshot(nil, decide)
+	return s.snapshot(nil)
 }
 
-// open reports whether the engine has not been closed.
-func (s *ShardedPassive) open() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return !s.closed
-}
-
-// holdStream reports whether the engine is open, and if so holds Close
-// from ending the event stream until deciding.Done: a closed engine decides
-// no expiry, and an open one announces every expiry it decides.
-func (s *ShardedPassive) holdStream() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.closed {
-		s.deciding.Add(1)
-	}
-	return !s.closed
-}
-
-// snapshot is Snapshot or View past its fast path, shared with ExportDelta,
-// which hangs hook on the freeze. Callers hold snapMu.
-func (s *ShardedPassive) snapshot(hook *freezeHook, decide bool) *Inventory {
+// snapshot is Snapshot past its fast path, shared with Close and
+// ExportDelta, which hangs hook on the freeze. Callers hold snapMu.
+func (s *ShardedPassive) snapshot(hook *freezeHook) *Inventory {
 	var t0 time.Time
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	prev, inv := s.advance(hook, decide)
+	prev, inv := s.advance(hook)
 	if inv == prev {
 		return inv // nothing moved: another snapshotter got here first
 	}

@@ -603,7 +603,7 @@ func TestPeerDedupModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		d := NewPassiveDiscoverer(campusPfx, nil)
-		d.setRetention(ttl)
+		d.setRetention(RetentionPolicy{PassiveTTL: ttl})
 		ref := make(map[ServiceKey]*refSvc)
 		now := t0
 
@@ -718,7 +718,7 @@ func TestPeerDedupModel(t *testing.T) {
 			}
 		}
 		d = fresh
-		d.setRetention(ttl)
+		d.setRetention(RetentionPolicy{PassiveTTL: ttl})
 		check("after import")
 		for step := 0; step < 2000; step++ {
 			now = now.Add(time.Second)

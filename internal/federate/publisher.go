@@ -24,14 +24,15 @@ type PublisherMetrics struct {
 	Encode *obs.Histogram
 }
 
-// Engine is the slice of a discovery engine the publisher needs: a frozen
-// view that decides no expiry (see core.ShardedPassive.View), so serving
-// readers never changes the site's state, a synchronous subscription to
-// the typed event stream (see event), and the snapshot observer slot (the
-// publisher takes it; see observe). core.ShardedPassive (hybrid or not)
-// and the servdisc facade Pipeline both satisfy it.
+// Engine is the slice of a discovery engine the publisher needs: a
+// snapshot — every freeze retires the same expiries whoever takes it (see
+// core.ShardedPassive.Snapshot), so serving readers never changes what the
+// site announces or holds — a synchronous subscription to the typed event
+// stream (see event), and the snapshot observer slot (the publisher takes
+// it; see observe). core.ShardedPassive (hybrid or not) and the servdisc
+// facade Pipeline both satisfy it.
 type Engine interface {
-	View() *core.Inventory
+	Snapshot() *core.Inventory
 	SubscribeSync(fn func(core.Event)) *core.EventSub
 	OnSnapshot(fn func(prev, inv *core.Inventory, delta core.SnapshotDelta))
 }
@@ -278,14 +279,14 @@ func (p *Publisher) observe(prev, inv *core.Inventory, d core.SnapshotDelta) {
 }
 
 // finish waits for the event stream to end — the engine closed, or Close
-// cancelled the subscription — and then freezes one last view, whose seal
-// frame ships what the events left out, before it ends every reader's
-// feed. A view decides no expiry: a site killed past its last checkpoint
-// would otherwise ship retractions its restored engine never decides, and
-// a reader would hold them against the site for good.
+// cancelled the subscription — and then freezes one last snapshot, whose
+// seal frame ships what the events left out, before it ends every reader's
+// feed. Its expiries are the ones the engine's next touch of each key would
+// decide, so a site killed past its last checkpoint ships no retraction its
+// restored engine will not decide too.
 func (p *Publisher) finish() {
 	<-p.sub.Done()
-	p.eng.View()
+	p.eng.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.hub.Close()
@@ -323,20 +324,20 @@ func (p *Publisher) Catchup(buf int) (bootstrap []Frame, live *pipeline.Sub[Fram
 }
 
 // catchup builds one reader's bootstrap: the live subscription is attached,
-// the generation g read, then a view of the engine frozen, so every frame
-// up to g is reflected in that inventory and every later one reaches the
-// subscription. A view decides no expiry, so a reader's arrival does not
-// change the site's state. A cursor of this stream (this epoch, at most g)
-// is resumed: its snapshot holds only the keys sealedAt maps past it, the
-// view having just filed its own changes. Any other cursor gets the whole
-// inventory.
+// the generation g read, then a snapshot of the engine frozen, so every
+// frame up to g is reflected in that inventory and every later one reaches
+// the subscription. The snapshot retires only what any freeze would, so a
+// reader's arrival does not change the site's state. A cursor of this
+// stream (this epoch, at most g) is resumed: its snapshot holds only the
+// keys sealedAt maps past it, the freeze having just filed its own changes.
+// Any other cursor gets the whole inventory.
 func (p *Publisher) catchup(buf int, cur ResumeCursor) (bootstrap []Frame, live *pipeline.Sub[Frame], resumed bool) {
 	if buf <= 0 {
 		buf = feedBuffer
 	}
 	live = p.hub.Subscribe(buf)
 	gen := p.seq.Load()
-	inv := p.eng.View()
+	inv := p.eng.Snapshot()
 	p.mu.Lock()
 	sealedAt := p.sealedAt
 	p.mu.Unlock()

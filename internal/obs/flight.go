@@ -25,7 +25,6 @@ const (
 	TraceCheckpointRestored
 	TraceFeedConnected
 	TraceFeedDisconnected
-	TraceExpirySweep
 	TraceSweepCompleted
 	traceKinds
 )
@@ -38,7 +37,6 @@ var traceMeta = [traceKinds]struct{ name, a, b string }{
 	TraceCheckpointRestored: {"checkpoint-restored", "services", "us"},
 	TraceFeedConnected:      {"feed-connected", "attempt", ""},
 	TraceFeedDisconnected:   {"feed-disconnected", "drops", ""},
-	TraceExpirySweep:        {"expiry-sweep", "expired", ""},
 	TraceSweepCompleted:     {"sweep-completed", "probes", "us"},
 }
 

@@ -75,9 +75,10 @@ const (
 	stepLostCheckpoint                 // Writer.Checkpoint into a removed directory
 	stepChaos                          // link chaos on or off
 	stepKill                           // kill, restore, replay
+	stepReader                         // Snapshot racing the site's next ingest
 )
 
-var stepNames = [...]string{"ingest", "report", "snapshot", "checkpoint", "lost-checkpoint", "chaos", "kill"}
+var stepNames = [...]string{"ingest", "report", "snapshot", "checkpoint", "lost-checkpoint", "chaos", "kill", "reader"}
 
 // shape is one engine incarnation's form.
 type shape struct {
@@ -154,10 +155,12 @@ func drawShape(rng *stats.RNG, not int) shape {
 // drawProgram draws a program over the recorded segments. Each segment is
 // ingested at every site, a sweep report follows the segment it completed
 // in, and between segments the seed draws snapshots, checkpoints, lost
-// checkpoints, chaos switches and kills. A report races the site's next
-// ingest only with retention off (see checkEvents).
+// checkpoints, chaos switches, kills and, from a stream of its own, readers.
+// A report races the site's next ingest only with retention off (see
+// checkEvents).
 func drawProgram(seed uint64, in *inputs) *program {
 	rng := stats.NewRNG(seed).Derive("program")
+	readers := stats.NewRNG(seed).Derive("readers")
 	p := &program{seed: seed, sites: 1 + rng.Intn(2)}
 	if rng.Bool(0.5) {
 		p.retention = core.RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: activeTTL}
@@ -204,6 +207,9 @@ func drawProgram(seed uint64, in *inputs) *program {
 				cur[st.site], dirty[st.site] = st.shape, true
 			}
 			p.steps = append(p.steps, st)
+		}
+		if readers.Bool(0.3) {
+			p.steps = append(p.steps, step{kind: stepReader, site: readers.Intn(p.sites)})
 		}
 	}
 	return p
@@ -259,6 +265,7 @@ type siteRun struct {
 	log      []step
 	saved    durable
 	baseline bool // the next successful checkpoint must be a baseline
+	reader   bool // a reader snapshots while the next ingest runs
 	// seals are the feed positions of the seals since the saved
 	// checkpoint, for the kill report.
 	seals []uint64
@@ -344,8 +351,7 @@ func runSeed(t *testing.T, seed uint64) (held, failed int) {
 	}
 
 	// The end: lift the faults, close every engine, and let each feed reach
-	// its site's final sequence number over clean links. A closed engine
-	// decides no expiry, so the final snapshots announce nothing unseen.
+	// its site's final sequence number over clean links.
 	w.at = "end"
 	w.chaos.Store(false)
 	for _, s := range w.sites {
@@ -361,10 +367,11 @@ func runSeed(t *testing.T, seed uint64) (held, failed int) {
 	cancel()
 	feeds.Wait()
 	w.compare(refAgg)
-	kills, races := 0, 0
+	kills, races, readers := 0, 0, 0
 	for _, st := range p.steps {
 		kills += b2i(st.kind == stepKill)
 		races += b2i(st.race > 0)
+		readers += b2i(st.kind == stepReader)
 	}
 	var fs federate.FeedStats
 	for _, s := range w.sites {
@@ -373,8 +380,8 @@ func runSeed(t *testing.T, seed uint64) (held, failed int) {
 	}
 	// Each feed ends once at shutdown and once per kill of its site.
 	failed = int(fs.Disconnects+fs.DialErrors) - p.sites - kills
-	t.Logf("seed %d: %d sites, retention %v, %d steps, %d racing reports, %d kills (%d with the reader holding two seals past the checkpoint); feeds: %d connects, %d failed by faults, %d resumed",
-		seed, p.sites, p.retention.Enabled(), len(p.steps), races, kills, w.held, fs.Connects, failed, fs.ResumeHits)
+	t.Logf("seed %d: %d sites, retention %v, %d steps, %d racing reports, %d readers, %d kills (%d with the reader holding two seals past the checkpoint); feeds: %d connects, %d failed by faults, %d resumed",
+		seed, p.sites, p.retention.Enabled(), len(p.steps), races, readers, kills, w.held, fs.Connects, failed, fs.ResumeHits)
 	return w.held, failed
 }
 
@@ -463,6 +470,9 @@ func (w *world) run(st step) {
 	case stepKill:
 		w.kill(s, st)
 		return
+	case stepReader:
+		s.reader = true
+		return
 	case stepCheckpoint:
 		res, err := s.w.Checkpoint(w.ctx)
 		if err != nil {
@@ -491,7 +501,12 @@ func (w *world) run(st step) {
 	s.log = append(s.log, st)
 	switch st.kind {
 	case stepIngest, stepReport, stepSnapshot:
+		stop := func() {}
+		if st.kind == stepIngest && s.reader {
+			s.reader, stop = false, readAlong(s.eng)
+		}
 		w.apply(s, s.eng, st, raceConcurrent)
+		stop()
 	case stepCheckpoint:
 		s.saved = durable{steps: len(s.log), events: append(slices.Clone(s.base), s.cur.events()...)}
 		s.seals = nil
@@ -509,6 +524,28 @@ func (w *world) run(st step) {
 	}
 	if after := s.pub.Load().State().Seq; (st.kind == stepSnapshot || st.kind == stepLostCheckpoint) && after > before {
 		s.seals = append(s.seals, after)
+	}
+}
+
+// readAlong snapshots eng on a second goroutine, as a reader polling the
+// site would, until the returned stop has been called; stop waits for it.
+// The references take no such snapshot.
+func readAlong(eng *core.ShardedPassive) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				eng.Snapshot()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
@@ -638,11 +675,11 @@ func (w *world) kill(s *siteRun, st step) {
 		w.fatalf("%v", err)
 	}
 	s.baseline, s.seals = true, nil
-	// A restarted process does not know its victim's snapshot cadence; the
-	// replay repeats only the snapshot points that decide expiry, so with
-	// retention off the restored engine seals less often than its victim.
+	// A restarted process does not know its victim's snapshot cadence, and
+	// every freeze decides expiry alike, so the replay applies the inputs
+	// alone.
 	for _, done := range s.log[s.saved.steps:] {
-		if done.kind == stepIngest || done.kind == stepReport || w.p.retention.Enabled() {
+		if done.kind == stepIngest || done.kind == stepReport {
 			w.apply(s, eng, done, raceFirst)
 		}
 	}

@@ -449,13 +449,11 @@ func (p *Pipeline) Close() { p.engine.Close() }
 // hand over only what changed since the previous snapshot, and an
 // unchanged engine returns the previous Inventory — so a live deployment
 // can poll it at any frequency (see core.ShardedPassive.Snapshot for the
-// consistency contract). It is also what core.Analysis reads.
+// consistency contract). With retention on, the cadence sets only when an
+// untouched service's expiry surfaces, never what expires or when. It is
+// also what core.Analysis reads and what a federation publisher bootstraps
+// a reader from.
 func (p *Pipeline) Snapshot() *Inventory { return p.engine.Snapshot() }
-
-// View is Snapshot without the expiry decision (see
-// core.ShardedPassive.View): what a federation publisher bootstraps a
-// reader from.
-func (p *Pipeline) View() *Inventory { return p.engine.View() }
 
 // OnSnapshot registers fn to observe every snapshot the engine builds (see
 // core.ShardedPassive.OnSnapshot): the engine's one observer slot calls

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servdisc/internal/campus"
 	"servdisc/internal/capture"
@@ -576,4 +577,59 @@ func TestColdStartSLI(t *testing.T) {
 	if p.coldStart.Value() != cold {
 		t.Errorf("cold-start gauge moved from %v to %v after the first epoch", cold, p.coldStart.Value())
 	}
+}
+
+// ingestServices feeds a running two-shard pipeline one SYN-ACK from each
+// of n campus services and flushes, failing if ingest blocks.
+func ingestServices(t *testing.T, pl *Pipeline, n int) {
+	t.Helper()
+	bld := packet.NewBuilder(0)
+	at := time.Date(2006, 9, 19, 10, 0, 0, 0, time.UTC)
+	cli := packet.Endpoint{Addr: netaddr.MustParseV4("64.9.0.1"), Port: 40000}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var batch []packet.Packet
+		for i := range n {
+			srv := packet.Endpoint{Addr: netaddr.MustParseV4("128.125.0.0") + netaddr.V4(i), Port: 80}
+			batch = append(batch, *bld.SynAck(at, srv, cli, 1, 1))
+			if len(batch) == 256 || i == n-1 {
+				pl.HandleBatch(batch)
+				batch = batch[:0]
+			}
+		}
+		pl.Flush()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ingest blocked behind a stalled subscriber")
+	}
+}
+
+// TestWatchOverload: a Watch subscriber that stops reading holds its
+// 1 024-event buffer and loses the rest, counted by the engine; ingest runs
+// on. Watch exposes no per-subscription count, so the full channel and the
+// engine's count stand for it.
+func TestWatchOverload(t *testing.T) {
+	const services, ceiling = 3000, 1024 * 208
+	pl, err := NewPipeline(Config{Campus: "128.125.0.0/16", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	events := pl.Watch(context.Background())
+	pl.Run(context.Background())
+	ingestServices(t, pl, services)
+	if got := len(events); got != watchBuffer {
+		t.Errorf("the stalled watcher holds %d events, want %d", got, watchBuffer)
+	}
+	if got, want := pl.EventCounters().Dropped(), services-watchBuffer; got != want {
+		t.Errorf("the engine counts %d drops, want %d", got, want)
+	}
+	held := cap(events) * int(unsafe.Sizeof(Event{}))
+	if held > ceiling {
+		t.Errorf("a stalled watcher holds up to %d bytes, over the %d-byte ceiling", held, ceiling)
+	}
+	t.Logf("a stalled watcher holds up to %d bytes", held)
 }
