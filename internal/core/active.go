@@ -64,11 +64,11 @@ type ActiveDiscoverer struct {
 	// flush with nothing written since hands the same view out again.
 	view *ActiveDiscoverer
 
-	// onAnswer, when set, joins every probe answer from the goroutine
-	// applying the report, and reports whether the join found no live answer
-	// for the key: any answer the store still holds has then lapsed. ttl is
-	// the active TTL such a lapsed answer's tombstone runs from. NewHybrid
-	// wires both.
+	// onAnswer, when set, joins a key's first and any earlier probe answer,
+	// and every one while ttl, the active TTL, is on, from the goroutine
+	// applying the report. It reports whether the join found no live answer
+	// for the key: any the store still holds has then lapsed, at its newest
+	// answer plus ttl. NewHybrid wires onAnswer, SetRetention ttl.
 	onAnswer func(key ServiceKey, t time.Time) (fresh bool)
 	ttl      time.Duration
 }
@@ -183,7 +183,8 @@ func (d *ActiveDiscoverer) recordOpen(addr netaddr.V4, port uint16, t time.Time)
 	key := ServiceKey{Addr: addr, Proto: packet.ProtoTCP, Port: port}
 	at := ToInstant(t)
 	cur, _ := d.probes.get(key)
-	if d.onAnswer != nil && d.onAnswer(key, t) && cur.ok {
+	joins := d.ttl > 0 || !cur.ok || at < cur.first
+	if d.onAnswer != nil && joins && d.onAnswer(key, t) && cur.ok {
 		// The join holds no live answer, so the stored one lapsed: at this
 		// report's settle, or at a touch whose freeze has not reached the
 		// store yet.

@@ -219,7 +219,9 @@ func (sh *passiveShard) activeAnswered(key ServiceKey, t, wm time.Time) (fresh b
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	d := sh.disc
-	d.settle(key, wm)
+	if d.ttl > 0 || d.activeTTL > 0 {
+		d.settle(key, wm)
+	}
 	at := ToInstant(t)
 	if a, live := d.answers[key]; live {
 		if at < a.first && d.service(key) == nil {

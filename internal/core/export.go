@@ -170,12 +170,12 @@ type EngineDelta struct {
 	ShardsSkipped int
 }
 
-// exportState copies out, on the shard's owner right after its seal, what a
-// frozen inventory does not hold: every live service of the shard that moved
-// (every shard's list) or sd names — all when full — and every scan source
-// touched since the previous export, sharing nothing with the engine. A full
-// export switches the tracker's dirty set on and every export clears it, so
-// after a failed write only a baseline is sound.
+// exportState copies out, on the shard's owner in its seal's hold of the
+// lock, what a frozen inventory does not hold: every live service of the
+// shard that moved (every shard's list) or sd names — all when full — and
+// every scan source touched since the previous export, sharing nothing with
+// the engine. A full export switches the tracker's dirty set on and every
+// export clears it, so after a failed write only a baseline is sound.
 func (sh *passiveShard) exportState(full bool, moved []ServiceKey, sd shardDelta) (svcs []ServiceState, srcs []ScanSourceState) {
 	d, t := sh.disc, sh.disc.track
 	dirty := maps.Keys(t.ckDirty)

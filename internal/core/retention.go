@@ -137,8 +137,10 @@ func (d *PassiveDiscoverer) deadline(key ServiceKey, prov Provenance) (time.Time
 		a, ok := d.answers[key]
 		return a.last.Time().Add(d.activeTTL), ok && d.activeTTL > 0
 	}
-	if rec := d.service(key); rec != nil && d.ttl > 0 {
-		return rec.LastSeen().Add(d.ttl), true
+	if d.ttl > 0 {
+		if rec := d.service(key); rec != nil {
+			return rec.LastSeen().Add(d.ttl), true
+		}
 	}
 	return time.Time{}, false
 }

@@ -606,3 +606,81 @@ func TestSnapshotRacingCloseAnnouncesItsExpiries(t *testing.T) {
 		}
 	}
 }
+
+// Checkpoint exports racing reports, with retention on: a report's settle
+// retires passive records in the owner shard's stores while an export copies
+// them out, so the export must read under the shard lock. Services each seen
+// once fall due a second apart; a producer moves the watermark ten seconds
+// at a time and, before any freeze need have reached it, sweeps the ten
+// services that fell due, so its settle retires them. Exports, every fourth
+// a baseline that walks every record, run beside it on running shards. The
+// race detector checks the locking; each service must expire once, and the
+// chain of exports since the last baseline must rebuild the final inventory.
+func TestExportDeltaRacingReports(t *testing.T) {
+	const services, step = 1000, 10
+	base := campusPfx.Base() + 4096
+	for _, shards := range []int{1, 2, 8} {
+		s := NewHybrid(campusPfx, nil, shards, nil)
+		s.SetRetention(RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: time.Hour})
+		s.Run(context.Background())
+		sub := s.Subscribe(4 * services)
+		var pkts []packet.Packet
+		for i := range services {
+			pkts = append(pkts, *synAck(t0.Add(time.Duration(i)*time.Second), base+netaddr.V4(i), 80, cli))
+		}
+		s.HandleBatch(pkts)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for k := 0; k < services; k += step {
+				at := t0.Add(time.Hour + time.Duration(k+step-1)*time.Second)
+				s.HandleBatch([]packet.Packet{*synAck(at, srv, 22, cli)})
+				rep := &probe.ScanReport{ID: k, Started: at, Finished: at}
+				for i := k; i < k+step; i++ {
+					rep.TCP = append(rep.TCP, probe.TCPResult{Time: at, Addr: base + netaddr.V4(i), Port: 80, State: probe.StateOpen})
+				}
+				s.AddReport(rep)
+			}
+		}()
+		var chain []*EngineDelta
+		var cur *CheckpointCursor
+		for n, racing := 0, true; racing; n++ {
+			select {
+			case <-done:
+				racing = false
+			default:
+			}
+			if n%4 == 0 {
+				chain, cur = chain[:0], nil
+			}
+			ed, next := s.ExportDelta(cur)
+			chain, cur = append(chain, ed), &next
+		}
+		want := s.Snapshot().Dump()
+		s.Close()
+		expired := make(map[ServiceKey]int)
+		for _, e := range drainExpired(sub) {
+			expired[e.key]++
+		}
+		if len(expired) != services || sub.Dropped() != 0 {
+			t.Fatalf("shards=%d: %d of %d services expired (%d events dropped)", shards, len(expired), services, sub.Dropped())
+		}
+		for k, n := range expired {
+			if n != 1 {
+				t.Fatalf("shards=%d: %s expired %d times", shards, k, n)
+			}
+		}
+
+		r := NewHybrid(campusPfx, nil, shards, nil)
+		r.SetRetention(RetentionPolicy{PassiveTTL: time.Hour, ActiveTTL: time.Hour})
+		for i, ed := range chain {
+			if err := r.ImportDelta(ed); err != nil {
+				t.Fatalf("shards=%d: import %d of %d: %v", shards, i, len(chain), err)
+			}
+		}
+		if got := r.Snapshot().Dump(); !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: restored dump differs:\n got %s\nwant %s", shards, got, want)
+		}
+		r.Close()
+	}
+}

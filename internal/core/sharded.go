@@ -199,15 +199,16 @@ func (c *snapCache) invalidate() {
 
 // passiveShard is one worker-owned shard: the discoverer, which also holds
 // the active half of the event join for the keys it owns (events.go). It is
-// touched only by the shard's owner — the worker goroutine while running,
-// the dispatcher (under dispatchMu) inline and after shutdown — and by the
-// install after each merge (advance), which it shares the merged store with.
+// touched by the shard's owner (the worker goroutine while running, the
+// dispatcher under dispatchMu inline and after shutdown), by the install
+// after each merge (advance), which it shares the merged store with, and by
+// a report's join calls for the keys it owns.
 type passiveShard struct {
-	// mu is held across every write to the discoverer's stores and join
-	// entries — apply, a freeze, the install after a merge, checkpoint import
-	// and a report's join calls — and across the service events each of them
-	// publishes. The owner reads the stores without it; a report's caller
-	// reads under it.
+	// mu is held across every access to the discoverer's stores and join
+	// entries — apply, a freeze and the export hook riding it, the install
+	// after a merge, checkpoint import, SetRetention and a report's join
+	// calls, whose settle writes the stores too — and across the service
+	// events each of them publishes.
 	mu     sync.Mutex
 	disc   *PassiveDiscoverer
 	events *eventStream
@@ -225,15 +226,13 @@ func (sh *passiveShard) apply(batch []packet.Packet) {
 // patch), plus the scanner detections as of the freeze and the probe
 // answers expired since the last. wm is the engine watermark at the
 // snapshot point: every incarnation due at it is retired and announced
-// first, under the shard lock, so the seal reports it. Shard state is
-// disjoint by owner address, so per-shard detection results concatenate
-// into exactly the merged tracker's output.
+// first, so the seal reports it. Shard state is disjoint by owner address,
+// so per-shard detection results concatenate into exactly the merged
+// tracker's output. The caller holds sh.mu.
 func (sh *passiveShard) freeze(wm time.Time, whole bool) shardDelta {
-	sh.mu.Lock()
 	sh.disc.expireDue(wm)
 	delta := sh.disc.seal(whole)
 	delta.withdrawn, sh.disc.withdrawn = sh.disc.withdrawn, nil
-	sh.mu.Unlock()
 	delta.scanners = sh.disc.track.detect()
 	return delta
 }
@@ -281,7 +280,9 @@ func (s *ShardedPassive) SetRetention(p RetentionPolicy) {
 	s.retention = p
 	s.retentionOn = p.Enabled()
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		sh.disc.setRetention(p)
+		sh.mu.Unlock()
 	}
 	if s.active != nil {
 		s.amu.Lock()
@@ -608,8 +609,9 @@ func (s *ShardedPassive) atBoundary(prep func() bool, f func(i int, sh *passiveS
 
 // freezeHook is what a checkpoint export hangs on a freeze: pin runs under
 // the dispatch lock at the boundary, shard on shard i's owner right after its
-// seal (with its delta, empty when no shard was sealed), when the shard's live
-// state is exactly what the new inventory holds of it.
+// seal and in the same hold of its lock (with its delta, empty when no shard
+// was sealed), when the shard's live state is exactly what the new inventory
+// holds of it.
 type freezeHook struct {
 	pin   func()
 	shard func(i int, sh *passiveShard, sd shardDelta)
@@ -632,6 +634,8 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 		}
 		return deltas != nil || hook != nil
 	}, func(i int, sh *passiveShard) {
+		sh.mu.Lock() // the hook reads what a report's settle writes
+		defer sh.mu.Unlock()
 		var sd shardDelta
 		if deltas != nil {
 			deltas[i] = sh.freeze(wm, whole)
