@@ -78,8 +78,10 @@ type peerContact struct {
 }
 
 // PassiveRecord accumulates everything passive monitoring learns about one
-// service, in 48 bytes, so that the snapshot machinery's copy-on-write
-// clones are cheap. Its peer history — the first contact from each of the
+// service, in 40 bytes and no pointer but one, so that it is held by value
+// wherever it is held: in a shard's write layer, a seal delta and, beside
+// its 8-byte key, a leaf entry of the merged store (mergedStore). Its peer
+// history — the first contact from each of the
 // first maxFirstPeers distinct peers, enough to recompute first-discovery
 // with any subset of peers (e.g. scanners) removed — is nFirst() long and
 // sits in two places: the first peer inline (peer0, contacted at first: the
@@ -90,10 +92,14 @@ type peerContact struct {
 // record.
 //
 // The rest array is append-only and carries no length of its own: each
-// record derives it from its own nClients. A clone shares the array with the
-// record it was copied from, and the live record appends past the clone's
-// length — in place while the array has room — so a sealed clone never sees
+// record derives it from its own nClients. A copy shares the array with the
+// record it was copied from, and the live record appends past the copy's
+// length — in place while the array has room — so a sealed copy never sees
 // an element its client count does not cover, and never sees one change.
+//
+// A record with negative Flows (noRecord) stands for no record at all: no
+// record the engine builds or imports holds one (ImportDelta refuses
+// negative flows).
 type PassiveRecord struct {
 	// first is when the first positive evidence arrived; last when the most
 	// recent did — the timestamp retention deadlines are computed from
@@ -111,13 +117,20 @@ type PassiveRecord struct {
 	rest *peerContact
 }
 
-// A field that pushes either type into the next size class fails the
-// build here, not a memory benchmark later. (A record is allocated in the
-// 48-byte class, with one word to spare.)
+// A field that grows either type fails the build here, not a memory
+// benchmark later. (A record and its key fill a 48-byte leaf entry.)
 const (
 	_ = uint(40-unsafe.Sizeof(PassiveRecord{})) + uint(unsafe.Sizeof(PassiveRecord{})-40) // == 40
 	_ = uint(16-unsafe.Sizeof(peerContact{})) + uint(unsafe.Sizeof(peerContact{})-16)     // == 16
 )
+
+// noRecord is what a store holds for a key with no passive record: in a
+// shard's write layer, a retire marker hiding an older incarnation below
+// it; in the merged store, under a Hybrid, a service only a probe found.
+var noRecord = PassiveRecord{Flows: -1}
+
+// held reports whether r is a record rather than noRecord.
+func (r *PassiveRecord) held() bool { return r.Flows >= 0 }
 
 // maxFirstPeers bounds per-service peer history. The scan-removal analysis
 // only needs the first non-scanner peer; there are at most a few dozen

@@ -228,14 +228,19 @@ func (d *PassiveDiscoverer) exportService(key ServiceKey) ServiceState {
 	}
 }
 
-// checkPeers holds st to what every exporter writes: Peers is exactly
-// Clients distinct addresses, and the peer history is what a record holds —
-// one contact per client up to maxFirstPeers, the first of them at FirstSeen
-// (the record keeps the two as one instant), Clients in a uint32. A restore
-// that took fewer peers would count returning clients again, and its
-// clients= would drift from the uninterrupted run's; one that took any other
-// history would hold a client count and a history that disagree.
-func (st *ServiceState) checkPeers() error {
+// check holds st to what every exporter writes: Flows is not negative,
+// Peers is exactly Clients distinct addresses, and the peer history is what
+// a record holds — one contact per client up to maxFirstPeers, the first of
+// them at FirstSeen (the record keeps the two as one instant), Clients in a
+// uint32. A negative flow count is no weight a reader takes (and a record
+// holding one reads as noRecord). A restore that took fewer peers would
+// count returning clients again, and its clients= would drift from the
+// uninterrupted run's; one that took any other history would hold a client
+// count and a history that disagree.
+func (st *ServiceState) check() error {
+	if st.Flows < 0 {
+		return fmt.Errorf("core: checkpoint service %v has %d flows", st.Key, st.Flows)
+	}
 	if st.Clients < 0 || st.Clients > math.MaxUint32 {
 		return fmt.Errorf("core: checkpoint service %v has %d clients", st.Key, st.Clients)
 	}
@@ -264,7 +269,7 @@ func (d *PassiveDiscoverer) importService(st *ServiceState) {
 		first:    ToInstant(st.FirstSeen),
 		last:     ToInstant(last),
 		Flows:    st.Flows,
-		nClients: uint32(st.Clients), // checkPeers: it fits, and FirstPeers is as long as it says
+		nClients: uint32(st.Clients), // check: it fits, and FirstPeers is as long as it says
 	}
 	for i, pc := range st.FirstPeers {
 		if i == 0 {
@@ -407,9 +412,10 @@ func (s *ShardedPassive) ExportDelta(cur *CheckpointCursor) (*EngineDelta, Check
 	if !full {
 		old = cur.inv.d
 		// Services moved up to the chain's newest inventory (a write after a
-		// seal clones the record); each shard's seal names the rest.
+		// seal copies the record, and moves its flow count); each shard's
+		// seal names the rest.
 		if prev, _ := s.snap.peek(); prev != nil {
-			prev.d.services.Diff(old.services, func(a, b *PassiveRecord) bool { return a == b },
+			prev.d.services.Diff(old.services, func(a, b PassiveRecord) bool { return a == b },
 				func(k ServiceKey) { moved = append(moved, k) })
 		}
 	}
@@ -477,7 +483,8 @@ func (s *ShardedPassive) checkFresh() error {
 // State is redistributed by owner address, so the shard count may differ
 // from the exporting engine's. Active-scan state needs a Hybrid to land in.
 // A delta listing any service's peers as other than Clients distinct
-// addresses, or a peer history a record cannot hold (see checkPeers), is
+// addresses, a negative flow count, or a peer history a record cannot hold
+// (see check), is
 // refused whole. Single-goroutine, like pre-Run ingest.
 func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 	if err := s.checkFresh(); err != nil {
@@ -487,7 +494,7 @@ func (s *ShardedPassive) ImportDelta(ed *EngineDelta) error {
 		return fmt.Errorf("core: delta carries active-scan state; import it into a Hybrid engine")
 	}
 	for i := range ed.Services {
-		if err := ed.Services[i].checkPeers(); err != nil {
+		if err := ed.Services[i].check(); err != nil {
 			return err
 		}
 	}

@@ -97,7 +97,7 @@ func NewInventory(d *PassiveDiscoverer) *Inventory { return NewHybridInventory(d
 // NewHybridInventory freezes the union of a passive and an active run into
 // one inventory with per-service provenance (a nil a gives a passive-only
 // one). It takes the bulk path of a live engine's first snapshot: the
-// discoverer is sealed whole — its records go copy-on-write — and merged into
+// discoverer is sealed whole — its records copied out — and merged into
 // a fresh store with the active side's flushed view, so both may keep
 // ingesting without disturbing the result. Provenance is not stored: it is a
 // function of the two first-observation times, which Service reads.
@@ -124,7 +124,7 @@ func (v *Inventory) Hybrid() bool { return v.active != nil }
 // with EachServiceAfter instead where a walk will do.
 func (v *Inventory) Keys() []ServiceKey {
 	keys := make([]ServiceKey, 0, v.Len())
-	v.d.services.Walk(nil, func(k ServiceKey, _ *PassiveRecord) bool {
+	v.d.services.WalkRef(nil, func(k ServiceKey, _ *PassiveRecord) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -159,17 +159,21 @@ func describe(rec *PassiveRecord, activeAt time.Time, passive, probed bool) (pro
 // Service returns everything the inventory holds about one service from a
 // single descent of the record store (and, on a hybrid inventory, one of the
 // active view's probe tree): the passive record (nil if passive monitoring
-// never saw it), the provenance class, the earliest discovery by either
-// technique, and when it first answered a probe (meaningful unless prov is
-// PassiveOnly). ok is false if the key is not in the inventory. On a
-// passive-only inventory every present key is PassiveOnly. Record,
+// never saw it; otherwise the store's own, read-only), the provenance
+// class, the earliest discovery by either technique, and when it first
+// answered a probe (meaningful unless prov is PassiveOnly). ok is false if
+// the key is not in the inventory. On a passive-only inventory every
+// present key is PassiveOnly. Record,
 // Provenance, FirstDiscovered and ActiveFirstOpen each return one of these;
 // a caller that wants several should call Service once, and one that wants
 // them for every key should call EachService, which descends for none.
 func (v *Inventory) Service(key ServiceKey) (rec *PassiveRecord, prov Provenance, first, activeAt time.Time, ok bool) {
-	rec, listed := v.d.services.Get(key)
-	if !listed {
+	rec = v.d.services.Ref(key)
+	if rec == nil {
 		return nil, 0, time.Time{}, time.Time{}, false
+	}
+	if !rec.held() {
+		rec = nil
 	}
 	activeAt, probed := v.ActiveFirstOpen(key)
 	prov, first = describe(rec, activeAt, rec != nil, probed)
@@ -193,7 +197,10 @@ func (v *Inventory) EachServiceAfter(after *ServiceKey, f func(key ServiceKey, r
 	if v.active != nil {
 		probes = v.active.probes.base.Seek(after)
 	}
-	v.d.services.Walk(after, func(key ServiceKey, rec *PassiveRecord) bool {
+	v.d.services.WalkRef(after, func(key ServiceKey, rec *PassiveRecord) bool {
+		if !rec.held() {
+			rec = nil
+		}
 		var activeAt time.Time
 		p, probed := probes.Peek()
 		if probed = probed && p.Key == key; probed {
@@ -209,8 +216,10 @@ func (v *Inventory) EachServiceAfter(after *ServiceKey, f func(key ServiceKey, r
 // saw it (ok is false for active-only services). Treat the record as
 // read-only.
 func (v *Inventory) Record(key ServiceKey) (*PassiveRecord, bool) {
-	rec, _ := v.d.services.Get(key)
-	return rec, rec != nil
+	if rec := v.d.services.Ref(key); rec != nil && rec.held() {
+		return rec, true
+	}
+	return nil, false
 }
 
 // Provenance classifies one service. ok is false if the key is not in the

@@ -14,17 +14,19 @@ import (
 // handful of path copies — O(records changed), never an O(inventory) clone
 // — while every previously returned Inventory stays valid forever.
 //
-// services is the inventory's key order itself: under a Hybrid it also holds
-// every service only a probe found, as an entry with a nil record.
+// services is the inventory's key order itself, each record held by value
+// in its leaf entry: under a Hybrid it also holds every service only a probe
+// found, as an entry holding noRecord.
 type mergedStore struct {
 	packets  int
-	services Tree[ServiceKey, *PassiveRecord]
+	services Tree[ServiceKey, PassiveRecord]
 	trails   Tree[netaddr.V4, []Instant]
 	tombs    Tree[ServiceKey, time.Time]
 }
 
-// svcEntry is one services entry.
-type svcEntry = TreeEntry[ServiceKey, *PassiveRecord]
+// svcEntry is one services entry, and one record of a seal delta: 48 bytes,
+// the record then its key.
+type svcEntry = TreeEntry[ServiceKey, PassiveRecord]
 
 // trail returns one address's activity trail (nil if it was never seen).
 func (m *mergedStore) trail(addr netaddr.V4) []Instant {
@@ -32,10 +34,11 @@ func (m *mergedStore) trail(addr netaddr.V4) []Instant {
 	return trail
 }
 
-// eachRecord visits every service passive monitoring saw, in key order.
+// eachRecord visits every service passive monitoring saw, in key order,
+// with its record in place.
 func (m *mergedStore) eachRecord(f func(ServiceKey, *PassiveRecord)) {
-	m.services.Walk(nil, func(k ServiceKey, rec *PassiveRecord) bool {
-		if rec != nil {
+	m.services.WalkRef(nil, func(k ServiceKey, rec *PassiveRecord) bool {
+		if rec.held() {
 			f(k, rec)
 		}
 		return true

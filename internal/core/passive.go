@@ -21,12 +21,12 @@ type PassiveDiscoverer struct {
 	udpPorts map[uint16]bool
 
 	// The shard's three stores, each a write layer over the last frozen
-	// tree (see layers): service records — a nil record is a retire marker
-	// hiding an older incarnation below it — activity trails and tombstones.
+	// tree (see layers): service records (see recordLayers), activity trails
+	// and tombstones.
 	// owns reports whether an address is this discoverer's (an engine's
 	// shard owns the addresses that route to it), which is what filters a
 	// base, the merged tree of every shard, when a store is listed whole.
-	records    layers[ServiceKey, *PassiveRecord]
+	records    recordLayers
 	trails     layers[netaddr.V4, []Instant]
 	tombstones layers[ServiceKey, time.Time]
 	owns       func(netaddr.V4) bool
@@ -117,10 +117,11 @@ func (d *PassiveDiscoverer) seedScanOrigin(t time.Time) { d.track.seed(t) }
 
 // shardDelta is what one seal hands the merge, by value: the entries that
 // move each tree of the merged store from the previous seal point to this
-// one, with no reference back into the discoverer's maps (a nil record is a
-// service that expired and was not reborn). Records and trails are shared,
-// not copied — records go copy-on-write at the seal and trails are
-// append-only, so the slice headers captured here never see a later write.
+// one, with no reference back into the discoverer's maps (noRecord is a
+// service that expired and was not reborn). Records are copied in; the
+// arrays they and the trails point to are shared, not copied — both are
+// append-only, so what a copy or a captured slice header covers never sees
+// a later write.
 type shardDelta struct {
 	// packets is the discoverer's cumulative packet count at the seal.
 	packets int
@@ -144,62 +145,77 @@ type shardDelta struct {
 // repeats a small-map probe. A discoverer nobody installs into (the
 // sequential one) keeps everything in its two maps.
 type layers[K TreeKey, V any] struct {
+	memtable[K, V]
+	base Tree[K, V]
+}
+
+// memtable is a store's two maps, live and sealed (see layers).
+type memtable[K comparable, V any] struct {
 	live, sealed map[K]V
-	base         Tree[K, V]
+}
+
+// lookup returns k's newest value in the maps, and whether either holds k.
+func (m *memtable[K, V]) lookup(k K) (V, bool) {
+	if v, ok := m.live[k]; ok {
+		return v, true
+	}
+	v, ok := m.sealed[k]
+	return v, ok
+}
+
+// put writes v under k.
+func (m *memtable[K, V]) put(k K, v V) {
+	if m.live == nil {
+		m.live = make(map[K]V)
+	}
+	m.live[k] = v
+}
+
+// eachMapped visits, once, every key the maps hold whose newest value keep
+// passes.
+func (m *memtable[K, V]) eachMapped(keep func(K, V) bool, f func(K, V)) {
+	for k, v := range m.live {
+		if keep(k, v) {
+			f(k, v)
+		}
+	}
+	for k, v := range m.sealed {
+		if _, over := m.live[k]; !over && keep(k, v) {
+			f(k, v)
+		}
+	}
+}
+
+// shadows reports whether the maps hold k, hiding what base holds for it.
+func (m *memtable[K, V]) shadows(k K) bool {
+	_, over := m.live[k]
+	_, under := m.sealed[k]
+	return over || under
 }
 
 // get returns k's newest value, and whether any layer holds k.
 func (l *layers[K, V]) get(k K) (V, bool) {
-	if v, ok := l.live[k]; ok {
-		return v, true
-	}
-	if v, ok := l.sealed[k]; ok {
+	if v, ok := l.lookup(k); ok {
 		return v, true
 	}
 	return l.base.Get(k)
 }
 
-// put writes v under k.
-func (l *layers[K, V]) put(k K, v V) {
-	if l.live == nil {
-		l.live = make(map[K]V)
-	}
-	l.live[k] = v
-}
-
 // each visits, once, every key a layer holds whose newest value keep passes.
 func (l *layers[K, V]) each(keep func(K, V) bool, f func(K, V)) {
-	for k, v := range l.live {
-		if keep(k, v) {
-			f(k, v)
-		}
-	}
-	for k, v := range l.sealed {
-		if _, over := l.live[k]; !over && keep(k, v) {
-			f(k, v)
-		}
-	}
+	l.eachMapped(keep, f)
 	l.base.Walk(nil, func(k K, v V) bool {
-		if keep(k, v) {
-			_, over := l.live[k]
-			if _, under := l.sealed[k]; !over && !under {
-				f(k, v)
-			}
+		if keep(k, v) && !l.shadows(k) {
+			f(k, v)
 		}
 		return true
 	})
 }
 
 // seal returns the entries of the live map — of every layer, those keep
-// passes, when whole — and hands the live map to sealed as it is. The new
-// live map is sized for twice the interval just sealed, unless that was
-// whole (a whole interval may be the whole shard); the old one is never
-// cleared for reuse, since a Go map does not shrink. With no install since
-// the previous seal the interval folds into the sealed map, so nothing is
-// lost.
+// passes, when whole — and hands the live map over to sealed.
 func (l *layers[K, V]) seal(whole bool, keep func(K, V) bool) []TreeEntry[K, V] {
-	n := len(l.live)
-	out := make([]TreeEntry[K, V], 0, n+len(l.sealed))
+	out := make([]TreeEntry[K, V], 0, len(l.live)+len(l.sealed))
 	add := func(k K, v V) { out = append(out, TreeEntry[K, V]{Val: v, Key: k}) }
 	if whole {
 		l.each(keep, add)
@@ -208,16 +224,27 @@ func (l *layers[K, V]) seal(whole bool, keep func(K, V) bool) []TreeEntry[K, V] 
 			add(k, v)
 		}
 	}
-	if l.sealed == nil {
-		l.sealed = l.live
-	} else {
-		maps.Copy(l.sealed, l.live)
-	}
-	l.live = nil
-	if n > 0 && !whole {
-		l.live = make(map[K]V, 2*n)
-	}
+	l.handover(whole)
 	return out
+}
+
+// handover hands the live map to sealed as it is, once a seal has listed
+// it. The new live map is sized for twice the interval just sealed, unless
+// that was whole (a whole interval may be the whole shard); the old one is
+// never cleared for reuse, since a Go map does not shrink. With no install
+// since the previous seal the interval folds into the sealed map, so
+// nothing is lost.
+func (m *memtable[K, V]) handover(whole bool) {
+	n := len(m.live)
+	if m.sealed == nil {
+		m.sealed = m.live
+	} else {
+		maps.Copy(m.sealed, m.live)
+	}
+	m.live = nil
+	if n > 0 && !whole {
+		m.live = make(map[K]V, 2*n)
+	}
 }
 
 // flush seals and installs live at once (FlushLive): ActiveDiscoverer's way.
@@ -225,10 +252,66 @@ func (l *layers[K, V]) flush(retired func(V) bool, moved func(k K, old, cur V)) 
 	l.base, l.live = FlushLive(l.base, l.live, retired, moved), nil
 }
 
+// recordLayers is layers for service records, which it holds in two forms:
+// the maps hold each record on the heap, so a packet updates its interval's
+// record in place with one map probe, and base holds them by value (see
+// mergedStore). A lookup that reaches base returns the record in its leaf,
+// which observe copies before its first write. nil in the maps is a retire
+// marker hiding an older incarnation below it, and noRecord in base reads
+// as nil.
+type recordLayers struct {
+	memtable[ServiceKey, *PassiveRecord]
+	base Tree[ServiceKey, PassiveRecord]
+}
+
+// get returns k's newest record, nil when there is none.
+func (l *recordLayers) get(k ServiceKey) *PassiveRecord {
+	if rec, ok := l.lookup(k); ok {
+		return rec
+	}
+	if rec := l.base.Ref(k); rec != nil && rec.held() {
+		return rec
+	}
+	return nil
+}
+
+// each visits, once, every key a layer holds whose newest record keep
+// passes.
+func (l *recordLayers) each(keep func(ServiceKey, *PassiveRecord) bool, f func(ServiceKey, *PassiveRecord)) {
+	l.eachMapped(keep, f)
+	l.base.WalkRef(nil, func(k ServiceKey, rec *PassiveRecord) bool {
+		if rec.held() && keep(k, rec) && !l.shadows(k) {
+			f(k, rec)
+		}
+		return true
+	})
+}
+
+// seal is layers.seal, with each record copied into its entry (noRecord for
+// a retire marker): the delta holds no record the shard writes to.
+func (l *recordLayers) seal(whole bool, keep func(ServiceKey, *PassiveRecord) bool) []svcEntry {
+	out := make([]svcEntry, 0, len(l.live)+len(l.sealed))
+	add := func(k ServiceKey, rec *PassiveRecord) {
+		e := svcEntry{Val: noRecord, Key: k}
+		if rec != nil {
+			e.Val = *rec
+		}
+		out = append(out, e)
+	}
+	if whole {
+		l.each(keep, add)
+	} else {
+		for k, rec := range l.live {
+			add(k, rec)
+		}
+	}
+	l.handover(whole)
+	return out
+}
+
 // service returns key's live record, nil when there is none.
 func (d *PassiveDiscoverer) service(key ServiceKey) *PassiveRecord {
-	rec, _ := d.records.get(key)
-	return rec
+	return d.records.get(key)
 }
 
 // eachService visits every live record the discoverer owns, in no order.
@@ -246,11 +329,11 @@ func (d *PassiveDiscoverer) ownsRecord(k ServiceKey, rec *PassiveRecord) bool {
 // then hands over to sealed (see layers). With whole set it lists every
 // live record, trail and tombstone the discoverer owns instead, for a merge
 // that has no previous snapshot to patch (the first one, or the first after
-// a checkpoint restore). Sealing copies no record: every record existing
-// now becomes shared with whoever holds the delta (observe clones a shared
-// record before its first post-seal mutation) and trails are append-only, so
-// a captured slice header never sees elements past its length. Cost is
-// O(entries written since the last seal), or O(shard) when whole.
+// a checkpoint restore). Each record is copied into the delta by value, and
+// peer histories and trails are append-only, so nothing the delta holds
+// sees a later write (observe copies a sealed record before its first
+// post-seal write). Cost is O(entries written since the last seal), or
+// O(shard) when whole.
 //
 // Each delta is relative to the previous seal and is handed out once, so
 // every partial seal must reach the one merge that patches the snapshot
@@ -335,9 +418,9 @@ func (d *PassiveDiscoverer) observe(key ServiceKey, t time.Time, peer netaddr.V4
 			d.onService(key, t)
 		}
 	case !owned:
-		// A record below the write layer is shared with a snapshot: copy on
-		// write, once per seal interval. The copy is flat: the clone shares
-		// the append-only rest array (see PassiveRecord).
+		// A record below the write layer is the previous interval's or the
+		// merged store's: copy on write, once per seal interval. The copy is
+		// flat: it shares the append-only rest array (see PassiveRecord).
 		c := *rec
 		rec = &c
 		d.records.put(key, rec)
@@ -366,7 +449,7 @@ const _ = uint(maxFirstPeers - peerInline) // peerInline <= maxFirstPeers
 // newPeer reports whether peer is contacting the service for the first
 // time, and records it in d.peers if the service has one (rec.observe
 // appends it to the peer history). rec is writable here — observe has
-// already cloned a sealed record — and the history is append-only, so the
+// already copied a sealed record — and the history is append-only, so the
 // scan is safe beside snapshots aliasing the same rest array.
 func (d *PassiveDiscoverer) newPeer(key ServiceKey, rec *PassiveRecord, peer netaddr.V4) bool {
 	if rec.nClients > peerInline {

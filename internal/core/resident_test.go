@@ -187,16 +187,18 @@ func TestResidentBytesPerFlowState(t *testing.T) {
 // take (it measures before any snapshot): what one service costs once the
 // inventory is queryable. Live-heap growth per service across filling an
 // engine with 100 k single-client services, one per address, and taking its
-// first Snapshot, with the inventory kept alive: the record, the merged
-// store's two B+-trees bulk-built with their leaves holding (record, key)
-// and (trail, address) side by side, and nothing else — the install after
-// the merge empties every shard's write layers, so no shard index survives
-// it (DESIGN.md §5). Budget ≈1.15× the measured 107 B; shards that kept a
-// map of every record and every trail beside the store read 183 B.
+// first Snapshot, with the inventory kept alive: the merged store's two
+// B+-trees bulk-built, their leaves holding each 40-byte record by value
+// beside its key and each trail's header beside its address, the trails'
+// arrays, and nothing else — the install after the merge empties every
+// shard's write layers, so no shard index survives it (DESIGN.md §5).
+// Budget ≈1.15× the measured 91 B; leaves holding a pointer to a record
+// allocated apart read 107 B, and shards that kept a map of every record
+// and every trail beside the store 183 B.
 func TestResidentBytesFirstSnapshot(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 123 // bytes per service, fill plus first snapshot
+		budget = 105 // bytes per service, fill plus first snapshot
 	)
 	accept := synAck(t0, residentCampus.Base(), 80, netaddr.MustParseV4("64.0.0.0"))
 	for _, shards := range []int{1, 2} {

@@ -653,8 +653,8 @@ func (s *ShardedPassive) freezeShards(whole bool, since uint64, hook *freezeHook
 // tombstones the shard deltas carry and the probe keys the active flush moved
 // (probed), one path-copying Patch per tree, and concatenates and sorts the
 // shards' scanner lists (disjoint by source). A key active (the flushed view,
-// nil for a passive-only engine) probes stays in the services tree, with a
-// nil record once no passive one is left. With no base the deltas are whole
+// nil for a passive-only engine) probes stays in the services tree, holding
+// noRecord once no passive record is left. With no base the deltas are whole
 // shards, the trees are built bottom up with every probe of active patched
 // in, and the delta is Full and lists nothing. Otherwise Added names the
 // services that appeared or were reborn since base (beside a tombstone of the
@@ -666,7 +666,13 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 	full := base == nil
 	m := &mergedStore{}
 	var scanners []ScannerInfo
-	var recs []svcEntry
+	// The records are sized up front: a whole merge copies every record
+	// once, not once per growth of the slice.
+	n := 0
+	for i := range deltas {
+		n += len(deltas[i].recs)
+	}
+	recs := make([]svcEntry, 0, n)
 	var trails []TreeEntry[netaddr.V4, []Instant]
 	var tombs []TreeEntry[ServiceKey, time.Time]
 	for i := range deltas {
@@ -687,12 +693,13 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 			})
 		}
 	}
-	// One edit per key a shard or the flush names: the shard's record (nil:
-	// expired) or, for a key only the flush names, the one the tree holds. A
-	// nil record leaves the tree unless a probe still answers for the key.
-	edits := make([]TreeEdit[ServiceKey, *PassiveRecord], 0, len(recs)+len(probed))
+	// One edit per key a shard or the flush names: the shard's record
+	// (noRecord: expired) or, for a key only the flush names, the one the
+	// tree holds. A key with no record leaves the tree unless a probe still
+	// answers for it.
+	edits := make([]TreeEdit[ServiceKey, PassiveRecord], 0, len(recs)+len(probed))
 	for i, j := 0, 0; i < len(recs) || j < len(probed); {
-		var e TreeEdit[ServiceKey, *PassiveRecord]
+		var e TreeEdit[ServiceKey, PassiveRecord]
 		live, flushed := false, j < len(probed) && (i == len(recs) || !recs[i].Key.Before(probed[j].Key))
 		if flushed {
 			e.Key, live = probed[j].Key, probed[j].Val.ok
@@ -702,13 +709,16 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 		case i < len(recs) && (!flushed || recs[i].Key == e.Key):
 			e.Key, e.Val = recs[i].Key, recs[i].Val
 			i++
-			if !flushed && e.Val == nil && active != nil {
+			if !flushed && !e.Val.held() && active != nil {
 				_, live = active.FirstOpen(e.Key)
 			}
 		default:
-			e.Val, _ = base.services.Get(e.Key)
+			e.Val = noRecord
+			if rec := base.services.Ref(e.Key); rec != nil {
+				e.Val = *rec
+			}
 		}
-		e.Del = e.Val == nil && !live
+		e.Del = !e.Val.held() && !live
 		edits = append(edits, e)
 	}
 	// A record beside its key's tombstone came back after expiring.
@@ -717,13 +727,13 @@ func mergeViews(base *mergedStore, deltas []shardDelta, active *ActiveDiscoverer
 		return found
 	}
 	var d SnapshotDelta
-	m.services = base.services.Patch(edits, func(i int, old *PassiveRecord, had bool) {
+	m.services = base.services.Patch(edits, func(i int, old PassiveRecord, had bool) {
 		switch e := &edits[i]; {
 		case e.Del:
 			if had {
 				d.Removed = append(d.Removed, e.Key)
 			}
-		case !had || e.Val != nil && (old == nil || reborn(e.Key)):
+		case !had || e.Val.held() && (!old.held() || reborn(e.Key)):
 			d.Added = append(d.Added, e.Key)
 		default:
 			d.Updated = append(d.Updated, e.Key)

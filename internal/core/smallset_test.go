@@ -656,7 +656,7 @@ func TestPeerDedupModel(t *testing.T) {
 		}
 
 		type sealedAt struct {
-			rec     *PassiveRecord
+			rec     PassiveRecord
 			clients int
 			first   []PeerContact
 		}
@@ -676,9 +676,9 @@ func TestPeerDedupModel(t *testing.T) {
 			case step%97 == 0:
 				// Seal, and remember the records the seal hands out — the
 				// whole shard the first time, what changed since afterwards:
-				// later writes must go to clones. (A nil record is a removal.)
+				// later writes must not reach them. (noRecord is a removal.)
 				for _, r := range d.seal(step == 0).recs {
-					if r.Val != nil {
+					if r.Val.held() {
 						sealed = append(sealed, sealedAt{r.Val, r.Val.Clients(), slices.Clone(r.Val.FirstPeers())})
 					}
 				}
@@ -749,7 +749,9 @@ func TestImportRefusesInconsistentPeers(t *testing.T) {
 // per client up to maxFirstPeers, the first of them at FirstSeen, and its
 // client count in 32 bits, so a delta whose peer history says otherwise
 // cannot be installed without the two disagreeing. It is refused like an
-// inconsistent peer set.
+// inconsistent peer set, and so is a negative flow count: the restored
+// site's bootstrap frame would carry it, and every aggregator refuses that
+// frame whole.
 func TestImportRefusesInconsistentPeerHistory(t *testing.T) {
 	checkImportRefuses(t, map[string]func(st *ServiceState){
 		"39 first peers for 40 clients": func(st *ServiceState) { st.FirstPeers = st.FirstPeers[:39] },
@@ -765,6 +767,7 @@ func TestImportRefusesInconsistentPeerHistory(t *testing.T) {
 			st.Clients, st.FirstPeers, st.Peers = -1, nil, nil
 		},
 		"clients past 32 bits": func(st *ServiceState) { st.Clients = 1<<32 + 40 },
+		"negative flows":       func(st *ServiceState) { st.Flows = -1 },
 	})
 }
 
@@ -835,7 +838,7 @@ func TestPeerHistoryModel(t *testing.T) {
 		var ref []PeerContact
 		seen := make(map[netaddr.V4]bool)
 		type sealedAt struct {
-			rec   *PassiveRecord
+			rec   PassiveRecord
 			first []PeerContact
 		}
 		var sealed []sealedAt
@@ -867,14 +870,13 @@ func TestPeerHistoryModel(t *testing.T) {
 			if allocs := testing.AllocsPerRun(5, func() { d.observe(key, now, peer) }); allocs != 0 {
 				t.Fatalf("seed %d, %d clients: a repeat peer allocates %.0f times, want 0", seed, len(seen), allocs)
 			}
-			// Seal at every length: the next write goes to a clone that
-			// appends past what this one covers.
-			d.seal(false)
-			rec := d.service(key)
+			// Seal at every length: the next write appends past what the
+			// copy the seal hands out covers.
+			rec := d.seal(false).recs[0].Val
 			sealed = append(sealed, sealedAt{rec, rec.FirstPeers()})
 			if roundTrip[len(seen)] {
 				st := d.exportService(key)
-				if err := st.checkPeers(); err != nil {
+				if err := st.check(); err != nil {
 					t.Fatalf("seed %d: export at %d clients fails its own import check: %v", seed, len(seen), err)
 				}
 				fresh := NewPassiveDiscoverer(campusPfx, nil)

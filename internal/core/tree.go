@@ -125,21 +125,31 @@ func (t Tree[K, V]) Len() int { return t.n }
 
 // Get returns the value stored under k.
 func (t Tree[K, V]) Get(k K) (v V, ok bool) {
+	if p := t.Ref(k); p != nil {
+		return *p, true
+	}
+	return v, false
+}
+
+// Ref returns the value stored under k in place, nil if k is absent: a
+// pointer into a leaf array, which never changes, so it stays valid and
+// unchanged for as long as the caller holds it. Read through it only.
+func (t Tree[K, V]) Ref(k K) *V {
 	nd := t.root
 	if nd == nil {
-		return v, false
+		return nil
 	}
 	for nd.kids != nil {
 		i := nd.kidAt(k, false)
 		if i == len(nd.kids) {
-			return v, false
+			return nil
 		}
 		nd = &nd.kids[i]
 	}
 	if i := nd.entAt(k, false); i < len(nd.ents) && nd.ents[i].Key == k {
-		return nd.ents[i].Val, true
+		return &nd.ents[i].Val
 	}
-	return v, false
+	return nil
 }
 
 // BuildTree makes the tree of ents, which must be sorted by key and
@@ -468,6 +478,19 @@ func (t Tree[K, V]) Walk(after *K, f func(K, V) bool) {
 		e, ok := c.Next()
 		if !ok || !f(e.Key, e.Val) {
 			return
+		}
+	}
+}
+
+// WalkRef is Walk with each value in place (see Ref).
+func (t Tree[K, V]) WalkRef(after *K, f func(K, *V) bool) {
+	for c := t.Seek(after); len(c.stack) > 0; {
+		top := &c.stack[len(c.stack)-1]
+		if e := &top.nd.ents[top.i]; !f(e.Key, &e.Val) {
+			return
+		}
+		if top.i++; top.i == len(top.nd.ents) {
+			c.advance()
 		}
 	}
 }

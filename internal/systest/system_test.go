@@ -42,8 +42,9 @@ var (
 )
 
 // fixedSeed is the program Tier-1 runs. It kills a victim with two seals
-// past its last checkpoint after the reader has applied them, and its
-// faults end feed connections (TestSystem checks that it still does both).
+// past its last checkpoint after the reader has applied them (a function of
+// the program: see siteRun.sealsPast), and its faults end feed connections
+// (TestSystem checks that it still does both).
 const fixedSeed = 73
 
 // TestSystem runs the program drawn from -seed, or from each of seeds 1..N
@@ -266,11 +267,16 @@ type siteRun struct {
 	saved    durable
 	baseline bool // the next successful checkpoint must be a baseline
 	reader   bool // a reader snapshots while the next ingest runs
-	// seals are the feed positions of the seals since the saved
-	// checkpoint, for the kill report.
-	seals []uint64
-	link  atomic.Pointer[net.Conn]
-	fc    *federate.FeedClient
+	// sealsPast counts the snapshot points since the saved checkpoint that
+	// followed inputs, for the kill report: each froze those inputs into a
+	// chain link whose seal the feed shipped, whichever freeze got there
+	// first (a reader's included), so a reader caught up with the site
+	// holds at least that many seals past the checkpoint. unsealed is
+	// whether inputs arrived since the last snapshot point.
+	sealsPast int
+	unsealed  bool
+	link      atomic.Pointer[net.Conn]
+	fc        *federate.FeedClient
 
 	ref, alt *core.ShardedPassive // the reference, and the racing reports' other order
 	refLog   *eventLog
@@ -289,7 +295,7 @@ type world struct {
 	sites   []*siteRun
 	serving sync.WaitGroup
 	at      string // the step running, for the repro line
-	held    int    // kills whose reader held two seals past the checkpoint
+	held    int    // awaited kills whose reader held two seals past the checkpoint
 }
 
 func (w *world) fatalf(format string, args ...any) {
@@ -497,7 +503,6 @@ func (w *world) run(st step) {
 		}
 		s.baseline = true
 	}
-	before := s.pub.Load().State().Seq
 	s.log = append(s.log, st)
 	switch st.kind {
 	case stepIngest, stepReport, stepSnapshot:
@@ -509,9 +514,9 @@ func (w *world) run(st step) {
 		stop()
 	case stepCheckpoint:
 		s.saved = durable{steps: len(s.log), events: append(slices.Clone(s.base), s.cur.events()...)}
-		s.seals = nil
+		s.sealsPast, s.unsealed = 0, false
 	case stepLostCheckpoint:
-		s.saved, s.seals = durable{}, nil
+		s.saved, s.sealsPast = durable{}, 0
 	}
 	w.apply(s, s.ref, st, raceFirst)
 	if s.alt != nil {
@@ -522,9 +527,21 @@ func (w *world) run(st step) {
 			w.fatalf("the snapshot diverges from the reference's:\n%s", firstDiff(got, want))
 		}
 	}
-	if after := s.pub.Load().State().Seq; (st.kind == stepSnapshot || st.kind == stepLostCheckpoint) && after > before {
-		s.seals = append(s.seals, after)
+	switch {
+	case s.inputs(st):
+		s.unsealed = true
+	case st.kind == stepSnapshot || st.kind == stepLostCheckpoint:
+		if s.unsealed {
+			s.sealsPast++
+		}
+		s.unsealed = false
 	}
+}
+
+// inputs reports whether st hands the site's engine input: a report, or
+// the ingest of a segment that holds packets.
+func (s *siteRun) inputs(st step) bool {
+	return st.kind == stepReport || st.kind == stepIngest && len(s.segs[st.seg]) > 0
 }
 
 // readAlong snapshots eng on a second goroutine, as a reader polling the
@@ -639,7 +656,7 @@ func (w *world) kill(s *siteRun, st step) {
 		w.awaitReader(s, 30*time.Second)
 	}
 	victim := s.pub.Load()
-	if epoch, seq, _ := w.agg.SiteCursor(s.id); len(s.seals) >= 2 && epoch == victim.State().Epoch && seq >= s.seals[1] {
+	if st.await && s.sealsPast >= 2 {
 		w.held++
 	}
 	if c := s.link.Load(); c != nil {
@@ -674,13 +691,14 @@ func (w *world) kill(s *siteRun, st step) {
 	if s.w, err = checkpoint.NewWriter(eng, s.dir, checkpoint.Options{}); err != nil {
 		w.fatalf("%v", err)
 	}
-	s.baseline, s.seals = true, nil
+	s.baseline, s.sealsPast, s.unsealed = true, 0, false
 	// A restarted process does not know its victim's snapshot cadence, and
 	// every freeze decides expiry alike, so the replay applies the inputs
 	// alone.
 	for _, done := range s.log[s.saved.steps:] {
-		if done.kind == stepIngest || done.kind == stepReport {
+		if s.inputs(done) {
 			w.apply(s, eng, done, raceFirst)
+			s.unsealed = true
 		}
 	}
 }
